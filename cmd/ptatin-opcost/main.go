@@ -21,13 +21,8 @@
 // (apply time, MDoF/s, setup time per backend per size) on stdout; this is
 // the producer behind scripts/bench.sh's BENCH_PR4.json.
 //
-// With -vcycle the tool benchmarks the multigrid V-cycle smoother
-// configurations of the mixed-precision PR — unblocked f64 (the
-// BENCH_PR4/PR5 baseline), cache-blocked f64, and cache-blocked f32 —
-// timing the fine-level pre+post smoothing pair and the whole V-cycle
-// application, then runs the Δη=10⁶ sinker-style contrast solve in f64
-// and f32 to record outer iteration parity. Emits BENCH_PR7 JSON on
-// stdout; this is the producer behind scripts/bench.sh's BENCH_PR7.json.
+// The V-cycle is measured level by level, in the time loop it runs in, by
+// the repository benchmark (the mg.* metrics of bench/).
 package main
 
 import (
@@ -57,10 +52,6 @@ func main() {
 	reps := flag.Int("reps", 5, "timing repetitions (best-of)")
 	telFlag := flag.Bool("telemetry", false, "run an instrumented MG Stokes solve and emit the telemetry table + JSON")
 	jsonFlag := flag.Bool("json", false, "emit the machine-readable per-backend benchmark (BENCH_PR4 schema) and exit")
-	vcycleFlag := flag.Bool("vcycle", false, "emit the V-cycle smoother benchmark (BENCH_PR7 schema) and exit")
-	levels := flag.Int("levels", 3, "multigrid depth for -vcycle")
-	vcycleGate := flag.Float64("vcycle-gate", 0, "with -vcycle: exit nonzero if the blocked-f64 smoother speedup falls below this (CI regression gate; 0 disables)")
-	vcycleParity := flag.Bool("vcycle-parity", true, "with -vcycle: run the Δη=10⁶ f64/f32 outer-iteration parity solves")
 	grids := flag.String("grids", "4,8,12", "comma-separated level sizes for -json")
 	opFlag := flag.String("op", "", "restrict -json to one backend (mf|mfref|asm|galerkin)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -69,10 +60,6 @@ func main() {
 
 	if *jsonFlag {
 		runJSONBench(*grids, *opFlag, *workers, *reps)
-		return
-	}
-	if *vcycleFlag {
-		runVCycleBench(*m, *levels, *workers, *reps, *vcycleGate, *vcycleParity)
 		return
 	}
 
@@ -356,206 +343,4 @@ func runJSONBench(grids, only string, workers, reps int) {
 	if err := enc.Encode(doc); err != nil {
 		log.Fatal(err)
 	}
-}
-
-// vcycleRecord is one smoother configuration's timing in the BENCH_PR7
-// schema. SmootherMs times the fine level's pre+post smoothing pair (the
-// per-cycle smoother cost the paper's Table IV attributes to the finest
-// level); VCycleMs times one whole preconditioner application.
-type vcycleRecord struct {
-	Config     string  `json:"config"`
-	FineKind   string  `json:"fine_kind"`
-	SmootherMs float64 `json:"smoother_ms"`
-	VCycleMs   float64 `json:"vcycle_ms"`
-	SetupMs    float64 `json:"setup_ms"`
-}
-
-// runVCycleBench produces BENCH_PR7: fine-smoother and V-cycle times for
-// the unblocked-f64 baseline (the configuration every earlier PR
-// benchmarked), the cache-blocked f64 wavefront smoother, and the
-// cache-blocked float32 hierarchy, plus the Δη=10⁶ outer-iteration parity
-// check between the f64 and f32 preconditioners.
-func runVCycleBench(m, levels, workers, reps int, gate float64, parityRun bool) {
-	eta := func(x, y, z float64) float64 {
-		return math.Exp(2 * math.Sin(3*x) * math.Cos(2*y))
-	}
-	type config struct {
-		name    string
-		blocked bool
-		prec    op.Precision
-	}
-	configs := []config{
-		{"unblocked-f64", false, op.F64},
-		{"blocked-f64", true, op.F64},
-		{"blocked-f32", true, op.F32},
-	}
-	var records []vcycleRecord
-	for _, c := range configs {
-		p := benchProblem(m, workers)
-		probs := mg.CoarsenProblems(p, levels, mg.FuncCoeffCoarsener(eta, nil))
-		t0 := time.Now()
-		mgp, err := mg.Build(probs, mg.Options{
-			Kinds:       op.DefaultLevelKinds(levels, op.Tensor, false),
-			SmoothSteps: 2,
-			Workers:     workers,
-			Blocked:     c.blocked,
-			Precision:   c.prec,
-		})
-		if err != nil {
-			log.Fatalf("%s: %v", c.name, err)
-		}
-		if err := mgp.UseBlockJacobiCoarse(1); err != nil {
-			log.Fatalf("%s coarse: %v", c.name, err)
-		}
-		setup := time.Since(t0)
-		lev := mgp.Levels[0]
-		if c.blocked && lev.Blocked == nil {
-			log.Fatalf("%s: fine level has no blocked smoother", c.name)
-		}
-		smooth := func(b, x la.Vec, zeroGuess bool) {
-			if lev.Blocked != nil {
-				lev.Blocked.Smooth(b, x, zeroGuess)
-			} else {
-				lev.Smoother.Smooth(b, x, zeroGuess)
-			}
-		}
-		n := lev.Op.N()
-		b, x, z := la.NewVec(n), la.NewVec(n), la.NewVec(n)
-		for i := range b {
-			if !lev.Prob.BC.Mask[i] {
-				b[i] = math.Sin(float64(i))
-			}
-		}
-		// Fine-level smoother: the pre-smooth (zero guess) + post-smooth
-		// (warm guess) pair of one V-cycle visit.
-		smooth(b, x, true)
-		smooth(b, x, false)
-		bestS := time.Duration(1 << 62)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			smooth(b, x, true)
-			smooth(b, x, false)
-			if el := time.Since(start); el < bestS {
-				bestS = el
-			}
-		}
-		mgp.Apply(b, z) // warm up
-		bestV := time.Duration(1 << 62)
-		for r := 0; r < reps; r++ {
-			start := time.Now()
-			mgp.Apply(b, z)
-			if el := time.Since(start); el < bestV {
-				bestV = el
-			}
-		}
-		records = append(records, vcycleRecord{
-			Config:     c.name,
-			FineKind:   lev.Op.Kind().String(),
-			SmootherMs: bestS.Seconds() * 1e3,
-			VCycleMs:   bestV.Seconds() * 1e3,
-			SetupMs:    setup.Seconds() * 1e3,
-		})
-	}
-
-	// Outer-iteration parity at paper-scale contrast: the f32 hierarchy
-	// must not cost extra Krylov iterations.
-	const deltaEta = 1e6
-	parity := struct {
-		DeltaEta     float64 `json:"delta_eta"`
-		ItsF64       int     `json:"its_f64"`
-		ItsF32       int     `json:"its_f32"`
-		ConvergedF64 bool    `json:"converged_f64"`
-		ConvergedF32 bool    `json:"converged_f32"`
-	}{DeltaEta: deltaEta}
-	if parityRun {
-		parity.ItsF64, parity.ConvergedF64 = contrastSolve(workers, false, op.F64)
-		parity.ItsF32, parity.ConvergedF32 = contrastSolve(workers, true, op.F32)
-	}
-
-	doc := struct {
-		Schema             string         `json:"schema"`
-		M                  int            `json:"m"`
-		Levels             int            `json:"levels"`
-		Workers            int            `json:"workers"`
-		Reps               int            `json:"reps"`
-		Results            []vcycleRecord `json:"results"`
-		SmootherSpeedupF64 float64        `json:"smoother_speedup_blocked_f64"`
-		SmootherSpeedupF32 float64        `json:"smoother_speedup_blocked_f32"`
-		VCycleSpeedupF32   float64        `json:"vcycle_speedup_blocked_f32"`
-		Parity             interface{}    `json:"contrast_parity"`
-	}{Schema: "BENCH_PR7", M: m, Levels: levels, Workers: workers, Reps: reps,
-		Results: records, Parity: parity}
-	doc.SmootherSpeedupF64 = records[0].SmootherMs / records[1].SmootherMs
-	doc.SmootherSpeedupF32 = records[0].SmootherMs / records[2].SmootherMs
-	doc.VCycleSpeedupF32 = records[0].VCycleMs / records[2].VCycleMs
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Fatal(err)
-	}
-	if gate > 0 && doc.SmootherSpeedupF64 < gate {
-		log.Fatalf("blocked-f64 smoother speedup %.2fx below the %.2fx regression gate (unblocked %.2fms, blocked %.2fms)",
-			doc.SmootherSpeedupF64, gate, records[0].SmootherMs, records[1].SmootherMs)
-	}
-}
-
-// contrastSolve runs the Δη=10⁶ sinker Stokes solve (a dense unit-
-// viscosity sphere in a 10⁻⁶-viscosity ambient fluid under gravity,
-// free-slip box, free surface on top) with the given preconditioner
-// configuration and reports the outer FGMRES iteration count. The
-// coefficients go through the vertex-grid projection pipeline like the
-// material-point path, so multigrid stays robust at this contrast. The
-// grid is fixed at 8³ — parity, not throughput, is what it measures.
-func contrastSolve(workers int, blocked bool, prec op.Precision) (its int, converged bool) {
-	const (
-		m    = 8
-		deta = 1e6
-		rad  = 0.22
-	)
-	inside := func(x, y, z float64) bool {
-		dx, dy, dz := x-0.5, y-0.5, z-0.55
-		return dx*dx+dy*dy+dz*dz < rad*rad
-	}
-	eta := func(x, y, z float64) float64 {
-		if inside(x, y, z) {
-			return 1
-		}
-		return 1 / deta
-	}
-	rho := func(x, y, z float64) float64 {
-		if inside(x, y, z) {
-			return 1.2
-		}
-		return 1
-	}
-	da := mesh.New(m, m, m, 0, 1, 0, 1, 0, 1)
-	bc := mesh.NewBC(da)
-	bc.FreeSlipBox(da, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin)
-	p := fem.NewProblem(da, bc)
-	p.Workers = workers
-	p.Gravity = [3]float64{0, 0, -9.8}
-	etaV := fem.VertexFieldFromFunc(da, eta)
-	rhoV := fem.VertexFieldFromFunc(da, rho)
-	p.SetCoefficientsVertex(etaV, rhoV)
-
-	cfg := stokes.DefaultConfig()
-	cfg.Workers = workers
-	cfg.OuterMethod = "fgmres"
-	cfg.Params.RTol = 1e-5
-	cfg.Params.MaxIt = 1000
-	// High-contrast sinkers need a long flexible basis; the default
-	// restart of 50 stalls FGMRES near Δη=10⁶ in either precision.
-	cfg.Params.Restart = 200
-	cfg.CoeffCoarsen = mg.VertexCoeffCoarsener(da, etaV, rhoV)
-	cfg.Blocked = blocked
-	cfg.Precision = prec
-	s, err := stokes.New(p, cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bu := la.NewVec(p.DA.NVelDOF())
-	fem.MomentumRHS(p, bu)
-	x := la.NewVec(s.Op.N())
-	res := s.Solve(x, bu, nil)
-	return res.Iterations, res.Converged
 }

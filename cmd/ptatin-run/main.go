@@ -42,8 +42,7 @@ func main() {
 	ranks := flag.String("ranks", "", "simulated rank grid PxxPyxPz; empty or 1x1x1 = shared-memory backend")
 	pipelined := flag.Bool("pipelined", false, "pipelined Krylov on the distributed backend")
 	coarseRoots := flag.Int("coarse-roots", 0, "coarse-grid agglomeration roots on the distributed backend")
-	opFlag := flag.String("op", "", "fine-level operator representation (auto|mf|mfref|asm|galerkin)")
-	blocked := flag.Bool("blocked", false, "cache-blocked wavefront Chebyshev smoothers")
+	opFlag := flag.String("op", "", "fine-level operator representation (mfc|auto|mf|mfref|asm|galerkin; default: the spec's, else mfc)")
 	precFlag := flag.String("precision", "", "V-cycle preconditioner precision (f64|f32)")
 	restart := flag.Int("restart", 0, "FGMRES restart window override (0 = spec/default; high viscosity contrast wants >=200)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 disables)")
@@ -130,7 +129,7 @@ func main() {
 	if reg != nil {
 		m.Telemetry = reg.Root().Child("model")
 	}
-	ov := driver.Overrides{Op: *opFlag, Blocked: *blocked, Precision: *precFlag, Restart: *restart}
+	ov := driver.Overrides{Op: *opFlag, Precision: *precFlag, Restart: *restart}
 	if err := ov.Apply(m); err != nil {
 		log.Fatal(err)
 	}

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ptatin3d/internal/cli"
+	"ptatin3d/internal/mg"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/scenario"
@@ -26,7 +27,6 @@ import (
 // compiled model (empty/zero values leave the spec's choice in place).
 type Overrides struct {
 	Op        string // fine-level operator representation
-	Blocked   bool   // cache-blocked smoothers
 	Precision string // V-cycle precision ("f64"/"f32")
 	Restart   int    // FGMRES restart window (stokes.Config.Restart)
 }
@@ -39,9 +39,6 @@ func (o Overrides) Apply(m *model.Model) error {
 			return err
 		}
 		m.Cfg.FineKind = k
-	}
-	if o.Blocked {
-		m.Cfg.Blocked = true
 	}
 	if o.Precision != "" {
 		pr, err := op.ParsePrecision(o.Precision)
@@ -120,14 +117,17 @@ type StepRecord struct {
 
 // RunRecord is the end-to-end JSON emitted on JSONOut.
 type RunRecord struct {
-	Scenario   string       `json:"scenario"`
-	Backend    string       `json:"backend"`
-	Ranks      int          `json:"ranks,omitempty"`
-	Workers    int          `json:"workers"`
-	Resolution [3]int       `json:"resolution"`
-	Steps      []StepRecord `json:"steps"`
-	TotalWallS float64      `json:"total_wall_s"`
-	AvgStepS   float64      `json:"avg_step_s"`
+	Scenario   string `json:"scenario"`
+	Backend    string `json:"backend"`
+	Ranks      int    `json:"ranks,omitempty"`
+	Workers    int    `json:"workers"`
+	Resolution [3]int `json:"resolution"`
+	// Hierarchy is the multigrid hierarchy the last Stokes solve ran:
+	// per level the operator kind, the smoother and its degree.
+	Hierarchy  []mg.LevelInfo `json:"hierarchy,omitempty"`
+	Steps      []StepRecord   `json:"steps"`
+	TotalWallS float64        `json:"total_wall_s"`
+	AvgStepS   float64        `json:"avg_step_s"`
 }
 
 // Run advances the model Config.Steps steps with per-step reporting,
@@ -193,6 +193,13 @@ func Run(m *model.Model, cfg Config) error {
 			fmt.Fprintf(out, "# checkpointed step %d to %s\n", m.StepNum, path)
 		}
 	}
+	var hierarchy []mg.LevelInfo
+	if m.LastStokes != nil && m.LastStokes.MG != nil {
+		hierarchy = m.LastStokes.MG.Describe()
+		for _, li := range hierarchy {
+			fmt.Fprintf(out, "# hierarchy: %s\n", li)
+		}
+	}
 	if m.Cfg.FineKind == op.Auto && m.LastStokes != nil {
 		fmt.Fprintln(os.Stderr, "# operator auto-selection")
 		for _, d := range m.LastStokes.SelectionReport() {
@@ -205,6 +212,7 @@ func Run(m *model.Model, cfg Config) error {
 			Scenario: cfg.Scenario, Backend: backendName, Ranks: ranks,
 			Workers:    m.Workers,
 			Resolution: [3]int{m.Prob.DA.Mx, m.Prob.DA.My, m.Prob.DA.Mz},
+			Hierarchy:  hierarchy,
 			Steps:      recs, TotalWallS: total,
 		}
 		if len(recs) > 0 {

@@ -30,11 +30,11 @@ func smallSinker(t *testing.T, workers int) *model.Model {
 // model's solver config, and bad values are rejected.
 func TestOverridesApply(t *testing.T) {
 	m := smallSinker(t, 1)
-	ov := Overrides{Op: "asm", Blocked: true, Precision: "f32", Restart: 123}
+	ov := Overrides{Op: "asm", Precision: "f32", Restart: 123}
 	if err := ov.Apply(m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Cfg.FineKind != op.Assembled || !m.Cfg.Blocked || m.Cfg.Precision != op.F32 || m.Cfg.Restart != 123 {
+	if m.Cfg.FineKind != op.Assembled || m.Cfg.Precision != op.F32 || m.Cfg.Restart != 123 {
 		t.Fatalf("overrides not applied: %+v", m.Cfg)
 	}
 	if err := (Overrides{Op: "nope"}).Apply(m); err == nil {

@@ -20,11 +20,11 @@ import (
 // w = b + j·(D+1) — slot j = the j-th advance+apply pair — satisfies both
 // with a barrier only between waves; concurrent slots are ≥D+1 blocks
 // apart, so they touch disjoint dofs and the result is bit-identical at
-// any worker count, matching the unblocked recurrence term for term.
+// any worker count, matching the full-grid recurrence term for term.
 //
-// Per step the final operator application is elided (it only feeds the
-// next residual, never x), matching krylov.Chebyshev's NoFinalResidual
-// mode: k steps cost k-1 applies from a zero guess, k otherwise.
+// The last step's operator application is never computed (it only feeds
+// the next residual, never x), as in krylov.Chebyshev: k steps cost k-1
+// applies from a zero guess, k otherwise.
 type BlockedChebyshev struct {
 	R       *Resident
 	InvDiag la.Vec  // Jacobi preconditioner diagonal (shared with krylov.Jacobi)

@@ -15,22 +15,15 @@ type Chebyshev struct {
 	Steps  int     // iterations per Smooth call
 
 	// Spans, when non-empty, windows the smoother's BLAS-1 updates to
-	// the listed index ranges (a rank's owned+ghost rows) and reuses
-	// per-instance work vectors across Smooth calls, keeping per-rank
-	// work and touched memory O(n/P) on the distributed path. A spanned
-	// Chebyshev is NOT safe for concurrent Smooth calls — distributed
-	// solves give each rank its own instance.
+	// the listed index ranges (a rank's owned+ghost rows), keeping
+	// per-rank work and touched memory O(n/P) on the distributed path.
 	Spans []la.Span
-	work  [4]la.Vec
 
-	// NoFinalResidual elides the last step's operator application and
-	// residual update: they feed only the residual of a step that never
-	// runs, so x is unchanged while the smoother saves one apply per
-	// Smooth call (two per V-cycle level). The blocked smoother
-	// (fem.BlockedChebyshev) always elides; setting this makes the
-	// unblocked recurrence do the same apply count, which the blocked≡
-	// unblocked equivalence tests rely on.
-	NoFinalResidual bool
+	// work holds r, z, p and A·p across Smooth calls, so an instance is
+	// NOT safe for concurrent Smooth calls: distributed solves give each
+	// rank its own instance, and a shared coarse solver's smoothers are
+	// entered under the hierarchy's coarse-solve lock.
+	work [4]la.Vec
 }
 
 // NewChebyshev builds a smoother targeting [0.2λ, 1.1λ] as in the paper,
@@ -41,20 +34,17 @@ func NewChebyshev(a Op, m Preconditioner, lambdaMax float64, steps int) *Chebysh
 
 // Smooth performs Steps Chebyshev iterations on A·x = b, updating x in
 // place. zeroGuess skips the initial operator application when x = 0.
+// The last step's operator application and residual update are never
+// computed: they would feed only the residual of a step that does not
+// run, so k steps cost k-1 applies from a zero guess and k otherwise.
 func (c *Chebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
 	n := c.A.N()
-	var r, z, p, ap la.Vec
-	if len(c.Spans) > 0 {
-		// Windowed path: cached work vectors (see Spans doc).
-		if c.work[0] == nil || len(c.work[0]) != n {
-			for i := range c.work {
-				c.work[i] = la.NewVec(n)
-			}
+	if len(c.work[0]) != n {
+		for i := range c.work {
+			c.work[i] = la.NewVec(n)
 		}
-		r, z, p, ap = c.work[0], c.work[1], c.work[2], c.work[3]
-	} else {
-		r, z, p, ap = la.NewVec(n), la.NewVec(n), la.NewVec(n), la.NewVec(n)
 	}
+	r, z, p, ap := c.work[0], c.work[1], c.work[2], c.work[3]
 	sp := c.Spans
 	vcopy := func(dst, src la.Vec) {
 		if sp != nil {
@@ -112,7 +102,7 @@ func (c *Chebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
 			vaypx(p, beta, z)
 		}
 		vaxpy(x, alpha, p)
-		if c.NoFinalResidual && i == c.Steps-1 {
+		if i == c.Steps-1 {
 			break
 		}
 		c.A.Apply(p, ap)

@@ -7,7 +7,6 @@ import (
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
-	"ptatin3d/internal/op"
 )
 
 // Rank-distributed multigrid (paper §II-D + §III-C): every rank runs the
@@ -99,60 +98,41 @@ func (m *DistMG) noteErr(err error) {
 // completed).
 func (m *DistMG) Err() error { return m.err }
 
-// haloTensorOp applies the level operator matrix-free over the rank's
+// elementKernel is a matrix-free level operator that can apply an element
+// subset: *fem.Resident on resident-backed levels, *fem.TensorOp on the
+// other matrix-free ones.
+type elementKernel interface {
+	N() int
+	ApplyElements(elems []int, u, y la.Vec)
+}
+
+// haloElementOp applies the level operator matrix-free over the rank's
 // elements with the overlapped owner-reduce halo exchange: boundary
 // elements first, exchange started, interior elements applied while the
 // partials are in flight, Dirichlet identity on owned rows after the
-// reduction, owner totals broadcast back to ghosts.
-type haloTensorOp struct {
+// reduction, owner totals broadcast back to ghosts. On a resident-backed
+// level the kernel is the shared hierarchy's own fem.Resident, so every
+// element apply streams the stored 15-float-per-qp tensors the blocked
+// smoother of the shared solve uses; on TensorF32 levels the element
+// arithmetic is float32 while the exchanged partials stay float64.
+type haloElementOp struct {
 	mg    *DistMG
 	dist  *comm.Dist
-	ten   *fem.TensorOp
+	k     elementKernel
 	mask  []bool
 	spans []la.Span
 }
 
 // N returns the velocity-dof dimension.
-func (o *haloTensorOp) N() int { return o.ten.N() }
+func (o *haloElementOp) N() int { return o.k.N() }
 
 // Apply computes the distributed y = A·x (valid on owned+ghost rows).
-func (o *haloTensorOp) Apply(x, y la.Vec) {
+func (o *haloElementOp) Apply(x, y la.Vec) {
 	l := o.dist.L
 	y.ZeroSpans(o.spans)
-	o.ten.ApplyElements(l.Boundary, x, y)
+	o.k.ApplyElements(l.Boundary, x, y)
 	err := o.dist.ReduceBroadcast(y,
-		func() { o.ten.ApplyElements(l.Interior, x, y) },
-		func() { identityOwnedRows(l, o.mask, x, y) })
-	o.mg.noteErr(err)
-}
-
-// haloResidentOp is haloTensorOp over the stored-coefficient resident
-// kernel (TensorC/TensorF32 levels): the same fused schedule — boundary
-// elements applied, exchange started, interior elements applied while the
-// partials are in flight — but each element apply streams the
-// precomputed 15-float-per-qp tensors instead of re-deriving metrics, so
-// the overlapped interior work is the cheap kernel the blocked smoother
-// uses. On TensorF32 levels the element arithmetic (and the coefficient
-// stream crossing memory during the overlap window) is float32 while the
-// exchanged partials stay float64.
-type haloResidentOp struct {
-	mg    *DistMG
-	dist  *comm.Dist
-	res   *fem.Resident
-	mask  []bool
-	spans []la.Span
-}
-
-// N returns the velocity-dof dimension.
-func (o *haloResidentOp) N() int { return o.res.N() }
-
-// Apply computes the distributed y = A·x (valid on owned+ghost rows).
-func (o *haloResidentOp) Apply(x, y la.Vec) {
-	l := o.dist.L
-	y.ZeroSpans(o.spans)
-	o.res.ApplyElements(l.Boundary, x, y)
-	err := o.dist.ReduceBroadcast(y,
-		func() { o.res.ApplyElements(l.Interior, x, y) },
+		func() { o.k.ApplyElements(l.Interior, x, y) },
 		func() { identityOwnedRows(l, o.mask, x, y) })
 	o.mg.noteErr(err)
 }
@@ -212,12 +192,13 @@ func (o *haloCSROp) Apply(x, y la.Vec) {
 
 // NewDist builds rank r's distributed view of the shared hierarchy.
 // dists[l] is the rank's comm handle for level l (finest first), whose
-// decompositions must nest (ValidateNestedDecomps). Levels whose shared
-// operator has an assembled matrix are applied row-distributed
-// (haloCSROp); matrix-free levels are rediscretized per rank with the
-// tensor kernel (haloTensorOp). Smoothers reuse the shared Chebyshev
-// interval and Jacobi diagonal, so all ranks — and the shared solve —
-// run the identical smoother recurrence.
+// decompositions must nest (ValidateNestedDecomps). A level applies
+// what the shared level applies: the shared resident kernel element by
+// element where there is one — also when the level keeps an assembled
+// matrix as a Galerkin input — else the assembled matrix row-distributed
+// (haloCSROp), else the tensor kernel rediscretized per rank. Smoothers
+// reuse the shared Chebyshev interval and Jacobi diagonal, so all ranks —
+// and the shared solve — run the identical smoother recurrence.
 func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 	return NewDistOpts(base, dists, DistOptions{})
 }
@@ -237,14 +218,14 @@ func NewDistOpts(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error)
 			return nil, fmt.Errorf("mg: level %d has no problem (algebraic level)", l)
 		}
 		dl := &distLevel{dist: dists[l], prob: lev.Prob, spans: dists[l].L.VelSpans()}
-		if csr := lev.Op.CSR(); csr != nil {
+		if lev.Blocked != nil {
+			dl.op = &haloElementOp{mg: m, dist: dists[l],
+				k: lev.Blocked.R, mask: lev.Prob.BC.Mask, spans: dl.spans}
+		} else if csr := lev.Op.CSR(); csr != nil {
 			dl.op = &haloCSROp{mg: m, dist: dists[l], a: csr, spans: dl.spans}
-		} else if res := op.ResidentOf(lev.Op); res != nil {
-			dl.op = &haloResidentOp{mg: m, dist: dists[l],
-				res: res, mask: lev.Prob.BC.Mask, spans: dl.spans}
 		} else {
-			dl.op = &haloTensorOp{mg: m, dist: dists[l],
-				ten: fem.NewTensor(lev.Prob), mask: lev.Prob.BC.Mask, spans: dl.spans}
+			dl.op = &haloElementOp{mg: m, dist: dists[l],
+				k: fem.NewTensor(lev.Prob), mask: lev.Prob.BC.Mask, spans: dl.spans}
 		}
 		sm := lev.Smoother
 		// The smoother's Jacobi diagonal is shared read-only; wrap it in
@@ -253,11 +234,7 @@ func NewDistOpts(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error)
 		if jac, ok := msm.(*krylov.Jacobi); ok {
 			msm = &krylov.Jacobi{InvDiag: jac.InvDiag, Spans: dl.spans}
 		}
-		// When the shared level smooths blocked, the distributed smoother
-		// elides the final residual too — identical apply counts, and the
-		// elided apply never affects x, so iterates still match.
-		dl.smoother = &krylov.Chebyshev{A: dl.op, M: msm, Lo: sm.Lo, Hi: sm.Hi, Steps: sm.Steps,
-			Spans: dl.spans, NoFinalResidual: lev.Blocked != nil}
+		dl.smoother = &krylov.Chebyshev{A: dl.op, M: msm, Lo: sm.Lo, Hi: sm.Hi, Steps: sm.Steps, Spans: dl.spans}
 		n := lev.Op.N()
 		dl.r, dl.e, dl.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
 		m.lev = append(m.lev, dl)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ptatin3d/internal/comm"
+	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/op"
@@ -98,27 +99,42 @@ func TestDistMGMatchesShared(t *testing.T) {
 	}
 }
 
-// TestDistMGBlockedMatchesSerial: a blocked (TensorC + wavefront
-// smoother) hierarchy solved serially must agree with the distributed
+// TestDistMGBlockedMatchesSerial: the default layout (resident levels,
+// wavefront smoother) solved serially must agree with the distributed
 // V-cycle-preconditioned solve at 1, 8 and 64 ranks — same outer CG
-// iteration count on every rank, solutions within 1e-10. The blocked
-// smoother is bit-identical to the elided unblocked recurrence the
-// distributed ranks run, so the only serial/distributed divergence left
-// is element-summation order in the halo operator.
+// iteration count on every rank, solutions within 1e-10 — and bitwise
+// with the serial solve smoothing full-grid. The blocked smoother is
+// bit-identical to the full-grid recurrence the distributed ranks run, so
+// the only serial/distributed divergence left is element-summation order
+// in the halo operator. The 3-level case has the level-1 operator that
+// applies resident and keeps its matrix only as the Galerkin input.
 func TestDistMGBlockedMatchesSerial(t *testing.T) {
+	for _, tc := range []struct {
+		levels int
+		grids  [][3]int
+	}{
+		{2, [][3]int{{1, 1, 1}, {2, 2, 2}, {4, 4, 4}}},
+		{3, [][3]int{{1, 1, 1}, {2, 2, 2}}},
+	} {
+		distBlockedCase(t, tc.levels, tc.grids)
+	}
+}
+
+func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 	eta := func(x, y, z float64) float64 { return 1 + 10*x*y + 5*z }
 	fine := stdProblem(8, eta)
-	probs := CoarsenProblems(fine, 2, FuncCoeffCoarsener(eta, nil))
+	probs := CoarsenProblems(fine, levels, FuncCoeffCoarsener(eta, nil))
 	mgp, err := Build(probs, Options{
-		Kinds:       op.DefaultLevelKinds(2, op.Tensor, false),
+		Kinds:       op.DefaultLevelKinds(levels, op.TensorC, false),
 		SmoothSteps: 2,
-		Blocked:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if mgp.Levels[0].Blocked == nil {
-		t.Fatal("fine level did not get a blocked smoother (no resident backing?)")
+	for l := 0; l < levels-1; l++ {
+		if mgp.Levels[l].Blocked == nil {
+			t.Fatalf("%d levels: level %d did not get a blocked smoother (no resident backing?)", levels, l)
+		}
 	}
 	if err := mgp.UseBlockJacobiCoarse(1); err != nil {
 		t.Fatal(err)
@@ -143,8 +159,27 @@ func TestDistMGBlockedMatchesSerial(t *testing.T) {
 		t.Fatalf("serial blocked-MG CG did not converge: %d its", resS.Iterations)
 	}
 
-	for _, pg := range [][3]int{{1, 1, 1}, {2, 2, 2}, {4, 4, 4}} {
-		pg := pg
+	// The test-local full-grid reference: the same hierarchy with the
+	// wavefront smoothers taken out.
+	blocked := make([]*fem.BlockedChebyshev, levels)
+	for l, ml := range mgp.Levels {
+		blocked[l], ml.Blocked = ml.Blocked, nil
+	}
+	xf := la.NewVec(n)
+	resF := krylov.CG(lev.Op, mgp, b, xf, prm)
+	for l, ml := range mgp.Levels {
+		ml.Blocked = blocked[l]
+	}
+	if resF.Iterations != resS.Iterations {
+		t.Fatalf("%d levels: full-grid smoothing took %d iterations, blocked %d", levels, resF.Iterations, resS.Iterations)
+	}
+	for i := range xs {
+		if xs[i] != xf[i] {
+			t.Fatalf("%d levels: dof %d differs bitwise between blocked and full-grid smoothing: %v vs %v", levels, i, xs[i], xf[i])
+		}
+	}
+
+	for _, pg := range grids {
 		decomps := make([]*comm.Decomp, len(mgp.Levels))
 		for l, ml := range mgp.Levels {
 			d, err := comm.NewDecomp(ml.Prob.DA, pg[0], pg[1], pg[2])
@@ -168,11 +203,10 @@ func TestDistMGBlockedMatchesSerial(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if _, ok := dmg.lev[0].op.(*haloResidentOp); !ok {
-				t.Errorf("rank %d: fine level is %T; want the resident halo operator", r.ID, dmg.lev[0].op)
-			}
-			if !dmg.lev[0].smoother.NoFinalResidual {
-				t.Errorf("rank %d: distributed smoother did not elide the final residual", r.ID)
+			for l := 0; l < levels-1; l++ {
+				if h, ok := dmg.lev[l].op.(*haloElementOp); !ok || h.k != elementKernel(mgp.Levels[l].Blocked.R) {
+					t.Errorf("rank %d: level %d is %T; want the halo operator over the shared resident kernel", r.ID, l, dmg.lev[l].op)
+				}
 			}
 			dprm := prm
 			dprm.Reducer = velReducer{dists[0]}

@@ -19,18 +19,19 @@ type Level struct {
 	Prob     *fem.Problem // discretization (nil only if purely algebraic)
 	Op       op.Operator
 	Smoother *krylov.Chebyshev
-	// Blocked, when non-nil, replaces Smoother in the cycle with the
-	// cache-blocked wavefront Chebyshev over the operator's resident
-	// backing. It computes bit-identical iterates (the unblocked
-	// recurrence with the final residual elided), so swapping it in is a
-	// pure performance substitution.
+	// Blocked is the cache-blocked wavefront Chebyshev over the
+	// operator's resident backing: non-nil exactly when the operator has
+	// one (op.ResidentOf), and then the cycle smooths with it. It computes
+	// the iterates of Smoother bit for bit; Smoother stays as the
+	// full-grid form of the same recurrence — what levels without
+	// resident backing run, and where distributed views read the interval.
 	Blocked *fem.BlockedChebyshev
 	P       *Prolongation // transfer from the next-coarser level (nil on coarsest)
 
 	r, e, bc la.Vec // work vectors
 }
 
-// smooth runs the level's smoother, preferring the blocked variant.
+// smooth runs the level's smoother: blocked on resident-backed levels.
 func (lev *Level) smooth(b, x la.Vec, zeroGuess bool) {
 	if lev.Blocked != nil {
 		lev.Blocked.Smooth(b, x, zeroGuess)
@@ -131,14 +132,9 @@ type Options struct {
 	// FineOp, when non-nil, is used as the finest level's operator
 	// instead of building one from Kinds[0] (it must discretize
 	// probs[0]). The coupled Stokes solver passes its fine viscous
-	// operator here so it is constructed exactly once. Blocked/Precision
-	// substitutions never apply to a caller-provided FineOp.
+	// operator here so it is constructed exactly once. The Precision
+	// substitution never applies to a caller-provided FineOp.
 	FineOp op.Operator
-	// Blocked selects the cache-blocked wavefront Chebyshev smoother on
-	// every level whose operator is resident-backed (Tensor kinds are
-	// upgraded to TensorC to make them so). Bit-identical to the
-	// unblocked smoother; purely a performance substitution.
-	Blocked bool
 	// Precision runs the hierarchy's smoother operators at the given
 	// width: op.F32 swaps matrix-free levels to TensorF32 and assembled
 	// mid-levels to AssembledF32. The coarsest level always stays float64
@@ -204,7 +200,8 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 				env.FineCSR = func() *la.CSR { return finer.Op.CSR() }
 				env.Prolong = lp.ToCSR
 			}
-			kind := levelKind(opt.Kinds[l], pol.NeedCSR, opt)
+			env.GalerkinInput = !pol.NeedCSR && opt.Kinds[l+1] == op.Galerkin
+			kind := levelKind(opt.Kinds[l], pol.NeedCSR, opt.Precision)
 			o, err := op.New(kind, env)
 			if err != nil {
 				return nil, fmt.Errorf("mg: level %d (%v): %w", l, kind, err)
@@ -214,58 +211,50 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 		if err := lev.Op.Setup(); err != nil {
 			return nil, fmt.Errorf("mg: level %d setup: %w", l, err)
 		}
-		// Jacobi-preconditioned Chebyshev smoother on every level
-		// (paper §III-C), targeting [0.2λmax, 1.1λmax]. Representations
-		// guarantee a nonzero diagonal (unit entries on constrained
-		// rows), so no per-representation fix-up is needed here.
+		m.buildSmoother(lev, opt.SmoothSteps)
 		n := lev.Op.N()
-		diag := la.NewVec(n)
-		lev.Op.Diag(diag)
-		jac := krylov.NewJacobi(diag)
-		lmax := krylov.EstimateLambdaMax(lev.Op, jac, opt.EigIts)
-		lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, opt.SmoothSteps)
-		if opt.Blocked {
-			// The blocked smoother needs the operator's resident backing;
-			// force an undecided Auto level to commit so the answer is
-			// definitive here rather than after the first applies.
-			if a, ok := lev.Op.(*op.AutoOp); ok {
-				a.ForceCommit()
-			}
-			if res := op.ResidentOf(lev.Op); res != nil {
-				lev.Blocked = fem.NewBlockedChebyshev(res, jac.InvDiag, lmax, opt.SmoothSteps)
-				// Keep the unblocked fallback (distributed views copy its
-				// interval) at the same apply count as the blocked sweeps.
-				lev.Smoother.NoFinalResidual = true
-			}
-		}
 		lev.r, lev.e, lev.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
 		m.Levels = append(m.Levels, lev)
 	}
 	return m, nil
 }
 
-// levelKind maps a requested per-level kind through the Blocked/Precision
-// substitutions: at op.F32, matrix-free kinds become TensorF32 and
+// buildSmoother (re)builds a level's Jacobi-preconditioned Chebyshev
+// smoother (paper §III-C) targeting [0.2λmax, 1.1λmax]. Representations
+// guarantee a nonzero diagonal (unit entries on constrained rows), so no
+// per-representation fix-up is needed. A level with resident backing gets
+// the wavefront-blocked form of the same recurrence; an Auto level is made
+// to commit first, so that whether it has one is settled here rather than
+// after the first applies.
+func (m *MG) buildSmoother(lev *Level, steps int) {
+	diag := la.NewVec(lev.Op.N())
+	lev.Op.Diag(diag)
+	jac := krylov.NewJacobi(diag)
+	lmax := krylov.EstimateLambdaMax(lev.Op, jac, m.EigIts)
+	lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, steps)
+	if a, ok := lev.Op.(*op.AutoOp); ok {
+		a.ForceCommit()
+	}
+	lev.Blocked = nil
+	if res := op.ResidentOf(lev.Op); res != nil {
+		lev.Blocked = fem.NewBlockedChebyshev(res, jac.InvDiag, lmax, steps)
+	}
+}
+
+// levelKind maps a requested per-level kind through the Precision
+// substitution: at op.F32, matrix-free kinds become TensorF32 and
 // rediscretized-assembled mid-levels AssembledF32 (Galerkin stays — its
-// float64 triple product feeds the levels below); with Blocked at
-// float64, Tensor upgrades to the resident TensorC so the wavefront
-// smoother has stored coefficients to block over. The coarsest level
+// float64 triple product feeds the levels below). The coarsest level
 // (needCSR) is never substituted.
-func levelKind(k op.Kind, needCSR bool, opt Options) op.Kind {
-	if needCSR {
+func levelKind(k op.Kind, needCSR bool, prec op.Precision) op.Kind {
+	if needCSR || prec != op.F32 {
 		return k
 	}
-	if opt.Precision == op.F32 {
-		switch k {
-		case op.Tensor, op.TensorC, op.MFRef:
-			return op.TensorF32
-		case op.Assembled:
-			return op.AssembledF32
-		}
-		return k
-	}
-	if opt.Blocked && k == op.Tensor {
-		return op.TensorC
+	switch k {
+	case op.Tensor, op.TensorC, op.MFRef:
+		return op.TensorF32
+	case op.Assembled:
+		return op.AssembledF32
 	}
 	return k
 }
@@ -281,32 +270,65 @@ func levelKind(k op.Kind, needCSR bool, opt Options) op.Kind {
 // topological and survive untouched (the caller owns CoarseSolve and must
 // rebuild it from the refreshed coarsest matrix).
 func (m *MG) Refresh() error {
-	eig := m.EigIts
-	if eig <= 0 {
-		eig = 10
-	}
 	for l, lev := range m.Levels {
 		if err := op.Refresh(lev.Op); err != nil {
 			return fmt.Errorf("mg: level %d refresh: %w", l, err)
 		}
-		n := lev.Op.N()
-		diag := la.NewVec(n)
-		lev.Op.Diag(diag)
-		jac := krylov.NewJacobi(diag)
-		lmax := krylov.EstimateLambdaMax(lev.Op, jac, eig)
-		steps := lev.Smoother.Steps
-		noFinal := lev.Smoother.NoFinalResidual
-		lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, steps)
-		lev.Smoother.NoFinalResidual = noFinal
-		if lev.Blocked != nil {
-			res := op.ResidentOf(lev.Op)
-			if res == nil {
-				return fmt.Errorf("mg: level %d lost its resident backing on refresh", l)
-			}
-			lev.Blocked = fem.NewBlockedChebyshev(res, jac.InvDiag, lmax, steps)
-		}
+		m.buildSmoother(lev, lev.Smoother.Steps)
 	}
 	return nil
+}
+
+// LevelInfo states what one level of the hierarchy in use runs: a run
+// record carries it so the path taken can be read without the flags.
+type LevelInfo struct {
+	Level int `json:"level"`
+	N     int `json:"n"`
+	// Kind is the operator representation applied ("auto:<committed>"
+	// for a runtime-selected level).
+	Kind string `json:"kind"`
+	// Smoother is "blocked" (wavefront Chebyshev over the resident
+	// kernel), "chebyshev" (the full-grid recurrence) or, on the coarsest
+	// level of a hierarchy with a coarse solver, "coarse-solve".
+	Smoother string `json:"smoother"`
+	// Degree is the Chebyshev degree k of V(k,k); 0 under "coarse-solve".
+	Degree int `json:"degree"`
+	// GalerkinInput marks a matrix-free level that also keeps its
+	// assembled matrix, as the input of the next level's Galerkin product.
+	GalerkinInput bool `json:"galerkin_input,omitempty"`
+}
+
+// String renders the level as one line of driver output.
+func (li LevelInfo) String() string {
+	s := fmt.Sprintf("level %d (n=%d): %s, %s", li.Level, li.N, li.Kind, li.Smoother)
+	if li.Degree > 0 {
+		s += fmt.Sprintf(" degree %d", li.Degree)
+	}
+	if li.GalerkinInput {
+		s += ", matrix kept as Galerkin input"
+	}
+	return s
+}
+
+// Describe reports every level of the hierarchy as it is now.
+func (m *MG) Describe() []LevelInfo {
+	out := make([]LevelInfo, len(m.Levels))
+	for l, lev := range m.Levels {
+		li := LevelInfo{Level: l, N: lev.Op.N(), Kind: lev.Op.Kind().String(),
+			Smoother: "chebyshev", Degree: lev.Smoother.Steps}
+		if a, ok := lev.Op.(*op.AutoOp); ok {
+			li.Kind += ":" + a.Committed().String()
+		}
+		switch {
+		case l == len(m.Levels)-1 && m.CoarseSolve != nil:
+			li.Smoother, li.Degree = "coarse-solve", 0
+		case lev.Blocked != nil:
+			li.Smoother = "blocked"
+			li.GalerkinInput = lev.Op.CSR() != nil
+		}
+		out[l] = li
+	}
+	return out
 }
 
 // SelectionReport collects the op.Auto decisions of every level that has

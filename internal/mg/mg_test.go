@@ -405,48 +405,97 @@ func TestWCycle(t *testing.T) {
 	}
 }
 
-// TestMGBlockedVCycleBitIdentical: a Blocked hierarchy's V-cycle must be
-// bit-identical to the same hierarchy smoothing unblocked with the final
-// residual elided — the cache blocking reorders work, never arithmetic.
+// TestMGBlockedVCycleBitIdentical: the V-cycle of the default layout —
+// resident, wavefront-blocked smoothing on both finer levels, level 1's
+// assembled matrix only feeding the Galerkin product — must be
+// bit-identical at workers 1/2/4/8 to the same hierarchy smoothing with
+// the full-grid recurrence: cache blocking reorders work, never
+// arithmetic.
 func TestMGBlockedVCycleBitIdentical(t *testing.T) {
 	eta := func(x, y, z float64) float64 { return 1 + 8*x*z + 3*y }
-	kinds := []op.Kind{op.TensorC, op.TensorC, op.Assembled}
-	build := func(blocked bool) *MG {
+	build := func(workers int) *MG {
 		fine := stdProblem(8, eta)
 		probs := CoarsenProblems(fine, 3, FuncCoeffCoarsener(eta, nil))
-		mgp, err := Build(probs, Options{Kinds: kinds, SmoothSteps: 2, Workers: 4, Blocked: blocked})
+		mgp, err := Build(probs, Options{Kinds: op.DefaultLevelKinds(3, op.TensorC, false), SmoothSteps: 2, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := mgp.UseBlockJacobiCoarse(1); err != nil {
 			t.Fatal(err)
 		}
+		for l := 0; l < 2; l++ {
+			if mgp.Levels[l].Blocked == nil {
+				t.Fatalf("level %d (%v) has no blocked smoother", l, mgp.Levels[l].Op.Kind())
+			}
+		}
 		return mgp
 	}
-	blocked := build(true)
-	for l := 0; l < 2; l++ {
-		if blocked.Levels[l].Blocked == nil {
-			t.Fatalf("level %d of the blocked hierarchy has no blocked smoother", l)
-		}
+	// The test-local reference: the same hierarchy made to smooth full-grid.
+	plain := build(1)
+	for _, lev := range plain.Levels {
+		lev.Blocked = nil
 	}
-	plain := build(false)
-	for l := 0; l < 2; l++ {
-		plain.Levels[l].Smoother.NoFinalResidual = true
-	}
-
-	n := blocked.Levels[0].Op.N()
+	n := plain.Levels[0].Op.N()
 	rng := rand.New(rand.NewSource(19))
 	b := la.NewVec(n)
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
 	zb, zp := la.NewVec(n), la.NewVec(n)
-	blocked.Apply(b, zb)
 	plain.Apply(b, zp)
-	for i := 0; i < n; i++ {
-		if zb[i] != zp[i] {
-			t.Fatalf("dof %d differs bitwise: %x vs %x (Δ=%.3e)",
-				i, math.Float64bits(zb[i]), math.Float64bits(zp[i]), zb[i]-zp[i])
+	for _, w := range []int{1, 2, 4, 8} {
+		build(w).Apply(b, zb)
+		for i := 0; i < n; i++ {
+			if zb[i] != zp[i] {
+				t.Fatalf("workers %d: dof %d differs bitwise: %x vs %x (Δ=%.3e)",
+					w, i, math.Float64bits(zb[i]), math.Float64bits(zp[i]), zb[i]-zp[i])
+			}
+		}
+	}
+}
+
+// countingOp counts the applications of the operator it wraps.
+type countingOp struct {
+	op.Operator
+	applies int
+}
+
+func (c *countingOp) Apply(x, y la.Vec) {
+	c.applies++
+	c.Operator.Apply(x, y)
+}
+
+// TestVCycleApplyCountOnCSRLevels: on a level without resident backing
+// one V(2,2) cycle applies the operator 4 times — pre-smooth from a zero
+// guess 1, residual 1, post-smooth 2 — since the smoother never computes
+// its final residual. The telemetry counters count smoother and operator
+// visits, not applies, so this is counted on the operator itself.
+func TestVCycleApplyCountOnCSRLevels(t *testing.T) {
+	eta := func(x, y, z float64) float64 { return 1 + 8*x*z + 3*y }
+	probs := CoarsenProblems(stdProblem(8, eta), 3, FuncCoeffCoarsener(eta, nil))
+	mgp, err := Build(probs, Options{Kinds: []op.Kind{op.Assembled, op.Assembled, op.Galerkin}, SmoothSteps: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := mgp.UseBlockJacobiCoarse(1); err != nil {
+		t.Fatal(err)
+	}
+	counts := make([]*countingOp, 2)
+	for l := range counts {
+		lev := mgp.Levels[l]
+		if lev.Blocked != nil {
+			t.Fatalf("level %d (%v) smooths blocked; this test is about the full-grid path", l, lev.Op.Kind())
+		}
+		counts[l] = &countingOp{Operator: lev.Op}
+		lev.Op, lev.Smoother.A = counts[l], counts[l]
+	}
+	n := mgp.Levels[0].Op.N()
+	b, z := la.NewVec(n), la.NewVec(n)
+	b.Set(1)
+	mgp.Apply(b, z)
+	for l, c := range counts {
+		if c.applies != 4 {
+			t.Errorf("level %d: %d operator applications in one V(2,2) cycle, want 4", l, c.applies)
 		}
 	}
 }
@@ -462,15 +511,15 @@ func TestMGF32Converges(t *testing.T) {
 		return math.Pow(10, 4*math.Sin(math.Pi*x)*math.Sin(math.Pi*y)*math.Sin(math.Pi*z))
 	}
 	kinds := []op.Kind{op.Tensor, op.Assembled, op.Galerkin}
-	it64 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: kinds, SmoothSteps: 2, Blocked: true})
-	it32 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: kinds, SmoothSteps: 2, Blocked: true, Precision: op.F32})
+	it64 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: kinds, SmoothSteps: 2})
+	it32 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: kinds, SmoothSteps: 2, Precision: op.F32})
 	if d := abs(it64 - it32); d > 3 {
 		t.Fatalf("f32 hierarchy took %d iterations, f64 took %d (|Δ|=%d > 3)", it32, it64, d)
 	}
 
 	fine := stdProblem(8, eta)
 	probs := CoarsenProblems(fine, 3, FuncCoeffCoarsener(eta, nil))
-	mgp, err := Build(probs, Options{Kinds: kinds, SmoothSteps: 2, Blocked: true, Precision: op.F32})
+	mgp, err := Build(probs, Options{Kinds: kinds, SmoothSteps: 2, Precision: op.F32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,16 +64,22 @@ func residentCost(p *fem.Problem, f32 bool) Cost {
 // deferred to Setup. A tensor matrix-free twin provides ApplyFreeRows —
 // residual evaluation stays full precision regardless of the
 // preconditioner's width, as in the paper's matrix-free residuals.
+//
+// With Env.GalerkinInput the level's float64 assembled matrix is built
+// and refreshed alongside and handed off through CSR(), as asm32Op hands
+// off its float64 matrix; Apply never touches it.
 type residentOp struct {
-	p      *fem.Problem
-	f32    bool
-	mf     *fem.TensorOp
-	r      *fem.Resident
-	setupT time.Duration
+	p       *fem.Problem
+	f32     bool
+	handoff bool // Env.GalerkinInput
+	mf      *fem.TensorOp
+	r       *fem.Resident
+	va      *fem.ViscousAssembly // the Galerkin input; nil without handoff
+	setupT  time.Duration
 }
 
 func newResidentOp(env Env, f32 bool) *residentOp {
-	return &residentOp{p: env.Prob, f32: f32, mf: fem.NewTensor(env.Prob)}
+	return &residentOp{p: env.Prob, f32: f32, handoff: env.GalerkinInput, mf: fem.NewTensor(env.Prob)}
 }
 
 func (o *residentOp) N() int { return o.p.DA.NVelDOF() }
@@ -82,6 +88,10 @@ func (o *residentOp) Setup() error {
 	if o.r == nil {
 		start := time.Now()
 		o.r = fem.NewResident(o.p, o.f32)
+		if o.handoff {
+			o.va = fem.NewViscousAssembly(o.p)
+			o.va.Refresh()
+		}
 		o.setupT = time.Since(start)
 	}
 	return nil
@@ -102,6 +112,9 @@ func (o *residentOp) Refresh() error {
 	}
 	start := time.Now()
 	o.r.Setup()
+	if o.va != nil {
+		o.va.Refresh()
+	}
 	o.setupT = time.Since(start)
 	return nil
 }
@@ -117,7 +130,14 @@ func (o *residentOp) Kind() Kind {
 	return TensorC
 }
 
-func (o *residentOp) CSR() *la.CSR { return nil }
+// CSR returns the Galerkin-input matrix (nil unless Env.GalerkinInput).
+func (o *residentOp) CSR() *la.CSR {
+	if !o.handoff {
+		return nil
+	}
+	o.Setup()
+	return o.va.A
+}
 
 // Resident exposes the backing kernel (nil before Setup is forced).
 func (o *residentOp) Resident() *fem.Resident {

@@ -196,6 +196,12 @@ type Env struct {
 	Level, Levels int
 	FineCSR       func() *la.CSR
 	Prolong       func() *la.CSR
+	// GalerkinInput says the next-coarser level is a Galerkin product of
+	// this one. A resident representation then also builds (and
+	// refreshes) the level's assembled matrix and hands it off through
+	// CSR() — it is never applied: smoothing and residuals stay on the
+	// resident kernel.
+	GalerkinInput bool
 	// Policy tunes Auto; nil selects DefaultPolicy.
 	Policy *Policy
 	// Telemetry, when non-nil, receives selection decisions and measured
@@ -233,13 +239,15 @@ func New(k Kind, env Env) (Operator, error) {
 
 // DefaultLevelKinds returns the per-level representation layout for a
 // hierarchy of the given depth (index 0 = finest): the requested fine
-// kind, then the paper's production coarse layout — rediscretized CSR on
-// the first coarse level and Galerkin products below it (the finest
-// level is usually matrix-free, so the first coarse level cannot be a
-// Galerkin product of it). galerkinAll selects the GMG-ii variant where
-// every coarse operator is a Galerkin product (requires an assembled
-// fine level). A fine kind of Auto makes every level Auto — the selector
-// decides each level independently.
+// kind, then the paper's production coarse layout — rediscretized on the
+// first coarse level and Galerkin products below it (the finest level is
+// usually matrix-free, so the first coarse level cannot be a Galerkin
+// product of it). Under a resident fine kind the first coarse level is
+// resident too unless it is the coarsest (the coarse solver consumes a
+// matrix); otherwise it is rediscretized CSR. galerkinAll selects the
+// GMG-ii variant where every coarse operator is a Galerkin product
+// (requires an assembled fine level). A fine kind of Auto makes every
+// level Auto — the selector decides each level independently.
 func DefaultLevelKinds(levels int, fine Kind, galerkinAll bool) []Kind {
 	kinds := make([]Kind, levels)
 	kinds[0] = fine
@@ -249,6 +257,8 @@ func DefaultLevelKinds(levels int, fine Kind, galerkinAll bool) []Kind {
 			kinds[l] = Auto
 		case galerkinAll:
 			kinds[l] = Galerkin
+		case l == 1 && l < levels-1 && (fine == TensorC || fine == TensorF32):
+			kinds[l] = fine
 		case l == 1:
 			kinds[l] = Assembled
 		default:

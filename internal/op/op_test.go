@@ -64,10 +64,12 @@ func randVec(rng *rand.Rand, n int) la.Vec {
 }
 
 // TestOpEquivalence checks that every registered representation of the
-// same viscous block — tensor matrix-free, reference matrix-free and
-// rediscretized CSR — produces identical results (to equivTol × the
-// result magnitude) on randomized heterogeneous-viscosity fields across
-// three mesh sizes, and that the Galerkin product matches the explicit
+// same viscous block — tensor matrix-free, reference matrix-free,
+// rediscretized CSR, and the resident kernel that keeps its matrix as a
+// Galerkin input, whose apply must also agree with that matrix's own
+// SpMV — produces identical results (to equivTol × the result
+// magnitude) on randomized heterogeneous-viscosity fields across three
+// mesh sizes, and that the Galerkin product matches the explicit
 // composition Pᵀ·(A_fine·(P·x)) on free rows with identity behaviour on
 // constrained rows.
 func TestOpEquivalence(t *testing.T) {
@@ -90,6 +92,19 @@ func TestOpEquivalence(t *testing.T) {
 				}
 				ops[i] = o
 			}
+			// The default layout's level 1: resident apply, matrix handed off.
+			handoff, err := op.New(op.TensorC, op.Env{Prob: ec.coarse, Workers: 2, GalerkinInput: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := handoff.Setup(); err != nil {
+				t.Fatal(err)
+			}
+			if handoff.CSR() == nil || op.ResidentOf(handoff) == nil {
+				t.Fatal("Galerkin-input resident operator lacks its matrix or its resident backing")
+			}
+			kinds = append(kinds, op.TensorC)
+			ops = append(ops, handoff)
 
 			var fineA *la.CSR
 			genv := op.Env{
@@ -123,7 +138,11 @@ func TestOpEquivalence(t *testing.T) {
 				if scale == 0 {
 					t.Fatal("degenerate problem: zero operator result")
 				}
-				for i := 1; i < len(ops); i++ {
+				// The handed-off matrix applied by itself is one more row.
+				yCSR := la.NewVec(n)
+				handoff.CSR().MulVec(x, yCSR)
+				kinds, ys := append(kinds, op.Assembled), append(ys, yCSR)
+				for i := 1; i < len(ys); i++ {
 					for d := 0; d < n; d++ {
 						if diff := math.Abs(ys[i][d] - ys[0][d]); diff > equivTol*scale {
 							t.Fatalf("trial %d: %v vs %v mismatch at dof %d: %v vs %v (|Δ|=%.3e)",

@@ -1,9 +1,13 @@
 package scenario
 
 import (
+	"encoding/json"
+	"errors"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ptatin3d/internal/model"
@@ -135,6 +139,52 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 		}
 		if _, err := Resolve(path); err != nil {
 			t.Errorf("%s: Resolve(path): %v", name, err)
+		}
+	}
+}
+
+// TestLoadRejectsRemovedAndUnknownKeys: decoding is strict, and a key this
+// version removed is a typed error that names it, whatever its value.
+func TestLoadRejectsRemovedAndUnknownKeys(t *testing.T) {
+	spec, err := Get("sinker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name, solver string
+		removed      string // "" = a plain decode error
+	}{
+		{"blocked-true", `{"blocked": true}`, "solver.blocked"},
+		{"blocked-false", `{"blocked": false, "smooth_steps": 3}`, "solver.blocked"},
+		{"unknown", `{"no_such_key": 1}`, ""},
+	} {
+		var doc map[string]json.RawMessage
+		if err := json.Unmarshal(base, &doc); err != nil {
+			t.Fatal(err)
+		}
+		doc["solver"] = json.RawMessage(tc.solver)
+		data, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), tc.name+".json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Load(path)
+		if err == nil {
+			t.Errorf("%s: Load accepted the spec", tc.name)
+			continue
+		}
+		var rk *RemovedKeyError
+		if got := errors.As(err, &rk); got != (tc.removed != "") {
+			t.Errorf("%s: error %q: RemovedKeyError = %v", tc.name, err, got)
+		} else if got && (rk.Key != tc.removed || !strings.Contains(err.Error(), tc.removed)) {
+			t.Errorf("%s: error %q names key %q, want %q", tc.name, err, rk.Key, tc.removed)
 		}
 	}
 }

@@ -145,7 +145,6 @@ type SolverSpec struct {
 	CoarseSolver string  `json:"coarse_solver,omitempty"`
 	OuterMethod  string  `json:"outer_method,omitempty"`
 	FineKind     string  `json:"fine_kind,omitempty"`
-	Blocked      bool    `json:"blocked,omitempty"`
 	Precision    string  `json:"precision,omitempty"`
 	RTol         float64 `json:"rtol,omitempty"`
 	MaxIt        int     `json:"max_it,omitempty"`
@@ -311,12 +310,38 @@ func (s Spec) MaxViscosityContrast() float64 {
 	return hi / lo
 }
 
-// Load reads a Spec from a JSON file.
+// RemovedKeyError reports a key of a saved spec that earlier versions
+// accepted and this one no longer has.
+type RemovedKeyError struct {
+	File, Key, Why string
+}
+
+func (e *RemovedKeyError) Error() string {
+	return fmt.Sprintf("scenario: %s: key %q was removed: %s", e.File, e.Key, e.Why)
+}
+
+// removedSolverKeys are the former keys of the "solver" object.
+var removedSolverKeys = map[string]string{
+	"blocked": "every level with a resident operator smooths wavefront-blocked; delete the key",
+}
+
+// Load reads a Spec from a JSON file. Decoding is strict: an unknown key
+// is an error, and a removed one a *RemovedKeyError.
 func Load(path string) (Spec, error) {
 	var s Spec
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return s, fmt.Errorf("scenario: %w", err)
+	}
+	var old struct {
+		Solver map[string]json.RawMessage `json:"solver"`
+	}
+	if json.Unmarshal(data, &old) == nil {
+		for key, why := range removedSolverKeys {
+			if _, ok := old.Solver[key]; ok {
+				return s, &RemovedKeyError{File: path, Key: "solver." + key, Why: why}
+			}
+		}
 	}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()

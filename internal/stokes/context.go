@@ -75,9 +75,9 @@ func (c *Context) Prepare(prob *fem.Problem, cfg Config) (*Solver, bool, error) 
 // excluded — they refresh in place.
 func contextKey(prob *fem.Problem, cfg Config) string {
 	da := prob.DA
-	return fmt.Sprintf("%p;%dx%dx%d;lv=%d;fk=%v;ga=%v;bl=%v;pr=%v;ss=%d;cs=%s;cb=%d;asm=%d,%d;amg=%s;om=%s;rs=%d;w=%d;va=%d",
+	return fmt.Sprintf("%p;%dx%dx%d;lv=%d;fk=%v;ga=%v;pr=%v;ss=%d;cs=%s;cb=%d;asm=%d,%d;amg=%s;om=%s;rs=%d;w=%d;va=%d",
 		prob, da.Mx, da.My, da.Mz, cfg.Levels, cfg.FineKind, cfg.GalerkinAll,
-		cfg.Blocked, cfg.Precision, cfg.SmoothSteps, cfg.CoarseSolver,
+		cfg.Precision, cfg.SmoothSteps, cfg.CoarseSolver,
 		cfg.CoarseBlocks, cfg.ASMSubdomains, cfg.ASMOverlap, cfg.AMGConfig,
 		cfg.OuterMethod, cfg.Restart, cfg.Workers, cfg.VerticalAxis)
 }

@@ -9,6 +9,7 @@ import (
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mg"
+	"ptatin3d/internal/op"
 	"ptatin3d/internal/telemetry"
 )
 
@@ -75,13 +76,21 @@ func (s *errSink) note(err error) {
 // The viscous block is applied matrix-free over the rank's elements
 // with boundary elements first, so their nodal partial sums are in
 // flight while interior elements — and the entirely element-local G and
-// D blocks — are computed (§II-D latency hiding).
+// D blocks — are computed (§II-D latency hiding). The element kernel is
+// the shared fine operator's resident backing when it has one — the same
+// stored tensors the shared coupled matvec streams — else the tensor
+// kernel.
 type distOp struct {
 	op    *Op
-	ten   *fem.TensorOp
+	auu   elementKernel
 	dist  *comm.Dist
 	sink  *errSink
 	spans []la.Span // coupled owned+ghost windows; nil = full-length ops
+}
+
+// elementKernel applies the viscous block over an element subset.
+type elementKernel interface {
+	ApplyElements(elems []int, u, y la.Vec)
 }
 
 // N returns the coupled dimension.
@@ -98,11 +107,11 @@ func (o *distOp) Apply(x, y la.Vec) {
 	} else {
 		y.Zero()
 	}
-	o.ten.ApplyElements(l.Boundary, xu, yu)
+	o.auu.ApplyElements(l.Boundary, xu, yu)
 	o.op.C.ApplyGAddElements(l.Boundary, xp, yu)
 	err := o.dist.ReduceBroadcast(yu,
 		func() {
-			o.ten.ApplyElements(l.Interior, xu, yu)
+			o.auu.ApplyElements(l.Interior, xu, yu)
 			o.op.C.ApplyGAddElements(l.Interior, xp, yu)
 			o.op.C.ApplyDElements(l.Elems, xu, yp)
 		},
@@ -405,6 +414,12 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 		}
 		agg = a
 	}
+	// One resident kernel serves every rank (its scratch is pooled); the
+	// tensor kernel is built per rank.
+	var resident elementKernel
+	if rb, ok := s.Op.Auu.(op.ResidentBacked); ok {
+		resident = rb.Resident()
+	}
 	w := comm.NewWorld(size)
 	if opt.Fabric != nil {
 		w.SetFabric(opt.Fabric)
@@ -434,7 +449,11 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 		}
 		fine := dists[0]
 		spans := coupledSpans(s.Op, fine.L)
-		a := &distOp{op: s.Op, ten: fem.NewTensor(s.Prob), dist: fine, sink: sink, spans: spans}
+		auu := resident
+		if auu == nil {
+			auu = fem.NewTensor(s.Prob)
+		}
+		a := &distOp{op: s.Op, auu: auu, dist: fine, sink: sink, spans: spans}
 		m := &distFieldSplit{op: s.Op, dmg: dmg, mp: s.Mp, l: fine.L,
 			tu: la.NewVec(s.Op.Np), pspans: pressureSpans(fine.L)}
 		prm := prmIn

@@ -21,25 +21,23 @@ type Config struct {
 	// algebraic preconditioner on the assembled fine operator (the SA-i /
 	// SAML-* rows of Table IV).
 	Levels int
-	// FineKind picks the fine-level operator representation (op.Tensor,
-	// op.MFRef, op.Assembled — the Tens/MF/Asmb columns of Tables I–III —
-	// or op.Auto for runtime selection on every level). op.Galerkin is
+	// FineKind picks the fine-level operator representation: op.TensorC,
+	// the resident stored-coefficient kernel, by default; op.Tensor,
+	// op.MFRef, op.Assembled are the Tens/MF/Asmb columns of Tables I–III,
+	// op.Auto selects at runtime on every level, and op.Galerkin is
 	// shorthand for the GMG-ii layout: assembled fine level with Galerkin
-	// products on every coarse level.
+	// products on every coarse level. The one operator built from it
+	// serves the coupled matvec and the hierarchy's fine level, and every
+	// level with resident backing smooths wavefront-blocked.
 	FineKind op.Kind
 	// GalerkinAll makes every coarse operator a Galerkin product (the
 	// GMG-ii configuration); requires an assembled fine level.
 	GalerkinAll bool
-	// Blocked runs the V-cycle's Chebyshev smoothers cache-blocked
-	// (mg.Options.Blocked). The hierarchy then builds its own
-	// resident-backed fine operator for smoothing; the coupled outer
-	// matvec keeps the FineKind representation. Bit-identical smoothing,
-	// purely a performance substitution. Ignored when Levels <= 1.
-	Blocked bool
 	// Precision runs the V-cycle's operator stack at the given width
 	// (mg.Options.Precision): op.F32 halves smoother memory traffic while
 	// the outer GCR/FGMRES iteration — and the residuals it reports —
-	// stay float64. Ignored when Levels <= 1.
+	// stay float64: the hierarchy then builds its own float32 fine
+	// operator beside the shared float64 one. Ignored when Levels <= 1.
 	Precision op.Precision
 	// SmoothSteps is the Chebyshev degree: V(k,k) (paper uses 2 or 3).
 	SmoothSteps int
@@ -82,8 +80,9 @@ type Config struct {
 }
 
 // DefaultConfig returns the paper's production configuration: 3 levels,
-// matrix-free tensor fine level, V(2,2), Galerkin coarsest operator, one
-// GAMG V-cycle as coarse solver, GCR outer to rtol 1e-5 (§IV-A).
+// matrix-free resident tensor kernel on the two finer ones, V(2,2),
+// Galerkin coarsest operator, one GAMG V-cycle as coarse solver, GCR
+// outer to rtol 1e-5 (§IV-A).
 func DefaultConfig() Config {
 	prm := krylov.DefaultParams()
 	prm.RTol = 1e-5
@@ -91,7 +90,7 @@ func DefaultConfig() Config {
 	prm.Restart = 50
 	return Config{
 		Levels:       3,
-		FineKind:     op.Tensor,
+		FineKind:     op.TensorC,
 		SmoothSteps:  2,
 		CoarseSolver: "gamg",
 		OuterMethod:  "gcr",
@@ -225,12 +224,11 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 			return nil, fmt.Errorf("stokes: GalerkinAll requires an assembled fine level")
 		}
 		probs := mg.CoarsenProblems(prob, cfg.Levels, cfg.CoeffCoarsen)
-		// With blocked or reduced-precision smoothing the hierarchy must
-		// build its own fine-level operator (TensorC/TensorF32) — the
-		// shared coupled operator stays the full-precision FineKind, so
-		// outer residuals are untouched by the preconditioner's precision.
+		// A reduced-precision hierarchy builds its own fine-level operator:
+		// the coupled operator stays float64, so outer residuals are
+		// untouched by the preconditioner's precision.
 		fineOp := auu
-		if cfg.Blocked || cfg.Precision == op.F32 {
+		if cfg.Precision == op.F32 {
 			fineOp = nil
 		}
 		gmg, err := mg.Build(probs, mg.Options{
@@ -238,7 +236,6 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 			SmoothSteps: cfg.SmoothSteps,
 			Workers:     cfg.Workers,
 			FineOp:      fineOp,
-			Blocked:     cfg.Blocked,
 			Precision:   cfg.Precision,
 			Telemetry:   mgScope,
 		})

@@ -407,7 +407,7 @@ var _ = math.Pi // keep math imported if unused paths change
 
 // TestF32PreconditionedConvergence is the mixed-precision acceptance
 // property: with the V-cycle preconditioner running entirely in float32
-// (blocked TensorC smoothers, f32 coefficient streams) under a float64
+// (blocked resident smoothers, f32 coefficient streams) under a float64
 // flexible outer method, convergence must stay within 3 iterations of the
 // float64 hierarchy — across randomized viscosity contrasts up to the
 // paper-scale 10⁶.
@@ -415,7 +415,7 @@ func TestF32PreconditionedConvergence(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	contrasts := []float64{math.Pow(10, 6*rng.Float64()), 1e6}
 	for _, deta := range contrasts {
-		solve := func(blocked bool, prec op.Precision) krylov.Result {
+		solve := func(prec op.Precision) krylov.Result {
 			p, def := sinkerProblem(8, deta, 2)
 			cfg := sinkerConfig(p, def)
 			cfg.OuterMethod = "fgmres"
@@ -425,17 +425,16 @@ func TestF32PreconditionedConvergence(t *testing.T) {
 			// at the default 50 stalls FGMRES near Δη=10⁶ in both
 			// precisions, which would mask the f32-vs-f64 comparison.
 			cfg.Params.Restart = 200
-			cfg.Blocked = blocked
 			cfg.Precision = prec
 			_, _, res := solveSinker(t, 8, deta, cfg, def, p)
 			if !res.Converged {
-				t.Fatalf("Δη=%.3g blocked=%v prec=%v failed after %d its (rel %.2e)",
-					deta, blocked, prec, res.Iterations, res.Residual/res.Residual0)
+				t.Fatalf("Δη=%.3g prec=%v failed after %d its (rel %.2e)",
+					deta, prec, res.Iterations, res.Residual/res.Residual0)
 			}
 			return res
 		}
-		r64 := solve(false, op.F64)
-		r32 := solve(true, op.F32)
+		r64 := solve(op.F64)
+		r32 := solve(op.F32)
 		d := r64.Iterations - r32.Iterations
 		if d < 0 {
 			d = -d
@@ -448,29 +447,115 @@ func TestF32PreconditionedConvergence(t *testing.T) {
 	}
 }
 
-// TestBlockedSolveMatchesUnblocked: the blocked f64 configuration is a
-// bit-level reordering of the smoother, so the outer solve must take the
-// SAME iteration count as an unblocked TensorC hierarchy and land on an
-// equivalent solution.
+// TestBlockedSolveMatchesUnblocked: wavefront-blocked smoothing is a
+// bit-level reordering of the full-grid recurrence, so the default solve
+// must take the SAME iteration count and land on the SAME bits, at
+// workers 1/2/4/8, as a test-local reference: the same solver with the
+// blocked smoothers taken out of its hierarchy.
 func TestBlockedSolveMatchesUnblocked(t *testing.T) {
-	p1, def := sinkerProblem(8, 1000, 2)
-	cfg := sinkerConfig(p1, def)
-	cfg.Params.RTol = 1e-5
-	cfg.Params.MaxIt = 500
-	cfgB := cfg
-	cfgB.Blocked = true
-	_, x1, r1 := solveSinker(t, 8, 1000, cfg, def, p1)
-	p2, _ := sinkerProblem(8, 1000, 2)
-	_, x2, r2 := solveSinker(t, 8, 1000, cfgB, def, p2)
-	if !r1.Converged || !r2.Converged {
-		t.Fatalf("convergence: unblocked %v blocked %v", r1.Converged, r2.Converged)
+	solve := func(workers int, fullGrid bool) (la.Vec, krylov.Result) {
+		p, def := sinkerProblem(8, 1000, workers)
+		cfg := sinkerConfig(p, def)
+		cfg.Workers = workers
+		cfg.Params.RTol = 1e-5
+		cfg.Params.MaxIt = 500
+		s, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, lev := range s.MG.Levels[:len(s.MG.Levels)-1] {
+			if lev.Blocked == nil {
+				t.Fatalf("level %d of the default hierarchy has no blocked smoother", l)
+			}
+			if fullGrid {
+				lev.Blocked = nil
+			}
+		}
+		bu := la.NewVec(p.DA.NVelDOF())
+		fem.MomentumRHS(p, bu)
+		x := la.NewVec(s.Op.N())
+		res := s.Solve(x, bu, nil)
+		if !res.Converged {
+			t.Fatalf("workers %d fullGrid=%v: not converged after %d its", workers, fullGrid, res.Iterations)
+		}
+		return x, res
 	}
-	if d := r1.Iterations - r2.Iterations; d < -1 || d > 1 {
-		t.Fatalf("blocked solve took %d its, unblocked %d", r2.Iterations, r1.Iterations)
+	xRef, rRef := solve(1, true)
+	for _, w := range []int{1, 2, 4, 8} {
+		x, r := solve(w, false)
+		if r.Iterations != rRef.Iterations {
+			t.Fatalf("workers %d: blocked solve took %d its, full-grid reference %d", w, r.Iterations, rRef.Iterations)
+		}
+		for i := range x {
+			if x[i] != xRef[i] {
+				t.Fatalf("workers %d: dof %d differs bitwise from the full-grid reference: %v vs %v", w, i, x[i], xRef[i])
+			}
+		}
 	}
-	diff := x1.Clone()
-	diff.AXPY(-1, x2)
-	if rel := diff.Norm2() / x1.Norm2(); rel > 1e-4 {
-		t.Fatalf("blocked and unblocked solutions differ: rel %.3e", rel)
+}
+
+// TestGalerkinInputLevelTracksRefresh: level 1 of the default layout
+// applies its resident kernel and keeps its assembled matrix only as the
+// Galerkin input. The two must realize the same operator (1e-12) after the
+// cold build and again after the mesh moved and the viscosity changed and
+// Context.Prepare refreshed in place — and the refreshed matrix must be
+// what a cold build on the new state assembles, bit for bit.
+func TestGalerkinInputLevelTracksRefresh(t *testing.T) {
+	p, def := sinkerProblem(8, 1000, 2)
+	cfg := sinkerConfig(p, def)
+	var ctx Context
+	rng := rand.New(rand.NewSource(5))
+	check := func(stage string, s *Solver) {
+		t.Helper()
+		lev := s.MG.Levels[1]
+		a := lev.Op.CSR()
+		if a == nil || lev.Blocked == nil {
+			t.Fatalf("%s: level 1 (%v) is not a resident level keeping its matrix", stage, lev.Op.Kind())
+		}
+		n := lev.Op.N()
+		x, yr, ya := la.NewVec(n), la.NewVec(n), la.NewVec(n)
+		for i := range x {
+			x[i] = rng.NormFloat64()
+		}
+		lev.Op.Apply(x, yr)
+		a.MulVec(x, ya)
+		scale := ya.NormInf()
+		for i := range yr {
+			if d := math.Abs(yr[i] - ya[i]); d > 1e-12*scale {
+				t.Fatalf("%s: resident apply and matrix differ at dof %d: %v vs %v", stage, i, yr[i], ya[i])
+			}
+		}
+	}
+	s, _, err := ctx.Prepare(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("cold", s)
+
+	p.DA.Deform(func(x, y, z float64) (float64, float64, float64) {
+		return x, y, z * (1 + 0.05*math.Sin(math.Pi*x)*math.Cos(math.Pi*y))
+	})
+	def.deta = 50
+	p.SetCoefficientsVertex(fem.VertexFieldFromFunc(p.DA, def.eta), fem.VertexFieldFromFunc(p.DA, def.rho))
+	cfg = sinkerConfig(p, def)
+	ctx.InvalidateGeometry()
+	s, reused, err := ctx.Prepare(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reused {
+		t.Fatal("Prepare rebuilt cold; the refresh path was not exercised")
+	}
+	check("refreshed", s)
+
+	cold, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := s.MG.Levels[1].Op.CSR().Val, cold.MG.Levels[1].Op.CSR().Val
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("refreshed level-1 matrix entry %d = %v, cold build %v", i, got[i], want[i])
+		}
 	}
 }

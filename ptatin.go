@@ -165,12 +165,13 @@ const (
 // OpKind identifies an operator representation.
 type OpKind = op.Kind
 
-// ParseOpKind parses a -op flag value (auto|mf|mfref|asm|galerkin).
+// ParseOpKind parses a -op flag value (mfc|auto|mf|mfref|asm|galerkin).
 func ParseOpKind(s string) (OpKind, error) { return op.ParseKind(s) }
 
 // DefaultStokesConfig returns the paper's production configuration
-// (§IV-A): 3 levels, matrix-free tensor fine level, V(2,2) Chebyshev,
-// Galerkin coarsest operator, one GAMG V-cycle coarse solve, GCR outer.
+// (§IV-A): 3 levels, resident matrix-free tensor kernel on the two finer
+// ones with wavefront-blocked V(2,2) Chebyshev, Galerkin coarsest
+// operator, one GAMG V-cycle coarse solve, GCR outer.
 func DefaultStokesConfig() StokesConfig { return stokes.DefaultConfig() }
 
 // NewStokesSolver builds a solver for the problem's current coefficients.

@@ -119,6 +119,6 @@ func TestGoldenRecoverySinker3(t *testing.T) {
 
 	// The standard solve on the same configuration must still reproduce the
 	// golden record.
-	rec := sinker3Record(t, op.Tensor, false, op.F64)
+	rec := sinker3Record(t, stokes.DefaultConfig().FineKind, op.F64, false)
 	checkGolden(t, "golden_sinker3", rec, stokes.DefaultConfig().Params.RTol)
 }

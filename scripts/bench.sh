@@ -17,7 +17,7 @@
 #
 # Previous PR benchmarks remain available:
 #   BENCH_PR8: scripts/bench.sh BENCH_PR8.json 16 3 (sinker only, pre-amortization)
-#   BENCH_PR7: go run ./cmd/ptatin-opcost -vcycle -m 16 -workers 1 -reps 5
+#   BENCH_PR7: its emitter (ptatin-opcost -vcycle) is gone; the mg.* metrics of bench/ supersede it
 #   BENCH_PR6: go run ./cmd/ptatin-scaling -sweep -json
 #   BENCH_PR5: go run ./cmd/ptatin-scaling -json -ranks 2x2x1 -grids 8,16
 #   BENCH_PR4: go run ./cmd/ptatin-opcost -json
