@@ -377,7 +377,7 @@ func BenchmarkTelemetry_StokesSolveEnabled(b *testing.B)  { telemetrySolveBench(
 // the slab-partitioned owner-computes scatter on the same tensor operator.
 // The slab path removes the 8 per-apply barriers, restores lexicographic
 // element order, and batches gather→kernel→scatter — the per-apply win is
-// the headline number of the PR 4 benchmark (BENCH_PR4.json).
+// the headline number of the PR 4 benchmark.
 
 func applyScheduleBench(b *testing.B, workers int, colored bool) {
 	p := benchProblem(12)

@@ -18,8 +18,7 @@
 // internal/op (tensor matrix-free, reference matrix-free, rediscretized
 // CSR, and — where a 2× finer mesh is affordable — the Galerkin product)
 // over the -grids level sizes and emits a machine-readable benchmark
-// (apply time, MDoF/s, setup time per backend per size) on stdout; this is
-// the producer behind scripts/bench.sh's BENCH_PR4.json.
+// (apply time, MDoF/s, setup time per backend per size) on stdout.
 //
 // The V-cycle is measured level by level, in the time loop it runs in, by
 // the repository benchmark (the mg.* metrics of bench/).

@@ -45,6 +45,9 @@ type Options struct {
 	ILUSmoother bool
 	// EigIts is the number of power iterations for eigenvalue estimates.
 	EigIts int
+	// Workers is the pool width of the cycle's sparse matrix–vector
+	// products (<= 1: serial). Rows are partitioned, row sums unchanged.
+	Workers int
 }
 
 // GAMGLike returns the options reproducing the paper's GAMG usage:
@@ -254,7 +257,7 @@ func (sa *SA) installSmoother(lev *level) {
 		}
 	}
 	jac := krylov.NewJacobi(d)
-	op := krylov.CSROp{A: a}
+	op := krylov.OpFunc{Dim: a.NRows, F: func(x, y la.Vec) { a.MulVecPar(x, y, sa.opt.Workers) }}
 	if sa.opt.ILUSmoother {
 		// FGMRES(2) preconditioned with block-Jacobi ILU(0): the SAML-ii
 		// smoother. Block Jacobi here means ILU(0) of the whole level in
@@ -344,7 +347,7 @@ func (sa *SA) vcycle(l int, b, x la.Vec, zero bool) {
 		if zero {
 			sa.coarse.Apply(b, x)
 		} else {
-			lev.a.MulVec(x, lev.r)
+			lev.a.MulVecPar(x, lev.r, sa.opt.Workers)
 			lev.r.AYPX(-1, b)
 			sa.coarse.Apply(lev.r, lev.e)
 			x.AXPY(1, lev.e)
@@ -358,7 +361,7 @@ func (sa *SA) vcycle(l int, b, x la.Vec, zero bool) {
 	lev.smoothT.Stop(st)
 	lev.smoothC.Inc()
 	st = lev.opT.Start()
-	lev.a.MulVec(x, lev.r)
+	lev.a.MulVecPar(x, lev.r, sa.opt.Workers)
 	lev.opT.Stop(st)
 	lev.opCount.Inc()
 	lev.r.AYPX(-1, b)

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"time"
 
 	"ptatin3d/internal/cli"
@@ -83,7 +84,7 @@ type Config struct {
 	// silences it).
 	Out io.Writer
 	// JSONOut, when non-nil, receives the end-to-end StepRecord JSON
-	// after the loop (the scripts/bench.sh hook).
+	// after the loop (ptatin-run -json).
 	JSONOut io.Writer
 	// Scenario labels the JSON record.
 	Scenario string
@@ -91,18 +92,21 @@ type Config struct {
 
 // StepRecord is one step of the machine-readable run record.
 type StepRecord struct {
-	Step       int     `json:"step"`
-	Dt         float64 `json:"dt"`
-	NewtonIts  int     `json:"newton_its"`
-	KrylovIts  int     `json:"krylov_its"`
-	Converged  bool    `json:"converged"`
-	Points     int     `json:"points"`
-	WallS      float64 `json:"wall_s"`
-	Backend    string  `json:"backend"`
-	Ranks      int     `json:"ranks,omitempty"`
-	HaloMsgs   int64   `json:"halo_msgs,omitempty"`
-	HaloBytes  int64   `json:"halo_bytes,omitempty"`
-	AllReduces int64   `json:"allreduces,omitempty"`
+	Step      int     `json:"step"`
+	Dt        float64 `json:"dt"`
+	NewtonIts int     `json:"newton_its"`
+	KrylovIts int     `json:"krylov_its"`
+	// KrylovBasis is the largest Krylov basis (n-vectors) an inner solve
+	// of the step allocated.
+	KrylovBasis int     `json:"krylov_basis"`
+	Converged   bool    `json:"converged"`
+	Points      int     `json:"points"`
+	WallS       float64 `json:"wall_s"`
+	Backend     string  `json:"backend"`
+	Ranks       int     `json:"ranks,omitempty"`
+	HaloMsgs    int64   `json:"halo_msgs,omitempty"`
+	HaloBytes   int64   `json:"halo_bytes,omitempty"`
+	AllReduces  int64   `json:"allreduces,omitempty"`
 	// Per-stage wall seconds of the step pipeline, and the count of
 	// relinearizations that reused the cached Stokes setup.
 	RheologyS         float64 `json:"rheology_s"`
@@ -113,6 +117,10 @@ type StepRecord struct {
 	ALES              float64 `json:"ale_s"`
 	ThermalS          float64 `json:"thermal_s"`
 	StokesSetupReused int64   `json:"stokes_setup_reused"`
+	// CPUUtil is model.StepStats.CPUUtil: user CPU seconds over wall ×
+	// cores, to within one garbage-collection cycle; absent when no cycle
+	// ended inside the step, so nothing was measured.
+	CPUUtil float64 `json:"cpu_util,omitempty"`
 }
 
 // RunRecord is the end-to-end JSON emitted on JSONOut.
@@ -128,6 +136,10 @@ type RunRecord struct {
 	Steps      []StepRecord   `json:"steps"`
 	TotalWallS float64        `json:"total_wall_s"`
 	AvgStepS   float64        `json:"avg_step_s"`
+	// CPUUtil is the share of Workers (× Ranks) cores that ran user Go
+	// code over the whole time loop — exact, the loop being bracketed by
+	// two collections. Well under 1: serial sections or idle workers.
+	CPUUtil float64 `json:"cpu_util"`
 }
 
 // Run advances the model Config.Steps steps with per-step reporting,
@@ -152,8 +164,12 @@ func Run(m *model.Model, cfg Config) error {
 			ranks = db.Ranks()
 		}
 	}
-	fmt.Fprintln(out, "# columns: step, time, dt, newton_its, krylov_its, |F|0, |F|, converged, topo_min, topo_max, points, backend, halo_msgs, wall_s")
+	fmt.Fprintln(out, "# columns: step, time, dt, newton_its, krylov_its, |F|0, |F|, converged, topo_min, topo_max, points, backend, halo_msgs, wall_s, cpu_util, krylov_basis")
 	var recs []StepRecord
+	// The runtime's CPU accounting advances at collection cycles: run one
+	// on either side of the loop so the run's utilization is of the loop.
+	runtime.GC()
+	cpuStart := telemetry.ReadCPU()
 	runStart := time.Now()
 	for s := 0; s < cfg.Steps; s++ {
 		stepStart := time.Now()
@@ -162,13 +178,17 @@ func Run(m *model.Model, cfg Config) error {
 		}
 		st := m.Stats[len(m.Stats)-1]
 		wall := time.Since(stepStart).Seconds()
-		fmt.Fprintf(out, "%d, %.5f, %.5f, %d, %d, %.3e, %.3e, %v, %.4f, %.4f, %d, %s, %d, %.2f\n",
+		cpu := "-" // no collection cycle ended inside the step: not measured
+		if st.CPUUtil > 0 {
+			cpu = fmt.Sprintf("%.2f", st.CPUUtil)
+		}
+		fmt.Fprintf(out, "%d, %.5f, %.5f, %d, %d, %.3e, %.3e, %v, %.4f, %.4f, %d, %s, %d, %.2f, %s, %d\n",
 			st.Step, st.Time, st.Dt, st.NewtonIts, st.KrylovIts,
 			st.FNorm0, st.FNorm, st.Converged, st.TopoMin, st.TopoMax,
-			st.PointCount, st.Backend, st.HaloMsgs, wall)
+			st.PointCount, st.Backend, st.HaloMsgs, wall, cpu, st.KrylovBasis)
 		recs = append(recs, StepRecord{
 			Step: st.Step, Dt: st.Dt,
-			NewtonIts: st.NewtonIts, KrylovIts: st.KrylovIts,
+			NewtonIts: st.NewtonIts, KrylovIts: st.KrylovIts, KrylovBasis: st.KrylovBasis,
 			Converged: st.Converged, Points: st.PointCount,
 			WallS:   wall,
 			Backend: st.Backend, Ranks: st.Ranks,
@@ -181,6 +201,7 @@ func Run(m *model.Model, cfg Config) error {
 			ALES:              st.ALETime.Seconds(),
 			ThermalS:          st.ThermalTime.Seconds(),
 			StokesSetupReused: st.StokesSetupReused,
+			CPUUtil:           st.CPUUtil,
 		})
 		if cfg.CheckpointEvery > 0 && m.StepNum%cfg.CheckpointEvery == 0 {
 			path := cfg.CheckpointPath
@@ -193,6 +214,11 @@ func Run(m *model.Model, cfg Config) error {
 			fmt.Fprintf(out, "# checkpointed step %d to %s\n", m.StepNum, path)
 		}
 	}
+	total := time.Since(runStart).Seconds()
+	runtime.GC()
+	cores := max(1, m.Workers) * max(1, ranks)
+	cpuUtil := telemetry.ReadCPU().Utilization(cpuStart, cores)
+	fmt.Fprintf(out, "# cpu_util: %.2f of %d cores over %d steps\n", cpuUtil, cores, cfg.Steps)
 	var hierarchy []mg.LevelInfo
 	if m.LastStokes != nil && m.LastStokes.MG != nil {
 		hierarchy = m.LastStokes.MG.Describe()
@@ -207,13 +233,13 @@ func Run(m *model.Model, cfg Config) error {
 		}
 	}
 	if cfg.JSONOut != nil {
-		total := time.Since(runStart).Seconds()
 		rec := RunRecord{
 			Scenario: cfg.Scenario, Backend: backendName, Ranks: ranks,
 			Workers:    m.Workers,
 			Resolution: [3]int{m.Prob.DA.Mx, m.Prob.DA.My, m.Prob.DA.Mz},
 			Hierarchy:  hierarchy,
 			Steps:      recs, TotalWallS: total,
+			CPUUtil: cpuUtil,
 		}
 		if len(recs) > 0 {
 			rec.AvgStepS = total / float64(len(recs))

@@ -9,18 +9,55 @@ import (
 // partition of a Resident operator: instead of k full passes over the
 // level (each streaming every element's coefficients through cache), the
 // sweeps advance slab-by-slab in a wavefront, so a slab's element data is
-// applied for step i+1 while it is still resident from step i.
+// applied for step i+1 while it is still resident from step i — and every
+// wave is spread over all Problem.Workers.
 //
 // The temporal dependency is the slab graph of the owner-computes
 // scatter: advancing step i+1 on block b needs the step-i operator
 // contributions of blocks [b, b+D], and applying block b at step i reads
 // p values owned by blocks [b-D, b], where D = Resident.Dep() is the
 // largest slab span of any shared node (1 for contiguous slabs of a
-// lexicographic element order). Scheduling (slot j, block b) at wave
-// w = b + j·(D+1) — slot j = the j-th advance+apply pair — satisfies both
-// with a barrier only between waves; concurrent slots are ≥D+1 blocks
-// apart, so they touch disjoint dofs and the result is bit-identical at
-// any worker count, matching the full-grid recurrence term for term.
+// lexicographic element order).
+//
+// Schedule (waveSchedule). The B blocks form NG = ⌈B/G⌉ groups of
+// G = min(Workers, B) consecutive blocks; a dependency that spans D
+// blocks spans at most Dg = min(⌈D/G⌉, NG-1) groups. Slot j — the j-th
+// advance+apply pair; a nonzero guess adds a leading apply-only slot for
+// A·x — visits group g at wave w = g + j·(Dg+1). A wave has two phases,
+// each one par.For over every active (slot, block) item with a barrier
+// after it: first all advances, then all applies. G = 1 is the
+// block-at-a-time wavefront (maximal temporal reuse, what a 1-worker rank
+// runs); G = B has one group and Dg = 0, i.e. the full-grid recurrence
+// with its vector updates fused — one code path for both.
+//
+// Hazards. Write (j, g) for slot j on group g, wave w = g + j·(Dg+1).
+//
+//	phase    item          reads                          writes
+//	advance  (j, b∈g)      bufs[b..b+D], ap[int(b)]:      r, p, x of own(b)
+//	                       slot j-1's applies
+//	apply    (j, b∈g)      p (x in the leading slot)      ap[int(b)], bufs[b]
+//	                       on own(b-D..b): slot j's
+//	                       advances
+//
+// Why no item races with another:
+//
+//   - advance (j, g) after the applies it reads: blocks b..b+D lie in
+//     groups g..g+Dg, applied by slot j-1 no later than wave
+//     g+Dg+(j-1)(Dg+1) = w-1.
+//   - apply (j, g) after the advances it reads: own(b-D..b) lie in groups
+//     g-Dg..g, advanced by slot j in waves ≤ w, phase 1; and not yet
+//     overwritten: slot j+1 reaches group g-Dg at wave w+1.
+//   - advance (j, g) overwrites p on own(g), last read by slot j-1's
+//     applies of groups g..g+Dg (waves ≤ w-1); apply (j, g) overwrites
+//     bufs[b] and ap[int(b)], last read by slot j's advances of groups
+//     g-Dg..g (waves ≤ w, phase 1, before this phase's barrier).
+//   - within a phase every item writes only what its own block owns
+//     (own(b), int(b), bufs[b] are disjoint across blocks) and reads only
+//     what no item of that phase writes: advances read bufs/ap and write
+//     r/p/x, applies read p/x and write bufs/ap.
+//
+// Each dof's updates are therefore the full-grid recurrence term for
+// term, bit-identical at any worker count.
 //
 // The last step's operator application is never computed (it only feeds
 // the next residual, never x), as in krylov.Chebyshev: k steps cost k-1
@@ -33,6 +70,54 @@ type BlockedChebyshev struct {
 
 	alpha, beta []float64
 	r, p, ap    la.Vec
+	adv, app    []waveItem // the wave in flight
+}
+
+// waveItem is one (slot, block) unit of work of a wave phase.
+type waveItem struct{ slot, blk int }
+
+// waveSchedule is the grouped two-phase wavefront of one Smooth call (see
+// BlockedChebyshev).
+type waveSchedule struct {
+	blocks, group, groups int // B, G, NG
+	stride                int // Dg+1
+	slots, lead, steps    int // lead = 1 with the apply-only slot for A·x
+}
+
+func newWaveSchedule(blocks, dep, workers, steps int, zeroGuess bool) waveSchedule {
+	s := waveSchedule{blocks: blocks, group: min(max(1, workers), blocks), slots: steps, steps: steps}
+	s.groups = (blocks + s.group - 1) / s.group
+	s.stride = min((dep+s.group-1)/s.group, s.groups-1) + 1
+	if !zeroGuess {
+		s.lead = 1
+		s.slots++
+	}
+	return s
+}
+
+// waves returns the wave count: the last slot's last group, plus one.
+func (s waveSchedule) waves() int { return s.groups + (s.slots-1)*s.stride }
+
+// items appends wave w's advance and apply items, slots ascending and
+// blocks ascending within a slot. The leading slot only applies and the
+// last step only advances.
+func (s waveSchedule) items(w int, adv, app []waveItem) ([]waveItem, []waveItem) {
+	for j := 0; j < s.slots && j*s.stride <= w; j++ {
+		g := w - j*s.stride
+		if g >= s.groups {
+			continue
+		}
+		step := j - s.lead
+		for b := g * s.group; b < min((g+1)*s.group, s.blocks); b++ {
+			if step >= 0 {
+				adv = append(adv, waveItem{j, b})
+			}
+			if step < s.steps-1 {
+				app = append(app, waveItem{j, b})
+			}
+		}
+	}
+	return adv, app
 }
 
 // NewBlockedChebyshev builds a blocked smoother targeting [0.2λ, 1.1λ].
@@ -82,36 +167,27 @@ func (c *BlockedChebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
 	c.coeffs()
 	p := c.R.P
 	bufs := p.getSlabBufs(info)
-	B := info.S
-	stride := c.R.dep + 1
-	slots := c.Steps
-	if !zeroGuess {
-		slots++ // leading apply-only slot: A·x for the initial residual
+	sch := newWaveSchedule(info.S, c.R.dep, p.Workers, c.Steps, zeroGuess)
+	advance := func(lo, hi int) {
+		for _, it := range c.adv[lo:hi] {
+			c.advance(it.slot-sch.lead, it.blk, info, b, x, bufs, zeroGuess)
+		}
 	}
-	maxWave := (B - 1) + (slots-1)*stride
-	for w := 0; w <= maxWave; w++ {
-		par.For(p.Workers, slots, func(jlo, jhi int) {
-			ks := c.R.getScratch()
-			for j := jlo; j < jhi; j++ {
-				blk := w - j*stride
-				if blk < 0 || blk >= B {
-					continue
-				}
-				if !zeroGuess && j == 0 {
-					c.R.applyBlock(blk, x, c.ap, bufs.bufs[blk], ks)
-					continue
-				}
-				i := j
-				if !zeroGuess {
-					i = j - 1
-				}
-				c.advance(i, blk, info, b, x, bufs, zeroGuess)
-				if i < c.Steps-1 {
-					c.R.applyBlock(blk, c.p, c.ap, bufs.bufs[blk], ks)
-				}
+	apply := func(lo, hi int) {
+		ks := c.R.getScratch()
+		for _, it := range c.app[lo:hi] {
+			src := c.p
+			if it.slot < sch.lead {
+				src = x // A·x for the initial residual
 			}
-			c.R.scratch.Put(ks)
-		})
+			c.R.applyBlock(it.blk, src, c.ap, bufs.bufs[it.blk], ks)
+		}
+		c.R.scratch.Put(ks)
+	}
+	for w := 0; w < sch.waves(); w++ {
+		c.adv, c.app = sch.items(w, c.adv[:0], c.app[:0])
+		par.For(p.Workers, len(c.adv), advance)
+		par.For(p.Workers, len(c.app), apply)
 	}
 	p.slabPool.Put(bufs)
 }

@@ -1,8 +1,10 @@
 package fem
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/krylov"
@@ -76,15 +78,34 @@ func TestResidentDeterminism(t *testing.T) {
 	p.Workers = 1
 }
 
+// dep2Partition is a contiguous slab partition of a 2×6×1 mesh whose
+// two-element slabs straddle element rows, so an edge node between rows is
+// touched by three consecutive slabs: dependency distance 2, which no
+// registered mesh's plane-aligned partition produces.
+var dep2Partition = []int{0, 1, 3, 4, 6, 7, 9, 10, 12}
+
 // TestBlockedChebyshevBitIdentical is the smoother property test of the
 // blocking change: k cache-blocked wavefront sweeps must equal k
 // full-grid Chebyshev sweeps over the same resident operator BITWISE —
-// for any worker count, step count, zero and nonzero initial guesses, and
-// both precisions.
+// for any worker count (group sizes that do and do not divide the block
+// count), step count, zero and nonzero initial guesses, both precisions,
+// and dependency distances 1 and 2.
 func TestBlockedChebyshevBitIdentical(t *testing.T) {
-	grids := [][3]int{{4, 3, 3}, {6, 3, 5}}
-	for _, g := range grids {
+	cases := []struct {
+		g   [3]int
+		off []int // nil: the Problem's own partition
+		dep int
+	}{
+		{g: [3]int{4, 3, 3}, dep: 1},
+		{g: [3]int{6, 3, 5}, dep: 1},
+		{g: [3]int{2, 6, 1}, off: dep2Partition, dep: 2},
+	}
+	for _, tc := range cases {
+		g := tc.g
 		p := testProblem(t, g[0], g[1], g[2], 1)
+		if tc.off != nil {
+			p.slabOnce.Do(func() { p.slab = newSlabInfo(p, tc.off) })
+		}
 		randomizeEta(p, int64(3*g[0]+g[1]))
 		n := p.DA.NVelDOF()
 		diag := la.NewVec(n)
@@ -93,6 +114,9 @@ func TestBlockedChebyshevBitIdentical(t *testing.T) {
 
 		for _, f32 := range []bool{false, true} {
 			op := NewResident(p, f32)
+			if tc.off != nil && op.Dep() != tc.dep {
+				t.Fatalf("grid %v: dependency distance %d, want %d", g, op.Dep(), tc.dep)
+			}
 			lmax := krylov.EstimateLambdaMax(op, jac, 10)
 			for _, steps := range []int{1, 2, 3, 4} {
 				rng := rand.New(rand.NewSource(int64(100*steps + g[2])))
@@ -107,7 +131,7 @@ func TestBlockedChebyshevBitIdentical(t *testing.T) {
 					}
 					krylov.NewChebyshev(op, jac, lmax, steps).Smooth(b, ref, zeroGuess)
 
-					for _, w := range []int{1, 2, 4, 8} {
+					for _, w := range []int{1, 2, 3, 5, 8} {
 						p.Workers = w
 						x := la.NewVec(n)
 						if !zeroGuess {
@@ -127,6 +151,117 @@ func TestBlockedChebyshevBitIdentical(t *testing.T) {
 			}
 		}
 		p.Workers = 1
+	}
+}
+
+// TestBlockedWaveWidth checks the grouped two-phase schedule itself, with
+// no arithmetic involved: every (slot, block) item is issued exactly once,
+// every read follows its write and precedes the next overwrite (the
+// hazard table of BlockedChebyshev), some apply phase is at least
+// min(workers, B) items wide, and one worker issues exactly the
+// block-at-a-time wavefront w = b + j·(D+1).
+func TestBlockedWaveWidth(t *testing.T) {
+	type when struct{ wave, phase int } // phase 0: advance, 1: apply
+	before := func(a, b when) bool { return a.wave < b.wave || (a.wave == b.wave && a.phase < b.phase) }
+	const B = 8
+	for _, dep := range []int{0, 1, 2, 7} {
+		for _, workers := range []int{1, 2, 3, 5, 8, 16} {
+			for steps := 1; steps <= 4; steps++ {
+				for _, zeroGuess := range []bool{true, false} {
+					sch := newWaveSchedule(B, dep, workers, steps, zeroGuess)
+					adv := map[waveItem]when{}
+					app := map[waveItem]when{}
+					var advSeq, appSeq []waveItem
+					widest := 0
+					for w := 0; w < sch.waves(); w++ {
+						a, p := sch.items(w, nil, nil)
+						for _, it := range a {
+							if _, dup := adv[it]; dup {
+								t.Fatalf("advance %v issued twice", it)
+							}
+							adv[it] = when{w, 0}
+						}
+						for _, it := range p {
+							if _, dup := app[it]; dup {
+								t.Fatalf("apply %v issued twice", it)
+							}
+							app[it] = when{w, 1}
+						}
+						advSeq, appSeq = append(advSeq, a...), append(appSeq, p...)
+						widest = max(widest, len(p))
+					}
+					name := fmt.Sprintf("dep=%d workers=%d steps=%d zeroGuess=%v", dep, workers, steps, zeroGuess)
+					lead := sch.lead
+					if len(adv) != steps*B || len(app) != (steps-1+lead)*B {
+						t.Fatalf("%s: %d advances and %d applies, want %d and %d",
+							name, len(adv), len(app), steps*B, (steps-1+lead)*B)
+					}
+					if len(app) > 0 && widest < min(workers, B) {
+						t.Fatalf("%s: widest apply phase has %d items, want >= %d", name, widest, min(workers, B))
+					}
+					for it, at := range adv {
+						// Reads slot-1's applies of blocks [b, b+dep] (none for
+						// step 0 from a zero guess) ...
+						for b := it.blk; b <= min(it.blk+dep, B-1); b++ {
+							prev, ok := app[waveItem{it.slot - 1, b}]
+							if it.slot == 0 {
+								continue
+							}
+							if !ok || !before(prev, at) {
+								t.Fatalf("%s: advance %v at %v before apply (%d,%d) at %v", name, it, at, it.slot-1, b, prev)
+							}
+						}
+						// ... and overwrites p, which slot-1's applies of the
+						// same blocks were the last to read (covered above), and
+						// this slot's applies are the next to read:
+						for b := it.blk; b <= min(it.blk+dep, B-1); b++ {
+							if next, ok := app[waveItem{it.slot, b}]; ok && !before(at, next) {
+								t.Fatalf("%s: apply (%d,%d) at %v before advance %v at %v", name, it.slot, b, next, it, at)
+							}
+						}
+					}
+					for it, at := range app {
+						// Overwrites bufs[b], which the next slot's advances of
+						// blocks [b-dep, b] read, and which this slot's advances
+						// of those blocks were the last to read.
+						for b := max(0, it.blk-dep); b <= it.blk; b++ {
+							if last, ok := adv[waveItem{it.slot, b}]; ok && !before(last, at) {
+								t.Fatalf("%s: apply %v at %v overwrites bufs before advance (%d,%d) at %v", name, it, at, it.slot, b, last)
+							}
+							// p on own(b) must still hold this slot's value.
+							if next, ok := adv[waveItem{it.slot + 1, b}]; ok && !before(at, next) {
+								t.Fatalf("%s: advance (%d,%d) at %v overwrites p before apply %v at %v", name, it.slot+1, b, next, it, at)
+							}
+						}
+					}
+					if workers != 1 {
+						continue
+					}
+					// One worker: the block-at-a-time wavefront, slot by slot.
+					var wantAdv, wantApp []waveItem
+					stride := dep + 1
+					slots := steps + lead
+					for w := 0; w <= (B-1)+(slots-1)*stride; w++ {
+						for j := 0; j < slots; j++ {
+							blk := w - j*stride
+							if blk < 0 || blk >= B {
+								continue
+							}
+							if j >= lead {
+								wantAdv = append(wantAdv, waveItem{j, blk})
+							}
+							if j-lead < steps-1 {
+								wantApp = append(wantApp, waveItem{j, blk})
+							}
+						}
+					}
+					if !slices.Equal(advSeq, wantAdv) || !slices.Equal(appSeq, wantApp) {
+						t.Fatalf("%s: one-worker sequence differs from the block wavefront:\nadv %v\nwant %v\napp %v\nwant %v",
+							name, advSeq, wantAdv, appSeq, wantApp)
+					}
+				}
+			}
+		}
 	}
 }
 

@@ -87,73 +87,76 @@ type slabBufs struct {
 	bufs [][]float64
 }
 
-// slabs returns the Problem's slab partition, building it on first use.
+// slabs returns the Problem's slab partition, building it on first use:
+// S = min(nel, max(8, GOMAXPROCS)) contiguous slabs of near-equal size.
 func (p *Problem) slabs() *slabInfo {
 	p.slabOnce.Do(func() {
 		nel := p.DA.NElements()
-		S := runtime.GOMAXPROCS(0)
-		if S < 8 {
-			S = 8
+		S := min(nel, max(8, runtime.GOMAXPROCS(0)))
+		off := make([]int, S+1)
+		for s := range off {
+			off[s] = s * nel / S
 		}
-		if S > nel {
-			S = nel
-		}
-		info := &slabInfo{S: S, off: make([]int, S+1)}
-		for s := 0; s <= S; s++ {
-			info.off[s] = s * nel / S
-		}
-
-		nn := p.DA.NNodes()
-		minS := make([]int32, nn)
-		maxS := make([]int32, nn)
-		for n := range minS {
-			minS[n] = -1
-		}
-		for s := 0; s < S; s++ {
-			em := p.Emap[27*info.off[s] : 27*info.off[s+1]]
-			for _, n := range em {
-				if minS[n] < 0 {
-					minS[n] = int32(s)
-				}
-				maxS[n] = int32(s)
-			}
-		}
-
-		info.sharedIdx = make([]int32, nn)
-		for n := 0; n < nn; n++ {
-			if minS[n] >= 0 && minS[n] != maxS[n] {
-				info.sharedIdx[n] = int32(len(info.shared))
-				info.shared = append(info.shared, int32(n))
-				info.minSlab = append(info.minSlab, minS[n])
-				info.maxSlab = append(info.maxSlab, maxS[n])
-			} else {
-				info.sharedIdx[n] = -1
-			}
-		}
-
-		info.bufLo = make([]int32, S)
-		info.bufHi = make([]int32, S)
-		for s := 0; s < S; s++ {
-			em := p.Emap[27*info.off[s] : 27*info.off[s+1]]
-			lo, hi := em[0], em[0]
-			for _, n := range em {
-				if n < lo {
-					lo = n
-				}
-				if n > hi {
-					hi = n
-				}
-			}
-			info.bufLo[s] = int32(sort.Search(len(info.shared), func(t int) bool {
-				return info.shared[t] >= lo
-			}))
-			info.bufHi[s] = int32(sort.Search(len(info.shared), func(t int) bool {
-				return info.shared[t] > hi
-			}))
-		}
-		p.slab = info
+		p.slab = newSlabInfo(p, off)
 	})
 	return p.slab
+}
+
+// newSlabInfo derives the shared-node tables of the contiguous element
+// partition with slab s = [off[s], off[s+1]).
+func newSlabInfo(p *Problem, off []int) *slabInfo {
+	S := len(off) - 1
+	info := &slabInfo{S: S, off: off}
+
+	nn := p.DA.NNodes()
+	minS := make([]int32, nn)
+	maxS := make([]int32, nn)
+	for n := range minS {
+		minS[n] = -1
+	}
+	for s := 0; s < S; s++ {
+		em := p.Emap[27*info.off[s] : 27*info.off[s+1]]
+		for _, n := range em {
+			if minS[n] < 0 {
+				minS[n] = int32(s)
+			}
+			maxS[n] = int32(s)
+		}
+	}
+
+	info.sharedIdx = make([]int32, nn)
+	for n := 0; n < nn; n++ {
+		if minS[n] >= 0 && minS[n] != maxS[n] {
+			info.sharedIdx[n] = int32(len(info.shared))
+			info.shared = append(info.shared, int32(n))
+			info.minSlab = append(info.minSlab, minS[n])
+			info.maxSlab = append(info.maxSlab, maxS[n])
+		} else {
+			info.sharedIdx[n] = -1
+		}
+	}
+
+	info.bufLo = make([]int32, S)
+	info.bufHi = make([]int32, S)
+	for s := 0; s < S; s++ {
+		em := p.Emap[27*info.off[s] : 27*info.off[s+1]]
+		lo, hi := em[0], em[0]
+		for _, n := range em {
+			if n < lo {
+				lo = n
+			}
+			if n > hi {
+				hi = n
+			}
+		}
+		info.bufLo[s] = int32(sort.Search(len(info.shared), func(t int) bool {
+			return info.shared[t] >= lo
+		}))
+		info.bufHi[s] = int32(sort.Search(len(info.shared), func(t int) bool {
+			return info.shared[t] > hi
+		}))
+	}
+	return info
 }
 
 // getSlabBufs takes a zero-filled-on-demand buffer set from the pool.

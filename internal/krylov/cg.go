@@ -12,14 +12,25 @@ import "ptatin3d/internal/la"
 // pipeline.go); without a Reducer the flag is ignored and the serial
 // path below runs bit-for-bit.
 func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
+	var work [4]la.Vec
+	return cg(a, m, b, x, prm, &work)
+}
+
+// cg is CG with the classical iteration's work vectors r, z, p, A·p held
+// by the caller (allocated here when work holds none of length n). Every
+// entry the iteration reads it has written first, so vectors left over
+// from an earlier solve are as good as new ones.
+func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result {
 	if prm.Pipelined && prm.Reducer != nil {
 		return pipeCG(a, m, b, x, prm)
 	}
 	n := a.N()
-	r := la.NewVec(n)
-	z := la.NewVec(n)
-	p := la.NewVec(n)
-	ap := la.NewVec(n)
+	if len(work[0]) != n {
+		for i := range work {
+			work[i] = la.NewVec(n)
+		}
+	}
+	r, z, p, ap := work[0], work[1], work[2], work[3]
 
 	telStart := prm.begin()
 	if err := prm.consistent(x, b); err != nil {

@@ -108,6 +108,7 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, 
 		}
 		zs = append(zs, prm.vclone(z))
 		qs = append(qs, prm.vclone(q))
+		res.BasisVectors = max(res.BasisVectors, 2*len(qs))
 	}
 	res.Residual = rn
 	res.finish(prm, telStart)

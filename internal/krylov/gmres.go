@@ -64,22 +64,29 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 	}
 	stag := newStagGuard(prm)
 
+	// The basis grows with the iteration: v[j+1] and z[j] are allocated
+	// when iteration j first needs them (and kept across restart cycles),
+	// so a solve that converges in k iterations holds k+1 (+k flexible)
+	// n-vectors, not the whole restart window.
 	v := make([]la.Vec, mr+1)
-	for i := range v {
-		v[i] = la.NewVec(n)
+	basis := func(vs []la.Vec, i int) la.Vec {
+		if vs[i] == nil {
+			vs[i] = la.NewVec(n)
+			res.BasisVectors++
+		}
+		return vs[i]
 	}
 	var z []la.Vec
+	var zt, u la.Vec // fixed-M path: M⁻¹·v_j, and the update M⁻¹(V·y)
 	if flexible {
 		z = make([]la.Vec, mr)
-		for i := range z {
-			z[i] = la.NewVec(n)
-		}
+	} else {
+		zt, u = la.NewVec(n), la.NewVec(n)
 	}
 	h := make([]float64, (mr+1)*mr) // Hessenberg, h[i*mr+j]
 	cs := make([]float64, mr)
 	sn := make([]float64, mr)
 	g := make([]float64, mr+1)
-	zt := la.NewVec(n)
 	var xs, ys []la.Vec
 	if pipe {
 		xs = make([]la.Vec, 0, mr+2)
@@ -102,7 +109,7 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			rn = beta
 			break
 		}
-		prm.vcopy(v[0], r)
+		prm.vcopy(basis(v, 0), r)
 		prm.vscale(v[0], 1/beta)
 		for i := range g {
 			g[i] = 0
@@ -113,7 +120,7 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 		for ; j < mr && it < prm.MaxIt; j++ {
 			it++
 			if flexible {
-				m.Apply(v[j], z[j])
+				m.Apply(v[j], basis(z, j))
 				a.Apply(z[j], w)
 			} else {
 				m.Apply(v[j], zt)
@@ -158,7 +165,7 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			}
 			h[(j+1)*mr+j] = hj1
 			if hj1 != 0 {
-				prm.vcopy(v[j+1], w)
+				prm.vcopy(basis(v, j+1), w)
 				prm.vscale(v[j+1], 1/hj1)
 			}
 			// Apply accumulated Givens rotations to the new column.
@@ -216,7 +223,6 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			for i := 0; i < j; i++ {
 				prm.vaxpy(zt, y[i], v[i])
 			}
-			u := la.NewVec(n)
 			m.Apply(zt, u)
 			prm.vaxpy(x, 1, u)
 		}

@@ -130,11 +130,15 @@ func (p Params) restart() int {
 type Result struct {
 	Converged  bool
 	Iterations int
-	Residual   float64   // final unpreconditioned residual norm
-	Residual0  float64   // initial residual norm
-	History    []float64 // per-iteration residual norms if requested
-	Breakdown  bool      // NaN/Inf or zero denominators encountered
-	Stagnated  bool      // stagnation window tripped (see Params)
+	// BasisVectors is the number of n-vectors the solve allocated for its
+	// Krylov basis (GMRES/FGMRES: the v and z actually reached; GCR: the
+	// stored direction pairs). 0 for the short-recurrence methods.
+	BasisVectors int
+	Residual     float64   // final unpreconditioned residual norm
+	Residual0    float64   // initial residual norm
+	History      []float64 // per-iteration residual norms if requested
+	Breakdown    bool      // NaN/Inf or zero denominators encountered
+	Stagnated    bool      // stagnation window tripped (see Params)
 	// Err carries the typed *BreakdownError when Breakdown is set; nil
 	// on clean convergence or a plain iteration-limit stop.
 	Err error

@@ -111,11 +111,15 @@ func (bj *BlockJacobi) Apply(r, z la.Vec) {
 // budget. Pair with flexible outer methods only. This realizes the
 // paper's inexact coarse-grid solves (e.g. CG+ASM terminated at 25
 // iterations, §V-A, and the FGMRES-based SAML-ii smoother of Table IV).
+// The CG work vectors live on the instance, so it is NOT safe for
+// concurrent Apply calls.
 type InnerKrylov struct {
 	A      Op
 	M      Preconditioner
 	Method string // "cg", "fgmres", "gmres"
 	Prm    Params
+
+	cgWork [4]la.Vec
 }
 
 // Apply runs the inner solve from a zero initial guess.
@@ -123,7 +127,7 @@ func (ik *InnerKrylov) Apply(r, z la.Vec) {
 	z.Zero()
 	switch ik.Method {
 	case "cg":
-		CG(ik.A, ik.M, r, z, ik.Prm)
+		cg(ik.A, ik.M, r, z, ik.Prm, &ik.cgWork)
 	case "gmres":
 		GMRES(ik.A, ik.M, r, z, ik.Prm)
 	default:

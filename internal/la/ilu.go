@@ -46,13 +46,31 @@ func NewILU0(a *CSR) (*ILU0, error) {
 			return nil, fmt.Errorf("la: ILU0 row %d has no stored diagonal", i)
 		}
 	}
-	// IKJ-variant factorization restricted to the pattern of A. Columns in
-	// each row are sorted, so entries with col < i are the L part.
-	colpos := make([]int, n) // scatter: column -> position in current row, or -1
+	f.factor()
+	return f, nil
+}
+
+// Refactor recomputes the factorization from new values of a, which must
+// still have the sparsity pattern the factor was built on (the pattern
+// arrays are shared, not compared). The arithmetic is NewILU0's, entry
+// for entry, so the refreshed factor is bit-identical to a new one.
+func (f *ILU0) Refactor(a *CSR) {
+	if len(a.Val) != len(f.val) {
+		panic("la: ILU0 Refactor on a different sparsity pattern")
+	}
+	copy(f.val, a.Val)
+	f.factor()
+}
+
+// factor runs the IKJ-variant elimination restricted to the pattern, in
+// place on f.val. Columns in each row are sorted, so entries with col < i
+// are the L part.
+func (f *ILU0) factor() {
+	colpos := make([]int, f.n) // scatter: column -> position in current row, or -1
 	for j := range colpos {
 		colpos[j] = -1
 	}
-	for i := 0; i < n; i++ {
+	for i := 0; i < f.n; i++ {
 		lo, hi := f.rowPtr[i], f.rowPtr[i+1]
 		for k := lo; k < hi; k++ {
 			colpos[f.colInd[k]] = k
@@ -82,7 +100,6 @@ func NewILU0(a *CSR) (*ILU0, error) {
 			colpos[f.colInd[k]] = -1
 		}
 	}
-	return f, nil
 }
 
 // Solve computes x = (LU)⁻¹ b by forward and backward substitution.

@@ -413,10 +413,10 @@ func TestWCycle(t *testing.T) {
 // arithmetic.
 func TestMGBlockedVCycleBitIdentical(t *testing.T) {
 	eta := func(x, y, z float64) float64 { return 1 + 8*x*z + 3*y }
-	build := func(workers int) *MG {
+	build := func(workers, steps int) *MG {
 		fine := stdProblem(8, eta)
 		probs := CoarsenProblems(fine, 3, FuncCoeffCoarsener(eta, nil))
-		mgp, err := Build(probs, Options{Kinds: op.DefaultLevelKinds(3, op.TensorC, false), SmoothSteps: 2, Workers: workers})
+		mgp, err := Build(probs, Options{Kinds: op.DefaultLevelKinds(3, op.TensorC, false), SmoothSteps: steps, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -430,25 +430,29 @@ func TestMGBlockedVCycleBitIdentical(t *testing.T) {
 		}
 		return mgp
 	}
-	// The test-local reference: the same hierarchy made to smooth full-grid.
-	plain := build(1)
-	for _, lev := range plain.Levels {
-		lev.Blocked = nil
-	}
-	n := plain.Levels[0].Op.N()
-	rng := rand.New(rand.NewSource(19))
-	b := la.NewVec(n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	zb, zp := la.NewVec(n), la.NewVec(n)
-	plain.Apply(b, zp)
-	for _, w := range []int{1, 2, 4, 8} {
-		build(w).Apply(b, zb)
-		for i := 0; i < n; i++ {
-			if zb[i] != zp[i] {
-				t.Fatalf("workers %d: dof %d differs bitwise: %x vs %x (Δ=%.3e)",
-					w, i, math.Float64bits(zb[i]), math.Float64bits(zp[i]), zb[i]-zp[i])
+	for steps := 1; steps <= 4; steps++ {
+		// The test-local reference: the same hierarchy made to smooth
+		// full-grid.
+		plain := build(1, steps)
+		for _, lev := range plain.Levels {
+			lev.Blocked = nil
+		}
+		n := plain.Levels[0].Op.N()
+		rng := rand.New(rand.NewSource(19))
+		b := la.NewVec(n)
+		for i := range b {
+			b[i] = rng.NormFloat64()
+		}
+		zb, zp := la.NewVec(n), la.NewVec(n)
+		plain.Apply(b, zp)
+		// 3 and 5 workers: block groups that do not divide the 8 blocks.
+		for _, w := range []int{1, 2, 3, 5, 8} {
+			build(w, steps).Apply(b, zb)
+			for i := 0; i < n; i++ {
+				if zb[i] != zp[i] {
+					t.Fatalf("V(%d,%d) workers %d: dof %d differs bitwise: %x vs %x (Δ=%.3e)",
+						steps, steps, w, i, math.Float64bits(zb[i]), math.Float64bits(zp[i]), zb[i]-zp[i])
+				}
 			}
 		}
 	}
@@ -537,5 +541,125 @@ func TestMGF32Converges(t *testing.T) {
 	}
 	if mgp.Levels[2].Op.CSR() == nil {
 		t.Fatal("coarsest level lost its float64 matrix")
+	}
+}
+
+// scatterRestrict is the serial scatter-add form of rc = Pᵀ·rf that the
+// owner-computes gather of Prolongation.ApplyTranspose replaced, kept as
+// its reference: fine nodes in ascending (k, j, i) order, each adding into
+// its up to 8 coarse targets.
+func scatterRestrict(p *Prolongation, rf, rc la.Vec) {
+	f, c := p.Fine, p.Coarse
+	var cmask, fmask []bool
+	if p.CoarseBC != nil {
+		cmask = p.CoarseBC.Mask
+	}
+	if p.FineBC != nil {
+		fmask = p.FineBC.Mask
+	}
+	rc.Zero()
+	for k := 0; k < f.NPz; k++ {
+		k0, k1, wk0, wk1 := stencil1D(k)
+		for j := 0; j < f.NPy; j++ {
+			j0, j1, wj0, wj1 := stencil1D(j)
+			for i := 0; i < f.NPx; i++ {
+				i0, i1, wi0, wi1 := stencil1D(i)
+				fd := 3 * f.NodeID(i, j, k)
+				var v [3]float64
+				masked := false
+				for a := 0; a < 3; a++ {
+					if fmask != nil && fmask[fd+a] {
+						v[a] = 0
+						masked = true
+					} else {
+						v[a] = rf[fd+a]
+					}
+				}
+				if v[0] == 0 && v[1] == 0 && v[2] == 0 && !masked {
+					continue
+				}
+				add := func(ci, cj, ck int, w float64) {
+					if w == 0 {
+						return
+					}
+					cd := 3 * c.NodeID(ci, cj, ck)
+					for a := 0; a < 3; a++ {
+						rc[cd+a] += w * v[a]
+					}
+				}
+				for _, kk := range [2]struct {
+					idx int
+					w   float64
+				}{{k0, wk0}, {k1, wk1}} {
+					if kk.idx < 0 {
+						continue
+					}
+					for _, jj := range [2]struct {
+						idx int
+						w   float64
+					}{{j0, wj0}, {j1, wj1}} {
+						if jj.idx < 0 {
+							continue
+						}
+						if i0 >= 0 {
+							add(i0, jj.idx, kk.idx, wi0*jj.w*kk.w)
+						}
+						if i1 >= 0 {
+							add(i1, jj.idx, kk.idx, wi1*jj.w*kk.w)
+						}
+					}
+				}
+			}
+		}
+	}
+	if cmask != nil {
+		for d, m := range cmask {
+			if m {
+				rc[d] = 0
+			}
+		}
+	}
+}
+
+// TestRestrictGatherBitIdentical: the parallel gather restriction equals
+// the serial scatter bitwise — same contributors, same order — on an
+// anisotropic deformed mesh, with and without boundary masks, including
+// exact zeros in the residual (which the scatter skipped), at any worker
+// count.
+func TestRestrictGatherBitIdentical(t *testing.T) {
+	fine := mesh.New(32, 8, 16, 0, 4, 0, 1, 0, 2)
+	coarse := fine.Coarsen()
+	fbc := mesh.NewBC(fine)
+	fbc.FreeSlipBox(fine, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin)
+	cbc := mesh.CoarsenBC(fine, coarse, fbc)
+	rng := rand.New(rand.NewSource(41))
+	rf := la.NewVec(fine.NVelDOF())
+	for i := range rf {
+		if rng.Intn(5) > 0 {
+			rf[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(12)-6))
+		}
+	}
+	for n := 0; n < fine.NNodes(); n += 7 {
+		rf[3*n], rf[3*n+1], rf[3*n+2] = 0, 0, 0
+	}
+	for _, masked := range []bool{false, true} {
+		p := NewProlongation(fine, coarse, nil, nil)
+		if masked {
+			p = NewProlongation(fine, coarse, fbc, cbc)
+		}
+		want := la.NewVec(coarse.NVelDOF())
+		scatterRestrict(p, rf, want)
+		for _, w := range []int{1, 2, 3, 8} {
+			p.Workers = w
+			got := la.NewVec(coarse.NVelDOF())
+			got.Set(math.NaN()) // every entry must be written
+			p.ApplyTranspose(rf, got)
+			for i := range got {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("masked=%v workers=%d: coarse dof %d differs bitwise: %x vs %x",
+						masked, w, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
+			}
+		}
 	}
 }

@@ -112,7 +112,10 @@ func (p *Prolongation) Apply(uc, uf la.Vec) {
 }
 
 // ApplyTranspose computes rc = Pᵀ·rf (restriction, paper §III-C:
-// R = Pᵀ).
+// R = Pᵀ), owner-computes: each coarse node gathers its up to 27 fine
+// contributors in ascending (k, j, i) order — the order a scatter over the
+// fine grid would add them in — so coarse rows are independent, run on
+// Workers pool workers, and sum identically at any worker count.
 func (p *Prolongation) ApplyTranspose(rf, rc la.Vec) {
 	f, c := p.Fine, p.Coarse
 	if len(rc) != c.NVelDOF() || len(rf) != f.NVelDOF() {
@@ -125,71 +128,44 @@ func (p *Prolongation) ApplyTranspose(rf, rc la.Vec) {
 	if p.FineBC != nil {
 		fmask = p.FineBC.Mask
 	}
-	rc.Zero()
-	// Scatter-add form; serialized over z-slabs in parallel requires care,
-	// so restriction runs sequentially per z-plane pair (cheap relative to
-	// smoothing).
-	for k := 0; k < f.NPz; k++ {
-		k0, k1, wk0, wk1 := stencil1D(k)
-		for j := 0; j < f.NPy; j++ {
-			j0, j1, wj0, wj1 := stencil1D(j)
-			for i := 0; i < f.NPx; i++ {
-				i0, i1, wi0, wi1 := stencil1D(i)
-				fd := 3 * f.NodeID(i, j, k)
-				var v [3]float64
-				masked := false
+	// weight of fine index fi in the stencil of the coarse node at 2·ci.
+	weight := func(fi, ci int) float64 {
+		if fi == 2*ci {
+			return 1
+		}
+		return 0.5
+	}
+	par.For(p.Workers, c.NPz*c.NPy, func(lo, hi int) {
+		for row := lo; row < hi; row++ {
+			ck, cj := row/c.NPy, row%c.NPy
+			for ci := 0; ci < c.NPx; ci++ {
+				var acc [3]float64
+				for fk := max(0, 2*ck-1); fk <= min(f.NPz-1, 2*ck+1); fk++ {
+					wk := weight(fk, ck)
+					for fj := max(0, 2*cj-1); fj <= min(f.NPy-1, 2*cj+1); fj++ {
+						wj := weight(fj, cj)
+						for fi := max(0, 2*ci-1); fi <= min(f.NPx-1, 2*ci+1); fi++ {
+							w := weight(fi, ci) * wj * wk
+							fd := 3 * f.NodeID(fi, fj, fk)
+							for a := 0; a < 3; a++ {
+								if fmask == nil || !fmask[fd+a] {
+									acc[a] += w * rf[fd+a]
+								}
+							}
+						}
+					}
+				}
+				cd := 3 * c.NodeID(ci, cj, ck)
 				for a := 0; a < 3; a++ {
-					if fmask != nil && fmask[fd+a] {
-						v[a] = 0
-						masked = true
+					if cmask != nil && cmask[cd+a] {
+						rc[cd+a] = 0
 					} else {
-						v[a] = rf[fd+a]
-					}
-				}
-				if v[0] == 0 && v[1] == 0 && v[2] == 0 && !masked {
-					continue
-				}
-				add := func(ci, cj, ck int, w float64) {
-					if w == 0 {
-						return
-					}
-					cd := 3 * c.NodeID(ci, cj, ck)
-					for a := 0; a < 3; a++ {
-						rc[cd+a] += w * v[a]
-					}
-				}
-				for _, kk := range [2]struct {
-					idx int
-					w   float64
-				}{{k0, wk0}, {k1, wk1}} {
-					if kk.idx < 0 {
-						continue
-					}
-					for _, jj := range [2]struct {
-						idx int
-						w   float64
-					}{{j0, wj0}, {j1, wj1}} {
-						if jj.idx < 0 {
-							continue
-						}
-						if i0 >= 0 {
-							add(i0, jj.idx, kk.idx, wi0*jj.w*kk.w)
-						}
-						if i1 >= 0 {
-							add(i1, jj.idx, kk.idx, wi1*jj.w*kk.w)
-						}
+						rc[cd+a] = acc[a]
 					}
 				}
 			}
 		}
-	}
-	if cmask != nil {
-		for d, m := range cmask {
-			if m {
-				rc[d] = 0
-			}
-		}
-	}
+	})
 }
 
 // ToCSR materializes the prolongation as a sparse matrix (fine dofs ×

@@ -117,18 +117,21 @@ type stageTimes struct {
 // StepStats records one time step's solver behaviour — the per-step
 // Newton/Krylov counts of Figure 4.
 type StepStats struct {
-	Step       int
-	Time       float64
-	Dt         float64
-	NewtonIts  int
-	KrylovIts  int
-	FNorm0     float64
-	FNorm      float64
-	Converged  bool
-	SolveTime  time.Duration
-	PointCount int
-	TopoMin    float64
-	TopoMax    float64
+	Step      int
+	Time      float64
+	Dt        float64
+	NewtonIts int
+	KrylovIts int
+	// KrylovBasis is the largest Krylov basis, in n-vectors, that any of
+	// the step's inner solves allocated.
+	KrylovBasis int
+	FNorm0      float64
+	FNorm       float64
+	Converged   bool
+	SolveTime   time.Duration
+	PointCount  int
+	TopoMin     float64
+	TopoMax     float64
 	// Backend records which Stokes backend ran the step's inner solves
 	// ("shared" when Model.Backend is nil); Ranks and the communication
 	// totals are zero on the shared path.
@@ -148,6 +151,13 @@ type StepStats struct {
 	// StokesSetupReused counts the step's relinearizations served by
 	// refreshing the cached solver stack instead of a cold build.
 	StokesSetupReused int64
+	// CPUUtil is the share of Workers cores that ran user Go code during
+	// the step (telemetry.CPUSample.Utilization): a value well under 1
+	// means serial sections or idle workers (Workers × Ranks cores on the
+	// distributed backend). The runtime's CPU accounting
+	// advances at garbage-collection cycles, so the window is the step to
+	// within one cycle at either end, and 0 when no cycle ended inside it.
+	CPUUtil float64
 }
 
 // pointState evaluates the rheological state of material point i for the
@@ -381,6 +391,7 @@ func (m *Model) minCellSize() float64 {
 // equation. It appends a StepStats record.
 func (m *Model) StepForward() error {
 	start := time.Now()
+	cpuStart := telemetry.ReadCPU()
 	stepStart := m.Telemetry.Timer("step").Start()
 	m.stage = stageTimes{}
 	res, err := m.SolveStokes()
@@ -501,7 +512,7 @@ func (m *Model) StepForward() error {
 	m.StepNum++
 	st := StepStats{
 		Step: m.StepNum, Time: m.Time, Dt: dt,
-		NewtonIts: res.Iterations, KrylovIts: res.KrylovIts,
+		NewtonIts: res.Iterations, KrylovIts: res.KrylovIts, KrylovBasis: res.KrylovBasis,
 		FNorm0: res.FNorm0, FNorm: res.FNorm, Converged: res.Converged,
 		SolveTime:  time.Since(start),
 		PointCount: m.Points.Len(),
@@ -533,6 +544,8 @@ func (m *Model) StepForward() error {
 			}
 		}
 	}
+	// Simulated ranks are goroutines of this process, Workers wide each.
+	st.CPUUtil = telemetry.ReadCPU().Utilization(cpuStart, max(1, m.Workers)*max(1, st.Ranks))
 	m.Stats = append(m.Stats, st)
 	return nil
 }

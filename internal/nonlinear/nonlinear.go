@@ -73,14 +73,17 @@ func DefaultOptions() Options {
 // Result reports the outcome of a nonlinear solve.
 type Result struct {
 	Converged  bool
-	Iterations int       // outer (Newton/Picard) iterations
-	KrylovIts  int       // total inner Krylov iterations
-	FNorm      float64   // final residual norm
-	FNorm0     float64   // initial residual norm
-	History    []float64 // ‖F‖ after each outer iteration (incl. initial)
-	Stagnated  bool      // line search failed to reduce ‖F‖
-	Breakdowns int       // inner Krylov breakdowns encountered
-	Fallbacks  int       // breakdowns recovered by switching Krylov method
+	Iterations int // outer (Newton/Picard) iterations
+	KrylovIts  int // total inner Krylov iterations
+	// KrylovBasis is the largest Krylov basis any inner solve allocated
+	// (krylov.Result.BasisVectors), in n-vectors.
+	KrylovBasis int
+	FNorm       float64   // final residual norm
+	FNorm0      float64   // initial residual norm
+	History     []float64 // ‖F‖ after each outer iteration (incl. initial)
+	Stagnated   bool      // line search failed to reduce ‖F‖
+	Breakdowns  int       // inner Krylov breakdowns encountered
+	Fallbacks   int       // breakdowns recovered by switching Krylov method
 	// Err carries the typed inner breakdown (*krylov.BreakdownError in
 	// its chain) when even the fallback method broke down and the outer
 	// iteration had to abort.
@@ -168,6 +171,7 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 		}
 		kres := inner(sys.Method)
 		res.KrylovIts += kres.Iterations
+		res.KrylovBasis = max(res.KrylovBasis, kres.BasisVectors)
 		if kres.Err != nil {
 			// Inner breakdown (NaN/Inf, zero pivot, stagnation): discard the
 			// poisoned direction and retry once with the alternate Krylov
@@ -180,6 +184,7 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 			delta.Zero()
 			kres = inner(alt)
 			res.KrylovIts += kres.Iterations
+			res.KrylovBasis = max(res.KrylovBasis, kres.BasisVectors)
 			if kres.Err != nil {
 				res.Err = fmt.Errorf("nonlinear: outer iteration %d: inner solve broke down with %q and fallback %q: %w",
 					it, sys.Method, alt, kres.Err)

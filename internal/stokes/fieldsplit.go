@@ -27,8 +27,10 @@ type FieldSplit struct {
 	// with the upper factor"): z_p = Ŝ⁻¹·r_p, z_u = Â⁻¹·(r_u − J_up·z_p).
 	Upper bool
 
-	tu la.Vec
-	tv la.Vec
+	// Work vectors, reused across applications: NOT safe for concurrent
+	// Apply calls on one instance.
+	tu     la.Vec // pressure space
+	tv, gz la.Vec // velocity space (gz: Upper only)
 }
 
 // NewFieldSplit builds the preconditioner.
@@ -45,12 +47,14 @@ func (fs *FieldSplit) Apply(r, z la.Vec) {
 		// z_p = Ŝ⁻¹·r_p ; z_u = Â⁻¹·(r_u − J_up·z_p).
 		fs.Mp.ApplyInv(rp, zp)
 		zp.Scale(-1)
+		if fs.gz == nil {
+			fs.gz = la.NewVec(fs.Op.Nu)
+		}
+		fs.gz.Zero()
+		fs.Op.C.ApplyGAdd(zp, fs.gz)
 		fs.tv.Copy(ru)
-		neg := fs.tv
-		gz := la.NewVec(fs.Op.Nu)
-		fs.Op.C.ApplyGAdd(zp, gz)
-		neg.AXPY(-1, gz)
-		fs.InnerU.Apply(neg, zu)
+		fs.tv.AXPY(-1, fs.gz)
+		fs.InnerU.Apply(fs.tv, zu)
 		return
 	}
 	fs.InnerU.Apply(ru, zu)

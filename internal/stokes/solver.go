@@ -139,6 +139,13 @@ type Solver struct {
 	amgVA *fem.ViscousAssembly
 	amgA  *la.CSR
 
+	// coarseASM is the "asmcg" coarse solver's Schwarz preconditioner and
+	// coarseASMMat the coarsest-level matrix it was built on: while
+	// Refresh finds that matrix refreshed in place, the ASM is refreshed
+	// numerically instead of being regrown.
+	coarseASM    *krylov.ASM
+	coarseASMMat *la.CSR
+
 	// dcache holds the distributed decompositions and per-rank layouts of
 	// the last world shape — purely topological, so they survive
 	// coefficient refreshes and ALE coordinate updates.
@@ -242,15 +249,11 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stokes: GMG setup: %w", err)
 		}
-		coarse, sa, err := buildCoarseSolver(gmg, probs[len(probs)-1], cfg)
-		if err != nil {
+		s.MG = gmg
+		if err := s.buildCoarseSolver(); err != nil {
 			return nil, err
 		}
-		s.SA = sa
-		s.CoarseApply = NewPCProbe(coarse, s.Tel.Child("outer").Timer("coarse"))
-		gmg.CoarseSolve = s.CoarseApply
 		gmg.SetTelemetry(mgScope)
-		s.MG = gmg
 		innerU = gmg
 	}
 	if s.SA != nil {
@@ -282,34 +285,49 @@ func (s *Solver) SelectionReport() []op.Decision {
 	return out
 }
 
-// buildCoarseSolver instantiates the coarsest-level solver from the
+// buildCoarseSolver installs the coarsest-level solver, built from the
 // hierarchy's assembled coarse matrix (op.Operator.CSR — the op layer's
-// coarse-level handoff to the algebraic solvers).
-func buildCoarseSolver(gmg *mg.MG, coarseProb *fem.Problem, cfg Config) (krylov.Preconditioner, *amg.SA, error) {
-	last := gmg.Levels[len(gmg.Levels)-1]
+// coarse-level handoff to the algebraic solvers) at its current values.
+// An "asmcg" solver whose matrix was refreshed in place keeps its
+// topology and only refactors.
+func (s *Solver) buildCoarseSolver() error {
+	cfg := s.Cfg
+	last := s.MG.Levels[len(s.MG.Levels)-1]
 	a := last.Op.CSR()
 	if a == nil {
-		return nil, nil, fmt.Errorf("stokes: coarsest GMG level must be assembled")
+		return fmt.Errorf("stokes: coarsest GMG level must be assembled")
 	}
+	if s.coarseASM != nil && a == s.coarseASMMat {
+		if err := s.coarseASM.Refresh(a); err != nil {
+			return fmt.Errorf("stokes: ASM coarse solver: %w", err)
+		}
+		return nil
+	}
+	var coarse krylov.Preconditioner
+	s.SA, s.coarseASM, s.coarseASMMat = nil, nil, nil
 	switch cfg.CoarseSolver {
 	case "", "gamg":
 		opt := amg.GAMGLike()
 		opt.SmoothSteps = max(1, cfg.SmoothSteps)
-		sa, err := amg.New(a, 3, amg.RigidBodyModes(coarseProb.DA.Coords, coarseProb.BC.Mask), opt)
+		opt.Workers = cfg.Workers
+		sa, err := amg.New(a, 3, amg.RigidBodyModes(last.Prob.DA.Coords, last.Prob.BC.Mask), opt)
 		if err != nil {
-			return nil, nil, fmt.Errorf("stokes: GAMG coarse solver: %w", err)
+			return fmt.Errorf("stokes: GAMG coarse solver: %w", err)
 		}
-		return sa, sa, nil
-	case "lu":
-		bj, err := krylov.NewBlockJacobi(a, 1)
-		return bj, nil, err
-	case "bjacobi":
-		nb := cfg.CoarseBlocks
-		if nb <= 0 {
-			nb = 8
+		coarse, s.SA = sa, sa
+	case "lu", "bjacobi":
+		nb := 1
+		if cfg.CoarseSolver == "bjacobi" {
+			nb = cfg.CoarseBlocks
+			if nb <= 0 {
+				nb = 8
+			}
 		}
 		bj, err := krylov.NewBlockJacobi(a, nb)
-		return bj, nil, err
+		if err != nil {
+			return err
+		}
+		coarse = bj
 	case "asmcg":
 		nsub := cfg.ASMSubdomains
 		if nsub <= 0 {
@@ -319,17 +337,23 @@ func buildCoarseSolver(gmg *mg.MG, coarseProb *fem.Problem, cfg Config) (krylov.
 		if ov <= 0 {
 			ov = 4
 		}
-		asmPC, err := krylov.NewASM(a, krylov.ASMOptions{Subdomains: nsub, Overlap: ov})
+		asmPC, err := krylov.NewASM(a, krylov.ASMOptions{Subdomains: nsub, Overlap: ov, Workers: cfg.Workers})
 		if err != nil {
-			return nil, nil, fmt.Errorf("stokes: ASM coarse solver: %w", err)
+			return fmt.Errorf("stokes: ASM coarse solver: %w", err)
 		}
-		inner := &krylov.InnerKrylov{
-			A: krylov.CSROp{A: a}, M: asmPC, Method: "cg",
+		s.coarseASM, s.coarseASMMat = asmPC, a
+		// CG multiplies through the level's own operator: the worker-
+		// parallel SpMV of the same matrix, row sums unchanged.
+		coarse = &krylov.InnerKrylov{
+			A: last.Op, M: asmPC, Method: "cg",
 			Prm: krylov.Params{RTol: 1e-4, ATol: 1e-300, MaxIt: 25},
 		}
-		return inner, nil, nil
+	default:
+		return fmt.Errorf("stokes: unknown coarse solver %q", cfg.CoarseSolver)
 	}
-	return nil, nil, fmt.Errorf("stokes: unknown coarse solver %q", cfg.CoarseSolver)
+	s.CoarseApply = NewPCProbe(coarse, s.Tel.Child("outer").Timer("coarse"))
+	s.MG.CoarseSolve = s.CoarseApply
+	return nil
 }
 
 // buildAMG constructs the standalone algebraic preconditioner (Levels <=
@@ -343,6 +367,7 @@ func buildAMG(a *la.CSR, prob *fem.Problem, cfg Config) (*amg.SA, error) {
 		opt = amg.MLStrongLike()
 	}
 	opt.SmoothSteps = max(1, cfg.SmoothSteps)
+	opt.Workers = cfg.Workers
 	sa, err := amg.New(a, 3, amg.RigidBodyModes(prob.DA.Coords, prob.BC.Mask), opt)
 	if err != nil {
 		return nil, fmt.Errorf("stokes: AMG setup: %w", err)
@@ -356,8 +381,9 @@ func buildAMG(a *la.CSR, prob *fem.Problem, cfg Config) (*amg.SA, error) {
 // through the configured coarsener, assembled/Galerkin/resident operator
 // values are recomputed in place into their cached sparsity, smoother
 // spectra are re-estimated exactly as a cold build would, and the
-// value-dependent algebraic components (GAMG/ASM/LU coarse solvers) are
-// rebuilt from the refreshed coarse matrices. The result is bit-identical
+// value-dependent algebraic components are rebuilt (GAMG/LU coarse
+// solvers) or refactored on their kept topology (ASM) from the refreshed
+// coarse matrices. The result is bit-identical
 // to constructing a new Solver on the same state; only the setup cost
 // changes. geomChanged must be true whenever the fine mesh coordinates
 // moved since the last Setup/Refresh (ALE remeshing).
@@ -393,13 +419,9 @@ func (s *Solver) Refresh(geomChanged bool) error {
 		if err := s.MG.Refresh(); err != nil {
 			return fmt.Errorf("stokes: %w", err)
 		}
-		coarse, sa, err := buildCoarseSolver(s.MG, s.MG.Levels[len(s.MG.Levels)-1].Prob, s.Cfg)
-		if err != nil {
+		if err := s.buildCoarseSolver(); err != nil {
 			return err
 		}
-		s.SA = sa
-		s.CoarseApply = NewPCProbe(coarse, s.Tel.Child("outer").Timer("coarse"))
-		s.MG.CoarseSolve = s.CoarseApply
 	} else {
 		if err := op.Refresh(s.Op.Auu); err != nil {
 			return fmt.Errorf("stokes: fine operator refresh: %w", err)

@@ -3,9 +3,10 @@
 # the full test suite, a short-mode pass under the race detector, a racy
 # re-run of the comm fault/recovery protocol tests, the benchmark module's
 # own vet and tests (bench/ is a separate module that the root go build
-# and go test skip), a one-iteration smoke run of the apply-path
-# benchmarks, and short fuzz smoke passes over the decomposition index
-# math and the checkpoint decoder.
+# and go test skip), a scenario smoke of every spec on both backends and
+# a worker-count invariance run of rift, a one-iteration smoke run of the
+# apply-path benchmarks, and short fuzz smoke passes over the decomposition
+# index math and the checkpoint decoder.
 # Every PR must leave this script exiting 0.
 #
 # Usage: scripts/check.sh  (from the repository root or any subdirectory)
@@ -45,10 +46,15 @@ go test -short -race -run 'TestSoakReliableExchange64Ranks' ./internal/comm
 echo "== pipelined Krylov + coarse agglomeration under -race =="
 go test -race -run 'TestPipelined|TestDistMGAgg|TestAllReduceSumVec' ./internal/krylov ./internal/mg ./internal/comm
 
-echo "== f32/f64 equivalence + blocked == full-grid smoother bit-identity under -race =="
+echo "== f32/f64 equivalence + blocked == full-grid smoother + gather restriction bit-identity under -race =="
 go test -race \
-    -run 'TestOpEquivalence|TestF32OpEquivalence|TestAutoCacheKeyedByPrecision|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestVCycleApplyCountOnCSRLevels|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence' \
+    -run 'TestOpEquivalence|TestF32OpEquivalence|TestAutoCacheKeyedByPrecision|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
+
+echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager under -race =="
+go test -race \
+    -run 'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates' \
+    ./internal/krylov
 
 echo "== parallel MPM + amortized solver setup under -race =="
 go test -race \
@@ -60,6 +66,17 @@ echo "== benchmark module: vet + its own tests =="
 
 echo "== scenario smoke: every registered spec, 2 steps, shared + distributed =="
 go run ./cmd/ptatin-run -smoke -workers 2
+
+echo "== rift at 3 workers (block groups that do not divide the 8 blocks): its identical to 1 worker =="
+its() { go run ./cmd/ptatin-run -scenario rift -small -steps 2 -workers "$1" | awk -F', ' '!/^#/ {print $1, $4, $5}'; }
+its1=$(its 1)
+its3=$(its 3)
+if [ -z "$its1" ] || [ "$its1" != "$its3" ]; then
+    echo "rift -small (step, nonlinear its, Krylov its) differ between -workers 1 and -workers 3:" >&2
+    printf '%s\n--\n%s\n' "$its1" "$its3" >&2
+    exit 1
+fi
+echo "$its3"
 
 echo "== rank-distributed solve under -race =="
 go run -race ./cmd/ptatin-scaling -ranks 2x1x1 -grids 8
