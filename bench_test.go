@@ -68,13 +68,26 @@ func opBench(b *testing.B, op interface {
 
 // --- Table I -----------------------------------------------------------
 
-func BenchmarkTableI_Assembled(b *testing.B) { opBench(b, fem.NewAsm(benchProblem(8))) }
+// opKind builds one representation through op.New, as bench/ and
+// ptatin-opcost do, and sets it up.
+func opKind(b *testing.B, p *fem.Problem, k op.Kind) op.Operator {
+	o, err := op.New(k, op.Env{Prob: p})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := o.Setup(); err != nil {
+		b.Fatal(err)
+	}
+	return o
+}
+
+func BenchmarkTableI_Assembled(b *testing.B) { opBench(b, opKind(b, benchProblem(8), op.Assembled)) }
 func BenchmarkTableI_MatrixFree(b *testing.B) {
 	opBench(b, fem.NewMF(benchProblem(8)))
 }
 func BenchmarkTableI_Tensor(b *testing.B) { opBench(b, fem.NewTensor(benchProblem(8))) }
 func BenchmarkTableI_TensorC(b *testing.B) {
-	opBench(b, fem.NewTensorC(benchProblem(8)))
+	opBench(b, opKind(b, benchProblem(8), op.TensorC))
 }
 
 // --- sinker-based solves (Figures 1–2, Tables II–IV) --------------------
@@ -135,15 +148,16 @@ func tableIIIProblem() *fem.Problem {
 	return mdl.Prob
 }
 
-func BenchmarkTableIII_MGResAsmb(b *testing.B)   { opBench(b, fem.NewAsm(tableIIIProblem())) }
+func BenchmarkTableIII_MGResAsmb(b *testing.B) {
+	opBench(b, opKind(b, tableIIIProblem(), op.Assembled))
+}
 func BenchmarkTableIII_MGResMF(b *testing.B)     { opBench(b, fem.NewMF(tableIIIProblem())) }
 func BenchmarkTableIII_MGResTensor(b *testing.B) { opBench(b, fem.NewTensor(tableIIIProblem())) }
 
 func BenchmarkTableIV_GMGi(b *testing.B) { sinkerSolveBench(b, 8, 100, nil) }
 func BenchmarkTableIV_GMGii(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) {
-		c.FineKind = op.Assembled
-		c.GalerkinAll = true
+		c.FineKind = op.Galerkin
 	})
 }
 func BenchmarkTableIV_SAi(b *testing.B) {
@@ -371,38 +385,20 @@ func telemetrySolveBench(b *testing.B, enabled bool) {
 func BenchmarkTelemetry_StokesSolveDisabled(b *testing.B) { telemetrySolveBench(b, false) }
 func BenchmarkTelemetry_StokesSolveEnabled(b *testing.B)  { telemetrySolveBench(b, true) }
 
-// --- Colored vs slab apply schedule (PR 4) -----------------------------
+// --- Slab apply schedule ------------------------------------------------
 //
-// BenchmarkApplySchedule pits the legacy 8-color barrier schedule against
-// the slab-partitioned owner-computes scatter on the same tensor operator.
-// The slab path removes the 8 per-apply barriers, restores lexicographic
-// element order, and batches gather→kernel→scatter — the per-apply win is
-// the headline number of the PR 4 benchmark.
+// BenchmarkApplySlab times the slab-partitioned owner-computes scatter on
+// the tensor operator at 1 and 4 workers. (The 8-colour schedule it
+// replaced is a test reference in internal/fem/slab_test.go.)
 
-func applyScheduleBench(b *testing.B, workers int, colored bool) {
+func applySlabBench(b *testing.B, workers int) {
 	p := benchProblem(12)
 	p.Workers = workers
-	t := fem.NewTensor(p)
-	u := la.NewVec(t.N())
-	for i := range u {
-		u[i] = math.Sin(float64(i))
-	}
-	y := la.NewVec(t.N())
-	apply := t.Apply
-	if colored {
-		apply = t.ApplyColored
-	}
-	apply(u, y) // warm (builds the slab partition / color schedule)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		apply(u, y)
-	}
+	opBench(b, fem.NewTensor(p))
 }
 
-func BenchmarkApplyColoredW1(b *testing.B) { applyScheduleBench(b, 1, true) }
-func BenchmarkApplyColoredW4(b *testing.B) { applyScheduleBench(b, 4, true) }
-func BenchmarkApplySlabW1(b *testing.B)    { applyScheduleBench(b, 1, false) }
-func BenchmarkApplySlabW4(b *testing.B)    { applyScheduleBench(b, 4, false) }
+func BenchmarkApplySlabW1(b *testing.B) { applySlabBench(b, 1) }
+func BenchmarkApplySlabW4(b *testing.B) { applySlabBench(b, 4) }
 
 // --- Pool dispatch vs per-call goroutine spawn -------------------------
 //
@@ -410,7 +406,7 @@ func BenchmarkApplySlabW4(b *testing.B)    { applyScheduleBench(b, 4, false) }
 // spawn variant recreates the pre-PR-4 behaviour (fresh goroutines plus a
 // WaitGroup barrier per call), the pool variant goes through par.For. The
 // body is deliberately tiny so the dispatch overhead dominates, as it did
-// for the 8 small color sweeps per colored apply.
+// for the 8 small color sweeps of the colored apply the slab schedule replaced.
 
 func BenchmarkDispatchSpawn(b *testing.B) {
 	sink := make([]float64, 4096)

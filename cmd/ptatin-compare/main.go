@@ -46,8 +46,7 @@ func main() {
 		{"GMG-ii", func(c *stokes.Config) {
 			// Fully assembled: fine level assembled, all coarse operators
 			// Galerkin.
-			c.FineKind = op.Assembled
-			c.GalerkinAll = true
+			c.FineKind = op.Galerkin
 			c.CoarseSolver = "gamg"
 		}},
 		{"SA-i", func(c *stokes.Config) {

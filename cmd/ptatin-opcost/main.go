@@ -107,29 +107,33 @@ func main() {
 			c.ArithmeticIntensity(true), c.ArithmeticIntensity(false))
 	}
 
-	// Operator applications.
+	// Operator applications: each Table I row is one op.Kind, built through
+	// op.New in the order of perfmodel.ReproCounts. The TensorC row is the
+	// resident stored-coefficient kernel (fem.Resident), the one the
+	// V-cycle smooths with.
 	type variant struct {
 		name  string
 		apply func()
 		setup time.Duration
 	}
 	var variants []variant
-
-	t0 := time.Now()
-	asm := fem.NewAsm(p)
-	asmSetup := time.Since(t0)
-	variants = append(variants, variant{"Assembled", func() { asm.Apply(u, y) }, asmSetup})
-
-	mf := fem.NewMF(p)
-	variants = append(variants, variant{"Matrix-free", func() { mf.Apply(u, y) }, 0})
-
-	tens := fem.NewTensor(p)
-	variants = append(variants, variant{"Tensor", func() { tens.Apply(u, y) }, 0})
-
-	t0 = time.Now()
-	tc := fem.NewTensorC(p)
-	tcSetup := time.Since(t0)
-	variants = append(variants, variant{"TensorC", func() { tc.Apply(u, y) }, tcSetup})
+	for _, row := range []struct {
+		name string
+		kind op.Kind
+	}{
+		{"Assembled", op.Assembled}, {"Matrix-free", op.MFRef},
+		{"Tensor", op.Tensor}, {"TensorC", op.TensorC},
+	} {
+		o, err := op.New(row.kind, op.Env{Prob: p, Workers: *workers})
+		if err != nil {
+			log.Fatal(err)
+		}
+		t0 := time.Now()
+		if err := o.Setup(); err != nil {
+			log.Fatal(err)
+		}
+		variants = append(variants, variant{row.name, func() { o.Apply(u, y) }, time.Since(t0)})
+	}
 
 	fmt.Println("\n## Measured operator application (best of", *reps, "reps)")
 	fmt.Printf("%-14s %12s %12s %14s %14s %12s\n",
@@ -157,6 +161,7 @@ func main() {
 	}
 	fmt.Println("\nShape check (paper): Tensor < Matrix-free < Assembled in time;")
 	fmt.Println("assembled SpMV memory-bound, matrix-free kernels compute-bound.")
+	fmt.Println("TensorC times the resident kernel (op.TensorC / fem.Resident).")
 
 	if *telFlag {
 		runTelemetrySolve(p, *workers)

@@ -260,7 +260,7 @@ func runRanksMode(grids []int, ranksSpec string, deta float64, emitJSON bool) {
 		fem.MomentumRHS(mdl.Prob, bu)
 		x := la.NewVec(s.Op.N())
 		solveStart := time.Now()
-		res, stats, err := s.SolveDistributed(x, bu, px, py, pz)
+		res, stats, err := s.SolveDistributed(x, bu, px, py, pz, stokes.DistOptions{})
 		solve := time.Since(solveStart).Seconds()
 		if err != nil {
 			// stderr in JSON mode so the document stays parseable.
@@ -487,7 +487,7 @@ func sweepOne(pt sweepPoint, deta float64, pipelined bool, aggRoots int, emitJSO
 	fem.MomentumRHS(mdl.Prob, bu)
 	x := la.NewVec(s.Op.N())
 	solveStart := time.Now()
-	res, stats, err := s.SolveDistributedOpt(x, bu, pt.px, pt.py, pt.pz, opt)
+	res, stats, err := s.SolveDistributed(x, bu, pt.px, pt.py, pt.pz, opt)
 	solve := time.Since(solveStart).Seconds()
 	if err != nil || !res.Converged {
 		if emitJSON {

@@ -183,12 +183,7 @@ func (l *Layout) VelSpans() []la.Span {
 	for k := b.Lo[2]; k < b.Hi[2]; k++ {
 		for j := b.Lo[1]; j < b.Hi[1]; j++ {
 			row := (k*da.NPy + j) * da.NPx
-			lo, hi := 3*(row+b.Lo[0]), 3*(row+b.Hi[0])
-			if n := len(spans); n > 0 && spans[n-1].Hi == lo {
-				spans[n-1].Hi = hi
-			} else {
-				spans = append(spans, la.Span{Lo: lo, Hi: hi})
-			}
+			spans = la.AppendSpan(spans, 3*(row+b.Lo[0]), 3*(row+b.Hi[0]))
 		}
 	}
 	l.velSpans = spans

@@ -29,7 +29,7 @@ import (
 type Overrides struct {
 	Op        string // fine-level operator representation
 	Precision string // V-cycle precision ("f64"/"f32")
-	Restart   int    // FGMRES restart window (stokes.Config.Restart)
+	Restart   int    // FGMRES restart window (stokes.Config.Params.Restart)
 }
 
 // Apply mutates the model's solver configuration in place.
@@ -49,7 +49,7 @@ func (o Overrides) Apply(m *model.Model) error {
 		m.Cfg.Precision = pr
 	}
 	if o.Restart > 0 {
-		m.Cfg.Restart = o.Restart
+		m.Cfg.Params.Restart = o.Restart
 	}
 	return nil
 }
@@ -59,14 +59,14 @@ func (o Overrides) Apply(m *model.Model) error {
 // DistributedBackend over the simulated fabric.
 func Backend(ranks string, pipelined bool, coarseRoots int) (model.StokesBackend, error) {
 	if ranks == "" {
-		return nil, nil
+		return model.SharedBackend{}, nil
 	}
 	px, py, pz, err := cli.ParseRanks(ranks)
 	if err != nil {
 		return nil, err
 	}
 	if px*py*pz == 1 {
-		return nil, nil
+		return model.SharedBackend{}, nil
 	}
 	return model.NewDistributedBackend(px, py, pz, stokes.DistOptions{
 		Pipelined:   pipelined,
@@ -156,13 +156,9 @@ func Run(m *model.Model, cfg Config) error {
 		}
 		fmt.Fprintf(out, "# restarted from %s at step %d, t=%.5f\n", cfg.RestartFrom, m.StepNum, m.Time)
 	}
-	backendName := "shared"
 	ranks := 0
-	if m.Backend != nil {
-		backendName = m.Backend.Name()
-		if db, ok := m.Backend.(*model.DistributedBackend); ok {
-			ranks = db.Ranks()
-		}
+	if db, ok := m.Backend.(*model.DistributedBackend); ok {
+		ranks = db.Ranks()
 	}
 	fmt.Fprintln(out, "# columns: step, time, dt, newton_its, krylov_its, |F|0, |F|, converged, topo_min, topo_max, points, backend, halo_msgs, wall_s, cpu_util, krylov_basis")
 	var recs []StepRecord
@@ -234,7 +230,7 @@ func Run(m *model.Model, cfg Config) error {
 	}
 	if cfg.JSONOut != nil {
 		rec := RunRecord{
-			Scenario: cfg.Scenario, Backend: backendName, Ranks: ranks,
+			Scenario: cfg.Scenario, Backend: m.Backend.Name(), Ranks: ranks,
 			Workers:    m.Workers,
 			Resolution: [3]int{m.Prob.DA.Mx, m.Prob.DA.My, m.Prob.DA.Mz},
 			Hierarchy:  hierarchy,

@@ -34,7 +34,7 @@ func TestOverridesApply(t *testing.T) {
 	if err := ov.Apply(m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Cfg.FineKind != op.Assembled || m.Cfg.Precision != op.F32 || m.Cfg.Restart != 123 {
+	if m.Cfg.FineKind != op.Assembled || m.Cfg.Precision != op.F32 || m.Cfg.Params.Restart != 123 {
 		t.Fatalf("overrides not applied: %+v", m.Cfg)
 	}
 	if err := (Overrides{Op: "nope"}).Apply(m); err == nil {
@@ -47,11 +47,11 @@ func TestOverridesApply(t *testing.T) {
 
 // TestBackendSelection: the -ranks flag maps to the right backend.
 func TestBackendSelection(t *testing.T) {
-	if b, err := Backend("", false, 0); err != nil || b != nil {
-		t.Fatalf("empty ranks: backend %v err %v, want shared (nil)", b, err)
+	if b, err := Backend("", false, 0); err != nil || b != (model.SharedBackend{}) {
+		t.Fatalf("empty ranks: backend %v err %v, want shared", b, err)
 	}
-	if b, err := Backend("1x1x1", false, 0); err != nil || b != nil {
-		t.Fatalf("1x1x1: backend %v err %v, want shared (nil)", b, err)
+	if b, err := Backend("1x1x1", false, 0); err != nil || b != (model.SharedBackend{}) {
+		t.Fatalf("1x1x1: backend %v err %v, want shared", b, err)
 	}
 	b, err := Backend("2x1x2", true, 0)
 	if err != nil {

@@ -207,26 +207,6 @@ func AssembleViscous(p *Problem) *la.CSR {
 	return va.A
 }
 
-// AsmOp wraps an assembled CSR viscous block as an Operator, applying the
-// SpMV row-parallel ("Asmb" in Tables I–III).
-type AsmOp struct {
-	A       *la.CSR
-	Workers int
-}
-
-// NewAsm assembles the viscous block of p and wraps it.
-func NewAsm(p *Problem) *AsmOp {
-	return &AsmOp{A: AssembleViscous(p), Workers: p.Workers}
-}
-
-// N returns the number of velocity dofs.
-func (op *AsmOp) N() int { return op.A.NRows }
-
-// Apply computes y = A·u via the shared row-parallel SpMV.
-func (op *AsmOp) Apply(u, y la.Vec) {
-	op.A.MulVecPar(u, y, op.Workers)
-}
-
 // Diagonal computes the diagonal of the viscous block matrix-free:
 // d[(i,a)] = Σ_q η·w·detJ·(|∇N_i|² + (∂N_i/∂x_a)²), with 1 on constrained
 // rows. It feeds the Jacobi-preconditioned Chebyshev smoother without ever

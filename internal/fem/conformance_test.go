@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
 )
@@ -90,8 +91,8 @@ func TestOperatorConformanceRandomized(t *testing.T) {
 			}{
 				{"MF", NewMF(p)},
 				{"Tensor", NewTensor(p)},
-				{"TensorC", NewTensorC(p)},
-				{"Asm", NewAsm(p)},
+				{"TensorC", NewResident(p, false)},
+				{"Asm", krylov.CSROp{A: AssembleViscous(p)}},
 			}
 
 			for trial := 0; trial < 3; trial++ {

@@ -28,9 +28,8 @@ type Problem struct {
 	// colorOff/colorElems partition the elements into 8 parity classes.
 	// Elements of the same class share no nodes, so element loops within a
 	// class can scatter to the global residual concurrently without
-	// synchronization. Retained for the assembly numeric pass and as the
-	// reference schedule in equivalence tests; the apply hot paths use the
-	// slab partition below (slab.go).
+	// synchronization. The assembly numeric pass runs on this schedule; the
+	// apply paths use the slab partition below (slab.go).
 	colorOff   [9]int
 	colorElems []int32
 
@@ -87,25 +86,11 @@ func (p *Problem) buildColors() {
 	}
 }
 
-// forEachElementColored runs body(e) over all elements using the 8-color
-// schedule: concurrency only within a color, so body may scatter-add to
-// node-indexed arrays without atomics.
-func (p *Problem) forEachElementColored(body func(e int)) {
-	for c := 0; c < 8; c++ {
-		elems := p.colorElems[p.colorOff[c]:p.colorOff[c+1]]
-		par.For(p.Workers, len(elems), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				body(int(elems[i]))
-			}
-		})
-	}
-}
-
-// forEachElementColoredChunk is forEachElementColored at chunk
-// granularity: colors run sequentially, chunks within a color
-// concurrently, and body receives each chunk's element list — so loops
-// needing per-element scratch can allocate it once per chunk instead of
-// once per element.
+// forEachElementColoredChunk runs body over all elements using the
+// 8-color schedule: colors run sequentially, chunks within a color
+// concurrently — so body may scatter-add to node-indexed arrays without
+// atomics — and body receives each chunk's element list, so loops needing
+// per-element scratch allocate it once per chunk.
 func (p *Problem) forEachElementColoredChunk(body func(elems []int32)) {
 	for c := 0; c < 8; c++ {
 		elems := p.colorElems[p.colorOff[c]:p.colorOff[c+1]]

@@ -9,11 +9,17 @@ import (
 )
 
 // Resident is the stored-coefficient tensor operator restructured for
-// cache-blocked smoothing: the combined metric+coefficient tensor of
-// TensorCOp (15 floats per quadrature point) is precomputed at Setup, and
-// the apply is organized around per-slab "blocks" whose element data,
-// coefficient stream and scratch stay resident in cache while a block is
-// processed. The per-block entry point applyBlock is what the blocked
+// cache-blocked smoothing — the "Tensor C" variant of Table I: the
+// combined metric+coefficient tensor (∇ξ)ᵀ(ωη)(∇ξ) is precomputed at
+// every quadrature point at Setup, removing the Jacobian inversion from
+// the apply at the cost of streaming 15 floats per quadrature point. The
+// paper stores 21 rank-4 entries; we store the equivalent isotropic
+// factorization sM (6 entries of the scaled metric Gram matrix, packed
+// symmetric order 00,01,02,11,12,22) plus √s·K (9 entries of the scaled
+// inverse Jacobian, row-major, s = η·w·detJ), which reproduces the same
+// action (see DESIGN.md substitution table). The apply is organized
+// around per-slab "blocks" whose element data, coefficient stream and
+// scratch stay resident in cache while a block is processed. The per-block entry point applyBlock is what the blocked
 // Chebyshev smoother drives slab-by-slab; the whole-vector Apply is the
 // same code path plus the ascending-slab merge, so both produce
 // bit-identical sums.
@@ -139,14 +145,7 @@ func (r *Resident) ownership() *slabInfo {
 				continue
 			}
 			b := owner[n]
-			sp := r.ownInterior[b]
-			d0, d1 := 3*n, 3*n+3
-			if len(sp) > 0 && sp[len(sp)-1].Hi == d0 {
-				sp[len(sp)-1].Hi = d1
-			} else {
-				sp = append(sp, la.Span{Lo: d0, Hi: d1})
-			}
-			r.ownInterior[b] = sp
+			r.ownInterior[b] = la.AppendSpan(r.ownInterior[b], 3*n, 3*n+3)
 		}
 		r.ownShared = make([][]int32, S)
 		for t := range info.shared {

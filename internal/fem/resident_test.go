@@ -13,8 +13,8 @@ import (
 
 // TestResidentMatchesTensor: the resident operator (both precisions) must
 // reproduce the tensor-product reference apply — float64 to roundoff
-// (same 15-float coefficient factorization as TensorCOp, different only
-// in summation bookkeeping), float32 to single-precision accuracy.
+// (the stored 15-float factorization replaces the on-the-fly Jacobian
+// inversion), float32 to single-precision accuracy.
 func TestResidentMatchesTensor(t *testing.T) {
 	grids := [][3]int{{3, 2, 2}, {4, 4, 4}, {6, 3, 5}}
 	for _, g := range grids {

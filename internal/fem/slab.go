@@ -41,23 +41,6 @@ import (
 // (~15 kB) inside L1.
 const slabBlock = 8
 
-// kernScratch is the reusable per-worker arena handed to slab kernels: the
-// intermediate [81]float64 fields of the tensor contractions. Declaring
-// these as kernel locals costs a ~10 kB duffzero per element; the arena is
-// zeroed once per worker chunk and every kernel fully overwrites the
-// fields it reads, so elements stream through with no zero-init churn.
-//
-// Conventions (see tensor.go): ug/xg hold state and coordinate reference
-// gradients, h the quadrature cotangents, t0–t5 are contraction
-// temporaries clobbered by tensorGrads (t0–t4) and tensorScatterWrite
-// (t0–t5).
-type kernScratch struct {
-	ug0, ug1, ug2          [81]float64
-	xg0, xg1, xg2          [81]float64
-	h0, h1, h2             [81]float64
-	t0, t1, t2, t3, t4, t5 [81]float64
-}
-
 // slabInfo is the immutable slab partition of a Problem's element range,
 // built once on first slab apply.
 type slabInfo struct {

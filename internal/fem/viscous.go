@@ -1,10 +1,6 @@
 package fem
 
-import (
-	"math"
-
-	"ptatin3d/internal/la"
-)
+import "ptatin3d/internal/la"
 
 // Operator is the abstract viscous-block operator y = J_uu·u. All four
 // implementations agree to machine precision; they differ only in how
@@ -193,27 +189,6 @@ func (op *TensorOp) apply(u, y la.Vec, masked bool) {
 	}
 }
 
-// ApplyColored computes y = J_uu·u using the legacy 8-color element
-// schedule. Kept as the reference implementation for scatter-equivalence
-// tests and the colored-vs-slab benchmark: slab and colored applies sum
-// element contributions in different orders, so they agree only to
-// rounding (~1e-15 relative), while the slab path alone is bit-stable
-// across worker counts.
-func (op *TensorOp) ApplyColored(u, y la.Vec) {
-	p := op.P
-	y.Zero()
-	p.forEachElementColored(func(e int) {
-		var ue, xe, ye [81]float64
-		var ks kernScratch
-		p.gatherVec(e, u, &ue)
-		p.gatherCoords(e, &xe)
-		eta := p.Eta[NQP*e : NQP*e+NQP]
-		tensorElementApply(&ue, &xe, eta, &ye, &ks)
-		p.scatterAdd(e, &ye, y)
-	})
-	applyIdentityRows(p, u, y)
-}
-
 // tensorElementApply is the tensor-product element kernel (Eq. 19 of the
 // paper): gradients of state and coordinates by 1-D contractions, the
 // metric terms folded into the quadrature loop, and the adjoint
@@ -221,8 +196,8 @@ func (op *TensorOp) ApplyColored(u, y la.Vec) {
 func tensorElementApply(ue, xe *[81]float64, eta []float64, ye *[81]float64, ks *kernScratch) {
 	ug0, ug1, ug2 := &ks.ug0, &ks.ug1, &ks.ug2
 	xg0, xg1, xg2 := &ks.xg0, &ks.xg1, &ks.xg2
-	tensorGrads(ue, ug0, ug1, ug2, ks)
-	tensorGrads(xe, xg0, xg1, xg2, ks)
+	tensorGrads(ue, ug0, ug1, ug2, &tables64, &ks.kernScratchG)
+	tensorGrads(xe, xg0, xg1, xg2, &tables64, &ks.kernScratchG)
 	h0, h1, h2 := &ks.h0, &ks.h1, &ks.h2
 	var jmat, jinv, inv, g, h [9]float64
 	for q := 0; q < NQP; q++ {
@@ -250,113 +225,7 @@ func tensorElementApply(ue, xe *[81]float64, eta []float64, ye *[81]float64, ks 
 			h2[q*3+a] = h[a*3+2]
 		}
 	}
-	tensorScatterWrite(h0, h1, h2, ye, ks)
-}
-
-// ---------------------------------------------------------------------------
-// TensorCOp: tensor-product operator with stored coefficient tensor.
-// ---------------------------------------------------------------------------
-
-// TensorCOp is the "Tensor C" variant of Table I: the combined
-// metric+coefficient tensor (∇ξ)ᵀ(ωη)(∇ξ) is precomputed and stored at
-// every quadrature point, removing the Jacobian inversion from the apply
-// at the cost of streaming 15 floats per quadrature point. The paper
-// stores 21 rank-4 entries; we store the equivalent isotropic
-// factorization sM (6 entries of the scaled metric Gram matrix) plus
-// √s·K (9 entries of the scaled inverse Jacobian), which reproduces the
-// same action (see DESIGN.md substitution table).
-type TensorCOp struct {
-	P *Problem
-	// coef stores, per element and quadrature point, 15 floats:
-	// [0..5]  sM in packed symmetric order (00,01,02,11,12,22)
-	// [6..14] √s·jinv row-major, with s = η·w·detJ.
-	coef []float64
-}
-
-// NewTensorC builds the stored-coefficient tensor operator; Setup must be
-// called again whenever the mesh geometry or viscosity changes.
-func NewTensorC(p *Problem) *TensorCOp {
-	op := &TensorCOp{P: p}
-	op.Setup()
-	return op
-}
-
-// Setup (re)computes the stored per-quadrature-point tensors.
-func (op *TensorCOp) Setup() {
-	p := op.P
-	nel := p.DA.NElements()
-	if len(op.coef) != 15*NQP*nel {
-		op.coef = make([]float64, 15*NQP*nel)
-	}
-	p.forEachElement(func(e int) {
-		var xe [81]float64
-		p.gatherCoords(e, &xe)
-		var jinv [9]float64
-		for q := 0; q < NQP; q++ {
-			detJ := jacobianAt(&xe, q, &jinv)
-			s := p.Eta[NQP*e+q] * W3[q] * detJ
-			c := op.coef[15*(NQP*e+q) : 15*(NQP*e+q)+15]
-			// Packed scaled metric sM[d][e] = s·Σ_m K[d][m]K[e][m].
-			idx := 0
-			for d := 0; d < 3; d++ {
-				for dd := d; dd < 3; dd++ {
-					c[idx] = s * (jinv[d*3]*jinv[dd*3] + jinv[d*3+1]*jinv[dd*3+1] + jinv[d*3+2]*jinv[dd*3+2])
-					idx++
-				}
-			}
-			sq := math.Sqrt(s)
-			for i := 0; i < 9; i++ {
-				c[6+i] = sq * jinv[i]
-			}
-		}
-	})
-}
-
-// N returns the number of velocity dofs.
-func (op *TensorCOp) N() int { return op.P.DA.NVelDOF() }
-
-// Apply computes y = J_uu·u with symmetric Dirichlet elimination.
-func (op *TensorCOp) Apply(u, y la.Vec) {
-	p := op.P
-	p.slabApply(u, true, false, false, y, func(e int, ue, _, ye *[81]float64, ks *kernScratch) {
-		ug0, ug1, ug2 := &ks.ug0, &ks.ug1, &ks.ug2
-		h0, h1, h2 := &ks.h0, &ks.h1, &ks.h2
-		tensorGrads(ue, ug0, ug1, ug2, ks)
-		for q := 0; q < NQP; q++ {
-			c := op.coef[15*(NQP*e+q) : 15*(NQP*e+q)+15]
-			sm00, sm01, sm02, sm11, sm12, sm22 := c[0], c[1], c[2], c[3], c[4], c[5]
-			kk := c[6:15]
-			var g [9]float64 // g[a][d]
-			for a := 0; a < 3; a++ {
-				g[a*3] = ug0[q*3+a]
-				g[a*3+1] = ug1[q*3+a]
-				g[a*3+2] = ug2[q*3+a]
-			}
-			// h[a][d] = Σ_e sM[d][e]·g[a][e] + Σ_m Ks[d][m]·tt[m],
-			// tt[m] = Σ_e g[m][e]·Ks[e][a]  (a-dependent).
-			var h [9]float64
-			for a := 0; a < 3; a++ {
-				ga0, ga1, ga2 := g[a*3], g[a*3+1], g[a*3+2]
-				h[a*3] = sm00*ga0 + sm01*ga1 + sm02*ga2
-				h[a*3+1] = sm01*ga0 + sm11*ga1 + sm12*ga2
-				h[a*3+2] = sm02*ga0 + sm12*ga1 + sm22*ga2
-				var tt [3]float64
-				for m := 0; m < 3; m++ {
-					tt[m] = g[m*3]*kk[a] + g[m*3+1]*kk[3+a] + g[m*3+2]*kk[6+a]
-				}
-				for d := 0; d < 3; d++ {
-					h[a*3+d] += kk[d*3]*tt[0] + kk[d*3+1]*tt[1] + kk[d*3+2]*tt[2]
-				}
-			}
-			for a := 0; a < 3; a++ {
-				h0[q*3+a] = h[a*3]
-				h1[q*3+a] = h[a*3+1]
-				h2[q*3+a] = h[a*3+2]
-			}
-		}
-		tensorScatterWrite(h0, h1, h2, ye, ks)
-	})
-	applyIdentityRows(p, u, y)
+	tensorScatterWrite(h0, h1, h2, ye, &tables64, &ks.kernScratchG)
 }
 
 // ApplyElements accumulates the viscous-block action of the given element

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
 )
@@ -50,8 +51,8 @@ func TestOperatorVariantsAgree(t *testing.T) {
 
 	mf := NewMF(p)
 	tens := NewTensor(p)
-	tc := NewTensorC(p)
-	asm := NewAsm(p)
+	tc := NewResident(p, false)
+	asm := krylov.CSROp{A: AssembleViscous(p)}
 
 	n := p.DA.NVelDOF()
 	yMF, yT, yTC, yA := la.NewVec(n), la.NewVec(n), la.NewVec(n), la.NewVec(n)
@@ -202,9 +203,8 @@ func TestOperatorBCRows(t *testing.T) {
 // assembled matrix diagonal.
 func TestDiagonalMatchesAssembled(t *testing.T) {
 	p := testProblem(t, 2, 2, 3, 2)
-	asm := NewAsm(p)
 	d1 := la.NewVec(p.DA.NVelDOF())
-	asm.A.Diag(d1)
+	AssembleViscous(p).Diag(d1)
 	d2 := la.NewVec(p.DA.NVelDOF())
 	Diagonal(p, d2)
 	for i := range d1 {

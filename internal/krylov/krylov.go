@@ -11,6 +11,7 @@
 package krylov
 
 import (
+	"fmt"
 	"time"
 
 	"ptatin3d/internal/la"
@@ -176,4 +177,27 @@ func (r *Result) finish(p Params, start time.Time) {
 // converged implements the combined rtol/atol test.
 func converged(p Params, rn, r0 float64) bool {
 	return rn <= p.ATol || rn <= p.RTol*r0
+}
+
+// CheckMethod reports whether method names one of the two flexible outer
+// methods Solve runs.
+func CheckMethod(method string) error {
+	if method != "gcr" && method != "fgmres" {
+		return fmt.Errorf("krylov: unknown method %q (want gcr or fgmres)", method)
+	}
+	return nil
+}
+
+// Solve runs the named flexible outer method, "gcr" or "fgmres", on
+// A·x = b: the one dispatcher behind the nonlinear loop's inner solves
+// and both Stokes backends. Any other name comes back as Result.Err —
+// no method is picked silently.
+func Solve(method string, a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
+	switch method {
+	case "gcr":
+		return GCR(a, m, b, x, prm, nil)
+	case "fgmres":
+		return FGMRES(a, m, b, x, prm)
+	}
+	return Result{Err: CheckMethod(method)}
 }

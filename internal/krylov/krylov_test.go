@@ -3,6 +3,8 @@ package krylov
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
 	"ptatin3d/internal/la"
@@ -389,5 +391,47 @@ func TestEstimateLambdaMaxDeterministic(t *testing.T) {
 	// For the unpreconditioned 7-pt Laplacian λmax < 12 and > 6.
 	if l1 < 6 || l1 > 12 {
 		t.Fatalf("λmax = %v out of [6,12]", l1)
+	}
+}
+
+// TestSolveRejectsUnknownMethod: the dispatcher runs "gcr" and "fgmres"
+// as the functions of those names do, and names any other method in
+// Result.Err — touching neither operator nor x — instead of picking one.
+func TestSolveRejectsUnknownMethod(t *testing.T) {
+	a := nonsym(40)
+	rng := rand.New(rand.NewSource(4))
+	b := randVec(rng, 40)
+	prm := DefaultParams()
+	for _, method := range []string{"gcr", "fgmres"} {
+		x, ref := la.NewVec(40), la.NewVec(40)
+		res := Solve(method, CSROp{A: a}, Identity{}, b, x, prm)
+		want := FGMRES(CSROp{A: a}, Identity{}, b, ref, prm)
+		if method == "gcr" {
+			ref.Zero()
+			want = GCR(CSROp{A: a}, Identity{}, b, ref, prm, nil)
+		}
+		if res.Err != nil || !res.Converged || res.Iterations != want.Iterations {
+			t.Fatalf("Solve(%q): %+v, want the %d iterations of the direct call", method, res, want.Iterations)
+		}
+		for i := range x {
+			if x[i] != ref[i] {
+				t.Fatalf("Solve(%q) differs from the direct call at %d", method, i)
+			}
+		}
+	}
+	for _, method := range []string{"", "gmres", "GCR", "bicgstab"} {
+		x := la.NewVec(40)
+		applied := false
+		op := OpFunc{Dim: 40, F: func(u, v la.Vec) { applied = true }}
+		res := Solve(method, op, Identity{}, b, x, prm)
+		if res.Err == nil || res.Converged {
+			t.Fatalf("Solve(%q) = %+v, want an error", method, res)
+		}
+		if !strings.Contains(res.Err.Error(), strconv.Quote(method)) {
+			t.Fatalf("Solve(%q) error %q does not name the method", method, res.Err)
+		}
+		if applied || x.Norm2() != 0 {
+			t.Fatalf("Solve(%q) ran something before failing", method)
+		}
 	}
 }

@@ -62,7 +62,7 @@ func (a *CSR) MulVecRange(x, y Vec, i0, i1 int) {
 
 // MulVecPar computes y = a*x with rows partitioned over workers. It is
 // THE shared worker-parallel SpMV: every assembled operator representation
-// (fem.AsmOp, the internal/op CSR backends, multigrid/AMG level operators)
+// (the internal/op CSR backends, multigrid/AMG level operators)
 // routes its application through here, so the row-parallel schedule and
 // its telemetry live in exactly one place.
 func (a *CSR) MulVecPar(x, y Vec, workers int) {

@@ -7,6 +7,16 @@ package la
 // full-length vectors for index compatibility.
 type Span struct{ Lo, Hi int }
 
+// AppendSpan appends [lo, hi) to spans, extending the last span instead
+// when it ends exactly at lo — so ascending runs of adjacent windows merge.
+func AppendSpan(spans []Span, lo, hi int) []Span {
+	if n := len(spans); n > 0 && spans[n-1].Hi == lo {
+		spans[n-1].Hi = hi
+		return spans
+	}
+	return append(spans, Span{Lo: lo, Hi: hi})
+}
+
 // SpanLen returns the total number of indices covered by the spans.
 func SpanLen(spans []Span) int {
 	n := 0

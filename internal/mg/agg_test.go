@@ -34,7 +34,7 @@ func TestDistMGAggMatchesLegacy(t *testing.T) {
 		z := la.NewVec(n)
 		w.Run(func(r *comm.Rank) {
 			dists := rankDists(r, decomps)
-			dmg, err := NewDistOpts(mgp, dists, opt)
+			dmg, err := NewDist(mgp, dists, opt)
 			if err != nil {
 				t.Error(err)
 				return
@@ -89,7 +89,7 @@ func TestDistMGAggRejectsMismatchedWorld(t *testing.T) {
 	var firstErr error
 	w.Run(func(r *comm.Rank) {
 		dists := rankDists(r, decomps)
-		_, err := NewDistOpts(mgp, dists, DistOptions{Agg: agg})
+		_, err := NewDist(mgp, dists, DistOptions{Agg: agg})
 		mu.Lock()
 		if err != nil && firstErr == nil {
 			firstErr = err

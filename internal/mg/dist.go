@@ -98,10 +98,11 @@ func (m *DistMG) noteErr(err error) {
 // completed).
 func (m *DistMG) Err() error { return m.err }
 
-// elementKernel is a matrix-free level operator that can apply an element
-// subset: *fem.Resident on resident-backed levels, *fem.TensorOp on the
-// other matrix-free ones.
-type elementKernel interface {
+// ElementKernel is a matrix-free viscous operator that can apply an
+// element subset: *fem.Resident on resident-backed levels, *fem.TensorOp
+// on the other matrix-free ones. The distributed coupled operator of
+// internal/stokes applies the fine level through the same interface.
+type ElementKernel interface {
 	N() int
 	ApplyElements(elems []int, u, y la.Vec)
 }
@@ -118,7 +119,7 @@ type elementKernel interface {
 type haloElementOp struct {
 	mg    *DistMG
 	dist  *comm.Dist
-	k     elementKernel
+	k     ElementKernel
 	mask  []bool
 	spans []la.Span
 }
@@ -133,13 +134,13 @@ func (o *haloElementOp) Apply(x, y la.Vec) {
 	o.k.ApplyElements(l.Boundary, x, y)
 	err := o.dist.ReduceBroadcast(y,
 		func() { o.k.ApplyElements(l.Interior, x, y) },
-		func() { identityOwnedRows(l, o.mask, x, y) })
+		func() { IdentityOwnedRows(l, o.mask, x, y) })
 	o.mg.noteErr(err)
 }
 
-// identityOwnedRows applies the Dirichlet identity y[d] = x[d] on the
-// constrained rows of the rank's owned node box.
-func identityOwnedRows(l *comm.Layout, mask []bool, x, y la.Vec) {
+// IdentityOwnedRows applies the Dirichlet identity y[d] = x[d] on the
+// constrained velocity rows of the rank's owned node box.
+func IdentityOwnedRows(l *comm.Layout, mask []bool, x, y la.Vec) {
 	b := l.Owned
 	da := l.D.DA
 	for k := b.Lo[2]; k < b.Hi[2]; k++ {
@@ -198,13 +199,10 @@ func (o *haloCSROp) Apply(x, y la.Vec) {
 // matrix as a Galerkin input — else the assembled matrix row-distributed
 // (haloCSROp), else the tensor kernel rediscretized per rank. Smoothers
 // reuse the shared Chebyshev interval and Jacobi diagonal, so all ranks —
-// and the shared solve — run the identical smoother recurrence.
-func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
-	return NewDistOpts(base, dists, DistOptions{})
-}
-
-// NewDistOpts is NewDist with coarse-solve agglomeration options.
-func NewDistOpts(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
+// and the shared solve — run the identical smoother recurrence. opt
+// carries the coarse-solve agglomeration (the zero value gathers to
+// rank 0).
+func NewDist(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
 	if len(dists) != len(base.Levels) {
 		return nil, fmt.Errorf("mg: %d dist handles for %d levels", len(dists), len(base.Levels))
 	}
@@ -246,50 +244,43 @@ func NewDistOpts(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error)
 // (rank-collective; all ranks must call it in lockstep).
 func (m *DistMG) Apply(r, z la.Vec) {
 	z.ZeroSpans(m.lev[0].spans)
-	for c := 0; c < max(1, m.base.CyclesPerApply); c++ {
-		m.vcycle(0, r, z, c == 0)
-	}
+	m.vcycle(0, r, z)
 }
 
-func (m *DistMG) vcycle(l int, b, x la.Vec, zeroGuess bool) {
+// vcycle improves x, zero on the rank's spans on entry, towards A⁻¹·b.
+func (m *DistMG) vcycle(l int, b, x la.Vec) {
 	dl := m.lev[l]
 	if l == len(m.lev)-1 {
-		m.coarsest(l, b, x, zeroGuess)
+		m.coarsest(l, b, x)
 		return
 	}
 	// Pre-smooth.
-	dl.smoother.Smooth(b, x, zeroGuess)
+	dl.smoother.Smooth(b, x, true)
 	// Residual and restriction.
 	dl.op.Apply(x, dl.r)
 	dl.r.AYPXSpans(-1, b, dl.spans)
 	next := m.lev[l+1]
 	m.noteErr(distRestrict(m.base.Levels[l+1].P, dl.dist.L, next.dist, dl.r, next.bc, next.spans))
 	// Coarse correction.
-	gamma := m.base.Gamma
-	if gamma < 1 {
-		gamma = 1
-	}
 	next.e.ZeroSpans(next.spans)
-	m.vcycle(l+1, next.bc, next.e, true)
-	for g := 1; g < gamma; g++ {
-		m.vcycle(l+1, next.bc, next.e, false)
-	}
+	m.vcycle(l+1, next.bc, next.e)
 	distProlong(m.base.Levels[l+1].P, dl.dist.L, next.e, dl.e)
 	x.AXPYSpans(1, dl.e, dl.spans)
 	// Post-smooth.
 	dl.smoother.Smooth(b, x, false)
 }
 
-// coarsest solves the coarsest level collectively: without an Agg
+// coarsest solves the coarsest level collectively into the zeroed x
+// (every level is entered from a zero guess): without an Agg
 // layout, gather the right-hand side to rank 0, apply the shared
 // coarse solver there, and broadcast; with one, funnel to the block
 // roots and solve redundantly on each (comm.AggGatherSolveBroadcast),
 // idle clients pre-zeroing the finer level's correction buffer — the
 // next write target after the coarse solve — while the roots work.
-func (m *DistMG) coarsest(l int, b, x la.Vec, zeroGuess bool) {
+func (m *DistMG) coarsest(l int, b, x la.Vec) {
 	dl := m.lev[l]
 	if m.base.CoarseSolve == nil {
-		dl.smoother.Smooth(b, x, zeroGuess)
+		dl.smoother.Smooth(b, x, true)
 		return
 	}
 	var overlap func()
@@ -297,29 +288,19 @@ func (m *DistMG) coarsest(l int, b, x la.Vec, zeroGuess bool) {
 		finer := m.lev[l-1]
 		overlap = func() { finer.e.ZeroSpans(finer.spans) }
 	}
-	gather := func(rhs, sol la.Vec) error {
-		if m.agg != nil {
-			return dl.dist.AggGatherSolveBroadcast(m.agg, rhs, sol, func() {
-				// Several block roots run the shared solver redundantly
-				// and concurrently; serialize (identical answers).
-				m.base.coarseMu.Lock()
-				m.base.CoarseSolve.Apply(rhs, sol)
-				m.base.coarseMu.Unlock()
-			}, overlap)
-		}
-		return dl.dist.GatherSolveBroadcast(rhs, sol, func() {
-			m.base.CoarseSolve.Apply(rhs, sol)
-		})
-	}
-	if zeroGuess {
-		m.noteErr(gather(b, x))
+	if m.agg != nil {
+		m.noteErr(dl.dist.AggGatherSolveBroadcast(m.agg, b, x, func() {
+			// Several block roots run the shared solver redundantly
+			// and concurrently; serialize (identical answers).
+			m.base.coarseMu.Lock()
+			m.base.CoarseSolve.Apply(b, x)
+			m.base.coarseMu.Unlock()
+		}, overlap))
 		return
 	}
-	// Correction form for a nonzero guess (γ > 1 revisits).
-	dl.op.Apply(x, dl.r)
-	dl.r.AYPXSpans(-1, b, dl.spans)
-	m.noteErr(gather(dl.r, dl.e))
-	x.AXPYSpans(1, dl.e, dl.spans)
+	m.noteErr(dl.dist.GatherSolveBroadcast(b, x, func() {
+		m.base.CoarseSolve.Apply(b, x)
+	}))
 }
 
 // distRestrict computes the rank's share of rc = Pᵀ·rf: scatter from

@@ -72,7 +72,7 @@ func TestDistMGMatchesShared(t *testing.T) {
 	zd := la.NewVec(n)
 	w.Run(func(r *comm.Rank) {
 		dists := rankDists(r, decomps)
-		dmg, err := NewDist(mgp, dists)
+		dmg, err := NewDist(mgp, dists, DistOptions{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -198,13 +198,13 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 		its := make([]int, ranks)
 		w.Run(func(r *comm.Rank) {
 			dists := rankDists(r, decomps)
-			dmg, err := NewDist(mgp, dists)
+			dmg, err := NewDist(mgp, dists, DistOptions{})
 			if err != nil {
 				t.Error(err)
 				return
 			}
 			for l := 0; l < levels-1; l++ {
-				if h, ok := dmg.lev[l].op.(*haloElementOp); !ok || h.k != elementKernel(mgp.Levels[l].Blocked.R) {
+				if h, ok := dmg.lev[l].op.(*haloElementOp); !ok || h.k != ElementKernel(mgp.Levels[l].Blocked.R) {
 					t.Errorf("rank %d: level %d is %T; want the halo operator over the shared resident kernel", r.ID, l, dmg.lev[l].op)
 				}
 			}
@@ -308,7 +308,7 @@ func TestDistributedCGMatchesShared(t *testing.T) {
 	its := make([]int, decomps[0].Size())
 	w.Run(func(r *comm.Rank) {
 		dists := rankDists(r, decomps)
-		dmg, err := NewDist(mgp, dists)
+		dmg, err := NewDist(mgp, dists, DistOptions{})
 		if err != nil {
 			t.Error(err)
 			return
@@ -340,5 +340,76 @@ func TestDistributedCGMatchesShared(t *testing.T) {
 	diff.AXPY(-1, xs)
 	if rel := diff.Norm2() / math.Max(xs.Norm2(), 1e-300); rel > 1e-8 {
 		t.Fatalf("distributed CG deviates: rel %.3e", rel)
+	}
+}
+
+// zeroGuessCounter is a coarse solver that counts its applications, and
+// those entered with a nonzero z on the given windows (nil: all of z).
+type zeroGuessCounter struct {
+	krylov.Preconditioner
+	spans            []la.Span
+	applies, nonzero int
+}
+
+func (c *zeroGuessCounter) Apply(r, z la.Vec) {
+	c.applies++
+	spans := c.spans
+	if spans == nil {
+		spans = []la.Span{{Lo: 0, Hi: len(z)}}
+	}
+	for _, s := range spans {
+		if z[s.Lo:s.Hi].Norm2() != 0 {
+			c.nonzero++
+			break
+		}
+	}
+	c.Preconditioner.Apply(r, z)
+}
+
+// TestCoarsestAlwaysZeroGuess: every V-cycle, shared and distributed,
+// enters the coarsest level exactly once and from a zeroed correction —
+// which is why neither cycle has a correction-form coarse branch for a
+// nonzero guess.
+func TestCoarsestAlwaysZeroGuess(t *testing.T) {
+	const rounds = 3
+	mgp, decomps := buildDistFixture(t, 8, 3, 2, 1, 1)
+	cnt := &zeroGuessCounter{Preconditioner: mgp.CoarseSolve}
+	mgp.CoarseSolve = cnt
+	n := mgp.Levels[0].Op.N()
+	rng := rand.New(rand.NewSource(23))
+	b := la.NewVec(n)
+	z := la.NewVec(n)
+	for i := 0; i < rounds; i++ {
+		for j := range b {
+			b[j] = rng.NormFloat64()
+		}
+		mgp.Apply(b, z)
+	}
+	if cnt.applies != rounds || cnt.nonzero != 0 {
+		t.Fatalf("MG: %d coarse solves (%d from a nonzero guess) in %d cycles, want %d (0)",
+			cnt.applies, cnt.nonzero, rounds, rounds)
+	}
+
+	// Distributed: rank 0 runs the gathered coarse solve; its correction is
+	// zeroed on its own windows (the rest still holds the last broadcast).
+	last := len(decomps) - 1
+	*cnt = zeroGuessCounter{Preconditioner: cnt.Preconditioner, spans: comm.NewLayout(decomps[last], 0).VelSpans()}
+	comm.NewWorld(decomps[0].Size()).Run(func(r *comm.Rank) {
+		dmg, err := NewDist(mgp, rankDists(r, decomps), DistOptions{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		zr := la.NewVec(n)
+		for i := 0; i < rounds; i++ {
+			dmg.Apply(b, zr)
+		}
+		if err := dmg.Err(); err != nil {
+			t.Errorf("rank %d: %v", r.ID, err)
+		}
+	})
+	if cnt.applies != rounds || cnt.nonzero != 0 {
+		t.Fatalf("DistMG: %d coarse solves (%d from a nonzero guess) in %d cycles, want %d (0)",
+			cnt.applies, cnt.nonzero, rounds, rounds)
 	}
 }

@@ -48,21 +48,6 @@ func (lev *Level) smooth(b, x la.Vec, zeroGuess bool) {
 type MG struct {
 	Levels      []*Level
 	CoarseSolve krylov.Preconditioner
-	// CyclesPerApply applies the cycle this many times per preconditioner
-	// application (1 in all paper configurations).
-	CyclesPerApply int
-	// Gamma is the cycle index: 1 = V-cycle (the paper's choice),
-	// 2 = W-cycle (each level recurses twice). Exposed for ablations;
-	// note that with Chebyshev smoothing on [0.2λ, 1.1λ] the W-cycle
-	// AMPLIFIES modes between the coarse grid's reach and the lower
-	// Chebyshev bound on every extra visit, so V-cycles are the right
-	// production pairing (see TestWCycle).
-	Gamma int
-
-	// EigIts is the power-iteration count used for λmax when smoothers
-	// are (re)built; Build records its option here so Refresh reproduces
-	// the same spectrum estimate.
-	EigIts int
 
 	tel     []levelTel         // per-level instrument handles; empty when telemetry off
 	cycles  *telemetry.Counter // V-cycles started
@@ -127,7 +112,6 @@ func (m *MG) SetTelemetry(sc *telemetry.Scope) {
 type Options struct {
 	Kinds       []op.Kind // per level; Kinds[0] is the finest
 	SmoothSteps int       // Chebyshev steps: V(k,k) uses k (paper: 2 or 3)
-	EigIts      int       // power iterations for λmax (default 10)
 	Workers     int
 	// FineOp, when non-nil, is used as the finest level's operator
 	// instead of building one from Kinds[0] (it must discretize
@@ -163,13 +147,10 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 	if opt.SmoothSteps <= 0 {
 		opt.SmoothSteps = 2
 	}
-	if opt.EigIts <= 0 {
-		opt.EigIts = 10
-	}
 	if opt.Workers <= 0 {
 		opt.Workers = 1
 	}
-	m := &MG{CyclesPerApply: 1, EigIts: opt.EigIts}
+	m := &MG{}
 	for l, p := range probs {
 		p.Workers = opt.Workers
 		lev := &Level{Prob: p}
@@ -211,13 +192,17 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 		if err := lev.Op.Setup(); err != nil {
 			return nil, fmt.Errorf("mg: level %d setup: %w", l, err)
 		}
-		m.buildSmoother(lev, opt.SmoothSteps)
+		buildSmoother(lev, opt.SmoothSteps)
 		n := lev.Op.N()
 		lev.r, lev.e, lev.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
 		m.Levels = append(m.Levels, lev)
 	}
 	return m, nil
 }
+
+// eigIts is the power-iteration count of every smoother's λmax estimate,
+// cold build and refresh alike.
+const eigIts = 10
 
 // buildSmoother (re)builds a level's Jacobi-preconditioned Chebyshev
 // smoother (paper §III-C) targeting [0.2λmax, 1.1λmax]. Representations
@@ -226,11 +211,11 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 // the wavefront-blocked form of the same recurrence; an Auto level is made
 // to commit first, so that whether it has one is settled here rather than
 // after the first applies.
-func (m *MG) buildSmoother(lev *Level, steps int) {
+func buildSmoother(lev *Level, steps int) {
 	diag := la.NewVec(lev.Op.N())
 	lev.Op.Diag(diag)
 	jac := krylov.NewJacobi(diag)
-	lmax := krylov.EstimateLambdaMax(lev.Op, jac, m.EigIts)
+	lmax := krylov.EstimateLambdaMax(lev.Op, jac, eigIts)
 	lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, steps)
 	if a, ok := lev.Op.(*op.AutoOp); ok {
 		a.ForceCommit()
@@ -274,7 +259,7 @@ func (m *MG) Refresh() error {
 		if err := op.Refresh(lev.Op); err != nil {
 			return fmt.Errorf("mg: level %d refresh: %w", l, err)
 		}
-		m.buildSmoother(lev, lev.Smoother.Steps)
+		buildSmoother(lev, lev.Smoother.Steps)
 	}
 	return nil
 }
@@ -361,12 +346,10 @@ func (m *MG) UseBlockJacobiCoarse(nblocks int) error {
 	return nil
 }
 
-// Apply runs CyclesPerApply V-cycles as a preconditioner: z ≈ A⁻¹·r.
+// Apply runs one V-cycle as a preconditioner: z ≈ A⁻¹·r.
 func (m *MG) Apply(r, z la.Vec) {
 	z.Zero()
-	for c := 0; c < max(1, m.CyclesPerApply); c++ {
-		m.vcycle(0, r, z, c == 0)
-	}
+	m.vcycle(0, r, z, true)
 }
 
 // VCycle exposes a single V-cycle from an existing iterate (x updated in
@@ -388,16 +371,10 @@ func (m *MG) vcycle(l int, b, x la.Vec, zeroGuess bool) {
 			lt.smooths.Inc()
 			return
 		}
+		// The coarsest level (never level 0: Build wants two levels) is
+		// only ever entered from the zeroed correction below.
 		st := m.coarseT.Start()
-		if zeroGuess {
-			m.CoarseSolve.Apply(b, x)
-		} else {
-			// Correction form for nonzero initial guess.
-			lev.Op.Apply(x, lev.r)
-			lev.r.AYPX(-1, b)
-			m.CoarseSolve.Apply(lev.r, lev.e)
-			x.AXPY(1, lev.e)
-		}
+		m.CoarseSolve.Apply(b, x)
 		m.coarseT.Stop(st)
 		m.coarseC.Inc()
 		return
@@ -417,16 +394,9 @@ func (m *MG) vcycle(l int, b, x la.Vec, zeroGuess bool) {
 	st = lt.restrict.Start()
 	next.P.ApplyTranspose(lev.r, next.bc)
 	lt.restrict.Stop(st)
-	// Coarse correction (γ recursive visits: V- or W-cycle).
-	gamma := m.Gamma
-	if gamma < 1 {
-		gamma = 1
-	}
+	// Coarse correction, from a zero guess.
 	next.e.Zero()
 	m.vcycle(l+1, next.bc, next.e, true)
-	for g := 1; g < gamma; g++ {
-		m.vcycle(l+1, next.bc, next.e, false)
-	}
 	st = lt.prolong.Start()
 	next.P.Apply(next.e, lev.e)
 	lt.prolong.Stop(st)

@@ -357,54 +357,6 @@ func abs(a int) int {
 	return a
 }
 
-// TestWCycle (ablation): the W-cycle (Gamma=2) converges but does NOT
-// pay off with Chebyshev smoothing on [0.2λ, 1.1λ]: error modes between
-// the coarse grid's reach and the lower Chebyshev bound are amplified by
-// every extra coarse-level visit (the Chebyshev residual polynomial
-// exceeds 1 below the target interval), so γ=2 typically needs MORE outer
-// iterations than γ=1 — which is why the paper (and PETSc's defaults)
-// pair Chebyshev smoothers exclusively with V-cycles. The test pins the
-// qualitative behaviour: both converge, W within a small factor of V.
-func TestWCycle(t *testing.T) {
-	eta := func(x, y, z float64) float64 {
-		return math.Pow(10, 2*math.Sin(math.Pi*x)*math.Sin(math.Pi*y))
-	}
-	kinds := []op.Kind{op.Tensor, op.Assembled, op.Galerkin}
-	run := func(gamma int) int {
-		fine := stdProblem(8, eta)
-		probs := CoarsenProblems(fine, 3, FuncCoeffCoarsener(eta, nil))
-		mgp, err := Build(probs, Options{Kinds: kinds, SmoothSteps: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := mgp.UseBlockJacobiCoarse(1); err != nil {
-			t.Fatal(err)
-		}
-		mgp.Gamma = gamma
-		rng := rand.New(rand.NewSource(11))
-		n := fine.DA.NVelDOF()
-		b := la.NewVec(n)
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		fine.BC.ZeroConstrained(b)
-		x := la.NewVec(n)
-		prm := krylov.DefaultParams()
-		prm.RTol = 1e-8
-		prm.MaxIt = 200
-		res := krylov.FGMRES(fem.NewTensor(fine), mgp, b, x, prm)
-		if !res.Converged {
-			t.Fatalf("gamma=%d did not converge", gamma)
-		}
-		return res.Iterations
-	}
-	itV := run(1)
-	itW := run(2)
-	if itW > 5*itV {
-		t.Fatalf("W-cycle diverging: %d its vs V-cycle %d", itW, itV)
-	}
-}
-
 // TestMGBlockedVCycleBitIdentical: the V-cycle of the default layout —
 // resident, wavefront-blocked smoothing on both finer levels, level 1's
 // assembled matrix only feeding the Galerkin product — must be

@@ -58,7 +58,7 @@ func TestRegistryHierarchyIsResidentAndBlocked(t *testing.T) {
 					}
 					dists[l] = comm.NewDist(r, comm.NewLayout(d, r.ID), nil)
 				}
-				dmg, err := mg.NewDist(s.MG, dists)
+				dmg, err := mg.NewDist(s.MG, dists, mg.DistOptions{})
 				if err != nil {
 					t.Error(err)
 					return

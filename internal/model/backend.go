@@ -11,8 +11,7 @@ import (
 // Walker forcing, line search) always runs serially on the full state;
 // the backend decides how each correction system J·δ = rhs is solved —
 // in shared memory on this process, or collectively over a simulated
-// rank world. Model.Backend == nil selects the built-in shared path,
-// bit-identical to SharedBackend.
+// rank world. scenario.Compile installs SharedBackend.
 type StokesBackend interface {
 	// Name identifies the backend in telemetry and StepStats
 	// ("shared", "distributed").
@@ -35,9 +34,8 @@ type CommStatsReporter interface {
 }
 
 // SharedBackend is the in-process backend: every inner solve runs the
-// serial Krylov method on the operator/preconditioner pair of the
-// current relinearization. It reproduces the nonlinear package's
-// built-in inner solve exactly (same calls, same trajectory).
+// serial Krylov method (krylov.Solve) on the operator/preconditioner pair
+// of the current relinearization.
 type SharedBackend struct{}
 
 // Name implements StokesBackend.
@@ -45,10 +43,7 @@ func (SharedBackend) Name() string { return "shared" }
 
 // LinearSolve implements StokesBackend.
 func (SharedBackend) LinearSolve(_ *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
-	if method == "gcr" {
-		return krylov.GCR(jop, pc, rhs, delta, prm, nil)
-	}
-	return krylov.FGMRES(jop, pc, rhs, delta, prm)
+	return krylov.Solve(method, jop, pc, rhs, delta, prm)
 }
 
 // DistributedBackend routes every inner solve through

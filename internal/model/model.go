@@ -43,10 +43,10 @@ type Model struct {
 	// selection report (Cfg.FineKind == op.Auto).
 	LastStokes *stokes.Solver
 	// Backend executes the inner linear solves of the nonlinear Stokes
-	// iteration. nil selects the built-in shared-memory path
-	// (bit-identical to SharedBackend); a DistributedBackend runs every
-	// inner solve collectively over the simulated rank world, making the
-	// whole MPM→rheology→Stokes→thermal→ALE step rank-distributed.
+	// iteration: SharedBackend (what scenario.Compile installs) in this
+	// process, a DistributedBackend collectively over the simulated rank
+	// world, making the whole MPM→rheology→Stokes→thermal→ALE step
+	// rank-distributed. It must be set.
 	Backend StokesBackend
 
 	// VerticalAxis is the gravity direction index (sinker: 2, rift: 1).
@@ -69,11 +69,6 @@ type Model struct {
 	MinPointsPerElement int
 	// Nonlinear controls the outer Newton/Picard iteration.
 	Nonlinear nonlinear.Options
-	// DisableSetupCache forces a cold Stokes solver build on every
-	// relinearization (the pre-amortization behaviour). The cached
-	// refresh is bit-identical, so this exists only as the A/B reference
-	// for tests and debugging.
-	DisableSetupCache bool
 
 	// Telemetry, when non-nil, receives per-step instrumentation: a "step"
 	// timer, "steps" counter, material-point accounting counters
@@ -132,9 +127,8 @@ type StepStats struct {
 	PointCount  int
 	TopoMin     float64
 	TopoMax     float64
-	// Backend records which Stokes backend ran the step's inner solves
-	// ("shared" when Model.Backend is nil); Ranks and the communication
-	// totals are zero on the shared path.
+	// Backend records which Stokes backend ran the step's inner solves;
+	// Ranks and the communication totals are zero on the shared path.
 	Backend    string
 	Ranks      int
 	HaloMsgs   int64
@@ -261,7 +255,7 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	if len(m.X) != ncoup {
 		m.X = la.NewVec(ncoup)
 	}
-	if m.Backend != nil && m.UseNewton {
+	if m.UseNewton {
 		if po, ok := m.Backend.(interface{ PicardOnly() bool }); ok && po.PicardOnly() {
 			return nonlinear.Result{}, fmt.Errorf("model: backend %q applies the Picard linearization only; disable UseNewton", m.Backend.Name())
 		}
@@ -295,16 +289,7 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 				cfg.Telemetry = m.Telemetry.Child("stokes")
 			}
 			t0 := time.Now()
-			var (
-				s      *stokes.Solver
-				reused bool
-				err    error
-			)
-			if m.DisableSetupCache {
-				s, err = stokes.New(prob, cfg)
-			} else {
-				s, reused, err = m.stokesCtx.Prepare(prob, cfg)
-			}
+			s, reused, err := m.stokesCtx.Prepare(prob, cfg)
 			m.stage.stokesSetup += time.Since(t0)
 			if err != nil {
 				buildErr = err
@@ -331,19 +316,11 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 			return s.Op, s.FS
 		},
 		Method:      "fgmres",
-		InnerParams: m.Cfg.EffectiveParams(),
+		InnerParams: m.Cfg.Params,
 	}
-	// The inner hook is always installed so the Krylov stage is timed on
-	// every path; the nil-backend case runs SharedBackend, which is the
-	// nonlinear package's built-in inner solve verbatim.
 	sys.Inner = func(method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
 		t0 := time.Now()
-		var r krylov.Result
-		if m.Backend != nil {
-			r = m.Backend.LinearSolve(prepared, method, jop, pc, rhs, delta, prm)
-		} else {
-			r = SharedBackend{}.LinearSolve(prepared, method, jop, pc, rhs, delta, prm)
-		}
+		r := m.Backend.LinearSolve(prepared, method, jop, pc, rhs, delta, prm)
 		m.stage.stokesKrylov += time.Since(t0)
 		return r
 	}
@@ -517,7 +494,7 @@ func (m *Model) StepForward() error {
 		SolveTime:  time.Since(start),
 		PointCount: m.Points.Len(),
 		TopoMin:    topoMin, TopoMax: topoMax,
-		Backend:           "shared",
+		Backend:           m.Backend.Name(),
 		RheologyTime:      m.stage.rheology,
 		ProjectTime:       m.stage.project,
 		StokesSetupTime:   m.stage.stokesSetup,
@@ -527,21 +504,18 @@ func (m *Model) StepForward() error {
 		ThermalTime:       m.stage.thermal,
 		StokesSetupReused: m.stage.setupReused,
 	}
-	if m.Backend != nil {
-		st.Backend = m.Backend.Name()
-		if rep, ok := m.Backend.(CommStatsReporter); ok {
-			ranks := rep.TakeCommStats()
-			st.Ranks = len(ranks)
-			for _, r := range ranks {
-				st.HaloMsgs += r.HaloMsgs
-				st.HaloBytes += r.HaloBytes
-				st.AllReduces += r.AllReduces
-			}
-			if tel := m.Telemetry; tel != nil {
-				tel.Counter("halo_msgs").Add(st.HaloMsgs)
-				tel.Counter("halo_bytes").Add(st.HaloBytes)
-				tel.Counter("allreduces").Add(st.AllReduces)
-			}
+	if rep, ok := m.Backend.(CommStatsReporter); ok {
+		ranks := rep.TakeCommStats()
+		st.Ranks = len(ranks)
+		for _, r := range ranks {
+			st.HaloMsgs += r.HaloMsgs
+			st.HaloBytes += r.HaloBytes
+			st.AllReduces += r.AllReduces
+		}
+		if tel := m.Telemetry; tel != nil {
+			tel.Counter("halo_msgs").Add(st.HaloMsgs)
+			tel.Counter("halo_bytes").Add(st.HaloBytes)
+			tel.Counter("allreduces").Add(st.AllReduces)
 		}
 	}
 	// Simulated ranks are goroutines of this process, Workers wide each.

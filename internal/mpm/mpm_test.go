@@ -116,7 +116,7 @@ func TestProjectionReproducesLinear(t *testing.T) {
 	p := flatProblem(3)
 	pts := NewLattice(p, 4, nil)
 	f := func(x, y, z float64) float64 { return 2 + 3*x - y + 0.5*z }
-	vals := ProjectToVertices(p, pts, func(i int) float64 {
+	vals := NewProjector(p).Project(pts, func(i int) float64 {
 		return f(pts.X[i], pts.Y[i], pts.Z[i])
 	}, nil)
 	da := p.DA
@@ -146,7 +146,7 @@ func TestProjectionReproducesLinear(t *testing.T) {
 func TestProjectionConstantExact(t *testing.T) {
 	p := deformedProblem(3)
 	pts := NewLattice(p, 2, nil)
-	vals := ProjectToVertices(p, pts, func(i int) float64 { return 7.5 }, nil)
+	vals := NewProjector(p).Project(pts, func(i int) float64 { return 7.5 }, nil)
 	for v, g := range vals {
 		if math.Abs(g-7.5) > 1e-12 {
 			t.Fatalf("vertex %d: %v", v, g)
@@ -163,7 +163,7 @@ func TestProjectionEmptyFallback(t *testing.T) {
 	for i := range fb {
 		fb[i] = 42
 	}
-	vals := ProjectToVertices(p, pts, func(i int) float64 { return 0 }, fb)
+	vals := NewProjector(p).Project(pts, func(i int) float64 { return 0 }, fb)
 	for _, v := range vals {
 		if v != 42 {
 			t.Fatalf("fallback not used: %v", v)
@@ -178,7 +178,7 @@ func TestProjectionEmptyFallback(t *testing.T) {
 	}
 	pts.Elem[idx] = int32(e)
 	pts.Xi[idx], pts.Et[idx], pts.Ze[idx] = xi, et, ze
-	vals = ProjectToVertices(p, pts, func(i int) float64 { return 3 }, nil)
+	vals = NewProjector(p).Project(pts, func(i int) float64 { return 3 }, nil)
 	for v, g := range vals {
 		if g != 3 {
 			t.Fatalf("patch sweep failed at vertex %d: %v", v, g)

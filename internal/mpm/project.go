@@ -4,54 +4,6 @@ import (
 	"ptatin3d/internal/fem"
 )
 
-// ProjectToVertices performs the approximate local L2 projection of a
-// material-point property onto the Q1 corner-vertex mesh (paper Eq. 12):
-//
-//	f_i = Σ_p N_i(x_p)·f_p / Σ_p N_i(x_p)
-//
-// where N_i is the trilinear interpolant supported on the elements
-// adjacent to vertex i, and value(p) supplies the property of point p
-// (e.g. effective viscosity from the lithology's flow law). Vertices
-// whose support contains no points keep fallback[i] (pass nil to fall
-// back to the nearest populated value sweep).
-func ProjectToVertices(prob *fem.Problem, pts *Points, value func(i int) float64, fallback []float64) []float64 {
-	da := prob.DA
-	nv := da.NVertices()
-	num := make([]float64, nv)
-	den := make([]float64, nv)
-	var vs [8]int32
-	var nb [8]float64
-	for i := 0; i < pts.Len(); i++ {
-		e := int(pts.Elem[i])
-		if e < 0 {
-			continue
-		}
-		da.ElemVertices(e, &vs)
-		fem.Q1Eval(pts.Xi[i], pts.Et[i], pts.Ze[i], &nb)
-		v := value(i)
-		for c := 0; c < 8; c++ {
-			num[vs[c]] += nb[c] * v
-			den[vs[c]] += nb[c]
-		}
-	}
-	out := make([]float64, nv)
-	empty := 0
-	for i := range out {
-		if den[i] > 0 {
-			out[i] = num[i] / den[i]
-		} else if fallback != nil {
-			out[i] = fallback[i]
-		} else {
-			empty++
-			out[i] = 0 // patched below
-		}
-	}
-	if fallback == nil && empty > 0 {
-		patchEmptyVertices(da, out, den)
-	}
-	return out
-}
-
 // patchEmptyVertices fills starved vertices (no points in support) with
 // the average of populated neighbouring vertices, sweeping until covered.
 // Rare in practice — it needs an element devoid of material points — but
@@ -115,20 +67,6 @@ func patchEmptyVertices(da interface {
 			break
 		}
 	}
-}
-
-// ProjectLithologyFields projects per-point viscosity and density —
-// computed by the supplied evaluators from each point's lithology and
-// state — onto the vertex grid and installs them at the problem's
-// quadrature points (the full Eq. 12 → Eq. 13 pipeline). It returns the
-// vertex fields so multigrid coefficient coarseners can reuse them.
-func ProjectLithologyFields(prob *fem.Problem, pts *Points,
-	etaOf, rhoOf func(i int) float64,
-	etaPrev, rhoPrev []float64) (etaV, rhoV []float64) {
-	etaV = ProjectToVertices(prob, pts, etaOf, etaPrev)
-	rhoV = ProjectToVertices(prob, pts, rhoOf, rhoPrev)
-	prob.SetCoefficientsVertex(etaV, rhoV)
-	return etaV, rhoV
 }
 
 // EnsureMinPerElement is the population-control safeguard: elements whose

@@ -5,14 +5,20 @@ import (
 	"ptatin3d/internal/par"
 )
 
-// Projector is the worker-parallel form of ProjectToVertices (paper
-// Eq. 12) with reusable storage. The serial reference scatters each
-// point's 8 trilinear weights into vertex accumulators in point order;
-// running that scatter concurrently would race and reassociate the
-// sums. The Projector instead inverts the map: a cached point→vertex
-// incidence table stores, per vertex, its contributing (point, corner)
-// pairs in ascending point order, and each vertex's reduction is an
-// independent serial sum in exactly the reference order. Owner-computes
+// Projector performs the approximate local L2 projection of a
+// material-point property onto the Q1 corner-vertex mesh (paper Eq. 12):
+//
+//	f_i = Σ_p N_i(x_p)·f_p / Σ_p N_i(x_p)
+//
+// where N_i is the trilinear interpolant supported on the elements
+// adjacent to vertex i. A serial loop would scatter each point's 8
+// trilinear weights into vertex accumulators in point order (the
+// reference in projector_test.go); running that scatter concurrently
+// would race and reassociate the sums. The Projector instead inverts the
+// map: a cached point→vertex incidence table stores, per vertex, its
+// contributing (point, corner) pairs in ascending point order, and each
+// vertex's reduction is an independent serial sum in exactly the
+// reference order. Owner-computes
 // over vertices — the PR 4 slab pattern at vertex granularity — so the
 // result is bit-identical to the serial projection at any worker count.
 //
@@ -101,11 +107,13 @@ func (pj *Projector) rebuild(pts *Points) {
 	pj.valid = true
 }
 
-// Project computes the vertex field of one per-point property — the
-// parallel, allocation-light equivalent of ProjectToVertices. value must
-// be safe for concurrent calls with distinct indices and pure in the
-// point index. The returned slice is freshly allocated (callers retain
-// projected fields across steps as fallbacks).
+// Project computes the vertex field of one per-point property: value(p)
+// supplies the property of point p (e.g. effective viscosity from the
+// lithology's flow law) and must be safe for concurrent calls with
+// distinct indices and pure in the point index. Vertices whose support
+// contains no points keep fallback[i] (pass nil to fall back to the
+// nearest populated value sweep). The returned slice is freshly allocated
+// (callers retain projected fields across steps as fallbacks).
 func (pj *Projector) Project(pts *Points, value func(i int) float64, fallback []float64) []float64 {
 	workers := pj.prob.Workers
 	n := pts.Len()
@@ -167,9 +175,12 @@ func (pj *Projector) Project(pts *Points, value func(i int) float64, fallback []
 	return out
 }
 
-// ProjectLithologyFields is the projector-backed form of the package
-// function: η and ρ share one incidence build, and the vertex fields are
-// installed at the problem's quadrature points.
+// ProjectLithologyFields projects per-point viscosity and density —
+// computed by the supplied evaluators from each point's lithology and
+// state — onto the vertex grid, η and ρ sharing one incidence build, and
+// installs them at the problem's quadrature points (the full Eq. 12 →
+// Eq. 13 pipeline). It returns the vertex fields so multigrid coefficient
+// coarseners can reuse them.
 func (pj *Projector) ProjectLithologyFields(pts *Points,
 	etaOf, rhoOf func(i int) float64,
 	etaPrev, rhoPrev []float64) (etaV, rhoV []float64) {

@@ -29,9 +29,50 @@ func equalBits(a, b []float64) bool {
 	return true
 }
 
+// projectSerial is the serial reference of Projector.Project (paper
+// Eq. 12): every point scatters its 8 trilinear weights into the vertex
+// accumulators, in point order.
+func projectSerial(prob *fem.Problem, pts *Points, value func(i int) float64, fallback []float64) []float64 {
+	da := prob.DA
+	nv := da.NVertices()
+	num := make([]float64, nv)
+	den := make([]float64, nv)
+	var vs [8]int32
+	var nb [8]float64
+	for i := 0; i < pts.Len(); i++ {
+		e := int(pts.Elem[i])
+		if e < 0 {
+			continue
+		}
+		da.ElemVertices(e, &vs)
+		fem.Q1Eval(pts.Xi[i], pts.Et[i], pts.Ze[i], &nb)
+		v := value(i)
+		for c := 0; c < 8; c++ {
+			num[vs[c]] += nb[c] * v
+			den[vs[c]] += nb[c]
+		}
+	}
+	out := make([]float64, nv)
+	empty := 0
+	for i := range out {
+		if den[i] > 0 {
+			out[i] = num[i] / den[i]
+		} else if fallback != nil {
+			out[i] = fallback[i]
+		} else {
+			empty++
+			out[i] = 0 // patched below
+		}
+	}
+	if fallback == nil && empty > 0 {
+		patchEmptyVertices(da, out, den)
+	}
+	return out
+}
+
 // TestProjectorMatchesSerialAnyWorkers pins the Projector's central
 // contract: the parallel vertex-owner reduction reproduces the serial
-// scatter of ProjectToVertices bit-for-bit at every worker count.
+// scatter of projectSerial bit-for-bit at every worker count.
 func TestProjectorMatchesSerialAnyWorkers(t *testing.T) {
 	for _, deformed := range []bool{false, true} {
 		var p *fem.Problem
@@ -65,8 +106,8 @@ func TestProjectorMatchesSerialAnyWorkers(t *testing.T) {
 			fallback[v] = float64(v%5) + 0.25
 		}
 		p.Workers = 1
-		ref := ProjectToVertices(p, pts, value, fallback)
-		refNil := ProjectToVertices(p, pts, value, nil)
+		ref := projectSerial(p, pts, value, fallback)
+		refNil := projectSerial(p, pts, value, nil)
 		for _, w := range []int{1, 2, 4, 8} {
 			p.Workers = w
 			pj := NewProjector(p)
@@ -95,7 +136,7 @@ func TestProjectorInvalidate(t *testing.T) {
 	value := func(i int) float64 { return pts.X[i] + 2*pts.Y[i] + 3*pts.Z[i] }
 	pj := NewProjector(p)
 	p.Workers = 1
-	ref := ProjectToVertices(p, pts, value, nil)
+	ref := projectSerial(p, pts, value, nil)
 	p.Workers = 4
 	if got := pj.Project(pts, value, nil); !equalBits(got, ref) {
 		t.Fatal("initial projection disagrees with serial reference")
@@ -110,7 +151,7 @@ func TestProjectorInvalidate(t *testing.T) {
 	}
 	pj.Invalidate()
 	p.Workers = 1
-	ref = ProjectToVertices(p, pts, value, nil)
+	ref = projectSerial(p, pts, value, nil)
 	p.Workers = 4
 	if got := pj.Project(pts, value, nil); !equalBits(got, ref) {
 		t.Fatal("post-move projection disagrees with serial reference")

@@ -25,12 +25,13 @@ type System struct {
 	// its preconditioner. Called once per outer iteration. For a Picard
 	// iteration, return the Picard operator here.
 	Prepare func(x la.Vec) (krylov.Op, krylov.Preconditioner)
-	// Method selects the inner Krylov method ("gcr" or default "fgmres").
+	// Method selects the inner Krylov method, "gcr" or "fgmres"
+	// (krylov.Solve); any other name fails the solve through Result.Err.
 	Method string
 	// InnerParams bounds the inner solves (MaxIt, Restart); RTol is
 	// overridden per iteration when Eisenstat–Walker is active.
 	InnerParams krylov.Params
-	// Inner, when non-nil, replaces the built-in serial Krylov call for
+	// Inner, when non-nil, replaces the built-in krylov.Solve call for
 	// the inner solve J·δ = rhs: it receives the operator/preconditioner
 	// pair of the current Prepare, the requested method, and the
 	// per-iteration params (RTol already holds the Eisenstat–Walker
@@ -86,13 +87,20 @@ type Result struct {
 	Fallbacks   int       // breakdowns recovered by switching Krylov method
 	// Err carries the typed inner breakdown (*krylov.BreakdownError in
 	// its chain) when even the fallback method broke down and the outer
-	// iteration had to abort.
+	// iteration had to abort, or names an unknown System.Method.
 	Err error
 }
 
 // Solve runs the inexact Newton (or Picard — determined by what Prepare
 // returns) iteration, updating x in place.
 func Solve(sys System, x la.Vec, opt Options) Result {
+	if err := krylov.CheckMethod(sys.Method); err != nil {
+		return Result{Err: fmt.Errorf("nonlinear: inner method: %w", err)}
+	}
+	inner := sys.Inner
+	if inner == nil {
+		inner = krylov.Solve
+	}
 	if opt.MaxIt <= 0 {
 		opt.MaxIt = 50
 	}
@@ -160,16 +168,7 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 		rhs := f.Clone()
 		rhs.Scale(-1)
 		delta.Zero()
-		inner := func(method string) krylov.Result {
-			if sys.Inner != nil {
-				return sys.Inner(method, jop, pc, rhs, delta, prm)
-			}
-			if method == "gcr" {
-				return krylov.GCR(jop, pc, rhs, delta, prm, nil)
-			}
-			return krylov.FGMRES(jop, pc, rhs, delta, prm)
-		}
-		kres := inner(sys.Method)
+		kres := inner(sys.Method, jop, pc, rhs, delta, prm)
 		res.KrylovIts += kres.Iterations
 		res.KrylovBasis = max(res.KrylovBasis, kres.BasisVectors)
 		if kres.Err != nil {
@@ -182,7 +181,7 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 				alt = "fgmres"
 			}
 			delta.Zero()
-			kres = inner(alt)
+			kres = inner(alt, jop, pc, rhs, delta, prm)
 			res.KrylovIts += kres.Iterations
 			res.KrylovBasis = max(res.KrylovBasis, kres.BasisVectors)
 			if kres.Err != nil {

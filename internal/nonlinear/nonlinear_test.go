@@ -36,6 +36,7 @@ func nlDiffusion(n int) (System, la.Vec) {
 				f[i] += math.Tanh(x[i]) - b[i]
 			}
 		},
+		Method:      "fgmres",
 		InnerParams: krylov.Params{RTol: 1e-4, ATol: 1e-300, MaxIt: 400, Restart: 50},
 	}
 	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner) {
@@ -167,6 +168,7 @@ func TestLineSearchRescuesOvershoot(t *testing.T) {
 		Residual: func(x, f la.Vec) {
 			f[0] = math.Atan(x[0])
 		},
+		Method:      "fgmres",
 		InnerParams: krylov.Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 10, Restart: 5},
 	}
 	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner) {

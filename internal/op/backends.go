@@ -9,14 +9,6 @@ import (
 	"ptatin3d/internal/perfmodel"
 )
 
-func init() {
-	Register(Tensor, newTensorOp)
-	Register(MFRef, newMFRefOp)
-	Register(Assembled, newAsmOp)
-	Register(Galerkin, newGalerkinOp)
-	Register(Auto, newAuto)
-}
-
 // reproCounts looks up this implementation's analytic per-element counts
 // by Table-I name.
 func reproCounts(name string) perfmodel.OpCounts {
@@ -77,51 +69,10 @@ func csrDiag(a *la.CSR, d la.Vec) {
 	}
 }
 
-// fixConstrainedDiag sets a unit diagonal on constrained rows that the
-// Galerkin triple product left empty (Dirichlet-constrained dofs are
-// dropped by the transfer operators). Moved here from internal/mg.
-func fixConstrainedDiag(a *la.CSR, mask []bool) {
-	missing := false
-	for r := 0; r < a.NRows; r++ {
-		if !mask[r] {
-			continue
-		}
-		found := false
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			if a.ColInd[k] == r {
-				a.Val[k] = 1
-				found = true
-				break
-			}
-		}
-		if !found {
-			missing = true
-			break
-		}
-	}
-	if !missing {
-		return
-	}
-	b := la.NewBuilder(a.NRows, a.NCols)
-	for r := 0; r < a.NRows; r++ {
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			b.Add(r, a.ColInd[k], a.Val[k])
-		}
-		if mask[r] {
-			b.Set(r, r, 1)
-		}
-	}
-	*a = *b.ToCSR()
-}
-
 // tensorOp wraps the tensor-product matrix-free kernel.
 type tensorOp struct {
 	k *fem.TensorOp
 	p *fem.Problem
-}
-
-func newTensorOp(env Env) (Operator, error) {
-	return &tensorOp{k: fem.NewTensor(env.Prob), p: env.Prob}, nil
 }
 
 func (o *tensorOp) N() int                    { return o.k.N() }
@@ -137,10 +88,6 @@ func (o *tensorOp) CSR() *la.CSR              { return nil }
 type mfrefOp struct {
 	k *fem.MFOp
 	p *fem.Problem
-}
-
-func newMFRefOp(env Env) (Operator, error) {
-	return &mfrefOp{k: fem.NewMF(env.Prob), p: env.Prob}, nil
 }
 
 func (o *mfrefOp) N() int                    { return o.k.N() }
@@ -313,10 +260,11 @@ func (o *galerkinOp) Refresh() error {
 	return nil
 }
 
-// augment derives the served matrix from raw with the same semantics as
-// fixConstrainedDiag — unit diagonal on constrained rows, via the Builder
-// rebuild when a constrained diagonal is structurally missing — while
-// recording the raw→augmented value mapping for later refreshes.
+// augment derives the served matrix from raw: a unit diagonal on
+// constrained rows (the transfer operators drop Dirichlet-constrained
+// dofs, so the triple product leaves them empty), via a Builder rebuild
+// when a constrained diagonal is structurally missing, while recording
+// the raw→augmented value mapping for later refreshes.
 func (o *galerkinOp) augment() {
 	mask := o.env.Prob.BC.Mask
 	raw := o.raw
@@ -354,8 +302,8 @@ func (o *galerkinOp) augment() {
 		}
 		return
 	}
-	// Rebuild path: mirror fixConstrainedDiag's Builder semantics — only
-	// nonzero raw entries survive, constrained rows gain a unit diagonal.
+	// Rebuild path, Builder semantics: only nonzero raw entries survive,
+	// constrained rows gain a unit diagonal.
 	b := la.NewBuilder(raw.NRows, raw.NCols)
 	for r := 0; r < raw.NRows; r++ {
 		for k := raw.RowPtr[r]; k < raw.RowPtr[r+1]; k++ {

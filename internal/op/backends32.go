@@ -8,12 +8,6 @@ import (
 	"ptatin3d/internal/perfmodel"
 )
 
-func init() {
-	Register(TensorC, func(env Env) (Operator, error) { return newResidentOp(env, false), nil })
-	Register(TensorF32, func(env Env) (Operator, error) { return newResidentOp(env, true), nil })
-	Register(AssembledF32, newAsm32Op)
-}
-
 // ResidentBacked is implemented by operators whose apply is backed by a
 // fem.Resident. The cache-blocked smoother and the fused distributed halo
 // path need the underlying resident machinery (per-block applies, stored
@@ -187,10 +181,6 @@ type asm32Op struct {
 	a64     *la.CSR
 	a32     *la.CSR32
 	setupT  time.Duration
-}
-
-func newAsm32Op(env Env) (Operator, error) {
-	return &asm32Op{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}, nil
 }
 
 func (o *asm32Op) N() int { return o.p.DA.NVelDOF() }

@@ -209,15 +209,6 @@ type Env struct {
 	Telemetry *telemetry.Scope
 }
 
-// Builder constructs one representation in an environment.
-type Builder func(Env) (Operator, error)
-
-var registry = map[Kind]Builder{}
-
-// Register installs a builder for a kind (called by the backends at init;
-// exported so external packages can plug in additional representations).
-func Register(k Kind, b Builder) { registry[k] = b }
-
 // New builds the representation k for env. The returned operator is not
 // yet set up; call Setup before (or let the first Apply trigger) use.
 func New(k Kind, env Env) (Operator, error) {
@@ -230,11 +221,23 @@ func New(k Kind, env Env) (Operator, error) {
 	if env.Workers <= 0 {
 		env.Workers = 1
 	}
-	b, ok := registry[k]
-	if !ok {
-		return nil, fmt.Errorf("op: no builder registered for kind %v", k)
+	switch k {
+	case Tensor:
+		return &tensorOp{k: fem.NewTensor(env.Prob), p: env.Prob}, nil
+	case MFRef:
+		return &mfrefOp{k: fem.NewMF(env.Prob), p: env.Prob}, nil
+	case Assembled:
+		return newAsmOp(env)
+	case Galerkin:
+		return newGalerkinOp(env)
+	case Auto:
+		return newAuto(env)
+	case TensorC, TensorF32:
+		return newResidentOp(env, k == TensorF32), nil
+	case AssembledF32:
+		return &asm32Op{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}, nil
 	}
-	return b(env)
+	return nil, fmt.Errorf("op: unknown kind %v", k)
 }
 
 // DefaultLevelKinds returns the per-level representation layout for a

@@ -75,6 +75,7 @@ func Compile(spec Spec, workers int) (*model.Model, error) {
 	m := &model.Model{
 		Prob: prob, Points: pts, Lith: lith,
 		Cfg:          cfg,
+		Backend:      model.SharedBackend{},
 		VerticalAxis: spec.VerticalAxis,
 		FreeSurface:  spec.FreeSurface,
 		CFL:          spec.CFL,
@@ -156,7 +157,9 @@ func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 	if s.MaxIt > 0 {
 		cfg.Params.MaxIt = s.MaxIt
 	}
-	cfg.Restart = s.Restart
+	if s.Restart > 0 {
+		cfg.Params.Restart = s.Restart
+	}
 	return cfg, nil
 }
 

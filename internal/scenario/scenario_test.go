@@ -210,6 +210,7 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		"bad-litho-ref":  func(s *Spec) { s.Geometry[0].Litho = 99 },
 		"bad-face":       func(s *Spec) { s.BCs[0].Face = "sideways" },
 		"bad-axis":       func(s *Spec) { s.VerticalAxis = 7 },
+		"bad-method":     func(s *Spec) { s.Solver.OuterMethod = "gmres" },
 	}
 	for name, mutate := range cases {
 		s, err := Get("sinker")

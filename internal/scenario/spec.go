@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 
+	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/rheology"
 )
@@ -148,8 +149,9 @@ type SolverSpec struct {
 	Precision    string  `json:"precision,omitempty"`
 	RTol         float64 `json:"rtol,omitempty"`
 	MaxIt        int     `json:"max_it,omitempty"`
-	// Restart widens the FGMRES restart window (stokes.Config.Restart);
-	// specs with viscosity contrast Δη ≥ 1e5 should set ≥ 200.
+	// Restart widens the FGMRES restart window
+	// (stokes.Config.Params.Restart); specs with viscosity contrast
+	// Δη ≥ 1e5 should set ≥ 200.
 	Restart int `json:"restart,omitempty"`
 }
 
@@ -268,6 +270,11 @@ func (s Spec) Validate() error {
 	}
 	if p := s.Solver.Precision; p != "" && p != "f64" && p != "f32" {
 		return fmt.Errorf("scenario %q: solver precision %q (want f64 or f32)", s.Name, p)
+	}
+	if om := s.Solver.OuterMethod; om != "" {
+		if err := krylov.CheckMethod(om); err != nil {
+			return fmt.Errorf("scenario %q: solver outer_method: %w", s.Name, err)
+		}
 	}
 	return nil
 }

@@ -56,7 +56,7 @@ func (c *Context) Prepare(prob *fem.Problem, cfg Config) (*Solver, bool, error) 
 	// fields, and the Krylov parameters may carry a per-iteration forcing
 	// tolerance. Structural fields are pinned by the key.
 	c.s.Cfg.CoeffCoarsen = cfg.CoeffCoarsen
-	prm := cfg.EffectiveParams()
+	prm := cfg.Params
 	if prm.Telemetry == nil {
 		prm.Telemetry = c.s.Cfg.Params.Telemetry
 	}
@@ -71,13 +71,13 @@ func (c *Context) Prepare(prob *fem.Problem, cfg Config) (*Solver, bool, error) 
 
 // contextKey fingerprints the structural solver configuration: any field
 // that shapes topology, sparsity, operator kinds, or arithmetic width.
-// Closures (CoeffCoarsen), tolerances, and telemetry are deliberately
-// excluded — they refresh in place.
+// The coefficient coarsener (a closure), the Krylov parameters and the
+// telemetry scope are deliberately excluded — Prepare carries them into
+// the cached solver (TestContextKeyCoversConfig pins the split).
 func contextKey(prob *fem.Problem, cfg Config) string {
 	da := prob.DA
-	return fmt.Sprintf("%p;%dx%dx%d;lv=%d;fk=%v;ga=%v;pr=%v;ss=%d;cs=%s;cb=%d;asm=%d,%d;amg=%s;om=%s;rs=%d;w=%d;va=%d",
-		prob, da.Mx, da.My, da.Mz, cfg.Levels, cfg.FineKind, cfg.GalerkinAll,
-		cfg.Precision, cfg.SmoothSteps, cfg.CoarseSolver,
-		cfg.CoarseBlocks, cfg.ASMSubdomains, cfg.ASMOverlap, cfg.AMGConfig,
-		cfg.OuterMethod, cfg.Restart, cfg.Workers, cfg.VerticalAxis)
+	return fmt.Sprintf("%p;%dx%dx%d;lv=%d;fk=%v;pr=%v;ss=%d;cs=%s;amg=%s;om=%s;w=%d;va=%d",
+		prob, da.Mx, da.My, da.Mz, cfg.Levels, cfg.FineKind,
+		cfg.Precision, cfg.SmoothSteps, cfg.CoarseSolver, cfg.AMGConfig,
+		cfg.OuterMethod, cfg.Workers, cfg.VerticalAxis)
 }

@@ -45,8 +45,8 @@ type RankStats struct {
 	FabricCoarseNs    int64 `json:"fabric_coarse_ns,omitempty"`
 }
 
-// DistOptions tunes SolveDistributedOpt beyond the plain
-// SolveDistributed defaults.
+// DistOptions carries the latency-tolerance options of a distributed
+// solve; the zero value is the plain configuration.
 type DistOptions struct {
 	// Pipelined selects the single-reduce Krylov variants: one fused
 	// allreduce per outer iteration instead of one per inner product.
@@ -82,15 +82,10 @@ func (s *errSink) note(err error) {
 // kernel.
 type distOp struct {
 	op    *Op
-	auu   elementKernel
+	auu   mg.ElementKernel
 	dist  *comm.Dist
 	sink  *errSink
 	spans []la.Span // coupled owned+ghost windows; nil = full-length ops
-}
-
-// elementKernel applies the viscous block over an element subset.
-type elementKernel interface {
-	ApplyElements(elems []int, u, y la.Vec)
 }
 
 // N returns the coupled dimension.
@@ -115,30 +110,8 @@ func (o *distOp) Apply(x, y la.Vec) {
 			o.op.C.ApplyGAddElements(l.Interior, xp, yu)
 			o.op.C.ApplyDElements(l.Elems, xu, yp)
 		},
-		func() { o.identityOwnedRows(xu, yu) })
+		func() { mg.IdentityOwnedRows(l, o.op.P.BC.Mask, xu, yu) })
 	o.sink.note(err)
-}
-
-// identityOwnedRows applies the Dirichlet identity on the constrained
-// velocity rows of the owned node box.
-func (o *distOp) identityOwnedRows(xu, yu la.Vec) {
-	l := o.dist.L
-	mask := o.op.P.BC.Mask
-	b := l.Owned
-	da := l.D.DA
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			row := (k*da.NPy + j) * da.NPx
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				d := 3 * (row + i)
-				for c := 0; c < 3; c++ {
-					if mask[d+c] {
-						yu[d+c] = xu[d+c]
-					}
-				}
-			}
-		}
-	}
 }
 
 // distFieldSplit is the rank-local block lower-triangular
@@ -228,21 +201,6 @@ func (ex *coupledExchanger) Consistent(x la.Vec) error {
 	return ex.dist.Broadcast(xu)
 }
 
-// SolveDistributed performs one linear Stokes solve exactly like Solve,
-// but rank-distributed over a px×py×pz world. The correction system
-// J·δ = −F(x) is solved collectively: each rank runs the configured
-// outer method (GCR or FGMRES) on its own vector copy, and the owned
-// pieces of the per-rank corrections are assembled into the global
-// update. Returns rank 0's Result (all ranks follow the identical
-// trajectory) plus the per-rank communication statistics.
-//
-// Requires a geometric multigrid configuration (Levels >= 2) whose
-// per-level decompositions nest: px, py, pz must divide the per-level
-// element counts at every level.
-func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int) (krylov.Result, []RankStats, error) {
-	return s.SolveDistributedOpt(x, bu, px, py, pz, DistOptions{})
-}
-
 // coupledSpans returns the owned+ghost windows of a rank's coupled
 // vector: the velocity rows of the extended node box followed by the
 // pressure rows of the rank's elements (offset by Nu), with adjacent
@@ -251,12 +209,7 @@ func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int) (krylov.Result, 
 func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 	spans := append([]la.Span(nil), l.VelSpans()...)
 	for _, e := range l.Elems {
-		lo, hi := op.Nu+4*e, op.Nu+4*e+4
-		if n := len(spans); n > 0 && spans[n-1].Hi == lo {
-			spans[n-1].Hi = hi
-		} else {
-			spans = append(spans, la.Span{Lo: lo, Hi: hi})
-		}
+		spans = la.AppendSpan(spans, op.Nu+4*e, op.Nu+4*e+4)
 	}
 	return spans
 }
@@ -266,20 +219,25 @@ func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 func pressureSpans(l *comm.Layout) []la.Span {
 	var spans []la.Span
 	for _, e := range l.Elems {
-		lo, hi := 4*e, 4*e+4
-		if n := len(spans); n > 0 && spans[n-1].Hi == lo {
-			spans[n-1].Hi = hi
-		} else {
-			spans = append(spans, la.Span{Lo: lo, Hi: hi})
-		}
+		spans = la.AppendSpan(spans, 4*e, 4*e+4)
 	}
 	return spans
 }
 
-// SolveDistributedOpt is SolveDistributed with latency-tolerance options:
+// SolveDistributed performs one linear Stokes solve exactly like Solve,
+// but rank-distributed over a px×py×pz world. The correction system
+// J·δ = −F(x) is solved collectively: each rank runs the configured
+// outer method (GCR or FGMRES) on its own vector copy, and the owned
+// pieces of the per-rank corrections are assembled into the global
+// update. Returns rank 0's Result (all ranks follow the identical
+// trajectory) plus the per-rank communication statistics. opt selects
 // pipelined single-reduce Krylov, coarse-solve agglomeration onto a rank
 // subset, a fabric cost model, and a retry-policy override.
-func (s *Solver) SolveDistributedOpt(x, bu la.Vec, px, py, pz int, opt DistOptions) (krylov.Result, []RankStats, error) {
+//
+// Requires a geometric multigrid configuration (Levels >= 2) whose
+// per-level decompositions nest: px, py, pz must divide the per-level
+// element counts at every level.
+func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int, opt DistOptions) (krylov.Result, []RankStats, error) {
 	// Residual-correction form, as in Solve.
 	n := s.Op.N()
 	f := la.NewVec(n)
@@ -416,7 +374,7 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 	}
 	// One resident kernel serves every rank (its scratch is pooled); the
 	// tensor kernel is built per rank.
-	var resident elementKernel
+	var resident mg.ElementKernel
 	if rb, ok := s.Op.Auu.(op.ResidentBacked); ok {
 		resident = rb.Resident()
 	}
@@ -440,7 +398,7 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 		for l := range decomps {
 			dists[l] = comm.NewDist(r, layouts[l][r.ID], sc)
 		}
-		dmg, err := mg.NewDistOpts(s.MG, dists, mg.DistOptions{Agg: agg})
+		dmg, err := mg.NewDist(s.MG, dists, mg.DistOptions{Agg: agg})
 		if err != nil {
 			rankErr[r.ID] = err
 			// Stay collective even on failure: every other rank will
@@ -469,12 +427,7 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 		b := la.NewVec(n)
 		b.CopySpans(f, spans)
 		d := la.NewVec(n)
-		var rr krylov.Result
-		if method == "fgmres" {
-			rr = krylov.FGMRES(a, m, b, d, prm)
-		} else {
-			rr = krylov.GCR(a, m, b, d, prm, nil)
-		}
+		rr := krylov.Solve(method, a, m, b, d, prm)
 		sink.note(dmg.Err())
 		sink.note(rr.Err)
 

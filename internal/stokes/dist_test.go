@@ -2,6 +2,7 @@ package stokes
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"ptatin3d/internal/fem"
@@ -36,7 +37,7 @@ func runDistComparison(t *testing.T, method string, velTol float64) {
 	}
 
 	xd := la.NewVec(s.Op.N())
-	resD, stats, err := s.SolveDistributed(xd, bu, 2, 2, 1)
+	resD, stats, err := s.SolveDistributed(xd, bu, 2, 2, 1, DistOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestDistributedSolvePipelinedAgg(t *testing.T) {
 	}
 
 	xd := la.NewVec(s.Op.N())
-	resD, stats, err := s.SolveDistributedOpt(xd, bu, 2, 2, 1, DistOptions{
+	resD, stats, err := s.SolveDistributed(xd, bu, 2, 2, 1, DistOptions{
 		Pipelined:   true,
 		CoarseRoots: 2,
 		Fabric:      perfmodel.DefaultFabric(),
@@ -151,8 +152,9 @@ func TestDistributedSolvePipelinedAgg(t *testing.T) {
 	}
 }
 
-// TestDistributedSolveRejectsBadConfigs: algebraic-only configurations
-// and non-nesting rank grids must fail fast with a clear error.
+// TestDistributedSolveRejectsBadConfigs: algebraic-only configurations,
+// non-nesting rank grids and unknown outer methods must fail fast with a
+// clear error.
 func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 	p, def := sinkerProblem(4, 10, 1)
 	cfg := sinkerConfig(p, def)
@@ -164,7 +166,7 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 	bu := la.NewVec(p.DA.NVelDOF())
 	fem.MomentumRHS(p, bu)
 	x := la.NewVec(s.Op.N())
-	if _, _, err := s.SolveDistributed(x, bu, 2, 1, 1); err == nil {
+	if _, _, err := s.SolveDistributed(x, bu, 2, 1, 1, DistOptions{}); err == nil {
 		t.Fatal("Levels=1 must reject the distributed solve")
 	}
 
@@ -176,7 +178,20 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 	}
 	// 4³ elements over 2 levels: the coarse grid has 2 elements per
 	// axis, so 3 ranks along x cannot nest.
-	if _, _, err := s2.SolveDistributed(x, bu, 3, 1, 1); err == nil {
+	if _, _, err := s2.SolveDistributed(x, bu, 3, 1, 1, DistOptions{}); err == nil {
 		t.Fatal("non-nesting rank grid must be rejected")
+	}
+
+	// An unknown outer method is rejected when the solver is built, and —
+	// should a caller name one per solve — by the distributed solve itself
+	// rather than run as GCR.
+	cfg3 := sinkerConfig(p, def)
+	cfg3.OuterMethod = "bicgstab"
+	if _, err := New(p, cfg3); err == nil || !strings.Contains(err.Error(), "bicgstab") {
+		t.Fatalf("unknown outer method must be rejected by New, got %v", err)
+	}
+	delta := la.NewVec(s2.Op.N())
+	if _, _, err := s2.LinearSolveDistributed("", x, delta, cfg2.Params, 2, 1, 1, DistOptions{}); err == nil {
+		t.Fatal("LinearSolveDistributed must reject an unnamed method")
 	}
 }

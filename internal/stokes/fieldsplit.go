@@ -22,41 +22,20 @@ type FieldSplit struct {
 	InnerU krylov.Preconditioner // Â⁻¹: V-cycle (mg.MG), amg.SA, or inner Krylov
 	Mp     *fem.PressureMass
 
-	// Upper applies the block *upper*-triangular factorization instead
-	// (the paper notes the non-unit diagonal "can equivalently be grouped
-	// with the upper factor"): z_p = Ŝ⁻¹·r_p, z_u = Â⁻¹·(r_u − J_up·z_p).
-	Upper bool
-
-	// Work vectors, reused across applications: NOT safe for concurrent
-	// Apply calls on one instance.
-	tu     la.Vec // pressure space
-	tv, gz la.Vec // velocity space (gz: Upper only)
+	// tu is the pressure-space work vector, reused across applications:
+	// NOT safe for concurrent Apply calls on one instance.
+	tu la.Vec
 }
 
 // NewFieldSplit builds the preconditioner.
 func NewFieldSplit(op *Op, innerU krylov.Preconditioner, mp *fem.PressureMass) *FieldSplit {
-	return &FieldSplit{Op: op, InnerU: innerU, Mp: mp,
-		tu: la.NewVec(op.Np), tv: la.NewVec(op.Nu)}
+	return &FieldSplit{Op: op, InnerU: innerU, Mp: mp, tu: la.NewVec(op.Np)}
 }
 
 // Apply computes z = P⁻¹·r.
 func (fs *FieldSplit) Apply(r, z la.Vec) {
 	ru, rp := fs.Op.Split(r)
 	zu, zp := fs.Op.Split(z)
-	if fs.Upper {
-		// z_p = Ŝ⁻¹·r_p ; z_u = Â⁻¹·(r_u − J_up·z_p).
-		fs.Mp.ApplyInv(rp, zp)
-		zp.Scale(-1)
-		if fs.gz == nil {
-			fs.gz = la.NewVec(fs.Op.Nu)
-		}
-		fs.gz.Zero()
-		fs.Op.C.ApplyGAdd(zp, fs.gz)
-		fs.tv.Copy(ru)
-		fs.tv.AXPY(-1, fs.gz)
-		fs.InnerU.Apply(fs.tv, zu)
-		return
-	}
 	fs.InnerU.Apply(ru, zu)
 	// t = r_p − J_pu·z_u ; z_p = −M_p⁻¹·t (Ŝ = −M_p(1/η)).
 	fs.Op.C.ApplyD(zu, fs.tu)

@@ -30,9 +30,6 @@ type Config struct {
 	// serves the coupled matvec and the hierarchy's fine level, and every
 	// level with resident backing smooths wavefront-blocked.
 	FineKind op.Kind
-	// GalerkinAll makes every coarse operator a Galerkin product (the
-	// GMG-ii configuration); requires an assembled fine level.
-	GalerkinAll bool
 	// Precision runs the V-cycle's operator stack at the given width
 	// (mg.Options.Precision): op.F32 halves smoother memory traffic while
 	// the outer GCR/FGMRES iteration — and the residuals it reports —
@@ -42,28 +39,23 @@ type Config struct {
 	// SmoothSteps is the Chebyshev degree: V(k,k) (paper uses 2 or 3).
 	SmoothSteps int
 	// CoarseSolver: "gamg" (one SA V-cycle, the paper's default), "lu",
-	// "bjacobi", or "asmcg" (CG preconditioned by ASM(overlap 4, ILU(0)),
-	// max 25 iterations — the rifting configuration of §V-A).
+	// "bjacobi" (8 blocks), or "asmcg" (CG preconditioned by ASM(8
+	// subdomains, overlap 4, ILU(0)), max 25 iterations — the rifting
+	// configuration of §V-A).
 	CoarseSolver string
-	// CoarseBlocks configures "bjacobi"; ASMSubdomains/ASMOverlap configure
-	// "asmcg".
-	CoarseBlocks  int
-	ASMSubdomains int
-	ASMOverlap    int
 	// AMGConfig selects the algebraic preconditioner when Levels == 1:
 	// "gamg", "ml" (SAML-i) or "mlstrong" (SAML-ii).
 	AMGConfig string
 	// OuterMethod: "gcr" (paper's preference — explicit residual) or
-	// "fgmres" (better numerical stability for extreme contrast).
+	// "fgmres" (better numerical stability for extreme contrast); New
+	// rejects anything else.
 	OuterMethod string
 	// Params controls the outer Krylov iteration (rtol 1e-5 in the paper).
+	// FGMRES discards its Krylov space at every restart, and with
+	// viscosity contrasts Δη ≥ 1e5 the default Restart window of 50 can
+	// stall just short of the tolerance; high-contrast configurations
+	// should raise it (the Δη=1e6 parity runs use 200).
 	Params krylov.Params
-	// Restart, when > 0, overrides Params.Restart for the outer Krylov
-	// method. FGMRES discards its Krylov space at every restart, and with
-	// viscosity contrasts Δη ≥ 1e5 the default window of 50 can stall just
-	// short of the tolerance; high-contrast configurations should raise
-	// this (the Δη=1e6 parity runs use 200).
-	Restart int
 	// Telemetry, when non-nil, is the scope the solver instruments itself
 	// under: "outer" (matmult/pcapply/coarse timers, setup_seconds gauge),
 	// "krylov" (outer iteration counters + residual trace), "mg"/"amg"
@@ -98,17 +90,6 @@ func DefaultConfig() Config {
 		Workers:      1,
 		VerticalAxis: 2,
 	}
-}
-
-// EffectiveParams returns the outer Krylov parameters with the Restart
-// override applied. Callers driving their own Krylov iteration from a
-// Config (the nonlinear loop) should use this rather than Params.
-func (c Config) EffectiveParams() krylov.Params {
-	prm := c.Params
-	if c.Restart > 0 {
-		prm.Restart = c.Restart
-	}
-	return prm
 }
 
 // Solver is a configured coupled Stokes solver.
@@ -175,13 +156,15 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
-	if cfg.FineKind == op.Galerkin {
-		// -op=galerkin means the GMG-ii layout: assembled fine operator
-		// with Galerkin products on every coarse level.
-		cfg.FineKind = op.Assembled
-		cfg.GalerkinAll = true
+	if err := krylov.CheckMethod(cfg.OuterMethod); err != nil {
+		return nil, fmt.Errorf("stokes: outer method: %w", err)
 	}
-	cfg.Params = cfg.EffectiveParams()
+	// op.Galerkin means the GMG-ii layout: assembled fine operator with
+	// Galerkin products on every coarse level.
+	fineKind, galerkinAll := cfg.FineKind, cfg.FineKind == op.Galerkin
+	if galerkinAll {
+		fineKind = op.Assembled
+	}
 	prob.Workers = cfg.Workers
 	s := &Solver{Cfg: cfg, Prob: prob}
 	s.Tel = cfg.Telemetry
@@ -195,7 +178,7 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	// Fine-level viscous operator, shared between the coupled matvec and
 	// the multigrid hierarchy (mg.Options.FineOp), so it is built once.
 	mgScope := s.Tel.Child("mg")
-	auu, err := op.New(cfg.FineKind, op.Env{
+	auu, err := op.New(fineKind, op.Env{
 		Prob:      prob,
 		Workers:   cfg.Workers,
 		Level:     0,
@@ -227,9 +210,6 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		s.SA = sa
 		innerU = sa
 	} else {
-		if cfg.GalerkinAll && cfg.FineKind != op.Assembled {
-			return nil, fmt.Errorf("stokes: GalerkinAll requires an assembled fine level")
-		}
 		probs := mg.CoarsenProblems(prob, cfg.Levels, cfg.CoeffCoarsen)
 		// A reduced-precision hierarchy builds its own fine-level operator:
 		// the coupled operator stays float64, so outer residuals are
@@ -239,7 +219,7 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 			fineOp = nil
 		}
 		gmg, err := mg.Build(probs, mg.Options{
-			Kinds:       op.DefaultLevelKinds(cfg.Levels, cfg.FineKind, cfg.GalerkinAll),
+			Kinds:       op.DefaultLevelKinds(cfg.Levels, fineKind, galerkinAll),
 			SmoothSteps: cfg.SmoothSteps,
 			Workers:     cfg.Workers,
 			FineOp:      fineOp,
@@ -285,6 +265,14 @@ func (s *Solver) SelectionReport() []op.Decision {
 	return out
 }
 
+// The coarse solvers' one configuration: "bjacobi" block count, "asmcg"
+// subdomain count and overlap (§V-A).
+const (
+	coarseBlocks  = 8
+	asmSubdomains = 8
+	asmOverlap    = 4
+)
+
 // buildCoarseSolver installs the coarsest-level solver, built from the
 // hierarchy's assembled coarse matrix (op.Operator.CSR — the op layer's
 // coarse-level handoff to the algebraic solvers) at its current values.
@@ -318,10 +306,7 @@ func (s *Solver) buildCoarseSolver() error {
 	case "lu", "bjacobi":
 		nb := 1
 		if cfg.CoarseSolver == "bjacobi" {
-			nb = cfg.CoarseBlocks
-			if nb <= 0 {
-				nb = 8
-			}
+			nb = coarseBlocks
 		}
 		bj, err := krylov.NewBlockJacobi(a, nb)
 		if err != nil {
@@ -329,15 +314,7 @@ func (s *Solver) buildCoarseSolver() error {
 		}
 		coarse = bj
 	case "asmcg":
-		nsub := cfg.ASMSubdomains
-		if nsub <= 0 {
-			nsub = 8
-		}
-		ov := cfg.ASMOverlap
-		if ov <= 0 {
-			ov = 4
-		}
-		asmPC, err := krylov.NewASM(a, krylov.ASMOptions{Subdomains: nsub, Overlap: ov, Workers: cfg.Workers})
+		asmPC, err := krylov.NewASM(a, krylov.ASMOptions{Subdomains: asmSubdomains, Overlap: asmOverlap, Workers: cfg.Workers})
 		if err != nil {
 			return fmt.Errorf("stokes: ASM coarse solver: %w", err)
 		}
@@ -465,10 +442,11 @@ func (s *Solver) Solve(x, bu la.Vec, mon *Monitor) krylov.Result {
 		}
 	}
 	run := func(method string) krylov.Result {
-		if method == "fgmres" {
-			return krylov.FGMRES(s.MatMult, s.PCApply, f, delta, s.Cfg.Params)
+		if method == "gcr" && cb != nil {
+			// Only GCR carries an explicit residual to monitor.
+			return krylov.GCR(s.MatMult, s.PCApply, f, delta, s.Cfg.Params, cb)
 		}
-		return krylov.GCR(s.MatMult, s.PCApply, f, delta, s.Cfg.Params, cb)
+		return krylov.Solve(method, s.MatMult, s.PCApply, f, delta, s.Cfg.Params)
 	}
 	res := run(s.Cfg.OuterMethod)
 	if res.Err != nil {

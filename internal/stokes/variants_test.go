@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ptatin3d/internal/fem"
-	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 )
 
@@ -46,40 +45,5 @@ func TestUzawaConvergesAndMatches(t *testing.T) {
 	du.AXPY(-1, u2)
 	if rel := du.Norm2() / u1.Norm2(); rel > 1e-3 {
 		t.Fatalf("Uzawa velocity differs from fieldsplit by %.2e", rel)
-	}
-}
-
-// TestUpperTriangularFieldSplit: the upper-factor grouping converges with
-// comparable iteration counts to the lower one (they are algebraically
-// equivalent up to the dropped factor).
-func TestUpperTriangularFieldSplit(t *testing.T) {
-	p, def := sinkerProblem(4, 100, 1)
-	cfg := sinkerConfig(p, def)
-	cfg.Levels = 2
-	s, err := New(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bu := la.NewVec(p.DA.NVelDOF())
-	fem.MomentumRHS(p, bu)
-
-	solveWith := func(upper bool) (int, bool) {
-		s.FS.Upper = upper
-		x := la.NewVec(s.Op.N())
-		f := la.NewVec(s.Op.N())
-		s.Op.Residual(x, bu, f)
-		f.Scale(-1)
-		delta := la.NewVec(s.Op.N())
-		res := krylov.FGMRES(s.Op, s.FS, f, delta, cfg.Params)
-		return res.Iterations, res.Converged
-	}
-	itLower, okL := solveWith(false)
-	itUpper, okU := solveWith(true)
-	s.FS.Upper = false
-	if !okL || !okU {
-		t.Fatalf("convergence: lower %v upper %v", okL, okU)
-	}
-	if itUpper > 2*itLower+10 {
-		t.Fatalf("upper factor much worse: %d vs %d its", itUpper, itLower)
 	}
 }

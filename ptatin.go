@@ -57,6 +57,10 @@ type StepStats = model.StepStats
 // Stokes stage; see SharedBackend and DistributedBackend.
 type StokesBackend = model.StokesBackend
 
+// SharedBackend runs the Stokes solves in this process; a compiled Model
+// starts with it.
+type SharedBackend = model.SharedBackend
+
 // DistributedBackend runs the Stokes solves rank-distributed over the
 // simulated MPI fabric.
 type DistributedBackend = model.DistributedBackend
@@ -153,8 +157,10 @@ type (
 )
 
 // Operator-representation kinds (Table I variants plus runtime
-// selection); see internal/op.
+// selection); see internal/op. ResidentTensor, the stored-coefficient
+// "TensorC" kernel, is the default fine-level kind.
 const (
+	ResidentTensor   = op.TensorC
 	MatrixFreeTensor = op.Tensor
 	MatrixFreeRef    = op.MFRef
 	AssembledSpMV    = op.Assembled

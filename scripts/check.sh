@@ -14,6 +14,25 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
+# named_tests FLAGS 'NameA|NameB|…' PKG… runs `go test FLAGS -run` over the
+# alternatives in the packages, after checking each alternative against
+# `go test -list`: -run of a name that no longer exists is "no tests to
+# run", exit 0, so a moved or deleted test would otherwise drop out of its
+# stage silently.
+named_tests() {
+    local flags=$1 names=$2 have alt
+    shift 2
+    have=$(go test -list 'Test' "$@")
+    for alt in ${names//|/ }; do
+        if ! grep -Eq "$alt" <<<"$have"; then
+            echo "check.sh: no test matches '$alt' in $*" >&2
+            exit 1
+        fi
+    done
+    # shellcheck disable=SC2086
+    go test $flags -run "$names" "$@"
+}
+
 echo "== gofmt =="
 unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
@@ -32,33 +51,33 @@ echo "== go test =="
 go test ./...
 
 echo "== operator representation equivalence =="
-go test -run='^TestOpEquivalence$' -count=1 ./internal/op
+named_tests -count=1 '^TestOpEquivalence$' ./internal/op
 
 echo "== go test -short -race =="
 go test -short -race ./...
 
 echo "== fault/recovery protocol under -race =="
-go test -race -run 'Fault|Reliable|Migrate|Recv' ./internal/comm ./internal/mpm
+named_tests -race 'Fault|Reliable|Migrate|Recv' ./internal/comm ./internal/mpm
 
 echo "== 64-rank fault-injection soak under -race (bounded: -short) =="
-go test -short -race -run 'TestSoakReliableExchange64Ranks' ./internal/comm
+named_tests '-short -race' 'TestSoakReliableExchange64Ranks' ./internal/comm
 
 echo "== pipelined Krylov + coarse agglomeration under -race =="
-go test -race -run 'TestPipelined|TestDistMGAgg|TestAllReduceSumVec' ./internal/krylov ./internal/mg ./internal/comm
+named_tests -race 'TestPipelined|TestDistMGAgg|TestAllReduceSumVec' ./internal/krylov ./internal/mg ./internal/comm
 
-echo "== f32/f64 equivalence + blocked == full-grid smoother + gather restriction bit-identity under -race =="
-go test -race \
-    -run 'TestOpEquivalence|TestF32OpEquivalence|TestAutoCacheKeyedByPrecision|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence' \
+echo "== f32/f64 equivalence + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
+named_tests -race \
+    'TestOpEquivalence|TestF32OpEquivalence|TestAutoCacheKeyedByPrecision|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
-echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager under -race =="
-go test -race \
-    -run 'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates' \
+echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, one method dispatcher under -race =="
+named_tests -race \
+    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestSolveRejectsUnknownMethod' \
     ./internal/krylov
 
 echo "== parallel MPM + amortized solver setup under -race =="
-go test -race \
-    -run 'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
+named_tests -race \
+    'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
     ./internal/mpm ./internal/model
 
 echo "== benchmark module: vet + its own tests =="
