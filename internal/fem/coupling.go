@@ -177,11 +177,16 @@ func (c *Coupling) applyD(u, yp la.Vec, masked bool) {
 }
 
 func (c *Coupling) applyDElem(e int, u, yp la.Vec, masked bool) {
+	s := c.divElem(e, u, masked)
+	copy(yp[4*e:4*e+4], s[:])
+}
+
+// divElem returns element e's four divergence rows of Gᵀ·u.
+func (c *Coupling) divElem(e int, u la.Vec, masked bool) (s [4]float64) {
 	p := c.P
 	mask := p.BC.Mask
 	ge := c.Ge[324*e : 324*e+324]
 	em := p.Emap[27*e : 27*e+27]
-	var s [4]float64
 	for n := 0; n < 27; n++ {
 		d := 3 * int(em[n])
 		for a := 0; a < 3; a++ {
@@ -199,10 +204,7 @@ func (c *Coupling) applyDElem(e int, u, yp la.Vec, masked bool) {
 			s[3] += row[3] * ua
 		}
 	}
-	yp[4*e] = s[0]
-	yp[4*e+1] = s[1]
-	yp[4*e+2] = s[2]
-	yp[4*e+3] = s[3]
+	return s
 }
 
 // PressureMass holds the inverted element blocks of the viscosity-scaled
@@ -280,11 +282,29 @@ func (m *PressureMass) ApplyInv(x, y la.Vec) {
 	})
 }
 
-// ApplyInvElements computes y = M⁻¹·x for the given elements only (the
-// Schur preconditioner rows a rank owns in the distributed solve).
-func (m *PressureMass) ApplyInvElements(elems []int, x, y la.Vec) {
+// ApplySchur computes the field split's pressure step
+// zp = −M_p⁻¹·(rp − D·zu) (paper Eq. 17 with Ŝ = −M_p(1/η)). P1disc
+// pressure makes every stage element-local, so it is one kernel per
+// element — divergence rows, subtraction, 4×4 inverse block, sign — over
+// the listed elements serially (a rank's own: there parallelism comes
+// from the ranks) or, with elems nil, over all of them on the worker pool.
+func (m *PressureMass) ApplySchur(c *Coupling, elems []int, zu, rp, zp la.Vec) {
+	kern := func(e int) {
+		t := c.divElem(e, zu, true)
+		for i := range t {
+			t[i] = rp[4*e+i] - t[i]
+		}
+		b := m.inv[16*e : 16*e+16]
+		for i := 0; i < 4; i++ {
+			zp[4*e+i] = -(b[4*i]*t[0] + b[4*i+1]*t[1] + b[4*i+2]*t[2] + b[4*i+3]*t[3])
+		}
+	}
+	if elems == nil {
+		m.P.forEachElement(kern)
+		return
+	}
 	for _, e := range elems {
-		m.applyInvElem(e, x, y)
+		kern(e)
 	}
 }
 

@@ -48,6 +48,17 @@ func (op *NewtonOp) Apply(u, y la.Vec) {
 	applyIdentityRows(p, u, y)
 }
 
+// ApplyElements accumulates the action of the given element subset into y
+// (which the caller must zero), exactly as TensorOp.ApplyElements does for
+// the Picard operator: the rank-local piece of the distributed Newton
+// matvec, with no identity rows (partial sums must stay addable).
+func (op *NewtonOp) ApplyElements(elems []int, u, y la.Vec) {
+	p := op.Base.P
+	p.applyElements(elems, u, y, func(e int, ue, xe, ye *[81]float64, ks *kernScratch) {
+		op.elementApply(e, ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, ks)
+	})
+}
+
 // elementApply is the tensor kernel plus the rank-one Newton term.
 func (op *NewtonOp) elementApply(e int, ue, xe *[81]float64, eta []float64, ye *[81]float64, ks *kernScratch) {
 	ug0, ug1, ug2 := &ks.ug0, &ks.ug1, &ks.ug2

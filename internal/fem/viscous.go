@@ -237,13 +237,21 @@ func tensorElementApply(ue, xe *[81]float64, eta []float64, ye *[81]float64, ks 
 // applies the identity after the halo reduction.
 func (op *TensorOp) ApplyElements(elems []int, u, y la.Vec) {
 	p := op.P
+	p.applyElements(elems, u, y, func(e int, ue, xe, ye *[81]float64, ks *kernScratch) {
+		tensorElementApply(ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, ks)
+	})
+}
+
+// applyElements runs kern over an element subset serially — masked state
+// and coordinates gathered, outputs scatter-added onto free rows — the
+// subset form of slabApply behind every ApplyElements.
+func (p *Problem) applyElements(elems []int, u, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) {
 	var ks kernScratch
+	var ue, xe, ye [81]float64
 	for _, e := range elems {
-		var ue, xe, ye [81]float64
 		p.gatherVec(e, u, &ue)
 		p.gatherCoords(e, &xe)
-		eta := p.Eta[NQP*e : NQP*e+NQP]
-		tensorElementApply(&ue, &xe, eta, &ye, &ks)
+		kern(e, &ue, &xe, &ye, &ks)
 		p.scatterAdd(e, &ye, y)
 	}
 }

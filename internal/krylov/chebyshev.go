@@ -14,9 +14,10 @@ type Chebyshev struct {
 	Lo, Hi float64 // target interval; the paper uses [0.2λmax, 1.1λmax]
 	Steps  int     // iterations per Smooth call
 
-	// Spans, when non-empty, windows the smoother's BLAS-1 updates to
-	// the listed index ranges (a rank's owned+ghost rows), keeping
-	// per-rank work and touched memory O(n/P) on the distributed path.
+	// Spans windows the smoother's BLAS-1 updates to the listed index
+	// ranges (a rank's owned+ghost rows), keeping per-rank work and
+	// touched memory O(n/P) on the distributed path; nil is the whole
+	// vector.
 	Spans []la.Span
 
 	// work holds r, z, p and A·p across Smooth calls, so an instance is
@@ -46,51 +47,22 @@ func (c *Chebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
 	}
 	r, z, p, ap := c.work[0], c.work[1], c.work[2], c.work[3]
 	sp := c.Spans
-	vcopy := func(dst, src la.Vec) {
-		if sp != nil {
-			dst.CopySpans(src, sp)
-		} else {
-			dst.Copy(src)
-		}
-	}
-	vzero := func(v la.Vec) {
-		if sp != nil {
-			v.ZeroSpans(sp)
-		} else {
-			v.Zero()
-		}
-	}
-	vaxpy := func(v la.Vec, a float64, x la.Vec) {
-		if sp != nil {
-			v.AXPYSpans(a, x, sp)
-		} else {
-			v.AXPY(a, x)
-		}
-	}
-	vaypx := func(v la.Vec, a float64, x la.Vec) {
-		if sp != nil {
-			v.AYPXSpans(a, x, sp)
-		} else {
-			v.AYPX(a, x)
-		}
-	}
-
 	d := (c.Hi + c.Lo) / 2
 	half := (c.Hi - c.Lo) / 2
 
 	if zeroGuess {
-		vcopy(r, b)
-		vzero(x)
+		r.CopySpans(b, sp)
+		x.ZeroSpans(sp)
 	} else {
 		c.A.Apply(x, r)
-		vaypx(r, -1, b)
+		r.AYPXSpans(-1, b, sp)
 	}
 	var alpha, beta float64
 	for i := 0; i < c.Steps; i++ {
 		c.M.Apply(r, z)
 		switch i {
 		case 0:
-			vcopy(p, z)
+			p.CopySpans(z, sp)
 			alpha = 1 / d
 		default:
 			if i == 1 {
@@ -99,14 +71,14 @@ func (c *Chebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
 				beta = (half * alpha / 2) * (half * alpha / 2)
 			}
 			alpha = 1 / (d - beta/alpha)
-			vaypx(p, beta, z)
+			p.AYPXSpans(beta, z, sp)
 		}
-		vaxpy(x, alpha, p)
+		x.AXPYSpans(alpha, p, sp)
 		if i == c.Steps-1 {
 			break
 		}
 		c.A.Apply(p, ap)
-		vaxpy(r, -alpha, ap)
+		r.AXPYSpans(-alpha, ap, sp)
 	}
 }
 

@@ -84,69 +84,35 @@ func (p Params) dots(xs, ys []la.Vec) []float64 {
 	return out
 }
 
-// windowed reports whether BLAS-1 updates should be restricted to the
-// rank's spans (distributed solve with a span list).
-func (p Params) windowed() bool { return p.Reducer != nil && len(p.Spans) > 0 }
-
-// The v* helpers below are the solver-internal BLAS-1 kernels: full
-// length on the shared-memory path, span-windowed on a distributed
-// solve that set Params.Spans.
-
-func (p Params) vaxpy(v la.Vec, alpha float64, x la.Vec) {
-	if p.windowed() {
-		v.AXPYSpans(alpha, x, p.Spans)
-		return
+// spans returns the solver's BLAS-1 windows: the rank's spans on a
+// distributed solve that set Params.Spans, nil — which la's span
+// operations take as the whole vector — on the shared-memory path.
+func (p Params) spans() []la.Span {
+	if p.Reducer != nil && len(p.Spans) > 0 {
+		return p.Spans
 	}
-	v.AXPY(alpha, x)
+	return nil
 }
 
-func (p Params) vaypx(v la.Vec, alpha float64, x la.Vec) {
-	if p.windowed() {
-		v.AYPXSpans(alpha, x, p.Spans)
-		return
-	}
-	v.AYPX(alpha, x)
-}
+// The v* helpers below are the solver-internal BLAS-1 kernels over those
+// windows.
 
-func (p Params) vwaxpy(v la.Vec, alpha float64, x, y la.Vec) {
-	if p.windowed() {
-		v.WAXPYSpans(alpha, x, y, p.Spans)
-		return
-	}
-	v.WAXPY(alpha, x, y)
-}
+func (p Params) vaxpy(v la.Vec, alpha float64, x la.Vec) { v.AXPYSpans(alpha, x, p.spans()) }
 
-func (p Params) vcopy(dst, src la.Vec) {
-	if p.windowed() {
-		dst.CopySpans(src, p.Spans)
-		return
-	}
-	dst.Copy(src)
-}
+func (p Params) vaypx(v la.Vec, alpha float64, x la.Vec) { v.AYPXSpans(alpha, x, p.spans()) }
 
-func (p Params) vscale(v la.Vec, alpha float64) {
-	if p.windowed() {
-		v.ScaleSpans(alpha, p.Spans)
-		return
-	}
-	v.Scale(alpha)
-}
+func (p Params) vwaxpy(v la.Vec, alpha float64, x, y la.Vec) { v.WAXPYSpans(alpha, x, y, p.spans()) }
 
-func (p Params) vzero(v la.Vec) {
-	if p.windowed() {
-		v.ZeroSpans(p.Spans)
-		return
-	}
-	v.Zero()
-}
+func (p Params) vcopy(dst, src la.Vec) { dst.CopySpans(src, p.spans()) }
+
+func (p Params) vscale(v la.Vec, alpha float64) { v.ScaleSpans(alpha, p.spans()) }
+
+func (p Params) vzero(v la.Vec) { v.ZeroSpans(p.spans()) }
 
 func (p Params) vclone(v la.Vec) la.Vec {
-	if p.windowed() {
-		w := la.NewVec(len(v))
-		w.CopySpans(v, p.Spans)
-		return w
-	}
-	return v.Clone()
+	w := la.NewVec(len(v))
+	w.CopySpans(v, p.spans())
+	return w
 }
 
 // hasNaN runs the full-vector NaN scan only on the shared-memory path:

@@ -18,7 +18,7 @@ import (
 // (j+2 reductions per iteration) to reorthogonalized classical
 // Gram–Schmidt — CGS2, "twice is enough" — with the norm recurrence
 // h_{j+1,j}² = (w,w) − Σᵢ h_{ij}²: exactly TWO batched reductions per
-// iteration regardless of the Krylov dimension j (see pipeline.go). A
+// iteration regardless of the Krylov dimension j (GCR does the same). A
 // single CGS pass would be one reduction, but its orthogonality decays
 // like ε·(‖r₀‖/‖r_j‖)², so the Givens residual estimate stagnates near
 // √ε relative and convergence past ~1e-8 is never detected; the second

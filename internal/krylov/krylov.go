@@ -89,12 +89,12 @@ type Params struct {
 	// application reads consistent halos. Nil disables the exchange.
 	Exchanger Exchanger
 
-	// Pipelined selects the single-reduce variants of CG, FGMRES and GCR
-	// (Chronopoulos–Gear recurrences / classical Gram–Schmidt with norm
-	// recurrences; see pipeline.go): every iteration folds all of its
-	// inner products into one batched reduction through the Reducer. It
-	// only takes effect with a non-nil Reducer — with Reducer == nil the
-	// flag is ignored and the solve runs the serial path bit-for-bit.
+	// Pipelined selects the latency-tolerant variants of CG, FGMRES and
+	// GCR (Chronopoulos–Gear recurrences: one batched reduction per
+	// iteration; CGS2 with norm recurrences: two, whatever the basis
+	// length; see pipeline.go). It only takes effect with a non-nil
+	// Reducer — with Reducer == nil the flag is ignored and the solve runs
+	// the serial path bit-for-bit.
 	Pipelined bool
 	// Spans, when non-empty on a rank-collective solve (Reducer != nil),
 	// windows every BLAS-1 update inside the solver to the listed index

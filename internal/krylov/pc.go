@@ -6,9 +6,10 @@ import (
 	"ptatin3d/internal/la"
 )
 
-// Jacobi is diagonal scaling: z = D⁻¹·r. Spans, when non-empty, windows
-// the scaling to the listed index ranges (a rank's owned+ghost rows on
-// the distributed path); InvDiag may be shared between instances.
+// Jacobi is diagonal scaling: z = D⁻¹·r. Spans windows the scaling to
+// the listed index ranges (a rank's owned+ghost rows on the distributed
+// path; nil is the whole vector); InvDiag may be shared between
+// instances.
 type Jacobi struct {
 	InvDiag la.Vec
 	Spans   []la.Span
@@ -30,11 +31,7 @@ func NewJacobi(diag la.Vec) *Jacobi {
 
 // Apply computes z = D⁻¹·r.
 func (j *Jacobi) Apply(r, z la.Vec) {
-	if len(j.Spans) > 0 {
-		z.PointwiseMultSpans(j.InvDiag, r, j.Spans)
-		return
-	}
-	z.PointwiseMult(j.InvDiag, r)
+	z.PointwiseMultSpans(j.InvDiag, r, j.Spans)
 }
 
 // ILUPC wraps an ILU(0) factorization as a preconditioner.

@@ -8,36 +8,21 @@ import (
 	"ptatin3d/internal/la"
 )
 
-// stripeReducer is a deterministic Reducer/BatchReducer that models the
-// raw-block-forwarding tree allreduce of internal/comm: indices are
-// partitioned into 64 fixed stripes, each stripe's partial is computed
-// locally, and the global value is the left-associated sum of the
-// stripe partials in stripe order. Grouping stripes into 1, 8 or 64
-// simulated ranks does not change the arithmetic — exactly the property
-// comm.AllReduceSumVec provides by forwarding raw per-rank blocks — so
-// a pipelined solve driven by this reducer is bit-identical across rank
-// counts by construction. Ranks is recorded only to document which
-// grouping a test instance stands for.
-type stripeReducer struct{ Ranks int }
+// rankReducer is a deterministic Reducer/BatchReducer with the arithmetic
+// of the rank-collective reducers (stokes.coupledReducer over
+// comm.AllReduceSumVec): indices are cut into Ranks contiguous blocks,
+// each block's partial is a plain left-to-right sum, and the global value
+// is the left-associated sum of the partials in rank order. The rounding
+// of every inner product therefore follows the decomposition, as it does
+// on the simulated fabric.
+type rankReducer struct{ Ranks int }
 
-const stripeCount = 64
-
-func (sr *stripeReducer) stripes(n int) [][2]int {
-	s := make([][2]int, 0, stripeCount)
-	for i := 0; i < stripeCount; i++ {
-		lo, hi := i*n/stripeCount, (i+1)*n/stripeCount
-		if lo < hi {
-			s = append(s, [2]int{lo, hi})
-		}
-	}
-	return s
-}
-
-func (sr *stripeReducer) Dot(x, y la.Vec) float64 {
+func (rr *rankReducer) Dot(x, y la.Vec) float64 {
+	n := len(x)
 	var sum float64
-	for _, st := range sr.stripes(len(x)) {
+	for r := 0; r < rr.Ranks; r++ {
 		var p float64
-		for i := st[0]; i < st[1]; i++ {
+		for i := r * n / rr.Ranks; i < (r+1)*n/rr.Ranks; i++ {
 			p += x[i] * y[i]
 		}
 		sum += p
@@ -45,10 +30,10 @@ func (sr *stripeReducer) Dot(x, y la.Vec) float64 {
 	return sum
 }
 
-func (sr *stripeReducer) DotBatch(xs, ys []la.Vec) []float64 {
+func (rr *rankReducer) DotBatch(xs, ys []la.Vec) []float64 {
 	out := make([]float64, len(xs))
 	for i := range xs {
-		out[i] = sr.Dot(xs[i], ys[i])
+		out[i] = rr.Dot(xs[i], ys[i])
 	}
 	return out
 }
@@ -73,7 +58,7 @@ func pipeRun(a *la.CSR, b la.Vec, method string, prm Params) (la.Vec, Result) {
 	return x, res
 }
 
-// TestPipelinedMatchesClassical is the property test of the single-reduce
+// TestPipelinedMatchesClassical is the property test of the pipelined
 // variants: on randomized SPD (CG) and nonsymmetric (GCR/FGMRES) systems
 // the pipelined solve must reach the same solution to ≤1e-10 and within
 // ±2 outer iterations of the classical variant.
@@ -109,7 +94,7 @@ func TestPipelinedMatchesClassical(t *testing.T) {
 				}
 
 				prm.Pipelined = true
-				prm.Reducer = &stripeReducer{Ranks: 1}
+				prm.Reducer = &rankReducer{Ranks: 8}
 				xp, rp := pipeRun(a, b, c.method, prm)
 				if !rp.Converged {
 					t.Fatalf("seed %d: pipelined %s did not converge: %+v", seed, c.method, rp)
@@ -128,13 +113,13 @@ func TestPipelinedMatchesClassical(t *testing.T) {
 	}
 }
 
-// TestPipelinedBitIdenticalAcrossRankCounts: the pipelined trajectory
-// depends on the system, the RHS and the reducer's outputs — nothing
-// else. With a reducer whose values are independent of how indices are
-// grouped into ranks (the raw-block-forwarding scheme of
-// comm.AllReduceSumVec, modeled here by fixed stripes), solves standing
-// for 1, 8 and 64 ranks must produce bit-identical iterates.
-func TestPipelinedBitIdenticalAcrossRankCounts(t *testing.T) {
+// TestPipelinedAcrossRankCounts: a reducer's rounding follows the
+// decomposition, so pipelined trajectories are not bit-identical across
+// rank counts — what must hold at every count is what holds against the
+// classical method: the same solution to 1e-10 and the same iteration
+// count ±2. (An earlier form of this test claimed bit-identity and
+// "proved" it with a reducer whose sums ignored its rank count.)
+func TestPipelinedAcrossRankCounts(t *testing.T) {
 	for _, method := range []string{"cg", "gcr", "fgmres"} {
 		t.Run(method, func(t *testing.T) {
 			var a *la.CSR
@@ -146,34 +131,27 @@ func TestPipelinedBitIdenticalAcrossRankCounts(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			b := randVec(rng, a.NRows)
 
-			var ref la.Vec
-			var refRes Result
+			prm := DefaultParams()
+			prm.RTol = 1e-10
+			prm.MaxIt = 500
+			ref, refRes := pipeRun(a, b, method, prm)
+			if !refRes.Converged {
+				t.Fatalf("classical %s did not converge: %+v", method, refRes)
+			}
+			prm.Pipelined = true
 			for _, ranks := range []int{1, 8, 64} {
-				prm := DefaultParams()
-				prm.RTol = 1e-10
-				prm.MaxIt = 500
-				prm.Pipelined = true
-				prm.Reducer = &stripeReducer{Ranks: ranks}
+				prm.Reducer = &rankReducer{Ranks: ranks}
 				x, res := pipeRun(a, b, method, prm)
 				if !res.Converged {
 					t.Fatalf("ranks=%d: did not converge: %+v", ranks, res)
 				}
-				if ref == nil {
-					ref, refRes = x, res
-					continue
+				if d := res.Iterations - refRes.Iterations; d < -2 || d > 2 {
+					t.Fatalf("ranks=%d: %d iterations vs %d classical", ranks, res.Iterations, refRes.Iterations)
 				}
-				if res.Iterations != refRes.Iterations {
-					t.Fatalf("ranks=%d: %d iterations vs %d at ranks=1", ranks, res.Iterations, refRes.Iterations)
-				}
-				if math.Float64bits(res.Residual) != math.Float64bits(refRes.Residual) {
-					t.Fatalf("ranks=%d: final residual %x differs from %x", ranks,
-						math.Float64bits(res.Residual), math.Float64bits(refRes.Residual))
-				}
-				for i := range x {
-					if math.Float64bits(x[i]) != math.Float64bits(ref[i]) {
-						t.Fatalf("ranks=%d: x[%d] = %x differs from %x", ranks, i,
-							math.Float64bits(x[i]), math.Float64bits(ref[i]))
-					}
+				diff := x.Clone()
+				diff.AXPY(-1, ref)
+				if rel := diff.Norm2() / ref.Norm2(); rel > 1e-10 {
+					t.Fatalf("ranks=%d: solution deviates from classical: rel %.3e", ranks, rel)
 				}
 			}
 		})

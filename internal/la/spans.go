@@ -5,7 +5,20 @@ package la
 // rank's full-length vector copy, so BLAS-1 work (and the pages actually
 // touched) stay O(n/P) per rank even though every rank allocates
 // full-length vectors for index compatibility.
+//
+// Every *Spans operation below takes a nil span list to mean the whole
+// vector: the shared-memory solve is the one-window case of the same
+// loops, element for element, so code written over a layout needs no
+// second branch for "no layout".
 type Span struct{ Lo, Hi int }
+
+// windows resolves a span list against v: nil is the whole vector.
+func (v Vec) windows(spans []Span) []Span {
+	if spans == nil {
+		return []Span{{0, len(v)}}
+	}
+	return spans
+}
 
 // AppendSpan appends [lo, hi) to spans, extending the last span instead
 // when it ends exactly at lo — so ascending runs of adjacent windows merge.
@@ -28,7 +41,7 @@ func SpanLen(spans []Span) int {
 
 // ZeroSpans zeroes v on the spans.
 func (v Vec) ZeroSpans(spans []Span) {
-	for _, s := range spans {
+	for _, s := range v.windows(spans) {
 		w := v[s.Lo:s.Hi]
 		for i := range w {
 			w[i] = 0
@@ -38,14 +51,14 @@ func (v Vec) ZeroSpans(spans []Span) {
 
 // CopySpans copies src into v on the spans.
 func (v Vec) CopySpans(src Vec, spans []Span) {
-	for _, s := range spans {
+	for _, s := range v.windows(spans) {
 		copy(v[s.Lo:s.Hi], src[s.Lo:s.Hi])
 	}
 }
 
 // ScaleSpans multiplies v by alpha on the spans.
 func (v Vec) ScaleSpans(alpha float64, spans []Span) {
-	for _, s := range spans {
+	for _, s := range v.windows(spans) {
 		w := v[s.Lo:s.Hi]
 		for i := range w {
 			w[i] *= alpha
@@ -55,7 +68,7 @@ func (v Vec) ScaleSpans(alpha float64, spans []Span) {
 
 // SetSpans fills v with alpha on the spans.
 func (v Vec) SetSpans(alpha float64, spans []Span) {
-	for _, s := range spans {
+	for _, s := range v.windows(spans) {
 		w := v[s.Lo:s.Hi]
 		for i := range w {
 			w[i] = alpha
@@ -65,7 +78,7 @@ func (v Vec) SetSpans(alpha float64, spans []Span) {
 
 // AXPYSpans computes v += alpha*x on the spans.
 func (v Vec) AXPYSpans(alpha float64, x Vec, spans []Span) {
-	for _, s := range spans {
+	for _, s := range v.windows(spans) {
 		w, u := v[s.Lo:s.Hi], x[s.Lo:s.Hi]
 		for i := range w {
 			w[i] += alpha * u[i]
@@ -75,7 +88,7 @@ func (v Vec) AXPYSpans(alpha float64, x Vec, spans []Span) {
 
 // AYPXSpans computes v = alpha*v + x on the spans.
 func (v Vec) AYPXSpans(alpha float64, x Vec, spans []Span) {
-	for _, s := range spans {
+	for _, s := range v.windows(spans) {
 		w, u := v[s.Lo:s.Hi], x[s.Lo:s.Hi]
 		for i := range w {
 			w[i] = alpha*w[i] + u[i]
@@ -85,7 +98,7 @@ func (v Vec) AYPXSpans(alpha float64, x Vec, spans []Span) {
 
 // WAXPYSpans computes v = alpha*x + y on the spans.
 func (v Vec) WAXPYSpans(alpha float64, x, y Vec, spans []Span) {
-	for _, s := range spans {
+	for _, s := range v.windows(spans) {
 		w, u, t := v[s.Lo:s.Hi], x[s.Lo:s.Hi], y[s.Lo:s.Hi]
 		for i := range w {
 			w[i] = alpha*u[i] + t[i]
@@ -95,7 +108,7 @@ func (v Vec) WAXPYSpans(alpha float64, x, y Vec, spans []Span) {
 
 // PointwiseMultSpans computes v = a.*b on the spans.
 func (v Vec) PointwiseMultSpans(a, b Vec, spans []Span) {
-	for _, s := range spans {
+	for _, s := range v.windows(spans) {
 		w, p, q := v[s.Lo:s.Hi], a[s.Lo:s.Hi], b[s.Lo:s.Hi]
 		for i := range w {
 			w[i] = p[i] * q[i]

@@ -10,16 +10,18 @@ import (
 )
 
 // Rank-distributed multigrid (paper §II-D + §III-C): every rank runs the
-// same V-cycle on its own full-length vector copies, valid on the
-// owned+ghost node region of its per-level Layout. Each level's smoother
-// and residual evaluation go through a distributed operator whose halo
-// exchange runs over the reliable channel layer, with interior-element
-// compute overlapped with the in-flight boundary exchange (the paper's
-// latency-hiding pattern). Restriction scatters each rank's owned fine
-// nodes and owner-reduces the coarse partials; prolongation is entirely
+// one V-cycle (cycle.go) on its own full-length vector copies, valid on
+// the owned+ghost node region of its per-level Layout. This file holds
+// only what depends on that layout: the halo operators — boundary
+// elements first, interior compute overlapped with the in-flight partial
+// sums (the paper's latency-hiding pattern) — the transfers over the
+// rank's node boxes, and the collective coarse solve. Restriction is the
+// shared owner-computes gather over the rank's owned coarse box, whose
+// fine reads the level operator's exchange has just made valid, followed
+// by one owner broadcast to the coarse ghosts; prolongation is entirely
 // local (coarse ghost regions cover every read). The coarsest level is
-// gathered to rank 0, solved with the shared coarse solver, and
-// broadcast.
+// gathered to rank 0 (or to the block roots of an Agg layout), solved
+// with the shared coarse solver, and broadcast.
 //
 // DistMG is a per-rank view over a shared, read-only *MG hierarchy: the
 // level problems, Chebyshev intervals, Jacobi diagonals and the coarse
@@ -50,32 +52,24 @@ func ValidateNestedDecomps(decomps []*comm.Decomp) error {
 	return nil
 }
 
-// distLevel is one rank's view of one hierarchy level.
-type distLevel struct {
-	dist     *comm.Dist
-	op       krylov.Op // distributed operator (halo-exchanging)
-	smoother *krylov.Chebyshev
-	prob     *fem.Problem
-	spans    []la.Span // velocity-dof windows of the rank's ext box
-	r, e, bc la.Vec
-}
-
 // DistMG is one rank's distributed V-cycle preconditioner over a shared
-// hierarchy. Build one per rank goroutine with NewDist; Apply has the
-// krylov.Preconditioner signature, so it slots into the distributed
-// field-split unchanged. Exchange failures cannot surface through
-// Preconditioner.Apply, so they are recorded sticky: check Err after
-// the solve.
+// hierarchy: NewDist's construction of the rank's view of every level,
+// the collective coarse solve, and a sticky error. Build one per rank
+// goroutine; Apply has the krylov.Preconditioner signature, so it is the
+// field split's viscous-block solve unchanged. Exchange failures cannot
+// surface through Preconditioner.Apply, so they are recorded sticky:
+// check Err after the solve.
 //
 // All per-level vector work is windowed to the rank's owned+ghost index
 // spans: vectors are still allocated full length (index compatibility
 // with the shared hierarchy), but only the rank's own pages are ever
 // touched, keeping per-rank V-cycle work O(n/P) at 64–512 ranks.
 type DistMG struct {
-	base *MG
-	lev  []*distLevel
-	agg  *comm.Agg
-	err  error
+	cycle
+	base   *MG
+	coarse *comm.Dist // the coarsest level's exchange handle
+	agg    *comm.Agg
+	err    error
 }
 
 // DistOptions tunes a distributed V-cycle view.
@@ -86,7 +80,7 @@ type DistOptions struct {
 	Agg *comm.Agg
 }
 
-// distOpErr records the first exchange failure (sticky).
+// noteErr records the first exchange failure (sticky).
 func (m *DistMG) noteErr(err error) {
 	if m.err == nil && err != nil {
 		m.err = err
@@ -210,32 +204,37 @@ func NewDist(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
 		return nil, fmt.Errorf("mg: agglomeration sized for %d ranks on a %d-rank world",
 			opt.Agg.Size, dists[0].R.W.Size())
 	}
-	m := &DistMG{base: base, agg: opt.Agg}
+	m := &DistMG{base: base, coarse: dists[len(dists)-1], agg: opt.Agg}
+	m.coarsest = m.solveCoarsest
 	for l, lev := range base.Levels {
 		if lev.Prob == nil {
 			return nil, fmt.Errorf("mg: level %d has no problem (algebraic level)", l)
 		}
-		dl := &distLevel{dist: dists[l], prob: lev.Prob, spans: dists[l].L.VelSpans()}
+		spans := dists[l].L.VelSpans()
+		v := levelView{spans: spans}
 		if lev.Blocked != nil {
-			dl.op = &haloElementOp{mg: m, dist: dists[l],
-				k: lev.Blocked.R, mask: lev.Prob.BC.Mask, spans: dl.spans}
+			v.op = &haloElementOp{mg: m, dist: dists[l],
+				k: lev.Blocked.R, mask: lev.Prob.BC.Mask, spans: spans}
 		} else if csr := lev.Op.CSR(); csr != nil {
-			dl.op = &haloCSROp{mg: m, dist: dists[l], a: csr, spans: dl.spans}
+			v.op = &haloCSROp{mg: m, dist: dists[l], a: csr, spans: spans}
 		} else {
-			dl.op = &haloElementOp{mg: m, dist: dists[l],
-				k: fem.NewTensor(lev.Prob), mask: lev.Prob.BC.Mask, spans: dl.spans}
+			v.op = &haloElementOp{mg: m, dist: dists[l],
+				k: fem.NewTensor(lev.Prob), mask: lev.Prob.BC.Mask, spans: spans}
 		}
 		sm := lev.Smoother
 		// The smoother's Jacobi diagonal is shared read-only; wrap it in
 		// a windowed instance so the smoother's BLAS stays O(n/P) too.
 		msm := sm.M
 		if jac, ok := msm.(*krylov.Jacobi); ok {
-			msm = &krylov.Jacobi{InvDiag: jac.InvDiag, Spans: dl.spans}
+			msm = &krylov.Jacobi{InvDiag: jac.InvDiag, Spans: spans}
 		}
-		dl.smoother = &krylov.Chebyshev{A: dl.op, M: msm, Lo: sm.Lo, Hi: sm.Hi, Steps: sm.Steps, Spans: dl.spans}
+		v.smoother = &krylov.Chebyshev{A: v.op, M: msm, Lo: sm.Lo, Hi: sm.Hi, Steps: sm.Steps, Spans: spans}
+		if l > 0 {
+			v.p = rankTransfer{p: lev.P, fine: dists[l-1].L, coarse: dists[l], mg: m}
+		}
 		n := lev.Op.N()
-		dl.r, dl.e, dl.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
-		m.lev = append(m.lev, dl)
+		v.r, v.e, v.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
+		m.lev = append(m.lev, v)
 	}
 	return m, nil
 }
@@ -247,221 +246,52 @@ func (m *DistMG) Apply(r, z la.Vec) {
 	m.vcycle(0, r, z)
 }
 
-// vcycle improves x, zero on the rank's spans on entry, towards A⁻¹·b.
-func (m *DistMG) vcycle(l int, b, x la.Vec) {
-	dl := m.lev[l]
-	if l == len(m.lev)-1 {
-		m.coarsest(l, b, x)
-		return
-	}
-	// Pre-smooth.
-	dl.smoother.Smooth(b, x, true)
-	// Residual and restriction.
-	dl.op.Apply(x, dl.r)
-	dl.r.AYPXSpans(-1, b, dl.spans)
-	next := m.lev[l+1]
-	m.noteErr(distRestrict(m.base.Levels[l+1].P, dl.dist.L, next.dist, dl.r, next.bc, next.spans))
-	// Coarse correction.
-	next.e.ZeroSpans(next.spans)
-	m.vcycle(l+1, next.bc, next.e)
-	distProlong(m.base.Levels[l+1].P, dl.dist.L, next.e, dl.e)
-	x.AXPYSpans(1, dl.e, dl.spans)
-	// Post-smooth.
-	dl.smoother.Smooth(b, x, false)
+// rankTransfer is the transfer between two levels over one rank's node
+// boxes: the same stencil and the same gather as the whole grid's.
+type rankTransfer struct {
+	p      *Prolongation
+	fine   *comm.Layout // the finer level's layout
+	coarse *comm.Dist   // the coarser level's exchange handle
+	mg     *DistMG
 }
 
-// coarsest solves the coarsest level collectively into the zeroed x
+// Apply interpolates over the rank's fine owned+ghost box. Every coarse
+// node it reads lies inside the coarse owned+ghost box — nested
+// decompositions guarantee it — so prolongation needs no communication.
+func (t rankTransfer) Apply(uc, uf la.Vec) { t.p.applyBox(t.fine.Ext, uc, uf) }
+
+// ApplyTranspose gathers the rank's owned coarse nodes — for a fine
+// element range [a,b) along an axis the owned coarse nodes [a+1,b] read
+// the fine nodes [2a+1,2b+1], inside the fine owned+ghost range
+// [2a,2b+3) — and broadcasts them to the coarse ghosts: one exchange
+// phase, owned rows bitwise equal to Prolongation.ApplyTranspose.
+func (t rankTransfer) ApplyTranspose(rf, rc la.Vec) {
+	t.p.restrictBox(t.coarse.L.Owned, rf, rc)
+	t.mg.noteErr(t.coarse.Broadcast(rc))
+}
+
+// solveCoarsest solves the coarsest level collectively into the zeroed x
 // (every level is entered from a zero guess): without an Agg
 // layout, gather the right-hand side to rank 0, apply the shared
 // coarse solver there, and broadcast; with one, funnel to the block
 // roots and solve redundantly on each (comm.AggGatherSolveBroadcast),
 // idle clients pre-zeroing the finer level's correction buffer — the
 // next write target after the coarse solve — while the roots work.
-func (m *DistMG) coarsest(l int, b, x la.Vec) {
-	dl := m.lev[l]
+func (m *DistMG) solveCoarsest(b, x la.Vec) {
 	if m.base.CoarseSolve == nil {
-		dl.smoother.Smooth(b, x, true)
+		m.smoothOnly(b, x)
 		return
 	}
-	var overlap func()
-	if l > 0 {
-		finer := m.lev[l-1]
-		overlap = func() { finer.e.ZeroSpans(finer.spans) }
-	}
-	if m.agg != nil {
-		m.noteErr(dl.dist.AggGatherSolveBroadcast(m.agg, b, x, func() {
-			// Several block roots run the shared solver redundantly
-			// and concurrently; serialize (identical answers).
-			m.base.coarseMu.Lock()
+	if m.agg == nil {
+		m.noteErr(m.coarse.GatherSolveBroadcast(b, x, func() {
 			m.base.CoarseSolve.Apply(b, x)
-			m.base.coarseMu.Unlock()
-		}, overlap))
+		}))
 		return
 	}
-	m.noteErr(dl.dist.GatherSolveBroadcast(b, x, func() {
+	finer := &m.lev[len(m.lev)-2] // Build wants two levels
+	m.noteErr(m.coarse.AggGatherSolveBroadcast(m.agg, b, x, func() {
+		m.base.coarseMu.Lock()
 		m.base.CoarseSolve.Apply(b, x)
-	}))
-}
-
-// distRestrict computes the rank's share of rc = Pᵀ·rf: scatter from
-// the fine owned node box only (owned boxes partition the fine grid, so
-// no contribution is counted twice), then owner-reduce the coarse
-// partials and broadcast totals — the same halo pattern as an operator
-// apply. Coarse constrained rows are zeroed on their owners before the
-// return broadcast, mirroring the serial ApplyTranspose.
-func distRestrict(p *Prolongation, fine *comm.Layout, coarse *comm.Dist, rf, rc la.Vec, cspans []la.Span) error {
-	f, c := p.Fine, p.Coarse
-	var cmask, fmask []bool
-	if p.CoarseBC != nil {
-		cmask = p.CoarseBC.Mask
-	}
-	if p.FineBC != nil {
-		fmask = p.FineBC.Mask
-	}
-	// The coarse stencil of the fine owned box lies inside the coarse
-	// ext box (nested decompositions), so windowed zeroing suffices.
-	rc.ZeroSpans(cspans)
-	b := fine.Owned
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		k0, k1, wk0, wk1 := stencil1D(k)
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			j0, j1, wj0, wj1 := stencil1D(j)
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				i0, i1, wi0, wi1 := stencil1D(i)
-				fd := 3 * f.NodeID(i, j, k)
-				var v [3]float64
-				for a := 0; a < 3; a++ {
-					if fmask != nil && fmask[fd+a] {
-						v[a] = 0
-					} else {
-						v[a] = rf[fd+a]
-					}
-				}
-				if v[0] == 0 && v[1] == 0 && v[2] == 0 {
-					continue
-				}
-				add := func(ci, cj, ck int, w float64) {
-					if w == 0 {
-						return
-					}
-					cd := 3 * c.NodeID(ci, cj, ck)
-					for a := 0; a < 3; a++ {
-						rc[cd+a] += w * v[a]
-					}
-				}
-				for _, kk := range [2]struct {
-					idx int
-					w   float64
-				}{{k0, wk0}, {k1, wk1}} {
-					if kk.idx < 0 {
-						continue
-					}
-					for _, jj := range [2]struct {
-						idx int
-						w   float64
-					}{{j0, wj0}, {j1, wj1}} {
-						if jj.idx < 0 {
-							continue
-						}
-						if i0 >= 0 {
-							add(i0, jj.idx, kk.idx, wi0*jj.w*kk.w)
-						}
-						if i1 >= 0 {
-							add(i1, jj.idx, kk.idx, wi1*jj.w*kk.w)
-						}
-					}
-				}
-			}
-		}
-	}
-	fixup := func() {
-		if cmask == nil {
-			return
-		}
-		cb := coarse.L.Owned
-		for k := cb.Lo[2]; k < cb.Hi[2]; k++ {
-			for j := cb.Lo[1]; j < cb.Hi[1]; j++ {
-				row := (k*c.NPy + j) * c.NPx
-				for i := cb.Lo[0]; i < cb.Hi[0]; i++ {
-					d := 3 * (row + i)
-					for a := 0; a < 3; a++ {
-						if cmask[d+a] {
-							rc[d+a] = 0
-						}
-					}
-				}
-			}
-		}
-	}
-	return coarse.ReduceBroadcast(rc, nil, fixup)
-}
-
-// distProlong computes uf = P·uc over the rank's extended (owned+ghost)
-// fine node box. Every coarse node it reads lies inside the coarse
-// extended box — nested decompositions guarantee it — so prolongation
-// needs no communication at all.
-func distProlong(p *Prolongation, fine *comm.Layout, uc, uf la.Vec) {
-	f, c := p.Fine, p.Coarse
-	var cmask, fmask []bool
-	if p.CoarseBC != nil {
-		cmask = p.CoarseBC.Mask
-	}
-	if p.FineBC != nil {
-		fmask = p.FineBC.Mask
-	}
-	// No zeroing: the loop below assigns every node of the ext box, and
-	// entries outside it are never read on the windowed path.
-	b := fine.Ext
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		k0, k1, wk0, wk1 := stencil1D(k)
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			j0, j1, wj0, wj1 := stencil1D(j)
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				i0, i1, wi0, wi1 := stencil1D(i)
-				fd := 3 * f.NodeID(i, j, k)
-				var v [3]float64
-				acc := func(ci, cj, ck int, w float64) {
-					if w == 0 {
-						return
-					}
-					cd := 3 * c.NodeID(ci, cj, ck)
-					for a := 0; a < 3; a++ {
-						if cmask != nil && cmask[cd+a] {
-							continue
-						}
-						v[a] += w * uc[cd+a]
-					}
-				}
-				for _, kk := range [2]struct {
-					idx int
-					w   float64
-				}{{k0, wk0}, {k1, wk1}} {
-					if kk.idx < 0 {
-						continue
-					}
-					for _, jj := range [2]struct {
-						idx int
-						w   float64
-					}{{j0, wj0}, {j1, wj1}} {
-						if jj.idx < 0 {
-							continue
-						}
-						if i0 >= 0 {
-							acc(i0, jj.idx, kk.idx, wi0*jj.w*kk.w)
-						}
-						if i1 >= 0 {
-							acc(i1, jj.idx, kk.idx, wi1*jj.w*kk.w)
-						}
-					}
-				}
-				for a := 0; a < 3; a++ {
-					if fmask != nil && fmask[fd+a] {
-						uf[fd+a] = 0
-					} else {
-						uf[fd+a] = v[a]
-					}
-				}
-			}
-		}
-	}
+		m.base.coarseMu.Unlock()
+	}, func() { finer.e.ZeroSpans(finer.spans) }))
 }

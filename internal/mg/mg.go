@@ -26,18 +26,9 @@ type Level struct {
 	// full-grid form of the same recurrence — what levels without
 	// resident backing run, and where distributed views read the interval.
 	Blocked *fem.BlockedChebyshev
-	P       *Prolongation // transfer from the next-coarser level (nil on coarsest)
+	P       *Prolongation // transfer to and from the next-finer level (nil on the finest)
 
 	r, e, bc la.Vec // work vectors
-}
-
-// smooth runs the level's smoother: blocked on resident-backed levels.
-func (lev *Level) smooth(b, x la.Vec, zeroGuess bool) {
-	if lev.Blocked != nil {
-		lev.Blocked.Smooth(b, x, zeroGuess)
-		return
-	}
-	lev.Smoother.Smooth(b, x, zeroGuess)
 }
 
 // MG is a geometric multigrid V-cycle preconditioner for the viscous
@@ -54,12 +45,13 @@ type MG struct {
 	coarseT *telemetry.Timer   // coarse-solve wall time
 	coarseC *telemetry.Counter // coarse-solve applications
 
-	// coarseMu serializes redundant agglomerated coarse solves: the
-	// shared CoarseSolve may hold internal work state, and with
-	// agglomeration several rank goroutines apply it concurrently
-	// (identical inputs). On the one-core simulation host serializing
-	// costs nothing; each root still gets the identical answer.
+	// coarseMu guards CoarseSolve's internal work state (Chebyshev and CG
+	// work vectors, ASM subdomain buffers): with agglomeration several
+	// block-root goroutines apply the one shared solver to identical
+	// inputs, and each must run it alone to get the identical answer.
 	coarseMu sync.Mutex
+
+	whole cycle // the cycle's view of Levels, re-read by every Apply
 }
 
 // levelTel caches one level's telemetry handles. The zero value (all nil)
@@ -349,61 +341,38 @@ func (m *MG) UseBlockJacobiCoarse(nblocks int) error {
 // Apply runs one V-cycle as a preconditioner: z ≈ A⁻¹·r.
 func (m *MG) Apply(r, z la.Vec) {
 	z.Zero()
-	m.vcycle(0, r, z, true)
+	m.cycles.Inc()
+	m.view().vcycle(0, r, z)
 }
 
-// VCycle exposes a single V-cycle from an existing iterate (x updated in
-// place).
-func (m *MG) VCycle(b, x la.Vec) { m.vcycle(0, b, x, false) }
-
-func (m *MG) vcycle(l int, b, x la.Vec, zeroGuess bool) {
-	lev := m.Levels[l]
-	lt := m.lt(l)
-	if l == 0 {
-		m.cycles.Inc()
+// view returns the cycle over the whole grid: every level's operator,
+// its smoother — blocked on resident-backed levels — its transfer and
+// work vectors, with nil spans. Levels is read afresh on every call:
+// Refresh replaces the smoothers, callers may replace CoarseSolve.
+func (m *MG) view() *cycle {
+	c := &m.whole
+	if len(c.lev) != len(m.Levels) {
+		c.lev = make([]levelView, len(m.Levels))
+		c.coarsest = m.coarsest
 	}
-	if l == len(m.Levels)-1 {
-		if m.CoarseSolve == nil {
-			// Fall back to smoothing only.
-			st := lt.smooth.Start()
-			lev.smooth(b, x, zeroGuess)
-			lt.smooth.Stop(st)
-			lt.smooths.Inc()
-			return
+	for l, lev := range m.Levels {
+		v := levelView{op: lev.Op, smoother: lev.Smoother, p: lev.P, r: lev.r, e: lev.e, bc: lev.bc, tel: m.lt(l)}
+		if lev.Blocked != nil {
+			v.smoother = lev.Blocked
 		}
-		// The coarsest level (never level 0: Build wants two levels) is
-		// only ever entered from the zeroed correction below.
-		st := m.coarseT.Start()
-		m.CoarseSolve.Apply(b, x)
-		m.coarseT.Stop(st)
-		m.coarseC.Inc()
+		c.lev[l] = v
+	}
+	return c
+}
+
+// coarsest applies the coarse solver (smoothing only without one).
+func (m *MG) coarsest(b, x la.Vec) {
+	if m.CoarseSolve == nil {
+		m.whole.smoothOnly(b, x)
 		return
 	}
-	// Pre-smooth.
-	st := lt.smooth.Start()
-	lev.smooth(b, x, zeroGuess)
-	lt.smooth.Stop(st)
-	lt.smooths.Inc()
-	// Residual and restriction.
-	st = lt.op.Start()
-	lev.Op.Apply(x, lev.r)
-	lt.op.Stop(st)
-	lt.ops.Inc()
-	lev.r.AYPX(-1, b)
-	next := m.Levels[l+1]
-	st = lt.restrict.Start()
-	next.P.ApplyTranspose(lev.r, next.bc)
-	lt.restrict.Stop(st)
-	// Coarse correction, from a zero guess.
-	next.e.Zero()
-	m.vcycle(l+1, next.bc, next.e, true)
-	st = lt.prolong.Start()
-	next.P.Apply(next.e, lev.e)
-	lt.prolong.Stop(st)
-	x.AXPY(1, lev.e)
-	// Post-smooth.
-	st = lt.smooth.Start()
-	lev.smooth(b, x, false)
-	lt.smooth.Stop(st)
-	lt.smooths.Inc()
+	st := m.coarseT.Start()
+	m.CoarseSolve.Apply(b, x)
+	m.coarseT.Stop(st)
+	m.coarseC.Inc()
 }

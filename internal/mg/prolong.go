@@ -8,6 +8,7 @@
 package mg
 
 import (
+	"ptatin3d/internal/comm"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/par"
@@ -44,58 +45,81 @@ func stencil1D(i int) (i0, i1 int, w0, w1 float64) {
 	return (i - 1) / 2, (i + 1) / 2, 0.5, 0.5
 }
 
-// Apply computes uf = P·uc.
-func (p *Prolongation) Apply(uc, uf la.Vec) {
-	f, c := p.Fine, p.Coarse
-	if len(uc) != c.NVelDOF() || len(uf) != f.NVelDOF() {
-		panic("mg: prolongation length mismatch")
+// stencil lists the coarse nodes interpolating fine node (i, j, k) — first
+// velocity dof cd[t] and trilinear weight w[t] for t < n ≤ 8 — in
+// {k0,k1}×{j0,j1}×{i0,i1} order: the one enumeration of the transfer
+// stencil, behind prolongation on any box and the assembled form.
+func (p *Prolongation) stencil(i, j, k int, cd *[8]int, w *[8]float64) (n int) {
+	i0, i1, wi0, wi1 := stencil1D(i)
+	j0, j1, wj0, wj1 := stencil1D(j)
+	k0, k1, wk0, wk1 := stencil1D(k)
+	for _, kk := range [2]struct {
+		idx int
+		w   float64
+	}{{k0, wk0}, {k1, wk1}} {
+		if kk.idx < 0 {
+			continue
+		}
+		for _, jj := range [2]struct {
+			idx int
+			w   float64
+		}{{j0, wj0}, {j1, wj1}} {
+			if jj.idx < 0 {
+				continue
+			}
+			cd[n], w[n] = 3*p.Coarse.NodeID(i0, jj.idx, kk.idx), wi0*jj.w*kk.w
+			n++
+			if i1 >= 0 {
+				cd[n], w[n] = 3*p.Coarse.NodeID(i1, jj.idx, kk.idx), wi1*jj.w*kk.w
+				n++
+			}
+		}
 	}
-	var cmask, fmask []bool
+	return n
+}
+
+// masks returns the constraint masks of the two meshes (nil without BCs).
+func (p *Prolongation) masks() (cmask, fmask []bool) {
 	if p.CoarseBC != nil {
 		cmask = p.CoarseBC.Mask
 	}
 	if p.FineBC != nil {
 		fmask = p.FineBC.Mask
 	}
-	par.ForItems(p.Workers, f.NPz, func(k int) {
-		k0, k1, wk0, wk1 := stencil1D(k)
-		for j := 0; j < f.NPy; j++ {
-			j0, j1, wj0, wj1 := stencil1D(j)
-			for i := 0; i < f.NPx; i++ {
-				i0, i1, wi0, wi1 := stencil1D(i)
-				fd := 3 * f.NodeID(i, j, k)
+	return cmask, fmask
+}
+
+// wholeBox is the node box of an entire mesh.
+func wholeBox(da *mesh.DA) comm.Box {
+	return comm.Box{Hi: [3]int{da.NPx, da.NPy, da.NPz}}
+}
+
+// Apply computes uf = P·uc.
+func (p *Prolongation) Apply(uc, uf la.Vec) {
+	if len(uc) != p.Coarse.NVelDOF() || len(uf) != p.Fine.NVelDOF() {
+		panic("mg: prolongation length mismatch")
+	}
+	p.applyBox(wholeBox(p.Fine), uc, uf)
+}
+
+// applyBox interpolates into the fine nodes of box b, k-planes over the
+// worker pool: the whole mesh for Apply, a rank's owned+ghost box on the
+// distributed path. Every coarse node read lies in the coarse box nested
+// under b, so a rank's prolongation needs no communication.
+func (p *Prolongation) applyBox(b comm.Box, uc, uf la.Vec) {
+	cmask, fmask := p.masks()
+	par.ForItems(p.Workers, b.Hi[2]-b.Lo[2], func(dk int) {
+		k := b.Lo[2] + dk
+		var cd [8]int
+		var w [8]float64
+		for j := b.Lo[1]; j < b.Hi[1]; j++ {
+			for i := b.Lo[0]; i < b.Hi[0]; i++ {
+				fd := 3 * p.Fine.NodeID(i, j, k)
 				var v [3]float64
-				acc := func(ci, cj, ck int, w float64) {
-					if w == 0 {
-						return
-					}
-					cd := 3 * c.NodeID(ci, cj, ck)
+				for t, n := 0, p.stencil(i, j, k, &cd, &w); t < n; t++ {
 					for a := 0; a < 3; a++ {
-						if cmask != nil && cmask[cd+a] {
-							continue
-						}
-						v[a] += w * uc[cd+a]
-					}
-				}
-				for _, kk := range [2]struct {
-					idx int
-					w   float64
-				}{{k0, wk0}, {k1, wk1}} {
-					if kk.idx < 0 {
-						continue
-					}
-					for _, jj := range [2]struct {
-						idx int
-						w   float64
-					}{{j0, wj0}, {j1, wj1}} {
-						if jj.idx < 0 {
-							continue
-						}
-						if i0 >= 0 {
-							acc(i0, jj.idx, kk.idx, wi0*jj.w*kk.w)
-						}
-						if i1 >= 0 {
-							acc(i1, jj.idx, kk.idx, wi1*jj.w*kk.w)
+						if cmask == nil || !cmask[cd[t]+a] {
+							v[a] += w[t] * uc[cd[t]+a]
 						}
 					}
 				}
@@ -117,17 +141,20 @@ func (p *Prolongation) Apply(uc, uf la.Vec) {
 // fine grid would add them in — so coarse rows are independent, run on
 // Workers pool workers, and sum identically at any worker count.
 func (p *Prolongation) ApplyTranspose(rf, rc la.Vec) {
-	f, c := p.Fine, p.Coarse
-	if len(rc) != c.NVelDOF() || len(rf) != f.NVelDOF() {
+	if len(rc) != p.Coarse.NVelDOF() || len(rf) != p.Fine.NVelDOF() {
 		panic("mg: restriction length mismatch")
 	}
-	var cmask, fmask []bool
-	if p.CoarseBC != nil {
-		cmask = p.CoarseBC.Mask
-	}
-	if p.FineBC != nil {
-		fmask = p.FineBC.Mask
-	}
+	p.restrictBox(wholeBox(p.Coarse), rf, rc)
+}
+
+// restrictBox gathers into the coarse nodes of box b: the whole mesh for
+// ApplyTranspose, a rank's owned coarse box on the distributed path. The
+// fine nodes read — one ring around each coarse node's image — lie in the
+// rank's fine owned+ghost box, and each coarse node sums as it does on
+// the whole mesh, so a rank's owned rows equal the shared ones bit for bit.
+func (p *Prolongation) restrictBox(b comm.Box, rf, rc la.Vec) {
+	f, c := p.Fine, p.Coarse
+	cmask, fmask := p.masks()
 	// weight of fine index fi in the stencil of the coarse node at 2·ci.
 	weight := func(fi, ci int) float64 {
 		if fi == 2*ci {
@@ -135,10 +162,12 @@ func (p *Prolongation) ApplyTranspose(rf, rc la.Vec) {
 		}
 		return 0.5
 	}
-	par.For(p.Workers, c.NPz*c.NPy, func(lo, hi int) {
+	i0, i1, j0, k0 := b.Lo[0], b.Hi[0], b.Lo[1], b.Lo[2]
+	ny := b.Hi[1] - j0
+	par.For(p.Workers, (b.Hi[2]-k0)*ny, func(lo, hi int) {
 		for row := lo; row < hi; row++ {
-			ck, cj := row/c.NPy, row%c.NPy
-			for ci := 0; ci < c.NPx; ci++ {
+			ck, cj := k0+row/ny, j0+row%ny
+			for ci := i0; ci < i1; ci++ {
 				var acc [3]float64
 				for fk := max(0, 2*ck-1); fk <= min(f.NPz-1, 2*ck+1); fk++ {
 					wk := weight(fk, ck)
@@ -174,54 +203,17 @@ func (p *Prolongation) ApplyTranspose(rf, rc la.Vec) {
 func (p *Prolongation) ToCSR() *la.CSR {
 	f, c := p.Fine, p.Coarse
 	b := la.NewBuilder(f.NVelDOF(), c.NVelDOF())
-	var cmask, fmask []bool
-	if p.CoarseBC != nil {
-		cmask = p.CoarseBC.Mask
-	}
-	if p.FineBC != nil {
-		fmask = p.FineBC.Mask
-	}
+	cmask, fmask := p.masks()
+	var cd [8]int
+	var w [8]float64
 	for k := 0; k < f.NPz; k++ {
-		k0, k1, wk0, wk1 := stencil1D(k)
 		for j := 0; j < f.NPy; j++ {
-			j0, j1, wj0, wj1 := stencil1D(j)
 			for i := 0; i < f.NPx; i++ {
-				i0, i1, wi0, wi1 := stencil1D(i)
 				fd := 3 * f.NodeID(i, j, k)
-				ent := func(ci, cj, ck int, w float64) {
-					if w == 0 {
-						return
-					}
-					cd := 3 * c.NodeID(ci, cj, ck)
+				for t, n := 0, p.stencil(i, j, k, &cd, &w); t < n; t++ {
 					for a := 0; a < 3; a++ {
-						if fmask != nil && fmask[fd+a] {
-							continue
-						}
-						if cmask != nil && cmask[cd+a] {
-							continue
-						}
-						b.Add(fd+a, cd+a, w)
-					}
-				}
-				for _, kk := range [2]struct {
-					idx int
-					w   float64
-				}{{k0, wk0}, {k1, wk1}} {
-					if kk.idx < 0 {
-						continue
-					}
-					for _, jj := range [2]struct {
-						idx int
-						w   float64
-					}{{j0, wj0}, {j1, wj1}} {
-						if jj.idx < 0 {
-							continue
-						}
-						if i0 >= 0 {
-							ent(i0, jj.idx, kk.idx, wi0*jj.w*kk.w)
-						}
-						if i1 >= 0 {
-							ent(i1, jj.idx, kk.idx, wi1*jj.w*kk.w)
+						if (fmask == nil || !fmask[fd+a]) && (cmask == nil || !cmask[cd[t]+a]) {
+							b.Add(fd+a, cd[t]+a, w[t])
 						}
 					}
 				}

@@ -255,11 +255,6 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	if len(m.X) != ncoup {
 		m.X = la.NewVec(ncoup)
 	}
-	if m.UseNewton {
-		if po, ok := m.Backend.(interface{ PicardOnly() bool }); ok && po.PicardOnly() {
-			return nonlinear.Result{}, fmt.Errorf("model: backend %q applies the Picard linearization only; disable UseNewton", m.Backend.Name())
-		}
-	}
 	prob.BC.ApplyToVec(m.X[:nu])
 
 	// Geometry-dependent blocks (rebuilt each step: the ALE mesh moves).

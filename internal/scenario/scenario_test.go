@@ -29,29 +29,42 @@ func TestDistributedStepMatchesShared(t *testing.T) {
 	cases := []struct {
 		name   string
 		velTol float64
+		newton bool
 	}{
 		// The linear-rheology specs converge their nonlinear iteration
 		// tightly (rtol 1e-5), so the reduction-order roundoff of the
 		// simulated fabric is squeezed out of the returned iterate and
 		// the 1e-10 acceptance bound holds.
-		{"sinker", 1e-10},
-		{"rayleigh-taylor", 1e-10},
+		{"sinker", 1e-10, false},
+		{"rayleigh-taylor", 1e-10, false},
 		// The rift stops its Picard iteration at the paper's rtol 1e-2
 		// with plastic yielding active, so per-rank dot-product rounding
 		// (≈1e-15, amplified by the 1e4 viscosity contrast and the yield
 		// switch) survives in the accepted iterate and compounds through
 		// the plastic-strain feedback on the second step; iteration
 		// counts still match exactly.
-		{"rift", 1e-5},
+		{"rift", 1e-5, false},
+		// use_newton on ranks, visco-plastic: each rank applies the Newton
+		// linearization it is handed (fem.NewtonOp.ApplyElements) under
+		// the Picard preconditioner, as the shared backend does. (The
+		// rift is no case for it: at -small its Newton solves run into the
+		// Krylov iteration cap on both backends — counts still equal — and
+		// what such a solve returns is roundoff-sensitive at 5e-4, already
+		// between the shared backend and ONE rank.)
+		{"subduction", 1e-10, true},
 	}
 	for _, tc := range cases {
 		name, velTol := tc.name, tc.velTol
+		if tc.newton {
+			name += "+newton"
+		}
 		t.Run(name, func(t *testing.T) {
-			spec, err := Get(name)
+			spec, err := Get(tc.name)
 			if err != nil {
 				t.Fatal(err)
 			}
 			spec.Resolution = spec.SmallResolution()
+			spec.UseNewton = tc.newton
 
 			ref, err := Compile(spec, 2)
 			if err != nil {
@@ -94,26 +107,6 @@ func TestDistributedStepMatchesShared(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestDistributedBackendRejectsNewton: the distributed operator path is
-// Picard-only; a model configured for true Newton must fail loudly
-// rather than silently switch linearizations.
-func TestDistributedBackendRejectsNewton(t *testing.T) {
-	spec, err := Get("sinker")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.Resolution = spec.SmallResolution()
-	m, err := Compile(spec, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.UseNewton = true
-	m.Backend = model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})
-	if _, err := m.SolveStokes(); err == nil {
-		t.Fatal("distributed backend accepted UseNewton")
 	}
 }
 

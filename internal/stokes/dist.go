@@ -48,8 +48,9 @@ type RankStats struct {
 // DistOptions carries the latency-tolerance options of a distributed
 // solve; the zero value is the plain configuration.
 type DistOptions struct {
-	// Pipelined selects the single-reduce Krylov variants: one fused
-	// allreduce per outer iteration instead of one per inner product.
+	// Pipelined selects the batched-reduction Krylov variants: two fused
+	// allreduces per outer GCR/FGMRES iteration instead of one per inner
+	// product.
 	Pipelined bool
 	// CoarseRoots > 0 agglomerates the coarsest-level solve onto that
 	// many block roots (comm.Agg); 0 keeps the all-to-rank-0 gather.
@@ -72,20 +73,19 @@ func (s *errSink) note(err error) {
 	}
 }
 
-// distOp is one rank's view of the coupled operator J = [[A,G],[D,0]].
-// The viscous block is applied matrix-free over the rank's elements
-// with boundary elements first, so their nodal partial sums are in
-// flight while interior elements — and the entirely element-local G and
-// D blocks — are computed (§II-D latency hiding). The element kernel is
-// the shared fine operator's resident backing when it has one — the same
-// stored tensors the shared coupled matvec streams — else the tensor
-// kernel.
+// distOp is one rank's view of the coupled operator J = [[A,G],[D,0]] it
+// is given — the solver's own Picard operator or the Newton
+// linearization of the current relinearization. The viscous block is
+// applied matrix-free over the rank's elements with boundary elements
+// first, so their nodal partial sums are in flight while interior
+// elements — and the entirely element-local G and D blocks — are computed
+// (§II-D latency hiding).
 type distOp struct {
 	op    *Op
 	auu   mg.ElementKernel
 	dist  *comm.Dist
 	sink  *errSink
-	spans []la.Span // coupled owned+ghost windows; nil = full-length ops
+	spans []la.Span // coupled owned+ghost windows
 }
 
 // N returns the coupled dimension.
@@ -97,11 +97,7 @@ func (o *distOp) Apply(x, y la.Vec) {
 	l := o.dist.L
 	xu, xp := o.op.Split(x)
 	yu, yp := o.op.Split(y)
-	if o.spans != nil {
-		y.ZeroSpans(o.spans)
-	} else {
-		y.Zero()
-	}
+	y.ZeroSpans(o.spans)
 	o.auu.ApplyElements(l.Boundary, xu, yu)
 	o.op.C.ApplyGAddElements(l.Boundary, xp, yu)
 	err := o.dist.ReduceBroadcast(yu,
@@ -112,42 +108,6 @@ func (o *distOp) Apply(x, y la.Vec) {
 		},
 		func() { mg.IdentityOwnedRows(l, o.op.P.BC.Mask, xu, yu) })
 	o.sink.note(err)
-}
-
-// distFieldSplit is the rank-local block lower-triangular
-// preconditioner: a distributed V-cycle on the viscous block, then the
-// element-local Schur update on the rank's own pressure rows.
-type distFieldSplit struct {
-	op     *Op
-	dmg    *mg.DistMG
-	mp     *fem.PressureMass
-	l      *comm.Layout
-	tu     la.Vec
-	pspans []la.Span // owned pressure windows relative to the pressure part
-}
-
-// Apply computes z = P⁻¹·r.
-func (fs *distFieldSplit) Apply(r, z la.Vec) {
-	ru, rp := fs.op.Split(r)
-	zu, zp := fs.op.Split(z)
-	fs.dmg.Apply(ru, zu)
-	if fs.pspans != nil {
-		zp.ZeroSpans(fs.pspans)
-	} else {
-		zp.Zero()
-	}
-	fs.op.C.ApplyDElements(fs.l.Elems, zu, fs.tu)
-	for _, e := range fs.l.Elems {
-		for i := 4 * e; i < 4*e+4; i++ {
-			fs.tu[i] = rp[i] - fs.tu[i]
-		}
-	}
-	fs.mp.ApplyInvElements(fs.l.Elems, fs.tu, zp)
-	for _, e := range fs.l.Elems {
-		for i := 4 * e; i < 4*e+4; i++ {
-			zp[i] = -zp[i]
-		}
-	}
 }
 
 // coupledReducer sums each rank's partial inner product — owned
@@ -214,14 +174,19 @@ func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 	return spans
 }
 
-// pressureSpans returns the rank's owned pressure windows relative to
-// the pressure part of a coupled vector, merging adjacent elements.
-func pressureSpans(l *comm.Layout) []la.Span {
-	var spans []la.Span
-	for _, e := range l.Elems {
-		spans = la.AppendSpan(spans, 4*e, 4*e+4)
+// elementKernel returns the per-element form of a viscous block: its
+// resident backing when it has one — the same stored tensors the shared
+// coupled matvec streams — else the operator itself when it applies
+// element subsets (fem.NewtonOp, fem.TensorOp), else the tensor kernel of
+// the problem (an assembled fine level: the ranks apply it matrix-free).
+func elementKernel(auu fem.Operator, prob *fem.Problem) mg.ElementKernel {
+	if rb, ok := auu.(op.ResidentBacked); ok {
+		return rb.Resident()
 	}
-	return spans
+	if k, ok := auu.(mg.ElementKernel); ok {
+		return k
+	}
+	return fem.NewTensor(prob)
 }
 
 // SolveDistributed performs one linear Stokes solve exactly like Solve,
@@ -231,7 +196,7 @@ func pressureSpans(l *comm.Layout) []la.Span {
 // pieces of the per-rank corrections are assembled into the global
 // update. Returns rank 0's Result (all ranks follow the identical
 // trajectory) plus the per-rank communication statistics. opt selects
-// pipelined single-reduce Krylov, coarse-solve agglomeration onto a rank
+// pipelined batched-reduction Krylov, coarse-solve agglomeration onto a rank
 // subset, a fabric cost model, and a retry-policy override.
 //
 // Requires a geometric multigrid configuration (Levels >= 2) whose
@@ -244,7 +209,7 @@ func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int, opt DistOptions)
 	s.Op.Residual(x, bu, f)
 	f.Scale(-1)
 	delta := la.NewVec(n)
-	res, stats, err := s.LinearSolveDistributed(s.Cfg.OuterMethod, f, delta, s.Cfg.Params, px, py, pz, opt)
+	res, stats, err := s.LinearSolveDistributed(s.Cfg.OuterMethod, s.Op, f, delta, s.Cfg.Params, px, py, pz, opt)
 	if err != nil {
 		return res, stats, err
 	}
@@ -332,7 +297,10 @@ func (s *RankStats) Add(o RankStats) {
 
 // LinearSolveDistributed solves the coupled linear system J·δ = rhs
 // collectively over a px×py×pz world, writing the assembled correction
-// into delta (overwritten). The caller supplies the outer method and the
+// into delta (overwritten). J is the operator the caller hands over —
+// s.Op, or a Newton linearization on the same problem and coupling — and
+// the preconditioner is always the solver's Picard stack, as on the
+// shared path. The caller supplies the outer method and the
 // Krylov parameters — this is the backend entry point the nonlinear time
 // loop uses, where RTol carries the per-iteration Eisenstat–Walker
 // forcing term. Each rank runs the method on its own windowed vector
@@ -344,7 +312,7 @@ func (s *RankStats) Add(o RankStats) {
 // Requires a geometric multigrid configuration (Levels >= 2) whose
 // per-level decompositions nest: px, py, pz must divide the per-level
 // element counts at every level.
-func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn krylov.Params, px, py, pz int, opt DistOptions) (krylov.Result, []RankStats, error) {
+func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Vec, prmIn krylov.Params, px, py, pz int, opt DistOptions) (krylov.Result, []RankStats, error) {
 	decomps, layouts, err := s.distDecomps(px, py, pz)
 	if err != nil {
 		return krylov.Result{}, nil, err
@@ -372,12 +340,9 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 		}
 		agg = a
 	}
-	// One resident kernel serves every rank (its scratch is pooled); the
-	// tensor kernel is built per rank.
-	var resident mg.ElementKernel
-	if rb, ok := s.Op.Auu.(op.ResidentBacked); ok {
-		resident = rb.Resident()
-	}
+	// One kernel serves every rank: element applies keep their scratch on
+	// the stack or in a pool.
+	auu := elementKernel(jop.Auu, s.Prob)
 	w := comm.NewWorld(size)
 	if opt.Fabric != nil {
 		w.SetFabric(opt.Fabric)
@@ -407,13 +372,8 @@ func (s *Solver) LinearSolveDistributed(method string, rhs, delta la.Vec, prmIn 
 		}
 		fine := dists[0]
 		spans := coupledSpans(s.Op, fine.L)
-		auu := resident
-		if auu == nil {
-			auu = fem.NewTensor(s.Prob)
-		}
-		a := &distOp{op: s.Op, auu: auu, dist: fine, sink: sink, spans: spans}
-		m := &distFieldSplit{op: s.Op, dmg: dmg, mp: s.Mp, l: fine.L,
-			tu: la.NewVec(s.Op.Np), pspans: pressureSpans(fine.L)}
+		a := &distOp{op: jop, auu: auu, dist: fine, sink: sink, spans: spans}
+		m := &FieldSplit{Op: s.Op, InnerU: dmg, Mp: s.Mp, elems: fine.L.Elems}
 		prm := prmIn
 		prm.Reducer = &coupledReducer{op: s.Op, dist: fine}
 		prm.Exchanger = &coupledExchanger{op: s.Op, dist: fine}

@@ -7,6 +7,7 @@ import (
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/op"
 	"ptatin3d/internal/perfmodel"
 )
 
@@ -86,10 +87,10 @@ func TestDistributedSolveMatchesSharedGCR(t *testing.T) {
 }
 
 // TestDistributedSolvePipelinedAgg runs the latency-tolerant
-// configuration — single-reduce GCR, coarse agglomeration onto 2 roots,
-// and the fabric cost model — over 2×2×1 ranks and checks that it (a)
-// reaches the same answer as the shared solve, (b) actually spends ~1
-// allreduce per outer iteration, and (c) reports modeled fabric time.
+// configuration — CGS2 GCR, coarse agglomeration onto 2 roots, and the
+// fabric cost model — over 2×2×1 ranks and checks that it (a) reaches
+// the same answer as the shared solve, (b) actually spends two
+// allreduces per outer iteration, and (c) reports modeled fabric time.
 func TestDistributedSolvePipelinedAgg(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -139,15 +140,104 @@ func TestDistributedSolvePipelinedAgg(t *testing.T) {
 	}
 
 	for _, st := range stats {
-		// pipeGCR issues one batched reduction per iteration plus the
-		// initial residual norm; the V-cycle adds none. Anything well
-		// above ~1/iteration means the batching regressed.
-		if limit := int64(resD.Iterations + 3); st.AllReduces > limit {
+		// Pipelined GCR issues two batched reductions per iteration (one
+		// on the first) plus the initial residual norm; the V-cycle adds
+		// none. Classical GCR would be at j+3 per iteration; anything
+		// above 2 means the batching regressed.
+		if limit := int64(2*resD.Iterations + 3); st.AllReduces > limit {
 			t.Fatalf("rank %d: %d allreduces for %d iterations (want <= %d)",
 				st.Rank, st.AllReduces, resD.Iterations, limit)
 		}
 		if st.FabricAllReduceNs == 0 || st.FabricHaloNs == 0 || st.FabricCoarseNs == 0 {
 			t.Fatalf("rank %d: fabric charges missing: %+v", st.Rank, st)
+		}
+	}
+}
+
+// TestRankCountInvariantClassical pins what the fold rests on: the
+// classical solve is one iteration whatever the layout. The shared solve
+// and rank worlds 1×1×1 to 2×2×2 take the same number of outer iterations
+// on one 8³ sinker system, for both outer methods; the layouts differ only
+// in element- and reduction-summation order, which FGMRES carries into the
+// velocity at ≤ 4e-12 and GCR's explicit-residual recurrence at ≤ 5.2e-10
+// (largest at 1×1×1; the bound TestDistributedSolveMatchesSharedGCR has).
+func TestRankCountInvariantClassical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for method, velTol := range map[string]float64{"gcr": 1e-9, "fgmres": 1e-11} {
+		t.Run(method, func(t *testing.T) {
+			p, def := sinkerProblem(8, 100, 1)
+			cfg := sinkerConfig(p, def)
+			cfg.OuterMethod = method
+			s, err := New(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bu := la.NewVec(p.DA.NVelDOF())
+			fem.MomentumRHS(p, bu)
+			xs := la.NewVec(s.Op.N())
+			resS := s.Solve(xs, bu, nil)
+			if !resS.Converged {
+				t.Fatalf("shared solve failed: %d its", resS.Iterations)
+			}
+			us, _ := s.Op.Split(xs)
+			for _, pg := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
+				xd := la.NewVec(s.Op.N())
+				resD, _, err := s.SolveDistributed(xd, bu, pg[0], pg[1], pg[2], DistOptions{})
+				if err != nil || !resD.Converged {
+					t.Fatalf("%v: distributed solve failed: %d its, err %v", pg, resD.Iterations, err)
+				}
+				if resD.Iterations != resS.Iterations {
+					t.Fatalf("%v: %d iterations, shared took %d", pg, resD.Iterations, resS.Iterations)
+				}
+				ud, _ := s.Op.Split(xd)
+				diff := ud.Clone()
+				diff.AXPY(-1, us)
+				if rel := diff.Norm2() / us.Norm2(); rel > velTol {
+					t.Fatalf("%v: velocity deviates from shared: rel %.3e", pg, rel)
+				}
+			}
+		})
+	}
+}
+
+// TestPipelinedGCRRankCountInvariant closes the 62-vs-37: pipelined GCR
+// through the real rank reducer converges within ±2 iterations of
+// classical GCR at 1×1×1 and at 2×2×2. The system is the scaling sweep's
+// strong-16 configuration (two levels, op.Tensor, Δη = 100) on this
+// package's sinker; 16³ is the smallest grid on which a single
+// Gram–Schmidt pass loses enough orthogonality to show (54 classical
+// against 61 and 63 — the sweep's own spheres read 37 against 62 and 37),
+// so the test fails when cgs2's second pass is removed.
+func TestPipelinedGCRRankCountInvariant(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	p, def := sinkerProblem(16, 100, 1)
+	cfg := sinkerConfig(p, def)
+	cfg.OuterMethod = "gcr"
+	cfg.Levels = 2
+	cfg.FineKind = op.Tensor
+	cfg.Params.MaxIt = 1000
+	s, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bu := la.NewVec(p.DA.NVelDOF())
+	fem.MomentumRHS(p, bu)
+	solve := func(px, py, pz int, pipelined bool) int {
+		x := la.NewVec(s.Op.N())
+		res, _, err := s.SolveDistributed(x, bu, px, py, pz, DistOptions{Pipelined: pipelined})
+		if err != nil || !res.Converged {
+			t.Fatalf("%dx%dx%d pipelined=%v: %d its, err %v", px, py, pz, pipelined, res.Iterations, err)
+		}
+		return res.Iterations
+	}
+	classical := solve(1, 1, 1, false)
+	for _, pg := range [][3]int{{1, 1, 1}, {2, 2, 2}} {
+		if its := solve(pg[0], pg[1], pg[2], true); its < classical-2 || its > classical+2 {
+			t.Fatalf("%v: pipelined GCR took %d iterations, classical %d", pg, its, classical)
 		}
 	}
 }
@@ -191,7 +281,7 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 		t.Fatalf("unknown outer method must be rejected by New, got %v", err)
 	}
 	delta := la.NewVec(s2.Op.N())
-	if _, _, err := s2.LinearSolveDistributed("", x, delta, cfg2.Params, 2, 1, 1, DistOptions{}); err == nil {
+	if _, _, err := s2.LinearSolveDistributed("", s2.Op, x, delta, cfg2.Params, 2, 1, 1, DistOptions{}); err == nil {
 		t.Fatal("LinearSolveDistributed must reject an unnamed method")
 	}
 }

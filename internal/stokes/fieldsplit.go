@@ -19,31 +19,27 @@ import (
 // inexact blocks trade iterations for much cheaper applications.
 type FieldSplit struct {
 	Op     *Op
-	InnerU krylov.Preconditioner // Â⁻¹: V-cycle (mg.MG), amg.SA, or inner Krylov
+	InnerU krylov.Preconditioner // Â⁻¹: V-cycle (mg.MG or a rank's mg.DistMG), amg.SA, or inner Krylov
 	Mp     *fem.PressureMass
 
-	// tu is the pressure-space work vector, reused across applications:
-	// NOT safe for concurrent Apply calls on one instance.
-	tu la.Vec
+	// elems is the layout: a rank's own elements on the distributed path
+	// (their pressure rows are all of z_p the rank owns), nil for every
+	// element over the worker pool.
+	elems []int
 }
 
 // NewFieldSplit builds the preconditioner.
 func NewFieldSplit(op *Op, innerU krylov.Preconditioner, mp *fem.PressureMass) *FieldSplit {
-	return &FieldSplit{Op: op, InnerU: innerU, Mp: mp, tu: la.NewVec(op.Np)}
+	return &FieldSplit{Op: op, InnerU: innerU, Mp: mp}
 }
 
-// Apply computes z = P⁻¹·r.
+// Apply computes z = P⁻¹·r: the viscous-block solve, then the Schur step
+// z_p = −M_p⁻¹·(r_p − J_pu·z_u), element-local (fem.PressureMass.ApplySchur).
 func (fs *FieldSplit) Apply(r, z la.Vec) {
 	ru, rp := fs.Op.Split(r)
 	zu, zp := fs.Op.Split(z)
 	fs.InnerU.Apply(ru, zu)
-	// t = r_p − J_pu·z_u ; z_p = −M_p⁻¹·t (Ŝ = −M_p(1/η)).
-	fs.Op.C.ApplyD(zu, fs.tu)
-	for i := range fs.tu {
-		fs.tu[i] = rp[i] - fs.tu[i]
-	}
-	fs.Mp.ApplyInv(fs.tu, zp)
-	zp.Scale(-1)
+	fs.Mp.ApplySchur(fs.Op.C, fs.elems, zu, rp, zp)
 }
 
 // SCR solves the coupled system by Schur complement reduction (paper

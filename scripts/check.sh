@@ -4,7 +4,8 @@
 # re-run of the comm fault/recovery protocol tests, the benchmark module's
 # own vet and tests (bench/ is a separate module that the root go build
 # and go test skip), a scenario smoke of every spec on both backends and
-# a worker-count invariance run of rift, a one-iteration smoke run of the
+# a worker-count invariance run of rift, a rank-count invariance check of
+# the bounded scaling sweep, a one-iteration smoke run of the
 # apply-path benchmarks, and short fuzz smoke passes over the decomposition
 # index math and the checkpoint decoder.
 # Every PR must leave this script exiting 0.
@@ -65,6 +66,16 @@ named_tests '-short -race' 'TestSoakReliableExchange64Ranks' ./internal/comm
 echo "== pipelined Krylov + coarse agglomeration under -race =="
 named_tests -race 'TestPipelined|TestDistMGAgg|TestAllReduceSumVec' ./internal/krylov ./internal/mg ./internal/comm
 
+echo "== one stack: rank-count invariance, pipelined GCR through the rank reducer, rank transfers bitwise == shared, under -race =="
+named_tests -race \
+    'TestRankCountInvariantClassical|TestDistributedSolvePipelinedAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared' \
+    ./internal/stokes ./internal/mg
+
+# The 16^3 pin of the 62-vs-37 takes ~9 minutes under the race detector (25 s
+# without); the stage above races the same cgs2 path at 8^3.
+echo "== pipelined GCR within ±2 iterations of classical at 1 and 8 ranks (16^3) =="
+named_tests -count=1 'TestPipelinedGCRRankCountInvariant' ./internal/stokes
+
 echo "== f32/f64 equivalence + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
 named_tests -race \
     'TestOpEquivalence|TestF32OpEquivalence|TestAutoCacheKeyedByPrecision|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence|TestContextKeyCoversConfig' \
@@ -100,8 +111,14 @@ echo "$its3"
 echo "== rank-distributed solve under -race =="
 go run -race ./cmd/ptatin-scaling -ranks 2x1x1 -grids 8
 
-echo "== scaling sweep smoke (bounded rank count) =="
-go run ./cmd/ptatin-scaling -sweep -sweep-max-ranks 8
+echo "== scaling sweep (bounded rank count): the strong-16 rows take the same iterations on 1 and 8 ranks =="
+sweep=$(go run ./cmd/ptatin-scaling -sweep -sweep-max-ranks 8)
+echo "$sweep"
+strong=$(awk '$1 == "strong" && $2 == 16 && $4 ~ /^[0-9]+$/ {print $5}' <<<"$sweep")
+if [ "$(wc -w <<<"$strong")" -ne 2 ] || [ "$(sort -u <<<"$strong" | wc -l)" -ne 1 ]; then
+    echo "scaling sweep: want two strong-16 rows (1x1x1, 2x2x2) with one iteration count, got:" $strong >&2
+    exit 1
+fi
 
 echo "== benchmark smoke =="
 go test -run='^$' -bench=Apply -benchtime=1x ./...
