@@ -98,15 +98,20 @@ type StepRecord struct {
 	KrylovIts int     `json:"krylov_its"`
 	// KrylovBasis is the largest Krylov basis (n-vectors) an inner solve
 	// of the step allocated.
-	KrylovBasis int     `json:"krylov_basis"`
-	Converged   bool    `json:"converged"`
-	Points      int     `json:"points"`
-	WallS       float64 `json:"wall_s"`
-	Backend     string  `json:"backend"`
-	Ranks       int     `json:"ranks,omitempty"`
-	HaloMsgs    int64   `json:"halo_msgs,omitempty"`
-	HaloBytes   int64   `json:"halo_bytes,omitempty"`
-	AllReduces  int64   `json:"allreduces,omitempty"`
+	KrylovBasis int  `json:"krylov_basis"`
+	Converged   bool `json:"converged"`
+	// ResidualEvals counts the step's nonlinear residual evaluations, the
+	// line-search trials included; LineSearchStagnated says the nonlinear
+	// iteration stopped because a search found no reducing step.
+	ResidualEvals       int     `json:"residual_evals"`
+	LineSearchStagnated bool    `json:"line_search_stagnated"`
+	Points              int     `json:"points"`
+	WallS               float64 `json:"wall_s"`
+	Backend             string  `json:"backend"`
+	Ranks               int     `json:"ranks,omitempty"`
+	HaloMsgs            int64   `json:"halo_msgs,omitempty"`
+	HaloBytes           int64   `json:"halo_bytes,omitempty"`
+	AllReduces          int64   `json:"allreduces,omitempty"`
 	// Per-stage wall seconds of the step pipeline, and the count of
 	// relinearizations that reused the cached Stokes setup.
 	RheologyS         float64 `json:"rheology_s"`
@@ -186,6 +191,7 @@ func Run(m *model.Model, cfg Config) error {
 			Step: st.Step, Dt: st.Dt,
 			NewtonIts: st.NewtonIts, KrylovIts: st.KrylovIts, KrylovBasis: st.KrylovBasis,
 			Converged: st.Converged, Points: st.PointCount,
+			ResidualEvals: st.ResidualEvals, LineSearchStagnated: st.LineSearchStagnated,
 			WallS:   wall,
 			Backend: st.Backend, Ranks: st.Ranks,
 			HaloMsgs: st.HaloMsgs, HaloBytes: st.HaloBytes, AllReduces: st.AllReduces,

@@ -95,6 +95,10 @@ func TestRunCheckpointRestartAndJSON(t *testing.T) {
 	if rec.Steps[0].KrylovIts != m.Stats[0].KrylovIts || rec.AvgStepS <= 0 {
 		t.Fatalf("record steps wrong: %+v", rec.Steps)
 	}
+	if n := rec.Steps[0].ResidualEvals; n != m.Stats[0].ResidualEvals || n <= rec.Steps[0].NewtonIts ||
+		!strings.Contains(js.String(), `"line_search_stagnated"`) {
+		t.Fatalf("record lacks the line-search fields: residual_evals %d for %d outer iterations", n, rec.Steps[0].NewtonIts)
+	}
 
 	// Restart from the step-2 checkpoint and take one more step.
 	m2 := smallSinker(t, 2)

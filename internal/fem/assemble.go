@@ -5,16 +5,16 @@ import (
 	"ptatin3d/internal/par"
 )
 
-// ElementViscousMatrix computes the 81×81 element stiffness matrix of the
-// viscous block, A[(i,a)][(n,b)] = Σ_q η·w·detJ·(δ_ab ∇N_i·∇N_n +
-// ∂N_i/∂x_b · ∂N_n/∂x_a), into ae (row-major, zeroed first).
-func ElementViscousMatrix(xe *[81]float64, eta []float64, ae []float64) {
+// elementViscousMatrix computes the 81×81 stiffness matrix of element e
+// of the viscous block, A[(i,a)][(n,b)] = Σ_q η·w·detJ·(δ_ab ∇N_i·∇N_n +
+// ∂N_i/∂x_b · ∂N_n/∂x_a), into ae (row-major, zeroed first). geo is the
+// problem's metric store, eta the element's 27 viscosities.
+func elementViscousMatrix(geo []float64, e int, eta []float64, ae []float64) {
 	for i := range ae {
 		ae[i] = 0
 	}
-	var jinv [9]float64
 	for q := 0; q < NQP; q++ {
-		detJ := jacobianAt(xe, q, &jinv)
+		jinv, detJ := geomAt(geo, e, q)
 		s := eta[q] * W3[q] * detJ
 		var gn [27][3]float64
 		gq := &G27[q]
@@ -143,18 +143,17 @@ func (va *ViscousAssembly) Refresh() {
 	p, a, pats := va.p, va.A, va.pats
 	da := p.DA
 	mask := p.BC.Mask
+	geo := p.geom()
 	for i := range a.Val {
 		a.Val[i] = 0
 	}
 	// Numeric pass: colored element loop scatter-adds element matrices.
 	// The element matrix scratch is per chunk, not per element.
 	p.forEachElementColoredChunk(func(elems []int32) {
-		var xe [81]float64
 		ae := make([]float64, 81*81)
 		for _, e32 := range elems {
 			e := int(e32)
-			p.gatherCoords(e, &xe)
-			ElementViscousMatrix(&xe, p.Eta[NQP*e:NQP*e+NQP], ae)
+			elementViscousMatrix(geo, e, p.Eta[NQP*e:NQP*e+NQP], ae)
 			em := p.Emap[27*e : 27*e+27]
 			for li := 0; li < 27; li++ {
 				ni := int(em[li])
@@ -215,12 +214,12 @@ func Diagonal(p *Problem, d la.Vec) {
 	if len(d) != p.DA.NVelDOF() {
 		panic("fem: Diagonal length mismatch")
 	}
-	p.slabApply(nil, false, true, false, d, func(e int, _, xe, de *[81]float64, _ *kernScratch) {
+	geo := p.geom()
+	p.slabApply(nil, false, false, false, d, func(e int, _, _, de *[81]float64, _ *kernScratch) {
 		eta := p.Eta[NQP*e : NQP*e+NQP]
 		*de = [81]float64{}
-		var jinv [9]float64
 		for q := 0; q < NQP; q++ {
-			detJ := jacobianAt(xe, q, &jinv)
+			jinv, detJ := geomAt(geo, e, q)
 			s := eta[q] * W3[q] * detJ
 			gq := &G27[q]
 			for n := 0; n < 27; n++ {

@@ -75,6 +75,7 @@ func (c *Coupling) Setup() {
 	if len(c.Ge) != 324*nel {
 		c.Ge = make([]float64, 324*nel)
 	}
+	geo := p.geom()
 	p.forEachElement(func(e int) {
 		var xe [81]float64
 		p.gatherCoords(e, &xe)
@@ -84,10 +85,9 @@ func (c *Coupling) Setup() {
 		for i := range ge {
 			ge[i] = 0
 		}
-		var jinv [9]float64
 		var psi [4]float64
 		for q := 0; q < NQP; q++ {
-			detJ := jacobianAt(&xe, q, &jinv)
+			jinv, detJ := geomAt(geo, e, q)
 			w := W3[q] * detJ
 			if c.Mapped {
 				psi = [4]float64{1, QPRef[q][0], QPRef[q][1], QPRef[q][2]}
@@ -232,16 +232,16 @@ func (m *PressureMass) Setup() {
 	if len(m.inv) != 16*nel {
 		m.inv = make([]float64, 16*nel)
 	}
+	geo := p.geom()
 	p.forEachElement(func(e int) {
 		var xe [81]float64
 		p.gatherCoords(e, &xe)
 		var ctr, hinv [3]float64
 		elemCenterScale(&xe, &ctr, &hinv)
 		blk := la.NewDense(4, 4)
-		var jinv [9]float64
 		var psi [4]float64
 		for q := 0; q < NQP; q++ {
-			detJ := jacobianAt(&xe, q, &jinv)
+			_, detJ := geomAt(geo, e, q)
 			w := W3[q] * detJ / p.Eta[NQP*e+q]
 			var x, y, z float64
 			for n := 0; n < 27; n++ {

@@ -34,6 +34,7 @@ type Problem struct {
 	colorElems []int32
 
 	slabState
+	geometry geometry
 }
 
 // NewProblem builds a Problem on the given mesh with the given constraints.

@@ -84,12 +84,10 @@ func (r *Resident) Setup() {
 			r.c32 = nil
 		}
 	}
+	geo := p.geom()
 	p.forEachElement(func(e int) {
-		var xe [81]float64
-		p.gatherCoords(e, &xe)
-		var jinv [9]float64
 		for q := 0; q < NQP; q++ {
-			detJ := jacobianAt(&xe, q, &jinv)
+			jinv, detJ := geomAt(geo, e, q)
 			s := p.Eta[NQP*e+q] * W3[q] * detJ
 			var c [15]float64
 			// Packed scaled metric sM[d][e] = s·Σ_m K[d][m]K[e][m].

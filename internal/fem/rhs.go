@@ -15,11 +15,11 @@ func MomentumRHS(p *Problem, b la.Vec) {
 		panic("fem: MomentumRHS length mismatch")
 	}
 	g := p.Gravity
-	p.slabApply(nil, false, true, false, b, func(e int, _, xe, be *[81]float64, _ *kernScratch) {
+	geo := p.geom()
+	p.slabApply(nil, false, false, false, b, func(e int, _, _, be *[81]float64, _ *kernScratch) {
 		*be = [81]float64{}
-		var jinv [9]float64
 		for q := 0; q < NQP; q++ {
-			detJ := jacobianAt(xe, q, &jinv)
+			_, detJ := geomAt(geo, e, q)
 			w := W3[q] * detJ * p.Rho[NQP*e+q]
 			f0, f1, f2 := w*g[0], w*g[1], w*g[2]
 			for n := 0; n < 27; n++ {

@@ -19,8 +19,9 @@ func StrainRateAtQP(p *Problem, u la.Vec, d6, eII []float64) {
 	if eII != nil && len(eII) != NQP*nel {
 		panic("fem: StrainRateAtQP eII length mismatch")
 	}
+	geo := p.geom()
 	p.forEachElement(func(e int) {
-		var ue, xe [81]float64
+		var ue [81]float64
 		em := p.Emap[27*e : 27*e+27]
 		for n := 0; n < 27; n++ {
 			d := 3 * int(em[n])
@@ -28,13 +29,11 @@ func StrainRateAtQP(p *Problem, u la.Vec, d6, eII []float64) {
 			ue[3*n+1] = u[d+1]
 			ue[3*n+2] = u[d+2]
 		}
-		p.gatherCoords(e, &xe)
 		var ks kernScratch
 		ug0, ug1, ug2 := &ks.ug0, &ks.ug1, &ks.ug2
 		tensorGrads(&ue, ug0, ug1, ug2, &tables64, &ks.kernScratchG)
-		var jinv [9]float64
 		for q := 0; q < NQP; q++ {
-			jacobianAt(&xe, q, &jinv)
+			jinv, _ := geomAt(geo, e, q)
 			// Physical velocity gradient Gp[a][m].
 			var gp [9]float64
 			for a := 0; a < 3; a++ {

@@ -33,8 +33,10 @@ type ASM struct {
 // submatrix of the global one on rows, without the entries that are
 // exactly zero (they would otherwise take ILU(0) fill).
 type asmSub struct {
-	rows []int  // global row indices, ascending
-	base []bool // local index belongs to the base block
+	rows []int // global row indices, ascending
+	// The base block is a contiguous global range and rows ascend, so it
+	// is the contiguous local range [first, last).
+	first, last int
 
 	mat    *la.CSR
 	ilu    *la.ILU0 // Exact=false
@@ -143,9 +145,9 @@ func (sub *asmSub) grow(a *la.CSR, lo, hi, overlap int, m *asmMarks) {
 	}
 	sort.Ints(rows)
 	sub.rows = rows
-	sub.base = make([]bool, len(rows))
+	sub.first = sort.SearchInts(rows, lo)
+	sub.last = sub.first + hi - lo
 	for l, g := range rows {
-		sub.base[l] = g >= lo && g < hi
 		m.loc[g] = l
 	}
 	sub.rl, sub.zl = la.NewVec(len(rows)), la.NewVec(len(rows))
@@ -233,18 +235,21 @@ func (asm *ASM) Apply(r, z la.Vec) {
 			for l, g := range sub.rows {
 				sub.rl[l] = r[g]
 			}
-			if sub.lu != nil {
+			switch {
+			case sub.lu != nil:
 				sub.lu.Solve(sub.rl, sub.zl)
-			} else {
+			case asm.restrict:
+				// Only the base rows are read below: stop the back-sweep
+				// at the first of them.
+				sub.ilu.SolveFrom(sub.rl, sub.zl, sub.first)
+			default:
 				sub.ilu.Solve(sub.rl, sub.zl)
 			}
 			if asm.restrict {
 				// The base blocks partition the rows: every z[g] is
 				// written, by exactly one subdomain.
-				for l, g := range sub.rows {
-					if sub.base[l] {
-						z[g] = sub.zl[l]
-					}
+				for l := sub.first; l < sub.last; l++ {
+					z[sub.rows[l]] = sub.zl[l]
 				}
 			}
 		}

@@ -212,3 +212,51 @@ func TestASMRefreshMatchesNew(t *testing.T) {
 		}
 	}
 }
+
+// TestASMRestrictedPartialSweepBitwise: restricted Schwarz stops each
+// subdomain's ILU(0) back-sweep at the first base row and still returns
+// the bits of the reference, which solves every subdomain in full; the
+// additive variant reads every row of every subdomain solve, so it must
+// keep the full sweep.
+func TestASMRestrictedPartialSweepBitwise(t *testing.T) {
+	a := lapStoredZeros(7, 9, func(r, c int) bool { return (r+c)%5 == 0 })
+	rng := rand.New(rand.NewSource(23))
+	r := randVec(rng, a.NRows)
+	for _, additive := range []bool{false, true} {
+		opt := ASMOptions{Subdomains: 8, Overlap: 2, Additive: additive, Workers: 2}
+		asm, err := NewASM(a, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, want := la.NewVec(a.NRows), la.NewVec(a.NRows)
+		asm.Apply(r, got)
+		newRefASM(t, a, opt).Apply(r, want)
+		sameBits(t, fmt.Sprintf("additive=%v", additive), got, want)
+
+		// What Apply left in each subdomain's solution vector against a
+		// full solve of the same right-hand side.
+		skipped := 0
+		chunk := (a.NRows + opt.Subdomains - 1) / opt.Subdomains
+		for s := range asm.subs {
+			sub := &asm.subs[s]
+			lo, hi := s*chunk, min((s+1)*chunk, a.NRows)
+			if sub.last-sub.first != hi-lo || sub.rows[sub.first] != lo || sub.rows[sub.last-1] != hi-1 {
+				t.Fatalf("subdomain %d: local base range [%d,%d) is not global [%d,%d)", s, sub.first, sub.last, lo, hi)
+			}
+			full := la.NewVec(len(sub.rows))
+			sub.ilu.Solve(sub.rl, full)
+			for l := range full {
+				same := math.Float64bits(sub.zl[l]) == math.Float64bits(full[l])
+				switch {
+				case !same && (additive || l >= sub.first):
+					t.Fatalf("additive=%v subdomain %d: row %d (first base row %d) is not the full solve's", additive, s, l, sub.first)
+				case !same:
+					skipped++
+				}
+			}
+		}
+		if !additive && skipped == 0 {
+			t.Fatal("restricted Apply back-substituted every row below the base blocks")
+		}
+	}
+}

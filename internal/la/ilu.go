@@ -104,7 +104,14 @@ func (f *ILU0) factor() {
 
 // Solve computes x = (LU)⁻¹ b by forward and backward substitution.
 // b and x may alias.
-func (f *ILU0) Solve(b, x Vec) {
+func (f *ILU0) Solve(b, x Vec) { f.SolveFrom(b, x, 0) }
+
+// SolveFrom is Solve with the backward sweep stopped at row first. Row i
+// of U·x = y reads only rows above i, so x[first:] holds exactly Solve's
+// values; x[:first] is left holding the forward sweep's y, not a
+// solution. Restricted Schwarz reads a contiguous block of each
+// subdomain solve and discards the rows under it.
+func (f *ILU0) SolveFrom(b, x Vec, first int) {
 	n := f.n
 	if len(b) != n || len(x) != n {
 		panic("la: ILU0 Solve length mismatch")
@@ -121,7 +128,7 @@ func (f *ILU0) Solve(b, x Vec) {
 		x[i] = s
 	}
 	// Backward: U x = y.
-	for i := n - 1; i >= 0; i-- {
+	for i := n - 1; i >= first; i-- {
 		s := x[i]
 		for k := f.diagIdx[i] + 1; k < f.rowPtr[i+1]; k++ {
 			s -= f.val[k] * x[f.colInd[k]]

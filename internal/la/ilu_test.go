@@ -1,6 +1,7 @@
 package la
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -112,5 +113,43 @@ func TestILU0NonSquare(t *testing.T) {
 	b.Add(1, 1, 1)
 	if _, err := NewILU0(b.ToCSR()); err == nil {
 		t.Fatal("expected error for non-square matrix")
+	}
+}
+
+// TestILUBackSweepFromMatchesSolve: on a random SPD matrix, SolveFrom
+// gives rows first..n−1 the bits Solve gives them, for first at either
+// end and in the middle, and leaves the forward sweep's values (not the
+// solution) in the rows it skips.
+func TestILUBackSweepFromMatchesSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	n := 120
+	b := randCSR(rng, n, n, 0.06, true)
+	a := MatMul(b.Transpose(), b) // SPD: BᵀB with B's diagonal ≥ 5
+	f, err := NewILU0(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs := NewVec(n)
+	for i := range rhs {
+		rhs[i] = rng.NormFloat64()
+	}
+	want := NewVec(n)
+	f.Solve(rhs, want)
+	for _, first := range []int{0, n / 2, n - 1} {
+		got := NewVec(n)
+		got.Set(math.NaN())
+		f.SolveFrom(rhs, got, first)
+		for i := first; i < n; i++ {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("first=%d: row %d is %v, Solve gives %v", first, i, got[i], want[i])
+			}
+		}
+		skippedDiffer := false
+		for i := 0; i < first; i++ {
+			skippedDiffer = skippedDiffer || got[i] != want[i]
+		}
+		if first > 0 && !skippedDiffer {
+			t.Fatalf("first=%d: the skipped rows hold the solution, so nothing was skipped", first)
+		}
 	}
 }

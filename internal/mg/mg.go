@@ -3,6 +3,7 @@ package mg
 import (
 	"fmt"
 	"sync"
+	"time"
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
@@ -28,7 +29,18 @@ type Level struct {
 	Blocked *fem.BlockedChebyshev
 	P       *Prolongation // transfer to and from the next-finer level (nil on the finest)
 
+	// Setup is what the last Build or Refresh spent on this level.
+	Setup SetupTimes
+
 	r, e, bc la.Vec // work vectors
+}
+
+// SetupTimes splits one level's set-up: Op is the operator's own Setup or
+// Refresh (assembly, Galerkin product, resident coefficient stream), Diag
+// the Jacobi diagonal, Eig the λmax power iteration behind the Chebyshev
+// interval.
+type SetupTimes struct {
+	Op, Diag, Eig time.Duration
 }
 
 // MG is a geometric multigrid V-cycle preconditioner for the viscous
@@ -181,9 +193,11 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 			}
 			lev.Op = o
 		}
+		start := time.Now()
 		if err := lev.Op.Setup(); err != nil {
 			return nil, fmt.Errorf("mg: level %d setup: %w", l, err)
 		}
+		lev.Setup.Op = time.Since(start)
 		buildSmoother(lev, opt.SmoothSteps)
 		n := lev.Op.N()
 		lev.r, lev.e, lev.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
@@ -204,10 +218,14 @@ const eigIts = 10
 // to commit first, so that whether it has one is settled here rather than
 // after the first applies.
 func buildSmoother(lev *Level, steps int) {
+	start := time.Now()
 	diag := la.NewVec(lev.Op.N())
 	lev.Op.Diag(diag)
 	jac := krylov.NewJacobi(diag)
+	lev.Setup.Diag = time.Since(start)
+	start = time.Now()
 	lmax := krylov.EstimateLambdaMax(lev.Op, jac, eigIts)
+	lev.Setup.Eig = time.Since(start)
 	lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, steps)
 	if a, ok := lev.Op.(*op.AutoOp); ok {
 		a.ForceCommit()
@@ -248,9 +266,11 @@ func levelKind(k op.Kind, needCSR bool, prec op.Precision) op.Kind {
 // rebuild it from the refreshed coarsest matrix).
 func (m *MG) Refresh() error {
 	for l, lev := range m.Levels {
+		start := time.Now()
 		if err := op.Refresh(lev.Op); err != nil {
 			return fmt.Errorf("mg: level %d refresh: %w", l, err)
 		}
+		lev.Setup.Op = time.Since(start)
 		buildSmoother(lev, lev.Smoother.Steps)
 	}
 	return nil

@@ -5,11 +5,13 @@ import (
 	"testing"
 
 	"ptatin3d/internal/driver"
+	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/stokes"
+	"ptatin3d/internal/telemetry"
 )
 
 // coldBackend is the A/B oracle of the amortized set-up: it ignores the
@@ -133,5 +135,63 @@ func TestKrylovWarmStart(t *testing.T) {
 	if res2.KrylovIts > res1.KrylovIts {
 		t.Fatalf("warm-started solve used more Krylov iterations (%d) than the first (%d)",
 			res2.KrylovIts, res1.KrylovIts)
+	}
+}
+
+// jopBackend records the Krylov operator of every inner solve.
+type jopBackend struct {
+	model.StokesBackend
+	jops *[]krylov.Op
+}
+
+func (b jopBackend) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+	*b.jops = append(*b.jops, jop)
+	return b.StokesBackend.LinearSolve(s, method, jop, pc, rhs, delta, prm)
+}
+
+// TestPrepareSkipsRepeatedCoefficientUpdate: the nonlinear loop
+// relinearises at the state whose residual it has just evaluated, so a
+// Picard solve evaluates the rheology of every point once per residual
+// evaluation and never again in Prepare; a Newton solve evaluates it once
+// more per relinearisation, because only that pass yields η′/ε̇, and its
+// Krylov operator carries the factor.
+func TestPrepareSkipsRepeatedCoefficientUpdate(t *testing.T) {
+	for _, newton := range []bool{false, true} {
+		m := compileSmall(t, "rift", 2)
+		m.UseNewton = newton
+		m.Telemetry = telemetry.New().Root().Child("model")
+		var jops []krylov.Op
+		m.Backend = jopBackend{m.Backend, &jops}
+		res, err := m.SolveStokes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Iterations < 2 || len(jops) < res.Iterations {
+			t.Fatalf("newton=%v: %d outer iterations, %d inner solves: nothing to tell apart", newton, res.Iterations, len(jops))
+		}
+		want := int64(res.ResidualEvals)
+		if newton {
+			want += int64(res.Iterations)
+		}
+		if got := m.Telemetry.Counter("coeff_updates").Value(); got != want {
+			t.Fatalf("newton=%v: %d coefficient updates for %d residual evaluations and %d relinearisations, want %d",
+				newton, got, res.ResidualEvals, res.Iterations, want)
+		}
+		if !newton {
+			continue
+		}
+		nop, ok := jops[len(jops)-1].(*stokes.Op).Auu.(*fem.NewtonOp)
+		if !ok {
+			t.Fatal("Newton solve ran a Picard Krylov operator")
+		}
+		nonzero := 0
+		for _, f := range nop.Fac {
+			if f != 0 {
+				nonzero++
+			}
+		}
+		if len(nop.Fac) != fem.NQP*m.Prob.DA.NElements() || nonzero == 0 {
+			t.Fatalf("Newton factor: %d entries, %d nonzero", len(nop.Fac), nonzero)
+		}
 	}
 }

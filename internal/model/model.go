@@ -9,6 +9,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"ptatin3d/internal/fem"
@@ -100,6 +101,21 @@ type Model struct {
 	// stage accumulates per-stage wall time for the step in flight;
 	// StepForward resets it and publishes the totals.
 	stage stageTimes
+	// scratch is what UpdateCoefficients and SolveStokes would otherwise
+	// allocate on every call; slices grow on demand and keep their size.
+	scratch struct {
+		etaP, rhoP, facP []float64 // per material point
+		facQP, d6        []float64 // per quadrature point (Newton)
+		bu, coeffX       la.Vec
+	}
+}
+
+// grown returns s resized to n, reallocating only when it is too small.
+func grown(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
 // stageTimes breaks one time step's wall clock into pipeline stages.
@@ -123,10 +139,16 @@ type StepStats struct {
 	FNorm0      float64
 	FNorm       float64
 	Converged   bool
-	SolveTime   time.Duration
-	PointCount  int
-	TopoMin     float64
-	TopoMax     float64
+	// ResidualEvals counts the step's nonlinear residual evaluations
+	// (the initial one plus every line-search trial);
+	// LineSearchStagnated says the iteration ended because a search
+	// found no step length that reduces ‖F‖.
+	ResidualEvals       int
+	LineSearchStagnated bool
+	SolveTime           time.Duration
+	PointCount          int
+	TopoMin             float64
+	TopoMax             float64
 	// Backend records which Stokes backend ran the step's inner solves;
 	// Ranks and the communication totals are zero on the shared path.
 	Backend    string
@@ -176,16 +198,20 @@ func (m *Model) pointState(x la.Vec, i int) rheology.State {
 // UpdateCoefficients evaluates η and ρ at every material point for the
 // state x, projects them onto the vertex grid (Eq. 12) and installs them
 // at the quadrature points (Eq. 13). With wantDeriv it additionally
-// returns the projected Newton factor η′/ε̇_II at quadrature points.
+// returns the projected Newton factor η′/ε̇_II at quadrature points, in
+// model-owned storage that the next such call overwrites.
 func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
 	pts := m.Points
 	n := pts.Len()
-	etaP := make([]float64, n)
-	rhoP := make([]float64, n)
+	sc := &m.scratch
+	sc.etaP, sc.rhoP = grown(sc.etaP, n), grown(sc.rhoP, n)
+	etaP, rhoP := sc.etaP, sc.rhoP
 	var facP []float64
 	if wantDeriv {
-		facP = make([]float64, n)
+		sc.facP = grown(sc.facP, n)
+		facP = sc.facP
 	}
+	m.Telemetry.Counter("coeff_updates").Inc()
 	// Per-point rheology evaluation: each point reads the shared state
 	// (x, coordinates, temperature) and writes only its own slots, so the
 	// loop parallelizes with no change in any point's arithmetic.
@@ -229,7 +255,8 @@ func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
 		m.etaV, m.rhoV)
 	if wantDeriv {
 		facV := m.projector.Project(pts, func(i int) float64 { return facP[i] }, nil)
-		facQP = make([]float64, fem.NQP*m.Prob.DA.NElements())
+		sc.facQP = grown(sc.facQP, fem.NQP*m.Prob.DA.NElements())
+		facQP = sc.facQP
 		fem.VertexToQP(m.Prob, facV, facQP)
 	}
 	m.stage.project += time.Since(t1)
@@ -257,9 +284,32 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	}
 	prob.BC.ApplyToVec(m.X[:nu])
 
-	// Geometry-dependent blocks (rebuilt each step: the ALE mesh moves).
-	coupling := fem.NewCoupling(prob)
-	bu := la.NewVec(nu)
+	// The gradient/divergence blocks depend on geometry only: the cached
+	// solver stack's own, brought up to the mesh as it is now.
+	t0 := time.Now()
+	coupling := m.stokesCtx.Coupling(prob)
+	m.stage.stokesSetup += time.Since(t0)
+	resOp := stokes.NewOp(prob, fem.NewTensor(prob), coupling)
+	sc := &m.scratch
+	sc.bu, sc.coeffX = grown(sc.bu, nu), grown(sc.coeffX, ncoup)
+	bu := sc.bu
+
+	// coeffX is the state the installed Picard coefficients were last
+	// evaluated at, once coeffValid, during this solve (points,
+	// temperature and mesh do not change inside it). The nonlinear loop
+	// relinearises at the state its last residual evaluation accepted, so
+	// Prepare usually finds the coefficients already there; comparing the
+	// states, not trusting the call order, is what decides.
+	coeffX, coeffValid := sc.coeffX, false
+	updateCoefficients := func(x la.Vec, wantDeriv bool) []float64 {
+		if !wantDeriv && coeffValid && slices.Equal(coeffX, x) {
+			return nil
+		}
+		facQP := m.UpdateCoefficients(x, wantDeriv)
+		coeffX.Copy(x)
+		coeffValid = true
+		return facQP
+	}
 
 	var buildErr error
 	// prepared is the solver stack of the current relinearization; the
@@ -269,13 +319,12 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	sys := nonlinear.System{
 		N: ncoup,
 		Residual: func(x, f la.Vec) {
-			m.UpdateCoefficients(x, false)
+			updateCoefficients(x, false)
 			fem.MomentumRHS(prob, bu)
-			op := stokes.NewOp(prob, fem.NewTensor(prob), coupling)
-			op.Residual(x, bu, f)
+			resOp.Residual(x, bu, f)
 		},
 		Prepare: func(x la.Vec) (krylov.Op, krylov.Preconditioner) {
-			facQP := m.UpdateCoefficients(x, m.UseNewton)
+			facQP := updateCoefficients(x, m.UseNewton)
 			cfg := m.Cfg
 			cfg.Workers = m.Workers
 			cfg.VerticalAxis = m.VerticalAxis
@@ -302,10 +351,9 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 			m.LastStokes = s
 			prepared = s
 			if m.UseNewton {
-				nel := prob.DA.NElements()
-				d6 := make([]float64, 6*fem.NQP*nel)
-				fem.StrainRateAtQP(prob, x[:nu], d6, nil)
-				nop := fem.NewNewton(fem.NewTensor(prob), d6, facQP)
+				sc.d6 = grown(sc.d6, 6*fem.NQP*prob.DA.NElements())
+				fem.StrainRateAtQP(prob, x[:nu], sc.d6, nil)
+				nop := fem.NewNewton(fem.NewTensor(prob), sc.d6, facQP)
 				return stokes.NewOp(prob, nop, coupling), s.FS
 			}
 			return s.Op, s.FS
@@ -486,6 +534,7 @@ func (m *Model) StepForward() error {
 		Step: m.StepNum, Time: m.Time, Dt: dt,
 		NewtonIts: res.Iterations, KrylovIts: res.KrylovIts, KrylovBasis: res.KrylovBasis,
 		FNorm0: res.FNorm0, FNorm: res.FNorm, Converged: res.Converged,
+		ResidualEvals: res.ResidualEvals, LineSearchStagnated: res.Stagnated,
 		SolveTime:  time.Since(start),
 		PointCount: m.Points.Len(),
 		TopoMin:    topoMin, TopoMax: topoMax,

@@ -83,8 +83,11 @@ type Result struct {
 	FNorm0      float64   // initial residual norm
 	History     []float64 // ‖F‖ after each outer iteration (incl. initial)
 	Stagnated   bool      // line search failed to reduce ‖F‖
-	Breakdowns  int       // inner Krylov breakdowns encountered
-	Fallbacks   int       // breakdowns recovered by switching Krylov method
+	// ResidualEvals counts the System.Residual calls: the initial one and
+	// every line-search trial, accepted or not.
+	ResidualEvals int
+	Breakdowns    int // inner Krylov breakdowns encountered
+	Fallbacks     int // breakdowns recovered by switching Krylov method
 	// Err carries the typed inner breakdown (*krylov.BreakdownError in
 	// its chain) when even the fallback method broke down and the outer
 	// iteration had to abort, or names an unknown System.Method.
@@ -125,9 +128,10 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 	delta := la.NewVec(n)
 	xTrial := la.NewVec(n)
 	fTrial := la.NewVec(n)
+	rhs := la.NewVec(n)
 
 	sys.Residual(x, f)
-	res := Result{FNorm0: f.Norm2()}
+	res := Result{FNorm0: f.Norm2(), ResidualEvals: 1}
 	fn := res.FNorm0
 	res.History = append(res.History, fn)
 	prevFn := fn
@@ -165,7 +169,7 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 			prm.MaxIt = 500
 		}
 		// Solve J δ = −F.
-		rhs := f.Clone()
+		rhs.Copy(f)
 		rhs.Scale(-1)
 		delta.Zero()
 		kres := inner(sys.Method, jop, pc, rhs, delta, prm)
@@ -201,6 +205,7 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 			xTrial.Copy(x)
 			xTrial.AXPY(lambda, delta)
 			sys.Residual(xTrial, fTrial)
+			res.ResidualEvals++
 			ftn := fTrial.Norm2()
 			if !math.IsNaN(ftn) && ftn <= (1-1e-4*lambda)*fn {
 				x.Copy(xTrial)

@@ -163,9 +163,11 @@ func TestEisenstatWalkerSavesKrylovWork(t *testing.T) {
 func TestLineSearchRescuesOvershoot(t *testing.T) {
 	// Scalar problem F(x) = atan(x): full Newton steps diverge from
 	// x0 = 3 without a line search; backtracking converges.
+	evals := 0
 	sys := System{
 		N: 1,
 		Residual: func(x, f la.Vec) {
+			evals++
 			f[0] = math.Atan(x[0])
 		},
 		Method:      "fgmres",
@@ -187,6 +189,11 @@ func TestLineSearchRescuesOvershoot(t *testing.T) {
 	}
 	if math.Abs(x[0]) > 1e-9 {
 		t.Fatalf("root %v", x[0])
+	}
+	// The search backtracked, so it evaluated more residuals than one per
+	// iteration plus the initial one, and the result says how many.
+	if res.ResidualEvals != evals || evals <= res.Iterations+1 {
+		t.Fatalf("ResidualEvals %d, Residual called %d times over %d iterations", res.ResidualEvals, evals, res.Iterations)
 	}
 	// Without the line search it must fail (diverge or stagnate).
 	x2 := la.Vec{3}

@@ -32,20 +32,24 @@ func ResidentOf(o Operator) *fem.Resident {
 
 // residentCost scales the stored-coefficient per-element counts to the
 // whole mesh, adds the slab boundary-merge traffic, and charges the
-// coefficient precompute (a coordinate-streaming pass that writes the
-// 15-float-per-qp tensor stream) as setup.
+// coefficient precompute as setup: a streaming pass that reads the
+// problem's metric store (inverse Jacobian and detJ, 10 floats per
+// quadrature point) and the viscosity, and writes the 15-float-per-qp
+// tensor stream — about 48 flops per point (the scale, six metric
+// products of six flops, a square root, nine scalings), no coordinate
+// gather and no Jacobian inversion.
 func residentCost(p *fem.Problem, f32 bool) Cost {
 	c := perfmodel.ResidentCounts(f32)
 	nel := float64(p.DA.NElements())
 	_, shared, _ := p.SlabStats()
-	coordB := 81.0 * 8
+	metricB := (10.0 + 1) * 27 * 8
 	coefW := 15.0 * 27 * 8
 	if f32 {
 		coefW = 15 * 27 * 4
 	}
 	return Cost{
-		SetupFlops:   2000 * nel,
-		SetupBytes:   (coordB + coefW) * nel,
+		SetupFlops:   48 * 27 * nel,
+		SetupBytes:   (metricB + coefW) * nel,
 		ApplyFlops:   c.Flops * nel,
 		ApplyBytes:   c.BytesPessimal*nel + perfmodel.SlabMergeBytes(shared),
 		StorageBytes: coefW * nel,

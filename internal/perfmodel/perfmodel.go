@@ -263,8 +263,8 @@ func CalibratedMachine() Machine {
 
 // AssemblySetupCounts estimates the one-time per-element cost of
 // assembling the viscous block into CSR: the 27-point quadrature loop of
-// ElementViscousMatrix (~27×27 basis pairs × ~20 flops per quadrature
-// point) plus streaming the 81×81 element matrix out and scattering it
+// fem's element stiffness matrix (~27×27 basis pairs × ~20 flops per
+// quadrature point) plus streaming the 81×81 element matrix out and scattering it
 // into the ~4608 stored nonzeros (16 B value+index each, read-modify-
 // write). Galerkin coarse construction (RAP) is charged the same order of
 // magnitude — both are "assembled" setups whose cost must be amortized

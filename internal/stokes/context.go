@@ -38,6 +38,23 @@ func (c *Context) InvalidateGeometry() { c.geomDirty = true }
 // Solver returns the cached solver (nil before the first Prepare).
 func (c *Context) Solver() *Solver { return c.s }
 
+// Coupling returns gradient/divergence blocks for prob's mesh as it is
+// now: the cached solver's own — an announced mesh move is taken up here
+// rather than at the next Prepare — so that a residual evaluated before
+// the first relinearisation of a step shares them with the solves after
+// it. Without a cached solver for prob the blocks are built for the
+// caller alone.
+func (c *Context) Coupling(prob *fem.Problem) *fem.Coupling {
+	if c.s == nil || c.s.Prob != prob {
+		return fem.NewCoupling(prob)
+	}
+	if c.geomDirty {
+		c.s.refreshGeometry()
+		c.geomDirty = false
+	}
+	return c.s.C
+}
+
 // Prepare returns a solver for prob's current coefficients and geometry,
 // cold-building or refreshing as needed. The second result reports
 // whether the cached setup was reused.

@@ -57,7 +57,8 @@ type Config struct {
 	// should raise it (the Δη=1e6 parity runs use 200).
 	Params krylov.Params
 	// Telemetry, when non-nil, is the scope the solver instruments itself
-	// under: "outer" (matmult/pcapply/coarse timers, setup_seconds gauge),
+	// under: "outer" (matmult/pcapply/coarse timers, setup_seconds gauge
+	// and the setup_* stage timers that attribute it),
 	// "krylov" (outer iteration counters + residual trace), "mg"/"amg"
 	// (per-level cycle breakdowns, op.Auto selection decisions under
 	// mg/level<i>/select). When nil the solver still wires its probes to a
@@ -172,8 +173,12 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		// Private registry: probes stay live even with telemetry "off".
 		s.Tel = telemetry.New().Root()
 	}
+	stop := s.stage("coupling")
 	s.C = fem.NewCoupling(prob)
+	stop()
+	stop = s.stage("pressure_mass")
 	s.Mp = fem.NewPressureMass(prob)
+	stop()
 
 	// Fine-level viscous operator, shared between the coupled matvec and
 	// the multigrid hierarchy (mg.Options.FineOp), so it is built once.
@@ -188,7 +193,10 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	if err != nil {
 		return nil, fmt.Errorf("stokes: fine operator: %w", err)
 	}
-	if err := auu.Setup(); err != nil {
+	stop = s.stage("fine_op")
+	err = auu.Setup()
+	stop()
+	if err != nil {
 		return nil, fmt.Errorf("stokes: fine operator setup: %w", err)
 	}
 	s.Op = NewOp(prob, auu, s.C)
@@ -199,18 +207,20 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		if a := auu.CSR(); a != nil {
 			s.amgA = a
 		} else {
+			stop := s.stage("amg_matrix")
 			s.amgVA = fem.NewViscousAssembly(prob)
 			s.amgVA.Refresh()
+			stop()
 			s.amgA = s.amgVA.A
 		}
-		sa, err := buildAMG(s.amgA, prob, cfg)
-		if err != nil {
+		if err := s.buildAMG(); err != nil {
 			return nil, err
 		}
-		s.SA = sa
-		innerU = sa
+		innerU = s.SA
 	} else {
+		stop := s.stage("coarsen")
 		probs := mg.CoarsenProblems(prob, cfg.Levels, cfg.CoeffCoarsen)
+		stop()
 		// A reduced-precision hierarchy builds its own fine-level operator:
 		// the coupled operator stays float64, so outer residuals are
 		// untouched by the preconditioner's precision.
@@ -230,6 +240,7 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 			return nil, fmt.Errorf("stokes: GMG setup: %w", err)
 		}
 		s.MG = gmg
+		s.observeLevels()
 		if err := s.buildCoarseSolver(); err != nil {
 			return nil, err
 		}
@@ -249,6 +260,32 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	s.SetupTime = time.Since(start)
 	outer.Gauge("setup_seconds").Set(s.SetupTime.Seconds())
 	return s, nil
+}
+
+// stage starts one stage of New or Refresh on the "outer" scope's timer
+// setup_<name> and returns what ends it: together the stage timers say
+// where setup_seconds went.
+// Stages are coupling, pressure_mass, geometry (coarse coordinates
+// re-injected after a mesh move), coarsen (coarse meshes at New, coarse
+// coefficients), fine_op (the coupled matvec's operator where the
+// hierarchy does not refresh it as its level 0), per hierarchy level
+// op_l<i>_<kind> / diag_l<i> / eig_l<i> (mg.SetupTimes), coarse_solver,
+// and amg_matrix / amg for the standalone algebraic configurations.
+func (s *Solver) stage(name string) (stop func()) {
+	t := s.Tel.Child("outer").Timer("setup_" + name)
+	start := t.Start()
+	return func() { t.Stop(start) }
+}
+
+// observeLevels records what the hierarchy's Build or Refresh just spent
+// per level as stages.
+func (s *Solver) observeLevels() {
+	outer := s.Tel.Child("outer")
+	for l, lev := range s.MG.Levels {
+		outer.Timer(fmt.Sprintf("setup_op_l%d_%v", l, lev.Op.Kind())).Observe(lev.Setup.Op)
+		outer.Timer(fmt.Sprintf("setup_diag_l%d", l)).Observe(lev.Setup.Diag)
+		outer.Timer(fmt.Sprintf("setup_eig_l%d", l)).Observe(lev.Setup.Eig)
+	}
 }
 
 // SelectionReport returns the per-level op.Auto decisions of the
@@ -279,6 +316,7 @@ const (
 // An "asmcg" solver whose matrix was refreshed in place keeps its
 // topology and only refactors.
 func (s *Solver) buildCoarseSolver() error {
+	defer s.stage("coarse_solver")()
 	cfg := s.Cfg
 	last := s.MG.Levels[len(s.MG.Levels)-1]
 	a := last.Op.CSR()
@@ -334,8 +372,10 @@ func (s *Solver) buildCoarseSolver() error {
 }
 
 // buildAMG constructs the standalone algebraic preconditioner (Levels <=
-// 1 configurations) from the assembled viscous block.
-func buildAMG(a *la.CSR, prob *fem.Problem, cfg Config) (*amg.SA, error) {
+// 1 configurations) from the assembled viscous block amgA into s.SA.
+func (s *Solver) buildAMG() error {
+	defer s.stage("amg")()
+	cfg := s.Cfg
 	opt := amg.GAMGLike()
 	switch cfg.AMGConfig {
 	case "ml":
@@ -345,11 +385,12 @@ func buildAMG(a *la.CSR, prob *fem.Problem, cfg Config) (*amg.SA, error) {
 	}
 	opt.SmoothSteps = max(1, cfg.SmoothSteps)
 	opt.Workers = cfg.Workers
-	sa, err := amg.New(a, 3, amg.RigidBodyModes(prob.DA.Coords, prob.BC.Mask), opt)
+	sa, err := amg.New(s.amgA, 3, amg.RigidBodyModes(s.Prob.DA.Coords, s.Prob.BC.Mask), opt)
 	if err != nil {
-		return nil, fmt.Errorf("stokes: AMG setup: %w", err)
+		return fmt.Errorf("stokes: AMG setup: %w", err)
 	}
-	return sa, nil
+	s.SA = sa
+	return nil
 }
 
 // Refresh re-derives the solver's numeric state from the problem's
@@ -367,51 +408,49 @@ func buildAMG(a *la.CSR, prob *fem.Problem, cfg Config) (*amg.SA, error) {
 func (s *Solver) Refresh(geomChanged bool) error {
 	start := time.Now()
 	if geomChanged {
-		if s.MG != nil {
-			for l := 1; l < len(s.MG.Levels); l++ {
-				fp, cp := s.MG.Levels[l-1].Prob, s.MG.Levels[l].Prob
-				mesh.RefreshCoarsenCoords(fp.DA, cp.DA)
-				mesh.RefreshCoarsenBCVals(fp.DA, cp.DA, fp.BC, cp.BC)
-			}
-		}
-		// The coupling blocks depend only on geometry.
-		s.C.Setup()
+		s.refreshGeometry()
 	}
 	// Re-restrict the coarse coefficients in CoarsenProblems level order.
 	if s.MG != nil && s.Cfg.CoeffCoarsen != nil {
+		stop := s.stage("coarsen")
 		for l := 1; l < len(s.MG.Levels); l++ {
 			s.Cfg.CoeffCoarsen(l, s.MG.Levels[l].Prob)
 		}
+		stop()
 	}
 	// The pressure mass matrix is viscosity-scaled: always re-derive.
+	stop := s.stage("pressure_mass")
 	s.Mp.Setup()
-	if s.MG != nil {
-		if any(s.MG.Levels[0].Op) != any(s.Op.Auu) {
-			// Blocked/F32 hierarchies own their fine operator; the shared
-			// coupled-matvec operator refreshes separately.
-			if err := op.Refresh(s.Op.Auu); err != nil {
-				return fmt.Errorf("stokes: fine operator refresh: %w", err)
-			}
+	stop()
+	if s.MG == nil || any(s.MG.Levels[0].Op) != any(s.Op.Auu) {
+		// The coupled matvec's operator is not the hierarchy's level 0
+		// (there is no hierarchy, or a reduced-precision one built its
+		// own float32 fine operator): it refreshes separately.
+		stop := s.stage("fine_op")
+		err := op.Refresh(s.Op.Auu)
+		stop()
+		if err != nil {
+			return fmt.Errorf("stokes: fine operator refresh: %w", err)
 		}
+	}
+	if s.MG != nil {
 		if err := s.MG.Refresh(); err != nil {
 			return fmt.Errorf("stokes: %w", err)
 		}
+		s.observeLevels()
 		if err := s.buildCoarseSolver(); err != nil {
 			return err
 		}
 	} else {
-		if err := op.Refresh(s.Op.Auu); err != nil {
-			return fmt.Errorf("stokes: fine operator refresh: %w", err)
-		}
 		if s.amgVA != nil {
+			stop := s.stage("amg_matrix")
 			s.amgVA.Refresh()
+			stop()
 		}
-		sa, err := buildAMG(s.amgA, s.Prob, s.Cfg)
-		if err != nil {
+		if err := s.buildAMG(); err != nil {
 			return err
 		}
-		s.SA = sa
-		s.FS.InnerU = sa
+		s.FS.InnerU = s.SA
 	}
 	if s.SA != nil {
 		s.SA.SetTelemetry(s.Tel.Child("amg"))
@@ -419,6 +458,23 @@ func (s *Solver) Refresh(geomChanged bool) error {
 	s.SetupTime = time.Since(start)
 	s.Tel.Child("outer").Gauge("setup_seconds").Set(s.SetupTime.Seconds())
 	return nil
+}
+
+// refreshGeometry re-derives what depends on the mesh coordinates alone
+// after they moved: the coarse levels' injected coordinates and boundary
+// values, and the coupling blocks.
+func (s *Solver) refreshGeometry() {
+	if s.MG != nil {
+		stop := s.stage("geometry")
+		for l := 1; l < len(s.MG.Levels); l++ {
+			fp, cp := s.MG.Levels[l-1].Prob, s.MG.Levels[l].Prob
+			mesh.RefreshCoarsenCoords(fp.DA, cp.DA)
+			mesh.RefreshCoarsenBCVals(fp.DA, cp.DA, fp.BC, cp.BC)
+		}
+		stop()
+	}
+	defer s.stage("coupling")()
+	s.C.Setup()
 }
 
 // Solve performs one linear Stokes solve in residual-correction form: the

@@ -3,7 +3,10 @@ package stokes
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
@@ -11,6 +14,7 @@ import (
 	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/mg"
 	"ptatin3d/internal/op"
+	"ptatin3d/internal/telemetry"
 )
 
 // sinkerDef is a deterministic miniature of the paper's sedimentation
@@ -556,6 +560,54 @@ func TestGalerkinInputLevelTracksRefresh(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("refreshed level-1 matrix entry %d = %v, cold build %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestSetupStageTimersAttributeRefresh: the setup_* stage timers of the
+// "outer" scope account for a 3-level refresh — with and without a mesh
+// move — to within a tenth of setup_seconds, and name every stage the
+// refresh has.
+func TestSetupStageTimersAttributeRefresh(t *testing.T) {
+	p, def := sinkerProblem(8, 100, 2)
+	cfg := sinkerConfig(p, def)
+	cfg.Telemetry = telemetry.New().Root()
+	s, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(s.MG.Levels) != 3 {
+		t.Fatalf("%d levels, want 3", len(s.MG.Levels))
+	}
+	stageSum := func() (sum time.Duration, names []string) {
+		sn := cfg.Telemetry.Snapshot().Find("outer")
+		for name, tm := range sn.Timers {
+			if strings.HasPrefix(name, "setup_") {
+				sum += time.Duration(tm.Seconds * float64(time.Second))
+				names = append(names, name)
+			}
+		}
+		return sum, names
+	}
+	before, _ := stageSum()
+	if float64(before) < 0.9*float64(s.SetupTime) {
+		t.Fatalf("cold build: stages sum to %v of %v", before, s.SetupTime)
+	}
+	for _, geom := range []bool{false, true} {
+		if err := s.Refresh(geom); err != nil {
+			t.Fatal(err)
+		}
+		after, names := stageSum()
+		if got := after - before; float64(got) < 0.9*float64(s.SetupTime) || got > s.SetupTime {
+			t.Fatalf("refresh(geom=%v): stages sum to %v of setup_seconds %v", geom, got, s.SetupTime)
+		}
+		before = after
+		for _, want := range []string{"setup_coarsen", "setup_pressure_mass", "setup_coupling",
+			"setup_op_l0_mfc", "setup_op_l1_mfc", "setup_op_l2_galerkin",
+			"setup_diag_l0", "setup_eig_l0", "setup_diag_l2", "setup_eig_l2", "setup_coarse_solver"} {
+			if !slices.Contains(names, want) {
+				t.Fatalf("no stage timer %q among %v", want, names)
+			}
 		}
 	}
 }

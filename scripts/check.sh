@@ -86,6 +86,11 @@ named_tests -race \
     'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestSolveRejectsUnknownMethod' \
     ./internal/krylov
 
+echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, set-up stage timers under -race =="
+named_tests -race \
+    'TestGeometryStoreBitwise|TestILUBackSweepFromMatchesSolve|TestASMRestrictedPartialSweepBitwise|TestPrepareSkipsRepeatedCoefficientUpdate|TestSetupStageTimersAttributeRefresh' \
+    ./internal/fem ./internal/la ./internal/krylov ./internal/model ./internal/stokes
+
 echo "== parallel MPM + amortized solver setup under -race =="
 named_tests -race \
     'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
