@@ -6,7 +6,11 @@
 // Usage:
 //
 //	ptatin-opcost [-m 16] [-workers 4] [-reps 5] [-telemetry] [-cpuprofile out.pprof]
-//	ptatin-opcost -json [-grids 4,8,12,16] [-op mf] [-workers 4] [-reps 5]
+//
+// The measured table — one row per op.Kind built through op.New, apply and
+// set-up time beside the roofline — is the representation study behind the
+// fixed hierarchy layout (op.Layout); run it at several -m for the
+// per-size picture.
 //
 // With -telemetry the tool additionally runs a multigrid-preconditioned
 // Stokes solve on the same deformed mesh and emits the telemetry registry
@@ -14,18 +18,11 @@
 // time per call, including per-MG-level smoother and operator counts) and
 // the full JSON snapshot.
 //
-// With -json the tool instead sweeps the unified operator backends of
-// internal/op (tensor matrix-free, reference matrix-free, rediscretized
-// CSR, and — where a 2× finer mesh is affordable — the Galerkin product)
-// over the -grids level sizes and emits a machine-readable benchmark
-// (apply time, MDoF/s, setup time per backend per size) on stdout.
-//
 // The V-cycle is measured level by level, in the time loop it runs in, by
 // the repository benchmark (the mg.* metrics of bench/).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -50,17 +47,9 @@ func main() {
 	workers := flag.Int("workers", 0, "worker goroutines (0 = runtime.NumCPU())")
 	reps := flag.Int("reps", 5, "timing repetitions (best-of)")
 	telFlag := flag.Bool("telemetry", false, "run an instrumented MG Stokes solve and emit the telemetry table + JSON")
-	jsonFlag := flag.Bool("json", false, "emit the machine-readable per-backend benchmark (BENCH_PR4 schema) and exit")
-	grids := flag.String("grids", "4,8,12", "comma-separated level sizes for -json")
-	opFlag := flag.String("op", "", "restrict -json to one backend (mf|mfref|asm|galerkin)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	flag.Parse()
 	*workers = cli.Workers(*workers)
-
-	if *jsonFlag {
-		runJSONBench(*grids, *opFlag, *workers, *reps)
-		return
-	}
 
 	if *cpuprofile != "" {
 		stop, err := telemetry.StartCPUProfile(*cpuprofile)
@@ -225,7 +214,7 @@ func runTelemetrySolve(p *fem.Problem, workers int) {
 }
 
 // benchProblem builds the Table-I deformed variable-viscosity problem at
-// size m (shared by the default mode and the -json sweep).
+// size m.
 func benchProblem(m, workers int) *fem.Problem {
 	da := mesh.New(m, m, m, 0, 1, 0, 1, 0, 1)
 	da.Deform(func(x, y, z float64) (float64, float64, float64) {
@@ -239,112 +228,4 @@ func benchProblem(m, workers int) *fem.Problem {
 		return math.Exp(2 * math.Sin(3*x) * math.Cos(2*y))
 	}, nil)
 	return p
-}
-
-// benchRecord is one (backend, size) measurement in the BENCH_PR4 schema.
-type benchRecord struct {
-	M        int     `json:"m"`
-	N        int     `json:"n"`
-	Backend  string  `json:"backend"`
-	ApplyMs  float64 `json:"apply_ms"`
-	MDoFPerS float64 `json:"mdof_per_s"`
-	SetupMs  float64 `json:"setup_ms"`
-}
-
-// runJSONBench times each internal/op backend's Apply at each level size
-// and writes the BENCH_PR4 JSON document to stdout. The Galerkin backend
-// needs an assembled 2× finer mesh, so it is only benchmarked at sizes
-// where that matrix stays affordable.
-func runJSONBench(grids, only string, workers, reps int) {
-	var restrict op.Kind
-	restricted := false
-	if only != "" {
-		k, err := op.ParseKind(only)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if k == op.Auto {
-			log.Fatal("ptatin-opcost -json: auto is a selector, not a backend; pick mf|mfref|asm|galerkin")
-		}
-		restrict, restricted = k, true
-	}
-	var records []benchRecord
-	gridList, err := cli.ParseInts(grids)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, m := range gridList {
-		p := benchProblem(m, workers)
-		kinds := []op.Kind{op.Tensor, op.MFRef, op.Assembled}
-		if 2*m <= 16 {
-			kinds = append(kinds, op.Galerkin)
-		}
-		for _, k := range kinds {
-			if restricted && k != restrict {
-				continue
-			}
-			env := op.Env{Prob: p, Workers: workers}
-			if k == op.Galerkin {
-				fine := benchProblem(2*m, workers)
-				var fineA *la.CSR
-				env.FineCSR = func() *la.CSR {
-					if fineA == nil {
-						fineA = fem.AssembleViscous(fine)
-					}
-					return fineA
-				}
-				prol := mg.NewProlongation(fine.DA, p.DA, fine.BC, p.BC)
-				env.Prolong = prol.ToCSR
-			}
-			o, err := op.New(k, env)
-			if err != nil {
-				log.Fatalf("m=%d %v: %v", m, k, err)
-			}
-			setupStart := time.Now()
-			if err := o.Setup(); err != nil {
-				log.Fatalf("m=%d %v setup: %v", m, k, err)
-			}
-			setup := time.Since(setupStart)
-			n := o.N()
-			u, y := la.NewVec(n), la.NewVec(n)
-			for i := range u {
-				u[i] = math.Sin(float64(i))
-			}
-			o.Apply(u, y) // warm up
-			best := time.Duration(1 << 62)
-			for r := 0; r < reps; r++ {
-				start := time.Now()
-				o.Apply(u, y)
-				if el := time.Since(start); el < best {
-					best = el
-				}
-			}
-			records = append(records, benchRecord{
-				M:        m,
-				N:        n,
-				Backend:  k.String(),
-				ApplyMs:  best.Seconds() * 1e3,
-				MDoFPerS: float64(n) / best.Seconds() / 1e6,
-				SetupMs:  setup.Seconds() * 1e3,
-			})
-		}
-	}
-	mach := perfmodel.CalibratedMachine()
-	doc := struct {
-		Schema  string `json:"schema"`
-		Workers int    `json:"workers"`
-		Reps    int    `json:"reps"`
-		Machine struct {
-			StreamGBs float64 `json:"stream_gb_per_s"`
-			FlopGFs   float64 `json:"flop_gf_per_s"`
-		} `json:"machine"`
-		Results []benchRecord `json:"results"`
-	}{Schema: "BENCH_PR4", Workers: workers, Reps: reps, Results: records}
-	doc.Machine.StreamGBs = mach.StreamBW / 1e9
-	doc.Machine.FlopGFs = mach.FlopRate / 1e9
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(doc); err != nil {
-		log.Fatal(err)
-	}
 }

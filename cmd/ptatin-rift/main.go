@@ -30,7 +30,7 @@ func main() {
 	mz := flag.Int("mz", 16, "elements in z (paper: 128)")
 	steps := flag.Int("steps", 5, "time steps (paper: 1500-2000)")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = runtime.NumCPU())")
-	opFlag := flag.String("op", "", "fine-level operator representation (mfc|auto|mf|mfref|asm|galerkin; default mfc)")
+	opFlag := flag.String("op", "", "fine-level operator representation (mfc|mf|mfref|asm|galerkin; default mfc)")
 	precFlag := flag.String("precision", "", "V-cycle preconditioner precision (f64|f32); the outer Krylov method always iterates in f64")
 	oblique := flag.Bool("oblique", false, "apply z-shortening (BC variant ii)")
 	weak := flag.Float64("weak", 0.05, "lower-crust viscosity (nondim)")

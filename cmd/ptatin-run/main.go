@@ -8,7 +8,7 @@
 //	ptatin-run -list                                  # registered scenarios
 //	ptatin-run -scenario sinker -steps 3
 //	ptatin-run -scenario rift -ranks 2x1x2 -steps 5
-//	ptatin-run -scenario my-spec.json -op auto -json run.json
+//	ptatin-run -scenario my-spec.json -op asm -json run.json
 //	ptatin-run -smoke                                 # 2-step smoke of every
 //	                                                  # scenario, both backends
 package main
@@ -42,7 +42,7 @@ func main() {
 	ranks := flag.String("ranks", "", "simulated rank grid PxxPyxPz; empty or 1x1x1 = shared-memory backend")
 	pipelined := flag.Bool("pipelined", false, "pipelined Krylov on the distributed backend")
 	coarseRoots := flag.Int("coarse-roots", 0, "coarse-grid agglomeration roots on the distributed backend")
-	opFlag := flag.String("op", "", "fine-level operator representation (mfc|auto|mf|mfref|asm|galerkin; default: the spec's, else mfc)")
+	opFlag := flag.String("op", "", "fine-level operator representation (mfc|mf|mfref|asm|galerkin; default: the spec's, else mfc)")
 	precFlag := flag.String("precision", "", "V-cycle preconditioner precision (f64|f32)")
 	restart := flag.Int("restart", 0, "FGMRES restart window override (0 = spec/default; high viscosity contrast wants >=200)")
 	ckptEvery := flag.Int("checkpoint-every", 0, "write a checkpoint every N steps (0 disables)")

@@ -19,7 +19,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -46,10 +45,9 @@ func main() {
 	grids := flag.String("grids", "8,12,16", "comma-separated grid sizes (elements/direction)")
 	cores := flag.String("cores", "1,2,4", "comma-separated worker counts (0 entries = runtime.NumCPU())")
 	deta := flag.Float64("deta", 100, "viscosity contrast")
-	opFlag := flag.String("op", "", "restrict the sweep to one fine-level representation (auto|mf|mfref|asm|galerkin); default sweeps asm, mfref and mf")
+	opFlag := flag.String("op", "", "restrict the sweep to one fine-level representation (mf|mfref|asm|galerkin); default sweeps asm, mfref and mf")
 	ranks := flag.String("ranks", "", "run the rank-distributed solve over a PxxPyxPz rank grid (e.g. 2x2x1) instead of the shared-memory sweep")
-	jsonFlag := flag.Bool("json", false, "with -ranks/-sweep: emit the machine-readable scaling benchmark (BENCH_PR5/BENCH_PR6 schema) and exit")
-	sweep := flag.Bool("sweep", false, "run the PR6 weak+strong scaling sweep over 1..512 simulated ranks (pipelined Krylov + coarse agglomeration + fabric model)")
+	sweep := flag.Bool("sweep", false, "run the weak+strong scaling sweep over 1..512 simulated ranks (pipelined Krylov + coarse agglomeration + fabric model)")
 	sweepMaxRanks := flag.Int("sweep-max-ranks", 512, "with -sweep: skip sweep points above this rank count (bounded smoke runs)")
 	pipelined := flag.Bool("pipelined", true, "with -sweep: use the pipelined (batched-reduction) Krylov variants")
 	aggRoots := flag.Int("agg", 8, "with -sweep: agglomerate the coarse solve onto this many roots (clamped to the rank count; 0 = legacy all-to-rank-0 gather)")
@@ -73,7 +71,7 @@ func main() {
 	}
 
 	if *sweep {
-		runSweepMode(*deta, *jsonFlag, *sweepMaxRanks, *pipelined, *aggRoots)
+		runSweepMode(*deta, *sweepMaxRanks, *pipelined, *aggRoots)
 		return
 	}
 	if *ranks != "" {
@@ -81,11 +79,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		runRanksMode(gridList, *ranks, *deta, *jsonFlag)
+		runRanksMode(gridList, *ranks, *deta)
 		return
-	}
-	if *jsonFlag {
-		log.Fatal("ptatin-scaling: -json requires -ranks or -sweep (the BENCH_PR5/PR6 schemas cover the rank-distributed solve)")
 	}
 
 	counts := map[string]perfmodel.OpCounts{}
@@ -97,14 +92,12 @@ func main() {
 		op.MFRef:     "MF",
 		op.Tensor:    "Tens",
 		op.Galerkin:  "Galk",
-		op.Auto:      "Auto",
 	}
 	countName := map[op.Kind]string{
 		op.Assembled: "Assembled",
 		op.MFRef:     "Matrix-free",
 		op.Tensor:    "Tensor",
 		op.Galerkin:  "Assembled",
-		op.Auto:      "Tensor",
 	}
 	kinds := []op.Kind{op.Assembled, op.MFRef, op.Tensor}
 	if *opFlag != "" {
@@ -202,22 +195,6 @@ func runOne(g, workers int, deta float64, kind op.Kind, label string, oc perfmod
 		ecs, gfs/float64(workers), gfs)
 }
 
-// rankRecord is one (grid, rank-grid) measurement in the BENCH_PR5
-// schema: the rank-distributed solve of the sinker benchmark, with the
-// per-rank communication volumes and the analytic halo prediction.
-type rankRecord struct {
-	M             int                `json:"m"`
-	Ranks         string             `json:"ranks"`
-	NRanks        int                `json:"nranks"`
-	Iterations    int                `json:"iterations"`
-	Converged     bool               `json:"converged"`
-	SetupMs       float64            `json:"setup_ms"`
-	SolveMs       float64            `json:"solve_ms"`
-	ElemPerCoreS  float64            `json:"elem_per_core_s"`
-	PredHaloBytes float64            `json:"predicted_halo_bytes_per_exchange"`
-	PerRank       []stokes.RankStats `json:"per_rank"`
-}
-
 // runRanksMode reproduces the Tables II/III shape for the
 // rank-distributed solve: each grid is solved collectively over a
 // px×py×pz simulated MPI world (cores = ranks — the paper's flat-MPI
@@ -226,19 +203,16 @@ type rankRecord struct {
 // prediction of the performance model. Grids whose multigrid hierarchy
 // the rank grid cannot decompose evenly (nesting requires Px,Py,Pz to
 // divide the element counts at every level) are reported and skipped.
-func runRanksMode(grids []int, ranksSpec string, deta float64, emitJSON bool) {
+func runRanksMode(grids []int, ranksSpec string, deta float64) {
 	px, py, pz, err := cli.ParseRanks(ranksSpec)
 	if err != nil {
 		log.Fatal(err)
 	}
 	nr := px * py * pz
-	var records []rankRecord
-	if !emitJSON {
-		fmt.Printf("# Table II/III shape, rank-distributed (%s = %d ranks; cores = ranks)\n", ranksSpec, nr)
-		fmt.Printf("%-6s %-7s %4s %12s %12s %10s | %12s %12s %10s\n",
-			"grid", "ranks", "its", "setup(s)", "solve(s)", "E/C/s",
-			"halo-B/rank", "pred-B/exch", "allreduces")
-	}
+	fmt.Printf("# Table II/III shape, rank-distributed (%s = %d ranks; cores = ranks)\n", ranksSpec, nr)
+	fmt.Printf("%-6s %-7s %4s %12s %12s %10s | %12s %12s %10s\n",
+		"grid", "ranks", "its", "setup(s)", "solve(s)", "E/C/s",
+		"halo-B/rank", "pred-B/exch", "allreduces")
 	for _, g := range grids {
 		o := scenario.DefaultSinkerOptions()
 		o.M = g
@@ -270,39 +244,20 @@ func runRanksMode(grids []int, ranksSpec string, deta float64, emitJSON bool) {
 		res, stats, err := s.SolveDistributed(x, bu, px, py, pz, stokes.DistOptions{})
 		solve := time.Since(solveStart).Seconds()
 		if err != nil {
-			// stderr in JSON mode so the document stays parseable.
-			if emitJSON {
-				log.Printf("grid %d ranks %s: SKIP: %v", g, ranksSpec, err)
-			} else {
-				fmt.Printf("%-6d %-7s SKIP: %v\n", g, ranksSpec, err)
-			}
+			fmt.Printf("%-6d %-7s SKIP: %v\n", g, ranksSpec, err)
 			continue
 		}
 		if !res.Converged {
-			if emitJSON {
-				log.Printf("grid %d ranks %s: FAILED after %d its", g, ranksSpec, res.Iterations)
-			} else {
-				fmt.Printf("%-6d %-7s FAILED after %d its\n", g, ranksSpec, res.Iterations)
-			}
+			fmt.Printf("%-6d %-7s FAILED after %d its\n", g, ranksSpec, res.Iterations)
 			continue
 		}
 		pred := perfmodel.HaloExchangeBytes(perfmodel.MaxGhostNodes(g, g, g, px, py, pz))
 		nel := float64(g * g * g)
 		ecs := nel / float64(nr) / solve
-		var maxBytes, maxMsgs, maxAR int64
+		var maxBytes, maxAR int64
 		for _, st := range stats {
 			maxBytes = max(maxBytes, st.HaloBytes)
-			maxMsgs = max(maxMsgs, st.HaloMsgs)
 			maxAR = max(maxAR, st.AllReduces)
-		}
-		if emitJSON {
-			records = append(records, rankRecord{
-				M: g, Ranks: ranksSpec, NRanks: nr,
-				Iterations: res.Iterations, Converged: true,
-				SetupMs: setup.Seconds() * 1e3, SolveMs: solve * 1e3,
-				ElemPerCoreS: ecs, PredHaloBytes: pred, PerRank: stats,
-			})
-			continue
 		}
 		fmt.Printf("%-6d %-7s %4d %12.3f %12.3f %10.0f | %12d %12.0f %10d\n",
 			g, ranksSpec, res.Iterations, setup.Seconds(), solve, ecs,
@@ -312,63 +267,33 @@ func runRanksMode(grids []int, ranksSpec string, deta float64, emitJSON bool) {
 				st.Rank, st.HaloMsgs, st.HaloBytes, st.AllReduces, st.Retries)
 		}
 	}
-	if emitJSON {
-		doc := struct {
-			Schema  string       `json:"schema"`
-			Ranks   string       `json:"ranks"`
-			Results []rankRecord `json:"results"`
-		}{Schema: "BENCH_PR5", Ranks: ranksSpec, Results: records}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			log.Fatal(err)
-		}
-	}
 }
 
-// sweepRecord is one (mode, rank-grid, grid) measurement in the
-// BENCH_PR6 schema: the latency-tolerant configuration of the
-// rank-distributed solve (pipelined batched-reduction Krylov, agglomerated
-// coarse solve, α–β fabric model) at scaling-sweep rank counts. Per-rank
-// detail is summarised (max over ranks) — at 512 ranks the full list
-// drowns the document.
-type sweepRecord struct {
-	Mode         string  `json:"mode"` // "weak" | "strong"
-	M            int     `json:"m"`
-	Ranks        string  `json:"ranks"`
-	NRanks       int     `json:"nranks"`
-	Pipelined    bool    `json:"pipelined"`
-	CoarseRoots  int     `json:"coarse_roots"`
-	Iterations   int     `json:"iterations"`
-	Converged    bool    `json:"converged"`
-	SetupMs      float64 `json:"setup_ms"`
-	SolveMs      float64 `json:"solve_ms"`
-	ElemPerCoreS float64 `json:"elem_per_core_s"`
-	// AllReducesMax is the per-rank allreduce count (max over ranks);
-	// ARPerIt is that count divided by the outer iterations — pipelined
-	// GCR holds it at 2 where the classical recurrence needs j+3 at basis
-	// length j.
-	AllReducesMax int64   `json:"allreduces_max"`
-	ARPerIt       float64 `json:"allreduce_per_iteration"`
-	HaloBytesMax  int64   `json:"halo_bytes_max"`
-	HaloMsgsMax   int64   `json:"halo_msgs_max"`
-	RetriesTotal  int64   `json:"retries_total"`
-	PredHaloBytes float64 `json:"predicted_halo_bytes_per_exchange"`
-	// Modeled fabric time (max over ranks, ns) split by operation class:
-	// the α–β interconnect cost that would dominate at real scale.
-	FabricHaloNsMax      int64 `json:"fabric_halo_ns_max"`
-	FabricAllReduceNsMax int64 `json:"fabric_allreduce_ns_max"`
-	FabricCoarseNsMax    int64 `json:"fabric_coarse_ns_max"`
+// sweepRow is one solved (rank-grid, grid) point of the sweep: the
+// latency-tolerant configuration of the rank-distributed solve (pipelined
+// batched-reduction Krylov, agglomerated coarse solve, α–β fabric model),
+// per-rank detail summarised as the max over ranks.
+type sweepRow struct {
+	m, nranks, iterations int
+	ranks                 string
+	solveS, elemPerCoreS  float64
+	// arPerIt is the per-rank allreduce count over the outer iterations —
+	// pipelined GCR holds it at 2 where the classical recurrence needs j+3
+	// at basis length j.
+	arPerIt float64
+	// Modeled fabric time (max over ranks, ns) by operation class: the α–β
+	// interconnect cost that would dominate at real scale.
+	fabricHaloNs, fabricAllReduceNs, fabricCoarseNs int64
 }
 
-// sweepPoint is one configuration of the PR6 sweep.
+// sweepPoint is one configuration of the sweep.
 type sweepPoint struct {
 	mode       string
 	px, py, pz int
 	g          int
 }
 
-// sweepPoints returns the PR6 sweep: weak scaling holds 2 elements per
+// sweepPoints returns the sweep: weak scaling holds 2 elements per
 // rank per axis (the whole problem grows with the machine), strong
 // scaling holds the 16^3 grid fixed while the rank grid grows — both
 // over 1, 8, 64, 512 ranks. Every grid nests 2:1 under its rank grid at
@@ -380,73 +305,45 @@ func sweepPoints() []sweepPoint {
 	}
 }
 
-// runSweepMode runs the PR6 weak+strong scaling sweep with the
-// latency-tolerant solver configuration and emits the BENCH_PR6 table
-// (and, with -json, the machine-readable document). Identical
+// runSweepMode runs the weak+strong scaling sweep with the
+// latency-tolerant solver configuration and prints its table. Identical
 // (rank-grid, grid) configurations — the 512-rank corner is shared by
 // both scaling curves — are solved once and reported under both modes.
-func runSweepMode(deta float64, emitJSON bool, maxRanks int, pipelined bool, aggRoots int) {
-	if !emitJSON {
-		fmt.Printf("# PR6 scaling sweep (pipelined=%v, agg roots<=%d, fabric=alpha-beta; cores = ranks)\n",
-			pipelined, aggRoots)
-		fmt.Printf("%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s %12s\n",
-			"mode", "grid", "ranks", "nranks", "its", "solve(s)", "E/C/s", "AR/it",
-			"fab-halo(ms)", "fab-AR(ms)", "fab-crs(ms)")
-	}
+func runSweepMode(deta float64, maxRanks int, pipelined bool, aggRoots int) {
+	fmt.Printf("# PR6 scaling sweep (pipelined=%v, agg roots<=%d, fabric=alpha-beta; cores = ranks)\n",
+		pipelined, aggRoots)
+	fmt.Printf("%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s %12s\n",
+		"mode", "grid", "ranks", "nranks", "its", "solve(s)", "E/C/s", "AR/it",
+		"fab-halo(ms)", "fab-AR(ms)", "fab-crs(ms)")
 	type cacheKey struct {
 		px, py, pz, g int
 	}
-	cache := map[cacheKey]*sweepRecord{}
-	var records []sweepRecord
+	cache := map[cacheKey]*sweepRow{}
 	for _, pt := range sweepPoints() {
-		nr := pt.px * pt.py * pt.pz
-		if nr > maxRanks {
-			if !emitJSON {
-				fmt.Printf("%-6s %-6d %-7s SKIP: above -sweep-max-ranks=%d\n",
-					pt.mode, pt.g, fmt.Sprintf("%dx%dx%d", pt.px, pt.py, pt.pz), maxRanks)
-			} else {
-				log.Printf("sweep %s grid %d %dx%dx%d: SKIP: above -sweep-max-ranks=%d",
-					pt.mode, pt.g, pt.px, pt.py, pt.pz, maxRanks)
-			}
+		if nr := pt.px * pt.py * pt.pz; nr > maxRanks {
+			fmt.Printf("%-6s %-6d %-7s SKIP: above -sweep-max-ranks=%d\n",
+				pt.mode, pt.g, fmt.Sprintf("%dx%dx%d", pt.px, pt.py, pt.pz), maxRanks)
 			continue
 		}
 		key := cacheKey{pt.px, pt.py, pt.pz, pt.g}
-		rec := cache[key]
-		if rec == nil {
-			rec = sweepOne(pt, deta, pipelined, aggRoots, emitJSON)
-			cache[key] = rec
+		r := cache[key]
+		if r == nil {
+			r = sweepOne(pt, deta, pipelined, aggRoots)
+			cache[key] = r
 		}
-		if rec == nil {
+		if r == nil {
 			continue
 		}
-		r := *rec
-		r.Mode = pt.mode
-		records = append(records, r)
-		if !emitJSON {
-			fmt.Printf("%-6s %-6d %-7s %6d %4d %12.3f %10.0f %6.2f | %12.1f %12.1f %12.1f\n",
-				r.Mode, r.M, r.Ranks, r.NRanks, r.Iterations, r.SolveMs/1e3,
-				r.ElemPerCoreS, r.ARPerIt,
-				float64(r.FabricHaloNsMax)/1e6, float64(r.FabricAllReduceNsMax)/1e6,
-				float64(r.FabricCoarseNsMax)/1e6)
-		}
-	}
-	if emitJSON {
-		doc := struct {
-			Schema    string        `json:"schema"`
-			Pipelined bool          `json:"pipelined"`
-			AggRoots  int           `json:"agg_roots"`
-			Results   []sweepRecord `json:"results"`
-		}{Schema: "BENCH_PR6", Pipelined: pipelined, AggRoots: aggRoots, Results: records}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(doc); err != nil {
-			log.Fatal(err)
-		}
+		fmt.Printf("%-6s %-6d %-7s %6d %4d %12.3f %10.0f %6.2f | %12.1f %12.1f %12.1f\n",
+			pt.mode, r.m, r.ranks, r.nranks, r.iterations, r.solveS,
+			r.elemPerCoreS, r.arPerIt,
+			float64(r.fabricHaloNs)/1e6, float64(r.fabricAllReduceNs)/1e6,
+			float64(r.fabricCoarseNs)/1e6)
 	}
 }
 
 // sweepOne solves one sweep point and summarises it (nil on skip/fail).
-func sweepOne(pt sweepPoint, deta float64, pipelined bool, aggRoots int, emitJSON bool) *sweepRecord {
+func sweepOne(pt sweepPoint, deta float64, pipelined bool, aggRoots int) *sweepRow {
 	nr := pt.px * pt.py * pt.pz
 	ranksSpec := fmt.Sprintf("%dx%dx%d", pt.px, pt.py, pt.pz)
 	o := scenario.DefaultSinkerOptions()
@@ -467,12 +364,10 @@ func sweepOne(pt sweepPoint, deta float64, pipelined bool, aggRoots int, emitJSO
 	// shape so the scaling curves compare like against like.
 	cfg.Levels = 2
 
-	setupStart := time.Now()
 	s, err := stokes.New(mdl.Prob, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	setup := time.Since(setupStart)
 
 	roots := aggRoots
 	if roots > nr {
@@ -497,32 +392,23 @@ func sweepOne(pt sweepPoint, deta float64, pipelined bool, aggRoots int, emitJSO
 	res, stats, err := s.SolveDistributed(x, bu, pt.px, pt.py, pt.pz, opt)
 	solve := time.Since(solveStart).Seconds()
 	if err != nil || !res.Converged {
-		if emitJSON {
-			log.Printf("sweep %s grid %d ranks %s: FAILED (its=%d, err=%v)", pt.mode, pt.g, ranksSpec, res.Iterations, err)
-		} else {
-			fmt.Printf("%-6s %-6d %-7s FAILED (its=%d, err=%v)\n", pt.mode, pt.g, ranksSpec, res.Iterations, err)
-		}
+		fmt.Printf("%-6s %-6d %-7s FAILED (its=%d, err=%v)\n", pt.mode, pt.g, ranksSpec, res.Iterations, err)
 		return nil
 	}
-	rec := &sweepRecord{
-		M: pt.g, Ranks: ranksSpec, NRanks: nr,
-		Pipelined: pipelined, CoarseRoots: roots,
-		Iterations: res.Iterations, Converged: true,
-		SetupMs: setup.Seconds() * 1e3, SolveMs: solve * 1e3,
-		ElemPerCoreS:  float64(pt.g*pt.g*pt.g) / float64(nr) / solve,
-		PredHaloBytes: perfmodel.HaloExchangeBytes(perfmodel.MaxGhostNodes(pt.g, pt.g, pt.g, pt.px, pt.py, pt.pz)),
+	row := &sweepRow{
+		m: pt.g, ranks: ranksSpec, nranks: nr, iterations: res.Iterations,
+		solveS:       solve,
+		elemPerCoreS: float64(pt.g*pt.g*pt.g) / float64(nr) / solve,
 	}
+	var allReduces int64
 	for _, st := range stats {
-		rec.AllReducesMax = max(rec.AllReducesMax, st.AllReduces)
-		rec.HaloBytesMax = max(rec.HaloBytesMax, st.HaloBytes)
-		rec.HaloMsgsMax = max(rec.HaloMsgsMax, st.HaloMsgs)
-		rec.RetriesTotal += st.Retries
-		rec.FabricHaloNsMax = max(rec.FabricHaloNsMax, st.FabricHaloNs)
-		rec.FabricAllReduceNsMax = max(rec.FabricAllReduceNsMax, st.FabricAllReduceNs)
-		rec.FabricCoarseNsMax = max(rec.FabricCoarseNsMax, st.FabricCoarseNs)
+		allReduces = max(allReduces, st.AllReduces)
+		row.fabricHaloNs = max(row.fabricHaloNs, st.FabricHaloNs)
+		row.fabricAllReduceNs = max(row.fabricAllReduceNs, st.FabricAllReduceNs)
+		row.fabricCoarseNs = max(row.fabricCoarseNs, st.FabricCoarseNs)
 	}
 	if res.Iterations > 0 {
-		rec.ARPerIt = float64(rec.AllReducesMax) / float64(res.Iterations)
+		row.arPerIt = float64(allReduces) / float64(res.Iterations)
 	}
-	return rec
+	return row
 }

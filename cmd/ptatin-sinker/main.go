@@ -27,7 +27,6 @@ import (
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/model"
-	"ptatin3d/internal/op"
 	"ptatin3d/internal/par"
 	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/stokes"
@@ -39,7 +38,7 @@ func main() {
 	nc := flag.Int("nc", 8, "number of spheres")
 	rc := flag.Float64("rc", 0.1, "sphere radius")
 	workers := flag.Int("workers", 0, "worker goroutines (0 = runtime.NumCPU())")
-	opFlag := flag.String("op", "", "fine-level operator representation (mfc|auto|mf|mfref|asm|galerkin; default mfc)")
+	opFlag := flag.String("op", "", "fine-level operator representation (mfc|mf|mfref|asm|galerkin; default mfc)")
 	precFlag := flag.String("precision", "", "V-cycle preconditioner precision (f64|f32); the outer Krylov method always iterates in f64")
 	fig2 := flag.Bool("fig2", false, "run the Δη robustness study (Figure 2)")
 	stream := flag.Bool("streamlines", false, "write Figure 1 VTK outputs")
@@ -174,12 +173,6 @@ func runFig2(m, nc int, rc float64, workers int, ov driver.Overrides, reg *telem
 		}
 		fmt.Fprintf(os.Stderr, "delta_eta=%g: converged=%v iterations=%d rel=%.2e\n",
 			deta, res.Converged, res.Iterations, res.Residual/res.Residual0)
-		if cfg.FineKind == op.Auto {
-			fmt.Fprintln(os.Stderr, "# operator auto-selection")
-			for _, d := range s.SelectionReport() {
-				fmt.Fprintln(os.Stderr, "#   "+d.Summary())
-			}
-		}
 	}
 }
 

@@ -32,25 +32,32 @@ type Overrides struct {
 	Restart   int    // FGMRES restart window (stokes.Config.Params.Restart)
 }
 
-// Apply mutates the model's solver configuration in place.
+// Apply sets the overrides on the model's solver configuration, or leaves
+// it as it was and returns why not: a value that does not parse, or a fine
+// kind op.Layout refuses — before any solve.
 func (o Overrides) Apply(m *model.Model) error {
+	cfg := m.Cfg
 	if o.Op != "" {
 		k, err := op.ParseKind(o.Op)
 		if err != nil {
 			return err
 		}
-		m.Cfg.FineKind = k
+		cfg.FineKind = k
 	}
 	if o.Precision != "" {
 		pr, err := op.ParsePrecision(o.Precision)
 		if err != nil {
 			return err
 		}
-		m.Cfg.Precision = pr
+		cfg.Precision = pr
 	}
 	if o.Restart > 0 {
-		m.Cfg.Params.Restart = o.Restart
+		cfg.Params.Restart = o.Restart
 	}
+	if _, _, err := op.Layout(cfg.Levels, cfg.FineKind, cfg.Precision); err != nil {
+		return err
+	}
+	m.Cfg = cfg
 	return nil
 }
 
@@ -226,12 +233,6 @@ func Run(m *model.Model, cfg Config) error {
 		hierarchy = m.LastStokes.MG.Describe()
 		for _, li := range hierarchy {
 			fmt.Fprintf(out, "# hierarchy: %s\n", li)
-		}
-	}
-	if m.Cfg.FineKind == op.Auto && m.LastStokes != nil {
-		fmt.Fprintln(os.Stderr, "# operator auto-selection")
-		for _, d := range m.LastStokes.SelectionReport() {
-			fmt.Fprintln(os.Stderr, "#   "+d.Summary())
 		}
 	}
 	if cfg.JSONOut != nil {

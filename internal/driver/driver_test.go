@@ -43,6 +43,23 @@ func TestOverridesApply(t *testing.T) {
 	if err := (Overrides{Precision: "f16"}).Apply(m); err == nil {
 		t.Fatal("bad -precision value accepted")
 	}
+	// The run-time selector is gone, and a reduced-precision kind is not a
+	// fine kind (the coupled matvec would run single precision): both are
+	// refused here, before any solve, with a message saying what to use.
+	for opFlag, want := range map[string]string{
+		"auto":  "selector \"auto\" was removed",
+		"mf32":  "-precision f32",
+		"asm32": "-precision f32",
+	} {
+		before := m.Cfg
+		err := (Overrides{Op: opFlag}).Apply(m)
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("-op %s: got %v, want an error containing %q", opFlag, err, want)
+		}
+		if m.Cfg.FineKind != before.FineKind || m.Cfg.Precision != before.Precision {
+			t.Errorf("-op %s: a refused override changed the configuration", opFlag)
+		}
+	}
 }
 
 // TestBackendSelection: the -ranks flag maps to the right backend.

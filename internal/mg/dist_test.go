@@ -20,7 +20,7 @@ func buildDistFixture(t *testing.T, m, levels int, px, py, pz int) (*MG, []*comm
 	fine := stdProblem(m, eta)
 	probs := CoarsenProblems(fine, levels, FuncCoeffCoarsener(eta, nil))
 	mgp, err := Build(probs, Options{
-		Kinds:       op.DefaultLevelKinds(levels, op.Tensor, false),
+		Kinds:       layoutKinds(t, levels, op.Tensor, op.F64),
 		SmoothSteps: 2,
 	})
 	if err != nil {
@@ -182,7 +182,7 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 	fine := stdProblem(8, eta)
 	probs := CoarsenProblems(fine, levels, FuncCoeffCoarsener(eta, nil))
 	mgp, err := Build(probs, Options{
-		Kinds:       op.DefaultLevelKinds(levels, op.TensorC, false),
+		Kinds:       layoutKinds(t, levels, op.TensorC, op.F64),
 		SmoothSteps: 2,
 	})
 	if err != nil {

@@ -14,7 +14,7 @@ import (
 
 // Level is one rung of the multigrid hierarchy. The operator is an
 // internal/op representation; which one (matrix-free, assembled,
-// Galerkin, runtime-selected) is entirely op's concern — this package
+// Galerkin, at which precision) is entirely op's concern — this package
 // never dispatches on it.
 type Level struct {
 	Prob     *fem.Problem // discretization (nil only if purely algebraic)
@@ -114,28 +114,17 @@ func (m *MG) SetTelemetry(sc *telemetry.Scope) {
 
 // Options configures Build.
 type Options struct {
-	Kinds       []op.Kind // per level; Kinds[0] is the finest
-	SmoothSteps int       // Chebyshev steps: V(k,k) uses k (paper: 2 or 3)
+	// Kinds is the representation of every level, Kinds[0] the finest —
+	// an op.Layout, which has settled the precision too (the transfer
+	// operators and all vectors are float64 regardless).
+	Kinds       []op.Kind
+	SmoothSteps int // Chebyshev steps: V(k,k) uses k (paper: 2 or 3)
 	Workers     int
 	// FineOp, when non-nil, is used as the finest level's operator
 	// instead of building one from Kinds[0] (it must discretize
 	// probs[0]). The coupled Stokes solver passes its fine viscous
-	// operator here so it is constructed exactly once. The Precision
-	// substitution never applies to a caller-provided FineOp.
+	// operator here so it is constructed exactly once.
 	FineOp op.Operator
-	// Precision runs the hierarchy's smoother operators at the given
-	// width: op.F32 swaps matrix-free levels to TensorF32 and assembled
-	// mid-levels to AssembledF32. The coarsest level always stays float64
-	// — the coarse solver consumes the exact assembled matrix — and so do
-	// all transfer operators and vectors. Meant for preconditioner use
-	// under a flexible outer Krylov method (FGMRES/GCR).
-	Precision op.Precision
-	// Auto is the base policy for op.Auto levels; the coarsest level
-	// additionally gets NeedCSR (the coarse solver consumes a matrix).
-	Auto op.Policy
-	// Telemetry, when non-nil, receives per-level selection decisions
-	// under level<i>/select (same scope SetTelemetry instruments).
-	Telemetry *telemetry.Scope
 }
 
 // Build wires a multigrid hierarchy from per-level discretizations
@@ -166,18 +155,10 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 		if l == 0 && opt.FineOp != nil {
 			lev.Op = opt.FineOp
 		} else {
-			pol := opt.Auto
-			pol.NeedCSR = l == len(probs)-1
-			pol.AllowF32 = opt.Precision == op.F32 && !pol.NeedCSR
 			env := op.Env{
-				Prob:    p,
-				Workers: opt.Workers,
-				Level:   l,
-				Levels:  len(probs),
-				Policy:  &pol,
-			}
-			if opt.Telemetry != nil {
-				env.Telemetry = opt.Telemetry.Child(fmt.Sprintf("level%d", l))
+				Prob:          p,
+				Workers:       opt.Workers,
+				GalerkinInput: l < len(probs)-1 && opt.Kinds[l+1] == op.Galerkin,
 			}
 			if l > 0 {
 				finer := m.Levels[l-1]
@@ -185,11 +166,9 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 				env.FineCSR = func() *la.CSR { return finer.Op.CSR() }
 				env.Prolong = lp.ToCSR
 			}
-			env.GalerkinInput = !pol.NeedCSR && opt.Kinds[l+1] == op.Galerkin
-			kind := levelKind(opt.Kinds[l], pol.NeedCSR, opt.Precision)
-			o, err := op.New(kind, env)
+			o, err := op.New(opt.Kinds[l], env)
 			if err != nil {
-				return nil, fmt.Errorf("mg: level %d (%v): %w", l, kind, err)
+				return nil, fmt.Errorf("mg: level %d (%v): %w", l, opt.Kinds[l], err)
 			}
 			lev.Op = o
 		}
@@ -214,9 +193,7 @@ const eigIts = 10
 // smoother (paper §III-C) targeting [0.2λmax, 1.1λmax]. Representations
 // guarantee a nonzero diagonal (unit entries on constrained rows), so no
 // per-representation fix-up is needed. A level with resident backing gets
-// the wavefront-blocked form of the same recurrence; an Auto level is made
-// to commit first, so that whether it has one is settled here rather than
-// after the first applies.
+// the wavefront-blocked form of the same recurrence.
 func buildSmoother(lev *Level, steps int) {
 	start := time.Now()
 	diag := la.NewVec(lev.Op.N())
@@ -227,31 +204,10 @@ func buildSmoother(lev *Level, steps int) {
 	lmax := krylov.EstimateLambdaMax(lev.Op, jac, eigIts)
 	lev.Setup.Eig = time.Since(start)
 	lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, steps)
-	if a, ok := lev.Op.(*op.AutoOp); ok {
-		a.ForceCommit()
-	}
 	lev.Blocked = nil
 	if res := op.ResidentOf(lev.Op); res != nil {
 		lev.Blocked = fem.NewBlockedChebyshev(res, jac.InvDiag, lmax, steps)
 	}
-}
-
-// levelKind maps a requested per-level kind through the Precision
-// substitution: at op.F32, matrix-free kinds become TensorF32 and
-// rediscretized-assembled mid-levels AssembledF32 (Galerkin stays — its
-// float64 triple product feeds the levels below). The coarsest level
-// (needCSR) is never substituted.
-func levelKind(k op.Kind, needCSR bool, prec op.Precision) op.Kind {
-	if needCSR || prec != op.F32 {
-		return k
-	}
-	switch k {
-	case op.Tensor, op.TensorC, op.MFRef:
-		return op.TensorF32
-	case op.Assembled:
-		return op.AssembledF32
-	}
-	return k
 }
 
 // Refresh re-derives every level's numeric content from the (already
@@ -281,8 +237,7 @@ func (m *MG) Refresh() error {
 type LevelInfo struct {
 	Level int `json:"level"`
 	N     int `json:"n"`
-	// Kind is the operator representation applied ("auto:<committed>"
-	// for a runtime-selected level).
+	// Kind is the operator representation applied.
 	Kind string `json:"kind"`
 	// Smoother is "blocked" (wavefront Chebyshev over the resident
 	// kernel), "chebyshev" (the full-grid recurrence) or, on the coarsest
@@ -313,9 +268,6 @@ func (m *MG) Describe() []LevelInfo {
 	for l, lev := range m.Levels {
 		li := LevelInfo{Level: l, N: lev.Op.N(), Kind: lev.Op.Kind().String(),
 			Smoother: "chebyshev", Degree: lev.Smoother.Steps}
-		if a, ok := lev.Op.(*op.AutoOp); ok {
-			li.Kind += ":" + a.Committed().String()
-		}
 		switch {
 		case l == len(m.Levels)-1 && m.CoarseSolve != nil:
 			li.Smoother, li.Degree = "coarse-solve", 0
@@ -324,20 +276,6 @@ func (m *MG) Describe() []LevelInfo {
 			li.GalerkinInput = lev.Op.CSR() != nil
 		}
 		out[l] = li
-	}
-	return out
-}
-
-// SelectionReport collects the op.Auto decisions of every level that has
-// one (empty when no level used runtime selection). Levels still
-// undecided are forced to commit first so the report is definitive.
-func (m *MG) SelectionReport() []op.Decision {
-	var out []op.Decision
-	for _, lev := range m.Levels {
-		if a, ok := lev.Op.(*op.AutoOp); ok {
-			a.ForceCommit()
-			out = append(out, a.Decision())
-		}
 	}
 	return out
 }

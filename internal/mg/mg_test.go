@@ -372,7 +372,7 @@ func TestMGBlockedVCycleBitIdentical(t *testing.T) {
 	build := func(workers, steps int) *MG {
 		fine := stdProblem(8, eta)
 		probs := CoarsenProblems(fine, 3, FuncCoeffCoarsener(eta, nil))
-		mgp, err := Build(probs, Options{Kinds: op.DefaultLevelKinds(3, op.TensorC, false), SmoothSteps: steps, Workers: workers})
+		mgp, err := Build(probs, Options{Kinds: layoutKinds(t, 3, op.TensorC, op.F64), SmoothSteps: steps, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -460,6 +460,16 @@ func TestVCycleApplyCountOnCSRLevels(t *testing.T) {
 	}
 }
 
+// layoutKinds is op.Layout's per-level kinds for a test hierarchy.
+func layoutKinds(t *testing.T, levels int, fine op.Kind, prec op.Precision) []op.Kind {
+	t.Helper()
+	_, kinds, err := op.Layout(levels, fine, prec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return kinds
+}
+
 // TestMGF32Converges: the float32 blocked hierarchy is a legitimate
 // preconditioner — under outer (double-precision, flexible) FGMRES it
 // must converge within 3 iterations of the float64 hierarchy on a 10⁴
@@ -470,16 +480,16 @@ func TestMGF32Converges(t *testing.T) {
 	eta := func(x, y, z float64) float64 {
 		return math.Pow(10, 4*math.Sin(math.Pi*x)*math.Sin(math.Pi*y)*math.Sin(math.Pi*z))
 	}
-	kinds := []op.Kind{op.Tensor, op.Assembled, op.Galerkin}
-	it64 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: kinds, SmoothSteps: 2})
-	it32 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: kinds, SmoothSteps: 2, Precision: op.F32})
+	kinds32 := layoutKinds(t, 3, op.Tensor, op.F32)
+	it64 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: layoutKinds(t, 3, op.Tensor, op.F64), SmoothSteps: 2})
+	it32 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: kinds32, SmoothSteps: 2})
 	if d := abs(it64 - it32); d > 3 {
 		t.Fatalf("f32 hierarchy took %d iterations, f64 took %d (|Δ|=%d > 3)", it32, it64, d)
 	}
 
 	fine := stdProblem(8, eta)
 	probs := CoarsenProblems(fine, 3, FuncCoeffCoarsener(eta, nil))
-	mgp, err := Build(probs, Options{Kinds: kinds, SmoothSteps: 2, Precision: op.F32})
+	mgp, err := Build(probs, Options{Kinds: kinds32, SmoothSteps: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -40,8 +40,7 @@ type Model struct {
 	// nonlinear relinearization with the current Picard coefficients.
 	Cfg stokes.Config
 	// LastStokes is the most recent preconditioner built by SolveStokes;
-	// drivers inspect it after a solve for the per-level operator
-	// selection report (Cfg.FineKind == op.Auto).
+	// drivers inspect it after a solve for the hierarchy it ran.
 	LastStokes *stokes.Solver
 	// Backend executes the inner linear solves of the nonlinear Stokes
 	// iteration: SharedBackend (what scenario.Compile installs) in this

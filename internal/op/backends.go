@@ -2,7 +2,6 @@ package op
 
 import (
 	"fmt"
-	"time"
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
@@ -109,22 +108,15 @@ type asmOp struct {
 	mf      *fem.TensorOp
 	va      *fem.ViscousAssembly
 	a       *la.CSR
-	setupT  time.Duration
-}
-
-func newAsmOp(env Env) (Operator, error) {
-	return &asmOp{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}, nil
 }
 
 func (o *asmOp) N() int { return o.p.DA.NVelDOF() }
 
 func (o *asmOp) Setup() error {
 	if o.a == nil {
-		start := time.Now()
 		o.va = fem.NewViscousAssembly(o.p)
 		o.va.Refresh()
 		o.a = o.va.A
-		o.setupT = time.Since(start)
 	}
 	return nil
 }
@@ -135,9 +127,7 @@ func (o *asmOp) Refresh() error {
 	if o.a == nil {
 		return o.Setup()
 	}
-	start := time.Now()
 	o.va.Refresh()
-	o.setupT = time.Since(start)
 	return nil
 }
 
@@ -161,18 +151,14 @@ func (o *asmOp) Cost() Cost   { return asmCost(o.p.DA.NElements(), o.a) }
 func (o *asmOp) Kind() Kind   { return Assembled }
 func (o *asmOp) CSR() *la.CSR { o.Setup(); return o.a }
 
-// SetupTime reports the measured assembly wall time (zero before Setup).
-func (o *asmOp) SetupTime() time.Duration { return o.setupT }
-
 // galerkinOp builds the CSR operator as the Galerkin triple product
 // Pᵀ·A_fine·P of the next-finer level's assembled matrix. The symbolic
 // structure of the product (and of the constrained-diagonal augmentation)
 // depends only on the sparsity patterns, so it is cached at Setup and the
 // values are replayed in place by Refresh — bit-identical to a rebuild.
 type galerkinOp struct {
-	env    Env
-	a      *la.CSR
-	setupT time.Duration
+	env Env
+	a   *la.CSR
 
 	// Cached triple-product state for the in-place numeric refresh.
 	fine     *la.CSR // finer-level matrix the symbolics were derived from
@@ -200,9 +186,7 @@ func (o *galerkinOp) Setup() error {
 	if fine == nil {
 		return fmt.Errorf("op: Galerkin requires an assembled finer level")
 	}
-	start := time.Now()
 	o.build(fine)
-	o.setupT = time.Since(start)
 	return nil
 }
 
@@ -227,12 +211,10 @@ func (o *galerkinOp) Refresh() error {
 	if fine == nil {
 		return fmt.Errorf("op: Galerkin requires an assembled finer level")
 	}
-	start := time.Now()
 	if fine != o.fine {
 		// The finer level handed over a different matrix object (its own
 		// pattern changed); the cached symbolics no longer apply.
 		o.build(fine)
-		o.setupT = time.Since(start)
 		return nil
 	}
 	la.MatMulNumeric(fine, o.p, o.ap)
@@ -256,7 +238,6 @@ func (o *galerkinOp) Refresh() error {
 			o.a.Val[pos] = 1
 		}
 	}
-	o.setupT = time.Since(start)
 	return nil
 }
 
@@ -395,6 +376,3 @@ func (o *galerkinOp) Cost() Cost {
 
 func (o *galerkinOp) Kind() Kind   { return Galerkin }
 func (o *galerkinOp) CSR() *la.CSR { _ = o.Setup(); return o.a }
-
-// SetupTime reports the measured triple-product wall time.
-func (o *galerkinOp) SetupTime() time.Duration { return o.setupT }

@@ -1,8 +1,6 @@
 package op
 
 import (
-	"time"
-
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/perfmodel"
@@ -16,16 +14,11 @@ type ResidentBacked interface {
 	Resident() *fem.Resident
 }
 
-// ResidentOf unwraps an operator to its fem.Resident backing — following
-// an Auto commitment — or returns nil for non-resident representations.
+// ResidentOf returns an operator's fem.Resident backing, or nil for
+// non-resident representations.
 func ResidentOf(o Operator) *fem.Resident {
-	switch v := o.(type) {
-	case ResidentBacked:
+	if v, ok := o.(ResidentBacked); ok {
 		return v.Resident()
-	case *AutoOp:
-		if v.committed != nil {
-			return ResidentOf(v.committed)
-		}
 	}
 	return nil
 }
@@ -73,7 +66,6 @@ type residentOp struct {
 	mf      *fem.TensorOp
 	r       *fem.Resident
 	va      *fem.ViscousAssembly // the Galerkin input; nil without handoff
-	setupT  time.Duration
 }
 
 func newResidentOp(env Env, f32 bool) *residentOp {
@@ -84,13 +76,11 @@ func (o *residentOp) N() int { return o.p.DA.NVelDOF() }
 
 func (o *residentOp) Setup() error {
 	if o.r == nil {
-		start := time.Now()
 		o.r = fem.NewResident(o.p, o.f32)
 		if o.handoff {
 			o.va = fem.NewViscousAssembly(o.p)
 			o.va.Refresh()
 		}
-		o.setupT = time.Since(start)
 	}
 	return nil
 }
@@ -108,12 +98,10 @@ func (o *residentOp) Refresh() error {
 	if o.r == nil {
 		return o.Setup()
 	}
-	start := time.Now()
 	o.r.Setup()
 	if o.va != nil {
 		o.va.Refresh()
 	}
-	o.setupT = time.Since(start)
 	return nil
 }
 
@@ -142,9 +130,6 @@ func (o *residentOp) Resident() *fem.Resident {
 	o.Setup()
 	return o.r
 }
-
-// SetupTime reports the measured coefficient-precompute wall time.
-func (o *residentOp) SetupTime() time.Duration { return o.setupT }
 
 // asm32Cost is asmCost with the single-precision value stream: 12 bytes
 // per stored value+index (4-byte value, 8-byte column index) instead of
@@ -184,19 +169,16 @@ type asm32Op struct {
 	va      *fem.ViscousAssembly
 	a64     *la.CSR
 	a32     *la.CSR32
-	setupT  time.Duration
 }
 
 func (o *asm32Op) N() int { return o.p.DA.NVelDOF() }
 
 func (o *asm32Op) Setup() error {
 	if o.a32 == nil {
-		start := time.Now()
 		o.va = fem.NewViscousAssembly(o.p)
 		o.va.Refresh()
 		o.a64 = o.va.A
 		o.a32 = la.NewCSR32(o.a64)
-		o.setupT = time.Since(start)
 	}
 	return nil
 }
@@ -207,12 +189,10 @@ func (o *asm32Op) Refresh() error {
 	if o.a32 == nil {
 		return o.Setup()
 	}
-	start := time.Now()
 	o.va.Refresh()
 	for i, v := range o.a64.Val {
 		o.a32.Val32[i] = float32(v)
 	}
-	o.setupT = time.Since(start)
 	return nil
 }
 
@@ -235,6 +215,3 @@ func (o *asm32Op) Diag(d la.Vec) {
 func (o *asm32Op) Cost() Cost   { return asm32Cost(o.p.DA.NElements(), o.a32, o.a64) }
 func (o *asm32Op) Kind() Kind   { return AssembledF32 }
 func (o *asm32Op) CSR() *la.CSR { o.Setup(); return o.a64 }
-
-// SetupTime reports the measured assembly+conversion wall time.
-func (o *asm32Op) SetupTime() time.Duration { return o.setupT }

@@ -1,17 +1,17 @@
 // Package op is the unified viscous-operator layer: a single Operator
-// interface over the four representations studied in the paper (tensor
-// matrix-free, reference matrix-free, rediscretized CSR, Galerkin CSR)
-// plus a cost-model-driven Auto selector that picks a representation per
-// multigrid level at runtime. The paper's headline observation — no
-// single representation wins everywhere; matrix-free dominates on fine
-// Q2 levels while assembled SpMV wins where the coarse solver needs a
-// matrix — lives here as behaviour instead of as constructor arguments
-// scattered across fem, mg and stokes.
+// interface over the representations studied in the paper (tensor
+// matrix-free, reference matrix-free, rediscretized CSR, Galerkin CSR),
+// a constructor table over their fixed kinds (New), and the one function
+// that decides which kind runs on which multigrid level at which
+// precision (Layout). The paper's headline observation — no single
+// representation wins everywhere; matrix-free dominates on fine Q2
+// levels while assembled SpMV wins where the coarse solver needs a
+// matrix — is that table (Table IV's rows are configured layouts), not a
+// run-time measurement: ptatin-opcost prints the per-kind study behind it.
 //
 // Every backend carries cost metadata (setup flops/bytes, per-apply
 // flops/bytes, assembled storage footprint) derived from the analytic
-// per-element counts in internal/perfmodel, so callers can rank
-// representations on a roofline model before ever applying one.
+// per-element counts in internal/perfmodel.
 package op
 
 import (
@@ -19,7 +19,6 @@ import (
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
-	"ptatin3d/internal/telemetry"
 )
 
 // Kind identifies an operator representation.
@@ -41,11 +40,6 @@ const (
 	// Galerkin builds the CSR operator as the triple product Pᵀ·A_fine·P;
 	// requires an assembled finer level. Flag name: "galerkin".
 	Galerkin
-	// Auto selects a representation at runtime: candidates are ranked by
-	// roofline estimates, the first few real applies of the surviving
-	// candidates are timed, and the winner (assembly cost amortized over
-	// the expected apply count) is committed. Flag name: "auto".
-	Auto
 	// TensorC applies the stored-coefficient resident tensor kernel
 	// ("TensorC" of Table I, restructured for cache-blocked smoothing):
 	// the combined metric+coefficient tensor is precomputed at Setup, so
@@ -77,8 +71,6 @@ func (k Kind) String() string {
 		return "asm"
 	case Galerkin:
 		return "galerkin"
-	case Auto:
-		return "auto"
 	case TensorC:
 		return "mfc"
 	case TensorF32:
@@ -89,9 +81,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind parses a -op flag value (auto|mf|mfc|mf32|mfref|asm|asm32|
+// ParseKind parses a representation name (mf|mfc|mf32|mfref|asm|asm32|
 // galerkin, plus the Table-I aliases tensor/tens, ref, asmb/assembled,
-// rap).
+// rap). Whether a kind may be a hierarchy's fine kind is Layout's call.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "mf", "tensor", "tens":
@@ -103,7 +95,7 @@ func ParseKind(s string) (Kind, error) {
 	case "galerkin", "rap":
 		return Galerkin, nil
 	case "auto":
-		return Auto, nil
+		return 0, fmt.Errorf("op: the run-time selector %q was removed; the fixed layout is mfc on the fine levels over a galerkin coarsest (want mfc|mf|mfref|asm|galerkin)", s)
 	case "mfc", "tensorc", "resident":
 		return TensorC, nil
 	case "mf32", "tensorf32":
@@ -111,12 +103,12 @@ func ParseKind(s string) (Kind, error) {
 	case "asm32", "assembledf32":
 		return AssembledF32, nil
 	}
-	return 0, fmt.Errorf("op: unknown kind %q (want auto|mf|mfc|mf32|mfref|asm|asm32|galerkin)", s)
+	return 0, fmt.Errorf("op: unknown kind %q (want mf|mfc|mf32|mfref|asm|asm32|galerkin)", s)
 }
 
 // Precision selects the arithmetic width of a preconditioner's operator
-// stack. F64 is the default (today's behaviour); F32 swaps matrix-free
-// levels to TensorF32 and assembled levels to AssembledF32, halving the
+// stack. F64 is the default; under F32 Layout swaps matrix-free levels to
+// TensorF32 and rediscretized levels to AssembledF32, halving the
 // smoother's memory traffic while outer flexible Krylov iterations stay
 // double precision.
 type Precision int
@@ -191,22 +183,14 @@ type Operator interface {
 type Env struct {
 	Prob    *fem.Problem
 	Workers int
-	// Level / Levels locate the operator in a multigrid hierarchy
-	// (Level 0 is finest); informational, used for reporting.
-	Level, Levels int
-	FineCSR       func() *la.CSR
-	Prolong       func() *la.CSR
+	FineCSR func() *la.CSR
+	Prolong func() *la.CSR
 	// GalerkinInput says the next-coarser level is a Galerkin product of
 	// this one. A resident representation then also builds (and
 	// refreshes) the level's assembled matrix and hands it off through
 	// CSR() — it is never applied: smoothing and residuals stay on the
 	// resident kernel.
 	GalerkinInput bool
-	// Policy tunes Auto; nil selects DefaultPolicy.
-	Policy *Policy
-	// Telemetry, when non-nil, receives selection decisions and measured
-	// throughputs under a "select" child scope.
-	Telemetry *telemetry.Scope
 }
 
 // New builds the representation k for env. The returned operator is not
@@ -227,11 +211,9 @@ func New(k Kind, env Env) (Operator, error) {
 	case MFRef:
 		return &mfrefOp{k: fem.NewMF(env.Prob), p: env.Prob}, nil
 	case Assembled:
-		return newAsmOp(env)
+		return &asmOp{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}, nil
 	case Galerkin:
 		return newGalerkinOp(env)
-	case Auto:
-		return newAuto(env)
 	case TensorC, TensorF32:
 		return newResidentOp(env, k == TensorF32), nil
 	case AssembledF32:
@@ -240,33 +222,55 @@ func New(k Kind, env Env) (Operator, error) {
 	return nil, fmt.Errorf("op: unknown kind %v", k)
 }
 
-// DefaultLevelKinds returns the per-level representation layout for a
-// hierarchy of the given depth (index 0 = finest): the requested fine
-// kind, then the paper's production coarse layout — rediscretized on the
-// first coarse level and Galerkin products below it (the finest level is
-// usually matrix-free, so the first coarse level cannot be a Galerkin
-// product of it). Under a resident fine kind the first coarse level is
-// resident too unless it is the coarsest (the coarse solver consumes a
-// matrix); otherwise it is rediscretized CSR. galerkinAll selects the
-// GMG-ii variant where every coarse operator is a Galerkin product
-// (requires an assembled fine level). A fine kind of Auto makes every
-// level Auto — the selector decides each level independently.
-func DefaultLevelKinds(levels int, fine Kind, galerkinAll bool) []Kind {
-	kinds := make([]Kind, levels)
-	kinds[0] = fine
-	for l := 1; l < levels; l++ {
+// Layout decides which representation runs where: the kind of the
+// coupled Stokes matvec and the kind of every hierarchy level (index 0 =
+// finest) for a requested fine kind at a preconditioner precision. It is
+// the only place that knows it.
+//
+// The coupled matvec runs the fine kind in float64 (Galerkin is shorthand
+// for the GMG-ii layout: an assembled fine operator with a Galerkin
+// product on every coarse level). Below it sits the paper's production
+// coarse layout — rediscretized on the first coarse level, Galerkin
+// products further down (a matrix-free finest level has no matrix to
+// take a product of); under the resident fine kind the first coarse level
+// is resident too unless it is the coarsest. At F32 every level above the
+// coarsest then swaps its matrix-free kind for TensorF32 and its
+// rediscretized one for AssembledF32 — Galerkin levels stay, their
+// float64 product feeds the levels below, and so does the coarsest, whose
+// exact matrix the coarse solver consumes. A hierarchy shares the coupled
+// operator as its level 0 exactly when kinds[0] == coupled.
+//
+// A reduced-precision fine kind is rejected: it would put the coupled
+// matvec, not just the preconditioner, in single precision.
+func Layout(levels int, fine Kind, prec Precision) (coupled Kind, kinds []Kind, err error) {
+	if fine == TensorF32 || fine == AssembledF32 {
+		return 0, nil, fmt.Errorf("op: %v cannot be the fine kind: the coupled matvec stays float64; for a single-precision preconditioner use -precision f32 (\"precision\": \"f32\" in a spec)", fine)
+	}
+	coupled = fine
+	if fine == Galerkin {
+		coupled = Assembled
+	}
+	kinds = make([]Kind, max(1, levels))
+	kinds[0] = coupled
+	for l := 1; l < len(kinds); l++ {
 		switch {
-		case fine == Auto:
-			kinds[l] = Auto
-		case galerkinAll:
+		case fine == Galerkin || l > 1:
 			kinds[l] = Galerkin
-		case l == 1 && l < levels-1 && (fine == TensorC || fine == TensorF32):
-			kinds[l] = fine
-		case l == 1:
-			kinds[l] = Assembled
+		case fine == TensorC && l < len(kinds)-1:
+			kinds[l] = TensorC
 		default:
-			kinds[l] = Galerkin
+			kinds[l] = Assembled
 		}
 	}
-	return kinds
+	if prec == F32 {
+		for l, k := range kinds[:len(kinds)-1] {
+			switch k {
+			case Tensor, TensorC, MFRef:
+				kinds[l] = TensorF32
+			case Assembled:
+				kinds[l] = AssembledF32
+			}
+		}
+	}
+	return coupled, kinds, nil
 }

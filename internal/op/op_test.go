@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ptatin3d/internal/fem"
@@ -218,8 +219,7 @@ func TestParseKind(t *testing.T) {
 		"mfref": op.MFRef, "ref": op.MFRef,
 		"asm": op.Assembled, "assembled": op.Assembled,
 		"galerkin": op.Galerkin, "rap": op.Galerkin,
-		"auto": op.Auto,
-		"mfc":  op.TensorC, "tensorc": op.TensorC,
+		"mfc": op.TensorC, "tensorc": op.TensorC,
 		"mf32": op.TensorF32, "asm32": op.AssembledF32,
 	}
 	for s, want := range cases {
@@ -231,92 +231,94 @@ func TestParseKind(t *testing.T) {
 	if _, err := op.ParseKind("petsc"); err == nil {
 		t.Error("ParseKind accepted an unknown representation")
 	}
-}
-
-// TestAutoSelectsPerLevel drives the multigrid builder with op.Auto on
-// every level of a 3-level hierarchy and checks the paper's layout
-// emerges: a matrix-free winner on the finest level (compute-bound,
-// no setup to amortize) and an assembled representation on the coarsest
-// (the coarse solver consumes CSR).
-func TestAutoSelectsPerLevel(t *testing.T) {
-	op.ResetDecisionCache()
-	eta := func(x, y, z float64) float64 {
-		return math.Exp(math.Sin(3*x) * math.Cos(2*y) * math.Sin(z))
-	}
-	da := mesh.New(8, 8, 8, 0, 1, 0, 1, 0, 1)
-	bc := mesh.NewBC(da)
-	bc.FreeSlipBox(da, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin, mesh.ZMax)
-	fine := fem.NewProblem(da, bc)
-	fine.Workers = 2
-	fine.SetCoefficientsFunc(eta, nil)
-	probs := mg.CoarsenProblems(fine, 3, mg.FuncCoeffCoarsener(eta, nil))
-
-	pol := op.DefaultPolicy()
-	pol.DisableCache = true
-	mgp, err := mg.Build(probs, mg.Options{
-		Kinds:       []op.Kind{op.Auto, op.Auto, op.Auto},
-		SmoothSteps: 2,
-		Workers:     2,
-		Auto:        pol,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decs := mgp.SelectionReport()
-	if len(decs) != 3 {
-		t.Fatalf("expected 3 auto decisions, got %d", len(decs))
-	}
-	for _, d := range decs {
-		if !d.Committed {
-			t.Fatalf("level %d: decision not committed: %+v", d.Level, d)
-		}
-		t.Log(d.Summary())
-	}
-	if k := decs[0].Chosen; k != op.Tensor && k != op.TensorC && k != op.MFRef {
-		t.Errorf("finest level chose %v; want a matrix-free representation", k)
-	}
-	last := decs[len(decs)-1]
-	if k := last.Chosen; k != op.Assembled && k != op.Galerkin {
-		t.Errorf("coarsest level chose %v; want an assembled representation", k)
-	}
-	if !last.Forced {
-		t.Error("coarsest level decision should be forced by the CSR requirement")
+	_, err := op.ParseKind("auto")
+	if err == nil || !strings.Contains(err.Error(), "selector") || !strings.Contains(err.Error(), "removed") ||
+		!strings.Contains(err.Error(), "mfc") || !strings.Contains(err.Error(), "galerkin") {
+		t.Errorf("ParseKind(\"auto\") = %v; want an error saying the selector was removed and naming the fixed layout", err)
 	}
 }
 
-// TestAutoDecisionCache checks that a second identical hierarchy reuses
-// the committed decision instead of re-trialing.
-func TestAutoDecisionCache(t *testing.T) {
-	op.ResetDecisionCache()
-	eta := func(x, y, z float64) float64 { return 1 + x + y*z }
-	build := func() op.Decision {
-		da := mesh.New(4, 4, 4, 0, 1, 0, 1, 0, 1)
-		bc := mesh.NewBC(da)
-		bc.FreeSlipBox(da, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin, mesh.ZMax)
-		p := fem.NewProblem(da, bc)
-		p.Workers = 2
-		p.SetCoefficientsFunc(eta, nil)
-		a, err := op.New(op.Auto, op.Env{Prob: p, Workers: 2})
+// TestLayout pins the one function that maps (levels, fine kind,
+// precision) to the coupled matvec's kind and every level's: the rows are
+// what the DefaultLevelKinds ∘ levelKind composition it replaced returned
+// (with stokes.New's galerkin → asm + all-Galerkin mapping in front), so a
+// hierarchy built from it is the one that composition built.
+func TestLayout(t *testing.T) {
+	for _, tc := range []struct {
+		levels         int
+		fine, prec     string
+		coupled, kinds string
+	}{
+		{1, "mfc", "f64", "mfc", "[mfc]"},
+		{2, "mfc", "f64", "mfc", "[mfc asm]"},
+		{3, "mfc", "f64", "mfc", "[mfc mfc galerkin]"},
+		{4, "mfc", "f64", "mfc", "[mfc mfc galerkin galerkin]"},
+		{1, "mfc", "f32", "mfc", "[mfc]"},
+		{2, "mfc", "f32", "mfc", "[mf32 asm]"},
+		{3, "mfc", "f32", "mfc", "[mf32 mf32 galerkin]"},
+		{4, "mfc", "f32", "mfc", "[mf32 mf32 galerkin galerkin]"},
+		{1, "mf", "f64", "mf", "[mf]"},
+		{2, "mf", "f64", "mf", "[mf asm]"},
+		{3, "mf", "f64", "mf", "[mf asm galerkin]"},
+		{4, "mf", "f64", "mf", "[mf asm galerkin galerkin]"},
+		{1, "mf", "f32", "mf", "[mf]"},
+		{2, "mf", "f32", "mf", "[mf32 asm]"},
+		{3, "mf", "f32", "mf", "[mf32 asm32 galerkin]"},
+		{4, "mf", "f32", "mf", "[mf32 asm32 galerkin galerkin]"},
+		{1, "mfref", "f64", "mfref", "[mfref]"},
+		{2, "mfref", "f64", "mfref", "[mfref asm]"},
+		{3, "mfref", "f64", "mfref", "[mfref asm galerkin]"},
+		{4, "mfref", "f64", "mfref", "[mfref asm galerkin galerkin]"},
+		{1, "mfref", "f32", "mfref", "[mfref]"},
+		{2, "mfref", "f32", "mfref", "[mf32 asm]"},
+		{3, "mfref", "f32", "mfref", "[mf32 asm32 galerkin]"},
+		{4, "mfref", "f32", "mfref", "[mf32 asm32 galerkin galerkin]"},
+		{1, "asm", "f64", "asm", "[asm]"},
+		{2, "asm", "f64", "asm", "[asm asm]"},
+		{3, "asm", "f64", "asm", "[asm asm galerkin]"},
+		{4, "asm", "f64", "asm", "[asm asm galerkin galerkin]"},
+		{1, "asm", "f32", "asm", "[asm]"},
+		{2, "asm", "f32", "asm", "[asm32 asm]"},
+		{3, "asm", "f32", "asm", "[asm32 asm32 galerkin]"},
+		{4, "asm", "f32", "asm", "[asm32 asm32 galerkin galerkin]"},
+		{1, "galerkin", "f64", "asm", "[asm]"},
+		{2, "galerkin", "f64", "asm", "[asm galerkin]"},
+		{3, "galerkin", "f64", "asm", "[asm galerkin galerkin]"},
+		{4, "galerkin", "f64", "asm", "[asm galerkin galerkin galerkin]"},
+		{1, "galerkin", "f32", "asm", "[asm]"},
+		{2, "galerkin", "f32", "asm", "[asm32 galerkin]"},
+		{3, "galerkin", "f32", "asm", "[asm32 galerkin galerkin]"},
+		{4, "galerkin", "f32", "asm", "[asm32 galerkin galerkin galerkin]"},
+	} {
+		fine, err := op.ParseKind(tc.fine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		auto := a.(*op.AutoOp)
-		if err := auto.Setup(); err != nil {
+		prec, err := op.ParsePrecision(tc.prec)
+		if err != nil {
 			t.Fatal(err)
 		}
-		auto.ForceCommit()
-		return auto.Decision()
+		coupled, kinds, err := op.Layout(tc.levels, fine, prec)
+		if err != nil {
+			t.Errorf("Layout(%d, %s, %s): %v", tc.levels, tc.fine, tc.prec, err)
+			continue
+		}
+		if got := fmt.Sprint(kinds); coupled.String() != tc.coupled || got != tc.kinds {
+			t.Errorf("Layout(%d, %s, %s) = %v, %s; want %s, %s",
+				tc.levels, tc.fine, tc.prec, coupled, got, tc.coupled, tc.kinds)
+		}
 	}
-	first := build()
-	if !first.Committed || first.FromCache {
-		t.Fatalf("first decision should be a fresh commit: %+v", first)
-	}
-	second := build()
-	if !second.FromCache {
-		t.Fatalf("second decision should come from the cache: %+v", second)
-	}
-	if second.Chosen != first.Chosen {
-		t.Fatalf("cache returned %v, first run chose %v", second.Chosen, first.Chosen)
+	// A reduced-precision fine kind would run the coupled matvec, not just
+	// the preconditioner, in single precision: rejected, pointing at the
+	// precision axis.
+	for _, fine := range []op.Kind{op.TensorF32, op.AssembledF32} {
+		for _, prec := range []op.Precision{op.F64, op.F32} {
+			_, _, err := op.Layout(3, fine, prec)
+			if err == nil || !strings.Contains(err.Error(), "-precision f32") ||
+				!strings.Contains(err.Error(), `"precision": "f32"`) {
+				t.Errorf("Layout(3, %v, %v) = %v; want a rejection naming -precision f32 and \"precision\": \"f32\"", fine, prec, err)
+			}
+		}
 	}
 }
 
@@ -374,8 +376,7 @@ func TestF32OpEquivalence(t *testing.T) {
 }
 
 // TestResidentOf checks the unwrapping helper: resident-backed kinds
-// expose their fem.Resident (including through an Auto commitment), and
-// non-resident kinds return nil.
+// expose their fem.Resident, and non-resident kinds return nil.
 func TestResidentOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ec := randomEquivCase(t, 2, rng)
@@ -397,50 +398,5 @@ func TestResidentOf(t *testing.T) {
 	mf, _ := op.New(op.Tensor, op.Env{Prob: ec.coarse, Workers: 2})
 	if op.ResidentOf(mf) != nil {
 		t.Fatal("ResidentOf(Tensor) != nil")
-	}
-}
-
-// TestAutoCacheKeyedByPrecision is the regression test for the decision
-// cache ignoring precision: an f64 selection must NOT be replayed into an
-// AllowF32 selector for the same level shape (and vice versa), because
-// the candidate fields — and the acceptable winners — differ.
-func TestAutoCacheKeyedByPrecision(t *testing.T) {
-	op.ResetDecisionCache()
-	eta := func(x, y, z float64) float64 { return 1 + x*y + z }
-	build := func(allowF32 bool) op.Decision {
-		da := mesh.New(4, 4, 4, 0, 1, 0, 1, 0, 1)
-		bc := mesh.NewBC(da)
-		bc.FreeSlipBox(da, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin, mesh.ZMax)
-		p := fem.NewProblem(da, bc)
-		p.Workers = 2
-		p.SetCoefficientsFunc(eta, nil)
-		pol := op.DefaultPolicy()
-		pol.AllowF32 = allowF32
-		a, err := op.New(op.Auto, op.Env{Prob: p, Workers: 2, Policy: &pol})
-		if err != nil {
-			t.Fatal(err)
-		}
-		auto := a.(*op.AutoOp)
-		if err := auto.Setup(); err != nil {
-			t.Fatal(err)
-		}
-		auto.ForceCommit()
-		return auto.Decision()
-	}
-	f64first := build(false)
-	if !f64first.Committed || f64first.FromCache {
-		t.Fatalf("first f64 decision should be a fresh commit: %+v", f64first)
-	}
-	f32first := build(true)
-	if f32first.FromCache {
-		t.Fatalf("f32 selection replayed the f64 cache entry: %+v", f32first)
-	}
-	f32second := build(true)
-	if !f32second.FromCache || f32second.Chosen != f32first.Chosen {
-		t.Fatalf("identical f32 selection should hit the cache: %+v", f32second)
-	}
-	f64second := build(false)
-	if !f64second.FromCache || f64second.Chosen != f64first.Chosen {
-		t.Fatalf("f64 cache entry lost after f32 selection: %+v", f64second)
 	}
 }

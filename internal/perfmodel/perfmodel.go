@@ -7,7 +7,6 @@
 package perfmodel
 
 import (
-	"sync"
 	"time"
 )
 
@@ -93,8 +92,7 @@ func ReproCounts() []OpCounts {
 // the coefficients are stored in float32 (3240 → 1620 B/element). Nodal
 // state and output stay float64 on both paths (the global vectors are
 // double), so only the coefficient stream narrows: this is the "f32
-// bandwidth halving" the per-level auto-selection ranks against the f64
-// representations.
+// bandwidth halving" of the reduced-precision preconditioner.
 func ResidentCounts(f32 bool) OpCounts {
 	const (
 		nodal = 81 * 8.0
@@ -121,8 +119,8 @@ func ResidentCounts(f32 bool) OpCounts {
 // accumulate read+write during element scatter, the merge-pass read, and
 // the output read+write. Interior nodes cost nothing beyond the per-element
 // counts in ReproCounts. The boundary fraction is O(S/nel^(1/3)), so this
-// term matters only on small (coarse-level) grids — exactly where the
-// auto-selector weighs matrix-free against assembled applies.
+// term matters only on small (coarse-level) grids — exactly where
+// matrix-free and assembled applies are closest.
 func SlabMergeBytes(sharedNodes int) float64 {
 	return float64(sharedNodes) * 3 * 8 * 6
 }
@@ -240,35 +238,14 @@ func MeasureMachine() Machine {
 	}
 }
 
-var (
-	calOnce sync.Once
-	calMach Machine
-)
-
-// CalibratedMachine measures the machine balance once per process and
-// returns the cached result on every subsequent call. The per-level
-// operator auto-selection (internal/op) seeds its roofline ranking from
-// this: calibration costs ~1 s, so repeating it on every preconditioner
-// rebuild (one per nonlinear relinearization) would dwarf the cost it is
-// trying to model.
-func CalibratedMachine() Machine {
-	calOnce.Do(func() {
-		calMach = Machine{
-			StreamBW: MeasureStream(1<<22, 2),
-			FlopRate: MeasureFlops(1<<21, 2),
-		}
-	})
-	return calMach
-}
-
 // AssemblySetupCounts estimates the one-time per-element cost of
 // assembling the viscous block into CSR: the 27-point quadrature loop of
 // fem's element stiffness matrix (~27×27 basis pairs × ~20 flops per
 // quadrature point) plus streaming the 81×81 element matrix out and scattering it
 // into the ~4608 stored nonzeros (16 B value+index each, read-modify-
 // write). Galerkin coarse construction (RAP) is charged the same order of
-// magnitude — both are "assembled" setups whose cost must be amortized
-// against the expected apply count when choosing a representation.
+// magnitude — both are "assembled" setups whose cost is amortized over
+// the applies of a solve.
 func AssemblySetupCounts() OpCounts {
 	return OpCounts{
 		Name:          "AssemblySetup",

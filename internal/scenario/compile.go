@@ -122,7 +122,8 @@ func MustCompile(spec Spec, workers int) *model.Model {
 	return m
 }
 
-// solverConfig lowers the SolverSpec onto stokes.DefaultConfig.
+// solverConfig lowers the SolverSpec onto stokes.DefaultConfig, rejecting
+// a fine_kind that names no representation or that op.Layout refuses.
 func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 	cfg := stokes.DefaultConfig()
 	cfg.Workers = workers
@@ -144,7 +145,7 @@ func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 	if s.FineKind != "" {
 		k, err := op.ParseKind(s.FineKind)
 		if err != nil {
-			return cfg, fmt.Errorf("scenario %q: %w", spec.Name, err)
+			return cfg, fmt.Errorf("scenario %q: solver fine_kind: %w", spec.Name, err)
 		}
 		cfg.FineKind = k
 	}
@@ -159,6 +160,9 @@ func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 	}
 	if s.Restart > 0 {
 		cfg.Params.Restart = s.Restart
+	}
+	if _, _, err := op.Layout(cfg.Levels, cfg.FineKind, cfg.Precision); err != nil {
+		return cfg, fmt.Errorf("scenario %q: solver fine_kind: %w", spec.Name, err)
 	}
 	return cfg, nil
 }

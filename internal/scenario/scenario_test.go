@@ -217,6 +217,36 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestFineKindRejections: a fine_kind that would run the coupled matvec in
+// single precision, and the removed run-time selector, fail Validate and
+// Compile with a message that says what to write instead.
+func TestFineKindRejections(t *testing.T) {
+	for kind, want := range map[string]string{
+		"mf32":  `"precision": "f32"`,
+		"asm32": `"precision": "f32"`,
+		"auto":  `selector "auto" was removed`,
+		"petsc": "unknown kind",
+	} {
+		s, err := Get("sinker")
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Resolution = s.SmallResolution()
+		s.Solver.FineKind = kind
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "fine_kind") {
+			t.Errorf("fine_kind %q: Validate = %v, want an error naming fine_kind and containing %q", kind, err, want)
+		}
+		if _, err := Compile(s, 1); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("fine_kind %q: Compile = %v, want an error containing %q", kind, err, want)
+		}
+	}
+	s, _ := Get("sinker")
+	s.Solver.FineKind, s.Solver.Precision = "mf", "f32"
+	if err := s.Validate(); err != nil {
+		t.Errorf("fine_kind mf at precision f32: %v", err)
+	}
+}
+
 // TestMaxViscosityContrast: the high-contrast specs advertise the
 // contrast that drives their enlarged restart windows.
 func TestMaxViscosityContrast(t *testing.T) {

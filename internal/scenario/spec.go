@@ -276,7 +276,8 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario %q: solver outer_method: %w", s.Name, err)
 		}
 	}
-	return nil
+	_, err := solverConfig(s, 1)
+	return err
 }
 
 // autoLevels picks the deepest usable geometric hierarchy (max 3, as in

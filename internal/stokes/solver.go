@@ -24,17 +24,16 @@ type Config struct {
 	// FineKind picks the fine-level operator representation: op.TensorC,
 	// the resident stored-coefficient kernel, by default; op.Tensor,
 	// op.MFRef, op.Assembled are the Tens/MF/Asmb columns of Tables I–III,
-	// op.Auto selects at runtime on every level, and op.Galerkin is
-	// shorthand for the GMG-ii layout: assembled fine level with Galerkin
-	// products on every coarse level. The one operator built from it
-	// serves the coupled matvec and the hierarchy's fine level, and every
-	// level with resident backing smooths wavefront-blocked.
+	// and op.Galerkin is shorthand for the GMG-ii layout: assembled fine
+	// level with Galerkin products on every coarse level. op.Layout turns
+	// it and Precision into the coupled matvec's kind and every level's;
+	// every level with resident backing smooths wavefront-blocked.
 	FineKind op.Kind
-	// Precision runs the V-cycle's operator stack at the given width
-	// (mg.Options.Precision): op.F32 halves smoother memory traffic while
-	// the outer GCR/FGMRES iteration — and the residuals it reports —
-	// stay float64: the hierarchy then builds its own float32 fine
-	// operator beside the shared float64 one. Ignored when Levels <= 1.
+	// Precision runs the V-cycle's operator stack at the given width:
+	// op.F32 halves smoother memory traffic while the outer GCR/FGMRES
+	// iteration — and the residuals it reports — stay float64: the
+	// hierarchy then builds its own float32 fine operator beside the
+	// coupled float64 one. Ignored when Levels <= 1.
 	Precision op.Precision
 	// SmoothSteps is the Chebyshev degree: V(k,k) (paper uses 2 or 3).
 	SmoothSteps int
@@ -60,9 +59,8 @@ type Config struct {
 	// under: "outer" (matmult/pcapply/coarse timers, setup_seconds gauge
 	// and the setup_* stage timers that attribute it),
 	// "krylov" (outer iteration counters + residual trace), "mg"/"amg"
-	// (per-level cycle breakdowns, op.Auto selection decisions under
-	// mg/level<i>/select). When nil the solver still wires its probes to a
-	// private registry so MatMult/PCApply counts stay live.
+	// (per-level cycle breakdowns). When nil the solver still wires its
+	// probes to a private registry so MatMult/PCApply counts stay live.
 	Telemetry *telemetry.Scope
 	// Workers is the intra-node parallel width ("cores").
 	Workers int
@@ -160,11 +158,9 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	if err := krylov.CheckMethod(cfg.OuterMethod); err != nil {
 		return nil, fmt.Errorf("stokes: outer method: %w", err)
 	}
-	// op.Galerkin means the GMG-ii layout: assembled fine operator with
-	// Galerkin products on every coarse level.
-	fineKind, galerkinAll := cfg.FineKind, cfg.FineKind == op.Galerkin
-	if galerkinAll {
-		fineKind = op.Assembled
+	coupled, kinds, err := op.Layout(cfg.Levels, cfg.FineKind, cfg.Precision)
+	if err != nil {
+		return nil, fmt.Errorf("stokes: %w", err)
 	}
 	prob.Workers = cfg.Workers
 	s := &Solver{Cfg: cfg, Prob: prob}
@@ -180,16 +176,8 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	s.Mp = fem.NewPressureMass(prob)
 	stop()
 
-	// Fine-level viscous operator, shared between the coupled matvec and
-	// the multigrid hierarchy (mg.Options.FineOp), so it is built once.
-	mgScope := s.Tel.Child("mg")
-	auu, err := op.New(fineKind, op.Env{
-		Prob:      prob,
-		Workers:   cfg.Workers,
-		Level:     0,
-		Levels:    max(1, cfg.Levels),
-		Telemetry: mgScope.Child("level0"),
-	})
+	// The coupled matvec's viscous operator.
+	auu, err := op.New(coupled, op.Env{Prob: prob, Workers: cfg.Workers})
 	if err != nil {
 		return nil, fmt.Errorf("stokes: fine operator: %w", err)
 	}
@@ -221,20 +209,19 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		stop := s.stage("coarsen")
 		probs := mg.CoarsenProblems(prob, cfg.Levels, cfg.CoeffCoarsen)
 		stop()
-		// A reduced-precision hierarchy builds its own fine-level operator:
-		// the coupled operator stays float64, so outer residuals are
-		// untouched by the preconditioner's precision.
-		fineOp := auu
-		if cfg.Precision == op.F32 {
-			fineOp = nil
+		// The hierarchy's level 0 is the coupled operator, built once,
+		// wherever the layout gives both the same kind; a reduced-precision
+		// hierarchy builds its own, so outer residuals are untouched by the
+		// preconditioner's precision.
+		var fineOp op.Operator
+		if kinds[0] == coupled {
+			fineOp = auu
 		}
 		gmg, err := mg.Build(probs, mg.Options{
-			Kinds:       op.DefaultLevelKinds(cfg.Levels, fineKind, galerkinAll),
+			Kinds:       kinds,
 			SmoothSteps: cfg.SmoothSteps,
 			Workers:     cfg.Workers,
 			FineOp:      fineOp,
-			Precision:   cfg.Precision,
-			Telemetry:   mgScope,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("stokes: GMG setup: %w", err)
@@ -244,7 +231,7 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		if err := s.buildCoarseSolver(); err != nil {
 			return nil, err
 		}
-		gmg.SetTelemetry(mgScope)
+		gmg.SetTelemetry(s.Tel.Child("mg"))
 		innerU = gmg
 	}
 	if s.SA != nil {
@@ -286,20 +273,6 @@ func (s *Solver) observeLevels() {
 		outer.Timer(fmt.Sprintf("setup_diag_l%d", l)).Observe(lev.Setup.Diag)
 		outer.Timer(fmt.Sprintf("setup_eig_l%d", l)).Observe(lev.Setup.Eig)
 	}
-}
-
-// SelectionReport returns the per-level op.Auto decisions of the
-// hierarchy (nil when no level selects at runtime).
-func (s *Solver) SelectionReport() []op.Decision {
-	var out []op.Decision
-	if a, ok := s.Op.Auu.(*op.AutoOp); ok && s.MG == nil {
-		a.ForceCommit()
-		out = append(out, a.Decision())
-	}
-	if s.MG != nil {
-		out = append(out, s.MG.SelectionReport()...)
-	}
-	return out
 }
 
 // The coarse solvers' one configuration: "bjacobi" block count, "asmcg"

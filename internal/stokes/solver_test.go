@@ -451,6 +451,46 @@ func TestF32PreconditionedConvergence(t *testing.T) {
 	}
 }
 
+// TestCoupledOperatorFollowsLayout: the hierarchy's level 0 is the coupled
+// matvec's operator exactly when op.Layout gives both the same kind; at
+// f32 the hierarchy builds its own single-precision level 0 and the
+// coupled operator stays float64; and a reduced-precision fine kind never
+// reaches a solver.
+func TestCoupledOperatorFollowsLayout(t *testing.T) {
+	for _, tc := range []struct {
+		fine           op.Kind
+		prec           op.Precision
+		coupled, level op.Kind
+	}{
+		{op.TensorC, op.F64, op.TensorC, op.TensorC},
+		{op.TensorC, op.F32, op.TensorC, op.TensorF32},
+		{op.Galerkin, op.F64, op.Assembled, op.Assembled},
+		{op.Assembled, op.F32, op.Assembled, op.AssembledF32},
+	} {
+		p, def := sinkerProblem(4, 100, 1)
+		cfg := sinkerConfig(p, def)
+		cfg.Levels = 2
+		cfg.FineKind, cfg.Precision = tc.fine, tc.prec
+		s, err := New(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		auu, lev0 := s.Op.Auu.(op.Operator), s.MG.Levels[0].Op
+		if auu.Kind() != tc.coupled || lev0.Kind() != tc.level {
+			t.Errorf("%v/%v: coupled %v, level 0 %v; want %v, %v", tc.fine, tc.prec, auu.Kind(), lev0.Kind(), tc.coupled, tc.level)
+		}
+		if shared := auu == lev0; shared != (tc.coupled == tc.level) {
+			t.Errorf("%v/%v: coupled operator shared with level 0 = %v", tc.fine, tc.prec, shared)
+		}
+	}
+	p, def := sinkerProblem(4, 100, 1)
+	cfg := sinkerConfig(p, def)
+	cfg.FineKind = op.TensorF32
+	if _, err := New(p, cfg); err == nil || !strings.Contains(err.Error(), "-precision f32") {
+		t.Errorf("New with fine kind mf32 = %v; want op.Layout's rejection", err)
+	}
+}
+
 // TestBlockedSolveMatchesUnblocked: wavefront-blocked smoothing is a
 // bit-level reordering of the full-grid recurrence, so the default solve
 // must take the SAME iteration count and land on the SAME bits, at

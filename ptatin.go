@@ -156,22 +156,22 @@ type (
 	Monitor = stokes.Monitor
 )
 
-// Operator-representation kinds (Table I variants plus runtime
-// selection); see internal/op. ResidentTensor, the stored-coefficient
-// "TensorC" kernel, is the default fine-level kind.
+// Operator-representation kinds (Table I variants); see internal/op.
+// ResidentTensor, the stored-coefficient "TensorC" kernel, is the default
+// fine-level kind.
 const (
 	ResidentTensor   = op.TensorC
 	MatrixFreeTensor = op.Tensor
 	MatrixFreeRef    = op.MFRef
 	AssembledSpMV    = op.Assembled
 	GalerkinCSR      = op.Galerkin
-	AutoSelect       = op.Auto
 )
 
 // OpKind identifies an operator representation.
 type OpKind = op.Kind
 
-// ParseOpKind parses a -op flag value (mfc|auto|mf|mfref|asm|galerkin).
+// ParseOpKind parses a representation name; mfc|mf|mfref|asm|galerkin are
+// the ones a StokesConfig.FineKind accepts.
 func ParseOpKind(s string) (OpKind, error) { return op.ParseKind(s) }
 
 // DefaultStokesConfig returns the paper's production configuration

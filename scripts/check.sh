@@ -3,11 +3,12 @@
 # the full test suite, a short-mode pass under the race detector, a racy
 # re-run of the comm fault/recovery protocol tests, the benchmark module's
 # own vet and tests (bench/ is a separate module that the root go build
-# and go test skip), a scenario smoke of every spec on both backends and
-# a worker-count invariance run of rift, a rank-count invariance check of
-# the bounded scaling sweep, a one-iteration smoke run of the
-# apply-path benchmarks, and short fuzz smoke passes over the decomposition
-# index math and the checkpoint decoder.
+# and go test skip), a scenario smoke of every spec on both backends, a
+# check that the runtime operator selector stays gone and its flag values
+# are refused, a worker-count invariance run of rift, a rank-count
+# invariance check of the bounded scaling sweep, a one-iteration smoke run
+# of the apply-path benchmarks, and short fuzz smoke passes over the
+# decomposition index math and the checkpoint decoder.
 # Every PR must leave this script exiting 0.
 #
 # Usage: scripts/check.sh  (from the repository root or any subdirectory)
@@ -76,9 +77,9 @@ named_tests -race \
 echo "== pipelined GCR within ±2 iterations of classical at 1 and 8 ranks (16^3) =="
 named_tests -count=1 'TestPipelinedGCRRankCountInvariant' ./internal/stokes
 
-echo "== f32/f64 equivalence + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
+echo "== f32/f64 equivalence + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
 named_tests -race \
-    'TestOpEquivalence|TestF32OpEquivalence|TestAutoCacheKeyedByPrecision|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence|TestContextKeyCoversConfig' \
+    'TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, one method dispatcher under -race =="
@@ -101,6 +102,22 @@ echo "== benchmark module: vet + its own tests =="
 
 echo "== scenario smoke: every registered spec, 2 steps, shared + distributed =="
 go run ./cmd/ptatin-run -smoke -workers 2
+
+echo "== no runtime selector: nothing of op.Auto outside tests; -op auto and -op mf32 refused before any solve =="
+if grep -rnE 'op\.Auto|AutoOp|op\.Policy|SelectionReport' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check.sh: the runtime operator selector is back in non-test Go (above)" >&2
+    exit 1
+fi
+refused() { # refused OP 'MESSAGE': ptatin-run -op OP exits non-zero saying MESSAGE
+    local out
+    if out=$(go run ./cmd/ptatin-run -scenario sinker -small -op "$1" 2>&1) || ! grep -qF -- "$2" <<<"$out"; then
+        echo "check.sh: ptatin-run -op $1 should fail with '$2', got:" >&2
+        echo "$out" >&2
+        exit 1
+    fi
+}
+refused auto 'selector "auto" was removed'
+refused mf32 '-precision f32'
 
 echo "== rift at 3 workers (block groups that do not divide the 8 blocks): its identical to 1 worker =="
 its() { go run ./cmd/ptatin-run -scenario rift -small -steps 2 -workers "$1" | awk -F', ' '!/^#/ {print $1, $4, $5}'; }
