@@ -259,8 +259,9 @@ func Run(m *model.Model, cfg Config) error {
 // Smoke compiles every registered scenario at its small resolution and
 // runs it for two steps on the shared backend and (when the small
 // resolution admits the rank grid on every level) on the distributed
-// backend at 2×1×1 — the check.sh scenario-smoke gate. Progress goes to
-// out; the first failure is returned.
+// backend at 2×1×1 — the check.sh scenario-smoke gate. A run that
+// accepted a point location from an unconverged Newton iteration fails.
+// Progress goes to out; the first failure is returned.
 func Smoke(workers int, out io.Writer) error {
 	if out == nil {
 		out = os.Stdout
@@ -283,6 +284,9 @@ func Smoke(workers int, out io.Writer) error {
 			start := time.Now()
 			if err := Run(m, Config{Steps: 2, Out: io.Discard}); err != nil {
 				return fmt.Errorf("smoke %s (%s): %w", name, mode, err)
+			}
+			if n := m.Telemetry.Child("mpm").Counter("locate_unconverged").Value(); n != 0 {
+				return fmt.Errorf("smoke %s (%s): %d point locations accepted from a Newton iteration that did not converge", name, mode, n)
 			}
 			st := m.Stats[len(m.Stats)-1]
 			fmt.Fprintf(out, "smoke %-16s %-11s ok: 2 steps, krylov_its=%d+%d, %.1fs\n",

@@ -340,3 +340,82 @@ func TestGeometryStoreKeptWhileMeshStill(t *testing.T) {
 		t.Fatal("store kept although a coordinate changed by one ulp")
 	}
 }
+
+// checkElementFrames compares every element's frame, and the bounding
+// box, with what the point loops computed per point before the frames:
+// the first pass of the old Newton inversion at ξ = 0 (basis, gradient,
+// position and Jacobian in one loop, then la.Invert3), elemCenterScale,
+// and a scan of every node.
+func checkElementFrames(t *testing.T, what string, p *Problem) {
+	t.Helper()
+	c := p.Cursor(nil, nil)
+	for e := 0; e < p.DA.NElements(); e++ {
+		var xe [81]float64
+		p.gatherCoords(e, &xe)
+		var nb [27]float64
+		var gb [27][3]float64
+		Q2EvalGrad(0, 0, 0, &nb, &gb)
+		var px, py, pz float64
+		var jmat, inv [9]float64
+		for n := 0; n < 27; n++ {
+			cx, cy, cz := xe[3*n], xe[3*n+1], xe[3*n+2]
+			px += nb[n] * cx
+			py += nb[n] * cy
+			pz += nb[n] * cz
+			for d := 0; d < 3; d++ {
+				jmat[d*3] += gb[n][d] * cx
+				jmat[d*3+1] += gb[n][d] * cy
+				jmat[d*3+2] += gb[n][d] * cz
+			}
+		}
+		det := la.Invert3(&jmat, &inv)
+		var ctr, hinv [3]float64
+		elemCenterScale(&xe, &ctr, &hinv)
+		want := append(append(append([]float64{px, py, pz}, inv[:]...), det), append(ctr[:], hinv[:]...)...)
+		c.Seek(e)
+		wantSameBits(t, fmt.Sprintf("%s: frame of element %d", what, e), c.frame()[:frameStride], want)
+	}
+	co := p.DA.Coords
+	box := [6]float64{co[0], co[1], co[2], co[0], co[1], co[2]}
+	for n := 1; n < p.DA.NNodes(); n++ {
+		for d := 0; d < 3; d++ {
+			v := co[3*n+d]
+			if v < box[d] {
+				box[d] = v
+			}
+			if v > box[3+d] {
+				box[3+d] = v
+			}
+		}
+	}
+	wantSameBits(t, what+": bounding box", c.Box()[:], box[:])
+}
+
+// TestElementFrameBitwise: the frames hold the bits the per-point code
+// computed, at 1 and 3 workers; they are kept while the mesh is still and
+// rebuilt after a write to DA.Coords; and the store is validated when a
+// cursor is taken, not when it seeks.
+func TestElementFrameBitwise(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		p := testProblem(t, 4, 3, 2, workers)
+		what := fmt.Sprintf("workers=%d", workers)
+		checkElementFrames(t, what, p)
+
+		c := p.Cursor(nil, nil)
+		c.Seek(0)
+		f0 := c.frame()
+		f0[0] = math.Pi // a rebuild would overwrite this
+		if c1 := p.Cursor(nil, nil); &c1.geo.frames[0] != &f0[0] || f0[0] != math.Pi {
+			t.Fatal("frames rebuilt although the mesh did not move")
+		}
+		for i := range p.DA.Coords {
+			p.DA.Coords[i] += 0.01 * float64(i%7)
+		}
+		c.Seek(1)
+		c.Seek(0)
+		if f0[0] != math.Pi {
+			t.Fatal("a seek validated the store; only taking a cursor should")
+		}
+		checkElementFrames(t, what+" moved", p)
+	}
+}

@@ -65,20 +65,18 @@ func StrainRateAtQP(p *Problem, u la.Vec, d6, eII []float64) {
 	})
 }
 
-// StrainRateAtPoint evaluates ε̇_II of the (unmasked) velocity state u at
-// reference position (xi,et,ze) of element e — the material-point state
-// feeding the flow laws (paper §II-C).
-func StrainRateAtPoint(p *Problem, u la.Vec, e int, xi, et, ze float64) float64 {
+// StrainRateAtPoint evaluates ε̇_II of the cursor's velocity state at
+// reference position (xi,et,ze) of the element it holds — the
+// material-point state feeding the flow laws (paper §II-C).
+func StrainRateAtPoint(c *ElemCursor, xi, et, ze float64) float64 {
 	var nb [27]float64
 	var gb [27][3]float64
 	Q2EvalGrad(xi, et, ze, &nb, &gb)
-	em := p.Emap[27*e : 27*e+27]
 	var jmat [9]float64
 	var gref [9]float64 // ∂u_a/∂ξ_d
 	for n := 0; n < 27; n++ {
-		c := 3 * int(em[n])
-		cx, cy, cz := p.DA.Coords[c], p.DA.Coords[c+1], p.DA.Coords[c+2]
-		ux, uy, uz := u[c], u[c+1], u[c+2]
+		cx, cy, cz := c.Xe[3*n], c.Xe[3*n+1], c.Xe[3*n+2]
+		ux, uy, uz := c.Ue[3*n], c.Ue[3*n+1], c.Ue[3*n+2]
 		for d := 0; d < 3; d++ {
 			g := gb[n][d]
 			jmat[d*3] += g * cx
@@ -107,13 +105,11 @@ func StrainRateAtPoint(p *Problem, u la.Vec, e int, xi, et, ze float64) float64 
 }
 
 // EvalPressure evaluates the P1disc pressure field pv at the physical
-// point (x,y,z) inside element e.
-func EvalPressure(p *Problem, pv la.Vec, e int, x, y, z float64) float64 {
-	var xe [81]float64
-	p.gatherCoords(e, &xe)
-	var ctr, hinv [3]float64
-	elemCenterScale(&xe, &ctr, &hinv)
+// point (x,y,z) inside the element the cursor holds.
+func EvalPressure(c *ElemCursor, pv la.Vec, x, y, z float64) float64 {
+	fr := c.frame()
 	var psi [4]float64
-	pressureBasisAt(x, y, z, &ctr, &hinv, &psi)
+	pressureBasisAt(x, y, z, (*[3]float64)(fr[13:]), (*[3]float64)(fr[16:]), &psi)
+	e := c.E
 	return psi[0]*pv[4*e] + psi[1]*pv[4*e+1] + psi[2]*pv[4*e+2] + psi[3]*pv[4*e+3]
 }

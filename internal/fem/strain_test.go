@@ -44,7 +44,9 @@ func TestStrainRateLinearField(t *testing.T) {
 		}
 	}
 	// Point evaluation agrees.
-	got := StrainRateAtPoint(p, u, 3, 0.3, -0.2, 0.7)
+	cur := p.Cursor(u, nil)
+	cur.Seek(3)
+	got := StrainRateAtPoint(&cur, 0.3, -0.2, 0.7)
 	if math.Abs(got-wantII) > 1e-11 {
 		t.Fatalf("point ε̇_II = %v, want %v", got, wantII)
 	}
@@ -190,7 +192,9 @@ func TestEvalPressure(t *testing.T) {
 	pv[0] = 3
 	pv[1] = 2
 	// Element 0 spans [0,0.5]³; centre x=0.25, half-extent 0.25.
-	got := EvalPressure(p, pv, 0, 0.375, 0.2, 0.3) // ψ1 = (0.375-0.25)/0.25 = 0.5
+	c := p.Cursor(nil, nil)
+	c.Seek(0)
+	got := EvalPressure(&c, pv, 0.375, 0.2, 0.3) // ψ1 = (0.375-0.25)/0.25 = 0.5
 	if math.Abs(got-4) > 1e-12 {
 		t.Fatalf("pressure %v, want 4", got)
 	}

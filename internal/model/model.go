@@ -176,22 +176,28 @@ type StepStats struct {
 }
 
 // pointState evaluates the rheological state of material point i for the
-// current coupled state x.
-func (m *Model) pointState(x la.Vec, i int) rheology.State {
-	e := int(m.Points.Elem[i])
-	st := rheology.State{PlasticStrain: m.Points.Plastic[i]}
-	if e < 0 {
+// coupled state whose velocity and temperature c gathers and whose
+// pressure is pv.
+func (m *Model) pointState(c *fem.ElemCursor, pv la.Vec, i int) rheology.State {
+	pts := m.Points
+	st := rheology.State{PlasticStrain: pts.Plastic[i]}
+	if pts.Elem[i] < 0 {
 		return st
 	}
-	nu := m.Prob.DA.NVelDOF()
-	u := x[:nu]
-	pv := x[nu:]
-	st.StrainRateII = fem.StrainRateAtPoint(m.Prob, u, e, m.Points.Xi[i], m.Points.Et[i], m.Points.Ze[i])
-	st.Pressure = fem.EvalPressure(m.Prob, pv, e, m.Points.X[i], m.Points.Y[i], m.Points.Z[i])
+	c.Seek(int(pts.Elem[i]))
+	st.StrainRateII = fem.StrainRateAtPoint(c, pts.Xi[i], pts.Et[i], pts.Ze[i])
+	st.Pressure = fem.EvalPressure(c, pv, pts.X[i], pts.Y[i], pts.Z[i])
 	if m.Temp != nil {
-		st.Temperature = thermal.TemperatureAt(m.Prob, m.Temp, e, m.Points.Xi[i], m.Points.Et[i], m.Points.Ze[i])
+		st.Temperature = thermal.TemperatureAt(c, pts.Xi[i], pts.Et[i], pts.Ze[i])
 	}
 	return st
+}
+
+// stateCursor returns the cursor and pressure block pointState reads the
+// coupled state x through.
+func (m *Model) stateCursor(x la.Vec) (fem.ElemCursor, la.Vec) {
+	nu := m.Prob.DA.NVelDOF()
+	return m.Prob.Cursor(x[:nu], m.Temp), x[nu:]
 }
 
 // UpdateCoefficients evaluates η and ρ at every material point for the
@@ -215,9 +221,12 @@ func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
 	// (x, coordinates, temperature) and writes only its own slots, so the
 	// loop parallelizes with no change in any point's arithmetic.
 	t0 := time.Now()
+	cur, pv := m.stateCursor(x)
 	par.For(max(1, m.Workers), n, func(lo, hi int) {
+		c := cur
+		defer c.Done()
 		for i := lo; i < hi; i++ {
-			st := m.pointState(x, i)
+			st := m.pointState(&c, pv, i)
 			l := &m.Lith[pts.Litho[i]]
 			if wantDeriv {
 				eta, d := l.EffectiveViscosityDerivative(st)
@@ -442,12 +451,19 @@ func (m *Model) StepForward() error {
 
 	// Accumulate plastic strain on yielding points (history variable
 	// update of §V-A) using the converged state. Each point writes only
-	// its own slot, so the loop runs on the worker pool.
+	// its own slot, so the loop runs on the worker pool. A lithology
+	// without Plastic has an infinite yield viscosity and never yields.
 	tPlastic := time.Now()
+	cur, pv := m.stateCursor(m.X)
 	par.For(max(1, m.Workers), m.Points.Len(), func(lo, hi int) {
+		c := cur
+		defer c.Done()
 		for i := lo; i < hi; i++ {
-			st := m.pointState(m.X, i)
 			l := &m.Lith[m.Points.Litho[i]]
+			if !l.Plastic {
+				continue
+			}
+			st := m.pointState(&c, pv, i)
 			if _, yielding := l.EffectiveViscosity(st); yielding {
 				m.Points.Plastic[i] += dt * st.StrainRateII
 			}
@@ -517,6 +533,9 @@ func (m *Model) StepForward() error {
 		tel.Gauge("points").Set(float64(m.Points.Len()))
 		tel.Counter("krylov_its").Add(int64(res.KrylovIts))
 		tel.Counter("newton_its").Add(int64(res.Iterations))
+		for i, n := range m.Prob.TakePointStats() {
+			tel.Child("mpm").Counter(fem.PointStatNames[i]).Add(n)
+		}
 		stage := tel.Child("step")
 		stage.Timer("rheology").Observe(m.stage.rheology)
 		stage.Timer("mpm_project").Observe(m.stage.project)

@@ -122,21 +122,14 @@ func (m *Model) Streamline(x0, y0, z0, h float64, maxSteps int) [][3]float64 {
 	var line [][3]float64
 	x, y, z := x0, y0, z0
 	eGuess := -1
+	c := m.Prob.Cursor(u, nil)
 	velAt := func(px, py, pz float64) (vx, vy, vz float64, ok bool) {
-		e, xi, et, ze, found := mpm.Locate(m.Prob, px, py, pz, eGuess)
+		e, xi, et, ze, found := mpm.Locate(&c, px, py, pz, eGuess)
 		if !found {
 			return 0, 0, 0, false
 		}
 		eGuess = e
-		var nb [27]float64
-		fem.Q2Eval(xi, et, ze, &nb)
-		em := m.Prob.Emap[27*e : 27*e+27]
-		for n := 0; n < 27; n++ {
-			d := 3 * int(em[n])
-			vx += nb[n] * u[d]
-			vy += nb[n] * u[d+1]
-			vz += nb[n] * u[d+2]
-		}
+		vx, vy, vz = mpm.VelocityAt(&c, xi, et, ze)
 		return vx, vy, vz, true
 	}
 	for s := 0; s < maxSteps; s++ {

@@ -8,72 +8,48 @@ import (
 	"ptatin3d/internal/par"
 )
 
-// VelocityAt interpolates the Q2 velocity field u at the cached location
-// of point i.
-func VelocityAt(prob *fem.Problem, u la.Vec, pts *Points, i int) (vx, vy, vz float64) {
-	e := int(pts.Elem[i])
-	if e < 0 {
-		return 0, 0, 0
-	}
+// VelocityAt interpolates the cursor's Q2 velocity field at reference
+// position (xi,et,ze) of the element it holds.
+func VelocityAt(c *fem.ElemCursor, xi, et, ze float64) (vx, vy, vz float64) {
 	var nb [27]float64
-	fem.Q2Eval(pts.Xi[i], pts.Et[i], pts.Ze[i], &nb)
-	em := prob.Emap[27*e : 27*e+27]
+	fem.Q2Eval(xi, et, ze, &nb)
 	for n := 0; n < 27; n++ {
-		d := 3 * int(em[n])
-		vx += nb[n] * u[d]
-		vy += nb[n] * u[d+1]
-		vz += nb[n] * u[d+2]
+		vx += nb[n] * c.Ue[3*n]
+		vy += nb[n] * c.Ue[3*n+1]
+		vz += nb[n] * c.Ue[3*n+2]
 	}
 	return
 }
 
 // AdvectRK2 advances every located point through the velocity field u by
-// one explicit midpoint (RK2) step of size dt, then relocates all points.
-// Points advected out of the domain are reported (outflow handling /
-// migration is the caller's job, per §II-D). Unlocated points are left in
-// place.
+// one explicit midpoint (RK2) step of size dt, then relocates all points,
+// all on workers workers. Points advected out of the domain are reported
+// (outflow handling / migration is the caller's job, per §II-D).
+// Unlocated points are left in place.
 func AdvectRK2(prob *fem.Problem, u la.Vec, dt float64, pts *Points, workers int) (lost []int) {
-	n := pts.Len()
-	// Stage 1: midpoint positions (points carry their own scratch here).
-	midX := make([]float64, n)
-	midY := make([]float64, n)
-	midZ := make([]float64, n)
-	par.ForItems(workers, n, func(i int) {
-		if pts.Elem[i] < 0 {
-			midX[i], midY[i], midZ[i] = pts.X[i], pts.Y[i], pts.Z[i]
-			return
-		}
-		vx, vy, vz := VelocityAt(prob, u, pts, i)
-		midX[i] = pts.X[i] + 0.5*dt*vx
-		midY[i] = pts.Y[i] + 0.5*dt*vy
-		midZ[i] = pts.Z[i] + 0.5*dt*vz
-	})
-	// Locate midpoints and evaluate the velocity there; if a midpoint
-	// leaves the domain fall back to the stage-1 velocity (Euler).
-	par.ForItems(workers, n, func(i int) {
-		if pts.Elem[i] < 0 {
-			return
-		}
-		e, xi, et, ze, ok := Locate(prob, midX[i], midY[i], midZ[i], int(pts.Elem[i]))
-		var vx, vy, vz float64
-		if ok {
-			var nb [27]float64
-			fem.Q2Eval(xi, et, ze, &nb)
-			em := prob.Emap[27*e : 27*e+27]
-			for nn := 0; nn < 27; nn++ {
-				d := 3 * int(em[nn])
-				vx += nb[nn] * u[d]
-				vy += nb[nn] * u[d+1]
-				vz += nb[nn] * u[d+2]
+	cur := prob.Cursor(u, nil)
+	par.For(workers, pts.Len(), func(lo, hi int) {
+		c := cur
+		defer c.Done()
+		for i := lo; i < hi; i++ {
+			e := int(pts.Elem[i])
+			if e < 0 {
+				continue
 			}
-		} else {
-			vx, vy, vz = VelocityAt(prob, u, pts, i)
+			c.Seek(e)
+			vx, vy, vz := VelocityAt(&c, pts.Xi[i], pts.Et[i], pts.Ze[i])
+			// Locate the midpoint and evaluate the velocity there; if it
+			// leaves the domain keep the stage-1 velocity (Euler).
+			mx, my, mz := pts.X[i]+0.5*dt*vx, pts.Y[i]+0.5*dt*vy, pts.Z[i]+0.5*dt*vz
+			if _, xi, et, ze, ok := Locate(&c, mx, my, mz, e); ok {
+				vx, vy, vz = VelocityAt(&c, xi, et, ze)
+			}
+			pts.X[i] += dt * vx
+			pts.Y[i] += dt * vy
+			pts.Z[i] += dt * vz
 		}
-		pts.X[i] += dt * vx
-		pts.Y[i] += dt * vy
-		pts.Z[i] += dt * vz
 	})
-	return LocateAll(prob, pts)
+	return locateAll(prob, pts, workers)
 }
 
 // MaxVelocity returns the maximum nodal speed of u — the CFL building

@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"ptatin3d/internal/fem"
-	"ptatin3d/internal/la"
 	"ptatin3d/internal/par"
 )
 
@@ -18,83 +17,35 @@ import (
 // boundary-fitted meshes used here.
 
 const (
-	locTol     = 1e-10
 	locBounds  = 1.0 + 1e-8
-	newtonIts  = 25
 	maxWalkHop = 64
 )
-
-// invertInElement Newton-solves X(ξ) = x in element e. Returns the local
-// coordinates and whether Newton converged (regardless of bounds).
-func invertInElement(xe *[81]float64, x, y, z float64) (xi, et, ze float64, ok bool) {
-	var nb [27]float64
-	var gb [27][3]float64
-	for it := 0; it < newtonIts; it++ {
-		fem.Q2EvalGrad(xi, et, ze, &nb, &gb)
-		var px, py, pz float64
-		var jmat [9]float64 // jmat[d*3+m] = ∂x_m/∂ξ_d
-		for n := 0; n < 27; n++ {
-			cx, cy, cz := xe[3*n], xe[3*n+1], xe[3*n+2]
-			px += nb[n] * cx
-			py += nb[n] * cy
-			pz += nb[n] * cz
-			for d := 0; d < 3; d++ {
-				jmat[d*3] += gb[n][d] * cx
-				jmat[d*3+1] += gb[n][d] * cy
-				jmat[d*3+2] += gb[n][d] * cz
-			}
-		}
-		rx, ry, rz := x-px, y-py, z-pz
-		if rx*rx+ry*ry+rz*rz < locTol*locTol {
-			return xi, et, ze, true
-		}
-		var inv [9]float64
-		det := la.Invert3(&jmat, &inv)
-		if det == 0 || math.IsNaN(det) {
-			return xi, et, ze, false
-		}
-		// δξ_d = Σ_m (∂ξ_d/∂x_m) r_m; inv[m][s] = ∂ξ_s/∂x_m.
-		xi += inv[0]*rx + inv[3]*ry + inv[6]*rz
-		et += inv[1]*rx + inv[4]*ry + inv[7]*rz
-		ze += inv[2]*rx + inv[5]*ry + inv[8]*rz
-		// Keep the iterate from running far outside the element, which
-		// destabilizes Newton on strongly deformed cells.
-		xi = clamp(xi, -3, 3)
-		et = clamp(et, -3, 3)
-		ze = clamp(ze, -3, 3)
-	}
-	return xi, et, ze, false
-}
-
-func clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
 
 // Locate finds the element containing (x,y,z), starting the walk from
 // eGuess (pass a previous location, or -1 to derive a guess from the mean
 // element size assuming a roughly regular mesh). Returns found=false for
-// points outside the domain.
-func Locate(prob *fem.Problem, x, y, z float64, eGuess int) (e int, xi, et, ze float64, found bool) {
-	da := prob.DA
+// points outside the domain. The walk moves the cursor c, which is left
+// on the returned element; a point it accepts from a Newton iteration
+// that did not converge is counted (LocateUnconverged), not refused.
+func Locate(c *fem.ElemCursor, x, y, z float64, eGuess int) (e int, xi, et, ze float64, found bool) {
+	da := c.P.DA
 	if eGuess < 0 || eGuess >= da.NElements() {
-		eGuess = guessElement(prob, x, y, z)
+		eGuess = guessElement(c, x, y, z)
 	}
 	ei, ej, ek := da.ElemIJK(eGuess)
-	var xe [81]float64
+	c.Stats[fem.LocateCalls]++
 	for hop := 0; hop < maxWalkHop; hop++ {
 		e = da.ElemID(ei, ej, ek)
-		gatherCoords(prob, e, &xe)
-		xi, et, ze, _ = invertInElement(&xe, x, y, z)
+		c.Seek(e)
+		var converged bool
+		xi, et, ze, converged = c.InvertMap(x, y, z)
 		inX := math.Abs(xi) <= locBounds
 		inY := math.Abs(et) <= locBounds
 		inZ := math.Abs(ze) <= locBounds
 		if inX && inY && inZ {
+			if !converged {
+				c.Stats[fem.LocateUnconverged]++
+			}
 			return e, xi, et, ze, true
 		}
 		// Walk one element in each violated direction that can still move.
@@ -130,27 +81,14 @@ func Locate(prob *fem.Problem, x, y, z float64, eGuess int) (e int, xi, et, ze f
 		if !moved {
 			return e, xi, et, ze, false
 		}
+		c.Stats[fem.LocateHops]++
 	}
 	return e, xi, et, ze, false
 }
 
 // guessElement estimates a starting element from the domain bounding box.
-func guessElement(prob *fem.Problem, x, y, z float64) int {
-	da := prob.DA
-	var min, max [3]float64
-	min[0], min[1], min[2] = da.Coords[0], da.Coords[1], da.Coords[2]
-	max = min
-	for n := 1; n < da.NNodes(); n++ {
-		for c := 0; c < 3; c++ {
-			v := da.Coords[3*n+c]
-			if v < min[c] {
-				min[c] = v
-			}
-			if v > max[c] {
-				max[c] = v
-			}
-		}
-	}
+func guessElement(c *fem.ElemCursor, x, y, z float64) int {
+	da, box := c.P.DA, c.Box()
 	idx := func(v, lo, hi float64, m int) int {
 		if hi <= lo {
 			return 0
@@ -164,7 +102,7 @@ func guessElement(prob *fem.Problem, x, y, z float64) int {
 		}
 		return i
 	}
-	return da.ElemID(idx(x, min[0], max[0], da.Mx), idx(y, min[1], max[1], da.My), idx(z, min[2], max[2], da.Mz))
+	return da.ElemID(idx(x, box[0], box[3], da.Mx), idx(y, box[1], box[4], da.My), idx(z, box[2], box[5], da.Mz))
 }
 
 // LocateAll (re)locates every point, using its cached element as the walk
@@ -177,10 +115,17 @@ func guessElement(prob *fem.Problem, x, y, z float64) int {
 // serial sweep afterwards so it is always in ascending index order,
 // exactly as the serial loop produced it.
 func LocateAll(prob *fem.Problem, pts *Points) (lost []int) {
+	return locateAll(prob, pts, prob.Workers)
+}
+
+func locateAll(prob *fem.Problem, pts *Points, workers int) (lost []int) {
 	n := pts.Len()
-	par.For(prob.Workers, n, func(lo, hi int) {
+	cur := prob.Cursor(nil, nil)
+	par.For(workers, n, func(lo, hi int) {
+		c := cur
+		defer c.Done()
 		for i := lo; i < hi; i++ {
-			e, xi, et, ze, ok := Locate(prob, pts.X[i], pts.Y[i], pts.Z[i], int(pts.Elem[i]))
+			e, xi, et, ze, ok := Locate(&c, pts.X[i], pts.Y[i], pts.Z[i], int(pts.Elem[i]))
 			if ok {
 				pts.Elem[i] = int32(e)
 				pts.Xi[i], pts.Et[i], pts.Ze[i] = xi, et, ze

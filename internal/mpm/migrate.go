@@ -130,10 +130,12 @@ func Migrate(r *comm.Rank, d *comm.Decomp, prob *fem.Problem, pts *Points, sc *t
 	}
 
 	// Process Lr: adopt points whose containing element is ours.
+	c := prob.Cursor(nil, nil)
+	defer c.Done()
 	for _, n := range nbrs {
 		lr := recv[n].(*PointPacket)
 		for i := 0; i < lr.Len(); i++ {
-			e, xi, et, ze, ok := Locate(prob, lr.X[i], lr.Y[i], lr.Z[i], -1)
+			e, xi, et, ze, ok := Locate(&c, lr.X[i], lr.Y[i], lr.Z[i], -1)
 			if !ok || d.RankOfElement(e) != r.ID {
 				continue // someone else's point, or outflow — drop our copy
 			}

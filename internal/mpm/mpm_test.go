@@ -65,14 +65,15 @@ func TestLatticeInit(t *testing.T) {
 func TestLocateRoundTrip(t *testing.T) {
 	p := deformedProblem(4)
 	rng := rand.New(rand.NewSource(1))
-	var xe [81]float64
+	c := p.Cursor(nil, nil)
+	xe := &c.Xe
 	var nb [27]float64
 	for trial := 0; trial < 200; trial++ {
 		e := rng.Intn(p.DA.NElements())
 		xi := rng.Float64()*1.9 - 0.95
 		et := rng.Float64()*1.9 - 0.95
 		ze := rng.Float64()*1.9 - 0.95
-		gatherCoords(p, e, &xe)
+		c.Seek(e)
 		fem.Q2Eval(xi, et, ze, &nb)
 		var x, y, z float64
 		for n := 0; n < 27; n++ {
@@ -81,7 +82,7 @@ func TestLocateRoundTrip(t *testing.T) {
 			z += nb[n] * xe[3*n+2]
 		}
 		guess := rng.Intn(p.DA.NElements()) // random start: exercise walking
-		ge, gxi, get, gze, ok := Locate(p, x, y, z, guess)
+		ge, gxi, get, gze, ok := Locate(&c, x, y, z, guess)
 		if !ok {
 			t.Fatalf("trial %d: point not found (elem %d)", trial, e)
 		}
@@ -102,10 +103,11 @@ func TestLocateRoundTrip(t *testing.T) {
 
 func TestLocateOutsideDomain(t *testing.T) {
 	p := flatProblem(2)
-	if _, _, _, _, ok := Locate(p, 1.5, 0.5, 0.5, -1); ok {
+	c := p.Cursor(nil, nil)
+	if _, _, _, _, ok := Locate(&c, 1.5, 0.5, 0.5, -1); ok {
 		t.Fatal("located a point outside the domain")
 	}
-	if _, _, _, _, ok := Locate(p, 0.5, -0.2, 0.5, 3); ok {
+	if _, _, _, _, ok := Locate(&c, 0.5, -0.2, 0.5, 3); ok {
 		t.Fatal("located a point below the domain")
 	}
 }
@@ -172,7 +174,8 @@ func TestProjectionEmptyFallback(t *testing.T) {
 	// Single point; everything else patched by sweeps.
 	pts = &Points{}
 	idx := pts.Append(0.5, 0.5, 0.5, 0, 0)
-	e, xi, et, ze, ok := Locate(p, 0.5, 0.5, 0.5, -1)
+	c := p.Cursor(nil, nil)
+	e, xi, et, ze, ok := Locate(&c, 0.5, 0.5, 0.5, -1)
 	if !ok {
 		t.Fatal("centre not located")
 	}
@@ -227,7 +230,8 @@ func TestAdvectRotationPreservesRadius(t *testing.T) {
 	}
 	pts := &Points{}
 	idx := pts.Append(0.75, 0.5, 0.5, 0, 0)
-	e, xi, et, ze, ok := Locate(p, 0.75, 0.5, 0.5, -1)
+	c := p.Cursor(nil, nil)
+	e, xi, et, ze, ok := Locate(&c, 0.75, 0.5, 0.5, -1)
 	if !ok {
 		t.Fatal("seed not located")
 	}

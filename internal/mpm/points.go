@@ -79,10 +79,9 @@ func NewLattice(prob *fem.Problem, nper int, classify func(x, y, z float64) int3
 	pts.Et = make([]float64, 0, n)
 	pts.Ze = make([]float64, 0, n)
 
-	var xe [81]float64
-	var nb [27]float64
+	c := prob.Cursor(nil, nil)
 	for e := 0; e < nel; e++ {
-		gatherCoords(prob, e, &xe)
+		c.Seek(e)
 		for k := 0; k < nper; k++ {
 			for j := 0; j < nper; j++ {
 				for i := 0; i < nper; i++ {
@@ -90,13 +89,7 @@ func NewLattice(prob *fem.Problem, nper int, classify func(x, y, z float64) int3
 					xi := -1 + (2*float64(i)+1)/float64(nper)
 					et := -1 + (2*float64(j)+1)/float64(nper)
 					ze := -1 + (2*float64(k)+1)/float64(nper)
-					fem.Q2Eval(xi, et, ze, &nb)
-					var px, py, pz float64
-					for nn := 0; nn < 27; nn++ {
-						px += nb[nn] * xe[3*nn]
-						py += nb[nn] * xe[3*nn+1]
-						pz += nb[nn] * xe[3*nn+2]
-					}
+					px, py, pz := c.Position(xi, et, ze)
 					var lith int32
 					if classify != nil {
 						lith = classify(px, py, pz)
@@ -109,17 +102,6 @@ func NewLattice(prob *fem.Problem, nper int, classify func(x, y, z float64) int3
 		}
 	}
 	return pts
-}
-
-// gatherCoords mirrors fem's internal helper using only exported API.
-func gatherCoords(prob *fem.Problem, e int, xe *[81]float64) {
-	em := prob.Emap[27*e : 27*e+27]
-	for n := 0; n < 27; n++ {
-		c := 3 * int(em[n])
-		xe[3*n] = prob.DA.Coords[c]
-		xe[3*n+1] = prob.DA.Coords[c+1]
-		xe[3*n+2] = prob.DA.Coords[c+2]
-	}
 }
 
 // CountPerElement returns how many located points each element contains —

@@ -77,29 +77,27 @@ func patchEmptyVertices(da interface {
 // then the whole population) so composition is preserved. Returns the
 // number of injected points.
 func EnsureMinPerElement(prob *fem.Problem, pts *Points, minCount, nper int) int {
-	counts := CountPerElement(prob, pts)
-	buckets := newPointBuckets(prob.DA.NElements(), pts)
 	injected := 0
-	var xe [81]float64
-	var nb [27]float64
-	for e, c := range counts {
+	// The nearest-point index is a pass over every point; most steps drain
+	// no element and never build it.
+	var buckets *pointBuckets
+	var cur fem.ElemCursor
+	for e, c := range CountPerElement(prob, pts) {
 		if c >= minCount {
 			continue
 		}
-		gatherCoords(prob, e, &xe)
+		if buckets == nil {
+			buckets = newPointBuckets(prob.DA.NElements(), pts)
+			cur = prob.Cursor(nil, nil)
+		}
+		cur.Seek(e)
 		for k := 0; k < nper; k++ {
 			for j := 0; j < nper; j++ {
 				for i := 0; i < nper; i++ {
 					xi := -1 + (2*float64(i)+1)/float64(nper)
 					et := -1 + (2*float64(j)+1)/float64(nper)
 					ze := -1 + (2*float64(k)+1)/float64(nper)
-					fem.Q2Eval(xi, et, ze, &nb)
-					var px, py, pz float64
-					for n := 0; n < 27; n++ {
-						px += nb[n] * xe[3*n]
-						py += nb[n] * xe[3*n+1]
-						pz += nb[n] * xe[3*n+2]
-					}
+					px, py, pz := cur.Position(xi, et, ze)
 					lith, plastic := nearestPointProps(pts, buckets, e, px, py, pz)
 					idx := pts.Append(px, py, pz, lith, plastic)
 					pts.Elem[idx] = int32(e)

@@ -238,16 +238,14 @@ func (s *Solver) Assemble(T []float64, u la.Vec, dt float64) (*la.CSR, la.Vec) {
 	return b.ToCSR(), rhs
 }
 
-// TemperatureAt interpolates the vertex-grid temperature field at
-// reference position (xi,et,ze) of element e.
-func TemperatureAt(p *fem.Problem, T []float64, e int, xi, et, ze float64) float64 {
-	var vs [8]int32
+// TemperatureAt interpolates the cursor's vertex-grid temperature field
+// at reference position (xi,et,ze) of the element it holds.
+func TemperatureAt(c *fem.ElemCursor, xi, et, ze float64) float64 {
 	var n1 [8]float64
-	p.DA.ElemVertices(e, &vs)
 	fem.Q1Eval(xi, et, ze, &n1)
 	var s float64
-	for c := 0; c < 8; c++ {
-		s += n1[c] * T[vs[c]]
+	for i, t := range c.Te {
+		s += n1[i] * t
 	}
 	return s
 }

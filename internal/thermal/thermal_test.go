@@ -148,7 +148,9 @@ func TestTemperatureAt(t *testing.T) {
 		T[v] = 1 + 2*x - y + 3*z
 	}
 	// Element 0 spans [0,0.5]³; reference (0,0,0) is its centre (0.25...).
-	got := TemperatureAt(p, T, 0, 0, 0, 0)
+	c := p.Cursor(nil, T)
+	c.Seek(0)
+	got := TemperatureAt(&c, 0, 0, 0)
 	want := 1 + 2*0.25 - 0.25 + 3*0.25
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("T = %v, want %v", got, want)

@@ -3,7 +3,8 @@
 # the full test suite, a short-mode pass under the race detector, a racy
 # re-run of the comm fault/recovery protocol tests, the benchmark module's
 # own vet and tests (bench/ is a separate module that the root go build
-# and go test skip), a scenario smoke of every spec on both backends, a
+# and go test skip), a scenario smoke of every spec on both backends
+# (which fails on a point location accepted from an unconverged Newton), a
 # check that the runtime operator selector stays gone and its flag values
 # are refused, a worker-count invariance run of rift, a rank-count
 # invariance check of the bounded scaling sweep, a one-iteration smoke run
@@ -97,10 +98,15 @@ named_tests -race \
     'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
     ./internal/mpm ./internal/model
 
+echo "== point loops: seeded Newton == full-evaluation walk, element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, under -race =="
+named_tests -race \
+    'TestLocateSeededBitwise|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding' \
+    ./internal/fem ./internal/mpm ./internal/model
+
 echo "== benchmark module: vet + its own tests =="
 (cd bench && go vet . && go test .)
 
-echo "== scenario smoke: every registered spec, 2 steps, shared + distributed =="
+echo "== scenario smoke: every registered spec, 2 steps, shared + distributed; no point located by an unconverged Newton =="
 go run ./cmd/ptatin-run -smoke -workers 2
 
 echo "== no runtime selector: nothing of op.Auto outside tests; -op auto and -op mf32 refused before any solve =="
