@@ -97,20 +97,17 @@ func sinkerSolveBench(b *testing.B, m int, deta float64, mut func(*stokes.Config
 	o := scenario.DefaultSinkerOptions()
 	o.M = m
 	o.DeltaEta = deta
-	mdl := scenario.NewSinker(o)
-	mdl.UpdateCoefficients(la.NewVec(mdl.Prob.DA.NVelDOF()+mdl.Prob.DA.NPresDOF()), false)
-	cfg := mdl.Cfg
-	cfg.Params.MaxIt = 1500
-	cfg.CoeffCoarsen = mdl.CoeffCoarsener()
-	if mut != nil {
-		mut(&cfg)
+	mdl := scenario.MustCompile(scenario.Sinker(o), 1)
+	edit := func(c *stokes.Config) {
+		c.Params.MaxIt = 1500
+		if mut != nil {
+			mut(c)
+		}
 	}
-	bu := la.NewVec(mdl.Prob.DA.NVelDOF())
-	fem.MomentumRHS(mdl.Prob, bu)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, err := stokes.New(mdl.Prob, cfg)
+		s, bu, err := mdl.LinearStokes(edit)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,9 +140,7 @@ func BenchmarkTableII_SolveTens(b *testing.B) {
 func tableIIIProblem() *fem.Problem {
 	o := scenario.DefaultSinkerOptions()
 	o.M = 8
-	mdl := scenario.NewSinker(o)
-	mdl.UpdateCoefficients(la.NewVec(mdl.Prob.DA.NVelDOF()+mdl.Prob.DA.NPresDOF()), false)
-	return mdl.Prob
+	return scenario.MustCompile(scenario.Sinker(o), 1).Prob
 }
 
 func BenchmarkTableIII_MGResAsmb(b *testing.B) {
@@ -187,7 +182,7 @@ func BenchmarkTableIV_SAMLii(b *testing.B) {
 func BenchmarkFig1_Streamlines(b *testing.B) {
 	o := scenario.DefaultSinkerOptions()
 	o.M = 6
-	mdl := scenario.NewSinker(o)
+	mdl := scenario.MustCompile(scenario.Sinker(o), 1)
 	mdl.Cfg.Levels = 2
 	if _, err := mdl.SolveStokes(); err != nil {
 		b.Fatal(err)
@@ -206,7 +201,7 @@ func BenchmarkFig1_Streamlines(b *testing.B) {
 func BenchmarkFig4_RiftStep(b *testing.B) {
 	o := scenario.DefaultRiftOptions()
 	o.Mx, o.My, o.Mz = 16, 4, 8
-	m := scenario.NewRift(o)
+	m := scenario.MustCompile(scenario.Rift(o), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := m.StepForward(); err != nil {

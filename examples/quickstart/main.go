@@ -9,10 +9,6 @@
 //
 //	go run ./cmd/ptatin-run -scenario sinker -steps 3
 //
-// (The older constructor-style entry point ptatin3d.NewSinker /
-// DefaultSinkerOptions still works — it now compiles the same "sinker"
-// spec — but new code should start from the registry.)
-//
 //	go run ./examples/quickstart
 package main
 

@@ -13,9 +13,8 @@
 //
 // and the spec below could equally be saved as JSON (see
 // `ptatin-run -print-spec`) and run with `-scenario file.json`.
-// (Hand-assembly via ptatin3d.NewMesh/NewProblem/NewPointLattice still
-// works for needs the spec schema can't express, but is deprecated as
-// the first resort.)
+// (ptatin3d.NewMesh/NewProblem/NewPointLattice assemble by hand what
+// the spec schema cannot express.)
 //
 //	go run ./examples/rayleigh-taylor
 package main

@@ -10,9 +10,6 @@
 //	go run ./cmd/ptatin-run -scenario rift -res 16,4,8 -steps 5
 //	go run ./cmd/ptatin-run -scenario rift -res 16,4,8 -steps 5 -ranks 2x1x1
 //
-// (ptatin3d.NewRift / DefaultRiftOptions still work — they compile the
-// same "rift" spec — but new code should start from the registry.)
-//
 //	go run ./examples/rifting
 package main
 

@@ -2,7 +2,9 @@
 // heterogeneous Stokes problem at increasing viscosity contrast Δη and
 // watch the vertical-momentum and pressure residuals equilibrate before
 // global convergence sets in. Uses the solver-level API rather than the
-// time-stepping driver.
+// time-stepping driver; the command-line equivalent is
+//
+//	go run ./cmd/ptatin-tables fig2 -m 8
 //
 //	go run ./examples/sinker-robustness
 package main
@@ -19,22 +21,20 @@ func main() {
 		opts := ptatin3d.DefaultSinkerOptions()
 		opts.M = 8
 		opts.DeltaEta = deta
-		opts.Workers = 2
-		m := ptatin3d.NewSinker(opts)
-
-		// Configure the paper's production solver: GCR wrapped around the
-		// block lower-triangular field-split preconditioner, one V(2,2)
-		// geometric multigrid cycle on the viscous block, GAMG coarse solve.
-		cfg := m.Cfg
-		cfg.Params.MaxIt = 800
-		cfg.CoeffCoarsen = m.CoeffCoarsener()
-		solver, err := ptatin3d.NewStokesSolver(m.Prob, cfg)
+		m, err := ptatin3d.CompileScenario(ptatin3d.SinkerScenario(opts), 2)
 		if err != nil {
 			log.Fatal(err)
 		}
 
-		bu := make(ptatin3d.Vec, m.Prob.DA.NVelDOF())
-		ptatin3d.MomentumRHS(m.Prob, bu)
+		// The solver the time loop would build for this model — the paper's
+		// production configuration: GCR wrapped around the block
+		// lower-triangular field-split preconditioner, one V(2,2) geometric
+		// multigrid cycle on the viscous block, GAMG coarse solve — with a
+		// larger iteration budget, and the load vector that goes with it.
+		solver, bu, err := m.LinearStokes(func(c *ptatin3d.StokesConfig) { c.Params.MaxIt = 800 })
+		if err != nil {
+			log.Fatal(err)
+		}
 		x := make(ptatin3d.Vec, solver.Op.N())
 		mon := &ptatin3d.Monitor{}
 		res := solver.Solve(x, bu, mon)

@@ -107,12 +107,10 @@ func sinker3Record(t *testing.T, kind op.Kind, prec op.Precision, fullGrid bool)
 	o.Nc = 3
 	o.Rc = 0.18
 	o.DeltaEta = 100
-	mdl := scenario.NewSinker(o)
-	mdl.UpdateCoefficients(la.NewVec(mdl.Prob.DA.NVelDOF()+mdl.Prob.DA.NPresDOF()), false)
-	cfg := mdl.Cfg
+	mdl := scenario.MustCompile(scenario.Sinker(o), 1)
+	cfg := mdl.StokesConfig()
 	cfg.FineKind = kind
 	cfg.Precision = prec
-	cfg.CoeffCoarsen = mdl.CoeffCoarsener()
 	return solveGolden(t, mdl.Prob, cfg, fullGrid)
 }
 

@@ -11,10 +11,36 @@ import (
 	"ptatin3d/internal/mesh"
 )
 
+// ownerElem returns the lowest element index whose support contains Q2
+// grid node (i,j,k).
+func ownerElem(d *Decomp, i, j, k int) int {
+	lo := func(idx int) int {
+		if idx%2 == 1 {
+			return (idx - 1) / 2
+		}
+		e := idx/2 - 1
+		if e < 0 {
+			e = 0
+		}
+		return e
+	}
+	return d.DA.ElemID(lo(i), lo(j), lo(k))
+}
+
+// NodeOwner is the element-based statement of node ownership (the DMDA
+// convention: a node belongs to the rank owning the lowest-indexed element
+// whose support contains it) — the oracle Layout's box arithmetic is held
+// against.
+func (d *Decomp) NodeOwner(n int) int {
+	i, j, k := d.DA.NodeIJK(n)
+	return d.RankOfElement(ownerElem(d, i, j, k))
+}
+
 // TestDistributedViscousApply: the rank-distributed application with halo
-// reduction must agree with the sequential tensor operator on every rank's
-// touched nodes, including Dirichlet identity rows and subdomain corners
-// shared by up to 8 ranks.
+// reduction (Dist.ApplyElements, the apply of the distributed V-cycle's
+// matrix-free levels) must agree with the sequential tensor operator on
+// every rank's touched nodes, including Dirichlet identity rows and
+// subdomain corners shared by up to 8 ranks.
 func TestDistributedViscousApply(t *testing.T) {
 	da := mesh.New(4, 4, 4, 0, 1, 0, 1, 0, 1)
 	da.Deform(func(x, y, z float64) (float64, float64, float64) {
@@ -45,7 +71,8 @@ func TestDistributedViscousApply(t *testing.T) {
 	var mu sync.Mutex
 	w.Run(func(r *Rank) {
 		y := la.NewVec(n)
-		if err := DistributedViscousApply(r, d, prob, fem.NewTensor(prob), u, y, nil); err != nil {
+		dist := NewDist(r, NewLayout(d, r.ID), nil)
+		if err := dist.ApplyElements(fem.NewTensor(prob), prob.BC.Mask, u, y); err != nil {
 			t.Errorf("rank %d: %v", r.ID, err)
 		}
 		mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ptatin3d/internal/la"
 	"ptatin3d/internal/telemetry"
 )
 
@@ -65,6 +66,59 @@ func (p *vecPacket) CorruptCopy(rng *rand.Rand) interface{} {
 		c.Val = append(c.Val, rng.Float64())
 	}
 	return c
+}
+
+// haloPacket carries partial nodal sums (or owner totals) between ranks.
+type haloPacket struct {
+	Node []int32
+	Val  []float64 // 3 per node
+}
+
+// Checksum64 implements Checksummer so the reliable exchange can detect
+// in-flight corruption of halo payloads.
+func (pk *haloPacket) Checksum64() uint64 {
+	h := HashInt32s(HashSeed, pk.Node)
+	return HashFloats(h, pk.Val)
+}
+
+// CorruptCopy implements Corrupter: a deep copy with one value flipped
+// (or, for empty packets, a spurious node entry added).
+func (pk *haloPacket) CorruptCopy(rng *rand.Rand) interface{} {
+	c := &haloPacket{
+		Node: append([]int32(nil), pk.Node...),
+		Val:  append([]float64(nil), pk.Val...),
+	}
+	if len(c.Val) > 0 {
+		i := rng.Intn(len(c.Val))
+		c.Val[i] = c.Val[i]*1.5 + 1
+	} else {
+		c.Node = append(c.Node, int32(rng.Intn(1<<20)))
+		c.Val = append(c.Val, rng.Float64(), rng.Float64(), rng.Float64())
+	}
+	return c
+}
+
+// ElementKernel is a matrix-free velocity-block operator that can apply
+// an element subset, accumulating into y: fem.Resident, fem.TensorOp.
+type ElementKernel interface {
+	ApplyElements(elems []int, u, y la.Vec)
+}
+
+// ApplyElements computes this rank's part of y = A·x for the kernel k
+// (paper §II-D): boundary elements first, the partial-sum exchange
+// started, interior elements applied while the partials are in flight,
+// the Dirichlet identity of mask on owned rows after the reduction, owner
+// totals broadcast back to the ghosts. y is valid on the rank's
+// owned+ghost rows on return. This is the apply under every matrix-free
+// level of the distributed V-cycle, so a fault injected into the world
+// reaches the exchanges the solver runs.
+func (d *Dist) ApplyElements(k ElementKernel, mask []bool, x, y la.Vec) error {
+	l := d.L
+	y.ZeroSpans(l.VelSpans())
+	k.ApplyElements(l.Boundary, x, y)
+	return d.ReduceBroadcast(y,
+		func() { k.ApplyElements(l.Interior, x, y) },
+		func() { l.IdentityOwnedRows(mask, x, y) })
 }
 
 // ReduceBroadcast completes a distributed additive apply on the

@@ -196,6 +196,26 @@ func (l *Layout) OwnsNode(n int) bool {
 	return l.Owned.Contains(i, j, k)
 }
 
+// IdentityOwnedRows applies the Dirichlet identity y[d] = x[d] on the
+// constrained velocity rows of the rank's owned node box.
+func (l *Layout) IdentityOwnedRows(mask []bool, x, y []float64) {
+	b := l.Owned
+	da := l.D.DA
+	for k := b.Lo[2]; k < b.Hi[2]; k++ {
+		for j := b.Lo[1]; j < b.Hi[1]; j++ {
+			row := (k*da.NPy + j) * da.NPx
+			for i := b.Lo[0]; i < b.Hi[0]; i++ {
+				d := 3 * (row + i)
+				for c := 0; c < 3; c++ {
+					if mask[d+c] {
+						y[d+c] = x[d+c]
+					}
+				}
+			}
+		}
+	}
+}
+
 // DotVel returns this rank's partial inner product over the velocity
 // dofs (3 per node) of its owned nodes. Summation runs in (k,j,i) node
 // order, so the partial is deterministic for a fixed layout.

@@ -15,7 +15,7 @@ import (
 
 // TestConcurrentParAndHaloStress hammers the two parallel layers at once —
 // the shared-memory worker pool (par.For) and the simulated-MPI halo
-// exchange (DistributedViscousApply) — with telemetry recording from every
+// exchange (Dist.ApplyElements) — with telemetry recording from every
 // goroutine. It runs in short mode by design: together with -race it is
 // the tier-1 regression net for data races between the worker pool, the
 // rank runtime and the telemetry instruments.
@@ -128,7 +128,8 @@ func TestConcurrentParAndHaloStress(t *testing.T) {
 				sc := mpmScope.Child("rank" + string(rune('0'+r.ID)))
 				stop := sc.Timer("apply").Start()
 				y := la.NewVec(n)
-				if err := DistributedViscousApply(r, d, prob, fem.NewTensor(prob), u, y, sc); err != nil {
+				dist := NewDist(r, NewLayout(d, r.ID), sc)
+				if err := dist.ApplyElements(fem.NewTensor(prob), prob.BC.Mask, u, y); err != nil {
 					t.Errorf("rank %d: %v", r.ID, err)
 				}
 				sc.Timer("apply").Stop(stop)

@@ -1,10 +1,9 @@
-// Package driver is the shared engine behind the scenario binaries:
-// compile a scenario spec into a model, apply the CLI solver overrides,
-// select the Stokes backend (shared-memory or rank-distributed), run
-// the time loop with per-step reporting, checkpoint/restart, and
-// optionally emit a machine-readable end-to-end step-time record. The
-// ptatin-run driver is a thin flag layer over this package, and the
-// legacy ptatin-sinker/ptatin-rift binaries reuse the same loop.
+// Package driver is the engine behind ptatin-run: apply the CLI solver
+// overrides to a compiled model, select the Stokes backend (shared-memory
+// or rank-distributed), run the time loop with per-step reporting,
+// checkpoint/restart, and optionally emit a machine-readable end-to-end
+// step-time record. ptatin-run is a thin flag layer over this package;
+// ptatin-tables' fig3 steps the rift through the same loop.
 package driver
 
 import (

@@ -155,20 +155,6 @@ func (p *Problem) scatterAdd(e int, ye *[81]float64, y la.Vec) {
 	}
 }
 
-// QPCoords computes the physical coordinates of quadrature point q of
-// element e by isoparametric interpolation.
-func (p *Problem) QPCoords(e, q int) (x, y, z float64) {
-	var xe [81]float64
-	p.gatherCoords(e, &xe)
-	for n := 0; n < 27; n++ {
-		nn := N27[q][n]
-		x += nn * xe[3*n]
-		y += nn * xe[3*n+1]
-		z += nn * xe[3*n+2]
-	}
-	return
-}
-
 // SetCoefficientsFunc fills the quadrature-point viscosity and density
 // from pointwise functions of physical position. Pass nil to leave a
 // field unchanged.

@@ -171,9 +171,6 @@ func (r *Resident) Dep() int {
 	return r.dep
 }
 
-// Blocks reports the block (slab) count of the partition.
-func (r *Resident) Blocks() int { return r.ownership().S }
-
 // applyBlock computes block b's element contributions to y = A·u: the
 // block's interior dof spans of y are zeroed then accumulated directly in
 // ascending element order, and shared-node contributions go to the

@@ -285,9 +285,6 @@ func (b *Builder) Set(i, j int, v float64) {
 	b.rows[i][j] = v
 }
 
-// ZeroRow removes all entries of row i.
-func (b *Builder) ZeroRow(i int) { b.rows[i] = nil }
-
 // ToCSR converts the accumulated triplets to a CSR matrix with sorted rows.
 // Entries with value exactly zero are kept (they may be structurally
 // important, e.g. ILU(0) patterns from symbolic assembly).

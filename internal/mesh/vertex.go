@@ -44,23 +44,6 @@ func (da *DA) ElemVertices(e int, vs *[8]int32) {
 	}
 }
 
-// InjectVertexScalar restricts a vertex-grid scalar field from the fine
-// mesh to the coarse mesh by injection (coarse vertex (i,j,k) coincides
-// with fine vertex (2i,2j,2k)). It carries projected material-point
-// coefficient fields down a rediscretized multigrid hierarchy.
-func InjectVertexScalar(fine, coarse *DA, ffield, cfield []float64) {
-	if len(ffield) != fine.NVertices() || len(cfield) != coarse.NVertices() {
-		panic("mesh: InjectVertexScalar length mismatch")
-	}
-	for k := 0; k <= coarse.Mz; k++ {
-		for j := 0; j <= coarse.My; j++ {
-			for i := 0; i <= coarse.Mx; i++ {
-				cfield[coarse.VertexID(i, j, k)] = ffield[fine.VertexID(2*i, 2*j, 2*k)]
-			}
-		}
-	}
-}
-
 // RestrictVertexFW restricts a vertex-grid scalar field to the coarse mesh
 // by full weighting: each coarse vertex receives the trilinear-weighted
 // average of its 27 fine-vertex neighbours. With geometric=true the

@@ -101,21 +101,18 @@ type ElementKernel interface {
 	ApplyElements(elems []int, u, y la.Vec)
 }
 
-// haloElementOp applies the level operator matrix-free over the rank's
-// elements with the overlapped owner-reduce halo exchange: boundary
-// elements first, exchange started, interior elements applied while the
-// partials are in flight, Dirichlet identity on owned rows after the
-// reduction, owner totals broadcast back to ghosts. On a resident-backed
-// level the kernel is the shared hierarchy's own fem.Resident, so every
-// element apply streams the stored 15-float-per-qp tensors the blocked
-// smoother of the shared solve uses; on TensorF32 levels the element
-// arithmetic is float32 while the exchanged partials stay float64.
+// haloElementOp is a matrix-free level operator on a rank: the kernel
+// applied over the rank's elements with the overlapped owner-reduce halo
+// exchange of comm.Dist.ApplyElements. On a resident-backed level the
+// kernel is the shared hierarchy's own fem.Resident, so every element
+// apply streams the stored 15-float-per-qp tensors the blocked smoother of
+// the shared solve uses; on TensorF32 levels the element arithmetic is
+// float32 while the exchanged partials stay float64.
 type haloElementOp struct {
-	mg    *DistMG
-	dist  *comm.Dist
-	k     ElementKernel
-	mask  []bool
-	spans []la.Span
+	mg   *DistMG
+	dist *comm.Dist
+	k    ElementKernel
+	mask []bool
 }
 
 // N returns the velocity-dof dimension.
@@ -123,33 +120,7 @@ func (o *haloElementOp) N() int { return o.k.N() }
 
 // Apply computes the distributed y = A·x (valid on owned+ghost rows).
 func (o *haloElementOp) Apply(x, y la.Vec) {
-	l := o.dist.L
-	y.ZeroSpans(o.spans)
-	o.k.ApplyElements(l.Boundary, x, y)
-	err := o.dist.ReduceBroadcast(y,
-		func() { o.k.ApplyElements(l.Interior, x, y) },
-		func() { IdentityOwnedRows(l, o.mask, x, y) })
-	o.mg.noteErr(err)
-}
-
-// IdentityOwnedRows applies the Dirichlet identity y[d] = x[d] on the
-// constrained velocity rows of the rank's owned node box.
-func IdentityOwnedRows(l *comm.Layout, mask []bool, x, y la.Vec) {
-	b := l.Owned
-	da := l.D.DA
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			row := (k*da.NPy + j) * da.NPx
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				d := 3 * (row + i)
-				for c := 0; c < 3; c++ {
-					if mask[d+c] {
-						y[d+c] = x[d+c]
-					}
-				}
-			}
-		}
-	}
+	o.mg.noteErr(o.dist.ApplyElements(o.k, o.mask, x, y))
 }
 
 // haloCSROp applies an assembled level operator row-distributed: each
@@ -213,13 +184,11 @@ func NewDist(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
 		spans := dists[l].L.VelSpans()
 		v := levelView{spans: spans}
 		if lev.Blocked != nil {
-			v.op = &haloElementOp{mg: m, dist: dists[l],
-				k: lev.Blocked.R, mask: lev.Prob.BC.Mask, spans: spans}
+			v.op = &haloElementOp{mg: m, dist: dists[l], k: lev.Blocked.R, mask: lev.Prob.BC.Mask}
 		} else if csr := lev.Op.CSR(); csr != nil {
 			v.op = &haloCSROp{mg: m, dist: dists[l], a: csr, spans: spans}
 		} else {
-			v.op = &haloElementOp{mg: m, dist: dists[l],
-				k: fem.NewTensor(lev.Prob), mask: lev.Prob.BC.Mask, spans: spans}
+			v.op = &haloElementOp{mg: m, dist: dists[l], k: fem.NewTensor(lev.Prob), mask: lev.Prob.BC.Mask}
 		}
 		sm := lev.Smoother
 		// The smoother's Jacobi diagonal is shared read-only; wrap it in

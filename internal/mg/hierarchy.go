@@ -10,8 +10,8 @@ import (
 // nested coordinates; boundary constraints are inherited by injection.
 // setCoeff fills each coarse level's coefficients (level index ≥ 1) —
 // typically by re-evaluating a viscosity function on the coarse mesh
-// (rediscretization) or by injecting the projected material-point vertex
-// fields (see mesh.InjectVertexScalar). If setCoeff is nil the coarse
+// (rediscretization) or by full-weighting the projected material-point
+// vertex fields (VertexCoeffCoarsener). If setCoeff is nil the coarse
 // coefficients default to injection of nothing (η=1, ρ=0).
 func CoarsenProblems(fine *fem.Problem, nlevels int, setCoeff func(level int, p *fem.Problem)) []*fem.Problem {
 	probs := make([]*fem.Problem, nlevels)

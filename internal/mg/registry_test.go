@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"ptatin3d/internal/comm"
-	"ptatin3d/internal/la"
 	"ptatin3d/internal/mg"
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/scenario"
@@ -30,12 +29,7 @@ func TestRegistryHierarchyIsResidentAndBlocked(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m.UpdateCoefficients(la.NewVec(m.Prob.DA.NVelDOF()+m.Prob.DA.NPresDOF()), false)
-			cfg := m.Cfg
-			cfg.Workers = m.Workers
-			cfg.VerticalAxis = m.VerticalAxis
-			cfg.CoeffCoarsen = m.CoeffCoarsener()
-			s, _, err := new(stokes.Context).Prepare(m.Prob, cfg)
+			s, _, err := new(stokes.Context).Prepare(m.Prob, m.StokesConfig())
 			if err != nil {
 				t.Fatal(err)
 			}

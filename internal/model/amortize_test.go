@@ -2,12 +2,15 @@ package model_test
 
 import (
 	"io"
+	"reflect"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/driver"
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/mg"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/stokes"
@@ -193,5 +196,72 @@ func TestPrepareSkipsRepeatedCoefficientUpdate(t *testing.T) {
 		if len(nop.Fac) != fem.NQP*m.Prob.DA.NElements() || nonzero == 0 {
 			t.Fatalf("Newton factor: %d entries, %d nonzero", len(nop.Fac), nonzero)
 		}
+	}
+}
+
+// preparedBackend calls seen with the solver of each relinearisation, at
+// the moment the model hands it over — the coefficients Prepare coarsened
+// still the ones the model holds.
+type preparedBackend struct {
+	model.StokesBackend
+	seen func(*stokes.Solver)
+}
+
+func (b preparedBackend) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+	b.seen(s)
+	return b.StokesBackend.LinearSolve(s, method, jop, pc, rhs, delta, prm)
+}
+
+// TestStokesConfigIsWhatPrepareHands: Model.StokesConfig — what
+// LinearStokes builds the paper's tables from — is, field by field, the
+// configuration the time loop's Prepare hands the cached solver context
+// (which the solver keeps as Cfg), at the first build and at a refresh.
+// The rift makes the fields that differ from stokes.DefaultConfig count:
+// vertical axis 1, V(3,3), asmcg. The coefficient coarsener is a closure,
+// compared by what it installs on level 1; the solver fills
+// Params.Telemetry in when it is nil.
+func TestStokesConfigIsWhatPrepareHands(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	m := compileSmall(t, "rift", 2)
+	m.Telemetry = telemetry.New().Root().Child("model")
+	relinearisations := 0
+	m.Backend = preparedBackend{m.Backend, func(s *stokes.Solver) {
+		relinearisations++
+		handed, recipe := s.Cfg, m.StokesConfig()
+		if recipe.VerticalAxis != 1 || recipe.Workers != 2 || recipe.Telemetry == nil {
+			t.Fatalf("recipe does not carry the model's axis, width and scope: %+v", recipe)
+		}
+		hv, rv := reflect.ValueOf(handed), reflect.ValueOf(recipe)
+		for i := 0; i < hv.NumField(); i++ {
+			name := hv.Type().Field(i).Name
+			switch {
+			case name == "CoeffCoarsen":
+				coarse := func(cc func(int, *fem.Problem)) *fem.Problem {
+					return mg.CoarsenProblems(m.Prob, 2, cc)[1]
+				}
+				hp, rp := coarse(handed.CoeffCoarsen), coarse(recipe.CoeffCoarsen)
+				if !slices.Equal(hp.Eta, rp.Eta) || !slices.Equal(hp.Rho, rp.Rho) {
+					t.Error("CoeffCoarsen: the two closures install different level-1 coefficients")
+				}
+			case name == "Params":
+				hp := handed.Params
+				hp.Telemetry = recipe.Params.Telemetry
+				if !reflect.DeepEqual(hp, recipe.Params) {
+					t.Errorf("Params: handed %+v, recipe %+v", hp, recipe.Params)
+				}
+			case hv.Field(i).Kind() == reflect.Func:
+				t.Errorf("%s: a function field this test does not compare by behaviour", name)
+			case !reflect.DeepEqual(hv.Field(i).Interface(), rv.Field(i).Interface()):
+				t.Errorf("%s: handed %v, recipe %v", name, hv.Field(i).Interface(), rv.Field(i).Interface())
+			}
+		}
+	}}
+	if _, err := m.SolveStokes(); err != nil {
+		t.Fatal(err)
+	}
+	if relinearisations < 2 {
+		t.Fatalf("%d relinearisations: no refresh compared", relinearisations)
 	}
 }

@@ -272,10 +272,45 @@ func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
 }
 
 // CoeffCoarsener wires the projected vertex fields into the multigrid
-// coefficient hierarchy (full-weighted restriction per level). Callers
-// composing their own stokes.Config should install it as CoeffCoarsen.
+// coefficient hierarchy (full-weighted restriction per level).
 func (m *Model) CoeffCoarsener() func(level int, p *fem.Problem) {
 	return mg.VertexCoeffCoarsener(m.Prob.DA, m.etaV, m.rhoV)
+}
+
+// StokesConfig is the solver configuration of the model as it stands: Cfg
+// at the run's width and vertical axis, coarsening the coefficients the
+// last UpdateCoefficients projected, recording under the model's scope
+// unless Cfg names one. SolveStokes hands it to the cached solver context
+// on every relinearisation.
+func (m *Model) StokesConfig() stokes.Config {
+	cfg := m.Cfg
+	cfg.Workers = m.Workers
+	cfg.VerticalAxis = m.VerticalAxis
+	cfg.CoeffCoarsen = m.CoeffCoarsener()
+	if cfg.Telemetry == nil {
+		cfg.Telemetry = m.Telemetry.Child("stokes")
+	}
+	return cfg
+}
+
+// LinearStokes builds, cold, the Stokes solver and the momentum load
+// vector for the coefficients the model holds — after scenario.Compile,
+// those of the zero state, i.e. the system the first Picard iteration of
+// the first step solves. edit, when non-nil, adjusts the configuration
+// before the build: the paper's tables vary the representation, the
+// hierarchy and the iteration budget of exactly this solve.
+func (m *Model) LinearStokes(edit func(*stokes.Config)) (*stokes.Solver, la.Vec, error) {
+	cfg := m.StokesConfig()
+	if edit != nil {
+		edit(&cfg)
+	}
+	s, err := stokes.New(m.Prob, cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	bu := la.NewVec(m.Prob.DA.NVelDOF())
+	fem.MomentumRHS(m.Prob, bu)
+	return s, bu, nil
 }
 
 // SolveStokes performs the nonlinear Stokes solve for the current
@@ -333,15 +368,8 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 		},
 		Prepare: func(x la.Vec) (krylov.Op, krylov.Preconditioner) {
 			facQP := updateCoefficients(x, m.UseNewton)
-			cfg := m.Cfg
-			cfg.Workers = m.Workers
-			cfg.VerticalAxis = m.VerticalAxis
-			cfg.CoeffCoarsen = m.CoeffCoarsener()
-			if cfg.Telemetry == nil {
-				cfg.Telemetry = m.Telemetry.Child("stokes")
-			}
 			t0 := time.Now()
-			s, reused, err := m.stokesCtx.Prepare(prob, cfg)
+			s, reused, err := m.stokesCtx.Prepare(prob, m.StokesConfig())
 			m.stage.stokesSetup += time.Since(t0)
 			if err != nil {
 				buildErr = err

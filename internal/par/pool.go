@@ -42,15 +42,6 @@ func startPool() {
 	})
 }
 
-// PoolSize returns the number of persistent pool workers (GOMAXPROCS at
-// first dispatch). It is 0 before the pool has started.
-func PoolSize() int {
-	if poolQueue == nil {
-		return 0
-	}
-	return poolSize
-}
-
 // poolWorker parks on the queue and steals chunks from whatever job it
 // receives. A stale pointer to an already-finished job is harmless: the
 // chunk counter is exhausted, so run returns immediately.

@@ -1,10 +1,6 @@
 package scenario
 
-import (
-	"math"
-
-	"ptatin3d/internal/model"
-)
+import "math"
 
 // The built-in registry: the paper's two model problems plus four
 // scenarios that stress other corners of the physics (buoyancy-driven
@@ -33,19 +29,17 @@ type SinkerOptions struct {
 	DeltaEta float64 // viscosity contrast Δη
 	PPE      int     // material points per element per direction (default 3)
 	Seed     int64   // sphere placement seed (deterministic by default)
-	Workers  int
 }
 
 // DefaultSinkerOptions returns the paper's configuration at a reduced
 // default resolution.
 func DefaultSinkerOptions() SinkerOptions {
-	return SinkerOptions{M: 8, Nc: 8, Rc: 0.1, DeltaEta: 100, PPE: 3, Seed: 20140704, Workers: 1}
+	return SinkerOptions{M: 8, Nc: 8, Rc: 0.1, DeltaEta: 100, PPE: 3, Seed: 20140704}
 }
 
 // Sinker builds the §IV-A sedimentation spec: lithology 0 is the
 // ambient fluid (η = 1/Δη, ρ = 1), lithology 1 the spheres (η = 1,
-// ρ = 1.2). Compiling it reproduces the legacy NewSinker model
-// bit-for-bit (same lattice, sphere placement, solver configuration).
+// ρ = 1.2).
 func Sinker(o SinkerOptions) Spec {
 	if o.M <= 0 {
 		o.M = 8
@@ -117,7 +111,6 @@ type RiftOptions struct {
 	WeakCrustEta float64
 	PPE          int
 	Seed         int64
-	Workers      int
 }
 
 // DefaultRiftOptions returns the reduced-scale rift configuration.
@@ -126,7 +119,7 @@ func DefaultRiftOptions() RiftOptions {
 		Mx: 32, My: 8, Mz: 16,
 		ExtensionVel: 1.0, ObliqueShortening: 0,
 		WeakCrustEta: 0.05,
-		PPE:          2, Seed: 7, Workers: 1,
+		PPE:          2, Seed: 7,
 	}
 }
 
@@ -141,8 +134,7 @@ const (
 // lithologies (temperature-dependent mantle, Drucker–Prager crusts
 // with cohesion softening), x-extension boundary conditions, a
 // conductive initial temperature profile, and the randomized damage
-// seed of Fig. 3. Compiling it reproduces the legacy NewRift model
-// bit-for-bit.
+// seed of Fig. 3.
 func Rift(o RiftOptions) Spec {
 	if o.Mx <= 0 || o.My <= 0 || o.Mz <= 0 {
 		d := DefaultRiftOptions()
@@ -404,23 +396,4 @@ func SinkerSwarm() Spec {
 	s.Solver.Restart = 200
 	s.Solver.MaxIt = 300
 	return s
-}
-
-// NewSinker compiles the sinker spec — the drop-in replacement for the
-// legacy model.NewSinker constructor (bit-identical model).
-func NewSinker(o SinkerOptions) *model.Model {
-	return MustCompile(Sinker(o), o.Workers)
-}
-
-// NewRift compiles the rift spec — the drop-in replacement for the
-// legacy model.NewRift constructor (bit-identical model).
-func NewRift(o RiftOptions) *model.Model {
-	return MustCompile(Rift(o), o.Workers)
-}
-
-// SinkerSpheres returns the deterministic sphere centres for the
-// options (legacy helper, now backed by the swarm primitive).
-func SinkerSpheres(o SinkerOptions) [][3]float64 {
-	return SwarmCenters(Primitive{Kind: "swarm", Count: o.Nc, Radius: o.Rc, Seed: o.Seed},
-		Box{X1: 1, Y1: 1, Z1: 1})
 }

@@ -19,8 +19,7 @@ func checkpointTestModelWorkers(workers int) *model.Model {
 	o.Nc = 3
 	o.Rc = 0.18
 	o.DeltaEta = 100
-	o.Workers = workers
-	return NewSinker(o)
+	return MustCompile(Sinker(o), workers)
 }
 
 func checkpointTestModel() *model.Model { return checkpointTestModelWorkers(1) }

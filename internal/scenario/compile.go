@@ -17,9 +17,8 @@ import (
 // Compile lowers the spec into a ready-to-step model: mesh + boundary
 // conditions, material-point lattice classified by the geometry
 // primitives, lithology table, solver and nonlinear configuration,
-// thermal state — everything the legacy NewSinker/NewRift constructors
-// hard-wired, now driven by data. Workers is the intra-node parallel
-// width (≤0 means 1).
+// thermal state, with the zero state's coefficients projected and
+// installed. Workers is the intra-node parallel width (≤0 means 1).
 func Compile(spec Spec, workers int) (*model.Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err

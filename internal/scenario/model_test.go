@@ -18,8 +18,7 @@ func TestSinkerThreeSteps(t *testing.T) {
 	o := DefaultSinkerOptions()
 	o.M = 8
 	o.DeltaEta = 100
-	o.Workers = 2
-	m := NewSinker(o)
+	m := MustCompile(Sinker(o), 2)
 
 	// Mean sphere height before.
 	meanZ := func() float64 {
@@ -64,8 +63,7 @@ func TestSinkerThreeSteps(t *testing.T) {
 func TestSinkerLinearRheologyFastNonlinear(t *testing.T) {
 	o := DefaultSinkerOptions()
 	o.M = 4
-	o.Workers = 1
-	m := NewSinker(o)
+	m := MustCompile(Sinker(o), 1)
 	m.Cfg.Levels = 2
 	res, err := m.SolveStokes()
 	if err != nil {
@@ -88,8 +86,7 @@ func TestRiftSingleStep(t *testing.T) {
 	}
 	o := DefaultRiftOptions()
 	o.Mx, o.My, o.Mz = 16, 4, 8
-	o.Workers = 2
-	m := NewRift(o)
+	m := MustCompile(Rift(o), 2)
 	if err := m.StepForward(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,8 +123,7 @@ func TestRiftYieldingActivates(t *testing.T) {
 	}
 	o := DefaultRiftOptions()
 	o.Mx, o.My, o.Mz = 16, 4, 8
-	o.Workers = 2
-	m := NewRift(o)
+	m := MustCompile(Rift(o), 2)
 	// Sum of plastic strain before (seed damage only).
 	var before float64
 	for i := 0; i < m.Points.Len(); i++ {
@@ -150,7 +146,7 @@ func TestRiftYieldingActivates(t *testing.T) {
 func TestVTKOutput(t *testing.T) {
 	o := DefaultSinkerOptions()
 	o.M = 4
-	m := NewSinker(o)
+	m := MustCompile(Sinker(o), 1)
 	m.Cfg.Levels = 2
 	if _, err := m.SolveStokes(); err != nil {
 		t.Fatal(err)
@@ -202,7 +198,7 @@ func TestVTKOutput(t *testing.T) {
 func TestStreamlineStaysInDomain(t *testing.T) {
 	o := DefaultSinkerOptions()
 	o.M = 4
-	m := NewSinker(o)
+	m := MustCompile(Sinker(o), 1)
 	m.Cfg.Levels = 2
 	if _, err := m.SolveStokes(); err != nil {
 		t.Fatal(err)
@@ -226,7 +222,7 @@ func TestPopulationControlInStep(t *testing.T) {
 	o := DefaultSinkerOptions()
 	o.M = 4
 	o.PPE = 2
-	m := NewSinker(o)
+	m := MustCompile(Sinker(o), 1)
 	m.Cfg.Levels = 2
 	m.MinPointsPerElement = 2
 	for i := 0; i < 2; i++ {

@@ -106,7 +106,7 @@ func (o *distOp) Apply(x, y la.Vec) {
 			o.op.C.ApplyGAddElements(l.Interior, xp, yu)
 			o.op.C.ApplyDElements(l.Elems, xu, yp)
 		},
-		func() { mg.IdentityOwnedRows(l, o.op.P.BC.Mask, xu, yu) })
+		func() { l.IdentityOwnedRows(o.op.P.BC.Mask, xu, yu) })
 	o.sink.note(err)
 }
 

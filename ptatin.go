@@ -21,7 +21,11 @@
 //
 // # Quickstart
 //
-//	m := ptatin3d.NewSinker(ptatin3d.DefaultSinkerOptions())
+//	spec, _ := ptatin3d.GetScenario("sinker")
+//	m, err := ptatin3d.CompileScenario(spec, 2)
+//	if err != nil {
+//		log.Fatal(err)
+//	}
 //	for i := 0; i < 3; i++ {
 //		if err := m.StepForward(); err != nil {
 //			log.Fatal(err)
@@ -97,13 +101,11 @@ func DefaultSinkerOptions() SinkerOptions { return scenario.DefaultSinkerOptions
 // DefaultRiftOptions returns the reduced-scale rift configuration.
 func DefaultRiftOptions() RiftOptions { return scenario.DefaultRiftOptions() }
 
-// NewSinker builds the sedimentation model (compiled from the "sinker"
-// scenario spec).
-func NewSinker(o SinkerOptions) *Model { return scenario.NewSinker(o) }
+// SinkerScenario builds the sedimentation spec for the options.
+func SinkerScenario(o SinkerOptions) Scenario { return scenario.Sinker(o) }
 
-// NewRift builds the continental rifting model (compiled from the
-// "rift" scenario spec).
-func NewRift(o RiftOptions) *Model { return scenario.NewRift(o) }
+// RiftScenario builds the continental rifting spec for the options.
+func RiftScenario(o RiftOptions) Scenario { return scenario.Rift(o) }
 
 // Mesh types.
 type (

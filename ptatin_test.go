@@ -12,7 +12,10 @@ import (
 func TestFacadeSinkerLifecycle(t *testing.T) {
 	o := ptatin3d.DefaultSinkerOptions()
 	o.M = 4
-	m := ptatin3d.NewSinker(o)
+	m, err := ptatin3d.CompileScenario(ptatin3d.SinkerScenario(o), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.Cfg.Levels = 2
 	if err := m.StepForward(); err != nil {
 		t.Fatal(err)

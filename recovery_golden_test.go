@@ -24,13 +24,12 @@ func sinker3Problem() *fem.Problem {
 	o.Nc = 3
 	o.Rc = 0.18
 	o.DeltaEta = 100
-	mdl := scenario.NewSinker(o)
-	mdl.UpdateCoefficients(la.NewVec(mdl.Prob.DA.NVelDOF()+mdl.Prob.DA.NPresDOF()), false)
-	return mdl.Prob
+	return scenario.MustCompile(scenario.Sinker(o), 1).Prob
 }
 
 // TestGoldenRecoverySinker3 is the end-to-end fault/recovery regression:
 // the 3-sinker viscous operator is applied across a 2×2 rank decomposition
+// by the halo apply of the distributed V-cycle (comm.Dist.ApplyElements)
 // while the fault plan drops four halo envelopes and stalls rank 1 at its
 // first exchange. The reliable-exchange layer must recover every payload —
 // the distributed result is checked against the sequential operator to
@@ -70,7 +69,8 @@ func TestGoldenRecoverySinker3(t *testing.T) {
 	w.Run(func(r *comm.Rank) {
 		y := la.NewVec(n)
 		sc := reg.Root().Child("halo").Child(fmt.Sprintf("rank%d", r.ID))
-		if err := comm.DistributedViscousApply(r, d, prob, fem.NewTensor(prob), u, y, sc); err != nil {
+		dist := comm.NewDist(r, comm.NewLayout(d, r.ID), sc)
+		if err := dist.ApplyElements(fem.NewTensor(prob), prob.BC.Mask, u, y); err != nil {
 			t.Errorf("rank %d: %v", r.ID, err)
 		}
 		mu.Lock()

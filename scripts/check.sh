@@ -6,7 +6,9 @@
 # and go test skip), a scenario smoke of every spec on both backends
 # (which fails on a point location accepted from an unconverged Newton), a
 # check that the runtime operator selector stays gone and its flag values
-# are refused, a worker-count invariance run of rift, a rank-count
+# are refused, a check that the front door stays one (two binaries, one
+# model constructor, one halo apply, docs that name commands that exist),
+# a worker-count invariance run of rift, a rank-count
 # invariance check of the bounded scaling sweep, a one-iteration smoke run
 # of the apply-path benchmarks, and short fuzz smoke passes over the
 # decomposition index math and the checkpoint decoder.
@@ -88,9 +90,9 @@ named_tests -race \
     'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestSolveRejectsUnknownMethod' \
     ./internal/krylov
 
-echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, set-up stage timers under -race =="
+echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, the tables' solver recipe == what Prepare hands over, set-up stage timers under -race =="
 named_tests -race \
-    'TestGeometryStoreBitwise|TestILUBackSweepFromMatchesSolve|TestASMRestrictedPartialSweepBitwise|TestPrepareSkipsRepeatedCoefficientUpdate|TestSetupStageTimersAttributeRefresh' \
+    'TestGeometryStoreBitwise|TestILUBackSweepFromMatchesSolve|TestASMRestrictedPartialSweepBitwise|TestPrepareSkipsRepeatedCoefficientUpdate|TestStokesConfigIsWhatPrepareHands|TestSetupStageTimersAttributeRefresh' \
     ./internal/fem ./internal/la ./internal/krylov ./internal/model ./internal/stokes
 
 echo "== parallel MPM + amortized solver setup under -race =="
@@ -125,6 +127,45 @@ refused() { # refused OP 'MESSAGE': ptatin-run -op OP exits non-zero saying MESS
 refused auto 'selector "auto" was removed'
 refused mf32 '-precision f32'
 
+echo "== front door: two binaries, models only from compiled specs, the halo apply only the solver's, docs naming commands that exist =="
+if [ "$(ls cmd | xargs)" != "ptatin-run ptatin-tables" ]; then
+    echo "check.sh: cmd/ holds more than ptatin-run and ptatin-tables: $(ls cmd | xargs)" >&2
+    exit 1
+fi
+# -w: TestDistributedViscousApply keeps its name (it now drives Dist.ApplyElements).
+if grep -rnwE 'NewSinker|NewRift|SinkerSpheres|DistributedViscousApply' --include='*.go' .; then
+    echo "check.sh: a constructor shim or the PR-2 halo apply is back (above)" >&2
+    exit 1
+fi
+if grep -rnE 'NodeOwner|ownerElem' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check.sh: the element-based ownership oracle is in non-test Go (above)" >&2
+    exit 1
+fi
+for dir in $(grep -ohE 'cmd/ptatin-[a-z]+' README.md DESIGN.md .claude/skills/verify/SKILL.md | sort -u); do
+    if [ ! -d "$dir" ]; then
+        echo "check.sh: README.md, DESIGN.md or the verify skill names $dir, which does not exist" >&2
+        exit 1
+    fi
+done
+# DESIGN's experiment index: every `ptatin-…` cell parses (flags included)
+# up to -h, every `Benchmark…` cell lists a benchmark of the root package.
+benchmarks=$(go test -list 'Benchmark' .)
+awk '/^## Experiment index/,/^Shape expectations/' DESIGN.md | grep -oE '`[^`]+`' | tr -d '`' | while read -r cell; do
+    case $cell in
+    ptatin-*)
+        # shellcheck disable=SC2086
+        if ! go run ./cmd/$cell -h >/dev/null 2>&1; then
+            echo "check.sh: DESIGN.md experiment index: '$cell -h' does not parse" >&2
+            exit 1
+        fi ;;
+    Benchmark*)
+        if ! grep -Eq "^${cell//\*/.*}\$" <<<"$benchmarks"; then
+            echo "check.sh: DESIGN.md experiment index: no benchmark matches '$cell'" >&2
+            exit 1
+        fi ;;
+    esac
+done
+
 echo "== rift at 3 workers (block groups that do not divide the 8 blocks): its identical to 1 worker =="
 its() { go run ./cmd/ptatin-run -scenario rift -small -steps 2 -workers "$1" | awk -F', ' '!/^#/ {print $1, $4, $5}'; }
 its1=$(its 1)
@@ -137,10 +178,10 @@ fi
 echo "$its3"
 
 echo "== rank-distributed solve under -race =="
-go run -race ./cmd/ptatin-scaling -ranks 2x1x1 -grids 8
+go run -race ./cmd/ptatin-tables table2 -ranks 2x1x1 -grids 8
 
 echo "== scaling sweep (bounded rank count): the strong-16 rows take the same iterations on 1 and 8 ranks =="
-sweep=$(go run ./cmd/ptatin-scaling -sweep -sweep-max-ranks 8)
+sweep=$(go run ./cmd/ptatin-tables sweep -pipelined -sweep-max-ranks 8)
 echo "$sweep"
 strong=$(awk '$1 == "strong" && $2 == 16 && $4 ~ /^[0-9]+$/ {print $5}' <<<"$sweep")
 if [ "$(wc -w <<<"$strong")" -ne 2 ] || [ "$(sort -u <<<"$strong" | wc -l)" -ne 1 ]; then
