@@ -17,6 +17,7 @@
 package ptatin3d_test
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -280,6 +281,64 @@ func workerBench(b *testing.B, workers int) {
 func BenchmarkScaling_Workers1(b *testing.B) { workerBench(b, 1) }
 func BenchmarkScaling_Workers2(b *testing.B) { workerBench(b, 2) }
 func BenchmarkScaling_Workers4(b *testing.B) { workerBench(b, 4) }
+
+// --- Small-grid parallel efficiency --------------------------------------
+//
+// One preconditioned Krylov iteration taken apart on the sinker's own
+// hierarchy at 8³ and 16³, 1 and 2 workers: the V-cycle, its fine- and
+// second-level smoother visits (pre from a zero guess + post), the fine
+// viscous apply and the coupled matvec. At 8³ a region is ~100 µs of work,
+// about what waking a parked pool worker costs, so the w2/w1 ratio of
+// these rows is the tracked number for how well the parallel substrate
+// serves small grids (EXPERIMENTS.md, PR 21).
+func BenchmarkVCycle(b *testing.B) {
+	for _, m := range []int{8, 16} {
+		for _, w := range []int{1, 2} {
+			o := scenario.DefaultSinkerOptions()
+			o.M = m
+			mdl := scenario.MustCompile(scenario.Sinker(o), w)
+			s, _, err := mdl.LinearStokes(nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			g := s.MG
+			u := la.NewVec(g.Levels[0].Op.N())
+			for i := range u {
+				u[i] = math.Sin(float64(i))
+			}
+			res, z := la.NewVec(len(u)), la.NewVec(len(u))
+			g.Levels[0].Op.Apply(u, res)
+			layer := func(name string, f func()) {
+				b.Run(fmt.Sprintf("m%d/w%d/%s", m, w, name), func(b *testing.B) {
+					f() // warm
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						f()
+					}
+				})
+			}
+			layer("vcycle", func() { g.Apply(res, z) })
+			rhs := res
+			for l := 0; l < 2 && l+1 < len(g.Levels); l++ {
+				lev := g.Levels[l]
+				if lev.Blocked == nil {
+					break
+				}
+				bl, x := rhs, la.NewVec(lev.Op.N())
+				layer(fmt.Sprintf("smooth_l%d", l), func() {
+					lev.Blocked.Smooth(bl, x, true)
+					lev.Blocked.Smooth(bl, x, false)
+				})
+				rhs = la.NewVec(g.Levels[l+1].Op.N())
+				g.Levels[l+1].P.ApplyTranspose(bl, rhs)
+			}
+			layer("A0", func() { g.Levels[0].Op.Apply(u, z) })
+			X, Y := la.NewVec(s.Op.N()), la.NewVec(s.Op.N())
+			copy(X, u)
+			layer("matvec", func() { s.Op.Apply(X, Y) })
+		}
+	}
+}
 
 // --- Telemetry overhead ------------------------------------------------
 //

@@ -24,8 +24,10 @@ import (
 // blocks spans at most Dg = min(⌈D/G⌉, NG-1) groups. Slot j — the j-th
 // advance+apply pair; a nonzero guess adds a leading apply-only slot for
 // A·x — visits group g at wave w = g + j·(Dg+1). A wave has two phases,
-// each one par.For over every active (slot, block) item with a barrier
-// after it: first all advances, then all applies. G = 1 is the
+// each over every active (slot, block) item with a barrier after it:
+// first all advances, then all applies. All waves of a Smooth call are
+// the phases of one par.Phased job, so the pool is asked for help once
+// per visit and the barriers are in-job waits, not dispatches. G = 1 is the
 // block-at-a-time wavefront (maximal temporal reuse, what a 1-worker rank
 // runs); G = B has one group and Dg = 0, i.e. the full-grid recurrence
 // with its vector updates fused — one code path for both.
@@ -168,27 +170,29 @@ func (c *BlockedChebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
 	p := c.R.P
 	bufs := p.getSlabBufs(info)
 	sch := newWaveSchedule(info.S, c.R.dep, p.Workers, c.Steps, zeroGuess)
-	advance := func(lo, hi int) {
-		for _, it := range c.adv[lo:hi] {
+	// One job for the whole visit: wave w is phases 2w (advances) and 2w+1
+	// (applies), every (slot, block) item claimed on its own.
+	par.Phased(p.Workers, 2*sch.waves(), func(ph int) int {
+		if ph%2 == 0 {
+			c.adv, c.app = sch.items(ph/2, c.adv[:0], c.app[:0])
+			return len(c.adv)
+		}
+		return len(c.app)
+	}, func(ph, i int) {
+		if ph%2 == 0 {
+			it := c.adv[i]
 			c.advance(it.slot-sch.lead, it.blk, info, b, x, bufs, zeroGuess)
+			return
 		}
-	}
-	apply := func(lo, hi int) {
+		it := c.app[i]
+		src := c.p
+		if it.slot < sch.lead {
+			src = x // A·x for the initial residual
+		}
 		ks := c.R.getScratch()
-		for _, it := range c.app[lo:hi] {
-			src := c.p
-			if it.slot < sch.lead {
-				src = x // A·x for the initial residual
-			}
-			c.R.applyBlock(it.blk, src, c.ap, bufs.bufs[it.blk], ks)
-		}
+		c.R.applyBlock(it.blk, src, c.ap, bufs.bufs[it.blk], ks)
 		c.R.scratch.Put(ks)
-	}
-	for w := 0; w < sch.waves(); w++ {
-		c.adv, c.app = sch.items(w, c.adv[:0], c.app[:0])
-		par.For(p.Workers, len(c.adv), advance)
-		par.For(p.Workers, len(c.app), apply)
-	}
+	})
 	p.slabPool.Put(bufs)
 }
 

@@ -245,15 +245,23 @@ func (r *Resident) Apply(u, y la.Vec) {
 	info := r.ownership()
 	p := r.P
 	bufs := p.getSlabBufs(info)
-	par.For(p.Workers, info.S, func(lo, hi int) {
-		ks := r.getScratch()
-		for b := lo; b < hi; b++ {
-			r.applyBlock(b, u, y, bufs.bufs[b], ks)
-		}
-		r.scratch.Put(ks)
-	})
 	mask := p.BC.Mask
-	par.For(p.Workers, len(info.shared), func(lo, hi int) {
+	nmerge := min(max(1, p.Workers), len(info.shared))
+	// One job, two phases: the blocks one at a time, then the merge in
+	// nmerge ranges of the shared-node list.
+	par.Phased(p.Workers, 2, func(ph int) int {
+		if ph == 0 {
+			return info.S
+		}
+		return nmerge
+	}, func(ph, i int) {
+		if ph == 0 {
+			ks := r.getScratch()
+			r.applyBlock(i, u, y, bufs.bufs[i], ks)
+			r.scratch.Put(ks)
+			return
+		}
+		lo, hi := par.Chunk(i, nmerge, len(info.shared))
 		for t := lo; t < hi; t++ {
 			var a0, a1, a2 float64
 			for s := int(info.minSlab[t]); s <= int(info.maxSlab[t]); s++ {

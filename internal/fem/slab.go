@@ -185,75 +185,73 @@ func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, 
 	bufs := p.getSlabBufs(info)
 	mask := p.BC.Mask
 
-	par.For(p.Workers, info.S, func(slo, shi int) {
+	block := func(s int) {
 		var ue, xe, ye [slabBlock][81]float64
 		var ks kernScratch
-		for s := slo; s < shi; s++ {
-			buf := bufs.bufs[s]
-			for i := range buf {
-				buf[i] = 0
+		buf := bufs.bufs[s]
+		for i := range buf {
+			buf[i] = 0
+		}
+		bufOff := 3 * int(info.bufLo[s])
+		e0, e1 := info.off[s], info.off[s+1]
+		for b := e0; b < e1; b += slabBlock {
+			bn := e1 - b
+			if bn > slabBlock {
+				bn = slabBlock
 			}
-			bufOff := 3 * int(info.bufLo[s])
-			e0, e1 := info.off[s], info.off[s+1]
-			for b := e0; b < e1; b += slabBlock {
-				bn := e1 - b
-				if bn > slabBlock {
-					bn = slabBlock
-				}
-				for i := 0; i < bn; i++ {
-					e := b + i
-					if u != nil {
-						if masked {
-							p.gatherVec(e, u, &ue[i])
-						} else {
-							em := p.Emap[27*e : 27*e+27]
-							for n := 0; n < 27; n++ {
-								d := 3 * int(em[n])
-								ue[i][3*n] = u[d]
-								ue[i][3*n+1] = u[d+1]
-								ue[i][3*n+2] = u[d+2]
-							}
+			for i := 0; i < bn; i++ {
+				e := b + i
+				if u != nil {
+					if masked {
+						p.gatherVec(e, u, &ue[i])
+					} else {
+						em := p.Emap[27*e : 27*e+27]
+						for n := 0; n < 27; n++ {
+							d := 3 * int(em[n])
+							ue[i][3*n] = u[d]
+							ue[i][3*n+1] = u[d+1]
+							ue[i][3*n+2] = u[d+2]
 						}
 					}
-					if needX {
-						p.gatherCoords(e, &xe[i])
-					}
 				}
-				for i := 0; i < bn; i++ {
-					kern(b+i, &ue[i], &xe[i], &ye[i], &ks)
+				if needX {
+					p.gatherCoords(e, &xe[i])
 				}
-				for i := 0; i < bn; i++ {
-					em := p.Emap[27*(b+i) : 27*(b+i)+27]
-					yei := &ye[i]
-					for n := 0; n < 27; n++ {
-						node := int(em[n])
-						if t := int(p.slab.sharedIdx[node]); t >= 0 {
-							o := 3*t - bufOff
-							buf[o] += yei[3*n]
-							buf[o+1] += yei[3*n+1]
-							buf[o+2] += yei[3*n+2]
-						} else {
-							d := 3 * node
-							if !mask[d] {
-								y[d] += yei[3*n]
-							}
-							if !mask[d+1] {
-								y[d+1] += yei[3*n+1]
-							}
-							if !mask[d+2] {
-								y[d+2] += yei[3*n+2]
-							}
+			}
+			for i := 0; i < bn; i++ {
+				kern(b+i, &ue[i], &xe[i], &ye[i], &ks)
+			}
+			for i := 0; i < bn; i++ {
+				em := p.Emap[27*(b+i) : 27*(b+i)+27]
+				yei := &ye[i]
+				for n := 0; n < 27; n++ {
+					node := int(em[n])
+					if t := int(p.slab.sharedIdx[node]); t >= 0 {
+						o := 3*t - bufOff
+						buf[o] += yei[3*n]
+						buf[o+1] += yei[3*n+1]
+						buf[o+2] += yei[3*n+2]
+					} else {
+						d := 3 * node
+						if !mask[d] {
+							y[d] += yei[3*n]
+						}
+						if !mask[d+1] {
+							y[d+1] += yei[3*n+1]
+						}
+						if !mask[d+2] {
+							y[d+2] += yei[3*n+2]
 						}
 					}
 				}
 			}
 		}
-	})
+	}
 
 	// Merge pass: per shared node, sum the overlap buffers in ascending
 	// slab order. Intermediate slabs not touching the node read exact
 	// zeros (the node lies inside their span, so the read is in-bounds).
-	par.For(p.Workers, len(info.shared), func(lo, hi int) {
+	merge := func(lo, hi int) {
 		for t := lo; t < hi; t++ {
 			var a0, a1, a2 float64
 			for s := int(info.minSlab[t]); s <= int(info.maxSlab[t]); s++ {
@@ -274,6 +272,22 @@ func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, 
 				y[d+2] += a2
 			}
 		}
+	}
+
+	// One job, two phases: the slabs one at a time, then the merge in
+	// nmerge ranges of the shared-node list.
+	nmerge := min(max(1, p.Workers), len(info.shared))
+	par.Phased(p.Workers, 2, func(ph int) int {
+		if ph == 0 {
+			return info.S
+		}
+		return nmerge
+	}, func(ph, i int) {
+		if ph == 0 {
+			block(i)
+			return
+		}
+		merge(par.Chunk(i, nmerge, len(info.shared)))
 	})
 
 	p.slabPool.Put(bufs)

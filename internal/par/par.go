@@ -9,7 +9,6 @@ package par
 
 import (
 	"sync/atomic"
-	"time"
 
 	"ptatin3d/internal/telemetry"
 )
@@ -89,6 +88,8 @@ func For(nworkers, n int, body func(lo, hi int)) {
 // range mapping depends only on (nworkers, n) — never on which pool
 // worker executes the chunk — so per-chunk scratch indexed by c is
 // race-free and schedules built on c are reproducible.
+//
+// It is the one-phase case of Phased: the chunks are the phase's items.
 func ForChunk(nworkers, n int, body func(c, lo, hi int)) {
 	if n <= 0 {
 		return
@@ -101,23 +102,76 @@ func ForChunk(nworkers, n int, body func(c, lo, hi int)) {
 		body(0, 0, n)
 		return
 	}
-	if nworkers > n {
-		nworkers = n
+	nchunks := min(nworkers, n)
+	region(nchunks, 1, int64(n),
+		func(int) int { return nchunks },
+		func(_, c int) {
+			lo, hi := Chunk(c, nchunks, n)
+			body(c, lo, hi)
+		})
+}
+
+// Phased runs a job of nphases phases, in order, with one dispatch to the
+// pool: prepare(ph) is called on the caller's goroutine just before phase
+// ph starts and returns its item count (≤ 0 skips the phase); item(ph, i)
+// then runs once for every i in [0, count), items claimed one at a time by
+// the caller and by up to nworkers-1 pool workers; and prepare(ph+1) is
+// not called until every item of phase ph has returned. It is a sequence
+// of For regions that pays the pool's wake-up once: a worker that answers
+// the request stays with the job, waiting on its counters between phases,
+// until the last phase has nothing left to claim, and then parks on the
+// queue again. A worker that arrives late joins at the phase in flight,
+// and one that never arrives is not waited for — the caller claims every
+// item nobody else has — so the guarantees of For carry over unchanged:
+// safe from any number of goroutines and from inside an item (nested), a
+// busy pool costs parallelism, never progress, and a panic in an item is
+// re-raised on the caller once its phase has drained (later phases are
+// skipped, the helpers released). With nworkers <= 1 everything runs on
+// the caller's goroutine with no scheduling at all.
+//
+// What an item computes must not depend on who runs it or on the order
+// in which the items of one phase are claimed; everything prepare(ph) and
+// the items of phase ph wrote is visible to prepare(ph+1) and its items.
+func Phased(nworkers, nphases int, prepare func(phase int) int, item func(phase, i int)) {
+	if nworkers <= 1 {
+		var items int64
+		for ph := 0; ph < nphases; ph++ {
+			n := prepare(ph)
+			for i := 0; i < n; i++ {
+				item(ph, i)
+			}
+			items += int64(max(n, 0))
+		}
+		if p := probe.Load(); p != nil {
+			p.Serial.Inc()
+			p.Items.Add(items)
+		}
+		return
 	}
+	region(nworkers, nphases, -1, prepare, item)
+}
+
+// region dispatches one parallel job and records it on the probe. Every
+// item the job distributes is a chunk of the occupancy instruments; size
+// is what the Items counter grows by, the job's own item count when
+// negative.
+func region(nworkers, nphases int, size int64, prepare func(phase int) int, item func(phase, i int)) {
 	p := probe.Load()
-	var wallStart time.Time
-	if p != nil {
-		p.Calls.Inc()
-		p.Chunks.Add(int64(nworkers))
-		p.Items.Add(int64(n))
-		p.Workers.Add(int64(nworkers))
-		wallStart = p.Wall.Start()
+	if p == nil {
+		dispatch(nworkers, nphases, prepare, item)
+		return
 	}
-	dispatch(nworkers, n, body)
-	if p != nil {
-		p.PoolWorkers.Set(float64(poolSize))
-		p.Wall.Stop(wallStart)
+	p.Calls.Inc()
+	p.Workers.Add(int64(nworkers))
+	wallStart := p.Wall.Start()
+	chunks := dispatch(nworkers, nphases, prepare, item)
+	p.Wall.Stop(wallStart)
+	p.Chunks.Add(chunks)
+	if size < 0 {
+		size = chunks
 	}
+	p.Items.Add(size)
+	p.PoolWorkers.Set(float64(poolSize))
 }
 
 // ForItems runs body(i) for every i in [0,n) distributed over nworkers
@@ -130,6 +184,13 @@ func ForItems(nworkers, n int, body func(i int)) {
 			body(i)
 		}
 	})
+}
+
+// Chunk returns the bounds of chunk c of the balanced partition of [0,n)
+// into nchunks contiguous chunks: the ranges For hands out, for a Phased
+// item that stands for a range.
+func Chunk(c, nchunks, n int) (lo, hi int) {
+	return c * n / nchunks, (c + 1) * n / nchunks
 }
 
 // Chunks returns the balanced partition For uses for (nworkers, n): the
@@ -146,8 +207,8 @@ func Chunks(nworkers, n int) [][2]int {
 		nworkers = n
 	}
 	out := make([][2]int, nworkers)
-	for w := 0; w < nworkers; w++ {
-		out[w] = [2]int{w * n / nworkers, (w + 1) * n / nworkers}
+	for w := range out {
+		out[w][0], out[w][1] = Chunk(w, nworkers, n)
 	}
 	return out
 }
