@@ -18,6 +18,7 @@ import (
 	"ptatin3d/internal/mg"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/op"
+	"ptatin3d/internal/par"
 	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/stokes"
 	"ptatin3d/internal/telemetry"
@@ -132,6 +133,9 @@ type StepRecord struct {
 	// cores, to within one garbage-collection cycle; absent when no cycle
 	// ended inside the step, so nothing was measured.
 	CPUUtil float64 `json:"cpu_util,omitempty"`
+	// HelperShare is model.StepStats.HelperShare: the share of the step's
+	// parallel-region items that pool workers, not the callers, ran.
+	HelperShare float64 `json:"helper_share"`
 }
 
 // RunRecord is the end-to-end JSON emitted on JSONOut.
@@ -151,6 +155,11 @@ type RunRecord struct {
 	// code over the whole time loop — exact, the loop being bracketed by
 	// two collections. Well under 1: serial sections or idle workers.
 	CPUUtil float64 `json:"cpu_util"`
+	// HelperShare is the same share as the steps', over the whole loop:
+	// near (Workers-1)/Workers when the workers split the parallel
+	// regions evenly, near 0 when the callers ran them alone — whatever
+	// CPUUtil reads.
+	HelperShare float64 `json:"helper_share"`
 }
 
 // Run advances the model Config.Steps steps with per-step reporting,
@@ -171,12 +180,13 @@ func Run(m *model.Model, cfg Config) error {
 	if db, ok := m.Backend.(*model.DistributedBackend); ok {
 		ranks = db.Ranks()
 	}
-	fmt.Fprintln(out, "# columns: step, time, dt, newton_its, krylov_its, |F|0, |F|, converged, topo_min, topo_max, points, backend, halo_msgs, wall_s, cpu_util, krylov_basis")
+	fmt.Fprintln(out, "# columns: step, time, dt, newton_its, krylov_its, |F|0, |F|, converged, topo_min, topo_max, points, backend, halo_msgs, wall_s, cpu_util, krylov_basis, helper_share")
 	var recs []StepRecord
 	// The runtime's CPU accounting advances at collection cycles: run one
 	// on either side of the loop so the run's utilization is of the loop.
 	runtime.GC()
 	cpuStart := telemetry.ReadCPU()
+	items0, pooled0 := par.Counts()
 	runStart := time.Now()
 	for s := 0; s < cfg.Steps; s++ {
 		stepStart := time.Now()
@@ -189,10 +199,10 @@ func Run(m *model.Model, cfg Config) error {
 		if st.CPUUtil > 0 {
 			cpu = fmt.Sprintf("%.2f", st.CPUUtil)
 		}
-		fmt.Fprintf(out, "%d, %.5f, %.5f, %d, %d, %.3e, %.3e, %v, %.4f, %.4f, %d, %s, %d, %.2f, %s, %d\n",
+		fmt.Fprintf(out, "%d, %.5f, %.5f, %d, %d, %.3e, %.3e, %v, %.4f, %.4f, %d, %s, %d, %.2f, %s, %d, %.2f\n",
 			st.Step, st.Time, st.Dt, st.NewtonIts, st.KrylovIts,
 			st.FNorm0, st.FNorm, st.Converged, st.TopoMin, st.TopoMax,
-			st.PointCount, st.Backend, st.HaloMsgs, wall, cpu, st.KrylovBasis)
+			st.PointCount, st.Backend, st.HaloMsgs, wall, cpu, st.KrylovBasis, st.HelperShare)
 		recs = append(recs, StepRecord{
 			Step: st.Step, Dt: st.Dt,
 			NewtonIts: st.NewtonIts, KrylovIts: st.KrylovIts, KrylovBasis: st.KrylovBasis,
@@ -210,6 +220,7 @@ func Run(m *model.Model, cfg Config) error {
 			ThermalS:          st.ThermalTime.Seconds(),
 			StokesSetupReused: st.StokesSetupReused,
 			CPUUtil:           st.CPUUtil,
+			HelperShare:       st.HelperShare,
 		})
 		if cfg.CheckpointEvery > 0 && m.StepNum%cfg.CheckpointEvery == 0 {
 			path := cfg.CheckpointPath
@@ -227,6 +238,8 @@ func Run(m *model.Model, cfg Config) error {
 	cores := max(1, m.Workers) * max(1, ranks)
 	cpuUtil := telemetry.ReadCPU().Utilization(cpuStart, cores)
 	fmt.Fprintf(out, "# cpu_util: %.2f of %d cores over %d steps\n", cpuUtil, cores, cfg.Steps)
+	helperShare := par.HelperShare(items0, pooled0)
+	fmt.Fprintf(out, "# helper_share: %.2f of the parallel regions' items ran on pool workers\n", helperShare)
 	var hierarchy []mg.LevelInfo
 	if m.LastStokes != nil && m.LastStokes.MG != nil {
 		hierarchy = m.LastStokes.MG.Describe()
@@ -241,7 +254,7 @@ func Run(m *model.Model, cfg Config) error {
 			Resolution: [3]int{m.Prob.DA.Mx, m.Prob.DA.My, m.Prob.DA.Mz},
 			Hierarchy:  hierarchy,
 			Steps:      recs, TotalWallS: total,
-			CPUUtil: cpuUtil,
+			CPUUtil: cpuUtil, HelperShare: helperShare,
 		}
 		if len(recs) > 0 {
 			rec.AvgStepS = total / float64(len(recs))

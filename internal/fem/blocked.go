@@ -25,12 +25,11 @@ import (
 // advance+apply pair; a nonzero guess adds a leading apply-only slot for
 // A·x — visits group g at wave w = g + j·(Dg+1). A wave has two phases,
 // each over every active (slot, block) item with a barrier after it:
-// first all advances, then all applies. All waves of a Smooth call are
-// the phases of one par.Phased job, so the pool is asked for help once
-// per visit and the barriers are in-job waits, not dispatches. G = 1 is the
-// block-at-a-time wavefront (maximal temporal reuse, what a 1-worker rank
-// runs); G = B has one group and Dg = 0, i.e. the full-grid recurrence
-// with its vector updates fused — one code path for both.
+// first all advances, then all applies — the phases of one par.Part
+// (SmoothPart). G = 1 is the block-at-a-time wavefront (maximal temporal
+// reuse, what a 1-worker rank runs); G = B has one group and Dg = 0, i.e.
+// the full-grid recurrence with its vector updates fused — one code path
+// for both.
 //
 // Hazards. Write (j, g) for slot j on group g, wave w = g + j·(Dg+1).
 //
@@ -155,45 +154,59 @@ func (c *BlockedChebyshev) coeffs() {
 // Smooth performs Steps blocked Chebyshev iterations on A·x = b, updating
 // x in place. zeroGuess skips the initial operator application when x = 0.
 func (c *BlockedChebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
+	par.Run(c.R.P.Workers, c.SmoothPart(b, x, zeroGuess))
+}
+
+// SmoothPart is Smooth as a par.Part, for a caller that runs the visit
+// inside a larger job (the V-cycle): wave w is phases 2w (advances) and
+// 2w+1 (applies), every (slot, block) item claimed on its own, so the pool
+// is asked for help once per job and the barriers between waves are
+// in-job waits, not dispatches.
+func (c *BlockedChebyshev) SmoothPart(b, x la.Vec, zeroGuess bool) par.Part {
 	if c.Steps <= 0 {
-		if zeroGuess {
-			x.Zero()
-		}
-		return
+		return par.Each(1, func(int) {
+			if zeroGuess {
+				x.Zero()
+			}
+		})
 	}
 	info := c.R.ownership()
-	n := c.R.N()
-	if c.r == nil || len(c.r) != n {
-		c.r, c.p, c.ap = la.NewVec(n), la.NewVec(n), la.NewVec(n)
-	}
-	c.coeffs()
 	p := c.R.P
-	bufs := p.getSlabBufs(info)
 	sch := newWaveSchedule(info.S, c.R.dep, p.Workers, c.Steps, zeroGuess)
-	// One job for the whole visit: wave w is phases 2w (advances) and 2w+1
-	// (applies), every (slot, block) item claimed on its own.
-	par.Phased(p.Workers, 2*sch.waves(), func(ph int) int {
-		if ph%2 == 0 {
-			c.adv, c.app = sch.items(ph/2, c.adv[:0], c.app[:0])
-			return len(c.adv)
-		}
-		return len(c.app)
-	}, func(ph, i int) {
-		if ph%2 == 0 {
-			it := c.adv[i]
-			c.advance(it.slot-sch.lead, it.blk, info, b, x, bufs, zeroGuess)
-			return
-		}
-		it := c.app[i]
-		src := c.p
-		if it.slot < sch.lead {
-			src = x // A·x for the initial residual
-		}
-		ks := c.R.getScratch()
-		c.R.applyBlock(it.blk, src, c.ap, bufs.bufs[it.blk], ks)
-		c.R.scratch.Put(ks)
-	})
-	p.slabPool.Put(bufs)
+	var bufs *slabBufs
+	return par.Part{
+		Phases: 2 * sch.waves(),
+		Prepare: func(ph int) int {
+			if ph == 0 {
+				if n := c.R.N(); len(c.r) != n {
+					c.r, c.p, c.ap = la.NewVec(n), la.NewVec(n), la.NewVec(n)
+				}
+				c.coeffs()
+				bufs = p.getSlabBufs(info)
+			}
+			if ph%2 == 0 {
+				c.adv, c.app = sch.items(ph/2, c.adv[:0], c.app[:0])
+				return len(c.adv)
+			}
+			return len(c.app)
+		},
+		Item: func(ph, i int) {
+			if ph%2 == 0 {
+				it := c.adv[i]
+				c.advance(it.slot-sch.lead, it.blk, info, b, x, bufs, zeroGuess)
+				return
+			}
+			it := c.app[i]
+			src := c.p
+			if it.slot < sch.lead {
+				src = x // A·x for the initial residual
+			}
+			ks := c.R.getScratch()
+			c.R.applyBlock(it.blk, src, c.ap, bufs.bufs[it.blk], ks)
+			c.R.scratch.Put(ks)
+		},
+		Done: func() { p.slabPool.Put(bufs) },
+	}
 }
 
 // Apply lets the blocked smoother act as a Preconditioner (z = smooth(r)

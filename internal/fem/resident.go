@@ -242,53 +242,66 @@ func (r *Resident) applyBlock(b int, u, y la.Vec, buf []float64, ks *residentScr
 // by block with an ascending-slab merge — the same partition, element
 // order and merge order as the blocked smoother's per-block schedule.
 func (r *Resident) Apply(u, y la.Vec) {
+	par.Run(r.P.Workers, r.ApplyPart(u, y))
+}
+
+// ApplyPart is Apply as a par.Part of two phases: the blocks, one item
+// each, then the merge of the shared-node list in Workers ranges with the
+// Dirichlet identity rows as one more item (they write constrained rows
+// only, the merge free ones only).
+func (r *Resident) ApplyPart(u, y la.Vec) par.Part {
 	info := r.ownership()
 	p := r.P
-	bufs := p.getSlabBufs(info)
 	mask := p.BC.Mask
-	nmerge := min(max(1, p.Workers), len(info.shared))
-	// One job, two phases: the blocks one at a time, then the merge in
-	// nmerge ranges of the shared-node list.
-	par.Phased(p.Workers, 2, func(ph int) int {
-		if ph == 0 {
-			return info.S
-		}
-		return nmerge
-	}, func(ph, i int) {
-		if ph == 0 {
-			ks := r.getScratch()
-			r.applyBlock(i, u, y, bufs.bufs[i], ks)
-			r.scratch.Put(ks)
-			return
-		}
-		lo, hi := par.Chunk(i, nmerge, len(info.shared))
-		for t := lo; t < hi; t++ {
-			var a0, a1, a2 float64
-			for s := int(info.minSlab[t]); s <= int(info.maxSlab[t]); s++ {
-				o := 3 * (t - int(info.bufLo[s]))
-				bb := bufs.bufs[s]
-				a0 += bb[o]
-				a1 += bb[o+1]
-				a2 += bb[o+2]
+	ns := len(info.shared)
+	nmerge := min(max(1, p.Workers), ns)
+	var bufs *slabBufs
+	return par.Part{
+		Phases: 2,
+		Prepare: func(ph int) int {
+			if ph == 0 {
+				bufs = p.getSlabBufs(info)
+				return info.S
 			}
-			d := 3 * int(info.shared[t])
-			if !mask[d] {
-				y[d] = a0
+			return nmerge + 1
+		},
+		Item: func(ph, i int) {
+			if ph == 0 {
+				ks := r.getScratch()
+				r.applyBlock(i, u, y, bufs.bufs[i], ks)
+				r.scratch.Put(ks)
+				return
 			}
-			if !mask[d+1] {
-				y[d+1] = a1
+			if i == nmerge {
+				applyIdentityRows(p, u, y)
+				return
 			}
-			if !mask[d+2] {
-				y[d+2] = a2
+			lo, hi := par.Chunk(i, nmerge, ns)
+			for t := lo; t < hi; t++ {
+				var a0, a1, a2 float64
+				for s := int(info.minSlab[t]); s <= int(info.maxSlab[t]); s++ {
+					o := 3 * (t - int(info.bufLo[s]))
+					bb := bufs.bufs[s]
+					a0 += bb[o]
+					a1 += bb[o+1]
+					a2 += bb[o+2]
+				}
+				d := 3 * int(info.shared[t])
+				if !mask[d] {
+					y[d] = a0
+				}
+				if !mask[d+1] {
+					y[d+1] = a1
+				}
+				if !mask[d+2] {
+					y[d+2] = a2
+				}
 			}
-		}
-	})
-	p.slabPool.Put(bufs)
-	applyIdentityRows(p, u, y)
-	if fp := femProbe.Load(); fp != nil {
-		fp.SlabApplies.Inc()
-		fp.Slabs.Set(float64(info.S))
-		fp.SharedFrac.Set(float64(len(info.shared)) / float64(p.DA.NNodes()))
+		},
+		Done: func() {
+			p.slabPool.Put(bufs)
+			p.countSlabApply(info)
+		},
 	}
 }
 

@@ -52,30 +52,36 @@ func TestResidentMatchesTensor(t *testing.T) {
 // partition, in-block element order and ascending-slab merge are all
 // worker-count independent.
 func TestResidentDeterminism(t *testing.T) {
-	p := testProblem(t, 5, 4, 3, 1)
-	randomizeEta(p, 23)
-	rng := rand.New(rand.NewSource(5))
-	n := p.DA.NVelDOF()
-	u := randVelocity(rng, n)
+	// 8³ is the size at which a block is long enough (~100 µs) for a woken
+	// pool worker to take some of them: repeated there, so that who ran
+	// which block varies.
+	for _, g := range [][3]int{{5, 4, 3}, {8, 8, 8}} {
+		p := testProblem(t, g[0], g[1], g[2], 1)
+		randomizeEta(p, 23)
+		rng := rand.New(rand.NewSource(5))
+		n := p.DA.NVelDOF()
+		u := randVelocity(rng, n)
 
-	for _, f32 := range []bool{false, true} {
-		op := NewResident(p, f32)
-		p.Workers = 1
-		ref := la.NewVec(n)
-		op.Apply(u, ref)
-		for _, w := range []int{2, 4, 8} {
-			p.Workers = w
-			y := la.NewVec(n)
-			op.Apply(u, y)
-			for i := 0; i < n; i++ {
-				if y[i] != ref[i] {
-					t.Fatalf("f32=%v workers=%d: dof %d differs bitwise: %x vs %x",
-						f32, w, i, math.Float64bits(y[i]), math.Float64bits(ref[i]))
+		for _, f32 := range []bool{false, true} {
+			op := NewResident(p, f32)
+			p.Workers = 1
+			ref := la.NewVec(n)
+			op.Apply(u, ref)
+			for _, w := range []int{2, 3, 4, 8} {
+				p.Workers = w
+				for rep := 0; rep < 3; rep++ {
+					y := la.NewVec(n)
+					op.Apply(u, y)
+					for i := 0; i < n; i++ {
+						if y[i] != ref[i] {
+							t.Fatalf("grid %v f32=%v workers=%d: dof %d differs bitwise: %x vs %x",
+								g, f32, w, i, math.Float64bits(y[i]), math.Float64bits(ref[i]))
+						}
+					}
 				}
 			}
 		}
 	}
-	p.Workers = 1
 }
 
 // dep2Partition is a contiguous slab partition of a 2×6×1 mesh whose
@@ -99,6 +105,9 @@ func TestBlockedChebyshevBitIdentical(t *testing.T) {
 		{g: [3]int{4, 3, 3}, dep: 1},
 		{g: [3]int{6, 3, 5}, dep: 1},
 		{g: [3]int{2, 6, 1}, off: dep2Partition, dep: 2},
+		// The size at which pool workers do take items of a visit (a block
+		// apply is ~100 µs, about a parked worker's wake-up).
+		{g: [3]int{8, 8, 8}, dep: 1},
 	}
 	for _, tc := range cases {
 		g := tc.g

@@ -162,7 +162,7 @@ func (p *Problem) SlabStats() (slabs, sharedNodes, totalNodes int) {
 	return info.S, len(info.shared), p.DA.NNodes()
 }
 
-// slabApply runs kern over every element using the slab-partitioned
+// slabPart runs kern over every element using the slab-partitioned
 // owner-computes schedule and accumulates the per-element outputs ye into
 // y, skipping constrained rows.
 //
@@ -174,16 +174,16 @@ func (p *Problem) SlabStats() (slabs, sharedNodes, totalNodes int) {
 //   - accumulate: keep y's prior contents (coupling ApplyGAdd); otherwise
 //     y is zeroed first.
 //
+// It is a par.Part of two phases: the slabs, one item each, then the merge
+// of the shared-node list in Workers ranges.
+//
 // kern must fully define ye (overwrite, not accumulate): scratch blocks
 // are reused across elements without re-zeroing. The kernScratch arena is
-// likewise reused across elements of a worker's chunk.
-func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) {
+// likewise reused across the elements of a slab.
+func (p *Problem) slabPart(u la.Vec, masked, needX, accumulate bool, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) par.Part {
 	info := p.slabs()
-	if !accumulate {
-		y.Zero()
-	}
-	bufs := p.getSlabBufs(info)
 	mask := p.BC.Mask
+	var bufs *slabBufs
 
 	block := func(s int) {
 		var ue, xe, ye [slabBlock][81]float64
@@ -274,24 +274,41 @@ func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, 
 		}
 	}
 
-	// One job, two phases: the slabs one at a time, then the merge in
-	// nmerge ranges of the shared-node list.
-	nmerge := min(max(1, p.Workers), len(info.shared))
-	par.Phased(p.Workers, 2, func(ph int) int {
-		if ph == 0 {
-			return info.S
-		}
-		return nmerge
-	}, func(ph, i int) {
-		if ph == 0 {
-			block(i)
-			return
-		}
-		merge(par.Chunk(i, nmerge, len(info.shared)))
-	})
+	ns := len(info.shared)
+	nmerge := min(max(1, p.Workers), ns)
+	return par.Part{
+		Phases: 2,
+		Prepare: func(ph int) int {
+			if ph == 0 {
+				if !accumulate {
+					y.Zero()
+				}
+				bufs = p.getSlabBufs(info)
+				return info.S
+			}
+			return nmerge
+		},
+		Item: func(ph, i int) {
+			if ph == 0 {
+				block(i)
+				return
+			}
+			merge(par.Chunk(i, nmerge, ns))
+		},
+		Done: func() {
+			p.slabPool.Put(bufs)
+			p.countSlabApply(info)
+		},
+	}
+}
 
-	p.slabPool.Put(bufs)
+// slabApply runs slabPart as a job of its own.
+func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) {
+	par.Run(p.Workers, p.slabPart(u, masked, needX, accumulate, y, kern))
+}
 
+// countSlabApply records one slab-scheduled operator application.
+func (p *Problem) countSlabApply(info *slabInfo) {
 	if fp := femProbe.Load(); fp != nil {
 		fp.SlabApplies.Inc()
 		fp.Slabs.Set(float64(info.S))

@@ -1,7 +1,5 @@
 package mesh
 
-import "math"
-
 // The "vertex grid" is the (Mx+1)×(My+1)×(Mz+1) grid of element corner
 // vertices — the Q1 mesh embedded in the Q2 mesh. Material-point fields
 // (effective viscosity, density) are projected onto this grid (paper
@@ -46,20 +44,21 @@ func (da *DA) ElemVertices(e int, vs *[8]int32) {
 
 // RestrictVertexFW restricts a vertex-grid scalar field to the coarse mesh
 // by full weighting: each coarse vertex receives the trilinear-weighted
-// average of its 27 fine-vertex neighbours. With geometric=true the
-// average is taken in log space (geometric mean), which is often the
-// better choice for viscosity fields with large jumps. This mimics
+// (arithmetic) average of its 27 fine-vertex neighbours. This mimics
 // re-projecting the material points onto the coarse level (paper §II-C):
 // unlike injection it preserves the local average of the coefficient, and
-// multigrid convergence at high contrast depends on it.
-func RestrictVertexFW(fine, coarse *DA, ffield, cfield []float64, geometric bool) {
+// multigrid convergence at high contrast depends on it. The geometric
+// (log-space) mean was measured on sinker-swarm and is worse — the
+// viscous-block solve takes 59 FGMRES iterations against 36, the coupled
+// one does not converge in 300 (EXPERIMENTS.md, PR 21) — and is gone.
+func RestrictVertexFW(fine, coarse *DA, ffield, cfield []float64) {
 	if len(ffield) != fine.NVertices() || len(cfield) != coarse.NVertices() {
 		panic("mesh: RestrictVertexFW length mismatch")
 	}
 	for k := 0; k <= coarse.Mz; k++ {
 		for j := 0; j <= coarse.My; j++ {
 			for i := 0; i <= coarse.Mx; i++ {
-				var sum, lsum, wsum float64
+				var sum, wsum float64
 				for dk := -1; dk <= 1; dk++ {
 					for dj := -1; dj <= 1; dj++ {
 						for di := -1; di <= 1; di++ {
@@ -79,18 +78,11 @@ func RestrictVertexFW(fine, coarse *DA, ffield, cfield []float64, geometric bool
 							}
 							v := ffield[fine.VertexID(fi, fj, fk)]
 							sum += w * v
-							if geometric {
-								lsum += w * math.Log(v)
-							}
 							wsum += w
 						}
 					}
 				}
-				if geometric {
-					cfield[coarse.VertexID(i, j, k)] = math.Exp(lsum / wsum)
-				} else {
-					cfield[coarse.VertexID(i, j, k)] = sum / wsum
-				}
+				cfield[coarse.VertexID(i, j, k)] = sum / wsum
 			}
 		}
 	}

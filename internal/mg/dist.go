@@ -212,7 +212,7 @@ func NewDist(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
 // (rank-collective; all ranks must call it in lockstep).
 func (m *DistMG) Apply(r, z la.Vec) {
 	z.ZeroSpans(m.lev[0].spans)
-	m.vcycle(0, r, z)
+	m.run(r, z)
 }
 
 // rankTransfer is the transfer between two levels over one rank's node

@@ -39,8 +39,8 @@ func CoarsenProblems(fine *fem.Problem, nlevels int, setCoeff func(level int, p 
 // the material points onto each coarse level (paper §II-C); plain
 // injection subsamples high-contrast fields and measurably degrades
 // multigrid convergence (see the Δη robustness tests). etaV/rhoV live on
-// the finest vertex grid; pass nil to skip a field. Viscosity is averaged
-// arithmetically; density likewise.
+// the finest vertex grid; pass nil to skip a field. Both are averaged
+// arithmetically, the only mean mesh.RestrictVertexFW has.
 func VertexCoeffCoarsener(fineDA *mesh.DA, etaV, rhoV []float64) func(level int, p *fem.Problem) {
 	prevDA := fineDA
 	prevEta, prevRho := etaV, rhoV
@@ -55,11 +55,11 @@ func VertexCoeffCoarsener(fineDA *mesh.DA, etaV, rhoV []float64) func(level int,
 		var ce, cr []float64
 		if prevEta != nil {
 			ce = make([]float64, p.DA.NVertices())
-			mesh.RestrictVertexFW(prevDA, p.DA, prevEta, ce, false)
+			mesh.RestrictVertexFW(prevDA, p.DA, prevEta, ce)
 		}
 		if prevRho != nil {
 			cr = make([]float64, p.DA.NVertices())
-			mesh.RestrictVertexFW(prevDA, p.DA, prevRho, cr, false)
+			mesh.RestrictVertexFW(prevDA, p.DA, prevRho, cr)
 		}
 		p.SetCoefficientsVertex(ce, cr)
 		prevDA, prevEta, prevRho = p.DA, ce, cr

@@ -300,7 +300,7 @@ func (m *MG) UseBlockJacobiCoarse(nblocks int) error {
 func (m *MG) Apply(r, z la.Vec) {
 	z.Zero()
 	m.cycles.Inc()
-	m.view().vcycle(0, r, z)
+	m.view().run(r, z)
 }
 
 // view returns the cycle over the whole grid: every level's operator,
@@ -312,6 +312,10 @@ func (m *MG) view() *cycle {
 	if len(c.lev) != len(m.Levels) {
 		c.lev = make([]levelView, len(m.Levels))
 		c.coarsest = m.coarsest
+	}
+	c.workers = 1
+	if p := m.Levels[0].Prob; p != nil {
+		c.workers = p.Workers
 	}
 	for l, lev := range m.Levels {
 		v := levelView{op: lev.Op, smoother: lev.Smoother, p: lev.P, r: lev.r, e: lev.e, bc: lev.bc, tel: m.lt(l)}

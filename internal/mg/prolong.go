@@ -96,10 +96,15 @@ func wholeBox(da *mesh.DA) comm.Box {
 
 // Apply computes uf = P·uc.
 func (p *Prolongation) Apply(uc, uf la.Vec) {
+	par.Run(p.Workers, p.ApplyPart(uc, uf))
+}
+
+// ApplyPart is Apply as a par.Part, for the cycle's job.
+func (p *Prolongation) ApplyPart(uc, uf la.Vec) par.Part {
 	if len(uc) != p.Coarse.NVelDOF() || len(uf) != p.Fine.NVelDOF() {
 		panic("mg: prolongation length mismatch")
 	}
-	p.applyBox(wholeBox(p.Fine), uc, uf)
+	return p.applyBoxPart(wholeBox(p.Fine), uc, uf)
 }
 
 // applyBox interpolates into the fine nodes of box b, k-planes over the
@@ -107,8 +112,13 @@ func (p *Prolongation) Apply(uc, uf la.Vec) {
 // distributed path. Every coarse node read lies in the coarse box nested
 // under b, so a rank's prolongation needs no communication.
 func (p *Prolongation) applyBox(b comm.Box, uc, uf la.Vec) {
+	par.Run(p.Workers, p.applyBoxPart(b, uc, uf))
+}
+
+// applyBoxPart is applyBox as a par.Part, one item per k-plane.
+func (p *Prolongation) applyBoxPart(b comm.Box, uc, uf la.Vec) par.Part {
 	cmask, fmask := p.masks()
-	par.ForItems(p.Workers, b.Hi[2]-b.Lo[2], func(dk int) {
+	return par.Each(b.Hi[2]-b.Lo[2], func(dk int) {
 		k := b.Lo[2] + dk
 		var cd [8]int
 		var w [8]float64
@@ -141,10 +151,15 @@ func (p *Prolongation) applyBox(b comm.Box, uc, uf la.Vec) {
 // fine grid would add them in — so coarse rows are independent, run on
 // Workers pool workers, and sum identically at any worker count.
 func (p *Prolongation) ApplyTranspose(rf, rc la.Vec) {
+	par.Run(p.Workers, p.ApplyTransposePart(rf, rc))
+}
+
+// ApplyTransposePart is ApplyTranspose as a par.Part, for the cycle's job.
+func (p *Prolongation) ApplyTransposePart(rf, rc la.Vec) par.Part {
 	if len(rc) != p.Coarse.NVelDOF() || len(rf) != p.Fine.NVelDOF() {
 		panic("mg: restriction length mismatch")
 	}
-	p.restrictBox(wholeBox(p.Coarse), rf, rc)
+	return p.restrictBoxPart(wholeBox(p.Coarse), rf, rc)
 }
 
 // restrictBox gathers into the coarse nodes of box b: the whole mesh for
@@ -153,6 +168,12 @@ func (p *Prolongation) ApplyTranspose(rf, rc la.Vec) {
 // rank's fine owned+ghost box, and each coarse node sums as it does on
 // the whole mesh, so a rank's owned rows equal the shared ones bit for bit.
 func (p *Prolongation) restrictBox(b comm.Box, rf, rc la.Vec) {
+	par.Run(p.Workers, p.restrictBoxPart(b, rf, rc))
+}
+
+// restrictBoxPart is restrictBox as a par.Part: the box's (k, j) rows of
+// coarse nodes in Workers ranges.
+func (p *Prolongation) restrictBoxPart(b comm.Box, rf, rc la.Vec) par.Part {
 	f, c := p.Fine, p.Coarse
 	cmask, fmask := p.masks()
 	// weight of fine index fi in the stencil of the coarse node at 2·ci.
@@ -164,7 +185,7 @@ func (p *Prolongation) restrictBox(b comm.Box, rf, rc la.Vec) {
 	}
 	i0, i1, j0, k0 := b.Lo[0], b.Hi[0], b.Lo[1], b.Lo[2]
 	ny := b.Hi[1] - j0
-	par.For(p.Workers, (b.Hi[2]-k0)*ny, func(lo, hi int) {
+	return par.Ranges(p.Workers, (b.Hi[2]-k0)*ny, func(lo, hi int) {
 		for row := lo; row < hi; row++ {
 			ck, cj := k0+row/ny, j0+row%ny
 			for ci := i0; ci < i1; ci++ {

@@ -173,6 +173,15 @@ type StepStats struct {
 	// advances at garbage-collection cycles, so the window is the step to
 	// within one cycle at either end, and 0 when no cycle ended inside it.
 	CPUUtil float64
+	// HelperShare is the share of the step's parallel-region items (par.For
+	// chunks, par.Phased items) that pool workers ran rather than the
+	// goroutine that opened the region: 0 when the callers did everything
+	// themselves, (w-1)/w when w workers split the work evenly — the
+	// direct reading of whether the extra workers got any of it, which
+	// CPUUtil is not (a caller working alone keeps it near 1/Workers, a
+	// worker waiting inside a job raises it). Process-wide, like CPUUtil;
+	// 0 at one worker, where no region is parallel.
+	HelperShare float64
 }
 
 // pointState evaluates the rheological state of material point i for the
@@ -448,6 +457,7 @@ func (m *Model) minCellSize() float64 {
 func (m *Model) StepForward() error {
 	start := time.Now()
 	cpuStart := telemetry.ReadCPU()
+	items0, pooled0 := par.Counts()
 	stepStart := m.Telemetry.Timer("step").Start()
 	m.stage = stageTimes{}
 	res, err := m.SolveStokes()
@@ -610,6 +620,7 @@ func (m *Model) StepForward() error {
 	}
 	// Simulated ranks are goroutines of this process, Workers wide each.
 	st.CPUUtil = telemetry.ReadCPU().Utilization(cpuStart, max(1, m.Workers)*max(1, st.Ranks))
+	st.HelperShare = par.HelperShare(items0, pooled0)
 	m.Stats = append(m.Stats, st)
 	return nil
 }

@@ -212,3 +212,58 @@ func Chunks(nworkers, n int) [][2]int {
 	}
 	return out
 }
+
+// Part is a run of consecutive phases of a Phased job, so that schedules
+// written apart — a smoother visit, an operator apply, a transfer — can
+// share one dispatch. Prepare and Item are Phased's, with phases counted
+// from the part's own first. Done, when set, runs on the caller's
+// goroutine once the part's last phase has drained and before the next
+// part's first Prepare: the place to stop a timer or return scratch.
+type Part struct {
+	Phases  int
+	Prepare func(phase int) int
+	Item    func(phase, i int)
+	Done    func()
+}
+
+// Each is the one-phase Part of n items.
+func Each(n int, item func(i int)) Part {
+	return Part{Phases: 1, Prepare: func(int) int { return n }, Item: func(_, i int) { item(i) }}
+}
+
+// Ranges is the one-phase Part that covers [0,n) in at most nchunks
+// balanced ranges — the partition For hands out.
+func Ranges(nchunks, n int, body func(lo, hi int)) Part {
+	k := min(max(1, nchunks), n)
+	return Each(k, func(c int) { body(Chunk(c, k, n)) })
+}
+
+// Run runs the parts one after another as a single Phased job.
+func Run(nworkers int, parts ...Part) {
+	total := 0
+	for i := range parts {
+		total += parts[i].Phases
+	}
+	// cur and first — the part in flight and the job phase it starts at —
+	// move in prepare, on the caller, before the phase they describe is
+	// published; its items read them.
+	cur, first := 0, 0
+	leave := func() {
+		if done := parts[cur].Done; done != nil {
+			done()
+		}
+		first += parts[cur].Phases
+		cur++
+	}
+	Phased(nworkers, total, func(ph int) int {
+		for ph >= first+parts[cur].Phases {
+			leave()
+		}
+		return parts[cur].Prepare(ph - first)
+	}, func(ph, i int) {
+		parts[cur].Item(ph-first, i)
+	})
+	for cur < len(parts) {
+		leave()
+	}
+}

@@ -219,7 +219,7 @@ offer:
 	return lim
 }
 
-// Always-on totals behind HelperShare: items of parallel regions, and
+// Always-on totals behind Counts: items of parallel regions, and
 // how many of them pool workers executed. Two adds per job and per
 // helper, not per item.
 var statItems, statPooled atomic.Int64
@@ -232,4 +232,14 @@ var statItems, statPooled atomic.Int64
 // themselves, (w-1)/w when w workers shared it evenly.
 func Counts() (items, pooled int64) {
 	return statItems.Load(), statPooled.Load()
+}
+
+// HelperShare is that ratio for the regions since an earlier reading
+// (items0, pooled0) of Counts; 0 when there were none.
+func HelperShare(items0, pooled0 int64) float64 {
+	items, pooled := Counts()
+	if items <= items0 {
+		return 0
+	}
+	return float64(pooled-pooled0) / float64(items-items0)
 }

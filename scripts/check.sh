@@ -8,7 +8,8 @@
 # check that the runtime operator selector stays gone and its flag values
 # are refused, a check that the front door stays one (two binaries, one
 # model constructor, one halo apply, docs that name commands that exist),
-# a worker-count invariance run of rift, a rank-count
+# a worker-count invariance run of rift and of sinker-swarm at 8^3 (its
+# checkpoints byte-equal at 1 and 2 workers), a rank-count
 # invariance check of the bounded scaling sweep, a one-iteration smoke run
 # of the apply-path benchmarks, and short fuzz smoke passes over the
 # decomposition index math and the checkpoint decoder.
@@ -84,6 +85,15 @@ echo "== f32/f64 equivalence + the level layout table + blocked == full-grid smo
 named_tests -race \
     'TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
+
+# -count=10: the claims, waits and helper hand-offs of a job interleave
+# differently run to run; the 8^3 cases of TestResidentDeterminism,
+# TestBlockedChebyshevBitIdentical and TestMGBlockedVCycleBitIdentical (the
+# size at which pool workers do take items) are raced in the stage above.
+echo "== phased pool jobs: phase order, every item once, no helper / nested / concurrent / panicking, idle once they return, parts, helper-share totals under -race =="
+named_tests '-race -count=10' \
+    'TestPhasedOrderAndCoverage|TestPhasedNoHelper|TestPhasedNested|TestPhasedConcurrent|TestPhasedPanic|TestIdleAfterJobs|TestRunParts|TestCounts' \
+    ./internal/par
 
 echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, one method dispatcher under -race =="
 named_tests -race \
@@ -177,6 +187,18 @@ if [ -z "$its1" ] || [ "$its1" != "$its3" ]; then
 fi
 echo "$its3"
 
+echo "== sinker-swarm at 8^3 (the size at which pool workers take items of every job): checkpoints identical at 1 and 2 workers =="
+ckdir=$(mktemp -d)
+for w in 1 2; do
+    go run ./cmd/ptatin-run -scenario sinker-swarm -res 8 -steps 2 -workers "$w" \
+        -checkpoint-every 2 -checkpoint "$ckdir/w$w.chkpt" | grep -v '^#'
+done
+if ! cmp "$ckdir/w1.chkpt" "$ckdir/w2.chkpt"; then
+    echo "sinker-swarm -res 8: the checkpoint after 2 steps differs between -workers 1 and -workers 2" >&2
+    exit 1
+fi
+rm -r "$ckdir"
+
 echo "== rank-distributed solve under -race =="
 go run -race ./cmd/ptatin-tables table2 -ranks 2x1x1 -grids 8
 
@@ -189,8 +211,10 @@ if [ "$(wc -w <<<"$strong")" -ne 2 ] || [ "$(sort -u <<<"$strong" | wc -l)" -ne 
     exit 1
 fi
 
+# VCycle: the 8^3 and 16^3 sinker V-cycle and its layers at 1 and 2
+# workers — small-grid parallel efficiency as a tracked number.
 echo "== benchmark smoke =="
-go test -run='^$' -bench=Apply -benchtime=1x ./...
+go test -run='^$' -bench='Apply|VCycle' -benchtime=1x ./...
 
 echo "== fuzz smoke =="
 go test ./internal/comm -run='^$' -fuzz=FuzzDecompIndexMath -fuzztime=5s
