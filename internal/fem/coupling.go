@@ -2,7 +2,6 @@ package fem
 
 import (
 	"ptatin3d/internal/la"
-	"ptatin3d/internal/par"
 )
 
 // Coupling holds the precomputed element gradient blocks G_e of the mixed
@@ -122,12 +121,8 @@ func (c *Coupling) Setup() {
 // ApplyGAdd accumulates yu += G·pv on the free velocity rows (constrained
 // rows are untouched — the caller owns their identity handling).
 func (c *Coupling) ApplyGAdd(pv, yu la.Vec) {
-	par.Run(c.P.Workers, c.GAddPart(pv, yu))
-}
-
-// GAddPart is ApplyGAdd as a par.Part (the slab schedule's two phases).
-func (c *Coupling) GAddPart(pv, yu la.Vec) par.Part {
-	return c.P.slabPart(nil, false, false, true, yu, func(e int, _, _, ye *[81]float64, _ *kernScratch) {
+	p := c.P
+	p.slabApply(nil, false, false, true, yu, func(e int, _, _, ye *[81]float64, _ *kernScratch) {
 		ge := c.Ge[324*e : 324*e+324]
 		p0, p1, p2, p3 := pv[4*e], pv[4*e+1], pv[4*e+2], pv[4*e+3]
 		for i := 0; i < 81; i++ {
@@ -175,18 +170,9 @@ func (c *Coupling) ApplyDElements(elems []int, u, yp la.Vec) {
 }
 
 func (c *Coupling) applyD(u, yp la.Vec, masked bool) {
-	par.Run(c.P.Workers, c.dPart(u, yp, masked))
-}
-
-// DPart is ApplyD as a par.Part: the elements in Workers ranges, each
-// writing its own four pressure rows.
-func (c *Coupling) DPart(u, yp la.Vec) par.Part { return c.dPart(u, yp, true) }
-
-func (c *Coupling) dPart(u, yp la.Vec, masked bool) par.Part {
-	return par.Ranges(c.P.Workers, c.P.DA.NElements(), func(lo, hi int) {
-		for e := lo; e < hi; e++ {
-			c.applyDElem(e, u, yp, masked)
-		}
+	p := c.P
+	p.forEachElement(func(e int) {
+		c.applyDElem(e, u, yp, masked)
 	})
 }
 

@@ -162,7 +162,7 @@ func (p *Problem) SlabStats() (slabs, sharedNodes, totalNodes int) {
 	return info.S, len(info.shared), p.DA.NNodes()
 }
 
-// slabPart runs kern over every element using the slab-partitioned
+// slabApply runs kern over every element using the slab-partitioned
 // owner-computes schedule and accumulates the per-element outputs ye into
 // y, skipping constrained rows.
 //
@@ -174,73 +174,75 @@ func (p *Problem) SlabStats() (slabs, sharedNodes, totalNodes int) {
 //   - accumulate: keep y's prior contents (coupling ApplyGAdd); otherwise
 //     y is zeroed first.
 //
-// It is a par.Part of two phases: the slabs, one item each, then the merge
-// of the shared-node list in Workers ranges.
-//
 // kern must fully define ye (overwrite, not accumulate): scratch blocks
 // are reused across elements without re-zeroing. The kernScratch arena is
-// likewise reused across the elements of a slab.
-func (p *Problem) slabPart(u la.Vec, masked, needX, accumulate bool, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) par.Part {
+// likewise reused across elements of a worker's chunk.
+func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) {
 	info := p.slabs()
+	if !accumulate {
+		y.Zero()
+	}
+	bufs := p.getSlabBufs(info)
 	mask := p.BC.Mask
-	var bufs *slabBufs
 
-	block := func(s int) {
+	slabs := func(slo, shi int) {
 		var ue, xe, ye [slabBlock][81]float64
 		var ks kernScratch
-		buf := bufs.bufs[s]
-		for i := range buf {
-			buf[i] = 0
-		}
-		bufOff := 3 * int(info.bufLo[s])
-		e0, e1 := info.off[s], info.off[s+1]
-		for b := e0; b < e1; b += slabBlock {
-			bn := e1 - b
-			if bn > slabBlock {
-				bn = slabBlock
+		for s := slo; s < shi; s++ {
+			buf := bufs.bufs[s]
+			for i := range buf {
+				buf[i] = 0
 			}
-			for i := 0; i < bn; i++ {
-				e := b + i
-				if u != nil {
-					if masked {
-						p.gatherVec(e, u, &ue[i])
-					} else {
-						em := p.Emap[27*e : 27*e+27]
-						for n := 0; n < 27; n++ {
-							d := 3 * int(em[n])
-							ue[i][3*n] = u[d]
-							ue[i][3*n+1] = u[d+1]
-							ue[i][3*n+2] = u[d+2]
+			bufOff := 3 * int(info.bufLo[s])
+			e0, e1 := info.off[s], info.off[s+1]
+			for b := e0; b < e1; b += slabBlock {
+				bn := e1 - b
+				if bn > slabBlock {
+					bn = slabBlock
+				}
+				for i := 0; i < bn; i++ {
+					e := b + i
+					if u != nil {
+						if masked {
+							p.gatherVec(e, u, &ue[i])
+						} else {
+							em := p.Emap[27*e : 27*e+27]
+							for n := 0; n < 27; n++ {
+								d := 3 * int(em[n])
+								ue[i][3*n] = u[d]
+								ue[i][3*n+1] = u[d+1]
+								ue[i][3*n+2] = u[d+2]
+							}
 						}
 					}
+					if needX {
+						p.gatherCoords(e, &xe[i])
+					}
 				}
-				if needX {
-					p.gatherCoords(e, &xe[i])
+				for i := 0; i < bn; i++ {
+					kern(b+i, &ue[i], &xe[i], &ye[i], &ks)
 				}
-			}
-			for i := 0; i < bn; i++ {
-				kern(b+i, &ue[i], &xe[i], &ye[i], &ks)
-			}
-			for i := 0; i < bn; i++ {
-				em := p.Emap[27*(b+i) : 27*(b+i)+27]
-				yei := &ye[i]
-				for n := 0; n < 27; n++ {
-					node := int(em[n])
-					if t := int(p.slab.sharedIdx[node]); t >= 0 {
-						o := 3*t - bufOff
-						buf[o] += yei[3*n]
-						buf[o+1] += yei[3*n+1]
-						buf[o+2] += yei[3*n+2]
-					} else {
-						d := 3 * node
-						if !mask[d] {
-							y[d] += yei[3*n]
-						}
-						if !mask[d+1] {
-							y[d+1] += yei[3*n+1]
-						}
-						if !mask[d+2] {
-							y[d+2] += yei[3*n+2]
+				for i := 0; i < bn; i++ {
+					em := p.Emap[27*(b+i) : 27*(b+i)+27]
+					yei := &ye[i]
+					for n := 0; n < 27; n++ {
+						node := int(em[n])
+						if t := int(p.slab.sharedIdx[node]); t >= 0 {
+							o := 3*t - bufOff
+							buf[o] += yei[3*n]
+							buf[o+1] += yei[3*n+1]
+							buf[o+2] += yei[3*n+2]
+						} else {
+							d := 3 * node
+							if !mask[d] {
+								y[d] += yei[3*n]
+							}
+							if !mask[d+1] {
+								y[d+1] += yei[3*n+1]
+							}
+							if !mask[d+2] {
+								y[d+2] += yei[3*n+2]
+							}
 						}
 					}
 				}
@@ -274,37 +276,14 @@ func (p *Problem) slabPart(u la.Vec, masked, needX, accumulate bool, y la.Vec, k
 		}
 	}
 
-	ns := len(info.shared)
-	nmerge := min(max(1, p.Workers), ns)
-	return par.Part{
-		Phases: 2,
-		Prepare: func(ph int) int {
-			if ph == 0 {
-				if !accumulate {
-					y.Zero()
-				}
-				bufs = p.getSlabBufs(info)
-				return info.S
-			}
-			return nmerge
-		},
-		Item: func(ph, i int) {
-			if ph == 0 {
-				block(i)
-				return
-			}
-			merge(par.Chunk(i, nmerge, ns))
-		},
-		Done: func() {
-			p.slabPool.Put(bufs)
-			p.countSlabApply(info)
-		},
-	}
-}
+	// One pool job: the slabs, an item each, then the merge in Workers
+	// ranges of the shared-node list.
+	par.Run(p.Workers,
+		par.Each(info.S, func(s int) { slabs(s, s+1) }),
+		par.Ranges(p.Workers, len(info.shared), merge))
 
-// slabApply runs slabPart as a job of its own.
-func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) {
-	par.Run(p.Workers, p.slabPart(u, masked, needX, accumulate, y, kern))
+	p.slabPool.Put(bufs)
+	p.countSlabApply(info)
 }
 
 // countSlabApply records one slab-scheduled operator application.

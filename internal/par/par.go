@@ -4,7 +4,9 @@
 // relies on MPI ranks per core; here "cores" are long-lived worker
 // goroutines sharing one address space (see DESIGN.md, substitution
 // table). All dispatch goes through one persistent pool (pool.go) — no
-// goroutines are spawned per call.
+// goroutines are spawned per call — as jobs of one or more phases: For is
+// one phase of balanced chunks, Phased a sequence of phases that pays the
+// pool's wake-up once, Run a Phased job put together from Parts.
 package par
 
 import (
@@ -13,10 +15,11 @@ import (
 	"ptatin3d/internal/telemetry"
 )
 
-// Probe carries the worker-occupancy instruments recorded by For. All
-// fields are nil-safe telemetry handles; the probe itself is installed via
-// SetTelemetry and read through an atomic pointer, so the disabled cost in
-// For is one atomic load plus a nil check.
+// Probe carries the worker-occupancy instruments recorded by For and
+// Phased (a Phased item counts as a chunk). All fields are nil-safe
+// telemetry handles; the probe itself is installed via SetTelemetry and
+// read through an atomic pointer, so the disabled cost in a region is one
+// atomic load plus a nil check.
 type Probe struct {
 	Calls   *telemetry.Counter // For invocations that went parallel
 	Serial  *telemetry.Counter // For invocations run on the caller's goroutine

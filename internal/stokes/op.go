@@ -11,7 +11,6 @@ import (
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
-	"ptatin3d/internal/par"
 )
 
 // Op is the coupled Stokes operator acting on stacked vectors x = [u; p]
@@ -37,16 +36,10 @@ func (op *Op) N() int { return op.Nu + op.Np }
 func (op *Op) Split(x la.Vec) (u, p la.Vec) { return x[:op.Nu], x[op.Nu:] }
 
 // Apply computes y = J·x in symmetric-elimination form (constrained
-// velocity rows/columns replaced by identity). Over a resident-backed
-// viscous block the three blocks' slab schedules run as the parts of one
-// pool job — same items, same sums, one dispatch instead of five.
+// velocity rows/columns replaced by identity).
 func (op *Op) Apply(x, y la.Vec) {
 	xu, xp := op.Split(x)
 	yu, yp := op.Split(y)
-	if rb, ok := op.Auu.(interface{ Resident() *fem.Resident }); ok {
-		par.Run(op.P.Workers, rb.Resident().ApplyPart(xu, yu), op.C.GAddPart(xp, yu), op.C.DPart(xu, yp))
-		return
-	}
 	op.Auu.Apply(xu, yu)   // viscous block (+ identity rows)
 	op.C.ApplyGAdd(xp, yu) // pressure gradient on free rows
 	op.C.ApplyD(xu, yp)    // divergence of the free-velocity part
