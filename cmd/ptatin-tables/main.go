@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 
 	"ptatin3d/internal/cli"
 	"ptatin3d/internal/la"
@@ -114,6 +115,27 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stderr, "ptatin-tables: no command %q\n", args[0])
 	usage()
 	return 2
+}
+
+// buildCommit names the commit the binary was built from, as `go build`
+// stamped it ("+modified" when the tree had uncommitted changes); "unknown"
+// under `go run` or outside a checkout. A results/ file carries it in its
+// header, so that it can be told apart from the code that has changed since.
+func buildCommit() string {
+	rev, modified := "unknown", ""
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			switch kv.Key {
+			case "vcs.revision":
+				rev = kv.Value[:min(12, len(kv.Value))]
+			case "vcs.modified":
+				if kv.Value == "true" {
+					modified = "+modified"
+				}
+			}
+		}
+	}
+	return rev + modified
 }
 
 // sinkerFlags defines the named §IV-A sinker parameters as flags on the

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"ptatin3d/internal/cli"
+	"ptatin3d/internal/fem"
 	"ptatin3d/internal/mg"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/op"
@@ -147,10 +148,13 @@ type RunRecord struct {
 	Resolution [3]int `json:"resolution"`
 	// Hierarchy is the multigrid hierarchy the last Stokes solve ran:
 	// per level the operator kind, the smoother and its degree.
-	Hierarchy  []mg.LevelInfo `json:"hierarchy,omitempty"`
-	Steps      []StepRecord   `json:"steps"`
-	TotalWallS float64        `json:"total_wall_s"`
-	AvgStepS   float64        `json:"avg_step_s"`
+	Hierarchy []mg.LevelInfo `json:"hierarchy,omitempty"`
+	// Kernel is the encoding the float64 element kernel ran in on this
+	// host (fem.KernelName): "avx2" or "go".
+	Kernel     string       `json:"kernel"`
+	Steps      []StepRecord `json:"steps"`
+	TotalWallS float64      `json:"total_wall_s"`
+	AvgStepS   float64      `json:"avg_step_s"`
 	// CPUUtil is the share of Workers (× Ranks) cores that ran user Go
 	// code over the whole time loop — exact, the loop being bracketed by
 	// two collections. Well under 1: serial sections or idle workers.
@@ -247,12 +251,14 @@ func Run(m *model.Model, cfg Config) error {
 			fmt.Fprintf(out, "# hierarchy: %s\n", li)
 		}
 	}
+	fmt.Fprintf(out, "# kernel: %s\n", fem.KernelName())
 	if cfg.JSONOut != nil {
 		rec := RunRecord{
 			Scenario: cfg.Scenario, Backend: m.Backend.Name(), Ranks: ranks,
 			Workers:    m.Workers,
 			Resolution: [3]int{m.Prob.DA.Mx, m.Prob.DA.My, m.Prob.DA.Mz},
 			Hierarchy:  hierarchy,
+			Kernel:     fem.KernelName(),
 			Steps:      recs, TotalWallS: total,
 			CPUUtil: cpuUtil, HelperShare: helperShare,
 		}
@@ -273,11 +279,13 @@ func Run(m *model.Model, cfg Config) error {
 // resolution admits the rank grid on every level) on the distributed
 // backend at 2×1×1 — the check.sh scenario-smoke gate. A run that
 // accepted a point location from an unconverged Newton iteration fails.
-// Progress goes to out; the first failure is returned.
+// Progress goes to out, under a "# kernel:" header; the first failure is
+// returned.
 func Smoke(workers int, out io.Writer) error {
 	if out == nil {
 		out = os.Stdout
 	}
+	fmt.Fprintf(out, "# kernel: %s\n", fem.KernelName())
 	for _, name := range scenario.Names() {
 		spec, err := scenario.Get(name)
 		if err != nil {

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"ptatin3d/internal/fem"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/scenario"
@@ -108,6 +109,9 @@ func TestRunCheckpointRestartAndJSON(t *testing.T) {
 	}
 	if rec.Scenario != "sinker" || rec.Backend != "shared" || len(rec.Steps) != 2 {
 		t.Fatalf("record header wrong: %+v", rec)
+	}
+	if k := fem.KernelName(); rec.Kernel != k || !strings.Contains(csv.String(), "# kernel: "+k+"\n") {
+		t.Fatalf("kernel %q not named by the record (%q) and the output:\n%s", k, rec.Kernel, csv.String())
 	}
 	if rec.Steps[0].KrylovIts != m.Stats[0].KrylovIts || rec.AvgStepS <= 0 {
 		t.Fatalf("record steps wrong: %+v", rec.Steps)

@@ -215,7 +215,7 @@ func refStrainRateAtQP(p *Problem, u la.Vec, d6, eII []float64) {
 		p.gatherCoords(e, &xe)
 		var ks kernScratch
 		ug0, ug1, ug2 := &ks.ug0, &ks.ug1, &ks.ug2
-		tensorGrads(&ue, ug0, ug1, ug2, &tables64, &ks.kernScratchG)
+		tensorGrads64(&ue, ug0, ug1, ug2, &ks.kernScratchG)
 		var jinv [9]float64
 		for q := 0; q < NQP; q++ {
 			jacobianAt(&xe, q, &jinv)

@@ -63,8 +63,8 @@ func (op *NewtonOp) ApplyElements(elems []int, u, y la.Vec) {
 func (op *NewtonOp) elementApply(e int, ue, xe *[81]float64, eta []float64, ye *[81]float64, ks *kernScratch) {
 	ug0, ug1, ug2 := &ks.ug0, &ks.ug1, &ks.ug2
 	xg0, xg1, xg2 := &ks.xg0, &ks.xg1, &ks.xg2
-	tensorGrads(ue, ug0, ug1, ug2, &tables64, &ks.kernScratchG)
-	tensorGrads(xe, xg0, xg1, xg2, &tables64, &ks.kernScratchG)
+	tensorGrads64(ue, ug0, ug1, ug2, &ks.kernScratchG)
+	tensorGrads64(xe, xg0, xg1, xg2, &ks.kernScratchG)
 	h0, h1, h2 := &ks.h0, &ks.h1, &ks.h2
 	var jmat, jinv, inv, g, h [9]float64
 	for q := 0; q < NQP; q++ {
@@ -130,5 +130,5 @@ func (op *NewtonOp) elementApply(e int, ue, xe *[81]float64, eta []float64, ye *
 			h2[q*3+a] = h[a*3+2]
 		}
 	}
-	tensorScatterWrite(h0, h1, h2, ye, &tables64, &ks.kernScratchG)
+	tensorScatterWrite64(h0, h1, h2, ye, &ks.kernScratchG)
 }

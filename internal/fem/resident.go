@@ -208,7 +208,7 @@ func (r *Resident) applyBlock(b int, u, y la.Vec, buf []float64, ks *residentScr
 		} else {
 			for i := 0; i < bn; i++ {
 				e := blk + i
-				residentElement(r.c64[15*NQP*e:15*NQP*(e+1)], &ks.ue[i], &ks.ye[i], &tables64, &ks.ks64)
+				residentElement64((*[15 * NQP]float64)(r.c64[15*NQP*e:]), &ks.ue[i], &ks.ye[i], &ks.ks64)
 			}
 		}
 		for i := 0; i < bn; i++ {
@@ -318,7 +318,7 @@ func (r *Resident) ApplyElements(elems []int, u, y la.Vec) {
 		if r.F32 {
 			residentElement(r.c32[15*NQP*e:15*NQP*(e+1)], &ks.ue[0], &ks.ye[0], &tables32, &ks.ks32)
 		} else {
-			residentElement(r.c64[15*NQP*e:15*NQP*(e+1)], &ks.ue[0], &ks.ye[0], &tables64, &ks.ks64)
+			residentElement64((*[15 * NQP]float64)(r.c64[15*NQP*e:]), &ks.ue[0], &ks.ye[0], &ks.ks64)
 		}
 		p.scatterAdd(e, &ks.ye[0], y)
 	}

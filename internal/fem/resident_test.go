@@ -52,6 +52,10 @@ func TestResidentMatchesTensor(t *testing.T) {
 // partition, in-block element order and ascending-slab merge are all
 // worker-count independent.
 func TestResidentDeterminism(t *testing.T) {
+	BothKernels(t, 0x368fb654d21a63d1, testResidentDeterminism)
+}
+
+func testResidentDeterminism(t *testing.T) (hash uint64) {
 	// 8³ is the size at which a block is long enough (~100 µs) for a woken
 	// pool worker to take some of them: repeated there, so that who ran
 	// which block varies.
@@ -67,6 +71,7 @@ func TestResidentDeterminism(t *testing.T) {
 			p.Workers = 1
 			ref := la.NewVec(n)
 			op.Apply(u, ref)
+			hash = BitsHash(hash, ref)
 			for _, w := range []int{2, 3, 4, 8} {
 				p.Workers = w
 				for rep := 0; rep < 3; rep++ {
@@ -82,6 +87,7 @@ func TestResidentDeterminism(t *testing.T) {
 			}
 		}
 	}
+	return hash
 }
 
 // dep2Partition is a contiguous slab partition of a 2×6×1 mesh whose
@@ -97,6 +103,10 @@ var dep2Partition = []int{0, 1, 3, 4, 6, 7, 9, 10, 12}
 // count), step count, zero and nonzero initial guesses, both precisions,
 // and dependency distances 1 and 2.
 func TestBlockedChebyshevBitIdentical(t *testing.T) {
+	BothKernels(t, 0x11154c51c2e9edba, testBlockedChebyshevBitIdentical)
+}
+
+func testBlockedChebyshevBitIdentical(t *testing.T) (hash uint64) {
 	cases := []struct {
 		g   [3]int
 		off []int // nil: the Problem's own partition
@@ -139,6 +149,7 @@ func TestBlockedChebyshevBitIdentical(t *testing.T) {
 						ref.Copy(x0)
 					}
 					krylov.NewChebyshev(op, jac, lmax, steps).Smooth(b, ref, zeroGuess)
+					hash = BitsHash(hash, ref)
 
 					for _, w := range []int{1, 2, 3, 5, 8} {
 						p.Workers = w
@@ -161,6 +172,7 @@ func TestBlockedChebyshevBitIdentical(t *testing.T) {
 		}
 		p.Workers = 1
 	}
+	return hash
 }
 
 // TestBlockedWaveWidth checks the grouped two-phase schedule itself, with
@@ -381,5 +393,43 @@ func TestResidentApplyElements(t *testing.T) {
 				t.Fatalf("f32=%v: partial-apply sum differs at dof %d: %v vs %v", f32, i, y[i], ref[i])
 			}
 		}
+	}
+}
+
+var kernelSink float64
+
+// BenchmarkElementKernel times the float64 resident element kernel in both
+// encodings on one element whose blocks stay in L1: ns per element, and
+// GF/s at perfmodel's 9500 flops per element (check.sh smokes it beside
+// BenchmarkVCycle; -benchtime 200000x gives numbers).
+func BenchmarkElementKernel(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	var coef [15 * NQP]float64
+	var ue, ye [81]float64
+	for i := range coef {
+		coef[i] = rng.NormFloat64()
+	}
+	for i := range ue {
+		ue[i] = rng.NormFloat64()
+	}
+	ks := new(kernScratchG[float64])
+	for _, vector := range []bool{true, false} {
+		name := "go"
+		if vector {
+			name = "avx2"
+		}
+		b.Run(name, func(b *testing.B) {
+			defer setVectorKernel(setVectorKernel(vector))
+			if KernelName() != name {
+				b.Skip("no AVX2 on this host")
+			}
+			for i := 0; i < b.N; i++ {
+				residentElement64(&coef, &ue, &ye, ks)
+			}
+			kernelSink = ye[40]
+			ns := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+			b.ReportMetric(ns, "ns/element")
+			b.ReportMetric(9500/ns, "GF/s")
+		})
 	}
 }

@@ -186,8 +186,16 @@ func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, 
 	mask := p.BC.Mask
 
 	slabs := func(slo, shi int) {
-		var ue, xe, ye [slabBlock][81]float64
-		var ks kernScratch
+		// kern is an opaque func value, so a local arena would escape: 26 kB
+		// off the heap per slab and apply (most of a sinker-swarm step's
+		// allocations). Pooled instead; every field is overwritten before it
+		// is read (see above), so a recycled arena computes the same bits.
+		sc, _ := p.slabScratch.Get().(*slabScratch)
+		if sc == nil {
+			sc = new(slabScratch)
+		}
+		defer p.slabScratch.Put(sc)
+		ue, xe, ye, ks := &sc.ue, &sc.xe, &sc.ye, &sc.ks
 		for s := slo; s < shi; s++ {
 			buf := bufs.bufs[s]
 			for i := range buf {
@@ -220,7 +228,7 @@ func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, 
 					}
 				}
 				for i := 0; i < bn; i++ {
-					kern(b+i, &ue[i], &xe[i], &ye[i], &ks)
+					kern(b+i, &ue[i], &xe[i], &ye[i], ks)
 				}
 				for i := 0; i < bn; i++ {
 					em := p.Emap[27*(b+i) : 27*(b+i)+27]
@@ -321,10 +329,18 @@ func SetTelemetry(sc *telemetry.Scope) {
 	})
 }
 
-// slabState is embedded in Problem: the lazily built partition and the
-// pool of per-apply overlap buffer sets.
+// slabState is embedded in Problem: the lazily built partition, the pool
+// of per-apply overlap buffer sets and the pool of per-slab kernel arenas.
 type slabState struct {
-	slabOnce sync.Once
-	slab     *slabInfo
-	slabPool sync.Pool
+	slabOnce    sync.Once
+	slab        *slabInfo
+	slabPool    sync.Pool
+	slabScratch sync.Pool
+}
+
+// slabScratch is the arena one slab of slabApply works in: the gathered
+// element blocks of a batch and the kernel scratch.
+type slabScratch struct {
+	ue, xe, ye [slabBlock][81]float64
+	ks         kernScratch
 }

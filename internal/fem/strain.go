@@ -31,7 +31,7 @@ func StrainRateAtQP(p *Problem, u la.Vec, d6, eII []float64) {
 		}
 		var ks kernScratch
 		ug0, ug1, ug2 := &ks.ug0, &ks.ug1, &ks.ug2
-		tensorGrads(&ue, ug0, ug1, ug2, &tables64, &ks.kernScratchG)
+		tensorGrads64(&ue, ug0, ug1, ug2, &ks.kernScratchG)
 		for q := 0; q < NQP; q++ {
 			jinv, _ := geomAt(geo, e, q)
 			// Physical velocity gradient Gp[a][m].

@@ -23,6 +23,14 @@ package fem
 // reduced-precision smoother path. One body serves both, so the float64
 // resident kernel and the Tensor kernel contract bit-for-bit alike — the
 // property the blocked-smoother equivalence tests rely on.
+//
+// Production float64 kernels do not call these bodies directly but
+// tensorGrads64, tensorScatterWrite64 and residentElement64, which on an
+// amd64 host with AVX2 run the assembly encoding of the same arithmetic
+// (tensor_amd64.s: same operations, same association, no fused
+// multiply-add, so the same bits). There the bodies below are the oracle
+// the assembly is tested against and the float32 kernel; everywhere else
+// they are the kernel.
 
 // Float is the scalar constraint of the generic element kernels.
 type Float interface {

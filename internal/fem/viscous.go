@@ -196,8 +196,8 @@ func (op *TensorOp) apply(u, y la.Vec, masked bool) {
 func tensorElementApply(ue, xe *[81]float64, eta []float64, ye *[81]float64, ks *kernScratch) {
 	ug0, ug1, ug2 := &ks.ug0, &ks.ug1, &ks.ug2
 	xg0, xg1, xg2 := &ks.xg0, &ks.xg1, &ks.xg2
-	tensorGrads(ue, ug0, ug1, ug2, &tables64, &ks.kernScratchG)
-	tensorGrads(xe, xg0, xg1, xg2, &tables64, &ks.kernScratchG)
+	tensorGrads64(ue, ug0, ug1, ug2, &ks.kernScratchG)
+	tensorGrads64(xe, xg0, xg1, xg2, &ks.kernScratchG)
 	h0, h1, h2 := &ks.h0, &ks.h1, &ks.h2
 	var jmat, jinv, inv, g, h [9]float64
 	for q := 0; q < NQP; q++ {
@@ -225,7 +225,7 @@ func tensorElementApply(ue, xe *[81]float64, eta []float64, ye *[81]float64, ks 
 			h2[q*3+a] = h[a*3+2]
 		}
 	}
-	tensorScatterWrite(h0, h1, h2, ye, &tables64, &ks.kernScratchG)
+	tensorScatterWrite64(h0, h1, h2, ye, &ks.kernScratchG)
 }
 
 // ApplyElements accumulates the viscous-block action of the given element

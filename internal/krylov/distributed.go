@@ -109,12 +109,6 @@ func (p Params) vscale(v la.Vec, alpha float64) { v.ScaleSpans(alpha, p.spans())
 
 func (p Params) vzero(v la.Vec) { v.ZeroSpans(p.spans()) }
 
-func (p Params) vclone(v la.Vec) la.Vec {
-	w := la.NewVec(len(v))
-	w.CopySpans(v, p.spans())
-	return w
-}
-
 // hasNaN runs the full-vector NaN scan only on the shared-memory path:
 // a distributed rank's vector copy is undefined outside its owned+ghost
 // region (finite, but meaningless), and the collective badNorm checks

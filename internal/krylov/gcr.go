@@ -38,13 +38,14 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, 
 	if pipe {
 		method = "pipegcr"
 	}
-	r := la.NewVec(n)
 	if err := prm.consistent(x, b); err != nil {
 		var res Result
 		res.failEntry(prm, err)
 		res.finish(prm, telStart)
 		return res
 	}
+	ws := prm.workspace(n)
+	r := ws.vec()
 	a.Apply(x, r)
 	prm.vaypx(r, -1, b)
 	res := Result{Residual0: prm.norm2(r)}
@@ -67,20 +68,29 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, 
 	}
 	stag := newStagGuard(prm)
 
-	zs := make([]la.Vec, 0, mr) // search directions (preconditioned)
-	qs := make([]la.Vec, 0, mr) // A·z, orthonormalized
-	z := la.NewVec(n)
-	q := la.NewVec(n)
+	// zs[i], qs[i] for i < nd are the stored search directions
+	// (preconditioned) and their orthonormalised images A·z; slot nd is the
+	// direction under construction — the preconditioner and the operator
+	// write straight into it, so storing it is nd++ and copies nothing. The
+	// mr+1 slots are taken from the workspace as the iteration first
+	// reaches them.
+	zs := make([]la.Vec, mr+1)
+	qs := make([]la.Vec, mr+1)
+	nd := 0
 
 	for it := 1; it <= prm.MaxIt; it++ {
+		if zs[nd] == nil {
+			zs[nd], qs[nd] = ws.vec(), ws.vec()
+		}
+		z, q := zs[nd], qs[nd]
 		m.Apply(r, z)
 		a.Apply(z, q)
 		var qn, rq, rr float64 // rq, rr: (r,q) and (r,r) off the pipelined batch
 		if pipe {
-			qn, rq, rr = prm.cgs2(q, z, r, qs, zs)
+			qn, rq, rr = prm.cgs2(q, z, r, qs[:nd], zs[:nd])
 		} else {
 			// Modified Gram–Schmidt, one reduction per stored direction.
-			for i := range qs {
+			for i := 0; i < nd; i++ {
 				beta := prm.dot(q, qs[i])
 				prm.vaxpy(q, -beta, qs[i])
 				prm.vaxpy(z, -beta, zs[i])
@@ -132,14 +142,15 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, 
 			res.fail(prm, method, BreakdownStagnation, it, rn)
 			break
 		}
-		// Store the direction; restart (truncate) when full.
-		if len(qs) == mr {
-			zs = zs[:0]
-			qs = qs[:0]
+		// Store the direction; restart (truncate) when full: the new
+		// direction opens the next cycle.
+		if nd == mr {
+			zs[0], zs[mr] = zs[mr], zs[0]
+			qs[0], qs[mr] = qs[mr], qs[0]
+			nd = 0
 		}
-		zs = append(zs, prm.vclone(z))
-		qs = append(qs, prm.vclone(q))
-		res.BasisVectors = max(res.BasisVectors, 2*len(qs))
+		nd++
+		res.BasisVectors = max(res.BasisVectors, 2*nd)
 	}
 	res.Residual = rn
 	res.finish(prm, telStart)

@@ -43,8 +43,8 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 		res.finish(prm, telStart)
 		return res
 	}
-	r := la.NewVec(n)
-	w := la.NewVec(n)
+	ws := prm.workspace(n)
+	r, w := ws.vec(), ws.vec()
 	a.Apply(x, r)
 	prm.vaypx(r, -1, b)
 	res := Result{Residual0: prm.norm2(r)}
@@ -64,14 +64,14 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 	}
 	stag := newStagGuard(prm)
 
-	// The basis grows with the iteration: v[j+1] and z[j] are allocated
-	// when iteration j first needs them (and kept across restart cycles),
-	// so a solve that converges in k iterations holds k+1 (+k flexible)
-	// n-vectors, not the whole restart window.
+	// The basis grows with the iteration: v[j+1] and z[j] are taken from
+	// the workspace when iteration j first needs them (and kept across
+	// restart cycles), so a solve that converges in k iterations holds k+1
+	// (+k flexible) n-vectors, not the whole restart window.
 	v := make([]la.Vec, mr+1)
 	basis := func(vs []la.Vec, i int) la.Vec {
 		if vs[i] == nil {
-			vs[i] = la.NewVec(n)
+			vs[i] = ws.vec()
 			res.BasisVectors++
 		}
 		return vs[i]
@@ -81,7 +81,7 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 	if flexible {
 		z = make([]la.Vec, mr)
 	} else {
-		zt, u = la.NewVec(n), la.NewVec(n)
+		zt, u = ws.vec(), ws.vec()
 	}
 	h := make([]float64, (mr+1)*mr) // Hessenberg, h[i*mr+j]
 	cs := make([]float64, mr)

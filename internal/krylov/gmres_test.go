@@ -160,3 +160,90 @@ func TestGMRESLazyBasisSameIterates(t *testing.T) {
 		}
 	}
 }
+
+// cloneGCR is GCR as it was before the workspace: one working pair (z, q)
+// that every iteration overwrites, and a clone of both appended to the
+// stored directions — the reference for "the preconditioner and the
+// operator write straight into the next slot".
+func cloneGCR(a Op, m Preconditioner, b, x la.Vec, rtol float64, restart, maxit int) (hist []float64) {
+	n := a.N()
+	r, z, q := la.NewVec(n), la.NewVec(n), la.NewVec(n)
+	a.Apply(x, r)
+	r.AYPX(-1, b)
+	r0 := r.Norm2()
+	hist = append(hist, r0)
+	var zs, qs []la.Vec
+	for it := 1; it <= maxit; it++ {
+		m.Apply(r, z)
+		a.Apply(z, q)
+		for i := range qs {
+			beta := q.Dot(qs[i])
+			q.AXPY(-beta, qs[i])
+			z.AXPY(-beta, zs[i])
+		}
+		qn := q.Norm2()
+		q.Scale(1 / qn)
+		z.Scale(1 / qn)
+		alpha := r.Dot(q)
+		x.AXPY(alpha, z)
+		r.AXPY(-alpha, q)
+		rn := r.Norm2()
+		hist = append(hist, rn)
+		if rn <= rtol*r0 {
+			break
+		}
+		if len(qs) == restart {
+			zs, qs = zs[:0], qs[:0]
+		}
+		zs, qs = append(zs, z.Clone()), append(qs, q.Clone())
+	}
+	return hist
+}
+
+// TestWorkspaceSameIteratesNoRealloc: GCR building each direction in its
+// slot matches the clone-per-iteration reference bit for bit, restarts
+// included; and for GCR and FGMRES alike a lent Workspace changes neither
+// an iterate nor a residual nor Result.BasisVectors, while the second of
+// two solves takes every vector from the store the first one filled.
+func TestWorkspaceSameIteratesNoRealloc(t *testing.T) {
+	a := nonsym(300)
+	d := la.NewVec(a.NRows)
+	a.Diag(d)
+	rng := rand.New(rand.NewSource(37))
+	b1, b2 := randVec(rng, a.NRows), randVec(rng, a.NRows)
+	for _, method := range []string{"gcr", "fgmres"} {
+		for _, restart := range []int{80, 6} {
+			name := fmt.Sprintf("%s restart=%d", method, restart)
+			prm := DefaultParams()
+			prm.RTol, prm.Restart, prm.MaxIt, prm.History = 1e-10, restart, 200, true
+			lent := prm
+			lent.Work = new(Workspace)
+			held := 0
+			for i, b := range []la.Vec{b1, b2, b1} {
+				x, xw := la.NewVec(a.NRows), la.NewVec(a.NRows)
+				res := Solve(method, CSROp{a}, NewJacobi(d), b, x, prm)
+				resW := Solve(method, CSROp{a}, NewJacobi(d), b, xw, lent)
+				if !res.Converged || (restart == 6) != (res.Iterations > restart) {
+					t.Fatalf("%s: converged=%v after %d iterations: only the short window should restart", name, res.Converged, res.Iterations)
+				}
+				sameBits(t, name+" history", resW.History, res.History)
+				sameBits(t, name+" iterate", xw, x)
+				if resW.BasisVectors != res.BasisVectors || resW.Iterations != res.Iterations {
+					t.Fatalf("%s: lent workspace: %d basis vectors in %d iterations, without %d in %d",
+						name, resW.BasisVectors, resW.Iterations, res.BasisVectors, res.Iterations)
+				}
+				if method == "gcr" {
+					xc := la.NewVec(a.NRows)
+					sameBits(t, name+" history vs clone reference", res.History, cloneGCR(CSROp{a}, NewJacobi(d), b, xc, prm.RTol, restart, prm.MaxIt))
+					sameBits(t, name+" iterate vs clone reference", x, xc)
+				}
+				// The third solve repeats the first: whatever the second
+				// needed beyond it is in the store by now.
+				if i == 2 && len(lent.Work.vecs) != held {
+					t.Fatalf("%s: the store grew from %d to %d vectors on a repeated solve", name, held, len(lent.Work.vecs))
+				}
+				held = len(lent.Work.vecs)
+			}
+		}
+	}
+}

@@ -105,6 +105,13 @@ type Params struct {
 	// Ignored when Reducer == nil.
 	Spans []la.Span
 
+	// Work, when non-nil, lends the solve its n-vectors (residual and
+	// Krylov basis) and keeps them for the next solve, so a caller that
+	// solves repeatedly — the Stokes solver across Newton iterations and
+	// time steps, a rank across its solves — allocates a basis once. The
+	// arithmetic does not depend on it. One solve at a time per Workspace.
+	Work *Workspace
+
 	// Telemetry, when non-nil, receives structured solve instrumentation:
 	// a "residual" series with one sample per recorded residual norm, a
 	// "solve" timer, "solves"/"iterations"/"converged" counters and
@@ -127,13 +134,46 @@ func (p Params) restart() int {
 	return p.Restart
 }
 
+// Workspace is the vector store behind Params.Work: the n-vectors a solve
+// took, handed out again (contents stale — every solver overwrites a
+// vector before it reads it) to the next solve of the same length.
+type Workspace struct {
+	n    int
+	vecs []la.Vec
+	used int
+}
+
+// workspace returns the store of a solve on n-vectors, rewound: the
+// caller's when it lent one, a private one otherwise.
+func (p Params) workspace(n int) *Workspace {
+	w := p.Work
+	if w == nil {
+		w = new(Workspace)
+	}
+	if w.n != n {
+		w.n, w.vecs = n, nil
+	}
+	w.used = 0
+	return w
+}
+
+// vec returns the next vector of the store, allocating it on first reach.
+func (w *Workspace) vec() la.Vec {
+	if w.used == len(w.vecs) {
+		w.vecs = append(w.vecs, la.NewVec(w.n))
+	}
+	w.used++
+	return w.vecs[w.used-1]
+}
+
 // Result reports the outcome of an iterative solve.
 type Result struct {
 	Converged  bool
 	Iterations int
-	// BasisVectors is the number of n-vectors the solve allocated for its
-	// Krylov basis (GMRES/FGMRES: the v and z actually reached; GCR: the
-	// stored direction pairs). 0 for the short-recurrence methods.
+	// BasisVectors is the number of n-vectors of Krylov basis the solve
+	// touched, whether it allocated them or found them in Params.Work
+	// (GMRES/FGMRES: the v and z actually reached; GCR: the stored
+	// direction pairs). 0 for the short-recurrence methods.
 	BasisVectors int
 	Residual     float64   // final unpreconditioned residual norm
 	Residual0    float64   // initial residual norm

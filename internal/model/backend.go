@@ -35,14 +35,18 @@ type CommStatsReporter interface {
 
 // SharedBackend is the in-process backend: every inner solve runs the
 // serial Krylov method (krylov.Solve) on the operator/preconditioner pair
-// of the current relinearization.
+// of the current relinearization, in the Krylov workspace of the solver
+// that pair belongs to.
 type SharedBackend struct{}
 
 // Name implements StokesBackend.
 func (SharedBackend) Name() string { return "shared" }
 
 // LinearSolve implements StokesBackend.
-func (SharedBackend) LinearSolve(_ *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+func (SharedBackend) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+	if s != nil {
+		prm.Work = &s.Work
+	}
 	return krylov.Solve(method, jop, pc, rhs, delta, prm)
 }
 

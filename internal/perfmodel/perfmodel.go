@@ -126,10 +126,22 @@ func SlabMergeBytes(sharedNodes int) float64 {
 }
 
 // Machine is a two-parameter roofline: sustainable memory bandwidth and
-// floating-point throughput.
+// floating-point throughput. VectorRate is the second compute ceiling, the
+// one fem's AVX2 element kernel runs under; Vector returns the machine
+// seen from that kernel.
 type Machine struct {
-	StreamBW float64 // bytes/s
-	FlopRate float64 // flops/s
+	StreamBW   float64 // bytes/s
+	FlopRate   float64 // flops/s, scalar (MeasureFlops)
+	VectorRate float64 // flops/s, packed mul+add without FMA (MeasureVectorFlops); 0: no vector encoding
+}
+
+// Vector returns m with the vector ceiling as its flop rate — the roofline
+// of a kernel in its vector encoding — or m itself where there is none.
+func (m Machine) Vector() Machine {
+	if m.VectorRate > 0 {
+		m.FlopRate = m.VectorRate
+	}
+	return m
 }
 
 // RooflineTime predicts one element application's time under the roofline
@@ -195,9 +207,9 @@ func MeasureStream(n, reps int) float64 {
 
 var sink float64
 
-// MeasureFlops measures a sustainable scalar FMA-chain throughput
-// (flops/s). It underestimates SIMD peak — which is fine: the Go kernels
-// it calibrates are scalar too.
+// MeasureFlops measures a sustainable scalar multiply-add-chain throughput
+// (flops/s): the ceiling of the Go kernels, which are scalar. The element
+// kernel's vector encoding is measured against MeasureVectorFlops.
 func MeasureFlops(n, reps int) float64 {
 	if n < 1024 {
 		n = 1024
@@ -230,11 +242,12 @@ func MeasureFlops(n, reps int) float64 {
 	return best
 }
 
-// MeasureMachine runs both microbenchmarks with sensible sizes.
+// MeasureMachine runs the three microbenchmarks with sensible sizes.
 func MeasureMachine() Machine {
 	return Machine{
-		StreamBW: MeasureStream(1<<24, 3),
-		FlopRate: MeasureFlops(1<<22, 3),
+		StreamBW:   MeasureStream(1<<24, 3),
+		FlopRate:   MeasureFlops(1<<22, 3),
+		VectorRate: MeasureVectorFlops(1<<22, 3),
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ptatin3d/internal/comm"
+	"ptatin3d/internal/fem"
 	"ptatin3d/internal/mesh"
 )
 
@@ -91,6 +92,16 @@ func TestMeasurementsSane(t *testing.T) {
 	fl := MeasureFlops(1<<18, 2)
 	if fl < 1e7 || fl > 1e12 {
 		t.Fatalf("flop rate implausible: %e F/s", fl)
+	}
+	// The vector ceiling exists exactly where the element kernel has a
+	// vector encoding, and four lanes cannot be slower than one.
+	switch vf := MeasureVectorFlops(1<<18, 3); {
+	case fem.KernelName() != "avx2":
+		if vf != 0 {
+			t.Fatalf("vector rate %e F/s without a vector kernel", vf)
+		}
+	case vf < fl || vf > 1e13:
+		t.Fatalf("vector rate implausible: %e F/s against %e scalar", vf, fl)
 	}
 }
 

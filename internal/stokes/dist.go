@@ -251,7 +251,7 @@ func (s *Solver) distDecomps(px, py, pz int) ([]*comm.Decomp, [][]*comm.Layout, 
 			layouts[l][rid] = comm.NewLayout(d, rid)
 		}
 	}
-	s.dcache = distCache{px: px, py: py, pz: pz, decomps: decomps, layouts: layouts}
+	s.dcache = distCache{px: px, py: py, pz: pz, decomps: decomps, layouts: layouts, work: make([]krylov.Workspace, size)}
 	return decomps, layouts, nil
 }
 
@@ -380,6 +380,7 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		prm.Telemetry = sc.Child("krylov")
 		prm.Pipelined = opt.Pipelined
 		prm.Spans = spans
+		prm.Work = &s.dcache.work[r.ID]
 
 		// Windowed clone: only the owned+ghost entries of the global
 		// residual are ever read by this rank's iteration, so the pages

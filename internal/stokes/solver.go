@@ -126,6 +126,11 @@ type Solver struct {
 	coarseASM    *krylov.ASM
 	coarseASMMat *la.CSR
 
+	// Work keeps the Krylov basis of the coupled solve between solves
+	// (krylov.Params.Work): Solve lends it, and so does the shared backend
+	// of the time loop, whose solver outlives the step.
+	Work krylov.Workspace
+
 	// dcache holds the distributed decompositions and per-rank layouts of
 	// the last world shape — purely topological, so they survive
 	// coefficient refreshes and ALE coordinate updates.
@@ -133,11 +138,12 @@ type Solver struct {
 }
 
 // distCache caches the per-level decompositions and [level][rank]
-// layouts of one world shape.
+// layouts of one world shape, and each rank's Krylov workspace.
 type distCache struct {
 	px, py, pz int
 	decomps    []*comm.Decomp
 	layouts    [][]*comm.Layout
+	work       []krylov.Workspace
 }
 
 // Monitor records the per-iteration field residual norms of a GCR solve —
@@ -470,12 +476,14 @@ func (s *Solver) Solve(x, bu la.Vec, mon *Monitor) krylov.Result {
 			mon.Pressure = append(mon.Pressure, pN)
 		}
 	}
+	prm := s.Cfg.Params
+	prm.Work = &s.Work
 	run := func(method string) krylov.Result {
 		if method == "gcr" && cb != nil {
 			// Only GCR carries an explicit residual to monitor.
-			return krylov.GCR(s.MatMult, s.PCApply, f, delta, s.Cfg.Params, cb)
+			return krylov.GCR(s.MatMult, s.PCApply, f, delta, prm, cb)
 		}
-		return krylov.Solve(method, s.MatMult, s.PCApply, f, delta, s.Cfg.Params)
+		return krylov.Solve(method, s.MatMult, s.PCApply, f, delta, prm)
 	}
 	res := run(s.Cfg.OuterMethod)
 	if res.Err != nil {

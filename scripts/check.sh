@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the repository (see README.md): formatting, vet, build,
-# the full test suite, a short-mode pass under the race detector, a racy
-# re-run of the comm fault/recovery protocol tests, the benchmark module's
-# own vet and tests (bench/ is a separate module that the root go build
-# and go test skip), a scenario smoke of every spec on both backends
+# a cross-build of the portable (non-amd64) file set, a guard that no
+# assembly file fuses a multiply-add or returns to Go with dirty upper YMM
+# halves, the full test suite, a short-mode pass under the race detector, a
+# racy re-run of the comm fault/recovery protocol tests, the benchmark
+# module's own vet and tests (bench/ is a separate module that the root go
+# build and go test skip), a scenario smoke of every spec on both backends
 # (which fails on a point location accepted from an unconverged Newton), a
 # check that the runtime operator selector stays gone and its flag values
 # are refused, a check that the front door stays one (two binaries, one
-# model constructor, one halo apply, docs that name commands that exist),
-# a worker-count invariance run of rift and of sinker-swarm at 8^3 (its
-# checkpoints byte-equal at 1 and 2 workers), a rank-count
-# invariance check of the bounded scaling sweep, a one-iteration smoke run
-# of the apply-path benchmarks, and short fuzz smoke passes over the
-# decomposition index math and the checkpoint decoder.
+# model constructor, one halo apply, docs that name commands and
+# identifiers that exist), a worker-count invariance run of rift and of
+# sinker-swarm at 8^3 (its checkpoints byte-equal at 1 and 2 workers), a
+# rank-count invariance check of the bounded scaling sweep, a one-iteration
+# smoke run of the apply-path, V-cycle and element-kernel benchmarks, and
+# short fuzz smoke passes over the decomposition index math, the checkpoint
+# decoder and the assembly contractions.
 # Every PR must leave this script exiting 0.
 #
 # Usage: scripts/check.sh  (from the repository root or any subdirectory)
@@ -53,6 +56,29 @@ go vet ./...
 echo "== go build =="
 go build ./...
 
+# The element kernel has an assembly encoding on amd64 only: the other file
+# set (tensor_noasm.go, vector_noasm.go) must keep compiling. No network:
+# the module has no dependencies.
+echo "== portable file set: GOARCH=arm64 build, vet of internal/fem =="
+GOARCH=arm64 go build ./...
+GOARCH=arm64 go vet ./internal/fem
+
+# Bit-identity of the two encodings rests on the assembly rounding after
+# every multiply, as the Go bodies do on amd64.
+echo "== assembly: no fused multiply-add; VZEROUPPER before every RET to Go of a routine that touched a YMM register =="
+if grep -rnE 'VFN?M(ADD|SUB)' --include='*.s' .; then
+    echo "check.sh: a fused multiply-add in an assembly file (above)" >&2
+    exit 1
+fi
+find . -name '*.s' -print0 | xargs -0 awk '
+    /^TEXT/ { gocall = ($2 ~ /·/); ymm = 0 }
+    /[ \t,(]Y[0-9]|CALL/ { ymm = 1 }
+    /^\tRET/ && gocall && ymm && prev !~ /VZEROUPPER/ {
+        printf "check.sh: %s:%d: RET to Go without VZEROUPPER\n", FILENAME, FNR > "/dev/stderr"; bad = 1
+    }
+    /^\t[A-Z]/ { prev = $0 }
+    END { exit bad }'
+
 echo "== go test =="
 go test ./...
 
@@ -81,9 +107,9 @@ named_tests -race \
 echo "== pipelined GCR within ±2 iterations of classical at 1 and 8 ranks (16^3) =="
 named_tests -count=1 'TestPipelinedGCRRankCountInvariant' ./internal/stokes
 
-echo "== f32/f64 equivalence + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
+echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + f32/f64 equivalence + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
 named_tests -race \
-    'TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence|TestContextKeyCoversConfig' \
+    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 # -count=10: the claims, waits and helper hand-offs of a job interleave
@@ -95,9 +121,9 @@ named_tests '-race -count=10' \
     'TestPhasedOrderAndCoverage|TestPhasedNoHelper|TestPhasedNested|TestPhasedConcurrent|TestPhasedPanic|TestIdleAfterJobs|TestRunParts|TestCounts' \
     ./internal/par
 
-echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, one method dispatcher under -race =="
+echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher under -race =="
 named_tests -race \
-    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestSolveRejectsUnknownMethod' \
+    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod' \
     ./internal/krylov
 
 echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, the tables' solver recipe == what Prepare hands over, set-up stage timers under -race =="
@@ -157,6 +183,16 @@ for dir in $(grep -ohE 'cmd/ptatin-[a-z]+' README.md DESIGN.md .claude/skills/ve
         exit 1
     fi
 done
+# A backticked `pkg.Identifier` in README or DESIGN is defined in that
+# package: as a func, method, type, var or const, or as an entry of a
+# block or a struct field (a line that starts with it after one tab).
+pkgs=$(ls internal | xargs | tr ' ' '|')
+grep -ohE "\`($pkgs)\.[A-Z][A-Za-z0-9_]*" README.md DESIGN.md | tr -d '`' | sort -u | while read -r id; do
+    if ! grep -qE "^(func (\([^)]*\) )?|type |var |const |	)${id#*.}\b" "internal/${id%%.*}"/*.go; then
+        echo "check.sh: README.md or DESIGN.md names \`$id\`, which no Go file of internal/${id%%.*} defines" >&2
+        exit 1
+    fi
+done
 # DESIGN's experiment index: every `ptatin-…` cell parses (flags included)
 # up to -h, every `Benchmark…` cell lists a benchmark of the root package.
 benchmarks=$(go test -list 'Benchmark' .)
@@ -213,11 +249,14 @@ fi
 
 # VCycle: the 8^3 and 16^3 sinker V-cycle and its layers at 1 and 2
 # workers — small-grid parallel efficiency as a tracked number.
+# ElementKernel: the resident element kernel, assembly against Go, in
+# ns/element and GF/s (a smoke at 1x; -benchtime 200000x for numbers).
 echo "== benchmark smoke =="
-go test -run='^$' -bench='Apply|VCycle' -benchtime=1x ./...
+go test -run='^$' -bench='Apply|VCycle|ElementKernel' -benchtime=1x ./...
 
 echo "== fuzz smoke =="
 go test ./internal/comm -run='^$' -fuzz=FuzzDecompIndexMath -fuzztime=5s
 go test ./internal/chkpt -run='^$' -fuzz=FuzzDecode -fuzztime=5s
+go test ./internal/fem -run='^$' -fuzz=FuzzContractions -fuzztime=5s
 
 echo "OK"
