@@ -1,36 +1,16 @@
 package fem
 
 import (
-	"hash/fnv"
-	"math"
 	"runtime"
 	"testing"
 )
 
-// BitsHash folds the bit patterns of v into h (FNV-1a over the
-// little-endian float64 bits); start from 0.
-func BitsHash(h uint64, v []float64) uint64 {
-	f := fnv.New64a()
-	var b [8]byte
-	put := func(x uint64) {
-		for k := range b {
-			b[k] = byte(x >> (8 * k))
-		}
-		f.Write(b[:])
-	}
-	put(h)
-	for _, x := range v {
-		put(math.Float64bits(x))
-	}
-	return f.Sum64()
-}
-
 // BothKernels runs body twice, with the vector encoding of the float64
 // element kernel on (where the CPU has it) and off, through the package's
-// setVectorKernel hook. body returns a BitsHash of the results it pins:
-// both runs must return recorded — on amd64, where neither encoding fuses
-// a multiply-add; elsewhere the compiler may fuse the Go bodies, so only
-// the two runs are compared.
+// setVectorKernel hook. body returns a hash (comm.HashFloats from
+// comm.HashSeed) of the results it pins: both runs must return recorded —
+// on amd64, where neither encoding fuses a multiply-add; elsewhere the
+// compiler may fuse the Go bodies, so only the two runs are compared.
 func BothKernels(t *testing.T, recorded uint64, body func(t *testing.T) uint64) {
 	t.Helper()
 	var got [2]uint64

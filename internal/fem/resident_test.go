@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 
+	"ptatin3d/internal/comm"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 )
@@ -52,10 +53,11 @@ func TestResidentMatchesTensor(t *testing.T) {
 // partition, in-block element order and ascending-slab merge are all
 // worker-count independent.
 func TestResidentDeterminism(t *testing.T) {
-	BothKernels(t, 0x368fb654d21a63d1, testResidentDeterminism)
+	BothKernels(t, 0xc71536c70a246f71, testResidentDeterminism)
 }
 
-func testResidentDeterminism(t *testing.T) (hash uint64) {
+func testResidentDeterminism(t *testing.T) uint64 {
+	hash := comm.HashSeed
 	// 8³ is the size at which a block is long enough (~100 µs) for a woken
 	// pool worker to take some of them: repeated there, so that who ran
 	// which block varies.
@@ -71,7 +73,7 @@ func testResidentDeterminism(t *testing.T) (hash uint64) {
 			p.Workers = 1
 			ref := la.NewVec(n)
 			op.Apply(u, ref)
-			hash = BitsHash(hash, ref)
+			hash = comm.HashFloats(hash, ref)
 			for _, w := range []int{2, 3, 4, 8} {
 				p.Workers = w
 				for rep := 0; rep < 3; rep++ {
@@ -103,10 +105,11 @@ var dep2Partition = []int{0, 1, 3, 4, 6, 7, 9, 10, 12}
 // count), step count, zero and nonzero initial guesses, both precisions,
 // and dependency distances 1 and 2.
 func TestBlockedChebyshevBitIdentical(t *testing.T) {
-	BothKernels(t, 0x11154c51c2e9edba, testBlockedChebyshevBitIdentical)
+	BothKernels(t, 0xfb5b02a28c259b6b, testBlockedChebyshevBitIdentical)
 }
 
-func testBlockedChebyshevBitIdentical(t *testing.T) (hash uint64) {
+func testBlockedChebyshevBitIdentical(t *testing.T) uint64 {
+	hash := comm.HashSeed
 	cases := []struct {
 		g   [3]int
 		off []int // nil: the Problem's own partition
@@ -149,7 +152,7 @@ func testBlockedChebyshevBitIdentical(t *testing.T) (hash uint64) {
 						ref.Copy(x0)
 					}
 					krylov.NewChebyshev(op, jac, lmax, steps).Smooth(b, ref, zeroGuess)
-					hash = BitsHash(hash, ref)
+					hash = comm.HashFloats(hash, ref)
 
 					for _, w := range []int{1, 2, 3, 5, 8} {
 						p.Workers = w

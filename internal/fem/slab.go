@@ -190,9 +190,9 @@ func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, 
 		// off the heap per slab and apply (most of a sinker-swarm step's
 		// allocations). Pooled instead; every field is overwritten before it
 		// is read (see above), so a recycled arena computes the same bits.
-		sc, _ := p.slabScratch.Get().(*slabScratch)
-		if sc == nil {
-			sc = new(slabScratch)
+		sc, ok := p.slabScratch.Get().(*slabScratch)
+		if !ok {
+			sc = &slabScratch{}
 		}
 		defer p.slabScratch.Put(sc)
 		ue, xe, ye, ks := &sc.ue, &sc.xe, &sc.ye, &sc.ks
