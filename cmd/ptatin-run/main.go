@@ -59,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.smoke, "smoke", false, "compile every registered scenario at small resolution and run 2 steps on both backends")
 	fs.BoolVar(&o.small, "small", false, "use the scenario's small smoke-test resolution")
 	fs.IntVar(&o.ppe, "ppe", 0, "material points per element per direction (0 = spec value)")
-	fs.IntVar(&o.coarseRoots, "coarse-roots", 0, "coarse-grid agglomeration roots on the distributed backend")
+	fs.IntVar(&o.coarseRoots, "coarse-roots", 0, "coarse-grid agglomeration roots on the distributed backend (0 and 1 are the same layout: everything to rank 0)")
 	fs.IntVar(&o.restartWindow, "restart", 0, "FGMRES restart window override (0 = spec/default; high viscosity contrast wants >=200)")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "write a checkpoint every N steps (0 disables)")
 	fs.StringVar(&o.ckptPath, "checkpoint", "ptatin.chkpt", "checkpoint file path")

@@ -216,7 +216,7 @@ type sweepRow struct {
 func sweep(c *ctx) error {
 	o := c.sinkerFlags("deta")
 	maxRanks := c.fs.Int("sweep-max-ranks", 512, "skip sweep points above this rank count (bounded smoke runs)")
-	aggRoots := c.fs.Int("agg", 8, "agglomerate the coarse solve onto this many roots (clamped to the rank count; 0 = all-to-rank-0 gather)")
+	aggRoots := c.fs.Int("agg", 8, "agglomerate the coarse solve onto this many roots (clamped to the rank count; 0 and 1 are the same layout: everything to rank 0)")
 	c.Register(c.fs, "pipelined")
 	done, err := c.begin()
 	if err != nil {

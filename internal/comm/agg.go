@@ -3,10 +3,10 @@ package comm
 import "fmt"
 
 // Coarse-level agglomeration (paper §III-C / PETSc PCTELESCOPE,
-// PCREDUNDANT): at 512 ranks the all-ranks GatherSolveBroadcast coarse
-// solve serializes P−1 exchanges through rank 0's mailbox every
-// V-cycle. Agg instead partitions the world into contiguous blocks,
-// each with a root rank; coarse right-hand sides funnel block-locally
+// PCREDUNDANT): at 512 ranks an all-to-rank-0 coarse solve serializes
+// P−1 exchanges through rank 0's mailbox every V-cycle. Agg partitions
+// the world into contiguous blocks, each with a root rank (one block is
+// that all-to-rank-0 gather); coarse right-hand sides funnel block-locally
 // to the roots, the roots share their combined blocks among themselves
 // (a much smaller all-gather), every root runs the coarse solve
 // redundantly — identical inputs, identical outputs, no result
@@ -45,9 +45,6 @@ func (a *Agg) Block(rank int) int {
 
 // Root returns the root rank of block g.
 func (a *Agg) Root(g int) int { return g * a.Size / a.Roots }
-
-// IsRoot reports whether rank is a block root.
-func (a *Agg) IsRoot(rank int) bool { return a.Root(a.Block(rank)) == rank }
 
 // Members returns the non-root ranks of block g.
 func (a *Agg) Members(g int) []int {

@@ -5,7 +5,7 @@ import "testing"
 // TestAggTopology: blocks must tile [0, Size) contiguously, every
 // rank's root must be the first rank of its block, and the member lists
 // must partition the non-root ranks — for even and uneven divisions,
-// including the degenerate Roots==1 (legacy topology) and Roots==Size
+// including the degenerate Roots==1 (all-to-rank-0 topology) and Roots==Size
 // (fully redundant) corners.
 func TestAggTopology(t *testing.T) {
 	cases := []struct{ size, roots int }{
@@ -24,7 +24,7 @@ func TestAggTopology(t *testing.T) {
 		}
 		for g := 0; g < c.roots; g++ {
 			root := a.Root(g)
-			if !a.IsRoot(root) || a.Block(root) != g {
+			if a.Block(root) != g {
 				t.Fatalf("agg(%d,%d): root %d of block %d inconsistent", c.size, c.roots, root, g)
 			}
 			if roots[g] != root {
@@ -35,7 +35,7 @@ func TestAggTopology(t *testing.T) {
 				if a.Block(m) != g {
 					t.Fatalf("agg(%d,%d): member %d of block %d maps to block %d", c.size, c.roots, m, g, a.Block(m))
 				}
-				if a.IsRoot(m) {
+				if a.Root(a.Block(m)) == m {
 					t.Fatalf("agg(%d,%d): member %d of block %d is a root", c.size, c.roots, m, g)
 				}
 				seen[m]++

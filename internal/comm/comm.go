@@ -36,13 +36,6 @@ type World struct {
 	bcond  *sync.Cond
 	bcount int
 	bphase int
-
-	rmu    sync.Mutex
-	rcond  *sync.Cond
-	rcount int
-	rphase int
-	racc   float64
-	rout   float64
 }
 
 // NewWorld creates a world of n ranks.
@@ -59,7 +52,6 @@ func NewWorld(n int) *World {
 		}
 	}
 	w.bcond = sync.NewCond(&w.bmu)
-	w.rcond = sync.NewCond(&w.rmu)
 	return w
 }
 
@@ -74,9 +66,6 @@ func (w *World) SetFaultPlan(fp *FaultPlan) {
 		fp.attach(w.size)
 	}
 }
-
-// FaultPlan returns the installed fault injector (nil when disabled).
-func (w *World) FaultPlan() *FaultPlan { return w.fault }
 
 // SetRetryPolicy sets the default retry policy used by exchange callers
 // that consult Rank.Policy. The zero policy means DefaultRetryPolicy.
@@ -97,9 +86,6 @@ type FabricModel interface {
 // SetFabric installs an interconnect cost model consulted by the Dist
 // collectives. Must be called before Run; pass nil to disable.
 func (w *World) SetFabric(f FabricModel) { w.fabric = f }
-
-// Fabric returns the installed interconnect cost model (nil = off).
-func (w *World) Fabric() FabricModel { return w.fabric }
 
 // Run executes body as an SPMD region: one goroutine per rank, returning
 // when all ranks have finished.
@@ -132,12 +118,12 @@ type Rank struct {
 	// AllReduce partials) that the reliable-exchange receive loop pulled
 	// out of the mailbox while draining envelopes: a faster neighbour may
 	// finish its exchange and move on to a collective while this rank is
-	// still retrying. Recv returns queued messages before reading the
-	// mailbox, preserving per-source FIFO order.
+	// still retrying. recvSkipEnvelopes returns queued messages before
+	// reading the mailbox, preserving per-source FIFO order.
 	oob map[int][]interface{}
 }
 
-// oobPut queues a non-protocol message for a later Recv.
+// oobPut queues a non-protocol message for a later recvSkipEnvelopes.
 func (r *Rank) oobPut(from int, v interface{}) {
 	if r.oob == nil {
 		r.oob = map[int][]interface{}{}
@@ -161,16 +147,6 @@ func (r *Rank) Send(to int, v interface{}) {
 	r.W.mail[to][r.ID] <- v
 }
 
-// Recv blocks until a message from rank `from` arrives.
-func (r *Rank) Recv(from int) interface{} {
-	if q := r.oob[from]; len(q) > 0 {
-		v := q[0]
-		r.oob[from] = q[1:]
-		return v
-	}
-	return <-r.W.mail[r.ID][from]
-}
-
 // Barrier blocks until every rank has entered it.
 func (r *Rank) Barrier() {
 	w := r.W
@@ -187,55 +163,6 @@ func (r *Rank) Barrier() {
 		}
 	}
 	w.bmu.Unlock()
-}
-
-// AllReduceSum returns the sum of x over all ranks (on every rank).
-func (r *Rank) AllReduceSum(x float64) float64 {
-	w := r.W
-	w.rmu.Lock()
-	phase := w.rphase
-	w.racc += x
-	w.rcount++
-	if w.rcount == w.size {
-		w.rout = w.racc
-		w.racc = 0
-		w.rcount = 0
-		w.rphase++
-		w.rcond.Broadcast()
-	} else {
-		for phase == w.rphase {
-			w.rcond.Wait()
-		}
-	}
-	out := w.rout
-	w.rmu.Unlock()
-	return out
-}
-
-// AllReduceMax returns the maximum of x over all ranks. Implemented via
-// two sum reductions (count and max exchange through mail) would be
-// heavyweight; instead reuse the sum machinery on transformed values is
-// incorrect, so it gets its own small protocol: gather to rank 0 via
-// channels, then broadcast.
-func (r *Rank) AllReduceMax(x float64) float64 {
-	if r.W.size == 1 {
-		return x
-	}
-	if r.ID == 0 {
-		m := x
-		for from := 1; from < r.W.size; from++ {
-			v := r.recvSkipEnvelopes(from).(float64)
-			if v > m {
-				m = v
-			}
-		}
-		for to := 1; to < r.W.size; to++ {
-			r.Send(to, m)
-		}
-		return m
-	}
-	r.Send(0, x)
-	return r.recvSkipEnvelopes(0).(float64)
 }
 
 // strayEnvelope answers a protocol envelope received outside any active
@@ -264,7 +191,7 @@ func (r *Rank) strayEnvelope(env envelope) {
 // drainStray empties every other rank's mailbox without blocking
 // (except skip, which the caller is receiving from directly), answering
 // protocol envelopes via strayEnvelope and queueing bare payloads for a
-// later Recv. Called while a rank lingers in a raw collective so that
+// later receive. Called while a rank lingers in a raw collective so that
 // retransmitting peers — who may not be neighbours of any current
 // exchange and whose mailboxes nothing else drains — still make
 // progress (found by the 64-rank fault-injection soak: round-varying
@@ -322,20 +249,4 @@ func (r *Rank) recvSkipEnvelopes(from int) interface{} {
 		}
 		r.strayEnvelope(env)
 	}
-}
-
-// ExchangeCounts implements a neighbour exchange of variable-length
-// payloads: each rank sends payload[n] to each neighbour n and receives
-// one payload from each. Returns the received payloads keyed by source.
-// Every rank must call it with the same neighbour topology (symmetric
-// neighbour lists), or the exchange deadlocks — exactly like MPI.
-func (r *Rank) ExchangeCounts(neighbors []int, payload map[int]interface{}) map[int]interface{} {
-	for _, n := range neighbors {
-		r.Send(n, payload[n])
-	}
-	out := make(map[int]interface{}, len(neighbors))
-	for _, n := range neighbors {
-		out[n] = r.Recv(n)
-	}
-	return out
 }

@@ -14,9 +14,9 @@ import (
 // modes a long production run on thousands of cores actually sees:
 // dropped and delayed halo-exchange messages, corrupted in-flight
 // payloads, and a rank that stalls mid-collective. Injection happens on
-// the send side of ExchangeReliable envelopes only — the legacy
-// Send/Recv/Barrier/AllReduce primitives stay fault-free so collectives
-// outside the hardened exchange paths keep their original semantics.
+// the send side of ExchangeReliable envelopes only — the bare Send of the
+// tree allreduce and Barrier stay fault-free, so collectives outside the
+// hardened exchange paths keep their semantics.
 //
 // Determinism: each sending rank draws from its own rand.Rand seeded
 // from Seed and the rank id, and a rank's sends are sequential on its

@@ -205,75 +205,12 @@ func (d *Dist) Broadcast(y []float64) error {
 
 // AllReduceSum returns the global sum of x with a deterministic
 // reduction: every rank sees the bit-identical value regardless of
-// goroutine scheduling (unlike Rank.AllReduceSum, which sums in arrival
-// order). Implemented on the width-1 binomial tree of AllReduceSumVec —
-// O(log P) depth with the exact ascending-rank summation order of the
-// original serial gather. This is the channel-backed AllReduce under
-// every distributed dot product/norm.
+// goroutine scheduling. Implemented on the width-1 binomial tree of
+// AllReduceSumVec — O(log P) depth with the exact ascending-rank
+// summation order of a serial gather. This is the channel-backed
+// AllReduce under every distributed dot product/norm.
 func (d *Dist) AllReduceSum(x float64) float64 {
 	var buf [1]float64
 	buf[0] = x
 	return d.AllReduceSumVec(buf[:])[0]
-}
-
-// GatherSolveBroadcast runs a root-rank coarse solve: every rank ships
-// the owned velocity entries of b to rank 0 over the reliable protocol,
-// rank 0 — holding a globally valid b — runs solve (which must write
-// x), and x is broadcast back whole. b and x are full-length vectors;
-// on return x is globally valid on every rank.
-func (d *Dist) GatherSolveBroadcast(b, x []float64, solve func()) error {
-	r := d.R
-	size := r.W.Size()
-	if size == 1 {
-		solve()
-		return nil
-	}
-	if r.ID == 0 {
-		all := make([]int, 0, size-1)
-		payload := map[int]interface{}{}
-		for from := 1; from < size; from++ {
-			all = append(all, from)
-			payload[from] = &haloPacket{}
-		}
-		recv, err := r.ExchangeReliable(all, payload, d.Pol, d.Sc)
-		if err != nil {
-			return fmt.Errorf("comm: coarse gather: %w", err)
-		}
-		for _, from := range all {
-			pk := recv[from].(*haloPacket)
-			for i, node := range pk.Node {
-				b[3*node] = pk.Val[3*i]
-				b[3*node+1] = pk.Val[3*i+1]
-				b[3*node+2] = pk.Val[3*i+2]
-			}
-		}
-		solve()
-		// Deep copy: receivers unpack after our exchange completes, and
-		// the caller may mutate x before they do.
-		out := &vecPacket{Val: append([]float64(nil), x...)}
-		for _, to := range all {
-			payload[to] = out
-		}
-		d.Sc.Counter("halo_msgs").Add(int64(size - 1))
-		d.Sc.Counter("halo_bytes").Add(int64((size - 1) * 8 * len(x)))
-		if _, err := r.ExchangeReliable(all, payload, d.Pol, d.Sc); err != nil {
-			return fmt.Errorf("comm: coarse broadcast: %w", err)
-		}
-		return nil
-	}
-	own := d.L.OwnedNodes()
-	pk := &haloPacket{Node: own, Val: make([]float64, 0, 3*len(own))}
-	for _, node := range own {
-		pk.Val = append(pk.Val, b[3*node], b[3*node+1], b[3*node+2])
-	}
-	d.countPacket(pk)
-	if _, err := r.ExchangeReliable([]int{0}, map[int]interface{}{0: pk}, d.Pol, d.Sc); err != nil {
-		return fmt.Errorf("comm: coarse gather: %w", err)
-	}
-	sol, err := r.ExchangeReliable([]int{0}, map[int]interface{}{0: &haloPacket{}}, d.Pol, d.Sc)
-	if err != nil {
-		return fmt.Errorf("comm: coarse broadcast: %w", err)
-	}
-	copy(x, sol[0].(*vecPacket).Val)
-	return nil
 }

@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -124,9 +125,17 @@ func TestDistAllReduceSum(t *testing.T) {
 	}
 }
 
-// TestGatherSolveBroadcast: per-rank owned slices of b are assembled on
-// rank 0, the root "solve" doubles them into x, and every rank receives
-// the full solution.
+// fabricOneNs prices every message and allreduce at one modeled nanosecond.
+type fabricOneNs struct{}
+
+func (fabricOneNs) MsgNs(int) int64            { return 1 }
+func (fabricOneNs) AllReduceNs(int, int) int64 { return 1 }
+
+// TestGatherSolveBroadcast: on the one-root layout (all to rank 0) the
+// per-rank owned slices of b are assembled on rank 0, the root "solve"
+// doubles them into x, and every rank receives the full solution. With a
+// fabric model installed every rank's gather or broadcast is charged to
+// fabric_coarse_ns (the all-to-rank-0 gather used to charge nothing).
 func TestGatherSolveBroadcast(t *testing.T) {
 	da := mesh.New(4, 4, 2, 0, 1, 0, 1, 0, 1)
 	d, err := NewDecomp(da, 2, 2, 1)
@@ -135,11 +144,13 @@ func TestGatherSolveBroadcast(t *testing.T) {
 	}
 	n := 3 * da.NNodes()
 	w := NewWorld(d.Size())
+	w.SetFabric(fabricOneNs{})
+	reg := telemetry.New()
 	var mu sync.Mutex
 	vecs := make([]la.Vec, d.Size())
 	w.Run(func(r *Rank) {
 		l := NewLayout(d, r.ID)
-		dist := NewDist(r, l, nil)
+		dist := NewDist(r, l, reg.Root().Child(fmt.Sprintf("rank%d", r.ID)))
 		b := la.NewVec(n)
 		for _, node := range l.OwnedNodes() {
 			for c := 0; c < 3; c++ {
@@ -147,11 +158,11 @@ func TestGatherSolveBroadcast(t *testing.T) {
 			}
 		}
 		x := la.NewVec(n)
-		err := dist.GatherSolveBroadcast(b, x, func() {
+		err := dist.AggGatherSolveBroadcast(&Agg{Size: d.Size(), Roots: 1}, b, x, func() {
 			for i := range x {
 				x[i] = 2 * b[i]
 			}
-		})
+		}, nil)
 		if err != nil {
 			t.Errorf("rank %d: %v", r.ID, err)
 			return
@@ -165,6 +176,10 @@ func TestGatherSolveBroadcast(t *testing.T) {
 			if vecs[rid][i] != 2*float64(i) {
 				t.Fatalf("rank %d x[%d] = %g, want %g", rid, i, vecs[rid][i], 2*float64(i))
 			}
+		}
+		// One charge each: a client's gather packet, the root's broadcast.
+		if got := reg.Root().Child(fmt.Sprintf("rank%d", rid)).Counter("fabric_coarse_ns").Value(); got != 1 {
+			t.Errorf("rank %d: fabric_coarse_ns = %d, want 1", rid, got)
 		}
 	}
 }

@@ -37,13 +37,6 @@ func (b Box) Count() int {
 	return (b.Hi[0] - b.Lo[0]) * (b.Hi[1] - b.Lo[1]) * (b.Hi[2] - b.Lo[2])
 }
 
-// Contains reports whether node (i,j,k) lies in the box.
-func (b Box) Contains(i, j, k int) bool {
-	return i >= b.Lo[0] && i < b.Hi[0] &&
-		j >= b.Lo[1] && j < b.Hi[1] &&
-		k >= b.Lo[2] && k < b.Hi[2]
-}
-
 // intersect returns the (possibly empty) intersection of two boxes.
 func intersect(a, b Box) Box {
 	var c Box
@@ -188,12 +181,6 @@ func (l *Layout) VelSpans() []la.Span {
 	}
 	l.velSpans = spans
 	return spans
-}
-
-// OwnsNode reports whether this rank owns node id n.
-func (l *Layout) OwnsNode(n int) bool {
-	i, j, k := l.D.DA.NodeIJK(n)
-	return l.Owned.Contains(i, j, k)
 }
 
 // IdentityOwnedRows applies the Dirichlet identity y[d] = x[d] on the

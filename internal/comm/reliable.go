@@ -183,8 +183,8 @@ func verifySum(env envelope) bool {
 
 // ExchangeReliable performs a neighbour exchange with retransmission:
 // each rank sends payload[n] to every neighbour n and returns the
-// verified payloads received from each, keyed by source. Unlike
-// ExchangeCounts it tolerates the FaultPlan fault model — dropped,
+// verified payloads received from each, keyed by source. It tolerates
+// the FaultPlan fault model — dropped,
 // delayed and corrupted envelopes and stalled peers — recovering via
 // acknowledgements, checksums and bounded retries, and it never
 // deadlocks: when the retry budget is exhausted it returns a typed
@@ -337,7 +337,7 @@ func (px *PendingExchange) Wait() (map[int]interface{}, error) {
 					} else {
 						// A bare collective payload from a neighbour that
 						// already finished this exchange and moved on —
-						// keep it for the collective's own Recv.
+						// keep it for the collective's own receive.
 						r.oobPut(n, v)
 					}
 				}

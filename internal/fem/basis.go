@@ -24,9 +24,6 @@ const NQP = 27
 // NodesPerEl is the number of Q2 velocity nodes per element.
 const NodesPerEl = 27
 
-// PresPerEl is the number of P1disc pressure basis functions per element.
-const PresPerEl = 4
-
 // gauss3 holds the 3-point Gauss–Legendre rule on [-1,1].
 var gauss3 = [3]float64{-math.Sqrt2 * 0, 0, 0} // replaced in init
 var gaussW = [3]float64{5.0 / 9.0, 8.0 / 9.0, 5.0 / 9.0}

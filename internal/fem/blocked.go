@@ -15,7 +15,7 @@ import (
 // The temporal dependency is the slab graph of the owner-computes
 // scatter: advancing step i+1 on block b needs the step-i operator
 // contributions of blocks [b, b+D], and applying block b at step i reads
-// p values owned by blocks [b-D, b], where D = Resident.Dep() is the
+// p values owned by blocks [b-D, b], where D = Resident.dep is the
 // largest slab span of any shared node (1 for contiguous slabs of a
 // lexicographic element order).
 //

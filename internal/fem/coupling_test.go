@@ -74,7 +74,10 @@ func TestDivergenceOfLinearField(t *testing.T) {
 	for e := 0; e < da.NElements(); e++ {
 		sum += dp[4*e]
 	}
-	vol := IntegrateVolume(p)
+	var vol float64 // Σ w·detJ over the metric store
+	for i, g := 0, p.geom(); i < NQP*da.NElements(); i++ {
+		vol += W3[i%NQP] * g[geomStride*i+9]
+	}
 	if math.Abs(sum+vol) > 1e-10*vol {
 		t.Fatalf("Σ constant-mode divergence = %v, want %v", sum, -vol)
 	}
@@ -148,24 +151,6 @@ func TestMomentumRHSTotalForce(t *testing.T) {
 	want := -9.8 * 1.2 * 1.0 // ∫ρ·g_z over the unit volume: downward pull
 	if math.Abs(fz-want) > 1e-10 {
 		t.Fatalf("total z load = %v, want %v", fz, want)
-	}
-}
-
-// TestIntegrateVolume: quadrature volume is exact for an affinely deformed
-// box.
-func TestIntegrateVolume(t *testing.T) {
-	da := mesh.New(3, 2, 4, 0, 2, 0, 3, 0, 1)
-	p := NewProblem(da, nil)
-	if v := IntegrateVolume(p); math.Abs(v-6) > 1e-10 {
-		t.Fatalf("volume = %v, want 6", v)
-	}
-	// Linear shear preserves volume (det = 1).
-	da.Deform(func(x, y, z float64) (float64, float64, float64) {
-		return x + 0.3*y, y, z + 0.1*x
-	})
-	p2 := NewProblem(da, nil)
-	if v := IntegrateVolume(p2); math.Abs(v-6) > 1e-9 {
-		t.Fatalf("sheared volume = %v, want 6", v)
 	}
 }
 

@@ -164,13 +164,6 @@ func (r *Resident) getScratch() *residentScratch {
 	return &residentScratch{}
 }
 
-// Dep reports the blocked-schedule dependency distance (exposed for
-// tests and the wavefront scheduler).
-func (r *Resident) Dep() int {
-	r.ownership()
-	return r.dep
-}
-
 // applyBlock computes block b's element contributions to y = A·u: the
 // block's interior dof spans of y are zeroed then accumulated directly in
 // ascending element order, and shared-node contributions go to the

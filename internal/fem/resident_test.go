@@ -136,8 +136,8 @@ func testBlockedChebyshevBitIdentical(t *testing.T) uint64 {
 
 		for _, f32 := range []bool{false, true} {
 			op := NewResident(p, f32)
-			if tc.off != nil && op.Dep() != tc.dep {
-				t.Fatalf("grid %v: dependency distance %d, want %d", g, op.Dep(), tc.dep)
+			if op.ownership(); tc.off != nil && op.dep != tc.dep {
+				t.Fatalf("grid %v: dependency distance %d, want %d", g, op.dep, tc.dep)
 			}
 			lmax := krylov.EstimateLambdaMax(op, jac, 10)
 			for _, steps := range []int{1, 2, 3, 4} {
@@ -305,7 +305,7 @@ func textbookChebyshev(a krylov.Op, invDiag la.Vec, lo, hi float64, steps int, b
 	}
 	var alpha float64
 	for i := 0; i < steps; i++ {
-		z.PointwiseMult(invDiag, r)
+		z.PointwiseMultSpans(invDiag, r, nil)
 		switch i {
 		case 0:
 			p.Copy(z)

@@ -31,25 +31,3 @@ func MomentumRHS(p *Problem, b la.Vec) {
 		}
 	})
 }
-
-// IntegrateVolume returns the mesh volume by quadrature — a cheap global
-// sanity check used in tests and in the time-step monitor.
-func IntegrateVolume(p *Problem) float64 {
-	vol := make([]float64, p.DA.NElements())
-	p.forEachElement(func(e int) {
-		var xe [81]float64
-		p.gatherCoords(e, &xe)
-		var jinv [9]float64
-		var s float64
-		for q := 0; q < NQP; q++ {
-			detJ := jacobianAt(&xe, q, &jinv)
-			s += W3[q] * detJ
-		}
-		vol[e] = s
-	})
-	var total float64
-	for _, v := range vol {
-		total += v
-	}
-	return total
-}

@@ -224,9 +224,6 @@ func (sub *asmSub) load(a *la.CSR, m *asmMarks) bool {
 	return true
 }
 
-// NumSubdomains returns the number of subdomains.
-func (asm *ASM) NumSubdomains() int { return len(asm.subs) }
-
 // Apply computes z = Σ_i Rᵢᵀ·Aᵢ⁻¹·Rᵢ·r (restricted by default).
 func (asm *ASM) Apply(r, z la.Vec) {
 	par.For(asm.workers, len(asm.subs), func(slo, shi int) {

@@ -1,7 +1,6 @@
 package krylov
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -59,15 +58,6 @@ type BreakdownError struct {
 func (e *BreakdownError) Error() string {
 	return fmt.Sprintf("krylov: %s breakdown (%s) at iteration %d (value %g)",
 		e.Method, e.Kind, e.Iteration, e.Value)
-}
-
-// AsBreakdown unwraps err to a *BreakdownError if one is in its chain.
-func AsBreakdown(err error) (*BreakdownError, bool) {
-	var be *BreakdownError
-	if errors.As(err, &be) {
-		return be, true
-	}
-	return nil, false
 }
 
 // fail records a typed breakdown on the result: the legacy Breakdown

@@ -50,8 +50,8 @@ func checkBreakdown(t *testing.T, name string, res Result, maxIt int, kinds ...B
 	if !res.Breakdown {
 		t.Fatalf("%s: Breakdown flag not set (converged=%v, its=%d)", name, res.Converged, res.Iterations)
 	}
-	be, ok := AsBreakdown(res.Err)
-	if !ok {
+	var be *BreakdownError
+	if !errors.As(res.Err, &be) {
 		t.Fatalf("%s: Err = %v, want *BreakdownError", name, res.Err)
 	}
 	if res.Iterations > maxIt {
@@ -122,7 +122,7 @@ func TestBreakdownStagnationWindow(t *testing.T) {
 	res := GCR(a, stallPC{n: n}, onesVec(n), la.NewVec(n), prm, nil)
 	checkBreakdown(t, "gcr", res, 40, BreakdownStagnation, BreakdownZeroPivot)
 	if res.Err != nil {
-		if be, _ := AsBreakdown(res.Err); be.Kind == BreakdownStagnation && !res.Stagnated {
+		if be := new(*BreakdownError); errors.As(res.Err, be) && (*be).Kind == BreakdownStagnation && !res.Stagnated {
 			t.Error("Stagnated flag not set on stagnation breakdown")
 		}
 	}
@@ -135,7 +135,7 @@ func TestBreakdownStagnationWindow(t *testing.T) {
 	prm2.StagnationWindow = 0
 	prm2.Telemetry = nil
 	res2 := GCR(a, stallPC{n: n}, onesVec(n), la.NewVec(n), prm2, nil)
-	if be, ok := AsBreakdown(res2.Err); ok && be.Kind == BreakdownStagnation {
+	if be := new(*BreakdownError); errors.As(res2.Err, be) && (*be).Kind == BreakdownStagnation {
 		t.Error("stagnation breakdown fired with the window disabled")
 	}
 }
@@ -149,8 +149,8 @@ func TestBreakdownErrorText(t *testing.T) {
 	if !errors.Is(errors.Join(err), err) {
 		t.Fatal("errors plumbing broken")
 	}
-	if _, ok := AsBreakdown(errors.New("plain")); ok {
-		t.Fatal("AsBreakdown matched a non-breakdown error")
+	if errors.As(errors.New("plain"), new(*BreakdownError)) {
+		t.Fatal("errors.As matched a non-breakdown error")
 	}
 }
 

@@ -6,11 +6,8 @@ import "ptatin3d/internal/la"
 // SPD A and SPD M. x holds the initial guess on entry and the solution on
 // exit. It is used for the viscous block inside Schur complement reduction
 // and as the inexact coarse-grid solver of the rifting configuration
-// (paper §V-A: CG preconditioned with ASM).
-// With prm.Pipelined set on a rank-collective solve (Reducer != nil)
-// the single-reduce Chronopoulos–Gear variant runs instead (see
-// pipeline.go); without a Reducer the flag is ignored and the serial
-// path below runs bit-for-bit.
+// (paper §V-A: CG preconditioned with ASM). prm.Pipelined does not
+// change it: only GCR and FGMRES have a latency-tolerant form.
 func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	var work [4]la.Vec
 	return cg(a, m, b, x, prm, &work)
@@ -21,9 +18,6 @@ func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 // entry the iteration reads it has written first, so vectors left over
 // from an earlier solve are as good as new ones.
 func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result {
-	if prm.Pipelined && prm.Reducer != nil {
-		return pipeCG(a, m, b, x, prm)
-	}
 	n := a.N()
 	if len(work[0]) != n {
 		for i := range work {
@@ -98,54 +92,6 @@ func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result
 		beta := rzNew / rz
 		rz = rzNew
 		prm.vaypx(p, beta, z)
-	}
-	res.Residual = rn
-	res.finish(prm, telStart)
-	return res
-}
-
-// Richardson performs prm.MaxIt damped Richardson iterations
-// x ← x + ω·M⁻¹(b - A·x). With ω=1 and M a multigrid cycle this is the
-// classical "apply n V-cycles" solver.
-func Richardson(a Op, m Preconditioner, b, x la.Vec, omega float64, prm Params) Result {
-	n := a.N()
-	telStart := prm.begin()
-	r := la.NewVec(n)
-	z := la.NewVec(n)
-	if err := prm.consistent(x, b); err != nil {
-		var res Result
-		res.failEntry(prm, err)
-		res.finish(prm, telStart)
-		return res
-	}
-	a.Apply(x, r)
-	prm.vaypx(r, -1, b)
-	res := Result{Residual0: prm.norm2(r)}
-	rn := res.Residual0
-	res.record(prm, rn)
-	for it := 1; it <= prm.MaxIt; it++ {
-		if converged(prm, rn, res.Residual0) {
-			res.Converged = true
-			break
-		}
-		m.Apply(r, z)
-		prm.vaxpy(x, omega, z)
-		a.Apply(x, r)
-		prm.vaypx(r, -1, b)
-		rn = prm.norm2(r)
-		res.Iterations = it
-		res.record(prm, rn)
-		if k := badNorm(rn); k != 0 {
-			res.fail(prm, "richardson", k, it, rn)
-			break
-		}
-		if prm.hasNaN(r) {
-			res.fail(prm, "richardson", BreakdownNaN, it, rn)
-			break
-		}
-	}
-	if converged(prm, rn, res.Residual0) {
-		res.Converged = true
 	}
 	res.Residual = rn
 	res.finish(prm, telStart)

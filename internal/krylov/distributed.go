@@ -101,8 +101,6 @@ func (p Params) vaxpy(v la.Vec, alpha float64, x la.Vec) { v.AXPYSpans(alpha, x,
 
 func (p Params) vaypx(v la.Vec, alpha float64, x la.Vec) { v.AYPXSpans(alpha, x, p.spans()) }
 
-func (p Params) vwaxpy(v la.Vec, alpha float64, x, y la.Vec) { v.WAXPYSpans(alpha, x, y, p.spans()) }
-
 func (p Params) vcopy(dst, src la.Vec) { dst.CopySpans(src, p.spans()) }
 
 func (p Params) vscale(v la.Vec, alpha float64) { v.ScaleSpans(alpha, p.spans()) }

@@ -1,8 +1,8 @@
 // Package krylov provides the iterative solvers and preconditioner
 // building blocks of the ptatin3d solver stack (paper §III-A): CG, GMRES,
-// flexible GMRES, GCR, Chebyshev iteration, Richardson, plus Jacobi,
-// block-Jacobi(+LU), ILU(0) and overlapping additive Schwarz
-// preconditioners, and nested (inner Krylov) preconditioning.
+// flexible GMRES, GCR, Chebyshev iteration, plus Jacobi, block-Jacobi(+LU),
+// ILU(0) and overlapping additive Schwarz preconditioners, and nested
+// (inner Krylov) preconditioning.
 //
 // Flexible methods (FGMRES, GCR) tolerate nonlinear preconditioners —
 // required because several solver configurations in the paper use inner
@@ -89,12 +89,11 @@ type Params struct {
 	// application reads consistent halos. Nil disables the exchange.
 	Exchanger Exchanger
 
-	// Pipelined selects the latency-tolerant variants of CG, FGMRES and
-	// GCR (Chronopoulos–Gear recurrences: one batched reduction per
-	// iteration; CGS2 with norm recurrences: two, whatever the basis
-	// length; see pipeline.go). It only takes effect with a non-nil
-	// Reducer — with Reducer == nil the flag is ignored and the solve runs
-	// the serial path bit-for-bit.
+	// Pipelined selects the latency-tolerant orthogonalisation of FGMRES
+	// and GCR (CGS2 with a norm recurrence: two batched reductions per
+	// iteration, whatever the basis length; see gcr.go and gmres.go). It
+	// only takes effect with a non-nil Reducer — with Reducer == nil the
+	// flag is ignored and the solve runs the serial path bit-for-bit.
 	Pipelined bool
 	// Spans, when non-empty on a rank-collective solve (Reducer != nil),
 	// windows every BLAS-1 update inside the solver to the listed index

@@ -201,22 +201,6 @@ func TestFlexibleToleratesVariablePC(t *testing.T) {
 	}
 }
 
-func TestRichardson(t *testing.T) {
-	a := lap3d(4)
-	rng := rand.New(rand.NewSource(7))
-	b := randVec(rng, a.NRows)
-	x := la.NewVec(a.NRows)
-	d := la.NewVec(a.NRows)
-	a.Diag(d)
-	prm := DefaultParams()
-	prm.MaxIt = 2000
-	prm.RTol = 1e-6
-	res := Richardson(CSROp{a}, NewJacobi(d), b, x, 1.0, prm)
-	if !res.Converged {
-		t.Fatalf("Richardson did not converge: %+v", res)
-	}
-}
-
 func TestChebyshevSmootherReducesError(t *testing.T) {
 	a := lap3d(8)
 	d := la.NewVec(a.NRows)
@@ -306,8 +290,8 @@ func TestASMPreconditioner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if asm.NumSubdomains() != 8 {
-			t.Fatalf("subdomains = %d", asm.NumSubdomains())
+		if len(asm.subs) != 8 {
+			t.Fatalf("subdomains = %d", len(asm.subs))
 		}
 		x := la.NewVec(a.NRows)
 		prm := DefaultParams()
@@ -359,25 +343,6 @@ func TestInnerKrylovAsPC(t *testing.T) {
 	res := FGMRES(CSROp{a}, inner, b, x, prm)
 	if !res.Converged || res.Iterations > 10 {
 		t.Fatalf("inner-Krylov PC: %+v", res)
-	}
-}
-
-func TestCompositePC(t *testing.T) {
-	a := lap3d(5)
-	rng := rand.New(rand.NewSource(14))
-	b := randVec(rng, a.NRows)
-	d := la.NewVec(a.NRows)
-	a.Diag(d)
-	jac := NewJacobi(d)
-	comp := &Composite{A: CSROp{a}, M1: jac, M2: jac}
-	x := la.NewVec(a.NRows)
-	prm := DefaultParams()
-	prm.RTol = 1e-8
-	res2 := FGMRES(CSROp{a}, comp, b, x, prm)
-	x1 := la.NewVec(a.NRows)
-	res1 := FGMRES(CSROp{a}, jac, b, x1, prm)
-	if !res2.Converged || res2.Iterations > res1.Iterations {
-		t.Fatalf("composite (%d its) no better than single (%d its)", res2.Iterations, res1.Iterations)
 	}
 }
 

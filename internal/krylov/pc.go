@@ -113,7 +113,7 @@ func (bj *BlockJacobi) Apply(r, z la.Vec) {
 type InnerKrylov struct {
 	A      Op
 	M      Preconditioner
-	Method string // "cg", "fgmres", "gmres"
+	Method string // "cg"; anything else is FGMRES
 	Prm    Params
 
 	cgWork [4]la.Vec
@@ -125,32 +125,7 @@ func (ik *InnerKrylov) Apply(r, z la.Vec) {
 	switch ik.Method {
 	case "cg":
 		cg(ik.A, ik.M, r, z, ik.Prm, &ik.cgWork)
-	case "gmres":
-		GMRES(ik.A, ik.M, r, z, ik.Prm)
 	default:
 		FGMRES(ik.A, ik.M, r, z, ik.Prm)
 	}
-}
-
-// Composite applies preconditioners multiplicatively:
-// z = M2⁻¹(r - A·M1⁻¹r) + M1⁻¹r. Unused slots may be nil.
-type Composite struct {
-	A      Op
-	M1, M2 Preconditioner
-}
-
-// Apply performs the two-stage multiplicative combination.
-func (c *Composite) Apply(r, z la.Vec) {
-	n := c.A.N()
-	if c.M2 == nil {
-		c.M1.Apply(r, z)
-		return
-	}
-	z1 := la.NewVec(n)
-	c.M1.Apply(r, z1)
-	t := la.NewVec(n)
-	c.A.Apply(z1, t)
-	t.AYPX(-1, r) // t = r - A z1
-	c.M2.Apply(t, z)
-	z.AXPY(1, z1)
 }

@@ -34,20 +34,6 @@ func (a *CSR) MulVec(x, y Vec) {
 	}
 }
 
-// MulVecAdd computes y += a*x.
-func (a *CSR) MulVecAdd(x, y Vec) {
-	if len(x) != a.NCols || len(y) != a.NRows {
-		panic("la: CSR MulVecAdd shape mismatch")
-	}
-	for i := 0; i < a.NRows; i++ {
-		var s float64
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			s += a.Val[k] * x[a.ColInd[k]]
-		}
-		y[i] += s
-	}
-}
-
 // MulVecRange computes y[i0:i1] = (a*x)[i0:i1]. It is the row-partitioned
 // kernel used by the worker-pool parallel SpMV.
 func (a *CSR) MulVecRange(x, y Vec, i0, i1 int) {
@@ -223,13 +209,6 @@ func RAP(a, p *CSR) *CSR {
 	ap := MatMul(a, p)
 	pt := p.Transpose()
 	return MatMul(pt, ap)
-}
-
-// Scale multiplies every stored entry by alpha.
-func (a *CSR) Scale(alpha float64) {
-	for i := range a.Val {
-		a.Val[i] *= alpha
-	}
 }
 
 // Clone returns a deep copy of a.

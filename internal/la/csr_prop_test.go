@@ -57,7 +57,7 @@ func vecClose(a, b Vec, tol float64) bool {
 	return true
 }
 
-// TestCSRPropertyAgainstDense pins MulVec, MulVecAdd and Transpose against
+// TestCSRPropertyAgainstDense pins MulVec and Transpose against
 // a dense reference over randomized sparsity patterns, including empty
 // rows, single-row/column matrices and duplicate-entry accumulation.
 func TestCSRPropertyAgainstDense(t *testing.T) {
@@ -81,20 +81,6 @@ func TestCSRPropertyAgainstDense(t *testing.T) {
 		want := denseMulVec(dense, x)
 		if !vecClose(y, want, 1e-12) {
 			t.Fatalf("trial %d (%dx%d): MulVec mismatch\n got %v\nwant %v", trial, nr, nc, y, want)
-		}
-
-		// MulVecAdd accumulates on top of the prior contents.
-		y2 := NewVec(nr)
-		for i := range y2 {
-			y2[i] = rng.NormFloat64()
-		}
-		base := y2.Clone()
-		a.MulVecAdd(x, y2)
-		for i := range y2 {
-			y2[i] -= base[i]
-		}
-		if !vecClose(y2, want, 1e-12) {
-			t.Fatalf("trial %d (%dx%d): MulVecAdd mismatch", trial, nr, nc)
 		}
 
 		// Transpose: Aᵀ dense entries match, and Aᵀx matches the dense

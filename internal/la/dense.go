@@ -30,13 +30,6 @@ func (m *Dense) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 // Row returns a slice aliasing row i.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Zero clears all entries.
-func (m *Dense) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	c := NewDense(m.Rows, m.Cols)
@@ -56,23 +49,6 @@ func (m *Dense) MulVec(x, y Vec) {
 			s += a * x[j]
 		}
 		y[i] = s
-	}
-}
-
-// MulVecT computes y = mᵀ*x.
-func (m *Dense) MulVecT(x, y Vec) {
-	if len(x) != m.Rows || len(y) != m.Cols {
-		panic("la: MulVecT shape mismatch")
-	}
-	for j := range y {
-		y[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		xi := x[i]
-		for j, a := range row {
-			y[j] += a * xi
-		}
 	}
 }
 
@@ -102,10 +78,9 @@ func Mul(a, b *Dense) *Dense {
 // It provides the exact subdomain and coarse-level solves used by the
 // block-Jacobi and AMG coarse solvers.
 type LU struct {
-	n    int
-	lu   []float64 // packed L (unit diag, below) and U (on/above diag)
-	piv  []int
-	sign int
+	n   int
+	lu  []float64 // packed L (unit diag, below) and U (on/above diag)
+	piv []int
 }
 
 // Factor computes the LU factorization of the square matrix m with partial
@@ -116,7 +91,7 @@ func Factor(m *Dense) (*LU, error) {
 		panic("la: Factor requires a square matrix")
 	}
 	n := m.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
 	copy(f.lu, m.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -140,7 +115,6 @@ func Factor(m *Dense) (*LU, error) {
 				rk[j], rp[j] = rp[j], rk[j]
 			}
 			f.piv[k], f.piv[p] = f.piv[p], f.piv[k]
-			f.sign = -f.sign
 		}
 		pivv := f.lu[k*n+k]
 		for i := k + 1; i < n; i++ {
@@ -188,15 +162,6 @@ func (f *LU) Solve(b, x Vec) {
 		tmp[i] = s / ri[i]
 	}
 	copy(x, tmp)
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.n; i++ {
-		d *= f.lu[i*f.n+i]
-	}
-	return d
 }
 
 // Invert3 inverts the 3×3 matrix a (row-major) into inv and returns its

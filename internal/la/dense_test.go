@@ -22,11 +22,6 @@ func TestDenseMulVec(t *testing.T) {
 	if y[0] != 6 || y[1] != 15 {
 		t.Fatalf("MulVec = %v", y)
 	}
-	z := NewVec(3)
-	m.MulVecT(Vec{1, 1}, z)
-	if z[0] != 5 || z[1] != 7 || z[2] != 9 {
-		t.Fatalf("MulVecT = %v", z)
-	}
 }
 
 func TestDenseMul(t *testing.T) {
@@ -92,28 +87,6 @@ func TestLUSingular(t *testing.T) {
 	copy(a.Data, []float64{1, 2, 2, 4})
 	if _, err := Factor(a); err == nil {
 		t.Fatal("expected error for singular matrix")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := NewDense(3, 3)
-	copy(a.Data, []float64{2, 0, 0, 0, 3, 0, 0, 0, 4})
-	f, err := Factor(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(f.Det(), 24, 1e-12) {
-		t.Fatalf("Det = %v, want 24", f.Det())
-	}
-	// Permuted matrix: det sign must flip.
-	b := NewDense(2, 2)
-	copy(b.Data, []float64{0, 1, 1, 0})
-	fb, err := Factor(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEq(fb.Det(), -1, 1e-12) {
-		t.Fatalf("Det = %v, want -1", fb.Det())
 	}
 }
 

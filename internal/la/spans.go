@@ -30,15 +30,6 @@ func AppendSpan(spans []Span, lo, hi int) []Span {
 	return append(spans, Span{Lo: lo, Hi: hi})
 }
 
-// SpanLen returns the total number of indices covered by the spans.
-func SpanLen(spans []Span) int {
-	n := 0
-	for _, s := range spans {
-		n += s.Hi - s.Lo
-	}
-	return n
-}
-
 // ZeroSpans zeroes v on the spans.
 func (v Vec) ZeroSpans(spans []Span) {
 	for _, s := range v.windows(spans) {
@@ -66,16 +57,6 @@ func (v Vec) ScaleSpans(alpha float64, spans []Span) {
 	}
 }
 
-// SetSpans fills v with alpha on the spans.
-func (v Vec) SetSpans(alpha float64, spans []Span) {
-	for _, s := range v.windows(spans) {
-		w := v[s.Lo:s.Hi]
-		for i := range w {
-			w[i] = alpha
-		}
-	}
-}
-
 // AXPYSpans computes v += alpha*x on the spans.
 func (v Vec) AXPYSpans(alpha float64, x Vec, spans []Span) {
 	for _, s := range v.windows(spans) {
@@ -92,16 +73,6 @@ func (v Vec) AYPXSpans(alpha float64, x Vec, spans []Span) {
 		w, u := v[s.Lo:s.Hi], x[s.Lo:s.Hi]
 		for i := range w {
 			w[i] = alpha*w[i] + u[i]
-		}
-	}
-}
-
-// WAXPYSpans computes v = alpha*x + y on the spans.
-func (v Vec) WAXPYSpans(alpha float64, x, y Vec, spans []Span) {
-	for _, s := range v.windows(spans) {
-		w, u, t := v[s.Lo:s.Hi], x[s.Lo:s.Hi], y[s.Lo:s.Hi]
-		for i := range w {
-			w[i] = alpha*u[i] + t[i]
 		}
 	}
 }

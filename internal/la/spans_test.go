@@ -40,11 +40,6 @@ func TestSpanBLASMatchesFull(t *testing.T) {
 	b.AYPXSpans(-1.3, y, full)
 	check("AYPXSpans", b, a)
 
-	a, b = mk(), NewVec(n)
-	a.WAXPY(2.5, y, z)
-	b.WAXPYSpans(2.5, y, z, full)
-	check("WAXPYSpans", b, a)
-
 	a, b = x.Clone(), x.Clone()
 	a.Scale(0.25)
 	b.ScaleSpans(0.25, full)
@@ -56,7 +51,9 @@ func TestSpanBLASMatchesFull(t *testing.T) {
 	check("CopySpans", b, a)
 
 	a, b = x.Clone(), x.Clone()
-	a.PointwiseMult(y, z)
+	for i := range a {
+		a[i] = y[i] * z[i]
+	}
 	b.PointwiseMultSpans(y, z, full)
 	check("PointwiseMultSpans", b, a)
 
@@ -64,11 +61,6 @@ func TestSpanBLASMatchesFull(t *testing.T) {
 	a.Zero()
 	b.ZeroSpans(full)
 	check("ZeroSpans", b, a)
-
-	a, b = x.Clone(), x.Clone()
-	a.Set(3.5)
-	b.SetSpans(3.5, full)
-	check("SetSpans", b, a)
 }
 
 // TestSpanBLASOutsideUntouched: span ops must not write outside their
@@ -76,9 +68,6 @@ func TestSpanBLASMatchesFull(t *testing.T) {
 func TestSpanBLASOutsideUntouched(t *testing.T) {
 	const n = 32
 	spans := []Span{{4, 8}, {12, 20}}
-	if got := SpanLen(spans); got != 12 {
-		t.Fatalf("SpanLen = %d, want 12", got)
-	}
 	inSpan := func(i int) bool {
 		for _, s := range spans {
 			if i >= s.Lo && i < s.Hi {

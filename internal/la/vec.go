@@ -71,16 +71,6 @@ func (v Vec) AYPX(alpha float64, x Vec) {
 	}
 }
 
-// WAXPY computes v = alpha*x + y.
-func (v Vec) WAXPY(alpha float64, x, y Vec) {
-	if len(v) != len(x) || len(v) != len(y) {
-		panic("la: WAXPY length mismatch")
-	}
-	for i := range v {
-		v[i] = alpha*x[i] + y[i]
-	}
-}
-
 // Dot returns the inner product of v and x.
 func (v Vec) Dot(x Vec) float64 {
 	if len(v) != len(x) {
@@ -118,30 +108,11 @@ func (v Vec) NormInf() float64 {
 	return m
 }
 
-// PointwiseMult computes v[i] = a[i]*b[i].
-func (v Vec) PointwiseMult(a, b Vec) {
-	if len(v) != len(a) || len(v) != len(b) {
-		panic("la: PointwiseMult length mismatch")
-	}
-	for i := range v {
-		v[i] = a[i] * b[i]
-	}
-}
-
 // Set fills v with the constant alpha.
 func (v Vec) Set(alpha float64) {
 	for i := range v {
 		v[i] = alpha
 	}
-}
-
-// Sum returns the sum of entries of v.
-func (v Vec) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
 }
 
 // HasNaN reports whether any entry of v is NaN or Inf. It is used by the

@@ -35,17 +35,6 @@ func TestVecAYPX(t *testing.T) {
 	}
 }
 
-func TestVecWAXPY(t *testing.T) {
-	w := NewVec(3)
-	w.WAXPY(2, Vec{1, 1, 1}, Vec{3, 4, 5})
-	want := Vec{5, 6, 7}
-	for i := range w {
-		if w[i] != want[i] {
-			t.Fatalf("WAXPY[%d] = %v, want %v", i, w[i], want[i])
-		}
-	}
-}
-
 func TestVecDotNorm(t *testing.T) {
 	v := Vec{3, 4}
 	if got := v.Dot(v); got != 25 {
@@ -82,12 +71,9 @@ func TestVecHasNaN(t *testing.T) {
 
 func TestVecPointwiseMultSumSet(t *testing.T) {
 	v := NewVec(3)
-	v.PointwiseMult(Vec{1, 2, 3}, Vec{4, 5, 6})
+	v.PointwiseMultSpans(Vec{1, 2, 3}, Vec{4, 5, 6}, nil)
 	if v[0] != 4 || v[1] != 10 || v[2] != 18 {
-		t.Fatalf("PointwiseMult = %v", v)
-	}
-	if v.Sum() != 32 {
-		t.Fatalf("Sum = %v, want 32", v.Sum())
+		t.Fatalf("PointwiseMultSpans over the whole vector = %v", v)
 	}
 	v.Set(7)
 	if v[0] != 7 || v[2] != 7 {

@@ -167,25 +167,6 @@ func (da *DA) NodeCoords(n int) (x, y, z float64) {
 	return da.Coords[3*n], da.Coords[3*n+1], da.Coords[3*n+2]
 }
 
-// OnFace reports whether grid node (i,j,k) lies on the given face.
-func (da *DA) OnFace(f Face, i, j, k int) bool {
-	switch f {
-	case XMin:
-		return i == 0
-	case XMax:
-		return i == da.NPx-1
-	case YMin:
-		return j == 0
-	case YMax:
-		return j == da.NPy-1
-	case ZMin:
-		return k == 0
-	case ZMax:
-		return k == da.NPz-1
-	}
-	return false
-}
-
 // ForEachFaceNode calls fn for every node on face f.
 func (da *DA) ForEachFaceNode(f Face, fn func(n, i, j, k int)) {
 	imin, imax := 0, da.NPx-1
@@ -265,17 +246,6 @@ func (bc *BC) SetFaceFunc(da *DA, f Face, fn func(x, y, z float64) (u, v, w floa
 			bc.Val[3*n+c] = vals[c]
 		}
 	})
-}
-
-// NumConstrained returns the number of constrained velocity dofs.
-func (bc *BC) NumConstrained() int {
-	n := 0
-	for _, m := range bc.Mask {
-		if m {
-			n++
-		}
-	}
-	return n
 }
 
 // ApplyToVec overwrites constrained entries of the velocity vector u with

@@ -115,7 +115,8 @@ func TestFaceEnumeration(t *testing.T) {
 		got := 0
 		da.ForEachFaceNode(f, func(n, i, j, k int) {
 			got++
-			if !da.OnFace(f, i, j, k) {
+			at := map[Face]bool{XMin: i == 0, XMax: i == da.NPx-1, YMin: j == 0, YMax: j == da.NPy-1, ZMin: k == 0, ZMax: k == da.NPz-1}
+			if !at[f] {
 				t.Fatalf("node (%d,%d,%d) not on face %v", i, j, k, f)
 			}
 		})
@@ -145,17 +146,10 @@ func TestBCFreeSlip(t *testing.T) {
 		u[i] = 1
 	}
 	bc.ZeroConstrained(u)
-	nC := 0
 	for d, m := range bc.Mask {
-		if m {
-			if u[d] != 0 {
-				t.Fatal("ZeroConstrained missed a dof")
-			}
-			nC++
+		if m && u[d] != 0 {
+			t.Fatal("ZeroConstrained missed a dof")
 		}
-	}
-	if nC != bc.NumConstrained() {
-		t.Fatalf("NumConstrained = %d, counted %d", bc.NumConstrained(), nC)
 	}
 }
 

@@ -54,46 +54,6 @@ func RefreshCoarsenCoords(fine, coarse *DA) {
 	}
 }
 
-// Hierarchy builds a nested hierarchy of nlevels meshes, finest first.
-// It panics if the mesh cannot be coarsened nlevels-1 times.
-func Hierarchy(fine *DA, nlevels int) []*DA {
-	h := make([]*DA, nlevels)
-	h[0] = fine
-	for l := 1; l < nlevels; l++ {
-		h[l] = h[l-1].Coarsen()
-	}
-	return h
-}
-
-// MaxLevels returns the deepest hierarchy the mesh supports (including the
-// fine level itself), coarsening by 2 while all directions stay even.
-func (da *DA) MaxLevels() int {
-	n := 1
-	mx, my, mz := da.Mx, da.My, da.Mz
-	for mx%2 == 0 && my%2 == 0 && mz%2 == 0 && mx >= 2 && my >= 2 && mz >= 2 {
-		mx, my, mz = mx/2, my/2, mz/2
-		n++
-	}
-	return n
-}
-
-// InjectNodalScalar restricts a nodal scalar field from the fine mesh to
-// the coarse mesh by injection (the same rule used for coordinates). It is
-// used to carry projected material-point fields (viscosity, density) down
-// the rediscretized multigrid hierarchy.
-func InjectNodalScalar(fine, coarse *DA, ffield, cfield []float64) {
-	if len(ffield) != fine.NNodes() || len(cfield) != coarse.NNodes() {
-		panic("mesh: InjectNodalScalar length mismatch")
-	}
-	for k := 0; k < coarse.NPz; k++ {
-		for j := 0; j < coarse.NPy; j++ {
-			for i := 0; i < coarse.NPx; i++ {
-				cfield[coarse.NodeID(i, j, k)] = ffield[fine.NodeID(2*i, 2*j, 2*k)]
-			}
-		}
-	}
-}
-
 // RefreshCoarsenBCVals re-inherits the coarse boundary *values* from the
 // fine level after they changed (time-dependent boundary conditions).
 // The masks are part of the cached solver topology and must not change.

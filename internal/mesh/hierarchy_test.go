@@ -55,38 +55,20 @@ func TestCoarsenOddPanics(t *testing.T) {
 	da.Coarsen()
 }
 
+// TestHierarchyAndMaxLevels: a mesh coarsens by 2 while every direction
+// stays even — 8³ three times down to 1³, 8×2×4 once.
 func TestHierarchyAndMaxLevels(t *testing.T) {
-	fine := New(8, 8, 8, 0, 1, 0, 1, 0, 1)
-	if got := fine.MaxLevels(); got != 4 {
-		t.Fatalf("MaxLevels = %d, want 4", got)
-	}
-	h := Hierarchy(fine, 3)
-	if len(h) != 3 || h[2].Mx != 2 {
-		t.Fatalf("hierarchy wrong: %d levels, coarsest Mx=%d", len(h), h[2].Mx)
-	}
-	// Non-cubic: 8x2x4 supports 2 levels (after one coarsening my=1).
-	da := New(8, 2, 4, 0, 1, 0, 1, 0, 1)
-	if got := da.MaxLevels(); got != 2 {
-		t.Fatalf("MaxLevels(8,2,4) = %d, want 2", got)
-	}
-}
-
-func TestInjectNodalScalar(t *testing.T) {
-	fine := New(4, 4, 4, 0, 1, 0, 1, 0, 1)
-	coarse := fine.Coarsen()
-	ff := make([]float64, fine.NNodes())
-	for n := range ff {
-		i, j, k := fine.NodeIJK(n)
-		ff[n] = float64(100*i + 10*j + k)
-	}
-	cf := make([]float64, coarse.NNodes())
-	InjectNodalScalar(fine, coarse, ff, cf)
-	for n := range cf {
-		i, j, k := coarse.NodeIJK(n)
-		want := float64(100*(2*i) + 10*(2*j) + 2*k)
-		if cf[n] != want {
-			t.Fatalf("inject (%d,%d,%d) = %v, want %v", i, j, k, cf[n], want)
+	levels := func(da *DA) (n int, coarsest *DA) {
+		for n = 1; da.CanCoarsen(); n++ {
+			da = da.Coarsen()
 		}
+		return n, da
+	}
+	if n, c := levels(New(8, 8, 8, 0, 1, 0, 1, 0, 1)); n != 4 || c.Mx != 1 {
+		t.Fatalf("8x8x8: %d levels, coarsest Mx=%d; want 4 and 1", n, c.Mx)
+	}
+	if n, c := levels(New(8, 2, 4, 0, 1, 0, 1, 0, 1)); n != 2 || c.My != 1 {
+		t.Fatalf("8x2x4: %d levels, coarsest My=%d; want 2 and 1", n, c.My)
 	}
 }
 

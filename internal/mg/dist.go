@@ -4,9 +4,9 @@ import (
 	"fmt"
 
 	"ptatin3d/internal/comm"
-	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/op"
 )
 
 // Rank-distributed multigrid (paper §II-D + §III-C): every rank runs the
@@ -20,8 +20,9 @@ import (
 // fine reads the level operator's exchange has just made valid, followed
 // by one owner broadcast to the coarse ghosts; prolongation is entirely
 // local (coarse ghost regions cover every read). The coarsest level is
-// gathered to rank 0 (or to the block roots of an Agg layout), solved
-// with the shared coarse solver, and broadcast.
+// gathered to the block roots of an Agg layout (one root, rank 0, unless
+// the caller asks for more), solved with the shared coarse solver, and
+// broadcast.
 //
 // DistMG is a per-rank view over a shared, read-only *MG hierarchy: the
 // level problems, Chebyshev intervals, Jacobi diagonals and the coarse
@@ -74,9 +75,9 @@ type DistMG struct {
 
 // DistOptions tunes a distributed V-cycle view.
 type DistOptions struct {
-	// Agg, when non-nil, agglomerates the coarsest-level solve onto the
-	// block roots of the given layout (redundant subset solves) instead
-	// of gathering everything to rank 0. Must be sized for the world.
+	// Agg agglomerates the coarsest-level solve onto the block roots of
+	// the given layout (redundant subset solves); nil is the one-root
+	// layout, everything to rank 0. Must be sized for the world.
 	Agg *comm.Agg
 }
 
@@ -92,15 +93,6 @@ func (m *DistMG) noteErr(err error) {
 // completed).
 func (m *DistMG) Err() error { return m.err }
 
-// ElementKernel is a matrix-free viscous operator that can apply an
-// element subset: *fem.Resident on resident-backed levels, *fem.TensorOp
-// on the other matrix-free ones. The distributed coupled operator of
-// internal/stokes applies the fine level through the same interface.
-type ElementKernel interface {
-	N() int
-	ApplyElements(elems []int, u, y la.Vec)
-}
-
 // haloElementOp is a matrix-free level operator on a rank: the kernel
 // applied over the rank's elements with the overlapped owner-reduce halo
 // exchange of comm.Dist.ApplyElements. On a resident-backed level the
@@ -111,12 +103,13 @@ type ElementKernel interface {
 type haloElementOp struct {
 	mg   *DistMG
 	dist *comm.Dist
-	k    ElementKernel
+	n    int
+	k    comm.ElementKernel
 	mask []bool
 }
 
 // N returns the velocity-dof dimension.
-func (o *haloElementOp) N() int { return o.k.N() }
+func (o *haloElementOp) N() int { return o.n }
 
 // Apply computes the distributed y = A·x (valid on owned+ghost rows).
 func (o *haloElementOp) Apply(x, y la.Vec) {
@@ -159,23 +152,24 @@ func (o *haloCSROp) Apply(x, y la.Vec) {
 // NewDist builds rank r's distributed view of the shared hierarchy.
 // dists[l] is the rank's comm handle for level l (finest first), whose
 // decompositions must nest (ValidateNestedDecomps). A level applies
-// what the shared level applies: the shared resident kernel element by
-// element where there is one — also when the level keeps an assembled
-// matrix as a Galerkin input — else the assembled matrix row-distributed
-// (haloCSROp), else the tensor kernel rediscretized per rank. Smoothers
+// what the shared level applies: the assembled matrix row-distributed
+// (haloCSROp) unless the level has resident backing and keeps the matrix
+// only as a Galerkin input, else its element kernel (op.ElementKernel: the
+// shared resident kernel, or the tensor kernel per rank). Smoothers
 // reuse the shared Chebyshev interval and Jacobi diagonal, so all ranks —
 // and the shared solve — run the identical smoother recurrence. opt
-// carries the coarse-solve agglomeration (the zero value gathers to
+// carries the coarse-solve agglomeration (the zero value is one root,
 // rank 0).
 func NewDist(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
 	if len(dists) != len(base.Levels) {
 		return nil, fmt.Errorf("mg: %d dist handles for %d levels", len(dists), len(base.Levels))
 	}
-	if opt.Agg != nil && len(dists) > 0 && opt.Agg.Size != dists[0].R.W.Size() {
-		return nil, fmt.Errorf("mg: agglomeration sized for %d ranks on a %d-rank world",
-			opt.Agg.Size, dists[0].R.W.Size())
-	}
 	m := &DistMG{base: base, coarse: dists[len(dists)-1], agg: opt.Agg}
+	if size := m.coarse.R.W.Size(); m.agg == nil {
+		m.agg = &comm.Agg{Size: size, Roots: 1}
+	} else if m.agg.Size != size {
+		return nil, fmt.Errorf("mg: agglomeration sized for %d ranks on a %d-rank world", m.agg.Size, size)
+	}
 	m.coarsest = m.solveCoarsest
 	for l, lev := range base.Levels {
 		if lev.Prob == nil {
@@ -183,12 +177,10 @@ func NewDist(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
 		}
 		spans := dists[l].L.VelSpans()
 		v := levelView{spans: spans}
-		if lev.Blocked != nil {
-			v.op = &haloElementOp{mg: m, dist: dists[l], k: lev.Blocked.R, mask: lev.Prob.BC.Mask}
-		} else if csr := lev.Op.CSR(); csr != nil {
+		if csr := lev.Op.CSR(); csr != nil && lev.Blocked == nil {
 			v.op = &haloCSROp{mg: m, dist: dists[l], a: csr, spans: spans}
 		} else {
-			v.op = &haloElementOp{mg: m, dist: dists[l], k: fem.NewTensor(lev.Prob), mask: lev.Prob.BC.Mask}
+			v.op = &haloElementOp{mg: m, dist: dists[l], n: lev.Op.N(), k: op.ElementKernel(lev.Op, lev.Prob), mask: lev.Prob.BC.Mask}
 		}
 		sm := lev.Smoother
 		// The smoother's Jacobi diagonal is shared read-only; wrap it in
@@ -240,21 +232,14 @@ func (t rankTransfer) ApplyTranspose(rf, rc la.Vec) {
 }
 
 // solveCoarsest solves the coarsest level collectively into the zeroed x
-// (every level is entered from a zero guess): without an Agg
-// layout, gather the right-hand side to rank 0, apply the shared
-// coarse solver there, and broadcast; with one, funnel to the block
-// roots and solve redundantly on each (comm.AggGatherSolveBroadcast),
-// idle clients pre-zeroing the finer level's correction buffer — the
-// next write target after the coarse solve — while the roots work.
+// (every level is entered from a zero guess): funnel the right-hand side
+// to the block roots of the Agg layout, apply the shared coarse solver
+// redundantly on each and broadcast (comm.AggGatherSolveBroadcast), idle
+// clients pre-zeroing the finer level's correction buffer — the next
+// write target after the coarse solve — while the roots work.
 func (m *DistMG) solveCoarsest(b, x la.Vec) {
 	if m.base.CoarseSolve == nil {
 		m.smoothOnly(b, x)
-		return
-	}
-	if m.agg == nil {
-		m.noteErr(m.coarse.GatherSolveBroadcast(b, x, func() {
-			m.base.CoarseSolve.Apply(b, x)
-		}))
 		return
 	}
 	finer := &m.lev[len(m.lev)-2] // Build wants two levels

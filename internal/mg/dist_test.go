@@ -261,7 +261,7 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 				return
 			}
 			for l := 0; l < levels-1; l++ {
-				if h, ok := dmg.lev[l].op.(*haloElementOp); !ok || h.k != ElementKernel(mgp.Levels[l].Blocked.R) {
+				if h, ok := dmg.lev[l].op.(*haloElementOp); !ok || h.k != comm.ElementKernel(mgp.Levels[l].Blocked.R) {
 					t.Errorf("rank %d: level %d is %T; want the halo operator over the shared resident kernel", r.ID, l, dmg.lev[l].op)
 				}
 			}

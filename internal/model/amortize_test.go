@@ -4,6 +4,7 @@ import (
 	"io"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"ptatin3d/internal/driver"
@@ -195,6 +196,34 @@ func TestPrepareSkipsRepeatedCoefficientUpdate(t *testing.T) {
 		}
 		if len(nop.Fac) != fem.NQP*m.Prob.DA.NElements() || nonzero == 0 {
 			t.Fatalf("Newton factor: %d entries, %d nonzero", len(nop.Fac), nonzero)
+		}
+	}
+}
+
+// TestSetupFailureStopsBeforeAnySolve: a spec whose solver set-up fails (it
+// names a coarse solver nobody builds) stops the Stokes solve at its first
+// relinearisation — no inner solve runs on either backend, no stand-in
+// operator is iterated on — and the error names the set-up.
+func TestSetupFailureStopsBeforeAnySolve(t *testing.T) {
+	spec, err := scenario.Get("sinker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Resolution = spec.SmallResolution()
+	spec.Solver.CoarseSolver = "nobody"
+	for _, inner := range []model.StokesBackend{model.SharedBackend{}, model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})} {
+		m, err := scenario.Compile(spec, 1)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		var solves []krylov.Op
+		m.Backend = jopBackend{inner, &solves}
+		res, err := m.SolveStokes()
+		if err == nil || !strings.Contains(err.Error(), "preconditioner setup") || !strings.Contains(err.Error(), `unknown coarse solver "nobody"`) {
+			t.Fatalf("%s: err = %v; want the failed set-up named", inner.Name(), err)
+		}
+		if len(solves) != 0 || res.KrylovIts != 0 || res.Iterations != 0 {
+			t.Fatalf("%s: %d inner solves, %d Krylov and %d outer iterations after a failed set-up; want none", inner.Name(), len(solves), res.KrylovIts, res.Iterations)
 		}
 	}
 }

@@ -18,9 +18,8 @@ type StokesBackend interface {
 	Name() string
 	// LinearSolve solves J·δ = rhs to the tolerances in prm, writing the
 	// correction into delta (already zeroed). s is the preconditioner
-	// stack built by the current relinearization; it is nil when the
-	// preconditioner setup failed, in which case the backend must fall
-	// back to the serial jop/pc path so the outer loop can terminate.
+	// stack built by the current relinearization, never nil: a failed
+	// setup stops the nonlinear loop before any solve.
 	LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result
 }
 
@@ -44,9 +43,7 @@ func (SharedBackend) Name() string { return "shared" }
 
 // LinearSolve implements StokesBackend.
 func (SharedBackend) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
-	if s != nil {
-		prm.Work = &s.Work
-	}
+	prm.Work = &s.Work
 	return krylov.Solve(method, jop, pc, rhs, delta, prm)
 }
 
@@ -79,11 +76,6 @@ func (b *DistributedBackend) Ranks() int { return b.Px * b.Py * b.Pz }
 
 // LinearSolve implements StokesBackend.
 func (b *DistributedBackend) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
-	if s == nil {
-		// Preconditioner setup failed upstream: run the serial fallback
-		// pair so the outer loop can observe the failure and stop.
-		return SharedBackend{}.LinearSolve(nil, method, jop, pc, rhs, delta, prm)
-	}
 	// A wrapped operator (a tracing harness) hides its element kernel;
 	// the ranks then apply the solver's own Picard operator, which the
 	// nonlinear loop tolerates as an inexact linearization.

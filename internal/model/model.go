@@ -363,7 +363,6 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 		return facQP
 	}
 
-	var buildErr error
 	// prepared is the solver stack of the current relinearization; the
 	// backend hook below needs it (the serial path reaches it through
 	// the returned jop/pc instead).
@@ -375,17 +374,13 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 			fem.MomentumRHS(prob, bu)
 			resOp.Residual(x, bu, f)
 		},
-		Prepare: func(x la.Vec) (krylov.Op, krylov.Preconditioner) {
+		Prepare: func(x la.Vec) (krylov.Op, krylov.Preconditioner, error) {
 			facQP := updateCoefficients(x, m.UseNewton)
 			t0 := time.Now()
 			s, reused, err := m.stokesCtx.Prepare(prob, m.StokesConfig())
 			m.stage.stokesSetup += time.Since(t0)
 			if err != nil {
-				buildErr = err
-				prepared = nil
-				// Fall back to identity so the outer loop can terminate.
-				id := krylov.OpFunc{Dim: ncoup, F: func(a, b la.Vec) { b.Copy(a) }}
-				return id, krylov.Identity{}
+				return nil, nil, fmt.Errorf("preconditioner setup: %w", err)
 			}
 			if reused {
 				m.stage.setupReused++
@@ -399,9 +394,9 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 				sc.d6 = grown(sc.d6, 6*fem.NQP*prob.DA.NElements())
 				fem.StrainRateAtQP(prob, x[:nu], sc.d6, nil)
 				nop := fem.NewNewton(fem.NewTensor(prob), sc.d6, facQP)
-				return stokes.NewOp(prob, nop, coupling), s.FS
+				return stokes.NewOp(prob, nop, coupling), s.FS, nil
 			}
-			return s.Op, s.FS
+			return s.Op, s.FS, nil
 		},
 		Method:      "fgmres",
 		InnerParams: m.Cfg.Params,
@@ -416,9 +411,6 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	if tel := m.Telemetry; tel != nil {
 		tel.Counter("solver_breakdowns").Add(int64(res.Breakdowns))
 		tel.Counter("solver_fallbacks").Add(int64(res.Fallbacks))
-	}
-	if buildErr != nil {
-		return res, fmt.Errorf("model: preconditioner setup: %w", buildErr)
 	}
 	if res.Err != nil {
 		return res, fmt.Errorf("model: stokes solve: %w", res.Err)

@@ -6,7 +6,6 @@ import (
 	"os"
 
 	"ptatin3d/internal/fem"
-	"ptatin3d/internal/la"
 	"ptatin3d/internal/mpm"
 )
 
@@ -201,10 +200,4 @@ func (m *Model) WriteStreamlinesVTK(path string, seeds [][3]float64, h float64, 
 		off += len(l)
 	}
 	return w.Flush()
-}
-
-// KineticEnergy returns ½∫|u|² as a scalar diagnostic of flow vigour.
-func (m *Model) KineticEnergy() float64 {
-	u := m.Velocity()
-	return 0.5 * la.Vec(u).Dot(la.Vec(u))
 }

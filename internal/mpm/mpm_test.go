@@ -287,7 +287,7 @@ func TestMigrateProtocol(t *testing.T) {
 			}
 		}
 		n0 := local.Len()
-		_ = r.AllReduceSum(0) // warm the reduction path
+		r.Barrier() // every rank seeded before any moves
 		AdvectRK2(p, u, 0.5, local, 1)
 		sc := reg.Root().Child("mpm").Child(fmt.Sprintf("rank%d", r.ID))
 		st, err := Migrate(r, d, p, local, sc)

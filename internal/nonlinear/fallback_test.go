@@ -1,6 +1,7 @@
 package nonlinear
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -15,8 +16,8 @@ func transientNaNSystem(n, poisoned int) (System, la.Vec) {
 	sys, x0 := nlDiffusion(n)
 	inner := sys.Prepare
 	calls := 0
-	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner) {
-		op, pc := inner(x)
+	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner, error) {
+		op, pc, err := inner(x)
 		wrapped := krylov.OpFunc{Dim: n, F: func(v, y la.Vec) {
 			op.Apply(v, y)
 			calls++
@@ -24,7 +25,7 @@ func transientNaNSystem(n, poisoned int) (System, la.Vec) {
 				y[0] = math.NaN()
 			}
 		}}
-		return wrapped, pc
+		return wrapped, pc, err
 	}
 	return sys, x0
 }
@@ -63,7 +64,7 @@ func TestFallbackExhaustedReportsTypedError(t *testing.T) {
 	if res.Err == nil {
 		t.Fatal("Err not set after fallback exhaustion")
 	}
-	if _, ok := krylov.AsBreakdown(res.Err); !ok {
+	if !errors.As(res.Err, new(*krylov.BreakdownError)) {
 		t.Fatalf("error chain lacks *krylov.BreakdownError: %v", res.Err)
 	}
 	if res.Breakdowns == 0 || res.Fallbacks != 0 {

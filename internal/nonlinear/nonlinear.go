@@ -23,8 +23,9 @@ type System struct {
 	Residual func(x, f la.Vec)
 	// Prepare relinearizes around x and returns the Jacobian operator and
 	// its preconditioner. Called once per outer iteration. For a Picard
-	// iteration, return the Picard operator here.
-	Prepare func(x la.Vec) (krylov.Op, krylov.Preconditioner)
+	// iteration, return the Picard operator here. An error stops the
+	// solve before any inner solve of that iteration (Result.Err).
+	Prepare func(x la.Vec) (krylov.Op, krylov.Preconditioner, error)
 	// Method selects the inner Krylov method, "gcr" or "fgmres"
 	// (krylov.Solve); any other name fails the solve through Result.Err.
 	Method string
@@ -90,7 +91,8 @@ type Result struct {
 	Fallbacks     int // breakdowns recovered by switching Krylov method
 	// Err carries the typed inner breakdown (*krylov.BreakdownError in
 	// its chain) when even the fallback method broke down and the outer
-	// iteration had to abort, or names an unknown System.Method.
+	// iteration had to abort, the error of a failed System.Prepare, or
+	// names an unknown System.Method.
 	Err error
 }
 
@@ -150,7 +152,11 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 			res.Converged = true
 			break
 		}
-		jop, pc := sys.Prepare(x)
+		jop, pc, err := sys.Prepare(x)
+		if err != nil {
+			res.Err = fmt.Errorf("nonlinear: outer iteration %d: set-up: %w", it, err)
+			break
+		}
 
 		// Eisenstat–Walker forcing (choice 2), with the standard
 		// safeguard η_k ≥ γ·η_{k−1}^α when the previous forcing was large.

@@ -39,7 +39,7 @@ func nlDiffusion(n int) (System, la.Vec) {
 		Method:      "fgmres",
 		InnerParams: krylov.Params{RTol: 1e-4, ATol: 1e-300, MaxIt: 400, Restart: 50},
 	}
-	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner) {
+	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner, error) {
 		xc := x.Clone()
 		op := krylov.OpFunc{Dim: n, F: func(v, y la.Vec) {
 			lap(v, y)
@@ -53,7 +53,7 @@ func nlDiffusion(n int) (System, la.Vec) {
 			c := math.Cosh(xc[i])
 			diag[i] = 2 + 1/(c*c)
 		}
-		return op, krylov.NewJacobi(diag)
+		return op, krylov.NewJacobi(diag), nil
 	}
 	return sys, la.NewVec(n)
 }
@@ -95,7 +95,7 @@ func TestPicardVsNewton(t *testing.T) {
 	n := 40
 	sysN, xN := nlDiffusion(n)
 	sysP, xP := nlDiffusion(n)
-	sysP.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner) {
+	sysP.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner, error) {
 		xc := x.Clone()
 		coef := func(v float64) float64 {
 			if math.Abs(v) < 1e-12 {
@@ -119,7 +119,7 @@ func TestPicardVsNewton(t *testing.T) {
 		for i := range diag {
 			diag[i] = 2 + coef(xc[i])
 		}
-		return op, krylov.NewJacobi(diag)
+		return op, krylov.NewJacobi(diag), nil
 	}
 	opt := DefaultOptions()
 	opt.RTol = 1e-8
@@ -173,10 +173,10 @@ func TestLineSearchRescuesOvershoot(t *testing.T) {
 		Method:      "fgmres",
 		InnerParams: krylov.Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 10, Restart: 5},
 	}
-	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner) {
+	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner, error) {
 		xc := x[0]
 		op := krylov.OpFunc{Dim: 1, F: func(v, y la.Vec) { y[0] = v[0] / (1 + xc*xc) }}
-		return op, krylov.Identity{}
+		return op, krylov.Identity{}, nil
 	}
 	x := la.Vec{3}
 	opt := DefaultOptions()

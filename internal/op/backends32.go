@@ -1,6 +1,7 @@
 package op
 
 import (
+	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/perfmodel"
@@ -21,6 +22,22 @@ func ResidentOf(o Operator) *fem.Resident {
 		return v.Resident()
 	}
 	return nil
+}
+
+// ElementKernel returns the per-element form of a viscous operator on
+// prob, what a rank applies over its own elements: the resident backing
+// when there is one — the same stored tensors the shared apply streams —
+// else the operator itself when it applies element subsets (fem.NewtonOp,
+// fem.TensorOp), else the tensor kernel of the problem (an assembled or
+// wrapped operator: the ranks apply it matrix-free).
+func ElementKernel(a fem.Operator, prob *fem.Problem) comm.ElementKernel {
+	if rb, ok := a.(ResidentBacked); ok {
+		return rb.Resident()
+	}
+	if k, ok := a.(comm.ElementKernel); ok {
+		return k
+	}
+	return fem.NewTensor(prob)
 }
 
 // residentCost scales the stored-coefficient per-element counts to the

@@ -48,29 +48,3 @@ func (f *Fabric) AllReduceNs(ranks, width int) int64 {
 	hops := 2 * int(math.Ceil(math.Log2(float64(ranks))))
 	return int64(hops) * f.MsgNs(8*width)
 }
-
-// CoarseGatherNs returns the modeled critical-path cost of funneling
-// per-rank coarse vectors of bytesPerRank to `roots` agglomeration
-// roots and broadcasting bytesBack to every rank: each root serializes
-// its block's messages (the all-ranks scheme, roots=1, pays the full
-// P−1 serialization that motivates agglomeration).
-func (f *Fabric) CoarseGatherNs(ranks, roots, bytesPerRank, bytesBack int) int64 {
-	if ranks <= 1 {
-		return 0
-	}
-	if roots < 1 {
-		roots = 1
-	}
-	if roots > ranks {
-		roots = ranks
-	}
-	blk := (ranks + roots - 1) / roots // largest block
-	var ns int64
-	// Clients → root within the largest block, serialized at the root.
-	ns += int64(blk-1) * f.MsgNs(bytesPerRank)
-	// Root group all-gather of combined blocks.
-	ns += int64(roots-1) * f.MsgNs(blk*bytesPerRank)
-	// Root → clients solution broadcast.
-	ns += int64(blk-1) * f.MsgNs(bytesBack)
-	return ns
-}

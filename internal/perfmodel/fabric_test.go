@@ -37,26 +37,3 @@ func TestFabricAllReduceNs(t *testing.T) {
 		}
 	}
 }
-
-// TestFabricCoarseGatherNs: agglomeration must strictly shrink the
-// modeled critical path versus the all-to-rank-0 funnel, and the
-// roots==ranks corner (fully redundant, no funnel) must be cheapest.
-func TestFabricCoarseGatherNs(t *testing.T) {
-	f := DefaultFabric()
-	const ranks, bpr, back = 512, 4096, 4096
-	legacy := f.CoarseGatherNs(ranks, 1, bpr, back)
-	agg := f.CoarseGatherNs(ranks, 8, bpr, back)
-	if agg >= legacy {
-		t.Fatalf("8-root agglomeration (%d ns) not cheaper than all-to-rank-0 (%d ns)", agg, legacy)
-	}
-	if f.CoarseGatherNs(1, 1, bpr, back) != 0 {
-		t.Fatal("single-rank coarse gather should cost 0")
-	}
-	// Degenerate root counts clamp instead of misbehaving.
-	if f.CoarseGatherNs(8, 0, bpr, back) != f.CoarseGatherNs(8, 1, bpr, back) {
-		t.Fatal("roots=0 must clamp to 1")
-	}
-	if f.CoarseGatherNs(8, 99, bpr, back) != f.CoarseGatherNs(8, 8, bpr, back) {
-		t.Fatal("roots>ranks must clamp to ranks")
-	}
-}

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 
 	"ptatin3d/internal/krylov"
@@ -290,32 +289,6 @@ func autoLevels(mx, my, mz int) int {
 		n++
 	}
 	return n
-}
-
-// MaxViscosityContrast estimates the spec's viscosity contrast from the
-// lithology table's Eta0 range (clip bounds included when set) — the
-// quantity that decides whether the FGMRES restart window needs
-// widening.
-func (s Spec) MaxViscosityContrast() float64 {
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, l := range s.Lithologies {
-		e := l.Eta0
-		if e <= 0 {
-			continue
-		}
-		lo = math.Min(lo, e)
-		hi = math.Max(hi, e)
-		if l.EtaMin > 0 {
-			lo = math.Min(lo, l.EtaMin)
-		}
-		if l.EtaMax > 0 {
-			hi = math.Max(hi, l.EtaMax)
-		}
-	}
-	if !(hi > 0) || math.IsInf(lo, 1) {
-		return 1
-	}
-	return hi / lo
 }
 
 // RemovedKeyError reports a key of a saved spec that earlier versions

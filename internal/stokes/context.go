@@ -35,9 +35,6 @@ type Context struct {
 // re-derives everything geometry-dependent.
 func (c *Context) InvalidateGeometry() { c.geomDirty = true }
 
-// Solver returns the cached solver (nil before the first Prepare).
-func (c *Context) Solver() *Solver { return c.s }
-
 // Coupling returns gradient/divergence blocks for prob's mesh as it is
 // now: the cached solver's own — an announced mesh move is taken up here
 // rather than at the next Prepare — so that a residual evaluated before

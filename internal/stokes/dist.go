@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"ptatin3d/internal/comm"
-	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mg"
@@ -52,8 +51,8 @@ type DistOptions struct {
 	// allreduces per outer GCR/FGMRES iteration instead of one per inner
 	// product.
 	Pipelined bool
-	// CoarseRoots > 0 agglomerates the coarsest-level solve onto that
-	// many block roots (comm.Agg); 0 keeps the all-to-rank-0 gather.
+	// CoarseRoots agglomerates the coarsest-level solve onto that many
+	// block roots (comm.Agg); 0 means 1, everything to rank 0.
 	CoarseRoots int
 	// Fabric, when non-nil, prices every interconnect operation of the
 	// solve in modeled nanoseconds (RankStats.Fabric*Ns).
@@ -82,7 +81,7 @@ func (s *errSink) note(err error) {
 // (§II-D latency hiding).
 type distOp struct {
 	op    *Op
-	auu   mg.ElementKernel
+	auu   comm.ElementKernel
 	dist  *comm.Dist
 	sink  *errSink
 	spans []la.Span // coupled owned+ghost windows
@@ -172,21 +171,6 @@ func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 		spans = la.AppendSpan(spans, op.Nu+4*e, op.Nu+4*e+4)
 	}
 	return spans
-}
-
-// elementKernel returns the per-element form of a viscous block: its
-// resident backing when it has one — the same stored tensors the shared
-// coupled matvec streams — else the operator itself when it applies
-// element subsets (fem.NewtonOp, fem.TensorOp), else the tensor kernel of
-// the problem (an assembled fine level: the ranks apply it matrix-free).
-func elementKernel(auu fem.Operator, prob *fem.Problem) mg.ElementKernel {
-	if rb, ok := auu.(op.ResidentBacked); ok {
-		return rb.Resident()
-	}
-	if k, ok := auu.(mg.ElementKernel); ok {
-		return k
-	}
-	return fem.NewTensor(prob)
 }
 
 // SolveDistributed performs one linear Stokes solve exactly like Solve,
@@ -332,17 +316,13 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 	for rid := 0; rid < size; rid++ {
 		before[rid] = rankCommCounters(tel.Child(fmt.Sprintf("rank%d", rid)), rid)
 	}
-	var agg *comm.Agg
-	if opt.CoarseRoots > 0 {
-		a, err := comm.NewAgg(size, opt.CoarseRoots)
-		if err != nil {
-			return krylov.Result{}, nil, err
-		}
-		agg = a
+	agg, err := comm.NewAgg(size, max(opt.CoarseRoots, 1))
+	if err != nil {
+		return krylov.Result{}, nil, err
 	}
 	// One kernel serves every rank: element applies keep their scratch on
 	// the stack or in a pool.
-	auu := elementKernel(jop.Auu, s.Prob)
+	auu := op.ElementKernel(jop.Auu, s.Prob)
 	w := comm.NewWorld(size)
 	if opt.Fabric != nil {
 		w.SetFabric(opt.Fabric)

@@ -2,10 +2,12 @@ package stokes
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"ptatin3d/internal/fem"
+	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/perfmodel"
@@ -150,6 +152,41 @@ func TestDistributedSolvePipelinedAgg(t *testing.T) {
 		}
 		if st.FabricAllReduceNs == 0 || st.FabricHaloNs == 0 || st.FabricCoarseNs == 0 {
 			t.Fatalf("rank %d: fabric charges missing: %+v", st.Rank, st)
+		}
+	}
+}
+
+// TestCoarseRootsZeroIsOne: CoarseRoots 0 and 1 are one layout — the
+// coarsest level gathered to rank 0 — and one code path: the same bits in
+// the solution, the same iterations and, with a fabric model installed,
+// the same communication record on every rank, the coarse gather charged
+// (CoarseRoots 0 used to run a second collective that charged nothing).
+func TestCoarseRootsZeroIsOne(t *testing.T) {
+	p, def := sinkerProblem(4, 100, 1)
+	cfg := sinkerConfig(p, def)
+	cfg.Levels = 2
+	s, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bu := la.NewVec(p.DA.NVelDOF())
+	fem.MomentumRHS(p, bu)
+	solve := func(roots int) (la.Vec, krylov.Result, []RankStats) {
+		x := la.NewVec(s.Op.N())
+		res, stats, err := s.SolveDistributed(x, bu, 2, 1, 1, DistOptions{CoarseRoots: roots, Fabric: perfmodel.DefaultFabric()})
+		if err != nil || !res.Converged {
+			t.Fatalf("CoarseRoots %d: converged %v, err %v", roots, res.Converged, err)
+		}
+		return x, res, stats
+	}
+	x0, res0, stats0 := solve(0)
+	x1, res1, stats1 := solve(1)
+	if res0.Iterations != res1.Iterations || !slices.Equal(x0, x1) {
+		t.Fatalf("CoarseRoots 0 took %d iterations, 1 took %d; solutions equal: %v", res0.Iterations, res1.Iterations, slices.Equal(x0, x1))
+	}
+	for r := range stats0 {
+		if stats0[r] != stats1[r] || stats0[r].FabricCoarseNs == 0 {
+			t.Fatalf("rank %d: CoarseRoots 0 %+v, CoarseRoots 1 %+v; want equal with the coarse gather charged", r, stats0[r], stats1[r])
 		}
 	}
 }

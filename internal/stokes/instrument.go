@@ -10,7 +10,7 @@ import (
 // OpProbe wraps a linear operator, recording call counts and wall time
 // into a telemetry timer. It provides the "MatMult" column of Table IV.
 // The Solver always backs its probes with a registry (a private one when
-// Config.Telemetry is nil), so Calls/Elapsed are always live.
+// Config.Telemetry is nil), so Elapsed is always live.
 type OpProbe struct {
 	Inner interface {
 		N() int
@@ -37,14 +37,8 @@ func (p *OpProbe) Apply(x, y la.Vec) {
 	p.t.Stop(st)
 }
 
-// Calls reports the number of applications so far.
-func (p *OpProbe) Calls() int { return int(p.t.Calls()) }
-
 // Elapsed reports the accumulated application wall time.
 func (p *OpProbe) Elapsed() time.Duration { return p.t.Elapsed() }
-
-// Reset clears the counters.
-func (p *OpProbe) Reset() { p.t.Reset() }
 
 // PCProbe wraps a preconditioner, recording call counts and wall time into
 // a telemetry timer. It provides the "PC apply" column of Table IV and the
@@ -66,11 +60,5 @@ func (p *PCProbe) Apply(r, z la.Vec) {
 	p.t.Stop(st)
 }
 
-// Calls reports the number of applications so far.
-func (p *PCProbe) Calls() int { return int(p.t.Calls()) }
-
 // Elapsed reports the accumulated application wall time.
 func (p *PCProbe) Elapsed() time.Duration { return p.t.Elapsed() }
-
-// Reset clears the counters.
-func (p *PCProbe) Reset() { p.t.Reset() }

@@ -396,11 +396,13 @@ func TestInstrumentation(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("solve failed")
 	}
-	if s.MatMult.Calls() == 0 || s.PCApply.Calls() == 0 {
-		t.Fatalf("instrumentation missed calls: matmult %d, pc %d", s.MatMult.Calls(), s.PCApply.Calls())
+	outer := s.Tel.Child("outer")
+	matmult, pcapply := outer.Timer("matmult").Calls(), outer.Timer("pcapply").Calls()
+	if matmult == 0 || pcapply == 0 {
+		t.Fatalf("instrumentation missed calls: matmult %d, pc %d", matmult, pcapply)
 	}
-	if s.PCApply.Calls() != res.Iterations {
-		t.Fatalf("PC applies %d != iterations %d", s.PCApply.Calls(), res.Iterations)
+	if int(pcapply) != res.Iterations {
+		t.Fatalf("PC applies %d != iterations %d", pcapply, res.Iterations)
 	}
 	if s.SetupTime <= 0 {
 		t.Fatal("setup not timed")

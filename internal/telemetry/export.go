@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"time"
 )
 
 // TimerSnapshot is the exported form of a Timer.
@@ -212,7 +211,3 @@ func writeExtras(w io.Writer, sn *ScopeSnapshot, prefix string) {
 		writeExtras(w, c, path)
 	}
 }
-
-// Since is a convenience for gauge-style one-shot timings:
-// scope.Gauge("setup_seconds").Set(telemetry.Since(start)).
-func Since(start time.Time) float64 { return time.Since(start).Seconds() }

@@ -57,14 +57,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	if c == nil {
-		return
-	}
-	c.v.Store(0)
-}
-
 // Timer accumulates call counts and wall time of a code region.
 type Timer struct {
 	calls atomic.Int64
@@ -113,15 +105,6 @@ func (t *Timer) Elapsed() time.Duration {
 		return 0
 	}
 	return time.Duration(t.ns.Load())
-}
-
-// Reset zeroes the timer.
-func (t *Timer) Reset() {
-	if t == nil {
-		return
-	}
-	t.calls.Store(0)
-	t.ns.Store(0)
 }
 
 // Gauge is a last-value instrument (e.g. final residual norm, setup time).
@@ -175,26 +158,6 @@ func (s *Series) Values() []float64 {
 	return out
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.v)
-}
-
-// Reset clears the trace.
-func (s *Series) Reset() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	s.v = s.v[:0]
-	s.mu.Unlock()
-}
-
 // Scope is a node of the hierarchical instrument namespace. Instruments
 // and child scopes are created on first use and are stable thereafter, so
 // handles can be cached at setup time. All methods are nil-safe: a nil
@@ -210,14 +173,6 @@ type Scope struct {
 	timers   map[string]*Timer
 	gauges   map[string]*Gauge
 	series   map[string]*Series
-}
-
-// Name returns the scope's name ("" on nil).
-func (s *Scope) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }
 
 // Child returns (creating if needed) the named child scope, or nil on a

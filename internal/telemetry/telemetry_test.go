@@ -44,7 +44,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	sr := sc.Series("s")
 	sr.Append(1)
-	if sr.Values() != nil || sr.Len() != 0 {
+	if sr.Values() != nil {
 		t.Fatal("nil series must be empty")
 	}
 	if snap := sc.Snapshot(); snap != nil {
@@ -89,12 +89,6 @@ func TestInstrumentValues(t *testing.T) {
 	sr.Append(0.5)
 	if v := sr.Values(); len(v) != 2 || v[1] != 0.5 {
 		t.Fatalf("series = %v", v)
-	}
-	c.Reset()
-	tm.Reset()
-	sr.Reset()
-	if c.Value() != 0 || tm.Calls() != 0 || sr.Len() != 0 {
-		t.Fatal("reset failed")
 	}
 }
 
@@ -143,8 +137,8 @@ func TestConcurrentRecording(t *testing.T) {
 	if sc.Timer("busy").Calls() != 8000 {
 		t.Fatalf("lost timer calls: %d", sc.Timer("busy").Calls())
 	}
-	if sc.Series("trace").Len() != 80 {
-		t.Fatalf("lost series points: %d", sc.Series("trace").Len())
+	if n := len(sc.Series("trace").Values()); n != 80 {
+		t.Fatalf("lost series points: %d", n)
 	}
 }
 

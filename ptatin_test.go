@@ -23,7 +23,11 @@ func TestFacadeSinkerLifecycle(t *testing.T) {
 	if len(m.Stats) != 1 || m.Stats[0].Dt <= 0 {
 		t.Fatalf("stats not recorded: %+v", m.Stats)
 	}
-	if ke := m.KineticEnergy(); ke <= 0 || math.IsNaN(ke) {
+	var ke float64
+	for _, v := range m.Velocity() {
+		ke += 0.5 * v * v
+	}
+	if ke <= 0 || math.IsNaN(ke) {
 		t.Fatalf("kinetic energy %v", ke)
 	}
 	line := m.Streamline(0.5, 0.5, 0.7, 0.05, 50)

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate for the repository (see README.md): formatting, vet, build,
+# the reachability pass (no function under internal/ or cmd/ that no
+# non-test code reaches, beyond the reasons of scripts/unreached/keep.txt),
 # a cross-build of the portable (non-amd64) file set, a guard that no
 # assembly file fuses a multiply-add or returns to Go with dirty upper YMM
 # halves, the full test suite, a short-mode pass under the race detector, a
@@ -55,6 +57,11 @@ go vet ./...
 
 echo "== go build =="
 go build ./...
+
+# Type-checked, so a name collision cannot hide a caller-less function the
+# way it hides one from grep; a keep line that holds nothing back fails too.
+echo "== reachability: every function of internal/ and cmd/ is reached by non-test code or kept for a written reason =="
+go run ./scripts/unreached
 
 # The element kernel has an assembly encoding on amd64 only: the other file
 # set (tensor_noasm.go, vector_noasm.go) must keep compiling. No network:
