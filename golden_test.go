@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/fem"
@@ -48,11 +49,14 @@ var goldenCounters = [][]string{
 }
 
 func counterAt(sn *telemetry.ScopeSnapshot, path []string) int64 {
-	sc := sn.Find(path[:len(path)-1]...)
-	if sc == nil {
-		return -1
+	for _, name := range path[:len(path)-1] {
+		i := slices.IndexFunc(sn.Children, func(c *telemetry.ScopeSnapshot) bool { return c.Name == name })
+		if i < 0 {
+			return -1
+		}
+		sn = sn.Children[i]
 	}
-	return sc.Counters[path[len(path)-1]]
+	return sn.Counters[path[len(path)-1]]
 }
 
 // solveGolden runs one Stokes solve with telemetry attached and collapses
@@ -292,12 +296,7 @@ func TestGoldenResidualTrace(t *testing.T) {
 	if !res.Converged {
 		t.Fatalf("solve failed after %d its", res.Iterations)
 	}
-	sn := reg.Root().Snapshot()
-	kr := sn.Find("krylov")
-	if kr == nil {
-		t.Fatal("no krylov telemetry scope")
-	}
-	trace := kr.Series["residual"]
+	trace := reg.Root().Child("krylov").Series("residual").Values()
 	if len(trace) < 2 {
 		t.Fatalf("residual trace too short: %v", trace)
 	}

@@ -176,10 +176,9 @@ func TestConcurrentParAndHaloStress(t *testing.T) {
 		}
 	}
 	// And the per-rank telemetry must account for every application.
-	sn := reg.Root().Snapshot()
 	for rid := 0; rid < d.Size(); rid++ {
-		sc := sn.Find("stress", "rank"+string(rune('0'+rid)))
-		if sc == nil || sc.Counters["applies"] != int64(iters) {
+		sc := mpmScope.Child("rank" + string(rune('0'+rid))).Snapshot()
+		if sc.Counters["applies"] != int64(iters) {
 			t.Fatalf("rank %d telemetry lost applications: %+v", rid, sc)
 		}
 	}

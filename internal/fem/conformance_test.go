@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/krylov"
@@ -126,7 +127,7 @@ func TestOperatorConformanceRandomized(t *testing.T) {
 				}
 				// Perturbing constrained entries must leave free rows of
 				// every variant untouched (columns dropped symmetrically).
-				u2 := u.Clone()
+				u2 := slices.Clone(u)
 				for d, msk := range p.BC.Mask {
 					if msk {
 						u2[d] += rng.NormFloat64()

@@ -17,8 +17,7 @@ func TestCouplingAdjoint(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	nu, np := p.DA.NVelDOF(), p.DA.NPresDOF()
 	for trial := 0; trial < 5; trial++ {
-		u := randVelocity(rng, nu)
-		p.BC.ZeroConstrained(u)
+		u := randFreeVelocity(rng, p)
 		pv := randVelocity(rng, np)
 		gu := la.NewVec(nu)
 		c.ApplyGAdd(pv, gu)

@@ -101,8 +101,7 @@ func TestMappedCouplingStaysAdjoint(t *testing.T) {
 	c.Setup()
 	rng := rand.New(rand.NewSource(2))
 	nu, np := p.DA.NVelDOF(), p.DA.NPresDOF()
-	u := randVelocity(rng, nu)
-	p.BC.ZeroConstrained(u)
+	u := randFreeVelocity(rng, p)
 	pv := randVelocity(rng, np)
 	gu := la.NewVec(nu)
 	c.ApplyGAdd(pv, gu)

@@ -3,6 +3,7 @@ package fem
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/la"
@@ -119,10 +120,8 @@ func TestNewtonOpMatchesDirectionalDerivative(t *testing.T) {
 	nel := da.NElements()
 	rng := rand.New(rand.NewSource(9))
 	n := p.DA.NVelDOF()
-	state := randVelocity(rng, n)
-	p.BC.ZeroConstrained(state)
-	dir := randVelocity(rng, n)
-	p.BC.ZeroConstrained(dir)
+	state := randFreeVelocity(rng, p)
+	dir := randFreeVelocity(rng, p)
 
 	// Carreau-like smooth law η = (0.1 + ε̇²)^(-1/4), with analytic
 	// η′ = -½ ε̇ (0.1 + ε̇²)^(-5/4).
@@ -157,14 +156,14 @@ func TestNewtonOpMatchesDirectionalDerivative(t *testing.T) {
 
 	// Central finite difference of the residual.
 	h := 1e-6
-	up := state.Clone()
+	up := slices.Clone(state)
 	up.AXPY(h, dir)
-	um := state.Clone()
+	um := slices.Clone(state)
 	um.AXPY(-h, dir)
 	fp, fm := la.NewVec(n), la.NewVec(n)
 	residual(up, fp)
 	residual(um, fm)
-	fd := fp.Clone()
+	fd := slices.Clone(fp)
 	fd.AXPY(-1, fm)
 	fd.Scale(1 / (2 * h))
 

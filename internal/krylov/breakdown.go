@@ -48,7 +48,7 @@ func (k BreakdownKind) String() string {
 // BreakdownError is the typed error reported through Result.Err when an
 // iterative method breaks down.
 type BreakdownError struct {
-	Method    string        // "cg", "gmres", "fgmres", "gcr", "richardson"
+	Method    string        // "cg", "gmres", "fgmres", "gcr"
 	Kind      BreakdownKind // what broke
 	Iteration int           // iteration at which it was detected
 	Value     float64       // offending value (residual norm or pivot)

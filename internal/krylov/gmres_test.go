@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/la"
@@ -130,13 +131,13 @@ func TestGMRESLazyBasisSameIterates(t *testing.T) {
 			name := fmt.Sprintf("flexible=%v restart=%d", flexible, restart)
 			prm := DefaultParams()
 			prm.RTol, prm.Restart, prm.MaxIt, prm.History = 1e-10, restart, 200, true
-			x := x0.Clone()
+			x := slices.Clone(x0)
 			solve := GMRES
 			if flexible {
 				solve = FGMRES
 			}
 			res := solve(CSROp{a}, NewJacobi(d), b, x, prm)
-			xe := x0.Clone()
+			xe := slices.Clone(x0)
 			hist, eager := eagerGMRES(CSROp{a}, NewJacobi(d), b, xe, prm.RTol, restart, prm.MaxIt, flexible)
 			if !res.Converged || (restart == 6) != (res.Iterations > restart) {
 				t.Fatalf("%s: converged=%v after %d iterations: only the short window should restart", name, res.Converged, res.Iterations)
@@ -195,7 +196,7 @@ func cloneGCR(a Op, m Preconditioner, b, x la.Vec, rtol float64, restart, maxit 
 		if len(qs) == restart {
 			zs, qs = zs[:0], qs[:0]
 		}
-		zs, qs = append(zs, z.Clone()), append(qs, q.Clone())
+		zs, qs = append(zs, slices.Clone(z)), append(qs, slices.Clone(q))
 	}
 	return hist
 }

@@ -3,6 +3,7 @@ package krylov
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/la"
@@ -94,7 +95,7 @@ func TestPipelinedMatchesClassical(t *testing.T) {
 				if d := rp.Iterations - rc.Iterations; d < -2 || d > 2 {
 					t.Fatalf("seed %d: iteration drift %d vs %d", seed, rp.Iterations, rc.Iterations)
 				}
-				diff := xp.Clone()
+				diff := slices.Clone(xp)
 				diff.AXPY(-1, xc)
 				if rel := diff.Norm2() / math.Max(xc.Norm2(), 1e-300); rel > 1e-10 {
 					t.Fatalf("seed %d: solutions deviate: rel %.3e", seed, rel)
@@ -134,7 +135,7 @@ func TestPipelinedAcrossRankCounts(t *testing.T) {
 				if d := res.Iterations - refRes.Iterations; d < -2 || d > 2 {
 					t.Fatalf("ranks=%d: %d iterations vs %d classical", ranks, res.Iterations, refRes.Iterations)
 				}
-				diff := x.Clone()
+				diff := slices.Clone(x)
 				diff.AXPY(-1, ref)
 				if rel := diff.Norm2() / ref.Norm2(); rel > 1e-10 {
 					t.Fatalf("ranks=%d: solution deviates from classical: rel %.3e", ranks, rel)

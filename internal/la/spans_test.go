@@ -2,6 +2,7 @@ package la
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -30,34 +31,34 @@ func TestSpanBLASMatchesFull(t *testing.T) {
 		}
 	}
 
-	a, b := x.Clone(), x.Clone()
+	a, b := slices.Clone(x), slices.Clone(x)
 	a.AXPY(0.7, y)
 	b.AXPYSpans(0.7, y, full)
 	check("AXPYSpans", b, a)
 
-	a, b = x.Clone(), x.Clone()
+	a, b = slices.Clone(x), slices.Clone(x)
 	a.AYPX(-1.3, y)
 	b.AYPXSpans(-1.3, y, full)
 	check("AYPXSpans", b, a)
 
-	a, b = x.Clone(), x.Clone()
+	a, b = slices.Clone(x), slices.Clone(x)
 	a.Scale(0.25)
 	b.ScaleSpans(0.25, full)
 	check("ScaleSpans", b, a)
 
-	a, b = x.Clone(), x.Clone()
+	a, b = slices.Clone(x), slices.Clone(x)
 	a.Copy(y)
 	b.CopySpans(y, full)
 	check("CopySpans", b, a)
 
-	a, b = x.Clone(), x.Clone()
+	a, b = slices.Clone(x), slices.Clone(x)
 	for i := range a {
 		a[i] = y[i] * z[i]
 	}
 	b.PointwiseMultSpans(y, z, full)
 	check("PointwiseMultSpans", b, a)
 
-	a, b = x.Clone(), x.Clone()
+	a, b = slices.Clone(x), slices.Clone(x)
 	a.Zero()
 	b.ZeroSpans(full)
 	check("ZeroSpans", b, a)
@@ -81,7 +82,7 @@ func TestSpanBLASOutsideUntouched(t *testing.T) {
 		x[i] = float64(i + 1)
 		y[i] = 2
 	}
-	orig := x.Clone()
+	orig := slices.Clone(x)
 	x.AXPYSpans(1, y, spans)
 	x.ScaleSpans(2, spans)
 	x.ZeroSpans(spans[:1])

@@ -37,13 +37,6 @@ func (v Vec) Copy(src Vec) {
 	copy(v, src)
 }
 
-// Clone returns a newly allocated copy of v.
-func (v Vec) Clone() Vec {
-	w := make(Vec, len(v))
-	copy(w, v)
-	return w
-}
-
 // Scale multiplies v by alpha in place.
 func (v Vec) Scale(alpha float64) {
 	for i := range v {

@@ -3,6 +3,7 @@ package la
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -116,10 +117,10 @@ func TestVecAXPYLinearityProperty(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		a, b := rng.NormFloat64(), rng.NormFloat64()
-		w1 := v.Clone()
+		w1 := slices.Clone(v)
 		w1.AXPY(a, x)
 		w1.AXPY(b, x)
-		w2 := v.Clone()
+		w2 := slices.Clone(v)
 		w2.AXPY(a+b, x)
 		for i := range w1 {
 			if !almostEq(w1[i], w2[i], 1e-12) {

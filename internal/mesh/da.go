@@ -257,13 +257,3 @@ func (bc *BC) ApplyToVec(u []float64) {
 		}
 	}
 }
-
-// ZeroConstrained zeroes constrained entries of u (used to restrict
-// residuals and corrections to the free dofs).
-func (bc *BC) ZeroConstrained(u []float64) {
-	for d, m := range bc.Mask {
-		if m {
-			u[d] = 0
-		}
-	}
-}

@@ -140,15 +140,15 @@ func TestBCFreeSlip(t *testing.T) {
 	if bc.Mask[3*n] || bc.Mask[3*n+1] || bc.Mask[3*n+2] {
 		t.Fatal("free surface node should be unconstrained")
 	}
-	// ApplyToVec / ZeroConstrained round trip.
+	// ApplyToVec writes the prescribed zero at every constrained dof.
 	u := make([]float64, da.NVelDOF())
 	for i := range u {
 		u[i] = 1
 	}
-	bc.ZeroConstrained(u)
+	bc.ApplyToVec(u)
 	for d, m := range bc.Mask {
 		if m && u[d] != 0 {
-			t.Fatal("ZeroConstrained missed a dof")
+			t.Fatal("ApplyToVec missed a dof")
 		}
 	}
 }

@@ -3,6 +3,7 @@ package mg
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -93,7 +94,7 @@ func TestDistMGMatchesShared(t *testing.T) {
 		mu.Unlock()
 	})
 	ref := zs.Norm2()
-	diff := zd.Clone()
+	diff := slices.Clone(zd)
 	diff.AXPY(-1, zs)
 	if rel := diff.Norm2() / ref; rel > 1e-14 { // measured 2.0e-16
 		t.Fatalf("distributed V-cycle deviates from shared: rel %.3e", rel)
@@ -269,7 +270,7 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 			dprm.Reducer = velReducer{dists[0]}
 			dprm.Exchanger = velExchanger{dists[0]}
 			x := la.NewVec(n)
-			res := krylov.CG(dmg.lev[0].op, dmg, b.Clone(), x, dprm)
+			res := krylov.CG(dmg.lev[0].op, dmg, slices.Clone(b), x, dprm)
 			if !res.Converged {
 				t.Errorf("rank %d: distributed CG did not converge (%d its, err %v)", r.ID, res.Iterations, res.Err)
 			}
@@ -292,7 +293,7 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 					pg[0], pg[1], pg[2], rid, it, resS.Iterations)
 			}
 		}
-		diff := xd.Clone()
+		diff := slices.Clone(xd)
 		diff.AXPY(-1, xs)
 		if rel := diff.Norm2() / math.Max(xs.Norm2(), 1e-300); rel > 1e-10 {
 			t.Fatalf("%dx%dx%d: distributed blocked solve deviates: rel %.3e", pg[0], pg[1], pg[2], rel)
@@ -374,7 +375,7 @@ func TestDistributedCGMatchesShared(t *testing.T) {
 		dprm.Reducer = velReducer{dists[0]}
 		dprm.Exchanger = velExchanger{dists[0]}
 		x := la.NewVec(n)
-		res := krylov.CG(dmg.lev[0].op, jac, b.Clone(), x, dprm)
+		res := krylov.CG(dmg.lev[0].op, jac, slices.Clone(b), x, dprm)
 		if !res.Converged {
 			t.Errorf("rank %d: distributed CG did not converge (%d its, err %v)", r.ID, res.Iterations, res.Err)
 		}
@@ -393,7 +394,7 @@ func TestDistributedCGMatchesShared(t *testing.T) {
 			t.Fatalf("rank %d took %d iterations, shared took %d", rid, it, resS.Iterations)
 		}
 	}
-	diff := xd.Clone()
+	diff := slices.Clone(xd)
 	diff.AXPY(-1, xs)
 	if rel := diff.Norm2() / math.Max(xs.Norm2(), 1e-300); rel > 1e-8 {
 		t.Fatalf("distributed CG deviates: rel %.3e", rel)

@@ -2,6 +2,7 @@ package nonlinear
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/krylov"
@@ -40,7 +41,7 @@ func nlDiffusion(n int) (System, la.Vec) {
 		InnerParams: krylov.Params{RTol: 1e-4, ATol: 1e-300, MaxIt: 400, Restart: 50},
 	}
 	sys.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner, error) {
-		xc := x.Clone()
+		xc := slices.Clone(x)
 		op := krylov.OpFunc{Dim: n, F: func(v, y la.Vec) {
 			lap(v, y)
 			for i := range y {
@@ -96,7 +97,7 @@ func TestPicardVsNewton(t *testing.T) {
 	sysN, xN := nlDiffusion(n)
 	sysP, xP := nlDiffusion(n)
 	sysP.Prepare = func(x la.Vec) (krylov.Op, krylov.Preconditioner, error) {
-		xc := x.Clone()
+		xc := slices.Clone(x)
 		coef := func(v float64) float64 {
 			if math.Abs(v) < 1e-12 {
 				return 1

@@ -53,7 +53,7 @@ func runDistComparison(t *testing.T, method string, velTol float64) {
 
 	us, _ := s.Op.Split(xs)
 	ud, _ := s.Op.Split(xd)
-	diff := ud.Clone()
+	diff := slices.Clone(ud)
 	diff.AXPY(-1, us)
 	if rel := diff.Norm2() / math.Max(us.Norm2(), 1e-300); rel > velTol {
 		t.Fatalf("velocity fields deviate: rel %.3e", rel)
@@ -131,7 +131,7 @@ func TestDistributedSolvePipelinedAgg(t *testing.T) {
 
 	us, _ := s.Op.Split(xs)
 	ud, _ := s.Op.Split(xd)
-	diff := ud.Clone()
+	diff := slices.Clone(ud)
 	diff.AXPY(-1, us)
 	// The pipelined recurrence follows a different arithmetic trajectory
 	// than classical GCR, so the two solves agree only up to the outer
@@ -229,7 +229,7 @@ func TestRankCountInvariantClassical(t *testing.T) {
 					t.Fatalf("%v: %d iterations, shared took %d", pg, resD.Iterations, resS.Iterations)
 				}
 				ud, _ := s.Op.Split(xd)
-				diff := ud.Clone()
+				diff := slices.Clone(ud)
 				diff.AXPY(-1, us)
 				if rel := diff.Norm2() / us.Norm2(); rel > velTol {
 					t.Fatalf("%v: velocity deviates from shared: rel %.3e", pg, rel)

@@ -120,7 +120,11 @@ func TestAlgebraicExactness(t *testing.T) {
 		xstar[i] = rng.NormFloat64()
 	}
 	us, _ := s.Op.Split(xstar)
-	p.BC.ZeroConstrained(us)
+	for d, m := range p.BC.Mask {
+		if m {
+			us[d] = 0
+		}
+	}
 	f := la.NewVec(n)
 	s.Op.Apply(xstar, f)
 	x := la.NewVec(n)
@@ -305,9 +309,9 @@ func TestSCRMatchesFieldSplit(t *testing.T) {
 	}
 	u1, p1 := s.Op.Split(x1)
 	u2, p2 := s.Op.Split(x2)
-	du := u1.Clone()
+	du := slices.Clone(u1)
 	du.AXPY(-1, u2)
-	dp := p1.Clone()
+	dp := slices.Clone(p1)
 	dp.AXPY(-1, p2)
 	if rel := du.Norm2() / u1.Norm2(); rel > 1e-4 {
 		t.Fatalf("SCR velocity differs: %.2e", rel)
@@ -622,7 +626,7 @@ func TestSetupStageTimersAttributeRefresh(t *testing.T) {
 		t.Fatalf("%d levels, want 3", len(s.MG.Levels))
 	}
 	stageSum := func() (sum time.Duration, names []string) {
-		sn := cfg.Telemetry.Snapshot().Find("outer")
+		sn := cfg.Telemetry.Child("outer").Snapshot()
 		for name, tm := range sn.Timers {
 			if strings.HasPrefix(name, "setup_") {
 				sum += time.Duration(tm.Seconds * float64(time.Second))

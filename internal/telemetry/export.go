@@ -68,26 +68,6 @@ func (s *Scope) Snapshot() *ScopeSnapshot {
 	return snap
 }
 
-// Find walks the snapshot tree along the given child-name path and returns
-// the scope there, or nil.
-func (sn *ScopeSnapshot) Find(path ...string) *ScopeSnapshot {
-	cur := sn
-	for _, name := range path {
-		if cur == nil {
-			return nil
-		}
-		var next *ScopeSnapshot
-		for _, c := range cur.Children {
-			if c.Name == name {
-				next = c
-				break
-			}
-		}
-		cur = next
-	}
-	return cur
-}
-
 // WriteJSON writes the registry snapshot as indented JSON.
 func (r *Registry) WriteJSON(w io.Writer) error {
 	snap := r.Root().Snapshot()

@@ -157,15 +157,12 @@ func TestSnapshotAndJSON(t *testing.T) {
 	reg.Root().Series("residual").Append(1e-5)
 
 	snap := reg.Root().Snapshot()
-	lv0 := snap.Find("mg", "level0")
-	if lv0 == nil {
-		t.Fatal("level0 missing from snapshot")
+	if len(snap.Children) != 1 || snap.Children[0].Name != "mg" || len(snap.Children[0].Children) != 2 {
+		t.Fatalf("snapshot tree wrong: %+v", snap)
 	}
-	if lv0.Timers["smooth"].Calls != 2 || lv0.Counters["cycles"] != 7 {
+	lv0 := snap.Children[0].Children[0]
+	if lv0.Name != "level0" || lv0.Timers["smooth"].Calls != 2 || lv0.Counters["cycles"] != 7 {
 		t.Fatalf("level0 snapshot wrong: %+v", lv0)
-	}
-	if snap.Find("mg", "level2") != nil {
-		t.Fatal("Find invented a scope")
 	}
 
 	var buf bytes.Buffer
@@ -176,7 +173,12 @@ func TestSnapshotAndJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("JSON round trip: %v", err)
 	}
-	if got := back.Find("mg", "level0").Counters["cycles"]; got != 7 {
+	// Children keep creation order: level0 before level1.
+	mgSnap := back.Children[0]
+	if len(mgSnap.Children) != 2 || mgSnap.Children[0].Name != "level0" {
+		t.Fatalf("child order: %+v", mgSnap.Children)
+	}
+	if got := mgSnap.Children[0].Counters["cycles"]; got != 7 {
 		t.Fatalf("JSON cycles = %d, want 7", got)
 	}
 	if back.Gauges["setup_seconds"] != 0.25 {
@@ -184,11 +186,6 @@ func TestSnapshotAndJSON(t *testing.T) {
 	}
 	if len(back.Series["residual"]) != 2 {
 		t.Fatalf("JSON series = %v", back.Series["residual"])
-	}
-	// Children keep creation order: level0 before level1.
-	mgSnap := back.Find("mg")
-	if len(mgSnap.Children) != 2 || mgSnap.Children[0].Name != "level0" {
-		t.Fatalf("child order: %+v", mgSnap.Children)
 	}
 }
 

@@ -24,7 +24,6 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/build"
@@ -41,9 +40,7 @@ import (
 )
 
 func main() {
-	keep := flag.String("keep", "scripts/unreached/keep.txt", "keep file")
-	flag.Parse()
-	n, err := run(".", *keep, os.Stdout)
+	n, err := run(".", "scripts/unreached/keep.txt", os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "unreached:", err)
 		os.Exit(2)
