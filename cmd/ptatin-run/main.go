@@ -118,6 +118,10 @@ func (o *options) drive(stdout, stderr io.Writer) error {
 		return driver.Smoke(o.Workers, stdout)
 	}
 
+	backend, err := driver.Backend(o.Ranks, o.Pipelined, o.coarseRoots)
+	if err != nil {
+		return err
+	}
 	m, err := scenario.Compile(spec, o.Workers)
 	if err != nil {
 		return err
@@ -127,9 +131,7 @@ func (o *options) drive(stdout, stderr io.Writer) error {
 	if err := ov.Apply(m); err != nil {
 		return err
 	}
-	if m.Backend, err = driver.Backend(o.Ranks, o.Pipelined, o.coarseRoots); err != nil {
-		return err
-	}
+	m.Backend = backend
 	if db, ok := m.Backend.(*model.DistributedBackend); ok {
 		fmt.Fprintf(stdout, "# scenario %s: distributed backend over %d simulated ranks\n", spec.Name, db.Ranks())
 	}

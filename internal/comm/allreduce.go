@@ -54,7 +54,8 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 		if src >= size {
 			continue
 		}
-		blocks = append(blocks, r.recvSkipEnvelopes(src).([]float64)...)
+		sub, _ := r.recv(src, time.Time{})
+		blocks = append(blocks, sub.([]float64)...)
 		children = append(children, src)
 	}
 	var res []float64
@@ -69,7 +70,8 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 			}
 		}
 	} else {
-		res = r.recvSkipEnvelopes(id - lowbit(id)).([]float64)
+		down, _ := r.recv(id-lowbit(id), time.Time{})
+		res = down.([]float64)
 	}
 	// Broadcast down. The slice travelling the tree is shared between
 	// ranks read-only; every rank returns a private copy so callers may

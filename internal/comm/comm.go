@@ -1,23 +1,25 @@
 // Package comm provides the simulated distributed-memory substrate of
 // this reproduction (see DESIGN.md): an SPMD "world" of rank goroutines
-// with channel-based point-to-point messaging, barriers and reductions,
-// plus the Cartesian decomposition of the structured mesh among ranks
-// (paper §II-D). The original pTatin3D runs one MPI rank per core; here
-// ranks are goroutines in one address space, which preserves the
-// communication structure (neighbour exchange, Ls/Lr material-point
+// with one mailbox each for point-to-point messaging, barriers and
+// reductions, plus the Cartesian decomposition of the structured mesh
+// among ranks (paper §II-D). The original pTatin3D runs one MPI rank per
+// core; here ranks are goroutines in one address space, which preserves
+// the communication structure (neighbour exchange, Ls/Lr material-point
 // migration lists, collective reductions) at laptop scale.
 package comm
 
 import (
 	"fmt"
 	"sync"
+	"time"
 )
 
 // World is a fixed-size group of SPMD ranks.
 type World struct {
 	size int
-	// mail[to][from] carries messages from rank `from` to rank `to`.
-	mail [][]chan interface{}
+	// inbox[to] is rank `to`'s one mailbox: every message for it, from
+	// whichever rank, in arrival order.
+	inbox []inbox
 
 	// fault, when non-nil, injects failures into the reliable exchange
 	// paths; policy bounds their retry/timeout behaviour.
@@ -43,16 +45,79 @@ func NewWorld(n int) *World {
 	if n < 1 {
 		panic("comm: world size must be >= 1")
 	}
-	w := &World{size: n}
-	w.mail = make([][]chan interface{}, n)
-	for to := 0; to < n; to++ {
-		w.mail[to] = make([]chan interface{}, n)
-		for from := 0; from < n; from++ {
-			w.mail[to][from] = make(chan interface{}, 64)
-		}
+	w := &World{size: n, inbox: make([]inbox, n)}
+	for to := range w.inbox {
+		w.inbox[to].wake = make(chan struct{}, 1)
 	}
 	w.bcond = sync.NewCond(&w.bmu)
 	return w
+}
+
+// message is one mailbox entry: the sending rank and what it sent, a
+// protocol envelope or a collective's bare payload.
+type message struct {
+	from int
+	v    interface{}
+}
+
+// inbox is an unbounded FIFO with any number of senders and one reader,
+// the rank that owns it. put never blocks, so no sender can be held up by
+// a reader that is busy computing; messages of one sender stay in the
+// order it sent them.
+type inbox struct {
+	mu   sync.Mutex
+	q    []message
+	head int
+	// wake holds at most one token, left by a put: the reader, finding
+	// the queue empty, sleeps on it, and a put between its look and its
+	// sleep is not missed. A token left over from a message already read
+	// costs one more look.
+	wake chan struct{}
+}
+
+func (b *inbox) put(m message) {
+	b.mu.Lock()
+	b.q = append(b.q, m)
+	b.mu.Unlock()
+	select {
+	case b.wake <- struct{}{}:
+	default:
+	}
+}
+
+// pull takes the next message, waiting for one until the deadline (the
+// zero deadline: for ever). This is the one place a rank blocks on the
+// fabric. It looks at the queue once more after the deadline fires, so a
+// put that races the timer is delivered, not reported as silence.
+func (b *inbox) pull(deadline time.Time) (message, bool) {
+	var expired <-chan time.Time
+	timedOut := false
+	for {
+		b.mu.Lock()
+		if b.head < len(b.q) {
+			m := b.q[b.head]
+			b.q[b.head] = message{}
+			if b.head++; b.head == len(b.q) {
+				b.q, b.head = b.q[:0], 0
+			}
+			b.mu.Unlock()
+			return m, true
+		}
+		b.mu.Unlock()
+		if timedOut {
+			return message{}, false
+		}
+		if expired == nil && !deadline.IsZero() {
+			t := time.NewTimer(time.Until(deadline))
+			defer t.Stop()
+			expired = t.C
+		}
+		select {
+		case <-b.wake:
+		case <-expired:
+			timedOut = true
+		}
+	}
 }
 
 // Size returns the number of ranks.
@@ -114,21 +179,14 @@ type Rank struct {
 	stash map[int]map[int64]envelope
 	hist  map[int64]map[int]interface{}
 
-	// oob queues non-protocol messages (bare collective payloads such as
-	// AllReduce partials) that the reliable-exchange receive loop pulled
-	// out of the mailbox while draining envelopes: a faster neighbour may
-	// finish its exchange and move on to a collective while this rank is
-	// still retrying. recvSkipEnvelopes returns queued messages before
-	// reading the mailbox, preserving per-source FIFO order.
+	// oob is the unexpected-message queue, one per source: bare collective
+	// payloads (AllReduce partials) pulled from the mailbox before their
+	// receive was posted — a faster neighbour may finish its exchange and
+	// move on to a collective while this rank is still retrying, and a
+	// collective waiting on one source sees the payloads of the others
+	// first. recv matches by source and takes from here, so per-source
+	// FIFO order holds.
 	oob map[int][]interface{}
-}
-
-// oobPut queues a non-protocol message for a later recvSkipEnvelopes.
-func (r *Rank) oobPut(from int, v interface{}) {
-	if r.oob == nil {
-		r.oob = map[int][]interface{}{}
-	}
-	r.oob[from] = append(r.oob[from], v)
 }
 
 // Policy returns the world's retry policy (DefaultRetryPolicy if unset).
@@ -139,12 +197,12 @@ func (r *Rank) Policy() RetryPolicy {
 	return r.W.policy
 }
 
-// Send posts v to rank `to` (buffered, non-blocking up to the buffer).
+// Send posts v to rank `to`; it never blocks.
 func (r *Rank) Send(to int, v interface{}) {
 	if to < 0 || to >= r.W.size {
 		panic(fmt.Sprintf("comm: send to invalid rank %d", to))
 	}
-	r.W.mail[to][r.ID] <- v
+	r.W.inbox[to].put(message{from: r.ID, v: v})
 }
 
 // Barrier blocks until every rank has entered it.
@@ -165,88 +223,22 @@ func (r *Rank) Barrier() {
 	w.bmu.Unlock()
 }
 
-// strayEnvelope answers a protocol envelope received outside any active
-// exchange (during a raw collective, or from a rank that is not a
-// neighbour of the current exchange). Mirrors PendingExchange.handle
-// for a rank with no exchange in flight: early data is stashed for the
-// next exchange to adopt, late retransmissions are re-acked — the peer
-// missed our ack and would otherwise burn its whole retry budget
-// against our silence — and resend requests are served from the send
-// history. Stale acks need no action.
-func (r *Rank) strayEnvelope(env envelope) {
-	switch env.Kind {
-	case envData:
-		if env.Seq >= r.seq {
-			r.stashPut(env)
-		} else {
-			r.sendEnvelope(env.From, envelope{Kind: envAck, Seq: env.Seq, From: r.ID})
-		}
-	case envResend:
-		if sent, ok := r.hist[env.Seq]; ok {
-			r.sendEnvelope(env.From, r.dataEnvelope(env.Seq, sent[env.From]))
-		}
-	}
-}
-
-// drainStray empties every other rank's mailbox without blocking
-// (except skip, which the caller is receiving from directly), answering
-// protocol envelopes via strayEnvelope and queueing bare payloads for a
-// later receive. Called while a rank lingers in a raw collective so that
-// retransmitting peers — who may not be neighbours of any current
-// exchange and whose mailboxes nothing else drains — still make
-// progress (found by the 64-rank fault-injection soak: round-varying
-// neighbour graphs starve a retransmitter whose ack was dropped).
-func (r *Rank) drainStray(skip int) {
-	for from := 0; from < r.W.size; from++ {
-		if from == r.ID || from == skip {
-			continue
-		}
-		for {
-			var v interface{}
-			ok := false
-			select {
-			case v = <-r.W.mail[r.ID][from]:
-				ok = true
-			default:
-			}
-			if !ok {
-				break
-			}
-			if env, isEnv := v.(envelope); isEnv {
-				r.strayEnvelope(env)
-			} else {
-				r.oobPut(from, v)
-			}
-		}
-	}
-}
-
-// recvSkipEnvelopes receives from rank `from`, answering (or stashing)
-// reliable-exchange protocol envelopes that a late or retransmitting
-// exchange may interleave with raw collective traffic, so mixed use of
-// the collectives and the hardened exchange paths cannot mistype a
-// message — or starve a peer. While blocked on `from` it periodically
-// drains every other mailbox: a rank can sit in a tree allreduce for a
-// long time, and peers retransmitting into it (lost ack, corrupt
-// payload) must be answered from here or they exhaust their retries.
-func (r *Rank) recvSkipEnvelopes(from int) interface{} {
+// recv returns the next bare payload sent by rank `from`, waiting until
+// the deadline (the zero deadline: for ever — what the collectives pass).
+// Whatever else arrives on the way is dispatched: protocol envelopes of
+// any rank are answered or stashed, so a peer retransmitting into a rank
+// that sits in a collective is served from here, and payloads of other
+// sources are queued for their own recv.
+func (r *Rank) recv(from int, deadline time.Time) (interface{}, bool) {
 	for {
-		var v interface{}
 		if q := r.oob[from]; len(q) > 0 {
-			v = q[0]
 			r.oob[from] = q[1:]
-		} else {
-			var ok bool
-			v, ok = r.RecvTimeout(from, strayPollInterval)
-			if !ok {
-				r.drainStray(from)
-				continue
-			}
+			return q[0], true
 		}
-		env, isEnv := v.(envelope)
-		if !isEnv {
-			return v
+		m, ok := r.W.inbox[r.ID].pull(deadline)
+		if !ok {
+			return nil, false
 		}
-		r.strayEnvelope(env)
+		r.dispatch(nil, m)
 	}
 }

@@ -3,6 +3,7 @@ package comm
 import (
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ptatin3d/internal/mesh"
 )
@@ -14,8 +15,8 @@ func TestWorldSendRecv(t *testing.T) {
 		next := (r.ID + 1) % 4
 		prev := (r.ID + 3) % 4
 		r.Send(next, r.ID*10)
-		v := r.recvSkipEnvelopes(prev).(int)
-		atomic.AddInt64(&sum, int64(v))
+		v, _ := r.recv(prev, time.Time{})
+		atomic.AddInt64(&sum, int64(v.(int)))
 	})
 	if sum != 60 {
 		t.Fatalf("ring sum = %d, want 60", sum)

@@ -201,13 +201,13 @@ func TestRecvTimeout(t *testing.T) {
 	w := NewWorld(2)
 	w.Run(func(r *Rank) {
 		if r.ID == 0 {
-			if _, ok := r.RecvTimeout(1, 5*time.Millisecond); ok {
-				t.Error("RecvTimeout returned a message from a silent rank")
+			if _, ok := r.recv(1, time.Now().Add(5*time.Millisecond)); ok {
+				t.Error("recv returned a message from a silent rank")
 			}
 			r.Barrier()
-			v, ok := r.RecvTimeout(1, time.Second)
+			v, ok := r.recv(1, time.Now().Add(time.Second))
 			if !ok || v.(int) != 42 {
-				t.Errorf("RecvTimeout got (%v, %v), want (42, true)", v, ok)
+				t.Errorf("recv got (%v, %v), want (42, true)", v, ok)
 			}
 		} else {
 			r.Barrier()
@@ -223,7 +223,7 @@ func TestRecvTimeout(t *testing.T) {
 // while rank 0 is still in its receive/retry loop waiting on a slower
 // neighbour (rank 2). The loop must queue the stray payload for the
 // collective's Recv instead of discarding it; before the fix this test
-// deadlocks at rank 0's recvSkipEnvelopes.
+// deadlocks at rank 0's recv.
 func TestExchangeReliablePreservesCollectivePayloads(t *testing.T) {
 	w := NewWorld(3)
 	pol := RetryPolicy{Timeout: 200 * time.Millisecond, MaxRetries: 8, Backoff: 1}
@@ -242,7 +242,7 @@ func TestExchangeReliablePreservesCollectivePayloads(t *testing.T) {
 				fail(fmt.Errorf("rank 0 exchange: %w", err))
 				return
 			}
-			if v := r.recvSkipEnvelopes(1).(float64); v != 3.25 {
+			if v, _ := r.recv(1, time.Time{}); v.(float64) != 3.25 {
 				fail(fmt.Errorf("rank 0: collective payload = %v, want 3.25", v))
 			}
 		case 1:

@@ -10,7 +10,7 @@ import (
 
 // Dist bundles a rank with a Layout into the per-rank handle of the
 // distributed vector layer: owner-reduce/broadcast halo exchanges over
-// the reliable channel protocol, deterministic rank-ordered AllReduce
+// the reliable envelope protocol, deterministic rank-ordered AllReduce
 // for dot products, and gather/broadcast collectives for the coarse
 // solve. All methods are rank-collective: every rank of the world must
 // call them in the same order with layouts of the same Decomp.
@@ -207,8 +207,8 @@ func (d *Dist) Broadcast(y []float64) error {
 // reduction: every rank sees the bit-identical value regardless of
 // goroutine scheduling. Implemented on the width-1 binomial tree of
 // AllReduceSumVec — O(log P) depth with the exact ascending-rank
-// summation order of a serial gather. This is the channel-backed
-// AllReduce under every distributed dot product/norm.
+// summation order of a serial gather. This is the AllReduce under every
+// distributed dot product/norm.
 func (d *Dist) AllReduceSum(x float64) float64 {
 	var buf [1]float64
 	buf[0] = x

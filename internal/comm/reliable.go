@@ -109,28 +109,6 @@ func (r *Rank) dataEnvelope(seq int64, payload interface{}) envelope {
 	return env
 }
 
-// strayPollInterval is how long a rank blocked inside a raw collective
-// waits on its expected sender before sweeping every other mailbox for
-// stray protocol traffic (see Rank.drainStray).
-const strayPollInterval = time.Millisecond
-
-// RecvTimeout waits up to d for a message from rank `from`.
-func (r *Rank) RecvTimeout(from int, d time.Duration) (interface{}, bool) {
-	select {
-	case v := <-r.W.mail[r.ID][from]:
-		return v, true
-	default:
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case v := <-r.W.mail[r.ID][from]:
-		return v, true
-	case <-t.C:
-		return nil, false
-	}
-}
-
 // rememberSent records the payload map for retransmission service and
 // prunes history older than a few exchanges.
 func (r *Rank) rememberSent(seq int64, payload map[int]interface{}) {
@@ -208,12 +186,11 @@ func (r *Rank) ExchangeReliable(neighbors []int, payload map[int]interface{}, po
 // the halo exchange, apply the interior elements while messages are in
 // flight, then Wait.
 type PendingExchange struct {
-	r         *Rank
-	neighbors []int
-	pol       RetryPolicy
-	sc        *telemetry.Scope
-	seq       int64
-	telStart  time.Time
+	r        *Rank
+	pol      RetryPolicy
+	sc       *telemetry.Scope
+	seq      int64
+	telStart time.Time
 
 	got     map[int]interface{}
 	pending map[int]bool // awaiting data from
@@ -228,7 +205,7 @@ type PendingExchange struct {
 // rank issues another exchange.
 func (r *Rank) StartExchange(neighbors []int, payload map[int]interface{}, pol RetryPolicy, sc *telemetry.Scope) *PendingExchange {
 	px := &PendingExchange{
-		r: r, neighbors: neighbors, pol: pol.normalized(), sc: sc,
+		r: r, pol: pol.normalized(), sc: sc,
 		telStart: sc.Timer("exchange").Start(),
 		got:      make(map[int]interface{}, len(neighbors)),
 		pending:  make(map[int]bool, len(neighbors)),
@@ -275,29 +252,46 @@ func (px *PendingExchange) accept(env envelope) {
 	r.sendEnvelope(env.From, envelope{Kind: envAck, Seq: env.Seq, From: r.ID})
 }
 
-// handle dispatches one protocol message received during Wait.
-func (px *PendingExchange) handle(env envelope) {
-	r := px.r
+// dispatch handles one message pulled from the rank's mailbox, whoever
+// sent it: px is the exchange in flight, nil when the rank is inside a
+// collective instead. A bare payload joins its source's queue for the
+// collective's recv. Data of the exchange in flight is accepted; data of
+// an older one is a late retransmission — the peer missed our ack and
+// would otherwise burn its whole retry budget against our silence — and
+// is re-acked; data of a later one is stashed for StartExchange to adopt.
+// Resend requests are served from the send history. An ack counts for the
+// exchange in flight only; a stale one needs no action.
+func (r *Rank) dispatch(px *PendingExchange, m message) {
+	env, ok := m.v.(envelope)
+	if !ok {
+		if r.oob == nil {
+			r.oob = map[int][]interface{}{}
+		}
+		r.oob[m.from] = append(r.oob[m.from], m.v)
+		return
+	}
+	var sc *telemetry.Scope
+	if px != nil {
+		sc = px.sc
+	}
 	switch env.Kind {
 	case envData:
 		switch {
-		case env.Seq == px.seq:
+		case px != nil && env.Seq == px.seq:
 			px.accept(env)
-		case env.Seq < px.seq:
-			// Late retransmission of an older exchange: the peer
-			// missed our ack — re-ack so it can make progress.
-			px.sc.Counter("duplicates").Inc()
+		case env.Seq < r.seq:
+			sc.Counter("duplicates").Inc()
 			r.sendEnvelope(env.From, envelope{Kind: envAck, Seq: env.Seq, From: r.ID})
 		default:
 			r.stashPut(env)
 		}
 	case envAck:
-		if env.Seq == px.seq {
+		if px != nil && env.Seq == px.seq {
 			delete(px.unacked, env.From)
 		}
 	case envResend:
 		if sent, ok := r.hist[env.Seq]; ok {
-			px.sc.Counter("resends_served").Inc()
+			sc.Counter("resends_served").Inc()
 			r.sendEnvelope(env.From, r.dataEnvelope(env.Seq, sent[env.From]))
 		}
 	}
@@ -305,71 +299,21 @@ func (px *PendingExchange) handle(env envelope) {
 
 // Wait runs the receive/retry loop to completion and returns the
 // verified payloads keyed by source (or a typed *ExchangeError once the
-// retry budget is exhausted).
+// retry budget is exhausted). Each attempt is one deadline on the rank's
+// one mailbox: whatever arrives, from whichever rank, is dispatched until
+// nothing of this exchange is outstanding or the deadline passes.
 func (px *PendingExchange) Wait() (map[int]interface{}, error) {
 	r, sc := px.r, px.sc
 	timeout := px.pol.Timeout
 	attempts := 0
-	nbr := make(map[int]bool, len(px.neighbors))
-	for _, n := range px.neighbors {
-		nbr[n] = true
-	}
 	for {
-		// The per-neighbour poll slice is decoupled from the retry
-		// timeout: a generous timeout (right for oversubscribed worlds,
-		// where acks are slow without anything being wrong) must not
-		// inflate the round-robin polling latency — a message from the
-		// last neighbour polled would otherwise sit for most of a slice
-		// × every silent neighbour ahead of it.
-		slice := timeout / time.Duration(4*len(px.neighbors)+1)
-		if slice < 200*time.Microsecond {
-			slice = 200 * time.Microsecond
-		}
-		if slice > 2*time.Millisecond {
-			slice = 2 * time.Millisecond
-		}
 		deadline := time.Now().Add(timeout)
-		for (len(px.pending) > 0 || len(px.unacked) > 0) && time.Now().Before(deadline) {
-			for _, n := range px.neighbors {
-				if v, ok := r.RecvTimeout(n, slice); ok {
-					if env, ok := v.(envelope); ok {
-						px.handle(env)
-					} else {
-						// A bare collective payload from a neighbour that
-						// already finished this exchange and moved on —
-						// keep it for the collective's own receive.
-						r.oobPut(n, v)
-					}
-				}
+		for len(px.pending) > 0 || len(px.unacked) > 0 {
+			m, ok := r.W.inbox[r.ID].pull(deadline)
+			if !ok {
+				break
 			}
-			// Neighbour graphs may differ between exchanges: a peer that
-			// was our neighbour last round can still be retransmitting
-			// data whose ack we dropped, and nothing else drains its
-			// mailbox while we sit here. Sweep non-neighbour mailboxes
-			// without blocking; handle() re-acks old-seq data and serves
-			// resends, which is exactly what a starved peer needs.
-			for from := 0; from < r.W.size; from++ {
-				if from == r.ID || nbr[from] {
-					continue
-				}
-				for {
-					var v interface{}
-					ok := false
-					select {
-					case v = <-r.W.mail[r.ID][from]:
-						ok = true
-					default:
-					}
-					if !ok {
-						break
-					}
-					if env, isEnv := v.(envelope); isEnv {
-						px.handle(env)
-					} else {
-						r.oobPut(from, v)
-					}
-				}
-			}
+			r.dispatch(px, m)
 		}
 		if len(px.pending) == 0 && len(px.unacked) == 0 {
 			sc.Timer("exchange").Stop(px.telStart)

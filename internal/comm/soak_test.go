@@ -136,3 +136,47 @@ func TestSoakReliableExchange64Ranks(t *testing.T) {
 	t.Logf("soak: %d rounds, drops=%d delays=%d corruptions=%d retries=%d",
 		rounds, fp.Drops(), fp.Delays(), fp.Corruptions(), retries)
 }
+
+// TestFaultFreeExchangeNeverRetries runs the soak's traffic — 64 ranks,
+// round-varying circulant+hub graphs, an allreduce every third round — with
+// no fault plan and the default policy. Nothing is lost, so nothing may be
+// sent twice: a retry here is a timeout that fired on scheduling, which is
+// what P² polled channels produced (187 to 326 retries at PR 23) and what one
+// mailbox per rank cannot.
+func TestFaultFreeExchangeNeverRetries(t *testing.T) {
+	const n, rounds = 64, 24
+	w := NewWorld(n)
+	reg := telemetry.New()
+	scope := func(rank int) *telemetry.Scope {
+		return reg.Root().Child("quiet").Child(fmt.Sprintf("rank%d", rank))
+	}
+	w.Run(func(r *Rank) {
+		sc := scope(r.ID)
+		d := &Dist{R: r, Pol: r.Policy(), Sc: sc}
+		for m := 0; m < rounds; m++ {
+			nbrs := soakGraph(n, r.ID, m)
+			payload := map[int]interface{}{}
+			for _, nb := range nbrs {
+				payload[nb] = testPayload(r.ID, nb, m)
+			}
+			got, err := r.ExchangeReliable(nbrs, payload, d.Pol, sc)
+			if err != nil {
+				t.Errorf("rank %d round %d: %v", r.ID, m, err)
+				return
+			}
+			checkReceived(t, r.ID, m, got, nbrs)
+			if m%3 == 2 {
+				d.AllReduceSum(arValue(r.ID, 0, m))
+			}
+		}
+	})
+	for _, name := range []string{"retries", "duplicates", "resends_served", "corrupt_rejected"} {
+		var total int64
+		for rank := 0; rank < n; rank++ {
+			total += scope(rank).Counter(name).Value()
+		}
+		if total != 0 {
+			t.Errorf("%s = %d over %d ranks on a fault-free fabric, want 0", name, total, n)
+		}
+	}
+}

@@ -64,16 +64,21 @@ func (o Overrides) Apply(m *model.Model) error {
 
 // Backend builds the Stokes backend for a -ranks flag value: "" or
 // "1x1x1" selects the shared-memory path, anything else a
-// DistributedBackend over the simulated fabric.
+// DistributedBackend over the simulated fabric. A -coarse-roots value no
+// layout of the world can hold is refused here, before any model work.
 func Backend(ranks string, pipelined bool, coarseRoots int) (model.StokesBackend, error) {
-	if ranks == "" {
-		return model.SharedBackend{}, nil
+	px, py, pz := 1, 1, 1
+	if ranks != "" {
+		var err error
+		if px, py, pz, err = cli.ParseRanks(ranks); err != nil {
+			return nil, err
+		}
 	}
-	px, py, pz, err := cli.ParseRanks(ranks)
-	if err != nil {
-		return nil, err
+	n := px * py * pz
+	if coarseRoots < 0 || coarseRoots > n {
+		return nil, fmt.Errorf("-coarse-roots %d: want 0 to %d, the rank count of -ranks %dx%dx%d", coarseRoots, n, px, py, pz)
 	}
-	if px*py*pz == 1 {
+	if n == 1 {
 		return model.SharedBackend{}, nil
 	}
 	return model.NewDistributedBackend(px, py, pz, stokes.DistOptions{
@@ -120,6 +125,7 @@ type StepRecord struct {
 	HaloMsgs            int64   `json:"halo_msgs,omitempty"`
 	HaloBytes           int64   `json:"halo_bytes,omitempty"`
 	AllReduces          int64   `json:"allreduces,omitempty"`
+	Retries             int64   `json:"retries,omitempty"`
 	// Per-stage wall seconds of the step pipeline, and the count of
 	// relinearizations that reused the cached Stokes setup.
 	RheologyS         float64 `json:"rheology_s"`
@@ -214,7 +220,7 @@ func Run(m *model.Model, cfg Config) error {
 			ResidualEvals: st.ResidualEvals, LineSearchStagnated: st.LineSearchStagnated,
 			WallS:   wall,
 			Backend: st.Backend, Ranks: st.Ranks,
-			HaloMsgs: st.HaloMsgs, HaloBytes: st.HaloBytes, AllReduces: st.AllReduces,
+			HaloMsgs: st.HaloMsgs, HaloBytes: st.HaloBytes, AllReduces: st.AllReduces, Retries: st.Retries,
 			RheologyS:         st.RheologyTime.Seconds(),
 			MPMProjectS:       st.ProjectTime.Seconds(),
 			StokesSetupS:      st.StokesSetupTime.Seconds(),
@@ -309,6 +315,11 @@ func Smoke(workers int, out io.Writer) error {
 				return fmt.Errorf("smoke %s (%s): %d point locations accepted from a Newton iteration that did not converge", name, mode, n)
 			}
 			st := m.Stats[len(m.Stats)-1]
+			// No smoke run injects a fault, so a retransmission is a timeout
+			// that fired on scheduling, not on loss.
+			if n := m.Stats[0].Retries + st.Retries; n != 0 {
+				return fmt.Errorf("smoke %s (%s): %d retransmission rounds on a fault-free fabric", name, mode, n)
+			}
 			fmt.Fprintf(out, "smoke %-16s %-11s ok: 2 steps, krylov_its=%d+%d, %.1fs\n",
 				name, mode, m.Stats[0].KrylovIts, st.KrylovIts, time.Since(start).Seconds())
 		}

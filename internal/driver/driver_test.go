@@ -6,11 +6,14 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/scenario"
+	"ptatin3d/internal/stokes"
 )
 
 func smallSinker(t *testing.T, workers int) *model.Model {
@@ -81,6 +84,15 @@ func TestBackendSelection(t *testing.T) {
 	}
 	if _, err := Backend("2x", false, 0); err == nil {
 		t.Fatal("malformed ranks accepted")
+	}
+	if _, err := Backend("2x1x2", false, 4); err != nil {
+		t.Fatalf("one root per rank refused: %v", err)
+	}
+	for _, roots := range []int{-1, 8} {
+		_, err := Backend("2x1x1", false, roots)
+		if err == nil || !strings.Contains(err.Error(), "-coarse-roots") || !strings.Contains(err.Error(), "2x1x1") {
+			t.Fatalf("coarse roots %d on 2 ranks: err %v, want one naming -coarse-roots and the rank count", roots, err)
+		}
 	}
 }
 
@@ -156,5 +168,31 @@ func TestRunDistributedRecordsComm(t *testing.T) {
 	}
 	if rec.Steps[0].HaloMsgs == 0 || rec.Steps[0].AllReduces == 0 {
 		t.Fatalf("no communication recorded: %+v", rec.Steps[0])
+	}
+	// Zero on a fault-free fabric, which is Smoke's to assert (it runs
+	// alone; a test sharing the host can be descheduled past a timeout).
+	if n := rec.Steps[0].Retries; n != m.Stats[0].Retries {
+		t.Fatalf("retries in the record %d, in the step stats %d", n, m.Stats[0].Retries)
+	}
+
+	// The same step under an attempt deadline no reply can meet: the
+	// retransmissions reach the record, the iterations do not move.
+	m2 := smallSinker(t, 2)
+	m2.Backend = model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{
+		Policy: comm.RetryPolicy{Timeout: time.Microsecond, MaxRetries: 60, Backoff: 1.5},
+	})
+	js.Reset()
+	if err := Run(m2, Config{Steps: 1, Out: &bytes.Buffer{}, JSONOut: &js, Scenario: "sinker"}); err != nil {
+		t.Fatal(err)
+	}
+	var rec2 RunRecord
+	if err := json.Unmarshal(js.Bytes(), &rec2); err != nil {
+		t.Fatal(err)
+	}
+	if n := rec2.Steps[0].Retries; n == 0 || n != m2.Stats[0].Retries {
+		t.Fatalf("retries in the record %d, in the step stats %d, want equal and positive", n, m2.Stats[0].Retries)
+	}
+	if rec2.Steps[0].KrylovIts != rec.Steps[0].KrylovIts {
+		t.Fatalf("retransmissions moved the solve: %d iterations, %d without", rec2.Steps[0].KrylovIts, rec.Steps[0].KrylovIts)
 	}
 }

@@ -155,6 +155,9 @@ type StepStats struct {
 	HaloMsgs   int64
 	HaloBytes  int64
 	AllReduces int64
+	// Retries counts the reliable exchange's retransmission rounds, over
+	// all ranks: zero on a run without an injected fault.
+	Retries int64
 	// Per-stage wall times of the step pipeline (the -json breakdown).
 	RheologyTime     time.Duration
 	ProjectTime      time.Duration
@@ -603,11 +606,13 @@ func (m *Model) StepForward() error {
 			st.HaloMsgs += r.HaloMsgs
 			st.HaloBytes += r.HaloBytes
 			st.AllReduces += r.AllReduces
+			st.Retries += r.Retries
 		}
 		if tel := m.Telemetry; tel != nil {
 			tel.Counter("halo_msgs").Add(st.HaloMsgs)
 			tel.Counter("halo_bytes").Add(st.HaloBytes)
 			tel.Counter("allreduces").Add(st.AllReduces)
+			tel.Counter("retries").Add(st.Retries)
 		}
 	}
 	// Simulated ranks are goroutines of this process, Workers wide each.

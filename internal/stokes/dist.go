@@ -344,6 +344,11 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 			dists[l] = comm.NewDist(r, layouts[l][r.ID], sc)
 		}
 		dmg, err := mg.NewDist(s.MG, dists, mg.DistOptions{Agg: agg})
+		// Ranks enter the solve together. Their set-up above runs P wide on
+		// the host's few cores, so the first rank done would otherwise wait
+		// in its first exchange for peers that have not started theirs, for
+		// longer than a retry timeout: retransmissions with nothing lost.
+		r.Barrier()
 		if err != nil {
 			rankErr[r.ID] = err
 			// Stay collective even on failure: every other rank will

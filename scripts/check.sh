@@ -14,10 +14,12 @@
 # model constructor, one halo apply, docs that name commands and
 # identifiers that exist), a worker-count invariance run of rift and of
 # sinker-swarm at 8^3 (its checkpoints byte-equal at 1 and 2 workers), a
-# rank-count invariance check of the bounded scaling sweep, a one-iteration
-# smoke run of the apply-path, V-cycle and element-kernel benchmarks, and
-# short fuzz smoke passes over the decomposition index math, the checkpoint
-# decoder and the assembly contractions.
+# rank-count invariance check of the 64-rank scaling sweep, a 64-rank solve
+# that must not retransmit, a guard that the fabric keeps one mailbox per
+# rank, a one-iteration smoke run of the apply-path, V-cycle and
+# element-kernel benchmarks, and short fuzz smoke passes over the
+# decomposition index math, the checkpoint decoder and the assembly
+# contractions.
 # Every PR must leave this script exiting 0.
 #
 # Usage: scripts/check.sh  (from the repository root or any subdirectory)
@@ -96,7 +98,7 @@ echo "== go test -short -race =="
 go test -short -race ./...
 
 echo "== fault/recovery protocol under -race =="
-named_tests -race 'Fault|Reliable|Migrate|Recv' ./internal/comm ./internal/mpm
+named_tests -race 'Fault|Reliable|Migrate|Recv|TestFaultFreeExchangeNeverRetries|TestMailbox' ./internal/comm ./internal/mpm
 
 echo "== 64-rank fault-injection soak under -race (bounded: -short) =="
 named_tests '-short -race' 'TestSoakReliableExchange64Ranks' ./internal/comm
@@ -245,12 +247,35 @@ rm -r "$ckdir"
 echo "== rank-distributed solve under -race =="
 go run -race ./cmd/ptatin-tables table2 -ranks 2x1x1 -grids 8
 
-echo "== scaling sweep (bounded rank count): the strong-16 rows take the same iterations on 1 and 8 ranks =="
-sweep=$(go run ./cmd/ptatin-tables sweep -pipelined -sweep-max-ranks 8)
+echo "== scaling sweep to 64 ranks: the strong-16 rows take the same iterations on 1, 8 and 64 ranks =="
+sweep=$(go run ./cmd/ptatin-tables sweep -pipelined -sweep-max-ranks 64)
 echo "$sweep"
 strong=$(awk '$1 == "strong" && $2 == 16 && $4 ~ /^[0-9]+$/ {print $5}' <<<"$sweep")
-if [ "$(wc -w <<<"$strong")" -ne 2 ] || [ "$(sort -u <<<"$strong" | wc -l)" -ne 1 ]; then
-    echo "scaling sweep: want two strong-16 rows (1x1x1, 2x2x2) with one iteration count, got:" $strong >&2
+if [ "$(wc -w <<<"$strong")" -ne 3 ] || [ "$(sort -u <<<"$strong" | wc -l)" -ne 1 ]; then
+    echo "scaling sweep: want three strong-16 rows (1x1x1, 2x2x2, 4x4x4) with one iteration count, got:" $strong >&2
+    exit 1
+fi
+
+# No fault is injected, so a retransmission is a timeout that fired on
+# scheduling (PR 23: 9 026 of them on this run).
+echo "== 64 ranks on the default retry policy: 0 retries on every rank line, the iterations of 2 ranks =="
+big=$(go run ./cmd/ptatin-tables table2 -ranks 4x4x4 -grids 16)
+its64=$(awk '$1 == 16 {print $3}' <<<"$big")
+its2=$(go run ./cmd/ptatin-tables table2 -ranks 2x1x1 -grids 16 | awk '$1 == 16 {print $3}')
+if [ "$(grep -c ' 0 retries$' <<<"$big")" -ne 64 ] || [ "$(grep -c ' retries$' <<<"$big")" -ne 64 ]; then
+    echo "table2 -ranks 4x4x4: want 64 rank lines, each with 0 retries, got:" >&2
+    grep ' retries$' <<<"$big" | grep -v ' 0 retries$' >&2
+    exit 1
+fi
+if [ -z "$its64" ] || [ "$its64" != "$its2" ]; then
+    echo "table2 -grids 16: iterations on 4x4x4 ($its64) and on 2x1x1 ($its2) differ" >&2
+    exit 1
+fi
+grep -E '^ *16 ' <<<"$big"
+
+echo "== one mailbox per rank: no per-sender channel, poll interval or mailbox sweep in non-test Go =="
+if grep -rnE 'drainStray|strayPollInterval|\.mail\[' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check.sh: the polled per-sender mailboxes are back (above)" >&2
     exit 1
 fi
 
