@@ -136,6 +136,9 @@ type StepRecord struct {
 	ALES              float64 `json:"ale_s"`
 	ThermalS          float64 `json:"thermal_s"`
 	StokesSetupReused int64   `json:"stokes_setup_reused"`
+	// CoeffUpdates is model.StepStats.CoeffUpdates: the step's
+	// point-rheology evaluations with projection.
+	CoeffUpdates int64 `json:"coeff_updates"`
 	// CPUUtil is model.StepStats.CPUUtil: user CPU seconds over wall ×
 	// cores, to within one garbage-collection cycle; absent when no cycle
 	// ended inside the step, so nothing was measured.
@@ -229,6 +232,7 @@ func Run(m *model.Model, cfg Config) error {
 			ALES:              st.ALETime.Seconds(),
 			ThermalS:          st.ThermalTime.Seconds(),
 			StokesSetupReused: st.StokesSetupReused,
+			CoeffUpdates:      st.CoeffUpdates,
 			CPUUtil:           st.CPUUtil,
 			HelperShare:       st.HelperShare,
 		})

@@ -147,6 +147,49 @@ func TestRunCheckpointRestartAndJSON(t *testing.T) {
 	}
 }
 
+// TestRunRecordsCoeffUpdates: the record carries each step's coefficient
+// evaluations — one per solve on the specs whose lithologies are all
+// constant and non-plastic (nothing they read changes inside a solve),
+// one per residual evaluation on the rift's Picard solve, whose flow laws
+// read the strain rate — and the text step line does not.
+func TestRunRecordsCoeffUpdates(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, name := range []string{"sinker", "rayleigh-taylor", "rift"} {
+		spec, err := scenario.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec.Resolution = spec.SmallResolution()
+		m, err := scenario.Compile(spec, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var csv, js bytes.Buffer
+		if err := Run(m, Config{Steps: 2, Out: &csv, JSONOut: &js, Scenario: name}); err != nil {
+			t.Fatal(err)
+		}
+		var rec RunRecord
+		if err := json.Unmarshal(js.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		for i, st := range rec.Steps {
+			want := int64(1)
+			if name == "rift" {
+				want = int64(st.ResidualEvals)
+			}
+			if st.CoeffUpdates != want || st.CoeffUpdates != m.Stats[i].CoeffUpdates {
+				t.Errorf("%s step %d: coeff_updates %d in the record, %d in the step stats, want %d (%d residual evaluations)",
+					name, st.Step, st.CoeffUpdates, m.Stats[i].CoeffUpdates, want, st.ResidualEvals)
+			}
+		}
+		if strings.Contains(csv.String(), "coeff_updates") {
+			t.Errorf("%s: the text output names coeff_updates:\n%s", name, csv.String())
+		}
+	}
+}
+
 // TestRunDistributedRecordsComm: a distributed run labels its stats and
 // reports fabric traffic in the JSON record.
 func TestRunDistributedRecordsComm(t *testing.T) {

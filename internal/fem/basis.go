@@ -46,17 +46,15 @@ var N27 [NQP][NodesPerEl]float64
 // derivative matrix D̂ξ of the paper's non-tensor matrix-free kernel.
 var G27 [NQP][NodesPerEl][3]float64
 
-// q2Shape1D evaluates the three 1-D quadratic basis functions (nodes at
-// ξ = -1, 0, +1) and their derivatives at ξ.
-func q2Shape1D(xi float64) (n, d [3]float64) {
-	n[0] = 0.5 * xi * (xi - 1)
-	n[1] = 1 - xi*xi
-	n[2] = 0.5 * xi * (xi + 1)
-	d[0] = xi - 0.5
-	d[1] = -2 * xi
-	d[2] = xi + 0.5
-	return
+// q2Vals and q2Ders evaluate the three 1-D quadratic basis functions
+// (nodes at ξ = -1, 0, +1) and their derivatives at ξ. They return
+// scalars: the per-point evaluators below run millions of times a step,
+// and a [3]float64 result would be copied through the stack at every call.
+func q2Vals(xi float64) (n0, n1, n2 float64) {
+	return 0.5 * xi * (xi - 1), 1 - xi*xi, 0.5 * xi * (xi + 1)
 }
+
+func q2Ders(xi float64) (d0, d1, d2 float64) { return xi - 0.5, -2 * xi, xi + 0.5 }
 
 // q1Shape1D evaluates the two 1-D linear basis functions (nodes at ξ = ±1)
 // and their derivatives at ξ.
@@ -72,9 +70,8 @@ func init() {
 	g := math.Sqrt(3.0 / 5.0)
 	gauss3 = [3]float64{-g, 0, g}
 	for q := 0; q < 3; q++ {
-		n, d := q2Shape1D(gauss3[q])
-		B1[q] = n
-		D1[q] = d
+		B1[q][0], B1[q][1], B1[q][2] = q2Vals(gauss3[q])
+		D1[q][0], D1[q][1], D1[q][2] = q2Ders(gauss3[q])
 	}
 	for qk := 0; qk < 3; qk++ {
 		for qj := 0; qj < 3; qj++ {
@@ -99,35 +96,37 @@ func init() {
 
 // Q2Eval evaluates the 27 Q2 basis functions at an arbitrary reference
 // point (xi,eta,zeta) ∈ [-1,1]³. Used for material-point interpolation.
+// N_(k*3+j)*3+i is the triple product x_i·y_j·z_k, which Go evaluates left
+// to right, so taking x_i·y_j from a 9-entry table changes no bit
+// (TestQ2BasisTabulatedBitwise).
 func Q2Eval(xi, eta, zeta float64, n *[NodesPerEl]float64) {
-	nx, _ := q2Shape1D(xi)
-	ny, _ := q2Shape1D(eta)
-	nz, _ := q2Shape1D(zeta)
-	for k := 0; k < 3; k++ {
-		for j := 0; j < 3; j++ {
-			for i := 0; i < 3; i++ {
-				n[(k*3+j)*3+i] = nx[i] * ny[j] * nz[k]
-			}
-		}
+	x0, x1, x2 := q2Vals(xi)
+	y0, y1, y2 := q2Vals(eta)
+	z0, z1, z2 := q2Vals(zeta)
+	xy := [9]float64{x0 * y0, x1 * y0, x2 * y0, x0 * y1, x1 * y1, x2 * y1, x0 * y2, x1 * y2, x2 * y2}
+	for l, v := range xy {
+		n[l], n[9+l], n[18+l] = v*z0, v*z1, v*z2
 	}
 }
 
-// Q2EvalGrad evaluates the Q2 basis and its reference gradient at an
-// arbitrary reference point.
-func Q2EvalGrad(xi, eta, zeta float64, n *[NodesPerEl]float64, g *[NodesPerEl][3]float64) {
-	nx, dx := q2Shape1D(xi)
-	ny, dy := q2Shape1D(eta)
-	nz, dz := q2Shape1D(zeta)
-	for k := 0; k < 3; k++ {
-		for j := 0; j < 3; j++ {
-			for i := 0; i < 3; i++ {
-				l := (k*3+j)*3 + i
-				n[l] = nx[i] * ny[j] * nz[k]
-				g[l][0] = dx[i] * ny[j] * nz[k]
-				g[l][1] = nx[i] * dy[j] * nz[k]
-				g[l][2] = nx[i] * ny[j] * dz[k]
-			}
-		}
+// Q2Grad evaluates the reference gradient of the 27 Q2 basis functions at
+// an arbitrary reference point: the triple products dx_i·y_j·z_k,
+// x_i·dy_j·z_k and x_i·y_j·dz_k, their left factors from the tables dx·y,
+// x·dy and x·y as in Q2Eval.
+func Q2Grad(xi, eta, zeta float64, g *[NodesPerEl][3]float64) {
+	x0, x1, x2 := q2Vals(xi)
+	y0, y1, y2 := q2Vals(eta)
+	z0, z1, z2 := q2Vals(zeta)
+	dx0, dx1, dx2 := q2Ders(xi)
+	dy0, dy1, dy2 := q2Ders(eta)
+	dz0, dz1, dz2 := q2Ders(zeta)
+	xy := [9]float64{x0 * y0, x1 * y0, x2 * y0, x0 * y1, x1 * y1, x2 * y1, x0 * y2, x1 * y2, x2 * y2}
+	dxy := [9]float64{dx0 * y0, dx1 * y0, dx2 * y0, dx0 * y1, dx1 * y1, dx2 * y1, dx0 * y2, dx1 * y2, dx2 * y2}
+	xdy := [9]float64{x0 * dy0, x1 * dy0, x2 * dy0, x0 * dy1, x1 * dy1, x2 * dy1, x0 * dy2, x1 * dy2, x2 * dy2}
+	for l := range xy {
+		g[l] = [3]float64{dxy[l] * z0, xdy[l] * z0, xy[l] * dz0}
+		g[9+l] = [3]float64{dxy[l] * z1, xdy[l] * z1, xy[l] * dz1}
+		g[18+l] = [3]float64{dxy[l] * z2, xdy[l] * z2, xy[l] * dz2}
 	}
 }
 

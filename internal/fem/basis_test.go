@@ -118,7 +118,8 @@ func TestQ2GradReproducesLinear(t *testing.T) {
 	}
 	var n [27]float64
 	var g [27][3]float64
-	Q2EvalGrad(0.3, -0.7, 0.1, &n, &g)
+	Q2Eval(0.3, -0.7, 0.1, &n)
+	Q2Grad(0.3, -0.7, 0.1, &g)
 	var grad [3]float64
 	var val float64
 	for i := 0; i < 27; i++ {
@@ -134,6 +135,58 @@ func TestQ2GradReproducesLinear(t *testing.T) {
 	for dd, want := range [3]float64{b, c, d} {
 		if math.Abs(grad[dd]-want) > 1e-13 {
 			t.Fatalf("grad[%d] = %v, want %v", dd, grad[dd], want)
+		}
+	}
+}
+
+// TestQ2BasisTabulatedBitwise: Q2Eval and Q2Grad, which take the left
+// factor of every triple product from a 9-entry table, return the bits of
+// the triple products written out — the form both had before the tables —
+// at random points, the nodes ±1 and 0, the Newton clamp ±3, and
+// denormal coordinates (whose products underflow).
+func TestQ2BasisTabulatedBitwise(t *testing.T) {
+	shape := func(xi float64) (n, d [3]float64) {
+		return [3]float64{0.5 * xi * (xi - 1), 1 - xi*xi, 0.5 * xi * (xi + 1)}, [3]float64{xi - 0.5, -2 * xi, xi + 0.5}
+	}
+	triple := func(xi, eta, zeta float64) (n [27]float64, g [27][3]float64) {
+		nx, dx := shape(xi)
+		ny, dy := shape(eta)
+		nz, dz := shape(zeta)
+		for k := 0; k < 3; k++ {
+			for j := 0; j < 3; j++ {
+				for i := 0; i < 3; i++ {
+					l := (k*3+j)*3 + i
+					n[l] = nx[i] * ny[j] * nz[k]
+					g[l] = [3]float64{dx[i] * ny[j] * nz[k], nx[i] * dy[j] * nz[k], nx[i] * ny[j] * dz[k]}
+				}
+			}
+		}
+		return
+	}
+	special := []float64{-1, 1, 0, math.Copysign(0, -1), -3, 3, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310}
+	rng := rand.New(rand.NewSource(25))
+	coord := func() float64 {
+		if rng.Intn(3) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return 8*rng.Float64() - 4
+	}
+	for trial := 0; trial < 20000; trial++ {
+		xi, eta, zeta := coord(), coord(), coord()
+		wantN, wantG := triple(xi, eta, zeta)
+		var n [27]float64
+		var g [27][3]float64
+		Q2Eval(xi, eta, zeta, &n)
+		Q2Grad(xi, eta, zeta, &g)
+		for l := 0; l < 27; l++ {
+			if math.Float64bits(n[l]) != math.Float64bits(wantN[l]) {
+				t.Fatalf("ξ = (%g, %g, %g): N_%d = %v, triple product %v", xi, eta, zeta, l, n[l], wantN[l])
+			}
+			for d := 0; d < 3; d++ {
+				if math.Float64bits(g[l][d]) != math.Float64bits(wantG[l][d]) {
+					t.Fatalf("ξ = (%g, %g, %g): ∂N_%d/∂ξ_%d = %v, triple product %v", xi, eta, zeta, l, d, g[l][d], wantG[l][d])
+				}
+			}
 		}
 	}
 }

@@ -102,9 +102,8 @@ func mapPos(xe *[81]float64, xi, et, ze float64) (px, py, pz float64) {
 // mapInv inverts the Jacobian of the element map at ξ: inv[m][s] =
 // ∂ξ_s/∂x_m, row-major. It returns the determinant.
 func mapInv(xe *[81]float64, xi, et, ze float64, inv *[9]float64) float64 {
-	var nb [27]float64
 	var gb [27][3]float64
-	Q2EvalGrad(xi, et, ze, &nb, &gb)
+	Q2Grad(xi, et, ze, &gb)
 	var jmat [9]float64 // jmat[d*3+m] = ∂x_m/∂ξ_d
 	for n := 0; n < 27; n++ {
 		cx, cy, cz := xe[3*n], xe[3*n+1], xe[3*n+2]

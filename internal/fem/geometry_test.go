@@ -354,7 +354,8 @@ func checkElementFrames(t *testing.T, what string, p *Problem) {
 		p.gatherCoords(e, &xe)
 		var nb [27]float64
 		var gb [27][3]float64
-		Q2EvalGrad(0, 0, 0, &nb, &gb)
+		Q2Eval(0, 0, 0, &nb)
+		Q2Grad(0, 0, 0, &gb)
 		var px, py, pz float64
 		var jmat, inv [9]float64
 		for n := 0; n < 27; n++ {

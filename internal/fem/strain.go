@@ -69,9 +69,8 @@ func StrainRateAtQP(p *Problem, u la.Vec, d6, eII []float64) {
 // reference position (xi,et,ze) of the element it holds — the
 // material-point state feeding the flow laws (paper §II-C).
 func StrainRateAtPoint(c *ElemCursor, xi, et, ze float64) float64 {
-	var nb [27]float64
 	var gb [27][3]float64
-	Q2EvalGrad(xi, et, ze, &nb, &gb)
+	Q2Grad(xi, et, ze, &gb)
 	var jmat [9]float64
 	var gref [9]float64 // ∂u_a/∂ξ_d
 	for n := 0; n < 27; n++ {

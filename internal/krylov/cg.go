@@ -71,12 +71,9 @@ func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result
 		rn = prm.norm2(r)
 		res.Iterations = it
 		res.record(prm, rn)
+		// A NaN or Inf entry of r makes rn non-finite: r needs no scan.
 		if k := badNorm(rn); k != 0 {
 			res.fail(prm, "cg", k, it, rn)
-			break
-		}
-		if prm.hasNaN(r) {
-			res.fail(prm, "cg", BreakdownNaN, it, rn)
 			break
 		}
 		if converged(prm, rn, res.Residual0) {

@@ -107,14 +107,6 @@ func (p Params) vscale(v la.Vec, alpha float64) { v.ScaleSpans(alpha, p.spans())
 
 func (p Params) vzero(v la.Vec) { v.ZeroSpans(p.spans()) }
 
-// hasNaN runs the full-vector NaN scan only on the shared-memory path:
-// a distributed rank's vector copy is undefined outside its owned+ghost
-// region (finite, but meaningless), and the collective badNorm checks
-// on reduced values already catch NaN/Inf consistently on all ranks.
-func (p Params) hasNaN(x la.Vec) bool {
-	return p.Reducer == nil && x.HasNaN()
-}
-
 // consistent makes the caller-supplied vectors halo-consistent (no-op
 // without an Exchanger). The returned error is the exchange failure, to
 // be surfaced through Result.Err as a breakdown.

@@ -126,12 +126,9 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, 
 		if callback != nil {
 			callback(it, r)
 		}
+		// A NaN or Inf entry of r makes rn non-finite: r needs no scan.
 		if k := badNorm(rn); k != 0 {
 			res.fail(prm, method, k, it, rn)
-			break
-		}
-		if prm.hasNaN(r) {
-			res.fail(prm, method, BreakdownNaN, it, rn)
 			break
 		}
 		if converged(prm, rn, res.Residual0) {

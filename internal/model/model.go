@@ -121,7 +121,7 @@ func grown(s []float64, n int) []float64 {
 type stageTimes struct {
 	rheology, project, stokesSetup, stokesKrylov time.Duration
 	advect, ale, thermal                         time.Duration
-	setupReused                                  int64
+	setupReused, coeffUpdates                    int64
 }
 
 // StepStats records one time step's solver behaviour — the per-step
@@ -169,6 +169,12 @@ type StepStats struct {
 	// StokesSetupReused counts the step's relinearizations served by
 	// refreshing the cached solver stack instead of a cold build.
 	StokesSetupReused int64
+	// CoeffUpdates counts the step's point-rheology evaluations with
+	// projection (UpdateCoefficients, the "coeff_updates" counter): one
+	// per solve when no lithology reads the strain rate or the pressure,
+	// else one per distinct state the residual is evaluated at, plus one
+	// per Newton relinearisation.
+	CoeffUpdates int64
 	// CPUUtil is the share of Workers cores that ran user Go code during
 	// the step (telemetry.CPUSample.Utilization): a value well under 1
 	// means serial sections or idle workers (Workers × Ranks cores on the
@@ -189,20 +195,40 @@ type StepStats struct {
 
 // pointState evaluates the rheological state of material point i for the
 // coupled state whose velocity and temperature c gathers and whose
-// pressure is pv.
+// pressure is pv — only the fields its lithology's laws read (the others
+// stay zero: they cannot change what the laws return).
 func (m *Model) pointState(c *fem.ElemCursor, pv la.Vec, i int) rheology.State {
 	pts := m.Points
 	st := rheology.State{PlasticStrain: pts.Plastic[i]}
-	if pts.Elem[i] < 0 {
+	reads := m.Lith[pts.Litho[i]].Reads()
+	reads.Temperature = reads.Temperature && m.Temp != nil
+	if pts.Elem[i] < 0 || reads == (rheology.Fields{}) {
 		return st
 	}
 	c.Seek(int(pts.Elem[i]))
-	st.StrainRateII = fem.StrainRateAtPoint(c, pts.Xi[i], pts.Et[i], pts.Ze[i])
-	st.Pressure = fem.EvalPressure(c, pv, pts.X[i], pts.Y[i], pts.Z[i])
-	if m.Temp != nil {
+	if reads.StrainRate {
+		st.StrainRateII = fem.StrainRateAtPoint(c, pts.Xi[i], pts.Et[i], pts.Ze[i])
+	}
+	if reads.Pressure {
+		st.Pressure = fem.EvalPressure(c, pv, pts.X[i], pts.Y[i], pts.Z[i])
+	}
+	if reads.Temperature {
 		st.Temperature = thermal.TemperatureAt(c, pts.Xi[i], pts.Et[i], pts.Ze[i])
 	}
 	return st
+}
+
+// readsState reports whether some lithology's laws read the strain rate
+// or the pressure — the fields that change with the Stokes state inside
+// one solve. When none does, the coefficients are a function of the
+// points, the temperature and the mesh alone.
+func (m *Model) readsState() bool {
+	for i := range m.Lith {
+		if r := m.Lith[i].Reads(); r.StrainRate || r.Pressure {
+			return true
+		}
+	}
+	return false
 }
 
 // stateCursor returns the cursor and pressure block pointState reads the
@@ -229,6 +255,7 @@ func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
 		facP = sc.facP
 	}
 	m.Telemetry.Counter("coeff_updates").Inc()
+	m.stage.coeffUpdates++
 	// Per-point rheology evaluation: each point reads the shared state
 	// (x, coordinates, temperature) and writes only its own slots, so the
 	// loop parallelizes with no change in any point's arithmetic.
@@ -354,15 +381,20 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	// temperature and mesh do not change inside it). The nonlinear loop
 	// relinearises at the state its last residual evaluation accepted, so
 	// Prepare usually finds the coefficients already there; comparing the
-	// states, not trusting the call order, is what decides.
-	coeffX, coeffValid := sc.coeffX, false
+	// states, not trusting the call order, is what decides. When no
+	// lithology reads the strain rate or the pressure, the coefficients
+	// do not depend on the state at all and the first evaluation holds for
+	// the whole solve. The load vector depends on them (ρ) and on the mesh
+	// only, so it is rebuilt only after they were.
+	coeffX, coeffValid, buValid := sc.coeffX, false, false
+	stateFree := !m.readsState()
 	updateCoefficients := func(x la.Vec, wantDeriv bool) []float64 {
-		if !wantDeriv && coeffValid && slices.Equal(coeffX, x) {
+		if !wantDeriv && coeffValid && (stateFree || slices.Equal(coeffX, x)) {
 			return nil
 		}
 		facQP := m.UpdateCoefficients(x, wantDeriv)
 		coeffX.Copy(x)
-		coeffValid = true
+		coeffValid, buValid = true, false
 		return facQP
 	}
 
@@ -374,7 +406,10 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 		N: ncoup,
 		Residual: func(x, f la.Vec) {
 			updateCoefficients(x, false)
-			fem.MomentumRHS(prob, bu)
+			if !buValid {
+				fem.MomentumRHS(prob, bu)
+				buValid = true
+			}
 			resOp.Residual(x, bu, f)
 		},
 		Prepare: func(x la.Vec) (krylov.Op, krylov.Preconditioner, error) {
@@ -598,6 +633,7 @@ func (m *Model) StepForward() error {
 		ALETime:           m.stage.ale,
 		ThermalTime:       m.stage.thermal,
 		StokesSetupReused: m.stage.setupReused,
+		CoeffUpdates:      m.stage.coeffUpdates,
 	}
 	if rep, ok := m.Backend.(CommStatsReporter); ok {
 		ranks := rep.TakeCommStats()

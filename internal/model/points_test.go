@@ -3,6 +3,7 @@ package model_test
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/fem"
@@ -10,6 +11,7 @@ import (
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/mpm"
 	"ptatin3d/internal/rheology"
+	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/thermal"
 )
 
@@ -32,9 +34,8 @@ func refVelocityAt(prob *fem.Problem, u la.Vec, e int, xi, et, ze float64) (vx, 
 }
 
 func refStrainRateAtPoint(p *fem.Problem, u la.Vec, e int, xi, et, ze float64) float64 {
-	var nb [27]float64
 	var gb [27][3]float64
-	fem.Q2EvalGrad(xi, et, ze, &nb, &gb)
+	fem.Q2Grad(xi, et, ze, &gb)
 	em := p.Emap[27*e : 27*e+27]
 	var jmat [9]float64
 	var gref [9]float64 // ∂u_a/∂ξ_d
@@ -129,6 +130,71 @@ func refPointState(m *model.Model, pts *mpm.Points, x la.Vec, temp []float64, i 
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func sameBitsSlice(a, b []float64) bool {
+	return slices.EqualFunc(a, b, sameBits)
+}
+
+// TestPointCoefficientsMatchFullState: UpdateCoefficients evaluates only
+// the state fields a point's lithology reads; the η, ρ and η′/ε̇ it gives
+// every point are, bit for bit, those of the full state (refPointState,
+// by UpdateCoefficients' own formulas) — on every registered spec, and on
+// the rift solved by Newton, at the state one step solved for.
+func TestPointCoefficientsMatchFullState(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs without -short, and under -race in check.sh's point-loops stage")
+	}
+	type run struct {
+		name   string
+		newton bool
+	}
+	runs := []run{{"rift", true}}
+	for _, name := range scenario.Names() {
+		runs = append(runs, run{name, false})
+	}
+	var partial, full int
+	for _, r := range runs {
+		m := compileSmall(t, r.name, 2)
+		m.UseNewton = r.newton
+		runSteps(t, m, 1)
+		pts := m.Points
+		for _, wantDeriv := range []bool{false, true} {
+			m.UpdateCoefficients(m.X, wantDeriv)
+			eta, rho, fac := m.PointCoefficients()
+			for i := 0; i < pts.Len(); i++ {
+				l := &m.Lith[pts.Litho[i]]
+				if l.Reads() == (rheology.Fields{StrainRate: true, Pressure: true, Temperature: true}) {
+					full++
+				} else {
+					partial++
+				}
+				st := refPointState(m, pts, m.X, m.Temp, i)
+				wantEta, _ := l.EffectiveViscosity(st)
+				if wantDeriv {
+					var d float64
+					wantEta, d = l.EffectiveViscosityDerivative(st)
+					eII := st.StrainRateII
+					if eII < 1e-12 {
+						eII = 1e-12
+					}
+					if lo := -0.9 * wantEta / eII; d < lo {
+						d = lo
+					}
+					if !sameBits(fac[i], d/eII) {
+						t.Fatalf("%s newton=%v point %d (%s): η′/ε̇ %v, full state %v", r.name, r.newton, i, l.Name, fac[i], d/eII)
+					}
+				}
+				if !sameBits(eta[i], wantEta) || !sameBits(rho[i], l.Density(st)) {
+					t.Fatalf("%s newton=%v derivative=%v point %d (%s): η, ρ = %v, %v; full state %v, %v",
+						r.name, r.newton, wantDeriv, i, l.Name, eta[i], rho[i], wantEta, l.Density(st))
+				}
+			}
+		}
+	}
+	if partial == 0 || full == 0 {
+		t.Fatalf("vacuous: %d point evaluations skipped a field, %d read all three", partial, full)
+	}
+}
 
 // TestElementCursorBitwise: on the rift's deformed mesh, with its solved
 // velocity, pressure and temperature, the four evaluators read through an

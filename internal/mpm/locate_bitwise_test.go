@@ -39,7 +39,8 @@ func refInvertInElement(xe *[81]float64, x, y, z float64) (xi, et, ze float64, o
 	var nb [27]float64
 	var gb [27][3]float64
 	for it := 0; it < refNewtonIts; it++ {
-		fem.Q2EvalGrad(xi, et, ze, &nb, &gb)
+		fem.Q2Eval(xi, et, ze, &nb)
+		fem.Q2Grad(xi, et, ze, &gb)
 		var px, py, pz float64
 		var jmat [9]float64 // jmat[d*3+m] = ∂x_m/∂ξ_d
 		for n := 0; n < 27; n++ {

@@ -64,6 +64,27 @@ type State struct {
 	PlasticStrain float64 // accumulated plastic strain (softening variable)
 }
 
+// Fields names the State fields a lithology's laws read.
+type Fields struct {
+	StrainRate, Pressure, Temperature bool
+}
+
+// Reads reports which State fields EffectiveViscosity,
+// EffectiveViscosityDerivative and Density read for this lithology — the
+// creep law reads ε̇_II and T unless it is Constant, the stress limiter
+// reads ε̇_II and p, the Boussinesq density reads T when α ≠ 0. The
+// three return the same bits whatever a field they do not read holds, so
+// a caller may leave it zero instead of evaluating it. PlasticStrain is
+// not listed: it is stored per point, not evaluated.
+func (l *Lithology) Reads() Fields {
+	creep := l.Type != Constant
+	return Fields{
+		StrainRate:  creep || l.Plastic,
+		Pressure:    l.Plastic,
+		Temperature: creep || l.Alpha != 0,
+	}
+}
+
 // cohesion returns the (linearly strain-softened) cohesion.
 func (l *Lithology) cohesion(plasticStrain float64) float64 {
 	if l.SoftStrain <= 0 || l.CohesionSoft <= 0 {

@@ -2,6 +2,7 @@ package rheology
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -176,6 +177,80 @@ func TestTable(t *testing.T) {
 	}
 	if tab.Eta(1, State{}) != 2 || tab.Rho(0, State{}) != 10 {
 		t.Fatal("table lookup wrong")
+	}
+}
+
+// TestReadsCoversEveryField: for every creep law with and without the
+// stress limiter and thermal expansion, a state field Reads does not list
+// can be anything — η, yielding, η′ and ρ keep their bits — and a field it
+// lists moves one of them at some state, so the list is not padded.
+func TestReadsCoversEveryField(t *testing.T) {
+	type outputs struct {
+		eta, etaD, deta, rho uint64
+		yielding             bool
+	}
+	eval := func(l *Lithology, s State) outputs {
+		eta, y := l.EffectiveViscosity(s)
+		etaD, d := l.EffectiveViscosityDerivative(s)
+		return outputs{math.Float64bits(eta), math.Float64bits(etaD), math.Float64bits(d), math.Float64bits(l.Density(s)), y}
+	}
+	fields := []struct {
+		name  string
+		read  func(Fields) bool
+		field func(*State) *float64
+	}{
+		{"strain rate", func(f Fields) bool { return f.StrainRate }, func(s *State) *float64 { return &s.StrainRateII }},
+		{"pressure", func(f Fields) bool { return f.Pressure }, func(s *State) *float64 { return &s.Pressure }},
+		{"temperature", func(f Fields) bool { return f.Temperature }, func(s *State) *float64 { return &s.Temperature }},
+	}
+	rng := rand.New(rand.NewSource(25))
+	// A log-uniform magnitude spans the Kelvin temperatures of the
+	// Arrhenius law and the [0, 1] ones of Frank-Kamenetskii alike.
+	logUniform := func(lo, hi float64) float64 { return math.Pow(10, lo+(hi-lo)*rng.Float64()) }
+	draw := func() State {
+		return State{
+			StrainRateII:  logUniform(-8, 2),
+			Pressure:      -50 + 550*rng.Float64(),
+			Temperature:   logUniform(-2, 3.3),
+			PlasticStrain: 2 * rng.Float64(),
+		}
+	}
+	for _, law := range []Lithology{
+		// Weak enough that creep, not only the limiter, wins at some states.
+		{Type: Constant, Eta0: 1e2},
+		{Type: Arrhenius, Eta0: 1, N: 3.5, E: 2e4},
+		{Type: FrankKamenetskii, Eta0: 5, N: 3, E: 2},
+	} {
+		for _, plastic := range []bool{false, true} {
+			for _, alpha := range []float64{0, 3e-5} {
+				l := law
+				l.Rho0, l.Alpha, l.TRef, l.EtaMin, l.EtaMax = 3300, alpha, 273, 1e-6, 1e12
+				if plastic {
+					l.Plastic, l.Cohesion, l.FrictionPhi, l.CohesionSoft, l.SoftStrain = true, 10, 0.5, 2, 1
+				}
+				reads := l.Reads()
+				for _, f := range fields {
+					moved := 0
+					for k := 0; k < 200; k++ {
+						s := draw()
+						if k == 0 {
+							s = State{}
+						}
+						p, q := s, draw()
+						*f.field(&p) = *f.field(&q)
+						if eval(&l, s) != eval(&l, p) {
+							moved++
+						}
+					}
+					switch read := f.read(reads); {
+					case !read && moved > 0:
+						t.Errorf("type %d plastic %v α %g: Reads leaves out the %s, which moved the outputs at %d of 200 states", l.Type, plastic, alpha, f.name, moved)
+					case read && moved == 0:
+						t.Errorf("type %d plastic %v α %g: Reads lists the %s, which moved nothing at 200 states", l.Type, plastic, alpha, f.name)
+					}
+				}
+			}
+		}
 	}
 }
 

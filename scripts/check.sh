@@ -130,9 +130,9 @@ named_tests '-race -count=10' \
     'TestPhasedOrderAndCoverage|TestPhasedNoHelper|TestPhasedNested|TestPhasedConcurrent|TestPhasedPanic|TestIdleAfterJobs|TestRunParts|TestCounts' \
     ./internal/par
 
-echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher under -race =="
+echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher, a poisoned residual entry caught by its norm, under -race =="
 named_tests -race \
-    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod' \
+    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce' \
     ./internal/krylov
 
 echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, the tables' solver recipe == what Prepare hands over, set-up stage timers under -race =="
@@ -145,10 +145,10 @@ named_tests -race \
     'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
     ./internal/mpm ./internal/model
 
-echo "== point loops: seeded Newton == full-evaluation walk, element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, under -race =="
+echo "== point loops: seeded Newton == full-evaluation walk, element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, under -race =="
 named_tests -race \
-    'TestLocateSeededBitwise|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding' \
-    ./internal/fem ./internal/mpm ./internal/model
+    'TestLocateSeededBitwise|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates' \
+    ./internal/fem ./internal/mpm ./internal/model ./internal/rheology ./internal/driver
 
 echo "== benchmark module: vet + its own tests =="
 (cd bench && go vet . && go test .)
