@@ -116,16 +116,21 @@ type StepRecord struct {
 	// ResidualEvals counts the step's nonlinear residual evaluations, the
 	// line-search trials included; LineSearchStagnated says the nonlinear
 	// iteration stopped because a search found no reducing step.
-	ResidualEvals       int     `json:"residual_evals"`
-	LineSearchStagnated bool    `json:"line_search_stagnated"`
-	Points              int     `json:"points"`
-	WallS               float64 `json:"wall_s"`
-	Backend             string  `json:"backend"`
-	Ranks               int     `json:"ranks,omitempty"`
-	HaloMsgs            int64   `json:"halo_msgs,omitempty"`
-	HaloBytes           int64   `json:"halo_bytes,omitempty"`
-	AllReduces          int64   `json:"allreduces,omitempty"`
-	Retries             int64   `json:"retries,omitempty"`
+	ResidualEvals       int  `json:"residual_evals"`
+	LineSearchStagnated bool `json:"line_search_stagnated"`
+	Points              int  `json:"points"`
+	// The population fields of model.StepStats.
+	PointsRemoved  int     `json:"points_removed"`
+	PointsInjected int     `json:"points_injected"`
+	PPEMin         int     `json:"ppe_min"`
+	PPEMax         int     `json:"ppe_max"`
+	WallS          float64 `json:"wall_s"`
+	Backend        string  `json:"backend"`
+	Ranks          int     `json:"ranks,omitempty"`
+	HaloMsgs       int64   `json:"halo_msgs,omitempty"`
+	HaloBytes      int64   `json:"halo_bytes,omitempty"`
+	AllReduces     int64   `json:"allreduces,omitempty"`
+	Retries        int64   `json:"retries,omitempty"`
 	// Per-stage wall seconds of the step pipeline, and the count of
 	// relinearizations that reused the cached Stokes setup.
 	RheologyS         float64 `json:"rheology_s"`
@@ -220,6 +225,7 @@ func Run(m *model.Model, cfg Config) error {
 			Step: st.Step, Dt: st.Dt,
 			NewtonIts: st.NewtonIts, KrylovIts: st.KrylovIts, KrylovBasis: st.KrylovBasis,
 			Converged: st.Converged, Points: st.PointCount,
+			PointsRemoved: st.PointsRemoved, PointsInjected: st.PointsInjected, PPEMin: st.PPEMin, PPEMax: st.PPEMax,
 			ResidualEvals: st.ResidualEvals, LineSearchStagnated: st.LineSearchStagnated,
 			WallS:   wall,
 			Backend: st.Backend, Ranks: st.Ranks,
@@ -287,8 +293,10 @@ func Run(m *model.Model, cfg Config) error {
 // Smoke compiles every registered scenario at its small resolution and
 // runs it for two steps on the shared backend and (when the small
 // resolution admits the rank grid on every level) on the distributed
-// backend at 2×1×1 — the check.sh scenario-smoke gate. A run that
-// accepted a point location from an unconverged Newton iteration fails.
+// backend at 2×1×1 — the check.sh scenario-smoke gate. A run fails when
+// a step's point count is not the previous one less the points it removed
+// plus those it injected, when an element ends a step with fewer points
+// than a spec's population control keeps, or on a retransmission.
 // Progress goes to out, under a "# kernel:" header; the first failure is
 // returned.
 func Smoke(workers int, out io.Writer) error {
@@ -312,11 +320,16 @@ func Smoke(workers int, out io.Writer) error {
 				m.Backend = model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})
 			}
 			start := time.Now()
+			count := m.Points.Len()
 			if err := Run(m, Config{Steps: 2, Out: io.Discard}); err != nil {
 				return fmt.Errorf("smoke %s (%s): %w", name, mode, err)
 			}
-			if n := m.Telemetry.Child("mpm").Counter("locate_unconverged").Value(); n != 0 {
-				return fmt.Errorf("smoke %s (%s): %d point locations accepted from a Newton iteration that did not converge", name, mode, n)
+			for _, st := range m.Stats {
+				if st.PointCount != count-st.PointsRemoved+st.PointsInjected || st.PPEMin < m.MinPointsPerElement {
+					return fmt.Errorf("smoke %s (%s): step %d ends with %d points (%d before, %d removed, %d injected), %d in its emptiest element (population floor %d)",
+						name, mode, st.Step, st.PointCount, count, st.PointsRemoved, st.PointsInjected, st.PPEMin, m.MinPointsPerElement)
+				}
+				count = st.PointCount
 			}
 			st := m.Stats[len(m.Stats)-1]
 			// No smoke run injects a fault, so a retransmission is a timeout

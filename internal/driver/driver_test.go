@@ -190,6 +190,53 @@ func TestRunRecordsCoeffUpdates(t *testing.T) {
 	}
 }
 
+// TestRunRecordsPopulation: the record carries what the step did to the
+// population — on a rift with one element drained and one point put
+// outside the domain before the step, population control refills the
+// element with a 2³ lattice, the outside point is removed, and the count
+// adds up — and the fewest and the most points per element after it.
+func TestRunRecordsPopulation(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	spec, err := scenario.Get("rift")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Resolution = spec.SmallResolution()
+	m, err := scenario.Compile(spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := m.Points
+	for i := pts.Len() - 1; i >= 0; i-- {
+		if pts.Elem[i] == 0 {
+			pts.RemoveSwap(i)
+		}
+	}
+	pts.X[0], pts.Elem[0] = -1e3, -1
+	count := pts.Len()
+	var js bytes.Buffer
+	if err := Run(m, Config{Steps: 1, Out: &bytes.Buffer{}, JSONOut: &js, Scenario: "rift"}); err != nil {
+		t.Fatal(err)
+	}
+	var rec RunRecord
+	if err := json.Unmarshal(js.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	r, st := rec.Steps[0], m.Stats[0]
+	if r.PointsRemoved != st.PointsRemoved || r.PointsInjected != st.PointsInjected || r.PPEMin != st.PPEMin || r.PPEMax != st.PPEMax {
+		t.Fatalf("record %+v, step stats %+v", r, st)
+	}
+	if r.PointsInjected != 8 || r.PointsRemoved < 1 || r.Points != count-r.PointsRemoved+r.PointsInjected {
+		t.Fatalf("%d points before the step, %d after: %d removed, %d injected; want 8 injected, 1 removed at least",
+			count, r.Points, r.PointsRemoved, r.PointsInjected)
+	}
+	if r.PPEMin < m.MinPointsPerElement || r.PPEMax < r.PPEMin {
+		t.Fatalf("points per element %d to %d, population control keeps %d", r.PPEMin, r.PPEMax, m.MinPointsPerElement)
+	}
+}
+
 // TestRunDistributedRecordsComm: a distributed run labels its stats and
 // reports fabric traffic in the JSON record.
 func TestRunDistributedRecordsComm(t *testing.T) {

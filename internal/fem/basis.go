@@ -46,11 +46,11 @@ var N27 [NQP][NodesPerEl]float64
 // derivative matrix D̂ξ of the paper's non-tensor matrix-free kernel.
 var G27 [NQP][NodesPerEl][3]float64
 
-// q2Vals and q2Ders evaluate the three 1-D quadratic basis functions
+// Q2Vals and q2Ders evaluate the three 1-D quadratic basis functions
 // (nodes at ξ = -1, 0, +1) and their derivatives at ξ. They return
 // scalars: the per-point evaluators below run millions of times a step,
 // and a [3]float64 result would be copied through the stack at every call.
-func q2Vals(xi float64) (n0, n1, n2 float64) {
+func Q2Vals(xi float64) (n0, n1, n2 float64) {
 	return 0.5 * xi * (xi - 1), 1 - xi*xi, 0.5 * xi * (xi + 1)
 }
 
@@ -70,7 +70,7 @@ func init() {
 	g := math.Sqrt(3.0 / 5.0)
 	gauss3 = [3]float64{-g, 0, g}
 	for q := 0; q < 3; q++ {
-		B1[q][0], B1[q][1], B1[q][2] = q2Vals(gauss3[q])
+		B1[q][0], B1[q][1], B1[q][2] = Q2Vals(gauss3[q])
 		D1[q][0], D1[q][1], D1[q][2] = q2Ders(gauss3[q])
 	}
 	for qk := 0; qk < 3; qk++ {
@@ -100,9 +100,9 @@ func init() {
 // to right, so taking x_i·y_j from a 9-entry table changes no bit
 // (TestQ2BasisTabulatedBitwise).
 func Q2Eval(xi, eta, zeta float64, n *[NodesPerEl]float64) {
-	x0, x1, x2 := q2Vals(xi)
-	y0, y1, y2 := q2Vals(eta)
-	z0, z1, z2 := q2Vals(zeta)
+	x0, x1, x2 := Q2Vals(xi)
+	y0, y1, y2 := Q2Vals(eta)
+	z0, z1, z2 := Q2Vals(zeta)
 	xy := [9]float64{x0 * y0, x1 * y0, x2 * y0, x0 * y1, x1 * y1, x2 * y1, x0 * y2, x1 * y2, x2 * y2}
 	for l, v := range xy {
 		n[l], n[9+l], n[18+l] = v*z0, v*z1, v*z2
@@ -114,9 +114,9 @@ func Q2Eval(xi, eta, zeta float64, n *[NodesPerEl]float64) {
 // x_i·dy_j·z_k and x_i·y_j·dz_k, their left factors from the tables dx·y,
 // x·dy and x·y as in Q2Eval.
 func Q2Grad(xi, eta, zeta float64, g *[NodesPerEl][3]float64) {
-	x0, x1, x2 := q2Vals(xi)
-	y0, y1, y2 := q2Vals(eta)
-	z0, z1, z2 := q2Vals(zeta)
+	x0, x1, x2 := Q2Vals(xi)
+	y0, y1, y2 := Q2Vals(eta)
+	z0, z1, z2 := Q2Vals(zeta)
 	dx0, dx1, dx2 := q2Ders(xi)
 	dy0, dy1, dy2 := q2Ders(eta)
 	dz0, dz1, dz2 := q2Ders(zeta)

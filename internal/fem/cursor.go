@@ -1,9 +1,8 @@
 package fem
 
 import (
-	"math"
-
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/mesh"
 )
 
 // PointStats counts what the loops over material points did, one count
@@ -11,21 +10,14 @@ import (
 type PointStats [len(PointStatNames)]int64
 
 // PointStatNames names the counts, as the model's "mpm" telemetry scope
-// publishes them: seeks that found the element held and seeks that
-// gathered it; point locations, the element hops of their walks, the
-// Jacobian inversions and position evaluations of their Newton
-// iterations, and points accepted from a Newton that did not converge.
-var PointStatNames = [...]string{"cursor_hits", "cursor_misses", "locate_calls",
-	"locate_hops", "locate_newton_full", "locate_newton_pos", "locate_unconverged"}
+// publishes them: seeks that found the element held, seeks that gathered
+// it, and point locations.
+var PointStatNames = [...]string{"cursor_hits", "cursor_misses", "locate_calls"}
 
 const (
 	CursorHits = iota
 	CursorMisses
 	LocateCalls
-	LocateHops
-	NewtonFull
-	NewtonPos
-	LocateUnconverged
 )
 
 // ElemCursor holds one element at a time for a loop over material points:
@@ -98,57 +90,27 @@ func (p *Problem) TakePointStats() PointStats {
 	return s
 }
 
-// Box returns the mesh bounding box: min x,y,z then max x,y,z.
-func (c *ElemCursor) Box() *[6]float64 { return &c.geo.box }
+// Columns returns the column description of the cursor's mesh. It panics
+// with the *mesh.ColumnError on a mesh that is not one, which
+// scenario.Compile, Model.Restore and the ALE step refuse first.
+func (c *ElemCursor) Columns() *mesh.Columns {
+	if c.geo.cols == nil {
+		panic(c.geo.colErr)
+	}
+	return c.geo.cols
+}
 
 func (c *ElemCursor) frame() []float64 { return c.geo.frames[frameStride*c.E:] }
 
 // Position maps reference position (xi,et,ze) of the element held to
 // physical space.
 func (c *ElemCursor) Position(xi, et, ze float64) (x, y, z float64) {
-	return mapPos(&c.Xe, xi, et, ze)
-}
-
-const (
-	locTol    = 1e-10
-	newtonIts = 25
-)
-
-// InvertMap Newton-solves X(ξ) = (x,y,z) in the element held, from ξ = 0.
-// It returns the local coordinates and whether Newton converged
-// (regardless of bounds). The first iterate is the element's stored
-// frame; a later one evaluates the position, and the Jacobian only if the
-// position has not converged and another step must be taken.
-func (c *ElemCursor) InvertMap(x, y, z float64) (xi, et, ze float64, ok bool) {
-	fr := c.frame()
-	px, py, pz, inv, det := fr[0], fr[1], fr[2], (*[9]float64)(fr[3:]), fr[12]
-	var jinv [9]float64
-	for it := 0; it < newtonIts; it++ {
-		if it > 0 {
-			px, py, pz = mapPos(&c.Xe, xi, et, ze)
-			c.Stats[NewtonPos]++
-		}
-		rx, ry, rz := x-px, y-py, z-pz
-		if rx*rx+ry*ry+rz*rz < locTol*locTol {
-			return xi, et, ze, true
-		}
-		if it > 0 {
-			inv = &jinv
-			det = mapInv(&c.Xe, xi, et, ze, inv)
-			c.Stats[NewtonFull]++
-		}
-		if det == 0 || math.IsNaN(det) {
-			return xi, et, ze, false
-		}
-		// δξ_d = Σ_m (∂ξ_d/∂x_m) r_m; inv[m][s] = ∂ξ_s/∂x_m.
-		xi += inv[0]*rx + inv[3]*ry + inv[6]*rz
-		et += inv[1]*rx + inv[4]*ry + inv[7]*rz
-		ze += inv[2]*rx + inv[5]*ry + inv[8]*rz
-		// Keep the iterate from running far outside the element, which
-		// destabilizes Newton on strongly deformed cells.
-		xi = min(max(xi, -3), 3)
-		et = min(max(et, -3), 3)
-		ze = min(max(ze, -3), 3)
+	var nb [27]float64
+	Q2Eval(xi, et, ze, &nb)
+	for n := 0; n < 27; n++ {
+		x += nb[n] * c.Xe[3*n]
+		y += nb[n] * c.Xe[3*n+1]
+		z += nb[n] * c.Xe[3*n+2]
 	}
-	return xi, et, ze, false
+	return
 }

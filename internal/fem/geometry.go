@@ -4,7 +4,7 @@ import (
 	"math"
 	"sync"
 
-	"ptatin3d/internal/la"
+	"ptatin3d/internal/mesh"
 )
 
 // geomStride is the geometry store's width per quadrature point: the
@@ -13,12 +13,9 @@ import (
 const geomStride = 10
 
 // frameStride is the store's width per element, for the loops over
-// material points: the first iterate of the Newton inversion of the
-// element map, which every point of the element shares — the position of
-// ξ = 0 (3), mapInv's inverse Jacobian there (9) and its determinant (1)
-// — then elemCenterScale's centre (3) and 1/h (3) of the P1disc pressure
-// basis.
-const frameStride = 19
+// material points: elemCenterScale's centre (3) and 1/h (3) of the P1disc
+// pressure basis.
+const frameStride = 6
 
 // geometry is a Problem's metric store: jacobianAt's output at every
 // quadrature point of every element, so that the set-up and residual
@@ -36,10 +33,11 @@ const frameStride = 19
 // is what the table measures.
 type geometry struct {
 	mu     sync.Mutex
-	coords []float64  // DA.Coords as of the build
-	g      []float64  // geomStride per quadrature point, index NQP*e+q
-	frames []float64  // frameStride per element
-	box    [6]float64 // min x,y,z then max x,y,z over all nodes
+	coords []float64     // DA.Coords as of the build
+	g      []float64     // geomStride per quadrature point, index NQP*e+q
+	frames []float64     // frameStride per element
+	cols   *mesh.Columns // for point location; nil, and colErr says why, off a column mesh
+	colErr error
 	stats  PointStats // what finished cursors counted; TakePointStats drains it
 }
 
@@ -68,52 +66,11 @@ func (p *Problem) validGeometry() *geometry {
 				jd[9] = jacobianAt(&xe, q, (*[9]float64)(jd))
 			}
 			fr := gs.frames[frameStride*e:]
-			fr[0], fr[1], fr[2] = mapPos(&xe, 0, 0, 0)
-			fr[12] = mapInv(&xe, 0, 0, 0, (*[9]float64)(fr[3:]))
-			elemCenterScale(&xe, (*[3]float64)(fr[13:]), (*[3]float64)(fr[16:]))
+			elemCenterScale(&xe, (*[3]float64)(fr), (*[3]float64)(fr[3:]))
 		})
-		c := gs.coords
-		gs.box = [6]float64{c[0], c[1], c[2], c[0], c[1], c[2]}
-		for n := 3; n < len(c); n += 3 {
-			for d := 0; d < 3; d++ {
-				if v := c[n+d]; v < gs.box[d] {
-					gs.box[d] = v
-				} else if v > gs.box[3+d] {
-					gs.box[3+d] = v
-				}
-			}
-		}
+		gs.cols, gs.colErr = p.DA.Columns()
 	}
 	return gs
-}
-
-// mapPos evaluates the element map x(ξ) of the element with coordinates xe.
-func mapPos(xe *[81]float64, xi, et, ze float64) (px, py, pz float64) {
-	var nb [27]float64
-	Q2Eval(xi, et, ze, &nb)
-	for n := 0; n < 27; n++ {
-		px += nb[n] * xe[3*n]
-		py += nb[n] * xe[3*n+1]
-		pz += nb[n] * xe[3*n+2]
-	}
-	return
-}
-
-// mapInv inverts the Jacobian of the element map at ξ: inv[m][s] =
-// ∂ξ_s/∂x_m, row-major. It returns the determinant.
-func mapInv(xe *[81]float64, xi, et, ze float64, inv *[9]float64) float64 {
-	var gb [27][3]float64
-	Q2Grad(xi, et, ze, &gb)
-	var jmat [9]float64 // jmat[d*3+m] = ∂x_m/∂ξ_d
-	for n := 0; n < 27; n++ {
-		cx, cy, cz := xe[3*n], xe[3*n+1], xe[3*n+2]
-		for d := 0; d < 3; d++ {
-			jmat[d*3] += gb[n][d] * cx
-			jmat[d*3+1] += gb[n][d] * cy
-			jmat[d*3+2] += gb[n][d] * cz
-		}
-	}
-	return la.Invert3(&jmat, inv)
 }
 
 // sameBits reports whether a and b hold the same float64 bit patterns

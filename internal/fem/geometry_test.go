@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ptatin3d/internal/la"
@@ -341,55 +342,26 @@ func TestGeometryStoreKeptWhileMeshStill(t *testing.T) {
 	}
 }
 
-// checkElementFrames compares every element's frame, and the bounding
-// box, with what the point loops computed per point before the frames:
-// the first pass of the old Newton inversion at ξ = 0 (basis, gradient,
-// position and Jacobian in one loop, then la.Invert3), elemCenterScale,
-// and a scan of every node.
+// checkElementFrames compares every element's frame with what
+// EvalPressure computed per point before the frames (elemCenterScale), and
+// the store's column description, or the error in its place, with the
+// mesh's own.
 func checkElementFrames(t *testing.T, what string, p *Problem) {
 	t.Helper()
 	c := p.Cursor(nil, nil)
 	for e := 0; e < p.DA.NElements(); e++ {
 		var xe [81]float64
 		p.gatherCoords(e, &xe)
-		var nb [27]float64
-		var gb [27][3]float64
-		Q2Eval(0, 0, 0, &nb)
-		Q2Grad(0, 0, 0, &gb)
-		var px, py, pz float64
-		var jmat, inv [9]float64
-		for n := 0; n < 27; n++ {
-			cx, cy, cz := xe[3*n], xe[3*n+1], xe[3*n+2]
-			px += nb[n] * cx
-			py += nb[n] * cy
-			pz += nb[n] * cz
-			for d := 0; d < 3; d++ {
-				jmat[d*3] += gb[n][d] * cx
-				jmat[d*3+1] += gb[n][d] * cy
-				jmat[d*3+2] += gb[n][d] * cz
-			}
-		}
-		det := la.Invert3(&jmat, &inv)
 		var ctr, hinv [3]float64
 		elemCenterScale(&xe, &ctr, &hinv)
-		want := append(append(append([]float64{px, py, pz}, inv[:]...), det), append(ctr[:], hinv[:]...)...)
 		c.Seek(e)
-		wantSameBits(t, fmt.Sprintf("%s: frame of element %d", what, e), c.frame()[:frameStride], want)
+		wantSameBits(t, fmt.Sprintf("%s: frame of element %d", what, e), c.frame()[:frameStride], append(ctr[:], hinv[:]...))
 	}
-	co := p.DA.Coords
-	box := [6]float64{co[0], co[1], co[2], co[0], co[1], co[2]}
-	for n := 1; n < p.DA.NNodes(); n++ {
-		for d := 0; d < 3; d++ {
-			v := co[3*n+d]
-			if v < box[d] {
-				box[d] = v
-			}
-			if v > box[3+d] {
-				box[3+d] = v
-			}
-		}
+	cols, err := c.geo.cols, c.geo.colErr
+	want, werr := p.DA.Columns()
+	if fmt.Sprint(err) != fmt.Sprint(werr) || !reflect.DeepEqual(cols, want) {
+		t.Fatalf("%s: store holds columns %+v (%v), the mesh derives %+v (%v)", what, cols, err, want, werr)
 	}
-	wantSameBits(t, what+": bounding box", c.Box()[:], box[:])
 }
 
 // TestElementFrameBitwise: the frames hold the bits the per-point code

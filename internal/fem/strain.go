@@ -108,7 +108,7 @@ func StrainRateAtPoint(c *ElemCursor, xi, et, ze float64) float64 {
 func EvalPressure(c *ElemCursor, pv la.Vec, x, y, z float64) float64 {
 	fr := c.frame()
 	var psi [4]float64
-	pressureBasisAt(x, y, z, (*[3]float64)(fr[13:]), (*[3]float64)(fr[16:]), &psi)
+	pressureBasisAt(x, y, z, (*[3]float64)(fr), (*[3]float64)(fr[3:]), &psi)
 	e := c.E
 	return psi[0]*pv[4*e] + psi[1]*pv[4*e+1] + psi[2]*pv[4*e+2] + psi[3]*pv[4*e+3]
 }

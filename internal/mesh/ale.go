@@ -1,6 +1,9 @@
 package mesh
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // UpdateFreeSurface performs the ALE mesh update of paper §V: nodes on the
 // maximum face of the given vertical axis (0=x, 1=y, 2=z) are advected
@@ -19,69 +22,49 @@ func UpdateFreeSurface(da *DA, vel []float64, dt float64, axis int) {
 	if axis < 0 || axis > 2 {
 		panic("mesh: UpdateFreeSurface axis must be 0, 1 or 2")
 	}
-	var n1, n2, nv int // column counts for the two lateral axes and the vertical
-	switch axis {
-	case 0:
-		nv, n1, n2 = da.NPx, da.NPy, da.NPz
-	case 1:
-		nv, n1, n2 = da.NPy, da.NPx, da.NPz
-	case 2:
-		nv, n1, n2 = da.NPz, da.NPx, da.NPy
-	}
-	nodeAt := func(a, b, v int) int {
-		switch axis {
-		case 0:
-			return da.NodeID(v, a, b)
-		case 1:
-			return da.NodeID(a, v, b)
-		default:
-			return da.NodeID(a, b, v)
+	da.forEachColumn(axis, func(bot, step, nv int) {
+		top := bot + (nv-1)*step
+		ytop := da.Coords[3*top+axis] + dt*vel[3*top+axis]
+		ybot := da.Coords[3*bot+axis]
+		// Redistribute the column linearly between ybot and the advected
+		// surface; the bottom stays fixed.
+		for v := 1; v < nv; v++ {
+			frac := float64(v) / float64(nv-1)
+			da.Coords[3*(bot+v*step)+axis] = ybot + frac*(ytop-ybot)
 		}
-	}
-	for b := 0; b < n2; b++ {
-		for a := 0; a < n1; a++ {
-			top := nodeAt(a, b, nv-1)
-			bot := nodeAt(a, b, 0)
-			ytop := da.Coords[3*top+axis] + dt*vel[3*top+axis]
-			ybot := da.Coords[3*bot+axis]
-			// Redistribute the column linearly between ybot and the advected
-			// surface; the bottom stays fixed.
-			for v := 1; v < nv; v++ {
-				n := nodeAt(a, b, v)
-				frac := float64(v) / float64(nv-1)
-				da.Coords[3*n+axis] = ybot + frac*(ytop-ybot)
-			}
-		}
-	}
+	})
 }
 
 // SurfaceRange returns the minimum and maximum coordinate of the top
 // surface (max face of axis). Used to report topography in the rifting
 // model and to validate the ALE update in tests.
-func SurfaceRange(da *DA, axis int) (min, max float64) {
-	var face Face
-	switch axis {
-	case 0:
-		face = XMax
-	case 1:
-		face = YMax
-	default:
-		face = ZMax
-	}
-	first := true
-	da.ForEachFaceNode(face, func(n, i, j, k int) {
-		c := da.Coords[3*n+axis]
-		if first {
-			min, max = c, c
-			first = false
-			return
-		}
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
+func SurfaceRange(da *DA, axis int) (lo, hi float64) {
+	lo, hi = math.Inf(1), math.Inf(-1)
+	da.forEachColumn(axis, func(bot, step, nv int) {
+		c := da.Coords[3*(bot+(nv-1)*step)+axis]
+		lo, hi = min(lo, c), max(hi, c)
 	})
-	return
+	return lo, hi
+}
+
+// forEachColumn calls f, in node order, with the first node, the node
+// stride and the node count of every node column along axis.
+func (da *DA) forEachColumn(axis int, f func(first, step, nv int)) {
+	np, stride := da.axes()
+	lat := lateral(axis)
+	for b := 0; b < np[lat[1]]; b++ {
+		for a := 0; a < np[lat[0]]; a++ {
+			f(a*stride[lat[0]]+b*stride[lat[1]], stride[axis], np[axis])
+		}
+	}
+}
+
+// axes returns the node count and the node index stride along each axis.
+func (da *DA) axes() (np, stride [3]int) {
+	return [3]int{da.NPx, da.NPy, da.NPz}, [3]int{1, da.NPx, da.NPx * da.NPy}
+}
+
+// lateral returns the two axes other than axis, ascending.
+func lateral(axis int) [2]int {
+	return [2]int{min((axis+1)%3, (axis+2)%3), max((axis+1)%3, (axis+2)%3)}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"ptatin3d/internal/chkpt"
+	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/mpm"
 )
 
@@ -39,8 +40,9 @@ func (m *Model) Checkpoint() *chkpt.State {
 
 // Restore installs a checkpointed state into a model built with the same
 // construction options (mesh resolution, rheology table, solver config).
-// It validates the state's dimensions against the model before touching
-// anything, so a mismatched checkpoint leaves the model unchanged.
+// It validates the state's dimensions against the model, and its mesh (a
+// *mesh.ColumnError), before touching anything, so a refused checkpoint
+// leaves the model unchanged.
 func (m *Model) Restore(st *chkpt.State) error {
 	da := m.Prob.DA
 	if int(st.Mx) != da.Mx || int(st.My) != da.My || int(st.Mz) != da.Mz {
@@ -58,6 +60,10 @@ func (m *Model) Restore(st *chkpt.State) error {
 	if m.Temp != nil && len(st.Temp) != len(m.Temp) {
 		return fmt.Errorf("model: checkpoint has %d temperature values, model needs %d",
 			len(st.Temp), len(m.Temp))
+	}
+	saved := mesh.DA{Mx: da.Mx, My: da.My, Mz: da.Mz, NPx: da.NPx, NPy: da.NPy, NPz: da.NPz, Coords: st.Coords}
+	if _, err := saved.Columns(); err != nil {
+		return fmt.Errorf("model: checkpoint mesh: %w", err)
 	}
 	nel := da.NElements()
 	for i, e := range st.Elem {

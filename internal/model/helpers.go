@@ -1,21 +1,6 @@
 package model
 
-import (
-	"ptatin3d/internal/la"
-	"ptatin3d/internal/mesh"
-)
-
-// meshUpdateFreeSurface wraps the ALE column remeshing for the model's
-// vertical axis.
-func meshUpdateFreeSurface(m *Model, u la.Vec, dt float64) {
-	mesh.UpdateFreeSurface(m.Prob.DA, u, dt, m.VerticalAxis)
-}
-
-// surfaceRange reports the current topography extrema along the vertical
-// axis.
-func surfaceRange(m *Model) (min, max float64) {
-	return mesh.SurfaceRange(m.Prob.DA, m.VerticalAxis)
-}
+import "ptatin3d/internal/la"
 
 // Velocity returns the velocity part of the coupled state.
 func (m *Model) Velocity() la.Vec {

@@ -15,6 +15,7 @@ import (
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/mg"
 	"ptatin3d/internal/mpm"
 	"ptatin3d/internal/nonlinear"
@@ -146,8 +147,14 @@ type StepStats struct {
 	LineSearchStagnated bool
 	SolveTime           time.Duration
 	PointCount          int
-	TopoMin             float64
-	TopoMax             float64
+	// Points the step deleted (outside the domain after advection or the
+	// ALE update) and population control seeded; the fewest and the most
+	// points an element holds at the end of the step.
+	PointsRemoved  int
+	PointsInjected int
+	PPEMin, PPEMax int
+	TopoMin        float64
+	TopoMax        float64
 	// Backend records which Stokes backend ran the step's inner solves;
 	// Ranks and the communication totals are zero on the shared path.
 	Backend    string
@@ -542,7 +549,7 @@ func (m *Model) StepForward() error {
 	// Advect material points; outflow points are removed (§II-D).
 	tAdvect := time.Now()
 	advected := m.Points.Len()
-	removed := 0
+	removed, injected := 0, 0
 	mpm.AdvectRK2(m.Prob, u, dt, m.Points, max(1, m.Workers))
 	for i := m.Points.Len() - 1; i >= 0; i-- {
 		if m.Points.Elem[i] < 0 {
@@ -552,7 +559,7 @@ func (m *Model) StepForward() error {
 	}
 	if m.MinPointsPerElement > 0 {
 		nper := 2
-		mpm.EnsureMinPerElement(m.Prob, m.Points, m.MinPointsPerElement, nper)
+		injected = mpm.EnsureMinPerElement(m.Prob, m.Points, m.MinPointsPerElement, nper)
 	}
 	if m.projector != nil {
 		m.projector.Invalidate()
@@ -561,14 +568,18 @@ func (m *Model) StepForward() error {
 
 	// ALE free surface update; every point must be relocated afterwards
 	// because the mesh under it moved. Relocation is two-phase: the
-	// location walks run on the worker pool (each point touches only its
-	// own slots), then the lost points are removed by a serial descending
-	// sweep — the exact removal sequence of the original per-point loop.
+	// locations run on the worker pool (each point touches only its own
+	// slots), then the lost points are removed by a serial descending
+	// sweep — the exact removal sequence of the original per-point loop. A
+	// surface sunk to a column's bottom fails the step (*mesh.ColumnError).
 	var topoMin, topoMax float64
 	relocated := 0
 	if m.FreeSurface {
 		tALE := time.Now()
-		meshUpdateFreeSurface(m, u, dt)
+		mesh.UpdateFreeSurface(m.Prob.DA, u, dt, m.VerticalAxis)
+		if _, err := m.Prob.DA.Columns(); err != nil {
+			return fmt.Errorf("model: ALE update: %w", err)
+		}
 		lost := mpm.LocateAll(m.Prob, m.Points)
 		relocated = m.Points.Len() - len(lost)
 		for k := len(lost) - 1; k >= 0; k-- {
@@ -581,7 +592,11 @@ func (m *Model) StepForward() error {
 		m.stokesCtx.InvalidateGeometry()
 		m.stage.ale += time.Since(tALE)
 	}
-	topoMin, topoMax = surfaceRange(m)
+	topoMin, topoMax = mesh.SurfaceRange(m.Prob.DA, m.VerticalAxis)
+	ppeMin, ppeMax := math.MaxInt, 0
+	for _, n := range mpm.CountPerElement(m.Prob, m.Points) {
+		ppeMin, ppeMax = min(ppeMin, n), max(ppeMax, n)
+	}
 
 	// Energy equation.
 	if m.T != nil && m.Temp != nil {
@@ -622,8 +637,9 @@ func (m *Model) StepForward() error {
 		FNorm0: res.FNorm0, FNorm: res.FNorm, Converged: res.Converged,
 		ResidualEvals: res.ResidualEvals, LineSearchStagnated: res.Stagnated,
 		SolveTime:  time.Since(start),
-		PointCount: m.Points.Len(),
-		TopoMin:    topoMin, TopoMax: topoMax,
+		PointCount: m.Points.Len(), PointsRemoved: removed, PointsInjected: injected,
+		PPEMin: ppeMin, PPEMax: ppeMax,
+		TopoMin: topoMin, TopoMax: topoMax,
 		Backend:           m.Backend.Name(),
 		RheologyTime:      m.stage.rheology,
 		ProjectTime:       m.stage.project,

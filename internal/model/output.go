@@ -120,14 +120,13 @@ func (m *Model) Streamline(x0, y0, z0, h float64, maxSteps int) [][3]float64 {
 	u := m.Velocity()
 	var line [][3]float64
 	x, y, z := x0, y0, z0
-	eGuess := -1
 	c := m.Prob.Cursor(u, nil)
 	velAt := func(px, py, pz float64) (vx, vy, vz float64, ok bool) {
-		e, xi, et, ze, found := mpm.Locate(&c, px, py, pz, eGuess)
+		e, xi, et, ze, found := mpm.Locate(&c, px, py, pz)
 		if !found {
 			return 0, 0, 0, false
 		}
-		eGuess = e
+		c.Seek(e)
 		vx, vy, vz = mpm.VelocityAt(&c, xi, et, ze)
 		return vx, vy, vz, true
 	}

@@ -41,7 +41,8 @@ func AdvectRK2(prob *fem.Problem, u la.Vec, dt float64, pts *Points, workers int
 			// Locate the midpoint and evaluate the velocity there; if it
 			// leaves the domain keep the stage-1 velocity (Euler).
 			mx, my, mz := pts.X[i]+0.5*dt*vx, pts.Y[i]+0.5*dt*vy, pts.Z[i]+0.5*dt*vz
-			if _, xi, et, ze, ok := Locate(&c, mx, my, mz, e); ok {
+			if me, xi, et, ze, ok := Locate(&c, mx, my, mz); ok {
+				c.Seek(me)
 				vx, vy, vz = VelocityAt(&c, xi, et, ze)
 			}
 			pts.X[i] += dt * vx

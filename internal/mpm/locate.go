@@ -7,113 +7,81 @@ import (
 	"ptatin3d/internal/par"
 )
 
-// Point location (paper §II-D): given a physical position, find the
-// containing element and local coordinate ξ. On deformed hexahedral
-// meshes the inverse isoparametric map has no closed form, so each
-// candidate element is tested with a Newton iteration; if the converged
-// local coordinate falls outside [-1,1]³ the search walks to the
-// neighbouring element indicated by the violated bound — a standard
-// robust "walking" strategy that terminates in a few hops for the
-// boundary-fitted meshes used here.
+// Point location (paper §II-D) in closed form on the column mesh the time
+// loop builds (mesh.Columns), with no iteration and no starting guess.
+// Laterally the Q2 map is affine in ξ alone: the element is index
+// arithmetic on the node line, and ξ = 2(p − x₁)/(x₂ − x₀) from its mid
+// node x₁. Vertically, with z_b and z_t the biquadratic interpolants at
+// (ξ, η) of the element's nine column bottoms and tops, s = M_v·(z − z_b)/
+// (z_t − z_b) gives the layer k = ⌊s⌋ and ζ = 2(s − k) − 1 — exactly, since
+// node heights are linear in the node index and Q2 reproduces linears.
+// A point on a face two elements share is the upper element's.
 
-const (
-	locBounds  = 1.0 + 1e-8
-	maxWalkHop = 64
-)
+// locBounds is the acceptance band on a reference coordinate at the boundary.
+const locBounds = 1.0 + 1e-8
 
-// Locate finds the element containing (x,y,z), starting the walk from
-// eGuess (pass a previous location, or -1 to derive a guess from the mean
-// element size assuming a roughly regular mesh). Returns found=false for
-// points outside the domain. The walk moves the cursor c, which is left
-// on the returned element; a point it accepts from a Newton iteration
-// that did not converge is counted (LocateUnconverged), not refused.
-func Locate(c *fem.ElemCursor, x, y, z float64, eGuess int) (e int, xi, et, ze float64, found bool) {
-	da := c.P.DA
-	if eGuess < 0 || eGuess >= da.NElements() {
-		eGuess = guessElement(c, x, y, z)
-	}
-	ei, ej, ek := da.ElemIJK(eGuess)
+// Locate finds the element containing (x,y,z) and the point's reference
+// coordinates in it; found is false outside the domain. It counts the
+// call and seeks nothing: a caller that evaluates in the element seeks
+// it. It panics on a mesh that is not a column mesh.
+func Locate(c *fem.ElemCursor, x, y, z float64) (e int, xi, et, ze float64, found bool) {
 	c.Stats[fem.LocateCalls]++
-	for hop := 0; hop < maxWalkHop; hop++ {
-		e = da.ElemID(ei, ej, ek)
-		c.Seek(e)
-		var converged bool
-		xi, et, ze, converged = c.InvertMap(x, y, z)
-		inX := math.Abs(xi) <= locBounds
-		inY := math.Abs(et) <= locBounds
-		inZ := math.Abs(ze) <= locBounds
-		if inX && inY && inZ {
-			if !converged {
-				c.Stats[fem.LocateUnconverged]++
-			}
-			return e, xi, et, ze, true
+	col := c.Columns()
+	p := [3]float64{x, y, z}
+	var ijk [3]int
+	var ref [3]float64
+	for l, a := range col.Lateral {
+		ijk[a], ref[a] = lineElement(col.Lines[l], p[a])
+		if !(math.Abs(ref[a]) <= locBounds) {
+			return -1, 0, 0, 0, false
 		}
-		// Walk one element in each violated direction that can still move.
-		// Only if *no* violated direction can move is the point outside
-		// the domain: a direction pinned at the boundary may only be
-		// violated transiently while other directions are still far off.
-		moved := false
-		step := func(v float64, idx, max int) (int, bool) {
-			if v > locBounds && idx < max-1 {
-				return idx + 1, true
-			}
-			if v < -locBounds && idx > 0 {
-				return idx - 1, true
-			}
-			return idx, false
-		}
-		var m bool
-		if !inX {
-			if ei, m = step(xi, ei, da.Mx); m {
-				moved = true
-			}
-		}
-		if !inY {
-			if ej, m = step(et, ej, da.My); m {
-				moved = true
-			}
-		}
-		if !inZ {
-			if ek, m = step(ze, ek, da.Mz); m {
-				moved = true
-			}
-		}
-		if !moved {
-			return e, xi, et, ze, false
-		}
-		c.Stats[fem.LocateHops]++
 	}
-	return e, xi, et, ze, false
+	// The column's bottom and top at (ξ, η).
+	l0, l1 := col.Lateral[0], col.Lateral[1]
+	n := len(col.Lines[0])
+	o := 2*ijk[l0] + 2*ijk[l1]*n
+	a0, a1, a2 := fem.Q2Vals(ref[l0])
+	b0, b1, b2 := fem.Q2Vals(ref[l1])
+	surface := func(s []float64) float64 {
+		s = s[o:]
+		return b0*(a0*s[0]+a1*s[1]+a2*s[2]) + b1*(a0*s[n]+a1*s[n+1]+a2*s[n+2]) + b2*(a0*s[2*n]+a1*s[2*n+1]+a2*s[2*n+2])
+	}
+	bot := surface(col.Bottom)
+	s := float64(col.Layers) * (p[col.Vertical] - bot) / (surface(col.Top) - bot)
+	k := col.Layers - 1
+	if s < float64(k) {
+		k = int(max(s, 0))
+	}
+	if ref[col.Vertical] = 2*(s-float64(k)) - 1; !(math.Abs(ref[col.Vertical]) <= locBounds) {
+		return -1, 0, 0, 0, false
+	}
+	ijk[col.Vertical] = k
+	return c.P.DA.ElemID(ijk[0], ijk[1], ijk[2]), ref[0], ref[1], ref[2], true
 }
 
-// guessElement estimates a starting element from the domain bounding box.
-func guessElement(c *fem.ElemCursor, x, y, z float64) int {
-	da, box := c.P.DA, c.Box()
-	idx := func(v, lo, hi float64, m int) int {
-		if hi <= lo {
-			return 0
-		}
-		i := int(float64(m) * (v - lo) / (hi - lo))
-		if i < 0 {
-			i = 0
-		}
-		if i > m-1 {
-			i = m - 1
-		}
-		return i
+// lineElement returns the element i of node line l whose vertex span
+// [l[2i], l[2i+2]) holds p, the end elements taking what lies beyond, and
+// p's reference coordinate in it. The loops correct the proportional
+// guess: by rounding on a uniform line, by more on a graded one.
+func lineElement(l []float64, p float64) (i int, xi float64) {
+	m := len(l) / 2
+	if t := float64(m) * (p - l[0]) / (l[2*m] - l[0]); t >= 1 {
+		i = int(min(t, float64(m-1)))
 	}
-	return da.ElemID(idx(x, box[0], box[3], da.Mx), idx(y, box[1], box[4], da.My), idx(z, box[2], box[5], da.Mz))
+	for i > 0 && p < l[2*i] {
+		i--
+	}
+	for i < m-1 && p >= l[2*i+2] {
+		i++
+	}
+	return i, 2 * (p - l[2*i+1]) / (l[2*i+2] - l[2*i])
 }
 
-// LocateAll (re)locates every point, using its cached element as the walk
-// start. Points that left the domain get Elem = -1 and are returned as a
-// list of indices (the Ls list of §II-D, in the single-rank view; with a
-// domain decomposition, MigratePoints routes them to neighbour ranks
-// first and only then discards true outflow).
-// Each point's walk is independent and writes only its own slots, so the
-// location pass runs on the worker pool; the lost list is assembled by a
-// serial sweep afterwards so it is always in ascending index order,
-// exactly as the serial loop produced it.
+// LocateAll (re)locates every point on the worker pool, each writing only
+// its own slots. Points that left the domain get Elem = -1 and are
+// returned in ascending index order (the Ls list of §II-D in the
+// single-rank view; with a domain decomposition, Migrate routes them to
+// neighbour ranks first and only then discards true outflow).
 func LocateAll(prob *fem.Problem, pts *Points) (lost []int) {
 	return locateAll(prob, pts, prob.Workers)
 }
@@ -125,7 +93,7 @@ func locateAll(prob *fem.Problem, pts *Points, workers int) (lost []int) {
 		c := cur
 		defer c.Done()
 		for i := lo; i < hi; i++ {
-			e, xi, et, ze, ok := Locate(&c, pts.X[i], pts.Y[i], pts.Z[i], int(pts.Elem[i]))
+			e, xi, et, ze, ok := Locate(&c, pts.X[i], pts.Y[i], pts.Z[i])
 			if ok {
 				pts.Elem[i] = int32(e)
 				pts.Xi[i], pts.Et[i], pts.Ze[i] = xi, et, ze

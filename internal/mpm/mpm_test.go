@@ -3,7 +3,6 @@ package mpm
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
 	"ptatin3d/internal/comm"
@@ -59,55 +58,13 @@ func TestLatticeInit(t *testing.T) {
 	}
 }
 
-// TestLocateRoundTrip: map random reference points to physical space via
-// the element map and verify Locate recovers element and coordinates, on
-// a deformed mesh with walk starts far from the target.
-func TestLocateRoundTrip(t *testing.T) {
-	p := deformedProblem(4)
-	rng := rand.New(rand.NewSource(1))
-	c := p.Cursor(nil, nil)
-	xe := &c.Xe
-	var nb [27]float64
-	for trial := 0; trial < 200; trial++ {
-		e := rng.Intn(p.DA.NElements())
-		xi := rng.Float64()*1.9 - 0.95
-		et := rng.Float64()*1.9 - 0.95
-		ze := rng.Float64()*1.9 - 0.95
-		c.Seek(e)
-		fem.Q2Eval(xi, et, ze, &nb)
-		var x, y, z float64
-		for n := 0; n < 27; n++ {
-			x += nb[n] * xe[3*n]
-			y += nb[n] * xe[3*n+1]
-			z += nb[n] * xe[3*n+2]
-		}
-		guess := rng.Intn(p.DA.NElements()) // random start: exercise walking
-		ge, gxi, get, gze, ok := Locate(&c, x, y, z, guess)
-		if !ok {
-			t.Fatalf("trial %d: point not found (elem %d)", trial, e)
-		}
-		if ge != e {
-			// A point may sit within tolerance of a face; accept the
-			// neighbour if the local coordinate is on the boundary.
-			if math.Abs(gxi) < 0.999 && math.Abs(get) < 0.999 && math.Abs(gze) < 0.999 {
-				t.Fatalf("trial %d: located in %d, want %d", trial, ge, e)
-			}
-			continue
-		}
-		if math.Abs(gxi-xi) > 1e-8 || math.Abs(get-et) > 1e-8 || math.Abs(gze-ze) > 1e-8 {
-			t.Fatalf("trial %d: local coords (%v,%v,%v), want (%v,%v,%v)",
-				trial, gxi, get, gze, xi, et, ze)
-		}
-	}
-}
-
 func TestLocateOutsideDomain(t *testing.T) {
 	p := flatProblem(2)
 	c := p.Cursor(nil, nil)
-	if _, _, _, _, ok := Locate(&c, 1.5, 0.5, 0.5, -1); ok {
+	if _, _, _, _, ok := Locate(&c, 1.5, 0.5, 0.5); ok {
 		t.Fatal("located a point outside the domain")
 	}
-	if _, _, _, _, ok := Locate(&c, 0.5, -0.2, 0.5, 3); ok {
+	if _, _, _, _, ok := Locate(&c, 0.5, -0.2, 0.5); ok {
 		t.Fatal("located a point below the domain")
 	}
 }
@@ -175,7 +132,7 @@ func TestProjectionEmptyFallback(t *testing.T) {
 	pts = &Points{}
 	idx := pts.Append(0.5, 0.5, 0.5, 0, 0)
 	c := p.Cursor(nil, nil)
-	e, xi, et, ze, ok := Locate(&c, 0.5, 0.5, 0.5, -1)
+	e, xi, et, ze, ok := Locate(&c, 0.5, 0.5, 0.5)
 	if !ok {
 		t.Fatal("centre not located")
 	}
@@ -231,7 +188,7 @@ func TestAdvectRotationPreservesRadius(t *testing.T) {
 	pts := &Points{}
 	idx := pts.Append(0.75, 0.5, 0.5, 0, 0)
 	c := p.Cursor(nil, nil)
-	e, xi, et, ze, ok := Locate(&c, 0.75, 0.5, 0.5, -1)
+	e, xi, et, ze, ok := Locate(&c, 0.75, 0.5, 0.5)
 	if !ok {
 		t.Fatal("seed not located")
 	}

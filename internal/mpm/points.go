@@ -7,10 +7,7 @@
 // followed by trilinear interpolation (Eq. 13).
 package mpm
 
-import (
-	"ptatin3d/internal/fem"
-	"ptatin3d/internal/mesh"
-)
+import "ptatin3d/internal/fem"
 
 // Points is a structure-of-arrays store of material points.
 type Points struct {
@@ -116,5 +113,3 @@ func CountPerElement(prob *fem.Problem, pts *Points) []int {
 	}
 	return counts
 }
-
-var _ = mesh.XMin // mesh is used by sibling files in this package

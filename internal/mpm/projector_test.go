@@ -3,6 +3,7 @@ package mpm
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/fem"
@@ -159,33 +160,34 @@ func TestProjectorInvalidate(t *testing.T) {
 }
 
 // TestLocateAllParallelMatchesSerial pins that the pooled location pass
-// produces the same assignments and the same (ascending) lost list as a
-// serial per-point loop.
+// produces, bit for bit, the assignments and the same (ascending) lost
+// list at 8 workers as at 1 — on column meshes with a rough surface on
+// every vertical axis, with points pushed off their lattice and some out
+// of the domain.
 func TestLocateAllParallelMatchesSerial(t *testing.T) {
-	p := deformedProblem(4)
-	pts := NewLattice(p, 3, func(x, y, z float64) int32 { return 0 })
 	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < pts.Len(); i++ {
-		pts.X[i] += 0.3 * (rng.Float64() - 0.5)
-		pts.Y[i] += 0.3 * (rng.Float64() - 0.5)
-		pts.Z[i] += 0.3 * (rng.Float64() - 0.5)
-	}
-	ref := clonePoints(pts)
-	p.Workers = 1
-	refLost := LocateAll(p, ref)
-	p.Workers = 8
-	lost := LocateAll(p, pts)
-	if len(lost) != len(refLost) {
-		t.Fatalf("lost: %d parallel vs %d serial", len(lost), len(refLost))
-	}
-	for k := range lost {
-		if lost[k] != refLost[k] {
-			t.Fatalf("lost[%d] = %d, serial %d", k, lost[k], refLost[k])
+	for axis := 0; axis < 3; axis++ {
+		p := columnProblem(rng, 4, 4, 4, axis)
+		pts := NewLattice(p, 3, func(x, y, z float64) int32 { return 0 })
+		for i := 0; i < pts.Len(); i++ {
+			pts.X[i] += 0.3 * (rng.Float64() - 0.5)
+			pts.Y[i] += 0.3 * (rng.Float64() - 0.5)
+			pts.Z[i] += 0.3 * (rng.Float64() - 0.5)
 		}
-	}
-	for i := 0; i < pts.Len(); i++ {
-		if pts.Elem[i] != ref.Elem[i] || pts.Xi[i] != ref.Xi[i] || pts.Et[i] != ref.Et[i] || pts.Ze[i] != ref.Ze[i] {
-			t.Fatalf("point %d: parallel location differs from serial", i)
+		ref := clonePoints(pts)
+		p.Workers = 1
+		refLost := LocateAll(p, ref)
+		p.Workers = 8
+		lost := LocateAll(p, pts)
+		if len(refLost) == 0 || !slices.Equal(lost, refLost) {
+			t.Fatalf("axis %d: lost %v at 8 workers, %v at 1", axis, lost, refLost)
+		}
+		for i := 0; i < pts.Len(); i++ {
+			if pts.Elem[i] != ref.Elem[i] || math.Float64bits(pts.Xi[i]) != math.Float64bits(ref.Xi[i]) ||
+				math.Float64bits(pts.Et[i]) != math.Float64bits(ref.Et[i]) || math.Float64bits(pts.Ze[i]) != math.Float64bits(ref.Ze[i]) {
+				t.Fatalf("axis %d point %d: located in %d at (%v,%v,%v) at 8 workers, %d at (%v,%v,%v) at 1", axis, i,
+					pts.Elem[i], pts.Xi[i], pts.Et[i], pts.Ze[i], ref.Elem[i], ref.Xi[i], ref.Et[i], ref.Ze[i])
+			}
 		}
 	}
 }

@@ -2,14 +2,19 @@ package scenario
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/chkpt"
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/model"
+	"ptatin3d/internal/mpm"
 	"ptatin3d/internal/stokes"
 )
 
@@ -199,5 +204,58 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if err := m.Restore(base); err != nil {
 		t.Errorf("Restore rejected a valid checkpoint: %v", err)
+	}
+}
+
+// TestRestoreRefusesNonColumnMesh: a checkpoint whose free surface moved
+// restores; the same with one interior node nudged laterally is refused
+// with the *mesh.ColumnError that names the node and the axis, not a panic
+// at the first point location, and the model keeps its mesh.
+func TestRestoreRefusesNonColumnMesh(t *testing.T) {
+	m := checkpointTestModel()
+	m.X = la.NewVec(m.Prob.DA.NVelDOF() + m.Prob.DA.NPresDOF())
+	da := m.Prob.DA
+	vel := make([]float64, da.NVelDOF())
+	rng := rand.New(rand.NewSource(4))
+	for i := range vel {
+		vel[i] = 0.1 * (2*rng.Float64() - 1)
+	}
+	moved := m.Checkpoint()
+	mesh.UpdateFreeSurface(&mesh.DA{Mx: da.Mx, My: da.My, Mz: da.Mz, NPx: da.NPx, NPy: da.NPy, NPz: da.NPz, Coords: moved.Coords}, vel, 1, m.VerticalAxis)
+	before := slices.Clone(da.Coords)
+
+	nudged := *moved
+	nudged.Coords = slices.Clone(moved.Coords)
+	n := da.NodeID(3, 4, 5)
+	nudged.Coords[3*n] += 1e-7
+	var ce *mesh.ColumnError
+	if err := m.Restore(&nudged); !errors.As(err, &ce) || ce.Node != n || ce.Axis != 0 {
+		t.Fatalf("Restore of a laterally nudged mesh: %v, want a *mesh.ColumnError at node %d, axis 0", err, n)
+	}
+	if !slices.Equal(da.Coords, before) {
+		t.Fatal("a refused checkpoint moved the mesh")
+	}
+	if err := m.Restore(moved); err != nil {
+		t.Fatalf("Restore refused a checkpoint whose surface moved: %v", err)
+	}
+	c := m.Prob.Cursor(nil, nil)
+	if _, _, _, _, ok := mpm.Locate(&c, m.Points.X[0], m.Points.Y[0], m.Points.Z[0]); !ok {
+		t.Fatal("a point of the restored model is not located")
+	}
+}
+
+// TestCompileRefusesNonColumnMesh: a domain whose node spacing rounds away
+// at its offset passes Validate but makes no column mesh, and Compile says
+// so with a *mesh.ColumnError.
+func TestCompileRefusesNonColumnMesh(t *testing.T) {
+	spec, err := Get("sinker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Resolution = spec.SmallResolution()
+	spec.Domain.X0, spec.Domain.X1 = 1e16, 1e16+4
+	var ce *mesh.ColumnError
+	if _, err := Compile(spec, 1); !errors.As(err, &ce) || ce.Axis != 0 {
+		t.Fatalf("Compile on [1e16, 1e16+4]: %v, want a *mesh.ColumnError on axis 0", err)
 	}
 }

@@ -18,7 +18,8 @@ import (
 // conditions, material-point lattice classified by the geometry
 // primitives, lithology table, solver and nonlinear configuration,
 // thermal state, with the zero state's coefficients projected and
-// installed. Workers is the intra-node parallel width (≤0 means 1).
+// installed. Workers is the intra-node parallel width (≤0 means 1). A
+// domain whose node spacing rounds away is a *mesh.ColumnError.
 func Compile(spec Spec, workers int) (*model.Model, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -36,6 +37,9 @@ func Compile(spec Spec, workers int) (*model.Model, error) {
 		spec.Domain.X0, spec.Domain.X1,
 		spec.Domain.Y0, spec.Domain.Y1,
 		spec.Domain.Z0, spec.Domain.Z1)
+	if _, err := da.Columns(); err != nil {
+		return nil, fmt.Errorf("scenario %q: %w", spec.Name, err)
+	}
 	bc := mesh.NewBC(da)
 	for _, b := range spec.BCs {
 		f, err := parseFace(b.Face)

@@ -8,7 +8,8 @@
 # racy re-run of the comm fault/recovery protocol tests, the benchmark
 # module's own vet and tests (bench/ is a separate module that the root go
 # build and go test skip), a scenario smoke of every spec on both backends
-# (which fails on a point location accepted from an unconverged Newton), a
+# (which fails on a point count that does not add up, an element below its
+# spec's population floor, or a retransmission), a
 # check that the runtime operator selector stays gone and its flag values
 # are refused, a check that the front door stays one (two binaries, one
 # model constructor, one halo apply, docs that name commands and
@@ -145,15 +146,15 @@ named_tests -race \
     'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
     ./internal/mpm ./internal/model
 
-echo "== point loops: seeded Newton == full-evaluation walk, element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, under -race =="
+echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population in the step record, under -race =="
 named_tests -race \
-    'TestLocateSeededBitwise|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates' \
+    'TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation' \
     ./internal/fem ./internal/mpm ./internal/model ./internal/rheology ./internal/driver
 
 echo "== benchmark module: vet + its own tests =="
 (cd bench && go vet . && go test .)
 
-echo "== scenario smoke: every registered spec, 2 steps, shared + distributed; no point located by an unconverged Newton =="
+echo "== scenario smoke: every registered spec, 2 steps, shared + distributed; every step's point count = the last - removed + injected, no element below its spec's population floor =="
 go run ./cmd/ptatin-run -smoke -workers 2
 
 echo "== no runtime selector: nothing of op.Auto outside tests; -op auto and -op mf32 refused before any solve =="
