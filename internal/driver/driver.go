@@ -118,7 +118,11 @@ type StepRecord struct {
 	// iteration stopped because a search found no reducing step.
 	ResidualEvals       int  `json:"residual_evals"`
 	LineSearchStagnated bool `json:"line_search_stagnated"`
-	Points              int  `json:"points"`
+	// The Krylov health fields of model.StepStats: inner solves that broke
+	// down, and those the alternate method then solved.
+	KrylovBreakdowns int `json:"krylov_breakdowns"`
+	KrylovFallbacks  int `json:"krylov_fallbacks"`
+	Points           int `json:"points"`
 	// The population fields of model.StepStats.
 	PointsRemoved  int     `json:"points_removed"`
 	PointsInjected int     `json:"points_injected"`
@@ -227,6 +231,7 @@ func Run(m *model.Model, cfg Config) error {
 			Converged: st.Converged, Points: st.PointCount,
 			PointsRemoved: st.PointsRemoved, PointsInjected: st.PointsInjected, PPEMin: st.PPEMin, PPEMax: st.PPEMax,
 			ResidualEvals: st.ResidualEvals, LineSearchStagnated: st.LineSearchStagnated,
+			KrylovBreakdowns: st.KrylovBreakdowns, KrylovFallbacks: st.KrylovFallbacks,
 			WallS:   wall,
 			Backend: st.Backend, Ranks: st.Ranks,
 			HaloMsgs: st.HaloMsgs, HaloBytes: st.HaloBytes, AllReduces: st.AllReduces, Retries: st.Retries,

@@ -10,10 +10,13 @@ import (
 
 	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
+	"ptatin3d/internal/krylov"
+	"ptatin3d/internal/la"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/stokes"
+	"ptatin3d/internal/telemetry"
 )
 
 func smallSinker(t *testing.T, workers int) *model.Model {
@@ -234,6 +237,68 @@ func TestRunRecordsPopulation(t *testing.T) {
 	}
 	if r.PPEMin < m.MinPointsPerElement || r.PPEMax < r.PPEMin {
 		t.Fatalf("points per element %d to %d, population control keeps %d", r.PPEMin, r.PPEMax, m.MinPointsPerElement)
+	}
+}
+
+// fgmresBreaksDown is the shared backend with every FGMRES inner solve
+// reported as a breakdown before it runs, so the nonlinear loop falls
+// back to GCR on each.
+type fgmresBreaksDown struct{ model.SharedBackend }
+
+func (b fgmresBreaksDown) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+	if method == "fgmres" {
+		return krylov.Result{Breakdown: true, Err: &krylov.BreakdownError{Method: method, Kind: krylov.BreakdownNaN}}
+	}
+	return b.SharedBackend.LinearSolve(s, method, jop, pc, rhs, delta, prm)
+}
+
+// TestRunRecordsKrylovFallbacks: every step record carries its inner
+// Krylov breakdowns and method fallbacks — zero on a clean run, one of
+// each per inner solve when every FGMRES solve breaks down — and over
+// the run they add up to the model's solver_breakdowns and
+// solver_fallbacks telemetry counters.
+func TestRunRecordsKrylovFallbacks(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, broken := range []bool{false, true} {
+		m := smallSinker(t, 2)
+		m.Telemetry = telemetry.New().Root().Child("model")
+		if broken {
+			m.Backend = fgmresBreaksDown{}
+		}
+		var js bytes.Buffer
+		if err := Run(m, Config{Steps: 2, Out: &bytes.Buffer{}, JSONOut: &js, Scenario: "sinker"}); err != nil {
+			t.Fatal(err)
+		}
+		for _, key := range []string{`"krylov_breakdowns"`, `"krylov_fallbacks"`} {
+			if !strings.Contains(js.String(), key) {
+				t.Fatalf("broken=%v: the record has no %s", broken, key)
+			}
+		}
+		var rec RunRecord
+		if err := json.Unmarshal(js.Bytes(), &rec); err != nil {
+			t.Fatal(err)
+		}
+		var breakdowns, fallbacks int
+		for i, r := range rec.Steps {
+			st := m.Stats[i]
+			if r.KrylovBreakdowns != st.KrylovBreakdowns || r.KrylovFallbacks != st.KrylovFallbacks {
+				t.Fatalf("broken=%v step %d: record %d/%d, step stats %d/%d", broken, r.Step,
+					r.KrylovBreakdowns, r.KrylovFallbacks, st.KrylovBreakdowns, st.KrylovFallbacks)
+			}
+			if broken && (r.KrylovBreakdowns == 0 || r.KrylovFallbacks != r.KrylovBreakdowns) {
+				t.Fatalf("step %d: %d breakdowns, %d fallbacks; want one of each per inner solve",
+					r.Step, r.KrylovBreakdowns, r.KrylovFallbacks)
+			}
+			breakdowns += r.KrylovBreakdowns
+			fallbacks += r.KrylovFallbacks
+		}
+		tb := m.Telemetry.Counter("solver_breakdowns").Value()
+		tf := m.Telemetry.Counter("solver_fallbacks").Value()
+		if int64(breakdowns) != tb || int64(fallbacks) != tf || (breakdowns == 0) == broken {
+			t.Fatalf("broken=%v: record %d breakdowns, %d fallbacks; telemetry %d, %d", broken, breakdowns, fallbacks, tb, tf)
+		}
 	}
 }
 

@@ -75,7 +75,7 @@ func TestBreakdownNaNOperator(t *testing.T) {
 	checkBreakdown(t, "cg", CG(mk(), Identity{}, onesVec(n), la.NewVec(n), prm), 10, BreakdownNaN)
 	checkBreakdown(t, "gmres", GMRES(mk(), Identity{}, onesVec(n), la.NewVec(n), prm), 10, BreakdownNaN)
 	checkBreakdown(t, "fgmres", FGMRES(mk(), Identity{}, onesVec(n), la.NewVec(n), prm), 10, BreakdownNaN)
-	checkBreakdown(t, "gcr", GCR(mk(), Identity{}, onesVec(n), la.NewVec(n), prm, nil), 10, BreakdownNaN)
+	checkBreakdown(t, "gcr", GCR(mk(), Identity{}, onesVec(n), la.NewVec(n), prm), 10, BreakdownNaN)
 }
 
 func TestBreakdownSingularOperator(t *testing.T) {
@@ -88,7 +88,7 @@ func TestBreakdownSingularOperator(t *testing.T) {
 	checkBreakdown(t, "cg", CG(a, Identity{}, onesVec(n), la.NewVec(n), prm), 2, BreakdownZeroPivot, BreakdownNaN)
 	checkBreakdown(t, "gmres", GMRES(a, Identity{}, onesVec(n), la.NewVec(n), prm), 2, BreakdownZeroPivot, BreakdownNaN)
 	checkBreakdown(t, "fgmres", FGMRES(a, Identity{}, onesVec(n), la.NewVec(n), prm), 2, BreakdownZeroPivot, BreakdownNaN)
-	checkBreakdown(t, "gcr", GCR(a, Identity{}, onesVec(n), la.NewVec(n), prm, nil), 2, BreakdownZeroPivot, BreakdownNaN)
+	checkBreakdown(t, "gcr", GCR(a, Identity{}, onesVec(n), la.NewVec(n), prm), 2, BreakdownZeroPivot, BreakdownNaN)
 }
 
 func TestBreakdownNaNRHS(t *testing.T) {
@@ -99,7 +99,7 @@ func TestBreakdownNaNRHS(t *testing.T) {
 	a := &nanOp{n: n, after: 1 << 30} // never poisons on its own
 	checkBreakdown(t, "cg", CG(a, Identity{}, b, la.NewVec(n), prm), 1, BreakdownNaN)
 	checkBreakdown(t, "fgmres", FGMRES(&nanOp{n: n, after: 1 << 30}, Identity{}, b, la.NewVec(n), prm), 1, BreakdownNaN)
-	checkBreakdown(t, "gcr", GCR(&nanOp{n: n, after: 1 << 30}, Identity{}, b, la.NewVec(n), prm, nil), 1, BreakdownNaN)
+	checkBreakdown(t, "gcr", GCR(&nanOp{n: n, after: 1 << 30}, Identity{}, b, la.NewVec(n), prm), 1, BreakdownNaN)
 }
 
 // rotOp rotates in a 2D subspace: Krylov methods make no progress on the
@@ -119,7 +119,7 @@ func TestBreakdownStagnationWindow(t *testing.T) {
 	prm := Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 200, Restart: 8,
 		StagnationWindow: 5, Telemetry: reg.Root()}
 	a := OpFunc{Dim: n, F: func(x, y la.Vec) { y.Copy(x) }} // identity
-	res := GCR(a, stallPC{n: n}, onesVec(n), la.NewVec(n), prm, nil)
+	res := GCR(a, stallPC{n: n}, onesVec(n), la.NewVec(n), prm)
 	checkBreakdown(t, "gcr", res, 40, BreakdownStagnation, BreakdownZeroPivot)
 	if res.Err != nil {
 		if be := new(*BreakdownError); errors.As(res.Err, be) && (*be).Kind == BreakdownStagnation && !res.Stagnated {
@@ -134,7 +134,7 @@ func TestBreakdownStagnationWindow(t *testing.T) {
 	prm2 := prm
 	prm2.StagnationWindow = 0
 	prm2.Telemetry = nil
-	res2 := GCR(a, stallPC{n: n}, onesVec(n), la.NewVec(n), prm2, nil)
+	res2 := GCR(a, stallPC{n: n}, onesVec(n), la.NewVec(n), prm2)
 	if be := new(*BreakdownError); errors.As(res2.Err, be) && (*be).Kind == BreakdownStagnation {
 		t.Error("stagnation breakdown fired with the window disabled")
 	}
@@ -173,7 +173,7 @@ func TestHealthySolveHasNilErr(t *testing.T) {
 	for name, res := range map[string]Result{
 		"cg":     CG(a, Identity{}, onesVec(n), la.NewVec(n), prm),
 		"fgmres": FGMRES(a, Identity{}, onesVec(n), la.NewVec(n), prm),
-		"gcr":    GCR(a, Identity{}, onesVec(n), la.NewVec(n), prm, nil),
+		"gcr":    GCR(a, Identity{}, onesVec(n), la.NewVec(n), prm),
 	} {
 		if !res.Converged || res.Err != nil || res.Breakdown {
 			t.Errorf("%s: converged=%v err=%v breakdown=%v", name, res.Converged, res.Err, res.Breakdown)

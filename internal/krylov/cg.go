@@ -1,6 +1,10 @@
 package krylov
 
-import "ptatin3d/internal/la"
+import (
+	"math"
+
+	"ptatin3d/internal/la"
+)
 
 // CG solves A·x = b by the preconditioned conjugate gradient method for
 // SPD A and SPD M. x holds the initial guess on entry and the solution on
@@ -8,6 +12,10 @@ import "ptatin3d/internal/la"
 // and as the inexact coarse-grid solver of the rifting configuration
 // (paper §V-A: CG preconditioned with ASM). prm.Pipelined does not
 // change it: only GCR and FGMRES have a latency-tolerant form.
+//
+// The residual update r −= α·A·p returns ‖r‖² from the same sweep
+// (Params.axpyDot), bitwise the update followed by the norm; a
+// rank-collective solve keeps the two steps.
 func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	var work [4]la.Vec
 	return cg(a, m, b, x, prm, &work)
@@ -37,7 +45,7 @@ func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result
 	prm.vaypx(r, -1, b) // r = b - A·x
 	res := Result{Residual0: prm.norm2(r)}
 	rn := res.Residual0
-	res.record(prm, rn)
+	res.record(prm, rn, r)
 	if k := badNorm(rn); k != 0 {
 		res.fail(prm, "cg", k, 0, rn)
 		res.Residual = rn
@@ -67,10 +75,9 @@ func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result
 		}
 		alpha := rz / den
 		prm.vaxpy(x, alpha, p)
-		prm.vaxpy(r, -alpha, ap)
-		rn = prm.norm2(r)
+		rn = math.Sqrt(prm.axpyDot(r, -alpha, ap, r))
 		res.Iterations = it
-		res.record(prm, rn)
+		res.record(prm, rn, r)
 		// A NaN or Inf entry of r makes rn non-finite: r needs no scan.
 		if k := badNorm(rn); k != 0 {
 			res.fail(prm, "cg", k, it, rn)

@@ -63,6 +63,20 @@ func (p Params) norm2(x la.Vec) float64 {
 	return x.Norm2()
 }
 
+// axpyDot computes v += alpha*x and returns the (possibly rank-collective)
+// inner product of the updated v with y. The shared-memory path runs it
+// as one sweep (la.Vec.AXPYDot), bitwise the update followed by the dot.
+// A Reducer keeps the two steps: its partial product is grouped by owned
+// node (comm.Layout.DotVel), not summed in index order, so a fused
+// partial is a different sum with its own proof.
+func (p Params) axpyDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
+	if p.Reducer != nil {
+		p.vaxpy(v, alpha, x)
+		return p.Reducer.Dot(v, y)
+	}
+	return v.AXPYDot(alpha, x, y)
+}
+
 // dots returns the (possibly rank-collective) inner products of the
 // vector pairs (xs[i], ys[i]). With a BatchReducer all pairs reduce in
 // one collective; with a plain Reducer each pair reduces separately;

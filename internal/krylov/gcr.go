@@ -14,8 +14,16 @@ import (
 // exactly that reason: the momentum/pressure residual split of Figure 2
 // is read directly off the GCR residual.
 //
-// Callback, when non-nil, receives the iteration number and the current
-// residual vector after every step (used to log per-field residual norms).
+// prm.Monitor, when non-nil, receives the iteration number and the
+// current residual vector after every step (the Stokes solver logs its
+// per-field norms from it).
+//
+// Modified Gram–Schmidt fuses each update of q with the next reduction,
+// as gmres.go does: β₀ = (q, q₀), then q −= βᵢ·qᵢ and β_{i+1} = (q, q_{i+1})
+// in one sweep (Params.axpyDot), the last returning ‖q‖²; z keeps its own
+// update. The step r −= α·q likewise returns ‖r‖² from the same sweep.
+// Each fused sweep is bitwise the update followed by the dot; a
+// rank-collective solve keeps the two steps (see axpyDot).
 //
 // With prm.Pipelined set on a rank-collective solve (Reducer != nil)
 // the orthogonalisation switches from modified Gram–Schmidt (j+3
@@ -29,7 +37,7 @@ import (
 // single-pass solve took 62 iterations on one rank where eight ranks and
 // classical GCR took 37 (16³ sinker, Δη = 100). Without a Reducer the
 // flag is ignored and the classical branch runs bit-for-bit.
-func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, r la.Vec)) Result {
+func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	n := a.N()
 	mr := prm.restart()
 	telStart := prm.begin()
@@ -50,10 +58,7 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, 
 	prm.vaypx(r, -1, b)
 	res := Result{Residual0: prm.norm2(r)}
 	rn := res.Residual0
-	res.record(prm, rn)
-	if callback != nil {
-		callback(0, r)
-	}
+	res.record(prm, rn, r)
 	if k := badNorm(rn); k != 0 {
 		res.fail(prm, method, k, 0, rn)
 		res.Residual = rn
@@ -89,13 +94,15 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, 
 		if pipe {
 			qn, rq, rr = prm.cgs2(q, z, r, qs[:nd], zs[:nd])
 		} else {
-			// Modified Gram–Schmidt, one reduction per stored direction.
+			// Modified Gram–Schmidt, one reduction per stored direction,
+			// each fused to the update before it; q is qs[nd], so the
+			// last sweep returns (q, q).
+			beta := prm.dot(q, qs[0])
 			for i := 0; i < nd; i++ {
-				beta := prm.dot(q, qs[i])
-				prm.vaxpy(q, -beta, qs[i])
 				prm.vaxpy(z, -beta, zs[i])
+				beta = prm.axpyDot(q, -beta, qs[i], qs[i+1])
 			}
-			qn = prm.norm2(q)
+			qn = math.Sqrt(beta)
 		}
 		if qn == 0 {
 			res.fail(prm, method, BreakdownZeroPivot, it, qn)
@@ -112,20 +119,17 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params, callback func(it int, 
 			alpha = prm.dot(r, q)
 		}
 		prm.vaxpy(x, alpha, z)
-		prm.vaxpy(r, -alpha, q)
 		if pipe {
 			// ‖r_new‖² = ‖r‖² − α² (r_new ⊥ q) off this iteration's true
 			// (r,r): the recurrence never compounds, only this subtraction
 			// cancels.
+			prm.vaxpy(r, -alpha, q)
 			rn = math.Sqrt(math.Max(rr-alpha*alpha, 0))
 		} else {
-			rn = prm.norm2(r)
+			rn = math.Sqrt(prm.axpyDot(r, -alpha, q, r))
 		}
 		res.Iterations = it
-		res.record(prm, rn)
-		if callback != nil {
-			callback(it, r)
-		}
+		res.record(prm, rn, r)
 		// A NaN or Inf entry of r makes rn non-finite: r needs no scan.
 		if k := badNorm(rn); k != 0 {
 			res.fail(prm, method, k, it, rn)

@@ -13,6 +13,16 @@ import (
 // inner iterations). With flexible=false the update is reconstructed as
 // M⁻¹(V·y), which assumes a fixed linear M.
 //
+// The Arnoldi step is modified Gram–Schmidt with each update fused to the
+// next reduction: h₀ = (w, v₀), then w −= hᵢ·vᵢ and h_{i+1} = (w, v_{i+1})
+// in one sweep over w (Params.axpyDot), the last sweep returning ‖w‖² for
+// h_{j+1,j}. That sweeps w j+2 times per iteration instead of 2j+3 (four
+// vector streams per basis vector instead of five), and it is bitwise the
+// two-step form: each sweep performs the update and the dot in their own
+// expression shapes and order, and every dot still reads the w the
+// previous update left. A rank-collective solve keeps the two steps (see
+// axpyDot).
+//
 // With prm.Pipelined set on a rank-collective solve (Reducer != nil)
 // the Arnoldi orthogonalization switches from modified Gram–Schmidt
 // (j+2 reductions per iteration) to reorthogonalized classical
@@ -49,7 +59,7 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 	prm.vaypx(r, -1, b)
 	res := Result{Residual0: prm.norm2(r)}
 	rn := res.Residual0
-	res.record(prm, rn)
+	res.record(prm, rn, nil)
 	if k := badNorm(rn); k != 0 {
 		res.fail(prm, method, k, 0, rn)
 		res.Residual = rn
@@ -155,13 +165,16 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 					hj1 = math.Sqrt(math.Max(rec, 0))
 				}
 			} else {
-				// Modified Gram–Schmidt.
-				for i := 0; i <= j; i++ {
-					hij := prm.dot(w, v[i])
+				// Modified Gram–Schmidt, one sweep per basis vector: the
+				// update against v_i also forms (w, v_{i+1}), and the last
+				// one (w, w).
+				hij := prm.dot(w, v[0])
+				for i := 0; i < j; i++ {
 					h[i*mr+j] = hij
-					prm.vaxpy(w, -hij, v[i])
+					hij = prm.axpyDot(w, -hij, v[i], v[i+1])
 				}
-				hj1 = prm.norm2(w)
+				h[j*mr+j] = hij
+				hj1 = math.Sqrt(prm.axpyDot(w, -hij, v[j], w))
 			}
 			h[(j+1)*mr+j] = hj1
 			if hj1 != 0 {
@@ -188,7 +201,7 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			g[j] = cs[j] * g[j]
 			rn = math.Abs(g[j+1])
 			res.Iterations = it
-			res.record(prm, rn)
+			res.record(prm, rn, nil)
 			if k := badNorm(rn); k != 0 {
 				res.fail(prm, method, k, it, rn)
 				j++

@@ -80,8 +80,8 @@ type Params struct {
 
 	// Reducer, when non-nil, makes the solve rank-collective: every dot
 	// product and norm goes through it instead of the serial BLAS-1
-	// kernels, and per-vector NaN scans are skipped (ghost-free regions
-	// of a rank's vector copy are undefined). Nil keeps the
+	// kernels, and each update that a reduction of the updated vector
+	// follows stays a separate step (see Params.axpyDot). Nil keeps the
 	// shared-memory path bit-for-bit. See distributed.go.
 	Reducer Reducer
 	// Exchanger, when non-nil, refreshes the ghost entries of the
@@ -110,6 +110,14 @@ type Params struct {
 	// time steps, a rank across its solves — allocates a basis once. The
 	// arithmetic does not depend on it. One solve at a time per Workspace.
 	Work *Workspace
+
+	// Monitor, when non-nil, receives the iteration number and the
+	// explicit residual vector after every step (iteration 0: the initial
+	// residual) of a method that holds one, GCR and CG; the Figure-2
+	// per-field residual histories are read off GCR's. FGMRES and GMRES
+	// hold their residual only through the Givens recurrence and ignore
+	// it.
+	Monitor func(it int, r la.Vec)
 
 	// Telemetry, when non-nil, receives structured solve instrumentation:
 	// a "residual" series with one sample per recorded residual norm, a
@@ -184,11 +192,17 @@ type Result struct {
 	Err error
 }
 
-func (r *Result) record(p Params, rn float64) {
+// record logs the residual norm rn of iteration r.Iterations and hands
+// the explicit residual vector rv to Params.Monitor; methods that hold no
+// such vector pass nil.
+func (r *Result) record(p Params, rn float64, rv la.Vec) {
 	if p.History {
 		r.History = append(r.History, rn)
 	}
 	p.Telemetry.Series("residual").Append(rn)
+	if p.Monitor != nil && rv != nil {
+		p.Monitor(r.Iterations, rv)
+	}
 }
 
 // begin stamps the start of an instrumented solve. The returned time is
@@ -234,7 +248,7 @@ func CheckMethod(method string) error {
 func Solve(method string, a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	switch method {
 	case "gcr":
-		return GCR(a, m, b, x, prm, nil)
+		return GCR(a, m, b, x, prm)
 	case "fgmres":
 		return FGMRES(a, m, b, x, prm)
 	}

@@ -140,7 +140,7 @@ func TestGCRMonotoneResidual(t *testing.T) {
 	prm := DefaultParams()
 	prm.RTol = 1e-10
 	prm.History = true
-	res := GCR(CSROp{a}, Identity{}, b, x, prm, nil)
+	res := GCR(CSROp{a}, Identity{}, b, x, prm)
 	if !res.Converged {
 		t.Fatalf("GCR did not converge: %+v", res)
 	}
@@ -161,9 +161,10 @@ func TestGCRCallbackSeesTrueResidual(t *testing.T) {
 	x := la.NewVec(a.NRows)
 	prm := DefaultParams()
 	var lastCB float64
-	res := GCR(CSROp{a}, Identity{}, b, x, prm, func(it int, r la.Vec) {
+	prm.Monitor = func(it int, r la.Vec) {
 		lastCB = r.Norm2()
-	})
+	}
+	res := GCR(CSROp{a}, Identity{}, b, x, prm)
 	if math.Abs(lastCB-res.Residual) > 1e-12*(1+res.Residual) {
 		t.Fatalf("callback residual %v vs result %v", lastCB, res.Residual)
 	}
@@ -190,7 +191,7 @@ func TestFlexibleToleratesVariablePC(t *testing.T) {
 		if name == "fgmres" {
 			res = FGMRES(CSROp{a}, vpc, b, x, prm)
 		} else {
-			res = GCR(CSROp{a}, vpc, b, x, prm, nil)
+			res = GCR(CSROp{a}, vpc, b, x, prm)
 		}
 		if !res.Converged {
 			t.Fatalf("%s with variable PC: %+v", name, res)
@@ -373,7 +374,7 @@ func TestSolveRejectsUnknownMethod(t *testing.T) {
 		want := FGMRES(CSROp{A: a}, Identity{}, b, ref, prm)
 		if method == "gcr" {
 			ref.Zero()
-			want = GCR(CSROp{A: a}, Identity{}, b, ref, prm, nil)
+			want = GCR(CSROp{A: a}, Identity{}, b, ref, prm)
 		}
 		if res.Err != nil || !res.Converged || res.Iterations != want.Iterations {
 			t.Fatalf("Solve(%q): %+v, want the %d iterations of the direct call", method, res, want.Iterations)

@@ -48,7 +48,7 @@ func pipeRun(a *la.CSR, b la.Vec, method string, prm Params) (la.Vec, Result) {
 	var res Result
 	switch method {
 	case "gcr":
-		res = GCR(CSROp{a}, m, b, x, prm, nil)
+		res = GCR(CSROp{a}, m, b, x, prm)
 	case "fgmres":
 		res = FGMRES(CSROp{a}, m, b, x, prm)
 	default:

@@ -48,7 +48,7 @@ func TestPoisonedResidualBreaksDownAtOnce(t *testing.T) {
 	gcrPrm := prm
 	gcrPrm.Work = new(Workspace)
 	op := &poisonOp{n: n, call: call, v: math.NaN(), r: func() la.Vec { return gcrPrm.Work.vecs[0] }}
-	res := GCR(op, Identity{}, rhs(), la.NewVec(n), gcrPrm, nil)
+	res := GCR(op, Identity{}, rhs(), la.NewVec(n), gcrPrm)
 	checkBreakdown(t, "gcr", res, call-1, BreakdownNaN)
 	if res.Iterations != call-1 {
 		t.Fatalf("gcr: breakdown at iteration %d, want %d", res.Iterations, call-1)

@@ -76,6 +76,25 @@ func (v Vec) Dot(x Vec) float64 {
 	return s
 }
 
+// AXPYDot computes v += alpha*x and returns the inner product of the
+// updated v with y, in one sweep: each entry of v is loaded once where
+// AXPY followed by Dot loads it twice. y may alias v (the result is then
+// ‖v‖²) or x. The two statements of the loop are the expressions of
+// AXPYSpans and Dot, in their order, so the result is bitwise theirs —
+// including on a target where the compiler contracts x + a·b into a
+// fused multiply-add, since it contracts the same two expressions.
+func (v Vec) AXPYDot(alpha float64, x, y Vec) float64 {
+	if len(v) != len(x) || len(v) != len(y) {
+		panic(fmt.Sprintf("la: AXPYDot length mismatch %d, %d, %d", len(v), len(x), len(y)))
+	}
+	var s float64
+	for i := range v {
+		v[i] += alpha * x[i]
+		s += v[i] * y[i]
+	}
+	return s
+}
+
 // DotRange returns the inner product of v[i0:i1] with x[i0:i1] — the
 // partial-sum building block of rank-distributed reductions, where each
 // rank dots only the dof ranges it owns.
@@ -108,8 +127,10 @@ func (v Vec) Set(alpha float64) {
 	}
 }
 
-// HasNaN reports whether any entry of v is NaN or Inf. It is used by the
-// solvers to fail fast on breakdown rather than iterating on garbage.
+// HasNaN reports whether any entry of v is NaN or Inf. The benchmark
+// harness checks a run's final state with it; the solvers do not scan
+// vectors (a NaN or Inf entry already makes the residual norm
+// non-finite).
 func (v Vec) HasNaN() bool {
 	for _, x := range v {
 		if math.IsNaN(x) || math.IsInf(x, 0) {

@@ -58,6 +58,57 @@ func TestVecMismatchPanics(t *testing.T) {
 	Vec{1}.AXPY(1, Vec{1, 2})
 }
 
+// TestAXPYDotMatchesAXPYThenDot: the fused sweep leaves v and returns the
+// product bitwise as AXPYSpans followed by Dot do, at every length 0…67
+// (every remainder of any unrolling) and with y a third vector, y
+// aliasing v (the norm case) and y aliasing x; and it panics on a length
+// mismatch as AXPY does.
+func TestAXPYDotMatchesAXPYThenDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	randVec := func(n int) Vec {
+		v := NewVec(n)
+		for i := range v {
+			v[i] = rng.NormFloat64() * math.Exp2(float64(rng.Intn(40)-20))
+		}
+		return v
+	}
+	for n := 0; n <= 67; n++ {
+		for _, alias := range []string{"none", "v", "x"} {
+			v, x, y := randVec(n), randVec(n), randVec(n)
+			alpha := rng.NormFloat64()
+			fused, twoStep := slices.Clone(v), slices.Clone(v)
+			yf, yt := y, y
+			switch alias {
+			case "v":
+				yf, yt = fused, twoStep
+			case "x":
+				yf, yt = x, x
+			}
+			got := fused.AXPYDot(alpha, x, yf)
+			twoStep.AXPYSpans(alpha, x, nil)
+			want := twoStep.Dot(yt)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("n=%d y aliasing %s: AXPYDot returned %x, AXPY then Dot %x", n, alias, math.Float64bits(got), math.Float64bits(want))
+			}
+			for i := range fused {
+				if math.Float64bits(fused[i]) != math.Float64bits(twoStep[i]) {
+					t.Fatalf("n=%d y aliasing %s: v[%d] = %x, AXPY leaves %x", n, alias, i, math.Float64bits(fused[i]), math.Float64bits(twoStep[i]))
+				}
+			}
+		}
+	}
+	for _, c := range []struct{ nx, ny int }{{2, 3}, {3, 2}, {4, 3}, {3, 4}, {2, 2}, {4, 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("AXPYDot on lengths 3, %d, %d: no panic", c.nx, c.ny)
+				}
+			}()
+			NewVec(3).AXPYDot(1, NewVec(c.nx), NewVec(c.ny))
+		}()
+	}
+}
+
 func TestVecHasNaN(t *testing.T) {
 	if (Vec{1, 2, 3}).HasNaN() {
 		t.Fatal("clean vector reported NaN")

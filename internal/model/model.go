@@ -145,8 +145,14 @@ type StepStats struct {
 	// found no step length that reduces ‖F‖.
 	ResidualEvals       int
 	LineSearchStagnated bool
-	SolveTime           time.Duration
-	PointCount          int
+	// KrylovBreakdowns counts the step's inner solves that broke down
+	// (nonlinear.Result.Breakdowns); KrylovFallbacks those of them that
+	// the alternate Krylov method then solved. A step that returns has
+	// recovered from every one, so the two are equal in a record.
+	KrylovBreakdowns int
+	KrylovFallbacks  int
+	SolveTime        time.Duration
+	PointCount       int
 	// Points the step deleted (outside the domain after advection or the
 	// ALE update) and population control seeded; the fewest and the most
 	// points an element holds at the end of the step.
@@ -636,6 +642,7 @@ func (m *Model) StepForward() error {
 		NewtonIts: res.Iterations, KrylovIts: res.KrylovIts, KrylovBasis: res.KrylovBasis,
 		FNorm0: res.FNorm0, FNorm: res.FNorm, Converged: res.Converged,
 		ResidualEvals: res.ResidualEvals, LineSearchStagnated: res.Stagnated,
+		KrylovBreakdowns: res.Breakdowns, KrylovFallbacks: res.Fallbacks,
 		SolveTime:  time.Since(start),
 		PointCount: m.Points.Len(), PointsRemoved: removed, PointsInjected: injected,
 		PPEMin: ppeMin, PPEMax: ppeMax,

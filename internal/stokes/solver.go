@@ -466,9 +466,12 @@ func (s *Solver) Solve(x, bu la.Vec, mon *Monitor) krylov.Result {
 	s.Op.Residual(x, bu, f)
 	f.Scale(-1)
 	delta := la.NewVec(n)
-	var cb func(it int, r la.Vec)
+	prm := s.Cfg.Params
+	prm.Work = &s.Work
 	if mon != nil {
-		cb = func(it int, r la.Vec) {
+		// Only GCR carries an explicit residual to monitor; FGMRES ignores
+		// the field.
+		prm.Monitor = func(it int, r la.Vec) {
 			uN, vN, pN := s.Op.FieldNorms(r, s.Cfg.VerticalAxis)
 			mon.Iter = append(mon.Iter, it)
 			mon.Momentum = append(mon.Momentum, uN)
@@ -476,13 +479,7 @@ func (s *Solver) Solve(x, bu la.Vec, mon *Monitor) krylov.Result {
 			mon.Pressure = append(mon.Pressure, pN)
 		}
 	}
-	prm := s.Cfg.Params
-	prm.Work = &s.Work
 	run := func(method string) krylov.Result {
-		if method == "gcr" && cb != nil {
-			// Only GCR carries an explicit residual to monitor.
-			return krylov.GCR(s.MatMult, s.PCApply, f, delta, prm, cb)
-		}
 		return krylov.Solve(method, s.MatMult, s.PCApply, f, delta, prm)
 	}
 	res := run(s.Cfg.OuterMethod)

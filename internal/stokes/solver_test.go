@@ -128,7 +128,7 @@ func TestAlgebraicExactness(t *testing.T) {
 	f := la.NewVec(n)
 	s.Op.Apply(xstar, f)
 	x := la.NewVec(n)
-	res := krylov.GCR(s.Op, s.FS, f, x, cfg.Params, nil)
+	res := krylov.GCR(s.Op, s.FS, f, x, cfg.Params)
 	if !res.Converged {
 		t.Fatalf("no convergence: %d its rel %.2e", res.Iterations, res.Residual/res.Residual0)
 	}

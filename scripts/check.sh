@@ -4,7 +4,8 @@
 # non-test code reaches, beyond the reasons of scripts/unreached/keep.txt),
 # a cross-build of the portable (non-amd64) file set, a guard that no
 # assembly file fuses a multiply-add or returns to Go with dirty upper YMM
-# halves, the full test suite, a short-mode pass under the race detector, a
+# halves, the full test suite, a short-mode pass under the race detector, the
+# fused Krylov update-and-reduce against its two steps in a GOAMD64=v3 build, a
 # racy re-run of the comm fault/recovery protocol tests, the benchmark
 # module's own vet and tests (bench/ is a separate module that the root go
 # build and go test skip), a scenario smoke of every spec on both backends
@@ -131,10 +132,22 @@ named_tests '-race -count=10' \
     'TestPhasedOrderAndCoverage|TestPhasedNoHelper|TestPhasedNested|TestPhasedConcurrent|TestPhasedPanic|TestIdleAfterJobs|TestRunParts|TestCounts' \
     ./internal/par
 
-echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher, a poisoned residual entry caught by its norm, under -race =="
+echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher, a poisoned residual entry caught by its norm, fused update-and-reduce == update then reduce (kernel and all four methods), under -race =="
 named_tests -race \
-    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce' \
-    ./internal/krylov
+    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
+    ./internal/krylov ./internal/la
+
+# The fused sweep is bitwise the two it replaced only if the compiler
+# contracts x + a·b into a fused multiply-add in both or in neither. Go
+# contracts on arm64 (FMADDD in AXPYDot, Dot and the AXPY loop alike); on
+# amd64 Go 1.24 emits none at any GOAMD64 level, so this stage pins the v3
+# build today and the contraction on a toolchain that starts fusing there.
+echo "== fused update-and-reduce == update then reduce, built for GOAMD64=v3 =="
+if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo; then
+    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' ./internal/la ./internal/krylov
+else
+    echo "skipped: this CPU cannot run GOAMD64=v3 code"
+fi
 
 echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, the tables' solver recipe == what Prepare hands over, set-up stage timers under -race =="
 named_tests -race \
@@ -146,9 +159,9 @@ named_tests -race \
     'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
     ./internal/mpm ./internal/model
 
-echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population in the step record, under -race =="
+echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population and the Krylov breakdowns and fallbacks in the step record, under -race =="
 named_tests -race \
-    'TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation' \
+    'TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation|TestRunRecordsKrylovFallbacks' \
     ./internal/fem ./internal/mpm ./internal/model ./internal/rheology ./internal/driver
 
 echo "== benchmark module: vet + its own tests =="
