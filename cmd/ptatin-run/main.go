@@ -64,7 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "write a checkpoint every N steps (0 disables)")
 	fs.StringVar(&o.ckptPath, "checkpoint", "ptatin.chkpt", "checkpoint file path")
 	fs.StringVar(&o.jsonOut, "json", "", "write the end-to-end run record as JSON to this file (- for stdout)")
-	o.Register(fs, "workers", "op", "precision", "telemetry", "cpuprofile",
+	o.Register(fs, "workers", "op", "telemetry", "cpuprofile",
 		"steps", "res", "ranks", "pipelined", "restart-from")
 	if err := o.Parse(fs, args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -127,7 +127,7 @@ func (o *options) drive(stdout, stderr io.Writer) error {
 		return err
 	}
 	m.Telemetry = reg.Root().Child("model")
-	ov := driver.Overrides{Op: o.Op, Precision: o.Precision, Restart: o.restartWindow}
+	ov := driver.Overrides{Op: o.Op, Restart: o.restartWindow}
 	if err := ov.Apply(m); err != nil {
 		return err
 	}

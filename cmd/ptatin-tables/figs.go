@@ -12,14 +12,14 @@ import (
 	"ptatin3d/internal/stokes"
 )
 
-// compile builds the model of spec at the run's width with the -op and
-// -precision overrides applied, recording under the run's registry.
+// compile builds the model of spec at the run's width with the -op
+// override applied, recording under the run's registry.
 func (c *ctx) compile(spec scenario.Spec) (*model.Model, error) {
 	m, err := scenario.Compile(spec, c.Workers)
 	if err != nil {
 		return nil, err
 	}
-	if err := (driver.Overrides{Op: c.Op, Precision: c.Precision}).Apply(m); err != nil {
+	if err := (driver.Overrides{Op: c.Op}).Apply(m); err != nil {
 		return nil, err
 	}
 	m.Telemetry = c.reg.Root().Child("model")
@@ -32,7 +32,7 @@ func (c *ctx) compile(spec scenario.Spec) (*model.Model, error) {
 func fig1(c *ctx) error {
 	o := c.sinkerFlags("m", "nc", "rc")
 	outdir := c.outdirFlag()
-	c.Register(c.fs, "workers", "op", "precision", "restart-from", "telemetry", "cpuprofile")
+	c.Register(c.fs, "workers", "op", "restart-from", "telemetry", "cpuprofile")
 	done, err := c.begin()
 	if err != nil {
 		return err
@@ -83,7 +83,7 @@ func writeGridAndPoints(m *model.Model, dir, fig string) error {
 // stderr).
 func fig2(c *ctx) error {
 	o := c.sinkerFlags("m", "nc", "rc")
-	c.Register(c.fs, "workers", "op", "precision", "telemetry", "cpuprofile")
+	c.Register(c.fs, "workers", "op", "telemetry", "cpuprofile")
 	done, err := c.begin()
 	if err != nil {
 		return err
@@ -130,7 +130,7 @@ func fig3(c *ctx) error {
 	c.fs.Float64Var(&o.WeakCrustEta, "weak", o.WeakCrustEta, "lower-crust viscosity (nondim)")
 	oblique := c.fs.Bool("oblique", false, "apply z-shortening (BC variant ii)")
 	outdir := c.outdirFlag()
-	c.Register(c.fs, "workers", "op", "precision", "steps", "res", "restart-from")
+	c.Register(c.fs, "workers", "op", "steps", "res", "restart-from")
 	done, err := c.begin()
 	if err != nil {
 		return err

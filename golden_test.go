@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -60,21 +59,14 @@ func counterAt(sn *telemetry.ScopeSnapshot, path []string) int64 {
 }
 
 // solveGolden runs one Stokes solve with telemetry attached and collapses
-// it into a goldenRecord. fullGrid takes the wavefront-blocked smoothers
-// out of the built hierarchy, which then smooths with the full-grid
-// Chebyshev recurrence: the reference the blocked path must reproduce.
-func solveGolden(t *testing.T, p *fem.Problem, cfg stokes.Config, fullGrid bool) goldenRecord {
+// it into a goldenRecord.
+func solveGolden(t *testing.T, p *fem.Problem, cfg stokes.Config) goldenRecord {
 	t.Helper()
 	reg := telemetry.New()
 	cfg.Telemetry = reg.Root()
 	s, err := stokes.New(p, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if fullGrid {
-		for _, lev := range s.MG.Levels {
-			lev.Blocked = nil
-		}
 	}
 	bu := la.NewVec(p.DA.NVelDOF())
 	fem.MomentumRHS(p, bu)
@@ -105,7 +97,7 @@ func solveGolden(t *testing.T, p *fem.Problem, cfg stokes.Config, fullGrid bool)
 // sinker3Record solves the 3-sinker configuration (paper §IV-B geometry at
 // reduced resolution, 3 spheres, Δη=100) directly with the production GMG
 // preconditioner.
-func sinker3Record(t *testing.T, kind op.Kind, prec op.Precision, fullGrid bool) goldenRecord {
+func sinker3Record(t *testing.T, kind op.Kind) goldenRecord {
 	o := scenario.DefaultSinkerOptions()
 	o.M = 8
 	o.Nc = 3
@@ -114,8 +106,7 @@ func sinker3Record(t *testing.T, kind op.Kind, prec op.Precision, fullGrid bool)
 	mdl := scenario.MustCompile(scenario.Sinker(o), 1)
 	cfg := mdl.StokesConfig()
 	cfg.FineKind = kind
-	cfg.Precision = prec
-	return solveGolden(t, mdl.Prob, cfg, fullGrid)
+	return solveGolden(t, mdl.Prob, cfg)
 }
 
 // rayleighTaylorRecord solves a two-layer Rayleigh–Taylor configuration: a
@@ -144,7 +135,7 @@ func rayleighTaylorRecord(t *testing.T) goldenRecord {
 	p.SetCoefficientsFunc(eta, rho)
 	cfg := stokes.DefaultConfig()
 	cfg.CoeffCoarsen = mg.FuncCoeffCoarsener(eta, rho)
-	return solveGolden(t, p, cfg, false)
+	return solveGolden(t, p, cfg)
 }
 
 func goldenPath(name string) string {
@@ -223,25 +214,8 @@ func checkGolden(t *testing.T, name string, got goldenRecord, rtol float64) {
 // TestGoldenSinker3 is the 3-sinker golden regression run, on the default
 // resident fine kind.
 func TestGoldenSinker3(t *testing.T) {
-	rec := sinker3Record(t, stokes.DefaultConfig().FineKind, op.F64, false)
+	rec := sinker3Record(t, stokes.DefaultConfig().FineKind)
 	checkGolden(t, "golden_sinker3", rec, stokes.DefaultConfig().Params.RTol)
-}
-
-// TestGoldenSinker3F32 is the mixed-precision golden regression run: the
-// same 3-sinker configuration preconditioned by the cache-blocked float32
-// V-cycle. It has its own golden file — the f32 hierarchy legitimately
-// changes the preconditioner, so iteration counts may differ from the f64
-// golden by a hair — but the tolerances are the shared checkGolden ones,
-// so any f32-path regression (divergence, extra cycles, lost smoother
-// applies) trips it. The same solve smoothing full-grid is the blocked
-// path's reference: the two records must be equal, residuals bit for bit.
-func TestGoldenSinker3F32(t *testing.T) {
-	kind := stokes.DefaultConfig().FineKind
-	rec := sinker3Record(t, kind, op.F32, false)
-	checkGolden(t, "golden_sinker3_f32", rec, stokes.DefaultConfig().Params.RTol)
-	if ref := sinker3Record(t, kind, op.F32, true); !reflect.DeepEqual(rec, ref) {
-		t.Fatalf("blocked f32 record %+v differs from the full-grid reference %+v", rec, ref)
-	}
 }
 
 // TestGoldenSinker3Backends re-runs the 3-sinker golden configuration
@@ -254,7 +228,7 @@ func TestGoldenSinker3Backends(t *testing.T) {
 	}
 	for _, k := range []op.Kind{op.Tensor, op.MFRef, op.Assembled, op.Galerkin} {
 		t.Run(k.String(), func(t *testing.T) {
-			rec := sinker3Record(t, k, op.F64, false)
+			rec := sinker3Record(t, k)
 			checkGolden(t, "golden_sinker3", rec, stokes.DefaultConfig().Params.RTol)
 		})
 	}

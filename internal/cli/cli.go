@@ -23,7 +23,6 @@ import (
 type Flags struct {
 	Workers     int
 	Op          string
-	Precision   string
 	Telemetry   bool
 	CPUProfile  string
 	Steps       int
@@ -42,8 +41,6 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 			fs.IntVar(&f.Workers, name, 0, "worker goroutines (0 = runtime.NumCPU())")
 		case "op":
 			fs.StringVar(&f.Op, name, "", "fine-level operator representation (mfc|mf|mfref|asm|galerkin; default: the spec's, else mfc)")
-		case "precision":
-			fs.StringVar(&f.Precision, name, "", "V-cycle preconditioner precision (f64|f32); the outer Krylov method always iterates in f64")
 		case "telemetry":
 			fs.BoolVar(&f.Telemetry, name, false, "emit the telemetry table + JSON on stderr when the command ends")
 		case "cpuprofile":

@@ -28,9 +28,8 @@ import (
 // Overrides are the CLI-level solver substitutions applied on top of a
 // compiled model (empty/zero values leave the spec's choice in place).
 type Overrides struct {
-	Op        string // fine-level operator representation
-	Precision string // V-cycle precision ("f64"/"f32")
-	Restart   int    // FGMRES restart window (stokes.Config.Params.Restart)
+	Op      string // fine-level operator representation
+	Restart int    // FGMRES restart window (stokes.Config.Params.Restart)
 }
 
 // Apply sets the overrides on the model's solver configuration, or leaves
@@ -45,17 +44,10 @@ func (o Overrides) Apply(m *model.Model) error {
 		}
 		cfg.FineKind = k
 	}
-	if o.Precision != "" {
-		pr, err := op.ParsePrecision(o.Precision)
-		if err != nil {
-			return err
-		}
-		cfg.Precision = pr
-	}
 	if o.Restart > 0 {
 		cfg.Params.Restart = o.Restart
 	}
-	if _, _, err := op.Layout(cfg.Levels, cfg.FineKind, cfg.Precision); err != nil {
+	if _, _, err := op.Layout(cfg.Levels, cfg.FineKind); err != nil {
 		return err
 	}
 	m.Cfg = cfg

@@ -37,33 +37,29 @@ func smallSinker(t *testing.T, workers int) *model.Model {
 // model's solver config, and bad values are rejected.
 func TestOverridesApply(t *testing.T) {
 	m := smallSinker(t, 1)
-	ov := Overrides{Op: "asm", Precision: "f32", Restart: 123}
+	ov := Overrides{Op: "asm", Restart: 123}
 	if err := ov.Apply(m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Cfg.FineKind != op.Assembled || m.Cfg.Precision != op.F32 || m.Cfg.Params.Restart != 123 {
+	if m.Cfg.FineKind != op.Assembled || m.Cfg.Params.Restart != 123 {
 		t.Fatalf("overrides not applied: %+v", m.Cfg)
 	}
 	if err := (Overrides{Op: "nope"}).Apply(m); err == nil {
 		t.Fatal("bad -op value accepted")
 	}
-	if err := (Overrides{Precision: "f16"}).Apply(m); err == nil {
-		t.Fatal("bad -precision value accepted")
-	}
-	// The run-time selector is gone, and a reduced-precision kind is not a
-	// fine kind (the coupled matvec would run single precision): both are
-	// refused here, before any solve, with a message saying what to use.
+	// The run-time selector is gone, and the kernel study's
+	// single-precision kind is not a fine kind: both are refused here,
+	// before any solve, with a message saying why.
 	for opFlag, want := range map[string]string{
-		"auto":  "selector \"auto\" was removed",
-		"mf32":  "-precision f32",
-		"asm32": "-precision f32",
+		"auto": "selector \"auto\" was removed",
+		"mf32": "single-precision kernel of the kernel study",
 	} {
 		before := m.Cfg
 		err := (Overrides{Op: opFlag}).Apply(m)
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("-op %s: got %v, want an error containing %q", opFlag, err, want)
 		}
-		if m.Cfg.FineKind != before.FineKind || m.Cfg.Precision != before.Precision {
+		if m.Cfg.FineKind != before.FineKind {
 			t.Errorf("-op %s: a refused override changed the configuration", opFlag)
 		}
 	}

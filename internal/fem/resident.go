@@ -24,12 +24,12 @@ import (
 // same code path plus the ascending-slab merge, so both produce
 // bit-identical sums.
 //
-// F32 selects the reduced-precision variant: coefficients are computed in
-// float64 and rounded once to float32, and the element kernel runs in
-// float32 (state rounded at gather, result widened at scatter). Global
-// vectors and the owner-computes scatter stay float64 on both paths, so
-// the f32 operator is a small perturbation of the f64 one — exactly what
-// a flexible outer Krylov method tolerates in its preconditioner.
+// F32 selects the single-precision variant the kernel study times beside
+// the float64 one (op.TensorF32; no solver runs it): coefficients are
+// computed in float64 and rounded once to float32, and the element kernel
+// runs in float32 (state rounded at gather, result widened at scatter).
+// Global vectors and the owner-computes scatter stay float64 on both
+// paths, so the f32 operator is a small perturbation of the f64 one.
 type Resident struct {
 	P   *Problem
 	F32 bool
@@ -69,7 +69,7 @@ func NewResident(p *Problem, f32 bool) *Resident {
 }
 
 // Setup (re)computes the stored per-quadrature-point tensors, always in
-// float64, rounding once to float32 on the reduced-precision path.
+// float64, rounding once to float32 on the single-precision variant.
 func (r *Resident) Setup() {
 	p := r.P
 	nel := p.DA.NElements()

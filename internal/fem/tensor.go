@@ -19,10 +19,11 @@ package fem
 // bounds checks or index-table loads.
 //
 // The kernels are generic in the scalar: float64 for the Tensor, Newton
-// and stored-coefficient resident operators, float32 for the
-// reduced-precision smoother path. One body serves both, so the float64
-// resident kernel and the Tensor kernel contract bit-for-bit alike — the
-// property the blocked-smoother equivalence tests rely on.
+// and stored-coefficient resident operators, float32 for the resident
+// kernel's single-precision variant, which only the kernel study builds.
+// One body serves both, so the float64 resident kernel and the Tensor
+// kernel contract bit-for-bit alike — the property the blocked-smoother
+// equivalence tests rely on.
 //
 // Production float64 kernels do not call these bodies directly but
 // tensorGrads64, tensorScatterWrite64 and residentElement64, which on an

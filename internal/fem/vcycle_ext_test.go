@@ -29,7 +29,7 @@ func TestVCycleBothKernels(t *testing.T) {
 			fine := fem.NewProblem(da, bc)
 			fine.SetCoefficientsFunc(eta, nil)
 			probs := mg.CoarsenProblems(fine, 3, mg.FuncCoeffCoarsener(eta, nil))
-			_, kinds, err := op.Layout(3, op.TensorC, op.F64)
+			_, kinds, err := op.Layout(3, op.TensorC)
 			if err != nil {
 				t.Fatal(err)
 			}

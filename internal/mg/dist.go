@@ -98,8 +98,7 @@ func (m *DistMG) Err() error { return m.err }
 // exchange of comm.Dist.ApplyElements. On a resident-backed level the
 // kernel is the shared hierarchy's own fem.Resident, so every element
 // apply streams the stored 15-float-per-qp tensors the blocked smoother of
-// the shared solve uses; on TensorF32 levels the element arithmetic is
-// float32 while the exchanged partials stay float64.
+// the shared solve uses.
 type haloElementOp struct {
 	mg   *DistMG
 	dist *comm.Dist

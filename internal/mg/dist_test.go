@@ -21,7 +21,7 @@ func buildDistFixture(t *testing.T, m, levels int, px, py, pz int) (*MG, []*comm
 	fine := stdProblem(m, eta)
 	probs := CoarsenProblems(fine, levels, FuncCoeffCoarsener(eta, nil))
 	mgp, err := Build(probs, Options{
-		Kinds:       layoutKinds(t, levels, op.Tensor, op.F64),
+		Kinds:       layoutKinds(t, levels, op.Tensor),
 		SmoothSteps: 2,
 	})
 	if err != nil {
@@ -183,7 +183,7 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 	fine := stdProblem(8, eta)
 	probs := CoarsenProblems(fine, levels, FuncCoeffCoarsener(eta, nil))
 	mgp, err := Build(probs, Options{
-		Kinds:       layoutKinds(t, levels, op.TensorC, op.F64),
+		Kinds:       layoutKinds(t, levels, op.TensorC),
 		SmoothSteps: 2,
 	})
 	if err != nil {

@@ -115,8 +115,7 @@ func (m *MG) SetTelemetry(sc *telemetry.Scope) {
 // Options configures Build.
 type Options struct {
 	// Kinds is the representation of every level, Kinds[0] the finest —
-	// an op.Layout, which has settled the precision too (the transfer
-	// operators and all vectors are float64 regardless).
+	// an op.Layout.
 	Kinds       []op.Kind
 	SmoothSteps int // Chebyshev steps: V(k,k) uses k (paper: 2 or 3)
 	Workers     int

@@ -378,7 +378,7 @@ func TestMGBlockedVCycleBitIdentical(t *testing.T) {
 	build := func(workers, steps int) *MG {
 		fine := stdProblem(8, eta)
 		probs := CoarsenProblems(fine, 3, FuncCoeffCoarsener(eta, nil))
-		mgp, err := Build(probs, Options{Kinds: layoutKinds(t, 3, op.TensorC, op.F64), SmoothSteps: steps, Workers: workers})
+		mgp, err := Build(probs, Options{Kinds: layoutKinds(t, 3, op.TensorC), SmoothSteps: steps, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -472,53 +472,13 @@ func TestVCycleApplyCountOnCSRLevels(t *testing.T) {
 }
 
 // layoutKinds is op.Layout's per-level kinds for a test hierarchy.
-func layoutKinds(t *testing.T, levels int, fine op.Kind, prec op.Precision) []op.Kind {
+func layoutKinds(t *testing.T, levels int, fine op.Kind) []op.Kind {
 	t.Helper()
-	_, kinds, err := op.Layout(levels, fine, prec)
+	_, kinds, err := op.Layout(levels, fine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return kinds
-}
-
-// TestMGF32Converges: the float32 blocked hierarchy is a legitimate
-// preconditioner — under outer (double-precision, flexible) FGMRES it
-// must converge within 3 iterations of the float64 hierarchy on a 10⁴
-// viscosity contrast, and the mid-level must actually run reduced
-// precision (AssembledF32 handing its float64 matrix to the Galerkin
-// level below).
-func TestMGF32Converges(t *testing.T) {
-	eta := func(x, y, z float64) float64 {
-		return math.Pow(10, 4*math.Sin(math.Pi*x)*math.Sin(math.Pi*y)*math.Sin(math.Pi*z))
-	}
-	kinds32 := layoutKinds(t, 3, op.Tensor, op.F32)
-	it64 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: layoutKinds(t, 3, op.Tensor, op.F64), SmoothSteps: 2})
-	it32 := mgSolveIterationsOpt(t, 8, eta, Options{Kinds: kinds32, SmoothSteps: 2})
-	if d := abs(it64 - it32); d > 3 {
-		t.Fatalf("f32 hierarchy took %d iterations, f64 took %d (|Δ|=%d > 3)", it32, it64, d)
-	}
-
-	fine := stdProblem(8, eta)
-	probs := CoarsenProblems(fine, 3, FuncCoeffCoarsener(eta, nil))
-	mgp, err := Build(probs, Options{Kinds: kinds32, SmoothSteps: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k := mgp.Levels[0].Op.Kind(); k != op.TensorF32 {
-		t.Fatalf("fine level kind %v; want TensorF32", k)
-	}
-	if k := mgp.Levels[1].Op.Kind(); k != op.AssembledF32 {
-		t.Fatalf("mid level kind %v; want AssembledF32", k)
-	}
-	if mgp.Levels[0].Blocked == nil {
-		t.Fatal("f32 fine level has no blocked smoother")
-	}
-	if r := op.ResidentOf(mgp.Levels[0].Op); r == nil || !r.F32 {
-		t.Fatal("f32 fine level is not backed by an f32 resident")
-	}
-	if mgp.Levels[2].Op.CSR() == nil {
-		t.Fatal("coarsest level lost its float64 matrix")
-	}
 }
 
 // scatterRestrict is the serial scatter-add form of rc = Pᵀ·rf that the

@@ -21,7 +21,7 @@ func reproCounts(name string) perfmodel.OpCounts {
 
 // mfCost scales per-element apply counts to the whole mesh and adds the
 // slab-scatter boundary merge traffic (overlap buffers for slab-shared
-// nodes); matrix-free kernels have no setup work and no assembled storage.
+// nodes).
 func mfCost(name string, p *fem.Problem) Cost {
 	c := reproCounts(name)
 	nel := p.DA.NElements()
@@ -32,28 +32,16 @@ func mfCost(name string, p *fem.Problem) Cost {
 	}
 }
 
-// asmCost combines the assembly setup estimate with the CSR apply cost.
-// When the matrix exists the apply cost uses the true nonzero count
-// (2 flops and 16 bytes per stored value+index); beforehand it falls
-// back to the analytic ~4608 nnz/element estimate.
+// asmCost is the CSR apply cost: 2 flops and 16 bytes per stored
+// value+index plus the vectors once the matrix exists, the analytic
+// ~4608 nnz/element estimate before.
 func asmCost(nel int, a *la.CSR) Cost {
-	setup := perfmodel.AssemblySetupCounts()
-	c := Cost{
-		SetupFlops: setup.Flops * float64(nel),
-		SetupBytes: setup.BytesPessimal * float64(nel),
-	}
-	if a != nil {
-		nnz := float64(len(a.Val))
-		c.ApplyFlops = 2 * nnz
-		c.ApplyBytes = 16*nnz + 24*float64(a.NRows)
-		c.StorageBytes = 16*nnz + 8*float64(a.NRows+1)
-	} else {
+	if a == nil {
 		est := reproCounts("Assembled")
-		c.ApplyFlops = est.Flops * float64(nel)
-		c.ApplyBytes = est.BytesPessimal * float64(nel)
-		c.StorageBytes = est.BytesPessimal * float64(nel)
+		return Cost{ApplyFlops: est.Flops * float64(nel), ApplyBytes: est.BytesPessimal * float64(nel)}
 	}
-	return c
+	nnz := float64(len(a.Val))
+	return Cost{ApplyFlops: 2 * nnz, ApplyBytes: 16*nnz + 24*float64(a.NRows)}
 }
 
 // csrDiag extracts the diagonal of an assembled operator, patching the
@@ -365,14 +353,7 @@ func (o *galerkinOp) Diag(d la.Vec) {
 	csrDiag(o.a, d)
 }
 
-func (o *galerkinOp) Cost() Cost {
-	c := asmCost(o.env.Prob.DA.NElements(), o.a)
-	// The triple product streams the finer matrix twice (A·P, then
-	// Pᵀ·(A·P)); charge it as two assembly-scale passes.
-	c.SetupFlops *= 2
-	c.SetupBytes *= 2
-	return c
-}
+func (o *galerkinOp) Cost() Cost { return asmCost(o.env.Prob.DA.NElements(), o.a) }
 
 func (o *galerkinOp) Kind() Kind   { return Galerkin }
 func (o *galerkinOp) CSR() *la.CSR { _ = o.Setup(); return o.a }

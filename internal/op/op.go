@@ -2,16 +2,15 @@
 // interface over the representations studied in the paper (tensor
 // matrix-free, reference matrix-free, rediscretized CSR, Galerkin CSR),
 // a constructor table over their fixed kinds (New), and the one function
-// that decides which kind runs on which multigrid level at which
-// precision (Layout). The paper's headline observation — no single
-// representation wins everywhere; matrix-free dominates on fine Q2
-// levels while assembled SpMV wins where the coarse solver needs a
-// matrix — is that table (Table IV's rows are configured layouts), not a
-// run-time measurement: ptatin-opcost prints the per-kind study behind it.
+// that decides which kind runs on which multigrid level (Layout). The
+// paper's headline observation — no single representation wins
+// everywhere; matrix-free dominates on fine Q2 levels while assembled
+// SpMV wins where the coarse solver needs a matrix — is that table
+// (Table IV's rows are configured layouts), not a run-time measurement:
+// ptatin-tables table1 prints the per-kind study behind it.
 //
-// Every backend carries cost metadata (setup flops/bytes, per-apply
-// flops/bytes, assembled storage footprint) derived from the analytic
-// per-element counts in internal/perfmodel.
+// Every backend carries cost metadata (per-apply flops and bytes) derived
+// from the analytic per-element counts in internal/perfmodel.
 package op
 
 import (
@@ -48,16 +47,11 @@ const (
 	// sweeps. Flag name: "mfc".
 	TensorC
 	// TensorF32 is TensorC with float32 stored coefficients and float32
-	// element arithmetic (global vectors and scatter stay float64). The
-	// realized matrix is a single-precision perturbation of the f64 one,
-	// so this kind is for preconditioner interiors only — a flexible
-	// outer Krylov method absorbs the perturbation. Flag name: "mf32".
+	// element arithmetic (global vectors and scatter stay float64): the
+	// single-precision kernel of the kernel study (the benchmark's mf32
+	// rows), built only through New. Layout refuses it, so no solver runs
+	// it. Flag name: "mf32".
 	TensorF32
-	// AssembledF32 rediscretizes into CSR, stores the values in float32
-	// and applies with float64 row accumulation; the float64 matrix
-	// remains available through CSR() for coarse-solver handoff. Like
-	// TensorF32, preconditioner use only. Flag name: "asm32".
-	AssembledF32
 )
 
 // String returns the canonical flag name of the kind.
@@ -75,15 +69,13 @@ func (k Kind) String() string {
 		return "mfc"
 	case TensorF32:
 		return "mf32"
-	case AssembledF32:
-		return "asm32"
 	}
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseKind parses a representation name (mf|mfc|mf32|mfref|asm|asm32|
-// galerkin, plus the Table-I aliases tensor/tens, ref, asmb/assembled,
-// rap). Whether a kind may be a hierarchy's fine kind is Layout's call.
+// ParseKind parses a representation name (mf|mfc|mf32|mfref|asm|galerkin,
+// plus the Table-I aliases tensor/tens, ref, asmb/assembled, rap).
+// Whether a kind may be a hierarchy's fine kind is Layout's call.
 func ParseKind(s string) (Kind, error) {
 	switch s {
 	case "mf", "tensor", "tens":
@@ -100,51 +92,14 @@ func ParseKind(s string) (Kind, error) {
 		return TensorC, nil
 	case "mf32", "tensorf32":
 		return TensorF32, nil
-	case "asm32", "assembledf32":
-		return AssembledF32, nil
 	}
-	return 0, fmt.Errorf("op: unknown kind %q (want mf|mfc|mf32|mfref|asm|asm32|galerkin)", s)
+	return 0, fmt.Errorf("op: unknown kind %q (want mf|mfc|mf32|mfref|asm|galerkin)", s)
 }
 
-// Precision selects the arithmetic width of a preconditioner's operator
-// stack. F64 is the default; under F32 Layout swaps matrix-free levels to
-// TensorF32 and rediscretized levels to AssembledF32, halving the
-// smoother's memory traffic while outer flexible Krylov iterations stay
-// double precision.
-type Precision int
-
-const (
-	F64 Precision = iota
-	F32
-)
-
-// String returns the canonical flag name of the precision.
-func (p Precision) String() string {
-	if p == F32 {
-		return "f32"
-	}
-	return "f64"
-}
-
-// ParsePrecision parses a -precision flag value (f64|f32, plus the
-// aliases double/single and 64/32).
-func ParsePrecision(s string) (Precision, error) {
-	switch s {
-	case "f64", "double", "64", "fp64":
-		return F64, nil
-	case "f32", "single", "32", "fp32":
-		return F32, nil
-	}
-	return 0, fmt.Errorf("op: unknown precision %q (want f64|f32)", s)
-}
-
-// Cost is a representation's absolute cost metadata (whole operator, not
-// per element): the one-time setup work, the per-application work, and
-// the resident memory an assembled form occupies.
+// Cost is a representation's per-application work (whole operator, not
+// per element).
 type Cost struct {
-	SetupFlops, SetupBytes float64
 	ApplyFlops, ApplyBytes float64
-	StorageBytes           float64
 }
 
 // Operator is the unified viscous-block operator: every representation
@@ -216,35 +171,29 @@ func New(k Kind, env Env) (Operator, error) {
 		return newGalerkinOp(env)
 	case TensorC, TensorF32:
 		return newResidentOp(env, k == TensorF32), nil
-	case AssembledF32:
-		return &asm32Op{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}, nil
 	}
 	return nil, fmt.Errorf("op: unknown kind %v", k)
 }
 
 // Layout decides which representation runs where: the kind of the
 // coupled Stokes matvec and the kind of every hierarchy level (index 0 =
-// finest) for a requested fine kind at a preconditioner precision. It is
-// the only place that knows it.
+// finest) for a requested fine kind. It is the only place that knows it.
 //
-// The coupled matvec runs the fine kind in float64 (Galerkin is shorthand
-// for the GMG-ii layout: an assembled fine operator with a Galerkin
-// product on every coarse level). Below it sits the paper's production
-// coarse layout — rediscretized on the first coarse level, Galerkin
-// products further down (a matrix-free finest level has no matrix to
-// take a product of); under the resident fine kind the first coarse level
-// is resident too unless it is the coarsest. At F32 every level above the
-// coarsest then swaps its matrix-free kind for TensorF32 and its
-// rediscretized one for AssembledF32 — Galerkin levels stay, their
-// float64 product feeds the levels below, and so does the coarsest, whose
-// exact matrix the coarse solver consumes. A hierarchy shares the coupled
-// operator as its level 0 exactly when kinds[0] == coupled.
+// The coupled matvec runs the fine kind (Galerkin is shorthand for the
+// GMG-ii layout: an assembled fine operator with a Galerkin product on
+// every coarse level), and the hierarchy shares it as its level 0. Below
+// it sits the paper's production coarse layout — rediscretized on the
+// first coarse level, Galerkin products further down (a matrix-free
+// finest level has no matrix to take a product of); under the resident
+// fine kind the first coarse level is resident too unless it is the
+// coarsest.
 //
-// A reduced-precision fine kind is rejected: it would put the coupled
-// matvec, not just the preconditioner, in single precision.
-func Layout(levels int, fine Kind, prec Precision) (coupled Kind, kinds []Kind, err error) {
-	if fine == TensorF32 || fine == AssembledF32 {
-		return 0, nil, fmt.Errorf("op: %v cannot be the fine kind: the coupled matvec stays float64; for a single-precision preconditioner use -precision f32 (\"precision\": \"f32\" in a spec)", fine)
+// TensorF32 is rejected: the solver iterates and preconditions in
+// float64, and mf32 exists only as a kernel New builds for the kernel
+// study.
+func Layout(levels int, fine Kind) (coupled Kind, kinds []Kind, err error) {
+	if fine == TensorF32 {
+		return 0, nil, fmt.Errorf("op: %v cannot be the fine kind: it is the single-precision kernel of the kernel study, built only through op.New; the solver iterates and preconditions in float64", fine)
 	}
 	coupled = fine
 	if fine == Galerkin {
@@ -260,16 +209,6 @@ func Layout(levels int, fine Kind, prec Precision) (coupled Kind, kinds []Kind, 
 			kinds[l] = TensorC
 		default:
 			kinds[l] = Assembled
-		}
-	}
-	if prec == F32 {
-		for l, k := range kinds[:len(kinds)-1] {
-			switch k {
-			case Tensor, TensorC, MFRef:
-				kinds[l] = TensorF32
-			case Assembled:
-				kinds[l] = AssembledF32
-			}
 		}
 	}
 	return coupled, kinds, nil

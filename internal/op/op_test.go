@@ -220,7 +220,7 @@ func TestParseKind(t *testing.T) {
 		"asm": op.Assembled, "assembled": op.Assembled,
 		"galerkin": op.Galerkin, "rap": op.Galerkin,
 		"mfc": op.TensorC, "tensorc": op.TensorC,
-		"mf32": op.TensorF32, "asm32": op.AssembledF32,
+		"mf32": op.TensorF32,
 	}
 	for s, want := range cases {
 		got, err := op.ParseKind(s)
@@ -228,8 +228,10 @@ func TestParseKind(t *testing.T) {
 			t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := op.ParseKind("petsc"); err == nil {
-		t.Error("ParseKind accepted an unknown representation")
+	for _, s := range []string{"petsc", "asm32"} {
+		if _, err := op.ParseKind(s); err == nil {
+			t.Errorf("ParseKind accepted the unknown representation %q", s)
+		}
 	}
 	_, err := op.ParseKind("auto")
 	if err == nil || !strings.Contains(err.Error(), "selector") || !strings.Contains(err.Error(), "removed") ||
@@ -238,95 +240,64 @@ func TestParseKind(t *testing.T) {
 	}
 }
 
-// TestLayout pins the one function that maps (levels, fine kind,
-// precision) to the coupled matvec's kind and every level's: the rows are
-// what the DefaultLevelKinds ∘ levelKind composition it replaced returned
-// (with stokes.New's galerkin → asm + all-Galerkin mapping in front), so a
+// TestLayout pins the one function that maps (levels, fine kind) to the
+// coupled matvec's kind and every level's: the rows are what the
+// DefaultLevelKinds ∘ levelKind composition it replaced returned (with
+// stokes.New's galerkin → asm + all-Galerkin mapping in front), so a
 // hierarchy built from it is the one that composition built.
 func TestLayout(t *testing.T) {
 	for _, tc := range []struct {
 		levels         int
-		fine, prec     string
+		fine           string
 		coupled, kinds string
 	}{
-		{1, "mfc", "f64", "mfc", "[mfc]"},
-		{2, "mfc", "f64", "mfc", "[mfc asm]"},
-		{3, "mfc", "f64", "mfc", "[mfc mfc galerkin]"},
-		{4, "mfc", "f64", "mfc", "[mfc mfc galerkin galerkin]"},
-		{1, "mfc", "f32", "mfc", "[mfc]"},
-		{2, "mfc", "f32", "mfc", "[mf32 asm]"},
-		{3, "mfc", "f32", "mfc", "[mf32 mf32 galerkin]"},
-		{4, "mfc", "f32", "mfc", "[mf32 mf32 galerkin galerkin]"},
-		{1, "mf", "f64", "mf", "[mf]"},
-		{2, "mf", "f64", "mf", "[mf asm]"},
-		{3, "mf", "f64", "mf", "[mf asm galerkin]"},
-		{4, "mf", "f64", "mf", "[mf asm galerkin galerkin]"},
-		{1, "mf", "f32", "mf", "[mf]"},
-		{2, "mf", "f32", "mf", "[mf32 asm]"},
-		{3, "mf", "f32", "mf", "[mf32 asm32 galerkin]"},
-		{4, "mf", "f32", "mf", "[mf32 asm32 galerkin galerkin]"},
-		{1, "mfref", "f64", "mfref", "[mfref]"},
-		{2, "mfref", "f64", "mfref", "[mfref asm]"},
-		{3, "mfref", "f64", "mfref", "[mfref asm galerkin]"},
-		{4, "mfref", "f64", "mfref", "[mfref asm galerkin galerkin]"},
-		{1, "mfref", "f32", "mfref", "[mfref]"},
-		{2, "mfref", "f32", "mfref", "[mf32 asm]"},
-		{3, "mfref", "f32", "mfref", "[mf32 asm32 galerkin]"},
-		{4, "mfref", "f32", "mfref", "[mf32 asm32 galerkin galerkin]"},
-		{1, "asm", "f64", "asm", "[asm]"},
-		{2, "asm", "f64", "asm", "[asm asm]"},
-		{3, "asm", "f64", "asm", "[asm asm galerkin]"},
-		{4, "asm", "f64", "asm", "[asm asm galerkin galerkin]"},
-		{1, "asm", "f32", "asm", "[asm]"},
-		{2, "asm", "f32", "asm", "[asm32 asm]"},
-		{3, "asm", "f32", "asm", "[asm32 asm32 galerkin]"},
-		{4, "asm", "f32", "asm", "[asm32 asm32 galerkin galerkin]"},
-		{1, "galerkin", "f64", "asm", "[asm]"},
-		{2, "galerkin", "f64", "asm", "[asm galerkin]"},
-		{3, "galerkin", "f64", "asm", "[asm galerkin galerkin]"},
-		{4, "galerkin", "f64", "asm", "[asm galerkin galerkin galerkin]"},
-		{1, "galerkin", "f32", "asm", "[asm]"},
-		{2, "galerkin", "f32", "asm", "[asm32 galerkin]"},
-		{3, "galerkin", "f32", "asm", "[asm32 galerkin galerkin]"},
-		{4, "galerkin", "f32", "asm", "[asm32 galerkin galerkin galerkin]"},
+		{1, "mfc", "mfc", "[mfc]"},
+		{2, "mfc", "mfc", "[mfc asm]"},
+		{3, "mfc", "mfc", "[mfc mfc galerkin]"},
+		{4, "mfc", "mfc", "[mfc mfc galerkin galerkin]"},
+		{1, "mf", "mf", "[mf]"},
+		{2, "mf", "mf", "[mf asm]"},
+		{3, "mf", "mf", "[mf asm galerkin]"},
+		{4, "mf", "mf", "[mf asm galerkin galerkin]"},
+		{1, "mfref", "mfref", "[mfref]"},
+		{2, "mfref", "mfref", "[mfref asm]"},
+		{3, "mfref", "mfref", "[mfref asm galerkin]"},
+		{4, "mfref", "mfref", "[mfref asm galerkin galerkin]"},
+		{1, "asm", "asm", "[asm]"},
+		{2, "asm", "asm", "[asm asm]"},
+		{3, "asm", "asm", "[asm asm galerkin]"},
+		{4, "asm", "asm", "[asm asm galerkin galerkin]"},
+		{1, "galerkin", "asm", "[asm]"},
+		{2, "galerkin", "asm", "[asm galerkin]"},
+		{3, "galerkin", "asm", "[asm galerkin galerkin]"},
+		{4, "galerkin", "asm", "[asm galerkin galerkin galerkin]"},
 	} {
 		fine, err := op.ParseKind(tc.fine)
 		if err != nil {
 			t.Fatal(err)
 		}
-		prec, err := op.ParsePrecision(tc.prec)
+		coupled, kinds, err := op.Layout(tc.levels, fine)
 		if err != nil {
-			t.Fatal(err)
-		}
-		coupled, kinds, err := op.Layout(tc.levels, fine, prec)
-		if err != nil {
-			t.Errorf("Layout(%d, %s, %s): %v", tc.levels, tc.fine, tc.prec, err)
+			t.Errorf("Layout(%d, %s): %v", tc.levels, tc.fine, err)
 			continue
 		}
 		if got := fmt.Sprint(kinds); coupled.String() != tc.coupled || got != tc.kinds {
-			t.Errorf("Layout(%d, %s, %s) = %v, %s; want %s, %s",
-				tc.levels, tc.fine, tc.prec, coupled, got, tc.coupled, tc.kinds)
+			t.Errorf("Layout(%d, %s) = %v, %s; want %s, %s",
+				tc.levels, tc.fine, coupled, got, tc.coupled, tc.kinds)
 		}
 	}
-	// A reduced-precision fine kind would run the coupled matvec, not just
-	// the preconditioner, in single precision: rejected, pointing at the
-	// precision axis.
-	for _, fine := range []op.Kind{op.TensorF32, op.AssembledF32} {
-		for _, prec := range []op.Precision{op.F64, op.F32} {
-			_, _, err := op.Layout(3, fine, prec)
-			if err == nil || !strings.Contains(err.Error(), "-precision f32") ||
-				!strings.Contains(err.Error(), `"precision": "f32"`) {
-				t.Errorf("Layout(3, %v, %v) = %v; want a rejection naming -precision f32 and \"precision\": \"f32\"", fine, prec, err)
-			}
-		}
+	// mf32 is the kernel study's single-precision kernel, not a solver
+	// kind: refused, saying so.
+	_, _, err := op.Layout(3, op.TensorF32)
+	if err == nil || !strings.Contains(err.Error(), "single-precision kernel of the kernel study") ||
+		!strings.Contains(err.Error(), "op.New") {
+		t.Errorf("Layout(3, mf32) = %v; want a rejection naming the kernel study and op.New", err)
 	}
 }
 
-// TestF32OpEquivalence checks the reduced-precision representations
-// against the float64 tensor reference: TensorF32 and AssembledF32 must
-// agree to single-precision accuracy (they are preconditioner
-// perturbations, not exact realizations), and AssembledF32's CSR() must
-// still hand the exact float64 matrix to coarse-solver consumers.
+// TestF32OpEquivalence checks the single-precision kernel the benchmark
+// times against the float64 tensor reference: TensorF32 must agree to
+// single-precision accuracy.
 func TestF32OpEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ec := randomEquivCase(t, 3, rng)
@@ -341,36 +312,18 @@ func TestF32OpEquivalence(t *testing.T) {
 	ref.Apply(x, want)
 	scale := want.NormInf()
 
-	for _, k := range []op.Kind{op.TensorF32, op.AssembledF32} {
-		o, err := op.New(k, op.Env{Prob: ec.coarse, Workers: 2})
-		if err != nil {
-			t.Fatalf("%v: %v", k, err)
-		}
-		if err := o.Setup(); err != nil {
-			t.Fatalf("%v setup: %v", k, err)
-		}
-		y := la.NewVec(n)
-		o.Apply(x, y)
-		for d := 0; d < n; d++ {
-			if diff := math.Abs(y[d] - want[d]); diff > 2e-4*scale {
-				t.Fatalf("%v vs tensor mismatch at dof %d: %v vs %v (|Δ|=%.3e)", k, d, y[d], want[d], diff)
-			}
-		}
+	o, err := op.New(op.TensorF32, op.Env{Prob: ec.coarse, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	a32, _ := op.New(op.AssembledF32, op.Env{Prob: ec.coarse, Workers: 2})
-	a64, _ := op.New(op.Assembled, op.Env{Prob: ec.coarse, Workers: 2})
-	m32, m64 := a32.CSR(), a64.CSR()
-	if m32 == nil {
-		t.Fatal("AssembledF32.CSR() returned nil; coarse handoff needs the f64 matrix")
+	if err := o.Setup(); err != nil {
+		t.Fatal(err)
 	}
-	if len(m32.Val) != len(m64.Val) {
-		t.Fatalf("AssembledF32 f64 matrix has %d nnz, Assembled has %d", len(m32.Val), len(m64.Val))
-	}
-	for i := range m32.Val {
-		if m32.Val[i] != m64.Val[i] {
-			t.Fatalf("AssembledF32.CSR() value %d differs from the f64 assembly: %v vs %v",
-				i, m32.Val[i], m64.Val[i])
+	y := la.NewVec(n)
+	o.Apply(x, y)
+	for d := 0; d < n; d++ {
+		if diff := math.Abs(y[d] - want[d]); diff > 2e-4*scale {
+			t.Fatalf("mf32 vs tensor mismatch at dof %d: %v vs %v (|Δ|=%.3e)", d, y[d], want[d], diff)
 		}
 	}
 }

@@ -91,8 +91,9 @@ func ReproCounts() []OpCounts {
 // dominant term — the 15 stored coefficients per quadrature point — when
 // the coefficients are stored in float32 (3240 → 1620 B/element). Nodal
 // state and output stay float64 on both paths (the global vectors are
-// double), so only the coefficient stream narrows: this is the "f32
-// bandwidth halving" of the reduced-precision preconditioner.
+// double), so only the coefficient stream narrows. The float32 count
+// prices the mf32 kernel the benchmark times beside mfc; no solver runs
+// it.
 func ResidentCounts(f32 bool) OpCounts {
 	const (
 		nodal = 81 * 8.0
@@ -248,23 +249,6 @@ func MeasureMachine() Machine {
 		StreamBW:   MeasureStream(1<<24, 3),
 		FlopRate:   MeasureFlops(1<<22, 3),
 		VectorRate: MeasureVectorFlops(1<<22, 3),
-	}
-}
-
-// AssemblySetupCounts estimates the one-time per-element cost of
-// assembling the viscous block into CSR: the 27-point quadrature loop of
-// fem's element stiffness matrix (~27×27 basis pairs × ~20 flops per
-// quadrature point) plus streaming the 81×81 element matrix out and scattering it
-// into the ~4608 stored nonzeros (16 B value+index each, read-modify-
-// write). Galerkin coarse construction (RAP) is charged the same order of
-// magnitude — both are "assembled" setups whose cost is amortized over
-// the applies of a solve.
-func AssemblySetupCounts() OpCounts {
-	return OpCounts{
-		Name:          "AssemblySetup",
-		Flops:         27 * 27 * 27 * 20,
-		BytesPerfect:  81*81*8 + 4608*32,
-		BytesPessimal: 81*81*8 + 4608*32,
 	}
 }
 

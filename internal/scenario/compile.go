@@ -152,9 +152,6 @@ func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 		}
 		cfg.FineKind = k
 	}
-	if s.Precision == "f32" {
-		cfg.Precision = op.F32
-	}
 	if s.RTol > 0 {
 		cfg.Params.RTol = s.RTol
 	}
@@ -164,7 +161,7 @@ func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 	if s.Restart > 0 {
 		cfg.Params.Restart = s.Restart
 	}
-	if _, _, err := op.Layout(cfg.Levels, cfg.FineKind, cfg.Precision); err != nil {
+	if _, _, err := op.Layout(cfg.Levels, cfg.FineKind); err != nil {
 		return cfg, fmt.Errorf("scenario %q: solver fine_kind: %w", spec.Name, err)
 	}
 	return cfg, nil

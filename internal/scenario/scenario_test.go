@@ -153,6 +153,8 @@ func TestLoadRejectsRemovedAndUnknownKeys(t *testing.T) {
 	}{
 		{"blocked-true", `{"blocked": true}`, "solver.blocked"},
 		{"blocked-false", `{"blocked": false, "smooth_steps": 3}`, "solver.blocked"},
+		{"precision-f32", `{"precision": "f32"}`, "solver.precision"},
+		{"precision-f64", `{"precision": "f64", "smooth_steps": 3}`, "solver.precision"},
 		{"unknown", `{"no_such_key": 1}`, ""},
 	} {
 		var doc map[string]json.RawMessage
@@ -217,13 +219,13 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 	}
 }
 
-// TestFineKindRejections: a fine_kind that would run the coupled matvec in
-// single precision, and the removed run-time selector, fail Validate and
-// Compile with a message that says what to write instead.
+// TestFineKindRejections: the kernel study's single-precision kind, the
+// removed asm32 kind and run-time selector fail Validate and Compile with
+// a message that says why.
 func TestFineKindRejections(t *testing.T) {
 	for kind, want := range map[string]string{
-		"mf32":  `"precision": "f32"`,
-		"asm32": `"precision": "f32"`,
+		"mf32":  "single-precision kernel of the kernel study",
+		"asm32": "unknown kind",
 		"auto":  `selector "auto" was removed`,
 		"petsc": "unknown kind",
 	} {
@@ -239,11 +241,6 @@ func TestFineKindRejections(t *testing.T) {
 		if _, err := Compile(s, 1); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("fine_kind %q: Compile = %v, want an error containing %q", kind, err, want)
 		}
-	}
-	s, _ := Get("sinker")
-	s.Solver.FineKind, s.Solver.Precision = "mf", "f32"
-	if err := s.Validate(); err != nil {
-		t.Errorf("fine_kind mf at precision f32: %v", err)
 	}
 }
 

@@ -145,7 +145,6 @@ type SolverSpec struct {
 	CoarseSolver string  `json:"coarse_solver,omitempty"`
 	OuterMethod  string  `json:"outer_method,omitempty"`
 	FineKind     string  `json:"fine_kind,omitempty"`
-	Precision    string  `json:"precision,omitempty"`
 	RTol         float64 `json:"rtol,omitempty"`
 	MaxIt        int     `json:"max_it,omitempty"`
 	// Restart widens the FGMRES restart window
@@ -267,9 +266,6 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
-	if p := s.Solver.Precision; p != "" && p != "f64" && p != "f32" {
-		return fmt.Errorf("scenario %q: solver precision %q (want f64 or f32)", s.Name, p)
-	}
 	if om := s.Solver.OuterMethod; om != "" {
 		if err := krylov.CheckMethod(om); err != nil {
 			return fmt.Errorf("scenario %q: solver outer_method: %w", s.Name, err)
@@ -303,7 +299,8 @@ func (e *RemovedKeyError) Error() string {
 
 // removedSolverKeys are the former keys of the "solver" object.
 var removedSolverKeys = map[string]string{
-	"blocked": "every level with a resident operator smooths wavefront-blocked; delete the key",
+	"blocked":   "every level with a resident operator smooths wavefront-blocked; delete the key",
+	"precision": "the solver iterates and preconditions in float64; delete the key",
 }
 
 // Load reads a Spec from a JSON file. Decoding is strict: an unknown key

@@ -84,14 +84,14 @@ func (c *Context) Prepare(prob *fem.Problem, cfg Config) (*Solver, bool, error) 
 }
 
 // contextKey fingerprints the structural solver configuration: any field
-// that shapes topology, sparsity, operator kinds, or arithmetic width.
+// that shapes topology, sparsity or operator kinds.
 // The coefficient coarsener (a closure), the Krylov parameters and the
 // telemetry scope are deliberately excluded — Prepare carries them into
 // the cached solver (TestContextKeyCoversConfig pins the split).
 func contextKey(prob *fem.Problem, cfg Config) string {
 	da := prob.DA
-	return fmt.Sprintf("%p;%dx%dx%d;lv=%d;fk=%v;pr=%v;ss=%d;cs=%s;amg=%s;om=%s;w=%d;va=%d",
+	return fmt.Sprintf("%p;%dx%dx%d;lv=%d;fk=%v;ss=%d;cs=%s;amg=%s;om=%s;w=%d;va=%d",
 		prob, da.Mx, da.My, da.Mz, cfg.Levels, cfg.FineKind,
-		cfg.Precision, cfg.SmoothSteps, cfg.CoarseSolver, cfg.AMGConfig,
+		cfg.SmoothSteps, cfg.CoarseSolver, cfg.AMGConfig,
 		cfg.OuterMethod, cfg.Workers, cfg.VerticalAxis)
 }

@@ -26,15 +26,9 @@ type Config struct {
 	// op.MFRef, op.Assembled are the Tens/MF/Asmb columns of Tables I–III,
 	// and op.Galerkin is shorthand for the GMG-ii layout: assembled fine
 	// level with Galerkin products on every coarse level. op.Layout turns
-	// it and Precision into the coupled matvec's kind and every level's;
-	// every level with resident backing smooths wavefront-blocked.
+	// it into the coupled matvec's kind and every level's; every level
+	// with resident backing smooths wavefront-blocked.
 	FineKind op.Kind
-	// Precision runs the V-cycle's operator stack at the given width:
-	// op.F32 halves smoother memory traffic while the outer GCR/FGMRES
-	// iteration — and the residuals it reports — stay float64: the
-	// hierarchy then builds its own float32 fine operator beside the
-	// coupled float64 one. Ignored when Levels <= 1.
-	Precision op.Precision
 	// SmoothSteps is the Chebyshev degree: V(k,k) (paper uses 2 or 3).
 	SmoothSteps int
 	// CoarseSolver: "gamg" (one SA V-cycle, the paper's default), "lu",
@@ -164,7 +158,7 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	if err := krylov.CheckMethod(cfg.OuterMethod); err != nil {
 		return nil, fmt.Errorf("stokes: outer method: %w", err)
 	}
-	coupled, kinds, err := op.Layout(cfg.Levels, cfg.FineKind, cfg.Precision)
+	coupled, kinds, err := op.Layout(cfg.Levels, cfg.FineKind)
 	if err != nil {
 		return nil, fmt.Errorf("stokes: %w", err)
 	}
@@ -215,19 +209,12 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		stop := s.stage("coarsen")
 		probs := mg.CoarsenProblems(prob, cfg.Levels, cfg.CoeffCoarsen)
 		stop()
-		// The hierarchy's level 0 is the coupled operator, built once,
-		// wherever the layout gives both the same kind; a reduced-precision
-		// hierarchy builds its own, so outer residuals are untouched by the
-		// preconditioner's precision.
-		var fineOp op.Operator
-		if kinds[0] == coupled {
-			fineOp = auu
-		}
+		// The hierarchy's level 0 is the coupled operator, built once.
 		gmg, err := mg.Build(probs, mg.Options{
 			Kinds:       kinds,
 			SmoothSteps: cfg.SmoothSteps,
 			Workers:     cfg.Workers,
-			FineOp:      fineOp,
+			FineOp:      auu,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("stokes: GMG setup: %w", err)
@@ -401,18 +388,9 @@ func (s *Solver) Refresh(geomChanged bool) error {
 	stop := s.stage("pressure_mass")
 	s.Mp.Setup()
 	stop()
-	if s.MG == nil || any(s.MG.Levels[0].Op) != any(s.Op.Auu) {
-		// The coupled matvec's operator is not the hierarchy's level 0
-		// (there is no hierarchy, or a reduced-precision one built its
-		// own float32 fine operator): it refreshes separately.
-		stop := s.stage("fine_op")
-		err := op.Refresh(s.Op.Auu)
-		stop()
-		if err != nil {
-			return fmt.Errorf("stokes: fine operator refresh: %w", err)
-		}
-	}
 	if s.MG != nil {
+		// The coupled matvec's operator is the hierarchy's level 0, which
+		// MG.Refresh refreshes.
 		if err := s.MG.Refresh(); err != nil {
 			return fmt.Errorf("stokes: %w", err)
 		}
@@ -421,6 +399,12 @@ func (s *Solver) Refresh(geomChanged bool) error {
 			return err
 		}
 	} else {
+		stop := s.stage("fine_op")
+		err := op.Refresh(s.Op.Auu)
+		stop()
+		if err != nil {
+			return fmt.Errorf("stokes: fine operator refresh: %w", err)
+		}
 		if s.amgVA != nil {
 			stop := s.stage("amg_matrix")
 			s.amgVA.Refresh()

@@ -415,84 +415,36 @@ func TestInstrumentation(t *testing.T) {
 
 var _ = math.Pi // keep math imported if unused paths change
 
-// TestF32PreconditionedConvergence is the mixed-precision acceptance
-// property: with the V-cycle preconditioner running entirely in float32
-// (blocked resident smoothers, f32 coefficient streams) under a float64
-// flexible outer method, convergence must stay within 3 iterations of the
-// float64 hierarchy — across randomized viscosity contrasts up to the
-// paper-scale 10⁶.
-func TestF32PreconditionedConvergence(t *testing.T) {
-	rng := rand.New(rand.NewSource(2026))
-	contrasts := []float64{math.Pow(10, 6*rng.Float64()), 1e6}
-	for _, deta := range contrasts {
-		solve := func(prec op.Precision) krylov.Result {
-			p, def := sinkerProblem(8, deta, 2)
-			cfg := sinkerConfig(p, def)
-			cfg.OuterMethod = "fgmres"
-			cfg.Params.RTol = 1e-5
-			cfg.Params.MaxIt = 1000
-			// High-contrast sinkers need a long flexible basis: restarting
-			// at the default 50 stalls FGMRES near Δη=10⁶ in both
-			// precisions, which would mask the f32-vs-f64 comparison.
-			cfg.Params.Restart = 200
-			cfg.Precision = prec
-			_, _, res := solveSinker(t, 8, deta, cfg, def, p)
-			if !res.Converged {
-				t.Fatalf("Δη=%.3g prec=%v failed after %d its (rel %.2e)",
-					deta, prec, res.Iterations, res.Residual/res.Residual0)
-			}
-			return res
-		}
-		r64 := solve(op.F64)
-		r32 := solve(op.F32)
-		d := r64.Iterations - r32.Iterations
-		if d < 0 {
-			d = -d
-		}
-		if d > 3 {
-			t.Fatalf("Δη=%.3g: f32-preconditioned FGMRES took %d its, f64 took %d (|Δ|=%d > 3)",
-				deta, r32.Iterations, r64.Iterations, d)
-		}
-		t.Logf("Δη=%.3g: f64 %d its, f32 %d its", deta, r64.Iterations, r32.Iterations)
-	}
-}
-
 // TestCoupledOperatorFollowsLayout: the hierarchy's level 0 is the coupled
-// matvec's operator exactly when op.Layout gives both the same kind; at
-// f32 the hierarchy builds its own single-precision level 0 and the
-// coupled operator stays float64; and a reduced-precision fine kind never
-// reaches a solver.
+// matvec's operator, of the kind op.Layout gives it, and the kernel
+// study's single-precision kind never reaches a solver.
 func TestCoupledOperatorFollowsLayout(t *testing.T) {
 	for _, tc := range []struct {
-		fine           op.Kind
-		prec           op.Precision
-		coupled, level op.Kind
+		fine, coupled op.Kind
 	}{
-		{op.TensorC, op.F64, op.TensorC, op.TensorC},
-		{op.TensorC, op.F32, op.TensorC, op.TensorF32},
-		{op.Galerkin, op.F64, op.Assembled, op.Assembled},
-		{op.Assembled, op.F32, op.Assembled, op.AssembledF32},
+		{op.TensorC, op.TensorC},
+		{op.Galerkin, op.Assembled},
 	} {
 		p, def := sinkerProblem(4, 100, 1)
 		cfg := sinkerConfig(p, def)
 		cfg.Levels = 2
-		cfg.FineKind, cfg.Precision = tc.fine, tc.prec
+		cfg.FineKind = tc.fine
 		s, err := New(p, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		auu, lev0 := s.Op.Auu.(op.Operator), s.MG.Levels[0].Op
-		if auu.Kind() != tc.coupled || lev0.Kind() != tc.level {
-			t.Errorf("%v/%v: coupled %v, level 0 %v; want %v, %v", tc.fine, tc.prec, auu.Kind(), lev0.Kind(), tc.coupled, tc.level)
+		if auu.Kind() != tc.coupled {
+			t.Errorf("%v: coupled %v; want %v", tc.fine, auu.Kind(), tc.coupled)
 		}
-		if shared := auu == lev0; shared != (tc.coupled == tc.level) {
-			t.Errorf("%v/%v: coupled operator shared with level 0 = %v", tc.fine, tc.prec, shared)
+		if auu != lev0 {
+			t.Errorf("%v: the coupled operator is not the hierarchy's level 0", tc.fine)
 		}
 	}
 	p, def := sinkerProblem(4, 100, 1)
 	cfg := sinkerConfig(p, def)
 	cfg.FineKind = op.TensorF32
-	if _, err := New(p, cfg); err == nil || !strings.Contains(err.Error(), "-precision f32") {
+	if _, err := New(p, cfg); err == nil || !strings.Contains(err.Error(), "single-precision kernel of the kernel study") {
 		t.Errorf("New with fine kind mf32 = %v; want op.Layout's rejection", err)
 	}
 }

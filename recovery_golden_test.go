@@ -10,7 +10,6 @@ import (
 	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
-	"ptatin3d/internal/op"
 	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/stokes"
 	"ptatin3d/internal/telemetry"
@@ -119,6 +118,6 @@ func TestGoldenRecoverySinker3(t *testing.T) {
 
 	// The standard solve on the same configuration must still reproduce the
 	// golden record.
-	rec := sinker3Record(t, stokes.DefaultConfig().FineKind, op.F64, false)
+	rec := sinker3Record(t, stokes.DefaultConfig().FineKind)
 	checkGolden(t, "golden_sinker3", rec, stokes.DefaultConfig().Params.RTol)
 }

@@ -12,10 +12,11 @@
 # (which fails on a point count that does not add up, an element below its
 # spec's population floor, or a retransmission), a
 # check that the runtime operator selector stays gone and its flag values
-# are refused, a check that the front door stays one (two binaries, one
-# model constructor, one halo apply, docs that name commands and
-# identifiers that exist), a worker-count invariance run of rift and of
-# sinker-swarm at 8^3 (its checkpoints byte-equal at 1 and 2 workers), a
+# are refused, a check that the solver keeps one precision, a check that
+# the front door stays one (two binaries, one model constructor, one halo
+# apply, docs that name commands and identifiers that exist), a
+# worker-count invariance run of rift and of sinker-swarm at 8^3 (its
+# checkpoints byte-equal at 1 and 2 workers), a
 # rank-count invariance check of the 64-rank scaling sweep, a 64-rank solve
 # that must not retransmit, a guard that the fabric keeps one mailbox per
 # rank, a one-iteration smoke run of the apply-path, V-cycle and
@@ -118,9 +119,9 @@ named_tests -race \
 echo "== pipelined GCR within ±2 iterations of classical at 1 and 8 ranks (16^3) =="
 named_tests -count=1 'TestPipelinedGCRRankCountInvariant' ./internal/stokes
 
-echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + f32/f64 equivalence + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
+echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
 named_tests -race \
-    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestMGF32Converges|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestF32PreconditionedConvergence|TestContextKeyCoversConfig' \
+    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 # -count=10: the claims, waits and helper hand-offs of a job interleave
@@ -184,7 +185,13 @@ refused() { # refused OP 'MESSAGE': ptatin-run -op OP exits non-zero saying MESS
     fi
 }
 refused auto 'selector "auto" was removed'
-refused mf32 '-precision f32'
+refused mf32 'single-precision kernel of the kernel study'
+
+echo "== one precision: no precision axis, float32 CSR or asm32 kind in non-test Go =="
+if grep -rnE 'op\.Precision|ParsePrecision|AssembledF32|CSR32|asm32' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check.sh: the solver's precision axis is back in non-test Go (above)" >&2
+    exit 1
+fi
 
 echo "== front door: two binaries, models only from compiled specs, the halo apply only the solver's, docs naming commands that exist =="
 if [ "$(ls cmd | xargs)" != "ptatin-run ptatin-tables" ]; then
