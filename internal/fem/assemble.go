@@ -1,44 +1,88 @@
 package fem
 
 import (
+	"sync"
+
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/par"
 )
 
-// elementViscousMatrix computes the 81×81 stiffness matrix of element e
-// of the viscous block, A[(i,a)][(n,b)] = Σ_q η·w·detJ·(δ_ab ∇N_i·∇N_n +
-// ∂N_i/∂x_b · ∂N_n/∂x_a), into ae (row-major, zeroed first). geo is the
-// problem's metric store, eta the element's 27 viscosities.
-func elementViscousMatrix(geo []float64, e int, eta []float64, ae []float64) {
-	for i := range ae {
-		ae[i] = 0
-	}
+// viscousLanes is the number of elements one call of the element-matrix
+// kernel computes: the float64 lanes of an AVX2 register.
+const viscousLanes = 4
+
+// viscousBatch holds the stiffness matrices of the viscous block of up to
+// viscousLanes elements, and what they are computed from, element k in
+// lane k of every entry: the layout of the AVX2 encoding
+// (tensor_amd64.s), which computes every lane at once, while the Go body
+// computes one lane at a time.
+type viscousBatch struct {
+	// g[3·(n·NQP+q)+c] is ∂N_n/∂x_c at quadrature point q, s[q] is
+	// η·w·detJ there.
+	g [3 * 27 * NQP][viscousLanes]float64
+	s [NQP][viscousLanes]float64
+	// ae[81·r+c] is entry (r, c) of the 81×81 element matrix, rows and
+	// columns ordered (node, component).
+	ae [81 * 81][viscousLanes]float64
+}
+
+// viscousBatches recycles the batches (~280 KB each) across the chunks of
+// every refresh.
+var viscousBatches = sync.Pool{New: func() any { return new(viscousBatch) }}
+
+// load fills lane with element e's inputs: geo is the problem's metric
+// store, eta the element's 27 viscosities.
+func (b *viscousBatch) load(lane int, geo []float64, e int, eta []float64) {
 	for q := 0; q < NQP; q++ {
 		jinv, detJ := geomAt(geo, e, q)
-		s := eta[q] * W3[q] * detJ
-		var gn [27][3]float64
+		b.s[q][lane] = eta[q] * W3[q] * detJ
 		gq := &G27[q]
 		for n := 0; n < 27; n++ {
 			g0, g1, g2 := gq[n][0], gq[n][1], gq[n][2]
-			gn[n][0] = g0*jinv[0] + g1*jinv[3] + g2*jinv[6]
-			gn[n][1] = g0*jinv[1] + g1*jinv[4] + g2*jinv[7]
-			gn[n][2] = g0*jinv[2] + g1*jinv[5] + g2*jinv[8]
+			g := b.g[3*(n*NQP+q):]
+			g[0][lane] = g0*jinv[0] + g1*jinv[3] + g2*jinv[6]
+			g[1][lane] = g0*jinv[1] + g1*jinv[4] + g2*jinv[7]
+			g[2][lane] = g0*jinv[2] + g1*jinv[5] + g2*jinv[8]
 		}
-		for i := 0; i < 27; i++ {
-			gi := &gn[i]
-			for n := 0; n < 27; n++ {
-				gnn := &gn[n]
-				dot := s * (gi[0]*gnn[0] + gi[1]*gnn[1] + gi[2]*gnn[2])
-				base := (3 * i) * 81
-				for a := 0; a < 3; a++ {
-					row := base + a*81 + 3*n
-					ga := s * gnn[a] // s·∂N_n/∂x_a
-					ae[row] += ga * gi[0]
-					ae[row+1] += ga * gi[1]
-					ae[row+2] += ga * gi[2]
-					ae[row+a] += dot
-				}
+	}
+}
+
+// matrixGo is the Go body of the element matrix, one lane:
+// A[(i,a)][(n,b)] = Σ_q η·w·detJ·(δ_ab ∇N_i·∇N_n + ∂N_i/∂x_b · ∂N_n/∂x_a).
+// Each 3×3 block of a node pair (i, n) sums its quadrature points in
+// order in nine accumulators: at point q, entry (a, b) adds
+// (s·∂N_n/∂x_a)·∂N_i/∂x_b, then the diagonal entries add s·(∇N_i·∇N_n).
+func (b *viscousBatch) matrixGo(lane int) {
+	g, s, ae := &b.g, &b.s, &b.ae
+	for i := 0; i < 27; i++ {
+		for n := 0; n < 27; n++ {
+			var a00, a01, a02, a10, a11, a12, a20, a21, a22 float64
+			gi, gn := g[3*NQP*i:3*NQP*i+3*NQP], g[3*NQP*n:3*NQP*n+3*NQP]
+			for q := 0; q < NQP; q++ {
+				sq := s[q][lane]
+				i0, i1, i2 := gi[3*q][lane], gi[3*q+1][lane], gi[3*q+2][lane]
+				n0, n1, n2 := gn[3*q][lane], gn[3*q+1][lane], gn[3*q+2][lane]
+				dot := sq * (i0*n0 + i1*n1 + i2*n2)
+				ga := sq * n0
+				a00 += ga * i0
+				a01 += ga * i1
+				a02 += ga * i2
+				a00 += dot
+				ga = sq * n1
+				a10 += ga * i0
+				a11 += ga * i1
+				a12 += ga * i2
+				a11 += dot
+				ga = sq * n2
+				a20 += ga * i0
+				a21 += ga * i1
+				a22 += ga * i2
+				a22 += dot
 			}
+			r := ae[81*3*i+3*n:]
+			r[0][lane], r[1][lane], r[2][lane] = a00, a01, a02
+			r[81][lane], r[82][lane], r[83][lane] = a10, a11, a12
+			r[162][lane], r[163][lane], r[164][lane] = a20, a21, a22
 		}
 	}
 }
@@ -147,35 +191,50 @@ func (va *ViscousAssembly) Refresh() {
 	for i := range a.Val {
 		a.Val[i] = 0
 	}
-	// Numeric pass: colored element loop scatter-adds element matrices.
-	// The element matrix scratch is per chunk, not per element.
+	// Numeric pass: colored element loop scatter-adds element matrices,
+	// viscousLanes elements per kernel call. Elements of one color share
+	// no node, so the order within a chunk does not matter.
 	p.forEachElementColoredChunk(func(elems []int32) {
-		ae := make([]float64, 81*81)
-		for _, e32 := range elems {
-			e := int(e32)
-			elementViscousMatrix(geo, e, p.Eta[NQP*e:NQP*e+NQP], ae)
-			em := p.Emap[27*e : 27*e+27]
-			for li := 0; li < 27; li++ {
-				ni := int(em[li])
-				v := &pats[ni]
-				nxc := v.ihi - v.ilo + 1
-				nyc := v.jhi - v.jlo + 1
-				for a2 := 0; a2 < 3; a2++ {
-					r := 3*ni + a2
-					if mask[r] {
-						continue
+		bt := viscousBatches.Get().(*viscousBatch)
+		defer viscousBatches.Put(bt)
+		for len(elems) > 0 {
+			group := elems[:min(viscousLanes, len(elems))]
+			elems = elems[len(group):]
+			for lane, e := range group {
+				bt.load(lane, geo, int(e), p.Eta[NQP*int(e):NQP*int(e)+NQP])
+			}
+			bt.matrices(len(group))
+			for lane, e32 := range group {
+				e := int(e32)
+				em := p.Emap[27*e : 27*e+27]
+				var ijk [27][3]int
+				for ln, nj := range em {
+					ijk[ln][0], ijk[ln][1], ijk[ln][2] = da.NodeIJK(int(nj))
+				}
+				for li := 0; li < 27; li++ {
+					ni := int(em[li])
+					v := &pats[ni]
+					nxc := v.ihi - v.ilo + 1
+					nyc := v.jhi - v.jlo + 1
+					// Where node ln's three columns sit in the rows of node li.
+					var off [27]int
+					for ln, c := range &ijk {
+						off[ln] = (((c[2]-v.klo)*nyc+(c[1]-v.jlo))*nxc + (c[0] - v.ilo)) * 3
 					}
-					base := a.RowPtr[r]
-					arow := ae[(3*li+a2)*81:]
-					for ln := 0; ln < 27; ln++ {
-						nj := int(em[ln])
-						ci, cj, ck := da.NodeIJK(nj)
-						off := base + (((ck-v.klo)*nyc+(cj-v.jlo))*nxc+(ci-v.ilo))*3
-						for b := 0; b < 3; b++ {
-							if mask[3*nj+b] {
-								continue
+					for a2 := 0; a2 < 3; a2++ {
+						r := 3*ni + a2
+						if mask[r] {
+							continue
+						}
+						val := a.Val[a.RowPtr[r]:a.RowPtr[r+1]]
+						arow := bt.ae[(3*li+a2)*81 : (3*li+a2)*81+81]
+						for ln, o := range &off {
+							nj := 3 * int(em[ln])
+							for b := 0; b < 3; b++ {
+								if !mask[nj+b] {
+									val[o+b] += arow[3*ln+b][lane]
+								}
 							}
-							a.Val[off+b] += arow[3*ln+b]
 						}
 					}
 				}

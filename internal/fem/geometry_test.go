@@ -88,6 +88,8 @@ func refResidentStream(p *Problem) []float64 {
 	return out
 }
 
+// refElementViscousMatrix is also the element matrix's loop order before
+// viscousBatch: quadrature points outermost over the whole 81×81 matrix.
 func refElementViscousMatrix(xe *[81]float64, eta []float64, ae []float64) {
 	for i := range ae {
 		ae[i] = 0
@@ -307,14 +309,20 @@ func TestGeometryStoreBitwise(t *testing.T) {
 			wantSameBits(t, what+": PressureMass.Setup", NewPressureMass(p).inv, refPressureMassInv(t, p))
 
 			geo := p.geom()
+			bt := new(viscousBatch)
 			ae, aeRef := make([]float64, 81*81), make([]float64, 81*81)
 			for e := 0; e < p.DA.NElements(); e++ {
 				var xe [81]float64
 				p.gatherCoords(e, &xe)
 				eta := p.Eta[NQP*e : NQP*e+NQP]
-				elementViscousMatrix(geo, e, eta, ae)
+				lane := e % viscousLanes
+				bt.load(lane, geo, e, eta)
+				bt.matrixGo(lane)
+				for k := range ae {
+					ae[k] = bt.ae[k][lane]
+				}
 				refElementViscousMatrix(&xe, eta, aeRef)
-				wantSameBits(t, fmt.Sprintf("%s: elementViscousMatrix %d", what, e), ae, aeRef)
+				wantSameBits(t, fmt.Sprintf("%s: element matrix %d", what, e), ae, aeRef)
 			}
 
 			d6, eII := make([]float64, 6*nq), make([]float64, nq)

@@ -2,6 +2,7 @@ package fem
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -238,6 +239,64 @@ func TestResidentElementMatchesGo(t *testing.T) {
 				ue.free()
 				ye.free()
 			}
+		}
+	}
+}
+
+// batchFloats views a batch as its floats: inputs, then element matrices.
+func batchFloats(b *viscousBatch) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(b)), unsafe.Sizeof(*b)/8)
+}
+
+// checkViscousMatrix runs the assembly on the batch in (placed at both ends
+// of guarded blocks) and the Go body lane by lane on a copy, and compares
+// every float of the two batches, inputs included.
+func checkViscousMatrix(t *testing.T, what string, in *viscousBatch) {
+	t.Helper()
+	want := *in
+	for lane := 0; lane < viscousLanes; lane++ {
+		want.matrixGo(lane)
+	}
+	wf := batchFloats(&want)
+	for _, atEnd := range []bool{false, true} {
+		blk := newGuarded(t, len(wf), atEnd)
+		got := (*viscousBatch)(unsafe.Pointer(&blk.v[0]))
+		copy(blk.v, batchFloats(in))
+		viscousMatrixAVX2(got)
+		for i, w := range wf {
+			if !sameFloat(blk.v[i], w) {
+				k := i - int(unsafe.Offsetof(in.ae)/8)
+				t.Fatalf("%s atEnd=%v: float %d (ae entry %d lane %d) = %x, Go body %x", what, atEnd, i,
+					k/viscousLanes, k%viscousLanes, math.Float64bits(blk.v[i]), math.Float64bits(w))
+			}
+		}
+		blk.check(t, what)
+		blk.free()
+	}
+}
+
+// TestViscousMatrixMatchesGo: the AVX2 element matrix of the viscous block
+// against its Go body, bit for bit, on every element of a deformed,
+// variable-η, free-slip mesh (27 elements: the last batch wraps round to
+// fill its lanes), then on inputs of every fill class.
+func TestViscousMatrixMatchesGo(t *testing.T) {
+	needAVX2(t)
+	p := testProblem(t, 3, 3, 3, 1)
+	geo := p.geom()
+	nel := p.DA.NElements()
+	in := new(viscousBatch)
+	for e0 := 0; e0 < nel; e0 += viscousLanes {
+		for lane := 0; lane < viscousLanes; lane++ {
+			e := (e0 + lane) % nel
+			in.load(lane, geo, e, p.Eta[NQP*e:NQP*e+NQP])
+		}
+		checkViscousMatrix(t, fmt.Sprintf("elements %d…%d", e0, e0+viscousLanes-1), in)
+	}
+	rng := rand.New(rand.NewSource(53))
+	for kind := 0; kind < fillKinds; kind++ {
+		for rep := 0; rep < 2; rep++ {
+			fillKind(rng, batchFloats(in), kind)
+			checkViscousMatrix(t, fmt.Sprintf("fill kind %d rep %d", kind, rep), in)
 		}
 	}
 }

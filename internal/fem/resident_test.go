@@ -436,3 +436,34 @@ func BenchmarkElementKernel(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkElementViscousMatrix times the 81×81 element matrix of the
+// viscous block that the level-1 assembly refresh computes, in both
+// encodings, on a batch of viscousLanes elements of a deformed,
+// variable-η mesh: ns per element (check.sh smokes it beside
+// BenchmarkElementKernel; -benchtime 2000x gives numbers).
+func BenchmarkElementViscousMatrix(b *testing.B) {
+	p := testProblem(b, 2, 2, 1, 1)
+	geo := p.geom()
+	bt := new(viscousBatch)
+	for lane := 0; lane < viscousLanes; lane++ {
+		bt.load(lane, geo, lane, p.Eta[NQP*lane:NQP*lane+NQP])
+	}
+	for _, vector := range []bool{true, false} {
+		name := "go"
+		if vector {
+			name = "avx2"
+		}
+		b.Run(name, func(b *testing.B) {
+			defer setVectorKernel(setVectorKernel(vector))
+			if KernelName() != name {
+				b.Skip("no AVX2 on this host")
+			}
+			for i := 0; i < b.N; i++ {
+				bt.matrices(viscousLanes)
+			}
+			kernelSink = bt.ae[40][0]
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(viscousLanes*b.N), "ns/element")
+		})
+	}
+}

@@ -27,6 +27,9 @@ func tensorScatterWriteAVX2(h0, h1, h2, ye *[81]float64, tab *tensorTables[float
 //go:noescape
 func residentElementAVX2(coef *[15 * NQP]float64, ue, ye *[81]float64, tab *tensorTables[float64], ks *kernScratchG[float64])
 
+//go:noescape
+func viscousMatrixAVX2(b *viscousBatch)
+
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // state (CPUID and XGETBV).
 func cpuHasAVX2() bool
@@ -52,7 +55,9 @@ var _ = [...]struct{}{
 	(unsafe.Offsetof(kernScratchG[float64]{}.t2)-6480)|
 	(unsafe.Offsetof(kernScratchG[float64]{}.t3)-7128)|
 	(unsafe.Offsetof(kernScratchG[float64]{}.t4)-7776)|
-	(unsafe.Offsetof(kernScratchG[float64]{}.t5)-8424)]
+	(unsafe.Offsetof(kernScratchG[float64]{}.t5)-8424)|
+	(unsafe.Offsetof(viscousBatch{}.s)-69984)|
+	(unsafe.Offsetof(viscousBatch{}.ae)-70848)]
 
 // KernelName names the encoding the float64 element kernel runs in on this
 // host: "avx2" or "go".
@@ -97,4 +102,18 @@ func residentElement64(coef *[15 * NQP]float64, ue, ye *[81]float64, ks *kernScr
 		return
 	}
 	residentElement(coef[:], ue, ye, &tables64, ks)
+}
+
+// matrices computes the element matrices of the batch's first n lanes:
+// the assembly, all lanes at once, where the hardware has AVX2 (lanes
+// from n on hold whatever their inputs make of them), the Go body lane by
+// lane otherwise.
+func (b *viscousBatch) matrices(n int) {
+	if useAVX2 {
+		viscousMatrixAVX2(b)
+		return
+	}
+	for lane := 0; lane < n; lane++ {
+		b.matrixGo(lane)
+	}
 }

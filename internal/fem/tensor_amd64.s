@@ -337,6 +337,102 @@ qp:
 	VZEROUPPER
 	RET
 
+// ---------------------------------------------------------------------------
+// The element matrix of the viscous block (viscousBatch.matrixGo in
+// assemble.go) for four elements at once, one per lane: g[3(n·27+q)+c] at
+// byte 96(27n+q)+32c, s[q] at VB_S+32q, entry (r, c) of ae at
+// VB_AE+32(81r+c). A node pair (i, n) keeps its 3×3 block in Y0-Y8 while
+// the quadrature points pass in order:
+//
+//   Y15 = s, Y9-Y11 = ∇N_i, Y12 = dot = s·((gi0·gn0 + gi1·gn1) + gi2·gn2)
+//   row a: Y13 = s·gn_a; acc(a,b) += Y13·gi_b (b = 0, 1, 2); acc(a,a) += dot
+// ---------------------------------------------------------------------------
+
+#define VB_S  69984
+#define VB_AE 70848
+
+// Row a of the 3×3 block: ga at byte o of the gn point in CX.
+#define VROW(o, r0, r1, r2) \
+	VMULPD o(CX), Y15, Y13; \
+	VMULPD Y9, Y13, Y14;    \
+	VADDPD Y14, r0, r0;     \
+	VMULPD Y10, Y13, Y14;   \
+	VADDPD Y14, r1, r1;     \
+	VMULPD Y11, Y13, Y14;   \
+	VADDPD Y14, r2, r2
+
+// func viscousMatrixAVX2(b *viscousBatch)
+//
+// SI = g, BX = s, DI = the end of s (the quadrature loop's bound); R8 =
+// ∇N_i at q = 0 and R9 = ∇N_n at q = 0, R10 = the block row of node i in
+// ae and R11 = the block (i, n), R12 and R13 count i and n down; AX, CX,
+// DX walk ∇N_i, ∇N_n and s over the quadrature points.
+TEXT ·viscousMatrixAVX2(SB), NOSPLIT, $0-8
+	MOVQ b+0(FP), SI
+	LEAQ VB_S(SI), BX
+	LEAQ (VB_S+32*27)(SI), DI
+	LEAQ VB_AE(SI), R10
+	MOVQ SI, R8
+	MOVQ $27, R12
+inode:
+	MOVQ SI, R9
+	MOVQ R10, R11
+	MOVQ $27, R13
+nnode:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6
+	VXORPD Y7, Y7, Y7
+	VXORPD Y8, Y8, Y8
+	MOVQ R8, AX
+	MOVQ R9, CX
+	MOVQ BX, DX
+qpoint:
+	VMOVUPD (DX), Y15
+	VMOVUPD 0(AX), Y9
+	VMOVUPD 32(AX), Y10
+	VMOVUPD 64(AX), Y11
+	VMULPD 0(CX), Y9, Y12
+	VMULPD 32(CX), Y10, Y13
+	VADDPD Y13, Y12, Y12
+	VMULPD 64(CX), Y11, Y13
+	VADDPD Y13, Y12, Y12
+	VMULPD Y12, Y15, Y12
+	VROW(0, Y0, Y1, Y2)
+	VADDPD Y12, Y0, Y0
+	VROW(32, Y3, Y4, Y5)
+	VADDPD Y12, Y4, Y4
+	VROW(64, Y6, Y7, Y8)
+	VADDPD Y12, Y8, Y8
+	ADDQ $96, AX
+	ADDQ $96, CX
+	ADDQ $32, DX
+	CMPQ DX, DI
+	JNE  qpoint
+	VMOVUPD Y0, 0(R11)
+	VMOVUPD Y1, 32(R11)
+	VMOVUPD Y2, 64(R11)
+	VMOVUPD Y3, (32*81)(R11)
+	VMOVUPD Y4, (32*81+32)(R11)
+	VMOVUPD Y5, (32*81+64)(R11)
+	VMOVUPD Y6, (32*162)(R11)
+	VMOVUPD Y7, (32*162+32)(R11)
+	VMOVUPD Y8, (32*162+64)(R11)
+	ADDQ $(96*27), R9
+	ADDQ $96, R11
+	DECQ R13
+	JNZ  nnode
+	ADDQ $(96*27), R8
+	ADDQ $(32*243), R10
+	DECQ R12
+	JNZ  inode
+	VZEROUPPER
+	RET
+
 // func cpuHasAVX2() bool
 //
 // CPUID.1:ECX OSXSAVE (27) and AVX (28), XCR0 bits 1 and 2 (the OS saves

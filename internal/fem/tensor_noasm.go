@@ -24,3 +24,10 @@ func tensorScatterWrite64(h0, h1, h2, ye *[81]float64, ks *kernScratchG[float64]
 func residentElement64(coef *[15 * NQP]float64, ue, ye *[81]float64, ks *kernScratchG[float64]) {
 	residentElement(coef[:], ue, ye, &tables64, ks)
 }
+
+// matrices computes the element matrices of the batch's first n lanes.
+func (b *viscousBatch) matrices(n int) {
+	for lane := 0; lane < n; lane++ {
+		b.matrixGo(lane)
+	}
+}

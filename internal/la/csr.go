@@ -172,35 +172,39 @@ func MatMul(a, b *CSR) *CSR {
 // patterns of a and b (only values may have changed). The scatter
 // accumulates per-row partial sums in the identical (ka, kb) visit order
 // as MatMul, so the refreshed values are bit-identical to a rebuild —
-// without the symbolic pass, allocation, or row sorting.
-func MatMulNumeric(a, b, c *CSR) {
+// without the symbolic pass, allocation, or row sorting. Rows are split
+// over workers, each chunk with its own marker/work pair; a row's
+// arithmetic does not depend on the split.
+func MatMulNumeric(a, b, c *CSR, workers int) {
 	if a.NCols != b.NRows || c.NRows != a.NRows || c.NCols != b.NCols {
 		panic(fmt.Sprintf("la: MatMulNumeric shape mismatch (%dx%d)*(%dx%d)->(%dx%d)",
 			a.NRows, a.NCols, b.NRows, b.NCols, c.NRows, c.NCols))
 	}
-	marker := make([]int, b.NCols)
-	for i := range marker {
-		marker[i] = -1
-	}
-	work := make([]float64, b.NCols)
-	for i := 0; i < a.NRows; i++ {
-		for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
-			k := a.ColInd[ka]
-			av := a.Val[ka]
-			for kb := b.RowPtr[k]; kb < b.RowPtr[k+1]; kb++ {
-				j := b.ColInd[kb]
-				if marker[j] != i {
-					marker[j] = i
-					work[j] = av * b.Val[kb]
-				} else {
-					work[j] += av * b.Val[kb]
+	par.For(workers, a.NRows, func(lo, hi int) {
+		marker := make([]int, b.NCols)
+		for i := range marker {
+			marker[i] = -1
+		}
+		work := make([]float64, b.NCols)
+		for i := lo; i < hi; i++ {
+			for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
+				k := a.ColInd[ka]
+				av := a.Val[ka]
+				for kb := b.RowPtr[k]; kb < b.RowPtr[k+1]; kb++ {
+					j := b.ColInd[kb]
+					if marker[j] != i {
+						marker[j] = i
+						work[j] = av * b.Val[kb]
+					} else {
+						work[j] += av * b.Val[kb]
+					}
 				}
 			}
+			for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
+				c.Val[p] = work[c.ColInd[p]]
+			}
 		}
-		for p := c.RowPtr[i]; p < c.RowPtr[i+1]; p++ {
-			c.Val[p] = work[c.ColInd[p]]
-		}
-	}
+	})
 }
 
 // RAP returns the Galerkin triple product pᵀ*a*p used to build coarse-level

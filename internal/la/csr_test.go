@@ -1,6 +1,7 @@
 package la
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -125,6 +126,38 @@ func TestCSRMatMulAgainstDense(t *testing.T) {
 			for j := 0; j < n; j++ {
 				if !almostEq(c.At(i, j), cd.At(i, j), 1e-11) {
 					t.Fatalf("trial %d: C[%d,%d] = %v, want %v", trial, i, j, c.At(i, j), cd.At(i, j))
+				}
+			}
+		}
+	}
+}
+
+// TestMatMulNumericMatchesMatMul: refreshing a product's values in place
+// at 1, 2, 3 and 7 workers gives MatMul's bits, after the factors' values
+// changed under their fixed patterns.
+func TestMatMulNumericMatchesMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 10; trial++ {
+		m, k, n := 1+rng.Intn(40), 1+rng.Intn(40), 1+rng.Intn(40)
+		a := randCSR(rng, m, k, 0.2, false)
+		b := randCSR(rng, k, n, 0.2, false)
+		c := MatMul(a, b)
+		for i := range a.Val {
+			a.Val[i] = rng.NormFloat64()
+		}
+		for i := range b.Val {
+			b.Val[i] = rng.NormFloat64()
+		}
+		want := MatMul(a, b)
+		if !slices.Equal(c.ColInd, want.ColInd) {
+			t.Fatalf("trial %d: the pattern depends on the values", trial)
+		}
+		for _, workers := range []int{1, 2, 3, 7} {
+			clear(c.Val)
+			MatMulNumeric(a, b, c, workers)
+			for p := range want.Val {
+				if math.Float64bits(c.Val[p]) != math.Float64bits(want.Val[p]) {
+					t.Fatalf("trial %d workers %d: value %d = %v, MatMul %v", trial, workers, p, c.Val[p], want.Val[p])
 				}
 			}
 		}

@@ -13,9 +13,9 @@ import (
 )
 
 // Level is one rung of the multigrid hierarchy. The operator is an
-// internal/op representation; which one (matrix-free, assembled,
-// Galerkin, at which precision) is entirely op's concern — this package
-// never dispatches on it.
+// internal/op representation; which one (matrix-free, resident,
+// assembled, Galerkin) is entirely op's concern — this package never
+// dispatches on it.
 type Level struct {
 	Prob     *fem.Problem // discretization (nil only if purely algebraic)
 	Op       op.Operator

@@ -88,6 +88,9 @@ func (m *Model) Restore(st *chkpt.State) error {
 		Et:      append([]float64(nil), st.Et...),
 		Ze:      append([]float64(nil), st.Ze...),
 	}
+	if m.projector != nil {
+		m.projector.Invalidate()
+	}
 	m.Time = st.Time
 	m.StepNum = int(st.StepNum)
 	return nil

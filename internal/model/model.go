@@ -93,10 +93,10 @@ type Model struct {
 	// changes the coefficients, never the discretization). ALE mesh
 	// motion is announced through InvalidateGeometry.
 	stokesCtx stokes.Context
-	// projector caches the point→vertex incidence of the Eq. 12
-	// projection between the η and ρ passes of one relinearization and
-	// across relinearizations within a step (points only move in the
-	// advection stage).
+	// projector caches the point→vertex incidence and weights of the
+	// Eq. 12 projection between the η and ρ passes of one relinearization
+	// and across relinearizations within a step (points only move in the
+	// advection and ALE stages, and Restore replaces them).
 	projector *mpm.Projector
 	// stage accumulates per-stage wall time for the step in flight;
 	// StepForward resets it and publishes the totals.
@@ -182,11 +182,12 @@ type StepStats struct {
 	// StokesSetupReused counts the step's relinearizations served by
 	// refreshing the cached solver stack instead of a cold build.
 	StokesSetupReused int64
-	// CoeffUpdates counts the step's point-rheology evaluations with
-	// projection (UpdateCoefficients, the "coeff_updates" counter): one
-	// per solve when no lithology reads the strain rate or the pressure,
-	// else one per distinct state the residual is evaluated at, plus one
-	// per Newton relinearisation.
+	// CoeffUpdates counts the step's point-rheology evaluations of η with
+	// projection (the "coeff_updates" counter): one per solve when no
+	// lithology reads the strain rate or the pressure, else one per
+	// distinct state the residual is evaluated at, plus one per Newton
+	// relinearisation. ρ is evaluated and projected once per solve, by
+	// the first of them.
 	CoeffUpdates int64
 	// CPUUtil is the share of Workers cores that ran user Go code during
 	// the step (telemetry.CPUSample.Utilization): a value well under 1
@@ -257,6 +258,14 @@ func (m *Model) stateCursor(x la.Vec) (fem.ElemCursor, la.Vec) {
 // returns the projected Newton factor η′/ε̇_II at quadrature points, in
 // model-owned storage that the next such call overwrites.
 func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
+	return m.updateCoefficients(x, wantDeriv, true)
+}
+
+// updateCoefficients is UpdateCoefficients with the density optional:
+// without it, ρ is neither evaluated, projected nor installed, and the
+// vertex and quadrature-point densities keep what the last update with
+// it left.
+func (m *Model) updateCoefficients(x la.Vec, wantDeriv, density bool) (facQP []float64) {
 	pts := m.Points
 	n := pts.Len()
 	sc := &m.scratch
@@ -301,7 +310,9 @@ func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
 			} else {
 				etaP[i], _ = l.EffectiveViscosity(st)
 			}
-			rhoP[i] = l.Density(st)
+			if density {
+				rhoP[i] = l.Density(st)
+			}
 		}
 	})
 	m.stage.rheology += time.Since(t0)
@@ -309,10 +320,14 @@ func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
 	if m.projector == nil {
 		m.projector = mpm.NewProjector(m.Prob)
 	}
-	m.etaV, m.rhoV = m.projector.ProjectLithologyFields(pts,
-		func(i int) float64 { return etaP[i] },
-		func(i int) float64 { return rhoP[i] },
-		m.etaV, m.rhoV)
+	etaOf := func(i int) float64 { return etaP[i] }
+	if density {
+		m.etaV, m.rhoV = m.projector.ProjectLithologyFields(pts, etaOf,
+			func(i int) float64 { return rhoP[i] }, m.etaV, m.rhoV)
+	} else {
+		m.etaV = m.projector.Project(pts, etaOf, m.etaV)
+		m.Prob.SetCoefficientsVertex(m.etaV, nil)
+	}
 	if wantDeriv {
 		facV := m.projector.Project(pts, func(i int) float64 { return facP[i] }, nil)
 		sc.facQP = grown(sc.facQP, fem.NQP*m.Prob.DA.NElements())
@@ -397,17 +412,18 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	// states, not trusting the call order, is what decides. When no
 	// lithology reads the strain rate or the pressure, the coefficients
 	// do not depend on the state at all and the first evaluation holds for
-	// the whole solve. The load vector depends on them (ρ) and on the mesh
-	// only, so it is rebuilt only after they were.
+	// the whole solve. ρ reads the temperature alone (Lithology.Density),
+	// so only the first update evaluates, projects and installs it, and
+	// the load vector, which depends on ρ and the mesh only, is built once.
 	coeffX, coeffValid, buValid := sc.coeffX, false, false
 	stateFree := !m.readsState()
 	updateCoefficients := func(x la.Vec, wantDeriv bool) []float64 {
 		if !wantDeriv && coeffValid && (stateFree || slices.Equal(coeffX, x)) {
 			return nil
 		}
-		facQP := m.UpdateCoefficients(x, wantDeriv)
+		facQP := m.updateCoefficients(x, wantDeriv, !coeffValid)
 		coeffX.Copy(x)
-		coeffValid, buValid = true, false
+		coeffValid = true
 		return facQP
 	}
 

@@ -22,26 +22,27 @@ import (
 // over vertices — the PR 4 slab pattern at vertex granularity — so the
 // result is bit-identical to the serial projection at any worker count.
 //
-// The incidence depends only on the points' element assignment; it is
-// rebuilt lazily after Invalidate (call it whenever points move,
-// relocate, append or vanish) and shared by consecutive projections of
-// different properties over the same locations (η and ρ of one
-// relinearization). The num/den vertex accumulators are allocated once
-// and reused across calls.
+// The incidence depends only on the points' element assignment and the
+// weights only on their local coordinates; both are rebuilt lazily after
+// Invalidate (call it whenever points move, relocate, append or vanish)
+// and shared by every projection over the same locations (η and ρ of one
+// relinearization, and all relinearizations of a solve). The num/den
+// vertex accumulators are allocated once and reused across calls.
 type Projector struct {
 	prob *fem.Problem
 	nv   int
 
 	// Cached incidence: ent[vstart[v]:vstart[v+1]] lists vertex v's
-	// contributions as packed 8*point+corner codes, ascending.
+	// contributions as packed 8*point+corner codes, ascending; w8 holds
+	// the Q1 weight of each, indexed by the same code.
 	npts   int
 	vstart []int
 	ent    []int32
 	next   []int
+	w8     []float64
 	valid  bool
 
 	// Per-call scratch, reused.
-	w8       []float64 // Q1 weights, indexed by the same 8*i+c code
 	val      []float64 // per-point property values
 	num, den []float64
 }
@@ -58,21 +59,31 @@ func NewProjector(prob *fem.Problem) *Projector {
 	}
 }
 
-// Invalidate drops the cached incidence. Call after any operation that
-// changes point locations or population (advection, relocation,
-// population control, removal).
+// Invalidate drops the cached incidence and weights. Call after any
+// operation that changes point locations or population (advection,
+// relocation, population control, removal).
 func (pj *Projector) Invalidate() { pj.valid = false }
 
 // rebuild derives the vertex incidence from the points' current element
-// assignment. Filling in ascending point order per vertex is what pins
-// the reduction order to the serial reference.
+// assignment and the Q1 weights from their local coordinates. Filling in
+// ascending point order per vertex is what pins the reduction order to
+// the serial reference.
 func (pj *Projector) rebuild(pts *Points) {
 	da := pj.prob.DA
 	n := pts.Len()
 	pj.npts = n
 	if cap(pj.ent) < 8*n {
 		pj.ent = make([]int32, 8*n)
+		pj.w8 = make([]float64, 8*n)
 	}
+	w8 := pj.w8[:8*n]
+	par.For(pj.prob.Workers, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if pts.Elem[i] >= 0 {
+				fem.Q1Eval(pts.Xi[i], pts.Et[i], pts.Ze[i], (*[8]float64)(w8[8*i:]))
+			}
+		}
+	})
 	for v := range pj.vstart {
 		pj.vstart[v] = 0
 	}
@@ -120,22 +131,15 @@ func (pj *Projector) Project(pts *Points, value func(i int) float64, fallback []
 	if !pj.valid || pj.npts != n {
 		pj.rebuild(pts)
 	}
-	if cap(pj.w8) < 8*n {
-		pj.w8 = make([]float64, 8*n)
-	}
 	if cap(pj.val) < n {
 		pj.val = make([]float64, n)
 	}
 	w8, val := pj.w8[:8*n], pj.val[:n]
 	par.For(workers, n, func(lo, hi int) {
-		var nb [8]float64
 		for i := lo; i < hi; i++ {
-			if pts.Elem[i] < 0 {
-				continue
+			if pts.Elem[i] >= 0 {
+				val[i] = value(i)
 			}
-			fem.Q1Eval(pts.Xi[i], pts.Et[i], pts.Ze[i], &nb)
-			copy(w8[8*i:8*i+8], nb[:])
-			val[i] = value(i)
 		}
 	})
 	num, den := pj.num, pj.den

@@ -159,6 +159,43 @@ func TestProjectorInvalidate(t *testing.T) {
 	}
 }
 
+// TestProjectorCachedWeights: the Q1 weights are cached with the
+// incidence. Successive projections of different properties over the
+// same points equal those of fresh projectors; after the points' local
+// coordinates move inside their elements (the element assignment, and so
+// the incidence, unchanged) Invalidate makes Project equal a fresh
+// projector's output again.
+func TestProjectorCachedWeights(t *testing.T) {
+	p := deformedProblem(3)
+	p.Workers = 3
+	pts := NewLattice(p, 2, func(x, y, z float64) int32 { return 0 })
+	props := []func(i int) float64{
+		func(i int) float64 { return pts.X[i] + 2*pts.Y[i] },
+		func(i int) float64 { return math.Exp(pts.Z[i]) },
+	}
+	pj := NewProjector(p)
+	check := func(what string) {
+		t.Helper()
+		for k, value := range props {
+			if got, want := pj.Project(pts, value, nil), NewProjector(p).Project(pts, value, nil); !equalBits(got, want) {
+				t.Fatalf("%s: projection %d differs from a fresh projector's", what, k)
+			}
+		}
+	}
+	check("cached")
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < pts.Len(); i++ {
+		pts.Xi[i] += 0.1 * (rng.Float64() - 0.5)
+		pts.Et[i] += 0.1 * (rng.Float64() - 0.5)
+		pts.Ze[i] += 0.1 * (rng.Float64() - 0.5)
+	}
+	if stale := pj.Project(pts, props[0], nil); equalBits(stale, NewProjector(p).Project(pts, props[0], nil)) {
+		t.Fatal("moving ξ without Invalidate changed nothing: the weights are not cached")
+	}
+	pj.Invalidate()
+	check("after Invalidate")
+}
+
 // TestLocateAllParallelMatchesSerial pins that the pooled location pass
 // produces, bit for bit, the assignments and the same (ascending) lost
 // list at 8 workers as at 1 — on column meshes with a rough surface on

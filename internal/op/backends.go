@@ -205,8 +205,8 @@ func (o *galerkinOp) Refresh() error {
 		o.build(fine)
 		return nil
 	}
-	la.MatMulNumeric(fine, o.p, o.ap)
-	la.MatMulNumeric(o.pt, o.ap, o.raw)
+	la.MatMulNumeric(fine, o.p, o.ap, o.env.Workers)
+	la.MatMulNumeric(o.pt, o.ap, o.raw, o.env.Workers)
 	if o.rebuilt && !o.zeroPatternUnchanged() {
 		// A structural zero changed state; a cold augmentation would
 		// produce a different pattern, so redo it (rare).

@@ -12,7 +12,7 @@ import (
 // *coefficients*, never the discretization). Prepare returns a solver
 // for the problem's current state: a cold build the first time or
 // whenever the structural configuration changes (mesh resolution, level
-// count, operator kinds, precision, workers...), and an in-place
+// count, operator kinds, smoother degree, workers...), and an in-place
 // Refresh — bit-identical to a cold build, at a fraction of the cost —
 // otherwise. ALE coordinate updates must be announced through
 // InvalidateGeometry; they trigger the geometry-dependent refresh work

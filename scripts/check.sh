@@ -5,7 +5,8 @@
 # a cross-build of the portable (non-amd64) file set, a guard that no
 # assembly file fuses a multiply-add or returns to Go with dirty upper YMM
 # halves, the full test suite, a short-mode pass under the race detector, the
-# fused Krylov update-and-reduce against its two steps in a GOAMD64=v3 build, a
+# fused Krylov update-and-reduce against its two steps and the element matrix
+# of the level-1 assembly against its Go body in a GOAMD64=v3 build, a
 # racy re-run of the comm fault/recovery protocol tests, the benchmark
 # module's own vet and tests (bench/ is a separate module that the root go
 # build and go test skip), a scenario smoke of every spec on both backends
@@ -19,8 +20,8 @@
 # checkpoints byte-equal at 1 and 2 workers), a
 # rank-count invariance check of the 64-rank scaling sweep, a 64-rank solve
 # that must not retransmit, a guard that the fabric keeps one mailbox per
-# rank, a one-iteration smoke run of the apply-path, V-cycle and
-# element-kernel benchmarks, and short fuzz smoke passes over the
+# rank, a one-iteration smoke run of the apply-path, V-cycle, element-kernel
+# and element-matrix benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
 # contractions.
 # Every PR must leave this script exiting 0.
@@ -121,7 +122,7 @@ named_tests -count=1 'TestPipelinedGCRRankCountInvariant' ./internal/stokes
 
 echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
 named_tests -race \
-    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestContextKeyCoversConfig' \
+    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 # -count=10: the claims, waits and helper hand-offs of a job interleave
@@ -135,7 +136,7 @@ named_tests '-race -count=10' \
 
 echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher, a poisoned residual entry caught by its norm, fused update-and-reduce == update then reduce (kernel and all four methods), under -race =="
 named_tests -race \
-    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
+    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestMatMulNumericMatchesMatMul|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
     ./internal/krylov ./internal/la
 
 # The fused sweep is bitwise the two it replaced only if the compiler
@@ -143,9 +144,11 @@ named_tests -race \
 # contracts on arm64 (FMADDD in AXPYDot, Dot and the AXPY loop alike); on
 # amd64 Go 1.24 emits none at any GOAMD64 level, so this stage pins the v3
 # build today and the contraction on a toolchain that starts fusing there.
-echo "== fused update-and-reduce == update then reduce, built for GOAMD64=v3 =="
+# The element matrix's Go body (the oracle of its assembly, which never
+# fuses) and the loop order it replaced are pinned the same way.
+echo "== fused update-and-reduce == update then reduce, element matrix assembly == Go body == the q-outer formula, built for GOAMD64=v3 =="
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo; then
-    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' ./internal/la ./internal/krylov
+    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical|TestViscousMatrixMatchesGo|TestGeometryStoreBitwise' ./internal/la ./internal/krylov ./internal/fem
 else
     echo "skipped: this CPU cannot run GOAMD64=v3 code"
 fi
@@ -157,12 +160,12 @@ named_tests -race \
 
 echo "== parallel MPM + amortized solver setup under -race =="
 named_tests -race \
-    'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
+    'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestProjectorCachedWeights|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
     ./internal/mpm ./internal/model
 
 echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population and the Krylov breakdowns and fallbacks in the step record, under -race =="
 named_tests -race \
-    'TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation|TestRunRecordsKrylovFallbacks' \
+    'TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestDensityReadsNoStokesState|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation|TestRunRecordsKrylovFallbacks' \
     ./internal/fem ./internal/mpm ./internal/model ./internal/rheology ./internal/driver
 
 echo "== benchmark module: vet + its own tests =="
@@ -304,8 +307,10 @@ fi
 # workers — small-grid parallel efficiency as a tracked number.
 # ElementKernel: the resident element kernel, assembly against Go, in
 # ns/element and GF/s (a smoke at 1x; -benchtime 200000x for numbers).
+# ElementViscousMatrix: the level-1 assembly's element matrix, assembly
+# against Go, in ns/element (-benchtime 2000x for numbers).
 echo "== benchmark smoke =="
-go test -run='^$' -bench='Apply|VCycle|ElementKernel' -benchtime=1x ./...
+go test -run='^$' -bench='Apply|VCycle|ElementKernel|ElementViscousMatrix' -benchtime=1x ./...
 
 echo "== fuzz smoke =="
 go test ./internal/comm -run='^$' -fuzz=FuzzDecompIndexMath -fuzztime=5s
