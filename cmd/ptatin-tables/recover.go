@@ -74,7 +74,6 @@ func recoverDemo(c *ctx) error {
 		fp.StallDuration = *stall
 	}
 	w.SetFaultPlan(fp)
-	w.SetRetryPolicy(comm.RetryPolicy{Timeout: 25 * time.Millisecond, MaxRetries: 12, Backoff: 1.5})
 
 	out := c.stdout
 	fmt.Fprintf(out, "# %d ranks (%s), fault plan: %d drops, %d corruptions, stall %v\n",

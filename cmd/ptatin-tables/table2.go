@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ptatin3d/internal/cli"
-	"ptatin3d/internal/comm"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/perfmodel"
@@ -202,6 +201,9 @@ type sweepRow struct {
 	// Modeled fabric time (max over ranks, ns) by operation class: the α–β
 	// interconnect cost that would dominate at real scale.
 	fabricHaloNs, fabricAllReduceNs, fabricCoarseNs int64
+	// retries sums the ranks' retransmission rounds: 0 on a fault-free
+	// fabric, however long the roots' coarse solve keeps clients waiting.
+	retries int64
 }
 
 // sweep runs the rank-distributed solve over 1–512 simulated ranks with an
@@ -227,9 +229,9 @@ func sweep(c *ctx) error {
 	out := c.stdout
 	fmt.Fprintf(out, "# scaling sweep (pipelined=%v, agg roots<=%d, fabric=alpha-beta; cores = ranks)\n",
 		c.Pipelined, *aggRoots)
-	fmt.Fprintf(out, "%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s %12s\n",
+	fmt.Fprintf(out, "%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s %12s | %7s\n",
 		"mode", "grid", "ranks", "nranks", "its", "solve(s)", "E/C/s", "AR/it",
-		"fab-halo(ms)", "fab-AR(ms)", "fab-crs(ms)")
+		"fab-halo(ms)", "fab-AR(ms)", "fab-crs(ms)", "retries")
 	type key struct{ px, py, pz, g int }
 	solved := map[key]*sweepRow{}
 	for _, pt := range sweepPoints {
@@ -252,11 +254,11 @@ func sweep(c *ctx) error {
 		if r == nil {
 			continue
 		}
-		fmt.Fprintf(out, "%-6s %-6d %-7s %6d %4d %12.3f %10.0f %6.2f | %12.1f %12.1f %12.1f\n",
+		fmt.Fprintf(out, "%-6s %-6d %-7s %6d %4d %12.3f %10.0f %6.2f | %12.1f %12.1f %12.1f | %7d\n",
 			pt.mode, pt.g, ranks, nr, r.iterations, r.solveS,
 			float64(pt.g*pt.g*pt.g)/float64(nr)/r.solveS, r.arPerIt,
 			float64(r.fabricHaloNs)/1e6, float64(r.fabricAllReduceNs)/1e6,
-			float64(r.fabricCoarseNs)/1e6)
+			float64(r.fabricCoarseNs)/1e6, r.retries)
 	}
 	return nil
 }
@@ -279,14 +281,6 @@ func sweepOne(pt sweepPoint, o scenario.SinkerOptions, pipelined bool, roots int
 		Pipelined:   pipelined,
 		CoarseRoots: roots,
 		Fabric:      perfmodel.DefaultFabric(),
-		// At Levels = 2 the coarse solve is long, and while the roots run
-		// it their clients are legitimately silent for longer than the
-		// default policy's 50 ms: a wall-clock timeout cannot tell
-		// computing from lost. Measured with the default policy on one
-		// mailbox per rank (PR 24, 2 vCPUs): 175-178 retries on the
-		// strong-16 2x2x2 row, 3 644-4 638 on 4x4x4, 85 012 at 512 ranks;
-		// with this one, 0 on every row.
-		Policy: comm.RetryPolicy{Timeout: 2 * time.Second, MaxRetries: 8, Backoff: 1.5},
 	}
 	start := time.Now()
 	res, stats, err := s.SolveDistributed(la.NewVec(s.Op.N()), bu, pt.px, pt.py, pt.pz, opt)
@@ -299,6 +293,7 @@ func sweepOne(pt sweepPoint, o scenario.SinkerOptions, pipelined bool, roots int
 	row := &sweepRow{iterations: res.Iterations, solveS: time.Since(start).Seconds()}
 	var allReduces int64
 	for _, st := range stats {
+		row.retries += st.Retries
 		allReduces = max(allReduces, st.AllReduces)
 		row.fabricHaloNs = max(row.fabricHaloNs, st.FabricHaloNs)
 		row.fabricAllReduceNs = max(row.fabricAllReduceNs, st.FabricAllReduceNs)

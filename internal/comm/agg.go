@@ -95,15 +95,15 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 		}
 		d.countPacket(pk)
 		d.chargeCoarse(4*len(pk.Node) + 8*len(pk.Val))
-		if _, err := r.ExchangeReliable([]int{root}, map[int]interface{}{root: pk}, d.Pol, d.Sc); err != nil {
+		if _, err := r.ExchangeReliable([]int{root}, map[int]interface{}{root: pk}, d.Sc); err != nil {
 			return fmt.Errorf("comm: agg block gather: %w", err)
 		}
 		// Root-group all-gather: clients sit it out (empty exchange
 		// keeps sequence numbers aligned).
-		if _, err := r.ExchangeReliable(nil, nil, d.Pol, d.Sc); err != nil {
+		if _, err := r.ExchangeReliable(nil, nil, d.Sc); err != nil {
 			return fmt.Errorf("comm: agg root gather: %w", err)
 		}
-		px := r.StartExchange([]int{root}, map[int]interface{}{root: &haloPacket{}}, d.Pol, d.Sc)
+		px := r.StartExchange([]int{root}, map[int]interface{}{root: &haloPacket{}}, d.Sc)
 		if overlap != nil {
 			overlap()
 		}
@@ -121,7 +121,7 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 	for _, m := range members {
 		payload[m] = &haloPacket{}
 	}
-	recv, err := r.ExchangeReliable(members, payload, d.Pol, d.Sc)
+	recv, err := r.ExchangeReliable(members, payload, d.Sc)
 	if err != nil {
 		return fmt.Errorf("comm: agg block gather: %w", err)
 	}
@@ -163,7 +163,7 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 		d.Sc.Counter("halo_bytes").Add(int64(len(others) * (4*len(comb.Node) + 8*len(comb.Val))))
 		d.chargeCoarse(len(others) * (4*len(comb.Node) + 8*len(comb.Val)))
 	}
-	rrecv, err := r.ExchangeReliable(others, rp, d.Pol, d.Sc)
+	rrecv, err := r.ExchangeReliable(others, rp, d.Sc)
 	if err != nil {
 		return fmt.Errorf("comm: agg root gather: %w", err)
 	}
@@ -192,7 +192,7 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 		d.Sc.Counter("halo_bytes").Add(int64(len(members) * 8 * len(x)))
 		d.chargeCoarse(len(members) * 8 * len(x))
 	}
-	if _, err := r.ExchangeReliable(members, bp, d.Pol, d.Sc); err != nil {
+	if _, err := r.ExchangeReliable(members, bp, d.Sc); err != nil {
 		return fmt.Errorf("comm: agg solution broadcast: %w", err)
 	}
 	return nil

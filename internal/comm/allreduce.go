@@ -54,7 +54,7 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 		if src >= size {
 			continue
 		}
-		sub, _ := r.recv(src, time.Time{})
+		sub := r.recv(src)
 		blocks = append(blocks, sub.([]float64)...)
 		children = append(children, src)
 	}
@@ -70,7 +70,7 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 			}
 		}
 	} else {
-		down, _ := r.recv(id-lowbit(id), time.Time{})
+		down := r.recv(id - lowbit(id))
 		res = down.([]float64)
 	}
 	// Broadcast down. The slice travelling the tree is shared between

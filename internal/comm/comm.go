@@ -1,17 +1,16 @@
 // Package comm provides the simulated distributed-memory substrate of
 // this reproduction (see DESIGN.md): an SPMD "world" of rank goroutines
-// with one mailbox each for point-to-point messaging, barriers and
-// reductions, plus the Cartesian decomposition of the structured mesh
-// among ranks (paper §II-D). The original pTatin3D runs one MPI rank per
-// core; here ranks are goroutines in one address space, which preserves
-// the communication structure (neighbour exchange, Ls/Lr material-point
-// migration lists, collective reductions) at laptop scale.
+// with one mailbox each for point-to-point messaging and reductions, plus
+// the Cartesian decomposition of the structured mesh among ranks (paper
+// §II-D). The original pTatin3D runs one MPI rank per core; here ranks
+// are goroutines in one address space, which preserves the communication
+// structure (neighbour exchange, Ls/Lr material-point migration lists,
+// collective reductions) at laptop scale.
 package comm
 
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // World is a fixed-size group of SPMD ranks.
@@ -22,9 +21,8 @@ type World struct {
 	inbox []inbox
 
 	// fault, when non-nil, injects failures into the reliable exchange
-	// paths; policy bounds their retry/timeout behaviour.
-	fault  *FaultPlan
-	policy RetryPolicy
+	// paths.
+	fault *FaultPlan
 
 	// fabric, when non-nil, prices every simulated interconnect
 	// operation (halo message, allreduce, coarse gather) in modeled
@@ -34,23 +32,86 @@ type World struct {
 	// with rank count the way a real fabric's would.
 	fabric FabricModel
 
-	bmu    sync.Mutex
-	bcond  *sync.Cond
-	bcount int
-	bphase int
+	// Liveness. busy counts the ranks that can still act: inside Run, not
+	// waiting in pull on an empty mailbox, or told of a quiet they have not
+	// yet acted on. A message for a waiting rank makes it busy again before
+	// its sender can stop, so busy reaches 0 only when every rank waits or
+	// is done and nothing is in flight: the world is quiet, nothing will
+	// ever arrive. stop then counts the listeners (ranks waiting in pull
+	// untilQuiet) busy, bumps epoch and closes quiet (replacing it) to
+	// tell them. Lock order: an inbox's mu, then lmu.
+	lmu       sync.Mutex
+	busy      int
+	listeners int
+	epoch     int64
+	quiet     chan struct{}
 }
+
+// Retries is the number of quiet rounds an exchange survives before it
+// fails with *ExchangeError: the times the world may go quiet with it
+// outstanding, each answered by one retransmission.
+const Retries = 8
 
 // NewWorld creates a world of n ranks.
 func NewWorld(n int) *World {
 	if n < 1 {
 		panic("comm: world size must be >= 1")
 	}
-	w := &World{size: n, inbox: make([]inbox, n)}
+	w := &World{size: n, inbox: make([]inbox, n), quiet: make(chan struct{})}
 	for to := range w.inbox {
 		w.inbox[to].wake = make(chan struct{}, 1)
 	}
-	w.bcond = sync.NewCond(&w.bmu)
 	return w
+}
+
+// wait counts the reader of b, busy until now, as waiting in pull (called
+// with b.mu held) and returns the channel closed when the world next goes
+// quiet — at once if this rank was the last one busy.
+func (w *World) wait(b *inbox, untilQuiet bool) <-chan struct{} {
+	w.lmu.Lock()
+	defer w.lmu.Unlock()
+	b.idle, b.listen, b.epoch = true, untilQuiet, w.epoch
+	if untilQuiet {
+		w.listeners++
+	}
+	q := w.quiet
+	w.stop()
+	return q
+}
+
+// wake counts the waiting reader of b busy again: a put reached it (called
+// with b.mu held). A listener already counted by the quiet it has not yet
+// seen is not counted twice.
+func (w *World) wake(b *inbox) {
+	b.idle = false
+	w.lmu.Lock()
+	if !b.listen || b.epoch == w.epoch {
+		w.busy++
+		if b.listen {
+			w.listeners--
+		}
+	}
+	w.lmu.Unlock()
+}
+
+// told reports whether the world has gone quiet since the reader of b
+// began to wait (called with b.mu held).
+func (w *World) told(b *inbox) bool {
+	w.lmu.Lock()
+	defer w.lmu.Unlock()
+	return b.epoch != w.epoch
+}
+
+// stop counts one busy rank out (called with lmu held). The last one makes
+// the world quiet: the listeners are counted busy, to act on it, and told.
+func (w *World) stop() {
+	if w.busy--; w.busy > 0 {
+		return
+	}
+	w.busy, w.listeners = w.listeners, 0
+	w.epoch++
+	close(w.quiet)
+	w.quiet = make(chan struct{})
 }
 
 // message is one mailbox entry: the sending rank and what it sent, a
@@ -68,6 +129,13 @@ type inbox struct {
 	mu   sync.Mutex
 	q    []message
 	head int
+	// idle: the reader waits in pull on an empty queue and is not counted
+	// busy; listen: it waits untilQuiet, since quiet number epoch (both
+	// written under World.lmu too). The put that ends the wait counts it
+	// busy again (World.wake).
+	idle   bool
+	listen bool
+	epoch  int64
 	// wake holds at most one token, left by a put: the reader, finding
 	// the queue empty, sleeps on it, and a put between its look and its
 	// sleep is not missed. A token left over from a message already read
@@ -75,9 +143,14 @@ type inbox struct {
 	wake chan struct{}
 }
 
-func (b *inbox) put(m message) {
+// put appends m to rank to's mailbox.
+func (w *World) put(to int, m message) {
+	b := &w.inbox[to]
 	b.mu.Lock()
 	b.q = append(b.q, m)
+	if b.idle {
+		w.wake(b)
+	}
 	b.mu.Unlock()
 	select {
 	case b.wake <- struct{}{}:
@@ -85,15 +158,25 @@ func (b *inbox) put(m message) {
 	}
 }
 
-// pull takes the next message, waiting for one until the deadline (the
-// zero deadline: for ever). This is the one place a rank blocks on the
-// fabric. It looks at the queue once more after the deadline fires, so a
-// put that races the timer is delivered, not reported as silence.
-func (b *inbox) pull(deadline time.Time) (message, bool) {
-	var expired <-chan time.Time
-	timedOut := false
+// pull takes the next message of rank id's mailbox, waiting for one. This
+// is the one place a rank blocks on the fabric. With untilQuiet it gives
+// up, reporting false, when the world goes quiet while it waits: every
+// rank waiting and nothing in flight, so no message can come. Without, it
+// waits for ever (the collectives' receive).
+func (w *World) pull(id int, untilQuiet bool) (message, bool) {
+	b := &w.inbox[id]
+	var quiet <-chan struct{}
 	for {
 		b.mu.Lock()
+		if quiet != nil && w.told(b) {
+			// The quiet counted this rank busy to act on it, and it does,
+			// before it reads what the other ranks' reaction to the same
+			// quiet has put here since: a rank kept busy by retransmissions
+			// it cannot use would otherwise never send its own.
+			b.idle = false
+			b.mu.Unlock()
+			return message{}, false
+		}
 		if b.head < len(b.q) {
 			m := b.q[b.head]
 			b.q[b.head] = message{}
@@ -103,19 +186,15 @@ func (b *inbox) pull(deadline time.Time) (message, bool) {
 			b.mu.Unlock()
 			return m, true
 		}
+		if !b.idle {
+			if q := w.wait(b, untilQuiet); untilQuiet {
+				quiet = q
+			}
+		}
 		b.mu.Unlock()
-		if timedOut {
-			return message{}, false
-		}
-		if expired == nil && !deadline.IsZero() {
-			t := time.NewTimer(time.Until(deadline))
-			defer t.Stop()
-			expired = t.C
-		}
 		select {
 		case <-b.wake:
-		case <-expired:
-			timedOut = true
+		case <-quiet:
 		}
 	}
 }
@@ -131,10 +210,6 @@ func (w *World) SetFaultPlan(fp *FaultPlan) {
 		fp.attach(w.size)
 	}
 }
-
-// SetRetryPolicy sets the default retry policy used by exchange callers
-// that consult Rank.Policy. The zero policy means DefaultRetryPolicy.
-func (w *World) SetRetryPolicy(p RetryPolicy) { w.policy = p }
 
 // FabricModel prices simulated interconnect operations in nanoseconds.
 // perfmodel.Fabric provides the standard α–β (latency/bandwidth)
@@ -156,10 +231,18 @@ func (w *World) SetFabric(f FabricModel) { w.fabric = f }
 // when all ranks have finished.
 func (w *World) Run(body func(r *Rank)) {
 	var wg sync.WaitGroup
+	w.lmu.Lock()
+	w.busy += w.size
+	w.lmu.Unlock()
 	for id := 0; id < w.size; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
+			defer func() {
+				w.lmu.Lock()
+				w.stop()
+				w.lmu.Unlock()
+			}()
 			body(&Rank{ID: id, W: w})
 		}(id)
 	}
@@ -189,56 +272,27 @@ type Rank struct {
 	oob map[int][]interface{}
 }
 
-// Policy returns the world's retry policy (DefaultRetryPolicy if unset).
-func (r *Rank) Policy() RetryPolicy {
-	if r.W.policy == (RetryPolicy{}) {
-		return DefaultRetryPolicy()
-	}
-	return r.W.policy
-}
-
 // Send posts v to rank `to`; it never blocks.
 func (r *Rank) Send(to int, v interface{}) {
 	if to < 0 || to >= r.W.size {
 		panic(fmt.Sprintf("comm: send to invalid rank %d", to))
 	}
-	r.W.inbox[to].put(message{from: r.ID, v: v})
+	r.W.put(to, message{from: r.ID, v: v})
 }
 
-// Barrier blocks until every rank has entered it.
-func (r *Rank) Barrier() {
-	w := r.W
-	w.bmu.Lock()
-	phase := w.bphase
-	w.bcount++
-	if w.bcount == w.size {
-		w.bcount = 0
-		w.bphase++
-		w.bcond.Broadcast()
-	} else {
-		for phase == w.bphase {
-			w.bcond.Wait()
-		}
-	}
-	w.bmu.Unlock()
-}
-
-// recv returns the next bare payload sent by rank `from`, waiting until
-// the deadline (the zero deadline: for ever — what the collectives pass).
-// Whatever else arrives on the way is dispatched: protocol envelopes of
-// any rank are answered or stashed, so a peer retransmitting into a rank
-// that sits in a collective is served from here, and payloads of other
-// sources are queued for their own recv.
-func (r *Rank) recv(from int, deadline time.Time) (interface{}, bool) {
+// recv returns the next bare payload sent by rank `from`, waiting for it
+// however long the world stays quiet (the collectives' receive). Whatever
+// else arrives on the way is dispatched: protocol envelopes of any rank
+// are answered or stashed, so a peer retransmitting into a rank that sits
+// in a collective is served from here, and payloads of other sources are
+// queued for their own recv.
+func (r *Rank) recv(from int) interface{} {
 	for {
 		if q := r.oob[from]; len(q) > 0 {
 			r.oob[from] = q[1:]
-			return q[0], true
+			return q[0]
 		}
-		m, ok := r.W.inbox[r.ID].pull(deadline)
-		if !ok {
-			return nil, false
-		}
+		m, _ := r.W.pull(r.ID, false)
 		r.dispatch(nil, m)
 	}
 }

@@ -15,7 +15,7 @@ import (
 // dropped and delayed halo-exchange messages, corrupted in-flight
 // payloads, and a rank that stalls mid-collective. Injection happens on
 // the send side of ExchangeReliable envelopes only — the bare Send of the
-// tree allreduce and Barrier stay fault-free, so collectives outside the
+// tree allreduce stays fault-free, so collectives outside the
 // hardened exchange paths keep their semantics.
 //
 // Determinism: each sending rank draws from its own rand.Rand seeded

@@ -46,7 +46,7 @@ func checkReceived(t *testing.T, self, round int, got map[int]interface{}, nbrs 
 
 // runExchanges drives `rounds` collective reliable exchanges on a world of
 // n ranks and asserts every payload arrives intact.
-func runExchanges(t *testing.T, w *World, rounds int, pol RetryPolicy, reg *telemetry.Registry) {
+func runExchanges(t *testing.T, w *World, rounds int, reg *telemetry.Registry) {
 	t.Helper()
 	n := w.Size()
 	var mu sync.Mutex
@@ -59,7 +59,7 @@ func runExchanges(t *testing.T, w *World, rounds int, pol RetryPolicy, reg *tele
 			for _, nb := range nbrs {
 				payload[nb] = testPayload(r.ID, nb, round)
 			}
-			got, err := r.ExchangeReliable(nbrs, payload, pol, sc)
+			got, err := r.ExchangeReliable(nbrs, payload, sc)
 			if err != nil {
 				mu.Lock()
 				failures = append(failures, fmt.Errorf("rank %d round %d: %w", r.ID, round, err))
@@ -75,7 +75,17 @@ func runExchanges(t *testing.T, w *World, rounds int, pol RetryPolicy, reg *tele
 }
 
 func TestExchangeReliableBasic(t *testing.T) {
-	runExchanges(t, NewWorld(4), 3, DefaultRetryPolicy(), telemetry.New())
+	runExchanges(t, NewWorld(4), 3, telemetry.New())
+}
+
+// retries sums the "retries" counter over the rank scopes runExchanges
+// records into.
+func retries(reg *telemetry.Registry, n int) int64 {
+	var total int64
+	for r := 0; r < n; r++ {
+		total += reg.Root().Child("comm").Child(fmt.Sprintf("rank%d", r)).Counter("retries").Value()
+	}
+	return total
 }
 
 func TestExchangeReliableDropRecovery(t *testing.T) {
@@ -83,28 +93,29 @@ func TestExchangeReliableDropRecovery(t *testing.T) {
 	fp := &FaultPlan{Seed: 7, DropProb: 1, MaxDrops: 5}
 	w.SetFaultPlan(fp)
 	reg := telemetry.New()
-	pol := RetryPolicy{Timeout: 10 * time.Millisecond, MaxRetries: 30, Backoff: 1.2}
-	runExchanges(t, w, 3, pol, reg)
+	runExchanges(t, w, 3, reg)
 	if fp.Drops() != 5 {
 		t.Errorf("injected %d drops, want the full budget of 5", fp.Drops())
 	}
-	var retries int64
-	for r := 0; r < 4; r++ {
-		retries += reg.Root().Child("comm").Child(fmt.Sprintf("rank%d", r)).Counter("retries").Value()
-	}
-	if retries == 0 {
+	if retries(reg, 4) == 0 {
 		t.Error("five dropped envelopes recovered without a single retry")
 	}
 }
 
+// TestExchangeReliableStallRecovery: a stalled rank is computing, not
+// lost, so its neighbours wait it out — however long the stall, the world
+// is never quiet while it lasts, and nothing is sent twice.
 func TestExchangeReliableStallRecovery(t *testing.T) {
 	w := NewWorld(4)
 	fp := &FaultPlan{Seed: 3, StallRank: 1, StallExchange: 0, StallDuration: 60 * time.Millisecond}
 	w.SetFaultPlan(fp)
-	pol := RetryPolicy{Timeout: 10 * time.Millisecond, MaxRetries: 30, Backoff: 1.2}
-	runExchanges(t, w, 2, pol, telemetry.New())
+	reg := telemetry.New()
+	runExchanges(t, w, 2, reg)
 	if fp.Stalls() != 1 {
 		t.Errorf("injected %d stalls, want 1", fp.Stalls())
+	}
+	if n := retries(reg, 4); n != 0 {
+		t.Errorf("%d retries while a peer was stalled, want 0: a stall is not a loss", n)
 	}
 }
 
@@ -113,11 +124,10 @@ func TestExchangeReliableCorruptionRecovery(t *testing.T) {
 	fp := &FaultPlan{Seed: 11, CorruptProb: 1, MaxCorrupts: 3}
 	w.SetFaultPlan(fp)
 	reg := telemetry.New()
-	pol := RetryPolicy{Timeout: 10 * time.Millisecond, MaxRetries: 30, Backoff: 1.2}
 	// checkReceived inside runExchanges asserts every delivered payload is
 	// pristine, so surviving this test means all 3 corruptions were caught
 	// by checksum verification and repaired by retransmission.
-	runExchanges(t, w, 3, pol, reg)
+	runExchanges(t, w, 3, reg)
 	if fp.Corruptions() != 3 {
 		t.Errorf("injected %d corruptions, want the full budget of 3", fp.Corruptions())
 	}
@@ -131,12 +141,11 @@ func TestExchangeReliableCorruptionRecovery(t *testing.T) {
 }
 
 // TestExchangeReliableExhaustion drops every envelope with no budget: the
-// exchange must fail with a typed *ExchangeError on every rank within the
-// bounded retry schedule — never deadlock.
+// exchange must fail with a typed *ExchangeError on every rank after its
+// retry budget of quiet rounds — never deadlock.
 func TestExchangeReliableExhaustion(t *testing.T) {
 	w := NewWorld(3)
 	w.SetFaultPlan(&FaultPlan{Seed: 1, DropProb: 1})
-	pol := RetryPolicy{Timeout: 5 * time.Millisecond, MaxRetries: 3, Backoff: 1}
 	errs := make([]error, 3)
 	done := make(chan struct{})
 	go func() {
@@ -147,7 +156,7 @@ func TestExchangeReliableExhaustion(t *testing.T) {
 			for _, nb := range nbrs {
 				payload[nb] = testPayload(r.ID, nb, 0)
 			}
-			_, errs[r.ID] = r.ExchangeReliable(nbrs, payload, pol, nil)
+			_, errs[r.ID] = r.ExchangeReliable(nbrs, payload, nil)
 		})
 	}()
 	select {
@@ -160,7 +169,7 @@ func TestExchangeReliableExhaustion(t *testing.T) {
 		if !errors.As(err, &xe) {
 			t.Fatalf("rank %d: got %v, want *ExchangeError", rid, err)
 		}
-		if xe.Rank != rid || len(xe.MissingData) == 0 || xe.Attempts != pol.MaxRetries+1 {
+		if xe.Rank != rid || len(xe.MissingData) == 0 || xe.Attempts != Retries+1 {
 			t.Errorf("rank %d: unexpected error detail %+v", rid, xe)
 		}
 	}
@@ -197,23 +206,37 @@ func TestFaultPlanDeterminism(t *testing.T) {
 	}
 }
 
-func TestRecvTimeout(t *testing.T) {
-	w := NewWorld(2)
+// TestRecvWaitsThroughQuiet: a collective's receive is not a reliable
+// exchange and has nothing to retransmit, so it waits through the quiet
+// rounds of an exchange that lost a message until its payload comes. Rank 0
+// sits in recv while ranks 1 and 2 exchange under a plan that drops the
+// first two envelopes; the world goes quiet, 1 and 2 retransmit, and only
+// then does rank 1 send.
+func TestRecvWaitsThroughQuiet(t *testing.T) {
+	w := NewWorld(3)
+	fp := &FaultPlan{Seed: 5, DropProb: 1, MaxDrops: 2}
+	w.SetFaultPlan(fp)
+	reg := telemetry.New()
 	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			if _, ok := r.recv(1, time.Now().Add(5*time.Millisecond)); ok {
-				t.Error("recv returned a message from a silent rank")
+		sc := reg.Root().Child("comm").Child(fmt.Sprintf("rank%d", r.ID))
+		switch r.ID {
+		case 0:
+			if v := r.recv(1); v.(int) != 42 {
+				t.Errorf("recv got %v, want 42", v)
 			}
-			r.Barrier()
-			v, ok := r.recv(1, time.Now().Add(time.Second))
-			if !ok || v.(int) != 42 {
-				t.Errorf("recv got (%v, %v), want (42, true)", v, ok)
+		default:
+			peer := 3 - r.ID
+			if _, err := r.ExchangeReliable([]int{peer}, map[int]interface{}{peer: testPayload(r.ID, peer, 0)}, sc); err != nil {
+				t.Errorf("rank %d: %v", r.ID, err)
 			}
-		} else {
-			r.Barrier()
-			r.Send(0, 42)
+			if r.ID == 1 {
+				r.Send(0, 42)
+			}
 		}
 	})
+	if fp.Drops() != 2 || retries(reg, 3) == 0 {
+		t.Fatalf("drops %d, retries %d: the exchange never went quiet, so recv was not tested through it", fp.Drops(), retries(reg, 3))
+	}
 }
 
 // TestExchangeReliablePreservesCollectivePayloads pins the interleaving
@@ -226,7 +249,6 @@ func TestRecvTimeout(t *testing.T) {
 // deadlocks at rank 0's recv.
 func TestExchangeReliablePreservesCollectivePayloads(t *testing.T) {
 	w := NewWorld(3)
-	pol := RetryPolicy{Timeout: 200 * time.Millisecond, MaxRetries: 8, Backoff: 1}
 	var mu sync.Mutex
 	var failures []error
 	fail := func(err error) {
@@ -238,15 +260,15 @@ func TestExchangeReliablePreservesCollectivePayloads(t *testing.T) {
 		switch r.ID {
 		case 0:
 			payload := map[int]interface{}{1: testPayload(0, 1, 0), 2: testPayload(0, 2, 0)}
-			if _, err := r.ExchangeReliable([]int{1, 2}, payload, pol, nil); err != nil {
+			if _, err := r.ExchangeReliable([]int{1, 2}, payload, nil); err != nil {
 				fail(fmt.Errorf("rank 0 exchange: %w", err))
 				return
 			}
-			if v, _ := r.recv(1, time.Time{}); v.(float64) != 3.25 {
+			if v := r.recv(1); v.(float64) != 3.25 {
 				fail(fmt.Errorf("rank 0: collective payload = %v, want 3.25", v))
 			}
 		case 1:
-			if _, err := r.ExchangeReliable([]int{0}, map[int]interface{}{0: testPayload(1, 0, 0)}, pol, nil); err != nil {
+			if _, err := r.ExchangeReliable([]int{0}, map[int]interface{}{0: testPayload(1, 0, 0)}, nil); err != nil {
 				fail(fmt.Errorf("rank 1 exchange: %w", err))
 				return
 			}
@@ -255,7 +277,7 @@ func TestExchangeReliablePreservesCollectivePayloads(t *testing.T) {
 			r.Send(0, 3.25)
 		case 2:
 			time.Sleep(40 * time.Millisecond)
-			if _, err := r.ExchangeReliable([]int{0}, map[int]interface{}{0: testPayload(2, 0, 0)}, pol, nil); err != nil {
+			if _, err := r.ExchangeReliable([]int{0}, map[int]interface{}{0: testPayload(2, 0, 0)}, nil); err != nil {
 				fail(fmt.Errorf("rank 2 exchange: %w", err))
 			}
 		}

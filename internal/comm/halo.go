@@ -19,15 +19,14 @@ import (
 // exchanged packets, an "allreduces" counter and "allreduce" timer for
 // reductions, plus the reliable-exchange counters of ExchangeReliable.
 type Dist struct {
-	R   *Rank
-	L   *Layout
-	Pol RetryPolicy
-	Sc  *telemetry.Scope
+	R  *Rank
+	L  *Layout
+	Sc *telemetry.Scope
 }
 
 // NewDist builds rank r's distributed-vector handle over layout l.
 func NewDist(r *Rank, l *Layout, sc *telemetry.Scope) *Dist {
-	return &Dist{R: r, L: l, Pol: r.Policy(), Sc: sc}
+	return &Dist{R: r, L: l, Sc: sc}
 }
 
 // countPacket accounts one outgoing halo packet, charging the modeled
@@ -149,7 +148,7 @@ func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) error {
 		payload[n] = pk
 		d.countPacket(pk)
 	}
-	px := d.R.StartExchange(l.Neighbors, payload, d.Pol, d.Sc)
+	px := d.R.StartExchange(l.Neighbors, payload, d.Sc)
 	if overlap != nil {
 		overlap()
 	}
@@ -188,7 +187,7 @@ func (d *Dist) Broadcast(y []float64) error {
 		payload[n] = pk
 		d.countPacket(pk)
 	}
-	recv, err := d.R.ExchangeReliable(l.Neighbors, payload, d.Pol, d.Sc)
+	recv, err := d.R.ExchangeReliable(l.Neighbors, payload, d.Sc)
 	if err != nil {
 		return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 	}

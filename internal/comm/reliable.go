@@ -13,8 +13,11 @@ import (
 // payload travels in a sequence-numbered envelope with an optional
 // checksum; receivers acknowledge accepted data, dedupe retransmissions,
 // and request resends for missing or corrupt payloads; senders keep a
-// short retransmission history. All waits are timeout-bounded, so a
-// fault burst beyond the retry budget surfaces as a typed
+// short retransmission history. Liveness comes from the fabric, not from a
+// clock: an exchange retransmits only when the world has gone quiet (every
+// rank waiting, nothing in flight), which a rank that is merely computing
+// or stalled never causes. Each quiet round costs one unit of the retry
+// budget, so a fabric that loses everything surfaces as a typed
 // *ExchangeError instead of a deadlock — the caller aborts the step.
 
 // envKind discriminates protocol messages.
@@ -34,39 +37,6 @@ type envelope struct {
 	Sum     uint64
 	HasSum  bool
 	Payload interface{}
-}
-
-// RetryPolicy bounds one reliable exchange.
-type RetryPolicy struct {
-	// Timeout is the per-attempt wait before retransmitting data to
-	// unacked neighbours and requesting resends from silent ones.
-	Timeout time.Duration
-	// MaxRetries is the number of retransmission rounds after the first
-	// attempt; when exhausted the exchange fails with *ExchangeError.
-	MaxRetries int
-	// Backoff multiplies the timeout after every retry (values < 1 are
-	// treated as 1, i.e. constant timeout).
-	Backoff float64
-}
-
-// DefaultRetryPolicy returns the package defaults: 50 ms per attempt, 8
-// retries, 1.5× backoff — generous enough to ride out injected stalls
-// while still bounding every wait.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Timeout: 50 * time.Millisecond, MaxRetries: 8, Backoff: 1.5}
-}
-
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.Timeout <= 0 {
-		p.Timeout = 50 * time.Millisecond
-	}
-	if p.MaxRetries < 0 {
-		p.MaxRetries = 0
-	}
-	if p.Backoff < 1 {
-		p.Backoff = 1
-	}
-	return p
 }
 
 // ExchangeError reports an exchange that could not complete within its
@@ -174,8 +144,8 @@ func verifySum(env envelope) bool {
 // "exchanges"/"retries"/"resends_served"/"corrupt_rejected"/
 // "duplicates"/"recovered_exchanges"/"exchange_failures" counters and an
 // "exchange" timer.
-func (r *Rank) ExchangeReliable(neighbors []int, payload map[int]interface{}, pol RetryPolicy, sc *telemetry.Scope) (map[int]interface{}, error) {
-	return r.StartExchange(neighbors, payload, pol, sc).Wait()
+func (r *Rank) ExchangeReliable(neighbors []int, payload map[int]interface{}, sc *telemetry.Scope) (map[int]interface{}, error) {
+	return r.StartExchange(neighbors, payload, sc).Wait()
 }
 
 // PendingExchange is a reliable exchange whose first transmission is in
@@ -187,7 +157,6 @@ func (r *Rank) ExchangeReliable(neighbors []int, payload map[int]interface{}, po
 // flight, then Wait.
 type PendingExchange struct {
 	r        *Rank
-	pol      RetryPolicy
 	sc       *telemetry.Scope
 	seq      int64
 	telStart time.Time
@@ -203,9 +172,9 @@ type PendingExchange struct {
 // collective-order and symmetric-neighbour requirements of
 // ExchangeReliable apply; each StartExchange must be Wait-ed before the
 // rank issues another exchange.
-func (r *Rank) StartExchange(neighbors []int, payload map[int]interface{}, pol RetryPolicy, sc *telemetry.Scope) *PendingExchange {
+func (r *Rank) StartExchange(neighbors []int, payload map[int]interface{}, sc *telemetry.Scope) *PendingExchange {
 	px := &PendingExchange{
-		r: r, pol: pol.normalized(), sc: sc,
+		r: r, sc: sc,
 		telStart: sc.Timer("exchange").Start(),
 		got:      make(map[int]interface{}, len(neighbors)),
 		pending:  make(map[int]bool, len(neighbors)),
@@ -299,17 +268,18 @@ func (r *Rank) dispatch(px *PendingExchange, m message) {
 
 // Wait runs the receive/retry loop to completion and returns the
 // verified payloads keyed by source (or a typed *ExchangeError once the
-// retry budget is exhausted). Each attempt is one deadline on the rank's
-// one mailbox: whatever arrives, from whichever rank, is dispatched until
-// nothing of this exchange is outstanding or the deadline passes.
+// retry budget is exhausted). It pulls and dispatches whatever arrives on
+// the rank's one mailbox, from whichever rank, until nothing of this
+// exchange is outstanding. A peer that is slow, computing or stalled is
+// waited for; only when the whole world has gone quiet with the exchange
+// still outstanding — a message lost, not late — does it retransmit. It
+// gives up at the quiet after its Retries-th retransmission.
 func (px *PendingExchange) Wait() (map[int]interface{}, error) {
 	r, sc := px.r, px.sc
-	timeout := px.pol.Timeout
 	attempts := 0
 	for {
-		deadline := time.Now().Add(timeout)
 		for len(px.pending) > 0 || len(px.unacked) > 0 {
-			m, ok := r.W.inbox[r.ID].pull(deadline)
+			m, ok := r.W.pull(r.ID, true)
 			if !ok {
 				break
 			}
@@ -323,7 +293,7 @@ func (px *PendingExchange) Wait() (map[int]interface{}, error) {
 			}
 			return px.got, nil
 		}
-		if attempts >= px.pol.MaxRetries {
+		if attempts == Retries {
 			break
 		}
 		attempts++
@@ -338,7 +308,6 @@ func (px *PendingExchange) Wait() (map[int]interface{}, error) {
 		for n := range px.pending {
 			r.sendEnvelope(n, envelope{Kind: envResend, Seq: px.seq, From: r.ID})
 		}
-		timeout = time.Duration(float64(timeout) * px.pol.Backoff)
 	}
 	sc.Timer("exchange").Stop(px.telStart)
 	sc.Counter("exchange_failures").Inc()

@@ -68,24 +68,20 @@ func TestSoakReliableExchange64Ranks(t *testing.T) {
 		MaxCorrupts: 40,
 	}
 	w.SetFaultPlan(fp)
-	// 64 goroutines share the host cores, so individual acks can be
-	// slow without anything being wrong: generous per-attempt timeout,
-	// enough retries to ride out the whole fault budget.
-	pol := RetryPolicy{Timeout: 100 * time.Millisecond, MaxRetries: 12, Backoff: 1.5}
 	reg := telemetry.New()
 
 	var mu sync.Mutex
 	var failures []error
 	w.Run(func(r *Rank) {
 		sc := reg.Root().Child("soak").Child(fmt.Sprintf("rank%d", r.ID))
-		d := &Dist{R: r, Pol: pol, Sc: sc}
+		d := &Dist{R: r, Sc: sc}
 		for m := 0; m < rounds; m++ {
 			nbrs := soakGraph(n, r.ID, m)
 			payload := map[int]interface{}{}
 			for _, nb := range nbrs {
 				payload[nb] = testPayload(r.ID, nb, m)
 			}
-			got, err := r.ExchangeReliable(nbrs, payload, pol, sc)
+			got, err := r.ExchangeReliable(nbrs, payload, sc)
 			if err != nil {
 				mu.Lock()
 				failures = append(failures, fmt.Errorf("rank %d round %d: %w", r.ID, m, err))
@@ -139,10 +135,11 @@ func TestSoakReliableExchange64Ranks(t *testing.T) {
 
 // TestFaultFreeExchangeNeverRetries runs the soak's traffic — 64 ranks,
 // round-varying circulant+hub graphs, an allreduce every third round — with
-// no fault plan and the default policy. Nothing is lost, so nothing may be
-// sent twice: a retry here is a timeout that fired on scheduling, which is
-// what P² polled channels produced (187 to 326 retries at PR 23) and what one
-// mailbox per rank cannot.
+// no fault plan. Nothing is lost, so nothing may be sent twice: with
+// liveness taken from the fabric the world is never quiet while a message
+// is in flight or a rank computes, so no scheduling, however unfair, makes
+// an exchange retransmit (P² polled channels with a clock made 187 to 326
+// of them here).
 func TestFaultFreeExchangeNeverRetries(t *testing.T) {
 	const n, rounds = 64, 24
 	w := NewWorld(n)
@@ -152,14 +149,14 @@ func TestFaultFreeExchangeNeverRetries(t *testing.T) {
 	}
 	w.Run(func(r *Rank) {
 		sc := scope(r.ID)
-		d := &Dist{R: r, Pol: r.Policy(), Sc: sc}
+		d := &Dist{R: r, Sc: sc}
 		for m := 0; m < rounds; m++ {
 			nbrs := soakGraph(n, r.ID, m)
 			payload := map[int]interface{}{}
 			for _, nb := range nbrs {
 				payload[nb] = testPayload(r.ID, nb, m)
 			}
-			got, err := r.ExchangeReliable(nbrs, payload, d.Pol, sc)
+			got, err := r.ExchangeReliable(nbrs, payload, sc)
 			if err != nil {
 				t.Errorf("rank %d round %d: %v", r.ID, m, err)
 				return

@@ -6,9 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
-	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
@@ -298,8 +296,21 @@ func TestRunRecordsKrylovFallbacks(t *testing.T) {
 	}
 }
 
+// lossyComm is the distributed backend with rank i's stats reporting i+1
+// retransmission rounds per step, as a solve over a lossy fabric would
+// (stokes' TestLossyFabricSameSolve makes real ones).
+type lossyComm struct{ *model.DistributedBackend }
+
+func (b lossyComm) TakeCommStats() []stokes.RankStats {
+	ranks := b.DistributedBackend.TakeCommStats()
+	for i := range ranks {
+		ranks[i].Retries += int64(i + 1)
+	}
+	return ranks
+}
+
 // TestRunDistributedRecordsComm: a distributed run labels its stats and
-// reports fabric traffic in the JSON record.
+// reports fabric traffic in the JSON record, retransmissions included.
 func TestRunDistributedRecordsComm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -320,18 +331,18 @@ func TestRunDistributedRecordsComm(t *testing.T) {
 	if rec.Steps[0].HaloMsgs == 0 || rec.Steps[0].AllReduces == 0 {
 		t.Fatalf("no communication recorded: %+v", rec.Steps[0])
 	}
-	// Zero on a fault-free fabric, which is Smoke's to assert (it runs
-	// alone; a test sharing the host can be descheduled past a timeout).
-	if n := rec.Steps[0].Retries; n != m.Stats[0].Retries {
-		t.Fatalf("retries in the record %d, in the step stats %d", n, m.Stats[0].Retries)
+	// Zero on a fault-free fabric whatever the host's scheduling: an
+	// exchange retransmits only when the simulated world has gone quiet,
+	// and nothing is lost here.
+	if n := rec.Steps[0].Retries; n != 0 || m.Stats[0].Retries != 0 {
+		t.Fatalf("retries in the record %d, in the step stats %d, want 0", n, m.Stats[0].Retries)
 	}
 
-	// The same step under an attempt deadline no reply can meet: the
-	// retransmissions reach the record, the iterations do not move.
+	// Reported retransmissions reach the step stats, the telemetry and the
+	// record: 1 + 2 on two ranks.
 	m2 := smallSinker(t, 2)
-	m2.Backend = model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{
-		Policy: comm.RetryPolicy{Timeout: time.Microsecond, MaxRetries: 60, Backoff: 1.5},
-	})
+	m2.Telemetry = telemetry.New().Root().Child("model")
+	m2.Backend = lossyComm{model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})}
 	js.Reset()
 	if err := Run(m2, Config{Steps: 1, Out: &bytes.Buffer{}, JSONOut: &js, Scenario: "sinker"}); err != nil {
 		t.Fatal(err)
@@ -340,10 +351,8 @@ func TestRunDistributedRecordsComm(t *testing.T) {
 	if err := json.Unmarshal(js.Bytes(), &rec2); err != nil {
 		t.Fatal(err)
 	}
-	if n := rec2.Steps[0].Retries; n == 0 || n != m2.Stats[0].Retries {
-		t.Fatalf("retries in the record %d, in the step stats %d, want equal and positive", n, m2.Stats[0].Retries)
-	}
-	if rec2.Steps[0].KrylovIts != rec.Steps[0].KrylovIts {
-		t.Fatalf("retransmissions moved the solve: %d iterations, %d without", rec2.Steps[0].KrylovIts, rec.Steps[0].KrylovIts)
+	n, st, tel := rec2.Steps[0].Retries, m2.Stats[0].Retries, m2.Telemetry.Counter("retries").Value()
+	if n != 3 || st != 3 || tel != 3 {
+		t.Fatalf("retries in the record %d, in the step stats %d, in the telemetry %d; want 3", n, st, tel)
 	}
 }

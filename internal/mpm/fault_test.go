@@ -38,7 +38,6 @@ func TestMigrateUnderCorruption(t *testing.T) {
 	w := comm.NewWorld(d.Size())
 	fp := &comm.FaultPlan{Seed: 5, CorruptProb: 1, MaxCorrupts: 4}
 	w.SetFaultPlan(fp)
-	w.SetRetryPolicy(comm.RetryPolicy{Timeout: 10 * time.Millisecond, MaxRetries: 30, Backoff: 1.2})
 
 	u := la.NewVec(p.DA.NVelDOF())
 	for n := 0; n < p.DA.NNodes(); n++ {
@@ -113,7 +112,6 @@ func TestMigrateExchangeFailure(t *testing.T) {
 	}
 	w := comm.NewWorld(d.Size())
 	w.SetFaultPlan(&comm.FaultPlan{Seed: 2, DropProb: 1})
-	w.SetRetryPolicy(comm.RetryPolicy{Timeout: 5 * time.Millisecond, MaxRetries: 2, Backoff: 1})
 
 	u := la.NewVec(p.DA.NVelDOF())
 	for n := 0; n < p.DA.NNodes(); n++ {

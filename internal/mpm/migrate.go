@@ -88,7 +88,7 @@ type MigrateStats struct {
 // per-rank children keep the numbers attributable.
 //
 // The Ls/Lr shipment runs over the reliable exchange protocol with the
-// world's retry policy: dropped or corrupted point payloads are detected
+// world's retry budget: dropped or corrupted point payloads are detected
 // (checksummed) and retransmitted; an exchange that cannot complete
 // within the retry budget returns a typed error wrapping
 // *comm.ExchangeError, with the local point population left in its
@@ -122,7 +122,7 @@ func Migrate(r *comm.Rank, d *comm.Decomp, prob *fem.Problem, pts *Points, sc *t
 	for _, n := range nbrs {
 		payload[n] = &ls
 	}
-	recv, err := r.ExchangeReliable(nbrs, payload, r.Policy(), sc)
+	recv, err := r.ExchangeReliable(nbrs, payload, sc)
 	if err != nil {
 		sc.Timer("migrate").Stop(telStart)
 		sc.Counter("migrate_failures").Inc()

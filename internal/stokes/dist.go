@@ -57,9 +57,10 @@ type DistOptions struct {
 	// Fabric, when non-nil, prices every interconnect operation of the
 	// solve in modeled nanoseconds (RankStats.Fabric*Ns).
 	Fabric comm.FabricModel
-	// Policy overrides the world retry policy when non-zero — high rank
-	// counts on few host cores need more generous timeouts.
-	Policy comm.RetryPolicy
+
+	// fault, when non-nil, injects losses into the solve's reliable
+	// exchanges (the package's tests of recovery inside a solve).
+	fault *comm.FaultPlan
 }
 
 // errSink records the first asynchronous failure of a rank's solve
@@ -181,7 +182,7 @@ func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 // update. Returns rank 0's Result (all ranks follow the identical
 // trajectory) plus the per-rank communication statistics. opt selects
 // pipelined batched-reduction Krylov, coarse-solve agglomeration onto a rank
-// subset, a fabric cost model, and a retry-policy override.
+// subset and a fabric cost model.
 //
 // Requires a geometric multigrid configuration (Levels >= 2) whose
 // per-level decompositions nest: px, py, pz must divide the per-level
@@ -327,9 +328,7 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 	if opt.Fabric != nil {
 		w.SetFabric(opt.Fabric)
 	}
-	if opt.Policy != (comm.RetryPolicy{}) {
-		w.SetRetryPolicy(opt.Policy)
-	}
+	w.SetFaultPlan(opt.fault)
 	var (
 		mu      sync.Mutex
 		res     krylov.Result
@@ -344,11 +343,6 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 			dists[l] = comm.NewDist(r, layouts[l][r.ID], sc)
 		}
 		dmg, err := mg.NewDist(s.MG, dists, mg.DistOptions{Agg: agg})
-		// Ranks enter the solve together. Their set-up above runs P wide on
-		// the host's few cores, so the first rank done would otherwise wait
-		// in its first exchange for peers that have not started theirs, for
-		// longer than a retry timeout: retransmissions with nothing lost.
-		r.Barrier()
 		if err != nil {
 			rankErr[r.ID] = err
 			// Stay collective even on failure: every other rank will

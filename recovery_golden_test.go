@@ -60,7 +60,6 @@ func TestGoldenRecoverySinker3(t *testing.T) {
 		StallRank: 1, StallExchange: 0, StallDuration: 50 * time.Millisecond,
 	}
 	w.SetFaultPlan(fp)
-	w.SetRetryPolicy(comm.RetryPolicy{Timeout: 25 * time.Millisecond, MaxRetries: 10, Backoff: 1.5})
 
 	reg := telemetry.New()
 	results := make([]la.Vec, d.Size())
