@@ -23,6 +23,7 @@ import (
 	"testing"
 
 	"ptatin3d/internal/fem"
+	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/mg"
@@ -337,6 +338,48 @@ func BenchmarkVCycle(b *testing.B) {
 			copy(X, u)
 			layer("matvec", func() { s.Op.Apply(X, Y) })
 		}
+	}
+}
+
+// --- Coarse solver ----------------------------------------------------
+//
+// BenchmarkASMApply times one application of the rift's coarse-level
+// Schwarz preconditioner (8 subdomains, overlap 4, ILU(0): the "asmcg"
+// coarse solver's, on the small rift's coarsest matrix at its cold
+// set-up) at 1 and 2 workers. Each subdomain solve is a forward and a
+// backward sweep over its factor, which is bound by the bytes it streams:
+// ns/entry divides the time by the stored entries of the coarse matrix.
+func BenchmarkASMApply(b *testing.B) {
+	spec, err := scenario.Get("rift")
+	if err != nil {
+		b.Fatal(err)
+	}
+	spec.Resolution = spec.SmallResolution()
+	mdl := scenario.MustCompile(spec, 1)
+	s, _, err := mdl.LinearStokes(nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a := s.MG.Levels[len(s.MG.Levels)-1].Op.CSR()
+	r, z := la.NewVec(a.NRows), la.NewVec(a.NRows)
+	for i := range r {
+		r[i] = math.Sin(float64(i))
+	}
+	for _, w := range []int{1, 2} {
+		asm, err := krylov.NewASM(a, krylov.ASMOptions{Subdomains: 8, Overlap: 4, Workers: w})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
+			asm.Apply(r, z) // warm
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				asm.Apply(r, z)
+			}
+			per := b.Elapsed().Seconds() / float64(b.N)
+			b.ReportMetric(1e3*per, "ms/apply")
+			b.ReportMetric(1e9*per/float64(a.NNZ()), "ns/entry")
+		})
 	}
 }
 

@@ -65,29 +65,44 @@ func StrainRateAtQP(p *Problem, u la.Vec, d6, eII []float64) {
 	})
 }
 
-// StrainRateAtPoint evaluates ε̇_II of the cursor's velocity state at
-// reference position (xi,et,ze) of the element it holds — the
-// material-point state feeding the flow laws (paper §II-C).
-func StrainRateAtPoint(c *ElemCursor, xi, et, ze float64) float64 {
+// PointJacobianInverse computes into inv the inverse of the element map's
+// Jacobian at reference position (xi,et,ze) of the element the cursor
+// holds, row-major as la.Invert3 leaves it. It depends on the mesh and
+// the point alone, so a loop that evaluates StrainRateAtPoint at the same
+// points on the same mesh more than once computes it once.
+func PointJacobianInverse(c *ElemCursor, xi, et, ze float64, inv *[9]float64) {
 	var gb [27][3]float64
 	Q2Grad(xi, et, ze, &gb)
 	var jmat [9]float64
-	var gref [9]float64 // ∂u_a/∂ξ_d
 	for n := 0; n < 27; n++ {
 		cx, cy, cz := c.Xe[3*n], c.Xe[3*n+1], c.Xe[3*n+2]
-		ux, uy, uz := c.Ue[3*n], c.Ue[3*n+1], c.Ue[3*n+2]
 		for d := 0; d < 3; d++ {
 			g := gb[n][d]
 			jmat[d*3] += g * cx
 			jmat[d*3+1] += g * cy
 			jmat[d*3+2] += g * cz
+		}
+	}
+	la.Invert3(&jmat, inv)
+}
+
+// StrainRateAtPoint evaluates ε̇_II of the cursor's velocity state at
+// reference position (xi,et,ze) of the element it holds — the
+// material-point state feeding the flow laws (paper §II-C). inv is the
+// point's PointJacobianInverse.
+func StrainRateAtPoint(c *ElemCursor, xi, et, ze float64, inv *[9]float64) float64 {
+	var gb [27][3]float64
+	Q2Grad(xi, et, ze, &gb)
+	var gref [9]float64 // ∂u_a/∂ξ_d
+	for n := 0; n < 27; n++ {
+		ux, uy, uz := c.Ue[3*n], c.Ue[3*n+1], c.Ue[3*n+2]
+		for d := 0; d < 3; d++ {
+			g := gb[n][d]
 			gref[0*3+d] += g * ux
 			gref[1*3+d] += g * uy
 			gref[2*3+d] += g * uz
 		}
 	}
-	var inv [9]float64
-	la.Invert3(&jmat, &inv)
 	// jinv[d][m] = inv[m][d]; Gp[a][m] = Σ_d gref[a][d]·jinv[d][m].
 	var gp [9]float64
 	for a := 0; a < 3; a++ {

@@ -47,7 +47,9 @@ func TestStrainRateLinearField(t *testing.T) {
 	// Point evaluation agrees.
 	cur := p.Cursor(u, nil)
 	cur.Seek(3)
-	got := StrainRateAtPoint(&cur, 0.3, -0.2, 0.7)
+	var inv [9]float64
+	PointJacobianInverse(&cur, 0.3, -0.2, 0.7, &inv)
+	got := StrainRateAtPoint(&cur, 0.3, -0.2, 0.7, &inv)
 	if math.Abs(got-wantII) > 1e-11 {
 		t.Fatalf("point ε̇_II = %v, want %v", got, wantII)
 	}

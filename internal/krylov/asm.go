@@ -2,46 +2,49 @@ package krylov
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/par"
 )
 
-// ASM is an overlapping additive Schwarz preconditioner (paper §V-A): the
-// unknowns are split into contiguous base blocks ("subdomains"), each
-// grown by `overlap` levels of matrix-graph adjacency; subdomain problems
-// are solved by ILU(0) (the paper's choice) or exact LU. By default the
-// restricted variant (RAS) is used — corrections are scattered back only
-// to the base block — matching PETSc's default and avoiding double
-// counting in overlap regions.
+// ASM is an overlapping restricted additive Schwarz preconditioner (RAS,
+// paper §V-A): the unknowns are split into contiguous base blocks
+// ("subdomains"), each grown by `overlap` levels of matrix-graph
+// adjacency and solved by ILU(0) (the paper's choice); corrections are
+// scattered back only to the base block, matching PETSc's default and
+// avoiding double counting in overlap regions.
 //
 // Construction, Refresh and Apply run the subdomains on Workers pool
-// workers. Every subdomain's arithmetic is its own and RAS writes disjoint
-// base rows (the additive variant scatter-adds in ascending subdomain
-// order after the parallel solves), so the result is bit-identical at any
-// worker count. Apply uses per-subdomain work vectors held by the
-// instance: it is NOT safe for concurrent Apply calls on one ASM.
+// workers. Every subdomain's arithmetic is its own and the base blocks
+// are disjoint, so the result is bit-identical at any worker count. Apply
+// uses per-subdomain work vectors held by the instance: it is NOT safe
+// for concurrent Apply calls on one ASM.
 type ASM struct {
-	subs     []asmSub
-	restrict bool
-	exact    bool
-	workers  int
+	subs    []asmSub
+	workers int
 }
 
 // asmSub is one overlapped subdomain. Its matrix is the principal
 // submatrix of the global one on rows, without the entries that are
-// exactly zero (they would otherwise take ILU(0) fill).
+// exactly zero (they would otherwise take ILU(0) fill); only its factor is
+// stored, with the positions in the global matrix its entries come from.
 type asmSub struct {
 	rows []int // global row indices, ascending
 	// The base block is a contiguous global range and rows ascend, so it
 	// is the contiguous local range [first, last).
 	first, last int
 
-	mat    *la.CSR
-	ilu    *la.ILU0 // Exact=false
-	lu     *la.LU   // Exact=true
-	rl, zl la.Vec
+	ilu *la.ILU0
+	// at[e] is the global matrix entry (an index of its Val) of the
+	// factor's e-th entry (la.ILU0.Refactor); zeros are the entries
+	// of the global matrix inside the subdomain that were exactly zero
+	// when the pattern was built. Together they are the whole
+	// principal submatrix, so the pattern holds while every entry of at
+	// is nonzero and every entry of zeros is zero.
+	at, zeros []int32
+	rl, zl    la.Vec
 }
 
 // asmMarks maps global rows to one subdomain at a time: row g belongs to
@@ -65,11 +68,9 @@ func (m *asmMarks) local(g int) int {
 
 // ASMOptions configures NewASM.
 type ASMOptions struct {
-	Subdomains int  // number of base blocks
-	Overlap    int  // graph-adjacency overlap levels (paper uses 4)
-	Exact      bool // dense LU subdomain solves instead of ILU(0)
-	Additive   bool // plain additive instead of restricted (RAS)
-	Workers    int  // pool workers for set-up and Apply (<= 1: serial)
+	Subdomains int // number of base blocks
+	Overlap    int // graph-adjacency overlap levels (paper uses 4)
+	Workers    int // pool workers for set-up and Apply (<= 1: serial)
 }
 
 // NewASM builds the preconditioner for the CSR matrix a.
@@ -77,7 +78,10 @@ func NewASM(a *la.CSR, opt ASMOptions) (*ASM, error) {
 	n := a.NRows
 	nsub := min(max(1, opt.Subdomains), n)
 	chunk := (n + nsub - 1) / nsub
-	asm := &ASM{restrict: !opt.Additive, exact: opt.Exact, workers: max(1, opt.Workers)}
+	if len(a.Val) > math.MaxInt32 {
+		return nil, fmt.Errorf("krylov: ASM of a matrix with %d stored entries: more than int32 indices address", len(a.Val))
+	}
+	asm := &ASM{workers: max(1, opt.Workers)}
 	asm.subs = make([]asmSub, (n+chunk-1)/chunk)
 	return asm, asm.setup(a, func(s int, sub *asmSub, m *asmMarks) {
 		lo := s * chunk
@@ -87,8 +91,8 @@ func NewASM(a *la.CSR, opt ASMOptions) (*ASM, error) {
 
 // Refresh recomputes the subdomain solvers from new values of a, which
 // must have the sparsity pattern the ASM was built on: row sets, base
-// masks and the subdomain matrix and ILU(0) patterns are kept, and the
-// result is bit-identical to NewASM on the same values.
+// blocks and the subdomain ILU(0) factors are kept, and the result is
+// bit-identical to NewASM on the same values.
 func (asm *ASM) Refresh(a *la.CSR) error {
 	return asm.setup(a, func(_ int, sub *asmSub, m *asmMarks) { m.enter(sub.rows) })
 }
@@ -102,7 +106,7 @@ func (asm *ASM) setup(a *la.CSR, enter func(s int, sub *asmSub, m *asmMarks)) er
 		for s := slo; s < shi; s++ {
 			sub := &asm.subs[s]
 			enter(s, sub, m)
-			errs[s] = sub.factor(a, asm.exact, m)
+			errs[s] = sub.factor(a, m)
 		}
 	})
 	for _, err := range errs {
@@ -153,37 +157,39 @@ func (sub *asmSub) grow(a *la.CSR, lo, hi, overlap int, m *asmMarks) {
 	sub.rl, sub.zl = la.NewVec(len(rows)), la.NewVec(len(rows))
 }
 
-// factor (re)computes the subdomain solver from a's current values,
-// keeping the matrix and ILU(0) patterns when the set of nonzero entries
-// has not changed. m must be on the subdomain.
-func (sub *asmSub) factor(a *la.CSR, exact bool, m *asmMarks) error {
-	nl := len(sub.rows)
-	if exact {
-		d := la.NewDense(nl, nl)
-		for l, g := range sub.rows {
-			for k := a.RowPtr[g]; k < a.RowPtr[g+1]; k++ {
-				if c := m.local(a.ColInd[k]); c >= 0 {
-					d.Add(l, c, a.Val[k])
+// factor (re)computes the subdomain solver from a's current values: in
+// place on the factor while the set of nonzero entries has not changed,
+// else on a new pattern. m must be on the subdomain.
+func (sub *asmSub) factor(a *la.CSR, m *asmMarks) error {
+	if sub.ilu != nil && sub.patternHolds(a) {
+		return sub.ilu.Refactor(a, sub.at)
+	}
+	// Counted first, so that the maps, which live as long as the factor,
+	// and the matrix, which goes once it is factored, are sized exactly.
+	nl, nnz, nzero := len(sub.rows), 0, 0
+	for _, g := range sub.rows {
+		for k := a.RowPtr[g]; k < a.RowPtr[g+1]; k++ {
+			if m.local(a.ColInd[k]) >= 0 {
+				if a.Val[k] != 0 {
+					nnz++
+				} else {
+					nzero++
 				}
 			}
 		}
-		f, err := la.Factor(d)
-		if err != nil {
-			return fmt.Errorf("krylov: ASM subdomain LU: %w", err)
-		}
-		sub.lu = f
-		return nil
 	}
-	if sub.load(a, m) {
-		sub.ilu.Refactor(sub.mat)
-		return nil
-	}
-	mat := &la.CSR{NRows: nl, NCols: nl, RowPtr: make([]int, nl+1)}
+	mat := &la.CSR{NRows: nl, NCols: nl, RowPtr: make([]int, nl+1), ColInd: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
+	at, zeros := make([]int32, 0, nnz), make([]int32, 0, nzero)
 	for l, g := range sub.rows {
 		for k := a.RowPtr[g]; k < a.RowPtr[g+1]; k++ {
-			if c := m.local(a.ColInd[k]); c >= 0 && a.Val[k] != 0 {
+			switch c := m.local(a.ColInd[k]); {
+			case c < 0:
+			case a.Val[k] == 0:
+				zeros = append(zeros, int32(k))
+			default:
 				mat.ColInd = append(mat.ColInd, c)
 				mat.Val = append(mat.Val, a.Val[k])
+				at = append(at, int32(k))
 			}
 		}
 		mat.RowPtr[l+1] = len(mat.Val)
@@ -192,39 +198,27 @@ func (sub *asmSub) factor(a *la.CSR, exact bool, m *asmMarks) error {
 	if err != nil {
 		return fmt.Errorf("krylov: ASM subdomain ILU(0): %w", err)
 	}
-	sub.mat, sub.ilu = mat, f
+	sub.ilu, sub.at, sub.zeros = f, at, zeros
 	return nil
 }
 
-// load copies a's current values into the subdomain matrix. It reports
-// false, leaving the matrix to be rebuilt, when there is none yet or the
-// nonzero entries no longer sit where its pattern has them.
-func (sub *asmSub) load(a *la.CSR, m *asmMarks) bool {
-	mat := sub.mat
-	if mat == nil {
-		return false
-	}
-	for l, g := range sub.rows {
-		p, end := mat.RowPtr[l], mat.RowPtr[l+1]
-		for k := a.RowPtr[g]; k < a.RowPtr[g+1]; k++ {
-			c := m.local(a.ColInd[k])
-			if c < 0 || a.Val[k] == 0 {
-				continue
-			}
-			if p == end || mat.ColInd[p] != c {
-				return false
-			}
-			mat.Val[p] = a.Val[k]
-			p++
+// patternHolds reports whether the nonzero entries of a inside the
+// subdomain are still those the factor's pattern was built on.
+func (sub *asmSub) patternHolds(a *la.CSR) bool {
+	for _, k := range sub.at {
+		if a.Val[k] == 0 {
+			return false
 		}
-		if p != end {
+	}
+	for _, k := range sub.zeros {
+		if a.Val[k] != 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// Apply computes z = Σ_i Rᵢᵀ·Aᵢ⁻¹·Rᵢ·r (restricted by default).
+// Apply computes z = Σ_i Rᵢᵀ·Aᵢ⁻¹·Rᵢ·r with Rᵢᵀ restricted to base block i.
 func (asm *ASM) Apply(r, z la.Vec) {
 	par.For(asm.workers, len(asm.subs), func(slo, shi int) {
 		for s := slo; s < shi; s++ {
@@ -232,33 +226,14 @@ func (asm *ASM) Apply(r, z la.Vec) {
 			for l, g := range sub.rows {
 				sub.rl[l] = r[g]
 			}
-			switch {
-			case sub.lu != nil:
-				sub.lu.Solve(sub.rl, sub.zl)
-			case asm.restrict:
-				// Only the base rows are read below: stop the back-sweep
-				// at the first of them.
-				sub.ilu.SolveFrom(sub.rl, sub.zl, sub.first)
-			default:
-				sub.ilu.Solve(sub.rl, sub.zl)
-			}
-			if asm.restrict {
-				// The base blocks partition the rows: every z[g] is
-				// written, by exactly one subdomain.
-				for l := sub.first; l < sub.last; l++ {
-					z[sub.rows[l]] = sub.zl[l]
-				}
+			// Only the base rows are read below: stop the back-sweep at
+			// the first of them.
+			sub.ilu.SolveFrom(sub.rl, sub.zl, sub.first)
+			// The base blocks partition the rows: every z[g] is written,
+			// by exactly one subdomain.
+			for l := sub.first; l < sub.last; l++ {
+				z[sub.rows[l]] = sub.zl[l]
 			}
 		}
 	})
-	if asm.restrict {
-		return
-	}
-	z.Zero()
-	for s := range asm.subs {
-		sub := &asm.subs[s]
-		for l, g := range sub.rows {
-			z[g] += sub.zl[l]
-		}
-	}
 }

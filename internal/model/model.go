@@ -107,6 +107,12 @@ type Model struct {
 		etaP, rhoP, facP []float64 // per material point
 		facQP, d6        []float64 // per quadrature point (Newton)
 		bu, coeffX       la.Vec
+		// jinvP holds 9 floats per material point: its inverse Jacobian
+		// (fem.PointJacobianInverse), filled by the first coefficient
+		// update of a solve and read by the later ones and by the plastic
+		// pass after it (points and mesh do not move in between). Nil
+		// while no lithology reads the strain rate.
+		jinvP []float64
 	}
 }
 
@@ -210,8 +216,10 @@ type StepStats struct {
 // pointState evaluates the rheological state of material point i for the
 // coupled state whose velocity and temperature c gathers and whose
 // pressure is pv — only the fields its lithology's laws read (the others
-// stay zero: they cannot change what the laws return).
-func (m *Model) pointState(c *fem.ElemCursor, pv la.Vec, i int) rheology.State {
+// stay zero: they cannot change what the laws return). With first it
+// computes the point's inverse Jacobian into the solve's store, else it
+// reads what the first update of the solve left there.
+func (m *Model) pointState(c *fem.ElemCursor, pv la.Vec, i int, first bool) rheology.State {
 	pts := m.Points
 	st := rheology.State{PlasticStrain: pts.Plastic[i]}
 	reads := m.Lith[pts.Litho[i]].Reads()
@@ -221,7 +229,11 @@ func (m *Model) pointState(c *fem.ElemCursor, pv la.Vec, i int) rheology.State {
 	}
 	c.Seek(int(pts.Elem[i]))
 	if reads.StrainRate {
-		st.StrainRateII = fem.StrainRateAtPoint(c, pts.Xi[i], pts.Et[i], pts.Ze[i])
+		inv := (*[9]float64)(m.scratch.jinvP[9*i:])
+		if first {
+			fem.PointJacobianInverse(c, pts.Xi[i], pts.Et[i], pts.Ze[i], inv)
+		}
+		st.StrainRateII = fem.StrainRateAtPoint(c, pts.Xi[i], pts.Et[i], pts.Ze[i], inv)
 	}
 	if reads.Pressure {
 		st.Pressure = fem.EvalPressure(c, pv, pts.X[i], pts.Y[i], pts.Z[i])
@@ -245,6 +257,17 @@ func (m *Model) readsState() bool {
 	return false
 }
 
+// readsStrainRate reports whether some lithology's laws read ε̇_II, the
+// one field that needs the points' inverse Jacobians.
+func (m *Model) readsStrainRate() bool {
+	for i := range m.Lith {
+		if m.Lith[i].Reads().StrainRate {
+			return true
+		}
+	}
+	return false
+}
+
 // stateCursor returns the cursor and pressure block pointState reads the
 // coupled state x through.
 func (m *Model) stateCursor(x la.Vec) (fem.ElemCursor, la.Vec) {
@@ -261,15 +284,19 @@ func (m *Model) UpdateCoefficients(x la.Vec, wantDeriv bool) (facQP []float64) {
 	return m.updateCoefficients(x, wantDeriv, true)
 }
 
-// updateCoefficients is UpdateCoefficients with the density optional:
-// without it, ρ is neither evaluated, projected nor installed, and the
-// vertex and quadrature-point densities keep what the last update with
-// it left.
-func (m *Model) updateCoefficients(x la.Vec, wantDeriv, density bool) (facQP []float64) {
+// updateCoefficients is UpdateCoefficients as the updates of one solve
+// run it. The first evaluates, projects and installs ρ and computes the
+// points' inverse Jacobians; the later ones reuse both — points,
+// temperature and mesh do not change inside a solve — so the vertex and
+// quadrature-point densities keep what the first left.
+func (m *Model) updateCoefficients(x la.Vec, wantDeriv, first bool) (facQP []float64) {
 	pts := m.Points
 	n := pts.Len()
 	sc := &m.scratch
 	sc.etaP, sc.rhoP = grown(sc.etaP, n), grown(sc.rhoP, n)
+	if first && m.readsStrainRate() {
+		sc.jinvP = grown(sc.jinvP, 9*n)
+	}
 	etaP, rhoP := sc.etaP, sc.rhoP
 	var facP []float64
 	if wantDeriv {
@@ -287,7 +314,7 @@ func (m *Model) updateCoefficients(x la.Vec, wantDeriv, density bool) (facQP []f
 		c := cur
 		defer c.Done()
 		for i := lo; i < hi; i++ {
-			st := m.pointState(&c, pv, i)
+			st := m.pointState(&c, pv, i, first)
 			l := &m.Lith[pts.Litho[i]]
 			if wantDeriv {
 				eta, d := l.EffectiveViscosityDerivative(st)
@@ -310,7 +337,7 @@ func (m *Model) updateCoefficients(x la.Vec, wantDeriv, density bool) (facQP []f
 			} else {
 				etaP[i], _ = l.EffectiveViscosity(st)
 			}
-			if density {
+			if first {
 				rhoP[i] = l.Density(st)
 			}
 		}
@@ -321,7 +348,7 @@ func (m *Model) updateCoefficients(x la.Vec, wantDeriv, density bool) (facQP []f
 		m.projector = mpm.NewProjector(m.Prob)
 	}
 	etaOf := func(i int) float64 { return etaP[i] }
-	if density {
+	if first {
 		m.etaV, m.rhoV = m.projector.ProjectLithologyFields(pts, etaOf,
 			func(i int) float64 { return rhoP[i] }, m.etaV, m.rhoV)
 	} else {
@@ -414,7 +441,9 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	// do not depend on the state at all and the first evaluation holds for
 	// the whole solve. ρ reads the temperature alone (Lithology.Density),
 	// so only the first update evaluates, projects and installs it, and
-	// the load vector, which depends on ρ and the mesh only, is built once.
+	// the load vector, which depends on ρ and the mesh only, is built once;
+	// the points' inverse Jacobians, which depend on the points and the
+	// mesh only, are computed by the first update too.
 	coeffX, coeffValid, buValid := sc.coeffX, false, false
 	stateFree := !m.readsState()
 	updateCoefficients := func(x la.Vec, wantDeriv bool) []float64 {
@@ -547,9 +576,10 @@ func (m *Model) StepForward() error {
 	}
 
 	// Accumulate plastic strain on yielding points (history variable
-	// update of §V-A) using the converged state. Each point writes only
-	// its own slot, so the loop runs on the worker pool. A lithology
-	// without Plastic has an infinite yield viscosity and never yields.
+	// update of §V-A) using the converged state, on the inverse Jacobians
+	// the solve computed. Each point writes only its own slot, so the loop
+	// runs on the worker pool. A lithology without Plastic has an infinite
+	// yield viscosity and never yields.
 	tPlastic := time.Now()
 	cur, pv := m.stateCursor(m.X)
 	par.For(max(1, m.Workers), m.Points.Len(), func(lo, hi int) {
@@ -560,7 +590,7 @@ func (m *Model) StepForward() error {
 			if !l.Plastic {
 				continue
 			}
-			st := m.pointState(&c, pv, i)
+			st := m.pointState(&c, pv, i, false)
 			if _, yielding := l.EffectiveViscosity(st); yielding {
 				m.Points.Plastic[i] += dt * st.StrainRateII
 			}

@@ -224,7 +224,9 @@ func TestElementCursorBitwise(t *testing.T) {
 			if !sameBits(vx, wx) || !sameBits(vy, wy) || !sameBits(vz, wz) {
 				t.Fatalf("pass %d point %d: VelocityAt (%v,%v,%v), want (%v,%v,%v)", pass, i, vx, vy, vz, wx, wy, wz)
 			}
-			if got, want := fem.StrainRateAtPoint(&c, xi, et, ze), refStrainRateAtPoint(prob, u, e, xi, et, ze); !sameBits(got, want) {
+			var inv [9]float64
+			fem.PointJacobianInverse(&c, xi, et, ze, &inv)
+			if got, want := fem.StrainRateAtPoint(&c, xi, et, ze, &inv), refStrainRateAtPoint(prob, u, e, xi, et, ze); !sameBits(got, want) {
 				t.Fatalf("pass %d point %d: StrainRateAtPoint %v, want %v", pass, i, got, want)
 			}
 			if got, want := fem.EvalPressure(&c, pv, pts.X[i], pts.Y[i], pts.Z[i]), refEvalPressure(prob, pv, e, pts.X[i], pts.Y[i], pts.Z[i]); !sameBits(got, want) {
@@ -294,6 +296,88 @@ func TestPlasticPassSkipsNonYielding(t *testing.T) {
 	}
 	if plastic == 0 || ductile == 0 || yielded == 0 {
 		t.Fatalf("vacuous: %d points that can yield, %d that cannot, %d yielded", plastic, ductile, yielded)
+	}
+}
+
+// TestPointInversesFollowPointsAndMesh: the inverse Jacobians a solve's
+// first coefficient update computes and its later updates reuse are those
+// of the points and the mesh as they are at that solve — after a step has
+// advected the points, moved the free surface and relocated the points
+// under it, and after Restore has put back an earlier state. The η every
+// point got at the solve's last update, which read them, is bit for bit
+// what a model freshly compiled and restored to the same state evaluates
+// at the same coupled state, and what the per-point formulas give.
+func TestPointInversesFollowPointsAndMesh(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs without -short, and under -race in check.sh's point-loops stage")
+	}
+	m := compileSmall(t, "rift", 2)
+	runSteps(t, m, 1)
+	start := m.Checkpoint()
+	check := func(when string) {
+		t.Helper()
+		fresh := compileSmall(t, "rift", 2)
+		if err := fresh.Restore(m.Checkpoint()); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.SolveStokes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ResidualEvals < 2 {
+			t.Fatalf("%s: %d residual evaluations: no update reused the inverses", when, res.ResidualEvals)
+		}
+		x := m.CoeffState()
+		got, _, _ := m.PointCoefficients()
+		fresh.UpdateCoefficients(x, false)
+		want, _, _ := fresh.PointCoefficients()
+		if len(got) != m.Points.Len() || len(want) != len(got) {
+			t.Fatalf("%s: η of %d points, a fresh model's of %d; %d points", when, len(got), len(want), m.Points.Len())
+		}
+		for i := range want {
+			l := &m.Lith[m.Points.Litho[i]]
+			ref, _ := l.EffectiveViscosity(refPointState(m, m.Points, x, m.Temp, i))
+			if !sameBits(got[i], want[i]) || !sameBits(got[i], ref) {
+				t.Fatalf("%s: point %d: η %v, a fresh model's %v, the per-point formulas' %v", when, i, got[i], want[i], ref)
+			}
+		}
+	}
+	runSteps(t, m, 1)
+	check("after a step")
+	if err := m.Restore(start); err != nil {
+		t.Fatal(err)
+	}
+	check("after Restore")
+}
+
+// TestNoInversesWithoutStrainRate: a model no lithology of which reads
+// ε̇_II stores no inverse Jacobians through a step; one that reads it
+// stores 9 per point.
+func TestNoInversesWithoutStrainRate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("steps every registered spec")
+	}
+	var without []string
+	for _, name := range scenario.Names() {
+		m := compileSmall(t, name, 2)
+		reads := false
+		for i := range m.Lith {
+			reads = reads || m.Lith[i].Reads().StrainRate
+		}
+		runSteps(t, m, 1)
+		switch inv := m.PointInverses(); {
+		case !reads && inv != nil:
+			t.Fatalf("%s: no lithology reads ε̇_II, yet %d floats of inverse Jacobians", name, len(inv))
+		case reads && len(inv) < 9*m.Points.Len():
+			t.Fatalf("%s: %d floats of inverse Jacobians for %d points", name, len(inv), m.Points.Len())
+		case !reads:
+			without = append(without, name)
+		}
+	}
+	for _, name := range []string{"sinker", "sinker-swarm", "rayleigh-taylor"} {
+		if !slices.Contains(without, name) {
+			t.Fatalf("%s reads ε̇_II (specs without: %v)", name, without)
+		}
 	}
 }
 

@@ -5,8 +5,9 @@
 # a cross-build of the portable (non-amd64) file set, a guard that no
 # assembly file fuses a multiply-add or returns to Go with dirty upper YMM
 # halves, the full test suite, a short-mode pass under the race detector, the
-# fused Krylov update-and-reduce against its two steps and the element matrix
-# of the level-1 assembly against its Go body in a GOAMD64=v3 build, a
+# fused Krylov update-and-reduce against its two steps, the element matrix
+# of the level-1 assembly against its Go body and the sweep-ordered ILU(0)
+# against its CSR form in a GOAMD64=v3 build, a
 # racy re-run of the comm fault/recovery protocol tests, the benchmark
 # module's own vet and tests (bench/ is a separate module that the root go
 # build and go test skip), a scenario smoke of every spec on both backends
@@ -135,9 +136,9 @@ named_tests '-race -count=10' \
     'TestPhasedOrderAndCoverage|TestPhasedNoHelper|TestPhasedNested|TestPhasedConcurrent|TestPhasedPanic|TestIdleAfterJobs|TestRunParts|TestCounts' \
     ./internal/par
 
-echo "== parallel ASM == serial, numeric refresh == rebuild, lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher, a poisoned residual entry caught by its norm, fused update-and-reduce == update then reduce (kernel and all four methods), under -race =="
+echo "== parallel ASM == serial, numeric refresh == rebuild, the sweep-ordered ILU(0) == the CSR form (random patterns, a refused refactor, the rift's coarse subdomains), lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher, a poisoned residual entry caught by its norm, fused update-and-reduce == update then reduce (kernel and all four methods), under -race =="
 named_tests -race \
-    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestMatMulNumericMatchesMatMul|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
+    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestILU0MatchesCSRFormBitwise|TestILU0RefactorWrongPattern|TestILU0RiftSubdomainsMatchCSRForm|TestMatMulNumericMatchesMatMul|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
     ./internal/krylov ./internal/la
 
 # The fused sweep is bitwise the two it replaced only if the compiler
@@ -146,10 +147,12 @@ named_tests -race \
 # amd64 Go 1.24 emits none at any GOAMD64 level, so this stage pins the v3
 # build today and the contraction on a toolchain that starts fusing there.
 # The element matrix's Go body (the oracle of its assembly, which never
-# fuses) and the loop order it replaced are pinned the same way.
-echo "== fused update-and-reduce == update then reduce, element matrix assembly == Go body == the q-outer formula, built for GOAMD64=v3 =="
+# fuses) and the loop order it replaced are pinned the same way, and so is
+# the sweep-ordered ILU(0) against the CSR form (s -= v*x in both sweeps and
+# the elimination).
+echo "== fused update-and-reduce == update then reduce, element matrix assembly == Go body == the q-outer formula, sweep-ordered ILU(0) == the CSR form, built for GOAMD64=v3 =="
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo; then
-    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical|TestViscousMatrixMatchesGo|TestGeometryStoreBitwise' ./internal/la ./internal/krylov ./internal/fem
+    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical|TestViscousMatrixMatchesGo|TestGeometryStoreBitwise|TestILU0MatchesCSRFormBitwise|TestILU0RiftSubdomainsMatchCSRForm' ./internal/la ./internal/krylov ./internal/fem
 else
     echo "skipped: this CPU cannot run GOAMD64=v3 code"
 fi
@@ -164,9 +167,9 @@ named_tests -race \
     'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestProjectorCachedWeights|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
     ./internal/mpm ./internal/model
 
-echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population and the Krylov breakdowns and fallbacks in the step record, under -race =="
+echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, per-solve inverse Jacobians follow the points and the mesh, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population and the Krylov breakdowns and fallbacks in the step record, under -race =="
 named_tests -race \
-    'TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestDensityReadsNoStokesState|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation|TestRunRecordsKrylovFallbacks' \
+    'TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestPointInversesFollowPointsAndMesh|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestDensityReadsNoStokesState|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation|TestRunRecordsKrylovFallbacks' \
     ./internal/fem ./internal/mpm ./internal/model ./internal/rheology ./internal/driver
 
 echo "== benchmark module: vet + its own tests =="
@@ -320,6 +323,8 @@ fi
 
 # VCycle: the 8^3 and 16^3 sinker V-cycle and its layers at 1 and 2
 # workers — small-grid parallel efficiency as a tracked number.
+# ASMApply (matched by Apply): the rift's coarse-level Schwarz
+# preconditioner at 1 and 2 workers, in ms/apply and ns/entry.
 # ElementKernel: the resident element kernel, assembly against Go, in
 # ns/element and GF/s (a smoke at 1x; -benchtime 200000x for numbers).
 # ElementViscousMatrix: the level-1 assembly's element matrix, assembly
