@@ -11,19 +11,27 @@ import (
 // kernel computes: the float64 lanes of an AVX2 register.
 const viscousLanes = 4
 
-// viscousBatch holds the stiffness matrices of the viscous block of up to
-// viscousLanes elements, and what they are computed from, element k in
-// lane k of every entry: the layout of the AVX2 encoding
-// (tensor_amd64.s), which computes every lane at once, while the Go body
-// computes one lane at a time.
-type viscousBatch struct {
+// viscousInputs holds what the stiffness matrices of the viscous block of
+// up to viscousLanes elements are computed from, element k in lane k of
+// every entry: the layout of the AVX2 encoding (tensor_amd64.s), which
+// computes every lane at once, while the Go body computes one lane at a
+// time.
+type viscousInputs struct {
 	// g[3·(n·NQP+q)+c] is ∂N_n/∂x_c at quadrature point q, s[q] is
 	// η·w·detJ there.
 	g [3 * 27 * NQP][viscousLanes]float64
 	s [NQP][viscousLanes]float64
-	// ae[81·r+c] is entry (r, c) of the 81×81 element matrix, rows and
-	// columns ordered (node, component).
-	ae [81 * 81][viscousLanes]float64
+}
+
+// viscousMats holds the matrices the inputs of one viscousInputs make,
+// lane by lane: entry [81·r+c][k] is entry (r, c) of element k's 81×81
+// matrix, rows and columns ordered (node, component).
+type viscousMats [81 * 81][viscousLanes]float64
+
+// viscousBatch is one viscousInputs with the matrices it makes.
+type viscousBatch struct {
+	viscousInputs
+	ae viscousMats
 }
 
 // viscousBatches recycles the batches (~280 KB each) across the chunks of
@@ -32,7 +40,7 @@ var viscousBatches = sync.Pool{New: func() any { return new(viscousBatch) }}
 
 // load fills lane with element e's inputs: geo is the problem's metric
 // store, eta the element's 27 viscosities.
-func (b *viscousBatch) load(lane int, geo []float64, e int, eta []float64) {
+func (b *viscousInputs) load(lane int, geo []float64, e int, eta []float64) {
 	for q := 0; q < NQP; q++ {
 		jinv, detJ := geomAt(geo, e, q)
 		b.s[q][lane] = eta[q] * W3[q] * detJ
@@ -52,8 +60,8 @@ func (b *viscousBatch) load(lane int, geo []float64, e int, eta []float64) {
 // Each 3×3 block of a node pair (i, n) sums its quadrature points in
 // order in nine accumulators: at point q, entry (a, b) adds
 // (s·∂N_n/∂x_a)·∂N_i/∂x_b, then the diagonal entries add s·(∇N_i·∇N_n).
-func (b *viscousBatch) matrixGo(lane int) {
-	g, s, ae := &b.g, &b.s, &b.ae
+func (b *viscousInputs) matrixGo(ae *viscousMats, lane int) {
+	g, s := &b.g, &b.s
 	for i := 0; i < 27; i++ {
 		for n := 0; n < 27; n++ {
 			var a00, a01, a02, a10, a11, a12, a20, a21, a22 float64
@@ -203,7 +211,7 @@ func (va *ViscousAssembly) Refresh() {
 			for lane, e := range group {
 				bt.load(lane, geo, int(e), p.Eta[NQP*int(e):NQP*int(e)+NQP])
 			}
-			bt.matrices(len(group))
+			bt.matrices(&bt.ae, len(group))
 			for lane, e32 := range group {
 				e := int(e32)
 				em := p.Emap[27*e : 27*e+27]

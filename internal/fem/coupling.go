@@ -1,6 +1,9 @@
 package fem
 
 import (
+	"fmt"
+	"sync"
+
 	"ptatin3d/internal/la"
 )
 
@@ -217,22 +220,39 @@ type PressureMass struct {
 	inv []float64 // 16 per element, row-major inverse blocks
 }
 
+// SingularBlockError reports an element whose 4×4 pressure mass block
+// has no inverse — a collapsed element, whose quadrature weights w·detJ/η
+// all vanish — the lowest-numbered one when several have none.
+type SingularBlockError struct {
+	Elem int
+	Err  error
+}
+
+func (e *SingularBlockError) Error() string {
+	return fmt.Sprintf("fem: singular pressure mass block of element %d: %v", e.Elem, e.Err)
+}
+
 // NewPressureMass builds the inverted viscosity-scaled mass blocks.
-func NewPressureMass(p *Problem) *PressureMass {
+func NewPressureMass(p *Problem) (*PressureMass, error) {
 	m := &PressureMass{P: p}
-	m.Setup()
-	return m
+	if err := m.Setup(); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Setup (re)computes the inverted blocks from the current geometry and
-// viscosity.
-func (m *PressureMass) Setup() {
+// viscosity. A block without an inverse makes it return a
+// *SingularBlockError; the blocks of the other elements are still set.
+func (m *PressureMass) Setup() error {
 	p := m.P
 	nel := p.DA.NElements()
 	if len(m.inv) != 16*nel {
 		m.inv = make([]float64, 16*nel)
 	}
 	geo := p.geom()
+	var mu sync.Mutex
+	var bad *SingularBlockError
 	p.forEachElement(func(e int) {
 		var xe [81]float64
 		p.gatherCoords(e, &xe)
@@ -259,7 +279,12 @@ func (m *PressureMass) Setup() {
 		}
 		lu, err := la.Factor(blk)
 		if err != nil {
-			panic("fem: singular pressure mass block: " + err.Error())
+			mu.Lock()
+			if bad == nil || e < bad.Elem {
+				bad = &SingularBlockError{Elem: e, Err: err}
+			}
+			mu.Unlock()
+			return
 		}
 		// Store the explicit inverse columns.
 		var ei, col la.Vec = make(la.Vec, 4), make(la.Vec, 4)
@@ -272,6 +297,10 @@ func (m *PressureMass) Setup() {
 			}
 		}
 	})
+	if bad != nil {
+		return bad
+	}
+	return nil
 }
 
 // ApplyInv computes y = M⁻¹·x element-wise.

@@ -1,6 +1,8 @@
 package fem
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -86,7 +88,10 @@ func TestDivergenceOfLinearField(t *testing.T) {
 // input; and M⁻¹ is SPD.
 func TestPressureMassInverse(t *testing.T) {
 	p := testProblem(t, 2, 2, 2, 1)
-	m := NewPressureMass(p)
+	m, err := NewPressureMass(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(3))
 	np := p.DA.NPresDOF()
 	x := randVelocity(rng, np)
@@ -176,5 +181,41 @@ func TestCouplingPressureNullForce(t *testing.T) {
 	}
 	if w := gu.Dot(u); math.Abs(w) > 1e-10 {
 		t.Fatalf("<G·const, div-free u> = %v", w)
+	}
+}
+
+// collapseElement flattens element e of p onto the plane z = 0: ∂z/∂ξ is
+// exactly zero, so is every quadrature weight of the element, while its
+// neighbours keep a positive Jacobian at their quadrature points.
+func collapseElement(p *Problem, e int) {
+	var nodes [27]int32
+	p.DA.ElemNodes(e, &nodes)
+	for _, n := range nodes {
+		p.DA.Coords[3*int(n)+2] = 0
+	}
+}
+
+// TestPressureMassSingularBlockError: a collapsed element makes
+// NewPressureMass and Setup return a *SingularBlockError naming it (the
+// lowest of two, at any worker count), instead of panicking.
+func TestPressureMassSingularBlockError(t *testing.T) {
+	for _, workers := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+			p := testProblem(t, 4, 3, 3, workers)
+			m, err := NewPressureMass(p)
+			if err != nil {
+				t.Fatalf("intact mesh: %v", err)
+			}
+			lo, hi := p.DA.ElemID(1, 1, 0), p.DA.ElemID(3, 1, 0)
+			collapseElement(p, hi)
+			collapseElement(p, lo)
+			var sb *SingularBlockError
+			if err := m.Setup(); !errors.As(err, &sb) || sb.Elem != lo {
+				t.Fatalf("Setup: got %v, want a *SingularBlockError of element %d", err, lo)
+			}
+			if _, err := NewPressureMass(p); !errors.As(err, &sb) || sb.Elem != lo {
+				t.Fatalf("NewPressureMass: got %v, want a *SingularBlockError of element %d", err, lo)
+			}
+		})
 	}
 }

@@ -306,7 +306,11 @@ func TestGeometryStoreBitwise(t *testing.T) {
 
 			wantSameBits(t, what+": Resident.Setup", NewResident(p, false).c64, refResidentStream(p))
 			wantSameBits(t, what+": Coupling.Setup", NewCoupling(p).Ge, refCouplingGe(p))
-			wantSameBits(t, what+": PressureMass.Setup", NewPressureMass(p).inv, refPressureMassInv(t, p))
+			mp, err := NewPressureMass(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantSameBits(t, what+": PressureMass.Setup", mp.inv, refPressureMassInv(t, p))
 
 			geo := p.geom()
 			bt := new(viscousBatch)
@@ -317,7 +321,7 @@ func TestGeometryStoreBitwise(t *testing.T) {
 				eta := p.Eta[NQP*e : NQP*e+NQP]
 				lane := e % viscousLanes
 				bt.load(lane, geo, e, eta)
-				bt.matrixGo(lane)
+				bt.matrixGo(&bt.ae, lane)
 				for k := range ae {
 					ae[k] = bt.ae[k][lane]
 				}

@@ -255,14 +255,14 @@ func checkViscousMatrix(t *testing.T, what string, in *viscousBatch) {
 	t.Helper()
 	want := *in
 	for lane := 0; lane < viscousLanes; lane++ {
-		want.matrixGo(lane)
+		want.matrixGo(&want.ae, lane)
 	}
 	wf := batchFloats(&want)
 	for _, atEnd := range []bool{false, true} {
 		blk := newGuarded(t, len(wf), atEnd)
 		got := (*viscousBatch)(unsafe.Pointer(&blk.v[0]))
 		copy(blk.v, batchFloats(in))
-		viscousMatrixAVX2(got)
+		viscousMatrixAVX2(&got.viscousInputs, &got.ae)
 		for i, w := range wf {
 			if !sameFloat(blk.v[i], w) {
 				k := i - int(unsafe.Offsetof(in.ae)/8)

@@ -460,7 +460,7 @@ func BenchmarkElementViscousMatrix(b *testing.B) {
 				b.Skip("no AVX2 on this host")
 			}
 			for i := 0; i < b.N; i++ {
-				bt.matrices(viscousLanes)
+				bt.matrices(&bt.ae, viscousLanes)
 			}
 			kernelSink = bt.ae[40][0]
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(viscousLanes*b.N), "ns/element")

@@ -28,7 +28,7 @@ func tensorScatterWriteAVX2(h0, h1, h2, ye *[81]float64, tab *tensorTables[float
 func residentElementAVX2(coef *[15 * NQP]float64, ue, ye *[81]float64, tab *tensorTables[float64], ks *kernScratchG[float64])
 
 //go:noescape
-func viscousMatrixAVX2(b *viscousBatch)
+func viscousMatrixAVX2(b *viscousInputs, ae *viscousMats)
 
 // cpuHasAVX2 reports whether the CPU has AVX2 and the OS saves the YMM
 // state (CPUID and XGETBV).
@@ -56,8 +56,7 @@ var _ = [...]struct{}{
 	(unsafe.Offsetof(kernScratchG[float64]{}.t3)-7128)|
 	(unsafe.Offsetof(kernScratchG[float64]{}.t4)-7776)|
 	(unsafe.Offsetof(kernScratchG[float64]{}.t5)-8424)|
-	(unsafe.Offsetof(viscousBatch{}.s)-69984)|
-	(unsafe.Offsetof(viscousBatch{}.ae)-70848)]
+	(unsafe.Offsetof(viscousInputs{}.s)-69984)]
 
 // KernelName names the encoding the float64 element kernel runs in on this
 // host: "avx2" or "go".
@@ -104,16 +103,16 @@ func residentElement64(coef *[15 * NQP]float64, ue, ye *[81]float64, ks *kernScr
 	residentElement(coef[:], ue, ye, &tables64, ks)
 }
 
-// matrices computes the element matrices of the batch's first n lanes:
-// the assembly, all lanes at once, where the hardware has AVX2 (lanes
-// from n on hold whatever their inputs make of them), the Go body lane by
-// lane otherwise.
-func (b *viscousBatch) matrices(n int) {
+// matrices computes the element matrices of the inputs' first n lanes
+// into ae: the assembly, all lanes at once, where the hardware has AVX2
+// (lanes from n on hold whatever their inputs make of them), the Go body
+// lane by lane otherwise.
+func (b *viscousInputs) matrices(ae *viscousMats, n int) {
 	if useAVX2 {
-		viscousMatrixAVX2(b)
+		viscousMatrixAVX2(b, ae)
 		return
 	}
 	for lane := 0; lane < n; lane++ {
-		b.matrixGo(lane)
+		b.matrixGo(ae, lane)
 	}
 }

@@ -340,16 +340,15 @@ qp:
 // ---------------------------------------------------------------------------
 // The element matrix of the viscous block (viscousBatch.matrixGo in
 // assemble.go) for four elements at once, one per lane: g[3(n·27+q)+c] at
-// byte 96(27n+q)+32c, s[q] at VB_S+32q, entry (r, c) of ae at
-// VB_AE+32(81r+c). A node pair (i, n) keeps its 3×3 block in Y0-Y8 while
+// byte 96(27n+q)+32c of b, s[q] at VB_S+32q, entry (r, c) of ae at
+// 32(81r+c). A node pair (i, n) keeps its 3×3 block in Y0-Y8 while
 // the quadrature points pass in order:
 //
 //   Y15 = s, Y9-Y11 = ∇N_i, Y12 = dot = s·((gi0·gn0 + gi1·gn1) + gi2·gn2)
 //   row a: Y13 = s·gn_a; acc(a,b) += Y13·gi_b (b = 0, 1, 2); acc(a,a) += dot
 // ---------------------------------------------------------------------------
 
-#define VB_S  69984
-#define VB_AE 70848
+#define VB_S 69984
 
 // Row a of the 3×3 block: ga at byte o of the gn point in CX.
 #define VROW(o, r0, r1, r2) \
@@ -361,17 +360,17 @@ qp:
 	VMULPD Y11, Y13, Y14;   \
 	VADDPD Y14, r2, r2
 
-// func viscousMatrixAVX2(b *viscousBatch)
+// func viscousMatrixAVX2(b *viscousInputs, ae *viscousMats)
 //
 // SI = g, BX = s, DI = the end of s (the quadrature loop's bound); R8 =
 // ∇N_i at q = 0 and R9 = ∇N_n at q = 0, R10 = the block row of node i in
 // ae and R11 = the block (i, n), R12 and R13 count i and n down; AX, CX,
 // DX walk ∇N_i, ∇N_n and s over the quadrature points.
-TEXT ·viscousMatrixAVX2(SB), NOSPLIT, $0-8
+TEXT ·viscousMatrixAVX2(SB), NOSPLIT, $0-16
 	MOVQ b+0(FP), SI
 	LEAQ VB_S(SI), BX
 	LEAQ (VB_S+32*27)(SI), DI
-	LEAQ VB_AE(SI), R10
+	MOVQ ae+8(FP), R10
 	MOVQ SI, R8
 	MOVQ $27, R12
 inode:

@@ -25,9 +25,10 @@ func residentElement64(coef *[15 * NQP]float64, ue, ye *[81]float64, ks *kernScr
 	residentElement(coef[:], ue, ye, &tables64, ks)
 }
 
-// matrices computes the element matrices of the batch's first n lanes.
-func (b *viscousBatch) matrices(n int) {
+// matrices computes the element matrices of the inputs' first n lanes
+// into ae.
+func (b *viscousInputs) matrices(ae *viscousMats, n int) {
 	for lane := 0; lane < n; lane++ {
-		b.matrixGo(lane)
+		b.matrixGo(ae, lane)
 	}
 }

@@ -154,16 +154,12 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 		if l == 0 && opt.FineOp != nil {
 			lev.Op = opt.FineOp
 		} else {
-			env := op.Env{
-				Prob:          p,
-				Workers:       opt.Workers,
-				GalerkinInput: l < len(probs)-1 && opt.Kinds[l+1] == op.Galerkin,
-			}
+			env := op.Env{Prob: p, Workers: opt.Workers}
 			if l > 0 {
 				finer := m.Levels[l-1]
-				lp := lev.P
 				env.FineCSR = func() *la.CSR { return finer.Op.CSR() }
-				env.Prolong = lp.ToCSR
+				env.FineProb = probs[l-1]
+				env.Prolong = lev.P.ToCSR
 			}
 			o, err := op.New(opt.Kinds[l], env)
 			if err != nil {
@@ -244,9 +240,6 @@ type LevelInfo struct {
 	Smoother string `json:"smoother"`
 	// Degree is the Chebyshev degree k of V(k,k); 0 under "coarse-solve".
 	Degree int `json:"degree"`
-	// GalerkinInput marks a matrix-free level that also keeps its
-	// assembled matrix, as the input of the next level's Galerkin product.
-	GalerkinInput bool `json:"galerkin_input,omitempty"`
 }
 
 // String renders the level as one line of driver output.
@@ -254,9 +247,6 @@ func (li LevelInfo) String() string {
 	s := fmt.Sprintf("level %d (n=%d): %s, %s", li.Level, li.N, li.Kind, li.Smoother)
 	if li.Degree > 0 {
 		s += fmt.Sprintf(" degree %d", li.Degree)
-	}
-	if li.GalerkinInput {
-		s += ", matrix kept as Galerkin input"
 	}
 	return s
 }
@@ -272,7 +262,6 @@ func (m *MG) Describe() []LevelInfo {
 			li.Smoother, li.Degree = "coarse-solve", 0
 		case lev.Blocked != nil:
 			li.Smoother = "blocked"
-			li.GalerkinInput = lev.Op.CSR() != nil
 		}
 		out[l] = li
 	}

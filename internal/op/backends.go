@@ -140,21 +140,26 @@ func (o *asmOp) Kind() Kind   { return Assembled }
 func (o *asmOp) CSR() *la.CSR { o.Setup(); return o.a }
 
 // galerkinOp builds the CSR operator as the Galerkin triple product
-// Pᵀ·A_fine·P of the next-finer level's assembled matrix. The symbolic
-// structure of the product (and of the constrained-diagonal augmentation)
-// depends only on the sparsity patterns, so it is cached at Setup and the
-// values are replayed in place by Refresh — bit-identical to a rebuild.
+// Pᵀ·A_fine·P. A·P comes from the next-finer level's assembled matrix
+// when that level keeps one (asm, galerkin), and otherwise is streamed
+// from the finer problem's element matrices (fem.ViscousAP), bit for bit
+// the same product, so a matrix-free finer level never holds a matrix.
+// The symbolic structure of the product (and of the constrained-diagonal
+// augmentation) depends only on the sparsity patterns, so it is cached at
+// Setup and the values are replayed in place by Refresh — bit-identical
+// to a rebuild.
 type galerkinOp struct {
 	env Env
 	a   *la.CSR
 
 	// Cached triple-product state for the in-place numeric refresh.
-	fine     *la.CSR // finer-level matrix the symbolics were derived from
-	p, pt    *la.CSR // prolongation and its transpose (values constant)
-	ap, raw  *la.CSR // A_fine·P and Pᵀ·(A_fine·P) in fixed sparsity
-	rebuilt  bool    // augmentation rebuilt the pattern (Builder path)
-	rawToAug []int   // raw entry k → position in a.Val (-1 = dropped zero)
-	augDiag  []int   // positions in a.Val of constrained-row unit diagonals
+	fine     *la.CSR        // finer-level matrix the symbolics were derived from
+	stream   *fem.ViscousAP // A_fine·P from element matrices; nil with fine
+	p, pt    *la.CSR        // prolongation and its transpose (values constant)
+	ap, raw  *la.CSR        // A_fine·P and Pᵀ·(A_fine·P) in fixed sparsity; raw is a unless rebuilt
+	rebuilt  bool           // augmentation rebuilt the pattern (Builder path)
+	rawToAug []int          // raw entry k → position in a.Val (-1 = dropped zero)
+	augDiag  []int          // positions in a.Val of constrained-row unit diagonals
 }
 
 func newGalerkinOp(env Env) (Operator, error) {
@@ -170,61 +175,71 @@ func (o *galerkinOp) Setup() error {
 	if o.a != nil {
 		return nil
 	}
-	fine := o.env.FineCSR()
-	if fine == nil {
-		return fmt.Errorf("op: Galerkin requires an assembled finer level")
+	return o.build(o.env.FineCSR())
+}
+
+// build runs the full symbolic+numeric construction from fine, or from
+// the finer problem's element matrices when fine is nil.
+func (o *galerkinOp) build(fine *la.CSR) error {
+	o.p = o.env.Prolong()
+	o.fine, o.stream = fine, nil
+	switch {
+	case fine != nil:
+		o.ap = la.MatMul(fine, o.p)
+	case o.env.FineProb != nil:
+		s, err := fem.NewViscousAP(o.env.FineProb, o.p)
+		if err != nil {
+			return fmt.Errorf("op: Galerkin: %w", err)
+		}
+		o.stream, o.ap = s, s.AP
+	default:
+		return fmt.Errorf("op: Galerkin requires an assembled finer level or its problem")
 	}
-	o.build(fine)
+	o.pt = o.p.Transpose()
+	o.raw = la.MatMul(o.pt, o.ap)
+	o.augment()
 	return nil
 }
 
-// build runs the full symbolic+numeric construction from fine.
-func (o *galerkinOp) build(fine *la.CSR) {
-	o.fine = fine
-	o.p = o.env.Prolong()
-	o.pt = o.p.Transpose()
-	o.ap = la.MatMul(fine, o.p)
-	o.raw = la.MatMul(o.pt, o.ap)
-	o.augment()
-}
-
 // Refresh replays the triple product numerically into the cached
-// sparsity. The scatter order matches MatMul exactly (la.MatMulNumeric),
-// so the values are bit-for-bit what a from-scratch Setup would produce.
+// sparsity. The scatter order matches MatMul exactly (la.MatMulNumeric,
+// fem.ViscousAP), so the values are bit-for-bit what a from-scratch Setup
+// would produce. Where the augmentation kept raw's pattern, the product
+// is computed straight into the served matrix.
 func (o *galerkinOp) Refresh() error {
 	if o.a == nil {
 		return o.Setup()
 	}
-	fine := o.env.FineCSR()
-	if fine == nil {
-		return fmt.Errorf("op: Galerkin requires an assembled finer level")
+	if o.stream != nil {
+		o.stream.Refresh()
+	} else {
+		fine := o.env.FineCSR()
+		if fine == nil {
+			return fmt.Errorf("op: Galerkin requires an assembled finer level")
+		}
+		if fine != o.fine {
+			// The finer level handed over a different matrix object (its
+			// own pattern changed); the cached symbolics no longer apply.
+			return o.build(fine)
+		}
+		la.MatMulNumeric(fine, o.p, o.ap, o.env.Workers)
 	}
-	if fine != o.fine {
-		// The finer level handed over a different matrix object (its own
-		// pattern changed); the cached symbolics no longer apply.
-		o.build(fine)
-		return nil
-	}
-	la.MatMulNumeric(fine, o.p, o.ap, o.env.Workers)
 	la.MatMulNumeric(o.pt, o.ap, o.raw, o.env.Workers)
-	if o.rebuilt && !o.zeroPatternUnchanged() {
+	switch {
+	case o.rebuilt && !o.zeroPatternUnchanged():
 		// A structural zero changed state; a cold augmentation would
 		// produce a different pattern, so redo it (rare).
 		o.augment()
-	} else if o.rebuilt {
+		return nil
+	case o.rebuilt:
 		for k, pos := range o.rawToAug {
 			if pos >= 0 {
 				o.a.Val[pos] = o.raw.Val[k]
 			}
 		}
-		for _, pos := range o.augDiag {
-			o.a.Val[pos] = 1
-		}
-	} else {
-		copy(o.a.Val, o.raw.Val)
-		for _, pos := range o.augDiag {
-			o.a.Val[pos] = 1
-		}
+	}
+	for _, pos := range o.augDiag {
+		o.a.Val[pos] = 1
 	}
 	return nil
 }
@@ -253,8 +268,8 @@ func (o *galerkinOp) augment() {
 	}
 	o.augDiag = o.augDiag[:0]
 	if !missing {
-		// In-place path: pattern unchanged, identity value mapping.
-		o.a = raw.Clone()
+		// In-place path: pattern unchanged, so raw itself is served.
+		o.a = raw
 		o.rebuilt = false
 		o.rawToAug = nil
 		for r := 0; r < raw.NRows; r++ {

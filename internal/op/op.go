@@ -130,22 +130,18 @@ type Operator interface {
 }
 
 // Env is the context a backend is built in. Prob is the level's
-// discretization; FineCSR/Prolong connect a level to the next-finer one
-// (they are closures so this package needs no dependency on internal/mg):
+// discretization; FineCSR/FineProb/Prolong connect a level to the
+// next-finer one (the closures keep this package free of internal/mg):
 // FineCSR returns the finer level's assembled matrix (nil if that level
-// is matrix-free) and Prolong the prolongation from this level to the
-// finer one as CSR. Both are nil outside a hierarchy.
+// is matrix-free), FineProb is the finer level's discretization and
+// Prolong returns the prolongation from this level to the finer one as
+// CSR. All are nil outside a hierarchy.
 type Env struct {
-	Prob    *fem.Problem
-	Workers int
-	FineCSR func() *la.CSR
-	Prolong func() *la.CSR
-	// GalerkinInput says the next-coarser level is a Galerkin product of
-	// this one. A resident representation then also builds (and
-	// refreshes) the level's assembled matrix and hands it off through
-	// CSR() — it is never applied: smoothing and residuals stay on the
-	// resident kernel.
-	GalerkinInput bool
+	Prob     *fem.Problem
+	Workers  int
+	FineCSR  func() *la.CSR
+	FineProb *fem.Problem
+	Prolong  func() *la.CSR
 }
 
 // New builds the representation k for env. The returned operator is not

@@ -56,22 +56,17 @@ func residentCost(p *fem.Problem, f32 bool) Cost {
 // (float64), and TensorF32 (float32 coefficients and element arithmetic)
 // for the kernel study. Like asmOp, the one-time coefficient precompute
 // is deferred to Setup. A tensor matrix-free twin provides ApplyFreeRows,
-// as in the paper's matrix-free residuals.
-//
-// With Env.GalerkinInput the level's assembled matrix is built and
-// refreshed alongside and handed off through CSR(); Apply never touches
-// it.
+// as in the paper's matrix-free residuals. It keeps no matrix: a Galerkin
+// level below it streams its product from the problem's element matrices.
 type residentOp struct {
-	p       *fem.Problem
-	f32     bool
-	handoff bool // Env.GalerkinInput
-	mf      *fem.TensorOp
-	r       *fem.Resident
-	va      *fem.ViscousAssembly // the Galerkin input; nil without handoff
+	p   *fem.Problem
+	f32 bool
+	mf  *fem.TensorOp
+	r   *fem.Resident
 }
 
 func newResidentOp(env Env, f32 bool) *residentOp {
-	return &residentOp{p: env.Prob, f32: f32, handoff: env.GalerkinInput, mf: fem.NewTensor(env.Prob)}
+	return &residentOp{p: env.Prob, f32: f32, mf: fem.NewTensor(env.Prob)}
 }
 
 func (o *residentOp) N() int { return o.p.DA.NVelDOF() }
@@ -79,10 +74,6 @@ func (o *residentOp) N() int { return o.p.DA.NVelDOF() }
 func (o *residentOp) Setup() error {
 	if o.r == nil {
 		o.r = fem.NewResident(o.p, o.f32)
-		if o.handoff {
-			o.va = fem.NewViscousAssembly(o.p)
-			o.va.Refresh()
-		}
 	}
 	return nil
 }
@@ -101,9 +92,6 @@ func (o *residentOp) Refresh() error {
 		return o.Setup()
 	}
 	o.r.Setup()
-	if o.va != nil {
-		o.va.Refresh()
-	}
 	return nil
 }
 
@@ -118,14 +106,7 @@ func (o *residentOp) Kind() Kind {
 	return TensorC
 }
 
-// CSR returns the Galerkin-input matrix (nil unless Env.GalerkinInput).
-func (o *residentOp) CSR() *la.CSR {
-	if !o.handoff {
-		return nil
-	}
-	o.Setup()
-	return o.va.A
-}
+func (o *residentOp) CSR() *la.CSR { return nil }
 
 // Resident exposes the backing kernel (nil before Setup is forced).
 func (o *residentOp) Resident() *fem.Resident {

@@ -173,8 +173,11 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	s.C = fem.NewCoupling(prob)
 	stop()
 	stop = s.stage("pressure_mass")
-	s.Mp = fem.NewPressureMass(prob)
+	s.Mp, err = fem.NewPressureMass(prob)
 	stop()
+	if err != nil {
+		return nil, fmt.Errorf("stokes: pressure mass: %w", err)
+	}
 
 	// The coupled matvec's viscous operator.
 	auu, err := op.New(coupled, op.Env{Prob: prob, Workers: cfg.Workers})
@@ -386,8 +389,11 @@ func (s *Solver) Refresh(geomChanged bool) error {
 	}
 	// The pressure mass matrix is viscosity-scaled: always re-derive.
 	stop := s.stage("pressure_mass")
-	s.Mp.Setup()
+	err := s.Mp.Setup()
 	stop()
+	if err != nil {
+		return fmt.Errorf("stokes: pressure mass: %w", err)
+	}
 	if s.MG != nil {
 		// The coupled matvec's operator is the hierarchy's level 0, which
 		// MG.Refresh refreshes.

@@ -22,6 +22,8 @@
 # rank-count invariance check of the 64-rank scaling sweep with no row
 # retransmitting, a 64-rank solve that must not retransmit, a guard that
 # the fabric keeps one mailbox per rank and no clock in its liveness, a
+# guard that no matrix-free level keeps an assembled matrix for the
+# Galerkin product below it, a
 # one-iteration smoke run of the apply-path, V-cycle, element-kernel
 # and element-matrix benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
@@ -122,9 +124,9 @@ named_tests -race \
 echo "== pipelined GCR within ±2 iterations of classical at 1 and 8 ranks (16^3) =="
 named_tests -count=1 'TestPipelinedGCRRankCountInvariant' ./internal/stokes
 
-echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle under -race =="
+echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + A·P streamed plane by plane (rows filled by concurrent workers) == the assembled product and the refreshed coarse Galerkin matrix == a cold build under -race =="
 named_tests -race \
-    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestGalerkinInputLevelTracksRefresh|TestContextKeyCoversConfig' \
+    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 # -count=10: the claims, waits and helper hand-offs of a job interleave
@@ -193,6 +195,18 @@ refused() { # refused OP 'MESSAGE': ptatin-run -op OP exits non-zero saying MESS
 }
 refused auto 'selector "auto" was removed'
 refused mf32 'single-precision kernel of the kernel study'
+
+# The Galerkin coarse level streams A·P from the finer level's element
+# matrices (fem.ViscousAP): no matrix-free level keeps an assembled matrix.
+echo "== no Galerkin-input matrix: no GalerkinInput in non-test Go, no ViscousAssembly on a resident level =="
+if grep -rn 'GalerkinInput' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check.sh: the Galerkin-input handoff is back in non-test Go (above)" >&2
+    exit 1
+fi
+if grep -n 'ViscousAssembly' internal/op/resident.go; then
+    echo "check.sh: internal/op builds a ViscousAssembly for a resident level (above)" >&2
+    exit 1
+fi
 
 echo "== one precision: no precision axis, float32 CSR or asm32 kind in non-test Go =="
 if grep -rnE 'op\.Precision|ParsePrecision|AssembledF32|CSR32|asm32' --include='*.go' . | grep -v '_test\.go:'; then
