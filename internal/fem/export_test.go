@@ -34,3 +34,11 @@ func BothKernels(t *testing.T, recorded uint64, body func(t *testing.T) uint64) 
 		t.Errorf("vector and Go encodings differ: %#x vs %#x", got[0], got[1])
 	}
 }
+
+// The oracle of the viscous-block assembly and its fixture, for the
+// external tests of the A·P product.
+var (
+	MixedBCProblem = mixedBCProblem
+	ScatterViscous = scatterViscous
+	SameCSR        = sameCSR
+)

@@ -25,14 +25,6 @@ type Problem struct {
 	// Gravity is the body-force acceleration vector g; f = ρ·g (paper §II-A).
 	Gravity [3]float64
 
-	// colorOff/colorElems partition the elements into 8 parity classes.
-	// Elements of the same class share no nodes, so element loops within a
-	// class can scatter to the global residual concurrently without
-	// synchronization. The assembly numeric pass runs on this schedule; the
-	// apply paths use the slab partition below (slab.go).
-	colorOff   [9]int
-	colorElems []int32
-
 	slabState
 	geometry geometry
 }
@@ -55,50 +47,7 @@ func NewProblem(da *mesh.DA, bc *mesh.BC) *Problem {
 	for i := range p.Eta {
 		p.Eta[i] = 1
 	}
-	p.buildColors()
 	return p
-}
-
-// buildColors groups elements by the parity of their (ei,ej,ek) indices.
-func (p *Problem) buildColors() {
-	da := p.DA
-	nel := da.NElements()
-	var counts [8]int
-	colorOf := func(e int) int {
-		ei, ej, ek := da.ElemIJK(e)
-		return (ek%2)<<2 | (ej%2)<<1 | ei%2
-	}
-	for e := 0; e < nel; e++ {
-		counts[colorOf(e)]++
-	}
-	p.colorOff[0] = 0
-	for c := 0; c < 8; c++ {
-		p.colorOff[c+1] = p.colorOff[c] + counts[c]
-	}
-	p.colorElems = make([]int32, nel)
-	var next [8]int
-	for c := 0; c < 8; c++ {
-		next[c] = p.colorOff[c]
-	}
-	for e := 0; e < nel; e++ {
-		c := colorOf(e)
-		p.colorElems[next[c]] = int32(e)
-		next[c]++
-	}
-}
-
-// forEachElementColoredChunk runs body over all elements using the
-// 8-color schedule: colors run sequentially, chunks within a color
-// concurrently — so body may scatter-add to node-indexed arrays without
-// atomics — and body receives each chunk's element list, so loops needing
-// per-element scratch allocate it once per chunk.
-func (p *Problem) forEachElementColoredChunk(body func(elems []int32)) {
-	for c := 0; c < 8; c++ {
-		elems := p.colorElems[p.colorOff[c]:p.colorOff[c+1]]
-		par.For(p.Workers, len(elems), func(lo, hi int) {
-			body(elems[lo:hi])
-		})
-	}
 }
 
 // forEachElement runs body(e) over all elements in parallel with no

@@ -19,15 +19,20 @@ func randomizeEta(p *Problem, seed int64) {
 	}
 }
 
-// forEachElementColored runs body(e) over all elements using the 8-color
-// schedule: concurrency only within a color, so body may scatter-add to
-// node-indexed arrays without atomics.
+// forEachElementColored runs body(e) over all elements serially, colour
+// by colour (the colour of element (ei, ej, ek) is
+// (ek%2)<<2 | (ej%2)<<1 | ei%2): the 8-colour schedule, whose elements of
+// one colour share no node, that the slab partition and the plane window
+// replaced.
 func (p *Problem) forEachElementColored(body func(e int)) {
-	p.forEachElementColoredChunk(func(elems []int32) {
-		for _, e := range elems {
-			body(int(e))
+	da := p.DA
+	for c := 0; c < 8; c++ {
+		for e := 0; e < da.NElements(); e++ {
+			if ei, ej, ek := da.ElemIJK(e); (ek%2)<<2|(ej%2)<<1|ei%2 == c {
+				body(e)
+			}
 		}
-	})
+	}
 }
 
 // applyColored computes y = J_uu·u with the tensor kernel on the 8-color

@@ -103,7 +103,6 @@ func (o *asmOp) N() int { return o.p.DA.NVelDOF() }
 func (o *asmOp) Setup() error {
 	if o.a == nil {
 		o.va = fem.NewViscousAssembly(o.p)
-		o.va.Refresh()
 		o.a = o.va.A
 	}
 	return nil
@@ -142,7 +141,7 @@ func (o *asmOp) CSR() *la.CSR { o.Setup(); return o.a }
 // galerkinOp builds the CSR operator as the Galerkin triple product
 // Pᵀ·A_fine·P. A·P comes from the next-finer level's assembled matrix
 // when that level keeps one (asm, galerkin), and otherwise is streamed
-// from the finer problem's element matrices (fem.ViscousAP), bit for bit
+// from the finer problem's element matrices (fem.NewViscousAP), bit for bit
 // the same product, so a matrix-free finer level never holds a matrix.
 // The symbolic structure of the product (and of the constrained-diagonal
 // augmentation) depends only on the sparsity patterns, so it is cached at
@@ -153,13 +152,12 @@ type galerkinOp struct {
 	a   *la.CSR
 
 	// Cached triple-product state for the in-place numeric refresh.
-	fine     *la.CSR        // finer-level matrix the symbolics were derived from
-	stream   *fem.ViscousAP // A_fine·P from element matrices; nil with fine
-	p, pt    *la.CSR        // prolongation and its transpose (values constant)
-	ap, raw  *la.CSR        // A_fine·P and Pᵀ·(A_fine·P) in fixed sparsity; raw is a unless rebuilt
-	rebuilt  bool           // augmentation rebuilt the pattern (Builder path)
-	rawToAug []int          // raw entry k → position in a.Val (-1 = dropped zero)
-	augDiag  []int          // positions in a.Val of constrained-row unit diagonals
+	fine     *la.CSR              // finer-level matrix the symbolics were derived from
+	stream   *fem.ViscousAssembly // A_fine·P from element matrices; nil with fine
+	p, pt    *la.CSR              // prolongation and its transpose (values constant)
+	ap, raw  *la.CSR              // A_fine·P and Pᵀ·(A_fine·P) in fixed sparsity
+	rawToAug []int                // raw entry k → position in a.Val (-1 = dropped zero)
+	augDiag  []int                // positions in a.Val of constrained-row unit diagonals
 }
 
 func newGalerkinOp(env Env) (Operator, error) {
@@ -191,7 +189,7 @@ func (o *galerkinOp) build(fine *la.CSR) error {
 		if err != nil {
 			return fmt.Errorf("op: Galerkin: %w", err)
 		}
-		o.stream, o.ap = s, s.AP
+		o.stream, o.ap = s, s.A
 	default:
 		return fmt.Errorf("op: Galerkin requires an assembled finer level or its problem")
 	}
@@ -203,9 +201,8 @@ func (o *galerkinOp) build(fine *la.CSR) error {
 
 // Refresh replays the triple product numerically into the cached
 // sparsity. The scatter order matches MatMul exactly (la.MatMulNumeric,
-// fem.ViscousAP), so the values are bit-for-bit what a from-scratch Setup
-// would produce. Where the augmentation kept raw's pattern, the product
-// is computed straight into the served matrix.
+// fem.NewViscousAP), so the values are bit-for-bit what a from-scratch
+// Setup would produce.
 func (o *galerkinOp) Refresh() error {
 	if o.a == nil {
 		return o.Setup()
@@ -225,17 +222,15 @@ func (o *galerkinOp) Refresh() error {
 		la.MatMulNumeric(fine, o.p, o.ap, o.env.Workers)
 	}
 	la.MatMulNumeric(o.pt, o.ap, o.raw, o.env.Workers)
-	switch {
-	case o.rebuilt && !o.zeroPatternUnchanged():
+	if !o.zeroPatternUnchanged() {
 		// A structural zero changed state; a cold augmentation would
 		// produce a different pattern, so redo it (rare).
 		o.augment()
 		return nil
-	case o.rebuilt:
-		for k, pos := range o.rawToAug {
-			if pos >= 0 {
-				o.a.Val[pos] = o.raw.Val[k]
-			}
+	}
+	for k, pos := range o.rawToAug {
+		if pos >= 0 {
+			o.a.Val[pos] = o.raw.Val[k]
 		}
 	}
 	for _, pos := range o.augDiag {
@@ -244,50 +239,14 @@ func (o *galerkinOp) Refresh() error {
 	return nil
 }
 
-// augment derives the served matrix from raw: a unit diagonal on
-// constrained rows (the transfer operators drop Dirichlet-constrained
-// dofs, so the triple product leaves them empty), via a Builder rebuild
-// when a constrained diagonal is structurally missing, while recording
-// the raw→augmented value mapping for later refreshes.
+// augment derives the served matrix from raw with Builder semantics: only
+// nonzero raw entries survive, and constrained rows gain a unit diagonal
+// (the transfer operators drop Dirichlet-constrained dofs, so the triple
+// product leaves them empty). It records the raw→served value mapping for
+// later refreshes.
 func (o *galerkinOp) augment() {
 	mask := o.env.Prob.BC.Mask
 	raw := o.raw
-	missing := false
-	for r := 0; r < raw.NRows && !missing; r++ {
-		if !mask[r] {
-			continue
-		}
-		found := false
-		for k := raw.RowPtr[r]; k < raw.RowPtr[r+1]; k++ {
-			if raw.ColInd[k] == r {
-				found = true
-				break
-			}
-		}
-		missing = !found
-	}
-	o.augDiag = o.augDiag[:0]
-	if !missing {
-		// In-place path: pattern unchanged, so raw itself is served.
-		o.a = raw
-		o.rebuilt = false
-		o.rawToAug = nil
-		for r := 0; r < raw.NRows; r++ {
-			if !mask[r] {
-				continue
-			}
-			for k := raw.RowPtr[r]; k < raw.RowPtr[r+1]; k++ {
-				if raw.ColInd[k] == r {
-					o.a.Val[k] = 1
-					o.augDiag = append(o.augDiag, k)
-					break
-				}
-			}
-		}
-		return
-	}
-	// Rebuild path, Builder semantics: only nonzero raw entries survive,
-	// constrained rows gain a unit diagonal.
 	b := la.NewBuilder(raw.NRows, raw.NCols)
 	for r := 0; r < raw.NRows; r++ {
 		for k := raw.RowPtr[r]; k < raw.RowPtr[r+1]; k++ {
@@ -299,7 +258,7 @@ func (o *galerkinOp) augment() {
 	}
 	a := b.ToCSR()
 	o.a = a
-	o.rebuilt = true
+	o.augDiag = o.augDiag[:0]
 	// Per-row sorted merge gives each raw entry its slot in a (or -1 for
 	// entries the zero-skipping Add dropped), and each constrained row its
 	// diagonal position.

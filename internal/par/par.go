@@ -177,18 +177,6 @@ func region(nworkers, nphases int, size int64, prepare func(phase int) int, item
 	p.PoolWorkers.Set(float64(poolSize))
 }
 
-// ForItems runs body(i) for every i in [0,n) distributed over nworkers
-// pool workers in contiguous chunks. Convenience wrapper over For; hot
-// loops with trivial per-item bodies should use For(lo,hi) directly to
-// avoid the per-item indirect call.
-func ForItems(nworkers, n int, body func(i int)) {
-	For(nworkers, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			body(i)
-		}
-	})
-}
-
 // Chunk returns the bounds of chunk c of the balanced partition of [0,n)
 // into nchunks contiguous chunks: the ranges For hands out, for a Phased
 // item that stands for a range.

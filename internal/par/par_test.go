@@ -115,16 +115,6 @@ func TestChunkBalance(t *testing.T) {
 	}
 }
 
-func TestForItemsSum(t *testing.T) {
-	var sum int64
-	ForItems(4, 100, func(i int) {
-		atomic.AddInt64(&sum, int64(i))
-	})
-	if sum != 4950 {
-		t.Fatalf("sum = %d, want 4950", sum)
-	}
-}
-
 func TestForSequentialFastPath(t *testing.T) {
 	calls := 0
 	For(1, 10, func(lo, hi int) {

@@ -200,7 +200,6 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		} else {
 			stop := s.stage("amg_matrix")
 			s.amgVA = fem.NewViscousAssembly(prob)
-			s.amgVA.Refresh()
 			stop()
 			s.amgA = s.amgVA.A
 		}

@@ -23,7 +23,8 @@
 # retransmitting, a 64-rank solve that must not retransmit, a guard that
 # the fabric keeps one mailbox per rank and no clock in its liveness, a
 # guard that no matrix-free level keeps an assembled matrix for the
-# Galerkin product below it, a
+# Galerkin product below it, a guard that the coloured scatter and its
+# colour schedule stay out of internal/fem's non-test code, a
 # one-iteration smoke run of the apply-path, V-cycle, element-kernel
 # and element-matrix benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
@@ -124,9 +125,9 @@ named_tests -race \
 echo "== pipelined GCR within ±2 iterations of classical at 1 and 8 ranks (16^3) =="
 named_tests -count=1 'TestPipelinedGCRRankCountInvariant' ./internal/stokes
 
-echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + A·P streamed plane by plane (rows filled by concurrent workers) == the assembled product and the refreshed coarse Galerkin matrix == a cold build under -race =="
+echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build under -race =="
 named_tests -race \
-    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig' \
+    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAssemblyMatchesScatter|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 # -count=10: the claims, waits and helper hand-offs of a job interleave
@@ -197,7 +198,7 @@ refused auto 'selector "auto" was removed'
 refused mf32 'single-precision kernel of the kernel study'
 
 # The Galerkin coarse level streams A·P from the finer level's element
-# matrices (fem.ViscousAP): no matrix-free level keeps an assembled matrix.
+# matrices (fem.NewViscousAP): no matrix-free level keeps an assembled matrix.
 echo "== no Galerkin-input matrix: no GalerkinInput in non-test Go, no ViscousAssembly on a resident level =="
 if grep -rn 'GalerkinInput' --include='*.go' . | grep -v '_test\.go:'; then
     echo "check.sh: the Galerkin-input handoff is back in non-test Go (above)" >&2
@@ -205,6 +206,14 @@ if grep -rn 'GalerkinInput' --include='*.go' . | grep -v '_test\.go:'; then
 fi
 if grep -n 'ViscousAssembly' internal/op/resident.go; then
     echo "check.sh: internal/op builds a ViscousAssembly for a resident level (above)" >&2
+    exit 1
+fi
+
+# The viscous block and A·P are built through one plane window; the
+# coloured scatter and its 8-colour schedule live on only in tests.
+echo "== one row builder: no colour schedule, coloured scatter or batch pool in non-test Go of internal/fem =="
+if grep -rnE 'colorElems|forEachElementColoredChunk|viscousBatches' --include='*.go' internal/fem | grep -v '_test\.go:'; then
+    echo "check.sh: the coloured scatter or its schedule is back in internal/fem (above)" >&2
     exit 1
 fi
 
