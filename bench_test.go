@@ -21,7 +21,9 @@ import (
 	"math"
 	"sync"
 	"testing"
+	"time"
 
+	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
@@ -380,6 +382,47 @@ func BenchmarkASMApply(b *testing.B) {
 			b.ReportMetric(1e3*per, "ms/apply")
 			b.ReportMetric(1e9*per/float64(a.NNZ()), "ns/entry")
 		})
+	}
+}
+
+// --- Rank synchronisation ---------------------------------------------
+//
+// BenchmarkRankSync prices the rank fabric's two synchronisations on a
+// 2-rank world over an 8³ mesh: an AllReduceSum (the reduction under every
+// inner product of the rank solve) and one halo owner broadcast (one
+// ExchangeReliable), each after c of compute on both ranks. us/sync is the
+// wall time per round beyond the compute: what a rank pays to hear from
+// its peer. 200 µs is about the compute between two syncs of the 16³
+// rank solve; 20 µs the smaller grids'.
+func BenchmarkRankSync(b *testing.B) {
+	da := mesh.New(8, 8, 8, 0, 1, 0, 1, 0, 1)
+	d, err := comm.NewDecomp(da, 2, 1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, c := range []time.Duration{20 * time.Microsecond, 200 * time.Microsecond} {
+		for _, kind := range []string{"allreduce", "exchange"} {
+			b.Run(fmt.Sprintf("%s/%dus", kind, c/time.Microsecond), func(b *testing.B) {
+				w := comm.NewWorld(2)
+				b.ResetTimer()
+				w.Run(func(r *comm.Rank) {
+					dist := comm.NewDist(r, comm.NewLayout(d, r.ID), nil)
+					y := la.NewVec(3 * da.NPx * da.NPy * da.NPz)
+					for i := 0; i < b.N; i++ {
+						for st := time.Now(); time.Since(st) < c; {
+						}
+						if kind == "allreduce" {
+							dist.AllReduceSum(1)
+						} else if err := dist.Broadcast(y); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				})
+				per := b.Elapsed() / time.Duration(b.N)
+				b.ReportMetric(float64(per-c)/1e3, "us/sync")
+			})
+		}
 	}
 }
 

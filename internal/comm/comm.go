@@ -6,11 +6,25 @@
 // are goroutines in one address space, which preserves the communication
 // structure (neighbour exchange, Ls/Lr material-point migration lists,
 // collective reductions) at laptop scale.
+//
+// A rank that finds its mailbox empty spins, then parks: it polls an
+// atomic count of its queued messages, yielding the processor every
+// spinYield polls, before it counts itself waiting and sleeps on its wake
+// channel — a message that comes within the spin costs no thread wake-up.
+// It spins only while some other rank is computing (counted busy and not
+// spinning on an empty mailbox itself), so when every rank waits the
+// world goes quiet as promptly as if none spun, and only in a world that
+// fits the processors (size ≤ GOMAXPROCS when Run starts), so an
+// oversubscribed world parks at once and a spinner never holds the
+// processor its sender needs. The bound is a number of polls (spinPolls),
+// not a clock: nothing of the fabric's liveness reads the time.
 package comm
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // World is a fixed-size group of SPMD ranks.
@@ -39,13 +53,34 @@ type World struct {
 	// is done and nothing is in flight: the world is quiet, nothing will
 	// ever arrive. stop then counts the listeners (ranks waiting in pull
 	// untilQuiet) busy, bumps epoch and closes quiet (replacing it) to
-	// tell them. Lock order: an inbox's mu, then lmu.
+	// tell them. Lock order: an inbox's mu, then lmu. busy is written
+	// under lmu only; it is atomic so a spinning rank can read it without.
 	lmu       sync.Mutex
-	busy      int
+	busy      atomic.Int64
 	listeners int
 	epoch     int64
 	quiet     chan struct{}
+
+	// spin: the world fits the processors (size ≤ GOMAXPROCS when Run
+	// began), so a rank may poll its empty mailbox before it parks.
+	// spinning counts the ranks polling with nothing queued yet; they are
+	// busy too, so busy exceeds spinning exactly while some rank computes.
+	spin     bool
+	spinning atomic.Int64
 }
+
+// spinPolls bounds a rank's polls of its empty mailbox before it parks,
+// and spinYield is how many of them run between two runtime.Gosched
+// calls (as in par's in-job wait). A poll is three atomic loads; the
+// 2^18 of the bound take ~1 ms on a 2-vCPU x86 host with nothing else
+// runnable, over ten times the ~70 µs a park and wake-up cost there, so a
+// wait that outlasts the spin pays at most a tenth more for parking. It
+// is also what a host busier than the world (another process on a rank's
+// core) can lose per wait to the spin.
+const (
+	spinPolls = 1 << 18
+	spinYield = 64
+)
 
 // Retries is the number of quiet rounds an exchange survives before it
 // fails with *ExchangeError: the times the world may go quiet with it
@@ -86,7 +121,7 @@ func (w *World) wake(b *inbox) {
 	b.idle = false
 	w.lmu.Lock()
 	if !b.listen || b.epoch == w.epoch {
-		w.busy++
+		w.busy.Add(1)
 		if b.listen {
 			w.listeners--
 		}
@@ -105,10 +140,11 @@ func (w *World) told(b *inbox) bool {
 // stop counts one busy rank out (called with lmu held). The last one makes
 // the world quiet: the listeners are counted busy, to act on it, and told.
 func (w *World) stop() {
-	if w.busy--; w.busy > 0 {
+	if w.busy.Add(-1) > 0 {
 		return
 	}
-	w.busy, w.listeners = w.listeners, 0
+	w.busy.Store(int64(w.listeners))
+	w.listeners = 0
 	w.epoch++
 	close(w.quiet)
 	w.quiet = make(chan struct{})
@@ -129,6 +165,11 @@ type inbox struct {
 	mu   sync.Mutex
 	q    []message
 	head int
+	// n is the number of queued messages, len(q)-head, for the reader to
+	// poll without mu while it spins; spinning: the reader is counted in
+	// World.spinning.
+	n        atomic.Int64
+	spinning atomic.Bool
 	// idle: the reader waits in pull on an empty queue and is not counted
 	// busy; listen: it waits untilQuiet, since quiet number epoch (both
 	// written under World.lmu too). The put that ends the wait counts it
@@ -148,10 +189,12 @@ func (w *World) put(to int, m message) {
 	b := &w.inbox[to]
 	b.mu.Lock()
 	b.q = append(b.q, m)
+	b.n.Add(1)
 	if b.idle {
 		w.wake(b)
 	}
 	b.mu.Unlock()
+	w.unspin(b)
 	select {
 	case b.wake <- struct{}{}:
 	default:
@@ -162,10 +205,12 @@ func (w *World) put(to int, m message) {
 // is the one place a rank blocks on the fabric. With untilQuiet it gives
 // up, reporting false, when the world goes quiet while it waits: every
 // rank waiting and nothing in flight, so no message can come. Without, it
-// waits for ever (the collectives' receive).
+// waits for ever (the collectives' receive). On an empty mailbox it first
+// spins (World.poll), still counted busy, and only then waits.
 func (w *World) pull(id int, untilQuiet bool) (message, bool) {
 	b := &w.inbox[id]
 	var quiet <-chan struct{}
+	spun := !w.spin
 	for {
 		b.mu.Lock()
 		if quiet != nil && w.told(b) {
@@ -183,10 +228,17 @@ func (w *World) pull(id int, untilQuiet bool) (message, bool) {
 			if b.head++; b.head == len(b.q) {
 				b.q, b.head = b.q[:0], 0
 			}
+			b.n.Add(-1)
 			b.mu.Unlock()
 			return m, true
 		}
 		if !b.idle {
+			if !spun {
+				spun = true
+				b.mu.Unlock()
+				w.poll(b)
+				continue
+			}
 			if q := w.wait(b, untilQuiet); untilQuiet {
 				quiet = q
 			}
@@ -196,6 +248,31 @@ func (w *World) pull(id int, untilQuiet bool) (message, bool) {
 		case <-b.wake:
 		case <-quiet:
 		}
+	}
+}
+
+// poll spins on b's queue count for at most spinPolls polls, returning
+// early when a message is queued or when no other rank computes: then
+// every rank waits or spins, and the one that would send has yet to be
+// woken, or there is none and the world is about to go quiet. The caller
+// is busy and stays so; it re-reads the queue under b.mu either way.
+func (w *World) poll(b *inbox) {
+	w.spinning.Add(1)
+	b.spinning.Store(true)
+	for i := 1; i <= spinPolls && b.n.Load() == 0 && w.busy.Load() > w.spinning.Load(); i++ {
+		if i%spinYield == 0 {
+			runtime.Gosched()
+		}
+	}
+	w.unspin(b)
+}
+
+// unspin counts b's reader out of the spinning ranks, once: when it stops
+// polling, or earlier, by the put that gives it a message — from then on
+// it computes, and a peer that waits for its answer may spin.
+func (w *World) unspin(b *inbox) {
+	if b.spinning.CompareAndSwap(true, false) {
+		w.spinning.Add(-1)
 	}
 }
 
@@ -231,8 +308,9 @@ func (w *World) SetFabric(f FabricModel) { w.fabric = f }
 // when all ranks have finished.
 func (w *World) Run(body func(r *Rank)) {
 	var wg sync.WaitGroup
+	w.spin = w.size <= runtime.GOMAXPROCS(0)
 	w.lmu.Lock()
-	w.busy += w.size
+	w.busy.Add(int64(w.size))
 	w.lmu.Unlock()
 	for id := 0; id < w.size; id++ {
 		wg.Add(1)

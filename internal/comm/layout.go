@@ -221,3 +221,41 @@ func (l *Layout) DotVel(x, y []float64) float64 {
 	}
 	return s
 }
+
+// AXPYDotVel computes v += alpha*x on the velocity dofs of the rank's
+// owned+ghost (Ext) node box — the rows of VelSpans — and returns the
+// partial inner product of the updated v with y over its owned nodes, in
+// one sweep: bitwise the update followed by DotVel(v, y). Each owned node
+// is updated and then summed with DotVel's expression, in DotVel's (k,j,i)
+// order; y may alias v or x.
+func (l *Layout) AXPYDotVel(alpha float64, v, x, y []float64) float64 {
+	axpy := func(lo, hi int) {
+		w, u := v[lo:hi], x[lo:hi]
+		for i := range w {
+			w[i] += alpha * u[i]
+		}
+	}
+	s := 0.0
+	e, o := l.Ext, l.Owned
+	da := l.D.DA
+	for k := e.Lo[2]; k < e.Hi[2]; k++ {
+		for j := e.Lo[1]; j < e.Hi[1]; j++ {
+			row := (k*da.NPy + j) * da.NPx
+			lo, hi := 3*(row+e.Lo[0]), 3*(row+e.Hi[0])
+			if k < o.Lo[2] || k >= o.Hi[2] || j < o.Lo[1] || j >= o.Hi[1] {
+				axpy(lo, hi)
+				continue
+			}
+			olo, ohi := 3*(row+o.Lo[0]), 3*(row+o.Hi[0])
+			axpy(lo, olo)
+			for d0 := olo; d0 < ohi; d0 += 3 {
+				v[d0] += alpha * x[d0]
+				v[d0+1] += alpha * x[d0+1]
+				v[d0+2] += alpha * x[d0+2]
+				s += v[d0]*y[d0] + v[d0+1]*y[d0+1] + v[d0+2]*y[d0+2]
+			}
+			axpy(ohi, hi)
+		}
+	}
+	return s
+}

@@ -1,9 +1,27 @@
 package comm
 
 import (
+	"runtime"
 	"testing"
 	"time"
 )
+
+// atLeastProcs raises GOMAXPROCS to n for the rest of the test.
+func atLeastProcs(t *testing.T, n int) {
+	if prev := runtime.GOMAXPROCS(0); prev < n {
+		runtime.GOMAXPROCS(n)
+		t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
+}
+
+// waited reports whether rank id has counted itself waiting in a pull
+// untilQuiet since its world began: World.wait marks its inbox listen.
+func waited(w *World, id int) bool {
+	b := &w.inbox[id]
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.listen
+}
 
 // TestMailbox pins the properties the protocol above rests on, under -race
 // in scripts/check.sh: messages of one sender arrive in the order it sent
@@ -11,7 +29,11 @@ import (
 // when, the world is quiet — every rank waiting in pull or done, and
 // nothing in flight; a rank that computes, however long, keeps the world
 // from going quiet; and every rank waiting for the quiet is told of it,
-// even when mail sent in reaction to it reaches the rank first.
+// even when mail sent in reaction to it reaches the rank first. A rank
+// that fits the processors polls its empty mailbox while a peer computes,
+// and takes what comes then without counting itself waiting; it still
+// hears the quiet when every rank waits; an oversubscribed world never
+// polls.
 func TestMailbox(t *testing.T) {
 	t.Run("per-sender order under concurrent senders", func(t *testing.T) {
 		const senders, each = 8, 500
@@ -112,6 +134,89 @@ func TestMailbox(t *testing.T) {
 				r.Send(1-r.ID, i)
 				if m, ok := w.pull(r.ID, true); !ok || m.v.(int) != i {
 					t.Errorf("rank %d round %d: (%v, %v)", r.ID, i, m, ok)
+					return
+				}
+			}
+		})
+	})
+	t.Run("a put to a spinning receiver wakes no one", func(t *testing.T) {
+		// Rank 1 computes until it sees rank 0 spin on its empty mailbox,
+		// then sends: rank 0 takes the message without ever counting
+		// itself waiting (or sleeping). Only a round in which both ranks
+		// run at once shows it: on a loaded host the two threads may take
+		// turns on one CPU, rank 0 spinning out its bound while rank 1
+		// waits for the CPU. Such a round proves nothing and is run again.
+		atLeastProcs(t, 2)
+		const rounds = 100
+		for round := 0; round < rounds; round++ {
+			w := NewWorld(2)
+			var seen bool
+			w.Run(func(r *Rank) {
+				if r.ID == 1 {
+					for !waited(w, 0) {
+						if seen = w.spinning.Load() == 1; seen {
+							break
+						}
+					}
+					r.Send(0, 7)
+					return
+				}
+				if m, ok := w.pull(0, true); !ok || m.v.(int) != 7 {
+					t.Errorf("pull: (%v, %v)", m, ok)
+				}
+			})
+			if seen {
+				if waited(w, 0) {
+					t.Error("rank 0 counted itself waiting for a message put while it spun")
+				}
+				return
+			}
+		}
+		t.Skipf("rank 1 never ran while rank 0 spun in %d rounds: the host never ran both at once", rounds)
+	})
+	t.Run("ranks that fit the processors still hear the quiet", func(t *testing.T) {
+		// Both ranks spin only while the other computes: when both wait,
+		// both park and the world goes quiet, round after round.
+		atLeastProcs(t, 2)
+		const rounds = 2000
+		w := NewWorld(2)
+		w.Run(func(r *Rank) {
+			if !w.spin {
+				t.Error("a 2-rank world on 2 processors does not spin")
+			}
+			for i := 0; i < rounds; i++ {
+				if m, ok := w.pull(r.ID, true); ok {
+					t.Errorf("rank %d round %d: mail %v instead of the quiet", r.ID, i, m)
+					return
+				}
+				r.Send(1-r.ID, i)
+				if m, ok := w.pull(r.ID, true); !ok || m.v.(int) != i {
+					t.Errorf("rank %d round %d: (%v, %v)", r.ID, i, m, ok)
+					return
+				}
+			}
+		})
+	})
+	t.Run("a world larger than GOMAXPROCS never spins", func(t *testing.T) {
+		// Every rank but 0 computes until rank 0 has counted itself
+		// waiting, watching that no rank polls, and then sends to it.
+		n := runtime.GOMAXPROCS(0) + 1
+		w := NewWorld(n)
+		w.Run(func(r *Rank) {
+			if r.ID > 0 {
+				for !waited(w, 0) {
+					if w.spin || w.spinning.Load() != 0 {
+						t.Errorf("a rank spins in a world of %d ranks on %d processors", n, n-1)
+						break
+					}
+					runtime.Gosched()
+				}
+				r.Send(0, r.ID)
+				return
+			}
+			for k := 1; k < n; k++ {
+				if _, ok := w.pull(0, true); !ok {
+					t.Errorf("pull %d: the quiet while ranks computed", k)
 					return
 				}
 			}

@@ -14,8 +14,8 @@ import (
 // change it: only GCR and FGMRES have a latency-tolerant form.
 //
 // The residual update r −= α·A·p returns ‖r‖² from the same sweep
-// (Params.axpyDot), bitwise the update followed by the norm; a
-// rank-collective solve keeps the two steps.
+// (Params.axpyDot), bitwise the update followed by the norm, on a rank
+// too (FusedReducer).
 func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	var work [4]la.Vec
 	return cg(a, m, b, x, prm, &work)

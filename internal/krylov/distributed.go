@@ -47,6 +47,16 @@ type BatchReducer interface {
 	DotBatch(xs, ys []la.Vec) []float64
 }
 
+// FusedReducer extends Reducer with the one-sweep Gram–Schmidt step of a
+// rank-collective solve: AXPYDot computes v += alpha*x on the solve's
+// windows (Params.Spans) and returns the globally reduced inner product
+// of the updated v with y, in one pass over the rank's rows and one
+// collective. It must be bitwise the update followed by Dot(v, y).
+type FusedReducer interface {
+	Reducer
+	AXPYDot(v la.Vec, alpha float64, x, y la.Vec) float64
+}
+
 // dot returns the (possibly rank-collective) inner product.
 func (p Params) dot(x, y la.Vec) float64 {
 	if p.Reducer != nil {
@@ -64,17 +74,20 @@ func (p Params) norm2(x la.Vec) float64 {
 }
 
 // axpyDot computes v += alpha*x and returns the (possibly rank-collective)
-// inner product of the updated v with y. The shared-memory path runs it
-// as one sweep (la.Vec.AXPYDot), bitwise the update followed by the dot.
-// A Reducer keeps the two steps: its partial product is grouped by owned
-// node (comm.Layout.DotVel), not summed in index order, so a fused
-// partial is a different sum with its own proof.
+// inner product of the updated v with y, in one sweep: la.Vec.AXPYDot on
+// the shared-memory path, the FusedReducer's own sweep on a rank (its
+// partial is summed in its own order, grouped by owned node), each
+// bitwise the update followed by the dot. A plain Reducer runs the two
+// steps, the oracle of both sweeps.
 func (p Params) axpyDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
-	if p.Reducer != nil {
-		p.vaxpy(v, alpha, x)
-		return p.Reducer.Dot(v, y)
+	switch rd := p.Reducer.(type) {
+	case nil:
+		return v.AXPYDot(alpha, x, y)
+	case FusedReducer:
+		return rd.AXPYDot(v, alpha, x, y)
 	}
-	return v.AXPYDot(alpha, x, y)
+	p.vaxpy(v, alpha, x)
+	return p.Reducer.Dot(v, y)
 }
 
 // dots returns the (possibly rank-collective) inner products of the

@@ -22,8 +22,8 @@ import (
 // as gmres.go does: β₀ = (q, q₀), then q −= βᵢ·qᵢ and β_{i+1} = (q, q_{i+1})
 // in one sweep (Params.axpyDot), the last returning ‖q‖²; z keeps its own
 // update. The step r −= α·q likewise returns ‖r‖² from the same sweep.
-// Each fused sweep is bitwise the update followed by the dot; a
-// rank-collective solve keeps the two steps (see axpyDot).
+// Each fused sweep is bitwise the update followed by the dot, on a rank
+// too (FusedReducer; see axpyDot).
 //
 // With prm.Pipelined set on a rank-collective solve (Reducer != nil)
 // the orthogonalisation switches from modified Gram–Schmidt (j+3

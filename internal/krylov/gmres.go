@@ -20,8 +20,8 @@ import (
 // vector streams per basis vector instead of five), and it is bitwise the
 // two-step form: each sweep performs the update and the dot in their own
 // expression shapes and order, and every dot still reads the w the
-// previous update left. A rank-collective solve keeps the two steps (see
-// axpyDot).
+// previous update left. A rank sweeps its own rows and reduces once per
+// sweep (FusedReducer; see axpyDot).
 //
 // With prm.Pipelined set on a rank-collective solve (Reducer != nil)
 // the Arnoldi orthogonalization switches from modified Gram–Schmidt

@@ -80,9 +80,10 @@ type Params struct {
 
 	// Reducer, when non-nil, makes the solve rank-collective: every dot
 	// product and norm goes through it instead of the serial BLAS-1
-	// kernels, and each update that a reduction of the updated vector
-	// follows stays a separate step (see Params.axpyDot). Nil keeps the
-	// shared-memory path bit-for-bit. See distributed.go.
+	// kernels; each update that a reduction of the updated vector follows
+	// is one sweep with it when the Reducer is a FusedReducer, two steps
+	// otherwise (see Params.axpyDot). Nil keeps the shared-memory path
+	// bit-for-bit. See distributed.go.
 	Reducer Reducer
 	// Exchanger, when non-nil, refreshes the ghost entries of the
 	// caller-supplied b and x at solve entry so the first operator

@@ -136,6 +136,23 @@ func (rd *coupledReducer) DotBatch(xs, ys []la.Vec) []float64 {
 	return rd.dist.AllReduceSumVec(part)
 }
 
+// AXPYDot computes v += alpha*x on the rank's coupled spans and returns
+// the reduced coupled inner product of the updated v with y
+// (krylov.FusedReducer): one sweep forms the owned velocity partial in
+// DotVel's node order and the pressure partials per element in Elems
+// order, as local sums them, then one AllReduceSum — bitwise the update
+// followed by Dot.
+func (rd *coupledReducer) AXPYDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
+	vu, vp := rd.op.Split(v)
+	xu, xp := rd.op.Split(x)
+	yu, yp := rd.op.Split(y)
+	s := rd.dist.L.AXPYDotVel(alpha, vu, xu, yu)
+	for _, e := range rd.dist.L.Elems {
+		s += vp[4*e:4*e+4].AXPYDot(alpha, xp[4*e:4*e+4], yp[4*e:4*e+4])
+	}
+	return rd.dist.AllReduceSum(s)
+}
+
 // local computes this rank's partial of the coupled inner product.
 func (rd *coupledReducer) local(x, y la.Vec) float64 {
 	xu, xp := rd.op.Split(x)

@@ -1,7 +1,9 @@
 package stokes
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -10,9 +12,77 @@ import (
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/perfmodel"
 )
+
+// TestCoupledReducerFusedSweepBitwise: the rank's one-sweep Gram–Schmidt
+// step (coupledReducer.AXPYDot) leaves the vector and returns the reduced
+// value of vaxpy on the coupled spans followed by coupledReducer.Dot, bit
+// for bit, on every rank of 2×1×1, 1×2×2 and 2×2×2 worlds over a mesh with
+// free-slip (Dirichlet-masked) faces. The vectors hold values outside the
+// spans too, so an update that strays from the rank's owned+ghost windows
+// shows; y is a vector of its own, v itself (the ‖w‖² of the last sweep)
+// and x; x is zero on the masked rows in one case and not in the other.
+func TestCoupledReducerFusedSweepBitwise(t *testing.T) {
+	da := mesh.New(6, 4, 4, 0, 1.5, 0, 1, 0, 1)
+	bc := mesh.NewBC(da)
+	bc.FreeSlipBox(da, mesh.XMin, mesh.XMax, mesh.YMin, mesh.YMax, mesh.ZMin)
+	o := NewOp(fem.NewProblem(da, bc), nil, nil)
+	n := o.N()
+	for _, pg := range [][3]int{{2, 1, 1}, {1, 2, 2}, {2, 2, 2}} {
+		d, err := comm.NewDecomp(da, pg[0], pg[1], pg[2])
+		if err != nil {
+			t.Fatal(err)
+		}
+		comm.NewWorld(d.Size()).Run(func(r *comm.Rank) {
+			dist := comm.NewDist(r, comm.NewLayout(d, r.ID), nil)
+			rd := &coupledReducer{op: o, dist: dist}
+			spans := coupledSpans(o, dist.L)
+			rng := rand.New(rand.NewSource(int64(100*d.Size() + r.ID)))
+			random := func() la.Vec {
+				v := la.NewVec(n)
+				for i := range v {
+					v[i] = rng.NormFloat64()
+				}
+				return v
+			}
+			for c, alias := range []string{"y", "v", "x", "y"} {
+				v0, x, y := random(), random(), random()
+				if c == 0 {
+					for i, m := range bc.Mask {
+						if m {
+							x[i] = 0
+						}
+					}
+				}
+				alpha := rng.NormFloat64()
+				want, got := slices.Clone(v0), slices.Clone(v0)
+				yw, yg := y, y
+				switch alias {
+				case "v":
+					yw, yg = want, got
+				case "x":
+					yw, yg = x, x
+				}
+				want.AXPYSpans(alpha, x, spans)
+				dw := rd.Dot(want, yw)
+				dg := rd.AXPYDot(got, alpha, x, yg)
+				name := fmt.Sprintf("%v rank %d case %d (y = %s)", pg, r.ID, c, alias)
+				if math.Float64bits(dg) != math.Float64bits(dw) {
+					t.Errorf("%s: fused %v, two steps %v", name, dg, dw)
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Errorf("%s: entry %d: fused %v, two steps %v", name, i, got[i], want[i])
+						break
+					}
+				}
+			}
+		})
+	}
+}
 
 // runDistComparison solves the 8³ sinker with the given outer method
 // both shared-memory and rank-distributed over a 2×2×1 world, and

@@ -25,8 +25,8 @@
 # guard that no matrix-free level keeps an assembled matrix for the
 # Galerkin product below it, a guard that the coloured scatter and its
 # colour schedule stay out of internal/fem's non-test code, a
-# one-iteration smoke run of the apply-path, V-cycle, element-kernel
-# and element-matrix benchmarks, and short fuzz smoke passes over the
+# one-iteration smoke run of the apply-path, V-cycle, element-kernel,
+# element-matrix and rank-sync benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
 # contractions.
 # Every PR must leave this script exiting 0.
@@ -115,9 +115,9 @@ named_tests '-short -race' 'TestSoakReliableExchange64Ranks' ./internal/comm
 echo "== pipelined Krylov + coarse agglomeration under -race =="
 named_tests -race 'TestPipelined|TestDistMGAgg|TestAllReduceSumVec' ./internal/krylov ./internal/mg ./internal/comm
 
-echo "== one stack: rank-count invariance, pipelined GCR through the rank reducer, rank transfers bitwise == shared, a lossy fabric's solve == a clean one, under -race =="
+echo "== one stack: rank-count invariance, pipelined GCR through the rank reducer, rank transfers bitwise == shared, a lossy fabric's solve == a clean one, the rank's fused Gram-Schmidt sweep == update then reduce, under -race =="
 named_tests -race \
-    'TestRankCountInvariantClassical|TestDistributedSolvePipelinedAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestLossyFabricSameSolve' \
+    'TestRankCountInvariantClassical|TestDistributedSolvePipelinedAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestLossyFabricSameSolve|TestCoupledReducerFusedSweepBitwise' \
     ./internal/stokes ./internal/mg
 
 # The 16^3 pin of the 62-vs-37 takes ~9 minutes under the race detector (25 s
@@ -153,9 +153,9 @@ named_tests -race \
 # fuses) and the loop order it replaced are pinned the same way, and so is
 # the sweep-ordered ILU(0) against the CSR form (s -= v*x in both sweeps and
 # the elimination).
-echo "== fused update-and-reduce == update then reduce, element matrix assembly == Go body == the q-outer formula, sweep-ordered ILU(0) == the CSR form, built for GOAMD64=v3 =="
+echo "== fused update-and-reduce == update then reduce (shared and rank sweeps), element matrix assembly == Go body == the q-outer formula, sweep-ordered ILU(0) == the CSR form, built for GOAMD64=v3 =="
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo; then
-    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical|TestViscousMatrixMatchesGo|TestGeometryStoreBitwise|TestILU0MatchesCSRFormBitwise|TestILU0RiftSubdomainsMatchCSRForm' ./internal/la ./internal/krylov ./internal/fem
+    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical|TestCoupledReducerFusedSweepBitwise|TestViscousMatrixMatchesGo|TestGeometryStoreBitwise|TestILU0MatchesCSRFormBitwise|TestILU0RiftSubdomainsMatchCSRForm' ./internal/la ./internal/krylov ./internal/fem ./internal/stokes
 else
     echo "skipped: this CPU cannot run GOAMD64=v3 code"
 fi
@@ -352,8 +352,10 @@ fi
 # ns/element and GF/s (a smoke at 1x; -benchtime 200000x for numbers).
 # ElementViscousMatrix: the level-1 assembly's element matrix, assembly
 # against Go, in ns/element (-benchtime 2000x for numbers).
+# RankSync: a 2-rank world's allreduce and halo exchange, in us/sync
+# beyond the compute between syncs (-benchtime 2000x for numbers).
 echo "== benchmark smoke =="
-go test -run='^$' -bench='Apply|VCycle|ElementKernel|ElementViscousMatrix' -benchtime=1x ./...
+go test -run='^$' -bench='Apply|VCycle|ElementKernel|ElementViscousMatrix|RankSync' -benchtime=1x ./...
 
 echo "== fuzz smoke =="
 go test ./internal/comm -run='^$' -fuzz=FuzzDecompIndexMath -fuzztime=5s
