@@ -238,12 +238,9 @@ func BenchmarkAblation_V33(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.SmoothSteps = 3 })
 }
 
-// Coarse-solver choice: GAMG V-cycle vs exact LU vs CG+ASM (§IV-A, §V-A).
+// Coarse-solver choice: GAMG V-cycle vs CG+ASM (§IV-A, §V-A).
 func BenchmarkAblation_CoarseGAMG(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.CoarseSolver = "gamg" })
-}
-func BenchmarkAblation_CoarseLU(b *testing.B) {
-	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.CoarseSolver = "lu" })
 }
 func BenchmarkAblation_CoarseASMCG(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.CoarseSolver = "asmcg" })
@@ -293,7 +290,7 @@ func BenchmarkScaling_Workers4(b *testing.B) { workerBench(b, 4) }
 // viscous apply and the coupled matvec. At 8³ a region is ~100 µs of work,
 // about what waking a parked pool worker costs, so the w2/w1 ratio of
 // these rows is the tracked number for how well the parallel substrate
-// serves small grids (EXPERIMENTS.md, PR 21).
+// serves small grids (EXPERIMENTS.md, "One dispatch per smoother visit").
 func BenchmarkVCycle(b *testing.B) {
 	for _, m := range []int{8, 16} {
 		for _, w := range []int{1, 2} {

@@ -1,8 +1,8 @@
 // Package comm provides the simulated distributed-memory substrate of
-// this reproduction (see DESIGN.md): an SPMD "world" of rank goroutines
-// with one mailbox each for point-to-point messaging and reductions, plus
-// the Cartesian decomposition of the structured mesh among ranks (paper
-// §II-D). The original pTatin3D runs one MPI rank per core; here ranks
+// this reproduction (see DESIGN.md, "The rank fabric"): an SPMD "world" of
+// rank goroutines with one mailbox each for point-to-point messaging and
+// reductions, plus the Cartesian decomposition of the structured mesh
+// among ranks (paper §II-D). The original pTatin3D runs one MPI rank per core; here ranks
 // are goroutines in one address space, which preserves the communication
 // structure (neighbour exchange, Ls/Lr material-point migration lists,
 // collective reductions) at laptop scale.

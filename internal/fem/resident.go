@@ -17,9 +17,10 @@ import (
 // factorization sM (6 entries of the scaled metric Gram matrix, packed
 // symmetric order 00,01,02,11,12,22) plus √s·K (9 entries of the scaled
 // inverse Jacobian, row-major, s = η·w·detJ), which reproduces the same
-// action (see DESIGN.md substitution table). The apply is organized
-// around per-slab "blocks" whose element data, coefficient stream and
-// scratch stay resident in cache while a block is processed. The per-block entry point applyBlock is what the blocked
+// action (see DESIGN.md, "Substitutions (paper → this repo)"). The apply
+// is organized around per-slab "blocks" whose element data, coefficient
+// stream and scratch stay resident in cache while a block is processed.
+// The per-block entry point applyBlock is what the blocked
 // Chebyshev smoother drives slab-by-slab; the whole-vector Apply is the
 // same code path plus the ascending-slab merge, so both produce
 // bit-identical sums.

@@ -50,7 +50,8 @@ func (da *DA) ElemVertices(e int, vs *[8]int32) {
 // multigrid convergence at high contrast depends on it. The geometric
 // (log-space) mean was measured on sinker-swarm and is worse — the
 // viscous-block solve takes 59 FGMRES iterations against 36, the coupled
-// one does not converge in 300 (EXPERIMENTS.md, PR 21) — and is gone.
+// one does not converge in 300 (EXPERIMENTS.md, "One dispatch per
+// smoother visit") — and is gone.
 func RestrictVertexFW(fine, coarse *DA, ffield, cfield []float64) {
 	if len(ffield) != fine.NVertices() || len(cfield) != coarse.NVertices() {
 		panic("mesh: RestrictVertexFW length mismatch")

@@ -2,11 +2,12 @@
 // the element-parallel operator kernels and row-parallel SpMV. It is the
 // intra-node half of the paper's parallel substrate: the original pTatin3D
 // relies on MPI ranks per core; here "cores" are long-lived worker
-// goroutines sharing one address space (see DESIGN.md, substitution
-// table). All dispatch goes through one persistent pool (pool.go) — no
-// goroutines are spawned per call — as jobs of one or more phases: For is
-// one phase of balanced chunks, Phased a sequence of phases that pays the
-// pool's wake-up once, Run a Phased job put together from Parts.
+// goroutines sharing one address space (see DESIGN.md, "Substitutions
+// (paper → this repo)"). All dispatch goes through one persistent pool
+// (pool.go) — no goroutines are spawned per call — as jobs of one or more
+// phases: For is one phase of balanced chunks, Phased a sequence of phases
+// that pays the pool's wake-up once, Run a Phased job put together from
+// Parts.
 package par
 
 import (

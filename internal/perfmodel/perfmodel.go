@@ -65,7 +65,7 @@ func PaperTableI() []OpCounts {
 //     flops, plus 15 stored floats per quadrature point streamed in
 //     (3240 B/element) — fewer flops than Tensor, more bytes, exactly the
 //     trade the paper describes (our store keeps 15 scalars vs. the
-//     paper's 21; see DESIGN.md).
+//     paper's 21; see DESIGN.md, "Substitutions (paper → this repo)").
 func ReproCounts() []OpCounts {
 	const (
 		nodal   = 81 * 8.0 // one 27-node × 3-component field in bytes

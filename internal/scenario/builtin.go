@@ -88,12 +88,12 @@ func Sinker(o SinkerOptions) Spec {
 
 // RiftOptions parametrizes the continental rifting model of paper §V.
 //
-// Nondimensionalization (documented in DESIGN.md — the paper quotes
-// only "the non-dimensional scaling we adopted"): length unit 100 km,
-// velocity unit 1 cm/yr, viscosity unit 10²² Pa·s, temperature unit
-// 1300 °C. The domain is then 12 × 2 × 6 (x: 1200 km, y: 200 km
-// vertical, z: 600 km) with the mantle in y ∈ [0, 1.6), weak (lower)
-// crust [1.6, 1.8) and strong (upper) crust [1.8, 2.0]. Buoyancy:
+// Nondimensionalization (DESIGN.md, "Scenarios and the front door"; the
+// paper quotes only "the non-dimensional scaling we adopted"): length
+// unit 100 km, velocity unit 1 cm/yr, viscosity unit 10²² Pa·s,
+// temperature unit 1300 °C. The domain is then 12 × 2 × 6 (x: 1200 km,
+// y: 200 km vertical, z: 600 km) with the mantle in y ∈ [0, 1.6), weak
+// (lower) crust [1.6, 1.8) and strong (upper) crust [1.8, 2.0]. Buoyancy:
 // ρ′g′ = ρ·g·L²/(η₀·V₀) ≈ 102 per unit scaled density ρ/3300.
 type RiftOptions struct {
 	// Mx, My, Mz are element counts (paper finest: 256×32×128; default

@@ -31,10 +31,9 @@ type Config struct {
 	FineKind op.Kind
 	// SmoothSteps is the Chebyshev degree: V(k,k) (paper uses 2 or 3).
 	SmoothSteps int
-	// CoarseSolver: "gamg" (one SA V-cycle, the paper's default), "lu",
-	// "bjacobi" (8 blocks), or "asmcg" (CG preconditioned by ASM(8
-	// subdomains, overlap 4, ILU(0)), max 25 iterations — the rifting
-	// configuration of §V-A).
+	// CoarseSolver: "gamg" (one SA V-cycle, the paper's default) or
+	// "asmcg" (CG preconditioned by ASM(8 subdomains, overlap 4, ILU(0)),
+	// max 25 iterations — the rifting configuration of §V-A).
 	CoarseSolver string
 	// AMGConfig selects the algebraic preconditioner when Levels == 1:
 	// "gamg", "ml" (SAML-i) or "mlstrong" (SAML-ii).
@@ -270,10 +269,9 @@ func (s *Solver) observeLevels() {
 	}
 }
 
-// The coarse solvers' one configuration: "bjacobi" block count, "asmcg"
-// subdomain count and overlap (§V-A).
+// The "asmcg" coarse solver's one configuration: subdomain count and
+// overlap (§V-A).
 const (
-	coarseBlocks  = 8
 	asmSubdomains = 8
 	asmOverlap    = 4
 )
@@ -309,16 +307,6 @@ func (s *Solver) buildCoarseSolver() error {
 			return fmt.Errorf("stokes: GAMG coarse solver: %w", err)
 		}
 		coarse, s.SA = sa, sa
-	case "lu", "bjacobi":
-		nb := 1
-		if cfg.CoarseSolver == "bjacobi" {
-			nb = coarseBlocks
-		}
-		bj, err := krylov.NewBlockJacobi(a, nb)
-		if err != nil {
-			return err
-		}
-		coarse = bj
 	case "asmcg":
 		asmPC, err := krylov.NewASM(a, krylov.ASMOptions{Subdomains: asmSubdomains, Overlap: asmOverlap, Workers: cfg.Workers})
 		if err != nil {

@@ -13,7 +13,7 @@ type TimerSnapshot struct {
 }
 
 // ScopeSnapshot is the exported form of a Scope subtree — the JSON schema
-// documented in DESIGN.md. Maps marshal with sorted keys; children keep
+// documented in DESIGN.md, "Telemetry". Maps marshal with sorted keys; children keep
 // creation order, matching the natural setup order (level0, level1, …).
 type ScopeSnapshot struct {
 	Name     string                   `json:"name"`

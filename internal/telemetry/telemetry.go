@@ -20,8 +20,8 @@
 // use (atomics for counters/timers/gauges, a mutex for series), so worker
 // goroutines may record into shared handles under the race detector.
 //
-// Snapshots are exported as JSON (Registry.WriteJSON, see DESIGN.md for
-// the schema) or rendered as an aligned text table (Registry.WriteTable)
+// Snapshots are exported as JSON (Registry.WriteJSON, see DESIGN.md,
+// "Telemetry", for the schema) or rendered as an aligned text table (Registry.WriteTable)
 // shaped like the per-component time breakdowns of paper Tables II/IV.
 package telemetry
 

@@ -16,8 +16,9 @@
 // paper's two model problems (sinker sedimentation and continental
 // rifting), the Stokes solver configuration, and the building blocks
 // needed to set up custom problems. The implementation lives under
-// internal/ — see DESIGN.md for the system inventory and EXPERIMENTS.md
-// for the per-table/figure reproduction results.
+// internal/ — see DESIGN.md, "Packages", for the system inventory and
+// EXPERIMENTS.md, "Paper vs. measured", for the per-table/figure
+// reproduction results.
 //
 // # Quickstart
 //

@@ -16,7 +16,11 @@
 # check that the runtime operator selector stays gone and its flag values
 # are refused, a check that the solver keeps one precision, a check that
 # the front door stays one (two binaries, one model constructor, one halo
-# apply, docs that name commands and identifiers that exist), a
+# apply, docs that name commands and identifiers that exist), a check that
+# README.md, DESIGN.md and the verify skill name only identifiers, tests and
+# -run patterns that exist (outside names in scripts/docnames/allow.txt),
+# that every cited DESIGN.md/EXPERIMENTS.md section is a heading and that
+# every EXPERIMENTS.md section is cited from DESIGN.md, a
 # worker-count invariance run of rift and of sinker-swarm at 8^3 (its
 # checkpoints byte-equal at 1 and 2 workers), a
 # rank-count invariance check of the 64-rank scaling sweep with no row
@@ -271,6 +275,14 @@ awk '/^## Experiment index/,/^Shape expectations/' DESIGN.md | grep -oE '`[^`]+`
         fi ;;
     esac
 done
+
+# Every backticked span of README.md, DESIGN.md and the verify skill names
+# what the code has: an identifier some Go file defines, a test, benchmark
+# or fuzz target that go test -list lists, or a line of
+# scripts/docnames/allow.txt (an allow line nothing needs fails). Cited
+# sections are headings, and no EXPERIMENTS.md section goes uncited.
+echo "== docs name what exists: spans resolve to code or the allow-list, cited sections are headings, every evidence section is cited =="
+scripts/docnames/docnames.sh
 
 echo "== rift at 3 workers (block groups that do not divide the 8 blocks): its identical to 1 worker =="
 its() { go run ./cmd/ptatin-run -scenario rift -small -steps 2 -workers "$1" | awk -F', ' '!/^#/ {print $1, $4, $5}'; }
