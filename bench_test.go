@@ -9,7 +9,7 @@
 //	Table III BenchmarkTableIII_*      fine-level residual (MG res)
 //	Table IV  BenchmarkTableIV_*       preconditioner configurations
 //	Fig. 3/4  BenchmarkFig4_RiftStep   one rift time step (full pipeline)
-//	          BenchmarkAblation_*      design-choice ablations (DESIGN.md)
+//	          BenchmarkAblation_*      design-choice ablations
 //
 // Run a single family with e.g.
 //
@@ -217,9 +217,10 @@ func BenchmarkFig4_RiftStep(b *testing.B) {
 	}
 }
 
-// --- Ablation benches (design choices called out in DESIGN.md) ----------
+// --- Ablation benches: each varies one design choice ----------------------
 
-// GCR vs FGMRES as the outer flexible method (§III-A).
+// GCR vs FGMRES as the outer flexible method (§III-A; DESIGN.md, "Scenarios
+// and the front door").
 func BenchmarkAblation_OuterGCR(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.OuterMethod = "gcr" })
 }
@@ -227,7 +228,8 @@ func BenchmarkAblation_OuterFGMRES(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.OuterMethod = "fgmres" })
 }
 
-// Chebyshev degree: V(1,1) vs V(2,2) vs V(3,3) (§III-C).
+// Chebyshev degree: V(1,1) vs V(2,2) vs V(3,3) (§III-C; DESIGN.md, "One
+// V-cycle: resident operator and blocked smoother").
 func BenchmarkAblation_V11(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.SmoothSteps = 1 })
 }
@@ -238,7 +240,8 @@ func BenchmarkAblation_V33(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.SmoothSteps = 3 })
 }
 
-// Coarse-solver choice: GAMG V-cycle vs CG+ASM (§IV-A, §V-A).
+// Coarse-solver choice: GAMG V-cycle vs CG+ASM (§IV-A, §V-A; DESIGN.md,
+// "Scenarios and the front door").
 func BenchmarkAblation_CoarseGAMG(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.CoarseSolver = "gamg" })
 }
@@ -246,7 +249,7 @@ func BenchmarkAblation_CoarseASMCG(b *testing.B) {
 	sinkerSolveBench(b, 8, 100, func(c *stokes.Config) { c.CoarseSolver = "asmcg" })
 }
 
-// SUPG on/off for the energy equation (§V).
+// SUPG on/off for the energy equation (§V; DESIGN.md, "Packages").
 func supgBench(b *testing.B, supg bool) {
 	da := mesh.New(8, 8, 8, 0, 1, 0, 1, 0, 1)
 	p := fem.NewProblem(da, nil)

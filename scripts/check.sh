@@ -282,7 +282,7 @@ done
 # scripts/docnames/allow.txt (an allow line nothing needs fails). Cited
 # sections are headings, and no EXPERIMENTS.md section goes uncited.
 echo "== docs name what exists: spans resolve to code or the allow-list, cited sections are headings, every evidence section is cited =="
-scripts/docnames/docnames.sh
+go run ./scripts/docnames
 
 echo "== rift at 3 workers (block groups that do not divide the 8 blocks): its identical to 1 worker =="
 its() { go run ./cmd/ptatin-run -scenario rift -small -steps 2 -workers "$1" | awk -F', ' '!/^#/ {print $1, $4, $5}'; }
