@@ -65,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.ckptPath, "checkpoint", "ptatin.chkpt", "checkpoint file path")
 	fs.StringVar(&o.jsonOut, "json", "", "write the end-to-end run record as JSON to this file (- for stdout)")
 	o.Register(fs, "workers", "op", "telemetry", "cpuprofile",
-		"steps", "res", "ranks", "pipelined", "restart-from")
+		"steps", "res", "ranks", "restart-from")
 	if err := o.Parse(fs, args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -118,7 +118,7 @@ func (o *options) drive(stdout, stderr io.Writer) error {
 		return driver.Smoke(o.Workers, stdout)
 	}
 
-	backend, err := driver.Backend(o.Ranks, o.Pipelined, o.coarseRoots)
+	backend, err := driver.Backend(o.Ranks, o.coarseRoots)
 	if err != nil {
 		return err
 	}

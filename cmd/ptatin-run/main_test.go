@@ -42,14 +42,16 @@ func TestFailedRunStillWritesProfileAndTelemetry(t *testing.T) {
 	}
 }
 
-// TestUsageErrors: a missing -scenario and an unknown flag are exit 2, -h
-// exit 0, none of them reaching a solve.
+// TestUsageErrors: a missing -scenario and an unknown flag (the removed
+// -pipelined among them) are exit 2, -h exit 0, none of them reaching a
+// solve.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		code int
 	}{
 		{nil, 2}, {[]string{"-bogus"}, 2}, {[]string{"-h"}, 0},
+		{[]string{"-scenario", "sinker", "-small", "-pipelined"}, 2},
 		{[]string{"-scenario", "sinker", "-small", "-op", "auto"}, 1},
 	} {
 		if code := run(tc.args, io.Discard, io.Discard); code != tc.code {

@@ -4,7 +4,7 @@
 //	ptatin-tables table1 [-m 16] [-reps 5]          # Table I: operator cost against the roofline
 //	ptatin-tables table2 [-grids 8,12,16] [-cores 1,2,4] [-op mf]
 //	ptatin-tables table2 -ranks 2x2x1 -grids 8      # the same solve, rank-distributed
-//	ptatin-tables sweep -pipelined [-sweep-max-ranks 8]
+//	ptatin-tables sweep [-sweep-max-ranks 8]        # 1–512 simulated ranks, weak and strong
 //	ptatin-tables table4 [-m 8] [-deta 100]         # preconditioner shoot-out
 //	ptatin-tables fig1 [-m 8] [-outdir .]           # sinker solve + streamlines VTK
 //	ptatin-tables fig2 [-m 8]                       # Δη robustness, CSV on stdout

@@ -43,7 +43,7 @@ func TestIterationCounts(t *testing.T) {
 }
 
 // TestUsage: no command and an unknown one are exit 2, as are an unknown
-// flag and a flag another command owns; -h is exit 0 at both levels.
+// flag (the removed -pipelined among them); -h is exit 0 at both levels.
 func TestUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -51,7 +51,8 @@ func TestUsage(t *testing.T) {
 	}{
 		{nil, 2}, {[]string{"table9"}, 2}, {[]string{"-h"}, 0},
 		{[]string{"table4", "-bogus"}, 2},
-		{[]string{"table4", "-pipelined"}, 2}, {[]string{"inspect"}, 2},
+		{[]string{"table4", "-pipelined"}, 2}, {[]string{"sweep", "-pipelined"}, 2},
+		{[]string{"inspect"}, 2},
 		{[]string{"inspect", "/nonexistent"}, 1},
 	} {
 		if code := run(tc.args, io.Discard, io.Discard); code != tc.code {

@@ -194,9 +194,8 @@ var sweepPoints = []sweepPoint{
 type sweepRow struct {
 	iterations int
 	solveS     float64
-	// arPerIt is the per-rank allreduce count over the outer iterations —
-	// pipelined GCR holds it at 2 where the classical recurrence needs j+3
-	// at basis length j.
+	// arPerIt is the per-rank allreduce count over the outer iterations:
+	// GCR's modified Gram–Schmidt needs j+3 at basis length j.
 	arPerIt float64
 	// Modeled fabric time (max over ranks, ns) by operation class: the α–β
 	// interconnect cost that would dominate at real scale.
@@ -207,19 +206,16 @@ type sweepRow struct {
 }
 
 // sweep runs the rank-distributed solve over 1–512 simulated ranks with an
-// agglomerated coarse solve and the α–β fabric model. With -pipelined the
-// Krylov method is pipelined GCR: two batched reductions per iteration
-// (AR/it column: 2.00 measured) where classical GCR needs j+3 at basis
-// length j (21 on the 16³ rows) — and either way the same iteration count
-// on every rank grid: the two strong-16 rows read 37 and 37, which
-// scripts/check.sh asserts. Identical (rank-grid, grid) configurations —
-// the 512-rank corner is shared by both scaling curves — are solved once
-// and reported under both modes.
+// agglomerated coarse solve and the α–β fabric model. GCR reduces j+3
+// times at basis length j (AR/it column: 21 on the 16³ rows) and takes
+// the same iteration count on every rank grid: the strong-16 rows read
+// 37, which scripts/check.sh asserts. Identical (rank-grid, grid)
+// configurations — the 512-rank corner is shared by both scaling curves —
+// are solved once and reported under both modes.
 func sweep(c *ctx) error {
 	o := c.sinkerFlags("deta")
 	maxRanks := c.fs.Int("sweep-max-ranks", 512, "skip sweep points above this rank count (bounded smoke runs)")
 	aggRoots := c.fs.Int("agg", 8, "agglomerate the coarse solve onto this many roots (clamped to the rank count; 0 and 1 are the same layout: everything to rank 0)")
-	c.Register(c.fs, "pipelined")
 	done, err := c.begin()
 	if err != nil {
 		return err
@@ -227,8 +223,7 @@ func sweep(c *ctx) error {
 	defer done()
 
 	out := c.stdout
-	fmt.Fprintf(out, "# scaling sweep (pipelined=%v, agg roots<=%d, fabric=alpha-beta; cores = ranks)\n",
-		c.Pipelined, *aggRoots)
+	fmt.Fprintf(out, "# scaling sweep (agg roots<=%d, fabric=alpha-beta; cores = ranks)\n", *aggRoots)
 	fmt.Fprintf(out, "%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s %12s | %7s\n",
 		"mode", "grid", "ranks", "nranks", "its", "solve(s)", "E/C/s", "AR/it",
 		"fab-halo(ms)", "fab-AR(ms)", "fab-crs(ms)", "retries")
@@ -246,7 +241,7 @@ func sweep(c *ctx) error {
 		if !seen {
 			o.M = pt.g
 			var err error
-			if r, err = sweepOne(pt, *o, c.Pipelined, min(*aggRoots, nr)); err != nil {
+			if r, err = sweepOne(pt, *o, min(*aggRoots, nr)); err != nil {
 				fmt.Fprintf(out, "%-6s %-6d %-7s FAILED (%v)\n", pt.mode, pt.g, ranks, err)
 			}
 			solved[k] = r
@@ -264,7 +259,7 @@ func sweep(c *ctx) error {
 }
 
 // sweepOne solves one sweep point and summarises it.
-func sweepOne(pt sweepPoint, o scenario.SinkerOptions, pipelined bool, roots int) (*sweepRow, error) {
+func sweepOne(pt sweepPoint, o scenario.SinkerOptions, roots int) (*sweepRow, error) {
 	s, bu, err := sinkerSolver(o, 1, func(cfg *stokes.Config) {
 		cfg.FineKind = op.Tensor
 		cfg.Params.MaxIt = 1000
@@ -278,7 +273,6 @@ func sweepOne(pt sweepPoint, o scenario.SinkerOptions, pipelined bool, roots int
 		return nil, err
 	}
 	opt := stokes.DistOptions{
-		Pipelined:   pipelined,
 		CoarseRoots: roots,
 		Fabric:      perfmodel.DefaultFabric(),
 	}

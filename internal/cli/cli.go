@@ -28,7 +28,6 @@ type Flags struct {
 	Steps       int
 	Res         string
 	Ranks       string
-	Pipelined   bool
 	RestartFrom string
 }
 
@@ -51,8 +50,6 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 			fs.StringVar(&f.Res, name, "", "resolution as mx,my,mz (or a single m for m,m,m); default: the scenario's")
 		case "ranks":
 			fs.StringVar(&f.Ranks, name, "", "simulated rank grid PxxPyxPz, e.g. 2x2x1 (ptatin-run: empty or 1x1x1 = the shared-memory backend)")
-		case "pipelined":
-			fs.BoolVar(&f.Pipelined, name, false, "pipelined (batched-reduction) Krylov on the rank-distributed solve")
 		case "restart-from":
 			fs.StringVar(&f.RestartFrom, name, "", "restore model state from this checkpoint first")
 		default:

@@ -19,8 +19,7 @@ func lowbit(id int) int { return id & -id }
 // AllReduceSumVec returns the element-wise global sum of x over all
 // ranks, bit-identical on every rank and across world sizes with the
 // same per-rank values: summation always runs in ascending rank order.
-// The batch width must match on all ranks (one collective per call —
-// this is the single fused reduction of a pipelined Krylov iteration).
+// The batch width must match on all ranks (one collective per call).
 // The returned slice is freshly allocated.
 func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 	start := time.Now()

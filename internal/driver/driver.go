@@ -58,7 +58,7 @@ func (o Overrides) Apply(m *model.Model) error {
 // "1x1x1" selects the shared-memory path, anything else a
 // DistributedBackend over the simulated fabric. A -coarse-roots value no
 // layout of the world can hold is refused here, before any model work.
-func Backend(ranks string, pipelined bool, coarseRoots int) (model.StokesBackend, error) {
+func Backend(ranks string, coarseRoots int) (model.StokesBackend, error) {
 	px, py, pz := 1, 1, 1
 	if ranks != "" {
 		var err error
@@ -73,10 +73,7 @@ func Backend(ranks string, pipelined bool, coarseRoots int) (model.StokesBackend
 	if n == 1 {
 		return model.SharedBackend{}, nil
 	}
-	return model.NewDistributedBackend(px, py, pz, stokes.DistOptions{
-		Pipelined:   pipelined,
-		CoarseRoots: coarseRoots,
-	}), nil
+	return model.NewDistributedBackend(px, py, pz, stokes.DistOptions{CoarseRoots: coarseRoots}), nil
 }
 
 // Config controls one Run.

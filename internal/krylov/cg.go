@@ -10,8 +10,7 @@ import (
 // SPD A and SPD M. x holds the initial guess on entry and the solution on
 // exit. It is used for the viscous block inside Schur complement reduction
 // and as the inexact coarse-grid solver of the rifting configuration
-// (paper §V-A: CG preconditioned with ASM). prm.Pipelined does not
-// change it: only GCR and FGMRES have a latency-tolerant form.
+// (paper §V-A: CG preconditioned with ASM).
 //
 // The residual update r −= α·A·p returns ‖r‖² from the same sweep
 // (Params.axpyDot), bitwise the update followed by the norm, on a rank

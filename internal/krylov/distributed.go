@@ -37,16 +37,6 @@ type Exchanger interface {
 	Consistent(x la.Vec) error
 }
 
-// BatchReducer extends Reducer with a fused reduction: DotBatch returns
-// the globally reduced inner products dot(xs[i], ys[i]) for all pairs
-// using a single collective operation, so a pipelined Krylov iteration
-// pays one allreduce latency instead of one per inner product. Like Dot,
-// the returned values must be bit-identical on every rank.
-type BatchReducer interface {
-	Reducer
-	DotBatch(xs, ys []la.Vec) []float64
-}
-
 // FusedReducer extends Reducer with the one-sweep Gram–Schmidt step of a
 // rank-collective solve: AXPYDot computes v += alpha*x on the solve's
 // windows (Params.Spans) and returns the globally reduced inner product
@@ -88,27 +78,6 @@ func (p Params) axpyDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
 	}
 	p.vaxpy(v, alpha, x)
 	return p.Reducer.Dot(v, y)
-}
-
-// dots returns the (possibly rank-collective) inner products of the
-// vector pairs (xs[i], ys[i]). With a BatchReducer all pairs reduce in
-// one collective; with a plain Reducer each pair reduces separately;
-// with no Reducer the serial products are returned.
-func (p Params) dots(xs, ys []la.Vec) []float64 {
-	if br, ok := p.Reducer.(BatchReducer); ok {
-		return br.DotBatch(xs, ys)
-	}
-	out := make([]float64, len(xs))
-	if p.Reducer != nil {
-		for i := range xs {
-			out[i] = p.Reducer.Dot(xs[i], ys[i])
-		}
-		return out
-	}
-	for i := range xs {
-		out[i] = xs[i].Dot(ys[i])
-	}
-	return out
 }
 
 // spans returns the solver's BLAS-1 windows: the rank's spans on a

@@ -49,13 +49,13 @@ func TestFusedGramSchmidtBitIdentical(t *testing.T) {
 		var problems []problem
 		for _, restart := range []int{80, 7} {
 			prm := DefaultParams()
-			prm.RTol, prm.Restart, prm.MaxIt, prm.History = 1e-10, restart, 200, true
+			prm.RTol, prm.Restart, prm.MaxIt = 1e-10, restart, 200
 			problems = append(problems, problem{fmt.Sprintf("restart=%d", restart), a, m, prm})
 		}
 		// The identity operator with a preconditioner that only ever
 		// corrects e₀: the residual plateaus until the stagnation window
 		// trips or a direction vanishes (a zero pivot).
-		stall := Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 200, Restart: 7, History: true, StagnationWindow: 5}
+		stall := Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 200, Restart: 7, StagnationWindow: 5}
 		problems = append(problems, problem{"stalled", OpFunc{Dim: 12, F: func(x, y la.Vec) { y.Copy(x) }}, stallPC{n: 12}, stall})
 
 		for _, p := range problems {
@@ -65,8 +65,10 @@ func TestFusedGramSchmidtBitIdentical(t *testing.T) {
 			var monitored [2][]la.Vec
 			var xs [2]la.Vec
 			var res [2]Result
+			var history [2]func() []float64
 			for k := range res {
-				prm := p.prm
+				prm, hist := traced(p.prm)
+				history[k] = hist
 				if k == 1 {
 					prm.Reducer = serialReducer{}
 				}
@@ -88,10 +90,11 @@ func TestFusedGramSchmidtBitIdentical(t *testing.T) {
 				t.Fatalf("%s: converged=%v in %d iterations: want convergence, past a restart at 7", name, fused.Converged, fused.Iterations)
 			}
 			sameBits(t, name+" iterate", xs[0], xs[1])
-			if len(fused.History) != len(twoStep.History) {
-				t.Fatalf("%s: %d residuals fused, %d in two steps", name, len(fused.History), len(twoStep.History))
+			fusedHist, twoStepHist := history[0](), history[1]()
+			if len(fusedHist) != len(twoStepHist) {
+				t.Fatalf("%s: %d residuals fused, %d in two steps", name, len(fusedHist), len(twoStepHist))
 			}
-			sameBits(t, name+" history", fused.History, twoStep.History)
+			sameBits(t, name+" history", fusedHist, twoStepHist)
 			if fused.Converged != twoStep.Converged || fused.Iterations != twoStep.Iterations ||
 				fused.BasisVectors != twoStep.BasisVectors || fused.Breakdown != twoStep.Breakdown ||
 				fused.Stagnated != twoStep.Stagnated ||

@@ -22,29 +22,13 @@ import (
 // expression shapes and order, and every dot still reads the w the
 // previous update left. A rank sweeps its own rows and reduces once per
 // sweep (FusedReducer; see axpyDot).
-//
-// With prm.Pipelined set on a rank-collective solve (Reducer != nil)
-// the Arnoldi orthogonalization switches from modified Gram–Schmidt
-// (j+2 reductions per iteration) to reorthogonalized classical
-// Gram–Schmidt — CGS2, "twice is enough" — with the norm recurrence
-// h_{j+1,j}² = (w,w) − Σᵢ h_{ij}²: exactly TWO batched reductions per
-// iteration regardless of the Krylov dimension j (GCR does the same). A
-// single CGS pass would be one reduction, but its orthogonality decays
-// like ε·(‖r₀‖/‖r_j‖)², so the Givens residual estimate stagnates near
-// √ε relative and convergence past ~1e-8 is never detected; the second
-// pass restores ε-level orthogonality and classical convergence. The
-// Givens residual recurrence itself needs no further reductions.
 func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) Result {
 	n := a.N()
 	mr := prm.restart()
 	telStart := prm.begin()
-	pipe := prm.Pipelined && prm.Reducer != nil
 	method := "gmres"
 	if flexible {
 		method = "fgmres"
-	}
-	if pipe {
-		method = "pipe" + method
 	}
 
 	if err := prm.consistent(x, b); err != nil {
@@ -97,11 +81,6 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 	cs := make([]float64, mr)
 	sn := make([]float64, mr)
 	g := make([]float64, mr+1)
-	var xs, ys []la.Vec
-	if pipe {
-		xs = make([]la.Vec, 0, mr+2)
-		ys = make([]la.Vec, 0, mr+2)
-	}
 
 	it := 0
 	for it < prm.MaxIt {
@@ -136,46 +115,15 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 				m.Apply(v[j], zt)
 				a.Apply(zt, w)
 			}
-			var hj1 float64
-			if pipe {
-				// CGS2: two passes of classical Gram–Schmidt, each ONE
-				// batched reduction [(w,v_0)…(w,v_j), (w,w)]. A single pass
-				// would be one reduction, but its orthogonality decays like
-				// ε·(‖r₀‖/‖r_j‖)², stalling the Givens residual estimate
-				// near √ε relative; the second pass removes the O(ε)
-				// residue, and the norm recurrence h² = (w,w) − Σ(w,vᵢ)² is
-				// then evaluated on the second pass's tiny coefficients,
-				// where cancellation is harmless.
-				for i := 0; i <= j; i++ {
-					h[i*mr+j] = 0 // column may hold a previous restart cycle
-				}
-				for pass := 0; pass < 2; pass++ {
-					xs, ys = xs[:0], ys[:0]
-					for i := 0; i <= j; i++ {
-						xs, ys = append(xs, w), append(ys, v[i])
-					}
-					xs, ys = append(xs, w), append(ys, w)
-					d := prm.dots(xs, ys)
-					rec := d[j+1]
-					for i := 0; i <= j; i++ {
-						h[i*mr+j] += d[i]
-						prm.vaxpy(w, -d[i], v[i])
-						rec -= d[i] * d[i]
-					}
-					hj1 = math.Sqrt(math.Max(rec, 0))
-				}
-			} else {
-				// Modified Gram–Schmidt, one sweep per basis vector: the
-				// update against v_i also forms (w, v_{i+1}), and the last
-				// one (w, w).
-				hij := prm.dot(w, v[0])
-				for i := 0; i < j; i++ {
-					h[i*mr+j] = hij
-					hij = prm.axpyDot(w, -hij, v[i], v[i+1])
-				}
-				h[j*mr+j] = hij
-				hj1 = math.Sqrt(prm.axpyDot(w, -hij, v[j], w))
+			// Modified Gram–Schmidt, one sweep per basis vector: the update
+			// against v_i also forms (w, v_{i+1}), and the last one (w, w).
+			hij := prm.dot(w, v[0])
+			for i := 0; i < j; i++ {
+				h[i*mr+j] = hij
+				hij = prm.axpyDot(w, -hij, v[i], v[i+1])
 			}
+			h[j*mr+j] = hij
+			hj1 := math.Sqrt(prm.axpyDot(w, -hij, v[j], w))
 			h[(j+1)*mr+j] = hj1
 			if hj1 != 0 {
 				prm.vcopy(basis(v, j+1), w)

@@ -130,7 +130,8 @@ func TestGMRESLazyBasisSameIterates(t *testing.T) {
 		for _, restart := range []int{80, 6} {
 			name := fmt.Sprintf("flexible=%v restart=%d", flexible, restart)
 			prm := DefaultParams()
-			prm.RTol, prm.Restart, prm.MaxIt, prm.History = 1e-10, restart, 200, true
+			prm.RTol, prm.Restart, prm.MaxIt = 1e-10, restart, 200
+			prm, history := traced(prm)
 			x := slices.Clone(x0)
 			solve := GMRES
 			if flexible {
@@ -142,10 +143,11 @@ func TestGMRESLazyBasisSameIterates(t *testing.T) {
 			if !res.Converged || (restart == 6) != (res.Iterations > restart) {
 				t.Fatalf("%s: converged=%v after %d iterations: only the short window should restart", name, res.Converged, res.Iterations)
 			}
-			if len(hist) != len(res.History) {
-				t.Fatalf("%s: %d residuals, reference %d", name, len(res.History), len(hist))
+			got := history()
+			if len(got) != len(hist) {
+				t.Fatalf("%s: %d residuals, reference %d", name, len(got), len(hist))
 			}
-			sameBits(t, name+" history", res.History, hist)
+			sameBits(t, name+" history", got, hist)
 			sameBits(t, name+" iterate", x, xe)
 			want := min(res.Iterations, restart) + 1
 			if flexible {
@@ -216,18 +218,21 @@ func TestWorkspaceSameIteratesNoRealloc(t *testing.T) {
 		for _, restart := range []int{80, 6} {
 			name := fmt.Sprintf("%s restart=%d", method, restart)
 			prm := DefaultParams()
-			prm.RTol, prm.Restart, prm.MaxIt, prm.History = 1e-10, restart, 200, true
+			prm.RTol, prm.Restart, prm.MaxIt = 1e-10, restart, 200
 			lent := prm
 			lent.Work = new(Workspace)
 			held := 0
 			for i, b := range []la.Vec{b1, b2, b1} {
 				x, xw := la.NewVec(a.NRows), la.NewVec(a.NRows)
-				res := Solve(method, CSROp{a}, NewJacobi(d), b, x, prm)
-				resW := Solve(method, CSROp{a}, NewJacobi(d), b, xw, lent)
+				p, history := traced(prm)
+				pw, historyW := traced(lent)
+				res := Solve(method, CSROp{a}, NewJacobi(d), b, x, p)
+				resW := Solve(method, CSROp{a}, NewJacobi(d), b, xw, pw)
+				hist := history()
 				if !res.Converged || (restart == 6) != (res.Iterations > restart) {
 					t.Fatalf("%s: converged=%v after %d iterations: only the short window should restart", name, res.Converged, res.Iterations)
 				}
-				sameBits(t, name+" history", resW.History, res.History)
+				sameBits(t, name+" history", historyW(), hist)
 				sameBits(t, name+" iterate", xw, x)
 				if resW.BasisVectors != res.BasisVectors || resW.Iterations != res.Iterations {
 					t.Fatalf("%s: lent workspace: %d basis vectors in %d iterations, without %d in %d",
@@ -235,7 +240,7 @@ func TestWorkspaceSameIteratesNoRealloc(t *testing.T) {
 				}
 				if method == "gcr" {
 					xc := la.NewVec(a.NRows)
-					sameBits(t, name+" history vs clone reference", res.History, cloneGCR(CSROp{a}, NewJacobi(d), b, xc, prm.RTol, restart, prm.MaxIt))
+					sameBits(t, name+" history vs clone reference", hist, cloneGCR(CSROp{a}, NewJacobi(d), b, xc, prm.RTol, restart, prm.MaxIt))
 					sameBits(t, name+" iterate vs clone reference", x, xc)
 				}
 				// The third solve repeats the first: whatever the second

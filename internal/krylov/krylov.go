@@ -70,7 +70,6 @@ type Params struct {
 	ATol    float64 // absolute residual tolerance
 	MaxIt   int     // maximum iterations
 	Restart int     // restart length for GMRES/FGMRES/GCR (0 = 30)
-	History bool    // record per-iteration residual norms
 
 	// StagnationWindow, when > 0, declares a stagnation breakdown after
 	// that many consecutive iterations without any residual improvement
@@ -90,12 +89,6 @@ type Params struct {
 	// application reads consistent halos. Nil disables the exchange.
 	Exchanger Exchanger
 
-	// Pipelined selects the latency-tolerant orthogonalisation of FGMRES
-	// and GCR (CGS2 with a norm recurrence: two batched reductions per
-	// iteration, whatever the basis length; see gcr.go and gmres.go). It
-	// only takes effect with a non-nil Reducer — with Reducer == nil the
-	// flag is ignored and the solve runs the serial path bit-for-bit.
-	Pipelined bool
 	// Spans, when non-empty on a rank-collective solve (Reducer != nil),
 	// windows every BLAS-1 update inside the solver to the listed index
 	// ranges — a rank's owned+ghost rows — so per-rank vector work and
@@ -183,11 +176,10 @@ type Result struct {
 	// (GMRES/FGMRES: the v and z actually reached; GCR: the stored
 	// direction pairs). 0 for the short-recurrence methods.
 	BasisVectors int
-	Residual     float64   // final unpreconditioned residual norm
-	Residual0    float64   // initial residual norm
-	History      []float64 // per-iteration residual norms if requested
-	Breakdown    bool      // NaN/Inf or zero denominators encountered
-	Stagnated    bool      // stagnation window tripped (see Params)
+	Residual     float64 // final unpreconditioned residual norm
+	Residual0    float64 // initial residual norm
+	Breakdown    bool    // NaN/Inf or zero denominators encountered
+	Stagnated    bool    // stagnation window tripped (see Params)
 	// Err carries the typed *BreakdownError when Breakdown is set; nil
 	// on clean convergence or a plain iteration-limit stop.
 	Err error
@@ -197,9 +189,6 @@ type Result struct {
 // the explicit residual vector rv to Params.Monitor; methods that hold no
 // such vector pass nil.
 func (r *Result) record(p Params, rn float64, rv la.Vec) {
-	if p.History {
-		r.History = append(r.History, rn)
-	}
 	p.Telemetry.Series("residual").Append(rn)
 	if p.Monitor != nil && rv != nil {
 		p.Monitor(r.Iterations, rv)

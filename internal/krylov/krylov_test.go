@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/telemetry"
 )
 
 // lap3d builds the 7-point 3-D Laplacian on an n×n×n grid — an SPD model
@@ -53,6 +54,13 @@ func randVec(rng *rand.Rand, n int) la.Vec {
 		v[i] = rng.NormFloat64()
 	}
 	return v
+}
+
+// traced gives prm a telemetry scope of its own and returns the reader
+// of the residual norms a solve with it records there, one per iteration.
+func traced(prm Params) (Params, func() []float64) {
+	prm.Telemetry = telemetry.New().Root()
+	return prm, prm.Telemetry.Series("residual").Values
 }
 
 func residualNorm(a *la.CSR, b, x la.Vec) float64 {
@@ -139,14 +147,15 @@ func TestGCRMonotoneResidual(t *testing.T) {
 	x := la.NewVec(a.NRows)
 	prm := DefaultParams()
 	prm.RTol = 1e-10
-	prm.History = true
+	prm, history := traced(prm)
 	res := GCR(CSROp{a}, Identity{}, b, x, prm)
 	if !res.Converged {
 		t.Fatalf("GCR did not converge: %+v", res)
 	}
-	for i := 1; i < len(res.History); i++ {
-		if res.History[i] > res.History[i-1]*(1+1e-12) {
-			t.Fatalf("GCR residual not monotone at %d: %v > %v", i, res.History[i], res.History[i-1])
+	hist := history()
+	for i := 1; i < len(hist); i++ {
+		if hist[i] > hist[i-1]*(1+1e-12) {
+			t.Fatalf("GCR residual not monotone at %d: %v > %v", i, hist[i], hist[i-1])
 		}
 	}
 	if rn := residualNorm(a, b, x); rn > 1e-8*b.Norm2() {

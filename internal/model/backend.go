@@ -56,8 +56,7 @@ func (SharedBackend) LinearSolve(s *stokes.Solver, method string, jop krylov.Op,
 // by element; the preconditioner is the Picard stack on both backends.
 type DistributedBackend struct {
 	Px, Py, Pz int
-	// Opts carries the latency-tolerance options of PR 6 (pipelined
-	// batched-reduction Krylov, coarse agglomeration, fabric model).
+	// Opts carries the coarse agglomeration and fabric model options.
 	Opts stokes.DistOptions
 
 	stats []stokes.RankStats

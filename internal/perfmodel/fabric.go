@@ -38,9 +38,9 @@ func (f *Fabric) MsgNs(bytes int) int64 {
 // (reduce-scatter + all-gather style) allreduce makes 2·⌈log₂P⌉
 // latency-bound hops of the full payload — the small-message regime of
 // every Krylov dot product, where latency dominates and the cost is
-// independent of the local problem size. This is the term the
-// pipelined Krylov variants attack: halving the reductions per
-// iteration halves this charge.
+// independent of the local problem size. A Krylov iteration pays it
+// once per inner product: GCR's modified Gram–Schmidt makes j+3 of them
+// at basis length j.
 func (f *Fabric) AllReduceNs(ranks, width int) int64 {
 	if ranks <= 1 {
 		return 0

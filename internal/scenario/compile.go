@@ -126,7 +126,9 @@ func MustCompile(spec Spec, workers int) *model.Model {
 }
 
 // solverConfig lowers the SolverSpec onto stokes.DefaultConfig, rejecting
-// a fine_kind that names no representation or that op.Layout refuses.
+// a fine_kind that names no representation or that op.Layout refuses, and
+// a level count the resolution cannot halve to (mesh.DA.CanCoarsen) —
+// refused here, not at the first solve.
 func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 	cfg := stokes.DefaultConfig()
 	cfg.Workers = workers
@@ -163,6 +165,14 @@ func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 	}
 	if _, _, err := op.Layout(cfg.Levels, cfg.FineKind); err != nil {
 		return cfg, fmt.Errorf("scenario %q: solver fine_kind: %w", spec.Name, err)
+	}
+	da := mesh.DA{Mx: spec.Resolution[0], My: spec.Resolution[1], Mz: spec.Resolution[2]}
+	for l := 1; l < cfg.Levels; l++ {
+		if !da.CanCoarsen() {
+			return cfg, fmt.Errorf("scenario %q: solver levels %d: level %d has %dx%dx%d elements, which do not halve to a level %d",
+				spec.Name, cfg.Levels, l-1, da.Mx, da.My, da.Mz, l)
+		}
+		da.Mx, da.My, da.Mz = da.Mx/2, da.My/2, da.Mz/2
 	}
 	return cfg, nil
 }

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -215,6 +216,39 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		mutate(&s)
 		if err := s.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid spec", name)
+		}
+	}
+}
+
+// TestLevelsBeyondResolutionRefused: a solver.levels the resolution
+// cannot halve to is a Compile error naming the level and its element
+// counts on both backends, not a panic inside the first solve.
+func TestLevelsBeyondResolutionRefused(t *testing.T) {
+	for _, tc := range []struct {
+		res, levels int
+		want        string
+	}{
+		{8, 6, "level 3 has 1x1x1 elements"},
+		{6, 3, "level 1 has 3x3x3 elements"},
+	} {
+		for _, ranks := range []int{1, 2} {
+			s, err := Get("sinker")
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Resolution = [3]int{tc.res, tc.res, tc.res}
+			s.Solver.Levels = tc.levels
+			name := fmt.Sprintf("%d^3 levels %d on %d ranks", tc.res, tc.levels, ranks)
+			m, err := Compile(s, 1)
+			if err == nil {
+				if ranks > 1 {
+					m.Backend = model.NewDistributedBackend(ranks, 1, 1, stokes.DistOptions{})
+				}
+				err = m.StepForward()
+			}
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "levels") {
+				t.Errorf("%s: %v, want an error naming the levels and containing %q", name, err, tc.want)
+			}
 		}
 	}
 }

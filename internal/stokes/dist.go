@@ -44,13 +44,9 @@ type RankStats struct {
 	FabricCoarseNs    int64 `json:"fabric_coarse_ns,omitempty"`
 }
 
-// DistOptions carries the latency-tolerance options of a distributed
-// solve; the zero value is the plain configuration.
+// DistOptions carries the coarse-solve and fabric options of a
+// distributed solve; the zero value is the plain configuration.
 type DistOptions struct {
-	// Pipelined selects the batched-reduction Krylov variants: two fused
-	// allreduces per outer GCR/FGMRES iteration instead of one per inner
-	// product.
-	Pipelined bool
 	// CoarseRoots agglomerates the coarsest-level solve onto that many
 	// block roots (comm.Agg); 0 means 1, everything to rank 0.
 	CoarseRoots int
@@ -124,18 +120,6 @@ func (rd *coupledReducer) Dot(x, y la.Vec) float64 {
 	return rd.dist.AllReduceSum(rd.local(x, y))
 }
 
-// DotBatch reduces several coupled inner products with ONE collective
-// (krylov.BatchReducer): the fused reduction under the pipelined Krylov
-// variants, collapsing an iteration's 2–3 allreduces — or a restart
-// cycle's j+2 — into a single latency charge.
-func (rd *coupledReducer) DotBatch(xs, ys []la.Vec) []float64 {
-	part := make([]float64, len(xs))
-	for i := range xs {
-		part[i] = rd.local(xs[i], ys[i])
-	}
-	return rd.dist.AllReduceSumVec(part)
-}
-
 // AXPYDot computes v += alpha*x on the rank's coupled spans and returns
 // the reduced coupled inner product of the updated v with y
 // (krylov.FusedReducer): one sweep forms the owned velocity partial in
@@ -198,8 +182,7 @@ func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 // pieces of the per-rank corrections are assembled into the global
 // update. Returns rank 0's Result (all ranks follow the identical
 // trajectory) plus the per-rank communication statistics. opt selects
-// pipelined batched-reduction Krylov, coarse-solve agglomeration onto a rank
-// subset and a fabric cost model.
+// coarse-solve agglomeration onto a rank subset and a fabric cost model.
 //
 // Requires a geometric multigrid configuration (Levels >= 2) whose
 // per-level decompositions nest: px, py, pz must divide the per-level
@@ -374,7 +357,6 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		prm.Reducer = &coupledReducer{op: s.Op, dist: fine}
 		prm.Exchanger = &coupledExchanger{op: s.Op, dist: fine}
 		prm.Telemetry = sc.Child("krylov")
-		prm.Pipelined = opt.Pipelined
 		prm.Spans = spans
 		prm.Work = &s.dcache.work[r.ID]
 

@@ -15,8 +15,10 @@
 # spec's population floor, or a retransmission), a
 # check that the runtime operator selector stays gone and its flag values
 # are refused, a check that the solver keeps one precision, a check that
-# the front door stays one (two binaries, one model constructor, one halo
-# apply, docs that name commands and identifiers that exist), a check that
+# every Krylov solve keeps one orthogonalisation (no pipelined variant, and
+# -pipelined refused by both binaries), a check that the front door stays
+# one (two binaries, one model constructor, one halo apply, docs that name
+# commands that exist), a check that
 # README.md, DESIGN.md and the verify skill name only identifiers, tests and
 # -run patterns that exist (outside names in scripts/docnames/allow.txt),
 # that every cited DESIGN.md/EXPERIMENTS.md section is a heading and that
@@ -116,18 +118,13 @@ named_tests -race 'Fault|Reliable|Migrate|Recv|TestFaultFreeExchangeNeverRetries
 echo "== 64-rank fault-injection soak under -race (bounded: -short) =="
 named_tests '-short -race' 'TestSoakReliableExchange64Ranks' ./internal/comm
 
-echo "== pipelined Krylov + coarse agglomeration under -race =="
-named_tests -race 'TestPipelined|TestDistMGAgg|TestAllReduceSumVec' ./internal/krylov ./internal/mg ./internal/comm
+echo "== coarse agglomeration + vector allreduce under -race =="
+named_tests -race 'TestDistMGAgg|TestAllReduceSumVec' ./internal/mg ./internal/comm
 
-echo "== one stack: rank-count invariance, pipelined GCR through the rank reducer, rank transfers bitwise == shared, a lossy fabric's solve == a clean one, the rank's fused Gram-Schmidt sweep == update then reduce, under -race =="
+echo "== one stack: rank-count invariance, an agglomerated solve on the fabric model at the fused recurrence's allreduce count, rank transfers bitwise == shared, a lossy fabric's solve == a clean one, the rank's fused Gram-Schmidt sweep == update then reduce, under -race =="
 named_tests -race \
-    'TestRankCountInvariantClassical|TestDistributedSolvePipelinedAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestLossyFabricSameSolve|TestCoupledReducerFusedSweepBitwise' \
+    'TestRankCountInvariantClassical|TestDistributedSolveClassicalAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestLossyFabricSameSolve|TestCoupledReducerFusedSweepBitwise' \
     ./internal/stokes ./internal/mg
-
-# The 16^3 pin of the 62-vs-37 takes ~9 minutes under the race detector (25 s
-# without); the stage above races the same cgs2 path at 8^3.
-echo "== pipelined GCR within ±2 iterations of classical at 1 and 8 ranks (16^3) =="
-named_tests -count=1 'TestPipelinedGCRRankCountInvariant' ./internal/stokes
 
 echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build under -race =="
 named_tests -race \
@@ -227,6 +224,26 @@ if grep -rnE 'op\.Precision|ParsePrecision|AssembledF32|CSR32|asm32' --include='
     exit 1
 fi
 
+# Every solve, shared or rank-collective, orthogonalises by the one fused
+# modified Gram-Schmidt (DESIGN.md, "Krylov at scale").
+echo "== one orthogonalisation: no pipelined Krylov, batched reducer or CGS2 in non-test Go; -pipelined refused (exit 2) by both binaries =="
+if grep -rnE 'cgs2|BatchReducer|DotBatch|Pipelined' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check.sh: the pipelined orthogonalisation is back in non-test Go (above)" >&2
+    exit 1
+fi
+bindir=$(mktemp -d)
+go build -o "$bindir" ./cmd/ptatin-run ./cmd/ptatin-tables
+for cmd in "ptatin-run -scenario sinker -small" "ptatin-tables sweep"; do
+    code=0
+    # shellcheck disable=SC2086
+    "$bindir"/$cmd -pipelined >/dev/null 2>&1 || code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "check.sh: $cmd -pipelined exited $code, want 2 (flag not defined)" >&2
+        exit 1
+    fi
+done
+rm -r "$bindir"
+
 echo "== front door: two binaries, models only from compiled specs, the halo apply only the solver's, docs naming commands that exist =="
 if [ "$(ls cmd | xargs)" != "ptatin-run ptatin-tables" ]; then
     echo "check.sh: cmd/ holds more than ptatin-run and ptatin-tables: $(ls cmd | xargs)" >&2
@@ -244,16 +261,6 @@ fi
 for dir in $(grep -ohE 'cmd/ptatin-[a-z]+' README.md DESIGN.md .claude/skills/verify/SKILL.md | sort -u); do
     if [ ! -d "$dir" ]; then
         echo "check.sh: README.md, DESIGN.md or the verify skill names $dir, which does not exist" >&2
-        exit 1
-    fi
-done
-# A backticked `pkg.Identifier` in README or DESIGN is defined in that
-# package: as a func, method, type, var or const, or as an entry of a
-# block or a struct field (a line that starts with it after one tab).
-pkgs=$(ls internal | xargs | tr ' ' '|')
-grep -ohE "\`($pkgs)\.[A-Z][A-Za-z0-9_]*" README.md DESIGN.md | tr -d '`' | sort -u | while read -r id; do
-    if ! grep -qE "^(func (\([^)]*\) )?|type |var |const |	)${id#*.}\b" "internal/${id%%.*}"/*.go; then
-        echo "check.sh: README.md or DESIGN.md names \`$id\`, which no Go file of internal/${id%%.*} defines" >&2
         exit 1
     fi
 done
@@ -314,7 +321,7 @@ go run -race ./cmd/ptatin-tables table2 -ranks 2x1x1 -grids 8
 # they are waiting, not lost, so no row may retransmit (under a 50 ms
 # clock: 175-178 retries on strong 2x2x2, 3 644-4 638 on 4x4x4).
 echo "== scaling sweep to 64 ranks: the strong-16 rows take the same iterations on 1, 8 and 64 ranks; no row retransmits =="
-sweep=$(go run ./cmd/ptatin-tables sweep -pipelined -sweep-max-ranks 64)
+sweep=$(go run ./cmd/ptatin-tables sweep -sweep-max-ranks 64)
 echo "$sweep"
 strong=$(awk '$1 == "strong" && $2 == 16 && $4 ~ /^[0-9]+$/ {print $5}' <<<"$sweep")
 if [ "$(wc -w <<<"$strong")" -ne 3 ] || [ "$(sort -u <<<"$strong" | wc -l)" -ne 1 ]; then

@@ -12,6 +12,9 @@
 //     names nothing the module's Go files, tests included, define (looked
 //     up with go/types, members through embedded fields too) and no name of
 //     the standard library;
+//   - a pkg.Name of a module package that opens a longer span (a call
+//     chain, an index, an assignment) and names nothing that package
+//     defines;
 //   - a Test…, Benchmark… or Fuzz… name (a trailing * makes it a prefix),
 //     or an alternative of a -run, -bench or -fuzz pattern, in a span or a
 //     fenced block, that matches nothing `go test -list` lists;
@@ -169,6 +172,7 @@ var (
 	fileRE     = regexp.MustCompile(`\.(md|go|s|sh|txt|json|csv|mod|sum|vtk|vtu|pvd|pprof|chkpt|out)$`)
 	callRE     = regexp.MustCompile(`[({].*[)}]$`)
 	anchoredRE = regexp.MustCompile(`^\^?[A-Za-z0-9_|]*\$$`)
+	pkgNameRE  = regexp.MustCompile(`^[*&]?([a-z][a-z0-9]*)\.([A-Z][A-Za-z0-9_]*)\b`)
 )
 
 // check reports what span s names that the module does not have.
@@ -198,12 +202,20 @@ func (x *index) check(s span, bad func(where, span, why string)) {
 		}
 		return
 	}
+	const undefined = "names nothing a Go file of the module defines"
 	id := callRE.ReplaceAllString(strings.TrimLeft(s.text, "*&"), "")
-	if !identRE.MatchString(id) || !exportedRE.MatchString(id) || fileRE.MatchString(id) {
+	if !identRE.MatchString(id) {
+		// A longer span names at least the pkg.Name it opens with.
+		if m := pkgNameRE.FindStringSubmatch(s.text); m != nil && x.pkgs[m[1]] != nil && !x.resolves(m[1:]) {
+			bad(s.where, s.text, undefined)
+		}
+		return
+	}
+	if !exportedRE.MatchString(id) || fileRE.MatchString(id) {
 		return
 	}
 	if !x.resolves(strings.Split(id, ".")) {
-		bad(s.where, s.text, "names nothing a Go file of the module defines")
+		bad(s.where, s.text, undefined)
 	}
 }
 

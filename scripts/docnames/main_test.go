@@ -10,8 +10,9 @@ import (
 // fixture is a module whose documents name one thing per way of resolving,
 // or not: a definition of non-test code, of a test file, of an external
 // test package, a member found through an embedded field, a name of the
-// standard library, a test and a -run pattern, an allowed outside name;
-// and one section citation per way of resolving, or not.
+// standard library, a pkg.Name opening a call chain or an assignment, a
+// test and a -run pattern, an allowed outside name; and one section
+// citation per way of resolving, or not.
 var fixture = map[string]string{
 	"go.mod": "module fix\n\ngo 1.22\n",
 	"lib/lib.go": `package lib
@@ -54,8 +55,9 @@ type Fake struct{}
 func TestOutside(t *testing.T) {}
 `,
 	"README.md": "# Fixture\n\n`lib.New`, `Shape.Width`, `lib.Shape.Area`, `New()`, `*lib.Shape`,\n" +
-		"`lib.Fake`, `lib.HelperOnly`, `os.Exit`, `TestNew`, `Test*`, `KSPSetUp`, `a.md`, `lower`.\n\n" +
-		"Gone: `lib.Gone`, `Shape.Height`, `TestGone`, `Nowhere`.\n\n" +
+		"`lib.Fake`, `lib.HelperOnly`, `os.Exit`, `TestNew`, `Test*`, `KSPSetUp`, `a.md`, `lower`,\n" +
+		"`lib.New().Name`, `lib.Base{}.Width = 2`, `os.Args[1:]`.\n\n" +
+		"Gone: `lib.Gone`, `Shape.Height`, `TestGone`, `Nowhere`, `lib.Gone(1).Name`, `lib.Vanished = 3`.\n\n" +
 		"```bash\ngo test -run 'TestNew|TestMissing' ./lib\ngo test -bench Area -run '^$' ./lib   # BenchmarkArea\n```\n",
 	"DESIGN.md":                      "# Design\n\n## Decision\n\nEvidence in EXPERIMENTS.md, \"Evidence\" and\nEXPERIMENTS.md, \"Missing\".\n",
 	"EXPERIMENTS.md":                 "# Experiments\n\n## Trajectory\n\n## Evidence\n\n## Orphan\n",
@@ -80,11 +82,13 @@ func TestFixture(t *testing.T) {
 		}
 	}
 	write(fixture)
-	const want = "README.md:6: `lib.Gone` names nothing a Go file of the module defines\n" +
-		"README.md:6: `Shape.Height` names nothing a Go file of the module defines\n" +
-		"README.md:6: `TestGone` matches no test, benchmark or fuzz target of go test -list\n" +
-		"README.md:6: `Nowhere` names nothing a Go file of the module defines\n" +
-		"README.md:9: `TestMissing` (a -run/-bench/-fuzz alternative) matches no test, benchmark or fuzz target of go test -list\n" +
+	const want = "README.md:7: `lib.Gone` names nothing a Go file of the module defines\n" +
+		"README.md:7: `Shape.Height` names nothing a Go file of the module defines\n" +
+		"README.md:7: `TestGone` matches no test, benchmark or fuzz target of go test -list\n" +
+		"README.md:7: `Nowhere` names nothing a Go file of the module defines\n" +
+		"README.md:7: `lib.Gone(1).Name` names nothing a Go file of the module defines\n" +
+		"README.md:7: `lib.Vanished = 3` names nothing a Go file of the module defines\n" +
+		"README.md:10: `TestMissing` (a -run/-bench/-fuzz alternative) matches no test, benchmark or fuzz target of go test -list\n" +
 		".claude/skills/verify/SKILL.md:1: `TestSkillGone` matches no test, benchmark or fuzz target of go test -list\n" +
 		"scripts/docnames/allow.txt:3: Stale excuses no span that fails; delete the line\n" +
 		"DESIGN.md:5: cites EXPERIMENTS.md, \"Missing\", which is no heading of EXPERIMENTS.md\n" +
