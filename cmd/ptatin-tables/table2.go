@@ -93,10 +93,7 @@ func table2(c *ctx) error {
 					fmt.Fprintf(out, "%-6d %-6d %-5s FAILED after %d its\n", g, workers, label[kind][0], res.Iterations)
 					continue
 				}
-				var coarseApply time.Duration
-				if s.CoarseApply != nil {
-					coarseApply = s.CoarseApply.Elapsed()
-				}
+				coarseApply := s.Tel.Child("mg").Child("coarse").Timer("solve").Elapsed()
 				nel := float64(g * g * g)
 				// GF/s attribution, as the paper's: the fine operator's flops
 				// per Krylov iteration times a V(2,2) multiplier (2 pre + 2

@@ -73,10 +73,11 @@ func table4(c *ctx) error {
 			fmt.Fprintf(out, "%-8s FAILED after %d iterations (rel %.2e)\n", cf.name, res.Iterations, res.Residual/res.Residual0)
 			continue
 		}
+		outer := s.Tel.Child("outer")
 		fmt.Fprintf(out, "%-8s %5d %12.3f %12.3f %12.3f %12.3f\n",
 			cf.name, res.Iterations,
-			s.MatMult.Elapsed().Seconds(), s.SetupTime.Seconds(),
-			s.PCApply.Elapsed().Seconds(), solve)
+			outer.Timer("matmult").Elapsed().Seconds(), s.SetupTime.Seconds(),
+			outer.Timer("pcapply").Elapsed().Seconds(), solve)
 		if cf.name == "GMG-i" {
 			gmgiTime = solve
 		} else if gmgiTime > 0 {

@@ -85,65 +85,11 @@ type Config struct {
 	// Out receives the per-step CSV (default os.Stdout; io.Discard
 	// silences it).
 	Out io.Writer
-	// JSONOut, when non-nil, receives the end-to-end StepRecord JSON
+	// JSONOut, when non-nil, receives the end-to-end RunRecord JSON
 	// after the loop (ptatin-run -json).
 	JSONOut io.Writer
 	// Scenario labels the JSON record.
 	Scenario string
-}
-
-// StepRecord is one step of the machine-readable run record.
-type StepRecord struct {
-	Step      int     `json:"step"`
-	Dt        float64 `json:"dt"`
-	NewtonIts int     `json:"newton_its"`
-	KrylovIts int     `json:"krylov_its"`
-	// KrylovBasis is the largest Krylov basis (n-vectors) an inner solve
-	// of the step allocated.
-	KrylovBasis int  `json:"krylov_basis"`
-	Converged   bool `json:"converged"`
-	// ResidualEvals counts the step's nonlinear residual evaluations, the
-	// line-search trials included; LineSearchStagnated says the nonlinear
-	// iteration stopped because a search found no reducing step.
-	ResidualEvals       int  `json:"residual_evals"`
-	LineSearchStagnated bool `json:"line_search_stagnated"`
-	// The Krylov health fields of model.StepStats: inner solves that broke
-	// down, and those the alternate method then solved.
-	KrylovBreakdowns int `json:"krylov_breakdowns"`
-	KrylovFallbacks  int `json:"krylov_fallbacks"`
-	Points           int `json:"points"`
-	// The population fields of model.StepStats.
-	PointsRemoved  int     `json:"points_removed"`
-	PointsInjected int     `json:"points_injected"`
-	PPEMin         int     `json:"ppe_min"`
-	PPEMax         int     `json:"ppe_max"`
-	WallS          float64 `json:"wall_s"`
-	Backend        string  `json:"backend"`
-	Ranks          int     `json:"ranks,omitempty"`
-	HaloMsgs       int64   `json:"halo_msgs,omitempty"`
-	HaloBytes      int64   `json:"halo_bytes,omitempty"`
-	AllReduces     int64   `json:"allreduces,omitempty"`
-	Retries        int64   `json:"retries,omitempty"`
-	// Per-stage wall seconds of the step pipeline, and the count of
-	// relinearizations that reused the cached Stokes setup.
-	RheologyS         float64 `json:"rheology_s"`
-	MPMProjectS       float64 `json:"mpm_project_s"`
-	StokesSetupS      float64 `json:"stokes_setup_s"`
-	StokesKrylovS     float64 `json:"stokes_krylov_s"`
-	AdvectS           float64 `json:"advect_s"`
-	ALES              float64 `json:"ale_s"`
-	ThermalS          float64 `json:"thermal_s"`
-	StokesSetupReused int64   `json:"stokes_setup_reused"`
-	// CoeffUpdates is model.StepStats.CoeffUpdates: the step's
-	// point-rheology evaluations with projection.
-	CoeffUpdates int64 `json:"coeff_updates"`
-	// CPUUtil is model.StepStats.CPUUtil: user CPU seconds over wall ×
-	// cores, to within one garbage-collection cycle; absent when no cycle
-	// ended inside the step, so nothing was measured.
-	CPUUtil float64 `json:"cpu_util,omitempty"`
-	// HelperShare is model.StepStats.HelperShare: the share of the step's
-	// parallel-region items that pool workers, not the callers, ran.
-	HelperShare float64 `json:"helper_share"`
 }
 
 // RunRecord is the end-to-end JSON emitted on JSONOut.
@@ -158,10 +104,10 @@ type RunRecord struct {
 	Hierarchy []mg.LevelInfo `json:"hierarchy,omitempty"`
 	// Kernel is the encoding the float64 element kernel ran in on this
 	// host (fem.KernelName): "avx2" or "go".
-	Kernel     string       `json:"kernel"`
-	Steps      []StepRecord `json:"steps"`
-	TotalWallS float64      `json:"total_wall_s"`
-	AvgStepS   float64      `json:"avg_step_s"`
+	Kernel     string            `json:"kernel"`
+	Steps      []model.StepStats `json:"steps"`
+	TotalWallS float64           `json:"total_wall_s"`
+	AvgStepS   float64           `json:"avg_step_s"`
 	// CPUUtil is the share of Workers (× Ranks) cores that ran user Go
 	// code over the whole time loop — exact, the loop being bracketed by
 	// two collections. Well under 1: serial sections or idle workers.
@@ -192,20 +138,18 @@ func Run(m *model.Model, cfg Config) error {
 		ranks = db.Ranks()
 	}
 	fmt.Fprintln(out, "# columns: step, time, dt, newton_its, krylov_its, |F|0, |F|, converged, topo_min, topo_max, points, backend, halo_msgs, wall_s, cpu_util, krylov_basis, helper_share")
-	var recs []StepRecord
 	// The runtime's CPU accounting advances at collection cycles: run one
 	// on either side of the loop so the run's utilization is of the loop.
 	runtime.GC()
 	cpuStart := telemetry.ReadCPU()
 	items0, pooled0 := par.Counts()
 	runStart := time.Now()
+	first := len(m.Stats) // the record holds the steps of this run
 	for s := 0; s < cfg.Steps; s++ {
-		stepStart := time.Now()
 		if err := m.StepForward(); err != nil {
 			return fmt.Errorf("step %d: %w", m.StepNum+1, err)
 		}
 		st := m.Stats[len(m.Stats)-1]
-		wall := time.Since(stepStart).Seconds()
 		cpu := "-" // no collection cycle ended inside the step: not measured
 		if st.CPUUtil > 0 {
 			cpu = fmt.Sprintf("%.2f", st.CPUUtil)
@@ -213,29 +157,7 @@ func Run(m *model.Model, cfg Config) error {
 		fmt.Fprintf(out, "%d, %.5f, %.5f, %d, %d, %.3e, %.3e, %v, %.4f, %.4f, %d, %s, %d, %.2f, %s, %d, %.2f\n",
 			st.Step, st.Time, st.Dt, st.NewtonIts, st.KrylovIts,
 			st.FNorm0, st.FNorm, st.Converged, st.TopoMin, st.TopoMax,
-			st.PointCount, st.Backend, st.HaloMsgs, wall, cpu, st.KrylovBasis, st.HelperShare)
-		recs = append(recs, StepRecord{
-			Step: st.Step, Dt: st.Dt,
-			NewtonIts: st.NewtonIts, KrylovIts: st.KrylovIts, KrylovBasis: st.KrylovBasis,
-			Converged: st.Converged, Points: st.PointCount,
-			PointsRemoved: st.PointsRemoved, PointsInjected: st.PointsInjected, PPEMin: st.PPEMin, PPEMax: st.PPEMax,
-			ResidualEvals: st.ResidualEvals, LineSearchStagnated: st.LineSearchStagnated,
-			KrylovBreakdowns: st.KrylovBreakdowns, KrylovFallbacks: st.KrylovFallbacks,
-			WallS:   wall,
-			Backend: st.Backend, Ranks: st.Ranks,
-			HaloMsgs: st.HaloMsgs, HaloBytes: st.HaloBytes, AllReduces: st.AllReduces, Retries: st.Retries,
-			RheologyS:         st.RheologyTime.Seconds(),
-			MPMProjectS:       st.ProjectTime.Seconds(),
-			StokesSetupS:      st.StokesSetupTime.Seconds(),
-			StokesKrylovS:     st.StokesKrylovTime.Seconds(),
-			AdvectS:           st.AdvectTime.Seconds(),
-			ALES:              st.ALETime.Seconds(),
-			ThermalS:          st.ThermalTime.Seconds(),
-			StokesSetupReused: st.StokesSetupReused,
-			CoeffUpdates:      st.CoeffUpdates,
-			CPUUtil:           st.CPUUtil,
-			HelperShare:       st.HelperShare,
-		})
+			st.PointCount, st.Backend, st.HaloMsgs, st.WallS, cpu, st.KrylovBasis, st.HelperShare)
 		if cfg.CheckpointEvery > 0 && m.StepNum%cfg.CheckpointEvery == 0 {
 			path := cfg.CheckpointPath
 			if path == "" {
@@ -269,11 +191,11 @@ func Run(m *model.Model, cfg Config) error {
 			Resolution: [3]int{m.Prob.DA.Mx, m.Prob.DA.My, m.Prob.DA.Mz},
 			Hierarchy:  hierarchy,
 			Kernel:     fem.KernelName(),
-			Steps:      recs, TotalWallS: total,
+			Steps:      m.Stats[first:], TotalWallS: total,
 			CPUUtil: cpuUtil, HelperShare: helperShare,
 		}
-		if len(recs) > 0 {
-			rec.AvgStepS = total / float64(len(recs))
+		if n := len(rec.Steps); n > 0 {
+			rec.AvgStepS = total / float64(n)
 		}
 		enc := json.NewEncoder(cfg.JSONOut)
 		enc.SetIndent("", "  ")

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"path/filepath"
+	"reflect"
+	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 
@@ -225,9 +228,9 @@ func TestRunRecordsPopulation(t *testing.T) {
 	if r.PointsRemoved != st.PointsRemoved || r.PointsInjected != st.PointsInjected || r.PPEMin != st.PPEMin || r.PPEMax != st.PPEMax {
 		t.Fatalf("record %+v, step stats %+v", r, st)
 	}
-	if r.PointsInjected != 8 || r.PointsRemoved < 1 || r.Points != count-r.PointsRemoved+r.PointsInjected {
+	if r.PointsInjected != 8 || r.PointsRemoved < 1 || r.PointCount != count-r.PointsRemoved+r.PointsInjected {
 		t.Fatalf("%d points before the step, %d after: %d removed, %d injected; want 8 injected, 1 removed at least",
-			count, r.Points, r.PointsRemoved, r.PointsInjected)
+			count, r.PointCount, r.PointsRemoved, r.PointsInjected)
 	}
 	if r.PPEMin < m.MinPointsPerElement || r.PPEMax < r.PPEMin {
 		t.Fatalf("points per element %d to %d, population control keeps %d", r.PPEMin, r.PPEMax, m.MinPointsPerElement)
@@ -355,4 +358,87 @@ func TestRunDistributedRecordsComm(t *testing.T) {
 	if n != 3 || st != 3 || tel != 3 {
 		t.Fatalf("retries in the record %d, in the step stats %d, in the telemetry %d; want 3", n, st, tel)
 	}
+}
+
+// stepKeys are the keys of a -json step record with their JSON types:
+// those the record has carried since the stage times came in, and the
+// five it gained when model.StepStats became the record (time, fnorm0,
+// fnorm, topo_min, topo_max). A key that changes its name or type, leaves
+// or arrives unlisted breaks the readers of the record.
+var stepKeys = map[string]string{
+	"step": "number", "dt": "number", "newton_its": "number", "krylov_its": "number",
+	"krylov_basis": "number", "converged": "bool", "residual_evals": "number",
+	"line_search_stagnated": "bool", "krylov_breakdowns": "number", "krylov_fallbacks": "number",
+	"points": "number", "points_removed": "number", "points_injected": "number",
+	"ppe_min": "number", "ppe_max": "number", "wall_s": "number", "backend": "string",
+	"ranks": "number", "halo_msgs": "number", "halo_bytes": "number", "allreduces": "number",
+	"retries": "number", "rheology_s": "number", "mpm_project_s": "number",
+	"stokes_setup_s": "number", "stokes_krylov_s": "number", "advect_s": "number",
+	"ale_s": "number", "thermal_s": "number", "stokes_setup_reused": "number",
+	"coeff_updates": "number", "cpu_util": "number", "helper_share": "number",
+
+	"time": "number", "fnorm0": "number", "fnorm": "number", "topo_min": "number", "topo_max": "number",
+}
+
+// TestRunRecordsStepStats: the -json steps are the model's step stats —
+// decoded, equal to m.Stats field for field — under every key of
+// stepKeys with its JSON type and no other. The run is on two ranks
+// reporting retransmissions, so the keys omitted when zero are there, and
+// collects garbage at every percent of heap growth, so cpu_util is
+// measured.
+func TestRunRecordsStepStats(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	m := smallSinker(t, 2)
+	m.Backend = lossyComm{model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})}
+	var js bytes.Buffer
+	if err := Run(m, Config{Steps: 2, Out: &bytes.Buffer{}, JSONOut: &js, Scenario: "sinker"}); err != nil {
+		t.Fatal(err)
+	}
+	var rec RunRecord
+	if err := json.Unmarshal(js.Bytes(), &rec); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rec.Steps, m.Stats) {
+		t.Fatalf("record steps %+v\nstep stats %+v", rec.Steps, m.Stats)
+	}
+	var raw struct {
+		Steps []map[string]any `json:"steps"`
+	}
+	if err := json.Unmarshal(js.Bytes(), &raw); err != nil {
+		t.Fatal(err)
+	}
+	if len(raw.Steps) != 2 {
+		t.Fatalf("%d steps in the record, want 2", len(raw.Steps))
+	}
+	for i, step := range raw.Steps {
+		if got, want := sortedKeys(step), sortedKeys(stepKeys); !slices.Equal(got, want) {
+			t.Fatalf("step %d: keys %v, want %v", i+1, got, want)
+		}
+		for key, v := range step {
+			var typ string
+			switch v.(type) {
+			case float64:
+				typ = "number"
+			case bool:
+				typ = "bool"
+			case string:
+				typ = "string"
+			}
+			if typ != stepKeys[key] {
+				t.Errorf("step %d: %q is a JSON %s (%v), want a %s", i+1, key, typ, v, stepKeys[key])
+			}
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }

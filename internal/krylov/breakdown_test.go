@@ -180,3 +180,36 @@ func TestHealthySolveHasNilErr(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveWithFallbackSwitchesOnce: a breakdown is retried once, with the
+// other flexible method, on a zeroed correction; the result sums the
+// iterations and keeps the larger basis; a clean first attempt is not
+// retried.
+func TestSolveWithFallbackSwitchesOnce(t *testing.T) {
+	for method, want := range map[string]string{"gcr": "fgmres", "fgmres": "gcr"} {
+		delta := la.Vec{1, 2, 3}
+		var ran []string
+		res, alt := SolveWithFallback(method, delta, func(m string) Result {
+			ran = append(ran, m)
+			if len(ran) == 1 {
+				delta[0] = math.NaN()
+				return Result{Iterations: 3, BasisVectors: 8, Err: &BreakdownError{Method: m, Kind: BreakdownNaN}}
+			}
+			if delta.Norm2() != 0 {
+				t.Errorf("%s: the retry starts from %v, want zero", method, delta)
+			}
+			return Result{Iterations: 5, BasisVectors: 4, Converged: true}
+		})
+		if alt != want || len(ran) != 2 || ran[1] != want || res.Iterations != 8 || res.BasisVectors != 8 || !res.Converged || res.Err != nil {
+			t.Errorf("%s: ran %v, alt %q, result %+v; want one retry with %s", method, ran, alt, res, want)
+		}
+		calls := 0
+		res, alt = SolveWithFallback(method, delta, func(string) Result {
+			calls++
+			return Result{Iterations: 2, Converged: true}
+		})
+		if alt != "" || calls != 1 || res.Iterations != 2 {
+			t.Errorf("%s: a clean solve ran %d times, alt %q", method, calls, alt)
+		}
+	}
+}

@@ -244,3 +244,28 @@ func Solve(method string, a Op, m Preconditioner, b, x la.Vec, prm Params) Resul
 	}
 	return Result{Err: CheckMethod(method)}
 }
+
+// SolveWithFallback runs solve with method and, when that breaks down
+// (Result.Err), zeroes delta and runs it once more with the other
+// flexible method. The field-split preconditioner is nonlinear, so GCR
+// and FGMRES are both legal, and they fail differently (explicit residual
+// against the Arnoldi recurrence), which is what makes the switch worth
+// trying. The result is the last attempt's, with Iterations summed and
+// BasisVectors the larger over both attempts; alt names the method of the
+// retry, "" when the first attempt did not break down.
+func SolveWithFallback(method string, delta la.Vec, solve func(method string) Result) (res Result, alt string) {
+	res = solve(method)
+	if res.Err == nil {
+		return res, ""
+	}
+	alt = "fgmres"
+	if method == "fgmres" {
+		alt = "gcr"
+	}
+	first := res
+	delta.Zero()
+	res = solve(alt)
+	res.Iterations += first.Iterations
+	res.BasisVectors = max(res.BasisVectors, first.BasisVectors)
+	return res, alt
+}

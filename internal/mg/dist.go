@@ -235,7 +235,8 @@ func (t rankTransfer) ApplyTranspose(rf, rc la.Vec) {
 // to the block roots of the Agg layout, apply the shared coarse solver
 // redundantly on each and broadcast (comm.AggGatherSolveBroadcast), idle
 // clients pre-zeroing the finer level's correction buffer — the next
-// write target after the coarse solve — while the roots work.
+// write target after the coarse solve — while the roots work. Each root's
+// solve counts in the base hierarchy's coarse timer.
 func (m *DistMG) solveCoarsest(b, x la.Vec) {
 	if m.base.CoarseSolve == nil {
 		m.smoothOnly(b, x)
@@ -244,7 +245,7 @@ func (m *DistMG) solveCoarsest(b, x la.Vec) {
 	finer := &m.lev[len(m.lev)-2] // Build wants two levels
 	m.noteErr(m.coarse.AggGatherSolveBroadcast(m.agg, b, x, func() {
 		m.base.coarseMu.Lock()
-		m.base.CoarseSolve.Apply(b, x)
+		m.base.solveCoarse(b, x)
 		m.base.coarseMu.Unlock()
 	}, func() { finer.e.ZeroSpans(finer.spans) }))
 }

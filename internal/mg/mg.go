@@ -321,6 +321,12 @@ func (m *MG) coarsest(b, x la.Vec) {
 		m.whole.smoothOnly(b, x)
 		return
 	}
+	m.solveCoarse(b, x)
+}
+
+// solveCoarse applies CoarseSolve, timed and counted in the "coarse"
+// scope: the one record of a coarse solve, on a rank as in shared memory.
+func (m *MG) solveCoarse(b, x la.Vec) {
 	st := m.coarseT.Start()
 	m.CoarseSolve.Apply(b, x)
 	m.coarseT.Stop(st)

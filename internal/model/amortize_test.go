@@ -37,6 +37,9 @@ func (b coldBackend) LinearSolve(s *stokes.Solver, method string, _ krylov.Op, _
 	return b.StokesBackend.LinearSolve(fresh, method, fresh.Op, fresh.FS, rhs, delta, prm)
 }
 
+// compileSmall compiles the named spec at its small resolution; under
+// -short (the mode check.sh runs this package in under the race detector)
+// at half of it along every axis of 8 elements or more.
 func compileSmall(t *testing.T, name string, workers int) *model.Model {
 	t.Helper()
 	spec, err := scenario.Get(name)
@@ -44,6 +47,13 @@ func compileSmall(t *testing.T, name string, workers int) *model.Model {
 		t.Fatal(err)
 	}
 	spec.Resolution = spec.SmallResolution()
+	if testing.Short() {
+		for i := range spec.Resolution {
+			if spec.Resolution[i] >= 8 {
+				spec.Resolution[i] /= 2
+			}
+		}
+	}
 	m, err := scenario.Compile(spec, workers)
 	if err != nil {
 		t.Fatalf("compile %s: %v", name, err)
@@ -66,7 +76,10 @@ func runSteps(t *testing.T, m *model.Model, steps int) {
 // over multiple steps of both model problems on both backends, including
 // the ALE geometry invalidation of the rift's free surface.
 func TestCachedSetupMatchesColdBuild(t *testing.T) {
-	const steps = 3
+	steps := 3
+	if testing.Short() {
+		steps = 2
+	}
 	for _, name := range []string{"sinker", "rift"} {
 		for _, mode := range []string{"shared", "distributed"} {
 			t.Run(name+"/"+mode, func(t *testing.T) {
@@ -322,5 +335,45 @@ func TestStokesConfigIsWhatPrepareHands(t *testing.T) {
 	}
 	if relinearisations < 2 {
 		t.Fatalf("%d relinearisations: no refresh compared", relinearisations)
+	}
+}
+
+// TestStepTelemetryRecordsWhatRan: one sinker step records what its inner
+// solves ran, on the shared backend and on two ranks alike — one "outer"
+// pcapply per Krylov iteration of the step, the iterations in the
+// solver's krylov scope (the shared solve's; a rank records under its
+// own), coarse solves in the hierarchy's "coarse" scope and no second
+// coarse timer beside them.
+func TestStepTelemetryRecordsWhatRan(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	for _, mode := range []string{"shared", "distributed"} {
+		m := compileSmall(t, "sinker", 2)
+		m.Telemetry = telemetry.New().Root().Child("model")
+		if mode == "distributed" {
+			m.Backend = model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})
+		}
+		if err := m.StepForward(); err != nil {
+			t.Fatal(err)
+		}
+		its := int64(m.Stats[0].KrylovIts)
+		sc := m.Telemetry.Child("stokes")
+		outer := sc.Child("outer").Snapshot()
+		if got := outer.Timers["pcapply"].Calls; got != its || its == 0 {
+			t.Errorf("%s: %d preconditioner applies for %d Krylov iterations", mode, got, its)
+		}
+		if got := outer.Timers["matmult"].Calls; got < its {
+			t.Errorf("%s: %d operator applies for %d Krylov iterations", mode, got, its)
+		}
+		if _, ok := outer.Timers["coarse"]; ok {
+			t.Errorf("%s: an outer coarse timer beside mg.coarse", mode)
+		}
+		if got := sc.Child("krylov").Counter("iterations").Value(); mode == "shared" && got != its {
+			t.Errorf("%s: krylov scope reads %d iterations, the step %d", mode, got, its)
+		}
+		if got := sc.Child("mg").Child("coarse").Counter("solves").Value(); got <= 0 {
+			t.Errorf("%s: %d coarse solves recorded", mode, got)
+		}
 	}
 }

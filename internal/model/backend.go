@@ -32,10 +32,9 @@ type CommStatsReporter interface {
 	TakeCommStats() []stokes.RankStats
 }
 
-// SharedBackend is the in-process backend: every inner solve runs the
-// serial Krylov method (krylov.Solve) on the operator/preconditioner pair
-// of the current relinearization, in the Krylov workspace of the solver
-// that pair belongs to.
+// SharedBackend is the in-process backend: every inner solve goes through
+// the solver's shared-memory entry (stokes.Solver.LinearSolve) on the
+// operator/preconditioner pair of the current relinearization.
 type SharedBackend struct{}
 
 // Name implements StokesBackend.
@@ -43,8 +42,7 @@ func (SharedBackend) Name() string { return "shared" }
 
 // LinearSolve implements StokesBackend.
 func (SharedBackend) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
-	prm.Work = &s.Work
-	return krylov.Solve(method, jop, pc, rhs, delta, prm)
+	return s.LinearSolve(method, jop, pc, rhs, delta, prm)
 }
 
 // DistributedBackend routes every inner solve through

@@ -132,76 +132,80 @@ type stageTimes struct {
 }
 
 // StepStats records one time step's solver behaviour — the per-step
-// Newton/Krylov counts of Figure 4.
+// Newton/Krylov counts of Figure 4 — and where its wall time went: the
+// step record that ptatin-run -json writes, under the json keys below.
 type StepStats struct {
-	Step      int
-	Time      float64
-	Dt        float64
-	NewtonIts int
-	KrylovIts int
+	Step      int     `json:"step"`
+	Time      float64 `json:"time"`
+	Dt        float64 `json:"dt"`
+	NewtonIts int     `json:"newton_its"`
+	KrylovIts int     `json:"krylov_its"`
 	// KrylovBasis is the largest Krylov basis, in n-vectors, that any of
 	// the step's inner solves allocated.
-	KrylovBasis int
-	FNorm0      float64
-	FNorm       float64
-	Converged   bool
+	KrylovBasis int     `json:"krylov_basis"`
+	FNorm0      float64 `json:"fnorm0"`
+	FNorm       float64 `json:"fnorm"`
+	Converged   bool    `json:"converged"`
 	// ResidualEvals counts the step's nonlinear residual evaluations
 	// (the initial one plus every line-search trial);
 	// LineSearchStagnated says the iteration ended because a search
 	// found no step length that reduces ‖F‖.
-	ResidualEvals       int
-	LineSearchStagnated bool
+	ResidualEvals       int  `json:"residual_evals"`
+	LineSearchStagnated bool `json:"line_search_stagnated"`
 	// KrylovBreakdowns counts the step's inner solves that broke down
 	// (nonlinear.Result.Breakdowns); KrylovFallbacks those of them that
 	// the alternate Krylov method then solved. A step that returns has
 	// recovered from every one, so the two are equal in a record.
-	KrylovBreakdowns int
-	KrylovFallbacks  int
-	SolveTime        time.Duration
-	PointCount       int
+	KrylovBreakdowns int `json:"krylov_breakdowns"`
+	KrylovFallbacks  int `json:"krylov_fallbacks"`
+	// WallS is the whole step's wall time in seconds.
+	WallS      float64 `json:"wall_s"`
+	PointCount int     `json:"points"`
 	// Points the step deleted (outside the domain after advection or the
 	// ALE update) and population control seeded; the fewest and the most
 	// points an element holds at the end of the step.
-	PointsRemoved  int
-	PointsInjected int
-	PPEMin, PPEMax int
-	TopoMin        float64
-	TopoMax        float64
+	PointsRemoved  int     `json:"points_removed"`
+	PointsInjected int     `json:"points_injected"`
+	PPEMin         int     `json:"ppe_min"`
+	PPEMax         int     `json:"ppe_max"`
+	TopoMin        float64 `json:"topo_min"`
+	TopoMax        float64 `json:"topo_max"`
 	// Backend records which Stokes backend ran the step's inner solves;
 	// Ranks and the communication totals are zero on the shared path.
-	Backend    string
-	Ranks      int
-	HaloMsgs   int64
-	HaloBytes  int64
-	AllReduces int64
+	Backend    string `json:"backend"`
+	Ranks      int    `json:"ranks,omitempty"`
+	HaloMsgs   int64  `json:"halo_msgs,omitempty"`
+	HaloBytes  int64  `json:"halo_bytes,omitempty"`
+	AllReduces int64  `json:"allreduces,omitempty"`
 	// Retries counts the reliable exchange's retransmission rounds, over
 	// all ranks: zero on a run without an injected fault.
-	Retries int64
-	// Per-stage wall times of the step pipeline (the -json breakdown).
-	RheologyTime     time.Duration
-	ProjectTime      time.Duration
-	StokesSetupTime  time.Duration
-	StokesKrylovTime time.Duration
-	AdvectTime       time.Duration
-	ALETime          time.Duration
-	ThermalTime      time.Duration
+	Retries int64 `json:"retries,omitempty"`
+	// Per-stage wall seconds of the step pipeline.
+	RheologyS     float64 `json:"rheology_s"`
+	MPMProjectS   float64 `json:"mpm_project_s"`
+	StokesSetupS  float64 `json:"stokes_setup_s"`
+	StokesKrylovS float64 `json:"stokes_krylov_s"`
+	AdvectS       float64 `json:"advect_s"`
+	ALES          float64 `json:"ale_s"`
+	ThermalS      float64 `json:"thermal_s"`
 	// StokesSetupReused counts the step's relinearizations served by
 	// refreshing the cached solver stack instead of a cold build.
-	StokesSetupReused int64
+	StokesSetupReused int64 `json:"stokes_setup_reused"`
 	// CoeffUpdates counts the step's point-rheology evaluations of η with
 	// projection (the "coeff_updates" counter): one per solve when no
 	// lithology reads the strain rate or the pressure, else one per
 	// distinct state the residual is evaluated at, plus one per Newton
 	// relinearisation. ρ is evaluated and projected once per solve, by
 	// the first of them.
-	CoeffUpdates int64
+	CoeffUpdates int64 `json:"coeff_updates"`
 	// CPUUtil is the share of Workers cores that ran user Go code during
 	// the step (telemetry.CPUSample.Utilization): a value well under 1
 	// means serial sections or idle workers (Workers × Ranks cores on the
 	// distributed backend). The runtime's CPU accounting
 	// advances at garbage-collection cycles, so the window is the step to
-	// within one cycle at either end, and 0 when no cycle ended inside it.
-	CPUUtil float64
+	// within one cycle at either end, and 0 (absent from the record) when
+	// no cycle ended inside it.
+	CPUUtil float64 `json:"cpu_util,omitempty"`
 	// HelperShare is the share of the step's parallel-region items (par.For
 	// chunks, par.Phased items) that pool workers ran rather than the
 	// goroutine that opened the region: 0 when the callers did everything
@@ -210,7 +214,7 @@ type StepStats struct {
 	// CPUUtil is not (a caller working alone keeps it near 1/Workers, a
 	// worker waiting inside a job raises it). Process-wide, like CPUUtil;
 	// 0 at one worker, where no region is parallel.
-	HelperShare float64
+	HelperShare float64 `json:"helper_share"`
 }
 
 // pointState evaluates the rheological state of material point i for the
@@ -689,18 +693,18 @@ func (m *Model) StepForward() error {
 		FNorm0: res.FNorm0, FNorm: res.FNorm, Converged: res.Converged,
 		ResidualEvals: res.ResidualEvals, LineSearchStagnated: res.Stagnated,
 		KrylovBreakdowns: res.Breakdowns, KrylovFallbacks: res.Fallbacks,
-		SolveTime:  time.Since(start),
+		WallS:      time.Since(start).Seconds(),
 		PointCount: m.Points.Len(), PointsRemoved: removed, PointsInjected: injected,
 		PPEMin: ppeMin, PPEMax: ppeMax,
 		TopoMin: topoMin, TopoMax: topoMax,
 		Backend:           m.Backend.Name(),
-		RheologyTime:      m.stage.rheology,
-		ProjectTime:       m.stage.project,
-		StokesSetupTime:   m.stage.stokesSetup,
-		StokesKrylovTime:  m.stage.stokesKrylov,
-		AdvectTime:        m.stage.advect,
-		ALETime:           m.stage.ale,
-		ThermalTime:       m.stage.thermal,
+		RheologyS:         m.stage.rheology.Seconds(),
+		MPMProjectS:       m.stage.project.Seconds(),
+		StokesSetupS:      m.stage.stokesSetup.Seconds(),
+		StokesKrylovS:     m.stage.stokesKrylov.Seconds(),
+		AdvectS:           m.stage.advect.Seconds(),
+		ALES:              m.stage.ale.Seconds(),
+		ThermalS:          m.stage.thermal.Seconds(),
 		StokesSetupReused: m.stage.setupReused,
 		CoeffUpdates:      m.stage.coeffUpdates,
 	}

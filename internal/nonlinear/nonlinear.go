@@ -36,8 +36,9 @@ type System struct {
 	// the inner solve J·δ = rhs: it receives the operator/preconditioner
 	// pair of the current Prepare, the requested method, and the
 	// per-iteration params (RTol already holds the Eisenstat–Walker
-	// forcing term). The outer loop's breakdown fallback retries through
-	// the same hook with the alternate method. This is the seam the
+	// forcing term). The outer loop's breakdown fallback
+	// (krylov.SolveWithFallback) retries through the same hook with the
+	// alternate method. This is the seam the
 	// model layer uses to route inner solves to a rank-distributed
 	// backend while the nonlinear iteration itself stays serial.
 	Inner func(method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result
@@ -49,14 +50,10 @@ type Options struct {
 	// RTol/ATol stop on ‖F‖ ≤ max(RTol·‖F₀‖, ATol).
 	RTol, ATol float64
 	// EisenstatWalker enables adaptive forcing terms (choice 2 of [39]):
-	// η_k = γ·(‖F_k‖/‖F_{k−1}‖)^α with safeguarding; otherwise the fixed
-	// InnerParams.RTol is used.
+	// η_k = γ·(‖F_k‖/‖F_{k−1}‖)^α with safeguarding, clamped to
+	// [ewEtaMin, ewEtaMax]; otherwise the fixed InnerParams.RTol is used.
 	EisenstatWalker bool
-	EWGamma         float64 // default 0.9
-	EWAlpha         float64 // default 2
 	EWEta0          float64 // initial forcing term (default 0.3)
-	EWEtaMax        float64 // default 0.9
-	EWEtaMin        float64 // default 1e-6
 	// LineSearchMax bounds the backtracking halvings (default 8;
 	// 0 disables the line search entirely).
 	LineSearchMax int
@@ -66,11 +63,19 @@ type Options struct {
 func DefaultOptions() Options {
 	return Options{
 		MaxIt: 50, RTol: 1e-8, ATol: 1e-50,
-		EisenstatWalker: true, EWGamma: 0.9, EWAlpha: 2,
-		EWEta0: 0.3, EWEtaMax: 0.9, EWEtaMin: 1e-6,
+		EisenstatWalker: true, EWEta0: 0.3,
 		LineSearchMax: 8,
 	}
 }
+
+// The Eisenstat–Walker constants of choice 2: η_k = γ·(‖F_k‖/‖F_{k−1}‖)^α,
+// clamped to [ewEtaMin, ewEtaMax].
+const (
+	ewGamma  = 0.9
+	ewAlpha  = 2
+	ewEtaMax = 0.9
+	ewEtaMin = 1e-6
+)
 
 // Result reports the outcome of a nonlinear solve.
 type Result struct {
@@ -109,20 +114,8 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 	if opt.MaxIt <= 0 {
 		opt.MaxIt = 50
 	}
-	if opt.EWGamma <= 0 {
-		opt.EWGamma = 0.9
-	}
-	if opt.EWAlpha <= 0 {
-		opt.EWAlpha = 2
-	}
-	if opt.EWEtaMax <= 0 {
-		opt.EWEtaMax = 0.9
-	}
 	if opt.EWEta0 <= 0 {
 		opt.EWEta0 = 0.3
-	}
-	if opt.EWEtaMin <= 0 {
-		opt.EWEtaMin = 1e-6
 	}
 
 	n := sys.N
@@ -161,12 +154,12 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 		// Eisenstat–Walker forcing (choice 2), with the standard
 		// safeguard η_k ≥ γ·η_{k−1}^α when the previous forcing was large.
 		if opt.EisenstatWalker && it > 1 {
-			etaNew := opt.EWGamma * math.Pow(fn/prevFn, opt.EWAlpha)
-			guard := opt.EWGamma * math.Pow(eta, opt.EWAlpha)
+			etaNew := ewGamma * math.Pow(fn/prevFn, ewAlpha)
+			guard := ewGamma * math.Pow(eta, ewAlpha)
 			if guard > 0.1 && guard > etaNew {
 				etaNew = guard
 			}
-			eta = clampF(etaNew, opt.EWEtaMin, opt.EWEtaMax)
+			eta = clampF(etaNew, ewEtaMin, ewEtaMax)
 		}
 
 		prm := sys.InnerParams
@@ -178,22 +171,16 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 		rhs.Copy(f)
 		rhs.Scale(-1)
 		delta.Zero()
-		kres := inner(sys.Method, jop, pc, rhs, delta, prm)
+		// An inner breakdown (NaN/Inf, zero pivot, stagnation) discards the
+		// poisoned direction and retries once with the alternate Krylov
+		// method before giving up on this outer iteration.
+		kres, alt := krylov.SolveWithFallback(sys.Method, delta, func(method string) krylov.Result {
+			return inner(method, jop, pc, rhs, delta, prm)
+		})
 		res.KrylovIts += kres.Iterations
 		res.KrylovBasis = max(res.KrylovBasis, kres.BasisVectors)
-		if kres.Err != nil {
-			// Inner breakdown (NaN/Inf, zero pivot, stagnation): discard the
-			// poisoned direction and retry once with the alternate Krylov
-			// method before giving up on this outer iteration.
+		if alt != "" {
 			res.Breakdowns++
-			alt := "gcr"
-			if sys.Method == "gcr" {
-				alt = "fgmres"
-			}
-			delta.Zero()
-			kres = inner(alt, jop, pc, rhs, delta, prm)
-			res.KrylovIts += kres.Iterations
-			res.KrylovBasis = max(res.KrylovBasis, kres.BasisVectors)
 			if kres.Err != nil {
 				res.Err = fmt.Errorf("nonlinear: outer iteration %d: inner solve broke down with %q and fallback %q: %w",
 					it, sys.Method, alt, kres.Err)

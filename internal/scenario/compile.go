@@ -144,9 +144,6 @@ func solverConfig(spec Spec, workers int) (stokes.Config, error) {
 	if s.CoarseSolver != "" {
 		cfg.CoarseSolver = s.CoarseSolver
 	}
-	if s.OuterMethod != "" {
-		cfg.OuterMethod = s.OuterMethod
-	}
 	if s.FineKind != "" {
 		k, err := op.ParseKind(s.FineKind)
 		if err != nil {

@@ -156,6 +156,8 @@ func TestLoadRejectsRemovedAndUnknownKeys(t *testing.T) {
 		{"blocked-false", `{"blocked": false, "smooth_steps": 3}`, "solver.blocked"},
 		{"precision-f32", `{"precision": "f32"}`, "solver.precision"},
 		{"precision-f64", `{"precision": "f64", "smooth_steps": 3}`, "solver.precision"},
+		{"outer-method-gcr", `{"outer_method": "gcr"}`, "solver.outer_method"},
+		{"bad-method", `{"outer_method": "gmres", "smooth_steps": 3}`, "solver.outer_method"},
 		{"unknown", `{"no_such_key": 1}`, ""},
 	} {
 		var doc map[string]json.RawMessage
@@ -206,7 +208,6 @@ func TestValidateRejectsBadSpecs(t *testing.T) {
 		"bad-litho-ref":  func(s *Spec) { s.Geometry[0].Litho = 99 },
 		"bad-face":       func(s *Spec) { s.BCs[0].Face = "sideways" },
 		"bad-axis":       func(s *Spec) { s.VerticalAxis = 7 },
-		"bad-method":     func(s *Spec) { s.Solver.OuterMethod = "gmres" },
 	}
 	for name, mutate := range cases {
 		s, err := Get("sinker")

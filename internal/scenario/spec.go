@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"os"
 
-	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/rheology"
 )
@@ -143,7 +142,6 @@ type SolverSpec struct {
 	Levels       int     `json:"levels,omitempty"`
 	SmoothSteps  int     `json:"smooth_steps,omitempty"`
 	CoarseSolver string  `json:"coarse_solver,omitempty"`
-	OuterMethod  string  `json:"outer_method,omitempty"`
 	FineKind     string  `json:"fine_kind,omitempty"`
 	RTol         float64 `json:"rtol,omitempty"`
 	MaxIt        int     `json:"max_it,omitempty"`
@@ -266,11 +264,6 @@ func (s Spec) Validate() error {
 			}
 		}
 	}
-	if om := s.Solver.OuterMethod; om != "" {
-		if err := krylov.CheckMethod(om); err != nil {
-			return fmt.Errorf("scenario %q: solver outer_method: %w", s.Name, err)
-		}
-	}
 	_, err := solverConfig(s, 1)
 	return err
 }
@@ -299,8 +292,9 @@ func (e *RemovedKeyError) Error() string {
 
 // removedSolverKeys are the former keys of the "solver" object.
 var removedSolverKeys = map[string]string{
-	"blocked":   "every level with a resident operator smooths wavefront-blocked; delete the key",
-	"precision": "the solver iterates and preconditions in float64; delete the key",
+	"blocked":      "every level with a resident operator smooths wavefront-blocked; delete the key",
+	"precision":    "the solver iterates and preconditions in float64; delete the key",
+	"outer_method": "the time loop's inner solves are FGMRES, falling back to GCR on a breakdown; delete the key",
 }
 
 // Load reads a Spec from a JSON file. Decoding is strict: an unknown key

@@ -175,8 +175,9 @@ func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 	return spans
 }
 
-// SolveDistributed performs one linear Stokes solve exactly like Solve,
-// but rank-distributed over a px×py×pz world. The correction system
+// SolveDistributed performs one linear Stokes solve in Solve's
+// residual-correction form (without its breakdown retry), but
+// rank-distributed over a px×py×pz world. The correction system
 // J·δ = −F(x) is solved collectively: each rank runs the configured
 // outer method (GCR or FGMRES) on its own vector copy, and the owned
 // pieces of the per-rank corrections are assembled into the global
@@ -188,18 +189,12 @@ func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 // per-level decompositions nest: px, py, pz must divide the per-level
 // element counts at every level.
 func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int, opt DistOptions) (krylov.Result, []RankStats, error) {
-	// Residual-correction form, as in Solve.
-	n := s.Op.N()
-	f := la.NewVec(n)
-	s.Op.Residual(x, bu, f)
-	f.Scale(-1)
-	delta := la.NewVec(n)
-	res, stats, err := s.LinearSolveDistributed(s.Cfg.OuterMethod, s.Op, f, delta, s.Cfg.Params, px, py, pz, opt)
-	if err != nil {
-		return res, stats, err
-	}
-	x.AXPY(1, delta)
-	return res, stats, nil
+	var stats []RankStats
+	res, err := s.correct(x, bu, func(f, delta la.Vec) (res krylov.Result, err error) {
+		res, stats, err = s.LinearSolveDistributed(s.Cfg.OuterMethod, s.Op, f, delta, s.Cfg.Params, px, py, pz, opt)
+		return res, err
+	})
+	return res, stats, err
 }
 
 // distDecomps builds and validates the nested per-level decompositions
@@ -291,8 +286,11 @@ func (s *RankStats) Add(o RankStats) {
 // forcing term. Each rank runs the method on its own windowed vector
 // copy; the owned pieces of the per-rank solutions are assembled into
 // delta, and rank 0's Result is returned (all ranks follow the identical
-// trajectory). RankStats are per-call deltas, so repeated solves against
-// the same telemetry registry report each solve's own volume.
+// trajectory); rank 0 also times its operator and preconditioner
+// applications into the "outer" matmult and pcapply timers, as the
+// shared entry (LinearSolve) does. RankStats are per-call deltas, so
+// repeated solves against the same telemetry registry report each
+// solve's own volume.
 //
 // Requires a geometric multigrid configuration (Levels >= 2) whose
 // per-level decompositions nest: px, py, pz must divide the per-level
@@ -324,6 +322,7 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 	// One kernel serves every rank: element applies keep their scratch on
 	// the stack or in a pool.
 	auu := op.ElementKernel(jop.Auu, s.Prob)
+	matmult, pcapply := s.applyTimers()
 	w := comm.NewWorld(size)
 	if opt.Fabric != nil {
 		w.SetFabric(opt.Fabric)
@@ -366,7 +365,12 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		b := la.NewVec(n)
 		b.CopySpans(f, spans)
 		d := la.NewVec(n)
-		rr := krylov.Solve(method, a, m, b, d, prm)
+		// The ranks iterate in lockstep: rank 0's applies are the solve's.
+		var tm, tp *telemetry.Timer
+		if r.ID == 0 {
+			tm, tp = matmult, pcapply
+		}
+		rr := krylov.Solve(method, timedOp{a, tm}, timedPC{m, tp}, b, d, prm)
 		sink.note(dmg.Err())
 		sink.note(rr.Err)
 

@@ -49,11 +49,11 @@ type Config struct {
 	// should raise it (the Δη=1e6 parity runs use 200).
 	Params krylov.Params
 	// Telemetry, when non-nil, is the scope the solver instruments itself
-	// under: "outer" (matmult/pcapply/coarse timers, setup_seconds gauge
-	// and the setup_* stage timers that attribute it),
-	// "krylov" (outer iteration counters + residual trace), "mg"/"amg"
-	// (per-level cycle breakdowns). When nil the solver still wires its
-	// probes to a private registry so MatMult/PCApply counts stay live.
+	// under: "outer" (matmult/pcapply timers, setup_seconds gauge and the
+	// setup_* stage timers that attribute it), "krylov" (outer iteration
+	// counters + residual trace), "mg"/"amg" (per-level cycle breakdowns
+	// and the coarse solve). When nil the solver records into a private
+	// registry, so Tel's timers stay live.
 	Telemetry *telemetry.Scope
 	// Workers is the intra-node parallel width ("cores").
 	Workers int
@@ -99,11 +99,9 @@ type Solver struct {
 	// when provided, otherwise the root of a private registry.
 	Tel *telemetry.Scope
 
-	// Instrumentation (Table IV columns).
-	SetupTime   time.Duration
-	MatMult     *OpProbe
-	PCApply     *PCProbe
-	CoarseApply *PCProbe // wraps the coarse-grid solver inside MG
+	// SetupTime is the last New or Refresh (Table IV's PC set-up column);
+	// the other columns are Tel's "outer" matmult and pcapply timers.
+	SetupTime time.Duration
 
 	// amgVA backs the standalone-AMG configuration (Levels <= 1) when the
 	// fine operator has no assembled form of its own: the assembly is
@@ -120,8 +118,8 @@ type Solver struct {
 	coarseASMMat *la.CSR
 
 	// Work keeps the Krylov basis of the coupled solve between solves
-	// (krylov.Params.Work): Solve lends it, and so does the shared backend
-	// of the time loop, whose solver outlives the step.
+	// (krylov.Params.Work): LinearSolve lends it to every shared-memory
+	// solve, the time loop's included, whose solver outlives the step.
 	Work krylov.Workspace
 
 	// dcache holds the distributed decompositions and per-rank layouts of
@@ -165,7 +163,7 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	s := &Solver{Cfg: cfg, Prob: prob}
 	s.Tel = cfg.Telemetry
 	if s.Tel == nil {
-		// Private registry: probes stay live even with telemetry "off".
+		// Private registry: the timers stay live with telemetry "off".
 		s.Tel = telemetry.New().Root()
 	}
 	stop := s.stage("coupling")
@@ -232,14 +230,11 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		s.SA.SetTelemetry(s.Tel.Child("amg"))
 	}
 	s.FS = NewFieldSplit(s.Op, innerU, s.Mp)
-	outer := s.Tel.Child("outer")
-	s.MatMult = NewOpProbe(s.Op, outer.Timer("matmult"))
-	s.PCApply = NewPCProbe(s.FS, outer.Timer("pcapply"))
 	if s.Cfg.Params.Telemetry == nil {
 		s.Cfg.Params.Telemetry = s.Tel.Child("krylov")
 	}
 	s.SetupTime = time.Since(start)
-	outer.Gauge("setup_seconds").Set(s.SetupTime.Seconds())
+	s.Tel.Child("outer").Gauge("setup_seconds").Set(s.SetupTime.Seconds())
 	return s, nil
 }
 
@@ -322,8 +317,7 @@ func (s *Solver) buildCoarseSolver() error {
 	default:
 		return fmt.Errorf("stokes: unknown coarse solver %q", cfg.CoarseSolver)
 	}
-	s.CoarseApply = NewPCProbe(coarse, s.Tel.Child("outer").Timer("coarse"))
-	s.MG.CoarseSolve = s.CoarseApply
+	s.MG.CoarseSolve = coarse
 	return nil
 }
 
@@ -436,15 +430,12 @@ func (s *Solver) refreshGeometry() {
 // Solve performs one linear Stokes solve in residual-correction form: the
 // state x = [u;p] (with boundary values applied to u) is improved so that
 // J·x ≈ [bu;0] to the configured tolerance of the *unpreconditioned*
-// residual. A non-nil monitor collects the Figure-2 residual histories.
+// residual, with the configured outer method and, should it break down,
+// once more with the other (krylov.SolveWithFallback; the "outer" scope
+// counts breakdown_recoveries and breakdowns_recovered). A non-nil
+// monitor collects the Figure-2 residual histories.
 func (s *Solver) Solve(x, bu la.Vec, mon *Monitor) krylov.Result {
-	n := s.Op.N()
-	f := la.NewVec(n)
-	s.Op.Residual(x, bu, f)
-	f.Scale(-1)
-	delta := la.NewVec(n)
 	prm := s.Cfg.Params
-	prm.Work = &s.Work
 	if mon != nil {
 		// Only GCR carries an explicit residual to monitor; FGMRES ignores
 		// the field.
@@ -456,30 +447,82 @@ func (s *Solver) Solve(x, bu la.Vec, mon *Monitor) krylov.Result {
 			mon.Pressure = append(mon.Pressure, pN)
 		}
 	}
-	run := func(method string) krylov.Result {
-		return krylov.Solve(method, s.MatMult, s.PCApply, f, delta, prm)
-	}
-	res := run(s.Cfg.OuterMethod)
-	if res.Err != nil {
-		// Breakdown recovery: discard the poisoned correction and rerun
-		// once with the alternate outer method. The field-split
-		// preconditioner is nonlinear, so both GCR and FGMRES are legal;
-		// they fail differently (explicit residual vs. Arnoldi recurrence),
-		// which is exactly what makes the switch worth trying.
-		outer := s.Tel.Child("outer")
-		outer.Counter("breakdown_recoveries").Inc()
-		alt := "fgmres"
-		if s.Cfg.OuterMethod == "fgmres" {
-			alt = "gcr"
+	res, _ := s.correct(x, bu, func(f, delta la.Vec) (krylov.Result, error) {
+		res, alt := krylov.SolveWithFallback(s.Cfg.OuterMethod, delta, func(method string) krylov.Result {
+			return s.LinearSolve(method, s.Op, s.FS, f, delta, prm)
+		})
+		if alt != "" {
+			outer := s.Tel.Child("outer")
+			outer.Counter("breakdown_recoveries").Inc()
+			if res.Err == nil {
+				outer.Counter("breakdowns_recovered").Inc()
+			}
 		}
-		prevIts := res.Iterations
-		delta.Zero()
-		res = run(alt)
-		res.Iterations += prevIts
-		if res.Err == nil {
-			outer.Counter("breakdowns_recovered").Inc()
-		}
-	}
-	x.AXPY(1, delta)
+		return res, nil
+	})
 	return res
+}
+
+// correct is the residual-correction form of Solve and SolveDistributed:
+// solve gets −F(x) = [bu;0] − J·x and a zeroed correction δ, and x += δ
+// unless it returns an error.
+func (s *Solver) correct(x, bu la.Vec, solve func(f, delta la.Vec) (krylov.Result, error)) (krylov.Result, error) {
+	n := s.Op.N()
+	f := la.NewVec(n)
+	s.Op.Residual(x, bu, f)
+	f.Scale(-1)
+	delta := la.NewVec(n)
+	res, err := solve(f, delta)
+	if err == nil {
+		x.AXPY(1, delta)
+	}
+	return res, err
+}
+
+// LinearSolve solves J·δ = rhs in shared memory with the named outer
+// method, writing the correction into delta: the one shared-memory
+// inner-solve entry, of Solve and of the time loop's shared backend
+// alike. jop is s.Op or a linearisation on the same problem, pc the
+// solver's field split or a wrapper of it. The solve borrows s.Work,
+// records under the solver's krylov scope unless prm names another, and
+// times every application of jop and pc into the "outer" scope's
+// matmult and pcapply timers (Table IV's MatMult and PC apply columns).
+func (s *Solver) LinearSolve(method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+	prm.Work = &s.Work
+	if prm.Telemetry == nil {
+		prm.Telemetry = s.Cfg.Params.Telemetry
+	}
+	matmult, pcapply := s.applyTimers()
+	return krylov.Solve(method, timedOp{jop, matmult}, timedPC{pc, pcapply}, rhs, delta, prm)
+}
+
+// applyTimers returns the "outer" scope's operator and preconditioner
+// application timers.
+func (s *Solver) applyTimers() (matmult, pcapply *telemetry.Timer) {
+	outer := s.Tel.Child("outer")
+	return outer.Timer("matmult"), outer.Timer("pcapply")
+}
+
+// timedOp times every application of an operator into t.
+type timedOp struct {
+	krylov.Op
+	t *telemetry.Timer
+}
+
+func (o timedOp) Apply(x, y la.Vec) {
+	st := o.t.Start()
+	o.Op.Apply(x, y)
+	o.t.Stop(st)
+}
+
+// timedPC times every application of a preconditioner into t.
+type timedPC struct {
+	krylov.Preconditioner
+	t *telemetry.Timer
+}
+
+func (p timedPC) Apply(r, z la.Vec) {
+	st := p.t.Start()
+	p.Preconditioner.Apply(r, z)
+	p.t.Stop(st)
 }

@@ -618,3 +618,73 @@ func TestSetupStageTimersAttributeRefresh(t *testing.T) {
 		}
 	}
 }
+
+// poisonFirst fills the output of the first `left` applications of a
+// preconditioner with NaN and is the preconditioner itself afterwards: a
+// transient fault in the coarse solve.
+type poisonFirst struct {
+	krylov.Preconditioner
+	left int
+}
+
+func (p *poisonFirst) Apply(r, z la.Vec) {
+	p.Preconditioner.Apply(r, z)
+	if p.left > 0 {
+		p.left--
+		for i := range z {
+			z[i] = math.NaN()
+		}
+	}
+}
+
+// TestSolveRetriesBreakdownWithAlternate: a GCR solve whose preconditioner
+// breaks it down is retried once with FGMRES (krylov.SolveWithFallback),
+// from a zeroed correction: a transient fault is recovered into the
+// clean FGMRES solve bit for bit, with the broken attempt's iterations
+// counted; a lasting one comes back as FGMRES's breakdown. The "outer"
+// scope counts each retry and each recovery.
+func TestSolveRetriesBreakdownWithAlternate(t *testing.T) {
+	p, def := sinkerProblem(4, 100, 1)
+	cfg := sinkerConfig(p, def)
+	cfg.Levels = 2
+	s, clean, want := solveSinker(t, 4, 100, cfg, def, p)
+	s.Cfg.OuterMethod = "fgmres"
+	bu := la.NewVec(p.DA.NVelDOF())
+	fem.MomentumRHS(p, bu)
+	clean.Zero()
+	want = s.Solve(clean, bu, nil)
+
+	outer := s.Tel.Child("outer")
+	coarse := s.MG.CoarseSolve
+	for _, tc := range []struct {
+		poisoned  int
+		recovered bool
+	}{{1, true}, {1 << 30, false}} {
+		s.Cfg.OuterMethod = "gcr"
+		s.MG.CoarseSolve = &poisonFirst{coarse, tc.poisoned}
+		retries, recoveries := outer.Counter("breakdown_recoveries").Value(), outer.Counter("breakdowns_recovered").Value()
+		x := la.NewVec(s.Op.N())
+		res := s.Solve(x, bu, nil)
+		s.MG.CoarseSolve = coarse
+		if got := outer.Counter("breakdown_recoveries").Value() - retries; got != 1 {
+			t.Fatalf("poisoned %d: %d retries, want 1", tc.poisoned, got)
+		}
+		got := outer.Counter("breakdowns_recovered").Value() - recoveries
+		if !tc.recovered {
+			var be *krylov.BreakdownError
+			if got != 0 || !errors.As(res.Err, &be) || be.Method != "fgmres" {
+				t.Fatalf("lasting fault: %d recoveries, error %v; want none and the FGMRES breakdown", got, res.Err)
+			}
+			continue
+		}
+		if got != 1 || res.Err != nil || !res.Converged || res.Iterations <= want.Iterations {
+			t.Fatalf("transient fault: %d recoveries, err %v, converged %v, %d iterations (clean FGMRES %d)",
+				got, res.Err, res.Converged, res.Iterations, want.Iterations)
+		}
+		for i := range x {
+			if math.Float64bits(x[i]) != math.Float64bits(clean[i]) {
+				t.Fatalf("x[%d] = %x after the retry, %x from a clean FGMRES solve", i, x[i], clean[i])
+			}
+		}
+	}
+}
