@@ -150,12 +150,15 @@ func buildProlongator(a *la.CSR, bs int, nns *la.Dense, opt Options) (*la.CSR, *
 		return nil, nil, 0, nil // no coarsening achieved
 	}
 
-	// --- 4: tentative prolongator via per-aggregate QR.
+	// --- 4: tentative prolongator via per-aggregate QR. Fine row i lies in
+	// one aggregate ag, so its entries are the nonzero values of its row of
+	// that aggregate's Q, at columns ag·k+m ascending: the CSR is written
+	// row by row from the Q rows, as the triplet builder would sort it.
 	members := make([][]int, naggs)
 	for bi, ag := range aggOf {
 		members[ag] = append(members[ag], bi)
 	}
-	p0b := la.NewBuilder(n, naggs*k)
+	qrow := make([]float64, n*k) // row i of its aggregate's Q
 	coarseNNS := la.NewDense(naggs*k, k)
 	for ag, ms := range members {
 		rows := len(ms) * bs
@@ -171,10 +174,7 @@ func buildProlongator(a *la.CSR, bs int, nns *la.Dense, opt Options) (*la.CSR, *
 		for li, bi := range ms {
 			for c := 0; c < bs; c++ {
 				for m := 0; m < k; m++ {
-					v := q.At(li*bs+c, m)
-					if v != 0 {
-						p0b.Add(bi*bs+c, ag*k+m, v)
-					}
+					qrow[(bi*bs+c)*k+m] = q.At(li*bs+c, m)
 				}
 			}
 		}
@@ -184,7 +184,22 @@ func buildProlongator(a *la.CSR, bs int, nns *la.Dense, opt Options) (*la.CSR, *
 			}
 		}
 	}
-	p0 := p0b.ToCSR()
+	nnz := 0
+	for _, v := range qrow {
+		if v != 0 {
+			nnz++
+		}
+	}
+	p0 := &la.CSR{NRows: n, NCols: naggs * k, RowPtr: make([]int, n+1), ColInd: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
+	for i := 0; i < n; i++ {
+		ag := aggOf[i/bs]
+		for m, v := range qrow[i*k : (i+1)*k] {
+			if v != 0 {
+				p0.ColInd, p0.Val = append(p0.ColInd, ag*k+m), append(p0.Val, v)
+			}
+		}
+		p0.RowPtr[i+1] = len(p0.Val)
+	}
 
 	// --- 5: prolongator smoothing.
 	diag := la.NewVec(n)

@@ -65,6 +65,52 @@ func (a *Agg) RootList() []int {
 	return out
 }
 
+// aggBufs are a Dist's persistent coarse-gather buffers, recycled round
+// rings of haloSlots like the halo packets: the owned entries a client
+// ships, the block packet a root combines, the solution a root sends, and
+// the block's member and root lists of the layout last used.
+type aggBufs struct {
+	a               Agg
+	members, others []int
+	next            int
+	own, comb       [haloSlots]haloPacket
+	sol             [haloSlots]vecPacket
+	payload         []interface{}
+	to              [1]int
+}
+
+// empty is the packet of a rank with nothing to send in an agglomeration
+// phase; no one writes it.
+var empty = &haloPacket{}
+
+// layout caches the member and other-root lists of a's block for this
+// rank, and returns the next slot.
+func (b *aggBufs) layout(a *Agg, id int) int {
+	if b.a != *a || b.members == nil {
+		b.a = *a
+		g := a.Block(id)
+		b.members = a.Members(g)
+		b.others = b.others[:0]
+		for _, rt := range a.RootList() {
+			if rt != id {
+				b.others = append(b.others, rt)
+			}
+		}
+	}
+	k := b.next % haloSlots
+	b.next++
+	return k
+}
+
+// fill sets payload to k copies of v, reusing its storage.
+func (b *aggBufs) fill(k int, v interface{}) []interface{} {
+	b.payload = b.payload[:0]
+	for i := 0; i < k; i++ {
+		b.payload = append(b.payload, v)
+	}
+	return b.payload
+}
+
 // AggGatherSolveBroadcast runs the agglomerated coarse solve: the owned
 // velocity entries of b funnel to the block roots and then across the
 // root group, so every root holds a globally valid b; every root runs
@@ -84,26 +130,26 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 	}
 	g := a.Block(r.ID)
 	root := a.Root(g)
+	bufs := &d.agg
+	slot := bufs.layout(a, r.ID)
 
 	if r.ID != root {
 		// Client: ship owned entries to the block root, overlap while
 		// the root group gathers and solves, then take the solution.
-		own := d.L.OwnedNodes()
-		pk := &haloPacket{Node: own, Val: make([]float64, 0, 3*len(own))}
-		for _, node := range own {
-			pk.Val = append(pk.Val, b[3*node], b[3*node+1], b[3*node+2])
-		}
+		pk := &bufs.own[slot]
+		pk.fill(d.L.OwnedNodes(), b)
 		d.countPacket(pk)
 		d.chargeCoarse(4*len(pk.Node) + 8*len(pk.Val))
-		if _, err := r.ExchangeReliable([]int{root}, map[int]interface{}{root: pk}, d.Sc); err != nil {
+		bufs.to[0] = root
+		if _, err := r.StartExchange(bufs.to[:], bufs.fill(1, pk), d.Sc).Wait(); err != nil {
 			return fmt.Errorf("comm: agg block gather: %w", err)
 		}
 		// Root-group all-gather: clients sit it out (empty exchange
 		// keeps sequence numbers aligned).
-		if _, err := r.ExchangeReliable(nil, nil, d.Sc); err != nil {
+		if _, err := r.StartExchange(nil, nil, d.Sc).Wait(); err != nil {
 			return fmt.Errorf("comm: agg root gather: %w", err)
 		}
-		px := r.StartExchange([]int{root}, map[int]interface{}{root: &haloPacket{}}, d.Sc)
+		px := r.StartExchange(bufs.to[:], bufs.fill(1, empty), d.Sc)
 		if overlap != nil {
 			overlap()
 		}
@@ -111,88 +157,61 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 		if err != nil {
 			return fmt.Errorf("comm: agg solution broadcast: %w", err)
 		}
-		copy(x, sol[root].(*vecPacket).Val)
+		copy(x, sol[0].(*vecPacket).Val)
 		return nil
 	}
 
 	// Root: gather the block members' owned entries...
-	members := a.Members(g)
-	payload := map[int]interface{}{}
-	for _, m := range members {
-		payload[m] = &haloPacket{}
-	}
-	recv, err := r.ExchangeReliable(members, payload, d.Sc)
+	members := bufs.members
+	recv, err := r.StartExchange(members, bufs.fill(len(members), empty), d.Sc).Wait()
 	if err != nil {
 		return fmt.Errorf("comm: agg block gather: %w", err)
 	}
 	// ...combine them with our own into one block packet...
-	comb := &haloPacket{}
-	appendOwned := func(nodes []int32, vals []float64) {
-		comb.Node = append(comb.Node, nodes...)
-		comb.Val = append(comb.Val, vals...)
-	}
+	comb := &bufs.comb[slot]
 	own := d.L.OwnedNodes()
-	vals := make([]float64, 0, 3*len(own))
+	comb.Node = append(comb.Node[:0], own...)
+	comb.Val = comb.Val[:0]
 	for _, node := range own {
-		vals = append(vals, b[3*node], b[3*node+1], b[3*node+2])
+		comb.Val = append(comb.Val, b[3*node], b[3*node+1], b[3*node+2])
 	}
-	appendOwned(own, vals)
-	for _, m := range members {
-		pk := recv[m].(*haloPacket)
-		appendOwned(pk.Node, pk.Val)
+	for i := range members {
+		pk := recv[i].(*haloPacket)
+		comb.Node = append(comb.Node, pk.Node...)
+		comb.Val = append(comb.Val, pk.Val...)
 		// Scatter into our b as we go: the root's b must be globally
 		// valid before solve.
-		for i, node := range pk.Node {
-			b[3*node] = pk.Val[3*i]
-			b[3*node+1] = pk.Val[3*i+1]
-			b[3*node+2] = pk.Val[3*i+2]
-		}
+		pk.unpack(b)
 	}
 	// ...and all-gather the block packets across the root group.
-	roots := a.RootList()
-	others := make([]int, 0, len(roots)-1)
-	rp := map[int]interface{}{}
-	for _, rt := range roots {
-		if rt != r.ID {
-			others = append(others, rt)
-			rp[rt] = comb
-		}
-	}
+	others := bufs.others
 	if len(others) > 0 {
 		d.Sc.Counter("halo_msgs").Add(int64(len(others)))
 		d.Sc.Counter("halo_bytes").Add(int64(len(others) * (4*len(comb.Node) + 8*len(comb.Val))))
 		d.chargeCoarse(len(others) * (4*len(comb.Node) + 8*len(comb.Val)))
 	}
-	rrecv, err := r.ExchangeReliable(others, rp, d.Sc)
+	rrecv, err := r.StartExchange(others, bufs.fill(len(others), comb), d.Sc).Wait()
 	if err != nil {
 		return fmt.Errorf("comm: agg root gather: %w", err)
 	}
-	for _, rt := range others {
-		pk := rrecv[rt].(*haloPacket)
-		for i, node := range pk.Node {
-			b[3*node] = pk.Val[3*i]
-			b[3*node+1] = pk.Val[3*i+1]
-			b[3*node+2] = pk.Val[3*i+2]
-		}
+	for i := range others {
+		rrecv[i].(*haloPacket).unpack(b)
 	}
 
 	// Redundant solve: every root computes the identical solution, so
 	// roots never need to exchange results.
 	solve()
 
-	// Broadcast the solution to the block (deep copy: receivers unpack
+	// Broadcast the solution to the block (a copy: receivers unpack
 	// after our exchange completes, and the caller may mutate x first).
-	bp := map[int]interface{}{}
+	out := &bufs.sol[slot]
 	if len(members) > 0 {
-		out := &vecPacket{Val: append([]float64(nil), x...)}
-		for _, m := range members {
-			bp[m] = out
-		}
+		out.Val = append(out.Val[:0], x...)
 		d.Sc.Counter("halo_msgs").Add(int64(len(members)))
 		d.Sc.Counter("halo_bytes").Add(int64(len(members) * 8 * len(x)))
 		d.chargeCoarse(len(members) * 8 * len(x))
 	}
-	if _, err := r.ExchangeReliable(members, bp, d.Sc); err != nil {
+	if _, err := r.StartExchange(members, bufs.fill(len(members), out), d.Sc).Wait(); err != nil {
 		return fmt.Errorf("comm: agg solution broadcast: %w", err)
 	}
 	return nil

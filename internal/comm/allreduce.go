@@ -16,11 +16,29 @@ import "time"
 // lowbit returns the lowest set bit of id (id > 0).
 func lowbit(id int) int { return id & -id }
 
+// reduceBufs are a Dist's persistent allreduce buffers: up carries this
+// rank's subtree's raw blocks to its parent, down the root's sums to its
+// children (forwarded, not copied, by the ranks between), and out is the
+// rank's private copy of the sums. Reuse is safe without a ring: a rank
+// starts its next allreduce only after the sums of this one reached it, so
+// its parent has read up by then; and the root rewrites down only after
+// every rank's next blocks reached it, each sent after that rank had
+// copied the previous sums out.
+type reduceBufs struct {
+	up, down reduceMsg
+	out      []float64
+}
+
+// reduceMsg is the payload of one tree hop, sent by pointer.
+type reduceMsg struct{ v []float64 }
+
 // AllReduceSumVec returns the element-wise global sum of x over all
 // ranks, bit-identical on every rank and across world sizes with the
 // same per-rank values: summation always runs in ascending rank order.
 // The batch width must match on all ranks (one collective per call).
-// The returned slice is freshly allocated.
+// The returned slice is the handle's own, private to the rank and valid
+// until its next allreduce; once the buffers have held a call as wide,
+// the call allocates nothing.
 func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 	start := time.Now()
 	r := d.R
@@ -33,51 +51,51 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 			d.Sc.Counter("fabric_allreduce_ns").Add(f.AllReduceNs(size, width))
 		}
 	}()
-	out := make([]float64, width)
 	if size == 1 {
-		copy(out, x)
-		return out
+		d.ar.out = append(d.ar.out[:0], x...)
+		return d.ar.out
 	}
 	id := r.ID
 	// Gather: fold in each child subtree's raw blocks (contiguous,
 	// ascending), then hand the combined run to the parent.
-	blocks := make([]float64, width, 2*width)
-	copy(blocks, x)
-	var children []int
+	up := &d.ar.up
+	up.v = append(up.v[:0], x...)
 	for bit := 1; bit < size; bit <<= 1 {
 		if id&bit != 0 {
-			r.Send(id-bit, blocks)
+			r.Send(id-bit, up)
 			break
 		}
-		src := id + bit
-		if src >= size {
-			continue
+		if src := id + bit; src < size {
+			up.v = append(up.v, r.recv(src).(*reduceMsg).v...)
 		}
-		sub := r.recv(src)
-		blocks = append(blocks, sub.([]float64)...)
-		children = append(children, src)
 	}
-	var res []float64
+	var down *reduceMsg
 	if id == 0 {
-		// blocks now holds every rank's raw vector in ascending rank
-		// order; sum left-associated like the serial gather did.
-		res = make([]float64, width)
-		for b := 0; b*width < len(blocks); b++ {
-			row := blocks[b*width:]
+		// up now holds every rank's raw vector in ascending rank order;
+		// sum left-associated like the serial gather did.
+		down = &d.ar.down
+		if cap(down.v) < width {
+			down.v = make([]float64, width)
+		}
+		res := down.v[:width]
+		clear(res)
+		for b := 0; b*width < len(up.v); b++ {
+			row := up.v[b*width:]
 			for i := 0; i < width; i++ {
 				res[i] += row[i]
 			}
 		}
+		down.v = res
 	} else {
-		down := r.recv(id - lowbit(id))
-		res = down.([]float64)
+		down = r.recv(id - lowbit(id)).(*reduceMsg)
 	}
-	// Broadcast down. The slice travelling the tree is shared between
-	// ranks read-only; every rank returns a private copy so callers may
-	// mutate theirs.
-	for _, c := range children {
-		r.Send(c, res)
+	// Broadcast down, to the children of the gather in its order. The sums
+	// travel the tree read-only; every rank copies them out.
+	for bit := 1; bit < size && id&bit == 0; bit <<= 1 {
+		if c := id + bit; c < size {
+			r.Send(c, down)
+		}
 	}
-	copy(out, res)
-	return out
+	d.ar.out = append(d.ar.out[:0], down.v...)
+	return d.ar.out
 }

@@ -151,10 +151,13 @@ func (w *World) stop() {
 }
 
 // message is one mailbox entry: the sending rank and what it sent, a
-// protocol envelope or a collective's bare payload.
+// protocol envelope (held inline, so posting one allocates nothing) or a
+// collective's bare payload.
 type message struct {
-	from int
-	v    interface{}
+	from  int
+	isEnv bool
+	env   envelope
+	v     interface{}
 }
 
 // inbox is an unbounded FIFO with any number of senders and one reader,
@@ -333,12 +336,14 @@ type Rank struct {
 	W  *World
 
 	// Reliable-exchange state (see reliable.go): the per-rank exchange
-	// sequence number, early-arrival stash, and retransmission history.
-	// All ranks must issue reliable exchanges in the same collective
-	// order for sequence numbers to align.
+	// sequence number, early-arrival stash, retransmission history (a ring
+	// of the last histDepth exchanges) and the one exchange in flight,
+	// reused by every exchange. All ranks must issue reliable exchanges in
+	// the same collective order for sequence numbers to align.
 	seq   int64
 	stash map[int]map[int64]envelope
-	hist  map[int64]map[int]interface{}
+	hist  [histDepth]sentRecord
+	px    PendingExchange
 
 	// oob is the unexpected-message queue, one per source: bare collective
 	// payloads (AllReduce partials) pulled from the mailbox before their
@@ -347,7 +352,28 @@ type Rank struct {
 	// collective waiting on one source sees the payloads of the others
 	// first. recv matches by source and takes from here, so per-source
 	// FIFO order holds.
-	oob map[int][]interface{}
+	oob []fifo
+}
+
+// fifo is one source's queue of unexpected payloads; its storage is
+// reused once it drains.
+type fifo struct {
+	q    []interface{}
+	head int
+}
+
+func (f *fifo) push(v interface{}) { f.q = append(f.q, v) }
+
+func (f *fifo) pop() (interface{}, bool) {
+	if f.head == len(f.q) {
+		return nil, false
+	}
+	v := f.q[f.head]
+	f.q[f.head] = nil
+	if f.head++; f.head == len(f.q) {
+		f.q, f.head = f.q[:0], 0
+	}
+	return v, true
 }
 
 // Send posts v to rank `to`; it never blocks.
@@ -366,9 +392,10 @@ func (r *Rank) Send(to int, v interface{}) {
 // queued for their own recv.
 func (r *Rank) recv(from int) interface{} {
 	for {
-		if q := r.oob[from]; len(q) > 0 {
-			r.oob[from] = q[1:]
-			return q[0]
+		if from < len(r.oob) {
+			if v, ok := r.oob[from].pop(); ok {
+				return v
+			}
 		}
 		m, _ := r.W.pull(r.ID, false)
 		r.dispatch(nil, m)

@@ -18,16 +18,81 @@ import (
 // Telemetry (Sc nilable): "halo_msgs"/"halo_bytes" counters for
 // exchanged packets, an "allreduces" counter and "allreduce" timer for
 // reductions, plus the reliable-exchange counters of ExchangeReliable.
+//
+// A Dist outlives the world it was built in: point R at the rank of each
+// new world (Attach) and the handle runs its exchanges there. Every packet
+// it sends is one of its own persistent buffers, recycled round a ring of
+// haloSlots per (neighbour, direction) — MPI's persistent requests — so a
+// steady exchange allocates nothing.
 type Dist struct {
 	R  *Rank
 	L  *Layout
 	Sc *telemetry.Scope
+
+	partials, owners haloRing // ReduceBroadcast's partial sums, Broadcast's owner values
+	ar               reduceBufs
+	agg              aggBufs
+}
+
+// haloSlots is how many exchanges a packet buffer sits out before it is
+// rewritten. Two would do for the receiver: the exchange that reuses a
+// buffer cannot start before the peer has finished the one between, and
+// with it the unpack of the buffer's last contents. The retransmission
+// history serves resends of the last histDepth exchanges, so a buffer
+// is kept unwritten that long too.
+const haloSlots = histDepth
+
+// haloRing is one direction's packets: slot k of neighbour i is
+// pk[k][i], slot next%haloSlots packs the next exchange, and payload is
+// the list handed to it.
+type haloRing struct {
+	next    int
+	pk      [haloSlots][]haloPacket
+	payload []interface{}
+}
+
+// pack fills the next slot's packets with y's three values at every node
+// of lists[n] for each neighbour n of the layout, counts them, and
+// returns the payload list.
+func (d *Dist) pack(h *haloRing, lists map[int][]int32, y []float64) []interface{} {
+	nb := d.L.Neighbors
+	if len(h.payload) != len(nb) {
+		for k := range h.pk {
+			h.pk[k] = make([]haloPacket, len(nb))
+		}
+		h.payload = make([]interface{}, len(nb))
+	}
+	pks := h.pk[h.next%haloSlots]
+	h.next++
+	for i, n := range nb {
+		pk := &pks[i]
+		pk.fill(lists[n], y)
+		h.payload[i] = pk
+		d.countPacket(pk)
+	}
+	return h.payload
+}
+
+// fill sets the packet to the nodes and their three values in y, reusing
+// its storage.
+func (pk *haloPacket) fill(nodes []int32, y []float64) {
+	pk.Node = nodes
+	if cap(pk.Val) < 3*len(nodes) {
+		pk.Val = make([]float64, 0, 3*len(nodes))
+	}
+	pk.Val = pk.Val[:0]
+	for _, node := range nodes {
+		pk.Val = append(pk.Val, y[3*node], y[3*node+1], y[3*node+2])
+	}
 }
 
 // NewDist builds rank r's distributed-vector handle over layout l.
 func NewDist(r *Rank, l *Layout, sc *telemetry.Scope) *Dist {
 	return &Dist{R: r, L: l, Sc: sc}
 }
+
+// Attach points the handle at rank r of a new world. Its buffers stay.
+func (d *Dist) Attach(r *Rank) { d.R = r }
 
 // countPacket accounts one outgoing halo packet, charging the modeled
 // fabric cost when an interconnect model is installed.
@@ -138,17 +203,7 @@ func (d *Dist) ApplyElements(k ElementKernel, mask []bool, x, y la.Vec) error {
 // they are shipped and accumulate harmlessly.
 func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) error {
 	l := d.L
-	payload := map[int]interface{}{}
-	for _, n := range l.Neighbors {
-		gl := l.Ghost[n]
-		pk := &haloPacket{Node: gl, Val: make([]float64, 0, 3*len(gl))}
-		for _, node := range gl {
-			pk.Val = append(pk.Val, y[3*node], y[3*node+1], y[3*node+2])
-		}
-		payload[n] = pk
-		d.countPacket(pk)
-	}
-	px := d.R.StartExchange(l.Neighbors, payload, d.Sc)
+	px := d.R.StartExchange(l.Neighbors, d.pack(&d.partials, l.Ghost, y), d.Sc)
 	if overlap != nil {
 		overlap()
 	}
@@ -156,8 +211,8 @@ func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) error {
 	if err != nil {
 		return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
 	}
-	for _, n := range l.Neighbors {
-		pk := recv[n].(*haloPacket)
+	for j := range l.Neighbors {
+		pk := recv[j].(*haloPacket)
 		for i, node := range pk.Node {
 			y[3*node] += pk.Val[3*i]
 			y[3*node+1] += pk.Val[3*i+1]
@@ -177,29 +232,23 @@ func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) error {
 // externally-assembled vector halo-consistent (krylov.Exchanger).
 func (d *Dist) Broadcast(y []float64) error {
 	l := d.L
-	payload := map[int]interface{}{}
-	for _, n := range l.Neighbors {
-		ml := l.Mirror[n]
-		pk := &haloPacket{Node: ml, Val: make([]float64, 0, 3*len(ml))}
-		for _, node := range ml {
-			pk.Val = append(pk.Val, y[3*node], y[3*node+1], y[3*node+2])
-		}
-		payload[n] = pk
-		d.countPacket(pk)
-	}
-	recv, err := d.R.ExchangeReliable(l.Neighbors, payload, d.Sc)
+	recv, err := d.R.StartExchange(l.Neighbors, d.pack(&d.owners, l.Mirror, y), d.Sc).Wait()
 	if err != nil {
 		return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 	}
-	for _, n := range l.Neighbors {
-		pk := recv[n].(*haloPacket)
-		for i, node := range pk.Node {
-			y[3*node] = pk.Val[3*i]
-			y[3*node+1] = pk.Val[3*i+1]
-			y[3*node+2] = pk.Val[3*i+2]
-		}
+	for i := range l.Neighbors {
+		recv[i].(*haloPacket).unpack(y)
 	}
 	return nil
+}
+
+// unpack overwrites y at the packet's nodes with its values.
+func (pk *haloPacket) unpack(y []float64) {
+	for i, node := range pk.Node {
+		y[3*node] = pk.Val[3*i]
+		y[3*node+1] = pk.Val[3*i+1]
+		y[3*node+2] = pk.Val[3*i+2]
+	}
 }
 
 // AllReduceSum returns the global sum of x with a deterministic
@@ -209,7 +258,6 @@ func (d *Dist) Broadcast(y []float64) error {
 // summation order of a serial gather. This is the AllReduce under every
 // distributed dot product/norm.
 func (d *Dist) AllReduceSum(x float64) float64 {
-	var buf [1]float64
-	buf[0] = x
+	buf := [1]float64{x}
 	return d.AllReduceSumVec(buf[:])[0]
 }

@@ -165,7 +165,9 @@ func (l *Layout) OwnedNodes() []int32 {
 // adjacent rows merged (cached). These are the index ranges a
 // rank-windowed Krylov solve must keep valid; everything outside them
 // is another rank's territory and is never touched, which keeps
-// per-rank BLAS-1 work and resident memory O(n/P) at high rank counts.
+// per-rank BLAS-1 work O(n/P) at high rank counts. It does not keep
+// memory O(n/P): the vectors are full length on every rank, and a
+// window's first and last pages hold other ranks' rows too.
 func (l *Layout) VelSpans() []la.Span {
 	if l.velSpans != nil {
 		return l.velSpans

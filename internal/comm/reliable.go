@@ -57,7 +57,7 @@ func (e *ExchangeError) Error() string {
 }
 
 // sendEnvelope routes env through the fault plan (if any) and the mail
-// fabric.
+// fabric. The envelope travels inline in the mailbox entry.
 func (r *Rank) sendEnvelope(to int, env envelope) {
 	if fp := r.W.fault; fp != nil {
 		var deliver bool
@@ -66,7 +66,10 @@ func (r *Rank) sendEnvelope(to int, env envelope) {
 			return
 		}
 	}
-	r.Send(to, env)
+	if to < 0 || to >= r.W.size {
+		panic(fmt.Sprintf("comm: send to invalid rank %d", to))
+	}
+	r.W.put(to, message{from: r.ID, isEnv: true, env: env})
 }
 
 // dataEnvelope frames a payload, stamping a checksum when supported.
@@ -79,18 +82,42 @@ func (r *Rank) dataEnvelope(seq int64, payload interface{}) envelope {
 	return env
 }
 
-// rememberSent records the payload map for retransmission service and
-// prunes history older than a few exchanges.
-func (r *Rank) rememberSent(seq int64, payload map[int]interface{}) {
-	if r.hist == nil {
-		r.hist = map[int64]map[int]interface{}{}
+// histDepth is how many exchanges the retransmission history keeps: the
+// current one and the three before it.
+const histDepth = 4
+
+// sentRecord is one exchange of the retransmission history: what went to
+// each neighbour. The slices are the record's own, reused round the ring.
+type sentRecord struct {
+	ok      bool
+	seq     int64
+	nbrs    []int
+	payload []interface{}
+}
+
+// rememberSent records the payloads of exchange seq (payload[i] went to
+// neighbors[i]) for retransmission service, in the ring slot of the
+// exchange histDepth ago, which it prunes.
+func (r *Rank) rememberSent(seq int64, neighbors []int, payload []interface{}) {
+	h := &r.hist[seq%histDepth]
+	h.ok, h.seq = true, seq
+	h.nbrs = append(h.nbrs[:0], neighbors...)
+	h.payload = append(h.payload[:0], payload...)
+}
+
+// sent returns what exchange seq sent to rank n, if the history still
+// holds the exchange.
+func (r *Rank) sent(seq int64, n int) (interface{}, bool) {
+	h := &r.hist[seq%histDepth]
+	if !h.ok || h.seq != seq {
+		return nil, false
 	}
-	r.hist[seq] = payload
-	for s := range r.hist {
-		if s < seq-3 {
-			delete(r.hist, s)
+	for i, m := range h.nbrs {
+		if m == n {
+			return h.payload[i], true
 		}
 	}
+	return nil, true
 }
 
 // stashPut stores a data envelope that belongs to a future exchange.
@@ -143,9 +170,22 @@ func verifySum(env envelope) bool {
 // the exchange). sc, when non-nil, accumulates exchange telemetry:
 // "exchanges"/"retries"/"resends_served"/"corrupt_rejected"/
 // "duplicates"/"recovered_exchanges"/"exchange_failures" counters and an
-// "exchange" timer.
+// "exchange" timer. This is the keyed form of StartExchange and Wait, for
+// callers that build their payloads afresh (point migration).
 func (r *Rank) ExchangeReliable(neighbors []int, payload map[int]interface{}, sc *telemetry.Scope) (map[int]interface{}, error) {
-	return r.StartExchange(neighbors, payload, sc).Wait()
+	out := make([]interface{}, len(neighbors))
+	for i, n := range neighbors {
+		out[i] = payload[n]
+	}
+	got, err := r.StartExchange(neighbors, out, sc).Wait()
+	if err != nil {
+		return nil, err
+	}
+	recv := make(map[int]interface{}, len(neighbors))
+	for i, n := range neighbors {
+		recv[n] = got[i]
+	}
+	return recv, nil
 }
 
 // PendingExchange is a reliable exchange whose first transmission is in
@@ -154,42 +194,49 @@ func (r *Rank) ExchangeReliable(neighbors []int, payload map[int]interface{}, sc
 // may compute between StartExchange and Wait — this is the §II-D
 // latency-hiding pattern: apply the subdomain-boundary elements, start
 // the halo exchange, apply the interior elements while messages are in
-// flight, then Wait.
+// flight, then Wait. A rank has one, reused by each of its exchanges, so
+// an exchange allocates nothing once the rank has run one as wide.
 type PendingExchange struct {
 	r        *Rank
 	sc       *telemetry.Scope
 	seq      int64
 	telStart time.Time
 
-	got     map[int]interface{}
-	pending map[int]bool // awaiting data from
-	unacked map[int]bool // awaiting ack from
+	nbrs     []int
+	got      []interface{} // by neighbour index
+	pending  []bool        // awaiting data from nbrs[i]
+	unacked  []bool        // awaiting an ack from nbrs[i]
+	npending int
+	nunacked int
 }
 
 // StartExchange begins a reliable neighbour exchange and returns without
-// waiting for the replies: the payloads are transmitted, stashed early
+// waiting for the replies: payload[i] goes to neighbors[i], stashed early
 // arrivals are adopted, and everything else is deferred to Wait. The
 // collective-order and symmetric-neighbour requirements of
 // ExchangeReliable apply; each StartExchange must be Wait-ed before the
-// rank issues another exchange.
-func (r *Rank) StartExchange(neighbors []int, payload map[int]interface{}, sc *telemetry.Scope) *PendingExchange {
-	px := &PendingExchange{
+// rank issues another exchange. The history keeps its own copy of the
+// payload list, not of what the payloads point to: a caller that reuses
+// a payload's storage must not rewrite it while the last histDepth
+// exchanges may still be asked to resend it.
+func (r *Rank) StartExchange(neighbors []int, payload []interface{}, sc *telemetry.Scope) *PendingExchange {
+	px := &r.px
+	k := len(neighbors)
+	*px = PendingExchange{
 		r: r, sc: sc,
 		telStart: sc.Timer("exchange").Start(),
-		got:      make(map[int]interface{}, len(neighbors)),
-		pending:  make(map[int]bool, len(neighbors)),
-		unacked:  make(map[int]bool, len(neighbors)),
+		nbrs:     neighbors,
+		got:      clearN(px.got, k),
+		pending:  setN(px.pending, k),
+		unacked:  setN(px.unacked, k),
+		npending: k, nunacked: k,
 	}
 	px.seq = r.seq
 	r.seq++
 	if fp := r.W.fault; fp != nil {
 		fp.maybeStall(r.ID, px.seq)
 	}
-	r.rememberSent(px.seq, payload)
-	for _, n := range neighbors {
-		px.pending[n] = true
-		px.unacked[n] = true
-	}
+	r.rememberSent(px.seq, neighbors, payload)
 	// Adopt data that arrived early (stashed during a previous exchange).
 	for _, n := range neighbors {
 		if env, ok := r.stashTake(n, px.seq); ok {
@@ -197,10 +244,43 @@ func (r *Rank) StartExchange(neighbors []int, payload map[int]interface{}, sc *t
 		}
 	}
 	// First transmission.
-	for _, n := range neighbors {
-		r.sendEnvelope(n, r.dataEnvelope(px.seq, payload[n]))
+	for i, n := range neighbors {
+		r.sendEnvelope(n, r.dataEnvelope(px.seq, payload[i]))
 	}
 	return px
+}
+
+// clearN returns s resized to k nil entries, reusing its storage.
+func clearN(s []interface{}, k int) []interface{} {
+	if cap(s) < k {
+		return make([]interface{}, k)
+	}
+	s = s[:k]
+	clear(s)
+	return s
+}
+
+// setN returns s resized to k true entries, reusing its storage.
+func setN(s []bool, k int) []bool {
+	if cap(s) < k {
+		s = make([]bool, k)
+	}
+	s = s[:k]
+	for i := range s {
+		s[i] = true
+	}
+	return s
+}
+
+// index returns the position of rank n in the exchange's neighbour list,
+// or -1.
+func (px *PendingExchange) index(n int) int {
+	for i, m := range px.nbrs {
+		if m == n {
+			return i
+		}
+	}
+	return -1
 }
 
 // accept takes a data envelope for this exchange: verify, record, ack.
@@ -212,9 +292,10 @@ func (px *PendingExchange) accept(env envelope) {
 		r.sendEnvelope(env.From, envelope{Kind: envResend, Seq: env.Seq, From: r.ID})
 		return
 	}
-	if px.pending[env.From] {
-		px.got[env.From] = env.Payload
-		delete(px.pending, env.From)
+	if i := px.index(env.From); i >= 0 && px.pending[i] {
+		px.got[i] = env.Payload
+		px.pending[i] = false
+		px.npending--
 	} else {
 		px.sc.Counter("duplicates").Inc()
 	}
@@ -231,14 +312,14 @@ func (px *PendingExchange) accept(env envelope) {
 // Resend requests are served from the send history. An ack counts for the
 // exchange in flight only; a stale one needs no action.
 func (r *Rank) dispatch(px *PendingExchange, m message) {
-	env, ok := m.v.(envelope)
-	if !ok {
+	if !m.isEnv {
 		if r.oob == nil {
-			r.oob = map[int][]interface{}{}
+			r.oob = make([]fifo, r.W.size)
 		}
-		r.oob[m.from] = append(r.oob[m.from], m.v)
+		r.oob[m.from].push(m.v)
 		return
 	}
+	env := m.env
 	var sc *telemetry.Scope
 	if px != nil {
 		sc = px.sc
@@ -256,36 +337,41 @@ func (r *Rank) dispatch(px *PendingExchange, m message) {
 		}
 	case envAck:
 		if px != nil && env.Seq == px.seq {
-			delete(px.unacked, env.From)
+			if i := px.index(env.From); i >= 0 && px.unacked[i] {
+				px.unacked[i] = false
+				px.nunacked--
+			}
 		}
 	case envResend:
-		if sent, ok := r.hist[env.Seq]; ok {
+		if sent, ok := r.sent(env.Seq, env.From); ok {
 			sc.Counter("resends_served").Inc()
-			r.sendEnvelope(env.From, r.dataEnvelope(env.Seq, sent[env.From]))
+			r.sendEnvelope(env.From, r.dataEnvelope(env.Seq, sent))
 		}
 	}
 }
 
 // Wait runs the receive/retry loop to completion and returns the
-// verified payloads keyed by source (or a typed *ExchangeError once the
-// retry budget is exhausted). It pulls and dispatches whatever arrives on
-// the rank's one mailbox, from whichever rank, until nothing of this
-// exchange is outstanding. A peer that is slow, computing or stalled is
-// waited for; only when the whole world has gone quiet with the exchange
-// still outstanding — a message lost, not late — does it retransmit. It
-// gives up at the quiet after its Retries-th retransmission.
-func (px *PendingExchange) Wait() (map[int]interface{}, error) {
+// verified payloads, got[i] from neighbors[i] of StartExchange (or a
+// typed *ExchangeError once the retry budget is exhausted). The slice is
+// the rank's own and holds until its next exchange. Wait pulls and
+// dispatches whatever arrives on the rank's one mailbox, from whichever
+// rank, until nothing of this exchange is outstanding. A peer that is
+// slow, computing or stalled is waited for; only when the whole world has
+// gone quiet with the exchange still outstanding — a message lost, not
+// late — does it retransmit. It gives up at the quiet after its
+// Retries-th retransmission.
+func (px *PendingExchange) Wait() ([]interface{}, error) {
 	r, sc := px.r, px.sc
 	attempts := 0
 	for {
-		for len(px.pending) > 0 || len(px.unacked) > 0 {
+		for px.npending > 0 || px.nunacked > 0 {
 			m, ok := r.W.pull(r.ID, true)
 			if !ok {
 				break
 			}
 			r.dispatch(px, m)
 		}
-		if len(px.pending) == 0 && len(px.unacked) == 0 {
+		if px.npending == 0 && px.nunacked == 0 {
 			sc.Timer("exchange").Stop(px.telStart)
 			sc.Counter("exchanges").Inc()
 			if attempts > 0 {
@@ -300,23 +386,30 @@ func (px *PendingExchange) Wait() (map[int]interface{}, error) {
 		sc.Counter("retries").Inc()
 		// Retransmit our data to neighbours that have not acked, and
 		// request resends from neighbours we have not heard from.
-		for n := range px.unacked {
-			if sent, ok := r.hist[px.seq]; ok {
-				r.sendEnvelope(n, r.dataEnvelope(px.seq, sent[n]))
+		for i, n := range px.nbrs {
+			if !px.unacked[i] {
+				continue
+			}
+			if sent, ok := r.sent(px.seq, n); ok {
+				r.sendEnvelope(n, r.dataEnvelope(px.seq, sent))
 			}
 		}
-		for n := range px.pending {
-			r.sendEnvelope(n, envelope{Kind: envResend, Seq: px.seq, From: r.ID})
+		for i, n := range px.nbrs {
+			if px.pending[i] {
+				r.sendEnvelope(n, envelope{Kind: envResend, Seq: px.seq, From: r.ID})
+			}
 		}
 	}
 	sc.Timer("exchange").Stop(px.telStart)
 	sc.Counter("exchange_failures").Inc()
 	err := &ExchangeError{Rank: r.ID, Seq: px.seq, Attempts: attempts + 1}
-	for n := range px.pending {
-		err.MissingData = append(err.MissingData, n)
-	}
-	for n := range px.unacked {
-		err.MissingAcks = append(err.MissingAcks, n)
+	for i, n := range px.nbrs {
+		if px.pending[i] {
+			err.MissingData = append(err.MissingData, n)
+		}
+		if px.unacked[i] {
+			err.MissingAcks = append(err.MissingAcks, n)
+		}
 	}
 	sort.Ints(err.MissingData)
 	sort.Ints(err.MissingAcks)

@@ -125,7 +125,17 @@ func (s waveSchedule) items(w int, adv, app []waveItem) ([]waveItem, []waveItem)
 // It is NOT safe for concurrent Smooth calls: work vectors and overlap
 // buffers persist across calls on one instance.
 func NewBlockedChebyshev(r *Resident, invDiag la.Vec, lambdaMax float64, steps int) *BlockedChebyshev {
-	return &BlockedChebyshev{R: r, InvDiag: invDiag, Lo: 0.2 * lambdaMax, Hi: 1.1 * lambdaMax, Steps: steps}
+	c := &BlockedChebyshev{R: r, InvDiag: invDiag, Steps: steps}
+	c.SetLambdaMax(lambdaMax)
+	return c
+}
+
+// SetLambdaMax retargets the smoother to [0.2λ, 1.1λ] for a new estimate
+// λ, keeping its work vectors: a refreshed level smooths with the
+// instance it was built with.
+func (c *BlockedChebyshev) SetLambdaMax(lambdaMax float64) {
+	c.Lo, c.Hi = 0.2*lambdaMax, 1.1*lambdaMax
+	c.alpha = c.alpha[:0]
 }
 
 // coeffs precomputes the scalar recurrence exactly as the unblocked
@@ -134,8 +144,12 @@ func (c *BlockedChebyshev) coeffs() {
 	if len(c.alpha) == c.Steps {
 		return
 	}
-	c.alpha = make([]float64, c.Steps)
-	c.beta = make([]float64, c.Steps)
+	if cap(c.alpha) < c.Steps {
+		c.alpha = make([]float64, c.Steps)
+		c.beta = make([]float64, c.Steps)
+	}
+	c.alpha, c.beta = c.alpha[:c.Steps], c.beta[:c.Steps]
+	c.beta[0] = 0
 	d := (c.Hi + c.Lo) / 2
 	half := (c.Hi - c.Lo) / 2
 	c.alpha[0] = 1 / d
@@ -205,7 +219,7 @@ func (c *BlockedChebyshev) SmoothPart(b, x la.Vec, zeroGuess bool) par.Part {
 			c.R.applyBlock(it.blk, src, c.ap, bufs.bufs[it.blk], ks)
 			c.R.scratch.Put(ks)
 		},
-		Done: func() { p.slabPool.Put(bufs) },
+		Done: func() { p.slabPool.put(bufs) },
 	}
 }
 

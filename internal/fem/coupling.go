@@ -258,7 +258,7 @@ func (m *PressureMass) Setup() error {
 		p.gatherCoords(e, &xe)
 		var ctr, hinv [3]float64
 		elemCenterScale(&xe, &ctr, &hinv)
-		blk := la.NewDense(4, 4)
+		var blk [16]float64
 		var psi [4]float64
 		for q := 0; q < NQP; q++ {
 			_, detJ := geomAt(geo, e, q)
@@ -273,28 +273,17 @@ func (m *PressureMass) Setup() error {
 			pressureBasisAt(x, y, z, &ctr, &hinv, &psi)
 			for i := 0; i < 4; i++ {
 				for j := 0; j < 4; j++ {
-					blk.Add(i, j, w*psi[i]*psi[j])
+					blk[4*i+j] += w * psi[i] * psi[j]
 				}
 			}
 		}
-		lu, err := la.Factor(blk)
-		if err != nil {
+		// The explicit inverse, by la.Factor's arithmetic on the stack.
+		if err := la.Invert4(&blk, (*[16]float64)(m.inv[16*e:16*e+16])); err != nil {
 			mu.Lock()
 			if bad == nil || e < bad.Elem {
 				bad = &SingularBlockError{Elem: e, Err: err}
 			}
 			mu.Unlock()
-			return
-		}
-		// Store the explicit inverse columns.
-		var ei, col la.Vec = make(la.Vec, 4), make(la.Vec, 4)
-		for j := 0; j < 4; j++ {
-			ei.Zero()
-			ei[j] = 1
-			lu.Solve(ei, col)
-			for i := 0; i < 4; i++ {
-				m.inv[16*e+4*i+j] = col[i]
-			}
 		}
 	})
 	if bad != nil {

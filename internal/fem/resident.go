@@ -293,7 +293,7 @@ func (r *Resident) ApplyPart(u, y la.Vec) par.Part {
 			}
 		},
 		Done: func() {
-			p.slabPool.Put(bufs)
+			p.slabPool.put(bufs)
 			p.countSlabApply(info)
 		},
 	}

@@ -144,7 +144,7 @@ func newSlabInfo(p *Problem, off []int) *slabInfo {
 
 // getSlabBufs takes a zero-filled-on-demand buffer set from the pool.
 func (p *Problem) getSlabBufs(info *slabInfo) *slabBufs {
-	if b, ok := p.slabPool.Get().(*slabBufs); ok {
+	if b := p.slabPool.get(); b != nil {
 		return b
 	}
 	b := &slabBufs{bufs: make([][]float64, info.S)}
@@ -290,7 +290,7 @@ func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, 
 		par.Each(info.S, func(s int) { slabs(s, s+1) }),
 		par.Ranges(p.Workers, len(info.shared), merge))
 
-	p.slabPool.Put(bufs)
+	p.slabPool.put(bufs)
 	p.countSlabApply(info)
 }
 
@@ -334,8 +334,39 @@ func SetTelemetry(sc *telemetry.Scope) {
 type slabState struct {
 	slabOnce    sync.Once
 	slab        *slabInfo
-	slabPool    sync.Pool
+	slabPool    freeList[slabBufs]
 	slabScratch sync.Pool
+}
+
+// freeList is a pool that the garbage collector does not empty, unlike
+// sync.Pool: what is put back waits for the next get, so applies in a
+// later time step, after any number of collections, allocate nothing. It
+// holds at most as many items as were ever in use at once. It serves the
+// overlap buffer sets, taken once per apply; the kernel arenas, taken per
+// chunk or block, stay in sync.Pools, whose per-processor caches hand a
+// worker the arena its core last used.
+type freeList[T any] struct {
+	mu   sync.Mutex
+	free []*T
+}
+
+// get returns a pooled item, or a new zero one.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if n := len(f.free); n > 0 {
+		x := f.free[n-1]
+		f.free = f.free[:n-1]
+		return x
+	}
+	return nil
+}
+
+// put returns x to the pool.
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	f.free = append(f.free, x)
+	f.mu.Unlock()
 }
 
 // slabScratch is the arena one slab of slabApply works in: the gathered

@@ -97,14 +97,23 @@ func (asm *ASM) Refresh(a *la.CSR) error {
 	return asm.setup(a, func(_ int, sub *asmSub, m *asmMarks) { m.enter(sub.rows) })
 }
 
-// setup factors every subdomain from a's values, subdomains in parallel;
-// enter must leave the worker's marks on the subdomain it is given.
+// setup factors every subdomain from a's values, subdomains in parallel:
+// in place on its factor while the set of nonzero entries has not changed
+// (la.ILU0.Refactor, which allocates nothing), else on a new pattern, for
+// which enter must leave the worker's marks on the subdomain it is given.
 func (asm *ASM) setup(a *la.CSR, enter func(s int, sub *asmSub, m *asmMarks)) error {
 	errs := make([]error, len(asm.subs))
 	par.For(asm.workers, len(asm.subs), func(slo, shi int) {
-		m := newASMMarks(a.NRows)
+		var m *asmMarks
 		for s := slo; s < shi; s++ {
 			sub := &asm.subs[s]
+			if sub.ilu != nil && sub.patternHolds(a) {
+				errs[s] = sub.ilu.Refactor(a, sub.at)
+				continue
+			}
+			if m == nil {
+				m = newASMMarks(a.NRows)
+			}
 			enter(s, sub, m)
 			errs[s] = sub.factor(a, m)
 		}
@@ -157,13 +166,9 @@ func (sub *asmSub) grow(a *la.CSR, lo, hi, overlap int, m *asmMarks) {
 	sub.rl, sub.zl = la.NewVec(len(rows)), la.NewVec(len(rows))
 }
 
-// factor (re)computes the subdomain solver from a's current values: in
-// place on the factor while the set of nonzero entries has not changed,
-// else on a new pattern. m must be on the subdomain.
+// factor computes the subdomain solver from a's current values on the
+// pattern of its nonzero entries. m must be on the subdomain.
 func (sub *asmSub) factor(a *la.CSR, m *asmMarks) error {
-	if sub.ilu != nil && sub.patternHolds(a) {
-		return sub.ilu.Refactor(a, sub.at)
-	}
 	// Counted first, so that the maps, which live as long as the factor,
 	// and the matrix, which goes once it is factored, are sized exactly.
 	nl, nnz, nzero := len(sub.rows), 0, 0

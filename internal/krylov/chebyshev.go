@@ -15,9 +15,9 @@ type Chebyshev struct {
 	Steps  int     // iterations per Smooth call
 
 	// Spans windows the smoother's BLAS-1 updates to the listed index
-	// ranges (a rank's owned+ghost rows), keeping per-rank work and
-	// touched memory O(n/P) on the distributed path; nil is the whole
-	// vector.
+	// ranges (a rank's owned+ghost rows), keeping per-rank work O(n/P) on
+	// the distributed path; the vectors stay full length. nil is the
+	// whole vector.
 	Spans []la.Span
 
 	// work holds r, z, p and A·p across Smooth calls, so an instance is
@@ -30,7 +30,15 @@ type Chebyshev struct {
 // NewChebyshev builds a smoother targeting [0.2λ, 1.1λ] as in the paper,
 // where lambdaMax is an estimate of the largest eigenvalue of M⁻¹·A.
 func NewChebyshev(a Op, m Preconditioner, lambdaMax float64, steps int) *Chebyshev {
-	return &Chebyshev{A: a, M: m, Lo: 0.2 * lambdaMax, Hi: 1.1 * lambdaMax, Steps: steps}
+	c := &Chebyshev{A: a, M: m, Steps: steps}
+	c.SetLambdaMax(lambdaMax)
+	return c
+}
+
+// SetLambdaMax retargets the smoother to [0.2λ, 1.1λ] for a new estimate
+// λ, keeping its work vectors.
+func (c *Chebyshev) SetLambdaMax(lambdaMax float64) {
+	c.Lo, c.Hi = 0.2*lambdaMax, 1.1*lambdaMax
 }
 
 // Smooth performs Steps Chebyshev iterations on A·x = b, updating x in
@@ -94,7 +102,13 @@ func (c *Chebyshev) Apply(r, z la.Vec) { c.Smooth(r, z, true) }
 // solver behaviour is reproducible run to run.
 func EstimateLambdaMax(a Op, m Preconditioner, iters int) float64 {
 	n := a.N()
-	v := la.NewVec(n)
+	return EstimateLambdaMaxIn(a, m, iters, la.NewVec(n), la.NewVec(n), la.NewVec(n))
+}
+
+// EstimateLambdaMaxIn is EstimateLambdaMax run in the caller's three
+// n-vectors, whose contents it overwrites: a set-up that has idle vectors
+// to lend allocates nothing.
+func EstimateLambdaMaxIn(a Op, m Preconditioner, iters int, v, av, z la.Vec) float64 {
 	// Deterministic pseudo-random start touching all components.
 	s := uint64(88172645463325252)
 	for i := range v {
@@ -103,8 +117,6 @@ func EstimateLambdaMax(a Op, m Preconditioner, iters int) float64 {
 		s ^= s << 17
 		v[i] = float64(int64(s%2000)-1000) / 1000.0
 	}
-	av := la.NewVec(n)
-	z := la.NewVec(n)
 	lambda := 1.0
 	for it := 0; it < iters; it++ {
 		nv := v.Norm2()

@@ -91,9 +91,11 @@ type Params struct {
 
 	// Spans, when non-empty on a rank-collective solve (Reducer != nil),
 	// windows every BLAS-1 update inside the solver to the listed index
-	// ranges — a rank's owned+ghost rows — so per-rank vector work and
-	// touched memory stay O(n/P) instead of O(n) at high rank counts.
-	// Entries outside the spans are never read or written by the solver
+	// ranges — a rank's owned+ghost rows — so per-rank vector work stays
+	// O(n/P) instead of O(n) at high rank counts. Storage does not: the
+	// vectors are full length on every rank, and neighbouring ranks' rows
+	// share pages. Entries outside the spans are never read or written by
+	// the solver
 	// itself (operators and preconditioners keep their own windows).
 	// Ignored when Reducer == nil.
 	Spans []la.Span

@@ -18,7 +18,19 @@ type Jacobi struct {
 // NewJacobi builds a Jacobi preconditioner from a diagonal vector,
 // guarding zero entries with 1.
 func NewJacobi(diag la.Vec) *Jacobi {
-	inv := la.NewVec(len(diag))
+	j := &Jacobi{}
+	j.SetDiag(diag)
+	return j
+}
+
+// SetDiag recomputes the inverse diagonal from diag, as NewJacobi does,
+// into InvDiag's storage when it has diag's length. An instance whose
+// InvDiag is shared passes the new values on to every sharer.
+func (j *Jacobi) SetDiag(diag la.Vec) {
+	if len(j.InvDiag) != len(diag) {
+		j.InvDiag = la.NewVec(len(diag))
+	}
+	inv := j.InvDiag
 	for i, d := range diag {
 		if d != 0 {
 			inv[i] = 1 / d
@@ -26,7 +38,6 @@ func NewJacobi(diag la.Vec) *Jacobi {
 			inv[i] = 1
 		}
 	}
-	return &Jacobi{InvDiag: inv}
 }
 
 // Apply computes z = D⁻¹·r.

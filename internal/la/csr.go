@@ -55,6 +55,10 @@ func (a *CSR) MulVecPar(x, y Vec, workers int) {
 	if len(x) != a.NCols || len(y) != a.NRows {
 		panic(fmt.Sprintf("la: CSR MulVecPar shape mismatch (%dx%d)*%d->%d", a.NRows, a.NCols, len(x), len(y)))
 	}
+	if workers <= 1 {
+		a.MulVecRange(x, y, 0, a.NRows)
+		return
+	}
 	par.For(workers, a.NRows, func(lo, hi int) {
 		a.MulVecRange(x, y, lo, hi)
 	})

@@ -140,8 +140,15 @@ func (f *LU) Solve(b, x Vec) {
 	if len(b) != n || len(x) != n {
 		panic("la: LU Solve length mismatch")
 	}
-	// Apply permutation into x, then forward/back substitute in place.
-	tmp := make([]float64, n)
+	// Apply permutation into x, then forward/back substitute in place; a
+	// coarse-grid block fits on the stack.
+	var stack [128]float64
+	var tmp []float64
+	if n <= len(stack) {
+		tmp = stack[:n]
+	} else {
+		tmp = make([]float64, n)
+	}
 	for i := 0; i < n; i++ {
 		tmp[i] = b[f.piv[i]]
 	}
@@ -162,6 +169,72 @@ func (f *LU) Solve(b, x Vec) {
 		tmp[i] = s / ri[i]
 	}
 	copy(x, tmp)
+}
+
+// Invert4 writes the inverse of the 4×4 row-major matrix a into inv:
+// Factor's partial-pivot LU, then LU.Solve of each unit vector, the same
+// operations in the same order, on stack arrays — bitwise what the
+// allocating pair computes, with no allocation. It returns Factor's error
+// for a singular matrix, leaving inv as it was. a is not modified.
+func Invert4(a, inv *[16]float64) error {
+	const n = 4
+	lu := *a
+	piv := [n]int{0, 1, 2, 3}
+	for k := 0; k < n; k++ {
+		p := k
+		pmax := math.Abs(lu[k*n+k])
+		for i := k + 1; i < n; i++ {
+			if a := math.Abs(lu[i*n+k]); a > pmax {
+				pmax, p = a, i
+			}
+		}
+		if pmax == 0 {
+			return fmt.Errorf("la: singular matrix at pivot %d", k)
+		}
+		if p != k {
+			for j := 0; j < n; j++ {
+				lu[k*n+j], lu[p*n+j] = lu[p*n+j], lu[k*n+j]
+			}
+			piv[k], piv[p] = piv[p], piv[k]
+		}
+		pivv := lu[k*n+k]
+		for i := k + 1; i < n; i++ {
+			lik := lu[i*n+k] / pivv
+			lu[i*n+k] = lik
+			if lik == 0 {
+				continue
+			}
+			for j := k + 1; j < n; j++ {
+				lu[i*n+j] -= lik * lu[k*n+j]
+			}
+		}
+	}
+	for c := 0; c < n; c++ {
+		var tmp [n]float64
+		for i := 0; i < n; i++ {
+			if piv[i] == c {
+				tmp[i] = 1
+			}
+		}
+		for i := 1; i < n; i++ {
+			s := tmp[i]
+			for j := 0; j < i; j++ {
+				s -= lu[i*n+j] * tmp[j]
+			}
+			tmp[i] = s
+		}
+		for i := n - 1; i >= 0; i-- {
+			s := tmp[i]
+			for j := i + 1; j < n; j++ {
+				s -= lu[i*n+j] * tmp[j]
+			}
+			tmp[i] = s / lu[i*n+i]
+		}
+		for i := 0; i < n; i++ {
+			inv[i*n+c] = tmp[i]
+		}
+	}
+	return nil
 }
 
 // Invert3 inverts the 3×3 matrix a (row-major) into inv and returns its

@@ -174,3 +174,79 @@ func TestQRThinRankDeficient(t *testing.T) {
 		}
 	}
 }
+
+// TestInvert4MatchesFactorSolve: the stack inverse is bitwise the inverse
+// columns of Factor and LU.Solve on unit vectors, on random matrices (whose
+// pivoting varies), on SPD mass-like blocks, and on blocks that need a row
+// swap or that skip an elimination (a zero multiplier); singular blocks
+// fail as Factor fails and leave the output untouched.
+func TestInvert4MatchesFactorSolve(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	var cases [][16]float64
+	for c := 0; c < 200; c++ {
+		var a [16]float64
+		for i := range a {
+			a[i] = rng.NormFloat64()
+		}
+		cases = append(cases, a)
+		var spd [16]float64
+		var psi [4]float64
+		for q := 0; q < 27; q++ {
+			for i := range psi {
+				psi[i] = rng.Float64() - 0.5
+			}
+			w := rng.Float64()
+			for i := 0; i < 4; i++ {
+				for j := 0; j < 4; j++ {
+					spd[4*i+j] += w * psi[i] * psi[j]
+				}
+			}
+		}
+		cases = append(cases, spd)
+	}
+	cases = append(cases,
+		[16]float64{0, 1, 0, 0, 1, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 3},
+		[16]float64{2, 0, 1, 0, 0, 3, 0, 0, 1, 0, 4, 0, 0, 0, 0, 5})
+	for c, a := range cases {
+		d := NewDense(4, 4)
+		copy(d.Data, a[:])
+		lu, err := Factor(d)
+		if err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		var want [16]float64
+		ei, col := make(Vec, 4), make(Vec, 4)
+		for j := 0; j < 4; j++ {
+			ei.Zero()
+			ei[j] = 1
+			lu.Solve(ei, col)
+			for i := 0; i < 4; i++ {
+				want[4*i+j] = col[i]
+			}
+		}
+		var got [16]float64
+		if err := Invert4(&a, &got); err != nil {
+			t.Fatalf("case %d: %v", c, err)
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("case %d entry %d: %v, Factor+Solve %v", c, i, got[i], want[i])
+			}
+		}
+	}
+	sing := [16]float64{1, 2, 0, 0, 2, 4, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1}
+	d := NewDense(4, 4)
+	copy(d.Data, sing[:])
+	_, ferr := Factor(d)
+	out := [16]float64{7}
+	err := Invert4(&sing, &out)
+	if err == nil || ferr == nil || err.Error() != ferr.Error() {
+		t.Fatalf("singular block: Invert4 %v, Factor %v", err, ferr)
+	}
+	if out != [16]float64{7} {
+		t.Fatalf("singular block: output written: %v", out)
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = Invert4(&cases[0], &out) }); n != 0 {
+		t.Fatalf("Invert4 allocates %v times", n)
+	}
+}

@@ -23,6 +23,11 @@ type ILU0 struct {
 	lcol, ucol []int32
 	lval, uval []float64 // L (unit diagonal, not stored) and U without its diagonal
 	diag       []float64 // U's diagonal: the pivots
+
+	// w and mark are the elimination's dense work row and its column
+	// flags, kept for the next Refactor.
+	w    []float64
+	mark []int32
 }
 
 // NewILU0 computes the ILU(0) factorization of a on its stored pattern.
@@ -170,8 +175,10 @@ func (f *ILU0) load(val []float64, at []int32) {
 // those of the elimination on a CSR-form factor.
 func (f *ILU0) factor() {
 	n := f.n
-	w := make([]float64, n)
-	mark := make([]int32, n)
+	if len(f.w) != n {
+		f.w, f.mark = make([]float64, n), make([]int32, n)
+	}
+	w, mark := f.w, f.mark
 	for j := range mark {
 		mark[j] = -1
 	}

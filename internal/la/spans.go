@@ -2,9 +2,9 @@ package la
 
 // Span is a half-open index window [Lo, Hi) into a Vec. Rank-distributed
 // solves carry a list of spans describing the owned+ghost rows of a
-// rank's full-length vector copy, so BLAS-1 work (and the pages actually
-// touched) stay O(n/P) per rank even though every rank allocates
-// full-length vectors for index compatibility.
+// rank's full-length vector copy, so BLAS-1 work stays O(n/P) per rank.
+// Storage does not: every rank allocates full-length vectors for index
+// compatibility, and the windows of neighbouring ranks share pages.
 //
 // Every *Spans operation below takes a nil span list to mean the whole
 // vector: the shared-memory solve is the one-window case of the same

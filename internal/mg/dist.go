@@ -27,7 +27,10 @@ import (
 // DistMG is a per-rank view over a shared, read-only *MG hierarchy: the
 // level problems, Chebyshev intervals, Jacobi diagonals and the coarse
 // solver are built once by Build and shared across rank goroutines;
-// only work vectors and exchange state are per rank.
+// only work vectors and exchange state are per rank. A view outlives
+// the solve it was built for: after the hierarchy's Refresh, the view's
+// Refresh re-reads the values that changed, and its vectors, smoothers
+// and halo buffers serve the next solve on the same world shape.
 
 // ValidateNestedDecomps checks that per-level decompositions nest: each
 // level must use the same rank grid and element-range boundaries that
@@ -62,15 +65,28 @@ func ValidateNestedDecomps(decomps []*comm.Decomp) error {
 // check Err after the solve.
 //
 // All per-level vector work is windowed to the rank's owned+ghost index
-// spans: vectors are still allocated full length (index compatibility
-// with the shared hierarchy), but only the rank's own pages are ever
-// touched, keeping per-rank V-cycle work O(n/P) at 64–512 ranks.
+// spans, so per-rank V-cycle work is O(n/P). Storage is not: every
+// vector is allocated full length on every rank (index compatibility
+// with the shared hierarchy), and the windows of neighbouring ranks
+// share pages, so each rank's memory is that of the whole grid.
 type DistMG struct {
 	cycle
 	base   *MG
 	coarse *comm.Dist // the coarsest level's exchange handle
 	agg    *comm.Agg
 	err    error
+	// rank is each level's rank-specific state that Refresh re-reads
+	// from the hierarchy.
+	rank []rankLevel
+}
+
+// rankLevel is what a rank's view of one level copies from the shared
+// level: the operator's matrix (a CSR level), the smoother's interval
+// and the Jacobi diagonal it windows.
+type rankLevel struct {
+	csr  *haloCSROp
+	cheb *krylov.Chebyshev
+	jac  *krylov.Jacobi // nil when the level's smoother is not Jacobi-preconditioned
 }
 
 // DistOptions tunes a distributed V-cycle view.
@@ -176,27 +192,51 @@ func NewDist(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
 		}
 		spans := dists[l].L.VelSpans()
 		v := levelView{spans: spans}
+		var rl rankLevel
 		if csr := lev.Op.CSR(); csr != nil && lev.Blocked == nil {
-			v.op = &haloCSROp{mg: m, dist: dists[l], a: csr, spans: spans}
+			rl.csr = &haloCSROp{mg: m, dist: dists[l], spans: spans}
+			v.op = rl.csr
 		} else {
 			v.op = &haloElementOp{mg: m, dist: dists[l], n: lev.Op.N(), k: op.ElementKernel(lev.Op, lev.Prob), mask: lev.Prob.BC.Mask}
 		}
-		sm := lev.Smoother
 		// The smoother's Jacobi diagonal is shared read-only; wrap it in
 		// a windowed instance so the smoother's BLAS stays O(n/P) too.
-		msm := sm.M
-		if jac, ok := msm.(*krylov.Jacobi); ok {
-			msm = &krylov.Jacobi{InvDiag: jac.InvDiag, Spans: spans}
+		rl.cheb = &krylov.Chebyshev{A: v.op, Spans: spans}
+		if _, ok := lev.Smoother.M.(*krylov.Jacobi); ok {
+			rl.jac = &krylov.Jacobi{Spans: spans}
 		}
-		v.smoother = &krylov.Chebyshev{A: v.op, M: msm, Lo: sm.Lo, Hi: sm.Hi, Steps: sm.Steps, Spans: spans}
+		v.smoother = rl.cheb
 		if l > 0 {
 			v.p = rankTransfer{p: lev.P, fine: dists[l-1].L, coarse: dists[l], mg: m}
 		}
 		n := lev.Op.N()
 		v.r, v.e, v.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
 		m.lev = append(m.lev, v)
+		m.rank = append(m.rank, rl)
 	}
+	m.Refresh()
 	return m, nil
+}
+
+// Refresh re-reads what the hierarchy's Refresh may have changed — each
+// level's assembled matrix, Chebyshev interval and Jacobi diagonal — and
+// clears the sticky error, readying the view for its next solve. It
+// allocates nothing.
+func (m *DistMG) Refresh() {
+	m.err = nil
+	for l, lev := range m.base.Levels {
+		rl := &m.rank[l]
+		if rl.csr != nil {
+			rl.csr.a = lev.Op.CSR()
+		}
+		sm := lev.Smoother
+		rl.cheb.Lo, rl.cheb.Hi, rl.cheb.Steps = sm.Lo, sm.Hi, sm.Steps
+		rl.cheb.M = sm.M
+		if jac, ok := sm.M.(*krylov.Jacobi); ok && rl.jac != nil {
+			rl.jac.InvDiag = jac.InvDiag
+			rl.cheb.M = rl.jac
+		}
+	}
 }
 
 // Apply runs the distributed V-cycle preconditioner z ≈ A⁻¹·r

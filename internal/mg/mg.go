@@ -172,9 +172,9 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 			return nil, fmt.Errorf("mg: level %d setup: %w", l, err)
 		}
 		lev.Setup.Op = time.Since(start)
-		buildSmoother(lev, opt.SmoothSteps)
 		n := lev.Op.N()
 		lev.r, lev.e, lev.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
+		buildSmoother(lev, opt.SmoothSteps)
 		m.Levels = append(m.Levels, lev)
 	}
 	return m, nil
@@ -188,20 +188,42 @@ const eigIts = 10
 // smoother (paper §III-C) targeting [0.2λmax, 1.1λmax]. Representations
 // guarantee a nonzero diagonal (unit entries on constrained rows), so no
 // per-representation fix-up is needed. A level with resident backing gets
-// the wavefront-blocked form of the same recurrence.
+// the wavefront-blocked form of the same recurrence. A rebuild refreshes
+// the level's smoothers in place: the diagonal and the power iteration
+// run in the level's cycle vectors, idle during set-up, and the Jacobi
+// diagonal and both smoothers keep their storage.
 func buildSmoother(lev *Level, steps int) {
 	start := time.Now()
-	diag := la.NewVec(lev.Op.N())
+	diag := lev.bc
+	diag.Zero()
 	lev.Op.Diag(diag)
-	jac := krylov.NewJacobi(diag)
+	var jac *krylov.Jacobi
+	if lev.Smoother != nil {
+		jac, _ = lev.Smoother.M.(*krylov.Jacobi)
+	}
+	if jac == nil {
+		jac = &krylov.Jacobi{}
+	}
+	jac.SetDiag(diag)
 	lev.Setup.Diag = time.Since(start)
 	start = time.Now()
-	lmax := krylov.EstimateLambdaMax(lev.Op, jac, eigIts)
+	lmax := krylov.EstimateLambdaMaxIn(lev.Op, jac, eigIts, lev.r, lev.e, lev.bc)
 	lev.Setup.Eig = time.Since(start)
-	lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, steps)
-	lev.Blocked = nil
-	if res := op.ResidentOf(lev.Op); res != nil {
+	if lev.Smoother == nil {
+		lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, steps)
+	} else {
+		lev.Smoother.A, lev.Smoother.M, lev.Smoother.Steps = lev.Op, jac, steps
+		lev.Smoother.SetLambdaMax(lmax)
+	}
+	res := op.ResidentOf(lev.Op)
+	switch {
+	case res == nil:
+		lev.Blocked = nil
+	case lev.Blocked == nil || lev.Blocked.R != res:
 		lev.Blocked = fem.NewBlockedChebyshev(res, jac.InvDiag, lmax, steps)
+	default:
+		lev.Blocked.InvDiag, lev.Blocked.Steps = jac.InvDiag, steps
+		lev.Blocked.SetLambdaMax(lmax)
 	}
 }
 

@@ -110,39 +110,48 @@ func (p *Prolongation) ApplyPart(uc, uf la.Vec) par.Part {
 // applyBox interpolates into the fine nodes of box b, k-planes over the
 // worker pool: the whole mesh for Apply, a rank's owned+ghost box on the
 // distributed path. Every coarse node read lies in the coarse box nested
-// under b, so a rank's prolongation needs no communication.
+// under b, so a rank's prolongation needs no communication. A one-worker
+// rank runs the planes in a plain loop, allocating nothing.
 func (p *Prolongation) applyBox(b comm.Box, uc, uf la.Vec) {
+	if p.Workers <= 1 {
+		for k := b.Lo[2]; k < b.Hi[2]; k++ {
+			p.applyPlane(b, k, uc, uf)
+		}
+		return
+	}
 	par.Run(p.Workers, p.applyBoxPart(b, uc, uf))
 }
 
 // applyBoxPart is applyBox as a par.Part, one item per k-plane.
 func (p *Prolongation) applyBoxPart(b comm.Box, uc, uf la.Vec) par.Part {
+	return par.Each(b.Hi[2]-b.Lo[2], func(dk int) { p.applyPlane(b, b.Lo[2]+dk, uc, uf) })
+}
+
+// applyPlane interpolates into the fine nodes of box b on plane k.
+func (p *Prolongation) applyPlane(b comm.Box, k int, uc, uf la.Vec) {
 	cmask, fmask := p.masks()
-	return par.Each(b.Hi[2]-b.Lo[2], func(dk int) {
-		k := b.Lo[2] + dk
-		var cd [8]int
-		var w [8]float64
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				fd := 3 * p.Fine.NodeID(i, j, k)
-				var v [3]float64
-				for t, n := 0, p.stencil(i, j, k, &cd, &w); t < n; t++ {
-					for a := 0; a < 3; a++ {
-						if cmask == nil || !cmask[cd[t]+a] {
-							v[a] += w[t] * uc[cd[t]+a]
-						}
-					}
-				}
+	var cd [8]int
+	var w [8]float64
+	for j := b.Lo[1]; j < b.Hi[1]; j++ {
+		for i := b.Lo[0]; i < b.Hi[0]; i++ {
+			fd := 3 * p.Fine.NodeID(i, j, k)
+			var v [3]float64
+			for t, n := 0, p.stencil(i, j, k, &cd, &w); t < n; t++ {
 				for a := 0; a < 3; a++ {
-					if fmask != nil && fmask[fd+a] {
-						uf[fd+a] = 0
-					} else {
-						uf[fd+a] = v[a]
+					if cmask == nil || !cmask[cd[t]+a] {
+						v[a] += w[t] * uc[cd[t]+a]
 					}
 				}
 			}
+			for a := 0; a < 3; a++ {
+				if fmask != nil && fmask[fd+a] {
+					uf[fd+a] = 0
+				} else {
+					uf[fd+a] = v[a]
+				}
+			}
 		}
-	})
+	}
 }
 
 // ApplyTranspose computes rc = Pᵀ·rf (restriction, paper §III-C:
@@ -167,55 +176,67 @@ func (p *Prolongation) ApplyTransposePart(rf, rc la.Vec) par.Part {
 // fine nodes read — one ring around each coarse node's image — lie in the
 // rank's fine owned+ghost box, and each coarse node sums as it does on
 // the whole mesh, so a rank's owned rows equal the shared ones bit for bit.
+// A one-worker rank runs the rows in a plain loop, allocating nothing.
 func (p *Prolongation) restrictBox(b comm.Box, rf, rc la.Vec) {
+	if p.Workers <= 1 {
+		p.restrictRows(b, 0, (b.Hi[2]-b.Lo[2])*(b.Hi[1]-b.Lo[1]), rf, rc)
+		return
+	}
 	par.Run(p.Workers, p.restrictBoxPart(b, rf, rc))
 }
 
 // restrictBoxPart is restrictBox as a par.Part: the box's (k, j) rows of
 // coarse nodes in Workers ranges.
 func (p *Prolongation) restrictBoxPart(b comm.Box, rf, rc la.Vec) par.Part {
+	return par.Ranges(p.Workers, (b.Hi[2]-b.Lo[2])*(b.Hi[1]-b.Lo[1]), func(lo, hi int) {
+		p.restrictRows(b, lo, hi, rf, rc)
+	})
+}
+
+// restrictWeight is the weight of fine index fi in the stencil of the
+// coarse node at 2·ci.
+func restrictWeight(fi, ci int) float64 {
+	if fi == 2*ci {
+		return 1
+	}
+	return 0.5
+}
+
+// restrictRows gathers the coarse nodes of box b's (k, j) rows [lo, hi).
+func (p *Prolongation) restrictRows(b comm.Box, lo, hi int, rf, rc la.Vec) {
 	f, c := p.Fine, p.Coarse
 	cmask, fmask := p.masks()
-	// weight of fine index fi in the stencil of the coarse node at 2·ci.
-	weight := func(fi, ci int) float64 {
-		if fi == 2*ci {
-			return 1
-		}
-		return 0.5
-	}
 	i0, i1, j0, k0 := b.Lo[0], b.Hi[0], b.Lo[1], b.Lo[2]
 	ny := b.Hi[1] - j0
-	return par.Ranges(p.Workers, (b.Hi[2]-k0)*ny, func(lo, hi int) {
-		for row := lo; row < hi; row++ {
-			ck, cj := k0+row/ny, j0+row%ny
-			for ci := i0; ci < i1; ci++ {
-				var acc [3]float64
-				for fk := max(0, 2*ck-1); fk <= min(f.NPz-1, 2*ck+1); fk++ {
-					wk := weight(fk, ck)
-					for fj := max(0, 2*cj-1); fj <= min(f.NPy-1, 2*cj+1); fj++ {
-						wj := weight(fj, cj)
-						for fi := max(0, 2*ci-1); fi <= min(f.NPx-1, 2*ci+1); fi++ {
-							w := weight(fi, ci) * wj * wk
-							fd := 3 * f.NodeID(fi, fj, fk)
-							for a := 0; a < 3; a++ {
-								if fmask == nil || !fmask[fd+a] {
-									acc[a] += w * rf[fd+a]
-								}
+	for row := lo; row < hi; row++ {
+		ck, cj := k0+row/ny, j0+row%ny
+		for ci := i0; ci < i1; ci++ {
+			var acc [3]float64
+			for fk := max(0, 2*ck-1); fk <= min(f.NPz-1, 2*ck+1); fk++ {
+				wk := restrictWeight(fk, ck)
+				for fj := max(0, 2*cj-1); fj <= min(f.NPy-1, 2*cj+1); fj++ {
+					wj := restrictWeight(fj, cj)
+					for fi := max(0, 2*ci-1); fi <= min(f.NPx-1, 2*ci+1); fi++ {
+						w := restrictWeight(fi, ci) * wj * wk
+						fd := 3 * f.NodeID(fi, fj, fk)
+						for a := 0; a < 3; a++ {
+							if fmask == nil || !fmask[fd+a] {
+								acc[a] += w * rf[fd+a]
 							}
 						}
 					}
 				}
-				cd := 3 * c.NodeID(ci, cj, ck)
-				for a := 0; a < 3; a++ {
-					if cmask != nil && cmask[cd+a] {
-						rc[cd+a] = 0
-					} else {
-						rc[cd+a] = acc[a]
-					}
+			}
+			cd := 3 * c.NodeID(ci, cj, ck)
+			for a := 0; a < 3; a++ {
+				if cmask != nil && cmask[cd+a] {
+					rc[cd+a] = 0
+				} else {
+					rc[cd+a] = acc[a]
 				}
 			}
 		}
-	})
+	}
 }
 
 // ToCSR materializes the prolongation as a sparse matrix (fine dofs ×

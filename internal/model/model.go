@@ -113,6 +113,8 @@ type Model struct {
 		// pass after it (points and mesh do not move in between). Nil
 		// while no lithology reads the strain rate.
 		jinvP []float64
+		// nl lends the nonlinear iteration its n-vectors.
+		nl nonlinear.Workspace
 	}
 }
 
@@ -465,7 +467,8 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	// the returned jop/pc instead).
 	var prepared *stokes.Solver
 	sys := nonlinear.System{
-		N: ncoup,
+		N:    ncoup,
+		Work: &sc.nl,
 		Residual: func(x, f la.Vec) {
 			updateCoefficients(x, false)
 			if !buValid {

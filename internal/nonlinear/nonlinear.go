@@ -42,6 +42,25 @@ type System struct {
 	// model layer uses to route inner solves to a rank-distributed
 	// backend while the nonlinear iteration itself stays serial.
 	Inner func(method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result
+	// Work, when non-nil, lends the solve its n-vectors, so a caller that
+	// solves again and again allocates them once.
+	Work *Workspace
+}
+
+// Workspace holds the five n-vectors of a solve — residual, correction,
+// trial state, trial residual and inner right-hand side — between
+// solves. The zero value is ready to use; Solve (re)sizes it to N.
+type Workspace struct {
+	f, delta, xTrial, fTrial, rhs la.Vec
+}
+
+// size returns the five vectors at length n, reallocating only on a
+// change of size. Solve writes each before it reads it.
+func (w *Workspace) size(n int) (f, delta, xTrial, fTrial, rhs la.Vec) {
+	if len(w.f) != n {
+		w.f, w.delta, w.xTrial, w.fTrial, w.rhs = la.NewVec(n), la.NewVec(n), la.NewVec(n), la.NewVec(n), la.NewVec(n)
+	}
+	return w.f, w.delta, w.xTrial, w.fTrial, w.rhs
 }
 
 // Options controls the outer iteration.
@@ -118,12 +137,11 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 		opt.EWEta0 = 0.3
 	}
 
-	n := sys.N
-	f := la.NewVec(n)
-	delta := la.NewVec(n)
-	xTrial := la.NewVec(n)
-	fTrial := la.NewVec(n)
-	rhs := la.NewVec(n)
+	work := sys.Work
+	if work == nil {
+		work = &Workspace{}
+	}
+	f, delta, xTrial, fTrial, rhs := work.size(sys.N)
 
 	sys.Residual(x, f)
 	res := Result{FNorm0: f.Norm2(), ResidualEvals: 1}

@@ -239,52 +239,72 @@ func (o *galerkinOp) Refresh() error {
 	return nil
 }
 
-// augment derives the served matrix from raw with Builder semantics: only
-// nonzero raw entries survive, and constrained rows gain a unit diagonal
-// (the transfer operators drop Dirichlet-constrained dofs, so the triple
-// product leaves them empty). It records the raw→served value mapping for
-// later refreshes.
+// augment derives the served matrix from raw with la.Builder's semantics
+// (Add of every raw entry, which skips zeros, then Set of a unit diagonal
+// on each constrained row; the transfer operators drop Dirichlet-
+// constrained dofs, so the triple product leaves those rows empty): the
+// nonzero raw entries in column order, a constrained row's diagonal set
+// to 1, inserted in order when raw has none. The matrix is new and sized
+// exactly — a coarse solver built on the old pattern sees the change —
+// and the raw→served value mapping is recorded for later refreshes.
 func (o *galerkinOp) augment() {
 	mask := o.env.Prob.BC.Mask
 	raw := o.raw
-	b := la.NewBuilder(raw.NRows, raw.NCols)
+	nnz := 0
 	for r := 0; r < raw.NRows; r++ {
+		diag := !mask[r]
 		for k := raw.RowPtr[r]; k < raw.RowPtr[r+1]; k++ {
-			b.Add(r, raw.ColInd[k], raw.Val[k])
+			if j := raw.ColInd[k]; j == r && !diag {
+				diag = true
+				nnz++
+			} else if raw.Val[k] != 0 {
+				nnz++
+			}
 		}
-		if mask[r] {
-			b.Set(r, r, 1)
+		if !diag {
+			nnz++
 		}
 	}
-	a := b.ToCSR()
-	o.a = a
+	a := &la.CSR{NRows: raw.NRows, NCols: raw.NCols, RowPtr: make([]int, 1, raw.NRows+1),
+		ColInd: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
+	o.rawToAug = grownInts(o.rawToAug, raw.NNZ())
 	o.augDiag = o.augDiag[:0]
-	// Per-row sorted merge gives each raw entry its slot in a (or -1 for
-	// entries the zero-skipping Add dropped), and each constrained row its
-	// diagonal position.
-	o.rawToAug = make([]int, raw.NNZ())
 	for r := 0; r < raw.NRows; r++ {
-		ka := a.RowPtr[r]
+		diag := !mask[r]
 		for k := raw.RowPtr[r]; k < raw.RowPtr[r+1]; k++ {
-			j := raw.ColInd[k]
-			for ka < a.RowPtr[r+1] && a.ColInd[ka] < j {
-				ka++
-			}
-			if ka < a.RowPtr[r+1] && a.ColInd[ka] == j {
-				o.rawToAug[k] = ka
-			} else {
-				o.rawToAug[k] = -1
-			}
-		}
-		if mask[r] {
-			for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-				if a.ColInd[k] == r {
-					o.augDiag = append(o.augDiag, k)
-					break
+			j, v := raw.ColInd[k], raw.Val[k]
+			if !diag && j >= r {
+				diag = true
+				o.augDiag = append(o.augDiag, len(a.Val))
+				a.ColInd, a.Val = append(a.ColInd, r), append(a.Val, 1)
+				if j == r {
+					o.rawToAug[k] = len(a.Val) - 1
+					continue
 				}
 			}
+			if v == 0 {
+				o.rawToAug[k] = -1
+				continue
+			}
+			o.rawToAug[k] = len(a.Val)
+			a.ColInd, a.Val = append(a.ColInd, j), append(a.Val, v)
 		}
+		if !diag {
+			o.augDiag = append(o.augDiag, len(a.Val))
+			a.ColInd, a.Val = append(a.ColInd, r), append(a.Val, 1)
+		}
+		a.RowPtr = append(a.RowPtr, len(a.Val))
 	}
+	o.a = a
+}
+
+// grownInts returns s resized to n, reallocating only when it is too
+// small.
+func grownInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	return s[:n]
 }
 
 // zeroPatternUnchanged reports whether the refreshed raw values would

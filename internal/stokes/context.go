@@ -24,6 +24,9 @@ type Context struct {
 	s         *Solver
 	key       string
 	geomDirty bool
+	// cpl is the coupling Coupling built for prob while no cached solver
+	// was on it; the cold build of the next Prepare on prob takes it over.
+	cpl *fem.Coupling
 
 	// Reused counts the Prepare calls served by a refresh instead of a
 	// cold build (the stokes_setup_reused run-record counter).
@@ -39,11 +42,19 @@ func (c *Context) InvalidateGeometry() { c.geomDirty = true }
 // now: the cached solver's own — an announced mesh move is taken up here
 // rather than at the next Prepare — so that a residual evaluated before
 // the first relinearisation of a step shares them with the solves after
-// it. Without a cached solver for prob the blocks are built for the
-// caller alone.
+// it. Without a cached solver for prob the blocks are built once and kept
+// for the solver that Prepare then builds cold on prob, so the first step
+// too sets them up once.
 func (c *Context) Coupling(prob *fem.Problem) *fem.Coupling {
 	if c.s == nil || c.s.Prob != prob {
-		return fem.NewCoupling(prob)
+		switch {
+		case c.cpl == nil || c.cpl.P != prob:
+			c.cpl = fem.NewCoupling(prob)
+		case c.geomDirty:
+			c.cpl.Setup()
+		}
+		c.geomDirty = false
+		return c.cpl
 	}
 	if c.geomDirty {
 		c.s.refreshGeometry()
@@ -58,11 +69,17 @@ func (c *Context) Coupling(prob *fem.Problem) *fem.Coupling {
 func (c *Context) Prepare(prob *fem.Problem, cfg Config) (*Solver, bool, error) {
 	key := contextKey(prob, cfg)
 	if c.s == nil || c.key != key {
-		s, err := New(prob, cfg)
+		var cpl *fem.Coupling
+		if c.cpl != nil && c.cpl.P == prob {
+			if cpl = c.cpl; c.geomDirty {
+				cpl.Setup()
+			}
+		}
+		s, err := newSolver(prob, cfg, cpl)
 		if err != nil {
 			return nil, false, err
 		}
-		c.s, c.key, c.geomDirty = s, key, false
+		c.s, c.key, c.geomDirty, c.cpl = s, key, false, nil
 		return s, false, nil
 	}
 	// Carry the per-relinearization pieces of the config into the cached

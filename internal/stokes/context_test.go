@@ -63,3 +63,34 @@ func TestContextKeyCoversConfig(t *testing.T) {
 			reused, coarsened, s.Cfg.Params)
 	}
 }
+
+// TestColdStepSharesCoupling: before any solver exists, the blocks that
+// Coupling builds for the first residual are the ones the cold build in
+// the next Prepare on the same problem takes over, so the first step sets
+// them up once; a later Coupling returns the cached solver's. A mesh move
+// announced in between is set up on those same blocks.
+func TestColdStepSharesCoupling(t *testing.T) {
+	p, def := sinkerProblem(4, 10, 1)
+	cfg := sinkerConfig(p, def)
+	cfg.Levels = 2
+	for _, moved := range []bool{false, true} {
+		var c Context
+		cpl := c.Coupling(p)
+		if again := c.Coupling(p); again != cpl {
+			t.Fatalf("moved=%v: a second Coupling before Prepare built new blocks", moved)
+		}
+		if moved {
+			c.InvalidateGeometry()
+		}
+		s, reused, err := c.Prepare(p, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if reused || s.C != cpl {
+			t.Fatalf("moved=%v: the cold solver built its own coupling (reused %v)", moved, reused)
+		}
+		if c.Coupling(p) != cpl {
+			t.Fatalf("moved=%v: Coupling after Prepare is not the solver's", moved)
+		}
+	}
+}

@@ -166,7 +166,8 @@ func (ex *coupledExchanger) Consistent(x la.Vec) error {
 // vector: the velocity rows of the extended node box followed by the
 // pressure rows of the rank's elements (offset by Nu), with adjacent
 // windows merged. Every BLAS-1 op of the rank's Krylov iteration runs
-// only on these windows, keeping per-rank vector work O(n/P).
+// only on these windows, keeping per-rank vector work O(n/P); the
+// vectors themselves are full length on every rank.
 func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 	spans := append([]la.Span(nil), l.VelSpans()...)
 	for _, e := range l.Elems {
@@ -199,31 +200,37 @@ func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int, opt DistOptions)
 
 // distDecomps builds and validates the nested per-level decompositions
 // of the solver's geometric hierarchy for a px×py×pz world, along with
-// the [level][rank] layouts. Both are purely topological, so they are
-// cached on the solver and reused across solves of the same world shape
-// (the per-step cost of a distributed solve then excludes partitioning).
-func (s *Solver) distDecomps(px, py, pz int) ([]*comm.Decomp, [][]*comm.Layout, error) {
+// the [level][rank] layouts and the coarse agglomeration of roots block
+// roots. All are topological, so they are cached on the solver with the
+// rank views built on them, and reused across solves of the same world
+// shape (the per-step cost of a distributed solve then excludes
+// partitioning and allocation).
+func (s *Solver) distDecomps(px, py, pz, roots int) (*distCache, error) {
 	if s.MG == nil {
-		return nil, nil, fmt.Errorf("stokes: distributed solve requires a geometric multigrid configuration (Levels >= 2)")
+		return nil, fmt.Errorf("stokes: distributed solve requires a geometric multigrid configuration (Levels >= 2)")
 	}
-	if c := &s.dcache; c.decomps != nil && c.px == px && c.py == py && c.pz == pz {
-		return c.decomps, c.layouts, nil
+	size := px * py * pz
+	if c := &s.dcache; c.decomps != nil && c.px == px && c.py == py && c.pz == pz && c.agg.Roots == roots {
+		return c, nil
 	}
 	decomps := make([]*comm.Decomp, len(s.MG.Levels))
 	for l, lev := range s.MG.Levels {
 		if lev.Prob == nil {
-			return nil, nil, fmt.Errorf("stokes: distributed solve requires geometric levels (level %d is algebraic)", l)
+			return nil, fmt.Errorf("stokes: distributed solve requires geometric levels (level %d is algebraic)", l)
 		}
 		d, err := comm.NewDecomp(lev.Prob.DA, px, py, pz)
 		if err != nil {
-			return nil, nil, fmt.Errorf("stokes: level %d: %w", l, err)
+			return nil, fmt.Errorf("stokes: level %d: %w", l, err)
 		}
 		decomps[l] = d
 	}
 	if err := mg.ValidateNestedDecomps(decomps); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	size := px * py * pz
+	agg, err := comm.NewAgg(size, roots)
+	if err != nil {
+		return nil, err
+	}
 	layouts := make([][]*comm.Layout, len(decomps))
 	for l, d := range decomps {
 		layouts[l] = make([]*comm.Layout, size)
@@ -231,8 +238,63 @@ func (s *Solver) distDecomps(px, py, pz int) ([]*comm.Decomp, [][]*comm.Layout, 
 			layouts[l][rid] = comm.NewLayout(d, rid)
 		}
 	}
-	s.dcache = distCache{px: px, py: py, pz: pz, decomps: decomps, layouts: layouts, work: make([]krylov.Workspace, size)}
-	return decomps, layouts, nil
+	s.dcache = distCache{px: px, py: py, pz: pz, agg: agg, decomps: decomps, layouts: layouts, ranks: make([]*rankView, size)}
+	return &s.dcache, nil
+}
+
+// rankView is one rank's persistent share of the distributed solve: its
+// comm handles and V-cycle view of every level, its operator, field
+// split, reducer and exchanger, the coupled windows, the right-hand side
+// and solution copies and the Krylov workspace. The first solve on a
+// world shape builds it; later solves attach it to their world and
+// re-read what a refresh changed (attach), so a steady solve allocates
+// nothing.
+type rankView struct {
+	sc    *telemetry.Scope
+	dists []*comm.Dist
+	dmg   *mg.DistMG
+	sink  errSink
+	a     distOp
+	m     FieldSplit
+	rd    coupledReducer
+	ex    coupledExchanger
+	spans []la.Span
+	b, d  la.Vec
+	work  krylov.Workspace
+}
+
+// newRankView builds rank r's view of the solve on the cached layouts.
+func (s *Solver) newRankView(r *comm.Rank, c *distCache, sc *telemetry.Scope) (*rankView, error) {
+	v := &rankView{sc: sc, dists: make([]*comm.Dist, len(c.layouts))}
+	for l := range c.layouts {
+		v.dists[l] = comm.NewDist(r, c.layouts[l][r.ID], sc)
+	}
+	dmg, err := mg.NewDist(s.MG, v.dists, mg.DistOptions{Agg: c.agg})
+	if err != nil {
+		return nil, err
+	}
+	fine := v.dists[0]
+	v.dmg = dmg
+	v.spans = coupledSpans(s.Op, fine.L)
+	v.a = distOp{dist: fine, sink: &v.sink, spans: v.spans}
+	v.m = FieldSplit{Op: s.Op, InnerU: dmg, Mp: s.Mp, elems: fine.L.Elems}
+	v.rd = coupledReducer{op: s.Op, dist: fine}
+	v.ex = coupledExchanger{op: s.Op, dist: fine}
+	n := s.Op.N()
+	v.b, v.d = la.NewVec(n), la.NewVec(n)
+	return v, nil
+}
+
+// attach readies the view for a solve of jop (applied through the
+// element kernel auu) in rank r's world: the handles move to the new
+// world and the V-cycle view re-reads the refreshed hierarchy.
+func (v *rankView) attach(r *comm.Rank, jop *Op, auu comm.ElementKernel) {
+	for _, d := range v.dists {
+		d.Attach(r)
+	}
+	v.dmg.Refresh()
+	v.sink = errSink{}
+	v.a.op, v.a.auu = jop, auu
 }
 
 // rankCommCounters reads the communication counters of one rank's
@@ -296,28 +358,26 @@ func (s *RankStats) Add(o RankStats) {
 // per-level decompositions nest: px, py, pz must divide the per-level
 // element counts at every level.
 func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Vec, prmIn krylov.Params, px, py, pz int, opt DistOptions) (krylov.Result, []RankStats, error) {
-	decomps, layouts, err := s.distDecomps(px, py, pz)
+	c, err := s.distDecomps(px, py, pz, max(opt.CoarseRoots, 1))
 	if err != nil {
 		return krylov.Result{}, nil, err
 	}
-	nl := len(decomps)
 	f := rhs
 	delta.Zero()
 
 	tel := s.Tel.Child("dist")
 	size := px * py * pz
-	n := s.Op.N()
 	// Snapshot the communication counters up front: the rank scopes are
 	// reused across rebuilt solvers sharing one telemetry registry (the
 	// time loop rebuilds the preconditioner every nonlinear iteration),
 	// so per-solve stats must be computed as before/after deltas.
 	before := make([]RankStats, size)
-	for rid := 0; rid < size; rid++ {
-		before[rid] = rankCommCounters(tel.Child(fmt.Sprintf("rank%d", rid)), rid)
-	}
-	agg, err := comm.NewAgg(size, max(opt.CoarseRoots, 1))
-	if err != nil {
-		return krylov.Result{}, nil, err
+	for rid, v := range c.ranks {
+		if v != nil {
+			before[rid] = rankCommCounters(v.sc, rid)
+		} else {
+			before[rid] = rankCommCounters(tel.Child(fmt.Sprintf("rank%d", rid)), rid)
+		}
 	}
 	// One kernel serves every rank: element applies keep their scratch on
 	// the stack or in a pool.
@@ -335,46 +395,48 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		rankErr = make([]error, size)
 	)
 	w.Run(func(r *comm.Rank) {
-		sc := tel.Child(fmt.Sprintf("rank%d", r.ID))
-		sink := &errSink{}
-		dists := make([]*comm.Dist, nl)
-		for l := range decomps {
-			dists[l] = comm.NewDist(r, layouts[l][r.ID], sc)
+		v := c.ranks[r.ID]
+		if v == nil {
+			var err error
+			v, err = s.newRankView(r, c, tel.Child(fmt.Sprintf("rank%d", r.ID)))
+			if err != nil {
+				rankErr[r.ID] = err
+				// Stay collective even on failure: every other rank will
+				// fail the same way, so returning here is safe.
+				return
+			}
+			c.ranks[r.ID] = v
 		}
-		dmg, err := mg.NewDist(s.MG, dists, mg.DistOptions{Agg: agg})
-		if err != nil {
-			rankErr[r.ID] = err
-			// Stay collective even on failure: every other rank will
-			// fail the same way, so returning here is safe.
-			return
-		}
-		fine := dists[0]
-		spans := coupledSpans(s.Op, fine.L)
-		a := &distOp{op: jop, auu: auu, dist: fine, sink: sink, spans: spans}
-		m := &FieldSplit{Op: s.Op, InnerU: dmg, Mp: s.Mp, elems: fine.L.Elems}
+		v.attach(r, jop, auu)
 		prm := prmIn
-		prm.Reducer = &coupledReducer{op: s.Op, dist: fine}
-		prm.Exchanger = &coupledExchanger{op: s.Op, dist: fine}
-		prm.Telemetry = sc.Child("krylov")
-		prm.Spans = spans
-		prm.Work = &s.dcache.work[r.ID]
-
-		// Windowed clone: only the owned+ghost entries of the global
-		// residual are ever read by this rank's iteration, so the pages
-		// outside the windows are never touched (or even faulted in).
-		b := la.NewVec(n)
-		b.CopySpans(f, spans)
-		d := la.NewVec(n)
-		// The ranks iterate in lockstep: rank 0's applies are the solve's.
+		prm.Reducer = &v.rd
+		prm.Exchanger = &v.ex
+		prm.Spans = v.spans
+		prm.Work = &v.work
+		// The ranks iterate in lockstep: rank 0's solve is the solve, and
+		// it alone records, under the scope the shared entry records in,
+		// with its applies timed as the shared entry times them.
 		var tm, tp *telemetry.Timer
 		if r.ID == 0 {
 			tm, tp = matmult, pcapply
+			if prm.Telemetry == nil {
+				prm.Telemetry = s.Cfg.Params.Telemetry
+			}
+		} else {
+			prm.Telemetry = nil
 		}
-		rr := krylov.Solve(method, timedOp{a, tm}, timedPC{m, tp}, b, d, prm)
-		sink.note(dmg.Err())
-		sink.note(rr.Err)
+
+		// Windowed copy: only the owned+ghost entries of the global
+		// residual are ever read or written by this rank's iteration.
+		b, d := v.b, v.d
+		b.CopySpans(f, v.spans)
+		d.ZeroSpans(v.spans)
+		rr := krylov.Solve(method, timedOp{&v.a, tm}, timedPC{&v.m, tp}, b, d, prm)
+		v.sink.note(v.dmg.Err())
+		v.sink.note(rr.Err)
 
 		// Assemble this rank's owned slice of the correction.
+		fine := v.dists[0]
 		du, dp := s.Op.Split(d)
 		gu, gp := s.Op.Split(delta)
 		mu.Lock()
@@ -393,8 +455,8 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		if r.ID == 0 {
 			res = rr
 		}
-		stats[r.ID] = rankCommCounters(sc, r.ID).sub(before[r.ID])
-		rankErr[r.ID] = sink.err
+		stats[r.ID] = rankCommCounters(v.sc, r.ID).sub(before[r.ID])
+		rankErr[r.ID] = v.sink.err
 		mu.Unlock()
 	})
 	for rid, err := range rankErr {

@@ -391,3 +391,63 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 		t.Fatal("LinearSolveDistributed must reject an unnamed method")
 	}
 }
+
+// TestReusedRankViewsMatchCold: what a solver keeps between distributed
+// solves — each rank's comm handles with their halo, allreduce and coarse
+// buffers, its V-cycle view refreshed in place, its Krylov workspace and
+// vector copies — gives the iterations and bits of a solver built cold. One
+// solver solves on one viscosity field and then, after the field changes
+// and a Refresh, on another, alternating 2×1×1 with 2×2×1 on two coarse
+// roots so that views are rebuilt on a shape change and reused on the
+// same shape, across the Refresh too; each solve must equal that of a
+// solver built cold on the same field. -short keeps one reuse, the one
+// across the Refresh on the agglomerated 2×2×1.
+func TestReusedRankViewsMatchCold(t *testing.T) {
+	type shape struct{ px, py, roots int }
+	a, b := shape{2, 1, 1}, shape{2, 2, 2}
+	shapes := [][]shape{{a, a, b}, {b, a, a}}
+	if testing.Short() {
+		shapes = [][]shape{{a, b}, {b, a}}
+	}
+	p, _ := sinkerProblem(4, 100, 1)
+	bu := la.NewVec(p.DA.NVelDOF())
+	var warm *Solver
+	for f, deta := range []float64{100, 1000} {
+		def := miniSinker(4, 0.18, deta)
+		p.SetCoefficientsVertex(fem.VertexFieldFromFunc(p.DA, def.eta), fem.VertexFieldFromFunc(p.DA, def.rho))
+		fem.MomentumRHS(p, bu)
+		cfg := sinkerConfig(p, def)
+		cfg.Levels = 2
+		if warm == nil {
+			var err error
+			if warm, err = New(p, cfg); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			warm.Cfg.CoeffCoarsen = cfg.CoeffCoarsen
+			if err := warm.Refresh(false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, w := range shapes[f] {
+			solve := func(s *Solver) (la.Vec, krylov.Result) {
+				x := la.NewVec(s.Op.N())
+				res, _, err := s.SolveDistributed(x, bu, w.px, w.py, 1, DistOptions{CoarseRoots: w.roots})
+				if err != nil || !res.Converged {
+					t.Fatalf("Δη %g, %dx%dx1: converged %v, err %v", deta, w.px, w.py, res.Converged, err)
+				}
+				return x, res
+			}
+			cold, err := New(p, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			xw, rw := solve(warm)
+			xc, rc := solve(cold)
+			if rw.Iterations != rc.Iterations || !slices.Equal(xw, xc) {
+				t.Fatalf("Δη %g, %dx%dx1, %d roots: kept views took %d iterations, cold %d; solutions equal: %v",
+					deta, w.px, w.py, w.roots, rw.Iterations, rc.Iterations, slices.Equal(xw, xc))
+			}
+		}
+	}
+}

@@ -122,19 +122,22 @@ type Solver struct {
 	// solve, the time loop's included, whose solver outlives the step.
 	Work krylov.Workspace
 
-	// dcache holds the distributed decompositions and per-rank layouts of
-	// the last world shape — purely topological, so they survive
-	// coefficient refreshes and ALE coordinate updates.
+	// dcache holds the distributed decompositions, per-rank layouts and
+	// rank views of the last world shape — topological, or refreshed in
+	// place, so they survive coefficient refreshes and ALE coordinate
+	// updates.
 	dcache distCache
 }
 
 // distCache caches the per-level decompositions and [level][rank]
-// layouts of one world shape, and each rank's Krylov workspace.
+// layouts of one world shape and coarse layout, and each rank's view of
+// the solve, built by the rank's first solve on the shape.
 type distCache struct {
 	px, py, pz int
+	agg        *comm.Agg
 	decomps    []*comm.Decomp
 	layouts    [][]*comm.Layout
-	work       []krylov.Workspace
+	ranks      []*rankView
 }
 
 // Monitor records the per-iteration field residual norms of a GCR solve —
@@ -147,7 +150,11 @@ type Monitor struct {
 }
 
 // New builds a Solver for the problem's current coefficients/geometry.
-func New(prob *fem.Problem, cfg Config) (*Solver, error) {
+func New(prob *fem.Problem, cfg Config) (*Solver, error) { return newSolver(prob, cfg, nil) }
+
+// newSolver is New with the gradient/divergence blocks of prob's current
+// geometry handed in when the caller already built them (nil builds them).
+func newSolver(prob *fem.Problem, cfg Config, cpl *fem.Coupling) (*Solver, error) {
 	start := time.Now()
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -167,7 +174,9 @@ func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 		s.Tel = telemetry.New().Root()
 	}
 	stop := s.stage("coupling")
-	s.C = fem.NewCoupling(prob)
+	if s.C = cpl; cpl == nil {
+		s.C = fem.NewCoupling(prob)
+	}
 	stop()
 	stop = s.stage("pressure_mass")
 	s.Mp, err = fem.NewPressureMass(prob)

@@ -25,6 +25,9 @@
 # every EXPERIMENTS.md section is cited from DESIGN.md, a
 # worker-count invariance run of rift and of sinker-swarm at 8^3 (its
 # checkpoints byte-equal at 1 and 2 workers), a
+# pair of allocation budgets for steady steps (run without the race
+# detector) and the tests that kept rank views and a refreshed set-up give
+# a cold build's bits (run under it), a
 # rank-count invariance check of the 64-rank scaling sweep with no row
 # retransmitting, a 64-rank solve that must not retransmit, a guard that
 # the fabric keeps one mailbox per rank and no clock in its liveness, a
@@ -125,6 +128,16 @@ echo "== one stack: rank-count invariance, an agglomerated solve on the fabric m
 named_tests -race \
     'TestRankCountInvariantClassical|TestDistributedSolveClassicalAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestLossyFabricSameSolve|TestCoupledReducerFusedSweepBitwise' \
     ./internal/stokes ./internal/mg
+
+# The allocation budgets run without the race detector, which allocates on
+# its own account; the tests that kept rank views, a refreshed set-up and
+# the first step's shared coupling blocks give a cold build's bits run
+# under it.
+echo "== steady steps allocate nothing: a 2-rank solve on a seen world shape < 64 KiB, a steady sinker step <= 1/4 (2x1x1) and 1/2 (shared) of the parent's bytes, without -race; kept rank views == cold ones, refreshed set-up == cold build, one coupling on the cold step, one Krylov record, the stack 4x4 inverse == Factor, under -race =="
+named_tests -count=1 'TestAllocBudgetDistributedSolve|TestAllocBudgetSteadyStep' ./internal/model
+named_tests '-short -race' \
+    'TestReusedRankViewsMatchCold|TestCachedSetupMatchesColdBuild|TestColdStepSharesCoupling|TestKrylovRecordedOnce|TestAugmentMatchesBuilder|TestInvert4MatchesFactorSolve' \
+    ./internal/stokes ./internal/model ./internal/op ./internal/la
 
 echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build under -race =="
 named_tests -race \
