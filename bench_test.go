@@ -390,7 +390,7 @@ func BenchmarkASMApply(b *testing.B) {
 // BenchmarkRankSync prices the rank fabric's two synchronisations on a
 // 2-rank world over an 8³ mesh: an AllReduceSum (the reduction under every
 // inner product of the rank solve) and one halo owner broadcast (one
-// ExchangeReliable), each after c of compute on both ranks. us/sync is the
+// neighbour exchange), each after c of compute on both ranks. us/sync is the
 // wall time per round beyond the compute: what a rank pays to hear from
 // its peer. 200 µs is about the compute between two syncs of the 16³
 // rank solve; 20 µs the smaller grids'.

@@ -9,7 +9,6 @@
 //	ptatin-tables fig1 [-m 8] [-outdir .]           # sinker solve + streamlines VTK
 //	ptatin-tables fig2 [-m 8]                       # Δη robustness, CSV on stdout
 //	ptatin-tables fig3 -steps 5 [-weak 0.05] [-oblique]
-//	ptatin-tables recover [-ranks 2x2x1] [-drops 4] # fault injection demo
 //	ptatin-tables inspect FILE                      # checkpoint summary
 //
 // Every Stokes solve here is Model.LinearStokes on a compiled scenario:
@@ -46,7 +45,6 @@ var commands = []struct {
 	{"fig1", "Figure 1: one sinker solve, written as grid, points and streamlines VTK", fig1},
 	{"fig2", "Figure 2: per-iteration residual histories at Δη = 1, 1e2, 1e4 (CSV)", fig2},
 	{"fig3", "Figures 3 and 4: rift time steps, then the lithology and damage-zone snapshot VTK", fig3},
-	{"recover", "faults injected into the solver's halo apply, result checked against the sequential operator", recoverDemo},
 	{"inspect", "decode the checkpoint FILE and summarise it", inspect},
 }
 

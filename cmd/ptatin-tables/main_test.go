@@ -42,14 +42,15 @@ func TestIterationCounts(t *testing.T) {
 	}
 }
 
-// TestUsage: no command and an unknown one are exit 2, as are an unknown
-// flag (the removed -pipelined among them); -h is exit 0 at both levels.
+// TestUsage: no command and an unknown one (the removed recover among
+// them) are exit 2, as are an unknown flag (the removed -pipelined among
+// them); -h is exit 0 at both levels.
 func TestUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		code int
 	}{
-		{nil, 2}, {[]string{"table9"}, 2}, {[]string{"-h"}, 0},
+		{nil, 2}, {[]string{"table9"}, 2}, {[]string{"recover"}, 2}, {[]string{"-h"}, 0},
 		{[]string{"table4", "-bogus"}, 2},
 		{[]string{"table4", "-pipelined"}, 2}, {[]string{"sweep", "-pipelined"}, 2},
 		{[]string{"inspect"}, 2},

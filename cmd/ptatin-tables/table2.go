@@ -162,8 +162,8 @@ func table2Ranks(c *ctx, o scenario.SinkerOptions, grids []int) error {
 			g, c.Ranks, res.Iterations, s.SetupTime.Seconds(), solve, float64(g*g*g)/float64(nr)/solve,
 			maxBytes, pred, maxAR)
 		for _, st := range stats {
-			fmt.Fprintf(out, "#   rank %2d: halo %6d msgs %10d B, %5d allreduces, %d retries\n",
-				st.Rank, st.HaloMsgs, st.HaloBytes, st.AllReduces, st.Retries)
+			fmt.Fprintf(out, "#   rank %2d: halo %6d msgs %10d B, %5d allreduces\n",
+				st.Rank, st.HaloMsgs, st.HaloBytes, st.AllReduces)
 		}
 	}
 	return nil
@@ -197,9 +197,6 @@ type sweepRow struct {
 	// Modeled fabric time (max over ranks, ns) by operation class: the α–β
 	// interconnect cost that would dominate at real scale.
 	fabricHaloNs, fabricAllReduceNs, fabricCoarseNs int64
-	// retries sums the ranks' retransmission rounds: 0 on a fault-free
-	// fabric, however long the roots' coarse solve keeps clients waiting.
-	retries int64
 }
 
 // sweep runs the rank-distributed solve over 1–512 simulated ranks with an
@@ -221,9 +218,9 @@ func sweep(c *ctx) error {
 
 	out := c.stdout
 	fmt.Fprintf(out, "# scaling sweep (agg roots<=%d, fabric=alpha-beta; cores = ranks)\n", *aggRoots)
-	fmt.Fprintf(out, "%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s %12s | %7s\n",
+	fmt.Fprintf(out, "%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s %12s\n",
 		"mode", "grid", "ranks", "nranks", "its", "solve(s)", "E/C/s", "AR/it",
-		"fab-halo(ms)", "fab-AR(ms)", "fab-crs(ms)", "retries")
+		"fab-halo(ms)", "fab-AR(ms)", "fab-crs(ms)")
 	type key struct{ px, py, pz, g int }
 	solved := map[key]*sweepRow{}
 	for _, pt := range sweepPoints {
@@ -246,11 +243,11 @@ func sweep(c *ctx) error {
 		if r == nil {
 			continue
 		}
-		fmt.Fprintf(out, "%-6s %-6d %-7s %6d %4d %12.3f %10.0f %6.2f | %12.1f %12.1f %12.1f | %7d\n",
+		fmt.Fprintf(out, "%-6s %-6d %-7s %6d %4d %12.3f %10.0f %6.2f | %12.1f %12.1f %12.1f\n",
 			pt.mode, pt.g, ranks, nr, r.iterations, r.solveS,
 			float64(pt.g*pt.g*pt.g)/float64(nr)/r.solveS, r.arPerIt,
 			float64(r.fabricHaloNs)/1e6, float64(r.fabricAllReduceNs)/1e6,
-			float64(r.fabricCoarseNs)/1e6, r.retries)
+			float64(r.fabricCoarseNs)/1e6)
 	}
 	return nil
 }
@@ -284,7 +281,6 @@ func sweepOne(pt sweepPoint, o scenario.SinkerOptions, roots int) (*sweepRow, er
 	row := &sweepRow{iterations: res.Iterations, solveS: time.Since(start).Seconds()}
 	var allReduces int64
 	for _, st := range stats {
-		row.retries += st.Retries
 		allReduces = max(allReduces, st.AllReduces)
 		row.fabricHaloNs = max(row.fabricHaloNs, st.FabricHaloNs)
 		row.fabricAllReduceNs = max(row.fabricAllReduceNs, st.FabricAllReduceNs)

@@ -14,9 +14,8 @@ import "fmt"
 // its block. Idle client ranks may overlap work (e.g. the next halo
 // post) while the roots solve.
 //
-// Every phase is one collective reliable exchange issued by EVERY rank
-// (non-participants pass empty neighbour lists), keeping the per-rank
-// exchange sequence numbers aligned across the world.
+// Each phase is one neighbour exchange among the ranks it involves: a
+// rank outside a phase sends and waits for nothing in it.
 
 // Agg describes an agglomeration of `Size` ranks onto `Roots` coarse
 // sub-solvers: block g covers ranks [g·Size/Roots, (g+1)·Size/Roots),
@@ -144,11 +143,7 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 		if _, err := r.StartExchange(bufs.to[:], bufs.fill(1, pk), d.Sc).Wait(); err != nil {
 			return fmt.Errorf("comm: agg block gather: %w", err)
 		}
-		// Root-group all-gather: clients sit it out (empty exchange
-		// keeps sequence numbers aligned).
-		if _, err := r.StartExchange(nil, nil, d.Sc).Wait(); err != nil {
-			return fmt.Errorf("comm: agg root gather: %w", err)
-		}
+		// Clients sit out the root-group all-gather.
 		px := r.StartExchange(bufs.to[:], bufs.fill(1, empty), d.Sc)
 		if overlap != nil {
 			overlap()

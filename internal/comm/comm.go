@@ -34,10 +34,6 @@ type World struct {
 	// whichever rank, in arrival order.
 	inbox []inbox
 
-	// fault, when non-nil, injects failures into the reliable exchange
-	// paths.
-	fault *FaultPlan
-
 	// fabric, when non-nil, prices every simulated interconnect
 	// operation (halo message, allreduce, coarse gather) in modeled
 	// nanoseconds, accumulated into fabric_* telemetry counters by the
@@ -81,11 +77,6 @@ const (
 	spinPolls = 1 << 18
 	spinYield = 64
 )
-
-// Retries is the number of quiet rounds an exchange survives before it
-// fails with *ExchangeError: the times the world may go quiet with it
-// outstanding, each answered by one retransmission.
-const Retries = 8
 
 // NewWorld creates a world of n ranks.
 func NewWorld(n int) *World {
@@ -150,14 +141,10 @@ func (w *World) stop() {
 	w.quiet = make(chan struct{})
 }
 
-// message is one mailbox entry: the sending rank and what it sent, a
-// protocol envelope (held inline, so posting one allocates nothing) or a
-// collective's bare payload.
+// message is one mailbox entry: the sending rank and what it sent.
 type message struct {
-	from  int
-	isEnv bool
-	env   envelope
-	v     interface{}
+	from int
+	v    interface{}
 }
 
 // inbox is an unbounded FIFO with any number of senders and one reader,
@@ -219,8 +206,9 @@ func (w *World) pull(id int, untilQuiet bool) (message, bool) {
 		if quiet != nil && w.told(b) {
 			// The quiet counted this rank busy to act on it, and it does,
 			// before it reads what the other ranks' reaction to the same
-			// quiet has put here since: a rank kept busy by retransmissions
-			// it cannot use would otherwise never send its own.
+			// quiet has put here since: every rank waiting at the quiet
+			// fails its exchange, and none completes it with mail sent
+			// after it.
 			b.idle = false
 			b.mu.Unlock()
 			return message{}, false
@@ -282,15 +270,6 @@ func (w *World) unspin(b *inbox) {
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
 
-// SetFaultPlan installs a fault injector on the reliable exchange paths.
-// Must be called before Run; pass nil to disable injection.
-func (w *World) SetFaultPlan(fp *FaultPlan) {
-	w.fault = fp
-	if fp != nil {
-		fp.attach(w.size)
-	}
-}
-
 // FabricModel prices simulated interconnect operations in nanoseconds.
 // perfmodel.Fabric provides the standard α–β (latency/bandwidth)
 // implementation.
@@ -335,23 +314,16 @@ type Rank struct {
 	ID int
 	W  *World
 
-	// Reliable-exchange state (see reliable.go): the per-rank exchange
-	// sequence number, early-arrival stash, retransmission history (a ring
-	// of the last histDepth exchanges) and the one exchange in flight,
-	// reused by every exchange. All ranks must issue reliable exchanges in
-	// the same collective order for sequence numbers to align.
-	seq   int64
-	stash map[int]map[int64]envelope
-	hist  [histDepth]sentRecord
-	px    PendingExchange
+	// px is the one exchange in flight, reused by every exchange
+	// (exchange.go).
+	px PendingExchange
 
-	// oob is the unexpected-message queue, one per source: bare collective
-	// payloads (AllReduce partials) pulled from the mailbox before their
-	// receive was posted — a faster neighbour may finish its exchange and
-	// move on to a collective while this rank is still retrying, and a
-	// collective waiting on one source sees the payloads of the others
-	// first. recv matches by source and takes from here, so per-source
-	// FIFO order holds.
+	// oob is the unexpected-message queue, one per source: messages pulled
+	// from the mailbox before their receive was posted. A faster neighbour
+	// may finish its exchange and move on to a collective while this rank
+	// still waits for another, and a receive waiting on one source sees the
+	// messages of the others first. take matches by source and takes from
+	// here first, so per-source FIFO order holds.
 	oob []fifo
 }
 
@@ -364,8 +336,10 @@ type fifo struct {
 
 func (f *fifo) push(v interface{}) { f.q = append(f.q, v) }
 
+func (f *fifo) empty() bool { return f.head == len(f.q) }
+
 func (f *fifo) pop() (interface{}, bool) {
-	if f.head == len(f.q) {
+	if f.empty() {
 		return nil, false
 	}
 	v := f.q[f.head]
@@ -384,20 +358,32 @@ func (r *Rank) Send(to int, v interface{}) {
 	r.W.put(to, message{from: r.ID, v: v})
 }
 
-// recv returns the next bare payload sent by rank `from`, waiting for it
-// however long the world stays quiet (the collectives' receive). Whatever
-// else arrives on the way is dispatched: protocol envelopes of any rank
-// are answered or stashed, so a peer retransmitting into a rank that sits
-// in a collective is served from here, and payloads of other sources are
-// queued for their own recv.
-func (r *Rank) recv(from int) interface{} {
-	for {
-		if from < len(r.oob) {
-			if v, ok := r.oob[from].pop(); ok {
-				return v
-			}
-		}
-		m, _ := r.W.pull(r.ID, false)
-		r.dispatch(nil, m)
+// take returns the next message of rank `from`, queuing on the way what
+// the other sources sent. With untilQuiet it gives up, reporting false,
+// when the world goes quiet first (an exchange's Wait); without, it waits
+// however long the world stays quiet (the collectives' receive).
+func (r *Rank) take(from int, untilQuiet bool) (interface{}, bool) {
+	if r.oob == nil {
+		r.oob = make([]fifo, r.W.size)
 	}
+	if v, ok := r.oob[from].pop(); ok {
+		return v, true
+	}
+	for {
+		m, ok := r.W.pull(r.ID, untilQuiet)
+		if !ok {
+			return nil, false
+		}
+		if m.from == from {
+			return m.v, true
+		}
+		r.oob[m.from].push(m.v)
+	}
+}
+
+// recv returns the next message of rank `from`, waiting for it however
+// long the world stays quiet.
+func (r *Rank) recv(from int) interface{} {
+	v, _ := r.take(from, false)
+	return v
 }

@@ -1,0 +1,205 @@
+package comm
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"ptatin3d/internal/telemetry"
+)
+
+// fullGraph returns the all-to-all neighbour lists for n ranks.
+func fullGraph(n, self int) []int {
+	var nbrs []int
+	for r := 0; r < n; r++ {
+		if r != self {
+			nbrs = append(nbrs, r)
+		}
+	}
+	return nbrs
+}
+
+// testPayload builds a distinguishable packet for from→to.
+func testPayload(from, to, round int) *haloPacket {
+	return &haloPacket{
+		Node: []int32{int32(from), int32(to), int32(round)},
+		Val:  []float64{float64(from) + 0.25, float64(to) - 0.5, float64(round)},
+	}
+}
+
+// exchange runs one exchange of r with nbrs, sending each the packet
+// testPayload addresses to it in round.
+func exchange(r *Rank, nbrs []int, round int, sc *telemetry.Scope) ([]interface{}, error) {
+	payload := make([]interface{}, len(nbrs))
+	for i, n := range nbrs {
+		payload[i] = testPayload(r.ID, n, round)
+	}
+	return r.StartExchange(nbrs, payload, sc).Wait()
+}
+
+// TestExchangeReliableBasic: every payload of every round arrives once,
+// from the neighbour that sent it, and each exchange is counted.
+func TestExchangeReliableBasic(t *testing.T) {
+	const n, rounds = 4, 3
+	w := NewWorld(n)
+	reg := telemetry.New()
+	w.Run(func(r *Rank) {
+		nbrs := fullGraph(n, r.ID)
+		sc := reg.Root().Child("comm").Child(fmt.Sprintf("rank%d", r.ID))
+		for round := 0; round < rounds; round++ {
+			got, err := exchange(r, nbrs, round, sc)
+			if err != nil {
+				t.Errorf("rank %d round %d: %v", r.ID, round, err)
+				return
+			}
+			for i, nb := range nbrs {
+				want := testPayload(nb, r.ID, round)
+				if pk, ok := got[i].(*haloPacket); !ok || !slices.Equal(pk.Node, want.Node) || !slices.Equal(pk.Val, want.Val) {
+					t.Errorf("rank %d round %d: payload from %d is %+v, want %+v", r.ID, round, nb, got[i], want)
+				}
+			}
+		}
+	})
+	for rid := 0; rid < n; rid++ {
+		if c := reg.Root().Child("comm").Child(fmt.Sprintf("rank%d", rid)).Counter("exchanges").Value(); c != rounds {
+			t.Errorf("rank %d: %d exchanges counted, want %d", rid, c, rounds)
+		}
+	}
+}
+
+// TestExchangeReliableStallRecovery: a stalled rank is computing, not
+// silent, so its neighbours wait it out however long the stall. The world
+// is never quiet while it lasts, and every exchange completes.
+func TestExchangeReliableStallRecovery(t *testing.T) {
+	const n = 4
+	w := NewWorld(n)
+	w.Run(func(r *Rank) {
+		if r.ID == 1 {
+			time.Sleep(60 * time.Millisecond)
+		}
+		for round := 0; round < 2; round++ {
+			got, err := exchange(r, fullGraph(n, r.ID), round, nil)
+			if err != nil {
+				t.Errorf("rank %d round %d: %v", r.ID, round, err)
+				return
+			}
+			for _, v := range got {
+				if pk := v.(*haloPacket); pk.Node[1] != int32(r.ID) || pk.Node[2] != int32(round) {
+					t.Errorf("rank %d round %d: packet %+v", r.ID, round, pk)
+				}
+			}
+		}
+	})
+}
+
+// TestExchangeDeadlockNamesSilentPeer: ranks 0 and 1 list rank 2 as a
+// neighbour, but rank 2 lists no one. Once 0 and 1 have each other's
+// payload the world goes quiet, and each must fail with an
+// *ExchangeError naming rank 2, and only rank 2, instead of hanging.
+func TestExchangeDeadlockNamesSilentPeer(t *testing.T) {
+	w := NewWorld(3)
+	errs := make([]error, 3)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		w.Run(func(r *Rank) {
+			nbrs := []int{1 - r.ID, 2}
+			if r.ID == 2 {
+				nbrs = nil
+			}
+			_, errs[r.ID] = exchange(r, nbrs, 0, nil)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("an exchange with a silent neighbour deadlocked instead of failing")
+	}
+	for rid, err := range errs[:2] {
+		var xe *ExchangeError
+		if !errors.As(err, &xe) {
+			t.Fatalf("rank %d: got %v, want *ExchangeError", rid, err)
+		}
+		if xe.Rank != rid || !slices.Equal(xe.Missing, []int{2}) {
+			t.Errorf("rank %d: error %+v, want rank %d missing [2]", rid, xe, rid)
+		}
+	}
+	if errs[2] != nil {
+		t.Errorf("rank 2, with no neighbours: %v", errs[2])
+	}
+}
+
+// TestRecvWaitsThroughQuiet: a collective's receive is not an exchange,
+// so it waits through the world's quiet until its message comes. On the
+// deadlocked pair, rank 0 lists rank 1, and rank 1 lists no one and takes
+// rank 0's payload as a plain receive. Rank 1 then sits in recv while rank
+// 0 waits in its exchange, and the world goes quiet. Rank 0 sends the
+// value rank 1 waits for only after its exchange has failed at that quiet.
+func TestRecvWaitsThroughQuiet(t *testing.T) {
+	w := NewWorld(2)
+	w.Run(func(r *Rank) {
+		if r.ID == 0 {
+			var xe *ExchangeError
+			if _, err := exchange(r, []int{1}, 0, nil); !errors.As(err, &xe) || !slices.Equal(xe.Missing, []int{1}) {
+				t.Errorf("rank 0: got %v, want an *ExchangeError missing [1]", err)
+			}
+			r.Send(1, 42)
+			return
+		}
+		if pk, ok := r.recv(0).(*haloPacket); !ok || pk.Node[0] != 0 {
+			t.Errorf("rank 1: first message %+v, want rank 0's payload", pk)
+		}
+		if v := r.recv(0); v != 42 {
+			t.Errorf("recv got %v, want 42", v)
+		}
+	})
+}
+
+// TestExchangeReliablePreservesCollectivePayloads pins the interleaving
+// that once deadlocked the rank-distributed solve at larger grids: rank 1
+// finishes its exchange with rank 0 quickly and races ahead into a
+// collective, sending rank 0 an AllReduce partial while rank 0 still
+// waits on a slower neighbour (rank 2). The wait must queue the partial
+// for the collective's receive, behind nothing and ahead of nothing else
+// rank 1 sends.
+func TestExchangeReliablePreservesCollectivePayloads(t *testing.T) {
+	w := NewWorld(3)
+	var mu sync.Mutex
+	var failures []error
+	fail := func(err error) {
+		mu.Lock()
+		failures = append(failures, err)
+		mu.Unlock()
+	}
+	w.Run(func(r *Rank) {
+		switch r.ID {
+		case 0:
+			if _, err := exchange(r, []int{1, 2}, 0, nil); err != nil {
+				fail(fmt.Errorf("rank 0 exchange: %w", err))
+				return
+			}
+			if v := r.recv(1); v.(float64) != 3.25 {
+				fail(fmt.Errorf("rank 0: collective payload = %v, want 3.25", v))
+			}
+		case 1:
+			if _, err := exchange(r, []int{0}, 0, nil); err != nil {
+				fail(fmt.Errorf("rank 1 exchange: %w", err))
+				return
+			}
+			// Race ahead into the "collective" while rank 0 still waits
+			// for rank 2's data.
+			r.Send(0, 3.25)
+		case 2:
+			time.Sleep(40 * time.Millisecond)
+			if _, err := exchange(r, []int{0}, 0, nil); err != nil {
+				fail(fmt.Errorf("rank 2 exchange: %w", err))
+			}
+		}
+	})
+	for _, err := range failures {
+		t.Error(err)
+	}
+}

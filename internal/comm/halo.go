@@ -2,22 +2,22 @@ package comm
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/telemetry"
 )
 
 // Dist bundles a rank with a Layout into the per-rank handle of the
-// distributed vector layer: owner-reduce/broadcast halo exchanges over
-// the reliable envelope protocol, deterministic rank-ordered AllReduce
-// for dot products, and gather/broadcast collectives for the coarse
-// solve. All methods are rank-collective: every rank of the world must
-// call them in the same order with layouts of the same Decomp.
+// distributed vector layer: owner-reduce/broadcast halo exchanges,
+// deterministic rank-ordered AllReduce for dot products, and
+// gather/broadcast collectives for the coarse solve. All methods are
+// rank-collective: every rank of the world must call them in the same
+// order with layouts of the same Decomp.
 //
 // Telemetry (Sc nilable): "halo_msgs"/"halo_bytes" counters for
 // exchanged packets, an "allreduces" counter and "allreduce" timer for
-// reductions, plus the reliable-exchange counters of ExchangeReliable.
+// reductions, plus the "exchanges" counter and "exchange" timer of
+// StartExchange.
 //
 // A Dist outlives the world it was built in: point R at the rank of each
 // new world (Attach) and the handle runs its exchanges there. Every packet
@@ -35,12 +35,15 @@ type Dist struct {
 }
 
 // haloSlots is how many exchanges a packet buffer sits out before it is
-// rewritten. Two would do for the receiver: the exchange that reuses a
-// buffer cannot start before the peer has finished the one between, and
-// with it the unpack of the buffer's last contents. The retransmission
-// history serves resends of the last histDepth exchanges, so a buffer
-// is kept unwritten that long too.
-const haloSlots = histDepth
+// rewritten, sized by the receiver. A slot goes to a peer in one exchange
+// on its ring and is rewritten two exchanges later on the same ring, only
+// after this rank has received the peer's message of the exchange between.
+// The peer sends that only after it has consumed the slot, since every
+// receiver unpacks what an exchange brought before it starts its next
+// one. The same holds for the agglomeration rings (aggBufs): the block
+// packet (comb) that roots trade, the owned entries a client ships and
+// the solution a root sends.
+const haloSlots = 2
 
 // haloRing is one direction's packets: slot k of neighbour i is
 // pk[k][i], slot next%haloSlots packs the next exchange, and payload is
@@ -117,49 +120,10 @@ type vecPacket struct {
 	Val []float64
 }
 
-// Checksum64 implements Checksummer.
-func (p *vecPacket) Checksum64() uint64 { return HashFloats(HashSeed, p.Val) }
-
-// CorruptCopy implements Corrupter.
-func (p *vecPacket) CorruptCopy(rng *rand.Rand) interface{} {
-	c := &vecPacket{Val: append([]float64(nil), p.Val...)}
-	if len(c.Val) > 0 {
-		i := rng.Intn(len(c.Val))
-		c.Val[i] = c.Val[i]*1.5 + 1
-	} else {
-		c.Val = append(c.Val, rng.Float64())
-	}
-	return c
-}
-
 // haloPacket carries partial nodal sums (or owner totals) between ranks.
 type haloPacket struct {
 	Node []int32
 	Val  []float64 // 3 per node
-}
-
-// Checksum64 implements Checksummer so the reliable exchange can detect
-// in-flight corruption of halo payloads.
-func (pk *haloPacket) Checksum64() uint64 {
-	h := HashInt32s(HashSeed, pk.Node)
-	return HashFloats(h, pk.Val)
-}
-
-// CorruptCopy implements Corrupter: a deep copy with one value flipped
-// (or, for empty packets, a spurious node entry added).
-func (pk *haloPacket) CorruptCopy(rng *rand.Rand) interface{} {
-	c := &haloPacket{
-		Node: append([]int32(nil), pk.Node...),
-		Val:  append([]float64(nil), pk.Val...),
-	}
-	if len(c.Val) > 0 {
-		i := rng.Intn(len(c.Val))
-		c.Val[i] = c.Val[i]*1.5 + 1
-	} else {
-		c.Node = append(c.Node, int32(rng.Intn(1<<20)))
-		c.Val = append(c.Val, rng.Float64(), rng.Float64(), rng.Float64())
-	}
-	return c
 }
 
 // ElementKernel is a matrix-free velocity-block operator that can apply
@@ -174,8 +138,7 @@ type ElementKernel interface {
 // the Dirichlet identity of mask on owned rows after the reduction, owner
 // totals broadcast back to the ghosts. y is valid on the rank's
 // owned+ghost rows on return. This is the apply under every matrix-free
-// level of the distributed V-cycle, so a fault injected into the world
-// reaches the exchanges the solver runs.
+// level of the distributed V-cycle.
 func (d *Dist) ApplyElements(k ElementKernel, mask []bool, x, y la.Vec) error {
 	l := d.L
 	y.ZeroSpans(l.VelSpans())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
@@ -182,4 +183,123 @@ func TestGatherSolveBroadcast(t *testing.T) {
 			t.Errorf("rank %d: fabric_coarse_ns = %d, want 1", rid, got)
 		}
 	}
+}
+
+// TestRingsOutlastSlowReceiver runs rounds of ReduceBroadcast, two
+// back-to-back Broadcasts and an agglomerated coarse solve with two roots
+// on a 2×2×1 world, one root slowed, and checks every value each round
+// received. Each Dist recycles its packets round rings of haloSlots, so a
+// sender that rewrote a slot before its receiver had read it would show
+// here as a wrong value, or under -race as a race.
+func TestRingsOutlastSlowReceiver(t *testing.T) {
+	const rounds, slow = 200, 2
+	da := mesh.New(4, 4, 2, 0, 1, 0, 1, 0, 1)
+	d, err := NewDecomp(da, 2, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 3 * da.NNodes()
+	support := make([]float64, da.NNodes())
+	var nodes [27]int32
+	for e := 0; e < da.NElements(); e++ {
+		da.ElemNodes(e, &nodes)
+		for _, node := range nodes {
+			support[node]++
+		}
+	}
+	agg := &Agg{Size: d.Size(), Roots: 2}
+	pause := func(r *Rank) {
+		if r.ID == slow {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	NewWorld(d.Size()).Run(func(r *Rank) {
+		l := NewLayout(d, r.ID)
+		dist := NewDist(r, l, nil)
+		y, b, x := la.NewVec(n), la.NewVec(n), la.NewVec(n)
+		var nodes [27]int32
+		fail := func(what string, round int, i int, got, want float64) {
+			t.Errorf("rank %d round %d %s: entry %d = %g, want %g", r.ID, round, what, i, got, want)
+		}
+		for round := 0; round < rounds; round++ {
+			// Every element adds round+1 to its nodes: each node of the
+			// rank's extended box ends with its support times round+1.
+			c := float64(round + 1)
+			clear(y)
+			add := func(elems []int) {
+				for _, e := range elems {
+					da.ElemNodes(e, &nodes)
+					for _, node := range nodes {
+						y[3*node] += c
+						y[3*node+1] += c
+						y[3*node+2] += c
+					}
+				}
+			}
+			add(l.Boundary)
+			if err := dist.ReduceBroadcast(y, func() { pause(r); add(l.Interior) }, nil); err != nil {
+				t.Errorf("rank %d round %d: %v", r.ID, round, err)
+				return
+			}
+			for _, node := range l.OwnedNodes() {
+				if want := support[node] * c; y[3*node] != want {
+					fail("reduce", round, 3*int(node), y[3*node], want)
+					return
+				}
+			}
+			for _, ghosts := range l.Ghost {
+				for _, g := range ghosts {
+					if want := support[g] * c; y[3*g+2] != want {
+						fail("reduce ghost", round, 3*int(g)+2, y[3*g+2], want)
+						return
+					}
+				}
+			}
+			// Two owner broadcasts in a row, each of fresh owner values.
+			for k := 0; k < 2; k++ {
+				v := float64(2*round + k)
+				for _, node := range l.OwnedNodes() {
+					y[3*node], y[3*node+1], y[3*node+2] = v, float64(node), -v
+				}
+				pause(r)
+				if err := dist.Broadcast(y); err != nil {
+					t.Errorf("rank %d round %d: %v", r.ID, round, err)
+					return
+				}
+				for _, ghosts := range l.Ghost {
+					for _, g := range ghosts {
+						if y[3*g] != v || y[3*g+1] != float64(g) || y[3*g+2] != -v {
+							fail("broadcast", round, 3*int(g), y[3*g], v)
+							return
+						}
+					}
+				}
+			}
+			// The roots gather b, solve x = 2b + round redundantly and
+			// send x to their blocks.
+			off := 0.5 * float64(round)
+			for _, node := range l.OwnedNodes() {
+				for k := int32(0); k < 3; k++ {
+					b[3*node+k] = float64(3*node+k) + off
+				}
+			}
+			pause(r)
+			err := dist.AggGatherSolveBroadcast(agg, b, x, func() {
+				pause(r)
+				for i := range x {
+					x[i] = 2*b[i] + float64(round)
+				}
+			}, nil)
+			if err != nil {
+				t.Errorf("rank %d round %d: %v", r.ID, round, err)
+				return
+			}
+			for i := range x {
+				if want := 2*(float64(i)+off) + float64(round); x[i] != want {
+					fail("coarse", round, i, x[i], want)
+					return
+				}
+			}
+		}
+	})
 }

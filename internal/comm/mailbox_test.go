@@ -23,7 +23,7 @@ func waited(w *World, id int) bool {
 	return b.listen
 }
 
-// TestMailbox pins the properties the protocol above rests on, under -race
+// TestMailbox pins the properties the exchange rests on, under -race
 // in scripts/check.sh: messages of one sender arrive in the order it sent
 // them whatever the other senders do; silence is reported when, and only
 // when, the world is quiet — every rank waiting in pull or done, and
@@ -121,8 +121,9 @@ func TestMailbox(t *testing.T) {
 	t.Run("a quiet is told before the mail that follows it", func(t *testing.T) {
 		// Both ranks wait, the world goes quiet, and each mails the other
 		// as soon as it hears it. A rank the quiet has not yet woken finds
-		// that mail queued; it must still hear the quiet first, or a rank
-		// kept busy by retransmissions it cannot use never sends its own.
+		// that mail queued; it must still hear the quiet first, so that
+		// every rank waiting at the quiet fails its exchange and none
+		// completes it with mail sent after it.
 		const rounds = 2000
 		w := NewWorld(2)
 		w.Run(func(r *Rank) {

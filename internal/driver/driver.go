@@ -211,8 +211,8 @@ func Run(m *model.Model, cfg Config) error {
 // resolution admits the rank grid on every level) on the distributed
 // backend at 2×1×1 — the check.sh scenario-smoke gate. A run fails when
 // a step's point count is not the previous one less the points it removed
-// plus those it injected, when an element ends a step with fewer points
-// than a spec's population control keeps, or on a retransmission.
+// plus those it injected, or when an element ends a step with fewer points
+// than a spec's population control keeps.
 // Progress goes to out, under a "# kernel:" header; the first failure is
 // returned.
 func Smoke(workers int, out io.Writer) error {
@@ -248,12 +248,6 @@ func Smoke(workers int, out io.Writer) error {
 				count = st.PointCount
 			}
 			st := m.Stats[len(m.Stats)-1]
-			// No smoke run injects a fault, and an exchange retransmits only
-			// when the simulated world has gone quiet with it outstanding: a
-			// retransmission here is a protocol bug, not slow scheduling.
-			if n := m.Stats[0].Retries + st.Retries; n != 0 {
-				return fmt.Errorf("smoke %s (%s): %d retransmission rounds on a fault-free fabric", name, mode, n)
-			}
 			fmt.Fprintf(out, "smoke %-16s %-11s ok: 2 steps, krylov_its=%d+%d, %.1fs\n",
 				name, mode, m.Stats[0].KrylovIts, st.KrylovIts, time.Since(start).Seconds())
 		}

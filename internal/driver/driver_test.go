@@ -299,21 +299,8 @@ func TestRunRecordsKrylovFallbacks(t *testing.T) {
 	}
 }
 
-// lossyComm is the distributed backend with rank i's stats reporting i+1
-// retransmission rounds per step, as a solve over a lossy fabric would
-// (stokes' TestLossyFabricSameSolve makes real ones).
-type lossyComm struct{ *model.DistributedBackend }
-
-func (b lossyComm) TakeCommStats() []stokes.RankStats {
-	ranks := b.DistributedBackend.TakeCommStats()
-	for i := range ranks {
-		ranks[i].Retries += int64(i + 1)
-	}
-	return ranks
-}
-
 // TestRunDistributedRecordsComm: a distributed run labels its stats and
-// reports fabric traffic in the JSON record, retransmissions included.
+// reports fabric traffic in the JSON record.
 func TestRunDistributedRecordsComm(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -334,30 +321,6 @@ func TestRunDistributedRecordsComm(t *testing.T) {
 	if rec.Steps[0].HaloMsgs == 0 || rec.Steps[0].AllReduces == 0 {
 		t.Fatalf("no communication recorded: %+v", rec.Steps[0])
 	}
-	// Zero on a fault-free fabric whatever the host's scheduling: an
-	// exchange retransmits only when the simulated world has gone quiet,
-	// and nothing is lost here.
-	if n := rec.Steps[0].Retries; n != 0 || m.Stats[0].Retries != 0 {
-		t.Fatalf("retries in the record %d, in the step stats %d, want 0", n, m.Stats[0].Retries)
-	}
-
-	// Reported retransmissions reach the step stats, the telemetry and the
-	// record: 1 + 2 on two ranks.
-	m2 := smallSinker(t, 2)
-	m2.Telemetry = telemetry.New().Root().Child("model")
-	m2.Backend = lossyComm{model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})}
-	js.Reset()
-	if err := Run(m2, Config{Steps: 1, Out: &bytes.Buffer{}, JSONOut: &js, Scenario: "sinker"}); err != nil {
-		t.Fatal(err)
-	}
-	var rec2 RunRecord
-	if err := json.Unmarshal(js.Bytes(), &rec2); err != nil {
-		t.Fatal(err)
-	}
-	n, st, tel := rec2.Steps[0].Retries, m2.Stats[0].Retries, m2.Telemetry.Counter("retries").Value()
-	if n != 3 || st != 3 || tel != 3 {
-		t.Fatalf("retries in the record %d, in the step stats %d, in the telemetry %d; want 3", n, st, tel)
-	}
 }
 
 // stepKeys are the keys of a -json step record with their JSON types:
@@ -372,7 +335,7 @@ var stepKeys = map[string]string{
 	"points": "number", "points_removed": "number", "points_injected": "number",
 	"ppe_min": "number", "ppe_max": "number", "wall_s": "number", "backend": "string",
 	"ranks": "number", "halo_msgs": "number", "halo_bytes": "number", "allreduces": "number",
-	"retries": "number", "rheology_s": "number", "mpm_project_s": "number",
+	"rheology_s": "number", "mpm_project_s": "number",
 	"stokes_setup_s": "number", "stokes_krylov_s": "number", "advect_s": "number",
 	"ale_s": "number", "thermal_s": "number", "stokes_setup_reused": "number",
 	"coeff_updates": "number", "cpu_util": "number", "helper_share": "number",
@@ -382,17 +345,16 @@ var stepKeys = map[string]string{
 
 // TestRunRecordsStepStats: the -json steps are the model's step stats —
 // decoded, equal to m.Stats field for field — under every key of
-// stepKeys with its JSON type and no other. The run is on two ranks
-// reporting retransmissions, so the keys omitted when zero are there, and
-// collects garbage at every percent of heap growth, so cpu_util is
-// measured.
+// stepKeys with its JSON type and no other. The run is on two ranks, so
+// the keys omitted when zero are there, and collects garbage at every
+// percent of heap growth, so cpu_util is measured.
 func TestRunRecordsStepStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(1))
 	m := smallSinker(t, 2)
-	m.Backend = lossyComm{model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})}
+	m.Backend = model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})
 	var js bytes.Buffer
 	if err := Run(m, Config{Steps: 2, Out: &bytes.Buffer{}, JSONOut: &js, Scenario: "sinker"}); err != nil {
 		t.Fatal(err)

@@ -1,14 +1,28 @@
 package fem
 
 import (
+	"math"
 	"runtime"
 	"testing"
 )
 
+// HashSeed is the initial value of a HashFloats chain.
+const HashSeed uint64 = 14695981039346656037
+
+// HashFloats folds the bit patterns of xs into the running FNV-1a hash h:
+// the fingerprint by which the kernel-twin tests pin their results.
+func HashFloats(h uint64, xs []float64) uint64 {
+	for _, x := range xs {
+		h ^= math.Float64bits(x)
+		h *= 1099511628211
+	}
+	return h
+}
+
 // BothKernels runs body twice, with the vector encoding of the float64
 // element kernel on (where the CPU has it) and off, through the package's
-// setVectorKernel hook. body returns a hash (comm.HashFloats from
-// comm.HashSeed) of the results it pins: both runs must return recorded —
+// setVectorKernel hook. body returns a hash (HashFloats from HashSeed) of
+// the results it pins: both runs must return recorded —
 // on amd64, where neither encoding fuses a multiply-add; elsewhere the
 // compiler may fuse the Go bodies, so only the two runs are compared.
 func BothKernels(t *testing.T, recorded uint64, body func(t *testing.T) uint64) {

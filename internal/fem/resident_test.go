@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"ptatin3d/internal/comm"
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 )
@@ -57,7 +56,7 @@ func TestResidentDeterminism(t *testing.T) {
 }
 
 func testResidentDeterminism(t *testing.T) uint64 {
-	hash := comm.HashSeed
+	hash := HashSeed
 	// 8³ is the size at which a block is long enough (~100 µs) for a woken
 	// pool worker to take some of them: repeated there, so that who ran
 	// which block varies.
@@ -73,7 +72,7 @@ func testResidentDeterminism(t *testing.T) uint64 {
 			p.Workers = 1
 			ref := la.NewVec(n)
 			op.Apply(u, ref)
-			hash = comm.HashFloats(hash, ref)
+			hash = HashFloats(hash, ref)
 			for _, w := range []int{2, 3, 4, 8} {
 				p.Workers = w
 				for rep := 0; rep < 3; rep++ {
@@ -109,7 +108,7 @@ func TestBlockedChebyshevBitIdentical(t *testing.T) {
 }
 
 func testBlockedChebyshevBitIdentical(t *testing.T) uint64 {
-	hash := comm.HashSeed
+	hash := HashSeed
 	cases := []struct {
 		g   [3]int
 		off []int // nil: the Problem's own partition
@@ -152,7 +151,7 @@ func testBlockedChebyshevBitIdentical(t *testing.T) uint64 {
 						ref.Copy(x0)
 					}
 					krylov.NewChebyshev(op, jac, lmax, steps).Smooth(b, ref, zeroGuess)
-					hash = comm.HashFloats(hash, ref)
+					hash = HashFloats(hash, ref)
 
 					for _, w := range []int{1, 2, 3, 5, 8} {
 						p.Workers = w

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
@@ -21,7 +20,7 @@ import (
 func TestVCycleBothKernels(t *testing.T) {
 	eta := func(x, y, z float64) float64 { return 1 + 8*x*z + 3*y }
 	fem.BothKernels(t, 0x9999618139be2cf7, func(t *testing.T) uint64 {
-		hash := comm.HashSeed
+		hash := fem.HashSeed
 		for _, workers := range []int{1, 3} {
 			da := mesh.New(8, 8, 8, 0, 1, 0, 1, 0, 1)
 			bc := mesh.NewBC(da)
@@ -47,7 +46,7 @@ func TestVCycleBothKernels(t *testing.T) {
 				b[i] = rng.NormFloat64()
 			}
 			cycle.Apply(b, z)
-			hash = comm.HashFloats(hash, z)
+			hash = fem.HashFloats(hash, z)
 		}
 		return hash
 	})

@@ -179,9 +179,6 @@ type StepStats struct {
 	HaloMsgs   int64  `json:"halo_msgs,omitempty"`
 	HaloBytes  int64  `json:"halo_bytes,omitempty"`
 	AllReduces int64  `json:"allreduces,omitempty"`
-	// Retries counts the reliable exchange's retransmission rounds, over
-	// all ranks: zero on a run without an injected fault.
-	Retries int64 `json:"retries,omitempty"`
 	// Per-stage wall seconds of the step pipeline.
 	RheologyS     float64 `json:"rheology_s"`
 	MPMProjectS   float64 `json:"mpm_project_s"`
@@ -718,13 +715,11 @@ func (m *Model) StepForward() error {
 			st.HaloMsgs += r.HaloMsgs
 			st.HaloBytes += r.HaloBytes
 			st.AllReduces += r.AllReduces
-			st.Retries += r.Retries
 		}
 		if tel := m.Telemetry; tel != nil {
 			tel.Counter("halo_msgs").Add(st.HaloMsgs)
 			tel.Counter("halo_bytes").Add(st.HaloBytes)
 			tel.Counter("allreduces").Add(st.AllReduces)
-			tel.Counter("retries").Add(st.Retries)
 		}
 	}
 	// Simulated ranks are goroutines of this process, Workers wide each.

@@ -2,7 +2,6 @@ package mpm
 
 import (
 	"fmt"
-	"math/rand"
 
 	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
@@ -27,40 +26,6 @@ func (pk *PointPacket) add(pts *Points, i int) {
 
 // Len returns the number of packed points.
 func (pk *PointPacket) Len() int { return len(pk.X) }
-
-// Checksum64 implements comm.Checksummer so migrating point payloads are
-// integrity-checked in flight.
-func (pk *PointPacket) Checksum64() uint64 {
-	h := comm.HashFloats(comm.HashSeed, pk.X)
-	h = comm.HashFloats(h, pk.Y)
-	h = comm.HashFloats(h, pk.Z)
-	h = comm.HashInt32s(h, pk.Litho)
-	return comm.HashFloats(h, pk.Plastic)
-}
-
-// CorruptCopy implements comm.Corrupter: a deep copy with one coordinate
-// perturbed (or a spurious point appended when empty), modelling payload
-// corruption of the Ls migration list.
-func (pk *PointPacket) CorruptCopy(rng *rand.Rand) interface{} {
-	c := &PointPacket{
-		X:       append([]float64(nil), pk.X...),
-		Y:       append([]float64(nil), pk.Y...),
-		Z:       append([]float64(nil), pk.Z...),
-		Litho:   append([]int32(nil), pk.Litho...),
-		Plastic: append([]float64(nil), pk.Plastic...),
-	}
-	if c.Len() > 0 {
-		i := rng.Intn(c.Len())
-		c.X[i] += 0.5 + rng.Float64()
-	} else {
-		c.X = append(c.X, rng.Float64())
-		c.Y = append(c.Y, rng.Float64())
-		c.Z = append(c.Z, rng.Float64())
-		c.Litho = append(c.Litho, 0)
-		c.Plastic = append(c.Plastic, 0)
-	}
-	return c
-}
 
 // MigrateStats summarizes one migration round.
 type MigrateStats struct {
@@ -87,10 +52,8 @@ type MigrateStats struct {
 // own scope (or child) — scopes are safe for concurrent recording, but
 // per-rank children keep the numbers attributable.
 //
-// The Ls/Lr shipment runs over the reliable exchange protocol with the
-// world's retry budget: dropped or corrupted point payloads are detected
-// (checksummed) and retransmitted; an exchange that cannot complete
-// within the retry budget returns a typed error wrapping
+// The Ls/Lr shipment is one neighbour exchange. An exchange the world's
+// quiet leaves incomplete returns a typed error wrapping
 // *comm.ExchangeError, with the local point population left in its
 // pre-shipment state minus the points already packed into Ls (the caller
 // must abort the step).
@@ -118,11 +81,11 @@ func Migrate(r *comm.Rank, d *comm.Decomp, prob *fem.Problem, pts *Points, sc *t
 
 	// Ship Ls to every neighbour (the paper sends the full list to all
 	// neighbours and lets receivers filter — so do we).
-	payload := make(map[int]interface{}, len(nbrs))
-	for _, n := range nbrs {
-		payload[n] = &ls
+	payload := make([]interface{}, len(nbrs))
+	for i := range payload {
+		payload[i] = &ls
 	}
-	recv, err := r.ExchangeReliable(nbrs, payload, sc)
+	recv, err := r.StartExchange(nbrs, payload, sc).Wait()
 	if err != nil {
 		sc.Timer("migrate").Stop(telStart)
 		sc.Counter("migrate_failures").Inc()
@@ -132,8 +95,8 @@ func Migrate(r *comm.Rank, d *comm.Decomp, prob *fem.Problem, pts *Points, sc *t
 	// Process Lr: adopt points whose containing element is ours.
 	c := prob.Cursor(nil, nil)
 	defer c.Done()
-	for _, n := range nbrs {
-		lr := recv[n].(*PointPacket)
+	for i := range nbrs {
+		lr := recv[i].(*PointPacket)
 		for i := 0; i < lr.Len(); i++ {
 			e, xi, et, ze, ok := Locate(&c, lr.X[i], lr.Y[i], lr.Z[i])
 			if !ok || d.RankOfElement(e) != r.ID {

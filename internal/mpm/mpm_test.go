@@ -1,9 +1,12 @@
 package mpm
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
+	"time"
 
 	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
@@ -292,6 +295,42 @@ func TestMigrateProtocol(t *testing.T) {
 	if int(telSent) != sent || int(telRecv) != received || int(telDel) != deleted {
 		t.Fatalf("telemetry disagrees: sent %d/%d recv %d/%d del %d/%d",
 			telSent, sent, telRecv, received, telDel, deleted)
+	}
+}
+
+// TestMigrateExchangeFailure: on a 2×1×1 world whose rank 1 never
+// migrates, rank 0's shipment is left waiting when the world goes quiet.
+// Migrate must return a wrapped *comm.ExchangeError naming rank 1 instead
+// of hanging, and count the failure.
+func TestMigrateExchangeFailure(t *testing.T) {
+	p := flatProblem(4)
+	d, err := comm.NewDecomp(p.DA, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	sc := reg.Root().Child("mpm").Child("rank0")
+	var migErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		comm.NewWorld(d.Size()).Run(func(r *comm.Rank) {
+			if r.ID == 0 {
+				_, migErr = Migrate(r, d, p, NewLattice(p, 2, nil), sc)
+			}
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a migration with a silent neighbour deadlocked instead of failing")
+	}
+	var xe *comm.ExchangeError
+	if !errors.As(migErr, &xe) || !slices.Equal(xe.Missing, []int{1}) {
+		t.Fatalf("got %v, want a wrapped *comm.ExchangeError missing [1]", migErr)
+	}
+	if n := sc.Counter("migrate_failures").Value(); n != 1 {
+		t.Errorf("migrate_failures = %d, want 1", n)
 	}
 }
 

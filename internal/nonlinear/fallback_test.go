@@ -11,7 +11,8 @@ import (
 
 // transientNaNSystem wraps nlDiffusion with a Jacobian that returns NaN for
 // its first `poisoned` applications and is healthy afterwards — the shape
-// of a transient fault (corrupted coefficients repaired by retransmission).
+// of a transient fault (corrupted coefficients that a later evaluation
+// gets right).
 func transientNaNSystem(n, poisoned int) (System, la.Vec) {
 	sys, x0 := nlDiffusion(n)
 	inner := sys.Prepare

@@ -18,10 +18,9 @@ import (
 // products — runs collectively across the ranks of a simulated MPI
 // world. Each rank iterates on its own full-length vector copy, valid
 // on the owned+ghost entries of its per-level layout; every halo
-// exchange goes over the reliable channel protocol with interior
-// compute overlapped with in-flight boundary traffic; every reduction
-// is a deterministic rank-ordered AllReduce, so all ranks follow the
-// identical iteration trajectory.
+// exchange overlaps interior compute with in-flight boundary traffic;
+// every reduction is a deterministic rank-ordered AllReduce, so all ranks
+// follow the identical iteration trajectory.
 //
 // Velocity nodes follow the comm.Layout ownership boxes. P1disc
 // pressure dofs are element-local (4 per element at indices [4e,4e+4)),
@@ -33,6 +32,9 @@ import (
 // The Fabric*Ns columns are modeled interconnect nanoseconds (zero
 // unless a fabric model is installed): halo packets, allreduce hops and
 // coarse-solve funneling priced by the α–β model of perfmodel.Fabric.
+// Retries is set by nothing: the fabric delivers every message once, so
+// there is no retransmission to count. It stays for the benchmark's
+// comm.retries row until that row is dropped (ROADMAP item 1(g)).
 type RankStats struct {
 	Rank              int   `json:"rank"`
 	HaloMsgs          int64 `json:"halo_msgs"`
@@ -53,10 +55,6 @@ type DistOptions struct {
 	// Fabric, when non-nil, prices every interconnect operation of the
 	// solve in modeled nanoseconds (RankStats.Fabric*Ns).
 	Fabric comm.FabricModel
-
-	// fault, when non-nil, injects losses into the solve's reliable
-	// exchanges (the package's tests of recovery inside a solve).
-	fault *comm.FaultPlan
 }
 
 // errSink records the first asynchronous failure of a rank's solve
@@ -305,7 +303,6 @@ func rankCommCounters(sc *telemetry.Scope, rank int) RankStats {
 		HaloMsgs:          sc.Counter("halo_msgs").Value(),
 		HaloBytes:         sc.Counter("halo_bytes").Value(),
 		AllReduces:        sc.Counter("allreduces").Value(),
-		Retries:           sc.Counter("retries").Value(),
 		FabricHaloNs:      sc.Counter("fabric_halo_ns").Value(),
 		FabricAllReduceNs: sc.Counter("fabric_allreduce_ns").Value(),
 		FabricCoarseNs:    sc.Counter("fabric_coarse_ns").Value(),
@@ -319,7 +316,6 @@ func (a RankStats) sub(b RankStats) RankStats {
 		HaloMsgs:          a.HaloMsgs - b.HaloMsgs,
 		HaloBytes:         a.HaloBytes - b.HaloBytes,
 		AllReduces:        a.AllReduces - b.AllReduces,
-		Retries:           a.Retries - b.Retries,
 		FabricHaloNs:      a.FabricHaloNs - b.FabricHaloNs,
 		FabricAllReduceNs: a.FabricAllReduceNs - b.FabricAllReduceNs,
 		FabricCoarseNs:    a.FabricCoarseNs - b.FabricCoarseNs,
@@ -331,7 +327,6 @@ func (s *RankStats) Add(o RankStats) {
 	s.HaloMsgs += o.HaloMsgs
 	s.HaloBytes += o.HaloBytes
 	s.AllReduces += o.AllReduces
-	s.Retries += o.Retries
 	s.FabricHaloNs += o.FabricHaloNs
 	s.FabricAllReduceNs += o.FabricAllReduceNs
 	s.FabricCoarseNs += o.FabricCoarseNs
@@ -387,7 +382,6 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 	if opt.Fabric != nil {
 		w.SetFabric(opt.Fabric)
 	}
-	w.SetFaultPlan(opt.fault)
 	var (
 		mu      sync.Mutex
 		res     krylov.Result

@@ -262,44 +262,6 @@ func TestCoarseRootsZeroIsOne(t *testing.T) {
 	}
 }
 
-// TestLossyFabricSameSolve: a distributed solve whose halo exchanges lose
-// and corrupt envelopes recovers them by retransmission, reports the
-// retransmission rounds in RankStats.Retries, and takes the same
-// iterations to the same bits as on a clean fabric.
-func TestLossyFabricSameSolve(t *testing.T) {
-	p, def := sinkerProblem(4, 100, 1)
-	cfg := sinkerConfig(p, def)
-	cfg.Levels = 2
-	s, err := New(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bu := la.NewVec(p.DA.NVelDOF())
-	fem.MomentumRHS(p, bu)
-	solve := func(fp *comm.FaultPlan) (la.Vec, krylov.Result, int64) {
-		x := la.NewVec(s.Op.N())
-		res, stats, err := s.SolveDistributed(x, bu, 2, 2, 1, DistOptions{fault: fp})
-		if err != nil || !res.Converged {
-			t.Fatalf("fault plan %v: converged %v, err %v", fp != nil, res.Converged, err)
-		}
-		var retries int64
-		for _, st := range stats {
-			retries += st.Retries
-		}
-		return x, res, retries
-	}
-	x0, res0, retries0 := solve(nil)
-	fp := &comm.FaultPlan{Seed: 7, DropProb: 0.05, MaxDrops: 12, CorruptProb: 0.05, MaxCorrupts: 4}
-	x1, res1, retries1 := solve(fp)
-	if retries0 != 0 || retries1 == 0 || fp.Drops() == 0 || fp.Corruptions() == 0 {
-		t.Fatalf("retries %d clean, %d lossy (%d drops, %d corruptions injected); want 0 and positive",
-			retries0, retries1, fp.Drops(), fp.Corruptions())
-	}
-	if res1.Iterations != res0.Iterations || !slices.Equal(x1, x0) {
-		t.Fatalf("lossy fabric: %d iterations, clean %d; solutions equal: %v", res1.Iterations, res0.Iterations, slices.Equal(x1, x0))
-	}
-}
-
 // TestRankCountInvariantClassical pins what the fold rests on: the
 // classical solve is one iteration whatever the layout. The shared solve
 // and rank worlds 1×1×1 to 2×2×2 take the same number of outer iterations
