@@ -465,30 +465,6 @@ func BenchmarkTelemetry_TimerEnabled(b *testing.B) {
 	}
 }
 
-// parForBench measures the worker-pool dispatch path, where the occupancy
-// probe is the per-call telemetry cost.
-func parForBench(b *testing.B, enabled bool) {
-	if enabled {
-		par.SetTelemetry(telemetry.New().Root().Child("par"))
-	} else {
-		par.SetTelemetry(nil)
-	}
-	defer par.SetTelemetry(nil)
-	sink := make([]float64, 4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		par.For(4, len(sink), func(lo, hi int) {
-			for j := lo; j < hi; j++ {
-				sink[j] += 1
-			}
-		})
-	}
-}
-
-func BenchmarkTelemetry_ParForDisabled(b *testing.B) { parForBench(b, false) }
-func BenchmarkTelemetry_ParForEnabled(b *testing.B)  { parForBench(b, true) }
-
 // solveBench runs the production GMG Stokes solve with and without the
 // full telemetry stack attached — the end-to-end overhead check.
 func telemetrySolveBench(b *testing.B, enabled bool) {

@@ -13,8 +13,9 @@ import (
 // TestFailedRunStillWritesProfileAndTelemetry: a run that fails — here a
 // restart from a checkpoint that does not exist — exits non-zero through
 // run's return value, not through the process, so the CPU profile is
-// stopped and closed (a complete gzip stream) and the telemetry table is
-// on stderr: a failed run is when both are wanted.
+// stopped and closed (a complete gzip stream) and the telemetry table and
+// JSON, with the model's scope in it, are on stderr: a failed run is when
+// both are wanted.
 func TestFailedRunStillWritesProfileAndTelemetry(t *testing.T) {
 	prof := filepath.Join(t.TempDir(), "cpu.prof")
 	var stdout, stderr bytes.Buffer
@@ -23,7 +24,7 @@ func TestFailedRunStillWritesProfileAndTelemetry(t *testing.T) {
 	if code != 1 {
 		t.Fatalf("exit code %d, want 1\nstderr:\n%s", code, &stderr)
 	}
-	for _, want := range []string{"# Telemetry breakdown", "par.calls", "# Telemetry (JSON)", "ptatin-run: restart:", "/nonexistent"} {
+	for _, want := range []string{"# Telemetry breakdown", "# Telemetry (JSON)", `"name": "model"`, "ptatin-run: restart:", "/nonexistent"} {
 		if !strings.Contains(stderr.String(), want) {
 			t.Errorf("stderr lacks %q:\n%s", want, &stderr)
 		}

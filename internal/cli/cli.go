@@ -14,8 +14,6 @@ import (
 	"strconv"
 	"strings"
 
-	"ptatin3d/internal/fem"
-	"ptatin3d/internal/par"
 	"ptatin3d/internal/telemetry"
 )
 
@@ -85,12 +83,8 @@ func (f *Flags) Start(w io.Writer) (*telemetry.Registry, func(), error) {
 		return nil, stopProfile, nil
 	}
 	reg := telemetry.New()
-	par.SetTelemetry(reg.Root().Child("par"))
-	fem.SetTelemetry(reg.Root().Child("fem"))
 	return reg, func() {
 		stopProfile()
-		par.SetTelemetry(nil)
-		fem.SetTelemetry(nil)
 		fmt.Fprintln(w, "\n# Telemetry breakdown")
 		reg.WriteTable(w)
 		fmt.Fprintln(w, "\n# Telemetry (JSON)")

@@ -152,7 +152,11 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 		if err != nil {
 			return fmt.Errorf("comm: agg solution broadcast: %w", err)
 		}
-		copy(x, sol[0].(*vecPacket).Val)
+		xs, err := payloadAs[*vecPacket](r.ID, root, sol[0])
+		if err != nil {
+			return fmt.Errorf("comm: agg solution broadcast: %w", err)
+		}
+		copy(x, xs.Val)
 		return nil
 	}
 
@@ -170,8 +174,11 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 	for _, node := range own {
 		comb.Val = append(comb.Val, b[3*node], b[3*node+1], b[3*node+2])
 	}
-	for i := range members {
-		pk := recv[i].(*haloPacket)
+	for i, src := range members {
+		pk, err := payloadAs[*haloPacket](r.ID, src, recv[i])
+		if err != nil {
+			return fmt.Errorf("comm: agg block gather: %w", err)
+		}
 		comb.Node = append(comb.Node, pk.Node...)
 		comb.Val = append(comb.Val, pk.Val...)
 		// Scatter into our b as we go: the root's b must be globally
@@ -189,8 +196,12 @@ func (d *Dist) AggGatherSolveBroadcast(a *Agg, b, x []float64, solve func(), ove
 	if err != nil {
 		return fmt.Errorf("comm: agg root gather: %w", err)
 	}
-	for i := range others {
-		rrecv[i].(*haloPacket).unpack(b)
+	for i, src := range others {
+		pk, err := payloadAs[*haloPacket](r.ID, src, rrecv[i])
+		if err != nil {
+			return fmt.Errorf("comm: agg root gather: %w", err)
+		}
+		pk.unpack(b)
 	}
 
 	// Redundant solve: every root computes the identical solution, so

@@ -32,6 +32,30 @@ func (e *ExchangeError) Error() string {
 	return fmt.Sprintf("comm: rank %d exchange stalled with the world quiet (no message from %v)", e.Rank, e.Missing)
 }
 
+// PayloadError reports a message of the wrong kind: rank Rank took from
+// Source a payload of type Got where its exchange expected Want. Ranks
+// that disagree on the collective order get it when one collective's
+// payload is taken by another before the world goes quiet.
+type PayloadError struct {
+	Rank, Source int
+	Got, Want    string
+}
+
+// Error implements the error interface.
+func (e *PayloadError) Error() string {
+	return fmt.Sprintf("comm: rank %d took a %s from rank %d where a %s was due (ranks disagree on the collective order)", e.Rank, e.Got, e.Source, e.Want)
+}
+
+// payloadAs returns v, the message rank took from src, as a T, or a
+// *PayloadError when it holds something else.
+func payloadAs[T any](rank, src int, v interface{}) (T, error) {
+	p, ok := v.(T)
+	if !ok {
+		return p, &PayloadError{Rank: rank, Source: src, Got: fmt.Sprintf("%T", v), Want: fmt.Sprintf("%T", p)}
+	}
+	return p, nil
+}
+
 // PendingExchange is a neighbour exchange whose payloads are sent but
 // whose replies are not yet taken. The caller may compute between
 // StartExchange and Wait. This is the §II-D latency-hiding pattern:

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/telemetry"
 )
 
@@ -129,6 +130,60 @@ func TestExchangeDeadlockNamesSilentPeer(t *testing.T) {
 	}
 	if errs[2] != nil {
 		t.Errorf("rank 2, with no neighbours: %v", errs[2])
+	}
+}
+
+// TestCollectiveOrderMismatchIsAnError: on a 2×1×1 world rank 0 runs two
+// owner broadcasts while rank 1 runs an agglomerated coarse solve rooted
+// at rank 0. Both lists name the other, so every exchange completes; but
+// rank 1's wait for the coarse solution takes rank 0's second halo
+// packet. It returns a *PayloadError naming the rank and the source, not a
+// panic, and rank 0, which took packets of the kind it expected, none.
+func TestCollectiveOrderMismatchIsAnError(t *testing.T) {
+	da := mesh.New(4, 2, 2, 0, 1, 0, 1, 0, 1)
+	d, err := NewDecomp(da, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := NewAgg(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewWorld(2).Run(func(r *Rank) {
+			defer func() {
+				if p := recover(); p != nil {
+					errs[r.ID] = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			dist := NewDist(r, NewLayout(d, r.ID), nil)
+			y := make([]float64, 3*da.NNodes())
+			if r.ID == 0 {
+				if errs[0] = dist.Broadcast(y); errs[0] == nil {
+					errs[0] = dist.Broadcast(y)
+				}
+				return
+			}
+			errs[1] = dist.AggGatherSolveBroadcast(a, y, make([]float64, len(y)), func() {}, nil)
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("a collective-order mismatch hung")
+	}
+	if errs[0] != nil {
+		t.Errorf("rank 0: %v", errs[0])
+	}
+	var pe *PayloadError
+	if !errors.As(errs[1], &pe) {
+		t.Fatalf("rank 1: got %v, want *PayloadError", errs[1])
+	}
+	if pe.Rank != 1 || pe.Source != 0 || pe.Want != "*comm.vecPacket" || pe.Got != "*comm.haloPacket" {
+		t.Errorf("rank 1: %+v, want rank 1 taking a *comm.haloPacket from 0 where a *comm.vecPacket was due", pe)
 	}
 }
 

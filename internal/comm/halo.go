@@ -174,8 +174,11 @@ func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) error {
 	if err != nil {
 		return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
 	}
-	for j := range l.Neighbors {
-		pk := recv[j].(*haloPacket)
+	for j, src := range l.Neighbors {
+		pk, err := payloadAs[*haloPacket](d.R.ID, src, recv[j])
+		if err != nil {
+			return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
+		}
 		for i, node := range pk.Node {
 			y[3*node] += pk.Val[3*i]
 			y[3*node+1] += pk.Val[3*i+1]
@@ -199,8 +202,12 @@ func (d *Dist) Broadcast(y []float64) error {
 	if err != nil {
 		return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 	}
-	for i := range l.Neighbors {
-		recv[i].(*haloPacket).unpack(y)
+	for i, src := range l.Neighbors {
+		pk, err := payloadAs[*haloPacket](d.R.ID, src, recv[i])
+		if err != nil {
+			return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
+		}
+		pk.unpack(y)
 	}
 	return nil
 }

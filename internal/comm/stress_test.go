@@ -15,14 +15,12 @@ import (
 
 // TestConcurrentParAndHaloStress hammers the two parallel layers at once —
 // the shared-memory worker pool (par.For) and the simulated-MPI halo
-// exchange (Dist.ApplyElements) — with telemetry recording from every
-// goroutine. It runs in short mode by design: together with -race it is
+// exchange (Dist.ApplyElements) — with every rank recording into its own
+// telemetry scope. It runs in short mode by design: together with -race it is
 // the tier-1 regression net for data races between the worker pool, the
 // rank runtime and the telemetry instruments.
 func TestConcurrentParAndHaloStress(t *testing.T) {
 	reg := telemetry.New()
-	par.SetTelemetry(reg.Root().Child("par"))
-	defer par.SetTelemetry(nil)
 
 	da := mesh.New(4, 4, 4, 0, 1, 0, 1, 0, 1)
 	da.Deform(func(x, y, z float64) (float64, float64, float64) {
@@ -57,8 +55,7 @@ func TestConcurrentParAndHaloStress(t *testing.T) {
 
 	var wg sync.WaitGroup
 
-	// Shared-memory side: concurrent par.For sweeps with the pool's
-	// occupancy telemetry live.
+	// Shared-memory side: concurrent par.For sweeps.
 	parErr := make(chan string, 1)
 	for g := 0; g < 2; g++ {
 		wg.Add(1)

@@ -231,7 +231,6 @@ func Smoke(workers int, out io.Writer) error {
 			if err != nil {
 				return fmt.Errorf("smoke %s: compile: %w", name, err)
 			}
-			m.Telemetry = telemetry.New().Root().Child("model")
 			if mode == "distributed" {
 				m.Backend = model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})
 			}

@@ -17,7 +17,6 @@ import (
 	"ptatin3d/internal/op"
 	"ptatin3d/internal/scenario"
 	"ptatin3d/internal/stokes"
-	"ptatin3d/internal/telemetry"
 )
 
 func smallSinker(t *testing.T, workers int) *model.Model {
@@ -250,17 +249,15 @@ func (b fgmresBreaksDown) LinearSolve(s *stokes.Solver, method string, jop krylo
 }
 
 // TestRunRecordsKrylovFallbacks: every step record carries its inner
-// Krylov breakdowns and method fallbacks — zero on a clean run, one of
-// each per inner solve when every FGMRES solve breaks down — and over
-// the run they add up to the model's solver_breakdowns and
-// solver_fallbacks telemetry counters.
+// Krylov breakdowns and method fallbacks, as the step stats hold them —
+// zero on a clean run, one of each per inner solve when every FGMRES
+// solve breaks down.
 func TestRunRecordsKrylovFallbacks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	for _, broken := range []bool{false, true} {
 		m := smallSinker(t, 2)
-		m.Telemetry = telemetry.New().Root().Child("model")
 		if broken {
 			m.Backend = fgmresBreaksDown{}
 		}
@@ -277,7 +274,7 @@ func TestRunRecordsKrylovFallbacks(t *testing.T) {
 		if err := json.Unmarshal(js.Bytes(), &rec); err != nil {
 			t.Fatal(err)
 		}
-		var breakdowns, fallbacks int
+		breakdowns := 0
 		for i, r := range rec.Steps {
 			st := m.Stats[i]
 			if r.KrylovBreakdowns != st.KrylovBreakdowns || r.KrylovFallbacks != st.KrylovFallbacks {
@@ -289,12 +286,9 @@ func TestRunRecordsKrylovFallbacks(t *testing.T) {
 					r.Step, r.KrylovBreakdowns, r.KrylovFallbacks)
 			}
 			breakdowns += r.KrylovBreakdowns
-			fallbacks += r.KrylovFallbacks
 		}
-		tb := m.Telemetry.Counter("solver_breakdowns").Value()
-		tf := m.Telemetry.Counter("solver_fallbacks").Value()
-		if int64(breakdowns) != tb || int64(fallbacks) != tf || (breakdowns == 0) == broken {
-			t.Fatalf("broken=%v: record %d breakdowns, %d fallbacks; telemetry %d, %d", broken, breakdowns, fallbacks, tb, tf)
+		if (breakdowns == 0) == broken {
+			t.Fatalf("broken=%v: %d breakdowns over the run", broken, breakdowns)
 		}
 	}
 }

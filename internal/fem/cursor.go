@@ -5,21 +5,6 @@ import (
 	"ptatin3d/internal/mesh"
 )
 
-// PointStats counts what the loops over material points did, one count
-// per name of PointStatNames.
-type PointStats [len(PointStatNames)]int64
-
-// PointStatNames names the counts, as the model's "mpm" telemetry scope
-// publishes them: seeks that found the element held, seeks that gathered
-// it, and point locations.
-var PointStatNames = [...]string{"cursor_hits", "cursor_misses", "locate_calls"}
-
-const (
-	CursorHits = iota
-	CursorMisses
-	LocateCalls
-)
-
 // ElemCursor holds one element at a time for a loop over material points:
 // its coordinates, velocities and vertex temperatures are gathered when
 // the loop seeks another element, not per point. Points are seeded
@@ -27,15 +12,14 @@ const (
 // already held. Take one cursor per loop — that validates the geometry
 // store once — and give every chunk of the loop its own copy.
 type ElemCursor struct {
-	P     *Problem
-	u     la.Vec    // velocity state gathered into Ue (nil: none)
-	t     []float64 // vertex field gathered into Te (nil: none)
-	geo   *geometry
-	E     int // the element held, -1 before the first Seek
-	Xe    [81]float64
-	Ue    [81]float64 // unmasked
-	Te    [8]float64
-	Stats PointStats
+	P   *Problem
+	u   la.Vec    // velocity state gathered into Ue (nil: none)
+	t   []float64 // vertex field gathered into Te (nil: none)
+	geo *geometry
+	E   int // the element held, -1 before the first Seek
+	Xe  [81]float64
+	Ue  [81]float64 // unmasked
+	Te  [8]float64
 }
 
 // Cursor returns a cursor over the mesh as it is now that gathers the
@@ -47,10 +31,8 @@ func (p *Problem) Cursor(u la.Vec, t []float64) ElemCursor {
 // Seek makes e the element held.
 func (c *ElemCursor) Seek(e int) {
 	if e == c.E {
-		c.Stats[CursorHits]++
 		return
 	}
-	c.Stats[CursorMisses]++
 	c.E = e
 	c.P.gatherCoords(e, &c.Xe)
 	if c.u != nil {
@@ -66,28 +48,6 @@ func (c *ElemCursor) Seek(e int) {
 			c.Te[i] = c.t[v]
 		}
 	}
-}
-
-// Done adds the cursor's counts to the problem's; call it once per chunk.
-func (c *ElemCursor) Done() {
-	gs := c.geo
-	gs.mu.Lock()
-	for i, n := range c.Stats {
-		gs.stats[i] += n
-	}
-	gs.mu.Unlock()
-	c.Stats = PointStats{}
-}
-
-// TakePointStats returns what finished cursors have counted since the
-// last call.
-func (p *Problem) TakePointStats() PointStats {
-	gs := &p.geometry
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	s := gs.stats
-	gs.stats = PointStats{}
-	return s
 }
 
 // Columns returns the column description of the cursor's mesh. It panics

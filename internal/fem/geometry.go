@@ -38,7 +38,6 @@ type geometry struct {
 	frames []float64     // frameStride per element
 	cols   *mesh.Columns // for point location; nil, and colErr says why, off a column mesh
 	colErr error
-	stats  PointStats // what finished cursors counted; TakePointStats drains it
 }
 
 // geom returns the metric store of the mesh as it is now: geomStride

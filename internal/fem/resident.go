@@ -292,10 +292,7 @@ func (r *Resident) ApplyPart(u, y la.Vec) par.Part {
 				}
 			}
 		},
-		Done: func() {
-			p.slabPool.put(bufs)
-			p.countSlabApply(info)
-		},
+		Done: func() { p.slabPool.put(bufs) },
 	}
 }
 

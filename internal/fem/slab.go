@@ -4,11 +4,9 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/par"
-	"ptatin3d/internal/telemetry"
 )
 
 // Slab-partitioned owner-computes scatter: the barrier-free replacement
@@ -291,42 +289,6 @@ func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, 
 		par.Ranges(p.Workers, len(info.shared), merge))
 
 	p.slabPool.put(bufs)
-	p.countSlabApply(info)
-}
-
-// countSlabApply records one slab-scheduled operator application.
-func (p *Problem) countSlabApply(info *slabInfo) {
-	if fp := femProbe.Load(); fp != nil {
-		fp.SlabApplies.Inc()
-		fp.Slabs.Set(float64(info.S))
-		fp.SharedFrac.Set(float64(len(info.shared)) / float64(p.DA.NNodes()))
-	}
-}
-
-// FemProbe carries the slab-schedule instruments recorded by slabApply.
-type FemProbe struct {
-	SlabApplies *telemetry.Counter // slab-scheduled operator applications
-	Slabs       *telemetry.Gauge   // slab count S of the partition
-	SharedFrac  *telemetry.Gauge   // slab-boundary fraction: shared nodes / total nodes
-}
-
-var femProbe atomic.Pointer[FemProbe]
-
-// SetTelemetry installs slab-schedule instrumentation under sc
-// ("slab_applies" counter, "slabs" and "shared_frac" gauges). The
-// boundary fraction shared_frac is the direct measure of how much of the
-// scatter traffic goes through overlap buffers rather than straight into
-// the output vector. Passing nil uninstalls the probe.
-func SetTelemetry(sc *telemetry.Scope) {
-	if sc == nil {
-		femProbe.Store(nil)
-		return
-	}
-	femProbe.Store(&FemProbe{
-		SlabApplies: sc.Counter("slab_applies"),
-		Slabs:       sc.Gauge("slabs"),
-		SharedFrac:  sc.Gauge("shared_frac"),
-	})
 }
 
 // slabState is embedded in Problem: the lazily built partition, the pool

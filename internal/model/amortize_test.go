@@ -186,7 +186,6 @@ func TestPrepareSkipsRepeatedCoefficientUpdate(t *testing.T) {
 	}{{"rift", false}, {"rift", true}, {"sinker", false}, {"rayleigh-taylor", false}} {
 		m := compileSmall(t, c.name, 2)
 		m.UseNewton = c.newton
-		m.Telemetry = telemetry.New().Root().Child("model")
 		var jops []krylov.Op
 		m.Backend = jopBackend{m.Backend, &jops}
 		// A temperature the compiled density was not evaluated at, as after
@@ -194,6 +193,8 @@ func TestPrepareSkipsRepeatedCoefficientUpdate(t *testing.T) {
 		for i := range m.Temp {
 			m.Temp[i] *= 0.99
 		}
+		// Compile's own update is in the record too; count the solve's.
+		before := m.InFlight().CoeffUpdates
 		res, err := m.SolveStokes()
 		if err != nil {
 			t.Fatal(err)
@@ -209,7 +210,7 @@ func TestPrepareSkipsRepeatedCoefficientUpdate(t *testing.T) {
 		if c.newton {
 			want += int64(res.Iterations)
 		}
-		if got := m.Telemetry.Counter("coeff_updates").Value(); got != want {
+		if got := m.InFlight().CoeffUpdates - before; got != want {
 			t.Fatalf("%s newton=%v: %d coefficient updates for %d residual evaluations and %d relinearisations, want %d",
 				c.name, c.newton, got, res.ResidualEvals, res.Iterations, want)
 		}
@@ -374,6 +375,46 @@ func TestStepTelemetryRecordsWhatRan(t *testing.T) {
 		}
 		if got := sc.Child("mg").Child("coarse").Counter("solves").Value(); got <= 0 {
 			t.Errorf("%s: %d coarse solves recorded", mode, got)
+		}
+	}
+}
+
+// TestStepStageTimesWithinWall: the stages of a rift step — which has a
+// free surface and the energy equation — write their wall seconds into
+// the step's record as they run, on the shared backend and on two ranks.
+// Every stage field (a json key ending in _s other than wall_s) is at
+// least 0, together they fit in the step's wall_s, and the ALE, thermal
+// and Krylov stages, which every rift step runs, read more than 0.
+func TestStepStageTimesWithinWall(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs without -short, and under -race in check.sh's point-loops stage")
+	}
+	for _, backend := range []model.StokesBackend{model.SharedBackend{}, model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})} {
+		m := compileSmall(t, "rift", 2)
+		m.Backend = backend
+		if err := m.StepForward(); err != nil {
+			t.Fatal(err)
+		}
+		st := m.Stats[0]
+		v, typ := reflect.ValueOf(st), reflect.TypeOf(st)
+		stages, sum := 0, 0.0
+		for i := 0; i < typ.NumField(); i++ {
+			key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if !strings.HasSuffix(key, "_s") || key == "wall_s" {
+				continue
+			}
+			s := v.Field(i).Float()
+			if s < 0 {
+				t.Errorf("%s: %s = %g", backend.Name(), key, s)
+			}
+			stages++
+			sum += s
+		}
+		if stages != 7 || sum > st.WallS {
+			t.Errorf("%s: %d stages sum to %g s in a %g s step", backend.Name(), stages, sum, st.WallS)
+		}
+		if st.ALES <= 0 || st.ThermalS <= 0 || st.StokesKrylovS <= 0 {
+			t.Errorf("%s: ale_s %g, thermal_s %g, stokes_krylov_s %g; want each > 0", backend.Name(), st.ALES, st.ThermalS, st.StokesKrylovS)
 		}
 	}
 }

@@ -16,3 +16,7 @@ func (m *Model) PointInverses() []float64 { return m.scratch.jinvP }
 // CoeffState returns the coupled state the last coefficient update of a
 // solve evaluated the coefficients at.
 func (m *Model) CoeffState() la.Vec { return m.scratch.coeffX }
+
+// InFlight returns the record of the step in flight, which the stages
+// fill as they run: after a bare SolveStokes, what that solve added.
+func (m *Model) InFlight() *StepStats { return &m.rec }

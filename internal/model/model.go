@@ -71,10 +71,9 @@ type Model struct {
 	// Nonlinear controls the outer Newton/Picard iteration.
 	Nonlinear nonlinear.Options
 
-	// Telemetry, when non-nil, receives per-step instrumentation: a "step"
-	// timer, "steps" counter, material-point accounting counters
-	// (points_advected / points_removed / points_relocated), a "points"
-	// gauge, and a "stokes" child scope threaded into each solver rebuild.
+	// Telemetry, when non-nil, is the scope whose "stokes" child the
+	// solver stack records under (StokesConfig). The step's own numbers
+	// are its StepStats record.
 	Telemetry *telemetry.Scope
 
 	Time    float64
@@ -98,9 +97,10 @@ type Model struct {
 	// and across relinearizations within a step (points only move in the
 	// advection and ALE stages, and Restore replaces them).
 	projector *mpm.Projector
-	// stage accumulates per-stage wall time for the step in flight;
-	// StepForward resets it and publishes the totals.
-	stage stageTimes
+	// rec is the record of the step in flight: the stages add their wall
+	// seconds and counts to it as they run, and StepForward appends it to
+	// Stats.
+	rec StepStats
 	// scratch is what UpdateCoefficients and SolveStokes would otherwise
 	// allocate on every call; slices grow on demand and keep their size.
 	scratch struct {
@@ -124,13 +124,6 @@ func grown(s []float64, n int) []float64 {
 		return make([]float64, n)
 	}
 	return s[:n]
-}
-
-// stageTimes breaks one time step's wall clock into pipeline stages.
-type stageTimes struct {
-	rheology, project, stokesSetup, stokesKrylov time.Duration
-	advect, ale, thermal                         time.Duration
-	setupReused, coeffUpdates                    int64
 }
 
 // StepStats records one time step's solver behaviour — the per-step
@@ -191,10 +184,9 @@ type StepStats struct {
 	// refreshing the cached solver stack instead of a cold build.
 	StokesSetupReused int64 `json:"stokes_setup_reused"`
 	// CoeffUpdates counts the step's point-rheology evaluations of η with
-	// projection (the "coeff_updates" counter): one per solve when no
-	// lithology reads the strain rate or the pressure, else one per
-	// distinct state the residual is evaluated at, plus one per Newton
-	// relinearisation. ρ is evaluated and projected once per solve, by
+	// projection: one per solve when no lithology reads the strain rate or
+	// the pressure, else one per distinct state the residual is evaluated
+	// at, plus one per Newton relinearisation. ρ is evaluated and projected once per solve, by
 	// the first of them.
 	CoeffUpdates int64 `json:"coeff_updates"`
 	// CPUUtil is the share of Workers cores that ran user Go code during
@@ -306,8 +298,7 @@ func (m *Model) updateCoefficients(x la.Vec, wantDeriv, first bool) (facQP []flo
 		sc.facP = grown(sc.facP, n)
 		facP = sc.facP
 	}
-	m.Telemetry.Counter("coeff_updates").Inc()
-	m.stage.coeffUpdates++
+	m.rec.CoeffUpdates++
 	// Per-point rheology evaluation: each point reads the shared state
 	// (x, coordinates, temperature) and writes only its own slots, so the
 	// loop parallelizes with no change in any point's arithmetic.
@@ -315,7 +306,6 @@ func (m *Model) updateCoefficients(x la.Vec, wantDeriv, first bool) (facQP []flo
 	cur, pv := m.stateCursor(x)
 	par.For(max(1, m.Workers), n, func(lo, hi int) {
 		c := cur
-		defer c.Done()
 		for i := lo; i < hi; i++ {
 			st := m.pointState(&c, pv, i, first)
 			l := &m.Lith[pts.Litho[i]]
@@ -345,7 +335,7 @@ func (m *Model) updateCoefficients(x la.Vec, wantDeriv, first bool) (facQP []flo
 			}
 		}
 	})
-	m.stage.rheology += time.Since(t0)
+	m.rec.RheologyS += time.Since(t0).Seconds()
 	t1 := time.Now()
 	if m.projector == nil {
 		m.projector = mpm.NewProjector(m.Prob)
@@ -364,7 +354,7 @@ func (m *Model) updateCoefficients(x la.Vec, wantDeriv, first bool) (facQP []flo
 		facQP = sc.facQP
 		fem.VertexToQP(m.Prob, facV, facQP)
 	}
-	m.stage.project += time.Since(t1)
+	m.rec.MPMProjectS += time.Since(t1).Seconds()
 	return facQP
 }
 
@@ -428,7 +418,7 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	// solver stack's own, brought up to the mesh as it is now.
 	t0 := time.Now()
 	coupling := m.stokesCtx.Coupling(prob)
-	m.stage.stokesSetup += time.Since(t0)
+	m.rec.StokesSetupS += time.Since(t0).Seconds()
 	resOp := stokes.NewOp(prob, fem.NewTensor(prob), coupling)
 	sc := &m.scratch
 	sc.bu, sc.coeffX = grown(sc.bu, nu), grown(sc.coeffX, ncoup)
@@ -478,15 +468,12 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 			facQP := updateCoefficients(x, m.UseNewton)
 			t0 := time.Now()
 			s, reused, err := m.stokesCtx.Prepare(prob, m.StokesConfig())
-			m.stage.stokesSetup += time.Since(t0)
+			m.rec.StokesSetupS += time.Since(t0).Seconds()
 			if err != nil {
 				return nil, nil, fmt.Errorf("preconditioner setup: %w", err)
 			}
 			if reused {
-				m.stage.setupReused++
-				if tel := m.Telemetry; tel != nil {
-					tel.Counter("stokes_setup_reused").Inc()
-				}
+				m.rec.StokesSetupReused++
 			}
 			m.LastStokes = s
 			prepared = s
@@ -504,14 +491,10 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	sys.Inner = func(method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
 		t0 := time.Now()
 		r := m.Backend.LinearSolve(prepared, method, jop, pc, rhs, delta, prm)
-		m.stage.stokesKrylov += time.Since(t0)
+		m.rec.StokesKrylovS += time.Since(t0).Seconds()
 		return r
 	}
 	res := nonlinear.Solve(sys, m.X, m.Nonlinear)
-	if tel := m.Telemetry; tel != nil {
-		tel.Counter("solver_breakdowns").Add(int64(res.Breakdowns))
-		tel.Counter("solver_fallbacks").Add(int64(res.Fallbacks))
-	}
 	if res.Err != nil {
 		return res, fmt.Errorf("model: stokes solve: %w", res.Err)
 	}
@@ -550,8 +533,8 @@ func (m *Model) StepForward() error {
 	start := time.Now()
 	cpuStart := telemetry.ReadCPU()
 	items0, pooled0 := par.Counts()
-	stepStart := m.Telemetry.Timer("step").Start()
-	m.stage = stageTimes{}
+	m.rec = StepStats{Backend: m.Backend.Name()}
+	rec := &m.rec
 	res, err := m.SolveStokes()
 	if err != nil {
 		return err
@@ -588,7 +571,6 @@ func (m *Model) StepForward() error {
 	cur, pv := m.stateCursor(m.X)
 	par.For(max(1, m.Workers), m.Points.Len(), func(lo, hi int) {
 		c := cur
-		defer c.Done()
 		for i := lo; i < hi; i++ {
 			l := &m.Lith[m.Points.Litho[i]]
 			if !l.Plastic {
@@ -600,27 +582,25 @@ func (m *Model) StepForward() error {
 			}
 		}
 	})
-	m.stage.rheology += time.Since(tPlastic)
+	rec.RheologyS += time.Since(tPlastic).Seconds()
 
 	// Advect material points; outflow points are removed (§II-D).
 	tAdvect := time.Now()
-	advected := m.Points.Len()
-	removed, injected := 0, 0
 	mpm.AdvectRK2(m.Prob, u, dt, m.Points, max(1, m.Workers))
 	for i := m.Points.Len() - 1; i >= 0; i-- {
 		if m.Points.Elem[i] < 0 {
 			m.Points.RemoveSwap(i)
-			removed++
+			rec.PointsRemoved++
 		}
 	}
 	if m.MinPointsPerElement > 0 {
 		nper := 2
-		injected = mpm.EnsureMinPerElement(m.Prob, m.Points, m.MinPointsPerElement, nper)
+		rec.PointsInjected = mpm.EnsureMinPerElement(m.Prob, m.Points, m.MinPointsPerElement, nper)
 	}
 	if m.projector != nil {
 		m.projector.Invalidate()
 	}
-	m.stage.advect += time.Since(tAdvect)
+	rec.AdvectS = time.Since(tAdvect).Seconds()
 
 	// ALE free surface update; every point must be relocated afterwards
 	// because the mesh under it moved. Relocation is two-phase: the
@@ -628,8 +608,6 @@ func (m *Model) StepForward() error {
 	// slots), then the lost points are removed by a serial descending
 	// sweep — the exact removal sequence of the original per-point loop. A
 	// surface sunk to a column's bottom fails the step (*mesh.ColumnError).
-	var topoMin, topoMax float64
-	relocated := 0
 	if m.FreeSurface {
 		tALE := time.Now()
 		mesh.UpdateFreeSurface(m.Prob.DA, u, dt, m.VerticalAxis)
@@ -637,21 +615,20 @@ func (m *Model) StepForward() error {
 			return fmt.Errorf("model: ALE update: %w", err)
 		}
 		lost := mpm.LocateAll(m.Prob, m.Points)
-		relocated = m.Points.Len() - len(lost)
 		for k := len(lost) - 1; k >= 0; k-- {
 			m.Points.RemoveSwap(lost[k])
-			removed++
+			rec.PointsRemoved++
 		}
 		if m.projector != nil {
 			m.projector.Invalidate()
 		}
 		m.stokesCtx.InvalidateGeometry()
-		m.stage.ale += time.Since(tALE)
+		rec.ALES = time.Since(tALE).Seconds()
 	}
-	topoMin, topoMax = mesh.SurfaceRange(m.Prob.DA, m.VerticalAxis)
-	ppeMin, ppeMax := math.MaxInt, 0
+	rec.TopoMin, rec.TopoMax = mesh.SurfaceRange(m.Prob.DA, m.VerticalAxis)
+	rec.PPEMin, rec.PPEMax = math.MaxInt, 0
 	for _, n := range mpm.CountPerElement(m.Prob, m.Points) {
-		ppeMin, ppeMax = min(ppeMin, n), max(ppeMax, n)
+		rec.PPEMin, rec.PPEMax = min(rec.PPEMin, n), max(rec.PPEMax, n)
 	}
 
 	// Energy equation.
@@ -660,71 +637,30 @@ func (m *Model) StepForward() error {
 		if err := m.T.Step(m.Temp, u, dt); err != nil {
 			return fmt.Errorf("model: thermal step: %w", err)
 		}
-		m.stage.thermal += time.Since(tThermal)
-	}
-
-	if tel := m.Telemetry; tel != nil {
-		tel.Timer("step").Stop(stepStart)
-		tel.Counter("steps").Inc()
-		tel.Counter("points_advected").Add(int64(advected))
-		tel.Counter("points_removed").Add(int64(removed))
-		tel.Counter("points_relocated").Add(int64(relocated))
-		tel.Gauge("points").Set(float64(m.Points.Len()))
-		tel.Counter("krylov_its").Add(int64(res.KrylovIts))
-		tel.Counter("newton_its").Add(int64(res.Iterations))
-		for i, n := range m.Prob.TakePointStats() {
-			tel.Child("mpm").Counter(fem.PointStatNames[i]).Add(n)
-		}
-		stage := tel.Child("step")
-		stage.Timer("rheology").Observe(m.stage.rheology)
-		stage.Timer("mpm_project").Observe(m.stage.project)
-		stage.Timer("stokes_setup").Observe(m.stage.stokesSetup)
-		stage.Timer("stokes_krylov").Observe(m.stage.stokesKrylov)
-		stage.Timer("advect").Observe(m.stage.advect)
-		stage.Timer("ale").Observe(m.stage.ale)
-		stage.Timer("thermal").Observe(m.stage.thermal)
+		rec.ThermalS = time.Since(tThermal).Seconds()
 	}
 
 	m.Time += dt
 	m.StepNum++
-	st := StepStats{
-		Step: m.StepNum, Time: m.Time, Dt: dt,
-		NewtonIts: res.Iterations, KrylovIts: res.KrylovIts, KrylovBasis: res.KrylovBasis,
-		FNorm0: res.FNorm0, FNorm: res.FNorm, Converged: res.Converged,
-		ResidualEvals: res.ResidualEvals, LineSearchStagnated: res.Stagnated,
-		KrylovBreakdowns: res.Breakdowns, KrylovFallbacks: res.Fallbacks,
-		WallS:      time.Since(start).Seconds(),
-		PointCount: m.Points.Len(), PointsRemoved: removed, PointsInjected: injected,
-		PPEMin: ppeMin, PPEMax: ppeMax,
-		TopoMin: topoMin, TopoMax: topoMax,
-		Backend:           m.Backend.Name(),
-		RheologyS:         m.stage.rheology.Seconds(),
-		MPMProjectS:       m.stage.project.Seconds(),
-		StokesSetupS:      m.stage.stokesSetup.Seconds(),
-		StokesKrylovS:     m.stage.stokesKrylov.Seconds(),
-		AdvectS:           m.stage.advect.Seconds(),
-		ALES:              m.stage.ale.Seconds(),
-		ThermalS:          m.stage.thermal.Seconds(),
-		StokesSetupReused: m.stage.setupReused,
-		CoeffUpdates:      m.stage.coeffUpdates,
-	}
+	rec.Step, rec.Time, rec.Dt = m.StepNum, m.Time, dt
+	rec.NewtonIts, rec.KrylovIts, rec.KrylovBasis = res.Iterations, res.KrylovIts, res.KrylovBasis
+	rec.FNorm0, rec.FNorm, rec.Converged = res.FNorm0, res.FNorm, res.Converged
+	rec.ResidualEvals, rec.LineSearchStagnated = res.ResidualEvals, res.Stagnated
+	rec.KrylovBreakdowns, rec.KrylovFallbacks = res.Breakdowns, res.Fallbacks
+	rec.PointCount = m.Points.Len()
 	if rep, ok := m.Backend.(CommStatsReporter); ok {
 		ranks := rep.TakeCommStats()
-		st.Ranks = len(ranks)
+		rec.Ranks = len(ranks)
 		for _, r := range ranks {
-			st.HaloMsgs += r.HaloMsgs
-			st.HaloBytes += r.HaloBytes
-			st.AllReduces += r.AllReduces
-		}
-		if tel := m.Telemetry; tel != nil {
-			tel.Counter("halo_msgs").Add(st.HaloMsgs)
-			tel.Counter("halo_bytes").Add(st.HaloBytes)
-			tel.Counter("allreduces").Add(st.AllReduces)
+			rec.HaloMsgs += r.HaloMsgs
+			rec.HaloBytes += r.HaloBytes
+			rec.AllReduces += r.AllReduces
 		}
 	}
 	// Simulated ranks are goroutines of this process, Workers wide each.
-	st.CPUUtil = telemetry.ReadCPU().Utilization(cpuStart, max(1, m.Workers)*max(1, st.Ranks))
-	st.HelperShare = par.HelperShare(items0, pooled0)
-	m.Stats = append(m.Stats, st)
+	rec.CPUUtil = telemetry.ReadCPU().Utilization(cpuStart, max(1, m.Workers)*max(1, rec.Ranks))
+	rec.HelperShare = par.HelperShare(items0, pooled0)
+	rec.WallS = time.Since(start).Seconds()
+	m.Stats = append(m.Stats, *rec)
 	return nil
 }

@@ -200,7 +200,8 @@ func TestPointCoefficientsMatchFullState(t *testing.T) {
 // velocity, pressure and temperature, the four evaluators read through an
 // element cursor return the bits of their per-point forms — with the
 // points visited in a shuffled order, so that nearly every seek gathers a
-// new element, and in storage order, where most find it held.
+// new element, and in storage order, where most find it held. A seek to
+// the element visited just before is a hit, any other a miss.
 func TestElementCursorBitwise(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs without -short, and under -race in check.sh's point-loops stage")
@@ -213,11 +214,18 @@ func TestElementCursorBitwise(t *testing.T) {
 	order := rand.New(rand.NewSource(19)).Perm(pts.Len())
 	for pass, shuffled := range []bool{true, false} {
 		c := prob.Cursor(u, m.Temp)
+		hits, misses, held := 0, 0, -1
 		for k, i := range order {
 			if !shuffled {
 				i = k
 			}
 			e, xi, et, ze := int(pts.Elem[i]), pts.Xi[i], pts.Et[i], pts.Ze[i]
+			if e == held {
+				hits++
+			} else {
+				misses++
+			}
+			held = e
 			c.Seek(e)
 			vx, vy, vz := mpm.VelocityAt(&c, xi, et, ze)
 			wx, wy, wz := refVelocityAt(prob, u, e, xi, et, ze)
@@ -236,7 +244,6 @@ func TestElementCursorBitwise(t *testing.T) {
 				t.Fatalf("pass %d point %d: TemperatureAt %v, want %v", pass, i, got, want)
 			}
 		}
-		hits, misses := c.Stats[fem.CursorHits], c.Stats[fem.CursorMisses]
 		if shuffled == (hits > misses) {
 			t.Fatalf("pass %d (shuffled %v): %d hits, %d misses", pass, shuffled, hits, misses)
 		}

@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 
 	"ptatin3d/internal/la"
@@ -106,7 +107,9 @@ func TestAllocBudgetSteadyStep(t *testing.T) {
 // TestKrylovRecordedOnce: on both backends a step's Krylov iterations are
 // recorded once, under the solver's own "krylov" scope — on ranks by rank
 // 0 alone, which iterates in lockstep with the others — and no rank scope
-// holds a copy; the ranks keep their communication counters.
+// holds a copy; the ranks keep their communication counters. No scope
+// outside stokes.krylov holds an iteration count at all: the step's
+// counts are its StepStats record.
 func TestKrylovRecordedOnce(t *testing.T) {
 	for _, backend := range []model.StokesBackend{model.SharedBackend{}, model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})} {
 		m := compileSmall(t, "sinker", 1)
@@ -145,11 +148,37 @@ func TestKrylovRecordedOnce(t *testing.T) {
 				}
 			}
 		}
+		walkScopes(m.Telemetry.Snapshot(), "", func(path string, sc *telemetry.ScopeSnapshot) {
+			for name := range sc.Counters {
+				if isIterationCount(name) && path != "model.stokes.krylov" {
+					t.Errorf("%s: %s holds an iteration count %q", backend.Name(), path, name)
+				}
+			}
+		})
 		if want == 0 || krylovIts != want {
 			t.Errorf("%s: stokes.krylov records %d iterations; the step ran %d", backend.Name(), krylovIts, want)
 		}
 		if wantRanks := map[string]int{"shared": 0, "distributed": 2}[backend.Name()]; ranks != wantRanks {
 			t.Errorf("%s: %d rank scopes, want %d", backend.Name(), ranks, wantRanks)
 		}
+	}
+}
+
+// isIterationCount reports whether a counter's name says it counts solver
+// iterations.
+func isIterationCount(name string) bool {
+	return name == "iterations" || name == "its" || strings.HasSuffix(name, "_its")
+}
+
+// walkScopes calls f on sc and every scope below it, each with its dotted
+// path.
+func walkScopes(sc *telemetry.ScopeSnapshot, parent string, f func(path string, sc *telemetry.ScopeSnapshot)) {
+	path := sc.Name
+	if parent != "" {
+		path = parent + "." + sc.Name
+	}
+	f(path, sc)
+	for _, c := range sc.Children {
+		walkScopes(c, path, f)
 	}
 }

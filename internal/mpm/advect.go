@@ -30,7 +30,6 @@ func AdvectRK2(prob *fem.Problem, u la.Vec, dt float64, pts *Points, workers int
 	cur := prob.Cursor(u, nil)
 	par.For(workers, pts.Len(), func(lo, hi int) {
 		c := cur
-		defer c.Done()
 		for i := lo; i < hi; i++ {
 			e := int(pts.Elem[i])
 			if e < 0 {

@@ -21,11 +21,9 @@ import (
 const locBounds = 1.0 + 1e-8
 
 // Locate finds the element containing (x,y,z) and the point's reference
-// coordinates in it; found is false outside the domain. It counts the
-// call and seeks nothing: a caller that evaluates in the element seeks
-// it. It panics on a mesh that is not a column mesh.
+// coordinates in it; found is false outside the domain. It seeks
+// nothing: a caller that evaluates in the element seeks it. It panics on a mesh that is not a column mesh.
 func Locate(c *fem.ElemCursor, x, y, z float64) (e int, xi, et, ze float64, found bool) {
-	c.Stats[fem.LocateCalls]++
 	col := c.Columns()
 	p := [3]float64{x, y, z}
 	var ijk [3]int
@@ -91,7 +89,6 @@ func locateAll(prob *fem.Problem, pts *Points, workers int) (lost []int) {
 	cur := prob.Cursor(nil, nil)
 	par.For(workers, n, func(lo, hi int) {
 		c := cur
-		defer c.Done()
 		for i := lo; i < hi; i++ {
 			e, xi, et, ze, ok := Locate(&c, pts.X[i], pts.Y[i], pts.Z[i])
 			if ok {

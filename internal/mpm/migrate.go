@@ -94,7 +94,6 @@ func Migrate(r *comm.Rank, d *comm.Decomp, prob *fem.Problem, pts *Points, sc *t
 
 	// Process Lr: adopt points whose containing element is ours.
 	c := prob.Cursor(nil, nil)
-	defer c.Done()
 	for i := range nbrs {
 		lr := recv[i].(*PointPacket)
 		for i := 0; i < lr.Len(); i++ {

@@ -10,64 +10,6 @@
 // Parts.
 package par
 
-import (
-	"sync/atomic"
-
-	"ptatin3d/internal/telemetry"
-)
-
-// Probe carries the worker-occupancy instruments recorded by For and
-// Phased (a Phased item counts as a chunk). All fields are nil-safe
-// telemetry handles; the probe itself is installed via SetTelemetry and
-// read through an atomic pointer, so the disabled cost in a region is one
-// atomic load plus a nil check.
-type Probe struct {
-	Calls   *telemetry.Counter // For invocations that went parallel
-	Serial  *telemetry.Counter // For invocations run on the caller's goroutine
-	Chunks  *telemetry.Counter // worker chunks launched
-	Items   *telemetry.Counter // items distributed
-	Busy    *telemetry.Timer   // per-chunk busy time (summed over workers)
-	Wall    *telemetry.Timer   // caller wall time of parallel regions
-	Workers *telemetry.Counter // workers requested (occupancy denominator)
-
-	// Pool-occupancy instruments: how chunk execution splits between the
-	// persistent pool workers and the calling goroutine (which always
-	// participates in its own job), and the pool size itself. The pooled
-	// fraction ChunksPooled/(ChunksPooled+ChunksInline) is the direct
-	// measure of how much help the pool provided.
-	PoolWorkers  *telemetry.Gauge   // persistent pool size (GOMAXPROCS at start)
-	ChunksPooled *telemetry.Counter // chunks executed by pool workers
-	ChunksInline *telemetry.Counter // chunks executed by the calling goroutine
-}
-
-var probe atomic.Pointer[Probe]
-
-// SetTelemetry installs worker-occupancy instrumentation under sc
-// ("calls", "chunks", "items", "workers" counters and "busy"/"wall"
-// timers, plus the pool instruments "pool_workers", "chunks_pooled",
-// "chunks_inline"). Occupancy is Busy.Elapsed / Wall.Elapsed ÷
-// (Workers/Calls): the fraction of requested worker-seconds actually
-// spent in body closures. Passing a nil scope uninstalls the probe. Safe
-// to call concurrently with running For loops.
-func SetTelemetry(sc *telemetry.Scope) {
-	if sc == nil {
-		probe.Store(nil)
-		return
-	}
-	probe.Store(&Probe{
-		Calls:        sc.Counter("calls"),
-		Serial:       sc.Counter("serial_calls"),
-		Chunks:       sc.Counter("chunks"),
-		Items:        sc.Counter("items"),
-		Busy:         sc.Timer("busy"),
-		Wall:         sc.Timer("wall"),
-		Workers:      sc.Counter("workers"),
-		PoolWorkers:  sc.Gauge("pool_workers"),
-		ChunksPooled: sc.Counter("chunks_pooled"),
-		ChunksInline: sc.Counter("chunks_inline"),
-	})
-}
-
 // For partitions the half-open range [0,n) into contiguous chunks and runs
 // body(lo,hi) on the persistent worker pool, the caller included. It
 // blocks until all chunks finish. With nworkers <= 1 the body is invoked
@@ -99,15 +41,11 @@ func ForChunk(nworkers, n int, body func(c, lo, hi int)) {
 		return
 	}
 	if nworkers <= 1 || n == 1 {
-		if p := probe.Load(); p != nil {
-			p.Serial.Inc()
-			p.Items.Add(int64(n))
-		}
 		body(0, 0, n)
 		return
 	}
 	nchunks := min(nworkers, n)
-	region(nchunks, 1, int64(n),
+	dispatch(nchunks, 1,
 		func(int) int { return nchunks },
 		func(_, c int) {
 			lo, hi := Chunk(c, nchunks, n)
@@ -138,44 +76,15 @@ func ForChunk(nworkers, n int, body func(c, lo, hi int)) {
 // the items of phase ph wrote is visible to prepare(ph+1) and its items.
 func Phased(nworkers, nphases int, prepare func(phase int) int, item func(phase, i int)) {
 	if nworkers <= 1 {
-		var items int64
 		for ph := 0; ph < nphases; ph++ {
 			n := prepare(ph)
 			for i := 0; i < n; i++ {
 				item(ph, i)
 			}
-			items += int64(max(n, 0))
-		}
-		if p := probe.Load(); p != nil {
-			p.Serial.Inc()
-			p.Items.Add(items)
 		}
 		return
 	}
-	region(nworkers, nphases, -1, prepare, item)
-}
-
-// region dispatches one parallel job and records it on the probe. Every
-// item the job distributes is a chunk of the occupancy instruments; size
-// is what the Items counter grows by, the job's own item count when
-// negative.
-func region(nworkers, nphases int, size int64, prepare func(phase int) int, item func(phase, i int)) {
-	p := probe.Load()
-	if p == nil {
-		dispatch(nworkers, nphases, prepare, item)
-		return
-	}
-	p.Calls.Inc()
-	p.Workers.Add(int64(nworkers))
-	wallStart := p.Wall.Start()
-	chunks := dispatch(nworkers, nphases, prepare, item)
-	p.Wall.Stop(wallStart)
-	p.Chunks.Add(chunks)
-	if size < 0 {
-		size = chunks
-	}
-	p.Items.Add(size)
-	p.PoolWorkers.Set(float64(poolSize))
+	dispatch(nworkers, nphases, prepare, item)
 }
 
 // Chunk returns the bounds of chunk c of the balanced partition of [0,n)

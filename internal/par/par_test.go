@@ -9,8 +9,6 @@ import (
 	"syscall"
 	"testing"
 	"time"
-
-	"ptatin3d/internal/telemetry"
 )
 
 func TestForCoversRangeOnce(t *testing.T) {
@@ -278,40 +276,6 @@ func TestConcurrentNestedMixed(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
-	}
-}
-
-// TestTelemetryProbe: with a probe installed, For records chunk counts,
-// item totals and busy/wall times; uninstalling stops recording.
-func TestTelemetryProbe(t *testing.T) {
-	reg := telemetry.New()
-	sc := reg.Root().Child("par")
-	SetTelemetry(sc)
-	defer SetTelemetry(nil)
-
-	For(4, 100, func(lo, hi int) {})
-	For(1, 10, func(lo, hi int) {})
-
-	if got := sc.Counter("calls").Value(); got != 1 {
-		t.Fatalf("parallel calls = %d, want 1", got)
-	}
-	if got := sc.Counter("serial_calls").Value(); got != 1 {
-		t.Fatalf("serial calls = %d, want 1", got)
-	}
-	if got := sc.Counter("chunks").Value(); got != 4 {
-		t.Fatalf("chunks = %d, want 4", got)
-	}
-	if got := sc.Counter("items").Value(); got != 110 {
-		t.Fatalf("items = %d, want 110", got)
-	}
-	if sc.Timer("busy").Calls() != 4 || sc.Timer("wall").Calls() != 1 {
-		t.Fatalf("timer calls busy=%d wall=%d", sc.Timer("busy").Calls(), sc.Timer("wall").Calls())
-	}
-
-	SetTelemetry(nil)
-	For(4, 100, func(lo, hi int) {})
-	if got := sc.Counter("calls").Value(); got != 1 {
-		t.Fatalf("probe still recording after uninstall: %d", got)
 	}
 }
 

@@ -123,14 +123,13 @@ func (jb *poolJob) claim() (g int64, ok, over bool) {
 // next) or until the job is over (a pool worker, pooled, who waits on the
 // job's counters between phases).
 func (jb *poolJob) run(pooled bool) {
-	p := probe.Load()
 	var wait spin
 	var ran int64
 	for {
 		g, ok, over := jb.claim()
 		switch {
 		case ok:
-			jb.runItem(g, pooled, p)
+			jb.runItem(g)
 			ran++
 			wait = 0
 		case !pooled:
@@ -147,7 +146,7 @@ func (jb *poolJob) run(pooled bool) {
 // runItem executes one item with panic capture. The done count is
 // deferred first so it runs after the recover — a panicking item can
 // never leave the caller waiting for it.
-func (jb *poolJob) runItem(g int64, pooled bool, p *Probe) {
+func (jb *poolJob) runItem(g int64) {
 	defer jb.done.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
@@ -155,26 +154,13 @@ func (jb *poolJob) runItem(g int64, pooled bool, p *Probe) {
 			jb.panicVal.CompareAndSwap(nil, &v)
 		}
 	}()
-	phase, i := jb.phase, int(g-jb.base)
-	if p != nil {
-		if pooled {
-			p.ChunksPooled.Inc()
-		} else {
-			p.ChunksInline.Inc()
-		}
-		st := p.Busy.Start()
-		jb.item(phase, i)
-		p.Busy.Stop(st)
-		return
-	}
-	jb.item(phase, i)
+	jb.item(jb.phase, int(g-jb.base))
 }
 
 // dispatch runs a job of nphases phases on the pool with up to nworkers
-// participants, the caller among them, and returns the number of items
-// it had. Panics from items are re-raised here with their original value
+// participants, the caller among them. Panics from items are re-raised here with their original value
 // once the phase they occurred in has drained; later phases are skipped.
-func dispatch(nworkers, nphases int, prepare func(phase int) int, item func(phase, i int)) int64 {
+func dispatch(nworkers, nphases int, prepare func(phase int) int, item func(phase, i int)) {
 	startPool()
 	jb := &poolJob{item: item}
 	// Whatever happens on this goroutine — prepare may panic too — the
@@ -216,7 +202,6 @@ offer:
 		}
 	}
 	statItems.Add(lim)
-	return lim
 }
 
 // Always-on totals behind Counts: items of parallel regions, and

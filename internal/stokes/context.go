@@ -27,10 +27,6 @@ type Context struct {
 	// cpl is the coupling Coupling built for prob while no cached solver
 	// was on it; the cold build of the next Prepare on prob takes it over.
 	cpl *fem.Coupling
-
-	// Reused counts the Prepare calls served by a refresh instead of a
-	// cold build (the stokes_setup_reused run-record counter).
-	Reused int64
 }
 
 // InvalidateGeometry marks the fine mesh coordinates as moved since the
@@ -96,7 +92,6 @@ func (c *Context) Prepare(prob *fem.Problem, cfg Config) (*Solver, bool, error) 
 		return nil, false, err
 	}
 	c.geomDirty = false
-	c.Reused++
 	return c.s, true, nil
 }
 

@@ -9,7 +9,9 @@
 # of the level-1 assembly against its Go body and the sweep-ordered ILU(0)
 # against its CSR form in a GOAMD64=v3 build, a
 # racy re-run of the neighbour exchange, mailbox and migration tests, a
-# guard that the retransmission protocol and fault injector stay gone, the
+# guard that the retransmission protocol and fault injector stay gone, a
+# guard that the step record stays the one per-step record (no pool or
+# slab probe, cursor counts, stage-time copy or set-up reuse counter), the
 # benchmark
 # module's own vet and tests (bench/ is a separate module that the root go
 # build and go test skip), a scenario smoke of every spec on both backends
@@ -118,9 +120,9 @@ named_tests -count=1 '^TestOpEquivalence$' ./internal/op
 echo "== go test -short -race =="
 go test -short -race ./...
 
-echo "== neighbour exchange, mailbox, halo rings against a slow receiver, point migration under -race =="
+echo "== neighbour exchange, mailbox, halo rings against a slow receiver, a collective-order mismatch as an error, point migration under -race =="
 named_tests -race \
-    'TestExchangeReliableBasic|TestExchangeReliableStallRecovery|TestExchangeDeadlockNamesSilentPeer|TestRecvWaitsThroughQuiet|TestExchangeReliablePreservesCollectivePayloads|TestMailbox|TestRingsOutlastSlowReceiver|TestMigrateProtocol|TestMigrateExchangeFailure' \
+    'TestCollectiveOrderMismatchIsAnError|TestExchangeReliableBasic|TestExchangeReliableStallRecovery|TestExchangeDeadlockNamesSilentPeer|TestRecvWaitsThroughQuiet|TestExchangeReliablePreservesCollectivePayloads|TestMailbox|TestRingsOutlastSlowReceiver|TestMigrateProtocol|TestMigrateExchangeFailure' \
     ./internal/comm ./internal/mpm
 
 # Every message is delivered once and in order per source, so no exchange
@@ -128,6 +130,17 @@ named_tests -race \
 echo "== no retransmission: no fault injector, acknowledgement, payload checksum or send history in non-test Go =="
 if grep -rnE 'FaultPlan|envAck|envResend|rememberSent|Checksummer|Corrupter|comm\.Retries' --include='*.go' . | grep -v '_test\.go:'; then
     echo "check.sh: the retransmission protocol or the fault injector is back in non-test Go (above)" >&2
+    exit 1
+fi
+
+# The step writes its StepStats record as it runs; nothing else keeps a
+# copy of what it holds (helper share, stage times, set-up reuse) or of
+# what Problem.SlabStats reports.
+echo "== one step record: no pool or slab probe, cursor counts, stage-time copy or set-up reuse counter in non-test Go =="
+if grep -rnE 'par\.Probe|PointStats|TakePointStats|stageTimes' --include='*.go' . | grep -v '_test\.go:' ||
+    grep -rnE 'SetTelemetry\(|type (Fem)?Probe\b' --include='*.go' internal/par internal/fem | grep -v '_test\.go:' ||
+    grep -rnw 'Reused' --include='*.go' internal/stokes | grep -v '_test\.go:'; then
+    echo "check.sh: a second copy of the step record's numbers is back in non-test Go (above)" >&2
     exit 1
 fi
 
@@ -194,9 +207,9 @@ named_tests -race \
     'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestProjectorCachedWeights|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
     ./internal/mpm ./internal/model
 
-echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, per-solve inverse Jacobians follow the points and the mesh, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population and the Krylov breakdowns and fallbacks in the step record, the -json steps == the step stats under every key, under -race =="
+echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, per-solve inverse Jacobians follow the points and the mesh, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population and the Krylov breakdowns and fallbacks in the step record, the -json steps == the step stats under every key, the stage times within the step's wall time on both backends, under -race =="
 named_tests -race \
-    'TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestPointInversesFollowPointsAndMesh|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestDensityReadsNoStokesState|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation|TestRunRecordsKrylovFallbacks|TestRunRecordsStepStats' \
+    'TestStepStageTimesWithinWall|TestLocateMatchesNewtonOracle|TestLocateFaceTieBreak|TestElementFrameBitwise|TestElementCursorBitwise|TestPlasticPassSkipsNonYielding|TestPointInversesFollowPointsAndMesh|TestQ2BasisTabulatedBitwise|TestReadsCoversEveryField|TestDensityReadsNoStokesState|TestPointCoefficientsMatchFullState|TestRunRecordsCoeffUpdates|TestRunRecordsPopulation|TestRunRecordsKrylovFallbacks|TestRunRecordsStepStats' \
     ./internal/fem ./internal/mpm ./internal/model ./internal/rheology ./internal/driver
 
 echo "== benchmark module: vet + its own tests =="
