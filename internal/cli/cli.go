@@ -35,7 +35,7 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	for _, name := range names {
 		switch name {
 		case "workers":
-			fs.IntVar(&f.Workers, name, 0, "worker goroutines (0 = runtime.NumCPU())")
+			fs.IntVar(&f.Workers, name, 0, "worker goroutines, of each simulated rank under -ranks (0 = runtime.NumCPU() shared among the ranks: max(1, NumCPU/ranks) each)")
 		case "op":
 			fs.StringVar(&f.Op, name, "", "fine-level operator representation (mfc|mf|mfref|asm|galerkin; default: the spec's, else mfc)")
 		case "telemetry":
@@ -56,12 +56,18 @@ func (f *Flags) Register(fs *flag.FlagSet, names ...string) {
 	}
 }
 
-// Parse parses args into fs and normalises -workers.
+// Parse parses args into fs and normalises -workers: 0 shares the CPUs
+// among the ranks of a valid -ranks grid (a malformed one is left for the
+// command to refuse).
 func (f *Flags) Parse(fs *flag.FlagSet, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	f.Workers = Workers(f.Workers)
+	ranks := 1
+	if px, py, pz, err := ParseRanks(f.Ranks); err == nil {
+		ranks = px * py * pz
+	}
+	f.Workers = RankWorkers(f.Workers, ranks)
 	return nil
 }
 
@@ -143,9 +149,15 @@ func ParseRanks(s string) (px, py, pz int, err error) {
 
 // Workers normalizes a -workers flag value: non-positive means "use
 // every CPU".
-func Workers(n int) int {
+func Workers(n int) int { return RankWorkers(n, 1) }
+
+// RankWorkers normalizes a -workers flag value for each of ranks
+// simulated ranks: non-positive means "share every CPU among them",
+// max(1, NumCPU/ranks) each, so a step that runs Workers × ranks wide
+// uses the host's cores and no more.
+func RankWorkers(n, ranks int) int {
 	if n <= 0 {
-		return runtime.NumCPU()
+		return max(1, runtime.NumCPU()/max(1, ranks))
 	}
 	return n
 }

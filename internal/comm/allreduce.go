@@ -38,8 +38,9 @@ type reduceMsg struct{ v []float64 }
 // The batch width must match on all ranks (one collective per call).
 // The returned slice is the handle's own, private to the rank and valid
 // until its next allreduce; once the buffers have held a call as wide,
-// the call allocates nothing.
-func (d *Dist) AllReduceSumVec(x []float64) []float64 {
+// the call allocates nothing. Ranks that disagree on the collective
+// order get an error instead of the sums (takeReduce).
+func (d *Dist) AllReduceSumVec(x []float64) ([]float64, error) {
 	start := time.Now()
 	r := d.R
 	size := r.W.Size()
@@ -53,7 +54,7 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 	}()
 	if size == 1 {
 		d.ar.out = append(d.ar.out[:0], x...)
-		return d.ar.out
+		return d.ar.out, nil
 	}
 	id := r.ID
 	// Gather: fold in each child subtree's raw blocks (contiguous,
@@ -66,7 +67,11 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 			break
 		}
 		if src := id + bit; src < size {
-			up.v = append(up.v, r.recv(src).(*reduceMsg).v...)
+			m, err := takeReduce(r, src)
+			if err != nil {
+				return nil, err
+			}
+			up.v = append(up.v, m.v...)
 		}
 	}
 	var down *reduceMsg
@@ -87,7 +92,10 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 		}
 		down.v = res
 	} else {
-		down = r.recv(id - lowbit(id)).(*reduceMsg)
+		var err error
+		if down, err = takeReduce(r, id-lowbit(id)); err != nil {
+			return nil, err
+		}
 	}
 	// Broadcast down, to the children of the gather in its order. The sums
 	// travel the tree read-only; every rank copies them out.
@@ -97,5 +105,17 @@ func (d *Dist) AllReduceSumVec(x []float64) []float64 {
 		}
 	}
 	d.ar.out = append(d.ar.out[:0], down.v...)
-	return d.ar.out
+	return d.ar.out, nil
+}
+
+// takeReduce takes the next tree hop from src. Like an exchange's Wait it
+// gives up at the world's quiet, with an *ExchangeError naming src, and
+// it returns a *PayloadError when src's next message belongs to another
+// collective: in either case the ranks disagree on the collective order.
+func takeReduce(r *Rank, src int) (*reduceMsg, error) {
+	v, ok := r.take(src, true)
+	if !ok {
+		return nil, &ExchangeError{Rank: r.ID, Missing: []int{src}}
+	}
+	return payloadAs[*reduceMsg](r.ID, src, v)
 }

@@ -34,7 +34,11 @@ func TestAllReduceSumVecMatchesSerialGather(t *testing.T) {
 				for i := range x {
 					x[i] = arValue(r.ID, i, 0)
 				}
-				got := d.AllReduceSumVec(x)
+				got, err := d.AllReduceSumVec(x)
+				if err != nil {
+					t.Errorf("size %d width %d: rank %d: %v", size, width, r.ID, err)
+					return
+				}
 				// Mutating the returned slice must not leak to any other
 				// rank (the tree shares blocks read-only internally).
 				got2 := append([]float64(nil), got...)
@@ -43,6 +47,9 @@ func TestAllReduceSumVecMatchesSerialGather(t *testing.T) {
 				}
 				results[r.ID] = got2
 			})
+			if t.Failed() {
+				return
+			}
 			for rank := 0; rank < size; rank++ {
 				for i := 0; i < width; i++ {
 					if math.Float64bits(results[rank][i]) != math.Float64bits(want[i]) {
@@ -68,7 +75,10 @@ func TestAllReduceSumMatchesVec(t *testing.T) {
 	w := NewWorld(size)
 	w.Run(func(r *Rank) {
 		d := &Dist{R: r}
-		got := d.AllReduceSum(arValue(r.ID, 0, 1))
+		got, err := d.AllReduceSum(arValue(r.ID, 0, 1))
+		if err != nil {
+			t.Errorf("rank %d: %v", r.ID, err)
+		}
 		mu.Lock()
 		vals[r.ID] = got
 		mu.Unlock()

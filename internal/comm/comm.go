@@ -195,8 +195,9 @@ func (w *World) put(to int, m message) {
 // is the one place a rank blocks on the fabric. With untilQuiet it gives
 // up, reporting false, when the world goes quiet while it waits: every
 // rank waiting and nothing in flight, so no message can come. Without, it
-// waits for ever (the collectives' receive). On an empty mailbox it first
-// spins (World.poll), still counted busy, and only then waits.
+// waits for ever (a plain receive, which only the tests make). On an
+// empty mailbox it first spins (World.poll), still counted busy, and only
+// then waits.
 func (w *World) pull(id int, untilQuiet bool) (message, bool) {
 	b := &w.inbox[id]
 	var quiet <-chan struct{}
@@ -360,8 +361,8 @@ func (r *Rank) Send(to int, v interface{}) {
 
 // take returns the next message of rank `from`, queuing on the way what
 // the other sources sent. With untilQuiet it gives up, reporting false,
-// when the world goes quiet first (an exchange's Wait); without, it waits
-// however long the world stays quiet (the collectives' receive).
+// when the world goes quiet first (an exchange's Wait, an allreduce's
+// hop); without, it waits however long the world stays quiet.
 func (r *Rank) take(from int, untilQuiet bool) (interface{}, bool) {
 	if r.oob == nil {
 		r.oob = make([]fifo, r.W.size)
@@ -379,11 +380,4 @@ func (r *Rank) take(from int, untilQuiet bool) (interface{}, bool) {
 		}
 		r.oob[m.from].push(m.v)
 	}
-}
-
-// recv returns the next message of rank `from`, waiting for it however
-// long the world stays quiet.
-func (r *Rank) recv(from int) interface{} {
-	v, _ := r.take(from, false)
-	return v
 }

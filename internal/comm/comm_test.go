@@ -7,6 +7,13 @@ import (
 	"ptatin3d/internal/mesh"
 )
 
+// recv returns the next message of rank `from`, waiting for it however
+// long the world stays quiet: the plain receive the fabric tests drive.
+func (r *Rank) recv(from int) interface{} {
+	v, _ := r.take(from, false)
+	return v
+}
+
 func TestWorldSendRecv(t *testing.T) {
 	w := NewWorld(4)
 	var sum int64

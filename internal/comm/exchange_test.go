@@ -187,6 +187,53 @@ func TestCollectiveOrderMismatchIsAnError(t *testing.T) {
 	}
 }
 
+// TestAllReduceOrderMismatchIsAnError: on a 2×1×1 world rank 0 enters an
+// allreduce while rank 1 runs an owner broadcast. Rank 0's tree hop takes
+// rank 1's halo packet: a *PayloadError naming rank 0, source 1 and the
+// two types, where an unchecked receive panicked. Rank 1's broadcast
+// then waits for a packet rank 0 never sends, and the world's quiet ends
+// it with an *ExchangeError missing rank 0. Neither rank panics or hangs.
+func TestAllReduceOrderMismatchIsAnError(t *testing.T) {
+	da := mesh.New(4, 2, 2, 0, 1, 0, 1, 0, 1)
+	d, err := NewDecomp(da, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errs := make([]error, 2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		NewWorld(2).Run(func(r *Rank) {
+			defer func() {
+				if p := recover(); p != nil {
+					errs[r.ID] = fmt.Errorf("panic: %v", p)
+				}
+			}()
+			dist := NewDist(r, NewLayout(d, r.ID), nil)
+			if r.ID == 0 {
+				_, errs[0] = dist.AllReduceSum(1)
+				return
+			}
+			errs[1] = dist.Broadcast(make([]float64, 3*da.NNodes()))
+		})
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("an allreduce facing a broadcast hung")
+	}
+	var pe *PayloadError
+	if !errors.As(errs[0], &pe) {
+		t.Errorf("rank 0: got %v, want *PayloadError", errs[0])
+	} else if pe.Rank != 0 || pe.Source != 1 || pe.Want != "*comm.reduceMsg" || pe.Got != "*comm.haloPacket" {
+		t.Errorf("rank 0: %+v, want rank 0 taking a *comm.haloPacket from 1 where a *comm.reduceMsg was due", pe)
+	}
+	var xe *ExchangeError
+	if !errors.As(errs[1], &xe) || !slices.Equal(xe.Missing, []int{0}) {
+		t.Errorf("rank 1: got %v, want an *ExchangeError missing [0]", errs[1])
+	}
+}
+
 // TestRecvWaitsThroughQuiet: a collective's receive is not an exchange,
 // so it waits through the world's quiet until its message comes. On the
 // deadlocked pair, rank 0 lists rank 1, and rank 1 lists no one and takes

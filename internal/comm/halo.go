@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"math"
 
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/telemetry"
@@ -226,8 +227,14 @@ func (pk *haloPacket) unpack(y []float64) {
 // goroutine scheduling. Implemented on the width-1 binomial tree of
 // AllReduceSumVec — O(log P) depth with the exact ascending-rank
 // summation order of a serial gather. This is the AllReduce under every
-// distributed dot product/norm.
-func (d *Dist) AllReduceSum(x float64) float64 {
+// distributed dot product/norm. On an error (ranks that disagree on the
+// collective order) the sum reads NaN, so an iteration that goes on with
+// it breaks down at once.
+func (d *Dist) AllReduceSum(x float64) (float64, error) {
 	buf := [1]float64{x}
-	return d.AllReduceSumVec(buf[:])[0]
+	v, err := d.AllReduceSumVec(buf[:])
+	if err != nil {
+		return math.NaN(), err
+	}
+	return v[0], nil
 }

@@ -108,7 +108,10 @@ func TestDistAllReduceSum(t *testing.T) {
 		var mu sync.Mutex
 		w.Run(func(r *Rank) {
 			dist := NewDist(r, NewLayout(d, r.ID), nil)
-			v := dist.AllReduceSum(0.1 * float64(r.ID+1))
+			v, err := dist.AllReduceSum(0.1 * float64(r.ID+1))
+			if err != nil {
+				t.Errorf("rank %d: %v", r.ID, err)
+			}
 			mu.Lock()
 			got[r.ID] = v
 			mu.Unlock()

@@ -12,10 +12,18 @@ import (
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/op"
+	"ptatin3d/internal/par"
 )
 
 // buildDistFixture builds a shared hierarchy plus per-level decomps.
 func buildDistFixture(t *testing.T, m, levels int, px, py, pz int) (*MG, []*comm.Decomp) {
+	t.Helper()
+	return buildWideDistFixture(t, m, levels, px, py, pz, 1)
+}
+
+// buildWideDistFixture is buildDistFixture with the hierarchy built
+// workers wide.
+func buildWideDistFixture(t *testing.T, m, levels int, px, py, pz, workers int) (*MG, []*comm.Decomp) {
 	t.Helper()
 	eta := func(x, y, z float64) float64 { return 1 + 10*x*y + 5*z }
 	fine := stdProblem(m, eta)
@@ -23,6 +31,7 @@ func buildDistFixture(t *testing.T, m, levels int, px, py, pz int) (*MG, []*comm
 	mgp, err := Build(probs, Options{
 		Kinds:       layoutKinds(t, levels, op.Tensor),
 		SmoothSteps: 2,
+		Workers:     workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,54 +116,65 @@ func TestDistMGMatchesShared(t *testing.T) {
 // — bit for bit what Prolongation.ApplyTranspose computes, and
 // prolongation over the owned+ghost box equals Apply bit for bit. (The
 // scatter + rank-ordered owner-reduce this replaced agreed only to
-// rounding.)
+// rounding.) A rank is one worker: over a hierarchy built 4 wide its
+// transfers run plain loops and post nothing to the pool (par.Counts
+// does not move).
 func TestDistRestrictBitwiseShared(t *testing.T) {
-	mgp, decomps := buildDistFixture(t, 8, 2, 2, 2, 1)
-	p := mgp.Levels[1].P
-	rng := rand.New(rand.NewSource(41))
-	rf := la.NewVec(p.Fine.NVelDOF())
-	uc := la.NewVec(p.Coarse.NVelDOF())
-	for i := range rf {
-		rf[i] = rng.NormFloat64()
-	}
-	for i := range uc {
-		uc[i] = rng.NormFloat64()
-	}
-	rcS, ufS := la.NewVec(len(uc)), la.NewVec(len(rf))
-	p.ApplyTranspose(rf, rcS)
-	p.Apply(uc, ufS)
+	for _, workers := range []int{1, 4} {
+		mgp, decomps := buildWideDistFixture(t, 8, 2, 2, 2, 1, workers)
+		p := mgp.Levels[1].P
+		if p.Workers != workers {
+			t.Fatalf("hierarchy transfer %d wide, want %d", p.Workers, workers)
+		}
+		rng := rand.New(rand.NewSource(41))
+		rf := la.NewVec(p.Fine.NVelDOF())
+		uc := la.NewVec(p.Coarse.NVelDOF())
+		for i := range rf {
+			rf[i] = rng.NormFloat64()
+		}
+		for i := range uc {
+			uc[i] = rng.NormFloat64()
+		}
+		rcS, ufS := la.NewVec(len(uc)), la.NewVec(len(rf))
+		p.ApplyTranspose(rf, rcS)
+		p.Apply(uc, ufS)
 
-	comm.NewWorld(decomps[0].Size()).Run(func(r *comm.Rank) {
-		dists := rankDists(r, decomps)
-		dmg, err := NewDist(mgp, dists, DistOptions{})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		tr := dmg.lev[1].p
-		rc, uf := la.NewVec(len(uc)), la.NewVec(len(rf))
-		tr.ApplyTranspose(rf, rc)
-		tr.Apply(uc, uf)
-		if err := dmg.Err(); err != nil {
-			t.Errorf("rank %d: %v", r.ID, err)
-		}
-		for _, sp := range dists[1].L.VelSpans() { // owned and ghost
-			for d := sp.Lo; d < sp.Hi; d++ {
-				if rc[d] != rcS[d] {
-					t.Errorf("rank %d: restricted dof %d = %v, shared %v", r.ID, d, rc[d], rcS[d])
-					return
+		items0, _ := par.Counts()
+		comm.NewWorld(decomps[0].Size()).Run(func(r *comm.Rank) {
+			dists := rankDists(r, decomps)
+			dmg, err := NewDist(mgp, dists, DistOptions{})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			tr := dmg.lev[1].p
+			rc, uf := la.NewVec(len(uc)), la.NewVec(len(rf))
+			tr.ApplyTranspose(rf, rc)
+			tr.Apply(uc, uf)
+			if err := dmg.Err(); err != nil {
+				t.Errorf("%d workers, rank %d: %v", workers, r.ID, err)
+			}
+			for _, sp := range dists[1].L.VelSpans() { // owned and ghost
+				for d := sp.Lo; d < sp.Hi; d++ {
+					if rc[d] != rcS[d] {
+						t.Errorf("%d workers, rank %d: restricted dof %d = %v, shared %v", workers, r.ID, d, rc[d], rcS[d])
+						return
+					}
 				}
 			}
-		}
-		for _, sp := range dists[0].L.VelSpans() {
-			for d := sp.Lo; d < sp.Hi; d++ {
-				if uf[d] != ufS[d] {
-					t.Errorf("rank %d: prolonged dof %d = %v, shared %v", r.ID, d, uf[d], ufS[d])
-					return
+			for _, sp := range dists[0].L.VelSpans() {
+				for d := sp.Lo; d < sp.Hi; d++ {
+					if uf[d] != ufS[d] {
+						t.Errorf("%d workers, rank %d: prolonged dof %d = %v, shared %v", workers, r.ID, d, uf[d], ufS[d])
+						return
+					}
 				}
 			}
+		})
+		if items, _ := par.Counts(); items != items0 {
+			t.Errorf("%d workers: the rank transfers posted %d pool items, want 0", workers, items-items0)
 		}
-	})
+	}
 }
 
 // TestDistMGBlockedMatchesSerial: the default layout (resident levels,
@@ -322,12 +342,14 @@ func TestDistMGRejectsNonNestedDecomps(t *testing.T) {
 }
 
 // velReducer/velExchanger distribute a velocity-block Krylov solve: the
-// partial dot over the owned node box with a deterministic AllReduce,
-// and an owner broadcast for halo consistency.
+// partial dot over the owned node box with a deterministic AllReduce
+// (NaN when it fails, which the iteration breaks down on), and an owner
+// broadcast for halo consistency.
 type velReducer struct{ d *comm.Dist }
 
 func (rd velReducer) Dot(x, y la.Vec) float64 {
-	return rd.d.AllReduceSum(rd.d.L.DotVel(x, y))
+	v, _ := rd.d.AllReduceSum(rd.d.L.DotVel(x, y))
+	return v
 }
 
 type velExchanger struct{ d *comm.Dist }

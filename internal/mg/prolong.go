@@ -107,22 +107,19 @@ func (p *Prolongation) ApplyPart(uc, uf la.Vec) par.Part {
 	return p.applyBoxPart(wholeBox(p.Fine), uc, uf)
 }
 
-// applyBox interpolates into the fine nodes of box b, k-planes over the
-// worker pool: the whole mesh for Apply, a rank's owned+ghost box on the
-// distributed path. Every coarse node read lies in the coarse box nested
-// under b, so a rank's prolongation needs no communication. A one-worker
-// rank runs the planes in a plain loop, allocating nothing.
+// applyBox interpolates into the fine nodes of a rank's owned+ghost box
+// b, its k-planes in a plain loop: a rank is one worker, whatever width
+// the hierarchy was built at, and allocates nothing. Every coarse node
+// read lies in the coarse box nested under b, so a rank's prolongation
+// needs no communication.
 func (p *Prolongation) applyBox(b comm.Box, uc, uf la.Vec) {
-	if p.Workers <= 1 {
-		for k := b.Lo[2]; k < b.Hi[2]; k++ {
-			p.applyPlane(b, k, uc, uf)
-		}
-		return
+	for k := b.Lo[2]; k < b.Hi[2]; k++ {
+		p.applyPlane(b, k, uc, uf)
 	}
-	par.Run(p.Workers, p.applyBoxPart(b, uc, uf))
 }
 
-// applyBoxPart is applyBox as a par.Part, one item per k-plane.
+// applyBoxPart interpolates into the fine nodes of box b as a par.Part,
+// one item per k-plane: the whole mesh for Apply.
 func (p *Prolongation) applyBoxPart(b comm.Box, uc, uf la.Vec) par.Part {
 	return par.Each(b.Hi[2]-b.Lo[2], func(dk int) { p.applyPlane(b, b.Lo[2]+dk, uc, uf) })
 }
@@ -171,22 +168,19 @@ func (p *Prolongation) ApplyTransposePart(rf, rc la.Vec) par.Part {
 	return p.restrictBoxPart(wholeBox(p.Coarse), rf, rc)
 }
 
-// restrictBox gathers into the coarse nodes of box b: the whole mesh for
-// ApplyTranspose, a rank's owned coarse box on the distributed path. The
-// fine nodes read — one ring around each coarse node's image — lie in the
-// rank's fine owned+ghost box, and each coarse node sums as it does on
-// the whole mesh, so a rank's owned rows equal the shared ones bit for bit.
-// A one-worker rank runs the rows in a plain loop, allocating nothing.
+// restrictBox gathers into the coarse nodes of a rank's owned coarse box
+// b, its rows in a plain loop: one worker per rank, whatever width the
+// hierarchy was built at, allocating nothing. The fine nodes read — one
+// ring around each coarse node's image — lie in the rank's fine
+// owned+ghost box, and each coarse node sums as it does on the whole
+// mesh, so a rank's owned rows equal the shared ones bit for bit.
 func (p *Prolongation) restrictBox(b comm.Box, rf, rc la.Vec) {
-	if p.Workers <= 1 {
-		p.restrictRows(b, 0, (b.Hi[2]-b.Lo[2])*(b.Hi[1]-b.Lo[1]), rf, rc)
-		return
-	}
-	par.Run(p.Workers, p.restrictBoxPart(b, rf, rc))
+	p.restrictRows(b, 0, (b.Hi[2]-b.Lo[2])*(b.Hi[1]-b.Lo[1]), rf, rc)
 }
 
-// restrictBoxPart is restrictBox as a par.Part: the box's (k, j) rows of
-// coarse nodes in Workers ranges.
+// restrictBoxPart gathers into the coarse nodes of box b as a par.Part:
+// the whole mesh for ApplyTranspose, its (k, j) rows of coarse nodes in
+// Workers ranges.
 func (p *Prolongation) restrictBoxPart(b comm.Box, rf, rc la.Vec) par.Part {
 	return par.Ranges(p.Workers, (b.Hi[2]-b.Lo[2])*(b.Hi[1]-b.Lo[1]), func(lo, hi int) {
 		p.restrictRows(b, lo, hi, rf, rc)

@@ -25,10 +25,12 @@ type StokesBackend interface {
 
 // CommStatsReporter is implemented by backends that accumulate per-rank
 // communication statistics; StepForward drains them into the step's
-// StepStats record.
+// StepStats record, and reads the world size from their count before the
+// step's first stage.
 type CommStatsReporter interface {
 	// TakeCommStats returns the per-rank communication volume
-	// accumulated since the last call, and resets the accumulator.
+	// accumulated since the last call, one entry per rank, and resets the
+	// accumulator.
 	TakeCommStats() []stokes.RankStats
 }
 
@@ -84,20 +86,29 @@ func (b *DistributedBackend) LinearSolve(s *stokes.Solver, method string, jop kr
 	if err != nil && res.Err == nil {
 		res.Err = err
 	}
-	if len(b.stats) != len(stats) {
-		b.stats = make([]stokes.RankStats, len(stats))
-		for i := range b.stats {
-			b.stats[i].Rank = i
-		}
-	}
+	b.sized()
 	for i := range stats {
 		b.stats[i].Add(stats[i])
 	}
 	return res
 }
 
-// TakeCommStats implements CommStatsReporter.
+// sized gives the accumulator its one entry per rank.
+func (b *DistributedBackend) sized() {
+	if len(b.stats) != b.Ranks() {
+		b.stats = make([]stokes.RankStats, b.Ranks())
+		for i := range b.stats {
+			b.stats[i].Rank = i
+		}
+	}
+}
+
+// TakeCommStats implements CommStatsReporter. It returns one entry per
+// rank from the backend's construction on, zero before the first solve,
+// so the world size reads through any wrapper that forwards the
+// reporter.
 func (b *DistributedBackend) TakeCommStats() []stokes.RankStats {
+	b.sized()
 	out := b.stats
 	b.stats = nil
 	return out

@@ -78,7 +78,15 @@ type Model struct {
 
 	Time    float64
 	StepNum int
+	// Workers is the width of one rank: the pool workers of the process
+	// on the shared backend, of each simulated rank on the distributed
+	// one. A step runs everything outside the ranks' solve Workers × ranks
+	// wide (StepForward).
 	Workers int
+	// width is the step's pool width, Workers × the backend's world size,
+	// which StepForward sets before its first stage; every stage reads it
+	// through workers(). Zero until the first step.
+	width int
 
 	// Per-step diagnostics (Figure 4 data).
 	Stats []StepStats
@@ -116,6 +124,22 @@ type Model struct {
 		// nl lends the nonlinear iteration its n-vectors.
 		nl nonlinear.Workspace
 	}
+}
+
+// stepWidth is the pool width of a process that runs ranks simulated
+// ranks of workers workers each: the cores a step has for what it does
+// outside the ranks' solve.
+func stepWidth(workers, ranks int) int {
+	return max(1, workers) * max(1, ranks)
+}
+
+// workers returns the width the stages run at: the last step's, or
+// Workers before the first step.
+func (m *Model) workers() int {
+	if m.width > 0 {
+		return m.width
+	}
+	return stepWidth(m.Workers, 1)
 }
 
 // grown returns s resized to n, reallocating only when it is too small.
@@ -189,10 +213,10 @@ type StepStats struct {
 	// at, plus one per Newton relinearisation. ρ is evaluated and projected once per solve, by
 	// the first of them.
 	CoeffUpdates int64 `json:"coeff_updates"`
-	// CPUUtil is the share of Workers cores that ran user Go code during
-	// the step (telemetry.CPUSample.Utilization): a value well under 1
-	// means serial sections or idle workers (Workers × Ranks cores on the
-	// distributed backend). The runtime's CPU accounting
+	// CPUUtil is the share of the step's cores — Workers × Ranks, the
+	// width every stage runs at — that ran user Go code during the step
+	// (telemetry.CPUSample.Utilization): a value well under 1 means serial
+	// sections or idle workers. The runtime's CPU accounting
 	// advances at garbage-collection cycles, so the window is the step to
 	// within one cycle at either end, and 0 (absent from the record) when
 	// no cycle ended inside it.
@@ -206,6 +230,15 @@ type StepStats struct {
 	// worker waiting inside a job raises it). Process-wide, like CPUUtil;
 	// 0 at one worker, where no region is parallel.
 	HelperShare float64 `json:"helper_share"`
+}
+
+// addComm adds the communication totals of the ranks' records.
+func (s *StepStats) addComm(ranks []stokes.RankStats) {
+	for _, r := range ranks {
+		s.HaloMsgs += r.HaloMsgs
+		s.HaloBytes += r.HaloBytes
+		s.AllReduces += r.AllReduces
+	}
 }
 
 // pointState evaluates the rheological state of material point i for the
@@ -304,7 +337,7 @@ func (m *Model) updateCoefficients(x la.Vec, wantDeriv, first bool) (facQP []flo
 	// loop parallelizes with no change in any point's arithmetic.
 	t0 := time.Now()
 	cur, pv := m.stateCursor(x)
-	par.For(max(1, m.Workers), n, func(lo, hi int) {
+	par.For(m.workers(), n, func(lo, hi int) {
 		c := cur
 		for i := lo; i < hi; i++ {
 			st := m.pointState(&c, pv, i, first)
@@ -365,13 +398,15 @@ func (m *Model) CoeffCoarsener() func(level int, p *fem.Problem) {
 }
 
 // StokesConfig is the solver configuration of the model as it stands: Cfg
-// at the run's width and vertical axis, coarsening the coefficients the
-// last UpdateCoefficients projected, recording under the model's scope
-// unless Cfg names one. SolveStokes hands it to the cached solver context
-// on every relinearisation.
+// at the step's width (Workers × ranks: the stack is built and refreshed
+// on all the process's cores, and its fingerprint sees the width) and
+// vertical axis, coarsening the coefficients the last UpdateCoefficients
+// projected, recording under the model's scope unless Cfg names one.
+// SolveStokes hands it to the cached solver context on every
+// relinearisation.
 func (m *Model) StokesConfig() stokes.Config {
 	cfg := m.Cfg
-	cfg.Workers = m.Workers
+	cfg.Workers = m.workers()
 	cfg.VerticalAxis = m.VerticalAxis
 	cfg.CoeffCoarsen = m.CoeffCoarsener()
 	if cfg.Telemetry == nil {
@@ -535,6 +570,19 @@ func (m *Model) StepForward() error {
 	items0, pooled0 := par.Counts()
 	m.rec = StepStats{Backend: m.Backend.Name()}
 	rec := &m.rec
+	// The world size, read once before the first stage: a distributed
+	// backend reports one entry per rank from its construction on. What the
+	// step does outside the ranks' solve — set-up, rheology, projection,
+	// advection, ALE — then runs on all the world's cores, as every phase
+	// of a pTatin3D step runs on all its ranks.
+	rep, _ := m.Backend.(CommStatsReporter)
+	if rep != nil {
+		ranks := rep.TakeCommStats()
+		rec.Ranks = len(ranks)
+		rec.addComm(ranks)
+	}
+	m.width = stepWidth(m.Workers, rec.Ranks)
+	m.Prob.Workers = m.width
 	res, err := m.SolveStokes()
 	if err != nil {
 		return err
@@ -569,7 +617,7 @@ func (m *Model) StepForward() error {
 	// yield viscosity and never yields.
 	tPlastic := time.Now()
 	cur, pv := m.stateCursor(m.X)
-	par.For(max(1, m.Workers), m.Points.Len(), func(lo, hi int) {
+	par.For(m.workers(), m.Points.Len(), func(lo, hi int) {
 		c := cur
 		for i := lo; i < hi; i++ {
 			l := &m.Lith[m.Points.Litho[i]]
@@ -586,7 +634,7 @@ func (m *Model) StepForward() error {
 
 	// Advect material points; outflow points are removed (§II-D).
 	tAdvect := time.Now()
-	mpm.AdvectRK2(m.Prob, u, dt, m.Points, max(1, m.Workers))
+	mpm.AdvectRK2(m.Prob, u, dt, m.Points, m.workers())
 	for i := m.Points.Len() - 1; i >= 0; i-- {
 		if m.Points.Elem[i] < 0 {
 			m.Points.RemoveSwap(i)
@@ -648,17 +696,12 @@ func (m *Model) StepForward() error {
 	rec.ResidualEvals, rec.LineSearchStagnated = res.ResidualEvals, res.Stagnated
 	rec.KrylovBreakdowns, rec.KrylovFallbacks = res.Breakdowns, res.Fallbacks
 	rec.PointCount = m.Points.Len()
-	if rep, ok := m.Backend.(CommStatsReporter); ok {
-		ranks := rep.TakeCommStats()
-		rec.Ranks = len(ranks)
-		for _, r := range ranks {
-			rec.HaloMsgs += r.HaloMsgs
-			rec.HaloBytes += r.HaloBytes
-			rec.AllReduces += r.AllReduces
-		}
+	if rep != nil {
+		rec.addComm(rep.TakeCommStats())
 	}
-	// Simulated ranks are goroutines of this process, Workers wide each.
-	rec.CPUUtil = telemetry.ReadCPU().Utilization(cpuStart, max(1, m.Workers)*max(1, rec.Ranks))
+	// Simulated ranks are goroutines of this process: the step had its
+	// width of cores, Workers for each rank.
+	rec.CPUUtil = telemetry.ReadCPU().Utilization(cpuStart, m.width)
 	rec.HelperShare = par.HelperShare(items0, pooled0)
 	rec.WallS = time.Since(start).Seconds()
 	m.Stats = append(m.Stats, *rec)

@@ -107,15 +107,24 @@ func (o *distOp) Apply(x, y la.Vec) {
 // coupledReducer sums each rank's partial inner product — owned
 // velocity box plus the pressure rows of its elements — with a single
 // deterministic AllReduce, so every rank sees the bit-identical global
-// value and the Krylov trajectory stays collective-consistent.
+// value and the Krylov trajectory stays collective-consistent. A failed
+// allreduce goes to the rank's sink, like its exchange failures.
 type coupledReducer struct {
 	op   *Op
 	dist *comm.Dist
+	sink *errSink
 }
 
 // Dot returns the globally reduced coupled inner product.
 func (rd *coupledReducer) Dot(x, y la.Vec) float64 {
-	return rd.dist.AllReduceSum(rd.local(x, y))
+	return rd.reduce(rd.local(x, y))
+}
+
+// reduce returns the global sum of the rank's partial s.
+func (rd *coupledReducer) reduce(s float64) float64 {
+	v, err := rd.dist.AllReduceSum(s)
+	rd.sink.note(err)
+	return v
 }
 
 // AXPYDot computes v += alpha*x on the rank's coupled spans and returns
@@ -132,7 +141,7 @@ func (rd *coupledReducer) AXPYDot(v la.Vec, alpha float64, x, y la.Vec) float64 
 	for _, e := range rd.dist.L.Elems {
 		s += vp[4*e:4*e+4].AXPYDot(alpha, xp[4*e:4*e+4], yp[4*e:4*e+4])
 	}
-	return rd.dist.AllReduceSum(s)
+	return rd.reduce(s)
 }
 
 // local computes this rank's partial of the coupled inner product.
@@ -276,7 +285,7 @@ func (s *Solver) newRankView(r *comm.Rank, c *distCache, sc *telemetry.Scope) (*
 	v.spans = coupledSpans(s.Op, fine.L)
 	v.a = distOp{dist: fine, sink: &v.sink, spans: v.spans}
 	v.m = FieldSplit{Op: s.Op, InnerU: dmg, Mp: s.Mp, elems: fine.L.Elems}
-	v.rd = coupledReducer{op: s.Op, dist: fine}
+	v.rd = coupledReducer{op: s.Op, dist: fine, sink: &v.sink}
 	v.ex = coupledExchanger{op: s.Op, dist: fine}
 	n := s.Op.N()
 	v.b, v.d = la.NewVec(n), la.NewVec(n)

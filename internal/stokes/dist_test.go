@@ -37,7 +37,12 @@ func TestCoupledReducerFusedSweepBitwise(t *testing.T) {
 		}
 		comm.NewWorld(d.Size()).Run(func(r *comm.Rank) {
 			dist := comm.NewDist(r, comm.NewLayout(d, r.ID), nil)
-			rd := &coupledReducer{op: o, dist: dist}
+			rd := &coupledReducer{op: o, dist: dist, sink: &errSink{}}
+			defer func() {
+				if rd.sink.err != nil {
+					t.Errorf("%v rank %d: %v", pg, r.ID, rd.sink.err)
+				}
+			}()
 			spans := coupledSpans(o, dist.L)
 			rng := rand.New(rand.NewSource(int64(100*d.Size() + r.ID)))
 			random := func() la.Vec {

@@ -11,7 +11,9 @@
 # racy re-run of the neighbour exchange, mailbox and migration tests, a
 # guard that the retransmission protocol and fault injector stay gone, a
 # guard that the step record stays the one per-step record (no pool or
-# slab probe, cursor counts, stage-time copy or set-up reuse counter), the
+# slab probe, cursor counts, stage-time copy or set-up reuse counter), a
+# guard that every stage of a step reads the one step width (Workers x
+# ranks), the
 # benchmark
 # module's own vet and tests (bench/ is a separate module that the root go
 # build and go test skip), a scenario smoke of every spec on both backends
@@ -120,9 +122,9 @@ named_tests -count=1 '^TestOpEquivalence$' ./internal/op
 echo "== go test -short -race =="
 go test -short -race ./...
 
-echo "== neighbour exchange, mailbox, halo rings against a slow receiver, a collective-order mismatch as an error, point migration under -race =="
+echo "== neighbour exchange, mailbox, halo rings against a slow receiver, a collective-order mismatch and an allreduce facing a broadcast as errors, point migration under -race =="
 named_tests -race \
-    'TestCollectiveOrderMismatchIsAnError|TestExchangeReliableBasic|TestExchangeReliableStallRecovery|TestExchangeDeadlockNamesSilentPeer|TestRecvWaitsThroughQuiet|TestExchangeReliablePreservesCollectivePayloads|TestMailbox|TestRingsOutlastSlowReceiver|TestMigrateProtocol|TestMigrateExchangeFailure' \
+    'TestCollectiveOrderMismatchIsAnError|TestAllReduceOrderMismatchIsAnError|TestExchangeReliableBasic|TestExchangeReliableStallRecovery|TestExchangeDeadlockNamesSilentPeer|TestRecvWaitsThroughQuiet|TestExchangeReliablePreservesCollectivePayloads|TestMailbox|TestRingsOutlastSlowReceiver|TestMigrateProtocol|TestMigrateExchangeFailure' \
     ./internal/comm ./internal/mpm
 
 # Every message is delivered once and in order per source, so no exchange
@@ -147,10 +149,18 @@ fi
 echo "== coarse agglomeration + vector allreduce under -race =="
 named_tests -race 'TestDistMGAgg|TestAllReduceSumVec' ./internal/mg ./internal/comm
 
-echo "== one stack: rank-count invariance, an agglomerated solve on the fabric model at the fused recurrence's allreduce count, rank transfers bitwise == shared, the rank's fused Gram-Schmidt sweep == update then reduce, under -race =="
+echo "== one stack: rank-count invariance, an agglomerated solve on the fabric model at the fused recurrence's allreduce count, rank transfers bitwise == shared and one worker wide over a 4-wide hierarchy, the rank's fused Gram-Schmidt sweep == update then reduce, a 2x1x1 step Workers x Ranks wide with the same bits and step record at 1 and 2 workers, under -race =="
 named_tests -race \
-    'TestRankCountInvariantClassical|TestDistributedSolveClassicalAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestCoupledReducerFusedSweepBitwise' \
-    ./internal/stokes ./internal/mg
+    'TestRankCountInvariantClassical|TestDistributedSolveClassicalAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestCoupledReducerFusedSweepBitwise|TestStepRunsWorkersTimesRanksWide|TestStepWidthBitIdentical' \
+    ./internal/stokes ./internal/mg ./internal/model
+
+# A step has one width, Workers x the world's ranks (Model.workers): no
+# stage of internal/model sizes its pool from Workers alone.
+echo "== one step width: no max(1, m.Workers) in non-test Go of internal/model =="
+if grep -rnF 'max(1, m.Workers)' --include='*.go' internal/model | grep -v '_test\.go:'; then
+    echo "check.sh: a stage of internal/model runs Workers wide instead of the step's width (above)" >&2
+    exit 1
+fi
 
 # The allocation budgets run without the race detector, which allocates on
 # its own account; the tests that kept rank views, a refreshed set-up and
