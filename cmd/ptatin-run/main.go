@@ -39,12 +39,12 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 // options are the parsed flags of one invocation.
 type options struct {
 	cli.Flags
-	name                            string
-	list, printSpec, smoke          bool
-	small                           bool
-	ppe, coarseRoots, restartWindow int
-	ckptEvery                       int
-	ckptPath, jsonOut               string
+	name                   string
+	list, printSpec, smoke bool
+	small                  bool
+	ppe, restartWindow     int
+	ckptEvery              int
+	ckptPath, jsonOut      string
 }
 
 // run is main without the process: it parses args, does the work and
@@ -59,7 +59,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.BoolVar(&o.smoke, "smoke", false, "compile every registered scenario at small resolution and run 2 steps on both backends")
 	fs.BoolVar(&o.small, "small", false, "use the scenario's small smoke-test resolution")
 	fs.IntVar(&o.ppe, "ppe", 0, "material points per element per direction (0 = spec value)")
-	fs.IntVar(&o.coarseRoots, "coarse-roots", 0, "coarse-grid agglomeration roots on the distributed backend (0 and 1 are the same layout: everything to rank 0)")
 	fs.IntVar(&o.restartWindow, "restart", 0, "FGMRES restart window override (0 = spec/default; high viscosity contrast wants >=200)")
 	fs.IntVar(&o.ckptEvery, "checkpoint-every", 0, "write a checkpoint every N steps (0 disables)")
 	fs.StringVar(&o.ckptPath, "checkpoint", "ptatin.chkpt", "checkpoint file path")
@@ -118,7 +117,7 @@ func (o *options) drive(stdout, stderr io.Writer) error {
 		return driver.Smoke(o.Workers, stdout)
 	}
 
-	backend, err := driver.Backend(o.Ranks, o.coarseRoots)
+	backend, err := driver.Backend(o.Ranks)
 	if err != nil {
 		return err
 	}

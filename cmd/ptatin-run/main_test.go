@@ -44,8 +44,8 @@ func TestFailedRunStillWritesProfileAndTelemetry(t *testing.T) {
 }
 
 // TestUsageErrors: a missing -scenario and an unknown flag (the removed
-// -pipelined among them) are exit 2, -h exit 0, none of them reaching a
-// solve.
+// -pipelined and -coarse-roots among them) are exit 2, -h exit 0, none of
+// them reaching a solve.
 func TestUsageErrors(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -53,6 +53,7 @@ func TestUsageErrors(t *testing.T) {
 	}{
 		{nil, 2}, {[]string{"-bogus"}, 2}, {[]string{"-h"}, 0},
 		{[]string{"-scenario", "sinker", "-small", "-pipelined"}, 2},
+		{[]string{"-scenario", "sinker", "-small", "-ranks", "2x1x1", "-coarse-roots", "2"}, 2},
 		{[]string{"-scenario", "sinker", "-small", "-op", "auto"}, 1},
 	} {
 		if code := run(tc.args, io.Discard, io.Discard); code != tc.code {

@@ -43,8 +43,8 @@ func TestIterationCounts(t *testing.T) {
 }
 
 // TestUsage: no command and an unknown one (the removed recover among
-// them) are exit 2, as are an unknown flag (the removed -pipelined among
-// them); -h is exit 0 at both levels.
+// them) are exit 2, as are an unknown flag (the removed -pipelined and
+// sweep -agg among them); -h is exit 0 at both levels.
 func TestUsage(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
@@ -53,6 +53,7 @@ func TestUsage(t *testing.T) {
 		{nil, 2}, {[]string{"table9"}, 2}, {[]string{"recover"}, 2}, {[]string{"-h"}, 0},
 		{[]string{"table4", "-bogus"}, 2},
 		{[]string{"table4", "-pipelined"}, 2}, {[]string{"sweep", "-pipelined"}, 2},
+		{[]string{"sweep", "-agg", "8"}, 2},
 		{[]string{"inspect"}, 2},
 		{[]string{"inspect", "/nonexistent"}, 1},
 	} {

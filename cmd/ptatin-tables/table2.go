@@ -142,7 +142,7 @@ func table2Ranks(c *ctx, o scenario.SinkerOptions, grids []int) error {
 			return err
 		}
 		start := time.Now()
-		res, stats, err := s.SolveDistributed(la.NewVec(s.Op.N()), bu, px, py, pz, stokes.DistOptions{})
+		res, stats, err := s.SolveDistributed(la.NewVec(s.Op.N()), bu, px, py, pz)
 		solve := time.Since(start).Seconds()
 		if err != nil {
 			fmt.Fprintf(out, "%-6d %-7s SKIP: %v\n", g, c.Ranks, err)
@@ -194,22 +194,23 @@ type sweepRow struct {
 	// arPerIt is the per-rank allreduce count over the outer iterations:
 	// GCR's modified Gram–Schmidt needs j+3 at basis length j.
 	arPerIt float64
-	// Modeled fabric time (max over ranks, ns) by operation class: the α–β
-	// interconnect cost that would dominate at real scale.
-	fabricHaloNs, fabricAllReduceNs, fabricCoarseNs int64
+	// Modeled fabric time (max over ranks, ns): the α–β interconnect cost
+	// of the counted messages (halo and coarse-gather packets alike) and
+	// allreduces, the cost that would dominate at real scale.
+	fabricMsgNs, fabricAllReduceNs int64
 }
 
-// sweep runs the rank-distributed solve over 1–512 simulated ranks with an
-// agglomerated coarse solve and the α–β fabric model. GCR reduces j+3
-// times at basis length j (AR/it column: 21 on the 16³ rows) and takes
-// the same iteration count on every rank grid: the strong-16 rows read
-// 37, which scripts/check.sh asserts. Identical (rank-grid, grid)
-// configurations — the 512-rank corner is shared by both scaling curves —
-// are solved once and reported under both modes.
+// sweep runs the rank-distributed solve over 1–512 simulated ranks, the
+// coarse solve gathered to rank 0, and prices each rank's message and
+// allreduce counts with the α–β fabric model. GCR reduces j+3 times at
+// basis length j (AR/it column: 21 on the 16³ rows) and takes the same
+// iteration count on every rank grid: the strong-16 rows read 37, which
+// scripts/check.sh asserts. Identical (rank-grid, grid) configurations —
+// the 512-rank corner is shared by both scaling curves — are solved once
+// and reported under both modes.
 func sweep(c *ctx) error {
 	o := c.sinkerFlags("deta")
 	maxRanks := c.fs.Int("sweep-max-ranks", 512, "skip sweep points above this rank count (bounded smoke runs)")
-	aggRoots := c.fs.Int("agg", 8, "agglomerate the coarse solve onto this many roots (clamped to the rank count; 0 and 1 are the same layout: everything to rank 0)")
 	done, err := c.begin()
 	if err != nil {
 		return err
@@ -217,10 +218,10 @@ func sweep(c *ctx) error {
 	defer done()
 
 	out := c.stdout
-	fmt.Fprintf(out, "# scaling sweep (agg roots<=%d, fabric=alpha-beta; cores = ranks)\n", *aggRoots)
-	fmt.Fprintf(out, "%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s %12s\n",
+	fmt.Fprintln(out, "# scaling sweep (coarse solve on rank 0, fabric=alpha-beta on the counted messages; cores = ranks)")
+	fmt.Fprintf(out, "%-6s %-6s %-7s %6s %4s %12s %10s %6s | %12s %12s\n",
 		"mode", "grid", "ranks", "nranks", "its", "solve(s)", "E/C/s", "AR/it",
-		"fab-halo(ms)", "fab-AR(ms)", "fab-crs(ms)")
+		"fab-msg(ms)", "fab-AR(ms)")
 	type key struct{ px, py, pz, g int }
 	solved := map[key]*sweepRow{}
 	for _, pt := range sweepPoints {
@@ -235,7 +236,7 @@ func sweep(c *ctx) error {
 		if !seen {
 			o.M = pt.g
 			var err error
-			if r, err = sweepOne(pt, *o, min(*aggRoots, nr)); err != nil {
+			if r, err = sweepOne(pt, *o); err != nil {
 				fmt.Fprintf(out, "%-6s %-6d %-7s FAILED (%v)\n", pt.mode, pt.g, ranks, err)
 			}
 			solved[k] = r
@@ -243,17 +244,16 @@ func sweep(c *ctx) error {
 		if r == nil {
 			continue
 		}
-		fmt.Fprintf(out, "%-6s %-6d %-7s %6d %4d %12.3f %10.0f %6.2f | %12.1f %12.1f %12.1f\n",
+		fmt.Fprintf(out, "%-6s %-6d %-7s %6d %4d %12.3f %10.0f %6.2f | %12.1f %12.1f\n",
 			pt.mode, pt.g, ranks, nr, r.iterations, r.solveS,
 			float64(pt.g*pt.g*pt.g)/float64(nr)/r.solveS, r.arPerIt,
-			float64(r.fabricHaloNs)/1e6, float64(r.fabricAllReduceNs)/1e6,
-			float64(r.fabricCoarseNs)/1e6)
+			float64(r.fabricMsgNs)/1e6, float64(r.fabricAllReduceNs)/1e6)
 	}
 	return nil
 }
 
 // sweepOne solves one sweep point and summarises it.
-func sweepOne(pt sweepPoint, o scenario.SinkerOptions, roots int) (*sweepRow, error) {
+func sweepOne(pt sweepPoint, o scenario.SinkerOptions) (*sweepRow, error) {
 	s, bu, err := sinkerSolver(o, 1, func(cfg *stokes.Config) {
 		cfg.FineKind = op.Tensor
 		cfg.Params.MaxIt = 1000
@@ -266,12 +266,8 @@ func sweepOne(pt sweepPoint, o scenario.SinkerOptions, roots int) (*sweepRow, er
 	if err != nil {
 		return nil, err
 	}
-	opt := stokes.DistOptions{
-		CoarseRoots: roots,
-		Fabric:      perfmodel.DefaultFabric(),
-	}
 	start := time.Now()
-	res, stats, err := s.SolveDistributed(la.NewVec(s.Op.N()), bu, pt.px, pt.py, pt.pz, opt)
+	res, stats, err := s.SolveDistributed(la.NewVec(s.Op.N()), bu, pt.px, pt.py, pt.pz)
 	if err != nil {
 		return nil, err
 	}
@@ -279,12 +275,14 @@ func sweepOne(pt sweepPoint, o scenario.SinkerOptions, roots int) (*sweepRow, er
 		return nil, fmt.Errorf("not converged after %d iterations", res.Iterations)
 	}
 	row := &sweepRow{iterations: res.Iterations, solveS: time.Since(start).Seconds()}
+	// Every allreduce of the solve is one value wide (one dot product).
+	fab := perfmodel.DefaultFabric()
+	arNs := fab.AllReduceNs(len(stats), 1)
 	var allReduces int64
 	for _, st := range stats {
 		allReduces = max(allReduces, st.AllReduces)
-		row.fabricHaloNs = max(row.fabricHaloNs, st.FabricHaloNs)
-		row.fabricAllReduceNs = max(row.fabricAllReduceNs, st.FabricAllReduceNs)
-		row.fabricCoarseNs = max(row.fabricCoarseNs, st.FabricCoarseNs)
+		row.fabricMsgNs = max(row.fabricMsgNs, fab.TrafficNs(st.HaloMsgs, st.HaloBytes))
+		row.fabricAllReduceNs = max(row.fabricAllReduceNs, st.AllReduces*arNs)
 	}
 	if res.Iterations > 0 {
 		row.arPerIt = float64(allReduces) / float64(res.Iterations)

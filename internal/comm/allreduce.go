@@ -48,9 +48,6 @@ func (d *Dist) AllReduceSumVec(x []float64) ([]float64, error) {
 	defer func() {
 		d.Sc.Counter("allreduces").Inc()
 		d.Sc.Timer("allreduce").Observe(time.Since(start))
-		if f := r.W.fabric; f != nil {
-			d.Sc.Counter("fabric_allreduce_ns").Add(f.AllReduceNs(size, width))
-		}
 	}()
 	if size == 1 {
 		d.ar.out = append(d.ar.out[:0], x...)
@@ -113,7 +110,7 @@ func (d *Dist) AllReduceSumVec(x []float64) ([]float64, error) {
 // it returns a *PayloadError when src's next message belongs to another
 // collective: in either case the ranks disagree on the collective order.
 func takeReduce(r *Rank, src int) (*reduceMsg, error) {
-	v, ok := r.take(src, true)
+	v, ok := r.take(src)
 	if !ok {
 		return nil, &ExchangeError{Rank: r.ID, Missing: []int{src}}
 	}

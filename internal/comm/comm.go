@@ -34,28 +34,20 @@ type World struct {
 	// whichever rank, in arrival order.
 	inbox []inbox
 
-	// fabric, when non-nil, prices every simulated interconnect
-	// operation (halo message, allreduce, coarse gather) in modeled
-	// nanoseconds, accumulated into fabric_* telemetry counters by the
-	// Dist collectives. Pure accounting: no sleeps are injected, so
-	// runs stay deterministic and fast while the modeled cost grows
-	// with rank count the way a real fabric's would.
-	fabric FabricModel
-
 	// Liveness. busy counts the ranks that can still act: inside Run, not
 	// waiting in pull on an empty mailbox, or told of a quiet they have not
 	// yet acted on. A message for a waiting rank makes it busy again before
 	// its sender can stop, so busy reaches 0 only when every rank waits or
 	// is done and nothing is in flight: the world is quiet, nothing will
-	// ever arrive. stop then counts the listeners (ranks waiting in pull
-	// untilQuiet) busy, bumps epoch and closes quiet (replacing it) to
-	// tell them. Lock order: an inbox's mu, then lmu. busy is written
-	// under lmu only; it is atomic so a spinning rank can read it without.
-	lmu       sync.Mutex
-	busy      atomic.Int64
-	listeners int
-	epoch     int64
-	quiet     chan struct{}
+	// ever arrive. stop then counts the waiting ranks busy, bumps epoch
+	// and closes quiet (replacing it) to tell them. Lock order: an inbox's
+	// mu, then lmu. busy is written under lmu only; it is atomic so a
+	// spinning rank can read it without.
+	lmu     sync.Mutex
+	busy    atomic.Int64
+	waiting int
+	epoch   int64
+	quiet   chan struct{}
 
 	// spin: the world fits the processors (size ≤ GOMAXPROCS when Run
 	// began), so a rank may poll its empty mailbox before it parks.
@@ -86,6 +78,7 @@ func NewWorld(n int) *World {
 	w := &World{size: n, inbox: make([]inbox, n), quiet: make(chan struct{})}
 	for to := range w.inbox {
 		w.inbox[to].wake = make(chan struct{}, 1)
+		w.inbox[to].epoch = -1
 	}
 	return w
 }
@@ -93,29 +86,25 @@ func NewWorld(n int) *World {
 // wait counts the reader of b, busy until now, as waiting in pull (called
 // with b.mu held) and returns the channel closed when the world next goes
 // quiet — at once if this rank was the last one busy.
-func (w *World) wait(b *inbox, untilQuiet bool) <-chan struct{} {
+func (w *World) wait(b *inbox) <-chan struct{} {
 	w.lmu.Lock()
 	defer w.lmu.Unlock()
-	b.idle, b.listen, b.epoch = true, untilQuiet, w.epoch
-	if untilQuiet {
-		w.listeners++
-	}
+	b.idle, b.epoch = true, w.epoch
+	w.waiting++
 	q := w.quiet
 	w.stop()
 	return q
 }
 
 // wake counts the waiting reader of b busy again: a put reached it (called
-// with b.mu held). A listener already counted by the quiet it has not yet
+// with b.mu held). A reader already counted by the quiet it has not yet
 // seen is not counted twice.
 func (w *World) wake(b *inbox) {
 	b.idle = false
 	w.lmu.Lock()
-	if !b.listen || b.epoch == w.epoch {
+	if b.epoch == w.epoch {
 		w.busy.Add(1)
-		if b.listen {
-			w.listeners--
-		}
+		w.waiting--
 	}
 	w.lmu.Unlock()
 }
@@ -129,13 +118,14 @@ func (w *World) told(b *inbox) bool {
 }
 
 // stop counts one busy rank out (called with lmu held). The last one makes
-// the world quiet: the listeners are counted busy, to act on it, and told.
+// the world quiet: the waiting ranks are counted busy, to act on it, and
+// told.
 func (w *World) stop() {
 	if w.busy.Add(-1) > 0 {
 		return
 	}
-	w.busy.Store(int64(w.listeners))
-	w.listeners = 0
+	w.busy.Store(int64(w.waiting))
+	w.waiting = 0
 	w.epoch++
 	close(w.quiet)
 	w.quiet = make(chan struct{})
@@ -161,12 +151,11 @@ type inbox struct {
 	n        atomic.Int64
 	spinning atomic.Bool
 	// idle: the reader waits in pull on an empty queue and is not counted
-	// busy; listen: it waits untilQuiet, since quiet number epoch (both
-	// written under World.lmu too). The put that ends the wait counts it
-	// busy again (World.wake).
-	idle   bool
-	listen bool
-	epoch  int64
+	// busy; epoch: the quiet number at which it last began to wait, -1
+	// before its first wait (both written under World.lmu too). The put
+	// that ends the wait counts it busy again (World.wake).
+	idle  bool
+	epoch int64
 	// wake holds at most one token, left by a put: the reader, finding
 	// the queue empty, sleeps on it, and a put between its look and its
 	// sleep is not missed. A token left over from a message already read
@@ -192,13 +181,11 @@ func (w *World) put(to int, m message) {
 }
 
 // pull takes the next message of rank id's mailbox, waiting for one. This
-// is the one place a rank blocks on the fabric. With untilQuiet it gives
-// up, reporting false, when the world goes quiet while it waits: every
-// rank waiting and nothing in flight, so no message can come. Without, it
-// waits for ever (a plain receive, which only the tests make). On an
-// empty mailbox it first spins (World.poll), still counted busy, and only
-// then waits.
-func (w *World) pull(id int, untilQuiet bool) (message, bool) {
+// is the one place a rank blocks on the fabric. It gives up, reporting
+// false, when the world goes quiet while it waits: every rank waiting and
+// nothing in flight, so no message can come. On an empty mailbox it first
+// spins (World.poll), still counted busy, and only then waits.
+func (w *World) pull(id int) (message, bool) {
 	b := &w.inbox[id]
 	var quiet <-chan struct{}
 	spun := !w.spin
@@ -231,9 +218,7 @@ func (w *World) pull(id int, untilQuiet bool) (message, bool) {
 				w.poll(b)
 				continue
 			}
-			if q := w.wait(b, untilQuiet); untilQuiet {
-				quiet = q
-			}
+			quiet = w.wait(b)
 		}
 		b.mu.Unlock()
 		select {
@@ -270,22 +255,6 @@ func (w *World) unspin(b *inbox) {
 
 // Size returns the number of ranks.
 func (w *World) Size() int { return w.size }
-
-// FabricModel prices simulated interconnect operations in nanoseconds.
-// perfmodel.Fabric provides the standard α–β (latency/bandwidth)
-// implementation.
-type FabricModel interface {
-	// MsgNs returns the modeled cost of one point-to-point message of
-	// the given payload size.
-	MsgNs(bytes int) int64
-	// AllReduceNs returns the modeled cost of one allreduce of width
-	// float64 values over the given rank count.
-	AllReduceNs(ranks, width int) int64
-}
-
-// SetFabric installs an interconnect cost model consulted by the Dist
-// collectives. Must be called before Run; pass nil to disable.
-func (w *World) SetFabric(f FabricModel) { w.fabric = f }
 
 // Run executes body as an SPMD region: one goroutine per rank, returning
 // when all ranks have finished.
@@ -360,10 +329,9 @@ func (r *Rank) Send(to int, v interface{}) {
 }
 
 // take returns the next message of rank `from`, queuing on the way what
-// the other sources sent. With untilQuiet it gives up, reporting false,
-// when the world goes quiet first (an exchange's Wait, an allreduce's
-// hop); without, it waits however long the world stays quiet.
-func (r *Rank) take(from int, untilQuiet bool) (interface{}, bool) {
+// the other sources sent. It gives up, reporting false, when the world
+// goes quiet first: the message can never come.
+func (r *Rank) take(from int) (interface{}, bool) {
 	if r.oob == nil {
 		r.oob = make([]fifo, r.W.size)
 	}
@@ -371,7 +339,7 @@ func (r *Rank) take(from int, untilQuiet bool) (interface{}, bool) {
 		return v, true
 	}
 	for {
-		m, ok := r.W.pull(r.ID, untilQuiet)
+		m, ok := r.W.pull(r.ID)
 		if !ok {
 			return nil, false
 		}

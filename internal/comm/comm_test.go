@@ -7,10 +7,14 @@ import (
 	"ptatin3d/internal/mesh"
 )
 
-// recv returns the next message of rank `from`, waiting for it however
-// long the world stays quiet: the plain receive the fabric tests drive.
-func (r *Rank) recv(from int) interface{} {
-	v, _ := r.take(from, false)
+// recv returns the next message of rank `from`: the plain receive the
+// fabric tests drive. A world that goes quiet first fails the test, and
+// recv returns nil.
+func (r *Rank) recv(t *testing.T, from int) interface{} {
+	v, ok := r.take(from)
+	if !ok {
+		t.Errorf("rank %d: the world went quiet before a message of rank %d", r.ID, from)
+	}
 	return v
 }
 
@@ -21,8 +25,8 @@ func TestWorldSendRecv(t *testing.T) {
 		next := (r.ID + 1) % 4
 		prev := (r.ID + 3) % 4
 		r.Send(next, r.ID*10)
-		v := r.recv(prev)
-		atomic.AddInt64(&sum, int64(v.(int)))
+		v, _ := r.recv(t, prev).(int)
+		atomic.AddInt64(&sum, int64(v))
 	})
 	if sum != 60 {
 		t.Fatalf("ring sum = %d, want 60", sum)

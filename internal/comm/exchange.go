@@ -110,7 +110,7 @@ func clearN(s []interface{}, k int) []interface{} {
 func (px *PendingExchange) Wait() ([]interface{}, error) {
 	r := px.r
 	for i, n := range px.nbrs {
-		v, ok := r.take(n, true)
+		v, ok := r.take(n)
 		if !ok {
 			err := &ExchangeError{Rank: r.ID}
 			for _, m := range px.nbrs[i:] {

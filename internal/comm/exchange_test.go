@@ -134,18 +134,13 @@ func TestExchangeDeadlockNamesSilentPeer(t *testing.T) {
 }
 
 // TestCollectiveOrderMismatchIsAnError: on a 2×1×1 world rank 0 runs two
-// owner broadcasts while rank 1 runs an agglomerated coarse solve rooted
-// at rank 0. Both lists name the other, so every exchange completes; but
-// rank 1's wait for the coarse solution takes rank 0's second halo
+// owner broadcasts while rank 1 runs the coarse gather to rank 0. Both
+// lists name the other, so every exchange completes; but rank 1's wait for the coarse solution takes rank 0's second halo
 // packet. It returns a *PayloadError naming the rank and the source, not a
 // panic, and rank 0, which took packets of the kind it expected, none.
 func TestCollectiveOrderMismatchIsAnError(t *testing.T) {
 	da := mesh.New(4, 2, 2, 0, 1, 0, 1, 0, 1)
 	d, err := NewDecomp(da, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := NewAgg(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +162,7 @@ func TestCollectiveOrderMismatchIsAnError(t *testing.T) {
 				}
 				return
 			}
-			errs[1] = dist.AggGatherSolveBroadcast(a, y, make([]float64, len(y)), func() {}, nil)
+			errs[1] = dist.GatherSolveBroadcast(y, make([]float64, len(y)), func() {}, nil)
 		})
 	}()
 	select {
@@ -234,32 +229,6 @@ func TestAllReduceOrderMismatchIsAnError(t *testing.T) {
 	}
 }
 
-// TestRecvWaitsThroughQuiet: a collective's receive is not an exchange,
-// so it waits through the world's quiet until its message comes. On the
-// deadlocked pair, rank 0 lists rank 1, and rank 1 lists no one and takes
-// rank 0's payload as a plain receive. Rank 1 then sits in recv while rank
-// 0 waits in its exchange, and the world goes quiet. Rank 0 sends the
-// value rank 1 waits for only after its exchange has failed at that quiet.
-func TestRecvWaitsThroughQuiet(t *testing.T) {
-	w := NewWorld(2)
-	w.Run(func(r *Rank) {
-		if r.ID == 0 {
-			var xe *ExchangeError
-			if _, err := exchange(r, []int{1}, 0, nil); !errors.As(err, &xe) || !slices.Equal(xe.Missing, []int{1}) {
-				t.Errorf("rank 0: got %v, want an *ExchangeError missing [1]", err)
-			}
-			r.Send(1, 42)
-			return
-		}
-		if pk, ok := r.recv(0).(*haloPacket); !ok || pk.Node[0] != 0 {
-			t.Errorf("rank 1: first message %+v, want rank 0's payload", pk)
-		}
-		if v := r.recv(0); v != 42 {
-			t.Errorf("recv got %v, want 42", v)
-		}
-	})
-}
-
 // TestExchangeReliablePreservesCollectivePayloads pins the interleaving
 // that once deadlocked the rank-distributed solve at larger grids: rank 1
 // finishes its exchange with rank 0 quickly and races ahead into a
@@ -283,7 +252,7 @@ func TestExchangeReliablePreservesCollectivePayloads(t *testing.T) {
 				fail(fmt.Errorf("rank 0 exchange: %w", err))
 				return
 			}
-			if v := r.recv(1); v.(float64) != 3.25 {
+			if v, _ := r.recv(t, 1).(float64); v != 3.25 {
 				fail(fmt.Errorf("rank 0: collective payload = %v, want 3.25", v))
 			}
 		case 1:

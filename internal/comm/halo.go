@@ -32,7 +32,7 @@ type Dist struct {
 
 	partials, owners haloRing // ReduceBroadcast's partial sums, Broadcast's owner values
 	ar               reduceBufs
-	agg              aggBufs
+	gather           gatherBufs
 }
 
 // haloSlots is how many exchanges a packet buffer sits out before it is
@@ -41,9 +41,7 @@ type Dist struct {
 // after this rank has received the peer's message of the exchange between.
 // The peer sends that only after it has consumed the slot, since every
 // receiver unpacks what an exchange brought before it starts its next
-// one. The same holds for the agglomeration rings (aggBufs): the block
-// packet (comb) that roots trade, the owned entries a client ships and
-// the solution a root sends.
+// one.
 const haloSlots = 2
 
 // haloRing is one direction's packets: slot k of neighbour i is
@@ -98,25 +96,14 @@ func NewDist(r *Rank, l *Layout, sc *telemetry.Scope) *Dist {
 // Attach points the handle at rank r of a new world. Its buffers stay.
 func (d *Dist) Attach(r *Rank) { d.R = r }
 
-// countPacket accounts one outgoing halo packet, charging the modeled
-// fabric cost when an interconnect model is installed.
+// countPacket accounts one outgoing halo packet.
 func (d *Dist) countPacket(pk *haloPacket) {
-	bytes := 4*len(pk.Node) + 8*len(pk.Val)
 	d.Sc.Counter("halo_msgs").Inc()
-	d.Sc.Counter("halo_bytes").Add(int64(bytes))
-	if f := d.R.W.fabric; f != nil {
-		d.Sc.Counter("fabric_halo_ns").Add(f.MsgNs(bytes))
-	}
+	d.Sc.Counter("halo_bytes").Add(int64(4*len(pk.Node) + 8*len(pk.Val)))
 }
 
-// chargeCoarse accounts modeled fabric time for a coarse-solve message.
-func (d *Dist) chargeCoarse(bytes int) {
-	if f := d.R.W.fabric; f != nil {
-		d.Sc.Counter("fabric_coarse_ns").Add(f.MsgNs(bytes))
-	}
-}
-
-// vecPacket carries a full vector (root broadcast of the coarse solve).
+// vecPacket carries a full vector (rank 0's broadcast of the coarse
+// solution).
 type vecPacket struct {
 	Val []float64
 }

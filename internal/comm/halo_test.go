@@ -129,17 +129,10 @@ func TestDistAllReduceSum(t *testing.T) {
 	}
 }
 
-// fabricOneNs prices every message and allreduce at one modeled nanosecond.
-type fabricOneNs struct{}
-
-func (fabricOneNs) MsgNs(int) int64            { return 1 }
-func (fabricOneNs) AllReduceNs(int, int) int64 { return 1 }
-
-// TestGatherSolveBroadcast: on the one-root layout (all to rank 0) the
-// per-rank owned slices of b are assembled on rank 0, the root "solve"
-// doubles them into x, and every rank receives the full solution. With a
-// fabric model installed every rank's gather or broadcast is charged to
-// fabric_coarse_ns (the all-to-rank-0 gather used to charge nothing).
+// TestGatherSolveBroadcast: the per-rank owned slices of b are assembled
+// on rank 0, its "solve" doubles them into x, and every rank receives the
+// full solution. A client counts its one packet to rank 0, and rank 0
+// one solution packet per client.
 func TestGatherSolveBroadcast(t *testing.T) {
 	da := mesh.New(4, 4, 2, 0, 1, 0, 1, 0, 1)
 	d, err := NewDecomp(da, 2, 2, 1)
@@ -148,7 +141,6 @@ func TestGatherSolveBroadcast(t *testing.T) {
 	}
 	n := 3 * da.NNodes()
 	w := NewWorld(d.Size())
-	w.SetFabric(fabricOneNs{})
 	reg := telemetry.New()
 	var mu sync.Mutex
 	vecs := make([]la.Vec, d.Size())
@@ -162,7 +154,7 @@ func TestGatherSolveBroadcast(t *testing.T) {
 			}
 		}
 		x := la.NewVec(n)
-		err := dist.AggGatherSolveBroadcast(&Agg{Size: d.Size(), Roots: 1}, b, x, func() {
+		err := dist.GatherSolveBroadcast(b, x, func() {
 			for i := range x {
 				x[i] = 2 * b[i]
 			}
@@ -181,19 +173,23 @@ func TestGatherSolveBroadcast(t *testing.T) {
 				t.Fatalf("rank %d x[%d] = %g, want %g", rid, i, vecs[rid][i], 2*float64(i))
 			}
 		}
-		// One charge each: a client's gather packet, the root's broadcast.
-		if got := reg.Root().Child(fmt.Sprintf("rank%d", rid)).Counter("fabric_coarse_ns").Value(); got != 1 {
-			t.Errorf("rank %d: fabric_coarse_ns = %d, want 1", rid, got)
+		want := int64(1)
+		if rid == 0 {
+			want = int64(d.Size() - 1)
+		}
+		if got := reg.Root().Child(fmt.Sprintf("rank%d", rid)).Counter("halo_msgs").Value(); got != want {
+			t.Errorf("rank %d: halo_msgs = %d, want %d", rid, got, want)
 		}
 	}
 }
 
 // TestRingsOutlastSlowReceiver runs rounds of ReduceBroadcast, two
-// back-to-back Broadcasts and an agglomerated coarse solve with two roots
-// on a 2×2×1 world, one root slowed, and checks every value each round
-// received. Each Dist recycles its packets round rings of haloSlots, so a
-// sender that rewrote a slot before its receiver had read it would show
-// here as a wrong value, or under -race as a race.
+// back-to-back Broadcasts and the coarse gather to rank 0 on a 2×2×1
+// world, one client slowed, and checks every value each round received.
+// Each Dist recycles its halo packets round rings of haloSlots and its
+// gather packets in place, so a sender that rewrote a packet before its
+// receiver had read it would show here as a wrong value, or under -race
+// as a race.
 func TestRingsOutlastSlowReceiver(t *testing.T) {
 	const rounds, slow = 200, 2
 	da := mesh.New(4, 4, 2, 0, 1, 0, 1, 0, 1)
@@ -210,7 +206,6 @@ func TestRingsOutlastSlowReceiver(t *testing.T) {
 			support[node]++
 		}
 	}
-	agg := &Agg{Size: d.Size(), Roots: 2}
 	pause := func(r *Rank) {
 		if r.ID == slow {
 			time.Sleep(50 * time.Microsecond)
@@ -278,8 +273,8 @@ func TestRingsOutlastSlowReceiver(t *testing.T) {
 					}
 				}
 			}
-			// The roots gather b, solve x = 2b + round redundantly and
-			// send x to their blocks.
+			// Rank 0 gathers b, solves x = 2b + round and sends x to
+			// every rank.
 			off := 0.5 * float64(round)
 			for _, node := range l.OwnedNodes() {
 				for k := int32(0); k < 3; k++ {
@@ -287,7 +282,7 @@ func TestRingsOutlastSlowReceiver(t *testing.T) {
 				}
 			}
 			pause(r)
-			err := dist.AggGatherSolveBroadcast(agg, b, x, func() {
+			err := dist.GatherSolveBroadcast(b, x, func() {
 				pause(r)
 				for i := range x {
 					x[i] = 2*b[i] + float64(round)

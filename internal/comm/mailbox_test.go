@@ -15,12 +15,12 @@ func atLeastProcs(t *testing.T, n int) {
 }
 
 // waited reports whether rank id has counted itself waiting in a pull
-// untilQuiet since its world began: World.wait marks its inbox listen.
+// since its world began: World.wait sets its inbox's epoch, -1 until then.
 func waited(w *World, id int) bool {
 	b := &w.inbox[id]
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.listen
+	return b.epoch >= 0
 }
 
 // TestMailbox pins the properties the exchange rests on, under -race
@@ -47,9 +47,9 @@ func TestMailbox(t *testing.T) {
 			}
 			next := make([]int, senders+1)
 			for k := 0; k < senders*each; k++ {
-				m, ok := w.pull(0, false)
+				m, ok := w.pull(0)
 				if !ok {
-					t.Error("pull without untilQuiet reported silence")
+					t.Error("pull reported silence while senders had mail to send")
 					return
 				}
 				if m.v.(int) != next[m.from] {
@@ -59,7 +59,7 @@ func TestMailbox(t *testing.T) {
 				next[m.from]++
 			}
 			// Every sender is done: the world goes quiet as this rank waits.
-			if m, ok := w.pull(0, true); ok {
+			if m, ok := w.pull(0); ok {
 				t.Errorf("a message beyond the ones sent: %v", m)
 			}
 		})
@@ -67,7 +67,7 @@ func TestMailbox(t *testing.T) {
 	t.Run("silence when the world is quiet", func(t *testing.T) {
 		w := NewWorld(1)
 		w.Run(func(r *Rank) {
-			if m, ok := w.pull(0, true); ok {
+			if m, ok := w.pull(0); ok {
 				t.Errorf("pull on the empty mailbox of a one-rank world returned %v", m)
 			}
 		})
@@ -75,7 +75,7 @@ func TestMailbox(t *testing.T) {
 		// hear the silence, and neither is left waiting.
 		w = NewWorld(2)
 		w.Run(func(r *Rank) {
-			if m, ok := w.pull(r.ID, true); ok {
+			if m, ok := w.pull(r.ID); ok {
 				t.Errorf("rank %d: pull returned %v with nothing sent", r.ID, m)
 			}
 		})
@@ -90,7 +90,7 @@ func TestMailbox(t *testing.T) {
 				r.Send(0, 7)
 				return
 			}
-			if m, ok := w.pull(0, true); !ok || m.v.(int) != 7 {
+			if m, ok := w.pull(0); !ok || m.v.(int) != 7 {
 				t.Errorf("pull gave up on a computing peer after %v: (%v, %v)", time.Since(start), m, ok)
 			}
 		})
@@ -107,7 +107,7 @@ func TestMailbox(t *testing.T) {
 				if r.ID == 0 {
 					r.Send(peer, i)
 				}
-				m, ok := w.pull(r.ID, true)
+				m, ok := w.pull(r.ID)
 				if !ok || m.v.(int) != i {
 					t.Errorf("rank %d round %d: (%v, %v)", r.ID, i, m, ok)
 					return
@@ -128,12 +128,12 @@ func TestMailbox(t *testing.T) {
 		w := NewWorld(2)
 		w.Run(func(r *Rank) {
 			for i := 0; i < rounds; i++ {
-				if m, ok := w.pull(r.ID, true); ok {
+				if m, ok := w.pull(r.ID); ok {
 					t.Errorf("rank %d round %d: mail %v instead of the quiet", r.ID, i, m)
 					return
 				}
 				r.Send(1-r.ID, i)
-				if m, ok := w.pull(r.ID, true); !ok || m.v.(int) != i {
+				if m, ok := w.pull(r.ID); !ok || m.v.(int) != i {
 					t.Errorf("rank %d round %d: (%v, %v)", r.ID, i, m, ok)
 					return
 				}
@@ -162,7 +162,7 @@ func TestMailbox(t *testing.T) {
 					r.Send(0, 7)
 					return
 				}
-				if m, ok := w.pull(0, true); !ok || m.v.(int) != 7 {
+				if m, ok := w.pull(0); !ok || m.v.(int) != 7 {
 					t.Errorf("pull: (%v, %v)", m, ok)
 				}
 			})
@@ -186,12 +186,12 @@ func TestMailbox(t *testing.T) {
 				t.Error("a 2-rank world on 2 processors does not spin")
 			}
 			for i := 0; i < rounds; i++ {
-				if m, ok := w.pull(r.ID, true); ok {
+				if m, ok := w.pull(r.ID); ok {
 					t.Errorf("rank %d round %d: mail %v instead of the quiet", r.ID, i, m)
 					return
 				}
 				r.Send(1-r.ID, i)
-				if m, ok := w.pull(r.ID, true); !ok || m.v.(int) != i {
+				if m, ok := w.pull(r.ID); !ok || m.v.(int) != i {
 					t.Errorf("rank %d round %d: (%v, %v)", r.ID, i, m, ok)
 					return
 				}
@@ -216,7 +216,7 @@ func TestMailbox(t *testing.T) {
 				return
 			}
 			for k := 1; k < n; k++ {
-				if _, ok := w.pull(0, true); !ok {
+				if _, ok := w.pull(0); !ok {
 					t.Errorf("pull %d: the quiet while ranks computed", k)
 					return
 				}

@@ -56,9 +56,8 @@ func (o Overrides) Apply(m *model.Model) error {
 
 // Backend builds the Stokes backend for a -ranks flag value: "" or
 // "1x1x1" selects the shared-memory path, anything else a
-// DistributedBackend over the simulated fabric. A -coarse-roots value no
-// layout of the world can hold is refused here, before any model work.
-func Backend(ranks string, coarseRoots int) (model.StokesBackend, error) {
+// DistributedBackend over the simulated fabric.
+func Backend(ranks string) (model.StokesBackend, error) {
 	px, py, pz := 1, 1, 1
 	if ranks != "" {
 		var err error
@@ -66,14 +65,10 @@ func Backend(ranks string, coarseRoots int) (model.StokesBackend, error) {
 			return nil, err
 		}
 	}
-	n := px * py * pz
-	if coarseRoots < 0 || coarseRoots > n {
-		return nil, fmt.Errorf("-coarse-roots %d: want 0 to %d, the rank count of -ranks %dx%dx%d", coarseRoots, n, px, py, pz)
-	}
-	if n == 1 {
+	if px*py*pz == 1 {
 		return model.SharedBackend{}, nil
 	}
-	return model.NewDistributedBackend(px, py, pz, stokes.DistOptions{CoarseRoots: coarseRoots}), nil
+	return model.NewDistributedBackend(px, py, pz, stokes.DistOptions{}), nil
 }
 
 // Config controls one Run.

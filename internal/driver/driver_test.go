@@ -67,13 +67,13 @@ func TestOverridesApply(t *testing.T) {
 
 // TestBackendSelection: the -ranks flag maps to the right backend.
 func TestBackendSelection(t *testing.T) {
-	if b, err := Backend("", 0); err != nil || b != (model.SharedBackend{}) {
+	if b, err := Backend(""); err != nil || b != (model.SharedBackend{}) {
 		t.Fatalf("empty ranks: backend %v err %v, want shared", b, err)
 	}
-	if b, err := Backend("1x1x1", 0); err != nil || b != (model.SharedBackend{}) {
+	if b, err := Backend("1x1x1"); err != nil || b != (model.SharedBackend{}) {
 		t.Fatalf("1x1x1: backend %v err %v, want shared", b, err)
 	}
-	b, err := Backend("2x1x2", 0)
+	b, err := Backend("2x1x2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +81,8 @@ func TestBackendSelection(t *testing.T) {
 	if !ok || db.Ranks() != 4 {
 		t.Fatalf("2x1x2: got %T with %d ranks", b, db.Ranks())
 	}
-	if _, err := Backend("2x", 0); err == nil {
+	if _, err := Backend("2x"); err == nil {
 		t.Fatal("malformed ranks accepted")
-	}
-	if _, err := Backend("2x1x2", 4); err != nil {
-		t.Fatalf("one root per rank refused: %v", err)
-	}
-	for _, roots := range []int{-1, 8} {
-		_, err := Backend("2x1x1", roots)
-		if err == nil || !strings.Contains(err.Error(), "-coarse-roots") || !strings.Contains(err.Error(), "2x1x1") {
-			t.Fatalf("coarse roots %d on 2 ranks: err %v, want one naming -coarse-roots and the rank count", roots, err)
-		}
 	}
 }
 
@@ -300,7 +291,7 @@ func TestRunDistributedRecordsComm(t *testing.T) {
 		t.Skip("short mode")
 	}
 	m := smallSinker(t, 2)
-	m.Backend, _ = Backend("2x1x1", 0)
+	m.Backend, _ = Backend("2x1x1")
 	var js bytes.Buffer
 	if err := Run(m, Config{Steps: 1, Out: &bytes.Buffer{}, JSONOut: &js, Scenario: "sinker"}); err != nil {
 		t.Fatal(err)

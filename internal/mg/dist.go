@@ -20,8 +20,7 @@ import (
 // fine reads the level operator's exchange has just made valid, followed
 // by one owner broadcast to the coarse ghosts; prolongation is entirely
 // local (coarse ghost regions cover every read). The coarsest level is
-// gathered to the block roots of an Agg layout (one root, rank 0, unless
-// the caller asks for more), solved with the shared coarse solver, and
+// gathered to rank 0, solved there with the shared coarse solver, and
 // broadcast.
 //
 // DistMG is a per-rank view over a shared, read-only *MG hierarchy: the
@@ -73,7 +72,6 @@ type DistMG struct {
 	cycle
 	base   *MG
 	coarse *comm.Dist // the coarsest level's exchange handle
-	agg    *comm.Agg
 	err    error
 	// rank is each level's rank-specific state that Refresh re-reads
 	// from the hierarchy.
@@ -87,14 +85,6 @@ type rankLevel struct {
 	csr  *haloCSROp
 	cheb *krylov.Chebyshev
 	jac  *krylov.Jacobi // nil when the level's smoother is not Jacobi-preconditioned
-}
-
-// DistOptions tunes a distributed V-cycle view.
-type DistOptions struct {
-	// Agg agglomerates the coarsest-level solve onto the block roots of
-	// the given layout (redundant subset solves); nil is the one-root
-	// layout, everything to rank 0. Must be sized for the world.
-	Agg *comm.Agg
 }
 
 // noteErr records the first exchange failure (sticky).
@@ -172,19 +162,12 @@ func (o *haloCSROp) Apply(x, y la.Vec) {
 // only as a Galerkin input, else its element kernel (op.ElementKernel: the
 // shared resident kernel, or the tensor kernel per rank). Smoothers
 // reuse the shared Chebyshev interval and Jacobi diagonal, so all ranks —
-// and the shared solve — run the identical smoother recurrence. opt
-// carries the coarse-solve agglomeration (the zero value is one root,
-// rank 0).
-func NewDist(base *MG, dists []*comm.Dist, opt DistOptions) (*DistMG, error) {
+// and the shared solve — run the identical smoother recurrence.
+func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 	if len(dists) != len(base.Levels) {
 		return nil, fmt.Errorf("mg: %d dist handles for %d levels", len(dists), len(base.Levels))
 	}
-	m := &DistMG{base: base, coarse: dists[len(dists)-1], agg: opt.Agg}
-	if size := m.coarse.R.W.Size(); m.agg == nil {
-		m.agg = &comm.Agg{Size: size, Roots: 1}
-	} else if m.agg.Size != size {
-		return nil, fmt.Errorf("mg: agglomeration sized for %d ranks on a %d-rank world", m.agg.Size, size)
-	}
+	m := &DistMG{base: base, coarse: dists[len(dists)-1]}
 	m.coarsest = m.solveCoarsest
 	for l, lev := range base.Levels {
 		if lev.Prob == nil {
@@ -272,20 +255,18 @@ func (t rankTransfer) ApplyTranspose(rf, rc la.Vec) {
 
 // solveCoarsest solves the coarsest level collectively into the zeroed x
 // (every level is entered from a zero guess): funnel the right-hand side
-// to the block roots of the Agg layout, apply the shared coarse solver
-// redundantly on each and broadcast (comm.AggGatherSolveBroadcast), idle
-// clients pre-zeroing the finer level's correction buffer — the next
-// write target after the coarse solve — while the roots work. Each root's
-// solve counts in the base hierarchy's coarse timer.
+// to rank 0, apply the shared coarse solver there and broadcast
+// (comm.GatherSolveBroadcast), idle clients pre-zeroing the finer level's
+// correction buffer — the next write target after the coarse solve —
+// while rank 0 works. The solve counts in the base hierarchy's coarse
+// timer.
 func (m *DistMG) solveCoarsest(b, x la.Vec) {
 	if m.base.CoarseSolve == nil {
 		m.smoothOnly(b, x)
 		return
 	}
 	finer := &m.lev[len(m.lev)-2] // Build wants two levels
-	m.noteErr(m.coarse.AggGatherSolveBroadcast(m.agg, b, x, func() {
-		m.base.coarseMu.Lock()
+	m.noteErr(m.coarse.GatherSolveBroadcast(b, x, func() {
 		m.base.solveCoarse(b, x)
-		m.base.coarseMu.Unlock()
 	}, func() { finer.e.ZeroSpans(finer.spans) }))
 }

@@ -83,7 +83,7 @@ func TestDistMGMatchesShared(t *testing.T) {
 	zd := la.NewVec(n)
 	w.Run(func(r *comm.Rank) {
 		dists := rankDists(r, decomps)
-		dmg, err := NewDist(mgp, dists, DistOptions{})
+		dmg, err := NewDist(mgp, dists)
 		if err != nil {
 			t.Error(err)
 			return
@@ -142,7 +142,7 @@ func TestDistRestrictBitwiseShared(t *testing.T) {
 		items0, _ := par.Counts()
 		comm.NewWorld(decomps[0].Size()).Run(func(r *comm.Rank) {
 			dists := rankDists(r, decomps)
-			dmg, err := NewDist(mgp, dists, DistOptions{})
+			dmg, err := NewDist(mgp, dists)
 			if err != nil {
 				t.Error(err)
 				return
@@ -276,7 +276,7 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 		its := make([]int, ranks)
 		w.Run(func(r *comm.Rank) {
 			dists := rankDists(r, decomps)
-			dmg, err := NewDist(mgp, dists, DistOptions{})
+			dmg, err := NewDist(mgp, dists)
 			if err != nil {
 				t.Error(err)
 				return
@@ -388,7 +388,7 @@ func TestDistributedCGMatchesShared(t *testing.T) {
 	its := make([]int, decomps[0].Size())
 	w.Run(func(r *comm.Rank) {
 		dists := rankDists(r, decomps)
-		dmg, err := NewDist(mgp, dists, DistOptions{})
+		dmg, err := NewDist(mgp, dists)
 		if err != nil {
 			t.Error(err)
 			return
@@ -475,7 +475,7 @@ func TestCoarsestAlwaysZeroGuess(t *testing.T) {
 	last := len(decomps) - 1
 	*cnt = zeroGuessCounter{Preconditioner: cnt.Preconditioner, spans: comm.NewLayout(decomps[last], 0).VelSpans()}
 	comm.NewWorld(decomps[0].Size()).Run(func(r *comm.Rank) {
-		dmg, err := NewDist(mgp, rankDists(r, decomps), DistOptions{})
+		dmg, err := NewDist(mgp, rankDists(r, decomps))
 		if err != nil {
 			t.Error(err)
 			return

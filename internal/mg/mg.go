@@ -2,7 +2,6 @@ package mg
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"ptatin3d/internal/fem"
@@ -56,12 +55,6 @@ type MG struct {
 	cycles  *telemetry.Counter // V-cycles started
 	coarseT *telemetry.Timer   // coarse-solve wall time
 	coarseC *telemetry.Counter // coarse-solve applications
-
-	// coarseMu guards CoarseSolve's internal work state (Chebyshev and CG
-	// work vectors, ASM subdomain buffers): with agglomeration several
-	// block-root goroutines apply the one shared solver to identical
-	// inputs, and each must run it alone to get the identical answer.
-	coarseMu sync.Mutex
 
 	whole cycle // the cycle's view of Levels, re-read by every Apply
 }

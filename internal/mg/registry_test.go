@@ -52,7 +52,7 @@ func TestRegistryHierarchyIsResidentAndBlocked(t *testing.T) {
 					}
 					dists[l] = comm.NewDist(r, comm.NewLayout(d, r.ID), nil)
 				}
-				dmg, err := mg.NewDist(s.MG, dists, mg.DistOptions{})
+				dmg, err := mg.NewDist(s.MG, dists)
 				if err != nil {
 					t.Error(err)
 					return

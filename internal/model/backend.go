@@ -56,15 +56,14 @@ func (SharedBackend) LinearSolve(s *stokes.Solver, method string, jop krylov.Op,
 // by element; the preconditioner is the Picard stack on both backends.
 type DistributedBackend struct {
 	Px, Py, Pz int
-	// Opts carries the coarse agglomeration and fabric model options.
-	Opts stokes.DistOptions
 
 	stats []stokes.RankStats
 }
 
-// NewDistributedBackend returns a backend over a px×py×pz world.
-func NewDistributedBackend(px, py, pz int, opts stokes.DistOptions) *DistributedBackend {
-	return &DistributedBackend{Px: max(1, px), Py: max(1, py), Pz: max(1, pz), Opts: opts}
+// NewDistributedBackend returns a backend over a px×py×pz world. The
+// options hold nothing (stokes.DistOptions).
+func NewDistributedBackend(px, py, pz int, _ stokes.DistOptions) *DistributedBackend {
+	return &DistributedBackend{Px: max(1, px), Py: max(1, py), Pz: max(1, pz)}
 }
 
 // Name implements StokesBackend.
@@ -82,7 +81,7 @@ func (b *DistributedBackend) LinearSolve(s *stokes.Solver, method string, jop kr
 	if !ok {
 		op = s.Op
 	}
-	res, stats, err := s.LinearSolveDistributed(method, op, rhs, delta, prm, b.Px, b.Py, b.Pz, b.Opts)
+	res, stats, err := s.LinearSolveDistributed(method, op, rhs, delta, prm, b.Px, b.Py, b.Pz)
 	if err != nil && res.Err == nil {
 		res.Err = err
 	}

@@ -51,7 +51,7 @@ func TestAllocBudgetDistributedSolve(t *testing.T) {
 	rhs, delta := la.NewVec(n), la.NewVec(n)
 	copy(rhs, bu)
 	solve := func() {
-		res, _, err := s.LinearSolveDistributed(s.Cfg.OuterMethod, s.Op, rhs, delta, s.Cfg.Params, 2, 1, 1, stokes.DistOptions{})
+		res, _, err := s.LinearSolveDistributed(s.Cfg.OuterMethod, s.Op, rhs, delta, s.Cfg.Params, 2, 1, 1)
 		if err != nil || !res.Converged {
 			t.Fatalf("distributed solve: converged %v after %d its, err %v", res.Converged, res.Iterations, err)
 		}

@@ -3,13 +3,12 @@ package perfmodel
 import "math"
 
 // Fabric is a two-parameter α–β interconnect cost model (Hockney/LogP
-// style): one point-to-point message of b bytes costs α + b/BW. The
-// simulated MPI world charges this model for every halo packet,
-// allreduce and coarse-solve message (comm.World.SetFabric), so the
-// modeled communication time grows with rank count the way the paper's
-// Tables II/III machine time does — while the simulation itself runs at
-// full speed (the charges are virtual nanoseconds in telemetry
-// counters, never sleeps).
+// style): one point-to-point message of b bytes costs α + b/BW. It prices
+// the message and allreduce counts a distributed solve reports
+// (stokes.RankStats) after the solve, so the modeled communication time
+// grows with rank count the way the paper's Tables II/III machine time
+// does. It is arithmetic on counts, not a time the simulated fabric
+// measured: nothing of the fabric consults it.
 type Fabric struct {
 	// LatencyNs is the per-message latency α in nanoseconds.
 	LatencyNs float64
@@ -25,8 +24,13 @@ func DefaultFabric() *Fabric {
 }
 
 // MsgNs returns the modeled cost of one point-to-point message.
-func (f *Fabric) MsgNs(bytes int) int64 {
-	ns := f.LatencyNs
+func (f *Fabric) MsgNs(bytes int) int64 { return f.TrafficNs(1, int64(bytes)) }
+
+// TrafficNs returns the modeled cost of msgs point-to-point messages
+// carrying bytes in all: α·msgs + bytes/BW. It is the sum of the
+// messages' MsgNs to within the 1 ns each one rounds off.
+func (f *Fabric) TrafficNs(msgs, bytes int64) int64 {
+	ns := f.LatencyNs * float64(msgs)
 	if f.BandwidthBps > 0 {
 		ns += float64(bytes) / f.BandwidthBps * 1e9
 	}

@@ -37,3 +37,26 @@ func TestFabricAllReduceNs(t *testing.T) {
 		}
 	}
 }
+
+// TestFabricTrafficNs: pricing a rank's message and byte counts at once
+// equals the sum of its messages priced one by one, to within the 1 ns
+// each MsgNs rounds off, on a mixed set of sizes (empty packets, halo
+// faces, a whole coarse vector).
+func TestFabricTrafficNs(t *testing.T) {
+	sizes := []int{0, 12, 300, 4100, 4100, 77_777, 1 << 20, 3}
+	for _, f := range []*Fabric{DefaultFabric(), {LatencyNs: 1000, BandwidthBps: 1e9}, {LatencyNs: 500}} {
+		var msgs, bytes, sum int64
+		for _, b := range sizes {
+			msgs++
+			bytes += int64(b)
+			sum += f.MsgNs(b)
+			got := f.TrafficNs(msgs, bytes)
+			if got < sum || got > sum+msgs {
+				t.Fatalf("%+v: TrafficNs(%d, %d) = %d, want within [%d, %d], the sum of MsgNs", f, msgs, bytes, got, sum, sum+msgs)
+			}
+		}
+	}
+	if got := DefaultFabric().TrafficNs(0, 0); got != 0 {
+		t.Fatalf("TrafficNs(0, 0) = %d, want 0", got)
+	}
+}

@@ -29,33 +29,24 @@ import (
 
 // RankStats reports one rank's communication volume for a distributed
 // solve — the per-rank columns behind the Tables II/III scaling runs.
-// The Fabric*Ns columns are modeled interconnect nanoseconds (zero
-// unless a fabric model is installed): halo packets, allreduce hops and
-// coarse-solve funneling priced by the α–β model of perfmodel.Fabric.
-// Retries is set by nothing: the fabric delivers every message once, so
-// there is no retransmission to count. It stays for the benchmark's
-// comm.retries row until that row is dropped (ROADMAP item 1(g)).
+// HaloMsgs and HaloBytes count every packet the rank sends, the coarse
+// gather's included. Retries is set by nothing: the fabric delivers every
+// message once, so there is no retransmission to count. It stays for the
+// benchmark's comm.retries row until that row is dropped (ROADMAP item
+// 1(g)).
 type RankStats struct {
-	Rank              int   `json:"rank"`
-	HaloMsgs          int64 `json:"halo_msgs"`
-	HaloBytes         int64 `json:"halo_bytes"`
-	AllReduces        int64 `json:"allreduces"`
-	Retries           int64 `json:"retries"`
-	FabricHaloNs      int64 `json:"fabric_halo_ns,omitempty"`
-	FabricAllReduceNs int64 `json:"fabric_allreduce_ns,omitempty"`
-	FabricCoarseNs    int64 `json:"fabric_coarse_ns,omitempty"`
+	Rank       int   `json:"rank"`
+	HaloMsgs   int64 `json:"halo_msgs"`
+	HaloBytes  int64 `json:"halo_bytes"`
+	AllReduces int64 `json:"allreduces"`
+	Retries    int64 `json:"retries"`
 }
 
-// DistOptions carries the coarse-solve and fabric options of a
-// distributed solve; the zero value is the plain configuration.
-type DistOptions struct {
-	// CoarseRoots agglomerates the coarsest-level solve onto that many
-	// block roots (comm.Agg); 0 means 1, everything to rank 0.
-	CoarseRoots int
-	// Fabric, when non-nil, prices every interconnect operation of the
-	// solve in modeled nanoseconds (RankStats.Fabric*Ns).
-	Fabric comm.FabricModel
-}
+// DistOptions holds nothing: a distributed solve has one configuration,
+// the coarse solve gathered to rank 0. It stays for the benchmark
+// harness, which passes DistOptions{} to model.NewDistributedBackend,
+// until that call changes with the benchmark.
+type DistOptions struct{}
 
 // errSink records the first asynchronous failure of a rank's solve
 // (exchange errors cannot surface through krylov.Op.Apply).
@@ -190,16 +181,15 @@ func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 // outer method (GCR or FGMRES) on its own vector copy, and the owned
 // pieces of the per-rank corrections are assembled into the global
 // update. Returns rank 0's Result (all ranks follow the identical
-// trajectory) plus the per-rank communication statistics. opt selects
-// coarse-solve agglomeration onto a rank subset and a fabric cost model.
+// trajectory) plus the per-rank communication statistics.
 //
 // Requires a geometric multigrid configuration (Levels >= 2) whose
 // per-level decompositions nest: px, py, pz must divide the per-level
 // element counts at every level.
-func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int, opt DistOptions) (krylov.Result, []RankStats, error) {
+func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int) (krylov.Result, []RankStats, error) {
 	var stats []RankStats
 	res, err := s.correct(x, bu, func(f, delta la.Vec) (res krylov.Result, err error) {
-		res, stats, err = s.LinearSolveDistributed(s.Cfg.OuterMethod, s.Op, f, delta, s.Cfg.Params, px, py, pz, opt)
+		res, stats, err = s.LinearSolveDistributed(s.Cfg.OuterMethod, s.Op, f, delta, s.Cfg.Params, px, py, pz)
 		return res, err
 	})
 	return res, stats, err
@@ -207,17 +197,16 @@ func (s *Solver) SolveDistributed(x, bu la.Vec, px, py, pz int, opt DistOptions)
 
 // distDecomps builds and validates the nested per-level decompositions
 // of the solver's geometric hierarchy for a px×py×pz world, along with
-// the [level][rank] layouts and the coarse agglomeration of roots block
-// roots. All are topological, so they are cached on the solver with the
-// rank views built on them, and reused across solves of the same world
-// shape (the per-step cost of a distributed solve then excludes
-// partitioning and allocation).
-func (s *Solver) distDecomps(px, py, pz, roots int) (*distCache, error) {
+// the [level][rank] layouts. Both are topological, so they are cached on
+// the solver with the rank views built on them, and reused across solves
+// of the same world shape (the per-step cost of a distributed solve then
+// excludes partitioning and allocation).
+func (s *Solver) distDecomps(px, py, pz int) (*distCache, error) {
 	if s.MG == nil {
 		return nil, fmt.Errorf("stokes: distributed solve requires a geometric multigrid configuration (Levels >= 2)")
 	}
 	size := px * py * pz
-	if c := &s.dcache; c.decomps != nil && c.px == px && c.py == py && c.pz == pz && c.agg.Roots == roots {
+	if c := &s.dcache; c.decomps != nil && c.px == px && c.py == py && c.pz == pz {
 		return c, nil
 	}
 	decomps := make([]*comm.Decomp, len(s.MG.Levels))
@@ -234,10 +223,6 @@ func (s *Solver) distDecomps(px, py, pz, roots int) (*distCache, error) {
 	if err := mg.ValidateNestedDecomps(decomps); err != nil {
 		return nil, err
 	}
-	agg, err := comm.NewAgg(size, roots)
-	if err != nil {
-		return nil, err
-	}
 	layouts := make([][]*comm.Layout, len(decomps))
 	for l, d := range decomps {
 		layouts[l] = make([]*comm.Layout, size)
@@ -245,7 +230,7 @@ func (s *Solver) distDecomps(px, py, pz, roots int) (*distCache, error) {
 			layouts[l][rid] = comm.NewLayout(d, rid)
 		}
 	}
-	s.dcache = distCache{px: px, py: py, pz: pz, agg: agg, decomps: decomps, layouts: layouts, ranks: make([]*rankView, size)}
+	s.dcache = distCache{px: px, py: py, pz: pz, decomps: decomps, layouts: layouts, ranks: make([]*rankView, size)}
 	return &s.dcache, nil
 }
 
@@ -276,7 +261,7 @@ func (s *Solver) newRankView(r *comm.Rank, c *distCache, sc *telemetry.Scope) (*
 	for l := range c.layouts {
 		v.dists[l] = comm.NewDist(r, c.layouts[l][r.ID], sc)
 	}
-	dmg, err := mg.NewDist(s.MG, v.dists, mg.DistOptions{Agg: c.agg})
+	dmg, err := mg.NewDist(s.MG, v.dists)
 	if err != nil {
 		return nil, err
 	}
@@ -308,26 +293,20 @@ func (v *rankView) attach(r *comm.Rank, jop *Op, auu comm.ElementKernel) {
 // telemetry scope into a RankStats record.
 func rankCommCounters(sc *telemetry.Scope, rank int) RankStats {
 	return RankStats{
-		Rank:              rank,
-		HaloMsgs:          sc.Counter("halo_msgs").Value(),
-		HaloBytes:         sc.Counter("halo_bytes").Value(),
-		AllReduces:        sc.Counter("allreduces").Value(),
-		FabricHaloNs:      sc.Counter("fabric_halo_ns").Value(),
-		FabricAllReduceNs: sc.Counter("fabric_allreduce_ns").Value(),
-		FabricCoarseNs:    sc.Counter("fabric_coarse_ns").Value(),
+		Rank:       rank,
+		HaloMsgs:   sc.Counter("halo_msgs").Value(),
+		HaloBytes:  sc.Counter("halo_bytes").Value(),
+		AllReduces: sc.Counter("allreduces").Value(),
 	}
 }
 
 // sub returns the counter deltas a−b (Rank preserved from a).
 func (a RankStats) sub(b RankStats) RankStats {
 	return RankStats{
-		Rank:              a.Rank,
-		HaloMsgs:          a.HaloMsgs - b.HaloMsgs,
-		HaloBytes:         a.HaloBytes - b.HaloBytes,
-		AllReduces:        a.AllReduces - b.AllReduces,
-		FabricHaloNs:      a.FabricHaloNs - b.FabricHaloNs,
-		FabricAllReduceNs: a.FabricAllReduceNs - b.FabricAllReduceNs,
-		FabricCoarseNs:    a.FabricCoarseNs - b.FabricCoarseNs,
+		Rank:       a.Rank,
+		HaloMsgs:   a.HaloMsgs - b.HaloMsgs,
+		HaloBytes:  a.HaloBytes - b.HaloBytes,
+		AllReduces: a.AllReduces - b.AllReduces,
 	}
 }
 
@@ -336,9 +315,6 @@ func (s *RankStats) Add(o RankStats) {
 	s.HaloMsgs += o.HaloMsgs
 	s.HaloBytes += o.HaloBytes
 	s.AllReduces += o.AllReduces
-	s.FabricHaloNs += o.FabricHaloNs
-	s.FabricAllReduceNs += o.FabricAllReduceNs
-	s.FabricCoarseNs += o.FabricCoarseNs
 }
 
 // LinearSolveDistributed solves the coupled linear system J·δ = rhs
@@ -361,8 +337,8 @@ func (s *RankStats) Add(o RankStats) {
 // Requires a geometric multigrid configuration (Levels >= 2) whose
 // per-level decompositions nest: px, py, pz must divide the per-level
 // element counts at every level.
-func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Vec, prmIn krylov.Params, px, py, pz int, opt DistOptions) (krylov.Result, []RankStats, error) {
-	c, err := s.distDecomps(px, py, pz, max(opt.CoarseRoots, 1))
+func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Vec, prmIn krylov.Params, px, py, pz int) (krylov.Result, []RankStats, error) {
+	c, err := s.distDecomps(px, py, pz)
 	if err != nil {
 		return krylov.Result{}, nil, err
 	}
@@ -388,9 +364,6 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 	auu := op.ElementKernel(jop.Auu, s.Prob)
 	matmult, pcapply := s.applyTimers()
 	w := comm.NewWorld(size)
-	if opt.Fabric != nil {
-		w.SetFabric(opt.Fabric)
-	}
 	var (
 		mu      sync.Mutex
 		res     krylov.Result

@@ -13,7 +13,6 @@ import (
 	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
-	"ptatin3d/internal/perfmodel"
 )
 
 // TestCoupledReducerFusedSweepBitwise: the rank's one-sweep Gram–Schmidt
@@ -115,7 +114,7 @@ func runDistComparison(t *testing.T, method string, velTol float64) {
 	}
 
 	xd := la.NewVec(s.Op.N())
-	resD, stats, err := s.SolveDistributed(xd, bu, 2, 2, 1, DistOptions{})
+	resD, stats, err := s.SolveDistributed(xd, bu, 2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,13 +162,11 @@ func TestDistributedSolveMatchesSharedGCR(t *testing.T) {
 	runDistComparison(t, "gcr", 1e-9)
 }
 
-// TestDistributedSolveClassicalAgg runs a full solve with the coarsest
-// level agglomerated onto 2 roots and the fabric cost model installed,
-// over 2×2×1 ranks, and checks that it (a) takes the shared solve's
-// iterations and reaches its velocity to TestRankCountInvariantClassical's
-// GCR bound, (b) reports modeled fabric time for halos, allreduces and
-// the coarse gather, and (c) spends on every rank the allreduces the
-// fused modified Gram–Schmidt recurrence implies.
+// TestDistributedSolveClassicalAgg runs a full solve over 2×2×1 ranks,
+// the coarsest level gathered to rank 0, and checks that it (a) takes the
+// shared solve's iterations and reaches its velocity to
+// TestRankCountInvariantClassical's GCR bound, and (b) spends on every
+// rank the allreduces the fused modified Gram–Schmidt recurrence implies.
 func TestDistributedSolveClassicalAgg(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
@@ -191,10 +188,7 @@ func TestDistributedSolveClassicalAgg(t *testing.T) {
 	}
 
 	xd := la.NewVec(s.Op.N())
-	resD, stats, err := s.SolveDistributed(xd, bu, 2, 2, 1, DistOptions{
-		CoarseRoots: 2,
-		Fabric:      perfmodel.DefaultFabric(),
-	})
+	resD, stats, err := s.SolveDistributed(xd, bu, 2, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,44 +219,6 @@ func TestDistributedSolveClassicalAgg(t *testing.T) {
 		if st.AllReduces != want {
 			t.Fatalf("rank %d: %d allreduces for %d iterations, want %d",
 				st.Rank, st.AllReduces, resD.Iterations, want)
-		}
-		if st.FabricAllReduceNs == 0 || st.FabricHaloNs == 0 || st.FabricCoarseNs == 0 {
-			t.Fatalf("rank %d: fabric charges missing: %+v", st.Rank, st)
-		}
-	}
-}
-
-// TestCoarseRootsZeroIsOne: CoarseRoots 0 and 1 are one layout — the
-// coarsest level gathered to rank 0 — and one code path: the same bits in
-// the solution, the same iterations and, with a fabric model installed,
-// the same communication record on every rank, the coarse gather charged
-// (CoarseRoots 0 used to run a second collective that charged nothing).
-func TestCoarseRootsZeroIsOne(t *testing.T) {
-	p, def := sinkerProblem(4, 100, 1)
-	cfg := sinkerConfig(p, def)
-	cfg.Levels = 2
-	s, err := New(p, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bu := la.NewVec(p.DA.NVelDOF())
-	fem.MomentumRHS(p, bu)
-	solve := func(roots int) (la.Vec, krylov.Result, []RankStats) {
-		x := la.NewVec(s.Op.N())
-		res, stats, err := s.SolveDistributed(x, bu, 2, 1, 1, DistOptions{CoarseRoots: roots, Fabric: perfmodel.DefaultFabric()})
-		if err != nil || !res.Converged {
-			t.Fatalf("CoarseRoots %d: converged %v, err %v", roots, res.Converged, err)
-		}
-		return x, res, stats
-	}
-	x0, res0, stats0 := solve(0)
-	x1, res1, stats1 := solve(1)
-	if res0.Iterations != res1.Iterations || !slices.Equal(x0, x1) {
-		t.Fatalf("CoarseRoots 0 took %d iterations, 1 took %d; solutions equal: %v", res0.Iterations, res1.Iterations, slices.Equal(x0, x1))
-	}
-	for r := range stats0 {
-		if stats0[r] != stats1[r] || stats0[r].FabricCoarseNs == 0 {
-			t.Fatalf("rank %d: CoarseRoots 0 %+v, CoarseRoots 1 %+v; want equal with the coarse gather charged", r, stats0[r], stats1[r])
 		}
 	}
 }
@@ -297,7 +253,7 @@ func TestRankCountInvariantClassical(t *testing.T) {
 			us, _ := s.Op.Split(xs)
 			for _, pg := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
 				xd := la.NewVec(s.Op.N())
-				resD, _, err := s.SolveDistributed(xd, bu, pg[0], pg[1], pg[2], DistOptions{})
+				resD, _, err := s.SolveDistributed(xd, bu, pg[0], pg[1], pg[2])
 				if err != nil || !resD.Converged {
 					t.Fatalf("%v: distributed solve failed: %d its, err %v", pg, resD.Iterations, err)
 				}
@@ -329,7 +285,7 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 	bu := la.NewVec(p.DA.NVelDOF())
 	fem.MomentumRHS(p, bu)
 	x := la.NewVec(s.Op.N())
-	if _, _, err := s.SolveDistributed(x, bu, 2, 1, 1, DistOptions{}); err == nil {
+	if _, _, err := s.SolveDistributed(x, bu, 2, 1, 1); err == nil {
 		t.Fatal("Levels=1 must reject the distributed solve")
 	}
 
@@ -341,7 +297,7 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 	}
 	// 4³ elements over 2 levels: the coarse grid has 2 elements per
 	// axis, so 3 ranks along x cannot nest.
-	if _, _, err := s2.SolveDistributed(x, bu, 3, 1, 1, DistOptions{}); err == nil {
+	if _, _, err := s2.SolveDistributed(x, bu, 3, 1, 1); err == nil {
 		t.Fatal("non-nesting rank grid must be rejected")
 	}
 
@@ -354,7 +310,7 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 		t.Fatalf("unknown outer method must be rejected by New, got %v", err)
 	}
 	delta := la.NewVec(s2.Op.N())
-	if _, _, err := s2.LinearSolveDistributed("", s2.Op, x, delta, cfg2.Params, 2, 1, 1, DistOptions{}); err == nil {
+	if _, _, err := s2.LinearSolveDistributed("", s2.Op, x, delta, cfg2.Params, 2, 1, 1); err == nil {
 		t.Fatal("LinearSolveDistributed must reject an unnamed method")
 	}
 }
@@ -364,14 +320,14 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 // buffers, its V-cycle view refreshed in place, its Krylov workspace and
 // vector copies — gives the iterations and bits of a solver built cold. One
 // solver solves on one viscosity field and then, after the field changes
-// and a Refresh, on another, alternating 2×1×1 with 2×2×1 on two coarse
-// roots so that views are rebuilt on a shape change and reused on the
-// same shape, across the Refresh too; each solve must equal that of a
-// solver built cold on the same field. -short keeps one reuse, the one
-// across the Refresh on the agglomerated 2×2×1.
+// and a Refresh, on another, alternating 2×1×1 with 2×2×1 so that views
+// are rebuilt on a shape change and reused on the same shape, across the
+// Refresh too; each solve must equal that of a solver built cold on the
+// same field. -short keeps one reuse, the one across the Refresh on
+// 2×2×1.
 func TestReusedRankViewsMatchCold(t *testing.T) {
-	type shape struct{ px, py, roots int }
-	a, b := shape{2, 1, 1}, shape{2, 2, 2}
+	type shape struct{ px, py int }
+	a, b := shape{2, 1}, shape{2, 2}
 	shapes := [][]shape{{a, a, b}, {b, a, a}}
 	if testing.Short() {
 		shapes = [][]shape{{a, b}, {b, a}}
@@ -399,7 +355,7 @@ func TestReusedRankViewsMatchCold(t *testing.T) {
 		for _, w := range shapes[f] {
 			solve := func(s *Solver) (la.Vec, krylov.Result) {
 				x := la.NewVec(s.Op.N())
-				res, _, err := s.SolveDistributed(x, bu, w.px, w.py, 1, DistOptions{CoarseRoots: w.roots})
+				res, _, err := s.SolveDistributed(x, bu, w.px, w.py, 1)
 				if err != nil || !res.Converged {
 					t.Fatalf("Δη %g, %dx%dx1: converged %v, err %v", deta, w.px, w.py, res.Converged, err)
 				}
@@ -412,8 +368,8 @@ func TestReusedRankViewsMatchCold(t *testing.T) {
 			xw, rw := solve(warm)
 			xc, rc := solve(cold)
 			if rw.Iterations != rc.Iterations || !slices.Equal(xw, xc) {
-				t.Fatalf("Δη %g, %dx%dx1, %d roots: kept views took %d iterations, cold %d; solutions equal: %v",
-					deta, w.px, w.py, w.roots, rw.Iterations, rc.Iterations, slices.Equal(xw, xc))
+				t.Fatalf("Δη %g, %dx%dx1: kept views took %d iterations, cold %d; solutions equal: %v",
+					deta, w.px, w.py, rw.Iterations, rc.Iterations, slices.Equal(xw, xc))
 			}
 		}
 	}

@@ -130,11 +130,10 @@ type Solver struct {
 }
 
 // distCache caches the per-level decompositions and [level][rank]
-// layouts of one world shape and coarse layout, and each rank's view of
-// the solve, built by the rank's first solve on the shape.
+// layouts of one world shape, and each rank's view of the solve, built by
+// the rank's first solve on the shape.
 type distCache struct {
 	px, py, pz int
-	agg        *comm.Agg
 	decomps    []*comm.Decomp
 	layouts    [][]*comm.Layout
 	ranks      []*rankView

@@ -71,8 +71,8 @@ type SharedBackend = model.SharedBackend
 type DistributedBackend = model.DistributedBackend
 
 // NewDistributedBackend builds a backend over a px×py×pz rank grid.
-func NewDistributedBackend(px, py, pz int, opts stokes.DistOptions) *DistributedBackend {
-	return model.NewDistributedBackend(px, py, pz, opts)
+func NewDistributedBackend(px, py, pz int) *DistributedBackend {
+	return model.NewDistributedBackend(px, py, pz, stokes.DistOptions{})
 }
 
 // Scenario types: declarative model descriptions that compile into a

@@ -36,6 +36,38 @@ func TestFacadeSinkerLifecycle(t *testing.T) {
 	}
 }
 
+// TestFacadeDistributedBackend: the facade's distributed backend, built
+// from the rank grid alone, steps the small sinker on 2×1×1 ranks with the
+// Krylov iterations of the shared backend.
+func TestFacadeDistributedBackend(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	spec, err := ptatin3d.GetScenario("sinker")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Resolution = spec.SmallResolution()
+	var its [2]int
+	for i, backend := range []ptatin3d.StokesBackend{ptatin3d.SharedBackend{}, ptatin3d.NewDistributedBackend(2, 1, 1)} {
+		m, err := ptatin3d.CompileScenario(spec, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Backend = backend
+		if err := m.StepForward(); err != nil {
+			t.Fatalf("%s backend: %v", backend.Name(), err)
+		}
+		if st := m.Stats[0]; st.Backend != backend.Name() || st.KrylovIts == 0 {
+			t.Fatalf("%s backend: step record %+v", backend.Name(), st)
+		}
+		its[i] = m.Stats[0].KrylovIts
+	}
+	if its[0] != its[1] {
+		t.Fatalf("Krylov iterations: shared %d, 2x1x1 %d", its[0], its[1])
+	}
+}
+
 // TestFacadeCustomProblem builds a custom Stokes problem purely through
 // the facade (the library-user path of examples/rayleigh-taylor).
 func TestFacadeCustomProblem(t *testing.T) {

@@ -22,7 +22,9 @@
 # check that the runtime operator selector stays gone and its flag values
 # are refused, a check that the solver keeps one precision, a check that
 # every Krylov solve keeps one orthogonalisation (no pipelined variant, and
-# -pipelined refused by both binaries), a check that the front door stays
+# -pipelined refused by both binaries), a check that the coarse solve keeps
+# one gather to rank 0 (no agglomeration or fabric pricing inside the
+# solve, and -coarse-roots and sweep -agg refused), a check that the front door stays
 # one (two binaries, one model constructor, one halo apply, docs that name
 # commands that exist), a check that
 # README.md, DESIGN.md and the verify skill name only identifiers, tests and
@@ -124,7 +126,7 @@ go test -short -race ./...
 
 echo "== neighbour exchange, mailbox, halo rings against a slow receiver, a collective-order mismatch and an allreduce facing a broadcast as errors, point migration under -race =="
 named_tests -race \
-    'TestCollectiveOrderMismatchIsAnError|TestAllReduceOrderMismatchIsAnError|TestExchangeReliableBasic|TestExchangeReliableStallRecovery|TestExchangeDeadlockNamesSilentPeer|TestRecvWaitsThroughQuiet|TestExchangeReliablePreservesCollectivePayloads|TestMailbox|TestRingsOutlastSlowReceiver|TestMigrateProtocol|TestMigrateExchangeFailure' \
+    'TestCollectiveOrderMismatchIsAnError|TestAllReduceOrderMismatchIsAnError|TestExchangeReliableBasic|TestExchangeReliableStallRecovery|TestExchangeDeadlockNamesSilentPeer|TestExchangeReliablePreservesCollectivePayloads|TestMailbox|TestRingsOutlastSlowReceiver|TestMigrateProtocol|TestMigrateExchangeFailure' \
     ./internal/comm ./internal/mpm
 
 # Every message is delivered once and in order per source, so no exchange
@@ -146,10 +148,10 @@ if grep -rnE 'par\.Probe|PointStats|TakePointStats|stageTimes' --include='*.go' 
     exit 1
 fi
 
-echo "== coarse agglomeration + vector allreduce under -race =="
-named_tests -race 'TestDistMGAgg|TestAllReduceSumVec' ./internal/mg ./internal/comm
+echo "== coarse gather to rank 0 + vector allreduce under -race =="
+named_tests -race 'TestGatherSolveBroadcast|TestAllReduceSumVec' ./internal/comm
 
-echo "== one stack: rank-count invariance, an agglomerated solve on the fabric model at the fused recurrence's allreduce count, rank transfers bitwise == shared and one worker wide over a 4-wide hierarchy, the rank's fused Gram-Schmidt sweep == update then reduce, a 2x1x1 step Workers x Ranks wide with the same bits and step record at 1 and 2 workers, under -race =="
+echo "== one stack: rank-count invariance, a 2x2x1 solve at the fused recurrence's allreduce count, rank transfers bitwise == shared and one worker wide over a 4-wide hierarchy, the rank's fused Gram-Schmidt sweep == update then reduce, a 2x1x1 step Workers x Ranks wide with the same bits and step record at 1 and 2 workers, under -race =="
 named_tests -race \
     'TestRankCountInvariantClassical|TestDistributedSolveClassicalAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestCoupledReducerFusedSweepBitwise|TestStepRunsWorkersTimesRanksWide|TestStepWidthBitIdentical' \
     ./internal/stokes ./internal/mg ./internal/model
@@ -285,6 +287,23 @@ for cmd in "ptatin-run -scenario sinker -small" "ptatin-tables sweep"; do
     "$bindir"/$cmd -pipelined >/dev/null 2>&1 || code=$?
     if [ "$code" -ne 2 ]; then
         echo "check.sh: $cmd -pipelined exited $code, want 2 (flag not defined)" >&2
+        exit 1
+    fi
+done
+
+# The coarse solve gathers to rank 0, and the alpha-beta fabric model
+# prices counts in the sweep only (DESIGN.md, "Krylov at scale").
+echo "== one coarse gather: no multi-root agglomeration or fabric pricing inside the solve in non-test Go; -coarse-roots and sweep -agg refused (exit 2) =="
+if grep -rnE 'comm\.Agg\b|NewAgg|CoarseRoots|FabricModel|SetFabric|fabric_coarse_ns' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check.sh: coarse agglomeration or the fabric model inside the solve is back in non-test Go (above)" >&2
+    exit 1
+fi
+for cmd in "ptatin-run -scenario sinker -small -ranks 2x1x1 -coarse-roots 2" "ptatin-tables sweep -agg 8"; do
+    code=0
+    # shellcheck disable=SC2086
+    "$bindir"/$cmd >/dev/null 2>&1 || code=$?
+    if [ "$code" -ne 2 ]; then
+        echo "check.sh: $cmd exited $code, want 2 (flag not defined)" >&2
         exit 1
     fi
 done
