@@ -39,9 +39,11 @@ func (g *gatherBufs) fill(k int, v interface{}) []interface{} {
 // GatherSolveBroadcast runs the coarse solve on rank 0: the owned
 // velocity entries of b funnel to rank 0, so its b is globally valid;
 // rank 0 runs solve (which reads b and writes x) and sends x to every
-// other rank. On return x is globally valid on every rank. overlap (if
-// non-nil) runs on the other ranks while rank 0 gathers and solves — the
-// idle-rank latency-hiding hook.
+// other rank. On return x is valid on the rank's owned+ghost entries
+// (Layout.VelSpans): a client copies those alone, so its work stays
+// O(n/P), and every reader of the coarse correction stays inside that
+// box. overlap (if non-nil) runs on the other ranks while rank 0 gathers
+// and solves — the idle-rank latency-hiding hook.
 func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) error {
 	r := d.R
 	size := r.W.Size()
@@ -70,7 +72,9 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) error
 		if err != nil {
 			return fmt.Errorf("comm: coarse solution broadcast: %w", err)
 		}
-		copy(x, xs.Val)
+		for _, sp := range d.L.VelSpans() {
+			copy(x[sp.Lo:sp.Hi], xs.Val[sp.Lo:sp.Hi])
+		}
 		return nil
 	}
 

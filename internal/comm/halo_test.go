@@ -131,8 +131,9 @@ func TestDistAllReduceSum(t *testing.T) {
 
 // TestGatherSolveBroadcast: the per-rank owned slices of b are assembled
 // on rank 0, its "solve" doubles them into x, and every rank receives the
-// full solution. A client counts its one packet to rank 0, and rank 0
-// one solution packet per client.
+// solution on its owned+ghost entries (rank 0 everywhere); a client
+// leaves the rest of x as it was. A client counts its one packet to rank
+// 0, and rank 0 one solution packet per client.
 func TestGatherSolveBroadcast(t *testing.T) {
 	da := mesh.New(4, 4, 2, 0, 1, 0, 1, 0, 1)
 	d, err := NewDecomp(da, 2, 2, 1)
@@ -144,6 +145,7 @@ func TestGatherSolveBroadcast(t *testing.T) {
 	reg := telemetry.New()
 	var mu sync.Mutex
 	vecs := make([]la.Vec, d.Size())
+	spans := make([][]la.Span, d.Size())
 	w.Run(func(r *Rank) {
 		l := NewLayout(d, r.ID)
 		dist := NewDist(r, l, reg.Root().Child(fmt.Sprintf("rank%d", r.ID)))
@@ -154,6 +156,9 @@ func TestGatherSolveBroadcast(t *testing.T) {
 			}
 		}
 		x := la.NewVec(n)
+		for i := range x {
+			x[i] = -1
+		}
 		err := dist.GatherSolveBroadcast(b, x, func() {
 			for i := range x {
 				x[i] = 2 * b[i]
@@ -165,12 +170,28 @@ func TestGatherSolveBroadcast(t *testing.T) {
 		}
 		mu.Lock()
 		vecs[r.ID] = x
+		spans[r.ID] = l.VelSpans()
 		mu.Unlock()
 	})
 	for rid := 0; rid < d.Size(); rid++ {
+		in := make([]bool, n)
+		outside := n
+		for _, sp := range spans[rid] {
+			for i := sp.Lo; i < sp.Hi; i++ {
+				in[i] = true
+			}
+			outside -= sp.Hi - sp.Lo
+		}
+		if outside == 0 {
+			t.Fatalf("rank %d: its owned+ghost spans cover the whole vector; the fixture shows no client copy", rid)
+		}
 		for i := 0; i < n; i++ {
-			if vecs[rid][i] != 2*float64(i) {
-				t.Fatalf("rank %d x[%d] = %g, want %g", rid, i, vecs[rid][i], 2*float64(i))
+			want := 2 * float64(i)
+			if rid != 0 && !in[i] {
+				want = -1
+			}
+			if vecs[rid][i] != want {
+				t.Fatalf("rank %d x[%d] = %g, want %g (in its owned+ghost spans: %v)", rid, i, vecs[rid][i], want, in[i])
 			}
 		}
 		want := int64(1)
@@ -274,7 +295,7 @@ func TestRingsOutlastSlowReceiver(t *testing.T) {
 				}
 			}
 			// Rank 0 gathers b, solves x = 2b + round and sends x to
-			// every rank.
+			// every rank, which keeps its owned+ghost entries.
 			off := 0.5 * float64(round)
 			for _, node := range l.OwnedNodes() {
 				for k := int32(0); k < 3; k++ {
@@ -292,10 +313,12 @@ func TestRingsOutlastSlowReceiver(t *testing.T) {
 				t.Errorf("rank %d round %d: %v", r.ID, round, err)
 				return
 			}
-			for i := range x {
-				if want := 2*(float64(i)+off) + float64(round); x[i] != want {
-					fail("coarse", round, i, x[i], want)
-					return
+			for _, sp := range l.VelSpans() {
+				for i := sp.Lo; i < sp.Hi; i++ {
+					if want := 2*(float64(i)+off) + float64(round); x[i] != want {
+						fail("coarse", round, i, x[i], want)
+						return
+					}
 				}
 			}
 		}

@@ -467,7 +467,7 @@ func Diagonal(p *Problem, d la.Vec) {
 		panic("fem: Diagonal length mismatch")
 	}
 	geo := p.geom()
-	p.slabApply(nil, false, false, false, d, func(e int, _, _, de *[81]float64, _ *kernScratch) {
+	p.apply(elemPass{kern: func(e int, _, _, de *[81]float64, _ *arena) {
 		eta := p.Eta[NQP*e : NQP*e+NQP]
 		*de = [81]float64{}
 		for q := 0; q < NQP; q++ {
@@ -485,7 +485,7 @@ func Diagonal(p *Problem, d la.Vec) {
 				de[3*n+2] += s * (norm + pz*pz)
 			}
 		}
-	})
+	}}, zeroRows, nil, d)
 	for r, m := range p.BC.Mask {
 		if m {
 			d[r] = 1

@@ -15,9 +15,11 @@ import (
 // The temporal dependency is the slab graph of the owner-computes
 // scatter: advancing step i+1 on block b needs the step-i operator
 // contributions of blocks [b, b+D], and applying block b at step i reads
-// p values owned by blocks [b-D, b], where D = Resident.dep is the
-// largest slab span of any shared node (1 for contiguous slabs of a
-// lexicographic element order).
+// p values owned by blocks [b-D, b], where D is the dependency distance
+// of the Problem's slab partition, the largest slab span of any shared
+// node (1 for contiguous slabs of a lexicographic element order). The
+// partition also says which dofs each block owns (own(b)); an apply item
+// is the block schedule's applyBlock with the resident kernel.
 //
 // Schedule (waveSchedule). The B blocks form NG = ⌈B/G⌉ groups of
 // G = min(Workers, B) consecutive blocks; a dependency that spans D
@@ -184,9 +186,9 @@ func (c *BlockedChebyshev) SmoothPart(b, x la.Vec, zeroGuess bool) par.Part {
 			}
 		})
 	}
-	info := c.R.ownership()
 	p := c.R.P
-	sch := newWaveSchedule(info.S, c.R.dep, p.Workers, c.Steps, zeroGuess)
+	info := p.slabs()
+	sch := newWaveSchedule(info.S, info.dep, p.Workers, c.Steps, zeroGuess)
 	var bufs *slabBufs
 	return par.Part{
 		Phases: 2 * sch.waves(),
@@ -215,9 +217,7 @@ func (c *BlockedChebyshev) SmoothPart(b, x la.Vec, zeroGuess bool) par.Part {
 			if it.slot < sch.lead {
 				src = x // A·x for the initial residual
 			}
-			ks := c.R.getScratch()
-			c.R.applyBlock(it.blk, src, c.ap, bufs.bufs[it.blk], ks)
-			c.R.scratch.Put(ks)
+			p.applyBlock(it.blk, &c.R.pass, false, src, c.ap, bufs.bufs[it.blk])
 		},
 		Done: func() { p.slabPool.put(bufs) },
 	}
@@ -272,7 +272,7 @@ func (c *BlockedChebyshev) advance(i, b int, info *slabInfo, bvec, x la.Vec, buf
 		}
 	}
 
-	for _, sp := range c.R.ownInterior[b] {
+	for _, sp := range info.ownInterior[b] {
 		for d := sp.Lo; d < sp.Hi; d++ {
 			var apd float64
 			if needAp {
@@ -289,7 +289,7 @@ func (c *BlockedChebyshev) advance(i, b int, info *slabInfo, bvec, x la.Vec, buf
 			step(d, apd)
 		}
 	}
-	for _, t32 := range c.R.ownShared[b] {
+	for _, t32 := range info.ownShared[b] {
 		t := int(t32)
 		var a [3]float64
 		if needAp {

@@ -125,14 +125,14 @@ func (c *Coupling) Setup() {
 // rows are untouched — the caller owns their identity handling).
 func (c *Coupling) ApplyGAdd(pv, yu la.Vec) {
 	p := c.P
-	p.slabApply(nil, false, false, true, yu, func(e int, _, _, ye *[81]float64, _ *kernScratch) {
+	p.apply(elemPass{kern: func(e int, _, _, ye *[81]float64, _ *arena) {
 		ge := c.Ge[324*e : 324*e+324]
 		p0, p1, p2, p3 := pv[4*e], pv[4*e+1], pv[4*e+2], pv[4*e+3]
 		for i := 0; i < 81; i++ {
 			row := ge[4*i : 4*i+4]
 			ye[i] = row[0]*p0 + row[1]*p1 + row[2]*p2 + row[3]*p3
 		}
-	})
+	}}, addRows, nil, yu)
 }
 
 // ApplyGAddElements accumulates yu += G·pv over the given elements only

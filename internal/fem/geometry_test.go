@@ -17,7 +17,7 @@ import (
 
 func refMomentumRHS(p *Problem, b la.Vec) {
 	g := p.Gravity
-	p.slabApply(nil, false, true, false, b, func(e int, _, xe, be *[81]float64, _ *kernScratch) {
+	p.apply(elemPass{coords: true, kern: func(e int, _, xe, be *[81]float64, _ *arena) {
 		*be = [81]float64{}
 		var jinv [9]float64
 		for q := 0; q < NQP; q++ {
@@ -31,11 +31,11 @@ func refMomentumRHS(p *Problem, b la.Vec) {
 				be[3*n+2] += nn * f2
 			}
 		}
-	})
+	}}, zeroRows, nil, b)
 }
 
 func refDiagonal(p *Problem, d la.Vec) {
-	p.slabApply(nil, false, true, false, d, func(e int, _, xe, de *[81]float64, _ *kernScratch) {
+	p.apply(elemPass{coords: true, kern: func(e int, _, xe, de *[81]float64, _ *arena) {
 		eta := p.Eta[NQP*e : NQP*e+NQP]
 		*de = [81]float64{}
 		var jinv [9]float64
@@ -54,7 +54,7 @@ func refDiagonal(p *Problem, d la.Vec) {
 				de[3*n+2] += s * (norm + pz*pz)
 			}
 		}
-	})
+	}}, zeroRows, nil, d)
 	for r, m := range p.BC.Mask {
 		if m {
 			d[r] = 1

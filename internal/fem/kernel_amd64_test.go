@@ -153,16 +153,16 @@ func FuzzContractions(f *testing.F) {
 	})
 }
 
-// arena views a kernel scratch arena as its floats: the two encodings must
+// scratchFloats views a kernel scratch arena as its floats: the two encodings must
 // leave every one of them alike, temporaries included (a masked store that
 // spilt into a neighbouring field would show here).
-func arena(ks *kernScratchG[float64]) []float64 {
+func scratchFloats(ks *kernScratchG[float64]) []float64 {
 	return unsafe.Slice((*float64)(unsafe.Pointer(ks)), unsafe.Sizeof(*ks)/8)
 }
 
 func compareArenas(t *testing.T, what string, got, want *kernScratchG[float64]) {
 	t.Helper()
-	g, w := arena(got), arena(want)
+	g, w := scratchFloats(got), scratchFloats(want)
 	for i := range w {
 		if !sameFloat(g[i], w[i]) {
 			t.Fatalf("%s: scratch float %d (field %d, index %d) = %x, Go body %x", what, i, i/81, i%81,
@@ -178,7 +178,7 @@ func TestTensorGradsScatterMatchGo(t *testing.T) {
 		for kind := 0; kind < fillKinds; kind++ {
 			for _, atEnd := range []bool{false, true} {
 				var ksA, ksG kernScratchG[float64]
-				fillKind(rng, arena(&ksG), 0)
+				fillKind(rng, scratchFloats(&ksG), 0)
 				ksA = ksG
 				f, y := newGuarded(t, 81, atEnd), newGuarded(t, 81, atEnd)
 				fillKind(rng, f.v, kind)
@@ -216,7 +216,7 @@ func TestResidentElementMatchesGo(t *testing.T) {
 		for kind := 0; kind < fillKinds; kind++ {
 			for _, atEnd := range []bool{false, true} {
 				var ksA, ksG kernScratchG[float64]
-				fillKind(rng, arena(&ksG), 0)
+				fillKind(rng, scratchFloats(&ksG), 0)
 				ksA = ksG
 				coef := newGuarded(t, 15*NQP, atEnd)
 				ue, ye := newGuarded(t, 81, atEnd), newGuarded(t, 81, atEnd)

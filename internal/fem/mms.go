@@ -14,7 +14,7 @@ func MomentumRHSFunc(p *Problem, f func(x, y, z float64) (fx, fy, fz float64), b
 	if len(b) != p.DA.NVelDOF() {
 		panic("fem: MomentumRHSFunc length mismatch")
 	}
-	p.slabApply(nil, false, true, false, b, func(e int, _, xe, be *[81]float64, _ *kernScratch) {
+	p.apply(elemPass{coords: true, kern: func(e int, _, xe, be *[81]float64, _ *arena) {
 		*be = [81]float64{}
 		var jinv [9]float64
 		for q := 0; q < NQP; q++ {
@@ -35,7 +35,7 @@ func MomentumRHSFunc(p *Problem, f func(x, y, z float64) (fx, fy, fz float64), b
 				be[3*n+2] += s * fz
 			}
 		}
-	})
+	}}, zeroRows, nil, b)
 }
 
 // VelocityL2Error returns ‖u_h − u*‖_L2 over the mesh by quadrature,

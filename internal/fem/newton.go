@@ -42,10 +42,9 @@ func (op *NewtonOp) N() int { return op.Base.N() }
 // elimination.
 func (op *NewtonOp) Apply(u, y la.Vec) {
 	p := op.Base.P
-	p.slabApply(u, true, true, false, y, func(e int, ue, xe, ye *[81]float64, ks *kernScratch) {
-		op.elementApply(e, ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, ks)
+	p.applyState(true, u, y, func(e int, ue, xe, ye *[81]float64, sc *arena) {
+		op.elementApply(e, ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, &sc.ks)
 	})
-	applyIdentityRows(p, u, y)
 }
 
 // ApplyElements accumulates the action of the given element subset into y
@@ -54,9 +53,10 @@ func (op *NewtonOp) Apply(u, y la.Vec) {
 // matvec, with no identity rows (partial sums must stay addable).
 func (op *NewtonOp) ApplyElements(elems []int, u, y la.Vec) {
 	p := op.Base.P
-	p.applyElements(elems, u, y, func(e int, ue, xe, ye *[81]float64, ks *kernScratch) {
-		op.elementApply(e, ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, ks)
-	})
+	pass := elemPass{state: maskedState, coords: true, kern: func(e int, ue, xe, ye *[81]float64, sc *arena) {
+		op.elementApply(e, ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, &sc.ks)
+	}}
+	p.applyElements(elems, &pass, u, y)
 }
 
 // elementApply is the tensor kernel plus the rank-one Newton term.

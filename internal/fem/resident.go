@@ -2,7 +2,6 @@ package fem
 
 import (
 	"math"
-	"sync"
 
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/par"
@@ -17,12 +16,10 @@ import (
 // factorization sM (6 entries of the scaled metric Gram matrix, packed
 // symmetric order 00,01,02,11,12,22) plus √s·K (9 entries of the scaled
 // inverse Jacobian, row-major, s = η·w·detJ), which reproduces the same
-// action (see DESIGN.md, "Substitutions (paper → this repo)"). The apply
-// is organized around per-slab "blocks" whose element data, coefficient
-// stream and scratch stay resident in cache while a block is processed.
-// The per-block entry point applyBlock is what the blocked
-// Chebyshev smoother drives slab-by-slab; the whole-vector Apply is the
-// same code path plus the ascending-slab merge, so both produce
+// action (see DESIGN.md, "Substitutions (paper → this repo)"). It is one
+// more kernel of the Problem's block schedule: Apply is the blocks plus
+// the ascending-slab merge, and the blocked Chebyshev smoother drives the
+// same per-block item (applyBlock) slab by slab, so both produce
 // bit-identical sums.
 //
 // F32 selects the single-precision variant the kernel study times beside
@@ -38,33 +35,14 @@ type Resident struct {
 	c64 []float64
 	c32 []float32
 
-	// Blocked-schedule ownership, built once alongside the slab partition:
-	// every dof is advanced by exactly one block. ownInterior[b] lists the
-	// dof spans of nodes touched only by slab b (plus, for b==0, nodes
-	// touched by no element); ownShared[b] lists shared-node indices t
-	// (into slabInfo.shared) with minSlab[t]==b. dep is the dependency
-	// distance: the largest slab span of any shared node.
-	ownOnce     sync.Once
-	ownInterior [][]la.Span
-	ownShared   [][]int32
-	dep         int
-
-	scratch sync.Pool
-}
-
-// residentScratch is the per-worker arena of the resident apply: the
-// gather/scatter staging batch plus the generic kernel scratch at both
-// precisions (only the active one is touched).
-type residentScratch struct {
-	ue, ye [slabBlock][81]float64
-	ks64   kernScratchG[float64]
-	ks32   kernScratchG[float32]
+	pass elemPass // the kernel and its masked-state gather, made once
 }
 
 // NewResident builds a stored-coefficient resident operator; Setup must
 // be called again whenever the mesh geometry or viscosity changes.
 func NewResident(p *Problem, f32 bool) *Resident {
 	r := &Resident{P: p, F32: f32}
+	r.pass = elemPass{kern: r.kernel, state: maskedState}
 	r.Setup()
 	return r
 }
@@ -118,182 +96,27 @@ func (r *Resident) Setup() {
 // N returns the number of velocity dofs.
 func (r *Resident) N() int { return r.P.DA.NVelDOF() }
 
-// ownership builds the blocked-schedule dof ownership on first use and
-// returns the slab partition.
-func (r *Resident) ownership() *slabInfo {
-	info := r.P.slabs()
-	r.ownOnce.Do(func() {
-		p := r.P
-		S := info.S
-		nn := p.DA.NNodes()
-		// Interior nodes are touched by exactly one slab: record it. The
-		// zero default folds untouched nodes into block 0, whose apply
-		// zeroes their (never-scattered) rows so the advance reads 0.
-		owner := make([]int32, nn)
-		for s := 0; s < S; s++ {
-			em := p.Emap[27*info.off[s] : 27*info.off[s+1]]
-			for _, n := range em {
-				if info.sharedIdx[n] < 0 {
-					owner[n] = int32(s)
-				}
-			}
-		}
-		r.ownInterior = make([][]la.Span, S)
-		for n := 0; n < nn; n++ {
-			if info.sharedIdx[n] >= 0 {
-				continue
-			}
-			b := owner[n]
-			r.ownInterior[b] = la.AppendSpan(r.ownInterior[b], 3*n, 3*n+3)
-		}
-		r.ownShared = make([][]int32, S)
-		for t := range info.shared {
-			b := info.minSlab[t]
-			r.ownShared[b] = append(r.ownShared[b], int32(t))
-			if d := int(info.maxSlab[t] - info.minSlab[t]); d > r.dep {
-				r.dep = d
-			}
-		}
-	})
-	return info
+// kernel applies the stored-coefficient kernel to element e at the
+// operator's precision.
+func (r *Resident) kernel(e int, ue, _, ye *[81]float64, sc *arena) {
+	if r.F32 {
+		residentElement(r.c32[15*NQP*e:15*NQP*(e+1)], ue, ye, &tables32, &sc.ks32)
+		return
+	}
+	residentElement64((*[15 * NQP]float64)(r.c64[15*NQP*e:]), ue, ye, &sc.ks.kernScratchG)
 }
 
-func (r *Resident) getScratch() *residentScratch {
-	if ks, ok := r.scratch.Get().(*residentScratch); ok {
-		return ks
-	}
-	return &residentScratch{}
-}
-
-// applyBlock computes block b's element contributions to y = A·u: the
-// block's interior dof spans of y are zeroed then accumulated directly in
-// ascending element order, and shared-node contributions go to the
-// block's overlap buffer buf (zeroed first). No identity rows and no
-// shared-node merge — Apply and the blocked smoother compose those, in
-// the same ascending-slab order, so their sums agree bitwise.
-func (r *Resident) applyBlock(b int, u, y la.Vec, buf []float64, ks *residentScratch) {
-	p := r.P
-	info := p.slab
-	for i := range buf {
-		buf[i] = 0
-	}
-	for _, sp := range r.ownInterior[b] {
-		vv := y[sp.Lo:sp.Hi]
-		for i := range vv {
-			vv[i] = 0
-		}
-	}
-	mask := p.BC.Mask
-	bufOff := 3 * int(info.bufLo[b])
-	e0, e1 := info.off[b], info.off[b+1]
-	for blk := e0; blk < e1; blk += slabBlock {
-		bn := e1 - blk
-		if bn > slabBlock {
-			bn = slabBlock
-		}
-		for i := 0; i < bn; i++ {
-			p.gatherVec(blk+i, u, &ks.ue[i])
-		}
-		if r.F32 {
-			for i := 0; i < bn; i++ {
-				e := blk + i
-				residentElement(r.c32[15*NQP*e:15*NQP*(e+1)], &ks.ue[i], &ks.ye[i], &tables32, &ks.ks32)
-			}
-		} else {
-			for i := 0; i < bn; i++ {
-				e := blk + i
-				residentElement64((*[15 * NQP]float64)(r.c64[15*NQP*e:]), &ks.ue[i], &ks.ye[i], &ks.ks64)
-			}
-		}
-		for i := 0; i < bn; i++ {
-			em := p.Emap[27*(blk+i) : 27*(blk+i)+27]
-			yei := &ks.ye[i]
-			for n := 0; n < 27; n++ {
-				node := int(em[n])
-				if t := int(info.sharedIdx[node]); t >= 0 {
-					o := 3*t - bufOff
-					buf[o] += yei[3*n]
-					buf[o+1] += yei[3*n+1]
-					buf[o+2] += yei[3*n+2]
-				} else {
-					d := 3 * node
-					if !mask[d] {
-						y[d] += yei[3*n]
-					}
-					if !mask[d+1] {
-						y[d+1] += yei[3*n+1]
-					}
-					if !mask[d+2] {
-						y[d+2] += yei[3*n+2]
-					}
-				}
-			}
-		}
-	}
-}
-
-// Apply computes y = J_uu·u with symmetric Dirichlet elimination, block
-// by block with an ascending-slab merge — the same partition, element
-// order and merge order as the blocked smoother's per-block schedule.
+// Apply computes y = J_uu·u with symmetric Dirichlet elimination on the
+// block schedule — the partition, element order and merge order of the
+// blocked smoother's per-block items.
 func (r *Resident) Apply(u, y la.Vec) {
 	par.Run(r.P.Workers, r.ApplyPart(u, y))
 }
 
-// ApplyPart is Apply as a par.Part of two phases: the blocks, one item
-// each, then the merge of the shared-node list in Workers ranges with the
-// Dirichlet identity rows as one more item (they write constrained rows
-// only, the merge free ones only).
+// ApplyPart is Apply as a par.Part, for a caller that runs it inside a
+// larger job (the V-cycle).
 func (r *Resident) ApplyPart(u, y la.Vec) par.Part {
-	info := r.ownership()
-	p := r.P
-	mask := p.BC.Mask
-	ns := len(info.shared)
-	nmerge := min(max(1, p.Workers), ns)
-	var bufs *slabBufs
-	return par.Part{
-		Phases: 2,
-		Prepare: func(ph int) int {
-			if ph == 0 {
-				bufs = p.getSlabBufs(info)
-				return info.S
-			}
-			return nmerge + 1
-		},
-		Item: func(ph, i int) {
-			if ph == 0 {
-				ks := r.getScratch()
-				r.applyBlock(i, u, y, bufs.bufs[i], ks)
-				r.scratch.Put(ks)
-				return
-			}
-			if i == nmerge {
-				applyIdentityRows(p, u, y)
-				return
-			}
-			lo, hi := par.Chunk(i, nmerge, ns)
-			for t := lo; t < hi; t++ {
-				var a0, a1, a2 float64
-				for s := int(info.minSlab[t]); s <= int(info.maxSlab[t]); s++ {
-					o := 3 * (t - int(info.bufLo[s]))
-					bb := bufs.bufs[s]
-					a0 += bb[o]
-					a1 += bb[o+1]
-					a2 += bb[o+2]
-				}
-				d := 3 * int(info.shared[t])
-				if !mask[d] {
-					y[d] = a0
-				}
-				if !mask[d+1] {
-					y[d+1] = a1
-				}
-				if !mask[d+2] {
-					y[d+2] = a2
-				}
-			}
-		},
-		Done: func() { p.slabPool.put(bufs) },
-	}
+	return r.P.applyPart(&r.pass, identityRows, u, y)
 }
 
 // ApplyElements accumulates the action of the given element subset into y
@@ -302,16 +125,5 @@ func (r *Resident) ApplyPart(u, y la.Vec) par.Part {
 // identity rows are added — partial sums from different ranks must remain
 // addable.
 func (r *Resident) ApplyElements(elems []int, u, y la.Vec) {
-	p := r.P
-	ks := r.getScratch()
-	for _, e := range elems {
-		p.gatherVec(e, u, &ks.ue[0])
-		if r.F32 {
-			residentElement(r.c32[15*NQP*e:15*NQP*(e+1)], &ks.ue[0], &ks.ye[0], &tables32, &ks.ks32)
-		} else {
-			residentElement64((*[15 * NQP]float64)(r.c64[15*NQP*e:]), &ks.ue[0], &ks.ye[0], &ks.ks64)
-		}
-		p.scatterAdd(e, &ks.ye[0], y)
-	}
-	r.scratch.Put(ks)
+	r.P.applyElements(elems, &r.pass, u, y)
 }

@@ -135,8 +135,8 @@ func testBlockedChebyshevBitIdentical(t *testing.T) uint64 {
 
 		for _, f32 := range []bool{false, true} {
 			op := NewResident(p, f32)
-			if op.ownership(); tc.off != nil && op.dep != tc.dep {
-				t.Fatalf("grid %v: dependency distance %d, want %d", g, op.dep, tc.dep)
+			if info := p.slabs(); tc.off != nil && info.dep != tc.dep {
+				t.Fatalf("grid %v: dependency distance %d, want %d", g, info.dep, tc.dep)
 			}
 			lmax := krylov.EstimateLambdaMax(op, jac, 10)
 			for _, steps := range []int{1, 2, 3, 4} {

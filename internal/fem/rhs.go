@@ -16,7 +16,7 @@ func MomentumRHS(p *Problem, b la.Vec) {
 	}
 	g := p.Gravity
 	geo := p.geom()
-	p.slabApply(nil, false, false, false, b, func(e int, _, _, be *[81]float64, _ *kernScratch) {
+	p.apply(elemPass{kern: func(e int, _, _, be *[81]float64, _ *arena) {
 		*be = [81]float64{}
 		for q := 0; q < NQP; q++ {
 			_, detJ := geomAt(geo, e, q)
@@ -29,5 +29,5 @@ func MomentumRHS(p *Problem, b la.Vec) {
 				be[3*n+2] += nn * f2
 			}
 		}
-	})
+	}}, zeroRows, nil, b)
 }

@@ -9,8 +9,11 @@ import (
 	"ptatin3d/internal/par"
 )
 
-// Slab-partitioned owner-computes scatter: the barrier-free replacement
-// for the 8-color element schedule on every operator apply path.
+// Slab-partitioned owner-computes scatter: the one block schedule of
+// every whole-vector element loop (the operators, the diagonal, the loads,
+// the coupling and the blocked smoother's applies), and the barrier-free
+// replacement for the 8-color element schedule. An element loop is an
+// elemPass, a kernel and what it gathers; each slab is one block item.
 //
 // Elements are split into S contiguous slabs. A worker that processes
 // slab s scatter-adds directly into the global vector for nodes touched
@@ -60,6 +63,16 @@ type slabInfo struct {
 	// the slab's node span: its overlap buffer stores 3 floats per shared
 	// node in [bufLo, bufHi).
 	bufLo, bufHi []int32
+
+	// Ownership: every dof is written by exactly one block. ownInterior[b]
+	// lists the dof spans of the nodes touched by slab b alone (block 0
+	// also owns the nodes no element touches, which its apply zeroes);
+	// ownShared[b] lists the shared-list indices t with minSlab[t] == b.
+	// dep, the dependency distance, is the largest slab span of a shared
+	// node.
+	ownInterior [][]la.Span
+	ownShared   [][]int32
+	dep         int
 }
 
 // slabBufs is one apply's set of per-slab overlap buffers, pooled so
@@ -83,8 +96,8 @@ func (p *Problem) slabs() *slabInfo {
 	return p.slab
 }
 
-// newSlabInfo derives the shared-node tables of the contiguous element
-// partition with slab s = [off[s], off[s+1]).
+// newSlabInfo derives the shared-node and ownership tables of the
+// contiguous element partition with slab s = [off[s], off[s+1]).
 func newSlabInfo(p *Problem, off []int) *slabInfo {
 	S := len(off) - 1
 	info := &slabInfo{S: S, off: off}
@@ -137,6 +150,20 @@ func newSlabInfo(p *Problem, off []int) *slabInfo {
 			return info.shared[t] > hi
 		}))
 	}
+
+	info.ownInterior = make([][]la.Span, S)
+	for n := 0; n < nn; n++ {
+		if info.sharedIdx[n] < 0 {
+			b := max(minS[n], 0)
+			info.ownInterior[b] = la.AppendSpan(info.ownInterior[b], 3*n, 3*n+3)
+		}
+	}
+	info.ownShared = make([][]int32, S)
+	for t := range info.shared {
+		b := info.minSlab[t]
+		info.ownShared[b] = append(info.ownShared[b], int32(t))
+		info.dep = max(info.dep, int(info.maxSlab[t]-info.minSlab[t]))
+	}
 	return info
 }
 
@@ -160,159 +187,246 @@ func (p *Problem) SlabStats() (slabs, sharedNodes, totalNodes int) {
 	return info.S, len(info.shared), p.DA.NNodes()
 }
 
-// slabApply runs kern over every element using the slab-partitioned
-// owner-computes schedule and accumulates the per-element outputs ye into
-// y, skipping constrained rows.
-//
-//   - u == nil: no state gather; kern receives a stale ue it must ignore.
-//   - masked: constrained entries of the gathered ue are zeroed
-//     (symmetric Dirichlet elimination); otherwise the raw state is
-//     gathered (residual evaluation on a boundary-valued state).
-//   - needX: gather nodal coordinates into xe.
-//   - accumulate: keep y's prior contents (coupling ApplyGAdd); otherwise
-//     y is zeroed first.
-//
-// kern must fully define ye (overwrite, not accumulate): scratch blocks
-// are reused across elements without re-zeroing. The kernScratch arena is
-// likewise reused across elements of a worker's chunk.
-func (p *Problem) slabApply(u la.Vec, masked, needX, accumulate bool, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) {
+// elemPass is one element loop: the kernel and what it reads. kern must
+// fully define ye (overwrite, not accumulate), because the arena's blocks
+// are reused across elements without re-zeroing; it receives ue and xe
+// stale when the pass gathers no state or no coordinates.
+type elemPass struct {
+	kern   func(e int, ue, xe, ye *[81]float64, sc *arena)
+	state  gather
+	coords bool // gather the nodal coordinates into xe
+}
+
+// gather says which state an element kernel reads in ue.
+type gather uint8
+
+const (
+	noState     gather = iota
+	maskedState        // constrained entries zeroed: symmetric Dirichlet elimination
+	rawState           // the state as it is: a residual of a boundary-valued state
+)
+
+// rows says what a whole-vector apply leaves in y.
+type rows uint8
+
+const (
+	// zeroRows: y = the element sum, constrained rows 0.
+	zeroRows rows = iota
+	// identityRows: y = the element sum, constrained rows u's (the
+	// identity block of the symmetric elimination).
+	identityRows
+	// addRows: y += the element sum on free rows; constrained rows keep
+	// what they held.
+	addRows
+)
+
+// apply runs pass over every element on the block schedule into y.
+func (p *Problem) apply(pass elemPass, r rows, u, y la.Vec) {
+	par.Run(p.Workers, p.applyPart(&pass, r, u, y))
+}
+
+// applyPart is the block schedule of one apply as a par.Part of two
+// phases: the blocks, one item each (applyBlock), then the merge of the
+// shared-node list in Workers ranges, which sums each free shared row's
+// overlap buffers in ascending slab order, plus one item that writes the
+// constrained rows unless r is addRows. The merge writes free rows only
+// and that item constrained rows only.
+func (p *Problem) applyPart(pass *elemPass, r rows, u, y la.Vec) par.Part {
 	info := p.slabs()
-	if !accumulate {
-		y.Zero()
-	}
-	bufs := p.getSlabBufs(info)
 	mask := p.BC.Mask
-
-	slabs := func(slo, shi int) {
-		// kern is an opaque func value, so a local arena would escape: 26 kB
-		// off the heap per slab and apply (most of a sinker-swarm step's
-		// allocations). Pooled instead; every field is overwritten before it
-		// is read (see above), so a recycled arena computes the same bits.
-		sc, ok := p.slabScratch.Get().(*slabScratch)
-		if !ok {
-			sc = &slabScratch{}
-		}
-		defer p.slabScratch.Put(sc)
-		ue, xe, ye, ks := &sc.ue, &sc.xe, &sc.ye, &sc.ks
-		for s := slo; s < shi; s++ {
-			buf := bufs.bufs[s]
-			for i := range buf {
-				buf[i] = 0
+	ns := len(info.shared)
+	nmerge := min(max(1, p.Workers), ns)
+	add := r == addRows
+	var bufs *slabBufs
+	return par.Part{
+		Phases: 2,
+		Prepare: func(ph int) int {
+			if ph == 0 {
+				bufs = p.getSlabBufs(info)
+				return info.S
 			}
-			bufOff := 3 * int(info.bufLo[s])
-			e0, e1 := info.off[s], info.off[s+1]
-			for b := e0; b < e1; b += slabBlock {
-				bn := e1 - b
-				if bn > slabBlock {
-					bn = slabBlock
-				}
-				for i := 0; i < bn; i++ {
-					e := b + i
-					if u != nil {
-						if masked {
-							p.gatherVec(e, u, &ue[i])
-						} else {
-							em := p.Emap[27*e : 27*e+27]
-							for n := 0; n < 27; n++ {
-								d := 3 * int(em[n])
-								ue[i][3*n] = u[d]
-								ue[i][3*n+1] = u[d+1]
-								ue[i][3*n+2] = u[d+2]
-							}
-						}
-					}
-					if needX {
-						p.gatherCoords(e, &xe[i])
+			if add {
+				return nmerge
+			}
+			return nmerge + 1
+		},
+		Item: func(ph, i int) {
+			if ph == 0 {
+				p.applyBlock(i, pass, add, u, y, bufs.bufs[i])
+				return
+			}
+			if i == nmerge {
+				for d, m := range mask {
+					switch {
+					case !m:
+					case r == identityRows:
+						y[d] = u[d]
+					default:
+						y[d] = 0
 					}
 				}
-				for i := 0; i < bn; i++ {
-					kern(b+i, &ue[i], &xe[i], &ye[i], ks)
+				return
+			}
+			lo, hi := par.Chunk(i, nmerge, ns)
+			for t := lo; t < hi; t++ {
+				// a starts at +0, so it is never −0 and y[d] = a has the
+				// bits of 0 + a.
+				var a [3]float64
+				for s := int(info.minSlab[t]); s <= int(info.maxSlab[t]); s++ {
+					o := 3 * (t - int(info.bufLo[s]))
+					b := bufs.bufs[s]
+					a[0] += b[o]
+					a[1] += b[o+1]
+					a[2] += b[o+2]
 				}
-				for i := 0; i < bn; i++ {
-					em := p.Emap[27*(b+i) : 27*(b+i)+27]
-					yei := &ye[i]
-					for n := 0; n < 27; n++ {
-						node := int(em[n])
-						if t := int(p.slab.sharedIdx[node]); t >= 0 {
-							o := 3*t - bufOff
-							buf[o] += yei[3*n]
-							buf[o+1] += yei[3*n+1]
-							buf[o+2] += yei[3*n+2]
-						} else {
-							d := 3 * node
-							if !mask[d] {
-								y[d] += yei[3*n]
-							}
-							if !mask[d+1] {
-								y[d+1] += yei[3*n+1]
-							}
-							if !mask[d+2] {
-								y[d+2] += yei[3*n+2]
-							}
-						}
+				d0 := 3 * int(info.shared[t])
+				for c, ac := range a {
+					switch d := d0 + c; {
+					case mask[d]:
+					case add:
+						y[d] += ac
+					default:
+						y[d] = ac
+					}
+				}
+			}
+		},
+		Done: func() { p.slabPool.put(bufs) },
+	}
+}
+
+// applyBlock computes block b's element contributions to y in ascending
+// element order, slabBlock elements at a time gathered, applied and
+// scattered: free rows of the block's interior nodes are accumulated
+// directly, after the block's own interior spans were zeroed unless add
+// is set, and shared-node contributions go to the block's overlap buffer
+// buf (zeroed first). No constrained rows and no merge: applyPart and the
+// blocked smoother compose those, in the same ascending-slab order, so
+// their sums agree bitwise.
+func (p *Problem) applyBlock(b int, pass *elemPass, add bool, u, y la.Vec, buf []float64) {
+	info := p.slab
+	for i := range buf {
+		buf[i] = 0
+	}
+	if !add {
+		for _, sp := range info.ownInterior[b] {
+			clear(y[sp.Lo:sp.Hi])
+		}
+	}
+	sc := p.getArena()
+	mask := p.BC.Mask
+	bufOff := 3 * int(info.bufLo[b])
+	e0, e1 := info.off[b], info.off[b+1]
+	for blk := e0; blk < e1; blk += slabBlock {
+		bn := min(e1-blk, slabBlock)
+		for i := 0; i < bn; i++ {
+			p.gatherElem(blk+i, pass, u, &sc.ue[i], &sc.xe[i])
+		}
+		for i := 0; i < bn; i++ {
+			pass.kern(blk+i, &sc.ue[i], &sc.xe[i], &sc.ye[i], sc)
+		}
+		for i := 0; i < bn; i++ {
+			em := p.Emap[27*(blk+i) : 27*(blk+i)+27]
+			yei := &sc.ye[i]
+			for n := 0; n < 27; n++ {
+				node := int(em[n])
+				if t := int(info.sharedIdx[node]); t >= 0 {
+					o := 3*t - bufOff
+					buf[o] += yei[3*n]
+					buf[o+1] += yei[3*n+1]
+					buf[o+2] += yei[3*n+2]
+				} else {
+					d := 3 * node
+					if !mask[d] {
+						y[d] += yei[3*n]
+					}
+					if !mask[d+1] {
+						y[d+1] += yei[3*n+1]
+					}
+					if !mask[d+2] {
+						y[d+2] += yei[3*n+2]
 					}
 				}
 			}
 		}
 	}
+	p.arenas.put(sc)
+}
 
-	// Merge pass: per shared node, sum the overlap buffers in ascending
-	// slab order. Intermediate slabs not touching the node read exact
-	// zeros (the node lies inside their span, so the read is in-bounds).
-	merge := func(lo, hi int) {
-		for t := lo; t < hi; t++ {
-			var a0, a1, a2 float64
-			for s := int(info.minSlab[t]); s <= int(info.maxSlab[t]); s++ {
-				o := 3 * (t - int(info.bufLo[s]))
-				b := bufs.bufs[s]
-				a0 += b[o]
-				a1 += b[o+1]
-				a2 += b[o+2]
-			}
-			d := 3 * int(info.shared[t])
-			if !mask[d] {
-				y[d] += a0
-			}
-			if !mask[d+1] {
-				y[d+1] += a1
-			}
-			if !mask[d+2] {
-				y[d+2] += a2
-			}
+// applyElements accumulates pass over an element subset into the free
+// rows of y, serially and in the order given: the subset form of the
+// block schedule behind every ApplyElements, where parallelism comes from
+// the ranks. No constrained rows are written, so partial sums from
+// different ranks stay addable.
+func (p *Problem) applyElements(elems []int, pass *elemPass, u, y la.Vec) {
+	sc := p.getArena()
+	for _, e := range elems {
+		p.gatherElem(e, pass, u, &sc.ue[0], &sc.xe[0])
+		pass.kern(e, &sc.ue[0], &sc.xe[0], &sc.ye[0], sc)
+		p.scatterAdd(e, &sc.ye[0], y)
+	}
+	p.arenas.put(sc)
+}
+
+// gatherElem fills what pass reads of element e: the state into ue, the
+// coordinates into xe.
+func (p *Problem) gatherElem(e int, pass *elemPass, u la.Vec, ue, xe *[81]float64) {
+	switch pass.state {
+	case maskedState:
+		p.gatherVec(e, u, ue)
+	case rawState:
+		em := p.Emap[27*e : 27*e+27]
+		for n := 0; n < 27; n++ {
+			d := 3 * int(em[n])
+			ue[3*n] = u[d]
+			ue[3*n+1] = u[d+1]
+			ue[3*n+2] = u[d+2]
 		}
 	}
-
-	// One pool job: the slabs, an item each, then the merge in Workers
-	// ranges of the shared-node list.
-	par.Run(p.Workers,
-		par.Each(info.S, func(s int) { slabs(s, s+1) }),
-		par.Ranges(p.Workers, len(info.shared), merge))
-
-	p.slabPool.put(bufs)
+	if pass.coords {
+		p.gatherCoords(e, xe)
+	}
 }
 
 // slabState is embedded in Problem: the lazily built partition, the pool
-// of per-apply overlap buffer sets and the pool of per-slab kernel arenas.
+// of per-apply overlap buffer sets and the pool of kernel arenas.
 type slabState struct {
-	slabOnce    sync.Once
-	slab        *slabInfo
-	slabPool    freeList[slabBufs]
-	slabScratch sync.Pool
+	slabOnce sync.Once
+	slab     *slabInfo
+	slabPool freeList[slabBufs]
+	arenas   freeList[arena]
 }
 
-// freeList is a pool that the garbage collector does not empty, unlike
-// sync.Pool: what is put back waits for the next get, so applies in a
-// later time step, after any number of collections, allocate nothing. It
-// holds at most as many items as were ever in use at once. It serves the
-// overlap buffer sets, taken once per apply; the kernel arenas, taken per
-// chunk or block, stay in sync.Pools, whose per-processor caches hand a
-// worker the arena its core last used.
+// arena is the scratch one block item or one subset call works in: the
+// gathered element blocks of a batch, the float64 kernel scratch and the
+// float32 one of the resident kernel's single-precision variant.
+type arena struct {
+	ue, ye [slabBlock][81]float64
+	ks     kernScratch
+	xe     [slabBlock][81]float64
+	ks32   kernScratchG[float32]
+}
+
+// getArena takes an arena from the pool, or makes one.
+func (p *Problem) getArena() *arena {
+	if sc := p.arenas.get(); sc != nil {
+		return sc
+	}
+	return new(arena)
+}
+
+// freeList is a pool that the garbage collector does not empty: what is
+// put back waits for the next get, so applies in a later time step, after
+// any number of collections, allocate nothing, on whatever processor a
+// goroutine runs. It holds at most as many items as were ever in use at
+// once, and it is LIFO, so a worker that puts an arena back and takes one
+// again gets the one it just used, still in its cache.
 type freeList[T any] struct {
 	mu   sync.Mutex
 	free []*T
 }
 
-// get returns a pooled item, or a new zero one.
+// get returns a pooled item, or nil when the pool is empty.
 func (f *freeList[T]) get() *T {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -329,11 +443,4 @@ func (f *freeList[T]) put(x *T) {
 	f.mu.Lock()
 	f.free = append(f.free, x)
 	f.mu.Unlock()
-}
-
-// slabScratch is the arena one slab of slabApply works in: the gathered
-// element blocks of a batch and the kernel scratch.
-type slabScratch struct {
-	ue, xe, ye [slabBlock][81]float64
-	ks         kernScratch
 }

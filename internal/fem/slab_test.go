@@ -35,6 +35,16 @@ func (p *Problem) forEachElementColored(body func(e int)) {
 	}
 }
 
+// applyIdentityRows finishes an operator application: constrained rows of
+// y return u (identity block).
+func applyIdentityRows(p *Problem, u, y la.Vec) {
+	for d, m := range p.BC.Mask {
+		if m {
+			y[d] = u[d]
+		}
+	}
+}
+
 // applyColored computes y = J_uu·u with the tensor kernel on the 8-color
 // element schedule the slab partition replaced on every apply path: the
 // scatter-equivalence reference. Slab and colored applies sum element
@@ -199,5 +209,44 @@ func TestSlabStats(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestApplyElementsAllocatesNothing: an element-subset apply, the
+// rank-local piece of every halo apply, takes its arena from the
+// Problem's pool, so after a warm-up call it allocates nothing.
+func TestApplyElementsAllocatesNothing(t *testing.T) {
+	p := testProblem(t, 4, 4, 3, 1)
+	nel, n := p.DA.NElements(), p.DA.NVelDOF()
+	rng := rand.New(rand.NewSource(5))
+	u, y := randVelocity(rng, n), la.NewVec(n)
+	half := make([]int, nel/2)
+	for i := range half {
+		half[i] = i
+	}
+	d6, fac := make([]float64, 6*NQP*nel), make([]float64, NQP*nel)
+	for i := range d6 {
+		d6[i] = rng.NormFloat64()
+	}
+	for i := range fac {
+		fac[i] = -rng.Float64()
+	}
+	tens := NewTensor(p)
+	for _, tc := range []struct {
+		name string
+		op   interface {
+			ApplyElements(elems []int, u, y la.Vec)
+		}
+	}{
+		{"TensorOp", tens},
+		{"NewtonOp", NewNewton(tens, d6, fac)},
+		{"Resident", NewResident(p, false)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.op.ApplyElements(half, u, y)
+			if got := testing.AllocsPerRun(20, func() { tc.op.ApplyElements(half, u, y) }); got != 0 {
+				t.Errorf("ApplyElements on %d of %d elements: %v allocations per call, want 0", len(half), nel, got)
+			}
+		})
 	}
 }

@@ -67,16 +67,6 @@ func qpCommon(g *[9]float64, jinv *[9]float64, s float64, h *[9]float64) {
 	h[8] = j20*sm20 + j21*sm21 + j22*sm22
 }
 
-// applyIdentityRows finishes an operator application: constrained rows of
-// y return u (identity block).
-func applyIdentityRows(p *Problem, u, y la.Vec) {
-	for d, m := range p.BC.Mask {
-		if m {
-			y[d] = u[d]
-		}
-	}
-}
-
 // ---------------------------------------------------------------------------
 // MFOp: reference (non-tensor) matrix-free operator.
 // ---------------------------------------------------------------------------
@@ -104,12 +94,20 @@ func (op *MFOp) ApplyFreeRows(u, y la.Vec) { op.apply(u, y, false) }
 
 func (op *MFOp) apply(u, y la.Vec, masked bool) {
 	p := op.P
-	p.slabApply(u, masked, true, false, y, func(e int, ue, xe, ye *[81]float64, _ *kernScratch) {
+	p.applyState(masked, u, y, func(e int, ue, xe, ye *[81]float64, _ *arena) {
 		mfElementApply(ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye)
 	})
+}
+
+// applyState runs a kernel of the state and the coordinates: the operator
+// (masked state, identity rows) or the free rows of a residual (raw
+// state, zero rows).
+func (p *Problem) applyState(masked bool, u, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, sc *arena)) {
+	pass, r := elemPass{kern: kern, state: rawState, coords: true}, zeroRows
 	if masked {
-		applyIdentityRows(p, u, y)
+		pass.state, r = maskedState, identityRows
 	}
+	p.apply(pass, r, u, y)
 }
 
 // mfElementApply is the non-tensor matrix-free element kernel. It fully
@@ -181,12 +179,9 @@ func (op *TensorOp) ApplyFreeRows(u, y la.Vec) { op.apply(u, y, false) }
 
 func (op *TensorOp) apply(u, y la.Vec, masked bool) {
 	p := op.P
-	p.slabApply(u, masked, true, false, y, func(e int, ue, xe, ye *[81]float64, ks *kernScratch) {
-		tensorElementApply(ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, ks)
+	p.applyState(masked, u, y, func(e int, ue, xe, ye *[81]float64, sc *arena) {
+		tensorElementApply(ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, &sc.ks)
 	})
-	if masked {
-		applyIdentityRows(p, u, y)
-	}
 }
 
 // tensorElementApply is the tensor-product element kernel (Eq. 19 of the
@@ -237,21 +232,8 @@ func tensorElementApply(ue, xe *[81]float64, eta []float64, ye *[81]float64, ks 
 // applies the identity after the halo reduction.
 func (op *TensorOp) ApplyElements(elems []int, u, y la.Vec) {
 	p := op.P
-	p.applyElements(elems, u, y, func(e int, ue, xe, ye *[81]float64, ks *kernScratch) {
-		tensorElementApply(ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, ks)
-	})
-}
-
-// applyElements runs kern over an element subset serially — masked state
-// and coordinates gathered, outputs scatter-added onto free rows — the
-// subset form of slabApply behind every ApplyElements.
-func (p *Problem) applyElements(elems []int, u, y la.Vec, kern func(e int, ue, xe, ye *[81]float64, ks *kernScratch)) {
-	var ks kernScratch
-	var ue, xe, ye [81]float64
-	for _, e := range elems {
-		p.gatherVec(e, u, &ue)
-		p.gatherCoords(e, &xe)
-		kern(e, &ue, &xe, &ye, &ks)
-		p.scatterAdd(e, &ye, y)
-	}
+	pass := elemPass{state: maskedState, coords: true, kern: func(e int, ue, xe, ye *[81]float64, sc *arena) {
+		tensorElementApply(ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, &sc.ks)
+	}}
+	p.applyElements(elems, &pass, u, y)
 }

@@ -42,7 +42,8 @@
 # and no clock in its liveness, a
 # guard that no matrix-free level keeps an assembled matrix for the
 # Galerkin product below it, a guard that the coloured scatter and its
-# colour schedule stay out of internal/fem's non-test code, a
+# colour schedule stay out of internal/fem's non-test code and that it
+# keeps one element loop (no slabApply, resident scratch or sync.Pool), a
 # one-iteration smoke run of the apply-path, V-cycle, element-kernel,
 # element-matrix and rank-sync benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
@@ -260,9 +261,15 @@ fi
 
 # The viscous block and A·P are built through one plane window; the
 # coloured scatter and its 8-colour schedule live on only in tests.
-echo "== one row builder: no colour schedule, coloured scatter or batch pool in non-test Go of internal/fem =="
+echo "== one row builder and one element loop: no colour schedule, coloured scatter, batch pool, second element loop or sync.Pool in non-test Go of internal/fem =="
 if grep -rnE 'colorElems|forEachElementColoredChunk|viscousBatches' --include='*.go' internal/fem | grep -v '_test\.go:'; then
     echo "check.sh: the coloured scatter or its schedule is back in internal/fem (above)" >&2
+    exit 1
+fi
+# One element loop: every whole-vector apply runs the block schedule and
+# takes its arenas from one free list (DESIGN.md, "Element-parallel apply").
+if grep -rnE 'sync\.Pool|slabApply|getScratch|residentScratch' --include='*.go' internal/fem | grep -v '_test\.go:'; then
+    echo "check.sh: a second element loop or a sync.Pool arena is back in internal/fem (above)" >&2
     exit 1
 fi
 
