@@ -1,23 +1,30 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+
+	"ptatin3d/internal/la"
+)
 
 // The coarse solve's gather to rank 0 (paper §III-C, PETSc's default
 // coarse-grid redistribution): every other rank ships the owned entries
 // of the coarse right-hand side to rank 0, rank 0 runs the one coarse
-// solve and sends the whole solution back. Each phase is one neighbour
+// solve and sends each client the part of the solution it reads: its
+// owned+ghost entries (Layout.VelSpans). Each phase is one neighbour
 // exchange between rank 0 and every other rank. A client sits idle while
 // rank 0 solves, and may overlap work then.
 
 // gatherBufs are a Dist's persistent coarse-gather packets: the owned
-// entries a client ships, the solution rank 0 sends, and rank 0's client
-// list. Reuse is safe without a ring: a client refills own only after
-// the solution of the last gather reached it, sent after rank 0 had read
-// own; and rank 0 rewrites sol only after every client's next packet
-// reached it, each sent after that client had copied the last solution.
+// entries a client ships, the solution packet rank 0 sends each client,
+// and rank 0's client list with each client's owned+ghost spans. Reuse is
+// safe without a ring: a client refills own only after the solution of
+// the last gather reached it, sent after rank 0 had read own; and rank 0
+// rewrites a client's solution packet only after that client's next
+// packet reached it, sent after the client had copied the last solution.
 type gatherBufs struct {
 	own     haloPacket
-	sol     vecPacket
+	sols    []vecPacket // by client index
+	spans   [][]la.Span // by client index: the client's VelSpans
 	clients []int
 	payload []interface{}
 	root    [1]int // rank 0, a client's one peer
@@ -38,12 +45,13 @@ func (g *gatherBufs) fill(k int, v interface{}) []interface{} {
 
 // GatherSolveBroadcast runs the coarse solve on rank 0: the owned
 // velocity entries of b funnel to rank 0, so its b is globally valid;
-// rank 0 runs solve (which reads b and writes x) and sends x to every
-// other rank. On return x is valid on the rank's owned+ghost entries
-// (Layout.VelSpans): a client copies those alone, so its work stays
-// O(n/P), and every reader of the coarse correction stays inside that
-// box. overlap (if non-nil) runs on the other ranks while rank 0 gathers
-// and solves — the idle-rank latency-hiding hook.
+// rank 0 runs solve (which reads b and writes x) and sends every other
+// rank the entries of x in that rank's owned+ghost spans
+// (Layout.VelSpans), in span order. On return x is valid on the rank's
+// owned+ghost entries: a client receives and copies those alone, so its
+// traffic and work stay O(n/P), and every reader of the coarse correction
+// stays inside that box. overlap (if non-nil) runs on the other ranks
+// while rank 0 gathers and solves — the idle-rank latency-hiding hook.
 func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) error {
 	r := d.R
 	size := r.W.Size()
@@ -72,8 +80,15 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) error
 		if err != nil {
 			return fmt.Errorf("comm: coarse solution broadcast: %w", err)
 		}
+		off := 0
 		for _, sp := range d.L.VelSpans() {
-			copy(x[sp.Lo:sp.Hi], xs.Val[sp.Lo:sp.Hi])
+			if off+sp.Hi-sp.Lo > len(xs.Val) {
+				return fmt.Errorf("comm: coarse solution broadcast: rank %d got %d entries, fewer than its spans hold", r.ID, len(xs.Val))
+			}
+			off += copy(x[sp.Lo:sp.Hi], xs.Val[off:])
+		}
+		if off != len(xs.Val) {
+			return fmt.Errorf("comm: coarse solution broadcast: rank %d got %d entries, its spans hold %d", r.ID, len(xs.Val), off)
 		}
 		return nil
 	}
@@ -81,9 +96,12 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) error
 	// Rank 0: scatter every client's owned entries into b, in rank order...
 	if len(g.clients) != size-1 {
 		g.clients = g.clients[:0]
+		g.spans = g.spans[:0]
 		for c := 1; c < size; c++ {
 			g.clients = append(g.clients, c)
+			g.spans = append(g.spans, velSpans(d.L.D, extBox(d.L.D, c)))
 		}
+		g.sols = make([]vecPacket, len(g.clients))
 	}
 	recv, err := r.StartExchange(g.clients, g.fill(len(g.clients), empty), d.Sc).Wait()
 	if err != nil {
@@ -96,13 +114,23 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) error
 		}
 		pk.unpack(b)
 	}
-	// ...solve, and send every client a copy of x (the caller may
-	// rewrite x before a client has read it).
+	// ...solve, and send every client a copy of the x it reads (the
+	// caller may rewrite x before a client has read it).
 	solve()
-	g.sol.Val = append(g.sol.Val[:0], x...)
+	g.payload = g.payload[:0]
+	nval := 0
+	for i := range g.clients {
+		sol := &g.sols[i]
+		sol.Val = sol.Val[:0]
+		for _, sp := range g.spans[i] {
+			sol.Val = append(sol.Val, x[sp.Lo:sp.Hi]...)
+		}
+		nval += len(sol.Val)
+		g.payload = append(g.payload, sol)
+	}
 	d.Sc.Counter("halo_msgs").Add(int64(len(g.clients)))
-	d.Sc.Counter("halo_bytes").Add(int64(len(g.clients) * 8 * len(x)))
-	if _, err := r.StartExchange(g.clients, g.fill(len(g.clients), &g.sol), d.Sc).Wait(); err != nil {
+	d.Sc.Counter("halo_bytes").Add(int64(8 * nval))
+	if _, err := r.StartExchange(g.clients, g.payload, d.Sc).Wait(); err != nil {
 		return fmt.Errorf("comm: coarse solution broadcast: %w", err)
 	}
 	return nil

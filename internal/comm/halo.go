@@ -102,8 +102,8 @@ func (d *Dist) countPacket(pk *haloPacket) {
 	d.Sc.Counter("halo_bytes").Add(int64(4*len(pk.Node) + 8*len(pk.Val)))
 }
 
-// vecPacket carries a full vector (rank 0's broadcast of the coarse
-// solution).
+// vecPacket carries the entries of a vector in a rank's spans (rank 0's
+// broadcast of the coarse solution).
 type vecPacket struct {
 	Val []float64
 }

@@ -133,7 +133,8 @@ func TestDistAllReduceSum(t *testing.T) {
 // on rank 0, its "solve" doubles them into x, and every rank receives the
 // solution on its owned+ghost entries (rank 0 everywhere); a client
 // leaves the rest of x as it was. A client counts its one packet to rank
-// 0, and rank 0 one solution packet per client.
+// 0, and rank 0 one solution packet per client holding what that client
+// reads: its halo_bytes are 8 per entry of the clients' owned+ghost spans.
 func TestGatherSolveBroadcast(t *testing.T) {
 	da := mesh.New(4, 4, 2, 0, 1, 0, 1, 0, 1)
 	d, err := NewDecomp(da, 2, 2, 1)
@@ -201,6 +202,18 @@ func TestGatherSolveBroadcast(t *testing.T) {
 		if got := reg.Root().Child(fmt.Sprintf("rank%d", rid)).Counter("halo_msgs").Value(); got != want {
 			t.Errorf("rank %d: halo_msgs = %d, want %d", rid, got, want)
 		}
+	}
+	var clientEntries int64
+	for rid := 1; rid < d.Size(); rid++ {
+		for _, sp := range spans[rid] {
+			clientEntries += int64(sp.Hi - sp.Lo)
+		}
+	}
+	if clientEntries >= int64((d.Size()-1)*n) {
+		t.Fatalf("the clients' spans hold %d entries, %d whole vectors: the fixture shows no saving", clientEntries, d.Size()-1)
+	}
+	if got := reg.Root().Child("rank0").Counter("halo_bytes").Value(); got != 8*clientEntries {
+		t.Errorf("rank 0: halo_bytes = %d, want 8 × %d entries of the clients' spans", got, clientEntries)
 	}
 }
 

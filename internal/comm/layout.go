@@ -169,11 +169,16 @@ func (l *Layout) OwnedNodes() []int32 {
 // memory O(n/P): the vectors are full length on every rank, and a
 // window's first and last pages hold other ranks' rows too.
 func (l *Layout) VelSpans() []la.Span {
-	if l.velSpans != nil {
-		return l.velSpans
+	if l.velSpans == nil {
+		l.velSpans = velSpans(l.D, l.Ext)
 	}
-	b := l.Ext
-	da := l.D.DA
+	return l.velSpans
+}
+
+// velSpans returns the velocity dof spans of the node box b, one per node
+// row in (k, j) order, adjacent rows merged.
+func velSpans(d *Decomp, b Box) []la.Span {
+	da := d.DA
 	spans := make([]la.Span, 0, (b.Hi[2]-b.Lo[2])*(b.Hi[1]-b.Lo[1]))
 	for k := b.Lo[2]; k < b.Hi[2]; k++ {
 		for j := b.Lo[1]; j < b.Hi[1]; j++ {
@@ -181,7 +186,6 @@ func (l *Layout) VelSpans() []la.Span {
 			spans = la.AppendSpan(spans, 3*(row+b.Lo[0]), 3*(row+b.Hi[0]))
 		}
 	}
-	l.velSpans = spans
 	return spans
 }
 

@@ -124,34 +124,63 @@ func (c *Coupling) Setup() {
 // ApplyGAdd accumulates yu += G·pv on the free velocity rows (constrained
 // rows are untouched — the caller owns their identity handling).
 func (c *Coupling) ApplyGAdd(pv, yu la.Vec) {
-	p := c.P
-	p.apply(elemPass{kern: func(e int, _, _, ye *[81]float64, _ *arena) {
+	c.P.apply(elemPass{kern: func(e int, _, _, ye *[81]float64, _ *arena) {
 		ge := c.Ge[324*e : 324*e+324]
-		p0, p1, p2, p3 := pv[4*e], pv[4*e+1], pv[4*e+2], pv[4*e+3]
-		for i := 0; i < 81; i++ {
-			row := ge[4*i : 4*i+4]
-			ye[i] = row[0]*p0 + row[1]*p1 + row[2]*p2 + row[3]*p3
+		pe := (*[4]float64)(pv[4*e:])
+		for i := range ye {
+			ye[i] = gradRow(ge[4*i:4*i+4], pe)
 		}
 	}}, addRows, nil, yu)
 }
 
-// ApplyGAddElements accumulates yu += G·pv over the given elements only
-// — the rank-local piece of the distributed coupled apply. Like
-// ApplyGAdd it writes free velocity rows only; unlike it the loop is
-// serial, since in the distributed solve parallelism comes from ranks,
-// not the worker pool.
-func (c *Coupling) ApplyGAddElements(elems []int, pv, yu la.Vec) {
-	p := c.P
-	var ye [81]float64
-	for _, e := range elems {
-		ge := c.Ge[324*e : 324*e+324]
-		p0, p1, p2, p3 := pv[4*e], pv[4*e+1], pv[4*e+2], pv[4*e+3]
-		for i := 0; i < 81; i++ {
-			row := ge[4*i : 4*i+4]
-			ye[i] = row[0]*p0 + row[1]*p1 + row[2]*p2 + row[3]*p3
-		}
-		p.scatterAdd(e, &ye, yu)
+// ApplyGD is the coupling half of the coupled matvec in one pass over
+// G_e: it accumulates yu += G·pv on the free velocity rows and sets
+// yp = D·u = Gᵀ·u with constrained velocity entries as zero — bitwise
+// ApplyGAdd(pv, yu) followed by ApplyD(u, yp).
+func (c *Coupling) ApplyGD(u, pv, yu, yp la.Vec) {
+	c.P.apply(c.gdPass(pv, yp), addRows, u, yu)
+}
+
+// ApplyGDElements is ApplyGD over the given elements only, serially and in
+// the order given — the rank-local piece of the distributed coupled
+// apply, where parallelism comes from the ranks. P1disc pressure dofs are
+// element-local, so the rank fully owns the pressure rows of its elements
+// and they need no halo exchange.
+func (c *Coupling) ApplyGDElements(elems []int, u, pv, yu, yp la.Vec) {
+	pass := c.gdPass(pv, yp)
+	c.P.applyElements(elems, &pass, u, yu)
+}
+
+// gdPass is the element loop of ApplyGD: it reads the masked velocity,
+// leaves G_e·p in ye and writes the element's divergence rows into yp.
+func (c *Coupling) gdPass(pv, yp la.Vec) elemPass {
+	return elemPass{state: maskedState, kern: func(e int, ue, _, ye *[81]float64, _ *arena) {
+		s := c.gradDiv(e, pv, ue, ye)
+		copy(yp[4*e:4*e+4], s[:])
+	}}
+}
+
+// gradRow is the gradient kernel: row (n,a) of G_e applied to the
+// element's four pressure dofs.
+func gradRow(row []float64, pe *[4]float64) float64 {
+	return row[0]*pe[0] + row[1]*pe[1] + row[2]*pe[2] + row[3]*pe[3]
+}
+
+// gradDiv sets ye to element e's G_e·p and returns the element's four
+// divergence rows of the gathered ue, both from one read of G_e. The rows
+// sum as divRows does, so they are bitwise its rows.
+func (c *Coupling) gradDiv(e int, pv la.Vec, ue, ye *[81]float64) (s [4]float64) {
+	ge := c.Ge[324*e : 324*e+324]
+	pe := (*[4]float64)(pv[4*e:])
+	for i, ua := range ue {
+		row := ge[4*i : 4*i+4]
+		ye[i] = gradRow(row, pe)
+		s[0] += row[0] * ua
+		s[1] += row[1] * ua
+		s[2] += row[2] * ua
+		s[3] += row[3] * ua
 	}
+	return s
 }
 
 // ApplyD computes yp = Gᵀ·u treating constrained velocity entries as zero
@@ -162,50 +191,39 @@ func (c *Coupling) ApplyD(u, yp la.Vec) { c.applyD(u, yp, true) }
 // prescribed boundary values (residual evaluation form).
 func (c *Coupling) ApplyDRaw(u, yp la.Vec) { c.applyD(u, yp, false) }
 
-// ApplyDElements computes the masked divergence rows yp = Gᵀ·u for the
-// given elements only. P1disc pressure dofs are element-local, so no
-// halo exchange is needed: each rank fully owns the pressure rows of
-// its elements.
-func (c *Coupling) ApplyDElements(elems []int, u, yp la.Vec) {
-	for _, e := range elems {
-		c.applyDElem(e, u, yp, true)
-	}
-}
-
 func (c *Coupling) applyD(u, yp la.Vec, masked bool) {
-	p := c.P
-	p.forEachElement(func(e int) {
-		c.applyDElem(e, u, yp, masked)
+	c.P.forEachElement(func(e int) {
+		s := c.divElem(e, u, masked)
+		copy(yp[4*e:4*e+4], s[:])
 	})
 }
 
-func (c *Coupling) applyDElem(e int, u, yp la.Vec, masked bool) {
-	s := c.divElem(e, u, masked)
-	copy(yp[4*e:4*e+4], s[:])
+// divElem returns element e's four divergence rows of Gᵀ·u, of the
+// masked or the raw state.
+func (c *Coupling) divElem(e int, u la.Vec, masked bool) [4]float64 {
+	p := c.P
+	er := &p.runs()[e]
+	var ue [81]float64
+	gatherRuns(er, u, &ue)
+	if masked {
+		er.zeroMasked(&ue)
+	}
+	return c.divRows(e, &ue)
 }
 
-// divElem returns element e's four divergence rows of Gᵀ·u.
-func (c *Coupling) divElem(e int, u la.Vec, masked bool) (s [4]float64) {
-	p := c.P
-	mask := p.BC.Mask
+// divRows returns element e's four divergence rows of the gathered ue,
+// summed over the 81 dofs in ascending order. A constrained (+0) or zero
+// entry adds ±0, which leaves the sum as it was: it starts at +0 and so is
+// never −0. The rows are therefore bitwise those of a sum that skips such
+// entries, for any finite G_e.
+func (c *Coupling) divRows(e int, ue *[81]float64) (s [4]float64) {
 	ge := c.Ge[324*e : 324*e+324]
-	em := p.Emap[27*e : 27*e+27]
-	for n := 0; n < 27; n++ {
-		d := 3 * int(em[n])
-		for a := 0; a < 3; a++ {
-			if masked && mask[d+a] {
-				continue
-			}
-			ua := u[d+a]
-			if ua == 0 {
-				continue
-			}
-			row := ge[(3*n+a)*4 : (3*n+a)*4+4]
-			s[0] += row[0] * ua
-			s[1] += row[1] * ua
-			s[2] += row[2] * ua
-			s[3] += row[3] * ua
-		}
+	for i, ua := range ue {
+		row := ge[4*i : 4*i+4]
+		s[0] += row[0] * ua
+		s[1] += row[1] * ua
+		s[2] += row[2] * ua
+		s[3] += row[3] * ua
 	}
 	return s
 }

@@ -36,10 +36,7 @@ func (c *ElemCursor) Seek(e int) {
 	c.E = e
 	c.P.gatherCoords(e, &c.Xe)
 	if c.u != nil {
-		for n, node := range c.P.Emap[27*e : 27*e+27] {
-			d := 3 * int(node)
-			c.Ue[3*n], c.Ue[3*n+1], c.Ue[3*n+2] = c.u[d], c.u[d+1], c.u[d+2]
-		}
+		gatherRuns(&c.P.runs()[e], c.u, &c.Ue)
 	}
 	if c.t != nil {
 		var vs [8]int32

@@ -31,7 +31,8 @@ type Problem struct {
 
 // NewProblem builds a Problem on the given mesh with the given constraints.
 // Coefficients are initialized to η=1, ρ=0; use SetCoefficients* to fill
-// them.
+// them. The constraint mask must be final by the Problem's first element
+// loop, which records it in the run table (runs.go).
 func NewProblem(da *mesh.DA, bc *mesh.BC) *Problem {
 	if bc == nil {
 		bc = mesh.NewBC(da)
@@ -63,45 +64,7 @@ func (p *Problem) forEachElement(body func(e int)) {
 // gatherCoords fills xe (27 nodes × 3, node-major) with the coordinates of
 // element e's nodes.
 func (p *Problem) gatherCoords(e int, xe *[81]float64) {
-	em := p.Emap[27*e : 27*e+27]
-	for n := 0; n < 27; n++ {
-		c := 3 * int(em[n])
-		xe[3*n] = p.DA.Coords[c]
-		xe[3*n+1] = p.DA.Coords[c+1]
-		xe[3*n+2] = p.DA.Coords[c+2]
-	}
-}
-
-// gatherVec fills ue with the element-local values of the velocity vector
-// u, zeroing constrained dofs (symmetric Dirichlet elimination).
-func (p *Problem) gatherVec(e int, u la.Vec, ue *[81]float64) {
-	em := p.Emap[27*e : 27*e+27]
-	mask := p.BC.Mask
-	for n := 0; n < 27; n++ {
-		d := 3 * int(em[n])
-		for c := 0; c < 3; c++ {
-			if mask[d+c] {
-				ue[3*n+c] = 0
-			} else {
-				ue[3*n+c] = u[d+c]
-			}
-		}
-	}
-}
-
-// scatterAdd accumulates element-local values ye into the global vector y,
-// skipping constrained rows.
-func (p *Problem) scatterAdd(e int, ye *[81]float64, y la.Vec) {
-	em := p.Emap[27*e : 27*e+27]
-	mask := p.BC.Mask
-	for n := 0; n < 27; n++ {
-		d := 3 * int(em[n])
-		for c := 0; c < 3; c++ {
-			if !mask[d+c] {
-				y[d+c] += ye[3*n+c]
-			}
-		}
-	}
+	gatherRuns(&p.runs()[e], p.DA.Coords, xe)
 }
 
 // SetCoefficientsFunc fills the quadrature-point viscosity and density

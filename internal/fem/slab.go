@@ -42,8 +42,8 @@ import (
 // (~15 kB) inside L1.
 const slabBlock = 8
 
-// slabInfo is the immutable slab partition of a Problem's element range,
-// built once on first slab apply.
+// slabInfo is the immutable slab partition of a Problem's element range
+// and its run table, built once on a Problem's first element loop.
 type slabInfo struct {
 	S   int   // slab count (fixed, worker-count independent)
 	off []int // S+1 slab element offsets: slab s is [off[s], off[s+1])
@@ -73,6 +73,10 @@ type slabInfo struct {
 	ownInterior [][]la.Span
 	ownShared   [][]int32
 	dep         int
+
+	// runs is the run table of the partition (runs.go): per element its
+	// nine node runs, its constraint mask and where each run goes.
+	runs []elemRuns
 }
 
 // slabBufs is one apply's set of per-slab overlap buffers, pooled so
@@ -164,6 +168,7 @@ func newSlabInfo(p *Problem, off []int) *slabInfo {
 		info.ownShared[b] = append(info.ownShared[b], int32(t))
 		info.dep = max(info.dep, int(info.maxSlab[t]-info.minSlab[t]))
 	}
+	info.runs = newRunTable(p, info)
 	return info
 }
 
@@ -297,10 +302,10 @@ func (p *Problem) applyPart(pass *elemPass, r rows, u, y la.Vec) par.Part {
 
 // applyBlock computes block b's element contributions to y in ascending
 // element order, slabBlock elements at a time gathered, applied and
-// scattered: free rows of the block's interior nodes are accumulated
-// directly, after the block's own interior spans were zeroed unless add
-// is set, and shared-node contributions go to the block's overlap buffer
-// buf (zeroed first). No constrained rows and no merge: applyPart and the
+// scattered run by run (scatterBlock): free rows of the block's interior
+// nodes are accumulated directly, after the block's own interior spans
+// were zeroed unless add is set, and shared-node contributions go to the
+// block's overlap buffer buf (zeroed first). No constrained rows and no merge: applyPart and the
 // blocked smoother compose those, in the same ascending-slab order, so
 // their sums agree bitwise.
 func (p *Problem) applyBlock(b int, pass *elemPass, add bool, u, y la.Vec, buf []float64) {
@@ -314,7 +319,6 @@ func (p *Problem) applyBlock(b int, pass *elemPass, add bool, u, y la.Vec, buf [
 		}
 	}
 	sc := p.getArena()
-	mask := p.BC.Mask
 	bufOff := 3 * int(info.bufLo[b])
 	e0, e1 := info.off[b], info.off[b+1]
 	for blk := e0; blk < e1; blk += slabBlock {
@@ -326,31 +330,63 @@ func (p *Problem) applyBlock(b int, pass *elemPass, add bool, u, y la.Vec, buf [
 			pass.kern(blk+i, &sc.ue[i], &sc.xe[i], &sc.ye[i], sc)
 		}
 		for i := 0; i < bn; i++ {
-			em := p.Emap[27*(blk+i) : 27*(blk+i)+27]
-			yei := &sc.ye[i]
-			for n := 0; n < 27; n++ {
-				node := int(em[n])
-				if t := int(info.sharedIdx[node]); t >= 0 {
-					o := 3*t - bufOff
-					buf[o] += yei[3*n]
-					buf[o+1] += yei[3*n+1]
-					buf[o+2] += yei[3*n+2]
-				} else {
-					d := 3 * node
-					if !mask[d] {
-						y[d] += yei[3*n]
-					}
-					if !mask[d+1] {
-						y[d+1] += yei[3*n+1]
-					}
-					if !mask[d+2] {
-						y[d+2] += yei[3*n+2]
-					}
-				}
-			}
+			p.scatterBlock(&info.runs[blk+i], &sc.ye[i], y, buf, bufOff)
 		}
 	}
 	p.arenas.put(sc)
+}
+
+// scatterBlock adds an element's ye where the block schedule sends it: a
+// slab-interior run into the free rows of y, nine at once when none is
+// constrained; a run of shared nodes into the block's overlap buffer buf
+// (whose first entry is shared-list dof bufOff), all nine at once; a
+// mixed run node by node, each to where its node goes.
+func (p *Problem) scatterBlock(er *elemRuns, ye *[81]float64, y la.Vec, buf []float64, bufOff int) {
+	info := p.slab
+	for r := 0; r < 9; r++ {
+		src := (*[9]float64)(ye[9*r : 9*r+9])
+		s := int(er.start[r])
+		var dst []float64
+		switch er.kind[r] {
+		case runOut:
+			m := er.runMask(r)
+			if m == 0 {
+				dst = y[s:]
+				break
+			}
+			for j := range src {
+				if m>>uint(j)&1 == 0 {
+					y[s+j] += src[j]
+				}
+			}
+			continue
+		case runBuf:
+			dst = buf[3*int(info.sharedIdx[s/3])-bufOff:]
+		default:
+			m := er.runMask(r)
+			for k := 0; k < 3; k++ {
+				node := s/3 + k
+				if t := int(info.sharedIdx[node]); t >= 0 {
+					o := 3*t - bufOff
+					buf[o] += src[3*k]
+					buf[o+1] += src[3*k+1]
+					buf[o+2] += src[3*k+2]
+					continue
+				}
+				for c := 0; c < 3; c++ {
+					if m>>uint(3*k+c)&1 == 0 {
+						y[3*node+c] += src[3*k+c]
+					}
+				}
+			}
+			continue
+		}
+		// Nine adds, written out as in scatterRuns.
+		d := (*[9]float64)(dst)
+		d[0], d[1], d[2] = d[0]+src[0], d[1]+src[1], d[2]+src[2]
+		d[3], d[4], d[5] = d[3]+src[3], d[4]+src[4], d[5]+src[5]
+		d[6], d[7], d[8] = d[6]+src[6], d[7]+src[7], d[8]+src[8]
+	}
 }
 
 // applyElements accumulates pass over an element subset into the free
@@ -359,28 +395,24 @@ func (p *Problem) applyBlock(b int, pass *elemPass, add bool, u, y la.Vec, buf [
 // the ranks. No constrained rows are written, so partial sums from
 // different ranks stay addable.
 func (p *Problem) applyElements(elems []int, pass *elemPass, u, y la.Vec) {
+	runs := p.runs()
 	sc := p.getArena()
 	for _, e := range elems {
 		p.gatherElem(e, pass, u, &sc.ue[0], &sc.xe[0])
 		pass.kern(e, &sc.ue[0], &sc.xe[0], &sc.ye[0], sc)
-		p.scatterAdd(e, &sc.ye[0], y)
+		scatterRuns(&runs[e], &sc.ye[0], y)
 	}
 	p.arenas.put(sc)
 }
 
 // gatherElem fills what pass reads of element e: the state into ue, the
-// coordinates into xe.
+// coordinates into xe, run by run.
 func (p *Problem) gatherElem(e int, pass *elemPass, u la.Vec, ue, xe *[81]float64) {
-	switch pass.state {
-	case maskedState:
-		p.gatherVec(e, u, ue)
-	case rawState:
-		em := p.Emap[27*e : 27*e+27]
-		for n := 0; n < 27; n++ {
-			d := 3 * int(em[n])
-			ue[3*n] = u[d]
-			ue[3*n+1] = u[d+1]
-			ue[3*n+2] = u[d+2]
+	er := &p.slab.runs[e]
+	if pass.state != noState {
+		gatherRuns(er, u, ue)
+		if pass.state == maskedState {
+			er.zeroMasked(ue)
 		}
 	}
 	if pass.coords {

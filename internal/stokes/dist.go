@@ -60,11 +60,12 @@ func (s *errSink) note(err error) {
 
 // distOp is one rank's view of the coupled operator J = [[A,G],[D,0]] it
 // is given — the solver's own Picard operator or the Newton
-// linearization of the current relinearization. The viscous block is
-// applied matrix-free over the rank's elements with boundary elements
-// first, so their nodal partial sums are in flight while interior
-// elements — and the entirely element-local G and D blocks — are computed
-// (§II-D latency hiding).
+// linearization of the current relinearization. The viscous block and
+// the gradient are applied matrix-free over the rank's elements with
+// boundary elements first, so their nodal partial sums are in flight
+// while interior elements are computed (§II-D latency hiding). One pass
+// over each element's G_e gives its gradient contribution and its
+// element-local divergence rows.
 type distOp struct {
 	op    *Op
 	auu   comm.ElementKernel
@@ -84,12 +85,11 @@ func (o *distOp) Apply(x, y la.Vec) {
 	yu, yp := o.op.Split(y)
 	y.ZeroSpans(o.spans)
 	o.auu.ApplyElements(l.Boundary, xu, yu)
-	o.op.C.ApplyGAddElements(l.Boundary, xp, yu)
+	o.op.C.ApplyGDElements(l.Boundary, xu, xp, yu, yp)
 	err := o.dist.ReduceBroadcast(yu,
 		func() {
 			o.auu.ApplyElements(l.Interior, xu, yu)
-			o.op.C.ApplyGAddElements(l.Interior, xp, yu)
-			o.op.C.ApplyDElements(l.Elems, xu, yp)
+			o.op.C.ApplyGDElements(l.Interior, xu, xp, yu, yp)
 		},
 		func() { l.IdentityOwnedRows(o.op.P.BC.Mask, xu, yu) })
 	o.sink.note(err)

@@ -40,9 +40,8 @@ func (op *Op) Split(x la.Vec) (u, p la.Vec) { return x[:op.Nu], x[op.Nu:] }
 func (op *Op) Apply(x, y la.Vec) {
 	xu, xp := op.Split(x)
 	yu, yp := op.Split(y)
-	op.Auu.Apply(xu, yu)   // viscous block (+ identity rows)
-	op.C.ApplyGAdd(xp, yu) // pressure gradient on free rows
-	op.C.ApplyD(xu, yp)    // divergence of the free-velocity part
+	op.Auu.Apply(xu, yu)         // viscous block (+ identity rows)
+	op.C.ApplyGD(xu, xp, yu, yp) // gradient on free rows, divergence of the free velocity
 }
 
 // Residual computes F(x) for the state x (whose constrained velocity

@@ -146,6 +146,8 @@ type (
 )
 
 // NewProblem builds a discretization on the mesh (nil bc = unconstrained).
+// Set every constraint of bc first: the Problem's first element loop
+// records the constraint mask.
 func NewProblem(da *DA, bc *BC) *Problem { return fem.NewProblem(da, bc) }
 
 // Stokes solver types.

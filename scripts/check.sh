@@ -43,7 +43,9 @@
 # guard that no matrix-free level keeps an assembled matrix for the
 # Galerkin product below it, a guard that the coloured scatter and its
 # colour schedule stay out of internal/fem's non-test code and that it
-# keeps one element loop (no slabApply, resident scratch or sync.Pool), a
+# keeps one element loop (no slabApply, resident scratch or sync.Pool)
+# whose gathers and scatters move node runs (no per-node gatherVec or
+# scatterAdd outside the tests that hold the run table to them), a
 # one-iteration smoke run of the apply-path, V-cycle, element-kernel,
 # element-matrix and rank-sync benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
@@ -175,9 +177,9 @@ named_tests '-short -race' \
     'TestReusedRankViewsMatchCold|TestCachedSetupMatchesColdBuild|TestColdStepSharesCoupling|TestKrylovRecordedOnce|TestAugmentMatchesBuilder|TestInvert4MatchesFactorSolve' \
     ./internal/stokes ./internal/model ./internal/op ./internal/la
 
-echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build under -race =="
+echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build + the run gathers, scatters, block and subset applies and divergence rows == their per-node forms, the one-pass gradient and divergence == ApplyGAdd then ApplyD, under -race =="
 named_tests -race \
-    'TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAssemblyMatchesScatter|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig' \
+    'TestRunTableMatchesPerNode|TestApplyGDMatchesGAddThenD|TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAssemblyMatchesScatter|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 # -count=10: the claims, waits and helper hand-offs of a job interleave
@@ -203,9 +205,9 @@ named_tests -race \
 # fuses) and the loop order it replaced are pinned the same way, and so is
 # the sweep-ordered ILU(0) against the CSR form (s -= v*x in both sweeps and
 # the elimination).
-echo "== fused update-and-reduce == update then reduce (shared and rank sweeps), element matrix assembly == Go body == the q-outer formula, sweep-ordered ILU(0) == the CSR form, built for GOAMD64=v3 =="
+echo "== fused update-and-reduce == update then reduce (shared and rank sweeps), element matrix assembly == Go body == the q-outer formula, sweep-ordered ILU(0) == the CSR form, the one-pass gradient and divergence == ApplyGAdd then ApplyD, built for GOAMD64=v3 =="
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null && grep -qw fma /proc/cpuinfo && grep -qw bmi2 /proc/cpuinfo; then
-    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical|TestCoupledReducerFusedSweepBitwise|TestViscousMatrixMatchesGo|TestGeometryStoreBitwise|TestILU0MatchesCSRFormBitwise|TestILU0RiftSubdomainsMatchCSRForm' ./internal/la ./internal/krylov ./internal/fem ./internal/stokes
+    GOAMD64=v3 named_tests -count=1 'TestAXPYDotMatchesAXPYThenDot|TestApplyGDMatchesGAddThenD|TestFusedGramSchmidtBitIdentical|TestCoupledReducerFusedSweepBitwise|TestViscousMatrixMatchesGo|TestGeometryStoreBitwise|TestILU0MatchesCSRFormBitwise|TestILU0RiftSubdomainsMatchCSRForm' ./internal/la ./internal/krylov ./internal/fem ./internal/stokes
 else
     echo "skipped: this CPU cannot run GOAMD64=v3 code"
 fi
@@ -261,7 +263,7 @@ fi
 
 # The viscous block and A·P are built through one plane window; the
 # coloured scatter and its 8-colour schedule live on only in tests.
-echo "== one row builder and one element loop: no colour schedule, coloured scatter, batch pool, second element loop or sync.Pool in non-test Go of internal/fem =="
+echo "== one row builder and one element loop: no colour schedule, coloured scatter, batch pool, second element loop, sync.Pool or per-node gather or scatter in non-test Go of internal/fem =="
 if grep -rnE 'colorElems|forEachElementColoredChunk|viscousBatches' --include='*.go' internal/fem | grep -v '_test\.go:'; then
     echo "check.sh: the coloured scatter or its schedule is back in internal/fem (above)" >&2
     exit 1
@@ -270,6 +272,13 @@ fi
 # takes its arenas from one free list (DESIGN.md, "Element-parallel apply").
 if grep -rnE 'sync\.Pool|slabApply|getScratch|residentScratch' --include='*.go' internal/fem | grep -v '_test\.go:'; then
     echo "check.sh: a second element loop or a sync.Pool arena is back in internal/fem (above)" >&2
+    exit 1
+fi
+# Node runs: every element loop gathers and scatters through the run table
+# (DESIGN.md, "Element-parallel apply"); the per-node forms are the oracles
+# of slab_test.go only.
+if grep -rnwE 'gatherVec|scatterAdd' --include='*.go' internal/fem | grep -v '_test\.go:'; then
+    echo "check.sh: a per-node gather or scatter is back in internal/fem's non-test Go (above)" >&2
     exit 1
 fi
 
