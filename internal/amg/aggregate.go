@@ -20,11 +20,48 @@ import (
 //  4. build the tentative prolongator from the near-null-space candidates
 //     (rigid body modes on the finest level) with a per-aggregate thin QR —
 //     the Q factors become P0, the R factors the coarse candidates;
-//  5. smooth: P = (I - ω·D⁻¹A)·P0 with ω = OmegaScale/λmax(D⁻¹A);
-//  6. optionally drop small entries (ML-style drop tolerance).
+//  5. smooth: P = (I - ω·D⁻¹A)·P0 with ω = omegaScale/λmax(D⁻¹A);
+//  6. optionally drop small entries below dropTol·max|row| (ML-style).
 //
 // It returns nil when the graph cannot be coarsened further.
-func buildProlongator(a *la.CSR, bs int, nns *la.Dense, opt Options) (*la.CSR, *la.Dense, int, error) {
+func buildProlongator(a *la.CSR, bs int, nns *la.Dense, dropTol float64) (*la.CSR, *la.Dense) {
+	p0, coarseNNS, _ := tentative(a, bs, nns)
+	if p0 == nil {
+		return nil, nil
+	}
+	n := a.NRows
+
+	// --- 5: prolongator smoothing.
+	diag := la.NewVec(n)
+	a.Diag(diag)
+	invd := la.NewVec(n)
+	for i, d := range diag {
+		if d != 0 {
+			invd[i] = 1 / d
+		}
+	}
+	jac := krylov.NewJacobi(diag)
+	lmax := krylov.EstimateLambdaMax(krylov.CSROp{A: a}, jac, eigIts)
+	if lmax <= 0 {
+		lmax = 1
+	}
+	omega := omegaScale / lmax
+	dinvA := a.Clone()
+	dinvA.ScaleRows(invd)
+	sp0 := la.MatMul(dinvA, p0)
+	p := la.AddScaled(p0, sp0, -omega)
+
+	// --- 6: ML-style drop tolerance.
+	if dropTol > 0 {
+		p = dropSmall(p, dropTol)
+	}
+	return p, coarseNNS
+}
+
+// tentative runs steps 1–4 of buildProlongator: the tentative
+// prolongator P0, the coarse near-null-space candidates and the aggregate
+// count, or a nil P0 when aggregation leaves every node on its own.
+func tentative(a *la.CSR, bs int, nns *la.Dense) (*la.CSR, *la.Dense, int) {
 	n := a.NRows
 	if bs < 1 || n%bs != 0 {
 		bs = 1
@@ -94,7 +131,7 @@ func buildProlongator(a *la.CSR, bs int, nns *la.Dense, opt Options) (*la.CSR, *
 	strong := make([][]edge, nn)
 	for bi := 0; bi < nn; bi++ {
 		for _, e := range adj[bi] {
-			thr := opt.Strength * math.Sqrt(diagS[bi]*diagS[e.to])
+			thr := strength * math.Sqrt(diagS[bi]*diagS[e.to])
 			if e.s > thr {
 				strong[bi] = append(strong[bi], e)
 			}
@@ -147,7 +184,7 @@ func buildProlongator(a *la.CSR, bs int, nns *la.Dense, opt Options) (*la.CSR, *
 		}
 	}
 	if naggs >= nn {
-		return nil, nil, 0, nil // no coarsening achieved
+		return nil, nil, 0 // no coarsening achieved
 	}
 
 	// --- 4: tentative prolongator via per-aggregate QR. Fine row i lies in
@@ -200,32 +237,7 @@ func buildProlongator(a *la.CSR, bs int, nns *la.Dense, opt Options) (*la.CSR, *
 		}
 		p0.RowPtr[i+1] = len(p0.Val)
 	}
-
-	// --- 5: prolongator smoothing.
-	diag := la.NewVec(n)
-	a.Diag(diag)
-	invd := la.NewVec(n)
-	for i, d := range diag {
-		if d != 0 {
-			invd[i] = 1 / d
-		}
-	}
-	jac := krylov.NewJacobi(diag)
-	lmax := krylov.EstimateLambdaMax(krylov.CSROp{A: a}, jac, opt.EigIts)
-	if lmax <= 0 {
-		lmax = 1
-	}
-	omega := opt.OmegaScale / lmax
-	dinvA := a.Clone()
-	dinvA.ScaleRows(invd)
-	sp0 := la.MatMul(dinvA, p0)
-	p := la.AddScaled(p0, sp0, -omega)
-
-	// --- 6: ML-style drop tolerance.
-	if opt.DropTol > 0 {
-		p = dropSmall(p, opt.DropTol)
-	}
-	return p, coarseNNS, naggs, nil
+	return p0, coarseNNS, naggs
 }
 
 // dropSmall removes entries with |v| < tol·max|row| and returns the

@@ -17,45 +17,46 @@ import (
 	"ptatin3d/internal/telemetry"
 )
 
+// The set-up's fixed parameters, one value for every configuration.
+const (
+	// strength is the aggregation graph threshold θ: an edge (i,j) is
+	// kept if ‖A_ij‖ > θ·√(‖A_ii‖‖A_jj‖). The paper uses 0.01.
+	strength = 0.01
+	// maxCoarseSize stops coarsening once a level has at most this many
+	// unknowns (paper's ML configuration: 100).
+	maxCoarseSize = 100
+	// maxLevels bounds the hierarchy depth.
+	maxLevels = 10
+	// omegaScale sets the prolongator smoothing damping ω = omegaScale/λmax
+	// (classical smoothed aggregation uses 4/3).
+	omegaScale = 4.0 / 3.0
+	// eigIts is the number of power iterations of every λmax estimate.
+	eigIts = 10
+)
+
 // Options configures the smoothed-aggregation setup.
 type Options struct {
-	// Strength is the aggregation graph threshold θ: an edge (i,j) is kept
-	// if ‖A_ij‖ > θ·√(‖A_ii‖‖A_jj‖). The paper uses 0.01.
-	Strength float64
-	// MaxCoarseSize stops coarsening once a level has at most this many
-	// unknowns (paper's ML configuration: 100).
-	MaxCoarseSize int
-	// MaxLevels bounds the hierarchy depth.
-	MaxLevels int
-	// SmoothSteps is the Chebyshev smoother degree per pre/post smooth.
+	// SmoothSteps is the Chebyshev smoother degree per pre/post smooth
+	// (at least 1; GAMGLike sets 2).
 	SmoothSteps int
-	// OmegaScale sets the prolongator smoothing damping ω = OmegaScale/λmax
-	// (classical smoothed aggregation uses 4/3).
-	OmegaScale float64
 	// DropTol drops entries of the smoothed prolongator below
 	// DropTol·max|row| (the ML configuration of Table IV uses 0.01;
 	// 0 keeps everything, the GAMG-like default).
 	DropTol float64
-	// CoarseBlocks is the number of block-Jacobi blocks (each solved by
-	// exact LU) on the coarsest level; 1 = a single exact solve.
-	CoarseBlocks int
 	// ILUSmoother switches the level smoother from Chebyshev/Jacobi to
 	// FGMRES(2) preconditioned with block-Jacobi ILU(0) (the stronger
 	// smoother of the SAML-ii configuration).
 	ILUSmoother bool
-	// EigIts is the number of power iterations for eigenvalue estimates.
-	EigIts int
 	// Workers is the pool width of the cycle's sparse matrix–vector
 	// products (<= 1: serial). Rows are partitioned, row sums unchanged.
 	Workers int
 }
 
 // GAMGLike returns the options reproducing the paper's GAMG usage:
-// threshold 0.01, rigid-body modes, Chebyshev/Jacobi smoothing, block
-// Jacobi + LU coarse solve.
+// threshold 0.01, rigid-body modes, Chebyshev/Jacobi smoothing, an exact
+// LU coarse solve.
 func GAMGLike() Options {
-	return Options{Strength: 0.01, MaxCoarseSize: 100, MaxLevels: 10,
-		SmoothSteps: 2, OmegaScale: 4.0 / 3.0, CoarseBlocks: 1, EigIts: 10}
+	return Options{SmoothSteps: 2}
 }
 
 // MLLike returns the options reproducing the paper's ML configuration
@@ -74,12 +75,13 @@ func MLStrongLike() Options {
 	return o
 }
 
+// level is one rung of the hierarchy. The coarsest level, which the exact
+// coarse solve handles, has no smoother and no r.
 type level struct {
-	a        *la.CSR
-	p        *la.CSR // prolongation from the next-coarser level (nil on coarsest)
-	smoother krylov.Preconditioner
-	smooth   func(b, x la.Vec, zero bool)
-	r, e, b  la.Vec
+	a       *la.CSR
+	p       *la.CSR // prolongation into the next-finer level (nil on the finest)
+	smooth  func(b, x la.Vec, zero bool)
+	r, e, b la.Vec
 
 	// Cached telemetry handles; nil (inert) when telemetry is off.
 	smoothT, opT     *telemetry.Timer
@@ -92,10 +94,6 @@ type SA struct {
 	levels []*level
 	coarse krylov.Preconditioner
 	opt    Options
-	// Complexity diagnostics.
-	OperatorComplexity float64
-	NumLevels          int
-	SetupStats         []LevelStats
 
 	cycles  *telemetry.Counter
 	coarseT *telemetry.Timer
@@ -127,11 +125,6 @@ func (sa *SA) SetTelemetry(sc *telemetry.Scope) {
 	sa.cycles = sc.Counter("cycles")
 	sa.coarseT = sc.Child("coarse").Timer("solve")
 	sa.coarseC = sc.Child("coarse").Counter("solves")
-}
-
-// LevelStats reports per-level sizes for diagnostics and tests.
-type LevelStats struct {
-	N, NNZ, Aggregates int
 }
 
 // RigidBodyModes builds the 6-column near-null-space matrix of 3-D
@@ -185,64 +178,40 @@ func New(a *la.CSR, bs int, nns *la.Dense, opt Options) (*SA, error) {
 	if a.NRows != nns.Rows {
 		return nil, fmt.Errorf("amg: near-null space rows %d != matrix dim %d", nns.Rows, a.NRows)
 	}
-	if opt.MaxLevels < 2 {
-		opt.MaxLevels = 10
-	}
-	if opt.MaxCoarseSize <= 0 {
-		opt.MaxCoarseSize = 100
-	}
-	if opt.SmoothSteps <= 0 {
-		opt.SmoothSteps = 2
-	}
-	if opt.OmegaScale <= 0 {
-		opt.OmegaScale = 4.0 / 3.0
-	}
-	if opt.EigIts <= 0 {
-		opt.EigIts = 10
-	}
-	if opt.CoarseBlocks <= 0 {
-		opt.CoarseBlocks = 1
-	}
 	sa := &SA{opt: opt}
 	sa.levels = append(sa.levels, &level{a: a})
 	curBS := bs
 	curNNS := nns
-	totalNNZ := float64(a.NNZ())
-	fineNNZ := totalNNZ
 	for {
 		cur := sa.levels[len(sa.levels)-1].a
-		if cur.NRows <= opt.MaxCoarseSize || len(sa.levels) >= opt.MaxLevels {
+		if cur.NRows <= maxCoarseSize || len(sa.levels) >= maxLevels {
 			break
 		}
-		p, coarseNNS, naggs, err := buildProlongator(cur, curBS, curNNS, opt)
-		if err != nil {
-			return nil, err
-		}
+		p, coarseNNS := buildProlongator(cur, curBS, curNNS, opt.DropTol)
 		if p == nil || p.NCols >= cur.NRows { // aggregation stalled
 			break
 		}
 		ac := la.RAP(cur, p)
 		fixZeroDiag(ac)
-		totalNNZ += float64(ac.NNZ())
 		sa.levels = append(sa.levels, &level{a: ac, p: p})
-		sa.SetupStats = append(sa.SetupStats, LevelStats{N: cur.NRows, NNZ: cur.NNZ(), Aggregates: naggs})
 		curNNS = coarseNNS
 		curBS = coarseNNS.Cols
 	}
-	for _, lev := range sa.levels {
+	last := len(sa.levels) - 1
+	for _, lev := range sa.levels[:last] {
 		sa.installSmoother(lev)
 		n := lev.a.NRows
 		lev.r, lev.e, lev.b = la.NewVec(n), la.NewVec(n), la.NewVec(n)
 	}
-	sa.NumLevels = len(sa.levels)
-	sa.OperatorComplexity = totalNNZ / fineNNZ
-	last := sa.levels[len(sa.levels)-1]
-	bj, err := krylov.NewBlockJacobi(last.a, opt.CoarseBlocks)
+	coarsest := sa.levels[last]
+	n := coarsest.a.NRows
+	coarsest.e, coarsest.b = la.NewVec(n), la.NewVec(n)
+	// One block: an exact LU solve of the coarsest level.
+	lu, err := krylov.NewBlockJacobi(coarsest.a, 1)
 	if err != nil {
 		return nil, fmt.Errorf("amg: coarse factorization: %w", err)
 	}
-	sa.coarse = bj
-	sa.SetupStats = append(sa.SetupStats, LevelStats{N: last.a.NRows, NNZ: last.a.NNZ()})
+	sa.coarse = lu
 	return sa, nil
 }
 
@@ -269,7 +238,6 @@ func (sa *SA) installSmoother(lev *level) {
 		}
 		inner := &krylov.InnerKrylov{A: op, M: pc, Method: "fgmres",
 			Prm: krylov.Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 2, Restart: 2}}
-		lev.smoother = inner
 		lev.smooth = func(b, x la.Vec, zero bool) {
 			if zero {
 				inner.Apply(b, x)
@@ -284,9 +252,8 @@ func (sa *SA) installSmoother(lev *level) {
 		}
 		return
 	}
-	lmax := krylov.EstimateLambdaMax(op, jac, sa.opt.EigIts)
+	lmax := krylov.EstimateLambdaMax(op, jac, eigIts)
 	ch := krylov.NewChebyshev(op, jac, lmax, sa.opt.SmoothSteps)
-	lev.smoother = ch
 	lev.smooth = func(b, x la.Vec, zero bool) { ch.Smooth(b, x, zero) }
 }
 
@@ -334,30 +301,23 @@ func fixZeroDiag(a *la.CSR) {
 // Apply runs one V-cycle: z ≈ A⁻¹·r.
 func (sa *SA) Apply(r, z la.Vec) {
 	z.Zero()
-	sa.vcycle(0, r, z, true)
+	sa.cycles.Inc()
+	sa.vcycle(0, r, z)
 }
 
-func (sa *SA) vcycle(l int, b, x la.Vec, zero bool) {
+// vcycle improves x, zero on entry (every level is entered from a zero
+// guess), towards A_l⁻¹·b by one V-cycle from level l down.
+func (sa *SA) vcycle(l int, b, x la.Vec) {
 	lev := sa.levels[l]
-	if l == 0 {
-		sa.cycles.Inc()
-	}
 	if l == len(sa.levels)-1 {
 		st := sa.coarseT.Start()
-		if zero {
-			sa.coarse.Apply(b, x)
-		} else {
-			lev.a.MulVecPar(x, lev.r, sa.opt.Workers)
-			lev.r.AYPX(-1, b)
-			sa.coarse.Apply(lev.r, lev.e)
-			x.AXPY(1, lev.e)
-		}
+		sa.coarse.Apply(b, x)
 		sa.coarseT.Stop(st)
 		sa.coarseC.Inc()
 		return
 	}
 	st := lev.smoothT.Start()
-	lev.smooth(b, x, zero)
+	lev.smooth(b, x, true)
 	lev.smoothT.Stop(st)
 	lev.smoothC.Inc()
 	st = lev.opT.Start()
@@ -370,7 +330,7 @@ func (sa *SA) vcycle(l int, b, x la.Vec, zero bool) {
 	pt := next.p
 	restrictT(pt, lev.r, next.b)
 	next.e.Zero()
-	sa.vcycle(l+1, next.b, next.e, true)
+	sa.vcycle(l+1, next.b, next.e)
 	// Prolong and correct.
 	pmulAdd(pt, next.e, x)
 	st = lev.smoothT.Start()

@@ -52,15 +52,23 @@ func TestSAHierarchyShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.NumLevels < 2 {
-		t.Fatalf("expected coarsening, got %d levels", sa.NumLevels)
+	levels := len(sa.levels)
+	if levels < 2 {
+		t.Fatalf("expected coarsening, got %d levels", levels)
 	}
-	last := sa.SetupStats[len(sa.SetupStats)-1]
-	if last.N > 2*sa.opt.MaxCoarseSize && sa.NumLevels < sa.opt.MaxLevels {
-		t.Fatalf("coarsest level still has %d unknowns", last.N)
+	last := sa.levels[levels-1]
+	if n := last.a.NRows; n > 2*maxCoarseSize && levels < maxLevels {
+		t.Fatalf("coarsest level still has %d unknowns", n)
 	}
-	if sa.OperatorComplexity < 1 || sa.OperatorComplexity > 3 {
-		t.Fatalf("operator complexity %v outside sane range", sa.OperatorComplexity)
+	if last.smooth != nil || last.r != nil {
+		t.Fatal("the coarsest level, which the exact solve handles, has a smoother")
+	}
+	var nnz int
+	for _, lev := range sa.levels {
+		nnz += lev.a.NNZ()
+	}
+	if c := float64(nnz) / float64(a.NNZ()); c < 1 || c > 3 {
+		t.Fatalf("operator complexity %v outside sane range", c)
 	}
 }
 
@@ -173,10 +181,7 @@ func TestDropSmall(t *testing.T) {
 func TestProlongatorRowCoverage(t *testing.T) {
 	p, a := elasticityProblem(4, func(x, y, z float64) float64 { return 1 })
 	nns := rbm(p)
-	pm, cnns, naggs, err := buildProlongator(a, 3, nns, GAMGLike())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pm, cnns, naggs := tentative(a, 3, nns)
 	if pm == nil || naggs <= 0 {
 		t.Fatal("no aggregation")
 	}
@@ -198,18 +203,16 @@ func TestProlongatorRowCoverage(t *testing.T) {
 	}
 }
 
-// TestSAPreservesNearNullSpace: the smoothed prolongator must reproduce
-// the near-null space: B_fine ≈ P·B_coarse up to the smoothing correction
-// (exactly for the tentative part: P0·R = B).
+// TestTentativeProlongatorExactness: the tentative prolongator
+// reproduces the near-null space, P0·B_coarse = B_fine (the per-aggregate
+// QR: P0·R = B), before smoothing corrects it.
 func TestTentativeProlongatorExactness(t *testing.T) {
 	p, a := elasticityProblem(3, func(x, y, z float64) float64 { return 1 })
 	nns := rbm(p)
 	orig := nns.Clone()
-	opt := GAMGLike()
-	opt.OmegaScale = 1e-12 // effectively unsmoothed
-	pm, cnns, _, err := buildProlongator(a, 3, nns, opt)
-	if err != nil {
-		t.Fatal(err)
+	pm, cnns, _ := tentative(a, 3, nns)
+	if pm == nil {
+		t.Fatal("no aggregation")
 	}
 	n := a.NRows
 	for m := 0; m < 6; m++ {

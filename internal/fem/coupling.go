@@ -138,7 +138,14 @@ func (c *Coupling) ApplyGAdd(pv, yu la.Vec) {
 // yp = D·u = Gᵀ·u with constrained velocity entries as zero — bitwise
 // ApplyGAdd(pv, yu) followed by ApplyD(u, yp).
 func (c *Coupling) ApplyGD(u, pv, yu, yp la.Vec) {
-	c.P.apply(c.gdPass(pv, yp), addRows, u, yu)
+	c.P.apply(c.gdPass(maskedState, pv, yp), addRows, u, yu)
+}
+
+// ApplyGDRaw is ApplyGD of the state as it is, prescribed boundary values
+// included: the coupling half of a residual, yu += G·pv on the free
+// velocity rows and yp = Gᵀ·u, in one pass over G_e.
+func (c *Coupling) ApplyGDRaw(u, pv, yu, yp la.Vec) {
+	c.P.apply(c.gdPass(rawState, pv, yp), addRows, u, yu)
 }
 
 // ApplyGDElements is ApplyGD over the given elements only, serially and in
@@ -147,14 +154,15 @@ func (c *Coupling) ApplyGD(u, pv, yu, yp la.Vec) {
 // element-local, so the rank fully owns the pressure rows of its elements
 // and they need no halo exchange.
 func (c *Coupling) ApplyGDElements(elems []int, u, pv, yu, yp la.Vec) {
-	pass := c.gdPass(pv, yp)
+	pass := c.gdPass(maskedState, pv, yp)
 	c.P.applyElements(elems, &pass, u, yu)
 }
 
-// gdPass is the element loop of ApplyGD: it reads the masked velocity,
-// leaves G_e·p in ye and writes the element's divergence rows into yp.
-func (c *Coupling) gdPass(pv, yp la.Vec) elemPass {
-	return elemPass{state: maskedState, kern: func(e int, ue, _, ye *[81]float64, _ *arena) {
+// gdPass is the element loop of ApplyGD and ApplyGDRaw: it reads the
+// velocity in the given state, leaves G_e·p in ye and writes the
+// element's divergence rows into yp.
+func (c *Coupling) gdPass(state gather, pv, yp la.Vec) elemPass {
+	return elemPass{state: state, kern: func(e int, ue, _, ye *[81]float64, _ *arena) {
 		s := c.gradDiv(e, pv, ue, ye)
 		copy(yp[4*e:4*e+4], s[:])
 	}}
@@ -185,29 +193,20 @@ func (c *Coupling) gradDiv(e int, pv la.Vec, ue, ye *[81]float64) (s [4]float64)
 
 // ApplyD computes yp = Gᵀ·u treating constrained velocity entries as zero
 // (the symmetric-elimination form used inside Krylov applications).
-func (c *Coupling) ApplyD(u, yp la.Vec) { c.applyD(u, yp, true) }
-
-// ApplyDRaw computes yp = Gᵀ·u using the full state u, including
-// prescribed boundary values (residual evaluation form).
-func (c *Coupling) ApplyDRaw(u, yp la.Vec) { c.applyD(u, yp, false) }
-
-func (c *Coupling) applyD(u, yp la.Vec, masked bool) {
+func (c *Coupling) ApplyD(u, yp la.Vec) {
 	c.P.forEachElement(func(e int) {
-		s := c.divElem(e, u, masked)
+		s := c.divElem(e, u)
 		copy(yp[4*e:4*e+4], s[:])
 	})
 }
 
-// divElem returns element e's four divergence rows of Gᵀ·u, of the
-// masked or the raw state.
-func (c *Coupling) divElem(e int, u la.Vec, masked bool) [4]float64 {
-	p := c.P
-	er := &p.runs()[e]
+// divElem returns element e's four divergence rows of Gᵀ·u, constrained
+// entries of u as zero.
+func (c *Coupling) divElem(e int, u la.Vec) [4]float64 {
+	er := &c.P.runs()[e]
 	var ue [81]float64
 	gatherRuns(er, u, &ue)
-	if masked {
-		er.zeroMasked(&ue)
-	}
+	er.zeroMasked(&ue)
 	return c.divRows(e, &ue)
 }
 
@@ -326,7 +325,7 @@ func (m *PressureMass) ApplyInv(x, y la.Vec) {
 // from the ranks) or, with elems nil, over all of them on the worker pool.
 func (m *PressureMass) ApplySchur(c *Coupling, elems []int, zu, rp, zp la.Vec) {
 	kern := func(e int) {
-		t := c.divElem(e, zu, true)
+		t := c.divElem(e, zu)
 		for i := range t {
 			t[i] = rp[4*e+i] - t[i]
 		}

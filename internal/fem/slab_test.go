@@ -563,12 +563,14 @@ func TestRunTableMatchesPerNode(t *testing.T) {
 			}
 
 			for e := 0; e < nel; e++ {
+				var ue [81]float64
+				gatherRuns(&info.runs[e], ur, &ue)
+				raw := c.divRows(e, &ue) // the rows of a residual's raw pass
 				for _, masked := range []bool{true, false} {
-					u := ur
+					s1, s2 := raw, c.divElemPerNode(e, ur, false)
 					if masked {
-						u = um
+						s1, s2 = c.divElem(e, um), c.divElemPerNode(e, um, true)
 					}
-					s1, s2 := c.divElem(e, u, masked), c.divElemPerNode(e, u, masked)
 					if i := firstBitDiff(s1[:], s2[:]); i >= 0 {
 						t.Fatalf("divergence of element %d (masked %v): row %d is %x, per node %x",
 							e, masked, i, math.Float64bits(s1[i]), math.Float64bits(s2[i]))
@@ -583,7 +585,10 @@ func TestRunTableMatchesPerNode(t *testing.T) {
 // gives bitwise ApplyGAdd followed by ApplyD on the block schedule (at 1
 // and 3 workers), and the per-node gradient scatter followed by the
 // per-node divergence rows on the subset path, both accumulating onto a
-// nonzero yu; the velocity holds −0 and NaN at constrained dofs.
+// nonzero yu; the velocity holds −0 and NaN at constrained dofs. The
+// residual's raw-state pass, ApplyGDRaw, gives bitwise ApplyGAdd followed
+// by the per-node divergence rows of the state as it is, on a state with
+// finite boundary values.
 func TestApplyGDMatchesGAddThenD(t *testing.T) {
 	for _, noSlip := range []bool{false, true} {
 		p := runsProblem(t, 5, 4, 3, noSlip, 7)
@@ -593,6 +598,7 @@ func TestApplyGDMatchesGAddThenD(t *testing.T) {
 		u := edgeVelocity(rng, p, true)
 		pv := randVelocity(rng, np)
 		yu0, yp0 := randVelocity(rng, nu), randVelocity(rng, np)
+		ur := edgeVelocity(rng, p, false) // a residual's state: finite boundary values
 
 		for _, w := range []int{1, 3} {
 			p.Workers = w
@@ -606,6 +612,21 @@ func TestApplyGDMatchesGAddThenD(t *testing.T) {
 			}
 			if i := firstBitDiff(yp1, yp2); i >= 0 {
 				t.Fatalf("no-slip %v, %d workers: ApplyGD yp[%d] = %v, ApplyD %v", noSlip, w, i, yp2[i], yp1[i])
+			}
+
+			yu1, yp1 = slices.Clone(yu0), slices.Clone(yp0)
+			c.ApplyGAdd(pv, yu1)
+			for e := 0; e < nel; e++ {
+				s := c.divElemPerNode(e, ur, false)
+				copy(yp1[4*e:4*e+4], s[:])
+			}
+			yu2, yp2 = slices.Clone(yu0), slices.Clone(yp0)
+			c.ApplyGDRaw(ur, pv, yu2, yp2)
+			if i := firstBitDiff(yu1, yu2); i >= 0 {
+				t.Fatalf("no-slip %v, %d workers: ApplyGDRaw yu[%d] = %v, ApplyGAdd %v", noSlip, w, i, yu2[i], yu1[i])
+			}
+			if i := firstBitDiff(yp1, yp2); i >= 0 {
+				t.Fatalf("no-slip %v, %d workers: ApplyGDRaw yp[%d] = %v, per node raw %v", noSlip, w, i, yp2[i], yp1[i])
 			}
 		}
 

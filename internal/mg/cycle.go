@@ -32,7 +32,8 @@ type transfer interface {
 	ApplyTranspose(rf, rc la.Vec) // rc = Pᵀ·rf
 }
 
-// levelView is one level as the cycle sees it.
+// levelView is one level as the cycle sees it. The coarsest level, which
+// the coarse solve handles, has no operator, smoother or residual vector.
 type levelView struct {
 	op       krylov.Op
 	smoother levelSmoother
@@ -42,8 +43,9 @@ type levelView struct {
 	tel      levelTel  // zero on a rank: telemetry is the whole grid's
 }
 
-// cycle is a V-cycle over a view; lev[0] is finest. coarsest solves the
-// last level into a zeroed x (every level is entered from a zero guess).
+// cycle is a V-cycle over a view; lev[0] is finest. coarsest is the
+// coarse solve of the last level into a zeroed x (every level is entered
+// from a zero guess): the one end of every cycle.
 //
 // A step of the cycle whose representation can hand over its schedule — a
 // blocked smoother visit, a resident apply, a whole-grid transfer — joins
@@ -175,11 +177,4 @@ func (c *cycle) smooth(v *levelView, b, x la.Vec, zeroGuess bool) {
 	} else {
 		c.call(func() { v.smoother.Smooth(b, x, zeroGuess) }, v.tel.smooth, v.tel.smooths)
 	}
-}
-
-// smoothOnly is the coarsest level of a hierarchy without a coarse
-// solver: one smoother visit from the zero guess.
-func (c *cycle) smoothOnly(b, x la.Vec) {
-	c.smooth(&c.lev[len(c.lev)-1], b, x, true)
-	c.flush()
 }

@@ -26,10 +26,13 @@ import (
 // DistMG is a per-rank view over a shared, read-only *MG hierarchy: the
 // level problems, Chebyshev intervals, Jacobi diagonals and the coarse
 // solver are built once by Build and shared across rank goroutines;
-// only work vectors and exchange state are per rank. A view outlives
-// the solve it was built for: after the hierarchy's Refresh, the view's
-// Refresh re-reads the values that changed, and its vectors, smoothers
-// and halo buffers serve the next solve on the same world shape.
+// only work vectors and exchange state are per rank. A rank's coarsest
+// level is its gather: the transfer into it, its spans and its
+// right-hand-side and correction vectors, and no operator or smoother.
+// A view outlives the solve it was built for: after the hierarchy's
+// Refresh, the view's Refresh re-reads the values that changed, and its
+// vectors, smoothers and halo buffers serve the next solve on the same
+// world shape.
 
 // ValidateNestedDecomps checks that per-level decompositions nest: each
 // level must use the same rank grid and element-range boundaries that
@@ -73,14 +76,14 @@ type DistMG struct {
 	base   *MG
 	coarse *comm.Dist // the coarsest level's exchange handle
 	err    error
-	// rank is each level's rank-specific state that Refresh re-reads
-	// from the hierarchy.
+	// rank is each smoothed level's rank-specific state that Refresh
+	// re-reads from the hierarchy; the coarsest level has none.
 	rank []rankLevel
 }
 
-// rankLevel is what a rank's view of one level copies from the shared
-// level: the operator's matrix (a CSR level), the smoother's interval
-// and the Jacobi diagonal it windows.
+// rankLevel is what a rank's view of one smoothed level copies from the
+// shared level: the operator's matrix (a CSR level), the smoother's
+// interval and the Jacobi diagonal it windows.
 type rankLevel struct {
 	csr  *haloCSROp
 	cheb *krylov.Chebyshev
@@ -162,7 +165,9 @@ func (o *haloCSROp) Apply(x, y la.Vec) {
 // only as a Galerkin input, else its element kernel (op.ElementKernel: the
 // shared resident kernel, or the tensor kernel per rank). Smoothers
 // reuse the shared Chebyshev interval and Jacobi diagonal, so all ranks —
-// and the shared solve — run the identical smoother recurrence.
+// and the shared solve — run the identical smoother recurrence. The
+// coarsest level gets only its transfer, spans and vectors: the coarse
+// solve gathers it to rank 0.
 func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 	if len(dists) != len(base.Levels) {
 		return nil, fmt.Errorf("mg: %d dist handles for %d levels", len(dists), len(base.Levels))
@@ -174,7 +179,15 @@ func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 			return nil, fmt.Errorf("mg: level %d has no problem (algebraic level)", l)
 		}
 		spans := dists[l].L.VelSpans()
-		v := levelView{spans: spans}
+		n := lev.Op.N()
+		v := levelView{spans: spans, e: la.NewVec(n), bc: la.NewVec(n)}
+		if l > 0 {
+			v.p = rankTransfer{p: lev.P, fine: dists[l-1].L, coarse: dists[l], mg: m}
+		}
+		if lev.Smoother == nil { // the coarsest level
+			m.lev = append(m.lev, v)
+			continue
+		}
 		var rl rankLevel
 		if csr := lev.Op.CSR(); csr != nil && lev.Blocked == nil {
 			rl.csr = &haloCSROp{mg: m, dist: dists[l], spans: spans}
@@ -189,11 +202,7 @@ func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 			rl.jac = &krylov.Jacobi{Spans: spans}
 		}
 		v.smoother = rl.cheb
-		if l > 0 {
-			v.p = rankTransfer{p: lev.P, fine: dists[l-1].L, coarse: dists[l], mg: m}
-		}
-		n := lev.Op.N()
-		v.r, v.e, v.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
+		v.r = la.NewVec(n)
 		m.lev = append(m.lev, v)
 		m.rank = append(m.rank, rl)
 	}
@@ -202,13 +211,13 @@ func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 }
 
 // Refresh re-reads what the hierarchy's Refresh may have changed — each
-// level's assembled matrix, Chebyshev interval and Jacobi diagonal — and
-// clears the sticky error, readying the view for its next solve. It
-// allocates nothing.
+// smoothed level's assembled matrix, Chebyshev interval and Jacobi
+// diagonal — and clears the sticky error, readying the view for its next
+// solve. It allocates nothing.
 func (m *DistMG) Refresh() {
 	m.err = nil
-	for l, lev := range m.base.Levels {
-		rl := &m.rank[l]
+	for l := range m.rank {
+		rl, lev := &m.rank[l], m.base.Levels[l]
 		if rl.csr != nil {
 			rl.csr.a = lev.Op.CSR()
 		}
@@ -261,10 +270,6 @@ func (t rankTransfer) ApplyTranspose(rf, rc la.Vec) {
 // while rank 0 works. The solve counts in the base hierarchy's coarse
 // timer.
 func (m *DistMG) solveCoarsest(b, x la.Vec) {
-	if m.base.CoarseSolve == nil {
-		m.smoothOnly(b, x)
-		return
-	}
 	finer := &m.lev[len(m.lev)-2] // Build wants two levels
 	m.noteErr(m.coarse.GatherSolveBroadcast(b, x, func() {
 		m.base.solveCoarse(b, x)

@@ -11,3 +11,10 @@ func DistLevelResident(m *DistMG, l int) *fem.Resident {
 	}
 	return nil
 }
+
+// DistLevelBuilt reports whether the distributed view built level l an
+// operator, a smoother or a residual vector.
+func DistLevelBuilt(m *DistMG, l int) bool {
+	v := m.lev[l]
+	return v.op != nil || v.smoother != nil || v.r != nil
+}

@@ -16,14 +16,16 @@ import (
 // assembled, Galerkin) is entirely op's concern — this package never
 // dispatches on it.
 type Level struct {
-	Prob     *fem.Problem // discretization (nil only if purely algebraic)
-	Op       op.Operator
+	Prob *fem.Problem // discretization (nil only if purely algebraic)
+	Op   op.Operator
+	// Smoother is the level's Jacobi-preconditioned Chebyshev smoother;
+	// nil on the coarsest level, which the coarse solve handles.
 	Smoother *krylov.Chebyshev
 	// Blocked is the cache-blocked wavefront Chebyshev over the
-	// operator's resident backing: non-nil exactly when the operator has
-	// one (op.ResidentOf), and then the cycle smooths with it. It computes
-	// the iterates of Smoother bit for bit; Smoother stays as the
-	// full-grid form of the same recurrence — what levels without
+	// operator's resident backing: non-nil exactly when a smoothed level's
+	// operator has one (op.ResidentOf), and then the cycle smooths with it.
+	// It computes the iterates of Smoother bit for bit; Smoother stays as
+	// the full-grid form of the same recurrence — what levels without
 	// resident backing run, and where distributed views read the interval.
 	Blocked *fem.BlockedChebyshev
 	P       *Prolongation // transfer to and from the next-finer level (nil on the finest)
@@ -31,21 +33,22 @@ type Level struct {
 	// Setup is what the last Build or Refresh spent on this level.
 	Setup SetupTimes
 
-	r, e, bc la.Vec // work vectors
+	r, e, bc la.Vec // work vectors; the coarsest level has no r
 }
 
 // SetupTimes splits one level's set-up: Op is the operator's own Setup or
 // Refresh (assembly, Galerkin product, resident coefficient stream), Diag
 // the Jacobi diagonal, Eig the λmax power iteration behind the Chebyshev
-// interval.
+// interval. Diag and Eig stay zero on the coarsest level.
 type SetupTimes struct {
 	Op, Diag, Eig time.Duration
 }
 
 // MG is a geometric multigrid V-cycle preconditioner for the viscous
-// block. Levels[0] is finest. CoarseSolve is applied on the coarsest
-// level; typical choices are an amg.SA V-cycle (the paper's GAMG coarse
-// solver), krylov.BlockJacobi, or an InnerKrylov CG+ASM solve (rifting
+// block. Levels[0] is finest. Every level but the coarsest smooths; the
+// coarsest is solved by CoarseSolve, which must be set before the first
+// Apply: an amg.SA V-cycle (the paper's GAMG coarse solver),
+// krylov.BlockJacobi, or an InnerKrylov CG+ASM solve (rifting
 // configuration).
 type MG struct {
 	Levels      []*Level
@@ -120,8 +123,11 @@ type Options struct {
 }
 
 // Build wires a multigrid hierarchy from per-level discretizations
-// (probs[0] finest) and per-level operator kinds. The coarse solver is
-// left nil; callers must set CoarseSolve (or call UseBlockJacobiCoarse).
+// (probs[0] finest) and per-level operator kinds. Every level gets its
+// operator, set up; every level but the coarsest its smoother. The
+// coarsest level carries no smoother and the coarse solver is left nil:
+// callers must set CoarseSolve (or call UseBlockJacobiCoarse) before the
+// first Apply.
 func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 	if len(probs) < 2 {
 		return nil, fmt.Errorf("mg: need at least 2 levels, got %d", len(probs))
@@ -166,8 +172,11 @@ func Build(probs []*fem.Problem, opt Options) (*MG, error) {
 		}
 		lev.Setup.Op = time.Since(start)
 		n := lev.Op.N()
-		lev.r, lev.e, lev.bc = la.NewVec(n), la.NewVec(n), la.NewVec(n)
-		buildSmoother(lev, opt.SmoothSteps)
+		lev.e, lev.bc = la.NewVec(n), la.NewVec(n)
+		if l < len(probs)-1 {
+			lev.r = la.NewVec(n)
+			buildSmoother(lev, opt.SmoothSteps)
+		}
 		m.Levels = append(m.Levels, lev)
 	}
 	return m, nil
@@ -223,9 +232,9 @@ func buildSmoother(lev *Level, steps int) {
 // Refresh re-derives every level's numeric content from the (already
 // updated) per-level problem coefficients, in place: operators refresh
 // finest→coarsest so Galerkin levels read the refreshed finer matrix,
-// then each level's smoother is rebuilt exactly as Build builds it — same
-// Jacobi diagonal, same deterministic λmax power iteration, same
-// Chebyshev interval and step count — so a refreshed hierarchy is
+// then each smoothed level's smoother is rebuilt exactly as Build builds
+// it — same Jacobi diagonal, same deterministic λmax power iteration,
+// same Chebyshev interval and step count — so a refreshed hierarchy is
 // bit-identical to one constructed cold on the same coefficients. The
 // transfer operators, work vectors and coarse-solver wiring are purely
 // topological and survive untouched (the caller owns CoarseSolve and must
@@ -237,7 +246,9 @@ func (m *MG) Refresh() error {
 			return fmt.Errorf("mg: level %d refresh: %w", l, err)
 		}
 		lev.Setup.Op = time.Since(start)
-		buildSmoother(lev, lev.Smoother.Steps)
+		if lev.Smoother != nil {
+			buildSmoother(lev, lev.Smoother.Steps)
+		}
 	}
 	return nil
 }
@@ -251,7 +262,7 @@ type LevelInfo struct {
 	Kind string `json:"kind"`
 	// Smoother is "blocked" (wavefront Chebyshev over the resident
 	// kernel), "chebyshev" (the full-grid recurrence) or, on the coarsest
-	// level of a hierarchy with a coarse solver, "coarse-solve".
+	// level, "coarse-solve".
 	Smoother string `json:"smoother"`
 	// Degree is the Chebyshev degree k of V(k,k); 0 under "coarse-solve".
 	Degree int `json:"degree"`
@@ -270,13 +281,12 @@ func (li LevelInfo) String() string {
 func (m *MG) Describe() []LevelInfo {
 	out := make([]LevelInfo, len(m.Levels))
 	for l, lev := range m.Levels {
-		li := LevelInfo{Level: l, N: lev.Op.N(), Kind: lev.Op.Kind().String(),
-			Smoother: "chebyshev", Degree: lev.Smoother.Steps}
-		switch {
-		case l == len(m.Levels)-1 && m.CoarseSolve != nil:
-			li.Smoother, li.Degree = "coarse-solve", 0
-		case lev.Blocked != nil:
-			li.Smoother = "blocked"
+		li := LevelInfo{Level: l, N: lev.Op.N(), Kind: lev.Op.Kind().String(), Smoother: "coarse-solve"}
+		if lev.Smoother != nil {
+			li.Smoother, li.Degree = "chebyshev", lev.Smoother.Steps
+			if lev.Blocked != nil {
+				li.Smoother = "blocked"
+			}
 		}
 		out[l] = li
 	}
@@ -306,37 +316,32 @@ func (m *MG) Apply(r, z la.Vec) {
 	m.view().run(r, z)
 }
 
-// view returns the cycle over the whole grid: every level's operator,
-// its smoother — blocked on resident-backed levels — its transfer and
-// work vectors, with nil spans. Levels is read afresh on every call:
-// Refresh replaces the smoothers, callers may replace CoarseSolve.
+// view returns the cycle over the whole grid: every smoothed level's
+// operator and smoother — blocked on resident-backed levels — and every
+// level's transfer and work vectors, with nil spans. Levels is read
+// afresh on every call: Refresh replaces the smoothers, callers may
+// replace CoarseSolve.
 func (m *MG) view() *cycle {
 	c := &m.whole
 	if len(c.lev) != len(m.Levels) {
 		c.lev = make([]levelView, len(m.Levels))
-		c.coarsest = m.coarsest
+		c.coarsest = m.solveCoarse
 	}
 	c.workers = 1
 	if p := m.Levels[0].Prob; p != nil {
 		c.workers = p.Workers
 	}
 	for l, lev := range m.Levels {
-		v := levelView{op: lev.Op, smoother: lev.Smoother, p: lev.P, r: lev.r, e: lev.e, bc: lev.bc, tel: m.lt(l)}
-		if lev.Blocked != nil {
-			v.smoother = lev.Blocked
+		v := levelView{p: lev.P, e: lev.e, bc: lev.bc, tel: m.lt(l)}
+		if lev.Smoother != nil {
+			v.op, v.smoother, v.r = lev.Op, lev.Smoother, lev.r
+			if lev.Blocked != nil {
+				v.smoother = lev.Blocked
+			}
 		}
 		c.lev[l] = v
 	}
 	return c
-}
-
-// coarsest applies the coarse solver (smoothing only without one).
-func (m *MG) coarsest(b, x la.Vec) {
-	if m.CoarseSolve == nil {
-		m.whole.smoothOnly(b, x)
-		return
-	}
-	m.solveCoarse(b, x)
 }
 
 // solveCoarse applies CoarseSolve, timed and counted in the "coarse"

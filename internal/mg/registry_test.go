@@ -20,22 +20,7 @@ import (
 func TestRegistryHierarchyIsResidentAndBlocked(t *testing.T) {
 	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
-			spec, err := scenario.Get(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec.Resolution = spec.SmallResolution()
-			m, err := scenario.Compile(spec, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			s, _, err := new(stokes.Context).Prepare(m.Prob, m.StokesConfig())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.MG == nil {
-				t.Fatal("no geometric hierarchy")
-			}
+			s := prepareSmall(t, name)
 			levels := s.MG.Levels
 			if any(s.Op.Auu) != any(levels[0].Op) {
 				t.Errorf("coupled matvec applies %T, hierarchy level 0 %T: not one shared operator", s.Op.Auu, levels[0].Op)
@@ -76,4 +61,81 @@ func TestRegistryHierarchyIsResidentAndBlocked(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestHierarchyEndsInCoarseSolve: over every registered scenario at its
+// small resolution, the hierarchy stokes.Context.Prepare builds ends in
+// the coarse solve: the coarsest level carries no smoother, full-grid or
+// blocked, the coarse solver is set, Describe names it, and a 2x1x1 rank
+// view gives the level no operator or smoother of its own.
+func TestHierarchyEndsInCoarseSolve(t *testing.T) {
+	for _, name := range scenario.Names() {
+		t.Run(name, func(t *testing.T) {
+			s := prepareSmall(t, name)
+			levels := s.MG.Levels
+			last := len(levels) - 1
+			if lev := levels[last]; lev.Smoother != nil || lev.Blocked != nil {
+				t.Errorf("coarsest level %d smooths (Smoother %v, Blocked %v)", last, lev.Smoother != nil, lev.Blocked != nil)
+			}
+			if s.MG.CoarseSolve == nil {
+				t.Error("no coarse solver")
+			}
+			if got := s.MG.Describe()[last].Smoother; got != "coarse-solve" {
+				t.Errorf("Describe reads %q on the coarsest level, want coarse-solve", got)
+			}
+
+			decomps := make([]*comm.Decomp, len(levels))
+			for l, lev := range levels {
+				d, err := comm.NewDecomp(lev.Prob.DA, 2, 1, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				decomps[l] = d
+			}
+			if err := mg.ValidateNestedDecomps(decomps); err != nil {
+				t.Fatal(err)
+			}
+			w := comm.NewWorld(2)
+			w.Run(func(r *comm.Rank) {
+				dists := make([]*comm.Dist, len(levels))
+				for l, d := range decomps {
+					dists[l] = comm.NewDist(r, comm.NewLayout(d, r.ID), nil)
+				}
+				dmg, err := mg.NewDist(s.MG, dists)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if mg.DistLevelBuilt(dmg, last) {
+					t.Errorf("rank %d: the view builds its coarsest level an operator or a smoother", r.ID)
+				}
+				if !mg.DistLevelBuilt(dmg, 0) {
+					t.Errorf("rank %d: the view builds its finest level nothing", r.ID)
+				}
+			})
+		})
+	}
+}
+
+// prepareSmall prepares the Stokes solver of the registered scenario name
+// at its small resolution, as a step's first solve does.
+func prepareSmall(t *testing.T, name string) *stokes.Solver {
+	t.Helper()
+	spec, err := scenario.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Resolution = spec.SmallResolution()
+	m, err := scenario.Compile(spec, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := new(stokes.Context).Prepare(m.Prob, m.StokesConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.MG == nil {
+		t.Fatal("no geometric hierarchy")
+	}
+	return s
 }

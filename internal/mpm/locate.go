@@ -77,9 +77,8 @@ func lineElement(l []float64, p float64) (i int, xi float64) {
 
 // LocateAll (re)locates every point on the worker pool, each writing only
 // its own slots. Points that left the domain get Elem = -1 and are
-// returned in ascending index order (the Ls list of §II-D in the
-// single-rank view; with a domain decomposition, Migrate routes them to
-// neighbour ranks first and only then discards true outflow).
+// returned in ascending index order (the outflow the step discards: the
+// ranks of a distributed step share one point set, so no point migrates).
 func LocateAll(prob *fem.Problem, pts *Points) (lost []int) {
 	return locateAll(prob, pts, prob.Workers)
 }

@@ -1,18 +1,12 @@
 package mpm
 
 import (
-	"errors"
-	"fmt"
 	"math"
-	"slices"
 	"testing"
-	"time"
 
-	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
-	"ptatin3d/internal/telemetry"
 )
 
 func flatProblem(m int) *fem.Problem {
@@ -209,128 +203,6 @@ func TestAdvectRotationPreservesRadius(t *testing.T) {
 	}
 	if math.Abs(pts.Z[0]-0.5) > 1e-12 {
 		t.Fatal("z drifted in planar rotation")
-	}
-}
-
-// TestMigrateProtocol: points advected across subdomain boundaries are
-// adopted by the owning rank; every surviving point ends up exactly once
-// on the correct rank; outflow points disappear.
-func TestMigrateProtocol(t *testing.T) {
-	p := flatProblem(4)
-	d, err := comm.NewDecomp(p.DA, 2, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := comm.NewWorld(d.Size())
-	// Uniform +x flow pushes points across the x-split (and out at xmax).
-	u := la.NewVec(p.DA.NVelDOF())
-	for n := 0; n < p.DA.NNodes(); n++ {
-		u[3*n] = 0.3
-	}
-	type rankState struct {
-		pts *Points
-		st  MigrateStats
-		tot int
-	}
-	states := make([]rankState, d.Size())
-	var totalBefore int
-	reg := telemetry.New()
-	w.Run(func(r *comm.Rank) {
-		// Each rank seeds points only in its own elements.
-		all := NewLattice(p, 2, nil)
-		local := &Points{}
-		for i := 0; i < all.Len(); i++ {
-			if d.RankOfElement(int(all.Elem[i])) == r.ID {
-				idx := local.Append(all.X[i], all.Y[i], all.Z[i], all.Litho[i], all.Plastic[i])
-				local.Elem[idx] = all.Elem[i]
-				local.Xi[idx], local.Et[idx], local.Ze[idx] = all.Xi[i], all.Et[i], all.Ze[i]
-			}
-		}
-		n0 := local.Len()
-		AdvectRK2(p, u, 0.5, local, 1)
-		sc := reg.Root().Child("mpm").Child(fmt.Sprintf("rank%d", r.ID))
-		st, err := Migrate(r, d, p, local, sc)
-		if err != nil {
-			t.Errorf("rank %d: %v", r.ID, err)
-		}
-		states[r.ID] = rankState{pts: local, st: st, tot: n0}
-	})
-	for _, s := range states {
-		totalBefore += s.tot
-	}
-	// Every surviving point is on its owning rank.
-	totalAfter, deleted, sent, received := 0, 0, 0, 0
-	for rid, s := range states {
-		totalAfter += s.pts.Len()
-		deleted += s.st.Deleted
-		sent += s.st.Sent
-		received += s.st.Received
-		for i := 0; i < s.pts.Len(); i++ {
-			if d.RankOfElement(int(s.pts.Elem[i])) != rid {
-				t.Fatalf("rank %d holds foreign point in element %d", rid, s.pts.Elem[i])
-			}
-		}
-	}
-	if sent == 0 || received == 0 {
-		t.Fatalf("no migration happened: sent %d received %d", sent, received)
-	}
-	if deleted == 0 {
-		t.Fatal("expected outflow deletions at xmax")
-	}
-	if totalAfter+deleted+(sent-received) != totalBefore {
-		t.Fatalf("point accounting: before %d, after %d, deleted %d, sent %d, recv %d",
-			totalBefore, totalAfter, deleted, sent, received)
-	}
-	// The per-rank telemetry counters must agree with the returned stats.
-	var telSent, telRecv, telDel int64
-	for rid := range states {
-		sc := reg.Root().Child("mpm").Child(fmt.Sprintf("rank%d", rid))
-		telSent += sc.Counter("sent").Value()
-		telRecv += sc.Counter("received").Value()
-		telDel += sc.Counter("deleted").Value()
-		if sc.Counter("migrations").Value() != 1 {
-			t.Fatalf("rank %d migrations counter = %d", rid, sc.Counter("migrations").Value())
-		}
-	}
-	if int(telSent) != sent || int(telRecv) != received || int(telDel) != deleted {
-		t.Fatalf("telemetry disagrees: sent %d/%d recv %d/%d del %d/%d",
-			telSent, sent, telRecv, received, telDel, deleted)
-	}
-}
-
-// TestMigrateExchangeFailure: on a 2×1×1 world whose rank 1 never
-// migrates, rank 0's shipment is left waiting when the world goes quiet.
-// Migrate must return a wrapped *comm.ExchangeError naming rank 1 instead
-// of hanging, and count the failure.
-func TestMigrateExchangeFailure(t *testing.T) {
-	p := flatProblem(4)
-	d, err := comm.NewDecomp(p.DA, 2, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	sc := reg.Root().Child("mpm").Child("rank0")
-	var migErr error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		comm.NewWorld(d.Size()).Run(func(r *comm.Rank) {
-			if r.ID == 0 {
-				_, migErr = Migrate(r, d, p, NewLattice(p, 2, nil), sc)
-			}
-		})
-	}()
-	select {
-	case <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("a migration with a silent neighbour deadlocked instead of failing")
-	}
-	var xe *comm.ExchangeError
-	if !errors.As(migErr, &xe) || !slices.Equal(xe.Missing, []int{1}) {
-		t.Fatalf("got %v, want a wrapped *comm.ExchangeError missing [1]", migErr)
-	}
-	if n := sc.Counter("migrate_failures").Value(); n != 1 {
-		t.Errorf("migrate_failures = %d, want 1", n)
 	}
 }
 

@@ -111,32 +111,16 @@ func (o *asmOp) Setup() error {
 // Refresh recomputes the CSR values in place from the problem's current
 // coefficients, reusing the cached sparsity.
 func (o *asmOp) Refresh() error {
-	if o.a == nil {
-		return o.Setup()
-	}
 	o.va.Refresh()
 	return nil
 }
 
-func (o *asmOp) Apply(x, y la.Vec) {
-	if o.a == nil {
-		o.Setup()
-	}
-	o.a.MulVecPar(x, y, o.workers)
-}
-
+func (o *asmOp) Apply(x, y la.Vec)         { o.a.MulVecPar(x, y, o.workers) }
 func (o *asmOp) ApplyFreeRows(u, y la.Vec) { o.mf.ApplyFreeRows(u, y) }
-
-func (o *asmOp) Diag(d la.Vec) {
-	if o.a == nil {
-		o.Setup()
-	}
-	csrDiag(o.a, d)
-}
-
-func (o *asmOp) Cost() Cost   { return asmCost(o.p.DA.NElements(), o.a) }
-func (o *asmOp) Kind() Kind   { return Assembled }
-func (o *asmOp) CSR() *la.CSR { o.Setup(); return o.a }
+func (o *asmOp) Diag(d la.Vec)             { csrDiag(o.a, d) }
+func (o *asmOp) Cost() Cost                { return asmCost(o.p.DA.NElements(), o.a) }
+func (o *asmOp) Kind() Kind                { return Assembled }
+func (o *asmOp) CSR() *la.CSR              { return o.a }
 
 // galerkinOp builds the CSR operator as the Galerkin triple product
 // Pᵀ·A_fine·P. A·P comes from the next-finer level's assembled matrix
@@ -204,9 +188,6 @@ func (o *galerkinOp) build(fine *la.CSR) error {
 // fem.NewViscousAP), so the values are bit-for-bit what a from-scratch
 // Setup would produce.
 func (o *galerkinOp) Refresh() error {
-	if o.a == nil {
-		return o.Setup()
-	}
 	if o.stream != nil {
 		o.stream.Refresh()
 	} else {
@@ -329,25 +310,8 @@ func (o *galerkinOp) zeroPatternUnchanged() bool {
 	return true
 }
 
-func (o *galerkinOp) Apply(x, y la.Vec) {
-	if o.a == nil {
-		if err := o.Setup(); err != nil {
-			panic(err)
-		}
-	}
-	o.a.MulVecPar(x, y, o.env.Workers)
-}
-
-func (o *galerkinOp) Diag(d la.Vec) {
-	if o.a == nil {
-		if err := o.Setup(); err != nil {
-			panic(err)
-		}
-	}
-	csrDiag(o.a, d)
-}
-
-func (o *galerkinOp) Cost() Cost { return asmCost(o.env.Prob.DA.NElements(), o.a) }
-
-func (o *galerkinOp) Kind() Kind   { return Galerkin }
-func (o *galerkinOp) CSR() *la.CSR { _ = o.Setup(); return o.a }
+func (o *galerkinOp) Apply(x, y la.Vec) { o.a.MulVecPar(x, y, o.env.Workers) }
+func (o *galerkinOp) Diag(d la.Vec)     { csrDiag(o.a, d) }
+func (o *galerkinOp) Cost() Cost        { return asmCost(o.env.Prob.DA.NElements(), o.a) }
+func (o *galerkinOp) Kind() Kind        { return Galerkin }
+func (o *galerkinOp) CSR() *la.CSR      { return o.a }

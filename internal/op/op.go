@@ -116,8 +116,9 @@ type Operator interface {
 	N() int
 	Apply(x, y la.Vec)
 	// Setup performs the representation's one-time construction
-	// (assembly, Galerkin triple product, stored-tensor precomputation).
-	// It is idempotent.
+	// (assembly, Galerkin triple product, stored-tensor precomputation):
+	// the one set-up path, which every caller runs before Apply, Diag,
+	// CSR or a refresh. It is idempotent.
 	Setup() error
 	// Diag writes the operator diagonal (unit entries on constrained
 	// rows, never zero) into d.
@@ -145,7 +146,7 @@ type Env struct {
 }
 
 // New builds the representation k for env. The returned operator is not
-// yet set up; call Setup before (or let the first Apply trigger) use.
+// yet set up; call Setup before any other method but N, Kind and Cost.
 func New(k Kind, env Env) (Operator, error) {
 	if env.Prob == nil {
 		return nil, fmt.Errorf("op: nil problem")

@@ -328,27 +328,32 @@ func TestF32OpEquivalence(t *testing.T) {
 }
 
 // TestResidentOf checks the unwrapping helper: resident-backed kinds
-// expose their fem.Resident, and non-resident kinds return nil.
+// expose their fem.Resident once set up, and non-resident kinds return
+// nil.
 func TestResidentOf(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ec := randomEquivCase(t, 2, rng)
-	rc, err := op.New(op.TensorC, op.Env{Prob: ec.coarse, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
+	setUp := func(k op.Kind) op.Operator {
+		o, err := op.New(k, op.Env{Prob: ec.coarse, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := o.Setup(); err != nil {
+			t.Fatal(err)
+		}
+		return o
 	}
-	r := op.ResidentOf(rc)
+	r := op.ResidentOf(setUp(op.TensorC))
 	if r == nil {
 		t.Fatal("ResidentOf(TensorC) = nil")
 	}
 	if r.F32 {
 		t.Fatal("TensorC resident reports F32")
 	}
-	r32c, _ := op.New(op.TensorF32, op.Env{Prob: ec.coarse, Workers: 2})
-	if r32 := op.ResidentOf(r32c); r32 == nil || !r32.F32 {
+	if r32 := op.ResidentOf(setUp(op.TensorF32)); r32 == nil || !r32.F32 {
 		t.Fatalf("ResidentOf(TensorF32) = %v; want an f32 resident", r32)
 	}
-	mf, _ := op.New(op.Tensor, op.Env{Prob: ec.coarse, Workers: 2})
-	if op.ResidentOf(mf) != nil {
+	if op.ResidentOf(setUp(op.Tensor)) != nil {
 		t.Fatal("ResidentOf(Tensor) != nil")
 	}
 }

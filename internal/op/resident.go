@@ -55,7 +55,7 @@ func residentCost(p *fem.Problem, f32 bool) Cost {
 // residentOp wraps the stored-coefficient resident kernel: TensorC
 // (float64), and TensorF32 (float32 coefficients and element arithmetic)
 // for the kernel study. Like asmOp, the one-time coefficient precompute
-// is deferred to Setup. A tensor matrix-free twin provides ApplyFreeRows,
+// is Setup's. A tensor matrix-free twin provides ApplyFreeRows,
 // as in the paper's matrix-free residuals. It keeps no matrix: a Galerkin
 // level below it streams its product from the problem's element matrices.
 type residentOp struct {
@@ -78,19 +78,11 @@ func (o *residentOp) Setup() error {
 	return nil
 }
 
-func (o *residentOp) Apply(x, y la.Vec) {
-	if o.r == nil {
-		o.Setup()
-	}
-	o.r.Apply(x, y)
-}
+func (o *residentOp) Apply(x, y la.Vec) { o.r.Apply(x, y) }
 
 // Refresh recomputes the stored coefficient tensors from the problem's
 // current coefficients and coordinates (Resident.Setup re-runs in place).
 func (o *residentOp) Refresh() error {
-	if o.r == nil {
-		return o.Setup()
-	}
 	o.r.Setup()
 	return nil
 }
@@ -108,8 +100,5 @@ func (o *residentOp) Kind() Kind {
 
 func (o *residentOp) CSR() *la.CSR { return nil }
 
-// Resident exposes the backing kernel (nil before Setup is forced).
-func (o *residentOp) Resident() *fem.Resident {
-	o.Setup()
-	return o.r
-}
+// Resident exposes the backing kernel (nil before Setup).
+func (o *residentOp) Resident() *fem.Resident { return o.r }

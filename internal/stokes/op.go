@@ -57,7 +57,7 @@ func (op *Op) Residual(x, bu, f la.Vec) {
 	xu, xp := op.Split(x)
 	fu, fp := op.Split(f)
 	ro.ApplyFreeRows(xu, fu)
-	op.C.ApplyGAdd(xp, fu)
+	op.C.ApplyGDRaw(xu, xp, fu, fp)
 	for d := range fu {
 		if op.P.BC.Mask[d] {
 			fu[d] = 0
@@ -65,7 +65,6 @@ func (op *Op) Residual(x, bu, f la.Vec) {
 			fu[d] -= bu[d]
 		}
 	}
-	op.C.ApplyDRaw(xu, fp)
 }
 
 // FieldNorms returns the Euclidean norms of the velocity part, the

@@ -253,7 +253,8 @@ func newSolver(prob *fem.Problem, cfg Config, cpl *fem.Coupling) (*Solver, error
 // re-injected after a mesh move), coarsen (coarse meshes at New, coarse
 // coefficients), fine_op (the coupled matvec's operator where the
 // hierarchy does not refresh it as its level 0), per hierarchy level
-// op_l<i>_<kind> / diag_l<i> / eig_l<i> (mg.SetupTimes), coarse_solver,
+// op_l<i>_<kind> and, on every level but the coarsest, diag_l<i> /
+// eig_l<i> (mg.SetupTimes), coarse_solver,
 // and amg_matrix / amg for the standalone algebraic configurations.
 func (s *Solver) stage(name string) (stop func()) {
 	t := s.Tel.Child("outer").Timer("setup_" + name)
@@ -262,13 +263,16 @@ func (s *Solver) stage(name string) (stop func()) {
 }
 
 // observeLevels records what the hierarchy's Build or Refresh just spent
-// per level as stages.
+// per level as stages; the coarsest level, which the coarse solve
+// handles, has no smoother to time.
 func (s *Solver) observeLevels() {
 	outer := s.Tel.Child("outer")
 	for l, lev := range s.MG.Levels {
 		outer.Timer(fmt.Sprintf("setup_op_l%d_%v", l, lev.Op.Kind())).Observe(lev.Setup.Op)
-		outer.Timer(fmt.Sprintf("setup_diag_l%d", l)).Observe(lev.Setup.Diag)
-		outer.Timer(fmt.Sprintf("setup_eig_l%d", l)).Observe(lev.Setup.Eig)
+		if lev.Smoother != nil {
+			outer.Timer(fmt.Sprintf("setup_diag_l%d", l)).Observe(lev.Setup.Diag)
+			outer.Timer(fmt.Sprintf("setup_eig_l%d", l)).Observe(lev.Setup.Eig)
+		}
 	}
 }
 

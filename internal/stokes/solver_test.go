@@ -166,8 +166,7 @@ func TestSinkerSolvePhysics(t *testing.T) {
 	}
 	u, _ := s.Op.Split(x)
 	// Discrete incompressibility.
-	div := la.NewVec(p.DA.NPresDOF())
-	s.C.ApplyDRaw(u, div)
+	div := divergence(s, x)
 	if dn := div.Norm2(); dn > 1e-5*(1+u.Norm2()) {
 		t.Fatalf("divergence residual %.3e for |u| = %.3e", dn, u.Norm2())
 	}
@@ -270,11 +269,18 @@ func TestNonzeroDirichlet(t *testing.T) {
 	}
 	// Mass balance: with inflow/outflow faces the divergence residual must
 	// still vanish (the flow adjusts through the free YMax face).
-	div := la.NewVec(p.DA.NPresDOF())
-	s.C.ApplyDRaw(u, div)
-	if dn := div.Norm2(); dn > 1e-4 {
+	if dn := divergence(s, x).Norm2(); dn > 1e-4 {
 		t.Fatalf("divergence %.3e", dn)
 	}
+}
+
+// divergence returns D·u of the state x's velocity, prescribed boundary
+// values included: the pressure rows of x's residual.
+func divergence(s *Solver, x la.Vec) la.Vec {
+	f := la.NewVec(s.Op.N())
+	s.Op.Residual(x, la.NewVec(s.Op.Nu), f)
+	_, fp := s.Op.Split(f)
+	return fp
 }
 
 // TestSCRMatchesFieldSplit: Schur complement reduction and the
@@ -574,7 +580,8 @@ func TestPrepareReportsSingularPressureMass(t *testing.T) {
 // TestSetupStageTimersAttributeRefresh: the setup_* stage timers of the
 // "outer" scope account for a 3-level refresh — with and without a mesh
 // move — to within a tenth of setup_seconds, and name every stage the
-// refresh has.
+// refresh has and none it does not: the coarsest level, which the coarse
+// solve handles, builds no diagonal or λmax.
 func TestSetupStageTimersAttributeRefresh(t *testing.T) {
 	p, def := sinkerProblem(8, 100, 2)
 	cfg := sinkerConfig(p, def)
@@ -611,9 +618,14 @@ func TestSetupStageTimersAttributeRefresh(t *testing.T) {
 		before = after
 		for _, want := range []string{"setup_coarsen", "setup_pressure_mass", "setup_coupling",
 			"setup_op_l0_mfc", "setup_op_l1_mfc", "setup_op_l2_galerkin",
-			"setup_diag_l0", "setup_eig_l0", "setup_diag_l2", "setup_eig_l2", "setup_coarse_solver"} {
+			"setup_diag_l0", "setup_eig_l0", "setup_diag_l1", "setup_eig_l1", "setup_coarse_solver"} {
 			if !slices.Contains(names, want) {
 				t.Fatalf("no stage timer %q among %v", want, names)
+			}
+		}
+		for _, absent := range []string{"setup_diag_l2", "setup_eig_l2"} {
+			if slices.Contains(names, absent) {
+				t.Fatalf("stage timer %q on the coarse-solved level among %v", absent, names)
 			}
 		}
 	}

@@ -8,7 +8,7 @@
 # fused Krylov update-and-reduce against its two steps, the element matrix
 # of the level-1 assembly against its Go body and the sweep-ordered ILU(0)
 # against its CSR form in a GOAMD64=v3 build, a
-# racy re-run of the neighbour exchange, mailbox and migration tests, a
+# racy re-run of the neighbour exchange and mailbox tests, a
 # guard that the retransmission protocol and fault injector stay gone, a
 # guard that the step record stays the one per-step record (no pool or
 # slab probe, cursor counts, stage-time copy or set-up reuse counter), a
@@ -46,6 +46,10 @@
 # keeps one element loop (no slabApply, resident scratch or sync.Pool)
 # whose gathers and scatters move node runs (no per-node gatherVec or
 # scatterAdd outside the tests that hold the run table to them), a
+# guard that set-up builds only what a solve runs (no smoothOnly coarse
+# path in internal/mg, no point migration in internal/mpm, no panic in
+# internal/op's non-test Go, no one-value CoarseBlocks, OmegaScale or
+# MaxCoarseSize option in internal/amg), a
 # one-iteration smoke run of the apply-path, V-cycle, element-kernel,
 # element-matrix and rank-sync benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
@@ -127,10 +131,10 @@ named_tests -count=1 '^TestOpEquivalence$' ./internal/op
 echo "== go test -short -race =="
 go test -short -race ./...
 
-echo "== neighbour exchange, mailbox, halo rings against a slow receiver, a collective-order mismatch and an allreduce facing a broadcast as errors, point migration under -race =="
+echo "== neighbour exchange, mailbox, halo rings against a slow receiver, a collective-order mismatch and an allreduce facing a broadcast as errors under -race =="
 named_tests -race \
-    'TestCollectiveOrderMismatchIsAnError|TestAllReduceOrderMismatchIsAnError|TestExchangeReliableBasic|TestExchangeReliableStallRecovery|TestExchangeDeadlockNamesSilentPeer|TestExchangeReliablePreservesCollectivePayloads|TestMailbox|TestRingsOutlastSlowReceiver|TestMigrateProtocol|TestMigrateExchangeFailure' \
-    ./internal/comm ./internal/mpm
+    'TestCollectiveOrderMismatchIsAnError|TestAllReduceOrderMismatchIsAnError|TestExchangeReliableBasic|TestExchangeReliableStallRecovery|TestExchangeDeadlockNamesSilentPeer|TestExchangeReliablePreservesCollectivePayloads|TestMailbox|TestRingsOutlastSlowReceiver' \
+    ./internal/comm
 
 # Every message is delivered once and in order per source, so no exchange
 # acknowledges, checksums or retransmits, and no fault is injected.
@@ -177,9 +181,9 @@ named_tests '-short -race' \
     'TestReusedRankViewsMatchCold|TestCachedSetupMatchesColdBuild|TestColdStepSharesCoupling|TestKrylovRecordedOnce|TestAugmentMatchesBuilder|TestInvert4MatchesFactorSolve' \
     ./internal/stokes ./internal/model ./internal/op ./internal/la
 
-echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build + the run gathers, scatters, block and subset applies and divergence rows == their per-node forms, the one-pass gradient and divergence == ApplyGAdd then ApplyD, under -race =="
+echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build + the run gathers, scatters, block and subset applies and divergence rows == their per-node forms, the one-pass gradient and divergence == ApplyGAdd then ApplyD (and the raw residual pass == ApplyGAdd then the raw rows), every registered hierarchy ending in the coarse solve, under -race =="
 named_tests -race \
-    'TestRunTableMatchesPerNode|TestApplyGDMatchesGAddThenD|TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAssemblyMatchesScatter|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig' \
+    'TestRunTableMatchesPerNode|TestApplyGDMatchesGAddThenD|TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestHierarchyEndsInCoarseSolve|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAssemblyMatchesScatter|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 # -count=10: the claims, waits and helper hand-offs of a job interleave
@@ -279,6 +283,19 @@ fi
 # of slab_test.go only.
 if grep -rnwE 'gatherVec|scatterAdd' --include='*.go' internal/fem | grep -v '_test\.go:'; then
     echo "check.sh: a per-node gather or scatter is back in internal/fem's non-test Go (above)" >&2
+    exit 1
+fi
+
+# Set-up builds only what a solve runs (DESIGN.md, "Set-up amortisation"):
+# the coarse solve is the one end of every hierarchy, an operator sets up
+# in Setup alone, the SA-AMG's one-value parameters are constants, and
+# points never migrate between ranks (the ranks share one point set).
+echo "== set-up builds only what a solve runs: no smoothOnly in internal/mg or panic( in internal/op (non-test Go), no Migrate in internal/mpm, no CoarseBlocks, OmegaScale or MaxCoarseSize in internal/amg =="
+if grep -rnw 'smoothOnly' --include='*.go' internal/mg | grep -v '_test\.go:' ||
+    grep -rnE 'func (\([^)]*\) )?Migrate\b' --include='*.go' internal/mpm ||
+    grep -rnF 'panic(' --include='*.go' internal/op | grep -v '_test\.go:' ||
+    grep -rnwE 'CoarseBlocks|OmegaScale|MaxCoarseSize' --include='*.go' internal/amg; then
+    echo "check.sh: a build no solve runs is back: the smoothed coarsest level, point migration, op's lazy set-up or an amg one-value option (above)" >&2
     exit 1
 fi
 
