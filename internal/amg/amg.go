@@ -82,6 +82,7 @@ type level struct {
 	p       *la.CSR // prolongation into the next-finer level (nil on the finest)
 	smooth  func(b, x la.Vec, zero bool)
 	r, e, b la.Vec
+	c       la.Vec // the ILU smoother's correction; nil for Chebyshev
 
 	// Cached telemetry handles; nil (inert) when telemetry is off.
 	smoothT, opT     *telemetry.Timer
@@ -101,13 +102,14 @@ type SA struct {
 }
 
 // SetTelemetry installs per-level instrumentation under sc, mirroring
-// mg.MG.SetTelemetry: child scopes level0…levelN with "smooth"/"op" timers
-// and "smooth_applies"/"op_applies" counters, a "coarse" child with a
-// "solve" timer and "solves" counter, and a "cycles" counter on sc.
-// Handles are cached; the cycle hot path never takes the scope lock.
-// Passing nil uninstalls.
+// mg.MG.SetTelemetry: a child scope per smoothed level, level0…level(N−1),
+// with "smooth"/"op" timers and "smooth_applies"/"op_applies" counters, a
+// "coarse" child with a "solve" timer and "solves" counter for the
+// coarsest level's LU solve, and a "cycles" counter on sc. Handles are
+// cached; the cycle hot path never takes the scope lock. Passing nil
+// uninstalls.
 func (sa *SA) SetTelemetry(sc *telemetry.Scope) {
-	for l, lev := range sa.levels {
+	for l, lev := range sa.levels[:len(sa.levels)-1] {
 		if sc == nil {
 			lev.smoothT, lev.opT, lev.smoothC, lev.opCount = nil, nil, nil, nil
 			continue
@@ -238,17 +240,19 @@ func (sa *SA) installSmoother(lev *level) {
 		}
 		inner := &krylov.InnerKrylov{A: op, M: pc, Method: "fgmres",
 			Prm: krylov.Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 2, Restart: 2}}
+		// The post-smooth's residual goes to the level's r, free once the
+		// coarse correction is in; its correction to c (e is the iterate
+		// itself below the finest level).
+		lev.c = la.NewVec(a.NRows)
 		lev.smooth = func(b, x la.Vec, zero bool) {
 			if zero {
 				inner.Apply(b, x)
 				return
 			}
-			r := la.NewVec(len(b))
-			op.Apply(x, r)
-			r.AYPX(-1, b)
-			e := la.NewVec(len(b))
-			inner.Apply(r, e)
-			x.AXPY(1, e)
+			op.Apply(x, lev.r)
+			lev.r.AYPX(-1, b)
+			inner.Apply(lev.r, lev.c)
+			x.AXPY(1, lev.c)
 		}
 		return
 	}

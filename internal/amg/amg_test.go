@@ -3,6 +3,7 @@ package amg
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"ptatin3d/internal/fem"
@@ -126,6 +127,35 @@ func TestSAMLConfigurations(t *testing.T) {
 	// The stronger smoother should not need more iterations.
 	if itStrong > itML+5 {
 		t.Fatalf("SAML-ii (%d its) worse than SAML-i (%d its)", itStrong, itML)
+	}
+}
+
+// TestSAMLiiCycleAllocatesNoLevelVectors: the SAML-ii smoother's
+// post-smooth keeps its residual and correction with the level, and its
+// inner FGMRES keeps one lent basis, so once a first Apply has run, a
+// V-cycle allocates less than one finest-level vector (8·n bytes) — the
+// Hessenberg and rotation arrays of the inner solves, not their basis.
+func TestSAMLiiCycleAllocatesNoLevelVectors(t *testing.T) {
+	p, a := elasticityProblem(5, func(x, y, z float64) float64 { return 1 })
+	sa, err := New(a, 3, rbm(p), MLStrongLike())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := a.NRows
+	r, z := la.NewVec(n), la.NewVec(n)
+	for i := range r {
+		r[i] = float64(1 + i%7)
+	}
+	sa.Apply(r, z)
+	const applies = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < applies; i++ {
+		sa.Apply(r, z)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / applies; per >= uint64(8*n) {
+		t.Fatalf("%d bytes allocated per V-cycle, want < %d (one finest-level vector)", per, 8*n)
 	}
 }
 

@@ -40,12 +40,13 @@ type reduceMsg struct{ v []float64 }
 // until its next allreduce; once the buffers have held a call as wide,
 // the call allocates nothing. Ranks that disagree on the collective
 // order get an error instead of the sums (takeReduce).
-func (d *Dist) AllReduceSumVec(x []float64) ([]float64, error) {
+func (d *Dist) AllReduceSumVec(x []float64) (_ []float64, err error) {
 	start := time.Now()
 	r := d.R
 	size := r.W.Size()
 	width := len(x)
 	defer func() {
+		r.note(err)
 		d.Sc.Counter("allreduces").Inc()
 		d.Sc.Timer("allreduce").Observe(time.Since(start))
 	}()

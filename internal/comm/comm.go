@@ -288,6 +288,10 @@ type Rank struct {
 	// (exchange.go).
 	px PendingExchange
 
+	// err is the first failure of an exchange or collective run through
+	// one of the rank's Dist handles (Err).
+	err error
+
 	// oob is the unexpected-message queue, one per source: messages pulled
 	// from the mailbox before their receive was posted. A faster neighbour
 	// may finish its exchange and move on to a collective while this rank
@@ -295,6 +299,22 @@ type Rank struct {
 	// messages of the others first. take matches by source and takes from
 	// here first, so per-source FIFO order holds.
 	oob []fifo
+}
+
+// Err returns the first failure of an exchange or collective that the
+// rank ran through a Dist handle, or nil when every one completed; ranks
+// that disagree on the collective order find an *ExchangeError or
+// *PayloadError in its chain. It is the one record of a rank's
+// communication failures: operator and preconditioner applies, whose
+// signatures carry no error, leave theirs here for the solve's caller.
+func (r *Rank) Err() error { return r.err }
+
+// note records err, when it is one, as the rank's failure unless an
+// earlier one is recorded.
+func (r *Rank) note(err error) {
+	if r.err == nil {
+		r.err = err
+	}
 }
 
 // fifo is one source's queue of unexpected payloads; its storage is

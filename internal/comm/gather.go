@@ -52,8 +52,9 @@ func (g *gatherBufs) fill(k int, v interface{}) []interface{} {
 // traffic and work stay O(n/P), and every reader of the coarse correction
 // stays inside that box. overlap (if non-nil) runs on the other ranks
 // while rank 0 gathers and solves — the idle-rank latency-hiding hook.
-func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) error {
+func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) (err error) {
 	r := d.R
+	defer func() { r.note(err) }()
 	size := r.W.Size()
 	if size == 1 {
 		solve()
@@ -108,7 +109,7 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) error
 		return fmt.Errorf("comm: coarse gather: %w", err)
 	}
 	for i, src := range g.clients {
-		pk, err := payloadAs[*haloPacket](r.ID, src, recv[i])
+		pk, err := haloFrom(r.ID, src, recv[i], b)
 		if err != nil {
 			return fmt.Errorf("comm: coarse gather: %w", err)
 		}

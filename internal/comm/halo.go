@@ -13,7 +13,8 @@ import (
 // deterministic rank-ordered AllReduce for dot products, and
 // gather/broadcast collectives for the coarse solve. All methods are
 // rank-collective: every rank of the world must call them in the same
-// order with layouts of the same Decomp.
+// order with layouts of the same Decomp. Each returns its failure to the
+// caller and records it on the rank (Rank.Err).
 //
 // Telemetry (Sc nilable): "halo_msgs"/"halo_bytes" counters for
 // exchanged packets, an "allreduces" counter and "allreduce" timer for
@@ -152,7 +153,8 @@ func (d *Dist) ApplyElements(k ElementKernel, mask []bool, x, y la.Vec) error {
 // write (all apply paths zero y before scattering, so this holds for
 // operator outputs); the extended ghost region may carry such zeros —
 // they are shipped and accumulate harmlessly.
-func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) error {
+func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) (err error) {
+	defer func() { d.R.note(err) }()
 	l := d.L
 	px := d.R.StartExchange(l.Neighbors, d.pack(&d.partials, l.Ghost, y), d.Sc)
 	if overlap != nil {
@@ -163,7 +165,7 @@ func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) error {
 		return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
 	}
 	for j, src := range l.Neighbors {
-		pk, err := payloadAs[*haloPacket](d.R.ID, src, recv[j])
+		pk, err := haloFrom(d.R.ID, src, recv[j], y)
 		if err != nil {
 			return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
 		}
@@ -181,23 +183,51 @@ func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) error {
 
 // Broadcast refreshes the ghost entries of y from their owners: each
 // rank sends its owned values that neighbours read (Mirror lists) and
-// overwrites its ghost copies with the received owner values. Used as
-// the second half of ReduceBroadcast, and on its own to make an
-// externally-assembled vector halo-consistent (krylov.Exchanger).
-func (d *Dist) Broadcast(y []float64) error {
+// overwrites its ghost copies with the received owner values. It is the
+// second half of ReduceBroadcast, and on its own the exchange of an
+// assembled level operator and of a restriction to the coarse ghosts.
+func (d *Dist) Broadcast(y []float64) (err error) {
+	defer func() { d.R.note(err) }()
 	l := d.L
 	recv, err := d.R.StartExchange(l.Neighbors, d.pack(&d.owners, l.Mirror, y), d.Sc).Wait()
 	if err != nil {
 		return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 	}
 	for i, src := range l.Neighbors {
-		pk, err := payloadAs[*haloPacket](d.R.ID, src, recv[i])
+		pk, err := haloFrom(d.R.ID, src, recv[i], y)
 		if err != nil {
 			return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 		}
 		pk.unpack(y)
 	}
 	return nil
+}
+
+// haloFrom returns v, the message rank took from src, as a halo packet
+// to be unpacked into y, or a *PayloadError when it is something else —
+// a packet of another level's exchange, say, which ranks that disagree on
+// the collective order hand each other, and whose nodes lie outside y.
+func haloFrom(rank, src int, v interface{}, y []float64) (*haloPacket, error) {
+	pk, err := payloadAs[*haloPacket](rank, src, v)
+	if err == nil && !pk.fits(y) {
+		err = &PayloadError{Rank: rank, Source: src,
+			Got: "halo packet with nodes beyond the vector", Want: fmt.Sprintf("halo packet within its %d nodes", len(y)/3)}
+	}
+	return pk, err
+}
+
+// fits reports whether the packet holds three values for each of its
+// nodes and every node lies in y.
+func (pk *haloPacket) fits(y []float64) bool {
+	if len(pk.Val) != 3*len(pk.Node) {
+		return false
+	}
+	for _, node := range pk.Node {
+		if 3*int(node)+3 > len(y) {
+			return false
+		}
+	}
+	return true
 }
 
 // unpack overwrites y at the packet's nodes with its values.

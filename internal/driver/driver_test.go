@@ -234,7 +234,7 @@ type fgmresBreaksDown struct{ model.SharedBackend }
 
 func (b fgmresBreaksDown) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
 	if method == "fgmres" {
-		return krylov.Result{Breakdown: true, Err: &krylov.BreakdownError{Method: method, Kind: krylov.BreakdownNaN}}
+		return krylov.Result{Err: &krylov.BreakdownError{Method: method, Kind: krylov.BreakdownNaN}}
 	}
 	return b.SharedBackend.LinearSolve(s, method, jop, pc, rhs, delta, prm)
 }

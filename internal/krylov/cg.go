@@ -14,32 +14,15 @@ import (
 //
 // The residual update r −= α·A·p returns ‖r‖² from the same sweep
 // (Params.axpyDot), bitwise the update followed by the norm, on a rank
-// too (FusedReducer).
+// too (FusedReducer). r, z, p and A·p come from Params.Work, as GCR's and
+// FGMRES's vectors do: every entry the iteration reads it has written
+// first, so vectors left over from an earlier solve are as good as new
+// ones.
 func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
-	var work [4]la.Vec
-	return cg(a, m, b, x, prm, &work)
-}
-
-// cg is CG with the classical iteration's work vectors r, z, p, A·p held
-// by the caller (allocated here when work holds none of length n). Every
-// entry the iteration reads it has written first, so vectors left over
-// from an earlier solve are as good as new ones.
-func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result {
 	n := a.N()
-	if len(work[0]) != n {
-		for i := range work {
-			work[i] = la.NewVec(n)
-		}
-	}
-	r, z, p, ap := work[0], work[1], work[2], work[3]
-
 	telStart := prm.begin()
-	if err := prm.consistent(x, b); err != nil {
-		var res Result
-		res.failEntry(prm, err)
-		res.finish(prm, telStart)
-		return res
-	}
+	ws := prm.workspace(n)
+	r, z, p, ap := ws.vec(), ws.vec(), ws.vec(), ws.vec()
 	a.Apply(x, r)
 	prm.vaypx(r, -1, b) // r = b - A·x
 	res := Result{Residual0: prm.norm2(r)}
@@ -57,7 +40,6 @@ func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result
 		res.finish(prm, telStart)
 		return res
 	}
-	stag := newStagGuard(prm)
 	m.Apply(r, z)
 	prm.vcopy(p, z)
 	rz := prm.dot(r, z)
@@ -84,10 +66,6 @@ func cg(a Op, m Preconditioner, b, x la.Vec, prm Params, work *[4]la.Vec) Result
 		}
 		if converged(prm, rn, res.Residual0) {
 			res.Converged = true
-			break
-		}
-		if stag.stalled(rn) {
-			res.fail(prm, "cg", BreakdownStagnation, it, rn)
 			break
 		}
 		m.Apply(r, z)

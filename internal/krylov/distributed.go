@@ -7,10 +7,10 @@ import (
 )
 
 // Rank-collective solves (paper §II-D): the Krylov methods of this
-// package become distributed by swapping their two global primitives —
-// inner products and halo consistency — behind the Reducer/Exchanger
-// interfaces below. With both nil (the default) every method runs the
-// original shared-memory path, bit for bit.
+// package become distributed by swapping their one global primitive —
+// the inner product — behind the Reducer interface below. With it nil
+// (the default) every method runs the original shared-memory path, bit
+// for bit.
 //
 // In a distributed solve each rank calls the same method collectively
 // on its own full-length vector copy, valid on the owned+ghost entries
@@ -20,21 +20,16 @@ import (
 // branches — Givens rotations, convergence and breakdown decisions —
 // in lockstep. BLAS-1 updates then stay consistent on owned and ghost
 // entries alike, and operator/preconditioner applications re-establish
-// ghost validity via their own halo exchanges.
+// ghost validity via their own halo exchanges. A solve does no exchange
+// of its own: the caller hands it b and x valid on the owned+ghost
+// entries, and its first exchange is its first operator apply, as in
+// PETSc's KSPSolve.
 
 // Reducer supplies rank-collective inner products: Dot must sum each
 // rank's partial product over its owned dofs and return the identical
 // reduced value on every rank.
 type Reducer interface {
 	Dot(x, y la.Vec) float64
-}
-
-// Exchanger refreshes the ghost entries of an externally assembled
-// vector from their owners, making it halo-consistent before the first
-// operator application. Solve entry points call it on the initial guess
-// and right-hand side when set.
-type Exchanger interface {
-	Consistent(x la.Vec) error
 }
 
 // FusedReducer extends Reducer with the one-sweep Gram–Schmidt step of a
@@ -102,27 +97,3 @@ func (p Params) vcopy(dst, src la.Vec) { dst.CopySpans(src, p.spans()) }
 func (p Params) vscale(v la.Vec, alpha float64) { v.ScaleSpans(alpha, p.spans()) }
 
 func (p Params) vzero(v la.Vec) { v.ZeroSpans(p.spans()) }
-
-// consistent makes the caller-supplied vectors halo-consistent (no-op
-// without an Exchanger). The returned error is the exchange failure, to
-// be surfaced through Result.Err as a breakdown.
-func (p Params) consistent(vs ...la.Vec) error {
-	if p.Exchanger == nil {
-		return nil
-	}
-	for _, v := range vs {
-		if err := p.Exchanger.Consistent(v); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// failEntry marks a solve that could not start because the entry
-// exchange failed: a communication breakdown before iteration 0, with
-// the exchange error carried through Result.Err as-is.
-func (r *Result) failEntry(p Params, err error) {
-	r.Breakdown = true
-	r.Err = err
-	p.Telemetry.Counter("breakdowns").Inc()
-}

@@ -18,6 +18,15 @@ type serialReducer struct{}
 
 func (serialReducer) Dot(x, y la.Vec) float64 { return x.Dot(y) }
 
+// stallPC projects out everything but the first coordinate: the solver
+// can only ever correct e₀, so with a multi-component residual it stalls.
+type stallPC struct{}
+
+func (stallPC) Apply(r, z la.Vec) {
+	z.Zero()
+	z[0] = r[0]
+}
+
 // TestFusedGramSchmidtBitIdentical: FGMRES, GMRES, GCR and CG give the
 // same iterate, residual history, Monitor residuals and Result, bit for
 // bit, on the shared path (Reducer == nil: update and reduction fused in
@@ -53,10 +62,11 @@ func TestFusedGramSchmidtBitIdentical(t *testing.T) {
 			problems = append(problems, problem{fmt.Sprintf("restart=%d", restart), a, m, prm})
 		}
 		// The identity operator with a preconditioner that only ever
-		// corrects e₀: the residual plateaus until the stagnation window
-		// trips or a direction vanishes (a zero pivot).
-		stall := Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 200, Restart: 7, StagnationWindow: 5}
-		problems = append(problems, problem{"stalled", OpFunc{Dim: 12, F: func(x, y la.Vec) { y.Copy(x) }}, stallPC{n: 12}, stall})
+		// corrects e₀: the residual plateaus until a direction vanishes
+		// (a zero pivot) or, where the basis keeps normalising
+		// rounding-level remainders (GMRES), until the iteration limit.
+		stall := Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 200, Restart: 7}
+		problems = append(problems, problem{"stalled", OpFunc{Dim: 12, F: func(x, y la.Vec) { y.Copy(x) }}, stallPC{}, stall})
 
 		for _, p := range problems {
 			name := method + " " + p.name
@@ -83,8 +93,8 @@ func TestFusedGramSchmidtBitIdentical(t *testing.T) {
 			}
 			fused, twoStep := res[0], res[1]
 			if p.name == "stalled" {
-				if !fused.Breakdown {
-					t.Fatalf("%s: %+v, want a breakdown", name, fused)
+				if fused.Converged || (fused.Err == nil && fused.Iterations != p.prm.MaxIt) {
+					t.Fatalf("%s: %+v, want a breakdown (Err) or the iteration limit", name, fused)
 				}
 			} else if !fused.Converged || (p.name == "restart=7" && method != "cg" && fused.Iterations <= 7) {
 				t.Fatalf("%s: converged=%v in %d iterations: want convergence, past a restart at 7", name, fused.Converged, fused.Iterations)
@@ -96,8 +106,7 @@ func TestFusedGramSchmidtBitIdentical(t *testing.T) {
 			}
 			sameBits(t, name+" history", fusedHist, twoStepHist)
 			if fused.Converged != twoStep.Converged || fused.Iterations != twoStep.Iterations ||
-				fused.BasisVectors != twoStep.BasisVectors || fused.Breakdown != twoStep.Breakdown ||
-				fused.Stagnated != twoStep.Stagnated ||
+				fused.BasisVectors != twoStep.BasisVectors ||
 				math.Float64bits(fused.Residual) != math.Float64bits(twoStep.Residual) ||
 				math.Float64bits(fused.Residual0) != math.Float64bits(twoStep.Residual0) ||
 				fmt.Sprint(fused.Err) != fmt.Sprint(twoStep.Err) {

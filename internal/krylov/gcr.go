@@ -29,12 +29,6 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	mr := prm.restart()
 	telStart := prm.begin()
 	const method = "gcr"
-	if err := prm.consistent(x, b); err != nil {
-		var res Result
-		res.failEntry(prm, err)
-		res.finish(prm, telStart)
-		return res
-	}
 	ws := prm.workspace(n)
 	r := ws.vec()
 	a.Apply(x, r)
@@ -54,7 +48,6 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 		res.finish(prm, telStart)
 		return res
 	}
-	stag := newStagGuard(prm)
 
 	// zs[i], qs[i] for i < nd are the stored search directions
 	// (preconditioned) and their orthonormalised images A·z; slot nd is the
@@ -100,10 +93,6 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 		}
 		if converged(prm, rn, res.Residual0) {
 			res.Converged = true
-			break
-		}
-		if stag.stalled(rn) {
-			res.fail(prm, method, BreakdownStagnation, it, rn)
 			break
 		}
 		// Store the direction; restart (truncate) when full: the new

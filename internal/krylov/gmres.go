@@ -31,12 +31,6 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 		method = "fgmres"
 	}
 
-	if err := prm.consistent(x, b); err != nil {
-		var res Result
-		res.failEntry(prm, err)
-		res.finish(prm, telStart)
-		return res
-	}
 	ws := prm.workspace(n)
 	r, w := ws.vec(), ws.vec()
 	a.Apply(x, r)
@@ -56,7 +50,6 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 		res.finish(prm, telStart)
 		return res
 	}
-	stag := newStagGuard(prm)
 
 	// The basis grows with the iteration: v[j+1] and z[j] are taken from
 	// the workspace when iteration j first needs them (and kept across
@@ -160,11 +153,6 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 				res.Converged = true
 				break
 			}
-			if stag.stalled(rn) {
-				res.fail(prm, method, BreakdownStagnation, it, rn)
-				j++
-				break
-			}
 		}
 		// Solve the j×j triangular system and update x.
 		y := make([]float64, j)
@@ -187,7 +175,7 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			m.Apply(zt, u)
 			prm.vaxpy(x, 1, u)
 		}
-		if res.Converged || res.Breakdown {
+		if res.Converged || res.Err != nil {
 			break
 		}
 	}

@@ -71,12 +71,6 @@ type Params struct {
 	MaxIt   int     // maximum iterations
 	Restart int     // restart length for GMRES/FGMRES/GCR (0 = 30)
 
-	// StagnationWindow, when > 0, declares a stagnation breakdown after
-	// that many consecutive iterations without any residual improvement
-	// (typed BreakdownStagnation through Result.Err). 0 disables the
-	// check, preserving the plain run-to-MaxIt behaviour.
-	StagnationWindow int
-
 	// Reducer, when non-nil, makes the solve rank-collective: every dot
 	// product and norm goes through it instead of the serial BLAS-1
 	// kernels; each update that a reduction of the updated vector follows
@@ -84,10 +78,6 @@ type Params struct {
 	// otherwise (see Params.axpyDot). Nil keeps the shared-memory path
 	// bit-for-bit. See distributed.go.
 	Reducer Reducer
-	// Exchanger, when non-nil, refreshes the ghost entries of the
-	// caller-supplied b and x at solve entry so the first operator
-	// application reads consistent halos. Nil disables the exchange.
-	Exchanger Exchanger
 
 	// Spans, when non-empty on a rank-collective solve (Reducer != nil),
 	// windows every BLAS-1 update inside the solver to the listed index
@@ -180,10 +170,9 @@ type Result struct {
 	BasisVectors int
 	Residual     float64 // final unpreconditioned residual norm
 	Residual0    float64 // initial residual norm
-	Breakdown    bool    // NaN/Inf or zero denominators encountered
-	Stagnated    bool    // stagnation window tripped (see Params)
-	// Err carries the typed *BreakdownError when Breakdown is set; nil
-	// on clean convergence or a plain iteration-limit stop.
+	// Err is the typed *BreakdownError of a solve that met a NaN/Inf or
+	// a zero denominator (or Solve's error for an unknown method); nil on
+	// clean convergence or a plain iteration-limit stop.
 	Err error
 }
 

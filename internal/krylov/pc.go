@@ -119,7 +119,8 @@ func (bj *BlockJacobi) Apply(r, z la.Vec) {
 // budget. Pair with flexible outer methods only. This realizes the
 // paper's inexact coarse-grid solves (e.g. CG+ASM terminated at 25
 // iterations, §V-A, and the FGMRES-based SAML-ii smoother of Table IV).
-// The CG work vectors live on the instance, so it is NOT safe for
+// The instance lends its one Workspace to every inner solve, so a solve
+// allocates no n-vector once the first has run; it is NOT safe for
 // concurrent Apply calls.
 type InnerKrylov struct {
 	A      Op
@@ -127,16 +128,18 @@ type InnerKrylov struct {
 	Method string // "cg"; anything else is FGMRES
 	Prm    Params
 
-	cgWork [4]la.Vec
+	work Workspace
 }
 
 // Apply runs the inner solve from a zero initial guess.
 func (ik *InnerKrylov) Apply(r, z la.Vec) {
 	z.Zero()
+	prm := ik.Prm
+	prm.Work = &ik.work
 	switch ik.Method {
 	case "cg":
-		cg(ik.A, ik.M, r, z, ik.Prm, &ik.cgWork)
+		CG(ik.A, ik.M, r, z, prm)
 	default:
-		FGMRES(ik.A, ik.M, r, z, ik.Prm)
+		FGMRES(ik.A, ik.M, r, z, prm)
 	}
 }

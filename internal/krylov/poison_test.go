@@ -58,9 +58,10 @@ func TestPoisonedResidualBreaksDownAtOnce(t *testing.T) {
 		v    float64
 		kind BreakdownKind
 	}{{math.NaN(), BreakdownNaN}, {math.Inf(1), BreakdownInf}} {
-		var work [4]la.Vec
-		op := &poisonOp{n: n, call: call, v: c.v, r: func() la.Vec { return work[0] }}
-		res := cg(op, Identity{}, rhs(), la.NewVec(n), prm, &work)
+		cgPrm := prm
+		cgPrm.Work = new(Workspace)
+		op := &poisonOp{n: n, call: call, v: c.v, r: func() la.Vec { return cgPrm.Work.vecs[0] }}
+		res := CG(op, Identity{}, rhs(), la.NewVec(n), cgPrm)
 		checkBreakdown(t, "cg", res, call-1, c.kind)
 		if res.Iterations != call-1 {
 			t.Fatalf("cg, r[3] = %v: breakdown at iteration %d, want %d", c.v, res.Iterations, call-1)

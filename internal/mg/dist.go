@@ -59,12 +59,12 @@ func ValidateNestedDecomps(decomps []*comm.Decomp) error {
 }
 
 // DistMG is one rank's distributed V-cycle preconditioner over a shared
-// hierarchy: NewDist's construction of the rank's view of every level,
-// the collective coarse solve, and a sticky error. Build one per rank
-// goroutine; Apply has the krylov.Preconditioner signature, so it is the
-// field split's viscous-block solve unchanged. Exchange failures cannot
-// surface through Preconditioner.Apply, so they are recorded sticky:
-// check Err after the solve.
+// hierarchy: NewDist's construction of the rank's view of every level
+// and the collective coarse solve. Build one per rank goroutine; Apply
+// has the krylov.Preconditioner signature, so it is the field split's
+// viscous-block solve unchanged. Exchange failures cannot surface
+// through Preconditioner.Apply: the rank records them (comm.Rank.Err),
+// for the solve's caller to read.
 //
 // All per-level vector work is windowed to the rank's owned+ghost index
 // spans, so per-rank V-cycle work is O(n/P). Storage is not: every
@@ -75,7 +75,6 @@ type DistMG struct {
 	cycle
 	base   *MG
 	coarse *comm.Dist // the coarsest level's exchange handle
-	err    error
 	// rank is each smoothed level's rank-specific state that Refresh
 	// re-reads from the hierarchy; the coarsest level has none.
 	rank []rankLevel
@@ -87,20 +86,8 @@ type DistMG struct {
 type rankLevel struct {
 	csr  *haloCSROp
 	cheb *krylov.Chebyshev
-	jac  *krylov.Jacobi // nil when the level's smoother is not Jacobi-preconditioned
+	jac  *krylov.Jacobi
 }
-
-// noteErr records the first exchange failure (sticky).
-func (m *DistMG) noteErr(err error) {
-	if m.err == nil && err != nil {
-		m.err = err
-	}
-}
-
-// Err returns the first exchange error encountered by any level's
-// operator, transfer or coarse collective (nil when all exchanges
-// completed).
-func (m *DistMG) Err() error { return m.err }
 
 // haloElementOp is a matrix-free level operator on a rank: the kernel
 // applied over the rank's elements with the overlapped owner-reduce halo
@@ -109,7 +96,6 @@ func (m *DistMG) Err() error { return m.err }
 // apply streams the stored 15-float-per-qp tensors the blocked smoother of
 // the shared solve uses.
 type haloElementOp struct {
-	mg   *DistMG
 	dist *comm.Dist
 	n    int
 	k    comm.ElementKernel
@@ -119,9 +105,10 @@ type haloElementOp struct {
 // N returns the velocity-dof dimension.
 func (o *haloElementOp) N() int { return o.n }
 
-// Apply computes the distributed y = A·x (valid on owned+ghost rows).
+// Apply computes the distributed y = A·x (valid on owned+ghost rows). A
+// failed exchange is recorded on the rank (comm.Rank.Err).
 func (o *haloElementOp) Apply(x, y la.Vec) {
-	o.mg.noteErr(o.dist.ApplyElements(o.k, o.mask, x, y))
+	_ = o.dist.ApplyElements(o.k, o.mask, x, y)
 }
 
 // haloCSROp applies an assembled level operator row-distributed: each
@@ -130,7 +117,6 @@ func (o *haloElementOp) Apply(x, y la.Vec) {
 // ghost (Ext) region covers every column an owned row references, so no
 // reduction is needed — one one-sided exchange per apply.
 type haloCSROp struct {
-	mg    *DistMG
 	dist  *comm.Dist
 	a     *la.CSR
 	spans []la.Span
@@ -154,7 +140,7 @@ func (o *haloCSROp) Apply(x, y la.Vec) {
 			}
 		}
 	}
-	o.mg.noteErr(o.dist.Broadcast(y))
+	_ = o.dist.Broadcast(y)
 }
 
 // NewDist builds rank r's distributed view of the shared hierarchy.
@@ -175,32 +161,27 @@ func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 	m := &DistMG{base: base, coarse: dists[len(dists)-1]}
 	m.coarsest = m.solveCoarsest
 	for l, lev := range base.Levels {
-		if lev.Prob == nil {
-			return nil, fmt.Errorf("mg: level %d has no problem (algebraic level)", l)
-		}
 		spans := dists[l].L.VelSpans()
 		n := lev.Op.N()
 		v := levelView{spans: spans, e: la.NewVec(n), bc: la.NewVec(n)}
 		if l > 0 {
-			v.p = rankTransfer{p: lev.P, fine: dists[l-1].L, coarse: dists[l], mg: m}
+			v.p = rankTransfer{p: lev.P, fine: dists[l-1].L, coarse: dists[l]}
 		}
 		if lev.Smoother == nil { // the coarsest level
 			m.lev = append(m.lev, v)
 			continue
 		}
 		var rl rankLevel
-		if csr := lev.Op.CSR(); csr != nil && lev.Blocked == nil {
-			rl.csr = &haloCSROp{mg: m, dist: dists[l], spans: spans}
+		if lev.Op.CSR() != nil {
+			rl.csr = &haloCSROp{dist: dists[l], spans: spans}
 			v.op = rl.csr
 		} else {
-			v.op = &haloElementOp{mg: m, dist: dists[l], n: lev.Op.N(), k: op.ElementKernel(lev.Op, lev.Prob), mask: lev.Prob.BC.Mask}
+			v.op = &haloElementOp{dist: dists[l], n: lev.Op.N(), k: op.ElementKernel(lev.Op, lev.Prob), mask: lev.Prob.BC.Mask}
 		}
 		// The smoother's Jacobi diagonal is shared read-only; wrap it in
 		// a windowed instance so the smoother's BLAS stays O(n/P) too.
-		rl.cheb = &krylov.Chebyshev{A: v.op, Spans: spans}
-		if _, ok := lev.Smoother.M.(*krylov.Jacobi); ok {
-			rl.jac = &krylov.Jacobi{Spans: spans}
-		}
+		rl.jac = &krylov.Jacobi{Spans: spans}
+		rl.cheb = &krylov.Chebyshev{A: v.op, M: rl.jac, Spans: spans}
 		v.smoother = rl.cheb
 		v.r = la.NewVec(n)
 		m.lev = append(m.lev, v)
@@ -212,10 +193,8 @@ func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 
 // Refresh re-reads what the hierarchy's Refresh may have changed — each
 // smoothed level's assembled matrix, Chebyshev interval and Jacobi
-// diagonal — and clears the sticky error, readying the view for its next
-// solve. It allocates nothing.
+// diagonal — readying the view for its next solve. It allocates nothing.
 func (m *DistMG) Refresh() {
-	m.err = nil
 	for l := range m.rank {
 		rl, lev := &m.rank[l], m.base.Levels[l]
 		if rl.csr != nil {
@@ -223,11 +202,7 @@ func (m *DistMG) Refresh() {
 		}
 		sm := lev.Smoother
 		rl.cheb.Lo, rl.cheb.Hi, rl.cheb.Steps = sm.Lo, sm.Hi, sm.Steps
-		rl.cheb.M = sm.M
-		if jac, ok := sm.M.(*krylov.Jacobi); ok && rl.jac != nil {
-			rl.jac.InvDiag = jac.InvDiag
-			rl.cheb.M = rl.jac
-		}
+		rl.jac.InvDiag = sm.M.(*krylov.Jacobi).InvDiag
 	}
 }
 
@@ -244,7 +219,6 @@ type rankTransfer struct {
 	p      *Prolongation
 	fine   *comm.Layout // the finer level's layout
 	coarse *comm.Dist   // the coarser level's exchange handle
-	mg     *DistMG
 }
 
 // Apply interpolates over the rank's fine owned+ghost box. Every coarse
@@ -259,7 +233,7 @@ func (t rankTransfer) Apply(uc, uf la.Vec) { t.p.applyBox(t.fine.Ext, uc, uf) }
 // phase, owned rows bitwise equal to Prolongation.ApplyTranspose.
 func (t rankTransfer) ApplyTranspose(rf, rc la.Vec) {
 	t.p.restrictBox(t.coarse.L.Owned, rf, rc)
-	t.mg.noteErr(t.coarse.Broadcast(rc))
+	_ = t.coarse.Broadcast(rc)
 }
 
 // solveCoarsest solves the coarsest level collectively into the zeroed x
@@ -271,7 +245,7 @@ func (t rankTransfer) ApplyTranspose(rf, rc la.Vec) {
 // timer.
 func (m *DistMG) solveCoarsest(b, x la.Vec) {
 	finer := &m.lev[len(m.lev)-2] // Build wants two levels
-	m.noteErr(m.coarse.GatherSolveBroadcast(b, x, func() {
+	_ = m.coarse.GatherSolveBroadcast(b, x, func() {
 		m.base.solveCoarse(b, x)
-	}, func() { finer.e.ZeroSpans(finer.spans) }))
+	}, func() { finer.e.ZeroSpans(finer.spans) })
 }

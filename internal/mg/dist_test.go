@@ -1,6 +1,7 @@
 package mg
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"slices"
@@ -90,7 +91,7 @@ func TestDistMGMatchesShared(t *testing.T) {
 		}
 		z := la.NewVec(n)
 		dmg.Apply(b, z)
-		if err := dmg.Err(); err != nil {
+		if err := r.Err(); err != nil {
 			t.Errorf("rank %d: %v", r.ID, err)
 		}
 		l := dists[0].L
@@ -107,6 +108,44 @@ func TestDistMGMatchesShared(t *testing.T) {
 	diff.AXPY(-1, zs)
 	if rel := diff.Norm2() / ref; rel > 1e-14 { // measured 2.0e-16
 		t.Fatalf("distributed V-cycle deviates from shared: rel %.3e", rel)
+	}
+}
+
+// TestDistMGReportsDisagreeingRank: in a 2×1×1 world rank 1 issues one
+// Broadcast that rank 0 does not, then both run a DistMG.Apply. From
+// there on every exchange between them pairs packets of different
+// exchanges: rank 0's restriction broadcast takes a packet of the fine
+// level, whose nodes lie beyond the coarse vector, and rank 1's coarse
+// gather takes a halo packet where the solution is due. Neither rank
+// hangs or panics, and each rank's Rank.Err holds the typed failure,
+// though the operator, transfer and coarse-solve applies return no error.
+func TestDistMGReportsDisagreeingRank(t *testing.T) {
+	mgp, decomps := buildDistFixture(t, 4, 2, 2, 1, 1)
+	n := mgp.Levels[0].Op.N()
+	b := la.NewVec(n)
+	for i := range b {
+		b[i] = float64(1 + i%5)
+	}
+	errs := make([]error, 2)
+	comm.NewWorld(2).Run(func(r *comm.Rank) {
+		dists := rankDists(r, decomps)
+		dmg, err := NewDist(mgp, dists)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if r.ID == 1 {
+			_ = dists[0].Broadcast(la.NewVec(n))
+		}
+		dmg.Apply(b, la.NewVec(n))
+		errs[r.ID] = r.Err()
+	})
+	for id, err := range errs {
+		var pe *comm.PayloadError
+		var ee *comm.ExchangeError
+		if !errors.As(err, &pe) && !errors.As(err, &ee) {
+			t.Errorf("rank %d: Err() = %v, want a *comm.PayloadError or *comm.ExchangeError", id, err)
+		}
 	}
 }
 
@@ -151,7 +190,7 @@ func TestDistRestrictBitwiseShared(t *testing.T) {
 			rc, uf := la.NewVec(len(uc)), la.NewVec(len(rf))
 			tr.ApplyTranspose(rf, rc)
 			tr.Apply(uc, uf)
-			if err := dmg.Err(); err != nil {
+			if err := r.Err(); err != nil {
 				t.Errorf("%d workers, rank %d: %v", workers, r.ID, err)
 			}
 			for _, sp := range dists[1].L.VelSpans() { // owned and ghost
@@ -288,13 +327,12 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 			}
 			dprm := prm
 			dprm.Reducer = velReducer{dists[0]}
-			dprm.Exchanger = velExchanger{dists[0]}
 			x := la.NewVec(n)
 			res := krylov.CG(dmg.lev[0].op, dmg, slices.Clone(b), x, dprm)
 			if !res.Converged {
 				t.Errorf("rank %d: distributed CG did not converge (%d its, err %v)", r.ID, res.Iterations, res.Err)
 			}
-			if err := dmg.Err(); err != nil {
+			if err := r.Err(); err != nil {
 				t.Errorf("rank %d: %v", r.ID, err)
 			}
 			l := dists[0].L
@@ -341,10 +379,10 @@ func TestDistMGRejectsNonNestedDecomps(t *testing.T) {
 	}
 }
 
-// velReducer/velExchanger distribute a velocity-block Krylov solve: the
-// partial dot over the owned node box with a deterministic AllReduce
-// (NaN when it fails, which the iteration breaks down on), and an owner
-// broadcast for halo consistency.
+// velReducer distributes a velocity-block Krylov solve: the partial dot
+// over the owned node box with a deterministic AllReduce (NaN when it
+// fails, which the iteration breaks down on; the rank records the
+// failure).
 type velReducer struct{ d *comm.Dist }
 
 func (rd velReducer) Dot(x, y la.Vec) float64 {
@@ -352,13 +390,9 @@ func (rd velReducer) Dot(x, y la.Vec) float64 {
 	return v
 }
 
-type velExchanger struct{ d *comm.Dist }
-
-func (ex velExchanger) Consistent(x la.Vec) error { return ex.d.Broadcast(x) }
-
 // TestDistributedCGMatchesShared: rank-collective CG on the viscous
 // fine operator must follow the shared-memory iteration — same count,
-// matching solution — exercising the Reducer/Exchanger plumbing and the
+// matching solution — exercising the Reducer plumbing and the
 // overlapped halo operator outside the V-cycle context.
 func TestDistributedCGMatchesShared(t *testing.T) {
 	mgp, decomps := buildDistFixture(t, 8, 2, 2, 1, 2)
@@ -395,7 +429,6 @@ func TestDistributedCGMatchesShared(t *testing.T) {
 		}
 		dprm := prm
 		dprm.Reducer = velReducer{dists[0]}
-		dprm.Exchanger = velExchanger{dists[0]}
 		x := la.NewVec(n)
 		res := krylov.CG(dmg.lev[0].op, jac, slices.Clone(b), x, dprm)
 		if !res.Converged {
@@ -484,7 +517,7 @@ func TestCoarsestAlwaysZeroGuess(t *testing.T) {
 		for i := 0; i < rounds; i++ {
 			dmg.Apply(b, zr)
 		}
-		if err := dmg.Err(); err != nil {
+		if err := r.Err(); err != nil {
 			t.Errorf("rank %d: %v", r.ID, err)
 		}
 	})

@@ -16,7 +16,7 @@ import (
 // assembled, Galerkin) is entirely op's concern — this package never
 // dispatches on it.
 type Level struct {
-	Prob *fem.Problem // discretization (nil only if purely algebraic)
+	Prob *fem.Problem // discretization; Build sets it on every level
 	Op   op.Operator
 	// Smoother is the level's Jacobi-preconditioned Chebyshev smoother;
 	// nil on the coarsest level, which the coarse solve handles.
@@ -79,19 +79,21 @@ func (m *MG) lt(l int) levelTel {
 	return levelTel{}
 }
 
-// SetTelemetry installs per-level instrumentation under sc: child scopes
-// level0…levelN each with "smooth"/"op"/"restrict"/"prolong" timers and
+// SetTelemetry installs per-level instrumentation under sc: a child scope
+// per smoothed level, level0…level(N−1), each with
+// "smooth"/"op"/"restrict"/"prolong" timers and
 // "smooth_applies"/"op_applies" counters, a "coarse" child with a "solve"
-// timer and "solves" counter, and a "cycles" counter on sc itself. Handles
-// are cached here, so the cycle's hot path never takes the scope lock.
-// Passing nil uninstalls.
+// timer and "solves" counter for the coarsest level, which the coarse
+// solve handles, and a "cycles" counter on sc itself. Handles are cached
+// here, so the cycle's hot path never takes the scope lock. Passing nil
+// uninstalls.
 func (m *MG) SetTelemetry(sc *telemetry.Scope) {
 	if sc == nil {
 		m.tel, m.cycles, m.coarseT, m.coarseC = nil, nil, nil, nil
 		return
 	}
-	m.tel = make([]levelTel, len(m.Levels))
-	for l := range m.Levels {
+	m.tel = make([]levelTel, len(m.Levels)-1)
+	for l := range m.tel {
 		lsc := sc.Child(fmt.Sprintf("level%d", l))
 		m.tel[l] = levelTel{
 			smooth:   lsc.Timer("smooth"),

@@ -73,9 +73,6 @@ type Options struct {
 	// [ewEtaMin, ewEtaMax]; otherwise the fixed InnerParams.RTol is used.
 	EisenstatWalker bool
 	EWEta0          float64 // initial forcing term (default 0.3)
-	// LineSearchMax bounds the backtracking halvings (default 8;
-	// 0 disables the line search entirely).
-	LineSearchMax int
 }
 
 // DefaultOptions returns the paper-style defaults.
@@ -83,9 +80,11 @@ func DefaultOptions() Options {
 	return Options{
 		MaxIt: 50, RTol: 1e-8, ATol: 1e-50,
 		EisenstatWalker: true, EWEta0: 0.3,
-		LineSearchMax: 8,
 	}
 }
+
+// lineSearchMax bounds the backtracking halvings of a step.
+const lineSearchMax = 8
 
 // The Eisenstat–Walker constants of choice 2: η_k = γ·(‖F_k‖/‖F_{k−1}‖)^α,
 // clamped to [ewEtaMin, ewEtaMax].
@@ -212,22 +211,13 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 		// tiny Armijo constant, standard for Newton–Krylov).
 		lambda := 1.0
 		accepted := false
-		for ls := 0; ls <= opt.LineSearchMax; ls++ {
+		for ls := 0; ls <= lineSearchMax; ls++ {
 			xTrial.Copy(x)
 			xTrial.AXPY(lambda, delta)
 			sys.Residual(xTrial, fTrial)
 			res.ResidualEvals++
 			ftn := fTrial.Norm2()
 			if !math.IsNaN(ftn) && ftn <= (1-1e-4*lambda)*fn {
-				x.Copy(xTrial)
-				f.Copy(fTrial)
-				prevFn = fn
-				fn = ftn
-				accepted = true
-				break
-			}
-			if opt.LineSearchMax == 0 {
-				// Line search disabled: accept the full step regardless.
 				x.Copy(xTrial)
 				f.Copy(fTrial)
 				prevFn = fn

@@ -48,16 +48,6 @@ type RankStats struct {
 // until that call changes with the benchmark.
 type DistOptions struct{}
 
-// errSink records the first asynchronous failure of a rank's solve
-// (exchange errors cannot surface through krylov.Op.Apply).
-type errSink struct{ err error }
-
-func (s *errSink) note(err error) {
-	if s.err == nil && err != nil {
-		s.err = err
-	}
-}
-
 // distOp is one rank's view of the coupled operator J = [[A,G],[D,0]] it
 // is given — the solver's own Picard operator or the Newton
 // linearization of the current relinearization. The viscous block and
@@ -65,12 +55,12 @@ func (s *errSink) note(err error) {
 // boundary elements first, so their nodal partial sums are in flight
 // while interior elements are computed (§II-D latency hiding). One pass
 // over each element's G_e gives its gradient contribution and its
-// element-local divergence rows.
+// element-local divergence rows. A failed exchange is recorded on the
+// rank (comm.Rank.Err).
 type distOp struct {
 	op    *Op
 	auu   comm.ElementKernel
 	dist  *comm.Dist
-	sink  *errSink
 	spans []la.Span // coupled owned+ghost windows
 }
 
@@ -86,24 +76,23 @@ func (o *distOp) Apply(x, y la.Vec) {
 	y.ZeroSpans(o.spans)
 	o.auu.ApplyElements(l.Boundary, xu, yu)
 	o.op.C.ApplyGDElements(l.Boundary, xu, xp, yu, yp)
-	err := o.dist.ReduceBroadcast(yu,
+	_ = o.dist.ReduceBroadcast(yu,
 		func() {
 			o.auu.ApplyElements(l.Interior, xu, yu)
 			o.op.C.ApplyGDElements(l.Interior, xu, xp, yu, yp)
 		},
 		func() { l.IdentityOwnedRows(o.op.P.BC.Mask, xu, yu) })
-	o.sink.note(err)
 }
 
 // coupledReducer sums each rank's partial inner product — owned
 // velocity box plus the pressure rows of its elements — with a single
 // deterministic AllReduce, so every rank sees the bit-identical global
 // value and the Krylov trajectory stays collective-consistent. A failed
-// allreduce goes to the rank's sink, like its exchange failures.
+// allreduce reads NaN, which the iteration breaks down on, and is
+// recorded on the rank like its exchange failures.
 type coupledReducer struct {
 	op   *Op
 	dist *comm.Dist
-	sink *errSink
 }
 
 // Dot returns the globally reduced coupled inner product.
@@ -113,8 +102,7 @@ func (rd *coupledReducer) Dot(x, y la.Vec) float64 {
 
 // reduce returns the global sum of the rank's partial s.
 func (rd *coupledReducer) reduce(s float64) float64 {
-	v, err := rd.dist.AllReduceSum(s)
-	rd.sink.note(err)
+	v, _ := rd.dist.AllReduceSum(s)
 	return v
 }
 
@@ -144,20 +132,6 @@ func (rd *coupledReducer) local(x, y la.Vec) float64 {
 		s += xp.DotRange(yp, 4*e, 4*e+4)
 	}
 	return s
-}
-
-// coupledExchanger makes an externally assembled coupled vector
-// halo-consistent: ghost velocity entries are refreshed from their
-// owners; pressure is element-local and needs no exchange.
-type coupledExchanger struct {
-	op   *Op
-	dist *comm.Dist
-}
-
-// Consistent refreshes the velocity ghost region of x.
-func (ex *coupledExchanger) Consistent(x la.Vec) error {
-	xu, _ := ex.op.Split(x)
-	return ex.dist.Broadcast(xu)
 }
 
 // coupledSpans returns the owned+ghost windows of a rank's coupled
@@ -211,9 +185,6 @@ func (s *Solver) distDecomps(px, py, pz int) (*distCache, error) {
 	}
 	decomps := make([]*comm.Decomp, len(s.MG.Levels))
 	for l, lev := range s.MG.Levels {
-		if lev.Prob == nil {
-			return nil, fmt.Errorf("stokes: distributed solve requires geometric levels (level %d is algebraic)", l)
-		}
 		d, err := comm.NewDecomp(lev.Prob.DA, px, py, pz)
 		if err != nil {
 			return nil, fmt.Errorf("stokes: level %d: %w", l, err)
@@ -236,7 +207,7 @@ func (s *Solver) distDecomps(px, py, pz int) (*distCache, error) {
 
 // rankView is one rank's persistent share of the distributed solve: its
 // comm handles and V-cycle view of every level, its operator, field
-// split, reducer and exchanger, the coupled windows, the right-hand side
+// split and reducer, the coupled windows, the right-hand side
 // and solution copies and the Krylov workspace. The first solve on a
 // world shape builds it; later solves attach it to their world and
 // re-read what a refresh changed (attach), so a steady solve allocates
@@ -245,11 +216,9 @@ type rankView struct {
 	sc    *telemetry.Scope
 	dists []*comm.Dist
 	dmg   *mg.DistMG
-	sink  errSink
 	a     distOp
 	m     FieldSplit
 	rd    coupledReducer
-	ex    coupledExchanger
 	spans []la.Span
 	b, d  la.Vec
 	work  krylov.Workspace
@@ -268,10 +237,9 @@ func (s *Solver) newRankView(r *comm.Rank, c *distCache, sc *telemetry.Scope) (*
 	fine := v.dists[0]
 	v.dmg = dmg
 	v.spans = coupledSpans(s.Op, fine.L)
-	v.a = distOp{dist: fine, sink: &v.sink, spans: v.spans}
+	v.a = distOp{dist: fine, spans: v.spans}
 	v.m = FieldSplit{Op: s.Op, InnerU: dmg, Mp: s.Mp, elems: fine.L.Elems}
-	v.rd = coupledReducer{op: s.Op, dist: fine, sink: &v.sink}
-	v.ex = coupledExchanger{op: s.Op, dist: fine}
+	v.rd = coupledReducer{op: s.Op, dist: fine}
 	n := s.Op.N()
 	v.b, v.d = la.NewVec(n), la.NewVec(n)
 	return v, nil
@@ -285,7 +253,6 @@ func (v *rankView) attach(r *comm.Rank, jop *Op, auu comm.ElementKernel) {
 		d.Attach(r)
 	}
 	v.dmg.Refresh()
-	v.sink = errSink{}
 	v.a.op, v.a.auu = jop, auu
 }
 
@@ -386,7 +353,6 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		v.attach(r, jop, auu)
 		prm := prmIn
 		prm.Reducer = &v.rd
-		prm.Exchanger = &v.ex
 		prm.Spans = v.spans
 		prm.Work = &v.work
 		// The ranks iterate in lockstep: rank 0's solve is the solve, and
@@ -403,13 +369,13 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		}
 
 		// Windowed copy: only the owned+ghost entries of the global
-		// residual are ever read or written by this rank's iteration.
+		// residual are ever read or written by this rank's iteration. The
+		// copies are halo-consistent as they stand, so the solve's first
+		// exchange is its first operator apply.
 		b, d := v.b, v.d
 		b.CopySpans(f, v.spans)
 		d.ZeroSpans(v.spans)
 		rr := krylov.Solve(method, timedOp{&v.a, tm}, timedPC{&v.m, tp}, b, d, prm)
-		v.sink.note(v.dmg.Err())
-		v.sink.note(rr.Err)
 
 		// Assemble this rank's owned slice of the correction.
 		fine := v.dists[0]
@@ -432,7 +398,12 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 			res = rr
 		}
 		stats[r.ID] = rankCommCounters(v.sc, r.ID).sub(before[r.ID])
-		rankErr[r.ID] = v.sink.err
+		// The rank's first communication failure is the cause of any
+		// breakdown it led to.
+		rankErr[r.ID] = r.Err()
+		if rankErr[r.ID] == nil {
+			rankErr[r.ID] = rr.Err
+		}
 		mu.Unlock()
 	})
 	for rid, err := range rankErr {

@@ -36,10 +36,10 @@ func TestCoupledReducerFusedSweepBitwise(t *testing.T) {
 		}
 		comm.NewWorld(d.Size()).Run(func(r *comm.Rank) {
 			dist := comm.NewDist(r, comm.NewLayout(d, r.ID), nil)
-			rd := &coupledReducer{op: o, dist: dist, sink: &errSink{}}
+			rd := &coupledReducer{op: o, dist: dist}
 			defer func() {
-				if rd.sink.err != nil {
-					t.Errorf("%v rank %d: %v", pg, r.ID, rd.sink.err)
+				if err := r.Err(); err != nil {
+					t.Errorf("%v rank %d: %v", pg, r.ID, err)
 				}
 			}()
 			spans := coupledSpans(o, dist.L)
@@ -312,6 +312,37 @@ func TestDistributedSolveRejectsBadConfigs(t *testing.T) {
 	delta := la.NewVec(s2.Op.N())
 	if _, _, err := s2.LinearSolveDistributed("", s2.Op, x, delta, cfg2.Params, 2, 1, 1); err == nil {
 		t.Fatal("LinearSolveDistributed must reject an unnamed method")
+	}
+}
+
+// TestRankSolveFirstExchangeIsItsApply: a rank solve does no exchange
+// of its own. With a zero right-hand side a 2×1×1 solve stops at
+// iteration 0 after the one coupled apply of its initial residual, so
+// each rank sends exactly that apply's two halo messages to its one
+// neighbour (partial sums, then owner values) and reduces once, for
+// ‖r₀‖, with either outer method.
+func TestRankSolveFirstExchangeIsItsApply(t *testing.T) {
+	p, def := sinkerProblem(4, 10, 1)
+	cfg := sinkerConfig(p, def)
+	cfg.Levels = 2
+	s, err := New(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rhs, delta := la.NewVec(s.Op.N()), la.NewVec(s.Op.N())
+	for _, method := range []string{"gcr", "fgmres"} {
+		res, stats, err := s.LinearSolveDistributed(method, s.Op, rhs, delta, cfg.Params, 2, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Converged || res.Iterations != 0 || res.Err != nil {
+			t.Fatalf("%s: converged=%v in %d iterations (err %v), want convergence at iteration 0", method, res.Converged, res.Iterations, res.Err)
+		}
+		for _, st := range stats {
+			if st.HaloMsgs != 2 || st.AllReduces != 1 {
+				t.Errorf("%s: rank %d sent %d halo messages and ran %d allreduces, want 2 and 1", method, st.Rank, st.HaloMsgs, st.AllReduces)
+			}
+		}
 	}
 }
 

@@ -49,7 +49,10 @@
 # guard that set-up builds only what a solve runs (no smoothOnly coarse
 # path in internal/mg, no point migration in internal/mpm, no panic in
 # internal/op's non-test Go, no one-value CoarseBlocks, OmegaScale or
-# MaxCoarseSize option in internal/amg), a
+# MaxCoarseSize option in internal/amg), a guard that Krylov solves keep
+# only what a run reaches (no entry exchanger, stagnation window or second
+# CG workspace in internal/krylov, no error sink in internal/mg or
+# internal/stokes: a rank's failures are recorded in internal/comm), a
 # one-iteration smoke run of the apply-path, V-cycle, element-kernel,
 # element-matrix and rank-sync benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
@@ -158,9 +161,9 @@ fi
 echo "== coarse gather to rank 0 + vector allreduce under -race =="
 named_tests -race 'TestGatherSolveBroadcast|TestAllReduceSumVec' ./internal/comm
 
-echo "== one stack: rank-count invariance, a 2x2x1 solve at the fused recurrence's allreduce count, rank transfers bitwise == shared and one worker wide over a 4-wide hierarchy, the rank's fused Gram-Schmidt sweep == update then reduce, a 2x1x1 step Workers x Ranks wide with the same bits and step record at 1 and 2 workers, under -race =="
+echo "== one stack: rank-count invariance, a 2x2x1 solve at the fused recurrence's allreduce count, rank transfers bitwise == shared and one worker wide over a 4-wide hierarchy, the rank's fused Gram-Schmidt sweep == update then reduce, a 2x1x1 step Workers x Ranks wide with the same bits and step record at 1 and 2 workers, a rank solve whose first exchange is its first apply, a rank that disagrees on the collective order recorded on both ranks, under -race =="
 named_tests -race \
-    'TestRankCountInvariantClassical|TestDistributedSolveClassicalAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestCoupledReducerFusedSweepBitwise|TestStepRunsWorkersTimesRanksWide|TestStepWidthBitIdentical' \
+    'TestRankCountInvariantClassical|TestDistributedSolveClassicalAgg|TestDistRestrictBitwiseShared|TestDistMGMatchesShared|TestCoupledReducerFusedSweepBitwise|TestStepRunsWorkersTimesRanksWide|TestStepWidthBitIdentical|TestRankSolveFirstExchangeIsItsApply|TestDistMGReportsDisagreeingRank' \
     ./internal/stokes ./internal/mg ./internal/model
 
 # A step has one width, Workers x the world's ranks (Model.workers): no
@@ -296,6 +299,17 @@ if grep -rnw 'smoothOnly' --include='*.go' internal/mg | grep -v '_test\.go:' ||
     grep -rnF 'panic(' --include='*.go' internal/op | grep -v '_test\.go:' ||
     grep -rnwE 'CoarseBlocks|OmegaScale|MaxCoarseSize' --include='*.go' internal/amg; then
     echo "check.sh: a build no solve runs is back: the smoothed coarsest level, point migration, op's lazy set-up or an amg one-value option (above)" >&2
+    exit 1
+fi
+
+# A rank solve does no exchange of its own, a breakdown has one signal
+# (Result.Err), CG takes its vectors from the one lent workspace, and a
+# rank's communication failures are recorded once, on comm.Rank (DESIGN.md,
+# "Krylov at scale").
+echo "== Krylov solves keep only what a run reaches: no Exchanger, StagnationWindow, stagGuard or cgWork in internal/krylov, no noteErr or errSink in internal/mg or internal/stokes (non-test Go) =="
+if grep -rnwE 'Exchanger|StagnationWindow|stagGuard|cgWork' --include='*.go' internal/krylov | grep -v '_test\.go:' ||
+    grep -rnwE 'noteErr|errSink' --include='*.go' internal/mg internal/stokes | grep -v '_test\.go:'; then
+    echo "check.sh: an entry exchanger, stagnation window, second CG workspace or rank error sink is back (above)" >&2
     exit 1
 fi
 
