@@ -47,7 +47,6 @@ func (d *Dist) AllReduceSumVec(x []float64) (_ []float64, err error) {
 	width := len(x)
 	defer func() {
 		r.note(err)
-		d.Sc.Counter("allreduces").Inc()
 		d.Sc.Timer("allreduce").Observe(time.Since(start))
 	}()
 	if size == 1 {

@@ -77,7 +77,8 @@ type PendingExchange struct {
 // towards each of them. Each StartExchange must be Wait-ed before the rank
 // issues another. The payloads travel by reference: the sender must not
 // rewrite one before the receiver is done with it (haloSlots). sc, when
-// non-nil, accumulates an "exchanges" counter and an "exchange" timer.
+// non-nil, accumulates an "exchange" timer, whose calls count the
+// exchanges.
 func (r *Rank) StartExchange(neighbors []int, payload []interface{}, sc *telemetry.Scope) *PendingExchange {
 	px := &r.px
 	*px = PendingExchange{
@@ -123,6 +124,5 @@ func (px *PendingExchange) Wait() ([]interface{}, error) {
 		px.got[i] = v
 	}
 	px.sc.Timer("exchange").Stop(px.telStart)
-	px.sc.Counter("exchanges").Inc()
 	return px.got, nil
 }

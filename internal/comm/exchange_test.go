@@ -23,12 +23,10 @@ func fullGraph(n, self int) []int {
 	return nbrs
 }
 
-// testPayload builds a distinguishable packet for from→to.
+// testPayload builds a distinguishable packet for from→to: its values
+// are the sender, the receiver and the round.
 func testPayload(from, to, round int) *haloPacket {
-	return &haloPacket{
-		Node: []int32{int32(from), int32(to), int32(round)},
-		Val:  []float64{float64(from) + 0.25, float64(to) - 0.5, float64(round)},
-	}
+	return &haloPacket{Val: []float64{float64(from), float64(to), float64(round)}}
 }
 
 // exchange runs one exchange of r with nbrs, sending each the packet
@@ -58,14 +56,14 @@ func TestExchangeReliableBasic(t *testing.T) {
 			}
 			for i, nb := range nbrs {
 				want := testPayload(nb, r.ID, round)
-				if pk, ok := got[i].(*haloPacket); !ok || !slices.Equal(pk.Node, want.Node) || !slices.Equal(pk.Val, want.Val) {
+				if pk, ok := got[i].(*haloPacket); !ok || !slices.Equal(pk.Val, want.Val) {
 					t.Errorf("rank %d round %d: payload from %d is %+v, want %+v", r.ID, round, nb, got[i], want)
 				}
 			}
 		}
 	})
 	for rid := 0; rid < n; rid++ {
-		if c := reg.Root().Child("comm").Child(fmt.Sprintf("rank%d", rid)).Counter("exchanges").Value(); c != rounds {
+		if c := reg.Root().Child("comm").Child(fmt.Sprintf("rank%d", rid)).Timer("exchange").Calls(); c != rounds {
 			t.Errorf("rank %d: %d exchanges counted, want %d", rid, c, rounds)
 		}
 	}
@@ -88,7 +86,7 @@ func TestExchangeReliableStallRecovery(t *testing.T) {
 				return
 			}
 			for _, v := range got {
-				if pk := v.(*haloPacket); pk.Node[1] != int32(r.ID) || pk.Node[2] != int32(round) {
+				if pk := v.(*haloPacket); pk.Val[1] != float64(r.ID) || pk.Val[2] != float64(round) {
 					t.Errorf("rank %d round %d: packet %+v", r.ID, round, pk)
 				}
 			}
@@ -135,9 +133,12 @@ func TestExchangeDeadlockNamesSilentPeer(t *testing.T) {
 
 // TestCollectiveOrderMismatchIsAnError: on a 2×1×1 world rank 0 runs two
 // owner broadcasts while rank 1 runs the coarse gather to rank 0. Both
-// lists name the other, so every exchange completes; but rank 1's wait for the coarse solution takes rank 0's second halo
-// packet. It returns a *PayloadError naming the rank and the source, not a
-// panic, and rank 0, which took packets of the kind it expected, none.
+// lists name the other, so the first exchange completes; but rank 0's
+// broadcast takes rank 1's gather packet, a halo packet of rank 1's owned
+// values where its ghost values were due. It returns a *PayloadError
+// naming both value counts, before it writes a ghost; rank 1, left
+// waiting for a coarse solution that never comes, an *ExchangeError at the
+// world's quiet. Neither rank panics or hangs.
 func TestCollectiveOrderMismatchIsAnError(t *testing.T) {
 	da := mesh.New(4, 2, 2, 0, 1, 0, 1, 0, 1)
 	d, err := NewDecomp(da, 2, 1, 1)
@@ -170,15 +171,22 @@ func TestCollectiveOrderMismatchIsAnError(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("a collective-order mismatch hung")
 	}
-	if errs[0] != nil {
-		t.Errorf("rank 0: %v", errs[0])
+	l0, l1 := NewLayout(d, 0), NewLayout(d, 1)
+	got, want := spanLen(l1.OwnedSpans()), spanLen(l0.Ghost[1])
+	if got == want {
+		t.Fatalf("rank 1 owns %d values and rank 0 reads %d of them: the fixture shows no mismatch", got, want)
 	}
 	var pe *PayloadError
-	if !errors.As(errs[1], &pe) {
-		t.Fatalf("rank 1: got %v, want *PayloadError", errs[1])
+	if !errors.As(errs[0], &pe) {
+		t.Fatalf("rank 0: got %v, want *PayloadError", errs[0])
 	}
-	if pe.Rank != 1 || pe.Source != 0 || pe.Want != "*comm.vecPacket" || pe.Got != "*comm.haloPacket" {
-		t.Errorf("rank 1: %+v, want rank 1 taking a *comm.haloPacket from 0 where a *comm.vecPacket was due", pe)
+	if pe.Rank != 0 || pe.Source != 1 || pe.Got != fmt.Sprintf("*comm.haloPacket of %d values", got) ||
+		pe.Want != fmt.Sprintf("*comm.haloPacket of %d values", want) {
+		t.Errorf("rank 0: %+v, want rank 0 taking %d values from 1 where %d were due", pe, got, want)
+	}
+	var xe *ExchangeError
+	if !errors.As(errs[1], &xe) || xe.Rank != 1 || !slices.Equal(xe.Missing, []int{0}) {
+		t.Errorf("rank 1: got %v, want an *ExchangeError missing [0]", errs[1])
 	}
 }
 

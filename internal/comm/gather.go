@@ -16,14 +16,16 @@ import (
 
 // gatherBufs are a Dist's persistent coarse-gather packets: the owned
 // entries a client ships, the solution packet rank 0 sends each client,
-// and rank 0's client list with each client's owned+ghost spans. Reuse is
-// safe without a ring: a client refills own only after the solution of
-// the last gather reached it, sent after rank 0 had read own; and rank 0
-// rewrites a client's solution packet only after that client's next
-// packet reached it, sent after the client had copied the last solution.
+// and rank 0's client list with each client's owned and owned+ghost
+// spans. Reuse is safe without a ring: a client refills own only after
+// the solution of the last gather reached it, sent after rank 0 had read
+// own; and rank 0 rewrites a client's solution packet only after that
+// client's next packet reached it, sent after the client had copied the
+// last solution.
 type gatherBufs struct {
 	own     haloPacket
 	sols    []vecPacket // by client index
+	owned   [][]la.Span // by client index: the client's OwnedSpans
 	spans   [][]la.Span // by client index: the client's VelSpans
 	clients []int
 	payload []interface{}
@@ -64,7 +66,7 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) (err 
 	if r.ID != 0 {
 		// Client: ship owned entries to rank 0, overlap while it gathers
 		// and solves, then take the solution.
-		g.own.fill(d.L.OwnedNodes(), b)
+		g.own.Val = appendSpans(g.own.Val[:0], d.L.OwnedSpans(), b)
 		d.countPacket(&g.own)
 		if _, err := r.StartExchange(g.root[:], g.fill(1, &g.own), d.Sc).Wait(); err != nil {
 			return fmt.Errorf("comm: coarse gather: %w", err)
@@ -78,28 +80,22 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) (err 
 			return fmt.Errorf("comm: coarse solution broadcast: %w", err)
 		}
 		xs, err := payloadAs[*vecPacket](r.ID, 0, sol[0])
+		if err == nil {
+			err = checkCount(r.ID, 0, xs, len(xs.Val), spanLen(d.L.VelSpans()))
+		}
 		if err != nil {
 			return fmt.Errorf("comm: coarse solution broadcast: %w", err)
 		}
-		off := 0
-		for _, sp := range d.L.VelSpans() {
-			if off+sp.Hi-sp.Lo > len(xs.Val) {
-				return fmt.Errorf("comm: coarse solution broadcast: rank %d got %d entries, fewer than its spans hold", r.ID, len(xs.Val))
-			}
-			off += copy(x[sp.Lo:sp.Hi], xs.Val[off:])
-		}
-		if off != len(xs.Val) {
-			return fmt.Errorf("comm: coarse solution broadcast: rank %d got %d entries, its spans hold %d", r.ID, len(xs.Val), off)
-		}
+		unpack(x, d.L.VelSpans(), xs.Val)
 		return nil
 	}
 
 	// Rank 0: scatter every client's owned entries into b, in rank order...
 	if len(g.clients) != size-1 {
-		g.clients = g.clients[:0]
-		g.spans = g.spans[:0]
+		g.clients, g.owned, g.spans = g.clients[:0], g.owned[:0], g.spans[:0]
 		for c := 1; c < size; c++ {
 			g.clients = append(g.clients, c)
+			g.owned = append(g.owned, velSpans(d.L.D, ownedBox(d.L.D, c)))
 			g.spans = append(g.spans, velSpans(d.L.D, extBox(d.L.D, c)))
 		}
 		g.sols = make([]vecPacket, len(g.clients))
@@ -109,11 +105,11 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) (err 
 		return fmt.Errorf("comm: coarse gather: %w", err)
 	}
 	for i, src := range g.clients {
-		pk, err := haloFrom(r.ID, src, recv[i], b)
+		pk, err := haloFrom(r.ID, src, recv[i], spanLen(g.owned[i]))
 		if err != nil {
 			return fmt.Errorf("comm: coarse gather: %w", err)
 		}
-		pk.unpack(b)
+		unpack(b, g.owned[i], pk.Val)
 	}
 	// ...solve, and send every client a copy of the x it reads (the
 	// caller may rewrite x before a client has read it).
@@ -122,10 +118,7 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) (err 
 	nval := 0
 	for i := range g.clients {
 		sol := &g.sols[i]
-		sol.Val = sol.Val[:0]
-		for _, sp := range g.spans[i] {
-			sol.Val = append(sol.Val, x[sp.Lo:sp.Hi]...)
-		}
+		sol.Val = appendSpans(sol.Val[:0], g.spans[i], x)
 		nval += len(sol.Val)
 		g.payload = append(g.payload, sol)
 	}

@@ -3,6 +3,7 @@ package comm
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/telemetry"
@@ -17,9 +18,9 @@ import (
 // caller and records it on the rank (Rank.Err).
 //
 // Telemetry (Sc nilable): "halo_msgs"/"halo_bytes" counters for
-// exchanged packets, an "allreduces" counter and "allreduce" timer for
-// reductions, plus the "exchanges" counter and "exchange" timer of
-// StartExchange.
+// exchanged packets (8 bytes per value), the "allreduce" timer of
+// reductions and the "exchange" timer of StartExchange. A timer's calls
+// are the count of its collective; no counter repeats them.
 //
 // A Dist outlives the world it was built in: point R at the rank of each
 // new world (Attach) and the handle runs its exchanges there. Every packet
@@ -54,10 +55,10 @@ type haloRing struct {
 	payload []interface{}
 }
 
-// pack fills the next slot's packets with y's three values at every node
-// of lists[n] for each neighbour n of the layout, counts them, and
-// returns the payload list.
-func (d *Dist) pack(h *haloRing, lists map[int][]int32, y []float64) []interface{} {
+// pack fills the next slot's packets with y's entries on lists[n] for
+// each neighbour n of the layout, counts them, and returns the payload
+// list.
+func (d *Dist) pack(h *haloRing, lists map[int][]la.Span, y []float64) []interface{} {
 	nb := d.L.Neighbors
 	if len(h.payload) != len(nb) {
 		for k := range h.pk {
@@ -69,24 +70,30 @@ func (d *Dist) pack(h *haloRing, lists map[int][]int32, y []float64) []interface
 	h.next++
 	for i, n := range nb {
 		pk := &pks[i]
-		pk.fill(lists[n], y)
+		pk.Val = appendSpans(pk.Val[:0], lists[n], y)
 		h.payload[i] = pk
 		d.countPacket(pk)
 	}
 	return h.payload
 }
 
-// fill sets the packet to the nodes and their three values in y, reusing
-// its storage.
-func (pk *haloPacket) fill(nodes []int32, y []float64) {
-	pk.Node = nodes
-	if cap(pk.Val) < 3*len(nodes) {
-		pk.Val = make([]float64, 0, 3*len(nodes))
+// appendSpans appends y's entries on spans, in span order, to dst,
+// growing it once to hold them all.
+func appendSpans(dst []float64, spans []la.Span, y []float64) []float64 {
+	dst = slices.Grow(dst, spanLen(spans))
+	for _, sp := range spans {
+		dst = append(dst, y[sp.Lo:sp.Hi]...)
 	}
-	pk.Val = pk.Val[:0]
-	for _, node := range nodes {
-		pk.Val = append(pk.Val, y[3*node], y[3*node+1], y[3*node+2])
+	return dst
+}
+
+// spanLen returns the number of entries the spans hold.
+func spanLen(spans []la.Span) int {
+	n := 0
+	for _, sp := range spans {
+		n += sp.Hi - sp.Lo
 	}
+	return n
 }
 
 // NewDist builds rank r's distributed-vector handle over layout l.
@@ -100,7 +107,7 @@ func (d *Dist) Attach(r *Rank) { d.R = r }
 // countPacket accounts one outgoing halo packet.
 func (d *Dist) countPacket(pk *haloPacket) {
 	d.Sc.Counter("halo_msgs").Inc()
-	d.Sc.Counter("halo_bytes").Add(int64(4*len(pk.Node) + 8*len(pk.Val)))
+	d.Sc.Counter("halo_bytes").Add(int64(8 * len(pk.Val)))
 }
 
 // vecPacket carries the entries of a vector in a rank's spans (rank 0's
@@ -109,10 +116,11 @@ type vecPacket struct {
 	Val []float64
 }
 
-// haloPacket carries partial nodal sums (or owner totals) between ranks.
+// haloPacket carries partial sums (or owner totals) between ranks: the
+// values on the sender's exchange list, which unpack on the receiver's
+// matching list (Layout.Ghost, Layout.Mirror).
 type haloPacket struct {
-	Node []int32
-	Val  []float64 // 3 per node
+	Val []float64
 }
 
 // ElementKernel is a matrix-free velocity-block operator that can apply
@@ -165,14 +173,17 @@ func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) (err error) {
 		return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
 	}
 	for j, src := range l.Neighbors {
-		pk, err := haloFrom(d.R.ID, src, recv[j], y)
+		pk, err := haloFrom(d.R.ID, src, recv[j], spanLen(l.Mirror[src]))
 		if err != nil {
 			return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
 		}
-		for i, node := range pk.Node {
-			y[3*node] += pk.Val[3*i]
-			y[3*node+1] += pk.Val[3*i+1]
-			y[3*node+2] += pk.Val[3*i+2]
+		val := pk.Val
+		for _, sp := range l.Mirror[src] {
+			w := y[sp.Lo:sp.Hi]
+			for i := range w {
+				w[i] += val[i]
+			}
+			val = val[len(w):]
 		}
 	}
 	if fixup != nil {
@@ -194,48 +205,43 @@ func (d *Dist) Broadcast(y []float64) (err error) {
 		return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 	}
 	for i, src := range l.Neighbors {
-		pk, err := haloFrom(d.R.ID, src, recv[i], y)
+		pk, err := haloFrom(d.R.ID, src, recv[i], spanLen(l.Ghost[src]))
 		if err != nil {
 			return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 		}
-		pk.unpack(y)
+		unpack(y, l.Ghost[src], pk.Val)
 	}
 	return nil
 }
 
-// haloFrom returns v, the message rank took from src, as a halo packet
-// to be unpacked into y, or a *PayloadError when it is something else —
-// a packet of another level's exchange, say, which ranks that disagree on
-// the collective order hand each other, and whose nodes lie outside y.
-func haloFrom(rank, src int, v interface{}, y []float64) (*haloPacket, error) {
+// haloFrom returns v, the message rank took from src, as a halo packet of
+// want values, or a *PayloadError when it is something else: another
+// collective's message, by its type, or another exchange's packet — of
+// another level, or meant for another rank — by its value count. Ranks
+// that disagree on the collective order hand each other such messages.
+func haloFrom(rank, src int, v interface{}, want int) (*haloPacket, error) {
 	pk, err := payloadAs[*haloPacket](rank, src, v)
-	if err == nil && !pk.fits(y) {
-		err = &PayloadError{Rank: rank, Source: src,
-			Got: "halo packet with nodes beyond the vector", Want: fmt.Sprintf("halo packet within its %d nodes", len(y)/3)}
+	if err == nil {
+		err = checkCount(rank, src, pk, len(pk.Val), want)
 	}
 	return pk, err
 }
 
-// fits reports whether the packet holds three values for each of its
-// nodes and every node lies in y.
-func (pk *haloPacket) fits(y []float64) bool {
-	if len(pk.Val) != 3*len(pk.Node) {
-		return false
+// checkCount returns a *PayloadError when the packet pk from src holds got
+// values where want were due.
+func checkCount(rank, src int, pk interface{}, got, want int) error {
+	if got == want {
+		return nil
 	}
-	for _, node := range pk.Node {
-		if 3*int(node)+3 > len(y) {
-			return false
-		}
-	}
-	return true
+	return &PayloadError{Rank: rank, Source: src,
+		Got: fmt.Sprintf("%T of %d values", pk, got), Want: fmt.Sprintf("%T of %d values", pk, want)}
 }
 
-// unpack overwrites y at the packet's nodes with its values.
-func (pk *haloPacket) unpack(y []float64) {
-	for i, node := range pk.Node {
-		y[3*node] = pk.Val[3*i]
-		y[3*node+1] = pk.Val[3*i+1]
-		y[3*node+2] = pk.Val[3*i+2]
+// unpack copies val into y on spans, in span order; val holds exactly the
+// spans' entries.
+func unpack(y []float64, spans []la.Span, val []float64) {
+	for _, sp := range spans {
+		val = val[copy(y[sp.Lo:sp.Hi], val):]
 	}
 }
 

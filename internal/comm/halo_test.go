@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -83,13 +84,22 @@ func TestDistReduceBroadcast(t *testing.T) {
 			}
 		}
 	}
-	// The exchange must have been counted.
-	var msgs int64
+	// Each rank sends one packet per neighbour in each exchange, the
+	// values on its Ghost list and then on its Mirror list, and counts 8
+	// bytes per value: no node ids travel.
 	for rid := 0; rid < d.Size(); rid++ {
-		msgs += reg.Root().Child("rank").Child(string(rune('0' + rid))).Counter("halo_msgs").Value()
-	}
-	if msgs == 0 {
-		t.Fatal("no halo messages counted")
+		l := NewLayout(d, rid)
+		entries := 0
+		for _, n := range l.Neighbors {
+			entries += spanLen(l.Ghost[n]) + spanLen(l.Mirror[n])
+		}
+		sc := reg.Root().Child("rank").Child(string(rune('0' + rid)))
+		if got, want := sc.Counter("halo_msgs").Value(), int64(2*len(l.Neighbors)); got != want || want == 0 {
+			t.Errorf("rank %d: halo_msgs = %d, want %d (two exchanges over its neighbours)", rid, got, want)
+		}
+		if got := sc.Counter("halo_bytes").Value(); got != int64(8*entries) {
+			t.Errorf("rank %d: halo_bytes = %d, want 8 × %d span entries sent", rid, got, entries)
+		}
 	}
 }
 
@@ -135,6 +145,7 @@ func TestDistAllReduceSum(t *testing.T) {
 // leaves the rest of x as it was. A client counts its one packet to rank
 // 0, and rank 0 one solution packet per client holding what that client
 // reads: its halo_bytes are 8 per entry of the clients' owned+ghost spans.
+// A client packet of the wrong length is a *PayloadError on rank 0.
 func TestGatherSolveBroadcast(t *testing.T) {
 	da := mesh.New(4, 4, 2, 0, 1, 0, 1, 0, 1)
 	d, err := NewDecomp(da, 2, 2, 1)
@@ -151,9 +162,9 @@ func TestGatherSolveBroadcast(t *testing.T) {
 		l := NewLayout(d, r.ID)
 		dist := NewDist(r, l, reg.Root().Child(fmt.Sprintf("rank%d", r.ID)))
 		b := la.NewVec(n)
-		for _, node := range l.OwnedNodes() {
-			for c := 0; c < 3; c++ {
-				b[3*node+int32(c)] = float64(3*node + int32(c))
+		for _, node := range ownedNodes(l) {
+			for c := int32(0); c < 3; c++ {
+				b[3*node+c] = float64(3*node + c)
 			}
 		}
 		x := la.NewVec(n)
@@ -215,6 +226,34 @@ func TestGatherSolveBroadcast(t *testing.T) {
 	if got := reg.Root().Child("rank0").Counter("halo_bytes").Value(); got != 8*clientEntries {
 		t.Errorf("rank 0: halo_bytes = %d, want 8 × %d entries of the clients' spans", got, clientEntries)
 	}
+
+	// A client whose packet holds one value too many: rank 0 refuses it
+	// by its count and does not solve, and the clients wait out the
+	// world's quiet for a solution that never comes.
+	errs := make([]error, d.Size())
+	NewWorld(d.Size()).Run(func(r *Rank) {
+		dist := NewDist(r, NewLayout(d, r.ID), nil)
+		b, x := la.NewVec(n), la.NewVec(n)
+		if r.ID == 1 {
+			dist.L.ownedSpans = append([]la.Span(nil), dist.L.OwnedSpans()...)
+			dist.L.ownedSpans[0].Hi++
+		}
+		errs[r.ID] = dist.GatherSolveBroadcast(b, x, func() { t.Error("rank 0 solved with a bad client packet") }, nil)
+	})
+	var pe *PayloadError
+	if !errors.As(errs[0], &pe) {
+		t.Fatalf("rank 0: got %v, want *PayloadError", errs[0])
+	}
+	want := spanLen(NewLayout(d, 1).OwnedSpans())
+	if pe.Rank != 0 || pe.Source != 1 || pe.Got != fmt.Sprintf("*comm.haloPacket of %d values", want+1) ||
+		pe.Want != fmt.Sprintf("*comm.haloPacket of %d values", want) {
+		t.Errorf("rank 0: %+v, want rank 0 taking %d values from rank 1 where %d were due", pe, want+1, want)
+	}
+	for rid := 1; rid < d.Size(); rid++ {
+		if !errors.As(errs[rid], new(*ExchangeError)) {
+			t.Errorf("rank %d: got %v, want *ExchangeError", rid, errs[rid])
+		}
+	}
 }
 
 // TestRingsOutlastSlowReceiver runs rounds of ReduceBroadcast, two
@@ -248,6 +287,11 @@ func TestRingsOutlastSlowReceiver(t *testing.T) {
 	NewWorld(d.Size()).Run(func(r *Rank) {
 		l := NewLayout(d, r.ID)
 		dist := NewDist(r, l, nil)
+		owned := ownedNodes(l)
+		var ghosts []int32
+		for _, n := range l.Neighbors {
+			ghosts = append(ghosts, nodesOf(l.Ghost[n])...)
+		}
 		y, b, x := la.NewVec(n), la.NewVec(n), la.NewVec(n)
 		var nodes [27]int32
 		fail := func(what string, round int, i int, got, want float64) {
@@ -273,24 +317,22 @@ func TestRingsOutlastSlowReceiver(t *testing.T) {
 				t.Errorf("rank %d round %d: %v", r.ID, round, err)
 				return
 			}
-			for _, node := range l.OwnedNodes() {
+			for _, node := range owned {
 				if want := support[node] * c; y[3*node] != want {
 					fail("reduce", round, 3*int(node), y[3*node], want)
 					return
 				}
 			}
-			for _, ghosts := range l.Ghost {
-				for _, g := range ghosts {
-					if want := support[g] * c; y[3*g+2] != want {
-						fail("reduce ghost", round, 3*int(g)+2, y[3*g+2], want)
-						return
-					}
+			for _, g := range ghosts {
+				if want := support[g] * c; y[3*g+2] != want {
+					fail("reduce ghost", round, 3*int(g)+2, y[3*g+2], want)
+					return
 				}
 			}
 			// Two owner broadcasts in a row, each of fresh owner values.
 			for k := 0; k < 2; k++ {
 				v := float64(2*round + k)
-				for _, node := range l.OwnedNodes() {
+				for _, node := range owned {
 					y[3*node], y[3*node+1], y[3*node+2] = v, float64(node), -v
 				}
 				pause(r)
@@ -298,19 +340,17 @@ func TestRingsOutlastSlowReceiver(t *testing.T) {
 					t.Errorf("rank %d round %d: %v", r.ID, round, err)
 					return
 				}
-				for _, ghosts := range l.Ghost {
-					for _, g := range ghosts {
-						if y[3*g] != v || y[3*g+1] != float64(g) || y[3*g+2] != -v {
-							fail("broadcast", round, 3*int(g), y[3*g], v)
-							return
-						}
+				for _, g := range ghosts {
+					if y[3*g] != v || y[3*g+1] != float64(g) || y[3*g+2] != -v {
+						fail("broadcast", round, 3*int(g), y[3*g], v)
+						return
 					}
 				}
 			}
 			// Rank 0 gathers b, solves x = 2b + round and sends x to
 			// every rank, which keeps its owned+ghost entries.
 			off := 0.5 * float64(round)
-			for _, node := range l.OwnedNodes() {
+			for _, node := range owned {
 				for k := int32(0); k < 3; k++ {
 					b[3*node+k] = float64(3*node+k) + off
 				}

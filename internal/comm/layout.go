@@ -5,10 +5,11 @@ import "ptatin3d/internal/la"
 // Layout is the per-rank node-ownership geometry of a Decomp, the basis
 // of the rank-distributed vector layout (owned + ghost entries): which
 // Q2 nodes this rank owns, which ghost nodes it reads from neighbours,
-// and which owned nodes neighbours read from it. All lists are derived
-// from axis-aligned box intersections, so both sides of every exchange
-// enumerate the same nodes in the same (k,j,i) order and packets can be
-// validated structurally.
+// and which owned nodes neighbours read from it. Each is a list of
+// velocity-dof windows (la.Span) of an axis-aligned node box, in (k,j,i)
+// order, so both sides of every exchange enumerate the same dofs in the
+// same order: a packet carries values only, and a receiver checks it by
+// its type and its value count.
 //
 // Ownership convention (paper §II-D / DMDA): rank r's element range
 // [a,b) along an axis owns the node range [2a+1, 2b+1) — except the
@@ -87,17 +88,17 @@ type Layout struct {
 	Boundary []int // local elements touching at least one non-owned node
 
 	// Neighbors lists the ranks this rank exchanges with (sorted). For
-	// each neighbour n, Ghost[n] holds the nodes this rank reads that n
-	// owns and Mirror[n] the nodes this rank owns that n reads; by
-	// construction Ghost[n] here equals Mirror[this] on n, in the same
-	// node-id order, so exchanges need no index payloads beyond the
-	// packet's own node list.
+	// each neighbour n, Ghost[n] holds the velocity-dof windows of the
+	// nodes this rank reads that n owns and Mirror[n] those of the nodes
+	// this rank owns that n reads. Both are windows of one box
+	// intersection, so Ghost[n] here equals Mirror[this] on n, span for
+	// span: a packet of values packed on one side's list unpacks on the
+	// other's.
 	Neighbors []int
-	Ghost     map[int][]int32
-	Mirror    map[int][]int32
+	Ghost     map[int][]la.Span
+	Mirror    map[int][]la.Span
 
-	ownedNodes []int32   // cached Owned enumeration (lazy)
-	velSpans   []la.Span // cached VelSpans result (lazy)
+	velSpans, ownedSpans []la.Span // cached VelSpans and OwnedSpans (lazy)
 }
 
 // NewLayout computes rank r's layout under d.
@@ -106,7 +107,7 @@ func NewLayout(d *Decomp, r int) *Layout {
 		D: d, Rank: r,
 		Owned: ownedBox(d, r),
 		Ext:   extBox(d, r),
-		Ghost: map[int][]int32{}, Mirror: map[int][]int32{},
+		Ghost: map[int][]la.Span{}, Mirror: map[int][]la.Span{},
 	}
 	ilo, ihi, jlo, jhi, klo, khi := d.ElementRange(r)
 	for k := klo; k < khi; k++ {
@@ -124,9 +125,9 @@ func NewLayout(d *Decomp, r int) *Layout {
 		}
 	}
 	for _, n := range d.Neighbors(r) {
-		g := l.nodeList(intersect(l.Ext, ownedBox(d, n)))
-		m := l.nodeList(intersect(extBox(d, n), l.Owned))
-		if len(g) == 0 && len(m) == 0 {
+		g := velSpans(d, intersect(l.Ext, ownedBox(d, n)))
+		m := velSpans(d, intersect(extBox(d, n), l.Owned))
+		if g == nil && m == nil {
 			continue
 		}
 		l.Neighbors = append(l.Neighbors, n)
@@ -134,30 +135,6 @@ func NewLayout(d *Decomp, r int) *Layout {
 		l.Mirror[n] = m
 	}
 	return l
-}
-
-// nodeList enumerates the node ids of a box in (k,j,i) order.
-func (l *Layout) nodeList(b Box) []int32 {
-	if b.Empty() {
-		return nil
-	}
-	out := make([]int32, 0, b.Count())
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				out = append(out, int32(l.D.DA.NodeID(i, j, k)))
-			}
-		}
-	}
-	return out
-}
-
-// OwnedNodes returns the node ids this rank owns (cached).
-func (l *Layout) OwnedNodes() []int32 {
-	if l.ownedNodes == nil {
-		l.ownedNodes = l.nodeList(l.Owned)
-	}
-	return l.ownedNodes
 }
 
 // VelSpans returns the velocity-dof index windows of this rank's
@@ -175,9 +152,22 @@ func (l *Layout) VelSpans() []la.Span {
 	return l.velSpans
 }
 
+// OwnedSpans returns the velocity-dof windows of this rank's owned node
+// box, in (k,j,i) order, adjacent rows merged (cached): the rows a rank
+// computes, sums and ships to the coarse gather.
+func (l *Layout) OwnedSpans() []la.Span {
+	if l.ownedSpans == nil {
+		l.ownedSpans = velSpans(l.D, l.Owned)
+	}
+	return l.ownedSpans
+}
+
 // velSpans returns the velocity dof spans of the node box b, one per node
-// row in (k, j) order, adjacent rows merged.
+// row in (k, j) order, adjacent rows merged; nil for an empty box.
 func velSpans(d *Decomp, b Box) []la.Span {
+	if b.Empty() {
+		return nil
+	}
 	da := d.DA
 	spans := make([]la.Span, 0, (b.Hi[2]-b.Lo[2])*(b.Hi[1]-b.Lo[1]))
 	for k := b.Lo[2]; k < b.Hi[2]; k++ {
@@ -192,37 +182,24 @@ func velSpans(d *Decomp, b Box) []la.Span {
 // IdentityOwnedRows applies the Dirichlet identity y[d] = x[d] on the
 // constrained velocity rows of the rank's owned node box.
 func (l *Layout) IdentityOwnedRows(mask []bool, x, y []float64) {
-	b := l.Owned
-	da := l.D.DA
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			row := (k*da.NPy + j) * da.NPx
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				d := 3 * (row + i)
-				for c := 0; c < 3; c++ {
-					if mask[d+c] {
-						y[d+c] = x[d+c]
-					}
-				}
+	for _, sp := range l.OwnedSpans() {
+		for d := sp.Lo; d < sp.Hi; d++ {
+			if mask[d] {
+				y[d] = x[d]
 			}
 		}
 	}
 }
 
 // DotVel returns this rank's partial inner product over the velocity
-// dofs (3 per node) of its owned nodes. Summation runs in (k,j,i) node
-// order, so the partial is deterministic for a fixed layout.
+// dofs (3 per node) of its owned nodes. Summation runs node by node along
+// OwnedSpans, in (k,j,i) node order, so the partial is deterministic for a
+// fixed layout.
 func (l *Layout) DotVel(x, y []float64) float64 {
 	s := 0.0
-	b := l.Owned
-	da := l.D.DA
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			row := (k*da.NPy + j) * da.NPx
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				d0 := 3 * (row + i)
-				s += x[d0]*y[d0] + x[d0+1]*y[d0+1] + x[d0+2]*y[d0+2]
-			}
+	for _, sp := range l.OwnedSpans() {
+		for d0 := sp.Lo; d0 < sp.Hi; d0 += 3 {
+			s += x[d0]*y[d0] + x[d0+1]*y[d0+1] + x[d0+2]*y[d0+2]
 		}
 	}
 	return s

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
 )
 
@@ -55,8 +56,73 @@ func TestNewDecompRejectsBadShapes(t *testing.T) {
 	}
 }
 
-// owns reports whether node n is in the owned list the coarse gather ships.
-func owns(l *Layout, n int) bool { return slices.Contains(l.OwnedNodes(), int32(n)) }
+// ownedNodes is the owned-node oracle: the node ids of l's Owned box,
+// enumerated node by node in (k,j,i) order.
+func ownedNodes(l *Layout) []int32 {
+	b := l.Owned
+	var out []int32
+	for k := b.Lo[2]; k < b.Hi[2]; k++ {
+		for j := b.Lo[1]; j < b.Hi[1]; j++ {
+			for i := b.Lo[0]; i < b.Hi[0]; i++ {
+				out = append(out, int32(l.D.DA.NodeID(i, j, k)))
+			}
+		}
+	}
+	return out
+}
+
+// nodesOf returns the node ids of velocity-dof windows in window order,
+// one per three dofs.
+func nodesOf(spans []la.Span) []int32 {
+	var out []int32
+	for _, sp := range spans {
+		for d := sp.Lo; d < sp.Hi; d += 3 {
+			out = append(out, int32(d/3))
+		}
+	}
+	return out
+}
+
+// owns reports whether node n is in the owned windows the coarse gather
+// ships.
+func owns(l *Layout, n int) bool { return slices.Contains(nodesOf(l.OwnedSpans()), int32(n)) }
+
+// TestOwnedSpansCoverOwnedBox: on random decompositions OwnedSpans holds
+// exactly the velocity dofs of the Owned box, three per node, in the
+// oracle's (k,j,i) order, as ascending windows with no two adjacent (rows
+// that touch are merged). An empty box has no windows.
+func TestOwnedSpansCoverOwnedBox(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 25; trial++ {
+		mx, my, mz := 1+rng.Intn(6), 1+rng.Intn(6), 1+rng.Intn(6)
+		da := mesh.New(mx, my, mz, 0, 1, 0, 1, 0, 1)
+		d, err := NewDecomp(da, 1+rng.Intn(mx), 1+rng.Intn(my), 1+rng.Intn(mz))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for r := 0; r < d.Size(); r++ {
+			l := NewLayout(d, r)
+			spans := l.OwnedSpans()
+			for i, sp := range spans {
+				if sp.Lo%3 != 0 || sp.Hi%3 != 0 || sp.Hi <= sp.Lo || (i > 0 && sp.Lo <= spans[i-1].Hi) {
+					t.Fatalf("trial %d rank %d: window %d %v of %v is not a maximal run of whole nodes", trial, r, i, sp, spans)
+				}
+			}
+			if got, want := nodesOf(spans), ownedNodes(l); !slices.Equal(got, want) {
+				t.Fatalf("trial %d rank %d: OwnedSpans hold nodes %v, the Owned box %v", trial, r, got, want)
+			}
+		}
+	}
+	d, err := NewDecomp(mesh.New(2, 2, 2, 0, 1, 0, 1, 0, 1), 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []Box{{}, {Lo: [3]int{0, 2, 2}, Hi: [3]int{3, 0, 0}}} {
+		if sp := velSpans(d, b); sp != nil {
+			t.Errorf("velSpans(%v) = %v, want nil for an empty box", b, sp)
+		}
+	}
+}
 
 // TestNodeOwnershipProperty: randomized-decomp property test. For every
 // Q2 node: exactly one rank's owned box contains it, that rank agrees
@@ -128,8 +194,8 @@ func TestNodeOwnershipProperty(t *testing.T) {
 }
 
 // TestLayoutExchangeLists: ghost/mirror lists must be mutually
-// consistent (Ghost[n] on r equals Mirror[r] on n, element for
-// element), ghost nodes must be owned by the listed neighbour, and the
+// consistent (Ghost[n] on r equals Mirror[r] on n, window for window),
+// ghost nodes must be owned by the listed neighbour, and the
 // interior/boundary element split must be exact: interior elements
 // touch only owned nodes, boundary elements at least one foreign node.
 func TestLayoutExchangeLists(t *testing.T) {
@@ -172,17 +238,15 @@ func TestLayoutExchangeLists(t *testing.T) {
 		}
 		for _, nb := range l.Neighbors {
 			g, m := l.Ghost[nb], layouts[nb].Mirror[r]
-			if len(g) != len(m) {
-				t.Fatalf("rank %d ghost[%d] len %d != rank %d mirror[%d] len %d",
-					r, nb, len(g), nb, r, len(m))
+			if !slices.Equal(g, m) {
+				t.Fatalf("rank %d ghost[%d] %v != rank %d mirror[%d] %v", r, nb, g, nb, r, m)
 			}
-			for i := range g {
-				if g[i] != m[i] {
-					t.Fatalf("rank %d ghost[%d][%d]=%d != rank %d mirror[%d][%d]=%d",
-						r, nb, i, g[i], nb, r, i, m[i])
+			for _, node := range nodesOf(g) {
+				if !owns(layouts[nb], int(node)) {
+					t.Fatalf("rank %d ghost node %d not owned by neighbour %d", r, node, nb)
 				}
-				if !owns(layouts[nb], int(g[i])) {
-					t.Fatalf("rank %d ghost node %d not owned by neighbour %d", r, g[i], nb)
+				if owns(l, int(node)) {
+					t.Fatalf("rank %d ghost node %d is its own", r, node)
 				}
 			}
 		}

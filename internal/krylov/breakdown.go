@@ -22,8 +22,10 @@ const (
 	BreakdownNaN BreakdownKind = iota + 1
 	// BreakdownInf: the residual norm overflowed to ±Inf.
 	BreakdownInf
-	// BreakdownZeroPivot: an exactly zero denominator (Arnoldi/Givens/CG
-	// pivot or direction norm) made the recurrence undefined.
+	// BreakdownZeroPivot: a zero denominator (Arnoldi/Givens/CG pivot or
+	// direction norm; for GMRES, one at rounding level) made the
+	// recurrence undefined, or GMRES's Krylov space stopped growing short
+	// of the tolerance.
 	BreakdownZeroPivot
 )
 

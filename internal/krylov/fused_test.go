@@ -1,6 +1,7 @@
 package krylov
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -62,9 +63,9 @@ func TestFusedGramSchmidtBitIdentical(t *testing.T) {
 			problems = append(problems, problem{fmt.Sprintf("restart=%d", restart), a, m, prm})
 		}
 		// The identity operator with a preconditioner that only ever
-		// corrects e₀: the residual plateaus until a direction vanishes
-		// (a zero pivot) or, where the basis keeps normalising
-		// rounding-level remainders (GMRES), until the iteration limit.
+		// corrects e₀: the residual plateaus until a direction vanishes,
+		// exactly or (GMRES) to rounding level — a zero pivot within the
+		// first restart cycle.
 		stall := Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 200, Restart: 7}
 		problems = append(problems, problem{"stalled", OpFunc{Dim: 12, F: func(x, y la.Vec) { y.Copy(x) }}, stallPC{}, stall})
 
@@ -93,8 +94,8 @@ func TestFusedGramSchmidtBitIdentical(t *testing.T) {
 			}
 			fused, twoStep := res[0], res[1]
 			if p.name == "stalled" {
-				if fused.Converged || (fused.Err == nil && fused.Iterations != p.prm.MaxIt) {
-					t.Fatalf("%s: %+v, want a breakdown (Err) or the iteration limit", name, fused)
+				if !errors.As(fused.Err, new(*BreakdownError)) || fused.Converged || fused.Iterations > p.prm.Restart {
+					t.Fatalf("%s: %+v, want a *BreakdownError within one restart cycle of %d", name, fused, p.prm.Restart)
 				}
 			} else if !fused.Converged || (p.name == "restart=7" && method != "cg" && fused.Iterations <= 7) {
 				t.Fatalf("%s: converged=%v in %d iterations: want convergence, past a restart at 7", name, fused.Converged, fused.Iterations)

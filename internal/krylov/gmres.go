@@ -6,6 +6,13 @@ import (
 	"ptatin3d/internal/la"
 )
 
+// roundingLevel·(j+1)·‖A·z_j‖ is where an Arnoldi remainder h_{j+1,j} or
+// a rotated pivot counts as zero. Modified Gram–Schmidt of a vector in the
+// span of j+1 orthonormal vectors leaves about (j+1)·ε of its norm (1e-17
+// to 1e-16 on the stalled test problem); the factor 16 is the margin, and
+// healthy solves sit far above (the registry's scenarios above 1e-3).
+const roundingLevel = 16 * 0x1p-52
+
 // gmresCore implements restarted right-preconditioned GMRES. With
 // flexible=true it is FGMRES (Saad): the preconditioned directions
 // Z_j = M⁻¹·v_j are stored so the preconditioner may change between
@@ -16,7 +23,9 @@ import (
 // The Arnoldi step is modified Gram–Schmidt with each update fused to the
 // next reduction: h₀ = (w, v₀), then w −= hᵢ·vᵢ and h_{i+1} = (w, v_{i+1})
 // in one sweep over w (Params.axpyDot), the last sweep returning ‖w‖² for
-// h_{j+1,j}. That sweeps w j+2 times per iteration instead of 2j+3 (four
+// h_{j+1,j}. An h_{j+1,j} at rounding level (roundingLevel) ends the
+// cycle: converged when the Givens residual meets the tolerance, else a
+// BreakdownZeroPivot, as is a rotated pivot at rounding level. That sweeps w j+2 times per iteration instead of 2j+3 (four
 // vector streams per basis vector instead of five), and it is bitwise the
 // two-step form: each sweep performs the update and the dot in their own
 // expression shapes and order, and every dot still reads the w the
@@ -116,9 +125,15 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 				hij = prm.axpyDot(w, -hij, v[i], v[i+1])
 			}
 			h[j*mr+j] = hij
-			hj1 := math.Sqrt(prm.axpyDot(w, -hij, v[j], w))
+			ww := prm.axpyDot(w, -hij, v[j], w)
+			hj1 := math.Sqrt(ww)
 			h[(j+1)*mr+j] = hj1
-			if hj1 != 0 {
+			for i := 0; i <= j; i++ { // ‖A·z_j‖², by Pythagoras
+				ww += h[i*mr+j] * h[i*mr+j]
+			}
+			noise := roundingLevel * float64(j+1) * math.Sqrt(ww)
+			lost := hj1 <= noise
+			if !lost {
 				prm.vcopy(basis(v, j+1), w)
 				prm.vscale(v[j+1], 1/hj1)
 			}
@@ -130,9 +145,10 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			}
 			// New rotation to annihilate h[j+1][j].
 			den := math.Hypot(h[j*mr+j], hj1)
-			if den == 0 {
+			if den <= noise {
+				// A z_j lies in the span of the earlier columns: the
+				// update leaves this column out.
 				res.fail(prm, method, BreakdownZeroPivot, it, den)
-				j++
 				break
 			}
 			cs[j] = h[j*mr+j] / den
@@ -151,6 +167,14 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			if converged(prm, rn, res.Residual0) {
 				j++
 				res.Converged = true
+				break
+			}
+			if lost {
+				// The Krylov space is invariant and the least-squares
+				// residual still misses the tolerance: no restart can
+				// add a direction.
+				res.fail(prm, method, BreakdownZeroPivot, it, hj1)
+				j++
 				break
 			}
 		}

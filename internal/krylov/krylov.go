@@ -11,6 +11,7 @@
 package krylov
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -237,8 +238,10 @@ func Solve(method string, a Op, m Preconditioner, b, x la.Vec, prm Params) Resul
 }
 
 // SolveWithFallback runs solve with method and, when that breaks down
-// (Result.Err), zeroes delta and runs it once more with the other
-// flexible method. The field-split preconditioner is nonlinear, so GCR
+// (a *BreakdownError in Result.Err's chain), zeroes delta and runs it once
+// more with the other flexible method. Any other error (a decomposition
+// the mesh cannot take, say) comes back as it is, with alt "": no method
+// can mend it. The field-split preconditioner is nonlinear, so GCR
 // and FGMRES are both legal, and they fail differently (explicit residual
 // against the Arnoldi recurrence), which is what makes the switch worth
 // trying. The result is the last attempt's, with Iterations summed and
@@ -246,7 +249,7 @@ func Solve(method string, a Op, m Preconditioner, b, x la.Vec, prm Params) Resul
 // retry, "" when the first attempt did not break down.
 func SolveWithFallback(method string, delta la.Vec, solve func(method string) Result) (res Result, alt string) {
 	res = solve(method)
-	if res.Err == nil {
+	if !errors.As(res.Err, new(*BreakdownError)) {
 		return res, ""
 	}
 	alt = "fgmres"

@@ -127,18 +127,9 @@ func (o *haloCSROp) N() int { return o.a.NRows }
 
 // Apply computes the distributed y = A·x.
 func (o *haloCSROp) Apply(x, y la.Vec) {
-	l := o.dist.L
 	y.ZeroSpans(o.spans)
-	b := l.Owned
-	da := l.D.DA
-	for k := b.Lo[2]; k < b.Hi[2]; k++ {
-		for j := b.Lo[1]; j < b.Hi[1]; j++ {
-			row := (k*da.NPy + j) * da.NPx
-			for i := b.Lo[0]; i < b.Hi[0]; i++ {
-				d0 := 3 * (row + i)
-				o.a.MulVecRange(x, y, d0, d0+3)
-			}
-		}
+	for _, sp := range o.dist.L.OwnedSpans() {
+		o.a.MulVecRange(x, y, sp.Lo, sp.Hi)
 	}
 	_ = o.dist.Broadcast(y)
 }

@@ -96,11 +96,7 @@ func TestDistMGMatchesShared(t *testing.T) {
 		}
 		l := dists[0].L
 		mu.Lock()
-		for _, node := range l.OwnedNodes() {
-			for c := 0; c < 3; c++ {
-				zd[3*node+int32(c)] = z[3*node+int32(c)]
-			}
-		}
+		zd.CopySpans(z, l.OwnedSpans())
 		mu.Unlock()
 	})
 	ref := zs.Norm2()
@@ -338,11 +334,7 @@ func distBlockedCase(t *testing.T, levels int, grids [][3]int) {
 			l := dists[0].L
 			mu.Lock()
 			its[r.ID] = res.Iterations
-			for _, node := range l.OwnedNodes() {
-				for c := 0; c < 3; c++ {
-					xd[3*node+int32(c)] = x[3*node+int32(c)]
-				}
-			}
+			xd.CopySpans(x, l.OwnedSpans())
 			mu.Unlock()
 		})
 		for rid, it := range its {
@@ -437,11 +429,7 @@ func TestDistributedCGMatchesShared(t *testing.T) {
 		l := dists[0].L
 		mu.Lock()
 		its[r.ID] = res.Iterations
-		for _, node := range l.OwnedNodes() {
-			for c := 0; c < 3; c++ {
-				xd[3*node+int32(c)] = x[3*node+int32(c)]
-			}
-		}
+		xd.CopySpans(x, l.OwnedSpans())
 		mu.Unlock()
 	})
 	for rid, it := range its {

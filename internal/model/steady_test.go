@@ -1,10 +1,13 @@
 package model_test
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"testing"
 
+	"ptatin3d/internal/comm"
+	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/model"
 	"ptatin3d/internal/stokes"
@@ -137,7 +140,7 @@ func TestKrylovRecordedOnce(t *testing.T) {
 			case "dist":
 				for _, r := range c.Children {
 					ranks++
-					if r.Counters["allreduces"] == 0 {
+					if r.Timers["allreduce"].Calls == 0 {
 						t.Errorf("%s: %s lost its communication counters", backend.Name(), r.Name)
 					}
 					for _, rc := range r.Children {
@@ -180,5 +183,33 @@ func walkScopes(sc *telemetry.ScopeSnapshot, parent string, f func(path string, 
 	f(path, sc)
 	for _, c := range sc.Children {
 		walkScopes(c, path, f)
+	}
+}
+
+// attemptCounter counts the inner solves a backend is asked for.
+type attemptCounter struct {
+	model.StokesBackend
+	methods []string
+}
+
+func (b *attemptCounter) LinearSolve(s *stokes.Solver, method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+	b.methods = append(b.methods, method)
+	return b.StokesBackend.LinearSolve(s, method, jop, pc, rhs, delta, prm)
+}
+
+// TestDecompFailureIsNotRetried: a rank grid the coarse level cannot
+// split (4 ranks along an axis of fewer elements) fails the step with a
+// *comm.DecompError in its chain after one inner-solve attempt; it is no
+// breakdown, so no fallback method runs and none is named.
+func TestDecompFailureIsNotRetried(t *testing.T) {
+	m := compileSmall(t, "sinker", 1)
+	b := &attemptCounter{StokesBackend: model.NewDistributedBackend(4, 1, 1, stokes.DistOptions{})}
+	m.Backend = b
+	err := m.StepForward()
+	if !errors.As(err, new(*comm.DecompError)) {
+		t.Fatalf("step error %v, want a *comm.DecompError in its chain", err)
+	}
+	if len(b.methods) != 1 || strings.Contains(err.Error(), "fallback") {
+		t.Fatalf("inner solves %v, error %q: want one attempt and no fallback", b.methods, err)
 	}
 }

@@ -2,6 +2,7 @@ package nonlinear
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -73,5 +74,48 @@ func TestFallbackExhaustedReportsTypedError(t *testing.T) {
 	}
 	if res.Iterations > 1 {
 		t.Fatalf("outer iteration did not abort on double breakdown (ran %d)", res.Iterations)
+	}
+}
+
+// TestInnerFailureIsNotRetried: an inner solve that fails for a reason
+// other than a breakdown (the decomposition error of a rank backend, say)
+// is not retried with the other method: the solve stops at its first
+// attempt with the error in Result.Err's chain and no breakdown counted.
+// A breakdown that arrives wrapped, as a rank backend wraps a rank's
+// failure, is still retried.
+func TestInnerFailureIsNotRetried(t *testing.T) {
+	setupErr := errors.New("decomposition refused")
+	sys, x := nlDiffusion(40)
+	var methods []string
+	sys.Inner = func(method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+		methods = append(methods, method)
+		return krylov.Result{Err: fmt.Errorf("distributed solve: %w", setupErr)}
+	}
+	res := Solve(sys, x, DefaultOptions())
+	if len(methods) != 1 {
+		t.Fatalf("inner called %d times (%v), want once", len(methods), methods)
+	}
+	if !errors.Is(res.Err, setupErr) || res.Breakdowns != 0 || res.Fallbacks != 0 || res.Converged {
+		t.Fatalf("Err %v, breakdowns %d, fallbacks %d, converged %v: want the inner error, no breakdown",
+			res.Err, res.Breakdowns, res.Fallbacks, res.Converged)
+	}
+
+	sys, x = nlDiffusion(40)
+	methods = methods[:0]
+	sys.Inner = func(method string, jop krylov.Op, pc krylov.Preconditioner, rhs, delta la.Vec, prm krylov.Params) krylov.Result {
+		methods = append(methods, method)
+		if len(methods) == 1 {
+			bd := &krylov.BreakdownError{Method: method, Kind: krylov.BreakdownNaN}
+			return krylov.Result{Err: fmt.Errorf("stokes: distributed solve, rank 1: %w", bd)}
+		}
+		return krylov.Solve(method, jop, pc, rhs, delta, prm)
+	}
+	res = Solve(sys, x, DefaultOptions())
+	if len(methods) < 2 || methods[0] != "fgmres" || methods[1] != "gcr" {
+		t.Fatalf("inner methods %v, want fgmres then its gcr retry", methods)
+	}
+	if !res.Converged || res.Err != nil || res.Breakdowns != 1 || res.Fallbacks != 1 {
+		t.Fatalf("converged %v, Err %v, breakdowns %d, fallbacks %d: want one recovered breakdown",
+			res.Converged, res.Err, res.Breakdowns, res.Fallbacks)
 	}
 }

@@ -188,14 +188,20 @@ func Solve(sys System, x la.Vec, opt Options) Result {
 		rhs.Copy(f)
 		rhs.Scale(-1)
 		delta.Zero()
-		// An inner breakdown (NaN/Inf, zero pivot, stagnation) discards the
-		// poisoned direction and retries once with the alternate Krylov
-		// method before giving up on this outer iteration.
+		// An inner breakdown (NaN/Inf, zero pivot) discards the poisoned
+		// direction and retries once with the alternate Krylov method
+		// before giving up on this outer iteration; any other inner error
+		// stops the solve at once.
 		kres, alt := krylov.SolveWithFallback(sys.Method, delta, func(method string) krylov.Result {
 			return inner(method, jop, pc, rhs, delta, prm)
 		})
 		res.KrylovIts += kres.Iterations
 		res.KrylovBasis = max(res.KrylovBasis, kres.BasisVectors)
+		if alt == "" && kres.Err != nil {
+			res.Err = fmt.Errorf("nonlinear: outer iteration %d: inner solve failed: %w", it, kres.Err)
+			res.Iterations = it
+			break
+		}
 		if alt != "" {
 			res.Breakdowns++
 			if kres.Err != nil {

@@ -295,10 +295,11 @@ func MaxGhostNodes(mx, my, mz, px, py, pz int) int {
 }
 
 // HaloExchangeBytes predicts the payload of one owner-broadcast halo
-// exchange for a ghost region of the given node count: each ghost node
-// carries an int32 node id plus three float64 velocity components. An
-// owner-reduce apply (ReduceBroadcast) moves twice this volume —
-// partials in, totals back.
+// exchange for a ghost region of the given node count. Packets carry
+// values only, three float64 velocity components per ghost node: both
+// sides of an exchange know its node list (comm.Layout). An owner-reduce
+// apply (ReduceBroadcast) moves twice this volume — partials in, totals
+// back.
 func HaloExchangeBytes(ghostNodes int) float64 {
-	return float64(ghostNodes) * (4 + 3*8)
+	return float64(ghostNodes) * 3 * 8
 }

@@ -107,8 +107,8 @@ func TestMeasurementsSane(t *testing.T) {
 
 // TestGhostNodesMatchesLayout cross-checks the analytic ghost-region
 // model against the actual exchange lists of comm.Layout: the predicted
-// ghost count must equal the total length of the Ghost lists for every
-// rank of several decompositions.
+// ghost count must equal the nodes of the Ghost windows (three dofs per
+// node) for every rank of several decompositions.
 func TestGhostNodesMatchesLayout(t *testing.T) {
 	da := mesh.New(6, 4, 3, 0, 1, 0, 1, 0, 1)
 	for _, pg := range [][3]int{{2, 2, 1}, {3, 1, 1}, {2, 2, 3}, {1, 1, 1}} {
@@ -120,7 +120,9 @@ func TestGhostNodesMatchesLayout(t *testing.T) {
 			l := comm.NewLayout(d, r)
 			var actual int
 			for _, g := range l.Ghost {
-				actual += len(g)
+				for _, sp := range g {
+					actual += (sp.Hi - sp.Lo) / 3
+				}
 			}
 			pi, pj, pk := d.RankIJK(r)
 			pred := GhostNodes(da.Mx, da.My, da.Mz, pg[0], pg[1], pg[2], pi, pj, pk)
@@ -132,7 +134,7 @@ func TestGhostNodesMatchesLayout(t *testing.T) {
 			}
 		}
 	}
-	if HaloExchangeBytes(10) != 280 {
-		t.Errorf("HaloExchangeBytes(10) = %v, want 280", HaloExchangeBytes(10))
+	if HaloExchangeBytes(10) != 240 {
+		t.Errorf("HaloExchangeBytes(10) = %v, want 240 (three float64 values per node)", HaloExchangeBytes(10))
 	}
 }

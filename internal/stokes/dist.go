@@ -256,14 +256,15 @@ func (v *rankView) attach(r *comm.Rank, jop *Op, auu comm.ElementKernel) {
 	v.a.op, v.a.auu = jop, auu
 }
 
-// rankCommCounters reads the communication counters of one rank's
-// telemetry scope into a RankStats record.
+// rankCommCounters reads the communication counts of one rank's
+// telemetry scope into a RankStats record: its halo counters and its
+// allreduce timer's calls.
 func rankCommCounters(sc *telemetry.Scope, rank int) RankStats {
 	return RankStats{
 		Rank:       rank,
 		HaloMsgs:   sc.Counter("halo_msgs").Value(),
 		HaloBytes:  sc.Counter("halo_bytes").Value(),
-		AllReduces: sc.Counter("allreduces").Value(),
+		AllReduces: sc.Timer("allreduce").Calls(),
 	}
 }
 
@@ -382,14 +383,8 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		du, dp := s.Op.Split(d)
 		gu, gp := s.Op.Split(delta)
 		mu.Lock()
-		box := fine.L.Owned
-		da := fine.L.D.DA
-		for k := box.Lo[2]; k < box.Hi[2]; k++ {
-			for j := box.Lo[1]; j < box.Hi[1]; j++ {
-				row := (k*da.NPy + j) * da.NPx
-				lo, hi := 3*(row+box.Lo[0]), 3*(row+box.Hi[0])
-				copy(gu[lo:hi], du[lo:hi])
-			}
+		for _, sp := range fine.L.OwnedSpans() {
+			copy(gu[sp.Lo:sp.Hi], du[sp.Lo:sp.Hi])
 		}
 		for _, e := range fine.L.Elems {
 			copy(gp[4*e:4*e+4], dp[4*e:4*e+4])

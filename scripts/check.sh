@@ -53,7 +53,10 @@
 # only what a run reaches (no entry exchanger, stagnation window or second
 # CG workspace in internal/krylov, no error sink in internal/mg or
 # internal/stokes: a rank's failures are recorded in internal/comm), a
-# one-iteration smoke run of the apply-path, V-cycle, element-kernel,
+# guard that a rank's rows are spans and its packets values (no Node field,
+# fits( scan or OwnedNodes in internal/comm's non-test Go, no allreduces or
+# exchanges counter beside their timers, no node id in internal/perfmodel's
+# halo bytes), a one-iteration smoke run of the apply-path, V-cycle, element-kernel,
 # element-matrix and rank-sync benchmarks, and short fuzz smoke passes over the
 # decomposition index math, the checkpoint decoder and the assembly
 # contractions.
@@ -219,10 +222,10 @@ else
     echo "skipped: this CPU cannot run GOAMD64=v3 code"
 fi
 
-echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, the tables' solver recipe == what Prepare hands over, set-up stage timers, a step's solve timers on both backends, one breakdown retry with the other method under -race =="
+echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, the tables' solver recipe == what Prepare hands over, set-up stage timers, a step's solve timers on both backends, one breakdown retry with the other method and none for any other failure under -race =="
 named_tests -race \
-    'TestGeometryStoreBitwise|TestILUBackSweepFromMatchesSolve|TestASMRestrictedPartialSweepBitwise|TestPrepareSkipsRepeatedCoefficientUpdate|TestStokesConfigIsWhatPrepareHands|TestSetupStageTimersAttributeRefresh|TestStepTelemetryRecordsWhatRan|TestSolveRetriesBreakdownWithAlternate|TestSolveWithFallbackSwitchesOnce' \
-    ./internal/fem ./internal/la ./internal/krylov ./internal/model ./internal/stokes
+    'TestGeometryStoreBitwise|TestILUBackSweepFromMatchesSolve|TestASMRestrictedPartialSweepBitwise|TestPrepareSkipsRepeatedCoefficientUpdate|TestStokesConfigIsWhatPrepareHands|TestSetupStageTimersAttributeRefresh|TestStepTelemetryRecordsWhatRan|TestSolveRetriesBreakdownWithAlternate|TestSolveWithFallbackSwitchesOnce|TestInnerFailureIsNotRetried|TestDecompFailureIsNotRetried' \
+    ./internal/fem ./internal/la ./internal/krylov ./internal/nonlinear ./internal/model ./internal/stokes
 
 echo "== parallel MPM + amortized solver setup under -race =="
 named_tests -race \
@@ -310,6 +313,16 @@ echo "== Krylov solves keep only what a run reaches: no Exchanger, StagnationWin
 if grep -rnwE 'Exchanger|StagnationWindow|stagGuard|cgWork' --include='*.go' internal/krylov | grep -v '_test\.go:' ||
     grep -rnwE 'noteErr|errSink' --include='*.go' internal/mg internal/stokes | grep -v '_test\.go:'; then
     echo "check.sh: an entry exchanger, stagnation window, second CG workspace or rank error sink is back (above)" >&2
+    exit 1
+fi
+
+# A rank's rows are la.Span windows, both sides of an exchange know them,
+# so a packet carries values only, and a collective's count is its timer's
+# calls (DESIGN.md, "The rank fabric").
+echo "== packets are values: no Node field, fits( or OwnedNodes, no allreduces or exchanges counter in internal/comm, no 4 + 3*8 in internal/perfmodel (non-test Go) =="
+if grep -rnE '^[[:space:]]+Node[[:space:]]|fits\(|OwnedNodes|Counter\("(allreduces|exchanges)"\)' --include='*.go' internal/comm | grep -v '_test\.go:' ||
+    grep -rnF '4 + 3*8' --include='*.go' internal/perfmodel | grep -v '_test\.go:'; then
+    echo "check.sh: a node list on the wire, its scan, the owned-node list or a counter that repeats a timer is back (above)" >&2
     exit 1
 fi
 
