@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ptatin3d/internal/la"
 	"ptatin3d/internal/mesh"
 	"ptatin3d/internal/telemetry"
 )
@@ -172,7 +173,7 @@ func TestCollectiveOrderMismatchIsAnError(t *testing.T) {
 		t.Fatal("a collective-order mismatch hung")
 	}
 	l0, l1 := NewLayout(d, 0), NewLayout(d, 1)
-	got, want := spanLen(l1.OwnedSpans()), spanLen(l0.Ghost[1])
+	got, want := la.SpansLen(l1.OwnedSpans()), la.SpansLen(l0.Ghost[1])
 	if got == want {
 		t.Fatalf("rank 1 owns %d values and rank 0 reads %d of them: the fixture shows no mismatch", got, want)
 	}

@@ -81,12 +81,12 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) (err 
 		}
 		xs, err := payloadAs[*vecPacket](r.ID, 0, sol[0])
 		if err == nil {
-			err = checkCount(r.ID, 0, xs, len(xs.Val), spanLen(d.L.VelSpans()))
+			err = checkCount(r.ID, 0, xs, len(xs.Val), la.SpansLen(d.L.VelSpans()))
 		}
 		if err != nil {
 			return fmt.Errorf("comm: coarse solution broadcast: %w", err)
 		}
-		unpack(x, d.L.VelSpans(), xs.Val)
+		la.Vec(x).Unpack(xs.Val, d.L.VelSpans())
 		return nil
 	}
 
@@ -105,11 +105,11 @@ func (d *Dist) GatherSolveBroadcast(b, x []float64, solve, overlap func()) (err 
 		return fmt.Errorf("comm: coarse gather: %w", err)
 	}
 	for i, src := range g.clients {
-		pk, err := haloFrom(r.ID, src, recv[i], spanLen(g.owned[i]))
+		pk, err := haloFrom(r.ID, src, recv[i], la.SpansLen(g.owned[i]))
 		if err != nil {
 			return fmt.Errorf("comm: coarse gather: %w", err)
 		}
-		unpack(b, g.owned[i], pk.Val)
+		la.Vec(b).Unpack(pk.Val, g.owned[i])
 	}
 	// ...solve, and send every client a copy of the x it reads (the
 	// caller may rewrite x before a client has read it).

@@ -80,20 +80,11 @@ func (d *Dist) pack(h *haloRing, lists map[int][]la.Span, y []float64) []interfa
 // appendSpans appends y's entries on spans, in span order, to dst,
 // growing it once to hold them all.
 func appendSpans(dst []float64, spans []la.Span, y []float64) []float64 {
-	dst = slices.Grow(dst, spanLen(spans))
+	dst = slices.Grow(dst, la.SpansLen(spans))
 	for _, sp := range spans {
 		dst = append(dst, y[sp.Lo:sp.Hi]...)
 	}
 	return dst
-}
-
-// spanLen returns the number of entries the spans hold.
-func spanLen(spans []la.Span) int {
-	n := 0
-	for _, sp := range spans {
-		n += sp.Hi - sp.Lo
-	}
-	return n
 }
 
 // NewDist builds rank r's distributed-vector handle over layout l.
@@ -173,7 +164,7 @@ func (d *Dist) ReduceBroadcast(y []float64, overlap, fixup func()) (err error) {
 		return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
 	}
 	for j, src := range l.Neighbors {
-		pk, err := haloFrom(d.R.ID, src, recv[j], spanLen(l.Mirror[src]))
+		pk, err := haloFrom(d.R.ID, src, recv[j], la.SpansLen(l.Mirror[src]))
 		if err != nil {
 			return fmt.Errorf("comm: halo partial-sum exchange: %w", err)
 		}
@@ -205,11 +196,11 @@ func (d *Dist) Broadcast(y []float64) (err error) {
 		return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 	}
 	for i, src := range l.Neighbors {
-		pk, err := haloFrom(d.R.ID, src, recv[i], spanLen(l.Ghost[src]))
+		pk, err := haloFrom(d.R.ID, src, recv[i], la.SpansLen(l.Ghost[src]))
 		if err != nil {
 			return fmt.Errorf("comm: halo owner-broadcast exchange: %w", err)
 		}
-		unpack(y, l.Ghost[src], pk.Val)
+		la.Vec(y).Unpack(pk.Val, l.Ghost[src])
 	}
 	return nil
 }
@@ -235,14 +226,6 @@ func checkCount(rank, src int, pk interface{}, got, want int) error {
 	}
 	return &PayloadError{Rank: rank, Source: src,
 		Got: fmt.Sprintf("%T of %d values", pk, got), Want: fmt.Sprintf("%T of %d values", pk, want)}
-}
-
-// unpack copies val into y on spans, in span order; val holds exactly the
-// spans' entries.
-func unpack(y []float64, spans []la.Span, val []float64) {
-	for _, sp := range spans {
-		val = val[copy(y[sp.Lo:sp.Hi], val):]
-	}
 }
 
 // AllReduceSum returns the global sum of x with a deterministic

@@ -91,7 +91,7 @@ func TestDistReduceBroadcast(t *testing.T) {
 		l := NewLayout(d, rid)
 		entries := 0
 		for _, n := range l.Neighbors {
-			entries += spanLen(l.Ghost[n]) + spanLen(l.Mirror[n])
+			entries += la.SpansLen(l.Ghost[n]) + la.SpansLen(l.Mirror[n])
 		}
 		sc := reg.Root().Child("rank").Child(string(rune('0' + rid)))
 		if got, want := sc.Counter("halo_msgs").Value(), int64(2*len(l.Neighbors)); got != want || want == 0 {
@@ -244,7 +244,7 @@ func TestGatherSolveBroadcast(t *testing.T) {
 	if !errors.As(errs[0], &pe) {
 		t.Fatalf("rank 0: got %v, want *PayloadError", errs[0])
 	}
-	want := spanLen(NewLayout(d, 1).OwnedSpans())
+	want := la.SpansLen(NewLayout(d, 1).OwnedSpans())
 	if pe.Rank != 0 || pe.Source != 1 || pe.Got != fmt.Sprintf("*comm.haloPacket of %d values", want+1) ||
 		pe.Want != fmt.Sprintf("*comm.haloPacket of %d values", want) {
 		t.Errorf("rank 0: %+v, want rank 0 taking %d values from rank 1 where %d were due", pe, want+1, want)

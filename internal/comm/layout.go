@@ -98,7 +98,8 @@ type Layout struct {
 	Ghost     map[int][]la.Span
 	Mirror    map[int][]la.Span
 
-	velSpans, ownedSpans []la.Span // cached VelSpans and OwnedSpans (lazy)
+	// cached VelSpans, OwnedSpans and PackedOwnedSpans (lazy)
+	velSpans, ownedSpans, packedOwned []la.Span
 }
 
 // NewLayout computes rank r's layout under d.
@@ -139,12 +140,11 @@ func NewLayout(d *Decomp, r int) *Layout {
 
 // VelSpans returns the velocity-dof index windows of this rank's
 // owned+ghost (Ext) node box — one span per contiguous run of dofs,
-// adjacent rows merged (cached). These are the index ranges a
-// rank-windowed Krylov solve must keep valid; everything outside them
-// is another rank's territory and is never touched, which keeps
-// per-rank BLAS-1 work O(n/P) at high rank counts. It does not keep
-// memory O(n/P): the vectors are full length on every rank, and a
-// window's first and last pages hold other ranks' rows too.
+// adjacent rows merged (cached). These are the rows a rank-distributed
+// solve keeps valid; everything outside them is another rank's territory
+// and is never touched. The rank's Krylov vectors are stored packed on
+// them (la.Vec.Pack), O(n/P) per rank; the V-cycle level vectors and the
+// smoother's work vectors stay full length, windowed to them.
 func (l *Layout) VelSpans() []la.Span {
 	if l.velSpans == nil {
 		l.velSpans = velSpans(l.D, l.Ext)
@@ -160,6 +160,16 @@ func (l *Layout) OwnedSpans() []la.Span {
 		l.ownedSpans = velSpans(l.D, l.Owned)
 	}
 	return l.ownedSpans
+}
+
+// PackedOwnedSpans returns OwnedSpans as offsets into a vector packed on
+// VelSpans, span for span (cached): the owned rows of a rank's packed
+// Krylov vectors.
+func (l *Layout) PackedOwnedSpans() []la.Span {
+	if l.packedOwned == nil {
+		l.packedOwned = la.PackedSpans(l.OwnedSpans(), l.VelSpans())
+	}
+	return l.packedOwned
 }
 
 // velSpans returns the velocity dof spans of the node box b, one per node
@@ -192,12 +202,12 @@ func (l *Layout) IdentityOwnedRows(mask []bool, x, y []float64) {
 }
 
 // DotVel returns this rank's partial inner product over the velocity
-// dofs (3 per node) of its owned nodes. Summation runs node by node along
-// OwnedSpans, in (k,j,i) node order, so the partial is deterministic for a
-// fixed layout.
+// dofs (3 per node) of its owned nodes, of x and y packed on VelSpans.
+// Summation runs node by node along PackedOwnedSpans, in (k,j,i) node
+// order, so the partial is deterministic for a fixed layout.
 func (l *Layout) DotVel(x, y []float64) float64 {
 	s := 0.0
-	for _, sp := range l.OwnedSpans() {
+	for _, sp := range l.PackedOwnedSpans() {
 		for d0 := sp.Lo; d0 < sp.Hi; d0 += 3 {
 			s += x[d0]*y[d0] + x[d0+1]*y[d0+1] + x[d0+2]*y[d0+2]
 		}
@@ -205,12 +215,12 @@ func (l *Layout) DotVel(x, y []float64) float64 {
 	return s
 }
 
-// AXPYDotVel computes v += alpha*x on the velocity dofs of the rank's
-// owned+ghost (Ext) node box — the rows of VelSpans — and returns the
-// partial inner product of the updated v with y over its owned nodes, in
-// one sweep: bitwise the update followed by DotVel(v, y). Each owned node
-// is updated and then summed with DotVel's expression, in DotVel's (k,j,i)
-// order; y may alias v or x.
+// AXPYDotVel computes v += alpha*x on velocity vectors packed on VelSpans
+// and returns the partial inner product of the updated v with y over the
+// rank's owned nodes, in one sweep: bitwise the update followed by
+// DotVel(v, y). Each owned node is updated and then summed with DotVel's
+// expression, in DotVel's (k,j,i) order; the ghost entries between the
+// owned runs are updated only. y may alias v or x.
 func (l *Layout) AXPYDotVel(alpha float64, v, x, y []float64) float64 {
 	axpy := func(lo, hi int) {
 		w, u := v[lo:hi], x[lo:hi]
@@ -218,27 +228,17 @@ func (l *Layout) AXPYDotVel(alpha float64, v, x, y []float64) float64 {
 			w[i] += alpha * u[i]
 		}
 	}
-	s := 0.0
-	e, o := l.Ext, l.Owned
-	da := l.D.DA
-	for k := e.Lo[2]; k < e.Hi[2]; k++ {
-		for j := e.Lo[1]; j < e.Hi[1]; j++ {
-			row := (k*da.NPy + j) * da.NPx
-			lo, hi := 3*(row+e.Lo[0]), 3*(row+e.Hi[0])
-			if k < o.Lo[2] || k >= o.Hi[2] || j < o.Lo[1] || j >= o.Hi[1] {
-				axpy(lo, hi)
-				continue
-			}
-			olo, ohi := 3*(row+o.Lo[0]), 3*(row+o.Hi[0])
-			axpy(lo, olo)
-			for d0 := olo; d0 < ohi; d0 += 3 {
-				v[d0] += alpha * x[d0]
-				v[d0+1] += alpha * x[d0+1]
-				v[d0+2] += alpha * x[d0+2]
-				s += v[d0]*y[d0] + v[d0+1]*y[d0+1] + v[d0+2]*y[d0+2]
-			}
-			axpy(ohi, hi)
+	s, at := 0.0, 0
+	for _, sp := range l.PackedOwnedSpans() {
+		axpy(at, sp.Lo)
+		for d0 := sp.Lo; d0 < sp.Hi; d0 += 3 {
+			v[d0] += alpha * x[d0]
+			v[d0+1] += alpha * x[d0+1]
+			v[d0+2] += alpha * x[d0+2]
+			s += v[d0]*y[d0] + v[d0+1]*y[d0+1] + v[d0+2]*y[d0+2]
 		}
+		at = sp.Hi
 	}
+	axpy(at, len(v))
 	return s
 }

@@ -23,8 +23,8 @@ func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	telStart := prm.begin()
 	ws := prm.workspace(n)
 	r, z, p, ap := ws.vec(), ws.vec(), ws.vec(), ws.vec()
-	a.Apply(x, r)
-	prm.vaypx(r, -1, b) // r = b - A·x
+	ws.apply(a.Apply, x, r)
+	r.AYPX(-1, b) // r = b - A·x
 	res := Result{Residual0: prm.norm2(r)}
 	rn := res.Residual0
 	res.record(prm, rn, r)
@@ -40,11 +40,11 @@ func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 		res.finish(prm, telStart)
 		return res
 	}
-	m.Apply(r, z)
-	prm.vcopy(p, z)
+	ws.apply(m.Apply, r, z)
+	p.Copy(z)
 	rz := prm.dot(r, z)
 	for it := 1; it <= prm.MaxIt; it++ {
-		a.Apply(p, ap)
+		ws.apply(a.Apply, p, ap)
 		den := prm.dot(p, ap)
 		if den == 0 || rz == 0 {
 			res.fail(prm, "cg", BreakdownZeroPivot, it, den)
@@ -55,7 +55,7 @@ func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 			break
 		}
 		alpha := rz / den
-		prm.vaxpy(x, alpha, p)
+		x.AXPY(alpha, p)
 		rn = math.Sqrt(prm.axpyDot(r, -alpha, ap, r))
 		res.Iterations = it
 		res.record(prm, rn, r)
@@ -68,11 +68,11 @@ func CG(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 			res.Converged = true
 			break
 		}
-		m.Apply(r, z)
+		ws.apply(m.Apply, r, z)
 		rzNew := prm.dot(r, z)
 		beta := rzNew / rz
 		rz = rzNew
-		prm.vaypx(p, beta, z)
+		p.AYPX(beta, z)
 	}
 	res.Residual = rn
 	res.finish(prm, telStart)

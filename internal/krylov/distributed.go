@@ -13,12 +13,16 @@ import (
 // for bit.
 //
 // In a distributed solve each rank calls the same method collectively
-// on its own full-length vector copy, valid on the owned+ghost entries
-// of its layout. Correctness rests on collective consistency: Reducer
-// must return the bit-identical globally-reduced value on every rank
-// (e.g. rank-ordered gather + broadcast), so all ranks take the same
-// branches — Givens rotations, convergence and breakdown decisions —
-// in lockstep. BLAS-1 updates then stay consistent on owned and ghost
+// on its own vectors, stored packed on the owned+ghost windows of its
+// layout (Params.Spans): b, x, the residual and the Krylov basis hold
+// the window entries only, O(n/P) per rank. A vector is unpacked into a
+// full-length apply buffer only to cross Op.Apply or
+// Preconditioner.Apply, whose kernels index the global numbering; the
+// output is packed back. Correctness rests on collective consistency:
+// Reducer must return the bit-identical globally-reduced value on every
+// rank (e.g. rank-ordered gather + broadcast), so all ranks take the same
+// branches — Givens rotations, convergence and breakdown decisions — in
+// lockstep. BLAS-1 updates then stay consistent on owned and ghost
 // entries alike, and operator/preconditioner applications re-establish
 // ghost validity via their own halo exchanges. A solve does no exchange
 // of its own: the caller hands it b and x valid on the owned+ghost
@@ -27,16 +31,17 @@ import (
 
 // Reducer supplies rank-collective inner products: Dot must sum each
 // rank's partial product over its owned dofs and return the identical
-// reduced value on every rank.
+// reduced value on every rank. It is handed the solve's vectors as they
+// are stored: packed on Params.Spans when the solve sets them.
 type Reducer interface {
 	Dot(x, y la.Vec) float64
 }
 
 // FusedReducer extends Reducer with the one-sweep Gram–Schmidt step of a
 // rank-collective solve: AXPYDot computes v += alpha*x on the solve's
-// windows (Params.Spans) and returns the globally reduced inner product
-// of the updated v with y, in one pass over the rank's rows and one
-// collective. It must be bitwise the update followed by Dot(v, y).
+// vectors (packed on Params.Spans) and returns the globally reduced inner
+// product of the updated v with y, in one pass over the rank's rows and
+// one collective. It must be bitwise the update followed by Dot(v, y).
 type FusedReducer interface {
 	Reducer
 	AXPYDot(v la.Vec, alpha float64, x, y la.Vec) float64
@@ -71,29 +76,16 @@ func (p Params) axpyDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
 	case FusedReducer:
 		return rd.AXPYDot(v, alpha, x, y)
 	}
-	p.vaxpy(v, alpha, x)
+	v.AXPY(alpha, x)
 	return p.Reducer.Dot(v, y)
 }
 
-// spans returns the solver's BLAS-1 windows: the rank's spans on a
-// distributed solve that set Params.Spans, nil — which la's span
-// operations take as the whole vector — on the shared-memory path.
+// spans returns the windows a solve packs its vectors on: the rank's
+// spans on a distributed solve that set Params.Spans, nil — full-length
+// vectors — on the shared-memory path.
 func (p Params) spans() []la.Span {
 	if p.Reducer != nil && len(p.Spans) > 0 {
 		return p.Spans
 	}
 	return nil
 }
-
-// The v* helpers below are the solver-internal BLAS-1 kernels over those
-// windows.
-
-func (p Params) vaxpy(v la.Vec, alpha float64, x la.Vec) { v.AXPYSpans(alpha, x, p.spans()) }
-
-func (p Params) vaypx(v la.Vec, alpha float64, x la.Vec) { v.AYPXSpans(alpha, x, p.spans()) }
-
-func (p Params) vcopy(dst, src la.Vec) { dst.CopySpans(src, p.spans()) }
-
-func (p Params) vscale(v la.Vec, alpha float64) { v.ScaleSpans(alpha, p.spans()) }
-
-func (p Params) vzero(v la.Vec) { v.ZeroSpans(p.spans()) }

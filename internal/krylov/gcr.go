@@ -31,8 +31,8 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	const method = "gcr"
 	ws := prm.workspace(n)
 	r := ws.vec()
-	a.Apply(x, r)
-	prm.vaypx(r, -1, b)
+	ws.apply(a.Apply, x, r)
+	r.AYPX(-1, b)
 	res := Result{Residual0: prm.norm2(r)}
 	rn := res.Residual0
 	res.record(prm, rn, r)
@@ -55,8 +55,7 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	// write straight into it, so storing it is nd++ and copies nothing. The
 	// mr+1 slots are taken from the workspace as the iteration first
 	// reaches them.
-	zs := make([]la.Vec, mr+1)
-	qs := make([]la.Vec, mr+1)
+	zs, qs := ws.basis(mr)
 	nd := 0
 
 	for it := 1; it <= prm.MaxIt; it++ {
@@ -64,14 +63,13 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 			zs[nd], qs[nd] = ws.vec(), ws.vec()
 		}
 		z, q := zs[nd], qs[nd]
-		m.Apply(r, z)
-		a.Apply(z, q)
+		ws.applyFull(a.Apply, ws.apply(m.Apply, r, z), q)
 		// Modified Gram–Schmidt, one reduction per stored direction, each
 		// fused to the update before it; q is qs[nd], so the last sweep
 		// returns (q, q).
 		beta := prm.dot(q, qs[0])
 		for i := 0; i < nd; i++ {
-			prm.vaxpy(z, -beta, zs[i])
+			z.AXPY(-beta, zs[i])
 			beta = prm.axpyDot(q, -beta, qs[i], qs[i+1])
 		}
 		qn := math.Sqrt(beta)
@@ -79,10 +77,10 @@ func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 			res.fail(prm, method, BreakdownZeroPivot, it, qn)
 			break
 		}
-		prm.vscale(q, 1/qn)
-		prm.vscale(z, 1/qn)
+		q.Scale(1 / qn)
+		z.Scale(1 / qn)
 		alpha := prm.dot(r, q)
-		prm.vaxpy(x, alpha, z)
+		x.AXPY(alpha, z)
 		rn = math.Sqrt(prm.axpyDot(r, -alpha, q, r))
 		res.Iterations = it
 		res.record(prm, rn, r)

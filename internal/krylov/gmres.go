@@ -42,8 +42,8 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 
 	ws := prm.workspace(n)
 	r, w := ws.vec(), ws.vec()
-	a.Apply(x, r)
-	prm.vaypx(r, -1, b)
+	ws.apply(a.Apply, x, r)
+	r.AYPX(-1, b)
 	res := Result{Residual0: prm.norm2(r)}
 	rn := res.Residual0
 	res.record(prm, rn, nil)
@@ -63,8 +63,8 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 	// The basis grows with the iteration: v[j+1] and z[j] are taken from
 	// the workspace when iteration j first needs them (and kept across
 	// restart cycles), so a solve that converges in k iterations holds k+1
-	// (+k flexible) n-vectors, not the whole restart window.
-	v := make([]la.Vec, mr+1)
+	// (+k flexible) vectors, not the whole restart window.
+	v, z := ws.basis(mr)
 	basis := func(vs []la.Vec, i int) la.Vec {
 		if vs[i] == nil {
 			vs[i] = ws.vec()
@@ -72,23 +72,17 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 		}
 		return vs[i]
 	}
-	var z []la.Vec
 	var zt, u la.Vec // fixed-M path: M⁻¹·v_j, and the update M⁻¹(V·y)
-	if flexible {
-		z = make([]la.Vec, mr)
-	} else {
+	if !flexible {
 		zt, u = ws.vec(), ws.vec()
 	}
-	h := make([]float64, (mr+1)*mr) // Hessenberg, h[i*mr+j]
-	cs := make([]float64, mr)
-	sn := make([]float64, mr)
-	g := make([]float64, mr+1)
+	h, cs, sn, g, y := ws.hessenberg(mr) // Hessenberg h[i*mr+j]
 
 	it := 0
 	for it < prm.MaxIt {
 		// Start/restart the Arnoldi process from the current residual.
-		a.Apply(x, r)
-		prm.vaypx(r, -1, b)
+		ws.apply(a.Apply, x, r)
+		r.AYPX(-1, b)
 		beta := prm.norm2(r)
 		if k := badNorm(beta); k != 0 {
 			res.fail(prm, method, k, it, beta)
@@ -100,8 +94,8 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			rn = beta
 			break
 		}
-		prm.vcopy(basis(v, 0), r)
-		prm.vscale(v[0], 1/beta)
+		basis(v, 0).Copy(r)
+		v[0].Scale(1 / beta)
 		for i := range g {
 			g[i] = 0
 		}
@@ -110,13 +104,13 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 		j := 0
 		for ; j < mr && it < prm.MaxIt; j++ {
 			it++
+			// w = A·M⁻¹·v_j: M⁻¹·v_j feeds A as the preconditioner left
+			// it, full length, and is kept as z_j on the flexible path.
+			zj := zt
 			if flexible {
-				m.Apply(v[j], basis(z, j))
-				a.Apply(z[j], w)
-			} else {
-				m.Apply(v[j], zt)
-				a.Apply(zt, w)
+				zj = basis(z, j)
 			}
+			ws.applyFull(a.Apply, ws.apply(m.Apply, v[j], zj), w)
 			// Modified Gram–Schmidt, one sweep per basis vector: the update
 			// against v_i also forms (w, v_{i+1}), and the last one (w, w).
 			hij := prm.dot(w, v[0])
@@ -134,8 +128,8 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			noise := roundingLevel * float64(j+1) * math.Sqrt(ww)
 			lost := hj1 <= noise
 			if !lost {
-				prm.vcopy(basis(v, j+1), w)
-				prm.vscale(v[j+1], 1/hj1)
+				basis(v, j+1).Copy(w)
+				v[j+1].Scale(1 / hj1)
 			}
 			// Apply accumulated Givens rotations to the new column.
 			for i := 0; i < j; i++ {
@@ -179,7 +173,6 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 			}
 		}
 		// Solve the j×j triangular system and update x.
-		y := make([]float64, j)
 		for i := j - 1; i >= 0; i-- {
 			s := g[i]
 			for k := i + 1; k < j; k++ {
@@ -189,15 +182,15 @@ func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) R
 		}
 		if flexible {
 			for i := 0; i < j; i++ {
-				prm.vaxpy(x, y[i], z[i])
+				x.AXPY(y[i], z[i])
 			}
 		} else {
-			prm.vzero(zt)
+			zt.Zero()
 			for i := 0; i < j; i++ {
-				prm.vaxpy(zt, y[i], v[i])
+				zt.AXPY(y[i], v[i])
 			}
-			m.Apply(zt, u)
-			prm.vaxpy(x, 1, u)
+			ws.apply(m.Apply, zt, u)
+			x.AXPY(1, u)
 		}
 		if res.Converged || res.Err != nil {
 			break

@@ -81,26 +81,30 @@ type Params struct {
 	Reducer Reducer
 
 	// Spans, when non-empty on a rank-collective solve (Reducer != nil),
-	// windows every BLAS-1 update inside the solver to the listed index
-	// ranges — a rank's owned+ghost rows — so per-rank vector work stays
-	// O(n/P) instead of O(n) at high rank counts. Storage does not: the
-	// vectors are full length on every rank, and neighbouring ranks' rows
-	// share pages. Entries outside the spans are never read or written by
-	// the solver
-	// itself (operators and preconditioners keep their own windows).
-	// Ignored when Reducer == nil.
+	// lists the rank's windows — its owned+ghost rows — and every vector
+	// of the solve is packed on them (la.Vec.Pack): b and x, which the
+	// caller hands over packed, and the residual, the Krylov basis and
+	// directions the solve stores, O(n/P) per rank.
+	// Every BLAS-1 update and every Reducer call then runs on packed
+	// vectors. A vector crosses Op.Apply or Preconditioner.Apply through
+	// one of two full-length buffers of the Workspace: unpacked into one,
+	// applied into the other, packed back. Operators and preconditioners
+	// read and write only the windows' entries of those buffers. Ignored
+	// when Reducer == nil, where the packed vector is the full vector.
 	Spans []la.Span
 
-	// Work, when non-nil, lends the solve its n-vectors (residual and
-	// Krylov basis) and keeps them for the next solve, so a caller that
-	// solves repeatedly — the Stokes solver across Newton iterations and
-	// time steps, a rank across its solves — allocates a basis once. The
+	// Work, when non-nil, lends the solve its vectors (residual and
+	// Krylov basis), its apply buffers and its Hessenberg state, and keeps
+	// them for the next solve, so a caller that solves repeatedly — the
+	// Stokes solver across Newton iterations and time steps, a rank across
+	// its solves, an inner solve across V-cycles — allocates them once. The
 	// arithmetic does not depend on it. One solve at a time per Workspace.
 	Work *Workspace
 
 	// Monitor, when non-nil, receives the iteration number and the
 	// explicit residual vector after every step (iteration 0: the initial
-	// residual) of a method that holds one, GCR and CG; the Figure-2
+	// residual) of a method that holds one, GCR and CG, in the solve's
+	// layout: full length, or packed on Spans on a rank; the Figure-2
 	// per-field residual histories are read off GCR's. FGMRES and GMRES
 	// hold their residual only through the Givens recurrence and ignore
 	// it.
@@ -128,25 +132,44 @@ func (p Params) restart() int {
 	return p.Restart
 }
 
-// Workspace is the vector store behind Params.Work: the n-vectors a solve
-// took, handed out again (contents stale — every solver overwrites a
-// vector before it reads it) to the next solve of the same length.
+// Workspace is the store behind Params.Work: the vectors a solve took,
+// handed out again (contents stale — every solver overwrites a vector
+// before it reads it) to the next solve of the same layout, beside the
+// solve's scratch.
 type Workspace struct {
-	n    int
-	vecs []la.Vec
-	used int
+	n, np int       // full and packed length; np == n on the shared path
+	spans []la.Span // the solve's windows; nil on the shared path
+	vecs  []la.Vec  // np-vectors, in the order the solve first took them
+	used  int
+	full  [2]la.Vec // apply buffers of a packed solve, allocated on first use
+
+	// The basis slots of FGMRES/GMRES (v, z) and GCR (z, q directions),
+	// and the Hessenberg matrix, Givens rotations, rotated right-hand side
+	// and triangular solution of FGMRES/GMRES, sized for one restart length.
+	slots   [2][]la.Vec
+	h       []float64
+	cs, sn  []float64
+	g, y    []float64
+	restart int
 }
 
 // workspace returns the store of a solve on n-vectors, rewound: the
-// caller's when it lent one, a private one otherwise.
+// caller's when it lent one, a private one otherwise. A store kept from a
+// solve of another layout (length or windows' total) starts empty.
 func (p Params) workspace(n int) *Workspace {
 	w := p.Work
 	if w == nil {
 		w = new(Workspace)
 	}
-	if w.n != n {
-		w.n, w.vecs = n, nil
+	sp := p.spans()
+	np := n
+	if sp != nil {
+		np = la.SpansLen(sp)
 	}
+	if w.n != n || w.np != np {
+		*w = Workspace{n: n, np: np}
+	}
+	w.spans = sp
 	w.used = 0
 	return w
 }
@@ -154,17 +177,84 @@ func (p Params) workspace(n int) *Workspace {
 // vec returns the next vector of the store, allocating it on first reach.
 func (w *Workspace) vec() la.Vec {
 	if w.used == len(w.vecs) {
-		w.vecs = append(w.vecs, la.NewVec(w.n))
+		w.vecs = append(w.vecs, la.NewVec(w.np))
 	}
 	w.used++
 	return w.vecs[w.used-1]
+}
+
+// basis returns the two slot lists of a solve with restart length mr,
+// mr+1 slots each, emptied: a solve fills a slot from vec when it first
+// reaches it.
+func (w *Workspace) basis(mr int) (a, b []la.Vec) {
+	for i := range w.slots {
+		if len(w.slots[i]) != mr+1 {
+			w.slots[i] = make([]la.Vec, mr+1)
+		}
+		clear(w.slots[i])
+	}
+	return w.slots[0], w.slots[1]
+}
+
+// hessenberg returns the (mr+1)×mr Hessenberg matrix, the rotations and
+// g (mr+1) and y (mr) of a GMRES(mr) solve. Every entry a solve reads it
+// has written first in the same restart cycle, so they are not cleared.
+func (w *Workspace) hessenberg(mr int) (h, cs, sn, g, y []float64) {
+	if w.restart != mr {
+		w.restart = mr
+		w.h = make([]float64, (mr+1)*mr)
+		w.cs, w.sn = make([]float64, mr), make([]float64, mr)
+		w.g, w.y = make([]float64, mr+1), make([]float64, mr)
+	}
+	return w.h, w.cs, w.sn, w.g, w.y
+}
+
+// apply computes y = f(x) — f an Op's or a Preconditioner's Apply — for
+// vectors x and y of the solve's layout and returns y's full-length image:
+// y itself on the shared path; on a packed solve x is unpacked into an
+// apply buffer and f writes into the other one, which is packed into y
+// and returned (valid until the next apply). f is a method value, not an
+// interface: converting an Op to an interface of its own would go through
+// the runtime's type-assertion cache, which allocates now and then.
+func (w *Workspace) apply(f func(x, y la.Vec), x, y la.Vec) la.Vec {
+	xf := x
+	if w.spans != nil {
+		xf = w.buffer(0)
+		xf.Unpack(x, w.spans)
+	}
+	return w.applyFull(f, xf, y)
+}
+
+// applyFull is apply for an x already full length — the image an earlier
+// apply returned — so a preconditioner's output feeds the operator without
+// being unpacked again.
+func (w *Workspace) applyFull(f func(x, y la.Vec), xf, y la.Vec) la.Vec {
+	if w.spans == nil {
+		f(xf, y)
+		return y
+	}
+	yf := w.buffer(0)
+	if &yf[0] == &xf[0] {
+		yf = w.buffer(1)
+	}
+	f(xf, yf)
+	y.Pack(yf, w.spans)
+	return yf
+}
+
+// buffer returns apply buffer i, allocating it on first use.
+func (w *Workspace) buffer(i int) la.Vec {
+	if w.full[i] == nil {
+		w.full[i] = la.NewVec(w.n)
+	}
+	return w.full[i]
 }
 
 // Result reports the outcome of an iterative solve.
 type Result struct {
 	Converged  bool
 	Iterations int
-	// BasisVectors is the number of n-vectors of Krylov basis the solve
+	// BasisVectors is the number of vectors of Krylov basis the solve
 	// touched, whether it allocated them or found them in Params.Work
 	// (GMRES/FGMRES: the v and z actually reached; GCR: the stored
 	// direction pairs). 0 for the short-recurrence methods.
@@ -178,8 +268,8 @@ type Result struct {
 }
 
 // record logs the residual norm rn of iteration r.Iterations and hands
-// the explicit residual vector rv to Params.Monitor; methods that hold no
-// such vector pass nil.
+// the explicit residual vector rv — packed on Params.Spans on a rank — to
+// Params.Monitor; methods that hold no such vector pass nil.
 func (r *Result) record(p Params, rn float64, rv la.Vec) {
 	p.Telemetry.Series("residual").Append(rn)
 	if p.Monitor != nil && rv != nil {

@@ -120,7 +120,7 @@ func (bj *BlockJacobi) Apply(r, z la.Vec) {
 // paper's inexact coarse-grid solves (e.g. CG+ASM terminated at 25
 // iterations, §V-A, and the FGMRES-based SAML-ii smoother of Table IV).
 // The instance lends its one Workspace to every inner solve, so a solve
-// allocates no n-vector once the first has run; it is NOT safe for
+// allocates nothing once the first has run; it is NOT safe for
 // concurrent Apply calls.
 type InnerKrylov struct {
 	A      Op

@@ -42,11 +42,6 @@ func TestSpanBLASMatchesFull(t *testing.T) {
 	check("AYPXSpans", b, a)
 
 	a, b = slices.Clone(x), slices.Clone(x)
-	a.Scale(0.25)
-	b.ScaleSpans(0.25, full)
-	check("ScaleSpans", b, a)
-
-	a, b = slices.Clone(x), slices.Clone(x)
 	a.Copy(y)
 	b.CopySpans(y, full)
 	check("CopySpans", b, a)
@@ -84,7 +79,7 @@ func TestSpanBLASOutsideUntouched(t *testing.T) {
 	}
 	orig := slices.Clone(x)
 	x.AXPYSpans(1, y, spans)
-	x.ScaleSpans(2, spans)
+	x.AYPXSpans(2, NewVec(n), spans)
 	x.ZeroSpans(spans[:1])
 	for i := range x {
 		if !inSpan(i) && x[i] != orig[i] {
@@ -101,4 +96,51 @@ func TestSpanBLASOutsideUntouched(t *testing.T) {
 			t.Fatalf("index %d inside span: got %v want %v", i, x[i], want)
 		}
 	}
+}
+
+// TestPackRoundTrip: Pack concatenates the window entries in window order,
+// Unpack writes them back and leaves the rest of the vector alone, and
+// PackedSpans maps each sub-window to where its entries sit in the packed
+// vector — and refuses one that straddles two windows.
+func TestPackRoundTrip(t *testing.T) {
+	const n = 40
+	spans := []Span{{3, 9}, {15, 16}, {20, 31}}
+	src := NewVec(n)
+	for i := range src {
+		src[i] = float64(i)
+	}
+	p := NewVec(SpansLen(spans))
+	if len(p) != 18 {
+		t.Fatalf("SpansLen = %d, want 18", len(p))
+	}
+	p.Pack(src, spans)
+	want := Vec{3, 4, 5, 6, 7, 8, 15, 20, 21, 22, 23, 24, 25, 26, 27, 28, 29, 30}
+	if !slices.Equal(p, want) {
+		t.Fatalf("Pack = %v, want %v", p, want)
+	}
+	dst := NewVec(n)
+	dst.Set(-1)
+	dst.Unpack(p, spans)
+	for i := range dst {
+		in := false
+		for _, s := range spans {
+			in = in || (i >= s.Lo && i < s.Hi)
+		}
+		if in && dst[i] != src[i] || !in && dst[i] != -1 {
+			t.Fatalf("Unpack: index %d (inside %v) = %v", i, in, dst[i])
+		}
+	}
+	sub := []Span{{4, 7}, {15, 16}, {24, 31}}
+	got := PackedSpans(sub, spans)
+	for i, s := range sub {
+		if !slices.Equal(p[got[i].Lo:got[i].Hi], src[s.Lo:s.Hi]) {
+			t.Fatalf("PackedSpans: %v -> %v holds %v, want %v", s, got[i], p[got[i].Lo:got[i].Hi], src[s.Lo:s.Hi])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("PackedSpans took a sub-window straddling two windows")
+		}
+	}()
+	PackedSpans([]Span{{8, 16}}, spans)
 }

@@ -371,14 +371,20 @@ func TestDistMGRejectsNonNestedDecomps(t *testing.T) {
 	}
 }
 
-// velReducer distributes a velocity-block Krylov solve: the partial dot
-// over the owned node box with a deterministic AllReduce (NaN when it
-// fails, which the iteration breaks down on; the rank records the
-// failure).
+// velReducer distributes a velocity-block Krylov solve on full-length
+// vectors: the partial dot over the owned node box, node by node, with a
+// deterministic AllReduce (NaN when it fails, which the iteration breaks
+// down on; the rank records the failure).
 type velReducer struct{ d *comm.Dist }
 
 func (rd velReducer) Dot(x, y la.Vec) float64 {
-	v, _ := rd.d.AllReduceSum(rd.d.L.DotVel(x, y))
+	s := 0.0
+	for _, sp := range rd.d.L.OwnedSpans() {
+		for d0 := sp.Lo; d0 < sp.Hi; d0 += 3 {
+			s += x[d0]*y[d0] + x[d0+1]*y[d0+1] + x[d0+2]*y[d0+2]
+		}
+	}
+	v, _ := rd.d.AllReduceSum(s)
 	return v
 }
 

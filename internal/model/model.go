@@ -159,8 +159,8 @@ type StepStats struct {
 	Dt        float64 `json:"dt"`
 	NewtonIts int     `json:"newton_its"`
 	KrylovIts int     `json:"krylov_its"`
-	// KrylovBasis is the largest Krylov basis, in n-vectors, that any of
-	// the step's inner solves allocated.
+	// KrylovBasis is the largest Krylov basis, in vectors (packed on its
+	// windows on a rank), that any of the step's inner solves allocated.
 	KrylovBasis int     `json:"krylov_basis"`
 	FNorm0      float64 `json:"fnorm0"`
 	FNorm       float64 `json:"fnorm"`

@@ -16,11 +16,14 @@ import (
 // Krylov iteration — coupled matvec, field-split preconditioner with a
 // distributed multigrid V-cycle on the viscous block, and all inner
 // products — runs collectively across the ranks of a simulated MPI
-// world. Each rank iterates on its own full-length vector copy, valid
-// on the owned+ghost entries of its per-level layout; every halo
-// exchange overlaps interior compute with in-flight boundary traffic;
-// every reduction is a deterministic rank-ordered AllReduce, so all ranks
-// follow the identical iteration trajectory.
+// world. Each rank iterates on its own vectors, stored packed on the
+// owned+ghost windows of its fine layout (coupledSpans), O(n/P) per
+// rank; a vector is unpacked to full length only to cross an operator or
+// preconditioner apply, and the V-cycle's level vectors and smoother work
+// vectors stay full length, valid on the windows of their level. Every
+// halo exchange overlaps interior compute with in-flight boundary
+// traffic; every reduction is a deterministic rank-ordered AllReduce, so
+// all ranks follow the identical iteration trajectory.
 //
 // Velocity nodes follow the comm.Layout ownership boxes. P1disc
 // pressure dofs are element-local (4 per element at indices [4e,4e+4)),
@@ -85,14 +88,15 @@ func (o *distOp) Apply(x, y la.Vec) {
 }
 
 // coupledReducer sums each rank's partial inner product — owned
-// velocity box plus the pressure rows of its elements — with a single
-// deterministic AllReduce, so every rank sees the bit-identical global
-// value and the Krylov trajectory stays collective-consistent. A failed
-// allreduce reads NaN, which the iteration breaks down on, and is
-// recorded on the rank like its exchange failures.
+// velocity box plus the pressure rows of its elements — of vectors packed
+// on the rank's coupledSpans with a single deterministic AllReduce, so
+// every rank sees the bit-identical global value and the Krylov
+// trajectory stays collective-consistent. A failed allreduce reads NaN,
+// which the iteration breaks down on, and is recorded on the rank like
+// its exchange failures.
 type coupledReducer struct {
-	op   *Op
 	dist *comm.Dist
+	nu   int // packed velocity length: Elems[i]'s pressure sits at nu+4i
 }
 
 // Dot returns the globally reduced coupled inner product.
@@ -106,30 +110,27 @@ func (rd *coupledReducer) reduce(s float64) float64 {
 	return v
 }
 
-// AXPYDot computes v += alpha*x on the rank's coupled spans and returns
+// AXPYDot computes v += alpha*x on the rank's packed vectors and returns
 // the reduced coupled inner product of the updated v with y
 // (krylov.FusedReducer): one sweep forms the owned velocity partial in
 // DotVel's node order and the pressure partials per element in Elems
 // order, as local sums them, then one AllReduceSum — bitwise the update
 // followed by Dot.
 func (rd *coupledReducer) AXPYDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
-	vu, vp := rd.op.Split(v)
-	xu, xp := rd.op.Split(x)
-	yu, yp := rd.op.Split(y)
-	s := rd.dist.L.AXPYDotVel(alpha, vu, xu, yu)
-	for _, e := range rd.dist.L.Elems {
-		s += vp[4*e:4*e+4].AXPYDot(alpha, xp[4*e:4*e+4], yp[4*e:4*e+4])
+	nu := rd.nu
+	s := rd.dist.L.AXPYDotVel(alpha, v[:nu], x[:nu], y[:nu])
+	for p := nu; p < len(v); p += 4 {
+		s += v[p:p+4].AXPYDot(alpha, x[p:p+4], y[p:p+4])
 	}
 	return rd.reduce(s)
 }
 
 // local computes this rank's partial of the coupled inner product.
 func (rd *coupledReducer) local(x, y la.Vec) float64 {
-	xu, xp := rd.op.Split(x)
-	yu, yp := rd.op.Split(y)
-	s := rd.dist.L.DotVel(xu, yu)
-	for _, e := range rd.dist.L.Elems {
-		s += xp.DotRange(yp, 4*e, 4*e+4)
+	nu := rd.nu
+	s := rd.dist.L.DotVel(x[:nu], y[:nu])
+	for p := nu; p < len(x); p += 4 {
+		s += x.DotRange(y, p, p+4)
 	}
 	return s
 }
@@ -137,9 +138,9 @@ func (rd *coupledReducer) local(x, y la.Vec) float64 {
 // coupledSpans returns the owned+ghost windows of a rank's coupled
 // vector: the velocity rows of the extended node box followed by the
 // pressure rows of the rank's elements (offset by Nu), with adjacent
-// windows merged. Every BLAS-1 op of the rank's Krylov iteration runs
-// only on these windows, keeping per-rank vector work O(n/P); the
-// vectors themselves are full length on every rank.
+// windows merged. The rank's Krylov vectors are stored packed on them —
+// the velocity windows' entries, then 4 pressure entries per element in
+// Elems order — so per-rank Krylov storage and BLAS-1 work are O(n/P).
 func coupledSpans(op *Op, l *comm.Layout) []la.Span {
 	spans := append([]la.Span(nil), l.VelSpans()...)
 	for _, e := range l.Elems {
@@ -207,8 +208,8 @@ func (s *Solver) distDecomps(px, py, pz int) (*distCache, error) {
 
 // rankView is one rank's persistent share of the distributed solve: its
 // comm handles and V-cycle view of every level, its operator, field
-// split and reducer, the coupled windows, the right-hand side
-// and solution copies and the Krylov workspace. The first solve on a
+// split and reducer, the coupled windows, the right-hand side and
+// solution packed on them and the Krylov workspace. The first solve on a
 // world shape builds it; later solves attach it to their world and
 // re-read what a refresh changed (attach), so a steady solve allocates
 // nothing.
@@ -220,7 +221,7 @@ type rankView struct {
 	m     FieldSplit
 	rd    coupledReducer
 	spans []la.Span
-	b, d  la.Vec
+	b, d  la.Vec // packed on spans
 	work  krylov.Workspace
 }
 
@@ -239,9 +240,9 @@ func (s *Solver) newRankView(r *comm.Rank, c *distCache, sc *telemetry.Scope) (*
 	v.spans = coupledSpans(s.Op, fine.L)
 	v.a = distOp{dist: fine, spans: v.spans}
 	v.m = FieldSplit{Op: s.Op, InnerU: dmg, Mp: s.Mp, elems: fine.L.Elems}
-	v.rd = coupledReducer{op: s.Op, dist: fine}
-	n := s.Op.N()
-	v.b, v.d = la.NewVec(n), la.NewVec(n)
+	v.rd = coupledReducer{dist: fine, nu: la.SpansLen(fine.L.VelSpans())}
+	np := la.SpansLen(v.spans)
+	v.b, v.d = la.NewVec(np), la.NewVec(np)
 	return v, nil
 }
 
@@ -293,8 +294,8 @@ func (s *RankStats) Add(o RankStats) {
 // shared path. The caller supplies the outer method and the
 // Krylov parameters — this is the backend entry point the nonlinear time
 // loop uses, where RTol carries the per-iteration Eisenstat–Walker
-// forcing term. Each rank runs the method on its own windowed vector
-// copy; the owned pieces of the per-rank solutions are assembled into
+// forcing term. Each rank runs the method on vectors packed on its
+// windows; the owned pieces of the per-rank solutions are assembled into
 // delta, and rank 0's Result is returned (all ranks follow the identical
 // trajectory); rank 0 also times its operator and preconditioner
 // applications into the "outer" matmult and pcapply timers, as the
@@ -369,25 +370,27 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 			prm.Telemetry = nil
 		}
 
-		// Windowed copy: only the owned+ghost entries of the global
-		// residual are ever read or written by this rank's iteration. The
-		// copies are halo-consistent as they stand, so the solve's first
-		// exchange is its first operator apply.
+		// The global residual packed on the rank's windows: only its
+		// owned+ghost entries are ever read by this rank's iteration. The
+		// packed vectors are halo-consistent as they stand, so the solve's
+		// first exchange is its first operator apply.
 		b, d := v.b, v.d
-		b.CopySpans(f, v.spans)
-		d.ZeroSpans(v.spans)
+		b.Pack(f, v.spans)
+		d.Zero()
 		rr := krylov.Solve(method, timedOp{&v.a, tm}, timedPC{&v.m, tp}, b, d, prm)
 
-		// Assemble this rank's owned slice of the correction.
-		fine := v.dists[0]
-		du, dp := s.Op.Split(d)
+		// Assemble this rank's owned slice of the correction from the
+		// packed solution.
+		l := v.dists[0].L
+		du, dp := d[:v.rd.nu], d[v.rd.nu:]
 		gu, gp := s.Op.Split(delta)
 		mu.Lock()
-		for _, sp := range fine.L.OwnedSpans() {
-			copy(gu[sp.Lo:sp.Hi], du[sp.Lo:sp.Hi])
+		for i, sp := range l.OwnedSpans() {
+			ps := l.PackedOwnedSpans()[i]
+			copy(gu[sp.Lo:sp.Hi], du[ps.Lo:ps.Hi])
 		}
-		for _, e := range fine.L.Elems {
-			copy(gp[4*e:4*e+4], dp[4*e:4*e+4])
+		for i, e := range l.Elems {
+			copy(gp[4*e:4*e+4], dp[4*i:4*i+4])
 		}
 		if r.ID == 0 {
 			res = rr

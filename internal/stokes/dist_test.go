@@ -16,13 +16,15 @@ import (
 )
 
 // TestCoupledReducerFusedSweepBitwise: the rank's one-sweep Gram–Schmidt
-// step (coupledReducer.AXPYDot) leaves the vector and returns the reduced
-// value of vaxpy on the coupled spans followed by coupledReducer.Dot, bit
-// for bit, on every rank of 2×1×1, 1×2×2 and 2×2×2 worlds over a mesh with
-// free-slip (Dirichlet-masked) faces. The vectors hold values outside the
-// spans too, so an update that strays from the rank's owned+ghost windows
-// shows; y is a vector of its own, v itself (the ‖w‖² of the last sweep)
-// and x; x is zero on the masked rows in one case and not in the other.
+// step (coupledReducer.AXPYDot) on vectors packed on the coupled spans
+// leaves the vector and returns the reduced value of the packed update
+// followed by coupledReducer.Dot, bit for bit, on every rank of 2×1×1,
+// 1×2×2 and 2×2×2 worlds over a mesh with free-slip (Dirichlet-masked)
+// faces. Both equal the full-length form — the update on the windows of
+// full vectors and the partial summed node by node over OwnedSpans, then
+// per element over Elems — so packing moves no bit. y is a vector of its
+// own, v itself (the ‖w‖² of the last sweep) and x; x is zero on the
+// masked rows in one case and not in the other.
 func TestCoupledReducerFusedSweepBitwise(t *testing.T) {
 	da := mesh.New(6, 4, 4, 0, 1.5, 0, 1, 0, 1)
 	bc := mesh.NewBC(da)
@@ -36,13 +38,34 @@ func TestCoupledReducerFusedSweepBitwise(t *testing.T) {
 		}
 		comm.NewWorld(d.Size()).Run(func(r *comm.Rank) {
 			dist := comm.NewDist(r, comm.NewLayout(d, r.ID), nil)
-			rd := &coupledReducer{op: o, dist: dist}
+			rd := &coupledReducer{dist: dist, nu: la.SpansLen(dist.L.VelSpans())}
 			defer func() {
 				if err := r.Err(); err != nil {
 					t.Errorf("%v rank %d: %v", pg, r.ID, err)
 				}
 			}()
 			spans := coupledSpans(o, dist.L)
+			// fullDot is the partial of full-length vectors, summed in the
+			// order the packed reducer must keep.
+			fullDot := func(x, y la.Vec) float64 {
+				xu, xp := o.Split(x)
+				yu, yp := o.Split(y)
+				s := 0.0
+				for _, sp := range dist.L.OwnedSpans() {
+					for d0 := sp.Lo; d0 < sp.Hi; d0 += 3 {
+						s += xu[d0]*yu[d0] + xu[d0+1]*yu[d0+1] + xu[d0+2]*yu[d0+2]
+					}
+				}
+				for _, e := range dist.L.Elems {
+					s += xp.DotRange(yp, 4*e, 4*e+4)
+				}
+				return rd.reduce(s)
+			}
+			pack := func(v la.Vec) la.Vec {
+				p := la.NewVec(la.SpansLen(spans))
+				p.Pack(v, spans)
+				return p
+			}
 			rng := rand.New(rand.NewSource(int64(100*d.Size() + r.ID)))
 			random := func() la.Vec {
 				v := la.NewVec(n)
@@ -61,24 +84,27 @@ func TestCoupledReducerFusedSweepBitwise(t *testing.T) {
 					}
 				}
 				alpha := rng.NormFloat64()
-				want, got := slices.Clone(v0), slices.Clone(v0)
-				yw, yg := y, y
+				full := slices.Clone(v0)
+				want, got, px, py := pack(v0), pack(v0), pack(x), pack(y)
+				yf, yw, yg := y, py, py
 				switch alias {
 				case "v":
-					yw, yg = want, got
+					yf, yw, yg = full, want, got
 				case "x":
-					yw, yg = x, x
+					yf, yw, yg = x, px, px
 				}
-				want.AXPYSpans(alpha, x, spans)
+				full.AXPYSpans(alpha, x, spans)
+				want.AXPY(alpha, px)
+				df := fullDot(full, yf)
 				dw := rd.Dot(want, yw)
-				dg := rd.AXPYDot(got, alpha, x, yg)
+				dg := rd.AXPYDot(got, alpha, px, yg)
 				name := fmt.Sprintf("%v rank %d case %d (y = %s)", pg, r.ID, c, alias)
-				if math.Float64bits(dg) != math.Float64bits(dw) {
-					t.Errorf("%s: fused %v, two steps %v", name, dg, dw)
+				if math.Float64bits(dg) != math.Float64bits(dw) || math.Float64bits(dw) != math.Float64bits(df) {
+					t.Errorf("%s: fused %v, two steps %v, full length %v", name, dg, dw, df)
 				}
-				for i := range want {
-					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-						t.Errorf("%s: entry %d: fused %v, two steps %v", name, i, got[i], want[i])
+				for i, wf := range pack(full) {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(want[i]) != math.Float64bits(wf) {
+						t.Errorf("%s: packed entry %d: fused %v, two steps %v, full length %v", name, i, got[i], want[i], wf)
 						break
 					}
 				}

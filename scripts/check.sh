@@ -33,7 +33,8 @@
 # every EXPERIMENTS.md section is cited from DESIGN.md, a
 # worker-count invariance run of rift and of sinker-swarm at 8^3 (its
 # checkpoints byte-equal at 1 and 2 workers), a
-# pair of allocation budgets for steady steps (run without the race
+# pair of allocation budgets for steady steps and a check that a rank
+# keeps its Krylov vectors packed on its windows (run without the race
 # detector) and the tests that kept rank views and a refreshed set-up give
 # a cold build's bits (run under it), a
 # rank-count invariance check of the 64-rank scaling sweep with every row
@@ -181,8 +182,8 @@ fi
 # its own account; the tests that kept rank views, a refreshed set-up and
 # the first step's shared coupling blocks give a cold build's bits run
 # under it.
-echo "== steady steps allocate nothing: a 2-rank solve on a seen world shape < 64 KiB, a steady sinker step <= 1/4 (2x1x1) and 1/2 (shared) of the parent's bytes, without -race; kept rank views == cold ones, refreshed set-up == cold build, one coupling on the cold step, one Krylov record, the stack 4x4 inverse == Factor, under -race =="
-named_tests -count=1 'TestAllocBudgetDistributedSolve|TestAllocBudgetSteadyStep' ./internal/model
+echo "== steady steps allocate nothing: a 2-rank solve on a seen world shape < 64 KiB, a steady sinker step <= 1/4 (2x1x1) and 1/2 (shared) of the parent's bytes, a rank's Krylov vectors packed on its windows (2x1x1 and 2x2x2, at most 3 full-length apply buffers), without -race; kept rank views == cold ones, refreshed set-up == cold build, one coupling on the cold step, one Krylov record, the stack 4x4 inverse == Factor, under -race =="
+named_tests -count=1 'TestAllocBudgetDistributedSolve|TestAllocBudgetSteadyStep|TestRankKrylovStorageIsWindowed' ./internal/model ./internal/stokes
 named_tests '-short -race' \
     'TestReusedRankViewsMatchCold|TestCachedSetupMatchesColdBuild|TestColdStepSharesCoupling|TestKrylovRecordedOnce|TestAugmentMatchesBuilder|TestInvert4MatchesFactorSolve' \
     ./internal/stokes ./internal/model ./internal/op ./internal/la
@@ -201,9 +202,9 @@ named_tests '-race -count=10' \
     'TestPhasedOrderAndCoverage|TestPhasedNoHelper|TestPhasedNested|TestPhasedConcurrent|TestPhasedPanic|TestIdleAfterJobs|TestRunParts|TestCounts' \
     ./internal/par
 
-echo "== parallel ASM == serial, numeric refresh == rebuild, the sweep-ordered ILU(0) == the CSR form (random patterns, a refused refactor, the rift's coarse subdomains), lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, one method dispatcher, a poisoned residual entry caught by its norm, fused update-and-reduce == update then reduce (kernel and all four methods), under -race =="
+echo "== parallel ASM == serial, numeric refresh == rebuild, the sweep-ordered ILU(0) == the CSR form (random patterns, a refused refactor, the rift's coarse subdomains), lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, a solve packed on windows == the compact solve (all four methods), one method dispatcher, a poisoned residual entry caught by its norm, fused update-and-reduce == update then reduce (kernel and all four methods), under -race =="
 named_tests -race \
-    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestILU0MatchesCSRFormBitwise|TestILU0RefactorWrongPattern|TestILU0RiftSubdomainsMatchCSRForm|TestMatMulNumericMatchesMatMul|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
+    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestILU0MatchesCSRFormBitwise|TestILU0RefactorWrongPattern|TestILU0RiftSubdomainsMatchCSRForm|TestMatMulNumericMatchesMatMul|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestPackedSolveMatchesCompact|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
     ./internal/krylov ./internal/la
 
 # The fused sweep is bitwise the two it replaced only if the compiler
