@@ -29,7 +29,9 @@ import (
 // each over every active (slot, block) item with a barrier after it:
 // first all advances, then all applies — the phases of one par.Part
 // (SmoothPart). G = 1 is the block-at-a-time wavefront (maximal temporal
-// reuse, what a 1-worker rank runs); G = B has one group and Dg = 0, i.e.
+// reuse, what a 1-worker shared solve runs; a rank smooths with
+// krylov.Chebyshev, since blocking across a rank boundary would need a
+// halo refresh per wave); G = B has one group and Dg = 0, i.e.
 // the full-grid recurrence with its vector updates fused — one code path
 // for both.
 //

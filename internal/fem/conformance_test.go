@@ -88,7 +88,7 @@ func TestOperatorConformanceRandomized(t *testing.T) {
 
 			variants := []struct {
 				name string
-				op   Operator
+				op   krylov.Op
 			}{
 				{"MF", NewMF(p)},
 				{"Tensor", NewTensor(p)},

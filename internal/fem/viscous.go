@@ -2,26 +2,6 @@ package fem
 
 import "ptatin3d/internal/la"
 
-// Operator is the abstract viscous-block operator y = J_uu·u. All four
-// implementations agree to machine precision; they differ only in how
-// the action is computed (Table I of the paper). Dirichlet dofs are
-// eliminated symmetrically: constrained input entries are ignored and
-// constrained output rows return the identity.
-type Operator interface {
-	N() int
-	Apply(u, y la.Vec)
-}
-
-// ResidualOperator additionally applies the operator to an unmasked input
-// (a state vector whose constrained entries carry prescribed boundary
-// values), zeroing constrained output rows. Nonlinear residual evaluation
-// needs this form; it is available from the matrix-free variants only,
-// mirroring pTatin3D where residuals are always evaluated matrix-free.
-type ResidualOperator interface {
-	Operator
-	ApplyFreeRows(u, y la.Vec)
-}
-
 // qpCommon applies the per-quadrature-point stress update shared by the
 // MF and Tensor kernels: given the reference gradient g[a][d]=∂u_a/∂ξ_d,
 // the inverse Jacobian jinv[d][m]=∂ξ_d/∂x_m and the scaled coefficient
@@ -87,14 +67,9 @@ func NewMF(p *Problem) *MFOp { return &MFOp{P: p} }
 func (op *MFOp) N() int { return op.P.DA.NVelDOF() }
 
 // Apply computes y = J_uu·u with symmetric Dirichlet elimination.
-func (op *MFOp) Apply(u, y la.Vec) { op.apply(u, y, true) }
-
-// ApplyFreeRows computes the free rows of J_uu·u for an unmasked state u.
-func (op *MFOp) ApplyFreeRows(u, y la.Vec) { op.apply(u, y, false) }
-
-func (op *MFOp) apply(u, y la.Vec, masked bool) {
+func (op *MFOp) Apply(u, y la.Vec) {
 	p := op.P
-	p.applyState(masked, u, y, func(e int, ue, xe, ye *[81]float64, _ *arena) {
+	p.applyState(true, u, y, func(e int, ue, xe, ye *[81]float64, _ *arena) {
 		mfElementApply(ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye)
 	})
 }
@@ -174,7 +149,10 @@ func (op *TensorOp) N() int { return op.P.DA.NVelDOF() }
 // Apply computes y = J_uu·u with symmetric Dirichlet elimination.
 func (op *TensorOp) Apply(u, y la.Vec) { op.apply(u, y, true) }
 
-// ApplyFreeRows computes the free rows of J_uu·u for an unmasked state u.
+// ApplyFreeRows computes the free rows of J_uu·u for an unmasked state u
+// (constrained entries hold boundary values), zeroing constrained rows:
+// the one viscous kernel of the nonlinear residual (stokes.Op.Residual),
+// which pTatin3D always evaluates matrix-free.
 func (op *TensorOp) ApplyFreeRows(u, y la.Vec) { op.apply(u, y, false) }
 
 func (op *TensorOp) apply(u, y la.Vec, masked bool) {

@@ -14,7 +14,7 @@ import (
 //
 // The residual update r −= α·A·p returns ‖r‖² from the same sweep
 // (Params.axpyDot), bitwise the update followed by the norm, on a rank
-// too (FusedReducer). r, z, p and A·p come from Params.Work, as GCR's and
+// too (Reducer.AXPYDot). r, z, p and A·p come from Params.Work, as GCR's and
 // FGMRES's vectors do: every entry the iteration reads it has written
 // first, so vectors left over from an earlier solve are as good as new
 // ones.

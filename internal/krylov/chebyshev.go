@@ -3,14 +3,14 @@ package krylov
 import "ptatin3d/internal/la"
 
 // Chebyshev is the multigrid smoother of paper §III-C: a fixed number of
-// Chebyshev iterations preconditioned by M (Jacobi in the paper),
-// targeting the eigenvalue interval [Lo, Hi] of M⁻¹·A. Unlike
+// Jacobi-preconditioned Chebyshev iterations, targeting the eigenvalue
+// interval [Lo, Hi] of M⁻¹·A. Unlike
 // multiplicative smoothers it needs only operator applications, so it
 // composes with matrix-free operators, parallelizes trivially, and visits
 // each quadrature point once per application.
 type Chebyshev struct {
 	A      Op
-	M      Preconditioner
+	M      *Jacobi
 	Lo, Hi float64 // target interval; the paper uses [0.2λmax, 1.1λmax]
 	Steps  int     // iterations per Smooth call
 
@@ -22,14 +22,15 @@ type Chebyshev struct {
 
 	// work holds r, z, p and A·p across Smooth calls, so an instance is
 	// NOT safe for concurrent Smooth calls: distributed solves give each
-	// rank its own instance, and a shared coarse solver's smoothers are
-	// entered under the hierarchy's coarse-solve lock.
+	// rank its own instance, and a shared coarse solver's smoothers run
+	// on rank 0 alone, which solves the gathered coarsest level for every
+	// rank (comm.Dist.GatherSolveBroadcast).
 	work [4]la.Vec
 }
 
 // NewChebyshev builds a smoother targeting [0.2λ, 1.1λ] as in the paper,
 // where lambdaMax is an estimate of the largest eigenvalue of M⁻¹·A.
-func NewChebyshev(a Op, m Preconditioner, lambdaMax float64, steps int) *Chebyshev {
+func NewChebyshev(a Op, m *Jacobi, lambdaMax float64, steps int) *Chebyshev {
 	c := &Chebyshev{A: a, M: m, Steps: steps}
 	c.SetLambdaMax(lambdaMax)
 	return c

@@ -14,7 +14,7 @@ import (
 //
 // In a distributed solve each rank calls the same method collectively
 // on its own vectors, stored packed on the owned+ghost windows of its
-// layout (Params.Spans): b, x, the residual and the Krylov basis hold
+// layout (Reducer.Spans): b, x, the residual and the Krylov basis hold
 // the window entries only, O(n/P) per rank. A vector is unpacked into a
 // full-length apply buffer only to cross Op.Apply or
 // Preconditioner.Apply, whose kernels index the global numbering; the
@@ -29,22 +29,19 @@ import (
 // entries, and its first exchange is its first operator apply, as in
 // PETSc's KSPSolve.
 
-// Reducer supplies rank-collective inner products: Dot must sum each
-// rank's partial product over its owned dofs and return the identical
-// reduced value on every rank. It is handed the solve's vectors as they
-// are stored: packed on Params.Spans when the solve sets them.
+// Reducer is a rank's layout as a solve sees it. Dot must sum the rank's
+// partial product over its owned dofs and return the identical reduced
+// value on every rank. AXPYDot is the one-sweep Gram–Schmidt step:
+// v += alpha*x, then the globally reduced inner product of the updated v
+// with y, in one pass over the rank's rows and one collective; it must be
+// bitwise the update followed by Dot(v, y). Spans lists the windows the
+// solve packs every vector on (la.Vec.Pack), the rank's owned+ghost rows;
+// nil keeps the vectors full length. Dot and AXPYDot are handed the
+// vectors as the solve stores them.
 type Reducer interface {
 	Dot(x, y la.Vec) float64
-}
-
-// FusedReducer extends Reducer with the one-sweep Gram–Schmidt step of a
-// rank-collective solve: AXPYDot computes v += alpha*x on the solve's
-// vectors (packed on Params.Spans) and returns the globally reduced inner
-// product of the updated v with y, in one pass over the rank's rows and
-// one collective. It must be bitwise the update followed by Dot(v, y).
-type FusedReducer interface {
-	Reducer
 	AXPYDot(v la.Vec, alpha float64, x, y la.Vec) float64
+	Spans() []la.Span
 }
 
 // dot returns the (possibly rank-collective) inner product.
@@ -65,27 +62,12 @@ func (p Params) norm2(x la.Vec) float64 {
 
 // axpyDot computes v += alpha*x and returns the (possibly rank-collective)
 // inner product of the updated v with y, in one sweep: la.Vec.AXPYDot on
-// the shared-memory path, the FusedReducer's own sweep on a rank (its
-// partial is summed in its own order, grouped by owned node), each
-// bitwise the update followed by the dot. A plain Reducer runs the two
-// steps, the oracle of both sweeps.
+// the shared-memory path, the Reducer's own sweep on a rank (its partial
+// is summed in its own order, grouped by owned node), each bitwise the
+// update followed by the dot.
 func (p Params) axpyDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
-	switch rd := p.Reducer.(type) {
-	case nil:
-		return v.AXPYDot(alpha, x, y)
-	case FusedReducer:
-		return rd.AXPYDot(v, alpha, x, y)
+	if p.Reducer != nil {
+		return p.Reducer.AXPYDot(v, alpha, x, y)
 	}
-	v.AXPY(alpha, x)
-	return p.Reducer.Dot(v, y)
-}
-
-// spans returns the windows a solve packs its vectors on: the rank's
-// spans on a distributed solve that set Params.Spans, nil — full-length
-// vectors — on the shared-memory path.
-func (p Params) spans() []la.Span {
-	if p.Reducer != nil && len(p.Spans) > 0 {
-		return p.Spans
-	}
-	return nil
+	return v.AXPYDot(alpha, x, y)
 }

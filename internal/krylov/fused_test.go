@@ -11,13 +11,20 @@ import (
 	"ptatin3d/internal/la"
 )
 
-// serialReducer is a Reducer whose Dot is the serial x.Dot(y). It puts a
-// solve on the Reducer path, where every update is a step of its own
-// before the reduction that reads it, with the shared path's sums: the
-// two-step arithmetic the fused sweeps replaced.
-type serialReducer struct{}
+// serialReducer is a Reducer whose Dot is the serial x.Dot(y) and whose
+// AXPYDot is the update followed by that Dot: the two-step arithmetic the
+// fused sweeps replaced, with the shared path's sums, and so their
+// oracle. spans are the windows the solve packs on (nil: full length).
+type serialReducer struct{ spans []la.Span }
 
 func (serialReducer) Dot(x, y la.Vec) float64 { return x.Dot(y) }
+
+func (serialReducer) AXPYDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
+	v.AXPY(alpha, x)
+	return v.Dot(y)
+}
+
+func (rd serialReducer) Spans() []la.Span { return rd.spans }
 
 // stallPC projects out everything but the first coordinate: the solver
 // can only ever correct e₀, so with a multi-component residual it stalls.

@@ -23,7 +23,7 @@ import (
 // in one sweep (Params.axpyDot), the last returning ‖q‖²; z keeps its own
 // update. The step r −= α·q likewise returns ‖r‖² from the same sweep.
 // Each fused sweep is bitwise the update followed by the dot, on a rank
-// too (FusedReducer; see axpyDot).
+// too (Reducer.AXPYDot; see axpyDot).
 func GCR(a Op, m Preconditioner, b, x la.Vec, prm Params) Result {
 	n := a.N()
 	mr := prm.restart()

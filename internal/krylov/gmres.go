@@ -30,7 +30,7 @@ const roundingLevel = 16 * 0x1p-52
 // two-step form: each sweep performs the update and the dot in their own
 // expression shapes and order, and every dot still reads the w the
 // previous update left. A rank sweeps its own rows and reduces once per
-// sweep (FusedReducer; see axpyDot).
+// sweep (Reducer.AXPYDot; see axpyDot).
 func gmresCore(a Op, m Preconditioner, b, x la.Vec, prm Params, flexible bool) Result {
 	n := a.N()
 	mr := prm.restart()

@@ -74,24 +74,20 @@ type Params struct {
 
 	// Reducer, when non-nil, makes the solve rank-collective: every dot
 	// product and norm goes through it instead of the serial BLAS-1
-	// kernels; each update that a reduction of the updated vector follows
-	// is one sweep with it when the Reducer is a FusedReducer, two steps
-	// otherwise (see Params.axpyDot). Nil keeps the shared-memory path
-	// bit-for-bit. See distributed.go.
+	// kernels, and each update that a reduction of the updated vector
+	// follows is one sweep with it (Reducer.AXPYDot). Nil keeps the
+	// shared-memory path bit-for-bit. See distributed.go.
+	//
+	// When its Spans are non-nil, every vector of the solve is packed on
+	// them (la.Vec.Pack): b and x, which the caller hands over packed,
+	// and the residual, the Krylov basis and directions the solve stores,
+	// O(n/P) per rank. Every BLAS-1 update and every Reducer call then
+	// runs on packed vectors. A vector crosses Op.Apply or
+	// Preconditioner.Apply through one of two full-length buffers of the
+	// Workspace: unpacked into one, applied into the other, packed back.
+	// Operators and preconditioners read and write only the windows'
+	// entries of those buffers.
 	Reducer Reducer
-
-	// Spans, when non-empty on a rank-collective solve (Reducer != nil),
-	// lists the rank's windows — its owned+ghost rows — and every vector
-	// of the solve is packed on them (la.Vec.Pack): b and x, which the
-	// caller hands over packed, and the residual, the Krylov basis and
-	// directions the solve stores, O(n/P) per rank.
-	// Every BLAS-1 update and every Reducer call then runs on packed
-	// vectors. A vector crosses Op.Apply or Preconditioner.Apply through
-	// one of two full-length buffers of the Workspace: unpacked into one,
-	// applied into the other, packed back. Operators and preconditioners
-	// read and write only the windows' entries of those buffers. Ignored
-	// when Reducer == nil, where the packed vector is the full vector.
-	Spans []la.Span
 
 	// Work, when non-nil, lends the solve its vectors (residual and
 	// Krylov basis), its apply buffers and its Hessenberg state, and keeps
@@ -104,7 +100,7 @@ type Params struct {
 	// Monitor, when non-nil, receives the iteration number and the
 	// explicit residual vector after every step (iteration 0: the initial
 	// residual) of a method that holds one, GCR and CG, in the solve's
-	// layout: full length, or packed on Spans on a rank; the Figure-2
+	// layout: full length, or packed on Reducer.Spans on a rank; the Figure-2
 	// per-field residual histories are read off GCR's. FGMRES and GMRES
 	// hold their residual only through the Givens recurrence and ignore
 	// it.
@@ -161,7 +157,10 @@ func (p Params) workspace(n int) *Workspace {
 	if w == nil {
 		w = new(Workspace)
 	}
-	sp := p.spans()
+	var sp []la.Span
+	if p.Reducer != nil {
+		sp = p.Reducer.Spans()
+	}
 	np := n
 	if sp != nil {
 		np = la.SpansLen(sp)
@@ -268,7 +267,7 @@ type Result struct {
 }
 
 // record logs the residual norm rn of iteration r.Iterations and hands
-// the explicit residual vector rv — packed on Params.Spans on a rank — to
+// the explicit residual vector rv — packed on Reducer.Spans on a rank — to
 // Params.Monitor; methods that hold no such vector pass nil.
 func (r *Result) record(p Params, rn float64, rv la.Vec) {
 	p.Telemetry.Series("residual").Append(rn)

@@ -37,8 +37,8 @@ func (o *windowApply) Apply(x, y la.Vec) {
 	y.Unpack(o.yc, o.spans)
 }
 
-// TestPackedSolveMatchesCompact: a rank-collective solve that sets
-// Params.Spans keeps b, x, the residual and the basis packed on the
+// TestPackedSolveMatchesCompact: a rank-collective solve whose Reducer
+// has Spans keeps b, x, the residual and the basis packed on the
 // windows and crosses each apply through the full-length buffers; on an
 // operator and preconditioner that act on the windows alone it follows
 // the solve of the compact system — same residual history, Monitor
@@ -94,7 +94,7 @@ func TestPackedSolveMatchesCompact(t *testing.T) {
 			resC := solve(CSROp{a}, NewJacobi(d), b, xc, pc)
 
 			pp, histP := traced(prm)
-			pp.Spans, pp.Work = spans, ws
+			pp.Reducer, pp.Work = serialReducer{spans}, ws
 			pp.Monitor = func(_ int, r la.Vec) { monP = append(monP, slices.Clone(r)) }
 			xp := la.NewVec(np)
 			var op Op = CSROp{a}

@@ -29,6 +29,8 @@ import (
 // only work vectors and exchange state are per rank. A rank's coarsest
 // level is its gather: the transfer into it, its spans and its
 // right-hand-side and correction vectors, and no operator or smoother.
+// Its finest level has no restricted right-hand side: Apply hands the
+// cycle the solve's own residual.
 // A view outlives the solve it was built for: after the hierarchy's
 // Refresh, the view's Refresh re-reads the values that changed, and its
 // vectors, smoothers and halo buffers serve the next solve on the same
@@ -154,9 +156,10 @@ func NewDist(base *MG, dists []*comm.Dist) (*DistMG, error) {
 	for l, lev := range base.Levels {
 		spans := dists[l].L.VelSpans()
 		n := lev.Op.N()
-		v := levelView{spans: spans, e: la.NewVec(n), bc: la.NewVec(n)}
+		v := levelView{spans: spans, e: la.NewVec(n)}
 		if l > 0 {
 			v.p = rankTransfer{p: lev.P, fine: dists[l-1].L, coarse: dists[l]}
+			v.bc = la.NewVec(n)
 		}
 		if lev.Smoother == nil { // the coarsest level
 			m.lev = append(m.lev, v)
@@ -193,7 +196,7 @@ func (m *DistMG) Refresh() {
 		}
 		sm := lev.Smoother
 		rl.cheb.Lo, rl.cheb.Hi, rl.cheb.Steps = sm.Lo, sm.Hi, sm.Steps
-		rl.jac.InvDiag = sm.M.(*krylov.Jacobi).InvDiag
+		rl.jac.InvDiag = sm.M.InvDiag
 	}
 }
 

@@ -372,10 +372,18 @@ func TestDistMGRejectsNonNestedDecomps(t *testing.T) {
 }
 
 // velReducer distributes a velocity-block Krylov solve on full-length
-// vectors: the partial dot over the owned node box, node by node, with a
-// deterministic AllReduce (NaN when it fails, which the iteration breaks
-// down on; the rank records the failure).
+// vectors (no Spans): the partial dot over the owned node box, node by
+// node, with a deterministic AllReduce (NaN when it fails, which the
+// iteration breaks down on; the rank records the failure). Its AXPYDot
+// is the two steps: the update, then Dot.
 type velReducer struct{ d *comm.Dist }
+
+func (rd velReducer) AXPYDot(v la.Vec, alpha float64, x, y la.Vec) float64 {
+	v.AXPY(alpha, x)
+	return rd.Dot(v, y)
+}
+
+func (velReducer) Spans() []la.Span { return nil }
 
 func (rd velReducer) Dot(x, y la.Vec) float64 {
 	s := 0.0

@@ -18,3 +18,7 @@ func DistLevelBuilt(m *DistMG, l int) bool {
 	v := m.lev[l]
 	return v.op != nil || v.smoother != nil || v.r != nil
 }
+
+// DistLevelHasRHS reports whether the distributed view holds level l a
+// restricted right-hand-side vector.
+func DistLevelHasRHS(m *DistMG, l int) bool { return m.lev[l].bc != nil }

@@ -201,12 +201,9 @@ func buildSmoother(lev *Level, steps int) {
 	diag := lev.bc
 	diag.Zero()
 	lev.Op.Diag(diag)
-	var jac *krylov.Jacobi
+	jac := &krylov.Jacobi{}
 	if lev.Smoother != nil {
-		jac, _ = lev.Smoother.M.(*krylov.Jacobi)
-	}
-	if jac == nil {
-		jac = &krylov.Jacobi{}
+		jac = lev.Smoother.M
 	}
 	jac.SetDiag(diag)
 	lev.Setup.Diag = time.Since(start)
@@ -216,7 +213,7 @@ func buildSmoother(lev *Level, steps int) {
 	if lev.Smoother == nil {
 		lev.Smoother = krylov.NewChebyshev(lev.Op, jac, lmax, steps)
 	} else {
-		lev.Smoother.A, lev.Smoother.M, lev.Smoother.Steps = lev.Op, jac, steps
+		lev.Smoother.A, lev.Smoother.Steps = lev.Op, steps
 		lev.Smoother.SetLambdaMax(lmax)
 	}
 	res := op.ResidentOf(lev.Op)
@@ -244,7 +241,7 @@ func buildSmoother(lev *Level, steps int) {
 func (m *MG) Refresh() error {
 	for l, lev := range m.Levels {
 		start := time.Now()
-		if err := op.Refresh(lev.Op); err != nil {
+		if err := lev.Op.Refresh(); err != nil {
 			return fmt.Errorf("mg: level %d refresh: %w", l, err)
 		}
 		lev.Setup.Op = time.Since(start)

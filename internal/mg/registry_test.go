@@ -67,7 +67,8 @@ func TestRegistryHierarchyIsResidentAndBlocked(t *testing.T) {
 // small resolution, the hierarchy stokes.Context.Prepare builds ends in
 // the coarse solve: the coarsest level carries no smoother, full-grid or
 // blocked, the coarse solver is set, Describe names it, and a 2x1x1 rank
-// view gives the level no operator or smoother of its own.
+// view gives the level no operator or smoother of its own, and its finest
+// level no right-hand-side vector, which the cycle never reads there.
 func TestHierarchyEndsInCoarseSolve(t *testing.T) {
 	for _, name := range scenario.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -111,6 +112,14 @@ func TestHierarchyEndsInCoarseSolve(t *testing.T) {
 				}
 				if !mg.DistLevelBuilt(dmg, 0) {
 					t.Errorf("rank %d: the view builds its finest level nothing", r.ID)
+				}
+				// The cycle reads a level's restricted right-hand side
+				// below the finest only: the finest gets the solve's r.
+				if mg.DistLevelHasRHS(dmg, 0) {
+					t.Errorf("rank %d: the view holds its finest level a right-hand-side vector nothing reads", r.ID)
+				}
+				if !mg.DistLevelHasRHS(dmg, last) {
+					t.Errorf("rank %d: the view holds its coarsest level no right-hand-side vector", r.ID)
 				}
 			})
 		})

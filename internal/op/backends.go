@@ -62,14 +62,14 @@ type tensorOp struct {
 	p *fem.Problem
 }
 
-func (o *tensorOp) N() int                    { return o.k.N() }
-func (o *tensorOp) Apply(x, y la.Vec)         { o.k.Apply(x, y) }
-func (o *tensorOp) ApplyFreeRows(u, y la.Vec) { o.k.ApplyFreeRows(u, y) }
-func (o *tensorOp) Setup() error              { return nil }
-func (o *tensorOp) Diag(d la.Vec)             { fem.Diagonal(o.p, d) }
-func (o *tensorOp) Cost() Cost                { return mfCost("Tensor", o.p) }
-func (o *tensorOp) Kind() Kind                { return Tensor }
-func (o *tensorOp) CSR() *la.CSR              { return nil }
+func (o *tensorOp) N() int            { return o.k.N() }
+func (o *tensorOp) Apply(x, y la.Vec) { o.k.Apply(x, y) }
+func (o *tensorOp) Setup() error      { return nil }
+func (o *tensorOp) Refresh() error    { return nil }
+func (o *tensorOp) Diag(d la.Vec)     { fem.Diagonal(o.p, d) }
+func (o *tensorOp) Cost() Cost        { return mfCost("Tensor", o.p) }
+func (o *tensorOp) Kind() Kind        { return Tensor }
+func (o *tensorOp) CSR() *la.CSR      { return nil }
 
 // mfrefOp wraps the reference (non-tensor) matrix-free kernel.
 type mfrefOp struct {
@@ -77,23 +77,20 @@ type mfrefOp struct {
 	p *fem.Problem
 }
 
-func (o *mfrefOp) N() int                    { return o.k.N() }
-func (o *mfrefOp) Apply(x, y la.Vec)         { o.k.Apply(x, y) }
-func (o *mfrefOp) ApplyFreeRows(u, y la.Vec) { o.k.ApplyFreeRows(u, y) }
-func (o *mfrefOp) Setup() error              { return nil }
-func (o *mfrefOp) Diag(d la.Vec)             { fem.Diagonal(o.p, d) }
-func (o *mfrefOp) Cost() Cost                { return mfCost("Matrix-free", o.p) }
-func (o *mfrefOp) Kind() Kind                { return MFRef }
-func (o *mfrefOp) CSR() *la.CSR              { return nil }
+func (o *mfrefOp) N() int            { return o.k.N() }
+func (o *mfrefOp) Apply(x, y la.Vec) { o.k.Apply(x, y) }
+func (o *mfrefOp) Setup() error      { return nil }
+func (o *mfrefOp) Refresh() error    { return nil }
+func (o *mfrefOp) Diag(d la.Vec)     { fem.Diagonal(o.p, d) }
+func (o *mfrefOp) Cost() Cost        { return mfCost("Matrix-free", o.p) }
+func (o *mfrefOp) Kind() Kind        { return MFRef }
+func (o *mfrefOp) CSR() *la.CSR      { return nil }
 
 // asmOp rediscretizes the operator into CSR and applies it by the shared
-// row-parallel SpMV. A tensor matrix-free twin provides ApplyFreeRows:
-// the assembled matrix drops constrained columns, so it cannot evaluate
-// residuals of boundary-valued states.
+// row-parallel SpMV.
 type asmOp struct {
 	p       *fem.Problem
 	workers int
-	mf      *fem.TensorOp
 	va      *fem.ViscousAssembly
 	a       *la.CSR
 }
@@ -115,12 +112,11 @@ func (o *asmOp) Refresh() error {
 	return nil
 }
 
-func (o *asmOp) Apply(x, y la.Vec)         { o.a.MulVecPar(x, y, o.workers) }
-func (o *asmOp) ApplyFreeRows(u, y la.Vec) { o.mf.ApplyFreeRows(u, y) }
-func (o *asmOp) Diag(d la.Vec)             { csrDiag(o.a, d) }
-func (o *asmOp) Cost() Cost                { return asmCost(o.p.DA.NElements(), o.a) }
-func (o *asmOp) Kind() Kind                { return Assembled }
-func (o *asmOp) CSR() *la.CSR              { return o.a }
+func (o *asmOp) Apply(x, y la.Vec) { o.a.MulVecPar(x, y, o.workers) }
+func (o *asmOp) Diag(d la.Vec)     { csrDiag(o.a, d) }
+func (o *asmOp) Cost() Cost        { return asmCost(o.p.DA.NElements(), o.a) }
+func (o *asmOp) Kind() Kind        { return Assembled }
+func (o *asmOp) CSR() *la.CSR      { return o.a }
 
 // galerkinOp builds the CSR operator as the Galerkin triple product
 // Pᵀ·A_fine·P. A·P comes from the next-finer level's assembled matrix

@@ -103,23 +103,28 @@ type Cost struct {
 }
 
 // Operator is the unified viscous-block operator: every representation
-// applies the symmetric-Dirichlet-eliminated operator y = A·x, exposes
-// its diagonal (for Jacobi/Chebyshev smoothing), its cost metadata, and
-// — when one exists — its assembled CSR form for coarse-solver handoff
-// (GAMG, block-Jacobi, ASM all consume a matrix).
-//
-// Representations that can evaluate residuals of boundary-valued states
-// additionally implement fem.ResidualOperator (ApplyFreeRows); assembled
-// forms satisfy it through an embedded matrix-free twin, mirroring
-// pTatin3D's always-matrix-free residuals.
+// applies the symmetric-Dirichlet-eliminated operator y = A·x (it is a
+// krylov.Op), refreshes what it caches of the coefficients, exposes its
+// diagonal (for Jacobi/Chebyshev smoothing), its cost metadata, and —
+// when one exists — its assembled CSR form for coarse-solver handoff
+// (GAMG, block-Jacobi, ASM all consume a matrix). Nonlinear residuals of
+// boundary-valued states are not an operator's job: stokes.Op.Residual
+// evaluates them with the problem's tensor kernel whatever the kind.
 type Operator interface {
 	N() int
 	Apply(x, y la.Vec)
 	// Setup performs the representation's one-time construction
 	// (assembly, Galerkin triple product, stored-tensor precomputation):
 	// the one set-up path, which every caller runs before Apply, Diag,
-	// CSR or a refresh. It is idempotent.
+	// CSR or Refresh. It is idempotent.
 	Setup() error
+	// Refresh re-derives the numeric content the representation caches
+	// (assembled CSR values, Galerkin triple products, resident
+	// coefficient tensors) from the problem's current coefficients and
+	// coordinates into its existing structure, bit-identical to tearing
+	// it down and setting it up again. The matrix-free kinds read the
+	// coefficients live, so theirs is a no-op.
+	Refresh() error
 	// Diag writes the operator diagonal (unit entries on constrained
 	// rows, never zero) into d.
 	Diag(d la.Vec)
@@ -163,7 +168,7 @@ func New(k Kind, env Env) (Operator, error) {
 	case MFRef:
 		return &mfrefOp{k: fem.NewMF(env.Prob), p: env.Prob}, nil
 	case Assembled:
-		return &asmOp{p: env.Prob, workers: env.Workers, mf: fem.NewTensor(env.Prob)}, nil
+		return &asmOp{p: env.Prob, workers: env.Workers}, nil
 	case Galerkin:
 		return newGalerkinOp(env)
 	case TensorC, TensorF32:

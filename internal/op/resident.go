@@ -3,6 +3,7 @@ package op
 import (
 	"ptatin3d/internal/comm"
 	"ptatin3d/internal/fem"
+	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 	"ptatin3d/internal/perfmodel"
 )
@@ -30,7 +31,7 @@ func ResidentOf(o Operator) *fem.Resident {
 // else the operator itself when it applies element subsets (fem.NewtonOp,
 // fem.TensorOp), else the tensor kernel of the problem (an assembled or
 // wrapped operator: the ranks apply it matrix-free).
-func ElementKernel(a fem.Operator, prob *fem.Problem) comm.ElementKernel {
+func ElementKernel(a krylov.Op, prob *fem.Problem) comm.ElementKernel {
 	if rb, ok := a.(ResidentBacked); ok {
 		return rb.Resident()
 	}
@@ -55,18 +56,16 @@ func residentCost(p *fem.Problem, f32 bool) Cost {
 // residentOp wraps the stored-coefficient resident kernel: TensorC
 // (float64), and TensorF32 (float32 coefficients and element arithmetic)
 // for the kernel study. Like asmOp, the one-time coefficient precompute
-// is Setup's. A tensor matrix-free twin provides ApplyFreeRows,
-// as in the paper's matrix-free residuals. It keeps no matrix: a Galerkin
-// level below it streams its product from the problem's element matrices.
+// is Setup's. It keeps no matrix: a Galerkin level below it streams its
+// product from the problem's element matrices.
 type residentOp struct {
 	p   *fem.Problem
 	f32 bool
-	mf  *fem.TensorOp
 	r   *fem.Resident
 }
 
 func newResidentOp(env Env, f32 bool) *residentOp {
-	return &residentOp{p: env.Prob, f32: f32, mf: fem.NewTensor(env.Prob)}
+	return &residentOp{p: env.Prob, f32: f32}
 }
 
 func (o *residentOp) N() int { return o.p.DA.NVelDOF() }
@@ -87,9 +86,8 @@ func (o *residentOp) Refresh() error {
 	return nil
 }
 
-func (o *residentOp) ApplyFreeRows(u, y la.Vec) { o.mf.ApplyFreeRows(u, y) }
-func (o *residentOp) Diag(d la.Vec)             { fem.Diagonal(o.p, d) }
-func (o *residentOp) Cost() Cost                { return residentCost(o.p, o.f32) }
+func (o *residentOp) Diag(d la.Vec) { fem.Diagonal(o.p, d) }
+func (o *residentOp) Cost() Cost    { return residentCost(o.p, o.f32) }
 
 func (o *residentOp) Kind() Kind {
 	if o.f32 {

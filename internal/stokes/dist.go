@@ -95,9 +95,13 @@ func (o *distOp) Apply(x, y la.Vec) {
 // which the iteration breaks down on, and is recorded on the rank like
 // its exchange failures.
 type coupledReducer struct {
-	dist *comm.Dist
-	nu   int // packed velocity length: Elems[i]'s pressure sits at nu+4i
+	dist  *comm.Dist
+	spans []la.Span // the rank's coupledSpans
+	nu    int       // packed velocity length: Elems[i]'s pressure sits at nu+4i
 }
+
+// Spans returns the windows the rank's Krylov vectors are packed on.
+func (rd *coupledReducer) Spans() []la.Span { return rd.spans }
 
 // Dot returns the globally reduced coupled inner product.
 func (rd *coupledReducer) Dot(x, y la.Vec) float64 {
@@ -112,7 +116,7 @@ func (rd *coupledReducer) reduce(s float64) float64 {
 
 // AXPYDot computes v += alpha*x on the rank's packed vectors and returns
 // the reduced coupled inner product of the updated v with y
-// (krylov.FusedReducer): one sweep forms the owned velocity partial in
+// (krylov.Reducer): one sweep forms the owned velocity partial in
 // DotVel's node order and the pressure partials per element in Elems
 // order, as local sums them, then one AllReduceSum — bitwise the update
 // followed by Dot.
@@ -220,8 +224,7 @@ type rankView struct {
 	a     distOp
 	m     FieldSplit
 	rd    coupledReducer
-	spans []la.Span
-	b, d  la.Vec // packed on spans
+	b, d  la.Vec // packed on rd.spans
 	work  krylov.Workspace
 }
 
@@ -237,11 +240,11 @@ func (s *Solver) newRankView(r *comm.Rank, c *distCache, sc *telemetry.Scope) (*
 	}
 	fine := v.dists[0]
 	v.dmg = dmg
-	v.spans = coupledSpans(s.Op, fine.L)
-	v.a = distOp{dist: fine, spans: v.spans}
+	spans := coupledSpans(s.Op, fine.L)
+	v.a = distOp{dist: fine, spans: spans}
 	v.m = FieldSplit{Op: s.Op, InnerU: dmg, Mp: s.Mp, elems: fine.L.Elems}
-	v.rd = coupledReducer{dist: fine, nu: la.SpansLen(fine.L.VelSpans())}
-	np := la.SpansLen(v.spans)
+	v.rd = coupledReducer{dist: fine, spans: spans, nu: la.SpansLen(fine.L.VelSpans())}
+	np := la.SpansLen(spans)
 	v.b, v.d = la.NewVec(np), la.NewVec(np)
 	return v, nil
 }
@@ -355,7 +358,6 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		v.attach(r, jop, auu)
 		prm := prmIn
 		prm.Reducer = &v.rd
-		prm.Spans = v.spans
 		prm.Work = &v.work
 		// The ranks iterate in lockstep: rank 0's solve is the solve, and
 		// it alone records, under the scope the shared entry records in,
@@ -375,7 +377,7 @@ func (s *Solver) LinearSolveDistributed(method string, jop *Op, rhs, delta la.Ve
 		// packed vectors are halo-consistent as they stand, so the solve's
 		// first exchange is its first operator apply.
 		b, d := v.b, v.d
-		b.Pack(f, v.spans)
+		b.Pack(f, v.rd.spans)
 		d.Zero()
 		rr := krylov.Solve(method, timedOp{&v.a, tm}, timedPC{&v.m, tp}, b, d, prm)
 

@@ -24,7 +24,7 @@ func RankKrylovStorage(s *Solver) []RankStorage {
 	vecType := reflect.TypeOf(la.Vec(nil))
 	var out []RankStorage
 	for _, v := range s.dcache.ranks {
-		st := RankStorage{Windows: la.SpansLen(v.spans), Full: s.Op.N(), Vecs: []int{len(v.b), len(v.d)}}
+		st := RankStorage{Windows: la.SpansLen(v.rd.spans), Full: s.Op.N(), Vecs: []int{len(v.b), len(v.d)}}
 		w := reflect.ValueOf(&v.work).Elem()
 		for i := 0; i < w.NumField(); i++ {
 			f := w.Field(i)

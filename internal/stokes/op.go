@@ -10,23 +10,28 @@ import (
 	"math"
 
 	"ptatin3d/internal/fem"
+	"ptatin3d/internal/krylov"
 	"ptatin3d/internal/la"
 )
 
 // Op is the coupled Stokes operator acting on stacked vectors x = [u; p]
 // with len = NVelDOF + NPresDOF. Dirichlet velocity rows act as identity;
-// pressure is unconstrained.
+// pressure is unconstrained. Apply runs the viscous block Auu, any
+// Table-I representation or a Newton linearisation; Residual always runs
+// the problem's tensor kernel, whatever Auu is.
 type Op struct {
 	P   *fem.Problem
-	Auu fem.Operator  // any Table-I variant
+	Auu krylov.Op     // the viscous block of Apply
 	C   *fem.Coupling // gradient/divergence blocks
 	Nu  int
 	Np  int
+
+	res *fem.TensorOp // the viscous kernel of Residual
 }
 
 // NewOp wires a coupled operator around a viscous-block implementation.
-func NewOp(p *fem.Problem, auu fem.Operator, c *fem.Coupling) *Op {
-	return &Op{P: p, Auu: auu, C: c, Nu: p.DA.NVelDOF(), Np: p.DA.NPresDOF()}
+func NewOp(p *fem.Problem, auu krylov.Op, c *fem.Coupling) *Op {
+	return &Op{P: p, Auu: auu, C: c, Nu: p.DA.NVelDOF(), Np: p.DA.NPresDOF(), res: fem.NewTensor(p)}
 }
 
 // N returns the coupled dimension.
@@ -47,16 +52,14 @@ func (op *Op) Apply(x, y la.Vec) {
 // Residual computes F(x) for the state x (whose constrained velocity
 // entries hold prescribed boundary values) against the body-force load bu:
 // F_u = J_uu·u + G·p − bu on free rows (0 on constrained rows),
-// F_p = J_pu·u. The viscous part is evaluated matrix-free (Auu must be a
-// fem.ResidualOperator), mirroring pTatin3D's always-matrix-free residuals.
+// F_p = J_pu·u. The viscous part is evaluated matrix-free by the tensor
+// kernel (fem.TensorOp.ApplyFreeRows) whatever Auu is, as pTatin3D
+// always evaluates its residuals: an assembled matrix drops the
+// constrained columns a boundary-valued state needs.
 func (op *Op) Residual(x, bu, f la.Vec) {
-	ro, ok := op.Auu.(fem.ResidualOperator)
-	if !ok {
-		panic("stokes: Residual requires a matrix-free viscous operator")
-	}
 	xu, xp := op.Split(x)
 	fu, fp := op.Split(f)
-	ro.ApplyFreeRows(xu, fu)
+	op.res.ApplyFreeRows(xu, fu)
 	op.C.ApplyGDRaw(xu, xp, fu, fp)
 	for d := range fu {
 		if op.P.BC.Mask[d] {

@@ -103,6 +103,11 @@ type Solver struct {
 	// the other columns are Tel's "outer" matmult and pcapply timers.
 	SetupTime time.Duration
 
+	// auu is Op.Auu as op built it: the hierarchy's level 0, which
+	// MG.Refresh refreshes, or the standalone-AMG configuration's fine
+	// operator, which Refresh refreshes itself.
+	auu op.Operator
+
 	// amgVA backs the standalone-AMG configuration (Levels <= 1) when the
 	// fine operator has no assembled form of its own: the assembly is
 	// cached so Refresh recomputes values in place instead of
@@ -195,7 +200,7 @@ func newSolver(prob *fem.Problem, cfg Config, cpl *fem.Coupling) (*Solver, error
 	if err != nil {
 		return nil, fmt.Errorf("stokes: fine operator setup: %w", err)
 	}
-	s.Op = NewOp(prob, auu, s.C)
+	s.Op, s.auu = NewOp(prob, auu, s.C), auu
 
 	// Viscous-block preconditioner.
 	var innerU krylov.Preconditioner
@@ -399,7 +404,7 @@ func (s *Solver) Refresh(geomChanged bool) error {
 		}
 	} else {
 		stop := s.stage("fine_op")
-		err := op.Refresh(s.Op.Auu)
+		err := s.auu.Refresh()
 		stop()
 		if err != nil {
 			return fmt.Errorf("stokes: fine operator refresh: %w", err)

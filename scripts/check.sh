@@ -54,7 +54,10 @@
 # only what a run reaches (no entry exchanger, stagnation window or second
 # CG workspace in internal/krylov, no error sink in internal/mg or
 # internal/stokes: a rank's failures are recorded in internal/comm), a
-# guard that a rank's rows are spans and its packets values (no Node field,
+# guard that each solver contract is one interface (no fem.Operator,
+# ResidualOperator, Refresher, op.Refresh( or FusedReducer, ApplyFreeRows
+# declared on fem.TensorOp alone, no Spans field in krylov.Params, no
+# Jacobi asserted out of Chebyshev.M), a guard that a rank's rows are spans and its packets values (no Node field,
 # fits( scan or OwnedNodes in internal/comm's non-test Go, no allreduces or
 # exchanges counter beside their timers, no node id in internal/perfmodel's
 # halo bytes), a one-iteration smoke run of the apply-path, V-cycle, element-kernel,
@@ -188,9 +191,9 @@ named_tests '-short -race' \
     'TestReusedRankViewsMatchCold|TestCachedSetupMatchesColdBuild|TestColdStepSharesCoupling|TestKrylovRecordedOnce|TestAugmentMatchesBuilder|TestInvert4MatchesFactorSolve' \
     ./internal/stokes ./internal/model ./internal/op ./internal/la
 
-echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build + the run gathers, scatters, block and subset applies and divergence rows == their per-node forms, the one-pass gradient and divergence == ApplyGAdd then ApplyD (and the raw residual pass == ApplyGAdd then the raw rows), every registered hierarchy ending in the coarse solve, under -race =="
+echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build + the residual over Auu of every kind == the tensor kernel's + the run gathers, scatters, block and subset applies and divergence rows == their per-node forms, the one-pass gradient and divergence == ApplyGAdd then ApplyD (and the raw residual pass == ApplyGAdd then the raw rows), every registered hierarchy ending in the coarse solve, under -race =="
 named_tests -race \
-    'TestRunTableMatchesPerNode|TestApplyGDMatchesGAddThenD|TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestHierarchyEndsInCoarseSolve|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAssemblyMatchesScatter|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig' \
+    'TestRunTableMatchesPerNode|TestApplyGDMatchesGAddThenD|TestContractionsMatchGo|TestTensorGradsScatterMatchGo|TestResidentElementMatchesGo|TestViscousMatrixMatchesGo|TestVCycleBothKernels|TestOpEquivalence|TestF32OpEquivalence|TestLayout|TestCoupledOperatorFollowsLayout|TestResidentMatchesTensor|TestResidentDeterminism|TestBlockedChebyshevBitIdentical|TestBlockedWaveWidth|TestChebyshevNoFinalResidualSameX|TestMGBlockedVCycleBitIdentical|TestRestrictGatherBitIdentical|TestVCycleApplyCountOnCSRLevels|TestCoarsestAlwaysZeroGuess|TestRegistryHierarchyIsResidentAndBlocked|TestHierarchyEndsInCoarseSolve|TestDistMGBlockedMatchesSerial|TestBlockedSolveMatchesUnblocked|TestViscousAssemblyMatchesScatter|TestViscousAPMatchesAssembledProduct|TestCoarseGalerkinTracksRefresh|TestContextKeyCoversConfig|TestResidualIsTheTensorKernel' \
     ./internal/op ./internal/fem ./internal/mg ./internal/stokes
 
 # -count=10: the claims, waits and helper hand-offs of a job interleave
@@ -314,6 +317,19 @@ echo "== Krylov solves keep only what a run reaches: no Exchanger, StagnationWin
 if grep -rnwE 'Exchanger|StagnationWindow|stagGuard|cgWork' --include='*.go' internal/krylov | grep -v '_test\.go:' ||
     grep -rnwE 'noteErr|errSink' --include='*.go' internal/mg internal/stokes | grep -v '_test\.go:'; then
     echo "check.sh: an entry exchanger, stagnation window, second CG workspace or rank error sink is back (above)" >&2
+    exit 1
+fi
+
+# Each solver contract is one required method or one fixed call (DESIGN.md,
+# "Krylov at scale"): the residual runs the tensor kernel, Refresh is an
+# op.Operator method, a rank's layout is its krylov.Reducer (Dot, AXPYDot,
+# Spans) and the Chebyshev smoother holds a *krylov.Jacobi.
+echo "== one interface per contract: no fem.Operator, ResidualOperator, Refresher, op.Refresh( or FusedReducer, ApplyFreeRows on fem.TensorOp alone, no Spans field in krylov.Params, no .M.(*krylov.Jacobi) (non-test Go) =="
+if grep -rnE '\bfem\.Operator\b|\bResidualOperator\b|\bRefresher\b|op\.Refresh\(|\bFusedReducer\b' --include='*.go' . | grep -v '_test\.go:' ||
+    grep -rnE 'func \([^)]*\) ApplyFreeRows\(' --include='*.go' . | grep -v '_test\.go:' | grep -vE '^\./internal/fem/viscous\.go:[0-9]+:func \(op \*TensorOp\) ' ||
+    awk '/^type Params struct/,/^}/' $(ls internal/krylov/*.go | grep -v '_test\.go$') | grep -nE '^[[:space:]]+Spans[[:space:]]' ||
+    grep -rnE '\.M\.\(\*(krylov\.)?Jacobi\)' --include='*.go' . | grep -v '_test\.go:'; then
+    echo "check.sh: an optional interface, its fallback or a second knob is back (above)" >&2
     exit 1
 fi
 
