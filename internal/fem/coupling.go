@@ -17,15 +17,33 @@ import (
 // ψ₀ = 1, ψ₁ = (x-x_c)/h_x, ψ₂ = (y-y_c)/h_y, ψ₃ = (z-z_c)/h_z, where x_c
 // is the element centre (the coordinate of the mid-node) and h the
 // half-extent, preserving optimal convergence on deformed meshes.
+//
+// A Problem has one Coupling (Problem.Coupling), derived from its
+// geometry store like the store is from DA.Coords.
 type Coupling struct {
 	P  *Problem
 	Ge []float64 // 324 per element: Ge[(3n+a)*4+m]
 
-	// Mapped switches the pressure basis to the reference ("mapped")
-	// coordinate system, ψ = {1, ξ, η, ζ} — the alternative the paper
-	// explicitly rejects because it loses optimal accuracy on deformed
-	// meshes (§II-B). Exposed for the ablation study only.
-	Mapped bool
+	mu  sync.Mutex
+	gen uint64 // the geometry store's build that Ge was computed from
+}
+
+// Coupling returns the problem's gradient/divergence blocks for the mesh
+// as it is now. Every caller gets the same *Coupling, whose Ge is
+// recomputed in place when the coordinates have moved since the last
+// call: one compare of DA.Coords when they have not, so the residual, the
+// solver's operators and every rank view share one set of blocks and a
+// mesh move needs no announcement. Safe for concurrent use as long as
+// nobody moves the mesh meanwhile.
+func (p *Problem) Coupling() *Coupling {
+	c := &p.coupling
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.P == nil || c.gen != p.validGeometry().gen {
+		c.P = p
+		c.setup(false)
+	}
+	return c
 }
 
 // pressureBasisAt evaluates the four P1disc basis functions at the
@@ -62,23 +80,21 @@ func elemCenterScale(xe *[81]float64, ctr, hinv *[3]float64) {
 	}
 }
 
-// NewCoupling computes the gradient blocks for the current mesh geometry.
-// Call Setup again after any mesh movement (ALE update).
-func NewCoupling(p *Problem) *Coupling {
-	c := &Coupling{P: p}
-	c.Setup()
-	return c
-}
-
-// Setup (re)computes the element gradient blocks
-// Ge[(n,a)][m] = -∫ ψ_m ∂N_n/∂x_a dV.
-func (c *Coupling) Setup() {
+// setup (re)computes the element gradient blocks
+// Ge[(n,a)][m] = -∫ ψ_m ∂N_n/∂x_a dV of the mesh as it is now. mapped
+// switches the pressure basis to the reference ("mapped") coordinate
+// system, ψ = {1, ξ, η, ζ}: the alternative the paper rejects because it
+// loses optimal accuracy on deformed meshes (§II-B), built by the
+// ablation test alone.
+func (c *Coupling) setup(mapped bool) {
 	p := c.P
 	nel := p.DA.NElements()
 	if len(c.Ge) != 324*nel {
 		c.Ge = make([]float64, 324*nel)
 	}
-	geo := p.geom()
+	gs := p.validGeometry()
+	geo := gs.g
+	c.gen = gs.gen
 	p.forEachElement(func(e int) {
 		var xe [81]float64
 		p.gatherCoords(e, &xe)
@@ -92,7 +108,7 @@ func (c *Coupling) Setup() {
 		for q := 0; q < NQP; q++ {
 			jinv, detJ := geomAt(geo, e, q)
 			w := W3[q] * detJ
-			if c.Mapped {
+			if mapped {
 				psi = [4]float64{1, QPRef[q][0], QPRef[q][1], QPRef[q][2]}
 			} else {
 				var x, y, z float64

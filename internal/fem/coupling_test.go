@@ -15,7 +15,7 @@ import (
 // <G·p, u> == <p, D·u> on the free space.
 func TestCouplingAdjoint(t *testing.T) {
 	p := testProblem(t, 3, 2, 2, 2)
-	c := NewCoupling(p)
+	c := p.Coupling()
 	rng := rand.New(rand.NewSource(1))
 	nu, np := p.DA.NVelDOF(), p.DA.NPresDOF()
 	for trial := 0; trial < 5; trial++ {
@@ -41,7 +41,7 @@ func TestDivergenceFreeField(t *testing.T) {
 		return x + 0.04*y, y + 0.05*z*x, z + 0.02*x
 	})
 	p := NewProblem(da, nil)
-	c := NewCoupling(p)
+	c := p.Coupling()
 	u := la.NewVec(p.DA.NVelDOF())
 	for n := 0; n < da.NNodes(); n++ {
 		x, _, z := da.NodeCoords(n)
@@ -63,7 +63,7 @@ func TestDivergenceOfLinearField(t *testing.T) {
 		return x + 0.03*math.Sin(y), y, z + 0.02*x
 	})
 	p := NewProblem(da, nil)
-	c := NewCoupling(p)
+	c := p.Coupling()
 	u := la.NewVec(p.DA.NVelDOF())
 	for n := 0; n < da.NNodes(); n++ {
 		x, _, _ := da.NodeCoords(n)
@@ -165,7 +165,7 @@ func TestMomentumRHSTotalForce(t *testing.T) {
 func TestCouplingPressureNullForce(t *testing.T) {
 	da := mesh.New(2, 2, 2, 0, 1, 0, 1, 0, 1)
 	p := NewProblem(da, nil)
-	c := NewCoupling(p)
+	c := p.Coupling()
 	pv := la.NewVec(p.DA.NPresDOF())
 	for e := 0; e < da.NElements(); e++ {
 		pv[4*e] = 3.5 // constant mode only

@@ -27,13 +27,16 @@ const frameStride = 6
 //
 // The store validates itself: it keeps the coordinates it was built from
 // and Problem.geom rebuilds it whenever DA.Coords no longer holds those
-// bits, so writing DA.Coords is all a caller does to move the mesh. The
+// bits, so writing DA.Coords is all a caller does to move the mesh; gen
+// counts the builds, so that what is derived from the store (the
+// problem's Coupling) knows when to be derived again. The
 // apply kernels of Table I (MF, Tensor, and the resident kernel's stored
 // stream) do not read it: what they recompute or stream per application
 // is what the table measures.
 type geometry struct {
 	mu     sync.Mutex
 	coords []float64     // DA.Coords as of the build
+	gen    uint64        // builds so far
 	g      []float64     // geomStride per quadrature point, index NQP*e+q
 	frames []float64     // frameStride per element
 	cols   *mesh.Columns // for point location; nil, and colErr says why, off a column mesh
@@ -53,6 +56,7 @@ func (p *Problem) validGeometry() *geometry {
 	defer gs.mu.Unlock()
 	if !sameBits(gs.coords, p.DA.Coords) {
 		gs.coords = append(gs.coords[:0], p.DA.Coords...)
+		gs.gen++
 		if nel := p.DA.NElements(); len(gs.frames) != frameStride*nel {
 			gs.g = make([]float64, geomStride*NQP*nel)
 			gs.frames = make([]float64, frameStride*nel)

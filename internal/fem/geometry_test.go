@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"ptatin3d/internal/la"
@@ -305,7 +306,7 @@ func TestGeometryStoreBitwise(t *testing.T) {
 			wantSameBits(t, what+": Diagonal", got, want)
 
 			wantSameBits(t, what+": Resident.Setup", NewResident(p, false).c64, refResidentStream(p))
-			wantSameBits(t, what+": Coupling.Setup", NewCoupling(p).Ge, refCouplingGe(p))
+			wantSameBits(t, what+": Coupling.Setup", p.Coupling().Ge, refCouplingGe(p))
 			mp, err := NewPressureMass(p)
 			if err != nil {
 				t.Fatal(err)
@@ -339,18 +340,35 @@ func TestGeometryStoreBitwise(t *testing.T) {
 	}
 }
 
-// TestGeometryStoreKeptWhileMeshStill: the store is not rebuilt, and not
-// reallocated, while the coordinates stay what they were.
+// TestGeometryStoreKeptWhileMeshStill: the store and the problem's
+// coupling blocks are not rebuilt, and not reallocated, while the
+// coordinates stay what they were. A one-ulp move rebuilds both, the
+// blocks in place, however many goroutines ask for them first.
 func TestGeometryStoreKeptWhileMeshStill(t *testing.T) {
 	p := testProblem(t, 3, 2, 2, 2)
-	g0 := p.geom()
-	g0[0] = math.Pi // a rebuild would overwrite this
-	if g1 := p.geom(); &g1[0] != &g0[0] || g1[0] != math.Pi {
-		t.Fatal("store rebuilt although the mesh did not move")
+	g0, ge0 := p.geom(), p.Coupling().Ge
+	g0[0], ge0[0] = math.Pi, math.Pi // a rebuild would overwrite these
+	if g1, ge1 := p.geom(), p.Coupling().Ge; &g1[0] != &g0[0] || g1[0] != math.Pi || &ge1[0] != &ge0[0] || ge1[0] != math.Pi {
+		t.Fatal("store or coupling blocks rebuilt although the mesh did not move")
 	}
 	p.DA.Coords[0] = math.Float64frombits(math.Float64bits(p.DA.Coords[0]) + 1)
+	cpls := make([]*Coupling, 4)
+	var wg sync.WaitGroup
+	for i := range cpls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cpls[i] = p.Coupling()
+		}()
+	}
+	wg.Wait()
 	if g2 := p.geom(); g2[0] == math.Pi {
 		t.Fatal("store kept although a coordinate changed by one ulp")
+	}
+	for _, c := range cpls {
+		if c != cpls[0] || &c.Ge[0] != &ge0[0] || c.Ge[0] == math.Pi {
+			t.Fatal("coupling blocks kept, or rebuilt elsewhere than in place, although a coordinate changed by one ulp")
+		}
 	}
 }
 

@@ -97,8 +97,8 @@ func TestMappedVsPhysicalPressureBasis(t *testing.T) {
 // algebraic structure).
 func TestMappedCouplingStaysAdjoint(t *testing.T) {
 	p := testProblem(t, 2, 2, 2, 1)
-	c := &Coupling{P: p, Mapped: true}
-	c.Setup()
+	c := &Coupling{P: p}
+	c.setup(true)
 	rng := rand.New(rand.NewSource(2))
 	nu, np := p.DA.NVelDOF(), p.DA.NPresDOF()
 	u := randFreeVelocity(rng, p)

@@ -27,6 +27,7 @@ type Problem struct {
 
 	slabState
 	geometry geometry
+	coupling Coupling
 }
 
 // NewProblem builds a Problem on the given mesh with the given constraints.

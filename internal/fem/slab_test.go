@@ -391,7 +391,7 @@ func TestApplyElementsAllocatesNothing(t *testing.T) {
 		{"TensorOp", tens},
 		{"NewtonOp", NewNewton(tens, d6, fac)},
 		{"Resident", NewResident(p, false)},
-		{"Coupling.ApplyGDElements", gdElements{NewCoupling(p), randVelocity(rng, 4*nel), la.NewVec(4 * nel)}},
+		{"Coupling.ApplyGDElements", gdElements{p.Coupling(), randVelocity(rng, 4*nel), la.NewVec(4 * nel)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.op.ApplyElements(half, u, y)
@@ -492,7 +492,7 @@ func TestRunTableMatchesPerNode(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.slabs)))
 			nel, n := p.DA.NElements(), p.DA.NVelDOF()
 			um, ur := edgeVelocity(rng, p, true), edgeVelocity(rng, p, false)
-			c := NewCoupling(p)
+			c := p.Coupling()
 			pv := randVelocity(rng, p.DA.NPresDOF())
 			tens := func(e int, ue, xe, ye *[81]float64, sc *arena) {
 				tensorElementApply(ue, xe, p.Eta[NQP*e:NQP*e+NQP], ye, &sc.ks)
@@ -592,7 +592,7 @@ func TestRunTableMatchesPerNode(t *testing.T) {
 func TestApplyGDMatchesGAddThenD(t *testing.T) {
 	for _, noSlip := range []bool{false, true} {
 		p := runsProblem(t, 5, 4, 3, noSlip, 7)
-		c := NewCoupling(p)
+		c := p.Coupling()
 		rng := rand.New(rand.NewSource(8))
 		nu, np, nel := p.DA.NVelDOF(), p.DA.NPresDOF(), p.DA.NElements()
 		u := edgeVelocity(rng, p, true)

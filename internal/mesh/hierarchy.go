@@ -22,24 +22,15 @@ func (da *DA) Coarsen() *DA {
 		NPx: da.Mx + 1, NPy: da.My + 1, NPz: da.Mz + 1,
 	}
 	c.Coords = make([]float64, 3*c.NNodes())
-	for k := 0; k < c.NPz; k++ {
-		for j := 0; j < c.NPy; j++ {
-			for i := 0; i < c.NPx; i++ {
-				cn := c.NodeID(i, j, k)
-				fn := da.NodeID(2*i, 2*j, 2*k)
-				c.Coords[3*cn] = da.Coords[3*fn]
-				c.Coords[3*cn+1] = da.Coords[3*fn+1]
-				c.Coords[3*cn+2] = da.Coords[3*fn+2]
-			}
-		}
-	}
+	RefreshCoarsenCoords(da, c)
 	return c
 }
 
-// RefreshCoarsenCoords re-injects the coarse nodal coordinates from the
-// fine mesh — the same rule Coarsen applies at construction — after the
-// fine coordinates have moved (ALE remeshing). The hierarchy stays
-// nodally nested without rebuilding any topology.
+// RefreshCoarsenCoords injects the coarse nodal coordinates from the fine
+// mesh: the rule Coarsen applies at construction, and again on every
+// solver refresh, so that the hierarchy stays nodally nested however the
+// fine coordinates moved (ALE remeshing) without rebuilding any topology.
+// Unmoved fine coordinates re-inject the same bits.
 func RefreshCoarsenCoords(fine, coarse *DA) {
 	for k := 0; k < coarse.NPz; k++ {
 		for j := 0; j < coarse.NPy; j++ {
@@ -54,9 +45,10 @@ func RefreshCoarsenCoords(fine, coarse *DA) {
 	}
 }
 
-// RefreshCoarsenBCVals re-inherits the coarse boundary *values* from the
-// fine level after they changed (time-dependent boundary conditions).
-// The masks are part of the cached solver topology and must not change.
+// RefreshCoarsenBCVals inherits the coarse boundary *values* from the
+// fine level: at CoarsenBC, and again on every solver refresh
+// (time-dependent boundary conditions). The masks are part of the cached
+// solver topology and must not change.
 func RefreshCoarsenBCVals(fine, coarse *DA, fbc, cbc *BC) {
 	for k := 0; k < coarse.NPz; k++ {
 		for j := 0; j < coarse.NPy; j++ {
@@ -71,8 +63,9 @@ func RefreshCoarsenBCVals(fine, coarse *DA, fbc, cbc *BC) {
 	}
 }
 
-// CoarsenBC derives the coarse-level Dirichlet mask from a fine-level one:
-// a coarse node inherits the constraint of the coincident fine node. For
+// CoarsenBC derives the coarse-level Dirichlet mask and values from a
+// fine-level one: a coarse node inherits the constraint of the coincident
+// fine node. For
 // the box-face constraints used in this package the result is identical to
 // re-deriving the constraints on the coarse mesh.
 func CoarsenBC(fine, coarse *DA, fbc *BC) *BC {
@@ -84,10 +77,10 @@ func CoarsenBC(fine, coarse *DA, fbc *BC) *BC {
 				fn := fine.NodeID(2*i, 2*j, 2*k)
 				for c := 0; c < 3; c++ {
 					cbc.Mask[3*cn+c] = fbc.Mask[3*fn+c]
-					cbc.Val[3*cn+c] = fbc.Val[3*fn+c]
 				}
 			}
 		}
 	}
+	RefreshCoarsenBCVals(fine, coarse, fbc, cbc)
 	return cbc
 }

@@ -97,8 +97,8 @@ type Model struct {
 	// stokesCtx keeps the configured Stokes solver stack alive across
 	// relinearizations and time steps; Prepare refreshes coefficients in
 	// place instead of rebuilding topology (paper §III-A: relinearization
-	// changes the coefficients, never the discretization). ALE mesh
-	// motion is announced through InvalidateGeometry.
+	// changes the coefficients, never the discretization). A mesh move
+	// (ALE, Restore) is read from the coordinates; nothing announces it.
 	stokesCtx stokes.Context
 	// projector caches the point→vertex incidence and weights of the
 	// Eq. 12 projection between the η and ρ passes of one relinearization
@@ -449,12 +449,14 @@ func (m *Model) SolveStokes() (nonlinear.Result, error) {
 	}
 	prob.BC.ApplyToVec(m.X[:nu])
 
-	// The gradient/divergence blocks depend on geometry only: the cached
-	// solver stack's own, brought up to the mesh as it is now.
+	// The gradient/divergence blocks depend on geometry only: the
+	// problem's one set, brought up to the mesh as it is now, which the
+	// solver stack shares. The residual runs NewOp's own tensor kernel, so
+	// its Op needs no viscous block.
 	t0 := time.Now()
-	coupling := m.stokesCtx.Coupling(prob)
+	coupling := prob.Coupling()
 	m.rec.StokesSetupS += time.Since(t0).Seconds()
-	resOp := stokes.NewOp(prob, fem.NewTensor(prob), coupling)
+	resOp := stokes.NewOp(prob, nil, coupling)
 	sc := &m.scratch
 	sc.bu, sc.coeffX = grown(sc.bu, nu), grown(sc.coeffX, ncoup)
 	bu := sc.bu
@@ -670,7 +672,6 @@ func (m *Model) StepForward() error {
 		if m.projector != nil {
 			m.projector.Invalidate()
 		}
-		m.stokesCtx.InvalidateGeometry()
 		rec.ALES = time.Since(tALE).Seconds()
 	}
 	rec.TopoMin, rec.TopoMax = mesh.SurfaceRange(m.Prob.DA, m.VerticalAxis)

@@ -60,7 +60,7 @@ func TestAllocBudgetDistributedSolve(t *testing.T) {
 		}
 	}
 	solve()
-	if err := s.Refresh(false); err != nil {
+	if err := s.Refresh(); err != nil {
 		t.Fatal(err)
 	}
 	got := allocated(solve)

@@ -14,50 +14,22 @@ import (
 // whenever the structural configuration changes (mesh resolution, level
 // count, operator kinds, smoother degree, workers...), and an in-place
 // Refresh — bit-identical to a cold build, at a fraction of the cost —
-// otherwise. ALE coordinate updates must be announced through
-// InvalidateGeometry; they trigger the geometry-dependent refresh work
-// (coarse-coordinate re-injection, coupling re-setup) without a rebuild.
+// otherwise. A Context is a cache and nothing more: a mesh move (ALE
+// update, Restore) is read from the coordinates by the Refresh, which
+// re-injects the coarse coordinates and takes the problem's Coupling as
+// it is now.
 //
 // The zero value is ready to use. A Context is not safe for concurrent
 // Prepare calls.
 type Context struct {
-	s         *Solver
-	key       string
-	geomDirty bool
-	// cpl is the coupling Coupling built for prob while no cached solver
-	// was on it; the cold build of the next Prepare on prob takes it over.
-	cpl *fem.Coupling
+	s   *Solver
+	key string
 }
 
-// InvalidateGeometry marks the fine mesh coordinates as moved since the
-// last Prepare (ALE remeshing, free-surface update). The next Prepare
-// re-derives everything geometry-dependent.
-func (c *Context) InvalidateGeometry() { c.geomDirty = true }
-
-// Coupling returns gradient/divergence blocks for prob's mesh as it is
-// now: the cached solver's own — an announced mesh move is taken up here
-// rather than at the next Prepare — so that a residual evaluated before
-// the first relinearisation of a step shares them with the solves after
-// it. Without a cached solver for prob the blocks are built once and kept
-// for the solver that Prepare then builds cold on prob, so the first step
-// too sets them up once.
-func (c *Context) Coupling(prob *fem.Problem) *fem.Coupling {
-	if c.s == nil || c.s.Prob != prob {
-		switch {
-		case c.cpl == nil || c.cpl.P != prob:
-			c.cpl = fem.NewCoupling(prob)
-		case c.geomDirty:
-			c.cpl.Setup()
-		}
-		c.geomDirty = false
-		return c.cpl
-	}
-	if c.geomDirty {
-		c.s.refreshGeometry()
-		c.geomDirty = false
-	}
-	return c.s.C
-}
+// InvalidateGeometry does nothing: a mesh move needs no announcement.
+// It is kept for the benchmark harness's replay until a benchmark change
+// drops the call.
+func (c *Context) InvalidateGeometry() {}
 
 // Prepare returns a solver for prob's current coefficients and geometry,
 // cold-building or refreshing as needed. The second result reports
@@ -65,17 +37,11 @@ func (c *Context) Coupling(prob *fem.Problem) *fem.Coupling {
 func (c *Context) Prepare(prob *fem.Problem, cfg Config) (*Solver, bool, error) {
 	key := contextKey(prob, cfg)
 	if c.s == nil || c.key != key {
-		var cpl *fem.Coupling
-		if c.cpl != nil && c.cpl.P == prob {
-			if cpl = c.cpl; c.geomDirty {
-				cpl.Setup()
-			}
-		}
-		s, err := newSolver(prob, cfg, cpl)
+		s, err := New(prob, cfg)
 		if err != nil {
 			return nil, false, err
 		}
-		c.s, c.key, c.geomDirty, c.cpl = s, key, false, nil
+		c.s, c.key = s, key
 		return s, false, nil
 	}
 	// Carry the per-relinearization pieces of the config into the cached
@@ -88,10 +54,9 @@ func (c *Context) Prepare(prob *fem.Problem, cfg Config) (*Solver, bool, error) 
 		prm.Telemetry = c.s.Cfg.Params.Telemetry
 	}
 	c.s.Cfg.Params = prm
-	if err := c.s.Refresh(c.geomDirty); err != nil {
+	if err := c.s.Refresh(); err != nil {
 		return nil, false, err
 	}
-	c.geomDirty = false
 	return c.s, true, nil
 }
 

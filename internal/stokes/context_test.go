@@ -1,7 +1,9 @@
 package stokes
 
 import (
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ptatin3d/internal/fem"
@@ -64,33 +66,52 @@ func TestContextKeyCoversConfig(t *testing.T) {
 	}
 }
 
-// TestColdStepSharesCoupling: before any solver exists, the blocks that
-// Coupling builds for the first residual are the ones the cold build in
-// the next Prepare on the same problem takes over, so the first step sets
-// them up once; a later Coupling returns the cached solver's. A mesh move
-// announced in between is set up on those same blocks.
+// TestColdStepSharesCoupling: a problem has one set of gradient/divergence
+// blocks. The model's residual operator and the solver's coupled operator,
+// cold-built or refreshed, all hold the object Problem.Coupling returns. A
+// write to DA.Coords, which nothing announces, rebuilds its Ge in place at
+// the next call, bitwise into the Ge a fresh problem on the moved mesh
+// builds.
 func TestColdStepSharesCoupling(t *testing.T) {
 	p, def := sinkerProblem(4, 10, 1)
 	cfg := sinkerConfig(p, def)
 	cfg.Levels = 2
-	for _, moved := range []bool{false, true} {
-		var c Context
-		cpl := c.Coupling(p)
-		if again := c.Coupling(p); again != cpl {
-			t.Fatalf("moved=%v: a second Coupling before Prepare built new blocks", moved)
+	cpl := p.Coupling()
+	if p.Coupling() != cpl {
+		t.Fatal("a second Coupling built new blocks")
+	}
+	residual := NewOp(p, nil, p.Coupling())
+	var c Context
+	s, reused, err := c.Prepare(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reused || s.C != cpl || s.Op.C != cpl || residual.C != cpl {
+		t.Fatalf("cold build (reused %v): the solver or its operator holds other blocks than the problem's", reused)
+	}
+	ge, before := &cpl.Ge[0], slices.Clone(cpl.Ge)
+
+	p.DA.Deform(func(x, y, z float64) (float64, float64, float64) {
+		return x + 0.03*y*z, y, z * (1 + 0.05*math.Sin(math.Pi*x))
+	})
+	if p.Coupling() != cpl || &cpl.Ge[0] != ge {
+		t.Fatal("the mesh move built new blocks instead of rebuilding the problem's in place")
+	}
+	if slices.Equal(cpl.Ge, before) {
+		t.Fatal("the mesh moved and Ge did not")
+	}
+	fresh, _ := sinkerProblem(4, 10, 1)
+	copy(fresh.DA.Coords, p.DA.Coords)
+	want := fresh.Coupling().Ge
+	for i := range want {
+		if math.Float64bits(cpl.Ge[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("Ge[%d] rebuilt in place = %v, a fresh problem's %v", i, cpl.Ge[i], want[i])
 		}
-		if moved {
-			c.InvalidateGeometry()
-		}
-		s, reused, err := c.Prepare(p, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reused || s.C != cpl {
-			t.Fatalf("moved=%v: the cold solver built its own coupling (reused %v)", moved, reused)
-		}
-		if c.Coupling(p) != cpl {
-			t.Fatalf("moved=%v: Coupling after Prepare is not the solver's", moved)
-		}
+	}
+	if s, reused, err = c.Prepare(p, cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !reused || s.C != cpl || s.Op.C != cpl {
+		t.Fatalf("refresh (reused %v): the solver or its operator holds other blocks than the problem's", reused)
 	}
 }

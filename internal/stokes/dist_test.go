@@ -405,7 +405,7 @@ func TestReusedRankViewsMatchCold(t *testing.T) {
 			}
 		} else {
 			warm.Cfg.CoeffCoarsen = cfg.CoeffCoarsen
-			if err := warm.Refresh(false); err != nil {
+			if err := warm.Refresh(); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -18,10 +18,11 @@ import (
 // with len = NVelDOF + NPresDOF. Dirichlet velocity rows act as identity;
 // pressure is unconstrained. Apply runs the viscous block Auu, any
 // Table-I representation or a Newton linearisation; Residual always runs
-// the problem's tensor kernel, whatever Auu is.
+// the problem's tensor kernel, whatever Auu is, so an Op asked only for
+// Residual may leave Auu nil.
 type Op struct {
 	P   *fem.Problem
-	Auu krylov.Op     // the viscous block of Apply
+	Auu krylov.Op     // the viscous block of Apply; nil on an Op for Residual alone
 	C   *fem.Coupling // gradient/divergence blocks
 	Nu  int
 	Np  int

@@ -27,7 +27,7 @@ func TestResidualIsTheTensorKernel(t *testing.T) {
 	for i := range p.Eta {
 		p.Eta[i] = math.Exp(3 * rng.NormFloat64())
 	}
-	c := fem.NewCoupling(p)
+	c := p.Coupling()
 
 	nu := da.NVelDOF()
 	x, bu := la.NewVec(nu+da.NPresDOF()), la.NewVec(nu)

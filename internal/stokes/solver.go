@@ -154,11 +154,7 @@ type Monitor struct {
 }
 
 // New builds a Solver for the problem's current coefficients/geometry.
-func New(prob *fem.Problem, cfg Config) (*Solver, error) { return newSolver(prob, cfg, nil) }
-
-// newSolver is New with the gradient/divergence blocks of prob's current
-// geometry handed in when the caller already built them (nil builds them).
-func newSolver(prob *fem.Problem, cfg Config, cpl *fem.Coupling) (*Solver, error) {
+func New(prob *fem.Problem, cfg Config) (*Solver, error) {
 	start := time.Now()
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
@@ -178,9 +174,7 @@ func newSolver(prob *fem.Problem, cfg Config, cpl *fem.Coupling) (*Solver, error
 		s.Tel = telemetry.New().Root()
 	}
 	stop := s.stage("coupling")
-	if s.C = cpl; cpl == nil {
-		s.C = fem.NewCoupling(prob)
-	}
+	s.C = prob.Coupling()
 	stop()
 	stop = s.stage("pressure_mass")
 	s.Mp, err = fem.NewPressureMass(prob)
@@ -254,13 +248,14 @@ func newSolver(prob *fem.Problem, cfg Config, cpl *fem.Coupling) (*Solver, error
 // stage starts one stage of New or Refresh on the "outer" scope's timer
 // setup_<name> and returns what ends it: together the stage timers say
 // where setup_seconds went.
-// Stages are coupling, pressure_mass, geometry (coarse coordinates
-// re-injected after a mesh move), coarsen (coarse meshes at New, coarse
-// coefficients), fine_op (the coupled matvec's operator where the
-// hierarchy does not refresh it as its level 0), per hierarchy level
-// op_l<i>_<kind> and, on every level but the coarsest, diag_l<i> /
-// eig_l<i> (mg.SetupTimes), coarse_solver,
-// and amg_matrix / amg for the standalone algebraic configurations.
+// Stages are coupling (the problem's Coupling taken, its blocks
+// recomputed if the mesh moved), pressure_mass, geometry (coarse
+// coordinates and boundary values re-injected at Refresh), coarsen
+// (coarse meshes at New, coarse coefficients), fine_op (the coupled
+// matvec's operator where the hierarchy does not refresh it as its level
+// 0), per hierarchy level op_l<i>_<kind> and, on every level but the
+// coarsest, diag_l<i> / eig_l<i> (mg.SetupTimes), coarse_solver, and
+// amg_matrix / amg for the standalone algebraic configurations.
 func (s *Solver) stage(name string) (stop func()) {
 	t := s.Tel.Child("outer").Timer("setup_" + name)
 	start := t.Start()
@@ -361,22 +356,33 @@ func (s *Solver) buildAMG() error {
 }
 
 // Refresh re-derives the solver's numeric state from the problem's
-// current coefficients — and, when geomChanged, coordinates — without
-// rebuilding any topology: coarse-level coefficients are re-restricted
-// through the configured coarsener, assembled/Galerkin/resident operator
-// values are recomputed in place into their cached sparsity, smoother
-// spectra are re-estimated exactly as a cold build would, and the
-// value-dependent algebraic components are rebuilt (GAMG/LU coarse
-// solvers) or refactored on their kept topology (ASM) from the refreshed
-// coarse matrices. The result is bit-identical
-// to constructing a new Solver on the same state; only the setup cost
-// changes. geomChanged must be true whenever the fine mesh coordinates
-// moved since the last Setup/Refresh (ALE remeshing).
-func (s *Solver) Refresh(geomChanged bool) error {
+// current coordinates and coefficients without rebuilding any topology:
+// the coarse levels' coordinates and boundary values are re-injected and
+// the problem's Coupling taken as it is now (a mesh move is read from the
+// coordinates; unmoved ones re-inject the same bits and leave the blocks
+// alone), coarse-level coefficients are re-restricted through the
+// configured coarsener, assembled/Galerkin/resident operator values are
+// recomputed in place into their cached sparsity, smoother spectra are
+// re-estimated exactly as a cold build would, and the value-dependent
+// algebraic components are rebuilt (GAMG/LU coarse solvers) or refactored
+// on their kept topology (ASM) from the refreshed coarse matrices. The
+// result is bit-identical to constructing a new Solver on the same state;
+// only the setup cost changes.
+func (s *Solver) Refresh() error {
 	start := time.Now()
-	if geomChanged {
-		s.refreshGeometry()
+	// The coarse coordinates first: FuncCoeffCoarsener reads them.
+	if s.MG != nil {
+		stop := s.stage("geometry")
+		for l := 1; l < len(s.MG.Levels); l++ {
+			fp, cp := s.MG.Levels[l-1].Prob, s.MG.Levels[l].Prob
+			mesh.RefreshCoarsenCoords(fp.DA, cp.DA)
+			mesh.RefreshCoarsenBCVals(fp.DA, cp.DA, fp.BC, cp.BC)
+		}
+		stop()
 	}
+	stop := s.stage("coupling")
+	s.C = s.Prob.Coupling()
+	stop()
 	// Re-restrict the coarse coefficients in CoarsenProblems level order.
 	if s.MG != nil && s.Cfg.CoeffCoarsen != nil {
 		stop := s.stage("coarsen")
@@ -386,7 +392,7 @@ func (s *Solver) Refresh(geomChanged bool) error {
 		stop()
 	}
 	// The pressure mass matrix is viscosity-scaled: always re-derive.
-	stop := s.stage("pressure_mass")
+	stop = s.stage("pressure_mass")
 	err := s.Mp.Setup()
 	stop()
 	if err != nil {
@@ -425,23 +431,6 @@ func (s *Solver) Refresh(geomChanged bool) error {
 	s.SetupTime = time.Since(start)
 	s.Tel.Child("outer").Gauge("setup_seconds").Set(s.SetupTime.Seconds())
 	return nil
-}
-
-// refreshGeometry re-derives what depends on the mesh coordinates alone
-// after they moved: the coarse levels' injected coordinates and boundary
-// values, and the coupling blocks.
-func (s *Solver) refreshGeometry() {
-	if s.MG != nil {
-		stop := s.stage("geometry")
-		for l := 1; l < len(s.MG.Levels); l++ {
-			fp, cp := s.MG.Levels[l-1].Prob, s.MG.Levels[l].Prob
-			mesh.RefreshCoarsenCoords(fp.DA, cp.DA)
-			mesh.RefreshCoarsenBCVals(fp.DA, cp.DA, fp.BC, cp.BC)
-		}
-		stop()
-	}
-	defer s.stage("coupling")()
-	s.C.Setup()
 }
 
 // Solve performs one linear Stokes solve in residual-correction form: the

@@ -36,7 +36,7 @@ func TestRankKrylovStorageIsWindowed(t *testing.T) {
 		copy(rhs, bu)
 		for solve := 0; solve < 2; solve++ {
 			if solve == 1 {
-				if err := s.Refresh(false); err != nil {
+				if err := s.Refresh(); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -35,8 +35,8 @@
 # checkpoints byte-equal at 1 and 2 workers), a
 # pair of allocation budgets for steady steps and a check that a rank
 # keeps its Krylov vectors packed on its windows (run without the race
-# detector) and the tests that kept rank views and a refreshed set-up give
-# a cold build's bits (run under it), a
+# detector) and the tests that kept rank views, a refreshed set-up and a
+# restore onto another mesh give a cold build's bits (run under it), a
 # rank-count invariance check of the 64-rank scaling sweep with every row
 # solved, a 64-rank solve with every rank reporting that takes the
 # iterations of 2 ranks, a guard that the fabric keeps one mailbox per rank
@@ -57,7 +57,10 @@
 # guard that each solver contract is one interface (no fem.Operator,
 # ResidualOperator, Refresher, op.Refresh( or FusedReducer, ApplyFreeRows
 # declared on fem.TensorOp alone, no Spans field in krylov.Params, no
-# Jacobi asserted out of Chebyshev.M), a guard that a rank's rows are spans and its packets values (no Node field,
+# Jacobi asserted out of Chebyshev.M), a guard that a moved mesh is read,
+# not announced (no geomDirty, refreshGeometry, NewCoupling or
+# InvalidateGeometry call in the root module's non-test Go, no geomChanged
+# in internal/stokes), a guard that a rank's rows are spans and its packets values (no Node field,
 # fits( scan or OwnedNodes in internal/comm's non-test Go, no allreduces or
 # exchanges counter beside their timers, no node id in internal/perfmodel's
 # halo bytes), a one-iteration smoke run of the apply-path, V-cycle, element-kernel,
@@ -182,13 +185,13 @@ if grep -rnF 'max(1, m.Workers)' --include='*.go' internal/model | grep -v '_tes
 fi
 
 # The allocation budgets run without the race detector, which allocates on
-# its own account; the tests that kept rank views, a refreshed set-up and
-# the first step's shared coupling blocks give a cold build's bits run
-# under it.
-echo "== steady steps allocate nothing: a 2-rank solve on a seen world shape < 64 KiB, a steady sinker step <= 1/4 (2x1x1) and 1/2 (shared) of the parent's bytes, a rank's Krylov vectors packed on its windows (2x1x1 and 2x2x2, at most 3 full-length apply buffers), without -race; kept rank views == cold ones, refreshed set-up == cold build, one coupling on the cold step, one Krylov record, the stack 4x4 inverse == Factor, under -race =="
+# its own account; the tests that kept rank views, a refreshed set-up, the
+# problem's one set of coupling blocks and a restore onto another mesh
+# give a cold build's bits run under it.
+echo "== steady steps allocate nothing: a 2-rank solve on a seen world shape < 64 KiB, a steady sinker step <= 1/4 (2x1x1) and 1/2 (shared) of the parent's bytes, a rank's Krylov vectors packed on its windows (2x1x1 and 2x2x2, at most 3 full-length apply buffers), without -race; kept rank views == cold ones, refreshed set-up == cold build, one coupling per problem rebuilt in place after a move, a restore onto another mesh == a fresh restore, one Krylov record, the stack 4x4 inverse == Factor, under -race =="
 named_tests -count=1 'TestAllocBudgetDistributedSolve|TestAllocBudgetSteadyStep|TestRankKrylovStorageIsWindowed' ./internal/model ./internal/stokes
 named_tests '-short -race' \
-    'TestReusedRankViewsMatchCold|TestCachedSetupMatchesColdBuild|TestColdStepSharesCoupling|TestKrylovRecordedOnce|TestAugmentMatchesBuilder|TestInvert4MatchesFactorSolve' \
+    'TestReusedRankViewsMatchCold|TestCachedSetupMatchesColdBuild|TestColdStepSharesCoupling|TestRestoreSolvesOnTheRestoredMesh|TestKrylovRecordedOnce|TestAugmentMatchesBuilder|TestInvert4MatchesFactorSolve' \
     ./internal/stokes ./internal/model ./internal/op ./internal/la
 
 echo "== assembly element kernel == its Go bodies (both encodings, the same recorded bits) + mf32 against the f64 tensor kernel + the level layout table + blocked == full-grid smoother + gather restriction bit-identity + one zero-guess coarse solve per cycle + the viscous block built plane by plane == the colour-order scatter and A·P streamed plane by plane (rows filled by concurrent workers) == the scattered product and the refreshed coarse Galerkin matrix == a cold build + the residual over Auu of every kind == the tensor kernel's + the run gathers, scatters, block and subset applies and divergence rows == their per-node forms, the one-pass gradient and divergence == ApplyGAdd then ApplyD (and the raw residual pass == ApplyGAdd then the raw rows), every registered hierarchy ending in the coarse solve, under -race =="
@@ -226,9 +229,9 @@ else
     echo "skipped: this CPU cannot run GOAMD64=v3 code"
 fi
 
-echo "== geometry store == per-consumer Jacobians, partial RAS back-sweep == full, one coefficient update per accepted state, the tables' solver recipe == what Prepare hands over, set-up stage timers, a step's solve timers on both backends, one breakdown retry with the other method and none for any other failure under -race =="
+echo "== geometry store == per-consumer Jacobians, store and coupling blocks kept while the mesh is still and rebuilt in place by concurrent first readers after a move, partial RAS back-sweep == full, one coefficient update per accepted state, the tables' solver recipe == what Prepare hands over, set-up stage timers, a step's solve timers on both backends, one breakdown retry with the other method and none for any other failure under -race =="
 named_tests -race \
-    'TestGeometryStoreBitwise|TestILUBackSweepFromMatchesSolve|TestASMRestrictedPartialSweepBitwise|TestPrepareSkipsRepeatedCoefficientUpdate|TestStokesConfigIsWhatPrepareHands|TestSetupStageTimersAttributeRefresh|TestStepTelemetryRecordsWhatRan|TestSolveRetriesBreakdownWithAlternate|TestSolveWithFallbackSwitchesOnce|TestInnerFailureIsNotRetried|TestDecompFailureIsNotRetried' \
+    'TestGeometryStoreBitwise|TestGeometryStoreKeptWhileMeshStill|TestILUBackSweepFromMatchesSolve|TestASMRestrictedPartialSweepBitwise|TestPrepareSkipsRepeatedCoefficientUpdate|TestStokesConfigIsWhatPrepareHands|TestSetupStageTimersAttributeRefresh|TestStepTelemetryRecordsWhatRan|TestSolveRetriesBreakdownWithAlternate|TestSolveWithFallbackSwitchesOnce|TestInnerFailureIsNotRetried|TestDecompFailureIsNotRetried' \
     ./internal/fem ./internal/la ./internal/krylov ./internal/nonlinear ./internal/model ./internal/stokes
 
 echo "== parallel MPM + amortized solver setup under -race =="
@@ -330,6 +333,20 @@ if grep -rnE '\bfem\.Operator\b|\bResidualOperator\b|\bRefresher\b|op\.Refresh\(
     awk '/^type Params struct/,/^}/' $(ls internal/krylov/*.go | grep -v '_test\.go$') | grep -nE '^[[:space:]]+Spans[[:space:]]' ||
     grep -rnE '\.M\.\(\*(krylov\.)?Jacobi\)' --include='*.go' . | grep -v '_test\.go:'; then
     echo "check.sh: an optional interface, its fallback or a second knob is back (above)" >&2
+    exit 1
+fi
+
+# The coordinates are the one signal that the mesh moved (DESIGN.md,
+# "Set-up amortisation"): the geometry store compares them,
+# Problem.Coupling rebuilds its blocks when the store has rebuilt, and
+# every Solver.Refresh re-injects the coarse coordinates. bench/ is its own
+# module and keeps its replay's call to the no-op until a benchmark change
+# drops it.
+echo "== a moved mesh is read, not announced: no geomDirty, refreshGeometry, NewCoupling or .InvalidateGeometry( in the root module, no geomChanged in internal/stokes (non-test Go) =="
+if grep -rnwE 'geomDirty|refreshGeometry|NewCoupling' --include='*.go' --exclude-dir=bench . | grep -v '_test\.go:' ||
+    grep -rnF '.InvalidateGeometry(' --include='*.go' --exclude-dir=bench . | grep -v '_test\.go:' ||
+    grep -rnw 'geomChanged' --include='*.go' internal/stokes | grep -v '_test\.go:'; then
+    echo "check.sh: a mesh move is announced again, or a second way to learn of it is back (above)" >&2
     exit 1
 fi
 
