@@ -76,25 +76,49 @@ func MLStrongLike() Options {
 }
 
 // level is one rung of the hierarchy. The coarsest level, which the exact
-// coarse solve handles, has no smoother and no r.
+// coarse solve handles, has no smoother and no r. A level's storage —
+// its operator and prolongator below the finest, its near-null space,
+// smoother and vectors — is kept by Refresh, which rebuilds into it.
 type level struct {
 	a       *la.CSR
-	p       *la.CSR // prolongation into the next-finer level (nil on the finest)
+	p       *la.CSR   // prolongation into the next-finer level (nil on the finest)
+	nns     *la.Dense // the near-null space the next coarsening reads (nil on the finest: the caller's)
 	smooth  func(b, x la.Vec, zero bool)
 	r, e, b la.Vec
 	c       la.Vec // the ILU smoother's correction; nil for Chebyshev
+
+	// The smoother: the Jacobi scaling of the level's diagonal d, and the
+	// Chebyshev iteration over it, or the SAML-ii inner FGMRES over the
+	// level's ILU(0).
+	d     la.Vec
+	jac   *krylov.Jacobi
+	cheb  *krylov.Chebyshev
+	ilu   krylov.ILUPC
+	inner *krylov.InnerKrylov
 
 	// Cached telemetry handles; nil (inert) when telemetry is off.
 	smoothT, opT     *telemetry.Timer
 	smoothC, opCount *telemetry.Counter
 }
 
+// levelOp is a level's operator as the smoother applies it: the
+// worker-parallel SpMV of whatever matrix the level holds.
+type levelOp struct {
+	lev     *level
+	workers int
+}
+
+func (o levelOp) N() int            { return o.lev.a.NRows }
+func (o levelOp) Apply(x, y la.Vec) { o.lev.a.MulVecPar(x, y, o.workers) }
+
 // SA is the assembled smoothed-aggregation hierarchy. It satisfies
 // krylov.Preconditioner (one V-cycle per application).
 type SA struct {
 	levels []*level
-	coarse krylov.Preconditioner
+	coarse *krylov.BlockJacobi
 	opt    Options
+	bs     int // block size of the finest level
+	work   setupWork
 
 	cycles  *telemetry.Counter
 	coarseT *telemetry.Timer
@@ -174,91 +198,152 @@ func RigidBodyModes(coords []float64, mask []bool) *la.Dense {
 
 // New builds the SA hierarchy for the SPD block matrix a with block size
 // bs (3 for the fine elasticity/viscous level) and near-null-space matrix
-// nns (rows = dofs of a, cols = modes; typically RigidBodyModes). nns is
-// consumed (modified).
+// nns (rows = dofs of a, cols = modes; typically RigidBodyModes). The
+// hierarchy keeps no reference to nns.
 func New(a *la.CSR, bs int, nns *la.Dense, opt Options) (*SA, error) {
-	if a.NRows != nns.Rows {
-		return nil, fmt.Errorf("amg: near-null space rows %d != matrix dim %d", nns.Rows, a.NRows)
+	sa := &SA{opt: opt, bs: bs}
+	if err := sa.Refresh(a, nns); err != nil {
+		return nil, err
 	}
-	sa := &SA{opt: opt}
-	sa.levels = append(sa.levels, &level{a: a})
-	curBS := bs
-	curNNS := nns
-	for {
-		cur := sa.levels[len(sa.levels)-1].a
-		if cur.NRows <= maxCoarseSize || len(sa.levels) >= maxLevels {
-			break
-		}
-		p, coarseNNS := buildProlongator(cur, curBS, curNNS, opt.DropTol)
-		if p == nil || p.NCols >= cur.NRows { // aggregation stalled
-			break
-		}
-		ac := la.RAP(cur, p)
-		fixZeroDiag(ac)
-		sa.levels = append(sa.levels, &level{a: ac, p: p})
-		curNNS = coarseNNS
-		curBS = coarseNNS.Cols
-	}
-	last := len(sa.levels) - 1
-	for _, lev := range sa.levels[:last] {
-		sa.installSmoother(lev)
-		n := lev.a.NRows
-		lev.r, lev.e, lev.b = la.NewVec(n), la.NewVec(n), la.NewVec(n)
-	}
-	coarsest := sa.levels[last]
-	n := coarsest.a.NRows
-	coarsest.e, coarsest.b = la.NewVec(n), la.NewVec(n)
-	// One block: an exact LU solve of the coarsest level.
-	lu, err := krylov.NewBlockJacobi(coarsest.a, 1)
-	if err != nil {
-		return nil, fmt.Errorf("amg: coarse factorization: %w", err)
-	}
-	sa.coarse = lu
 	return sa, nil
 }
 
-// installSmoother attaches the configured smoother to a level.
-func (sa *SA) installSmoother(lev *level) {
-	a := lev.a
-	d := la.NewVec(a.NRows)
-	a.Diag(d)
-	for i, v := range d {
-		if v == 0 {
-			d[i] = 1
+// Refresh rebuilds the hierarchy for a — new values, a new pattern or a
+// new matrix — and its near-null space nns: every phase of New runs again
+// (strength graph and aggregates, tentative prolongator and its QR, λmax
+// and the smoothed prolongator, the Galerkin products and the dead-dof
+// fix, the smoothers and the coarse LU), in the same order on the same
+// operands, so the result is bitwise New(a, bs, nns, opt). Each phase
+// writes into the storage the levels and the set-up scratch kept from the
+// last build where it has the room; the level count may change. After an
+// error the hierarchy is unusable until a Refresh succeeds.
+func (sa *SA) Refresh(a *la.CSR, nns *la.Dense) error {
+	if a.NRows != nns.Rows {
+		return fmt.Errorf("amg: near-null space rows %d != matrix dim %d", nns.Rows, a.NRows)
+	}
+	w := &sa.work
+	levels := sa.levels[:0]
+	levels = append(levels, sa.reuse(0))
+	levels[0].a = a
+	curBS, curNNS := sa.bs, nns
+	for {
+		cur := levels[len(levels)-1].a
+		if cur.NRows <= maxCoarseSize || len(levels) >= maxLevels {
+			break
+		}
+		next := sa.reuse(len(levels))
+		if next.a == nil {
+			next.a, next.p, next.nns = &la.CSR{}, &la.CSR{}, &la.Dense{}
+		}
+		if !w.prolongator(cur, curBS, curNNS, sa.opt.DropTol, next.p, next.nns) || next.p.NCols >= cur.NRows { // aggregation stalled
+			break
+		}
+		la.RAPInto(next.a, cur, next.p, &w.ap, &w.pt)
+		w.fixZeroDiag(next.a)
+		levels = append(levels, next)
+		curNNS = next.nns
+		curBS = curNNS.Cols
+	}
+	sa.levels = levels
+	last := len(levels) - 1
+	for _, lev := range levels[:last] {
+		n := lev.a.NRows
+		lev.r, lev.e, lev.b = la.Resized(lev.r, n), la.Resized(lev.e, n), la.Resized(lev.b, n)
+		sa.installSmoother(lev)
+	}
+	coarsest := levels[last]
+	n := coarsest.a.NRows
+	coarsest.e, coarsest.b = la.Resized(coarsest.e, n), la.Resized(coarsest.b, n)
+	coarsest.smooth, coarsest.r = nil, nil
+	// One block: an exact LU solve of the coarsest level.
+	var err error
+	if sa.coarse == nil {
+		sa.coarse, err = krylov.NewBlockJacobi(coarsest.a, 1)
+	} else {
+		err = sa.coarse.Refresh(coarsest.a)
+	}
+	if err != nil {
+		sa.coarse = nil
+		return fmt.Errorf("amg: coarse factorization: %w", err)
+	}
+	return nil
+}
+
+// reuse returns the level object at depth l from the last build, or a
+// new one: storage of levels a build no longer reached is kept past the
+// end of sa.levels.
+func (sa *SA) reuse(l int) *level {
+	if l < cap(sa.levels) {
+		if lev := sa.levels[:cap(sa.levels)][l]; lev != nil {
+			return lev
 		}
 	}
-	jac := krylov.NewJacobi(d)
-	op := krylov.OpFunc{Dim: a.NRows, F: func(x, y la.Vec) { a.MulVecPar(x, y, sa.opt.Workers) }}
+	return &level{}
+}
+
+// installSmoother attaches the configured smoother to a level, or
+// refreshes the one it has; the level's r, e and b must have its size.
+func (sa *SA) installSmoother(lev *level) {
+	a := lev.a
+	lev.d = la.Resized(lev.d, a.NRows)
+	a.Diag(lev.d)
+	for i, v := range lev.d {
+		if v == 0 {
+			lev.d[i] = 1
+		}
+	}
+	if lev.jac == nil {
+		lev.jac = krylov.NewJacobi(lev.d)
+	} else {
+		lev.jac.SetDiag(lev.d)
+	}
+	op := levelOp{lev, sa.opt.Workers}
 	if sa.opt.ILUSmoother {
 		// FGMRES(2) preconditioned with block-Jacobi ILU(0): the SAML-ii
 		// smoother. Block Jacobi here means ILU(0) of the whole level in
-		// our single-address-space setting (one "subdomain").
-		ilu, err := krylov.NewILUPC(a)
-		var pc krylov.Preconditioner = jac
-		if err == nil {
-			pc = ilu
+		// our single-address-space setting (one "subdomain"); a level
+		// whose ILU(0) fails smooths with Jacobi instead.
+		if lev.inner == nil {
+			lev.inner = &krylov.InnerKrylov{A: op, Method: "fgmres",
+				Prm: krylov.Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 2, Restart: 2}}
 		}
-		inner := &krylov.InnerKrylov{A: op, M: pc, Method: "fgmres",
-			Prm: krylov.Params{RTol: 1e-12, ATol: 1e-300, MaxIt: 2, Restart: 2}}
+		lev.inner.M = lev.jac
+		var err error
+		if lev.ilu.F == nil {
+			lev.ilu.F, err = la.NewILU0(a)
+		} else {
+			err = lev.ilu.F.Rebuild(a)
+		}
+		if err == nil {
+			lev.inner.M = &lev.ilu
+		}
 		// The post-smooth's residual goes to the level's r, free once the
 		// coarse correction is in; its correction to c (e is the iterate
 		// itself below the finest level).
-		lev.c = la.NewVec(a.NRows)
-		lev.smooth = func(b, x la.Vec, zero bool) {
-			if zero {
-				inner.Apply(b, x)
-				return
+		lev.c = la.Resized(lev.c, a.NRows)
+		if lev.smooth == nil {
+			lev.smooth = func(b, x la.Vec, zero bool) {
+				if zero {
+					lev.inner.Apply(b, x)
+					return
+				}
+				op.Apply(x, lev.r)
+				lev.r.AYPX(-1, b)
+				lev.inner.Apply(lev.r, lev.c)
+				x.AXPY(1, lev.c)
 			}
-			op.Apply(x, lev.r)
-			lev.r.AYPX(-1, b)
-			inner.Apply(lev.r, lev.c)
-			x.AXPY(1, lev.c)
 		}
 		return
 	}
-	lmax := krylov.EstimateLambdaMax(op, jac, eigIts)
-	ch := krylov.NewChebyshev(op, jac, lmax, sa.opt.SmoothSteps)
-	lev.smooth = func(b, x la.Vec, zero bool) { ch.Smooth(b, x, zero) }
+	// The power iteration runs in the level's idle vectors.
+	lmax := krylov.EstimateLambdaMaxIn(op, lev.jac, eigIts, lev.r, lev.e, lev.b)
+	if lev.cheb == nil {
+		lev.cheb = krylov.NewChebyshev(op, lev.jac, lmax, sa.opt.SmoothSteps)
+	}
+	lev.cheb.SetLambdaMax(lmax)
+	if lev.smooth == nil {
+		lev.smooth = lev.cheb.Smooth
+	}
 }
 
 // fixZeroDiag makes "dead" coarse dofs harmless: rank-deficient aggregates
@@ -266,40 +351,46 @@ func (sa *SA) installSmoother(lev *level) {
 // zero prolongator columns and therefore zero rows/columns in the Galerkin
 // product. Such rows get a unit diagonal so every coarse solve stays
 // nonsingular; since their columns stay zero the added identity never
-// pollutes live dofs. The matrix is rebuilt only when needed.
-func fixZeroDiag(a *la.CSR) {
+// pollutes live dofs. Only when a row is dead is the matrix rewritten —
+// the triplet builder's result, the live rows' nonzero entries on live
+// columns and a dead row's unit diagonal, built in the scratch matrix,
+// whose storage then trades places with a's.
+func (w *setupWork) fixZeroDiag(a *la.CSR) {
+	n := a.NRows
+	w.diag, w.dead = la.Resized(w.diag, n), la.Resized(w.dead, n)
+	a.Diag(w.diag)
 	var maxDiag float64
-	dead := make([]bool, a.NRows)
-	anyDead := false
-	for r := 0; r < a.NRows; r++ {
-		d := a.At(r, r)
+	for _, d := range w.diag {
 		if m := math.Abs(d); m > maxDiag {
 			maxDiag = m
 		}
 	}
 	thr := 1e-12 * maxDiag
-	for r := 0; r < a.NRows; r++ {
-		if math.Abs(a.At(r, r)) <= thr {
-			dead[r] = true
-			anyDead = true
-		}
+	anyDead := false
+	for r, d := range w.diag {
+		w.dead[r] = math.Abs(d) <= thr
+		anyDead = anyDead || w.dead[r]
 	}
 	if !anyDead {
 		return
 	}
-	b := la.NewBuilder(a.NRows, a.NCols)
-	for r := 0; r < a.NRows; r++ {
-		if dead[r] {
-			b.Set(r, r, 1)
-			continue
-		}
-		for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
-			if c := a.ColInd[k]; !dead[c] {
-				b.Add(r, c, a.Val[k])
+	b := &w.fixed
+	b.NRows, b.NCols = a.NRows, a.NCols
+	b.RowPtr, b.ColInd, b.Val = la.Resized(b.RowPtr, n+1), b.ColInd[:0], b.Val[:0]
+	b.RowPtr[0] = 0
+	for r := 0; r < n; r++ {
+		if w.dead[r] {
+			b.ColInd, b.Val = append(b.ColInd, r), append(b.Val, 1)
+		} else {
+			for k := a.RowPtr[r]; k < a.RowPtr[r+1]; k++ {
+				if c := a.ColInd[k]; !w.dead[c] && a.Val[k] != 0 {
+					b.ColInd, b.Val = append(b.ColInd, c), append(b.Val, a.Val[k])
+				}
 			}
 		}
+		b.RowPtr[r+1] = len(b.Val)
 	}
-	*a = *b.ToCSR()
+	*a, *b = *b, *a
 }
 
 // Apply runs one V-cycle: z ≈ A⁻¹·r.

@@ -138,7 +138,7 @@ func testBlockedChebyshevBitIdentical(t *testing.T) uint64 {
 			if info := p.slabs(); tc.off != nil && info.dep != tc.dep {
 				t.Fatalf("grid %v: dependency distance %d, want %d", g, info.dep, tc.dep)
 			}
-			lmax := krylov.EstimateLambdaMax(op, jac, 10)
+			lmax := krylov.EstimateLambdaMaxIn(op, jac, 10, la.NewVec(op.N()), la.NewVec(op.N()), la.NewVec(op.N()))
 			for _, steps := range []int{1, 2, 3, 4} {
 				rng := rand.New(rand.NewSource(int64(100*steps + g[2])))
 				b := randVelocity(rng, n)
@@ -334,7 +334,7 @@ func TestChebyshevNoFinalResidualSameX(t *testing.T) {
 	Diagonal(p, diag)
 	jac := krylov.NewJacobi(diag)
 	op := NewResident(p, false)
-	lmax := krylov.EstimateLambdaMax(op, jac, 10)
+	lmax := krylov.EstimateLambdaMaxIn(op, jac, 10, la.NewVec(op.N()), la.NewVec(op.N()), la.NewVec(op.N()))
 
 	rng := rand.New(rand.NewSource(8))
 	b := randVelocity(rng, n)

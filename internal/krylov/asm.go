@@ -16,20 +16,33 @@ import (
 // scattered back only to the base block, matching PETSc's default and
 // avoiding double counting in overlap regions.
 //
-// Construction, Refresh and Apply run the subdomains on Workers pool
-// workers. Every subdomain's arithmetic is its own and the base blocks
+// Construction, Refresh, Rebuild and Apply run the subdomains on Workers
+// pool workers. Every subdomain's arithmetic is its own and the base blocks
 // are disjoint, so the result is bit-identical at any worker count. Apply
 // uses per-subdomain work vectors held by the instance: it is NOT safe
 // for concurrent Apply calls on one ASM.
 type ASM struct {
 	subs    []asmSub
+	opt     ASMOptions
 	workers int
+
+	// marks are the set-up's per-chunk row maps (par.ForChunk's chunk
+	// index) and errs its per-subdomain results, kept for the next
+	// Refresh or Rebuild. a and chunk are the set-up in flight (chunk 0:
+	// a Refresh), read by body, the pool body made once, so that a set-up
+	// whose storage fits allocates nothing.
+	marks []*asmMarks
+	errs  []error
+	a     *la.CSR
+	chunk int
+	body  func(c, slo, shi int)
 }
 
 // asmSub is one overlapped subdomain. Its matrix is the principal
 // submatrix of the global one on rows, without the entries that are
 // exactly zero (they would otherwise take ILU(0) fill); only its factor is
-// stored, with the positions in the global matrix its entries come from.
+// stored, gathered straight from the global matrix, with the positions in
+// the global matrix its entries come from.
 type asmSub struct {
 	rows []int // global row indices, ascending
 	// The base block is a contiguous global range and rows ascend, so it
@@ -49,13 +62,14 @@ type asmSub struct {
 
 // asmMarks maps global rows to one subdomain at a time: row g belongs to
 // the subdomain entered last iff mark[g] == stamp, at local index loc[g].
-// One per worker chunk, so subdomains can be set up in parallel.
+// One per worker chunk, so subdomains can be set up in parallel. rowptr
+// and cols hold the local pattern of the subdomain being factored
+// (la.ILU0.Reset), the chunk's scratch.
 type asmMarks struct {
-	mark, loc []int
-	stamp     int
+	mark, loc    []int
+	stamp        int
+	rowptr, cols []int32
 }
-
-func newASMMarks(n int) *asmMarks { return &asmMarks{mark: make([]int, n), loc: make([]int, n)} }
 
 // local returns the local index of global row g, or -1 outside the
 // subdomain.
@@ -75,18 +89,25 @@ type ASMOptions struct {
 
 // NewASM builds the preconditioner for the CSR matrix a.
 func NewASM(a *la.CSR, opt ASMOptions) (*ASM, error) {
+	asm := &ASM{opt: opt, workers: max(1, opt.Workers)}
+	asm.body = asm.setupChunk
+	return asm, asm.Rebuild(a)
+}
+
+// Rebuild regrows the preconditioner for a, which may have another
+// sparsity pattern (and order) than the matrix it was built on: every
+// subdomain's rows, gather maps, work vectors and factor are re-derived
+// into the storage they already have where it has the room. The result
+// is bitwise NewASM of a.
+func (asm *ASM) Rebuild(a *la.CSR) error {
 	n := a.NRows
-	nsub := min(max(1, opt.Subdomains), n)
-	chunk := (n + nsub - 1) / nsub
 	if len(a.Val) > math.MaxInt32 {
-		return nil, fmt.Errorf("krylov: ASM of a matrix with %d stored entries: more than int32 indices address", len(a.Val))
+		return fmt.Errorf("krylov: ASM of a matrix with %d stored entries: more than int32 indices address", len(a.Val))
 	}
-	asm := &ASM{workers: max(1, opt.Workers)}
-	asm.subs = make([]asmSub, (n+chunk-1)/chunk)
-	return asm, asm.setup(a, func(s int, sub *asmSub, m *asmMarks) {
-		lo := s * chunk
-		sub.grow(a, lo, min(lo+chunk, n), opt.Overlap, m)
-	})
+	nsub := min(max(1, asm.opt.Subdomains), n)
+	chunk := (n + nsub - 1) / nsub
+	asm.subs = la.Resized(asm.subs, (n+chunk-1)/chunk)
+	return asm.setup(a, chunk)
 }
 
 // Refresh recomputes the subdomain solvers from new values of a, which
@@ -94,36 +115,53 @@ func NewASM(a *la.CSR, opt ASMOptions) (*ASM, error) {
 // blocks and the subdomain ILU(0) factors are kept, and the result is
 // bit-identical to NewASM on the same values.
 func (asm *ASM) Refresh(a *la.CSR) error {
-	return asm.setup(a, func(_ int, sub *asmSub, m *asmMarks) { m.enter(sub.rows) })
+	return asm.setup(a, 0)
 }
 
-// setup factors every subdomain from a's values, subdomains in parallel:
-// in place on its factor while the set of nonzero entries has not changed
-// (la.ILU0.Refactor, which allocates nothing), else on a new pattern, for
-// which enter must leave the worker's marks on the subdomain it is given.
-func (asm *ASM) setup(a *la.CSR, enter func(s int, sub *asmSub, m *asmMarks)) error {
-	errs := make([]error, len(asm.subs))
-	par.For(asm.workers, len(asm.subs), func(slo, shi int) {
-		var m *asmMarks
-		for s := slo; s < shi; s++ {
-			sub := &asm.subs[s]
-			if sub.ilu != nil && sub.patternHolds(a) {
-				errs[s] = sub.ilu.Refactor(a, sub.at)
-				continue
-			}
-			if m == nil {
-				m = newASMMarks(a.NRows)
-			}
-			enter(s, sub, m)
-			errs[s] = sub.factor(a, m)
-		}
-	})
-	for _, err := range errs {
+// setup factors every subdomain from a's values, subdomains in parallel.
+// With chunk 0 (Refresh) a subdomain keeps its rows and is refactored in
+// place while the set of nonzero entries has not changed
+// (la.ILU0.Refactor), else gathered again on the new set; otherwise
+// subdomain s is first regrown from the base block of chunk rows at
+// s·chunk.
+func (asm *ASM) setup(a *la.CSR, chunk int) error {
+	asm.errs = la.Resized(asm.errs, len(asm.subs))
+	asm.marks = la.Resized(asm.marks, asm.workers)
+	asm.a, asm.chunk = a, chunk
+	par.ForChunk(asm.workers, len(asm.subs), asm.body)
+	asm.a = nil
+	for _, err := range asm.errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// setupChunk is setup's pool body: the subdomains [slo, shi) on the
+// marks of chunk c.
+func (asm *ASM) setupChunk(c, slo, shi int) {
+	a, n := asm.a, asm.a.NRows
+	for s := slo; s < shi; s++ {
+		sub := &asm.subs[s]
+		asm.errs[s] = nil
+		if asm.chunk == 0 && sub.patternHolds(a) {
+			asm.errs[s] = sub.ilu.Refactor(a, sub.at)
+			continue
+		}
+		m := asm.marks[c]
+		if m == nil || len(m.mark) != n {
+			m = &asmMarks{mark: make([]int, n), loc: make([]int, n)}
+			asm.marks[c] = m
+		}
+		if asm.chunk == 0 {
+			m.enter(sub.rows)
+		} else {
+			lo := s * asm.chunk
+			sub.grow(a, lo, min(lo+asm.chunk, n), asm.opt.Overlap, m)
+		}
+		asm.errs[s] = sub.factor(a, m)
+	}
 }
 
 // enter points the marks at the subdomain with the given ascending rows.
@@ -138,15 +176,17 @@ func (m *asmMarks) enter(rows []int) {
 // adjacency into rows, and leaves the marks on the subdomain.
 func (sub *asmSub) grow(a *la.CSR, lo, hi, overlap int, m *asmMarks) {
 	m.stamp++
-	rows := make([]int, 0, 2*(hi-lo))
+	rows := sub.rows[:0]
+	if rows == nil {
+		rows = make([]int, 0, 2*(hi-lo))
+	}
 	for i := lo; i < hi; i++ {
 		m.mark[i] = m.stamp
 		rows = append(rows, i)
 	}
-	frontier := rows
-	for lvl := 0; lvl < overlap && len(frontier) > 0; lvl++ {
-		first := len(rows)
-		for _, i := range frontier {
+	for lvl, first := 0, 0; lvl < overlap && first < len(rows); lvl++ {
+		frontier := len(rows)
+		for _, i := range rows[first:frontier] {
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 				if j := a.ColInd[k]; m.mark[j] != m.stamp {
 					m.mark[j] = m.stamp
@@ -154,7 +194,7 @@ func (sub *asmSub) grow(a *la.CSR, lo, hi, overlap int, m *asmMarks) {
 				}
 			}
 		}
-		frontier = rows[first:]
+		first = frontier
 	}
 	sort.Ints(rows)
 	sub.rows = rows
@@ -163,14 +203,16 @@ func (sub *asmSub) grow(a *la.CSR, lo, hi, overlap int, m *asmMarks) {
 	for l, g := range rows {
 		m.loc[g] = l
 	}
-	sub.rl, sub.zl = la.NewVec(len(rows)), la.NewVec(len(rows))
+	sub.rl, sub.zl = la.Resized(sub.rl, len(rows)), la.Resized(sub.zl, len(rows))
 }
 
 // factor computes the subdomain solver from a's current values on the
-// pattern of its nonzero entries. m must be on the subdomain.
+// pattern of its nonzero entries, gathered from the global rows through
+// the marks, which must be on the subdomain. The gather maps and the
+// factor are rebuilt in their own storage.
 func (sub *asmSub) factor(a *la.CSR, m *asmMarks) error {
 	// Counted first, so that the maps, which live as long as the factor,
-	// and the matrix, which goes once it is factored, are sized exactly.
+	// are sized exactly when they grow.
 	nl, nnz, nzero := len(sub.rows), 0, 0
 	for _, g := range sub.rows {
 		for k := a.RowPtr[g]; k < a.RowPtr[g+1]; k++ {
@@ -183,33 +225,40 @@ func (sub *asmSub) factor(a *la.CSR, m *asmMarks) error {
 			}
 		}
 	}
-	mat := &la.CSR{NRows: nl, NCols: nl, RowPtr: make([]int, nl+1), ColInd: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
-	at, zeros := make([]int32, 0, nnz), make([]int32, 0, nzero)
+	sub.at, sub.zeros = la.Resized(sub.at, nnz), la.Resized(sub.zeros, nzero)
+	m.rowptr, m.cols = la.Resized(m.rowptr, nl+1), la.Resized(m.cols, nnz)
+	e, z := 0, 0
+	m.rowptr[0] = 0
 	for l, g := range sub.rows {
 		for k := a.RowPtr[g]; k < a.RowPtr[g+1]; k++ {
 			switch c := m.local(a.ColInd[k]); {
 			case c < 0:
 			case a.Val[k] == 0:
-				zeros = append(zeros, int32(k))
+				sub.zeros[z] = int32(k)
+				z++
 			default:
-				mat.ColInd = append(mat.ColInd, c)
-				mat.Val = append(mat.Val, a.Val[k])
-				at = append(at, int32(k))
+				m.cols[e], sub.at[e] = int32(c), int32(k)
+				e++
 			}
 		}
-		mat.RowPtr[l+1] = len(mat.Val)
+		m.rowptr[l+1] = int32(e)
 	}
-	f, err := la.NewILU0(mat)
-	if err != nil {
+	if sub.ilu == nil {
+		sub.ilu = new(la.ILU0)
+	}
+	if err := sub.ilu.Reset(m.rowptr, m.cols, a.Val, sub.at); err != nil {
+		sub.ilu = nil
 		return fmt.Errorf("krylov: ASM subdomain ILU(0): %w", err)
 	}
-	sub.ilu, sub.at, sub.zeros = f, at, zeros
 	return nil
 }
 
 // patternHolds reports whether the nonzero entries of a inside the
 // subdomain are still those the factor's pattern was built on.
 func (sub *asmSub) patternHolds(a *la.CSR) bool {
+	if sub.ilu == nil {
+		return false
+	}
 	for _, k := range sub.at {
 		if a.Val[k] == 0 {
 			return false

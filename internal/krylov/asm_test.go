@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
 	"ptatin3d/internal/la"
+	"ptatin3d/internal/par"
 )
 
 // refASM is the serial, map-based restricted additive Schwarz that ASM
@@ -140,8 +142,8 @@ func TestASMParallelMatchesSerial(t *testing.T) {
 
 // TestASMRefreshMatchesNew: after the matrix values change on a fixed
 // sparsity pattern, Refresh equals a fresh NewASM bitwise — when the
-// nonzeros stay where they were (patterns kept) and when exact zeros
-// appear and disappear (subdomain factors rebuilt).
+// nonzeros stay where they were (subdomain patterns kept) and when exact
+// zeros appear and disappear (subdomain patterns gathered again).
 func TestASMRefreshMatchesNew(t *testing.T) {
 	zeroA := func(r, c int) bool { return (r+c)%5 == 0 }
 	zeroB := func(r, c int) bool { return (r*c)%7 == 3 }
@@ -165,12 +167,12 @@ func TestASMRefreshMatchesNew(t *testing.T) {
 		for _, st := range steps {
 			// The solver's matrix is refreshed in place: same arrays.
 			copy(a.Val, st.next.Val)
-			kept := asm.subs[0].ilu
+			kept := slices.Clone(asm.subs[0].at)
 			if err := asm.Refresh(a); err != nil {
 				t.Fatal(err)
 			}
-			if (st.name != "zeros moved") != (asm.subs[0].ilu == kept) {
-				t.Fatalf("%s: subdomain factor kept = %v", st.name, asm.subs[0].ilu == kept)
+			if same := slices.Equal(asm.subs[0].at, kept); (st.name != "zeros moved") != same {
+				t.Fatalf("%s: subdomain pattern kept = %v", st.name, same)
 			}
 			fresh, err := NewASM(a, opt)
 			if err != nil {
@@ -225,5 +227,86 @@ func TestASMRestrictedPartialSweepBitwise(t *testing.T) {
 	}
 	if skipped == 0 {
 		t.Fatal("restricted Apply back-substituted every row below the base blocks")
+	}
+}
+
+// widened is lap3d(n) with an extra coupling between every row and the
+// row two further on, and no stored zeros: another sparsity pattern on
+// the same unknowns, whose subdomains are wider.
+func widened(n int, seed int64) *la.CSR {
+	a := lap3d(n)
+	rng := rand.New(rand.NewSource(seed))
+	b := la.NewBuilder(a.NRows, a.NCols)
+	for i := 0; i < a.NRows; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			b.Add(i, a.ColInd[k], a.Val[k]*(1+0.1*rng.Float64()))
+		}
+		if i+2 < a.NRows {
+			b.Add(i, i+2, -0.25)
+			b.Add(i+2, i, -0.25)
+		}
+	}
+	return b.ToCSR()
+}
+
+// TestASMRebuildMatchesNew: Rebuild onto a matrix with another sparsity
+// pattern — wider, with stored zeros, of another order, wider again — is
+// bitwise NewASM of that matrix at 1 and 3 workers.
+func TestASMRebuildMatchesNew(t *testing.T) {
+	zeros := func(r, c int) bool { return (r+c)%5 == 0 }
+	mats := []*la.CSR{widened(7, 1), lapStoredZeros(7, 2, zeros), lap3d(6), widened(7, 3)}
+	for _, w := range []int{1, 3} {
+		opt := ASMOptions{Subdomains: 8, Overlap: 2, Workers: w}
+		asm, err := NewASM(lap3d(7), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, a := range mats {
+			if err := asm.Rebuild(a); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewASM(a, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := randVec(rand.New(rand.NewSource(int64(i))), a.NRows)
+			got, want := la.NewVec(a.NRows), la.NewVec(a.NRows)
+			got.Set(math.NaN())
+			asm.Apply(r, got)
+			fresh.Apply(r, want)
+			sameBits(t, fmt.Sprintf("workers=%d matrix %d", w, i), got, want)
+		}
+	}
+}
+
+// TestAllocBudgetASMRebuild: once the subdomains have grown to fit both
+// of two sparsity patterns, rebuilding from one to the other allocates
+// nothing on one worker, and on three nothing beyond what the pool's
+// dispatch of the subdomains allocates (any par.ForChunk does as much).
+func TestAllocBudgetASMRebuild(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	a, b := widened(7, 1), lapStoredZeros(7, 2, func(r, c int) bool { return (r+c)%5 == 0 })
+	for _, w := range []int{1, 3} {
+		asm, err := NewASM(a, ASMOptions{Subdomains: 8, Overlap: 2, Workers: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := asm.Rebuild(b); err != nil {
+			t.Fatal(err)
+		}
+		body := func(c, lo, hi int) {}
+		dispatch := testing.AllocsPerRun(5, func() { par.ForChunk(w, len(asm.subs), body) })
+		if allocs := testing.AllocsPerRun(5, func() {
+			if err := asm.Rebuild(a); err != nil {
+				t.Fatal(err)
+			}
+			if err := asm.Rebuild(b); err != nil {
+				t.Fatal(err)
+			}
+		}) / 2; allocs != dispatch {
+			t.Errorf("workers=%d: a rebuild that fits allocates %v times; its pool dispatch %v", w, allocs, dispatch)
+		}
 	}
 }

@@ -95,20 +95,14 @@ func (c *Chebyshev) Smooth(b, x la.Vec, zeroGuess bool) {
 // from a zero initial guess).
 func (c *Chebyshev) Apply(r, z la.Vec) { c.Smooth(r, z, true) }
 
-// EstimateLambdaMax estimates the largest eigenvalue of M⁻¹·A by power
-// iteration with the M-weighted Rayleigh quotient. A dozen iterations give
-// the ~10% accuracy the smoother interval needs (the 1.1 safety factor in
-// the target interval absorbs the remaining error). The estimate is
-// deterministic: the start vector is a fixed quasi-random sequence, so
-// solver behaviour is reproducible run to run.
-func EstimateLambdaMax(a Op, m Preconditioner, iters int) float64 {
-	n := a.N()
-	return EstimateLambdaMaxIn(a, m, iters, la.NewVec(n), la.NewVec(n), la.NewVec(n))
-}
-
-// EstimateLambdaMaxIn is EstimateLambdaMax run in the caller's three
+// EstimateLambdaMaxIn estimates the largest eigenvalue of M⁻¹·A by power
+// iteration with the M-weighted Rayleigh quotient, in the caller's three
 // n-vectors, whose contents it overwrites: a set-up that has idle vectors
-// to lend allocates nothing.
+// to lend allocates nothing. A dozen iterations give the ~10% accuracy the
+// smoother interval needs (the 1.1 safety factor in the target interval
+// absorbs the remaining error). The estimate is deterministic: the start
+// vector is a fixed quasi-random sequence, so solver behaviour is
+// reproducible run to run.
 func EstimateLambdaMaxIn(a Op, m Preconditioner, iters int, v, av, z la.Vec) float64 {
 	// Deterministic pseudo-random start touching all components.
 	s := uint64(88172645463325252)

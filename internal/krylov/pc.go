@@ -48,15 +48,6 @@ func (j *Jacobi) Apply(r, z la.Vec) {
 // ILUPC wraps an ILU(0) factorization as a preconditioner.
 type ILUPC struct{ F *la.ILU0 }
 
-// NewILUPC factors a and returns the preconditioner.
-func NewILUPC(a *la.CSR) (*ILUPC, error) {
-	f, err := la.NewILU0(a)
-	if err != nil {
-		return nil, err
-	}
-	return &ILUPC{F: f}, nil
-}
-
 // Apply computes z = (LU)⁻¹·r.
 func (p *ILUPC) Apply(r, z la.Vec) { p.F.Solve(r, z) }
 
@@ -66,27 +57,37 @@ func (p *ILUPC) Apply(r, z la.Vec) { p.F.Solve(r, z) }
 // paper ("block Jacobi, with an exact LU factorization applied on each of
 // the subdomains", §IV-A).
 type BlockJacobi struct {
+	nb      int
 	offsets []int
 	facts   []*la.LU
+	blk     la.Dense // the block being factored, kept for Refresh
 }
 
 // NewBlockJacobi factors the nb diagonal blocks of a.
 func NewBlockJacobi(a *la.CSR, nb int) (*BlockJacobi, error) {
+	bj := &BlockJacobi{nb: nb}
+	if err := bj.Refresh(a); err != nil {
+		return nil, err
+	}
+	return bj, nil
+}
+
+// Refresh refactors the blocks from a, which may have another order than
+// the matrix the preconditioner was built on, into the storage of the
+// factors it has: bitwise NewBlockJacobi(a, nb). After an error the
+// preconditioner is unusable until a Refresh succeeds.
+func (bj *BlockJacobi) Refresh(a *la.CSR) error {
 	n := a.NRows
-	if nb < 1 {
-		nb = 1
-	}
-	if nb > n {
-		nb = n
-	}
-	bj := &BlockJacobi{}
+	nb := min(max(1, bj.nb), n)
 	chunk := (n + nb - 1) / nb
+	bj.offsets = bj.offsets[:0]
+	nf := 0
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		blk := la.NewDense(hi-lo, hi-lo)
+		hi := min(lo+chunk, n)
+		blk := &bj.blk
+		blk.Rows, blk.Cols = hi-lo, hi-lo
+		blk.Data = la.Resized(blk.Data, (hi-lo)*(hi-lo))
+		clear(blk.Data)
 		for i := lo; i < hi; i++ {
 			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 				j := a.ColInd[k]
@@ -95,15 +96,24 @@ func NewBlockJacobi(a *la.CSR, nb int) (*BlockJacobi, error) {
 				}
 			}
 		}
-		f, err := la.Factor(blk)
+		var err error
+		if nf < len(bj.facts) {
+			err = bj.facts[nf].Refactor(blk)
+		} else {
+			var f *la.LU
+			if f, err = la.Factor(blk); err == nil {
+				bj.facts = append(bj.facts, f)
+			}
+		}
 		if err != nil {
-			return nil, fmt.Errorf("krylov: block [%d,%d) singular: %w", lo, hi, err)
+			return fmt.Errorf("krylov: block [%d,%d) singular: %w", lo, hi, err)
 		}
 		bj.offsets = append(bj.offsets, lo)
-		bj.facts = append(bj.facts, f)
+		nf++
 	}
+	bj.facts = bj.facts[:nf]
 	bj.offsets = append(bj.offsets, n)
-	return bj, nil
+	return nil
 }
 
 // Apply solves each diagonal block exactly.

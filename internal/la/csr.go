@@ -82,17 +82,22 @@ func (a *CSR) Diag(d Vec) {
 }
 
 // Transpose returns aᵀ as a new CSR matrix.
-func (a *CSR) Transpose() *CSR {
-	t := &CSR{NRows: a.NCols, NCols: a.NRows}
-	t.RowPtr = make([]int, t.NRows+1)
+func (a *CSR) Transpose() *CSR { return a.TransposeInto(&CSR{}) }
+
+// TransposeInto writes aᵀ into t, reusing t's storage where its capacity
+// holds it, and returns t; t must not be a.
+func (a *CSR) TransposeInto(t *CSR) *CSR {
+	t.NRows, t.NCols = a.NCols, a.NRows
+	t.RowPtr = Resized(t.RowPtr, t.NRows+1)
+	clear(t.RowPtr)
 	for _, j := range a.ColInd {
 		t.RowPtr[j+1]++
 	}
 	for i := 0; i < t.NRows; i++ {
 		t.RowPtr[i+1] += t.RowPtr[i]
 	}
-	t.ColInd = make([]int, a.NNZ())
-	t.Val = make([]float64, a.NNZ())
+	t.ColInd = Resized(t.ColInd, a.NNZ())
+	t.Val = Resized(t.Val, a.NNZ())
 	next := make([]int, t.NRows)
 	copy(next, t.RowPtr[:t.NRows])
 	for i := 0; i < a.NRows; i++ {
@@ -111,12 +116,24 @@ func (a *CSR) Transpose() *CSR {
 // row-merge algorithm with a dense scatter workspace; this is the kernel
 // behind Galerkin triple products RAP and smoothed-aggregation prolongator
 // smoothing.
-func MatMul(a, b *CSR) *CSR {
+func MatMul(a, b *CSR) *CSR { return MatMulInto(&CSR{}, a, b) }
+
+// MatMulInto writes the product a*b into c, reusing c's storage where its
+// capacity holds the product, and returns c: bitwise MatMul(a, b). c must
+// be neither a nor b.
+func MatMulInto(c, a, b *CSR) *CSR { return ScaledMatMulInto(c, nil, a, b) }
+
+// ScaledMatMulInto is MatMulInto of diag(s)·a and b, row i of a scaled by
+// s[i] as the product reads it: bitwise MatMul of a copy of a whose rows
+// were scaled in place (a_ik·s_i rounded, then times b_kj), with no copy
+// made. A nil s scales nothing.
+func ScaledMatMulInto(c *CSR, s Vec, a, b *CSR) *CSR {
 	if a.NCols != b.NRows {
 		panic(fmt.Sprintf("la: MatMul shape mismatch (%dx%d)*(%dx%d)", a.NRows, a.NCols, b.NRows, b.NCols))
 	}
-	c := &CSR{NRows: a.NRows, NCols: b.NCols}
-	c.RowPtr = make([]int, a.NRows+1)
+	c.NRows, c.NCols = a.NRows, b.NCols
+	c.RowPtr = Resized(c.RowPtr, a.NRows+1)
+	c.RowPtr[0] = 0
 	marker := make([]int, b.NCols)
 	for i := range marker {
 		marker[i] = -1
@@ -137,8 +154,8 @@ func MatMul(a, b *CSR) *CSR {
 		c.RowPtr[i+1] = c.RowPtr[i] + cnt
 	}
 	nnz := c.RowPtr[a.NRows]
-	c.ColInd = make([]int, nnz)
-	c.Val = make([]float64, nnz)
+	c.ColInd = Resized(c.ColInd, nnz)
+	c.Val = Resized(c.Val, nnz)
 	// Numeric pass.
 	for i := range marker {
 		marker[i] = -1
@@ -150,6 +167,9 @@ func MatMul(a, b *CSR) *CSR {
 		for ka := a.RowPtr[i]; ka < a.RowPtr[i+1]; ka++ {
 			k := a.ColInd[ka]
 			av := a.Val[ka]
+			if s != nil {
+				av *= s[i]
+			}
 			for kb := b.RowPtr[k]; kb < b.RowPtr[k+1]; kb++ {
 				j := b.ColInd[kb]
 				if marker[j] != i {
@@ -211,22 +231,15 @@ func MatMulNumeric(a, b, c *CSR, workers int) {
 	})
 }
 
-// RAP returns the Galerkin triple product pᵀ*a*p used to build coarse-level
-// operators from a fine-level operator a and prolongator p.
-func RAP(a, p *CSR) *CSR {
-	ap := MatMul(a, p)
-	pt := p.Transpose()
-	return MatMul(pt, ap)
-}
-
-// Clone returns a deep copy of a.
-func (a *CSR) Clone() *CSR {
-	c := &CSR{NRows: a.NRows, NCols: a.NCols,
-		RowPtr: append([]int(nil), a.RowPtr...),
-		ColInd: append([]int(nil), a.ColInd...),
-		Val:    append([]float64(nil), a.Val...),
-	}
-	return c
+// RAPInto writes the Galerkin triple product pᵀ*a*p, the coarse-level
+// operator of a fine-level operator a and prolongator p, into c, and the
+// intermediate products a*p and pᵀ into ap and pt, reusing the storage of
+// all three where it has the room; it returns c. The four matrices must
+// be distinct from a and p.
+func RAPInto(c, a, p, ap, pt *CSR) *CSR {
+	MatMulInto(ap, a, p)
+	p.TransposeInto(pt)
+	return MatMulInto(c, pt, ap)
 }
 
 // At returns entry (i,j), or 0 if it is not stored. Binary search within
@@ -242,35 +255,59 @@ func (a *CSR) At(i, j int) float64 {
 }
 
 // Builder accumulates (i,j,v) triplets and converts them to CSR, summing
-// duplicates. Finite element assembly uses one Builder per matrix.
+// duplicates. Finite element assembly uses one Builder per matrix. Each
+// row is held as its entries in ascending column order, so a row costs
+// what it stores and ToCSR only copies.
 type Builder struct {
 	nrows, ncols int
-	rows         []map[int]float64
+	rows         [][]builderEntry
+}
+
+// builderEntry is one stored entry of a Builder row.
+type builderEntry struct {
+	j int
+	v float64
 }
 
 // NewBuilder returns a Builder for an nrows×ncols matrix.
 func NewBuilder(nrows, ncols int) *Builder {
-	return &Builder{nrows: nrows, ncols: ncols, rows: make([]map[int]float64, nrows)}
+	return &Builder{nrows: nrows, ncols: ncols, rows: make([][]builderEntry, nrows)}
 }
 
-// Add accumulates v into entry (i,j).
+// entry returns the entry (i,j), inserted with value 0 if it is not
+// stored yet.
+func (b *Builder) entry(i, j int) *builderEntry {
+	r := b.rows[i]
+	lo, hi := 0, len(r)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); r[m].j < j {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo == len(r) || r[lo].j != j {
+		if r == nil {
+			r = make([]builderEntry, 0, 8)
+		}
+		r = append(r, builderEntry{})
+		copy(r[lo+1:], r[lo:])
+		r[lo] = builderEntry{j: j}
+		b.rows[i] = r
+	}
+	return &r[lo]
+}
+
+// Add accumulates v into entry (i,j). A zero v stores nothing.
 func (b *Builder) Add(i, j int, v float64) {
 	if v == 0 {
 		return
 	}
-	if b.rows[i] == nil {
-		b.rows[i] = make(map[int]float64, 96)
-	}
-	b.rows[i][j] += v
+	b.entry(i, j).v += v
 }
 
 // Set overwrites entry (i,j) with v (used for Dirichlet rows).
-func (b *Builder) Set(i, j int, v float64) {
-	if b.rows[i] == nil {
-		b.rows[i] = make(map[int]float64, 4)
-	}
-	b.rows[i][j] = v
-}
+func (b *Builder) Set(i, j int, v float64) { b.entry(i, j).v = v }
 
 // ToCSR converts the accumulated triplets to a CSR matrix with sorted rows.
 // Entries with value exactly zero are kept (they may be structurally
@@ -284,32 +321,27 @@ func (b *Builder) ToCSR() *CSR {
 	nnz := a.RowPtr[b.nrows]
 	a.ColInd = make([]int, nnz)
 	a.Val = make([]float64, nnz)
-	cols := make([]int, 0, 512)
 	for i, r := range b.rows {
-		cols = cols[:0]
-		for j := range r {
-			cols = append(cols, j)
-		}
-		sort.Ints(cols)
 		p := a.RowPtr[i]
-		for _, j := range cols {
-			a.ColInd[p] = j
-			a.Val[p] = r[j]
-			p++
+		for k, e := range r {
+			a.ColInd[p+k], a.Val[p+k] = e.j, e.v
 		}
 	}
 	return a
 }
 
-// AddScaled returns c = a + alpha·b for same-shaped CSR matrices, merging
-// sparsity patterns. Used by smoothed aggregation to form the smoothed
-// prolongator P = P0 - ω·(D⁻¹A)·P0.
-func AddScaled(a, b *CSR, alpha float64) *CSR {
+// AddScaledInto writes c = a + alpha·b for same-shaped CSR matrices,
+// merging sparsity patterns, into c, reusing c's storage where its
+// capacity holds the sum, and returns c; c must be neither a nor b. Used
+// by smoothed aggregation to form the smoothed prolongator
+// P = P0 - ω·(D⁻¹A)·P0.
+func AddScaledInto(c, a, b *CSR, alpha float64) *CSR {
 	if a.NRows != b.NRows || a.NCols != b.NCols {
 		panic("la: AddScaled shape mismatch")
 	}
-	c := &CSR{NRows: a.NRows, NCols: a.NCols}
-	c.RowPtr = make([]int, a.NRows+1)
+	c.NRows, c.NCols = a.NRows, a.NCols
+	c.RowPtr = Resized(c.RowPtr, a.NRows+1)
+	c.RowPtr[0] = 0
 	marker := make([]int, a.NCols)
 	for i := range marker {
 		marker[i] = -1
@@ -330,8 +362,8 @@ func AddScaled(a, b *CSR, alpha float64) *CSR {
 		}
 		c.RowPtr[i+1] = c.RowPtr[i] + cnt
 	}
-	c.ColInd = make([]int, c.RowPtr[a.NRows])
-	c.Val = make([]float64, c.RowPtr[a.NRows])
+	c.ColInd = Resized(c.ColInd, c.RowPtr[a.NRows])
+	c.Val = Resized(c.Val, c.RowPtr[a.NRows])
 	for i := range marker {
 		marker[i] = -1
 	}
@@ -368,17 +400,4 @@ func AddScaled(a, b *CSR, alpha float64) *CSR {
 		}
 	}
 	return c
-}
-
-// ScaleRows multiplies row i of a by s[i] in place (a ← diag(s)·a).
-func (a *CSR) ScaleRows(s Vec) {
-	if len(s) != a.NRows {
-		panic("la: ScaleRows length mismatch")
-	}
-	for i := 0; i < a.NRows; i++ {
-		si := s[i]
-		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-			a.Val[k] *= si
-		}
-	}
 }

@@ -168,7 +168,7 @@ func TestCSRRAP(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	a := randCSR(rng, 12, 12, 0.3, true)
 	p := randCSR(rng, 12, 5, 0.4, false)
-	c := RAP(a, p)
+	c := RAPInto(&CSR{}, a, p, &CSR{}, &CSR{})
 	if c.NRows != 5 || c.NCols != 5 {
 		t.Fatalf("RAP shape %dx%d", c.NRows, c.NCols)
 	}
@@ -205,16 +205,29 @@ func TestCSRDiag(t *testing.T) {
 	}
 }
 
+// TestCSRScaleClone: the row-scaled product reads diag(s)·a without
+// copying a — bitwise the product of a clone of a whose rows were scaled
+// in place — and leaves a's values alone.
 func TestCSRScaleClone(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := randCSR(rng, 10, 10, 0.3, true)
+	b := randCSR(rng, 10, 6, 0.4, false)
+	sc := make(Vec, a.NRows)
+	for i := range sc {
+		sc[i] = 1 / (1 + rng.Float64())
+	}
 	orig := slices.Clone(a.Val)
-	c := a.Clone()
-	for k := range c.Val {
-		c.Val[k] *= 2
+	scaled := &CSR{NRows: a.NRows, NCols: a.NCols, RowPtr: a.RowPtr, ColInd: a.ColInd, Val: slices.Clone(a.Val)}
+	for i := 0; i < scaled.NRows; i++ {
+		for k := scaled.RowPtr[i]; k < scaled.RowPtr[i+1]; k++ {
+			scaled.Val[k] *= sc[i]
+		}
+	}
+	if !sameCSR(ScaledMatMulInto(&CSR{}, sc, a, b), MatMul(scaled, b)) {
+		t.Fatal("the row-scaled product differs from the product of the scaled copy")
 	}
 	if !slices.Equal(a.Val, orig) {
-		t.Fatal("Clone shares values with its original")
+		t.Fatal("the row-scaled product wrote into a")
 	}
 }
 
@@ -238,6 +251,57 @@ func TestExtractSubmatrix(t *testing.T) {
 			if sub.At(i, j) != want[i][j] {
 				t.Fatalf("sub[%d,%d] = %v, want %v", i, j, sub.At(i, j), want[i][j])
 			}
+		}
+	}
+}
+
+// sameCSR reports whether got is want bit for bit: shape, pattern and
+// values.
+func sameCSR(got, want *CSR) bool {
+	if got.NRows != want.NRows || got.NCols != want.NCols || !slices.Equal(got.RowPtr, want.RowPtr) || !slices.Equal(got.ColInd, want.ColInd) || len(got.Val) != len(want.Val) {
+		return false
+	}
+	for k, v := range want.Val {
+		if math.Float64bits(got.Val[k]) != math.Float64bits(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestIntoFormsReuseStorage: the into-destination forms of MatMul (plain
+// and row-scaled), Transpose, RAP and AddScaled, written into storage
+// that holds the result of a larger and then of a smaller problem, give
+// bitwise the freshly allocated results, and write into the old storage
+// when it has the room.
+func TestIntoFormsReuseStorage(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	var mm, tr, rap, ap, pt, sum, cl CSR
+	for trial, n := range []int{14, 9, 12} {
+		a := randCSR(rng, n, n, 0.3, true)
+		b := randCSR(rng, n, n, 0.3, false)
+		p := randCSR(rng, n, 4, 0.4, false)
+		sc, scaledVals := make(Vec, n), slices.Clone(a.Val)
+		for i := range sc {
+			sc[i] = 0.5 + rng.Float64()
+			for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+				scaledVals[k] *= sc[i]
+			}
+		}
+		old := mm.Val[:cap(mm.Val)]
+		for name, c := range map[string][2]*CSR{
+			"MatMul":    {MatMulInto(&mm, a, b), MatMul(a, b)},
+			"Transpose": {b.TransposeInto(&tr), b.Transpose()},
+			"RAP":       {RAPInto(&rap, a, p, &ap, &pt), MatMul(p.Transpose(), MatMul(a, p))},
+			"AddScaled": {AddScaledInto(&sum, a, b, -0.7), AddScaledInto(&CSR{}, a, b, -0.7)},
+			"Scaled":    {ScaledMatMulInto(&cl, sc, a, b), MatMul(&CSR{NRows: n, NCols: n, RowPtr: a.RowPtr, ColInd: a.ColInd, Val: scaledVals}, b)},
+		} {
+			if !sameCSR(c[0], c[1]) {
+				t.Fatalf("trial %d: %s into reused storage differs from a fresh one", trial, name)
+			}
+		}
+		if len(old) >= len(mm.Val) && len(mm.Val) > 0 && &old[0] != &mm.Val[0] {
+			t.Fatalf("trial %d: MatMulInto reallocated storage that had the room", trial)
 		}
 	}
 }

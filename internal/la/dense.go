@@ -30,13 +30,6 @@ func (m *Dense) Add(i, j int, v float64) { m.Data[i*m.Cols+j] += v }
 // Row returns a slice aliasing row i.
 func (m *Dense) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
-// Clone returns a deep copy of m.
-func (m *Dense) Clone() *Dense {
-	c := NewDense(m.Rows, m.Cols)
-	copy(c.Data, m.Data)
-	return c
-}
-
 // MulVec computes y = m*x.
 func (m *Dense) MulVec(x, y Vec) {
 	if len(x) != m.Cols || len(y) != m.Rows {
@@ -87,11 +80,22 @@ type LU struct {
 // pivoting. It returns an error if the matrix is singular to working
 // precision. m is not modified.
 func Factor(m *Dense) (*LU, error) {
+	f := &LU{}
+	if err := f.Refactor(m); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Refactor is Factor of m into f's storage, which it reuses where its
+// capacity holds the factor: the same operations in the same order. After
+// an error f is unusable until a Refactor succeeds. m is not modified.
+func (f *LU) Refactor(m *Dense) error {
 	if m.Rows != m.Cols {
 		panic("la: Factor requires a square matrix")
 	}
 	n := m.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n)}
+	f.n, f.lu, f.piv = n, Resized(f.lu, n*n), Resized(f.piv, n)
 	copy(f.lu, m.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -106,7 +110,7 @@ func Factor(m *Dense) (*LU, error) {
 			}
 		}
 		if pmax == 0 {
-			return nil, fmt.Errorf("la: singular matrix at pivot %d", k)
+			return fmt.Errorf("la: singular matrix at pivot %d", k)
 		}
 		if p != k {
 			rk := f.lu[k*n : (k+1)*n]
@@ -130,7 +134,7 @@ func Factor(m *Dense) (*LU, error) {
 			}
 		}
 	}
-	return f, nil
+	return nil
 }
 
 // Solve computes x such that A*x = b, where A is the factored matrix.
@@ -258,41 +262,35 @@ func Invert3(a *[9]float64, inv *[9]float64) float64 {
 	return det
 }
 
-// QRThin computes a thin (economy) QR factorization of the m×k matrix a
-// (m >= k) by modified Gram–Schmidt with reorthogonalization: a = q*r with
-// q m×k having orthonormal columns and r k×k upper triangular. Columns of
-// a that become numerically zero are replaced by zero columns in q with a
-// zero diagonal in r; the caller (smoothed aggregation) treats those as
-// dropped modes. a is not modified.
-func QRThin(a *Dense) (q, r *Dense) {
-	m, k := a.Rows, a.Cols
-	q = a.Clone()
-	r = NewDense(k, k)
-	col := func(d *Dense, j int) []float64 {
-		c := make([]float64, d.Rows)
-		for i := 0; i < d.Rows; i++ {
-			c[i] = d.At(i, j)
-		}
-		return c
+// QRThinInPlace computes a thin (economy) QR factorization of the m×k
+// matrix held in q (m >= k) by modified Gram–Schmidt with
+// reorthogonalization, in place: on return q holds the factor with
+// orthonormal columns and r (k×k, overwritten) the upper triangular one,
+// with q_in = q·r. Columns that become numerically zero are replaced by
+// zero columns in q with a zero diagonal in r; the caller (smoothed
+// aggregation) treats those as dropped modes. v is scratch of at least m
+// entries. It allocates nothing.
+func QRThinInPlace(q, r *Dense, v []float64) {
+	m, k := q.Rows, q.Cols
+	if r.Rows != k || r.Cols != k {
+		panic("la: QRThinInPlace: r is not k×k")
 	}
-	setcol := func(d *Dense, j int, c []float64) {
-		for i := 0; i < d.Rows; i++ {
-			d.Set(i, j, c[i])
-		}
-	}
+	clear(r.Data)
+	v = v[:m]
 	for j := 0; j < k; j++ {
-		v := col(q, j)
+		for t := range v {
+			v[t] = q.Data[t*k+j]
+		}
 		// Two rounds of MGS for numerical robustness.
 		for round := 0; round < 2; round++ {
 			for i := 0; i < j; i++ {
-				qi := col(q, i)
 				var dot float64
 				for t := 0; t < m; t++ {
-					dot += qi[t] * v[t]
+					dot += q.Data[t*k+i] * v[t]
 				}
 				r.Add(i, j, dot)
 				for t := 0; t < m; t++ {
-					v[t] -= dot * qi[t]
+					v[t] -= dot * q.Data[t*k+i]
 				}
 			}
 		}
@@ -314,7 +312,8 @@ func QRThin(a *Dense) (q, r *Dense) {
 				v[t] *= inrm
 			}
 		}
-		setcol(q, j, v)
+		for t := range v {
+			q.Data[t*k+j] = v[t]
+		}
 	}
-	return q, r
 }

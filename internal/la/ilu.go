@@ -37,45 +37,90 @@ type ILU0 struct {
 // indefinite or nearly singular subdomain blocks). The factor keeps no
 // reference to a.
 func NewILU0(a *CSR) (*ILU0, error) {
+	f := &ILU0{}
+	if err := f.Rebuild(a); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+// Rebuild is NewILU0 of a, which may have another pattern than the
+// factor, into the factor's storage where it has the room. On an error
+// the factor is unusable until a Rebuild or Reset succeeds.
+func (f *ILU0) Rebuild(a *CSR) error {
 	if a.NRows != a.NCols {
-		return nil, fmt.Errorf("la: ILU0 requires a square matrix, got %dx%d", a.NRows, a.NCols)
+		return fmt.Errorf("la: ILU0 requires a square matrix, got %dx%d", a.NRows, a.NCols)
 	}
 	if len(a.Val) > math.MaxInt32 {
-		return nil, fmt.Errorf("la: ILU0 of %d stored entries: more than int32 indices address", len(a.Val))
+		return fmt.Errorf("la: ILU0 of %d stored entries: more than int32 indices address", len(a.Val))
 	}
-	n := a.NRows
-	f := &ILU0{n: n, lptr: make([]int32, n+1), uptr: make([]int32, n+1), diag: make([]float64, n)}
-	nlow := make([]int, n) // entries left of the diagonal, per row
-	for i := range nlow {
-		cols := a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]]
-		for nlow[i] < len(cols) && cols[nlow[i]] < i {
-			nlow[i]++
-		}
-		if nlow[i] == len(cols) || cols[nlow[i]] != i {
-			return nil, fmt.Errorf("la: ILU0 row %d has no stored diagonal", i)
-		}
-		f.lptr[i+1] = f.lptr[i] + int32(nlow[i])
-	}
-	for r := 0; r < n; r++ {
-		i := n - 1 - r
-		f.uptr[r+1] = f.uptr[r] + int32(a.RowPtr[i+1]-a.RowPtr[i]-nlow[i]-1)
-	}
-	f.lcol, f.lval = make([]int32, f.lptr[n]), make([]float64, f.lptr[n])
-	f.ucol, f.uval = make([]int32, f.uptr[n]), make([]float64, f.uptr[n])
-	for i := 0; i < n; i++ {
-		cols := a.ColInd[a.RowPtr[i]:a.RowPtr[i+1]]
-		lcol, _ := f.lrow(i)
-		ucol, _ := f.urow(i)
-		for k, c := range cols[:len(lcol)] {
-			lcol[k] = int32(c)
-		}
-		for k, c := range cols[len(lcol)+1:] {
-			ucol[k] = int32(c)
-		}
+	if err := setPattern(f, a.RowPtr, a.ColInd); err != nil {
+		return err
 	}
 	f.load(a.Val, nil)
 	f.factor()
-	return f, nil
+	return nil
+}
+
+// Reset re-derives the factor on another pattern and factors it: row i
+// of the pattern holds the ascending columns cols[rowptr[i]:rowptr[i+1]],
+// and its e-th entry (rows ascending, columns ascending within a row)
+// takes val[at[e]]. The result is bitwise NewILU0 of the matrix with that
+// pattern and those values, written into the factor's storage where it
+// has the room: a factor of a submatrix is rebuilt from the matrix it is
+// cut from, with no copy of the submatrix. On an error (a row without its
+// diagonal, a gather map of another length) the factor is unusable until
+// a Reset succeeds.
+func (f *ILU0) Reset(rowptr, cols []int32, val []float64, at []int32) error {
+	if err := setPattern(f, rowptr, cols); err != nil {
+		return err
+	}
+	if len(at) != f.nnz() {
+		return fmt.Errorf("la: ILU0 Reset: a gather map of %d entries for a pattern of %d", len(at), f.nnz())
+	}
+	f.load(val, at)
+	f.factor()
+	return nil
+}
+
+// setPattern lays the factor's arrays out for the square pattern whose
+// row i holds the ascending columns cols[rowptr[i]:rowptr[i+1]], reusing
+// their storage where it has the room. It reports a row without a stored
+// diagonal.
+func setPattern[I int | int32](f *ILU0, rowptr, cols []I) error {
+	n := len(rowptr) - 1
+	f.n = n
+	f.lptr, f.uptr, f.diag = Resized(f.lptr, n+1), Resized(f.uptr, n+1), Resized(f.diag, n)
+	f.lptr[0], f.uptr[0] = 0, 0
+	for i := 0; i < n; i++ {
+		rc := cols[rowptr[i]:rowptr[i+1]]
+		nlow := 0 // entries left of the diagonal
+		for nlow < len(rc) && int(rc[nlow]) < i {
+			nlow++
+		}
+		if nlow == len(rc) || int(rc[nlow]) != i {
+			return fmt.Errorf("la: ILU0 row %d has no stored diagonal", i)
+		}
+		f.lptr[i+1] = f.lptr[i] + int32(nlow)
+	}
+	for r := 0; r < n; r++ {
+		i := n - 1 - r
+		f.uptr[r+1] = f.uptr[r] + int32(rowptr[i+1]-rowptr[i]) - (f.lptr[i+1] - f.lptr[i]) - 1
+	}
+	f.lcol, f.lval = Resized(f.lcol, int(f.lptr[n])), Resized(f.lval, int(f.lptr[n]))
+	f.ucol, f.uval = Resized(f.ucol, int(f.uptr[n])), Resized(f.uval, int(f.uptr[n]))
+	for i := 0; i < n; i++ {
+		rc := cols[rowptr[i]:rowptr[i+1]]
+		lcol, _ := f.lrow(i)
+		ucol, _ := f.urow(i)
+		for k, c := range rc[:len(lcol)] {
+			lcol[k] = int32(c)
+		}
+		for k, c := range rc[len(lcol)+1:] {
+			ucol[k] = int32(c)
+		}
+	}
+	return nil
 }
 
 // lrow returns row i of L without its unit diagonal: columns and values.
@@ -175,9 +220,7 @@ func (f *ILU0) load(val []float64, at []int32) {
 // those of the elimination on a CSR-form factor.
 func (f *ILU0) factor() {
 	n := f.n
-	if len(f.w) != n {
-		f.w, f.mark = make([]float64, n), make([]int32, n)
-	}
+	f.w, f.mark = Resized(f.w, n), Resized(f.mark, n)
 	w, mark := f.w, f.mark
 	for j := range mark {
 		mark[j] = -1
@@ -281,18 +324,21 @@ func (f *ILU0) SolveFrom(b, x Vec, first int) {
 
 // ExtractSubmatrix returns the principal submatrix of a indexed by rows
 // (and the same columns), as a CSR matrix in the local numbering induced
-// by rows. globalToLocal maps global indices to local indices; entries of
-// a whose column is outside rows are dropped. It is used to build the
-// overlapping subdomain blocks of the additive Schwarz preconditioner.
+// by rows. A dense global-to-local index maps a's columns; entries of a
+// whose column is outside rows are dropped. It is the reference the
+// additive Schwarz subdomain factors are tested against.
 func ExtractSubmatrix(a *CSR, rows []int) *CSR {
-	g2l := make(map[int]int, len(rows))
+	g2l := make([]int, a.NCols)
+	for g := range g2l {
+		g2l[g] = -1
+	}
 	for l, g := range rows {
 		g2l[g] = l
 	}
 	b := NewBuilder(len(rows), len(rows))
 	for l, g := range rows {
 		for k := a.RowPtr[g]; k < a.RowPtr[g+1]; k++ {
-			if lj, ok := g2l[a.ColInd[k]]; ok {
+			if lj := g2l[a.ColInd[k]]; lj >= 0 {
 				b.Add(l, lj, a.Val[k])
 			}
 		}

@@ -22,6 +22,23 @@ type Vec []float64
 // NewVec returns a zeroed vector of length n.
 func NewVec(n int) Vec { return make(Vec, n) }
 
+// Resized returns s with length n: s's own storage when its capacity
+// holds n (the contents are stale), else a new zeroed slice. It is how a
+// rebuild writes into the storage a previous build left. A first
+// allocation (s has no capacity) is exact; storage that a rebuild
+// outgrows is replaced with 1/8 to spare, so that a pattern that creeps
+// up from rebuild to rebuild — an ASM subdomain whose stored zeros fill
+// in one by one — settles after a few of them.
+func Resized[S ~[]E, E any](s S, n int) S {
+	switch {
+	case cap(s) >= n:
+		return s[:n]
+	case cap(s) == 0:
+		return make(S, n)
+	}
+	return make(S, n, n+n/8)
+}
+
 // Zero sets every entry of v to 0.
 func (v Vec) Zero() {
 	for i := range v {

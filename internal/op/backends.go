@@ -244,7 +244,7 @@ func (o *galerkinOp) augment() {
 	}
 	a := &la.CSR{NRows: raw.NRows, NCols: raw.NCols, RowPtr: make([]int, 1, raw.NRows+1),
 		ColInd: make([]int, 0, nnz), Val: make([]float64, 0, nnz)}
-	o.rawToAug = grownInts(o.rawToAug, raw.NNZ())
+	o.rawToAug = la.Resized(o.rawToAug, raw.NNZ())
 	o.augDiag = o.augDiag[:0]
 	for r := 0; r < raw.NRows; r++ {
 		diag := !mask[r]
@@ -273,15 +273,6 @@ func (o *galerkinOp) augment() {
 		a.RowPtr = append(a.RowPtr, len(a.Val))
 	}
 	o.a = a
-}
-
-// grownInts returns s resized to n, reallocating only when it is too
-// small.
-func grownInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	return s[:n]
 }
 
 // zeroPatternUnchanged reports whether the refreshed raw values would

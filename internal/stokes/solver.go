@@ -118,7 +118,8 @@ type Solver struct {
 	// coarseASM is the "asmcg" coarse solver's Schwarz preconditioner and
 	// coarseASMMat the coarsest-level matrix it was built on: while
 	// Refresh finds that matrix refreshed in place, the ASM is refreshed
-	// numerically instead of being regrown.
+	// numerically, and regrown into its own storage when the level hands
+	// over another matrix.
 	coarseASM    *krylov.ASM
 	coarseASMMat *la.CSR
 
@@ -285,9 +286,11 @@ const (
 
 // buildCoarseSolver installs the coarsest-level solver, built from the
 // hierarchy's assembled coarse matrix (op.Operator.CSR — the op layer's
-// coarse-level handoff to the algebraic solvers) at its current values.
-// An "asmcg" solver whose matrix was refreshed in place keeps its
-// topology and only refactors.
+// coarse-level handoff to the algebraic solvers) at its current values,
+// or rebuilds the one installed into its own storage: the GAMG hierarchy
+// is refreshed (amg.SA.Refresh), and an "asmcg" solver is refactored on
+// its kept topology while its matrix was refreshed in place, else
+// regrown onto the new matrix (krylov.ASM.Rebuild).
 func (s *Solver) buildCoarseSolver() error {
 	defer s.stage("coarse_solver")()
 	cfg := s.Cfg
@@ -296,47 +299,64 @@ func (s *Solver) buildCoarseSolver() error {
 	if a == nil {
 		return fmt.Errorf("stokes: coarsest GMG level must be assembled")
 	}
-	if s.coarseASM != nil && a == s.coarseASMMat {
-		if err := s.coarseASM.Refresh(a); err != nil {
-			return fmt.Errorf("stokes: ASM coarse solver: %w", err)
-		}
-		return nil
-	}
-	var coarse krylov.Preconditioner
-	s.SA, s.coarseASM, s.coarseASMMat = nil, nil, nil
 	switch cfg.CoarseSolver {
 	case "", "gamg":
+		nns := amg.RigidBodyModes(last.Prob.DA.Coords, last.Prob.BC.Mask)
+		if s.SA != nil {
+			if err := s.SA.Refresh(a, nns); err != nil {
+				return fmt.Errorf("stokes: GAMG coarse solver: %w", err)
+			}
+			return nil
+		}
 		opt := amg.GAMGLike()
 		opt.SmoothSteps = max(1, cfg.SmoothSteps)
 		opt.Workers = cfg.Workers
-		sa, err := amg.New(a, 3, amg.RigidBodyModes(last.Prob.DA.Coords, last.Prob.BC.Mask), opt)
+		sa, err := amg.New(a, 3, nns, opt)
 		if err != nil {
 			return fmt.Errorf("stokes: GAMG coarse solver: %w", err)
 		}
-		coarse, s.SA = sa, sa
+		s.SA, s.MG.CoarseSolve = sa, sa
 	case "asmcg":
-		asmPC, err := krylov.NewASM(a, krylov.ASMOptions{Subdomains: asmSubdomains, Overlap: asmOverlap, Workers: cfg.Workers})
+		var err error
+		switch {
+		case s.coarseASM == nil:
+			var asmPC *krylov.ASM
+			if asmPC, err = krylov.NewASM(a, krylov.ASMOptions{Subdomains: asmSubdomains, Overlap: asmOverlap, Workers: cfg.Workers}); err == nil {
+				// CG multiplies through the level's own operator: the worker-
+				// parallel SpMV of the same matrix, row sums unchanged.
+				s.coarseASM = asmPC
+				s.MG.CoarseSolve = &krylov.InnerKrylov{
+					A: last.Op, M: asmPC, Method: "cg",
+					Prm: krylov.Params{RTol: 1e-4, ATol: 1e-300, MaxIt: 25},
+				}
+			}
+		case a == s.coarseASMMat:
+			err = s.coarseASM.Refresh(a)
+		default:
+			err = s.coarseASM.Rebuild(a)
+		}
 		if err != nil {
 			return fmt.Errorf("stokes: ASM coarse solver: %w", err)
 		}
-		s.coarseASM, s.coarseASMMat = asmPC, a
-		// CG multiplies through the level's own operator: the worker-
-		// parallel SpMV of the same matrix, row sums unchanged.
-		coarse = &krylov.InnerKrylov{
-			A: last.Op, M: asmPC, Method: "cg",
-			Prm: krylov.Params{RTol: 1e-4, ATol: 1e-300, MaxIt: 25},
-		}
+		s.coarseASMMat = a
 	default:
 		return fmt.Errorf("stokes: unknown coarse solver %q", cfg.CoarseSolver)
 	}
-	s.MG.CoarseSolve = coarse
 	return nil
 }
 
 // buildAMG constructs the standalone algebraic preconditioner (Levels <=
-// 1 configurations) from the assembled viscous block amgA into s.SA.
+// 1 configurations) from the assembled viscous block amgA into s.SA, or
+// refreshes the one it built into its own storage.
 func (s *Solver) buildAMG() error {
 	defer s.stage("amg")()
+	nns := amg.RigidBodyModes(s.Prob.DA.Coords, s.Prob.BC.Mask)
+	if s.SA != nil {
+		if err := s.SA.Refresh(s.amgA, nns); err != nil {
+			return fmt.Errorf("stokes: AMG setup: %w", err)
+		}
+		return nil
+	}
 	cfg := s.Cfg
 	opt := amg.GAMGLike()
 	switch cfg.AMGConfig {
@@ -347,7 +367,7 @@ func (s *Solver) buildAMG() error {
 	}
 	opt.SmoothSteps = max(1, cfg.SmoothSteps)
 	opt.Workers = cfg.Workers
-	sa, err := amg.New(s.amgA, 3, amg.RigidBodyModes(s.Prob.DA.Coords, s.Prob.BC.Mask), opt)
+	sa, err := amg.New(s.amgA, 3, nns, opt)
 	if err != nil {
 		return fmt.Errorf("stokes: AMG setup: %w", err)
 	}
@@ -364,8 +384,9 @@ func (s *Solver) buildAMG() error {
 // configured coarsener, assembled/Galerkin/resident operator values are
 // recomputed in place into their cached sparsity, smoother spectra are
 // re-estimated exactly as a cold build would, and the value-dependent
-// algebraic components are rebuilt (GAMG/LU coarse solvers) or refactored
-// on their kept topology (ASM) from the refreshed coarse matrices. The
+// algebraic components are rebuilt into their own storage (the GAMG
+// hierarchy and its LU) or refactored on their kept topology (ASM) from
+// the refreshed coarse matrices. The
 // result is bit-identical to constructing a new Solver on the same state;
 // only the setup cost changes.
 func (s *Solver) Refresh() error {
@@ -423,7 +444,6 @@ func (s *Solver) Refresh() error {
 		if err := s.buildAMG(); err != nil {
 			return err
 		}
-		s.FS.InnerU = s.SA
 	}
 	if s.SA != nil {
 		s.SA.SetTelemetry(s.Tel.Child("amg"))

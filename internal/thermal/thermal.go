@@ -8,6 +8,8 @@ package thermal
 import (
 	"fmt"
 	"math"
+	"slices"
+	"sort"
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
@@ -31,6 +33,21 @@ type Solver struct {
 
 	// Params controls the linear solve (GMRES by default).
 	Params krylov.Params
+
+	// The system kept between steps: the matrix a, whose values Step
+	// refills in element order; for element e and its local entry (i,j)
+	// the position slot[64·e+8·i+j] in a.Val it scatters into (-1 at a
+	// Dirichlet row or column, or where the entry got no nonzero
+	// contribution when the pattern was derived); the Dirichlet mask the
+	// pattern was derived for; the right-hand side, the Jacobi scaling,
+	// the iterate and the GMRES workspace lent through Params.Work.
+	a      *la.CSR
+	slot   []int32
+	masked []bool
+	rhs, d la.Vec
+	x      la.Vec
+	jac    *krylov.Jacobi
+	work   krylov.Workspace
 }
 
 // New creates a thermal solver with empty boundary conditions.
@@ -87,31 +104,132 @@ func (s *Solver) Step(T []float64, u la.Vec, dt float64) error {
 	if len(T) != nv {
 		return fmt.Errorf("thermal: T length %d, want %d", len(T), nv)
 	}
-	a, rhs := s.Assemble(T, u, dt)
+	a, rhs := s.assemble(T, u, dt)
 	// Jacobi-preconditioned GMRES (the system is nonsymmetric with SUPG).
-	d := la.NewVec(nv)
-	a.Diag(d)
-	x := la.NewVec(nv)
-	copy(x, T)
-	res := krylov.GMRES(krylov.CSROp{A: a}, krylov.NewJacobi(d), rhs, x, s.Params)
+	s.d, s.x = la.Resized(s.d, nv), la.Resized(s.x, nv)
+	a.Diag(s.d)
+	if s.jac == nil {
+		s.jac = krylov.NewJacobi(s.d)
+	} else {
+		s.jac.SetDiag(s.d)
+	}
+	copy(s.x, T)
+	prm := s.Params
+	prm.Work = &s.work
+	res := krylov.GMRES(krylov.CSROp{A: a}, s.jac, rhs, s.x, prm)
 	if !res.Converged {
 		return fmt.Errorf("thermal: linear solve failed after %d its (rel %.2e)",
 			res.Iterations, res.Residual/math.Max(res.Residual0, 1e-300))
 	}
-	copy(T, x)
+	copy(T, s.x)
 	return nil
 }
 
-// Assemble builds the backward-Euler system matrix and right-hand side
-// for the current state (exposed for tests and diagnostics).
-func (s *Solver) Assemble(T []float64, u la.Vec, dt float64) (*la.CSR, la.Vec) {
+// assemble builds the backward-Euler system matrix and right-hand side
+// for the current state: bitwise what the triplet builder gives, pattern
+// included. While the Dirichlet mask is the one the kept pattern was
+// derived for, the values are refilled in place, element by element in
+// the builder's order; an element entry that would change the pattern (a
+// zero contribution, which the builder skips, or a nonzero one where the
+// pattern has no entry) sends the step through the builder instead, and
+// the pattern is derived again.
+func (s *Solver) assemble(T []float64, u la.Vec, dt float64) (*la.CSR, la.Vec) {
+	nv := s.Prob.DA.NVertices()
+	if s.a != nil && slices.Equal(s.masked, s.Mask) {
+		clear(s.a.Val)
+		if s.elements(T, u, dt, s.refill) {
+			for v, m := range s.Mask {
+				if m {
+					s.a.Val[s.a.RowPtr[v]] = 1
+				}
+			}
+			return s.a, s.rhs
+		}
+	}
+	b := la.NewBuilder(nv, nv)
+	s.elements(T, u, dt, func(_ int, vs *[8]int32, ae *[8][8]float64) bool {
+		for i, gi := range vs {
+			if s.Mask[gi] {
+				continue
+			}
+			for j, gj := range vs {
+				if !s.Mask[gj] {
+					b.Add(int(gi), int(gj), ae[i][j])
+				}
+			}
+		}
+		return true
+	})
+	for v, m := range s.Mask {
+		if m {
+			b.Set(v, v, 1)
+		}
+	}
+	s.a = b.ToCSR()
+	s.derivePattern()
+	return s.a, s.rhs
+}
+
+// refill adds element e's nonzero entries into the kept matrix, or
+// reports false when one would change its pattern.
+func (s *Solver) refill(e int, vs *[8]int32, ae *[8][8]float64) bool {
+	slot := s.slot[64*e : 64*e+64]
+	for i, gi := range vs {
+		if s.Mask[gi] {
+			continue
+		}
+		for j, gj := range vs {
+			if s.Mask[gj] {
+				continue
+			}
+			v, p := ae[i][j], slot[8*i+j]
+			if v == 0 || p < 0 {
+				return false
+			}
+			s.a.Val[p] += v
+		}
+	}
+	return true
+}
+
+// derivePattern records, for the matrix just built, the position every
+// element entry scatters into and the mask it was built for.
+func (s *Solver) derivePattern() {
+	da := s.Prob.DA
+	a := s.a
+	s.slot = la.Resized(s.slot, 64*da.NElements())
+	s.masked = append(s.masked[:0], s.Mask...)
+	var vs [8]int32
+	for e := 0; e < da.NElements(); e++ {
+		da.ElemVertices(e, &vs)
+		for i, gi := range vs {
+			for j, gj := range vs {
+				p := int32(-1)
+				if !s.Mask[gi] && !s.Mask[gj] {
+					lo, hi := a.RowPtr[gi], a.RowPtr[gi+1]
+					if k := lo + sort.SearchInts(a.ColInd[lo:hi], int(gj)); k < hi && a.ColInd[k] == int(gj) {
+						p = int32(k)
+					}
+				}
+				s.slot[64*e+8*i+j] = p
+			}
+		}
+	}
+}
+
+// elements computes every element's 8×8 matrix in element order and
+// hands it to scatter, which adds it to the matrix (false: stop), while
+// the right-hand side accumulates in s.rhs, Dirichlet rows and columns
+// eliminated. It reports whether every scatter succeeded.
+func (s *Solver) elements(T []float64, u la.Vec, dt float64, scatter func(e int, vs *[8]int32, ae *[8][8]float64) bool) bool {
 	p := s.Prob
 	da := p.DA
 	nv := da.NVertices()
-	b := la.NewBuilder(nv, nv)
-	rhs := la.NewVec(nv)
-
+	s.rhs = la.Resized(s.rhs, nv)
+	rhs := s.rhs
+	clear(rhs)
 	var vs [8]int32
+	var ae [8][8]float64 // outside the loop: scatter's pointer moves it to the heap
 	var q2n [27]float64
 	var n1 [8]float64
 	var g1 [8][3]float64
@@ -137,7 +255,7 @@ func (s *Solver) Assemble(T []float64, u la.Vec, dt float64) (*la.CSR, la.Vec) {
 		hz := math.Abs(xe[3*fem.CornerLocal[4]+2] - xe[l0+2])
 		he := math.Cbrt(math.Max(hx*hy*hz, 1e-300))
 
-		var ae [8][8]float64
+		ae = [8][8]float64{}
 		for qk := 0; qk < 2; qk++ {
 			for qj := 0; qj < 2; qj++ {
 				for qi := 0; qi < 2; qi++ {
@@ -220,22 +338,21 @@ func (s *Solver) Assemble(T []float64, u la.Vec, dt float64) (*la.CSR, la.Vec) {
 				continue
 			}
 			for j := 0; j < 8; j++ {
-				gj := int(vs[j])
-				if s.Mask[gj] {
+				if gj := int(vs[j]); s.Mask[gj] {
 					rhs[gi] -= ae[i][j] * s.Val[gj]
-					continue
 				}
-				b.Add(gi, gj, ae[i][j])
 			}
+		}
+		if !scatter(e, &vs, &ae) {
+			return false
 		}
 	}
 	for v := 0; v < nv; v++ {
 		if s.Mask[v] {
-			b.Set(v, v, 1)
 			rhs[v] = s.Val[v]
 		}
 	}
-	return b.ToCSR(), rhs
+	return true
 }
 
 // TemperatureAt interpolates the cursor's vertex-grid temperature field

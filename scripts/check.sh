@@ -33,10 +33,12 @@
 # every EXPERIMENTS.md section is cited from DESIGN.md, a
 # worker-count invariance run of rift and of sinker-swarm at 8^3 (its
 # checkpoints byte-equal at 1 and 2 workers), a
-# pair of allocation budgets for steady steps and a check that a rank
-# keeps its Krylov vectors packed on its windows (run without the race
-# detector) and the tests that kept rank views, a refreshed set-up and a
-# restore onto another mesh give a cold build's bits (run under it), a
+# set of allocation budgets (steady sinker and rift steps, an ASM rebuilt
+# and an SA-AMG hierarchy refreshed into their own storage) and a check
+# that a rank keeps its Krylov vectors packed on its windows (run without
+# the race detector) and the tests that kept rank views, a refreshed
+# set-up and a restore onto another mesh give a cold build's bits (run
+# under it), a guard that internal/la builds no map, a
 # rank-count invariance check of the 64-rank scaling sweep with every row
 # solved, a 64-rank solve with every rank reporting that takes the
 # iterations of 2 ranks, a guard that the fabric keeps one mailbox per rank
@@ -188,8 +190,8 @@ fi
 # its own account; the tests that kept rank views, a refreshed set-up, the
 # problem's one set of coupling blocks and a restore onto another mesh
 # give a cold build's bits run under it.
-echo "== steady steps allocate nothing: a 2-rank solve on a seen world shape < 64 KiB, a steady sinker step <= 1/4 (2x1x1) and 1/2 (shared) of the parent's bytes, a rank's Krylov vectors packed on its windows (2x1x1 and 2x2x2, at most 3 full-length apply buffers), without -race; kept rank views == cold ones, refreshed set-up == cold build, one coupling per problem rebuilt in place after a move, a restore onto another mesh == a fresh restore, one Krylov record, the stack 4x4 inverse == Factor, under -race =="
-named_tests -count=1 'TestAllocBudgetDistributedSolve|TestAllocBudgetSteadyStep|TestRankKrylovStorageIsWindowed' ./internal/model ./internal/stokes
+echo "== steady steps allocate nothing: a 2-rank solve on a seen world shape < 64 KiB, a steady step <= 1/4 of the sinker's (2x1x1) and the rift's bytes before their set-up storage was kept and <= 2x the sinker's now (shared), an ASM rebuilt onto a pattern that fits allocates nothing beyond its pool dispatch, an SA-AMG refresh <= 2 % of New's bytes, a rank's Krylov vectors packed on its windows (2x1x1 and 2x2x2, at most 3 full-length apply buffers), without -race; kept rank views == cold ones, refreshed set-up == cold build, one coupling per problem rebuilt in place after a move, a restore onto another mesh == a fresh restore, one Krylov record, the stack 4x4 inverse == Factor, under -race =="
+named_tests -count=1 'TestAllocBudgetDistributedSolve|TestAllocBudgetSteadyStep|TestAllocBudgetASMRebuild|TestAllocBudgetSARefresh|TestRankKrylovStorageIsWindowed' ./internal/model ./internal/stokes ./internal/krylov ./internal/amg
 named_tests '-short -race' \
     'TestReusedRankViewsMatchCold|TestCachedSetupMatchesColdBuild|TestColdStepSharesCoupling|TestRestoreSolvesOnTheRestoredMesh|TestKrylovRecordedOnce|TestAugmentMatchesBuilder|TestInvert4MatchesFactorSolve' \
     ./internal/stokes ./internal/model ./internal/op ./internal/la
@@ -208,10 +210,19 @@ named_tests '-race -count=10' \
     'TestPhasedOrderAndCoverage|TestPhasedNoHelper|TestPhasedNested|TestPhasedConcurrent|TestPhasedPanic|TestIdleAfterJobs|TestRunParts|TestCounts' \
     ./internal/par
 
-echo "== parallel ASM == serial, numeric refresh == rebuild, the sweep-ordered ILU(0) == the CSR form (random patterns, a refused refactor, the rift's coarse subdomains), lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, a solve packed on windows == the compact solve (all four methods), one method dispatcher, a poisoned residual entry caught by its norm, fused update-and-reduce == update then reduce (kernel and all four methods), under -race =="
+echo "== parallel ASM == serial, numeric refresh == rebuild, an ASM rebuilt onto another pattern == NewASM, an SA-AMG hierarchy refreshed into its own levels == New, the sweep-ordered ILU(0) == the CSR form (random patterns, a refused refactor, the rift's coarse subdomains), lazy FGMRES basis == eager, in-slot GCR == clone-per-iteration and a lent workspace changes nothing, a solve packed on windows == the compact solve (all four methods), one method dispatcher, a poisoned residual entry caught by its norm, fused update-and-reduce == update then reduce (kernel and all four methods), under -race =="
 named_tests -race \
-    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestILU0MatchesCSRFormBitwise|TestILU0RefactorWrongPattern|TestILU0RiftSubdomainsMatchCSRForm|TestMatMulNumericMatchesMatMul|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestPackedSolveMatchesCompact|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
-    ./internal/krylov ./internal/la
+    'TestASMParallelMatchesSerial|TestASMRefreshMatchesNew|TestASMRebuildMatchesNew|TestSARefreshMatchesNew|TestILU0MatchesCSRFormBitwise|TestILU0RefactorWrongPattern|TestILU0RiftSubdomainsMatchCSRForm|TestMatMulNumericMatchesMatMul|TestGMRESLazyBasisSameIterates|TestWorkspaceSameIteratesNoRealloc|TestPackedSolveMatchesCompact|TestSolveRejectsUnknownMethod|TestPoisonedResidualBreaksDownAtOnce|TestAXPYDotMatchesAXPYThenDot|TestFusedGramSchmidtBitIdentical' \
+    ./internal/krylov ./internal/la ./internal/amg
+
+# The triplet builder keeps sorted rows and ExtractSubmatrix a dense
+# index: a map per row, in the package that assembles every matrix, cost
+# about 2 KB a row of garbage.
+echo "== internal/la builds no map: no map type in its non-test Go =="
+if grep -nE '\bmap\[' $(find internal/la -name '*.go' ! -name '*_test.go'); then
+    echo "check.sh: a map in internal/la's non-test Go (above)" >&2
+    exit 1
+fi
 
 # The fused sweep is bitwise the two it replaced only if the compiler
 # contracts x + a·b into a fused multiply-add in both or in neither. Go
@@ -234,10 +245,10 @@ named_tests -race \
     'TestGeometryStoreBitwise|TestGeometryStoreKeptWhileMeshStill|TestILUBackSweepFromMatchesSolve|TestASMRestrictedPartialSweepBitwise|TestPrepareSkipsRepeatedCoefficientUpdate|TestStokesConfigIsWhatPrepareHands|TestSetupStageTimersAttributeRefresh|TestStepTelemetryRecordsWhatRan|TestSolveRetriesBreakdownWithAlternate|TestSolveWithFallbackSwitchesOnce|TestInnerFailureIsNotRetried|TestDecompFailureIsNotRetried' \
     ./internal/fem ./internal/la ./internal/krylov ./internal/nonlinear ./internal/model ./internal/stokes
 
-echo "== parallel MPM + amortized solver setup under -race =="
+echo "== parallel MPM + amortized solver setup + the kept thermal system == the builder's under -race =="
 named_tests -race \
-    'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestProjectorCachedWeights|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart' \
-    ./internal/mpm ./internal/model
+    'TestProjectorMatchesSerialAnyWorkers|TestProjectorInvalidate|TestProjectorCachedWeights|TestLocateAllParallelMatchesSerial|TestBucketedNearestMatchesScan|TestCachedSetupMatchesColdBuild|TestKrylovWarmStart|TestKeptSystemMatchesBuilder' \
+    ./internal/mpm ./internal/model ./internal/thermal
 
 echo "== point loops: closed-form location == the Newton walk on column meshes (element, found, ξ to 1e-8, residual 1e-13·h, lateral faces to the upper element), element frames == per-point arithmetic, cursor evaluators == per-point forms, per-solve inverse Jacobians follow the points and the mesh, plastic pass over yielding lithologies == over all, tabulated Q2 basis == triple products, a state field no law reads changes nothing, point coefficients from the fields read == from the full state, one coefficient update per state-free step, the population and the Krylov breakdowns and fallbacks in the step record, the -json steps == the step stats under every key, the stage times within the step's wall time on both backends, under -race =="
 named_tests -race \
