@@ -216,7 +216,8 @@ func New(a *la.CSR, bs int, nns *la.Dense, opt Options) (*SA, error) {
 // operands, so the result is bitwise New(a, bs, nns, opt). Each phase
 // writes into the storage the levels and the set-up scratch kept from the
 // last build where it has the room; the level count may change. After an
-// error the hierarchy is unusable until a Refresh succeeds.
+// error Apply panics until a Refresh succeeds; that Refresh needs nothing
+// of the failed one.
 func (sa *SA) Refresh(a *la.CSR, nns *la.Dense) error {
 	if a.NRows != nns.Rows {
 		return fmt.Errorf("amg: near-null space rows %d != matrix dim %d", nns.Rows, a.NRows)
@@ -393,8 +394,12 @@ func (w *setupWork) fixZeroDiag(a *la.CSR) {
 	*a, *b = *b, *a
 }
 
-// Apply runs one V-cycle: z ≈ A⁻¹·r.
+// Apply runs one V-cycle: z ≈ A⁻¹·r. It panics on a hierarchy whose last
+// Refresh failed: its levels may be half rewritten.
 func (sa *SA) Apply(r, z la.Vec) {
+	if sa.coarse == nil {
+		panic("amg: V-cycle of a hierarchy whose last Refresh failed")
+	}
 	z.Zero()
 	sa.cycles.Inc()
 	sa.vcycle(0, r, z)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 
 	"ptatin3d/internal/fem"
@@ -326,6 +327,44 @@ func TestSARefreshMatchesNew(t *testing.T) {
 					t.Fatalf("%s refresh %d: V-cycle entry %d = %v, New %v", name, i, k, got[k], want[k])
 				}
 			}
+		}
+	}
+}
+
+// TestSARefreshAfterFailure: a refresh onto a singular matrix returns the
+// coarse factorization's error and leaves a hierarchy that refuses to
+// cycle; the next refresh onto a good matrix is bitwise New again.
+func TestSARefreshAfterFailure(t *testing.T) {
+	cases := refreshCases()
+	sa, err := New(cases[0].a, 3, rbm(cases[0].p), GAMGLike())
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := *cases[0].a
+	zero.Val = make([]float64, len(zero.Val))
+	if err := sa.Refresh(&zero, rbm(cases[0].p)); err == nil {
+		t.Fatal("refresh onto the zero matrix succeeded")
+	}
+	func() {
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, "Refresh failed") {
+				t.Fatalf("V-cycle after a failed refresh: panic %q", msg)
+			}
+		}()
+		vcycleBits(sa, zero.NRows)
+	}()
+	c := cases[1]
+	if err := sa.Refresh(c.a, rbm(c.p)); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := New(c.a, 3, rbm(c.p), GAMGLike())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := vcycleBits(sa, c.a.NRows), vcycleBits(fresh, c.a.NRows)
+	for k := range want {
+		if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+			t.Fatalf("V-cycle entry %d = %v after recovery, New %v", k, got[k], want[k])
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"ptatin3d/internal/cli"
@@ -103,9 +102,9 @@ type RunRecord struct {
 	Steps      []model.StepStats `json:"steps"`
 	TotalWallS float64           `json:"total_wall_s"`
 	AvgStepS   float64           `json:"avg_step_s"`
-	// CPUUtil is the share of Workers (× Ranks) cores that ran user Go
-	// code over the whole time loop — exact, the loop being bracketed by
-	// two collections. Well under 1: serial sections or idle workers.
+	// CPUUtil is the share of Workers (× Ranks) cores that the process
+	// kept busy in user mode over the whole time loop. Well under 1:
+	// serial sections or idle workers.
 	CPUUtil float64 `json:"cpu_util"`
 	// HelperShare is the same share as the steps', over the whole loop:
 	// near (Workers-1)/Workers when the workers split the parallel
@@ -133,9 +132,6 @@ func Run(m *model.Model, cfg Config) error {
 		ranks = db.Ranks()
 	}
 	fmt.Fprintln(out, "# columns: step, time, dt, newton_its, krylov_its, |F|0, |F|, converged, topo_min, topo_max, points, backend, halo_msgs, wall_s, cpu_util, krylov_basis, helper_share")
-	// The runtime's CPU accounting advances at collection cycles: run one
-	// on either side of the loop so the run's utilization is of the loop.
-	runtime.GC()
 	cpuStart := telemetry.ReadCPU()
 	items0, pooled0 := par.Counts()
 	runStart := time.Now()
@@ -145,7 +141,7 @@ func Run(m *model.Model, cfg Config) error {
 			return fmt.Errorf("step %d: %w", m.StepNum+1, err)
 		}
 		st := m.Stats[len(m.Stats)-1]
-		cpu := "-" // no collection cycle ended inside the step: not measured
+		cpu := "-" // no CPU-time reading on this platform
 		if st.CPUUtil > 0 {
 			cpu = fmt.Sprintf("%.2f", st.CPUUtil)
 		}
@@ -165,7 +161,6 @@ func Run(m *model.Model, cfg Config) error {
 		}
 	}
 	total := time.Since(runStart).Seconds()
-	runtime.GC()
 	cores := max(1, m.Workers) * max(1, ranks)
 	cpuUtil := telemetry.ReadCPU().Utilization(cpuStart, cores)
 	fmt.Fprintf(out, "# cpu_util: %.2f of %d cores over %d steps\n", cpuUtil, cores, cfg.Steps)

@@ -5,11 +5,9 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"ptatin3d/internal/fem"
 	"ptatin3d/internal/krylov"
@@ -332,29 +330,13 @@ var stepKeys = map[string]string{
 // TestRunRecordsStepStats: the -json steps are the model's step stats —
 // decoded, equal to m.Stats field for field — under every key of
 // stepKeys with its JSON type and no other. The run is on two ranks, so
-// the keys omitted when zero are there, and a goroutine collects garbage
-// every 5 ms, so a collection cycle ends inside every step and cpu_util
-// is measured: a steady step allocates too little to start one by heap
-// growth, even at a GC percent of 1.
+// the keys omitted when zero are there; cpu_util is read from the
+// process's CPU time, so every step has it, whether or not a collection
+// ran inside it.
 func TestRunRecordsStepStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	stop, done := make(chan struct{}), make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				runtime.GC()
-			}
-		}
-	}()
-	defer func() { close(stop); <-done }()
 	m := smallSinker(t, 2)
 	m.Backend = model.NewDistributedBackend(2, 1, 1, stokes.DistOptions{})
 	var js bytes.Buffer

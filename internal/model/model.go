@@ -214,12 +214,10 @@ type StepStats struct {
 	// the first of them.
 	CoeffUpdates int64 `json:"coeff_updates"`
 	// CPUUtil is the share of the step's cores — Workers × Ranks, the
-	// width every stage runs at — that ran user Go code during the step
-	// (telemetry.CPUSample.Utilization): a value well under 1 means serial
-	// sections or idle workers. The runtime's CPU accounting
-	// advances at garbage-collection cycles, so the window is the step to
-	// within one cycle at either end, and 0 (absent from the record) when
-	// no cycle ended inside it.
+	// width every stage runs at — that the process kept busy in user mode
+	// during the step (telemetry.CPUSample.Utilization): a value well
+	// under 1 means serial sections or idle workers. 0 (absent from the
+	// record) only where the platform has no CPU-time reading.
 	CPUUtil float64 `json:"cpu_util,omitempty"`
 	// HelperShare is the share of the step's parallel-region items (par.For
 	// chunks, par.Phased items) that pool workers ran rather than the
